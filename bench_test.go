@@ -543,16 +543,6 @@ func BenchmarkFrameW3Telemetry(b *testing.B) {
 	benchmarkFrameProbe(b, geom.W3Cube, telemetry.NewProbe())
 }
 
-// BenchmarkFrameW3NoWheel is BenchmarkFrameW3 with the per-shard event
-// wheel disabled: every cluster and DRAM channel is ticked every cycle
-// even when provably parked. The Wheel/NoWheel pair is recorded by
-// scripts/bench_wheel.sh into BENCH_wheel.json; results are
-// bit-identical between the two (TestWheelDeterminismStandalone), only
-// wall clock changes.
-func BenchmarkFrameW3NoWheel(b *testing.B) {
-	benchmarkFrameOpts(b, geom.W3Cube, 1, nil, false)
-}
-
 // BenchmarkFrameW3Par4 is BenchmarkFrameW3 on the parallel tick engine
 // with 4 workers — the speedup guard for the -workers flag
 // (scripts/check.sh demands >= 1.5x over the sequential run). Results
@@ -563,23 +553,22 @@ func BenchmarkFrameW3Par4(b *testing.B) {
 
 func benchmarkFrame(b *testing.B, workload int) {
 	b.Helper()
-	benchmarkFrameOpts(b, workload, 1, nil, true)
+	benchmarkFrameOpts(b, workload, 1, nil)
 }
 
 func benchmarkFrameWorkers(b *testing.B, workload, workers int) {
 	b.Helper()
-	benchmarkFrameOpts(b, workload, workers, nil, true)
+	benchmarkFrameOpts(b, workload, workers, nil)
 }
 
 func benchmarkFrameProbe(b *testing.B, workload int, probe *telemetry.Probe) {
 	b.Helper()
-	benchmarkFrameOpts(b, workload, 1, probe, true)
+	benchmarkFrameOpts(b, workload, 1, probe)
 }
 
-func benchmarkFrameOpts(b *testing.B, workload, workers int, probe *telemetry.Probe, wheel bool) {
+func benchmarkFrameOpts(b *testing.B, workload, workers int, probe *telemetry.Probe) {
 	b.Helper()
 	sys := NewStandaloneGPU(nil)
-	sys.SetEventWheel(wheel)
 	if workers > 1 {
 		pool := par.NewPool(workers)
 		defer pool.Close()
@@ -627,45 +616,3 @@ func max64(a, b uint64) uint64 {
 	}
 	return b
 }
-
-// benchmarkSoCIdle times a display-paced SoC run with long idle gaps
-// between frames — the workload event-driven idle cycle-skipping is
-// built for. The Skip/NoSkip pair is recorded by scripts/bench_skip.sh
-// into BENCH_skip.json; results are bit-identical between the two
-// (TestSkipDeterminismSoC), only wall clock changes.
-func benchmarkSoCIdle(b *testing.B, skip bool) {
-	b.Helper()
-	scene, err := geom.SoCModel(geom.M2Cube)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		cfg := soc.DefaultConfig(scene)
-		cfg.Width, cfg.Height = 96, 72
-		cfg.DisplayPeriod = 400_000
-		cfg.AppPeriod = 800_000
-		cfg.WorkingSetBytes = 16 * 1024
-		cfg.ScenePasses = 1
-		// Idle background cores: the app core renders a small frame and
-		// then sleeps until vsync, so most of each period is quiescent.
-		cfg.Background = make([]uint32, cfg.NumCPUs-1)
-		cfg.Frames = 3
-		cfg.WarmupFrames = 0
-		s, err := soc.New(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.SetIdleSkip(skip)
-		if err := s.Run(60_000_000); err != nil {
-			b.Fatal(err)
-		}
-		if skip {
-			b.ReportMetric(100*float64(s.SkippedCycles())/float64(s.Cycle()), "skipped_%")
-		}
-	}
-}
-
-// BenchmarkSoCIdleSkip is the idle-heavy SoC run with skipping on (the
-// default); BenchmarkSoCIdleNoSkip is the -no-skip arm.
-func BenchmarkSoCIdleSkip(b *testing.B)   { benchmarkSoCIdle(b, true) }
-func BenchmarkSoCIdleNoSkip(b *testing.B) { benchmarkSoCIdle(b, false) }

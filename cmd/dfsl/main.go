@@ -34,8 +34,7 @@ func main() {
 	workers := flag.Int("workers", par.DefaultWorkers(), "worker threads for the parallel tick engine (1 = sequential; results are identical)")
 	watchdog := flag.Uint64("watchdog", 0, "abort after this many cycles without forward progress, with a diagnostic dump (0 = off)")
 	guard := flag.Bool("guard", false, "run cycle-level microarchitectural invariant checks (MSHR leaks, SIMT stack balance, DRAM/NoC legality)")
-	noSkip := flag.Bool("no-skip", false, "disable event-driven idle cycle-skipping (results are identical; for perf comparison/debugging)")
-	noWheel := flag.Bool("no-wheel", false, "disable per-shard event wheels (tick parked clusters/channels every cycle; results are identical; for perf comparison/debugging)")
+	everyCycle := flag.Bool("every-cycle", false, "reference mode: tick every component on every cycle, with no clock jumps and no parked shards (results are identical; the digest oracle, and for debugging)")
 	statsJSON := flag.String("stats-json", "", "write all counters and distributions as JSON to this file")
 	progress := flag.Bool("progress", false, "print a live progress line to stderr every second (cycle, draws, sim rate, skip ratio)")
 	flag.Parse()
@@ -51,8 +50,7 @@ func main() {
 	}
 	opt.WatchdogCycles = *watchdog
 	opt.Guard = *guard
-	opt.NoSkip = *noSkip
-	opt.NoWheel = *noWheel
+	opt.EveryCycle = *everyCycle
 	if *workers > 1 {
 		pool := par.NewPool(*workers)
 		defer pool.Close()

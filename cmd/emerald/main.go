@@ -40,8 +40,7 @@ type options struct {
 	traceFrames                int
 	watchdog                   uint64
 	guard                      bool
-	noSkip                     bool
-	noWheel                    bool
+	everyCycle                 bool
 	progress                   bool
 	sampled                    bool
 	sampleK, sampleSpan        int
@@ -63,8 +62,7 @@ func main() {
 	flag.IntVar(&opt.traceFrames, "trace-frames", 0, "stop tracing after this many frames (0 = all)")
 	flag.Uint64Var(&opt.watchdog, "watchdog", 0, "abort after this many cycles without forward progress, with a diagnostic dump (0 = off)")
 	flag.BoolVar(&opt.guard, "guard", false, "run cycle-level microarchitectural invariant checks (MSHR leaks, SIMT stack balance, DRAM/NoC legality)")
-	flag.BoolVar(&opt.noSkip, "no-skip", false, "disable event-driven idle cycle-skipping (results are identical; for perf comparison/debugging)")
-	flag.BoolVar(&opt.noWheel, "no-wheel", false, "disable per-shard event wheels (tick parked clusters/channels every cycle; results are identical; for perf comparison/debugging)")
+	flag.BoolVar(&opt.everyCycle, "every-cycle", false, "reference mode: tick every component on every cycle, with no clock jumps and no parked shards (results are identical; the digest oracle, and for debugging)")
 	flag.BoolVar(&opt.progress, "progress", false, "print a live progress line to stderr every second (cycle, frames, sim rate, skip ratio)")
 	flag.BoolVar(&opt.sampled, "sampled", false, "sampled simulation: functional pass + checkpoints, detail only K representative regions, reconstruct the whole-run estimate")
 	flag.IntVar(&opt.sampleK, "sample-k", 3, "sampled mode: number of representative regions to select")
@@ -107,8 +105,7 @@ func runSampled(opt options) error {
 	eopt := exp.Quick()
 	eopt.CS2Width, eopt.CS2Height = opt.w, opt.h
 	eopt.Guard = opt.guard
-	eopt.NoSkip = opt.noSkip
-	eopt.NoWheel = opt.noWheel
+	eopt.EveryCycle = opt.everyCycle
 	eopt.WatchdogCycles = opt.watchdog
 	workers := opt.workers
 	if workers < 1 {
@@ -166,8 +163,8 @@ func run(opt options) error {
 		s.AttachGuard(guard.NewChecker())
 	}
 	s.SetWatchdog(opt.watchdog)
-	s.SetIdleSkip(!opt.noSkip)
-	s.SetEventWheel(!opt.noWheel)
+	s.SetIdleSkip(!opt.everyCycle)
+	s.SetEventWheel(!opt.everyCycle)
 	if opt.progress {
 		probe := telemetry.NewProbe()
 		s.SetProbe(probe)

@@ -71,8 +71,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown drain budget before in-flight jobs are cancelled")
 	watchdog := flag.Uint64("watchdog", 5_000_000, "abort a job's simulation after this many cycles without forward progress (0 disables)")
 	guardOn := flag.Bool("guard", false, "run cycle-level microarchitectural invariant checks in every job")
-	noSkip := flag.Bool("no-skip", false, "disable event-driven idle cycle-skipping in every job (results are identical; for perf comparison/debugging)")
-	noWheel := flag.Bool("no-wheel", false, "disable per-shard event wheels in every job (results are identical; for perf comparison/debugging)")
 	pprofOn := flag.Bool("pprof", false, "mount Go profiler endpoints under /debug/pprof/ (off by default; exposes process internals)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every fleet member (including this node) — enables fleet mode")
 	join := flag.String("join", "", "base URL of an existing fleet member to join through — enables fleet mode with dynamic membership")
@@ -108,7 +106,7 @@ func main() {
 		addr: *addr, cache: *cache, journal: *journal,
 		jobs: *jobs, queue: *queue,
 		jobTimeout: *jobTimeout, retries: *retries, drainTimeout: *drainTimeout,
-		watchdog: *watchdog, guard: *guardOn, noSkip: *noSkip, noWheel: *noWheel,
+		watchdog: *watchdog, guard: *guardOn,
 		pprof:           *pprofOn,
 		leaveOnShutdown: *leaveOnShutdown,
 		fleet: fleet.Config{
@@ -155,8 +153,6 @@ type daemonConfig struct {
 	retries                  int
 	watchdog                 uint64
 	guard                    bool
-	noSkip                   bool
-	noWheel                  bool
 	pprof                    bool
 	leaveOnShutdown          bool
 	fleet                    fleet.Config  // fleet mode iff Peers or Join is set
@@ -201,8 +197,6 @@ func run(cfg daemonConfig) error {
 		MaxRetries: cfg.retries,
 		Watchdog:   cfg.watchdog,
 		Guard:      cfg.guard,
-		NoSkip:     cfg.noSkip,
-		NoWheel:    cfg.noWheel,
 		Journal:    journal,
 	}
 	if ms := os.Getenv("EMERALD_SLEEP_EXEC_MS"); ms != "" {

@@ -140,28 +140,16 @@ func (c *Core) Reset() {
 // current instruction's stall window when it retires or retries.
 func (c *Core) SleepUntil(cycle uint64) { c.sleepUntil = cycle }
 
-// quiet reports whether this cycle's Tick would only burn a stall
-// cycle: the pipeline cannot issue and no cache in the hierarchy has
-// actionable work. The gate is applied unconditionally (with or
-// without idle skipping) so simulation results never depend on the
-// skip mode.
-func (c *Core) quiet(cycle uint64) bool {
-	if !(c.halted || c.waitingMem || c.stallUntil > cycle) {
-		return false
-	}
-	return c.Out.Len() == 0 &&
-		c.L1I.NextWake(cycle) > cycle &&
-		c.L1D.NextWake(cycle) > cycle &&
-		c.L2.NextWake(cycle) > cycle
-}
-
 // NextWake returns the earliest future CPU cycle at which the core's
 // state can change on its own: now when it can issue or a cache has
 // actionable work, the stall deadline when sleeping or executing a
 // multi-cycle op, and mem.NeverWake when halted or blocked on a memory
-// fill whose completion is accounted for downstream (NoC/DRAM).
+// fill whose completion is accounted for downstream (NoC/DRAM). It is
+// the core's one wake definition: Tick gates on it every cycle, in
+// every mode, and the SoC arms the core's wheel slot with it.
 func (c *Core) NextWake(cycle uint64) uint64 {
-	if c.Out.Len() > 0 {
+	running := !c.halted && !c.waitingMem
+	if (running && c.stallUntil <= cycle) || c.Out.Len() > 0 {
 		return cycle
 	}
 	w := c.L1I.NextWake(cycle)
@@ -171,25 +159,19 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 	if v := c.L2.NextWake(cycle); v < w {
 		w = v
 	}
+	if running && c.stallUntil < w {
+		w = c.stallUntil
+	}
 	if w <= cycle {
 		return cycle
 	}
-	if c.halted || c.waitingMem {
-		return w // possibly NeverWake
-	}
-	if c.stallUntil > cycle {
-		if c.stallUntil < w {
-			w = c.stallUntil
-		}
-		return w
-	}
-	return cycle
+	return w
 }
 
 // Tick advances the core one CPU cycle.
 func (c *Core) Tick(cycle uint64) {
-	if c.quiet(cycle) {
-		return
+	if c.NextWake(cycle) > cycle {
+		return // only a stall cycle to burn
 	}
 	// Cache maintenance + miss plumbing every cycle.
 	c.L1I.Tick(cycle)

@@ -296,13 +296,17 @@ func (c *Controller) Tick(cycle uint64) {
 func (c *Controller) tickChannel(ch *Channel, cycle uint64) {
 	if c.wheelOn && !c.wheel.Due(ch.ID, cycle) {
 		// Empty queue and no transfer finishing before the slot's wake:
-		// the whole body below is a no-op. Push wakes the slot when new
-		// work arrives, so a parked channel costs one atomic load.
+		// serving the channel would be a no-op. Push wakes the slot when
+		// new work arrives, so a parked channel costs one atomic load.
 		return
 	}
-	defer func() { c.wheel.Arm(ch.ID, c.channelWake(ch, cycle+1)) }()
+	c.serveChannel(ch, cycle)
+	c.wheel.Arm(ch.ID, c.channelWake(ch, cycle+1))
+}
 
-	// Retire finished transfers.
+// serveChannel retires the channel's finished transfers and issues at
+// most one new transaction.
+func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
 	kept := ch.inService[:0]
 	for _, r := range ch.inService {
 		if r.DoneAt <= cycle {
@@ -420,27 +424,18 @@ func (c *Controller) channelWake(ch *Channel, from uint64) uint64 {
 }
 
 // NextWake returns the earliest future cycle at which the controller's
-// state can change on its own: now when any channel has queued
-// requests, the earliest in-service completion or scheduler deadline
-// otherwise, and mem.NeverWake when fully drained (with a stateless
-// scheduler).
+// state can change on its own: the earliest channel slot (now while any
+// channel has queued requests) or scheduler deadline, and mem.NeverWake
+// when fully drained with a stateless scheduler. The slots are armed
+// with channelWake after every channel tick and pulled to "now" by
+// Push, so they already hold each channel's answer.
 func (c *Controller) NextWake(cycle uint64) uint64 {
 	w := c.sched.NextWake(cycle)
+	if v := c.wheel.Min(); v < w {
+		w = v
+	}
 	if w <= cycle {
 		return cycle
-	}
-	for _, ch := range c.Channels {
-		if len(ch.Queue) > 0 {
-			return cycle
-		}
-		for _, r := range ch.inService {
-			if r.DoneAt <= cycle {
-				return cycle
-			}
-			if r.DoneAt < w {
-				w = r.DoneAt
-			}
-		}
 	}
 	return w
 }

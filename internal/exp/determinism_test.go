@@ -21,9 +21,36 @@ import (
 // stats registry, framebuffer, final cycle, results summary — and
 // demand equality between -workers 1 and -workers 4.
 
+// timeAdvance is one setting of the engine's two time-advancement
+// mechanisms: clock jumps over idle stretches, and shards parked on
+// their wheel slots.
+type timeAdvance struct {
+	name        string
+	skip, wheel bool
+}
+
+var defaultAdvance = timeAdvance{"default", true, true}
+
+// referenceArms are what the default is held to: the every-cycle
+// oracle, and the two single-mechanism arms bench/ measures.
+var referenceArms = []timeAdvance{
+	{"every-cycle", false, false},
+	{"skip-only", true, false},
+	{"wheel-only", false, true},
+}
+
+type workerArm struct {
+	name string
+	pool *par.Pool
+}
+
+func workerArms(pool *par.Pool) []workerArm {
+	return []workerArm{{"workers1", nil}, {"workers4", pool}}
+}
+
 // socStateDigest runs one Case Study I cell and hashes its observable
 // end state.
-func socStateDigest(t *testing.T, model int, cfg MemConfig, pool *par.Pool, noSkip, noWheel bool) string {
+func socStateDigest(t *testing.T, model int, cfg MemConfig, pool *par.Pool, adv timeAdvance) string {
 	t.Helper()
 	opt := Quick()
 	if testing.Short() {
@@ -33,13 +60,14 @@ func socStateDigest(t *testing.T, model int, cfg MemConfig, pool *par.Pool, noSk
 		opt.Frames, opt.WarmupFrames = 1, 0
 	}
 	opt.Pool = pool
-	opt.NoSkip = noSkip
-	opt.NoWheel = noWheel
+	opt.EveryCycle = !adv.skip && !adv.wheel
 	reg := stats.NewRegistry()
 	s, err := buildSoC(model, cfg, opt.RegularMbps, opt, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetIdleSkip(adv.skip)
+	s.SetEventWheel(adv.wheel)
 	if err := s.Run(opt.BudgetCycles); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +86,7 @@ func socStateDigest(t *testing.T, model int, cfg MemConfig, pool *par.Pool, noSk
 
 // standaloneStateDigest renders two DFSL frames on the standalone GPU
 // and hashes the observable end state.
-func standaloneStateDigest(t *testing.T, pool *par.Pool, noSkip, noWheel bool) string {
+func standaloneStateDigest(t *testing.T, pool *par.Pool, adv timeAdvance) string {
 	t.Helper()
 	cfg := gpu.CaseStudyIIConfig()
 	sys := gpu.NewStandalone(cfg, dram.Config{
@@ -66,8 +94,8 @@ func standaloneStateDigest(t *testing.T, pool *par.Pool, noSkip, noWheel bool) s
 		Timing:   dram.LPDDR3Timing(1600),
 	}, nil)
 	sys.SetParallel(pool)
-	sys.SetIdleSkip(!noSkip)
-	sys.SetEventWheel(!noWheel)
+	sys.SetIdleSkip(adv.skip)
+	sys.SetEventWheel(adv.wheel)
 	ctx := gl.NewContext(sys.Mem(), 0x1000_0000, 256<<20)
 	ctx.Submit = func(call *gpu.DrawCall) error { return sys.GPU.SubmitDraw(call, nil) }
 	ctx.OnClearDepth = sys.GPU.ClearHiZ
@@ -130,8 +158,8 @@ func TestParallelDeterminismSoC(t *testing.T) {
 		cases = cases[:1]
 	}
 	for _, c := range cases {
-		seq := socStateDigest(t, c.model, c.cfg, nil, false, false)
-		parl := socStateDigest(t, c.model, c.cfg, pool, false, false)
+		seq := socStateDigest(t, c.model, c.cfg, nil, defaultAdvance)
+		parl := socStateDigest(t, c.model, c.cfg, pool, defaultAdvance)
 		t.Logf("%s/%s state digest: %s", modelName(c.model), c.cfg, seq)
 		if seq != parl {
 			t.Errorf("%s/%s: workers=1 digest %s != workers=4 digest %s",
@@ -145,22 +173,23 @@ func TestParallelDeterminismSoC(t *testing.T) {
 func TestParallelDeterminismStandalone(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Close()
-	seq := standaloneStateDigest(t, nil, false, false)
-	parl := standaloneStateDigest(t, pool, false, false)
+	seq := standaloneStateDigest(t, nil, defaultAdvance)
+	parl := standaloneStateDigest(t, pool, defaultAdvance)
 	t.Logf("standalone W3 state digest: %s", seq)
 	if seq != parl {
 		t.Errorf("workers=1 digest %s != workers=4 digest %s", seq, parl)
 	}
 }
 
-// TestSkipDeterminismSoC checks that event-driven idle cycle-skipping
-// is invisible: the complete observable end state of a run (registry
-// JSON, framebuffer, final cycle, results) must be bit-identical with
-// skipping on and off, under both the sequential and the parallel tick
-// engine. Per-component idle gating applies in both modes, so the only
-// difference the skip arm may introduce is which cycles the top-level
-// loop visits — and those must all be no-ops.
-func TestSkipDeterminismSoC(t *testing.T) {
+// TestTimeAdvanceDeterminismSoC checks that how time advances is
+// invisible. The default engine jumps the clock over idle stretches and
+// parks CPU cores, the display, GPU clusters and DRAM channels on their
+// wheel slots; both may only elide ticks that were gated no-ops anyway.
+// So the complete observable end state of a run (registry JSON,
+// framebuffer, final cycle, results) must match the every-cycle
+// reference, and each mechanism on its own, under both the sequential
+// and the parallel tick engine.
+func TestTimeAdvanceDeterminismSoC(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Close()
 	cases := []struct {
@@ -174,83 +203,29 @@ func TestSkipDeterminismSoC(t *testing.T) {
 		cases = cases[:1]
 	}
 	for _, c := range cases {
-		for _, tc := range []struct {
-			name string
-			pool *par.Pool
-		}{{"workers1", nil}, {"workers4", pool}} {
-			skip := socStateDigest(t, c.model, c.cfg, tc.pool, false, false)
-			noskip := socStateDigest(t, c.model, c.cfg, tc.pool, true, false)
-			if skip != noskip {
-				t.Errorf("%s/%s %s: skip digest %s != no-skip digest %s",
-					modelName(c.model), c.cfg, tc.name, skip, noskip)
+		for _, tc := range workerArms(pool) {
+			def := socStateDigest(t, c.model, c.cfg, tc.pool, defaultAdvance)
+			for _, arm := range referenceArms {
+				if got := socStateDigest(t, c.model, c.cfg, tc.pool, arm); got != def {
+					t.Errorf("%s/%s %s: default digest %s != %s digest %s",
+						modelName(c.model), c.cfg, tc.name, def, arm.name, got)
+				}
 			}
 		}
 	}
 }
 
-// TestSkipDeterminismStandalone is the standalone-GPU (dfsl W3)
-// counterpart of TestSkipDeterminismSoC.
-func TestSkipDeterminismStandalone(t *testing.T) {
+// TestTimeAdvanceDeterminismStandalone is the standalone-GPU (dfsl W3)
+// counterpart of TestTimeAdvanceDeterminismSoC.
+func TestTimeAdvanceDeterminismStandalone(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Close()
-	for _, tc := range []struct {
-		name string
-		pool *par.Pool
-	}{{"workers1", nil}, {"workers4", pool}} {
-		skip := standaloneStateDigest(t, tc.pool, false, false)
-		noskip := standaloneStateDigest(t, tc.pool, true, false)
-		if skip != noskip {
-			t.Errorf("%s: skip digest %s != no-skip digest %s", tc.name, skip, noskip)
-		}
-	}
-}
-
-// TestWheelDeterminismSoC checks that the per-shard event wheel is
-// invisible: parking a CPU core, the display, a GPU cluster or a DRAM
-// channel must only elide ticks that were gated no-ops anyway, so the
-// complete observable end state matches a run that ticked every shard
-// every cycle — under both the sequential and the parallel engine.
-func TestWheelDeterminismSoC(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
-	cases := []struct {
-		model int
-		cfg   MemConfig
-	}{
-		{geom.M2Cube, BAS},
-		{geom.M1Chair, DTB},
-	}
-	if testing.Short() {
-		cases = cases[:1]
-	}
-	for _, c := range cases {
-		for _, tc := range []struct {
-			name string
-			pool *par.Pool
-		}{{"workers1", nil}, {"workers4", pool}} {
-			wheel := socStateDigest(t, c.model, c.cfg, tc.pool, false, false)
-			nowheel := socStateDigest(t, c.model, c.cfg, tc.pool, false, true)
-			if wheel != nowheel {
-				t.Errorf("%s/%s %s: wheel digest %s != no-wheel digest %s",
-					modelName(c.model), c.cfg, tc.name, wheel, nowheel)
+	for _, tc := range workerArms(pool) {
+		def := standaloneStateDigest(t, tc.pool, defaultAdvance)
+		for _, arm := range referenceArms {
+			if got := standaloneStateDigest(t, tc.pool, arm); got != def {
+				t.Errorf("%s: default digest %s != %s digest %s", tc.name, def, arm.name, got)
 			}
-		}
-	}
-}
-
-// TestWheelDeterminismStandalone is the standalone-GPU (dfsl W3)
-// counterpart of TestWheelDeterminismSoC.
-func TestWheelDeterminismStandalone(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
-	for _, tc := range []struct {
-		name string
-		pool *par.Pool
-	}{{"workers1", nil}, {"workers4", pool}} {
-		wheel := standaloneStateDigest(t, tc.pool, false, false)
-		nowheel := standaloneStateDigest(t, tc.pool, false, true)
-		if wheel != nowheel {
-			t.Errorf("%s: wheel digest %s != no-wheel digest %s", tc.name, wheel, nowheel)
 		}
 	}
 }

@@ -59,8 +59,8 @@ func NewCS2Renderer(scene *geom.Scene, opt Options) (*CS2Renderer, error) {
 	}
 	s.SetWatchdog(opt.WatchdogCycles)
 	s.SetParallel(opt.Pool)
-	s.SetIdleSkip(!opt.NoSkip)
-	s.SetEventWheel(!opt.NoWheel)
+	s.SetIdleSkip(!opt.EveryCycle)
+	s.SetEventWheel(!opt.EveryCycle)
 	s.SetProbe(opt.Probe)
 	r := &CS2Renderer{
 		S: s, Ctx: ctx, Scene: scene, Reg: reg,

@@ -80,17 +80,12 @@ type Options struct {
 	// environment, the hook CI uses to run the test suite checked.
 	Guard bool
 
-	// NoSkip disables event-driven idle cycle-skipping in the tick
-	// loops (the -no-skip flag). Results are bit-identical either way;
-	// the escape hatch exists for perf comparison and debugging.
-	NoSkip bool
-
-	// NoWheel disables the per-shard event wheels (the -no-wheel flag):
-	// every CPU core, display, GPU cluster and DRAM channel is ticked
-	// every cycle even when provably parked. Results are bit-identical
-	// either way; the escape hatch exists for perf comparison and
-	// debugging.
-	NoWheel bool
+	// EveryCycle selects the reference mode (the -every-cycle flag): no
+	// clock jumps and no parked shards, so every CPU core, display, GPU
+	// cluster and DRAM channel is ticked on every cycle. Results are
+	// bit-identical either way; the mode exists as the oracle the
+	// digest gates compare the default against, and for debugging.
+	EveryCycle bool
 
 	// Probe, when non-nil, is attached to every system the harness
 	// builds: the run loops publish live progress snapshots to it at
@@ -238,8 +233,8 @@ func buildSoC(model int, cfg MemConfig, dataRateMbps int, opt Options, reg *stat
 	}
 	s.SetWatchdog(opt.WatchdogCycles)
 	s.SetParallel(opt.Pool)
-	s.SetIdleSkip(!opt.NoSkip)
-	s.SetEventWheel(!opt.NoWheel)
+	s.SetIdleSkip(!opt.EveryCycle)
+	s.SetEventWheel(!opt.EveryCycle)
 	s.SetProbe(opt.Probe)
 	return s, nil
 }

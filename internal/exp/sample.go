@@ -108,8 +108,8 @@ func newReplaySystem(opt Options, reg *stats.Registry) *replaySystem {
 	}
 	s.SetWatchdog(opt.WatchdogCycles)
 	s.SetParallel(opt.Pool)
-	s.SetIdleSkip(!opt.NoSkip)
-	s.SetEventWheel(!opt.NoWheel)
+	s.SetIdleSkip(!opt.EveryCycle)
+	s.SetEventWheel(!opt.EveryCycle)
 	s.SetProbe(opt.Probe)
 	rs := &replaySystem{S: s, Reg: reg, opt: opt}
 	ctx := gl.NewContext(s.Mem(), sample.DefaultHeapBase, sample.DefaultHeapSize)

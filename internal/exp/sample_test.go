@@ -69,11 +69,11 @@ func TestFunctionalMatchesDetailed(t *testing.T) {
 // regionState runs one region leg and returns its end-state digest and
 // final framebuffer.
 func regionState(t *testing.T, tr *trace.Trace, cp *trace.Checkpoint, start, span int,
-	pool *par.Pool, noSkip bool) (string, []byte) {
+	pool *par.Pool, everyCycle bool) (string, []byte) {
 	t.Helper()
 	opt := sampleTestOptions()
 	opt.Pool = pool
-	opt.NoSkip = noSkip
+	opt.EveryCycle = everyCycle
 	rs := newReplaySystem(opt, nil)
 	if _, err := rs.regionRun(tr, cp, start, span).Run(); err != nil {
 		t.Fatal(err)
@@ -91,9 +91,9 @@ func regionState(t *testing.T, tr *trace.Trace, cp *trace.Checkpoint, start, spa
 // TestCheckpointResumeFidelity is the resume digest gate: a detailed
 // region resumed from a checkpoint must be bit-identical — registry
 // JSON, framebuffer, final cycle — whether the checkpoint came from
-// memory or from a Save→Load file round trip, at workers 1 and 4,
-// with idle skipping on and off; and its final framebuffer must match
-// the straight-through detailed replay of the whole scenario.
+// memory or from a Save→Load file round trip, at workers 1 and 4, in
+// the default and the every-cycle mode; and its final framebuffer must
+// match the straight-through detailed replay of the whole scenario.
 func TestCheckpointResumeFidelity(t *testing.T) {
 	const frames, start = 4, 2
 	opt := sampleTestOptions()
@@ -126,18 +126,18 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Close()
 	legs := []struct {
-		name   string
-		cp     *trace.Checkpoint
-		pool   *par.Pool
-		noSkip bool
+		name       string
+		cp         *trace.Checkpoint
+		pool       *par.Pool
+		everyCycle bool
 	}{
 		{"file round trip", loaded, nil, false},
 		{"workers=4", cp, pool, false},
-		{"no-skip", cp, nil, true},
-		{"workers=4 no-skip", loaded, pool, true},
+		{"every-cycle", cp, nil, true},
+		{"workers=4 every-cycle", loaded, pool, true},
 	}
 	for _, leg := range legs {
-		got, _ := regionState(t, tr, leg.cp, start, span, leg.pool, leg.noSkip)
+		got, _ := regionState(t, tr, leg.cp, start, span, leg.pool, leg.everyCycle)
 		if got != ref {
 			t.Errorf("%s: resume digest %s != reference %s", leg.name, got, ref)
 		}

@@ -284,38 +284,30 @@ func (g *GPU) coresIdle() bool {
 }
 
 // NextWake returns the earliest future cycle at which the GPU's state
-// can change on its own. Deliberately conservative: any active or
-// queued draw or kernel reports "now" — the skip machinery only fast-
-// forwards genuinely idle GPUs (between frames, or an SoC GPU waiting
-// for the next app submission); a busy GPU's savings come from the
-// per-component idle gating instead.
+// can change on its own: the earliest of its serial stages (front end,
+// L2, L2 hit completions, cluster NoC, output port) and the cluster
+// wheel slots, which clusterWake arms after every shard tick and the
+// serial stages pull forward whenever they hand a cluster new input.
+// The front end is deliberately conservative: any active or queued draw
+// or kernel reports "now", so clock jumps only cover a genuinely idle
+// GPU (between frames, or an SoC GPU waiting for the next app
+// submission); a busy GPU's savings come from the parked slots.
 func (g *GPU) NextWake(cycle uint64) uint64 {
 	if g.draw != nil || len(g.drawQueue) > 0 || len(g.kernels) > 0 ||
 		!g.L2.Quiet() || g.Out.Len() > 0 {
 		return cycle
 	}
-	w := g.noc.NextWake(cycle)
-	if w <= cycle {
-		return cycle
+	w := g.wheel.Min()
+	if v := g.noc.NextWake(cycle); v < w {
+		w = v
 	}
 	for _, e := range g.l2Events {
 		if e.at < w {
 			w = e.at
 		}
 	}
-	for _, cl := range g.clusters {
-		if len(cl.pmrb) > 0 || cl.setup.prim != nil || cl.rast.tri != nil ||
-			len(cl.pendingFS) > 0 || !cl.tc.Drained() {
-			return cycle
-		}
-		for _, core := range cl.cores {
-			if cw := core.NextWake(cycle); cw < w {
-				w = cw
-			}
-		}
-		if w <= cycle {
-			return cycle
-		}
+	if w <= cycle {
+		return cycle
 	}
 	return w
 }
@@ -466,9 +458,9 @@ func (g *GPU) tickClusterShard(cl *cluster) {
 // after `from`, for re-arming its wheel slot post-tick. Any pipeline
 // stage holding work pins the cluster hot; a drained pipeline wakes at
 // the first pending primitive's readyAt (pmrb is appended in readyAt
-// order) or the earliest core wake, whichever comes first. The wake
-// sources here mirror drawComplete and GPU.NextWake's per-cluster
-// conditions exactly. coresQuiet (did every core no-op this cycle)
+// order) or the earliest core wake, whichever comes first. This is the
+// cluster's one wake definition; GPU.NextWake reads it back from the
+// slot. coresQuiet (did every core no-op this cycle)
 // short-circuits the per-core NextWake scans: a busy cluster arms
 // "from" at the cost of one branch, and the precise computation runs
 // only on the busy→quiet transition and while parked-adjacent.

@@ -124,11 +124,11 @@ func TestWatchdogAndGuardCleanOnHealthyRun(t *testing.T) {
 func TestWatchdogWindowClamped(t *testing.T) {
 	s := testStandalone()
 	s.SetWatchdog(1)
-	if s.watchdog != guard.MinWatchdogWindow {
-		t.Fatalf("window = %d, want clamped to %d", s.watchdog, guard.MinWatchdogWindow)
+	if s.run.Watchdog != guard.MinWatchdogWindow {
+		t.Fatalf("window = %d, want clamped to %d", s.run.Watchdog, guard.MinWatchdogWindow)
 	}
 	s.SetWatchdog(0)
-	if s.watchdog != 0 {
-		t.Fatalf("window = %d, want 0 (disabled)", s.watchdog)
+	if s.run.Watchdog != 0 {
+		t.Fatalf("window = %d, want 0 (disabled)", s.run.Watchdog)
 	}
 }

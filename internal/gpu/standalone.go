@@ -25,26 +25,13 @@ type Standalone struct {
 	sysNoC *interconnect.Crossbar
 	cycle  uint64
 
-	// guard, when armed via AttachGuard, runs invariant probes at the
-	// end of every Tick (nil costs one branch). watchdog is the
-	// forward-progress window in cycles (0 = off). trace is kept for
-	// the watchdog bundle's emtrace tail.
-	guard    *guard.Checker
-	watchdog uint64
-	trace    *emtrace.Tracer
+	// run advances the clock and holds what its stride poll reads: the
+	// guard (whose probes also run at the end of every Tick; nil costs
+	// one branch), the watchdog window and the telemetry probe.
+	run par.Loop
 
-	// skip enables event-driven idle cycle-skipping in RunUntilIdleCtx
-	// (on by default; the -no-skip flag clears it). skippedCycles
-	// counts cycles fast-forwarded over — a plain field, not a registry
-	// counter, so skip and no-skip runs hash to identical registry
-	// JSON.
-	skip          bool
-	skippedCycles uint64
-
-	// probe, when armed via SetProbe, receives a progress snapshot at
-	// every 1024-cycle stride poll in RunUntilIdleCtx. Read-only
-	// telemetry: attaching one cannot change results.
-	probe *telemetry.Probe
+	// trace is kept for the watchdog bundle's emtrace tail.
+	trace *emtrace.Tracer
 }
 
 // NewStandalone builds the standalone-mode system. dramCfg may omit
@@ -59,10 +46,16 @@ func NewStandalone(gpuCfg Config, dramCfg dram.Config, reg *stats.Registry) *Sta
 		dramCfg.Name = "dram"
 	}
 	d := dram.NewController(dramCfg, reg)
-	s := &Standalone{GPU: g, DRAM: d, Reg: reg, skip: true}
+	s := &Standalone{GPU: g, DRAM: d, Reg: reg}
 	s.sysNoC = interconnect.New(interconnect.Config{
 		Name: "sys_noc", Ports: 1, Latency: 8, Width: 4, Depth: 64,
 	}, d.Push, reg)
+	s.run = par.Loop{
+		Cycle: &s.cycle, Skip: true,
+		Tick: s.Tick, NextWake: s.NextWake,
+		Done:     func() bool { return !s.Busy() },
+		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
+	}
 	return s
 }
 
@@ -89,7 +82,7 @@ func (s *Standalone) AttachTracer(t *emtrace.Tracer) {
 // tick-engine shard is mutating state — so checking stays race-clean
 // under -workers.
 func (s *Standalone) AttachGuard(g *guard.Checker) {
-	s.guard = g
+	s.run.Guard = g
 	s.GPU.AttachGuard(g)
 	s.sysNoC.AttachGuard(g)
 	s.DRAM.AttachGuard(g)
@@ -99,7 +92,7 @@ func (s *Standalone) AttachGuard(g *guard.Checker) {
 // aborts with a guard.NoProgressError when no instruction issues, no
 // fragment shades, no draw retires and no DRAM byte moves for window
 // cycles (clamped to guard.MinWatchdogWindow; 0 disables).
-func (s *Standalone) SetWatchdog(window uint64) { s.watchdog = guard.ClampWindow(window) }
+func (s *Standalone) SetWatchdog(window uint64) { s.run.Watchdog = guard.ClampWindow(window) }
 
 // SetParallel arms the deterministic parallel tick engine on the GPU
 // clusters and DRAM channels; nil restores the sequential paths.
@@ -112,7 +105,7 @@ func (s *Standalone) SetParallel(p *par.Pool) {
 // RunUntilIdleCtx. Results are bit-identical either way: skipping only
 // jumps over cycles whose component ticks are gated no-ops, and jumps
 // are clamped to the watchdog/context poll stride.
-func (s *Standalone) SetIdleSkip(on bool) { s.skip = on }
+func (s *Standalone) SetIdleSkip(on bool) { s.run.Skip = on }
 
 // SetEventWheel toggles the per-shard event wheels (GPU clusters, DRAM
 // channels). Where idle skipping fast-forwards only when the whole
@@ -128,11 +121,11 @@ func (s *Standalone) SetEventWheel(on bool) {
 // on-demand diagnostic requests. nil detaches. The probe reads
 // monotone counters only, so results are bit-identical with or without
 // one attached.
-func (s *Standalone) SetProbe(p *telemetry.Probe) { s.probe = p }
+func (s *Standalone) SetProbe(p *telemetry.Probe) { s.run.Probe = p }
 
 // SkippedCycles returns the number of cycles fast-forwarded over by
 // idle skipping since construction.
-func (s *Standalone) SkippedCycles() uint64 { return s.skippedCycles }
+func (s *Standalone) SkippedCycles() uint64 { return s.run.Skipped }
 
 // NextWake returns the earliest future cycle at which any component's
 // state can change on its own (mem.NeverWake when fully quiescent).
@@ -189,7 +182,7 @@ func (s *Standalone) Tick() {
 	}
 	s.sysNoC.Tick(c)
 	s.DRAM.Tick(c)
-	s.guard.Tick(c)
+	s.run.Guard.Tick(c)
 	s.cycle++
 }
 
@@ -203,63 +196,14 @@ func (s *Standalone) RunUntilIdle(budget uint64) (uint64, error) {
 	return s.RunUntilIdleCtx(context.Background(), budget)
 }
 
-// ctxCheckMask gates how often RunUntilIdleCtx polls the context: every
-// 1024 simulated cycles, cheap against a tick but prompt enough for
-// job timeouts to stop a stuck simulation mid-frame.
-const ctxCheckMask = 1<<10 - 1
-
-// RunUntilIdleCtx is RunUntilIdle with cancellation and self-diagnosis:
-// every 1024 simulated cycles it polls the context, checks any attached
-// guard for invariant violations, and samples the forward-progress
-// watchdog, so a per-job timeout, corrupt state, or a wedged machine
-// stops the tick loop instead of waiting out the budget.
+// RunUntilIdleCtx is RunUntilIdle with cancellation and self-diagnosis
+// (see par.Loop.Run).
 func (s *Standalone) RunUntilIdleCtx(ctx context.Context, budget uint64) (uint64, error) {
 	start := s.cycle
-	wd := guard.NewWatchdog(s.watchdog)
-	for s.cycle-start < budget {
-		if s.cycle&ctxCheckMask == 0 {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return s.cycle - start, fmt.Errorf("gpu: run cancelled at cycle %d: %w", s.cycle, err)
-				}
-			}
-			if err := s.guard.Err(); err != nil {
-				return s.cycle - start, fmt.Errorf("gpu: aborted at cycle %d: %w", s.cycle, err)
-			}
-			if stalled, window := wd.Check(s.cycle, s.progressSig()); stalled {
-				return s.cycle - start, s.noProgress(window)
-			}
-			if s.probe != nil {
-				s.probe.Publish(s.telemetrySample(), s.captureDiag)
-			}
-		}
-		if s.skip {
-			// When no component can make progress before cycle w, jump
-			// straight there instead of ticking dead cycles. Jumps are
-			// clamped to the next 1024-cycle poll boundary (so context,
-			// guard and watchdog sampling happen on exactly the same
-			// cycles as an unskipped run) and to the budget. A fully
-			// quiescent system (w == NeverWake) with no busy work falls
-			// through to Tick so the !Busy() check below terminates.
-			if w := s.NextWake(); w > s.cycle && (w != mem.NeverWake || s.Busy()) {
-				next := (s.cycle | ctxCheckMask) + 1
-				if w < next {
-					next = w
-				}
-				if lim := start + budget; next > lim {
-					next = lim
-				}
-				s.skippedCycles += next - s.cycle
-				s.cycle = next
-				continue
-			}
-		}
-		s.Tick()
-		if !s.Busy() {
-			return s.cycle - start, nil
-		}
+	if err := s.run.Run(ctx, budget); err != nil {
+		return s.cycle - start, fmt.Errorf("gpu: standalone system: %w", err)
 	}
-	return s.cycle - start, fmt.Errorf("gpu: standalone system not idle after %d cycles", budget)
+	return s.cycle - start, nil
 }
 
 // progressSig sums the system's monotone progress counters; flat
@@ -279,18 +223,6 @@ func (s *Standalone) diagnose(window uint64) guard.Diag {
 	return d
 }
 
-// noProgress builds the watchdog abort carrying the bundle.
-func (s *Standalone) noProgress(window uint64) error {
-	return &guard.NoProgressError{Diag: s.diagnose(window)}
-}
-
-// captureDiag serves the probe's on-demand diagnostic requests on the
-// simulation goroutine at a stride poll, where state is quiescent.
-func (s *Standalone) captureDiag() *guard.Diag {
-	d := s.diagnose(0)
-	return &d
-}
-
 // telemetrySample snapshots the monotone progress counters for the
 // probe. Standalone runs have no frame target (they run until idle),
 // so FramesTarget stays 0 and FramesDone counts retired draws.
@@ -299,7 +231,7 @@ func (s *Standalone) telemetrySample() telemetry.Sample {
 	return telemetry.Sample{
 		Cycle:         s.cycle,
 		FramesDone:    int(draws),
-		SkippedCycles: s.skippedCycles,
+		SkippedCycles: s.run.Skipped,
 		Components: telemetry.Components{
 			GPUWork:       int64(s.GPU.Progress()),
 			DRAMBytes:     s.DRAM.TotalBytes(),

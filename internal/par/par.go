@@ -1,6 +1,7 @@
 // Package par provides the deterministic parallel execution substrate
 // for the tick engine: a persistent worker pool plus pre-built task
-// groups executed with barrier semantics once per simulated phase.
+// groups executed with barrier semantics once per simulated phase, the
+// per-shard wake index (Wheel) and the run loop that reads it (Loop).
 //
 // Determinism contract: a Group's tasks must be mutually independent
 // (shard-owned state only; cross-shard effects restricted to commutative
@@ -58,7 +59,11 @@ type Pool struct {
 	wg sync.WaitGroup
 }
 
-// runCtx is the per-Run dispatch state shared with workers.
+// runCtx is the per-Run dispatch state shared with workers. done only
+// ever counts up: a worker still leaving the previous dispatch's run
+// loop may claim a task of the next one the moment next is reset, and a
+// reset of done could land after that task's done.Add and erase it,
+// leaving the coordinator waiting forever.
 type runCtx struct {
 	tasks []func()
 	next  atomic.Int64
@@ -178,8 +183,11 @@ func (g *Group) Run() {
 		}
 		return
 	}
+	// Every done.Add of earlier dispatches has landed (Run returned only
+	// once they had), so this dispatch is complete at done+n whichever
+	// worker runs its tasks.
+	target := g.rc.done.Load() + int64(len(g.rc.tasks))
 	g.rc.next.Store(0)
-	g.rc.done.Store(0)
 	p.cur.Store(&g.rc)
 	p.epoch.Add(1)
 	p.mu.Lock()
@@ -190,9 +198,8 @@ func (g *Group) Run() {
 
 	g.rc.run() // coordinator works too
 
-	n := int64(len(g.rc.tasks))
 	spins := 0
-	for g.rc.done.Load() < n {
+	for g.rc.done.Load() < target {
 		spins++
 		if spins%64 == 0 {
 			runtime.Gosched()

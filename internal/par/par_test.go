@@ -1,8 +1,10 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestInlineOrder proves the degenerate pool executes tasks in slice
@@ -99,5 +101,37 @@ func TestDefaultWorkers(t *testing.T) {
 	n := DefaultWorkers()
 	if n < 1 || n > MaxDefaultWorkers {
 		t.Fatalf("DefaultWorkers()=%d out of [1,%d]", n, MaxDefaultWorkers)
+	}
+}
+
+// TestOversubscribedDispatch is the lost-completion regression: with
+// fewer Ps than workers a worker is regularly descheduled while leaving
+// the previous dispatch's run loop, and wakes up inside the next one.
+// Whatever it claims and completes there must still be counted. A lost
+// count leaves Run spinning forever, so the dispatches run beside a
+// hard deadline.
+func TestOversubscribedDispatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	p := NewPool(4)
+	const dispatches = 1 << 20
+	tasks := make([]func(), 4)
+	for i := range tasks {
+		tasks[i] = func() {}
+	}
+	g := NewGroup(p, tasks)
+	var ran atomic.Int64
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for ; ran.Load() < dispatches; ran.Add(1) {
+			g.Run()
+		}
+	}()
+	select {
+	case <-finished:
+		p.Close()
+	case <-time.After(time.Minute):
+		// The coordinator is wedged inside Run; the pool cannot be closed.
+		t.Fatalf("Run hung after %d of %d dispatches", ran.Load(), dispatches)
 	}
 }

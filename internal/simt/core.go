@@ -249,34 +249,6 @@ func (c *Core) Idle() bool {
 	return len(c.warps) == 0 && len(c.txQueue) == 0 && len(c.events) == 0
 }
 
-// quiet reports whether this cycle's Tick would do no work: no resident
-// warps or queued transactions, nothing in the output port, no
-// writeback event due, and no cache with actionable work. Applied
-// unconditionally (with or without idle skipping) so results never
-// depend on the skip mode.
-// A cycle where every resident warp is parked counts as quiet: the
-// schedulers could not issue anything, so the whole Tick body would be
-// a no-op. Such cycles therefore no longer increment the cycles /
-// issue_idle counters or emit stall instants — in every mode, so
-// results stay mode-independent.
-func (c *Core) quiet(cycle uint64) bool {
-	if len(c.txQueue) > 0 || c.Out.Len() > 0 {
-		return false
-	}
-	for _, w := range c.warps {
-		if w.parked <= cycle {
-			return false
-		}
-	}
-	for _, e := range c.events {
-		if e.at <= cycle {
-			return false
-		}
-	}
-	return c.L1D.NextWake(cycle) > cycle && c.L1T.NextWake(cycle) > cycle &&
-		c.L1Z.NextWake(cycle) > cycle && c.L1C.NextWake(cycle) > cycle
-}
-
 // NextWake returns the earliest future cycle at which the core's state
 // can change on its own: now while any warp is schedulable or
 // transactions are live, the earliest park expiry, writeback event or
@@ -286,8 +258,13 @@ func (c *Core) quiet(cycle uint64) bool {
 // through a cache wake plus the cluster's L2-completion Wake, and
 // barrier release can only happen while some sibling executes, i.e.
 // while the core is awake anyway. In-flight cache fills are covered
-// downstream (NoC/DRAM). Mirrors quiet() exactly: NextWake(c) > c iff
-// quiet(c).
+// downstream (NoC/DRAM).
+//
+// This is the core's one wake definition: Tick gates on it every cycle,
+// in every mode, so results never depend on how time is advanced. A
+// cycle where every resident warp is parked is a wake in the future:
+// the schedulers could not issue anything, so such cycles do not
+// increment the cycles / issue_idle counters or emit stall instants.
 func (c *Core) NextWake(cycle uint64) uint64 {
 	if len(c.txQueue) > 0 || c.Out.Len() > 0 {
 		return cycle
@@ -332,7 +309,7 @@ func (c *Core) Tick(cycle uint64) (quiet bool) {
 	// curCycle must be stamped before the idle gate: Launch reads it
 	// for warp launch timestamps and may run later this same cycle.
 	c.curCycle = cycle
-	if c.quiet(cycle) {
+	if c.NextWake(cycle) > cycle {
 		return true
 	}
 	c.cycles.Inc()

@@ -167,25 +167,10 @@ type SoC struct {
 	sysCode   []int32
 	cpuTracks []string
 
-	// guard, when armed via AttachGuard, runs invariant probes at the
-	// end of every Tick (nil costs one branch). watchdog is the
-	// forward-progress window in cycles (0 = off).
-	guard    *guard.Checker
-	watchdog uint64
-
-	// skip enables event-driven idle cycle-skipping in RunCtx (on by
-	// default; the -no-skip flag clears it). skippedCycles counts
-	// cycles fast-forwarded over — a plain field, not a registry
-	// counter, so skip and no-skip runs hash to identical registry
-	// JSON.
-	skip          bool
-	skippedCycles uint64
-
-	// probe, when armed via SetProbe, receives a progress snapshot at
-	// every 1024-cycle stride poll in RunCtx. It only reads counters the
-	// loop already maintains — telemetry never mutates model state, so
-	// the determinism digest is identical with or without it.
-	probe *telemetry.Probe
+	// run advances the clock and holds what its stride poll reads: the
+	// guard (whose probes also run at the end of every Tick; nil costs
+	// one branch), the watchdog window and the telemetry probe.
+	run par.Loop
 }
 
 // noSysStart marks "no blocked syscall pending" in SoC.sysStart.
@@ -203,7 +188,13 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 		return nil, fmt.Errorf("soc: need at least one CPU")
 	}
 	memory := mem.NewMemory()
-	s := &SoC{Cfg: cfg, Reg: reg, Mem: memory, backIsA: true, skip: true}
+	s := &SoC{Cfg: cfg, Reg: reg, Mem: memory, backIsA: true}
+	s.run = par.Loop{
+		Cycle: &s.cycle, Skip: true,
+		Tick: s.Tick, NextWake: s.NextWake,
+		Done:     func() bool { return s.framesDone >= s.Cfg.Frames+s.Cfg.WarmupFrames },
+		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
+	}
 
 	s.GPU = gpu.New(cfg.GPU, memory, reg)
 	s.DRAM = dram.NewController(cfg.DRAM, reg)
@@ -212,16 +203,19 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	s.wheelOn = true
 	// A retiring DRAM read is the one input that reaches a parked
 	// phase-1 shard from outside: route it to the owner's wheel slot.
-	// The callback runs on parallel channel shards; Wake is an atomic
-	// min. GPU fills need no slot — the GPU's serial L2 phase is never
-	// wheel-gated and routes completions to its own cluster wheel.
+	// (A retiring write hands nothing back, and waking for it would cost
+	// an idle system a tick per writeback.) The callback runs on
+	// parallel channel shards; Wake is an atomic min. GPU fills need no
+	// slot — the GPU's serial L2 phase is never wheel-gated and routes
+	// completions to its own cluster wheel.
 	s.DRAM.SetOnRetire(func(r *mem.Request, cycle uint64) {
-		switch r.Client {
-		case mem.ClientCPU:
+		switch {
+		case r.Kind == mem.Write:
+		case r.Client == mem.ClientCPU:
 			if r.ClientID >= 0 && r.ClientID < cfg.NumCPUs {
 				s.wheel.Wake(r.ClientID, cycle+1)
 			}
-		case mem.ClientDisplay:
+		case r.Client == mem.ClientDisplay:
 			s.wheel.Wake(cfg.NumCPUs, cycle+1)
 		}
 	})
@@ -369,7 +363,7 @@ func (s *SoC) AttachTracer(t *emtrace.Tracer) {
 // shards have synchronized — so checking stays race-clean under
 // -workers.
 func (s *SoC) AttachGuard(g *guard.Checker) {
-	s.guard = g
+	s.run.Guard = g
 	s.GPU.AttachGuard(g)
 	s.noc.AttachGuard(g)
 	s.DRAM.AttachGuard(g)
@@ -404,7 +398,7 @@ func (s *SoC) checkWheel(cycle uint64) error {
 // guard.NoProgressError when no CPU or GPU instruction retires, no
 // DRAM byte moves, no frame completes and no display line is served
 // for window cycles (clamped to guard.MinWatchdogWindow; 0 disables).
-func (s *SoC) SetWatchdog(window uint64) { s.watchdog = guard.ClampWindow(window) }
+func (s *SoC) SetWatchdog(window uint64) { s.run.Watchdog = guard.ClampWindow(window) }
 
 // backBuffer returns the current render target.
 func (s *SoC) backBuffer() gfx.Surface {
@@ -535,10 +529,11 @@ func (s *SoC) completeFrame() {
 	front := s.backBuffer()
 	s.backIsA = !s.backIsA
 	s.Display.SetFrontBuffer(front)
-	// The flip is display input from outside its shard; a parked panel
-	// must notice it next cycle (first configuration after construction,
-	// or a geometry change between surfaces).
-	s.wheel.Wake(s.Cfg.NumCPUs, s.cycle+1)
+	// The flip is display input from outside its shard: a parked panel
+	// may have to act sooner now (first configuration after
+	// construction, or a geometry change between surfaces). No shard is
+	// running in this phase, so the panel can be asked directly.
+	s.wheel.Wake(s.Cfg.NumCPUs, max(s.Display.NextWake(s.cycle+1), s.cycle+1))
 
 	st := FrameStats{
 		SubmitCycle: s.submitCycle,
@@ -576,7 +571,7 @@ func (s *SoC) RestoreCheckpoint(cp *trace.Checkpoint) {
 // RunCtx. Results are bit-identical either way: skipping only jumps
 // over cycles whose component ticks are gated no-ops, and jumps are
 // clamped to the watchdog/context poll stride.
-func (s *SoC) SetIdleSkip(on bool) { s.skip = on }
+func (s *SoC) SetIdleSkip(on bool) { s.run.Skip = on }
 
 // SetEventWheel toggles the per-shard event wheels across the whole
 // system (CPU cores, display, GPU clusters, DRAM channels). Where idle
@@ -594,40 +589,23 @@ func (s *SoC) SetEventWheel(on bool) {
 // diagnostic requests. nil detaches. The probe reads monotone counters
 // only and never writes model state, so results are bit-identical with
 // or without one attached.
-func (s *SoC) SetProbe(p *telemetry.Probe) { s.probe = p }
+func (s *SoC) SetProbe(p *telemetry.Probe) { s.run.Probe = p }
 
 // SkippedCycles returns the number of cycles fast-forwarded over by
 // idle skipping since construction.
-func (s *SoC) SkippedCycles() uint64 { return s.skippedCycles }
+func (s *SoC) SkippedCycles() uint64 { return s.run.Skipped }
 
 // NextWake returns the earliest future system cycle at which any
 // component's state can change on its own: mem.NeverWake when the
 // whole system is quiescent, the current cycle when any component has
-// actionable work (in which case the tick loop must not skip).
+// actionable work (in which case the run loop must not jump). The CPU
+// cores and the display answer through their wheel slots, which their
+// shards arm after every tick; the serial stages answer directly.
 func (s *SoC) NextWake() uint64 {
 	c := s.cycle
-	if s.fenceBusy && !s.GPU.Busy() {
-		return c // fence resolution pending
-	}
-	mult := uint64(s.Cfg.CPUClockMult)
-	w := uint64(mem.NeverWake)
-	for _, core := range s.CPUs {
-		cw := core.NextWake(c * mult)
-		if cw != mem.NeverWake {
-			cw /= mult // CPU clock domain -> system cycles (floor)
-		}
-		if cw < w {
-			w = cw
-		}
-		if w <= c {
-			return c
-		}
-	}
-	if v := s.Display.NextWake(c); v < w {
-		w = v
-	}
-	if s.GPU.Out.Len() > 0 {
-		return c
+	w := s.wheel.Min()
+	if w <= c || (s.fenceBusy && !s.GPU.Busy()) {
+		return c // a shard is due, or fence resolution is pending
 	}
 	if v := s.GPU.NextWake(c); v < w {
 		w = v
@@ -780,7 +758,7 @@ func (s *SoC) Tick() {
 		s.Cfg.DASH.ReportProgress(mem.ClientDisplay, 0, s.Display.Progress())
 	}
 
-	s.guard.Tick(c)
+	s.run.Guard.Tick(c)
 	s.cycle++
 }
 
@@ -790,65 +768,13 @@ func (s *SoC) Run(budget uint64) error {
 	return s.RunCtx(context.Background(), budget)
 }
 
-// ctxCheckMask gates how often the run loops poll the context: every
-// 1024 simulated cycles, cheap against the cost of a tick but prompt
-// enough (sub-millisecond wall time) for job timeouts to take effect
-// mid-simulation.
-const ctxCheckMask = 1<<10 - 1
-
-// RunCtx is Run with cancellation and self-diagnosis: every 1024
-// simulated cycles it polls the context, checks any attached guard for
-// invariant violations, and samples the forward-progress watchdog, so
-// a per-job timeout, corrupt state, or a wedged machine stops the tick
-// loop instead of waiting out the cycle budget.
+// RunCtx is Run with cancellation and self-diagnosis (see
+// par.Loop.Run).
 func (s *SoC) RunCtx(ctx context.Context, budget uint64) error {
-	target := s.Cfg.Frames + s.Cfg.WarmupFrames
-	start := s.cycle
-	wd := guard.NewWatchdog(s.watchdog)
-	for s.cycle-start < budget {
-		if s.cycle&ctxCheckMask == 0 {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("soc: run cancelled at cycle %d (%d/%d frames): %w",
-						s.cycle, s.framesDone, target, err)
-				}
-			}
-			if err := s.guard.Err(); err != nil {
-				return fmt.Errorf("soc: aborted at cycle %d (%d/%d frames): %w",
-					s.cycle, s.framesDone, target, err)
-			}
-			if stalled, window := wd.Check(s.cycle, s.progressSig()); stalled {
-				return s.noProgress(window)
-			}
-			if s.probe != nil {
-				s.probe.Publish(s.telemetrySample(), s.captureDiag)
-			}
-		}
-		if s.skip {
-			// When no component can make progress before cycle w, jump
-			// straight there instead of ticking dead cycles. Jumps are
-			// clamped to the next 1024-cycle poll boundary (so context,
-			// guard and watchdog sampling happen on exactly the same
-			// cycles as an unskipped run) and to the budget.
-			if w := s.NextWake(); w > s.cycle && w != mem.NeverWake {
-				next := (s.cycle | ctxCheckMask) + 1
-				if w < next {
-					next = w
-				}
-				if lim := start + budget; next > lim {
-					next = lim
-				}
-				s.skippedCycles += next - s.cycle
-				s.cycle = next
-				continue
-			}
-		}
-		s.Tick()
-		if s.framesDone >= target {
-			return nil
-		}
+	if err := s.run.Run(ctx, budget); err != nil {
+		return fmt.Errorf("soc: %d/%d frames: %w", s.framesDone, s.Cfg.Frames+s.Cfg.WarmupFrames, err)
 	}
-	return fmt.Errorf("soc: %d/%d frames after %d cycles", s.framesDone, target, budget)
+	return nil
 }
 
 // progressSig sums the system's monotone progress counters: CPU and
@@ -883,19 +809,6 @@ func (s *SoC) diagnose(window uint64) guard.Diag {
 	return d
 }
 
-// noProgress builds the watchdog abort carrying the bundle.
-func (s *SoC) noProgress(window uint64) error {
-	return &guard.NoProgressError{Diag: s.diagnose(window)}
-}
-
-// captureDiag serves the probe's on-demand diagnostic requests; it runs
-// on the simulation goroutine at a stride poll, where no tick-engine
-// shard is mutating state.
-func (s *SoC) captureDiag() *guard.Diag {
-	d := s.diagnose(0)
-	return &d
-}
-
 // telemetrySample snapshots the monotone progress counters for the
 // probe — the same counters progressSig folds, kept per-component so
 // observers can see which engine is moving.
@@ -908,7 +821,7 @@ func (s *SoC) telemetrySample() telemetry.Sample {
 		Cycle:         s.cycle,
 		FramesDone:    s.framesDone,
 		FramesTarget:  s.Cfg.Frames + s.Cfg.WarmupFrames,
-		SkippedCycles: s.skippedCycles,
+		SkippedCycles: s.run.Skipped,
 		Components: telemetry.Components{
 			CPUInstructions: cpu,
 			GPUWork:         int64(s.GPU.Progress()),

@@ -20,13 +20,6 @@ type ExecConfig struct {
 	Watchdog uint64
 	// Guard attaches the microarchitectural invariant checker.
 	Guard bool
-	// NoSkip disables event-driven idle cycle-skipping in the tick
-	// loops (results are identical either way, so skip mode is — like
-	// Workers — excluded from the result cache key).
-	NoSkip bool
-	// NoWheel disables the per-shard event wheels (results are identical
-	// either way; excluded from the cache key like NoSkip).
-	NoWheel bool
 }
 
 // Executor returns the built-in executor with the given hardening.
@@ -54,8 +47,6 @@ func execute(ctx context.Context, spec Spec, cfg ExecConfig) (*Result, error) {
 	opt.Ctx = ctx
 	opt.WatchdogCycles = cfg.Watchdog
 	opt.Guard = cfg.Guard
-	opt.NoSkip = cfg.NoSkip
-	opt.NoWheel = cfg.NoWheel
 	// The runner threads the job's telemetry probe through the context;
 	// attaching it here gives GET /jobs/{id} live progress and
 	// /jobs/{id}/diag on-demand diagnostics for this simulation.

@@ -157,13 +157,6 @@ type RunnerConfig struct {
 	// Guard attaches the microarchitectural invariant checker in the
 	// default executor's simulations (ignored when Exec is set).
 	Guard bool
-	// NoSkip disables event-driven idle cycle-skipping in the default
-	// executor's simulations (ignored when Exec is set). Results are
-	// identical either way.
-	NoSkip bool
-	// NoWheel disables the per-shard event wheels in the default
-	// executor (results are identical either way).
-	NoWheel bool
 	// Journal, when non-nil, records job lifecycle transitions to the
 	// durable write-ahead log so a crashed daemon can requeue
 	// incomplete jobs on restart.
@@ -197,7 +190,7 @@ func (c RunnerConfig) withDefaults() RunnerConfig {
 		c.RetryMax = 5 * time.Second
 	}
 	if c.Exec == nil {
-		c.Exec = Executor(ExecConfig{Watchdog: c.Watchdog, Guard: c.Guard, NoSkip: c.NoSkip, NoWheel: c.NoWheel})
+		c.Exec = Executor(ExecConfig{Watchdog: c.Watchdog, Guard: c.Guard})
 	}
 	return c
 }
