@@ -85,6 +85,9 @@ type Cache struct {
 	sets [][]line
 
 	mshrs map[uint64]*mshr
+	// freeMSHRs holds released mshr structs (with their waiters' backing
+	// arrays, entries cleared) for the next miss.
+	freeMSHRs []*mshr
 
 	// Out carries fill reads and writebacks toward the next level.
 	Out *mem.Queue
@@ -244,7 +247,8 @@ func (c *Cache) Access(cycle uint64, addr uint64, kind mem.Kind, waiter any) Res
 		return Blocked // output port full: the requester retries
 	}
 	c.inflight = append(c.inflight, req)
-	m := &mshr{lineAddr: la, isWrite: kind == mem.Write}
+	m := c.newMSHR()
+	m.lineAddr, m.isWrite = la, kind == mem.Write
 	if waiter != nil {
 		m.waiters = append(m.waiters, waiter)
 	}
@@ -256,6 +260,15 @@ func (c *Cache) Access(cycle uint64, addr uint64, kind mem.Kind, waiter any) Res
 	c.trace.Instant1(emtrace.SrcCache, c.traceTrack, "miss", cycle,
 		emtrace.Arg{Key: "addr", Val: int64(la)})
 	return Miss
+}
+
+func (c *Cache) newMSHR() *mshr {
+	if n := len(c.freeMSHRs); n > 0 {
+		m := c.freeMSHRs[n-1]
+		c.freeMSHRs = c.freeMSHRs[:n-1]
+		return m
+	}
+	return new(mshr)
 }
 
 func (c *Cache) enqueueWrite(cycle uint64, la uint64) bool {
@@ -273,6 +286,11 @@ func (c *Cache) enqueueWrite(cycle uint64, la uint64) bool {
 // and writing back victims), releases MSHRs and notifies waiters. It also
 // drains any writebacks buffered while Out was full.
 func (c *Cache) Tick(cycle uint64) {
+	// Nothing to drain and no fill to install: the common case by far,
+	// answered without walking inflight (see doneFills).
+	if len(c.pendingWB) == 0 && c.doneFills.Load() == 0 {
+		return
+	}
 	// Drain buffered writebacks first so evictions below have room.
 	// Drained slots are nilled so the backing array doesn't retain
 	// popped requests, and the array is released once empty.
@@ -308,6 +326,9 @@ func (c *Cache) Tick(cycle uint64) {
 			if m.isWrite {
 				c.markDirty(req.Addr)
 			}
+			clear(m.waiters) // a pooled mshr pins no requester state
+			m.waiters = m.waiters[:0]
+			c.freeMSHRs = append(c.freeMSHRs, m)
 		}
 	}
 	c.inflight = kept

@@ -66,6 +66,7 @@ func Assemble(name string, kind Kind, src string) (*Program, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
+	p.decode()
 	return p, nil
 }
 
@@ -479,6 +480,37 @@ func (p *Program) computeMeta() {
 	p.RegsUsed = maxReg + 1
 }
 
+// decode fills the Decode table. It runs after validate, so every quad
+// destination lies inside the register file.
+func (p *Program) decode() {
+	p.Decode = make([]Decoded, len(p.Code))
+	for pc := range p.Code {
+		in := &p.Code[pc]
+		d := &p.Decode[pc]
+		d.Class = ClassOf(in.Op)
+		d.Mem = in.IsMemory()
+		for i := 0; i < in.DstWidth(); i++ {
+			d.Dst |= 1 << (int(in.Dst) + i)
+		}
+		d.Hazard = d.Dst
+		for _, s := range [...]Src{in.A, in.B, in.C} {
+			if !s.IsImm {
+				d.Hazard |= 1 << s.Reg
+			}
+		}
+		switch in.Op {
+		case OpOut4, OpPack4, OpFBSt, OpZSt:
+			// zst is not in computeMeta's quad list, so its quad may run
+			// past the file; the bits that would are dropped.
+			if !in.A.IsImm {
+				for r := int(in.A.Reg); r < int(in.A.Reg)+4 && r < NumRegs; r++ {
+					d.Hazard |= 1 << r
+				}
+			}
+		}
+	}
+}
+
 // usesSrcReg is a conservative check: register r0 as source counts only
 // for opcodes that actually read sources (everything except pure-control).
 func usesSrcReg(in Instr) bool {
@@ -499,6 +531,19 @@ func (p *Program) validate() error {
 		}
 		if (in.Op == OpBra || in.Op == OpSSY) && in.Target >= uint32(len(p.Code)) {
 			return fmt.Errorf("shader %q pc %d: branch target out of range", p.Name, pc)
+		}
+		// Quad operands must end inside the register file: the executor
+		// indexes Regs[r+3] unchecked. The source list is computeMeta's
+		// (fbst reads one register but is accounted as a quad), which
+		// also keeps RegsUsed <= NumRegs.
+		if w := in.DstWidth(); int(in.Dst)+w > NumRegs {
+			return fmt.Errorf("shader %q pc %d: destination r%d..r%d runs past r%d", p.Name, pc, in.Dst, int(in.Dst)+w-1, NumRegs-1)
+		}
+		switch in.Op {
+		case OpOut4, OpPack4, OpFBSt:
+			if !in.A.IsImm && int(in.A.Reg)+4 > NumRegs {
+				return fmt.Errorf("shader %q pc %d: source r%d..r%d runs past r%d", p.Name, pc, in.A.Reg, int(in.A.Reg)+3, NumRegs-1)
+			}
 		}
 	}
 	// Graphics-op sanity per kind.

@@ -1,6 +1,9 @@
 package shader
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Thread is the architectural state of one scalar thread: 64 general
 // registers holding raw 32-bit values and 4 predicate registers.
@@ -41,7 +44,7 @@ type Special struct {
 	FZ               uint32 // fragment depth as float32 bits
 }
 
-func (s Special) read(r SReg) uint32 {
+func (s *Special) read(r SReg) uint32 {
 	switch r {
 	case SRegTID:
 		return s.TID
@@ -66,7 +69,7 @@ func (s Special) read(r SReg) uint32 {
 }
 
 // Active reports whether the instruction's guard predicate passes for t.
-func Active(in Instr, t *Thread) bool {
+func Active(in *Instr, t *Thread) bool {
 	if in.Pred < 0 {
 		return true
 	}
@@ -78,7 +81,7 @@ func Active(in Instr, t *Thread) bool {
 }
 
 // EA computes the effective address of a memory instruction for t.
-func EA(in Instr, t *Thread) uint64 {
+func EA(in *Instr, t *Thread) uint64 {
 	base := uint64(t.U(in.B))
 	return uint64(int64(base) + int64(in.Off))
 }
@@ -86,7 +89,20 @@ func EA(in Instr, t *Thread) uint64 {
 // ExecALU functionally executes an ALU/SFU/predicate instruction for one
 // thread. Memory, texture, graphics-I/O and control instructions are
 // handled by the SIMT core (they need the memory system or warp state).
-func ExecALU(in Instr, t *Thread, sp Special) {
+func ExecALU(in Instr, t *Thread, sp Special) { execALU(&in, t, &sp) }
+
+// ExecALULanes is ExecALU for every lane whose bit is set in lanes:
+// thread i runs with specials[i]. The warp executors call this rather
+// than ExecALU per lane, which would copy the Instr and the Special
+// for each of 32 lanes.
+func ExecALULanes(in *Instr, lanes uint32, threads []Thread, specials []Special) {
+	for ; lanes != 0; lanes &= lanes - 1 {
+		i := bits.TrailingZeros32(lanes)
+		execALU(in, &threads[i], &specials[i])
+	}
+}
+
+func execALU(in *Instr, t *Thread, sp *Special) {
 	switch in.Op {
 	case OpNop:
 	case OpFMov:

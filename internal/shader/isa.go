@@ -225,6 +225,24 @@ func (i Instr) DstWidth() int {
 	return 0
 }
 
+// Decoded is the issue-path view of one instruction: everything the SIMT
+// core's scheduler asks about an instruction every cycle, derived once by
+// Assemble so the hot path indexes Program.Decode by pc and never copies
+// or re-inspects an Instr. NumRegs is 64, so register sets are bitmasks.
+type Decoded struct {
+	// Hazard has one bit per register the scoreboard check inspects:
+	// the A, B and C register fields (an operand the opcode does not use
+	// is the zero Src, register 0), the quad a..a+3 of out4/pack4 and of
+	// zst/fbst (which read only a; the over-wide check is kept, see
+	// DESIGN.md "SIMT hot path"), and the destination registers.
+	Hazard uint64
+	// Dst has one bit per destination register (DstWidth consecutive
+	// registers from Dst; zero when the instruction writes none).
+	Dst   uint64
+	Class Class
+	Mem   bool // accesses the memory system (IsMemory)
+}
+
 // Kind is the shader stage a program targets.
 type Kind uint8
 
@@ -251,6 +269,10 @@ type Program struct {
 	Kind   Kind
 	Code   []Instr
 	Labels map[string]uint32
+
+	// Decode parallels Code. Assemble builds it and nothing writes it
+	// afterwards: cluster shards issue warps of one Program in parallel.
+	Decode []Decoded
 
 	// RegsUsed is the highest register index referenced + 1 (occupancy).
 	RegsUsed int

@@ -127,7 +127,7 @@ func execOne(t *testing.T, src string, setup func(*Thread)) *Thread {
 		if in.Op == OpExit {
 			break
 		}
-		if Active(in, th) {
+		if Active(&in, th) {
 			ExecALU(in, th, Special{TID: 7, NTID: 64, CTAID: 3})
 		}
 	}
@@ -258,10 +258,10 @@ func TestEAComputation(t *testing.T) {
 	th := &Thread{}
 	th.Regs[2] = 0x1000
 	th.Regs[3] = 0x2000
-	if got := EA(p.Code[0], th); got != 0x1100 {
+	if got := EA(&p.Code[0], th); got != 0x1100 {
 		t.Fatalf("EA = %#x, want 0x1100", got)
 	}
-	if got := EA(p.Code[1], th); got != 0x1FF8 {
+	if got := EA(&p.Code[1], th); got != 0x1FF8 {
 		t.Fatalf("EA = %#x, want 0x1FF8", got)
 	}
 }

@@ -61,15 +61,17 @@ type transaction struct {
 	addr  uint64
 	kind  mem.Kind
 	cache *cache.Cache // nil = raw store to the output port (vertex out)
-	op    *memOp
+	op    *memOp       // nil for fire-and-forget stores
 }
 
-// memOp tracks one warp memory instruction until its data returns.
+// memOp tracks one warp load instruction until its data returns. memOps
+// are recycled through Core.freeOps: exactly one completion (a hit's
+// wbEvent or a fill's onCacheReady) arrives per transaction, so when
+// remaining reaches zero nothing else refers to the op.
 type memOp struct {
 	warp      *Warp
-	regs      []uint8
+	regs      uint64 // destination registers to unlock
 	remaining int
-	isLoad    bool
 }
 
 // wbEvent releases scoreboard entries at a future cycle (ALU/SFU
@@ -77,7 +79,8 @@ type memOp struct {
 type wbEvent struct {
 	at   uint64
 	warp *Warp
-	regs []uint8
+	gen  uint32 // warp.gen when queued; a mismatch means the warp retired
+	regs uint64
 	op   *memOp // when set, decrement op instead of direct unlock
 }
 
@@ -86,6 +89,11 @@ type Core struct {
 	Cfg CoreConfig
 
 	warps []*Warp
+	// freeWarps holds retired Warp structs (10 KB each) for Launch to
+	// reuse. A retired warp keeps no Prog or Env pointer.
+	freeWarps []*Warp
+	// regsUsed is the register-file space held by resident warps.
+	regsUsed int
 	// blocks tracks compute thread blocks for barrier handling.
 	blocks map[int]*blockState
 
@@ -95,8 +103,15 @@ type Core struct {
 	// and L2. The owner (cluster model) drains it.
 	Out *mem.Queue
 
-	// txQueue holds coalesced transactions awaiting cache issue.
-	txQueue []*transaction
+	// txq is the LSU's ring of coalesced transactions awaiting cache
+	// issue: txLen entries starting at txHead. A memory instruction
+	// issues only below txQueueDepth and adds at most 4*WarpSize.
+	txq           [txQueueDepth + 4*WarpSize]transaction
+	txHead, txLen int
+	freeOps       []*memOp
+	// addrs and lines are executeMem's scratch: the per-lane addresses
+	// of one memory instruction and the cache lines they coalesce to.
+	addrs, lines [4 * WarpSize]uint64
 
 	events []wbEvent
 
@@ -122,9 +137,23 @@ type Core struct {
 }
 
 type blockState struct {
-	warps     []*Warp
+	warps     []*Warp // resident warps of the block
 	atBarrier int
 	live      int
+}
+
+// drop forgets a retired warp: its struct is about to be recycled, and
+// a barrier release must not reach whichever warp holds it next.
+func (b *blockState) drop(w *Warp) {
+	for i, bw := range b.warps {
+		if bw == w {
+			last := len(b.warps) - 1
+			b.warps[i] = b.warps[last]
+			b.warps[last] = nil
+			b.warps = b.warps[:last]
+			return
+		}
+	}
 }
 
 // NewCore builds a core. reg may be nil.
@@ -183,23 +212,16 @@ func (c *Core) AttachTracer(t *emtrace.Tracer) {
 // ActiveWarps returns the number of resident warps.
 func (c *Core) ActiveWarps() int { return len(c.warps) }
 
-// regsFree computes remaining register file capacity.
-func (c *Core) regsFree() int {
-	used := 0
-	for _, w := range c.warps {
-		used += w.Prog.RegsUsed * WarpSize
-	}
-	return c.Cfg.RegFile - used
-}
-
 // CanLaunch reports whether a warp of prog can be accepted now.
 func (c *Core) CanLaunch(prog *shader.Program) bool {
-	return len(c.warps) < c.Cfg.MaxWarps && c.regsFree() >= prog.RegsUsed*WarpSize
+	return len(c.warps) < c.Cfg.MaxWarps && c.Cfg.RegFile-c.regsUsed >= prog.RegsUsed*WarpSize
 }
 
 // Launch places a new warp on the core. mask selects live lanes;
 // specials seeds per-lane special registers; init may preload registers.
-// blockID < 0 means no thread block (graphics warps).
+// blockID < 0 means no thread block (graphics warps). The returned warp
+// belongs to the core: once it retires its registers stay readable only
+// until the core's next Launch, which may reuse the struct.
 func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint32,
 	specials [WarpSize]shader.Special, init func(lane int, t *shader.Thread)) (*Warp, error) {
 	if !c.CanLaunch(prog) {
@@ -208,7 +230,9 @@ func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint3
 	if mask == 0 {
 		return nil, fmt.Errorf("simt: empty launch mask")
 	}
-	w := newWarp(int(c.warpSeq), prog, env, blockID, mask)
+	w := pop(&c.freeWarps)
+	w.reset(int(c.warpSeq), prog, env, blockID, mask)
+	c.regsUsed += prog.RegsUsed * WarpSize
 	c.warpSeq++
 	w.LaunchedAt = c.warpSeq
 	w.launchCycle = c.curCycle
@@ -246,7 +270,7 @@ func (c *Core) StampCycle(cycle uint64) {
 
 // Idle reports whether the core has no warps and no outstanding memory.
 func (c *Core) Idle() bool {
-	return len(c.warps) == 0 && len(c.txQueue) == 0 && len(c.events) == 0
+	return len(c.warps) == 0 && c.txLen == 0 && len(c.events) == 0
 }
 
 // NextWake returns the earliest future cycle at which the core's state
@@ -266,7 +290,7 @@ func (c *Core) Idle() bool {
 // the schedulers could not issue anything, so such cycles do not
 // increment the cycles / issue_idle counters or emit stall instants.
 func (c *Core) NextWake(cycle uint64) uint64 {
-	if len(c.txQueue) > 0 || c.Out.Len() > 0 {
+	if c.txLen > 0 || c.Out.Len() > 0 {
 		return cycle
 	}
 	w := uint64(mem.NeverWake)
@@ -318,7 +342,7 @@ func (c *Core) Tick(cycle uint64) (quiet bool) {
 	kept := c.events[:0]
 	for _, e := range c.events {
 		if e.at <= cycle {
-			c.completeEvent(e, cycle)
+			c.completeEvent(e)
 		} else {
 			kept = append(kept, e)
 		}
@@ -361,36 +385,80 @@ func (c *Core) Tick(cycle uint64) (quiet bool) {
 	return false
 }
 
-func (c *Core) completeEvent(e wbEvent, cycle uint64) {
-	if e.op != nil {
-		e.op.remaining--
-		if e.op.remaining == 0 {
-			e.op.warp.unlock(e.op.regs)
-			e.op.warp.outstanding--
-		}
-		return
+func (c *Core) completeEvent(e wbEvent) {
+	switch {
+	case e.op != nil:
+		c.opDone(e.op)
+	case e.warp.gen == e.gen:
+		e.warp.unlock(e.regs)
 	}
-	e.warp.unlock(e.regs)
+	// Otherwise the warp retired with this writeback still queued (it
+	// exited right behind an ALU op). The struct may already hold a new
+	// warp, whose scoreboard this event must not touch.
 }
 
 // onCacheReady is invoked by a cache when a missed line returns.
 func (c *Core) onCacheReady(waiter any, cycle uint64) {
-	op, ok := waiter.(*memOp)
-	if !ok || op == nil {
+	if op, ok := waiter.(*memOp); ok && op != nil {
+		c.opDone(op)
+	}
+}
+
+// opDone retires one transaction of op. The last one releases the
+// destination registers and returns op to the free list without its
+// warp pointer, so a pooled op never pins a retired warp.
+func (c *Core) opDone(op *memOp) {
+	op.remaining--
+	if op.remaining > 0 {
 		return
 	}
-	op.remaining--
-	if op.remaining == 0 {
-		op.warp.unlock(op.regs)
-		op.warp.outstanding--
+	op.warp.unlock(op.regs)
+	op.warp.outstanding--
+	op.warp = nil
+	c.freeOps = append(c.freeOps, op)
+}
+
+// newOp takes a memOp for n transactions of w off the free list.
+func (c *Core) newOp(w *Warp, regs uint64, n int) *memOp {
+	op := pop(&c.freeOps)
+	*op = memOp{warp: w, regs: regs, remaining: n}
+	return op
+}
+
+// pop takes an object off a free list, or allocates one when the list
+// is empty.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
 	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+// pushTx appends a transaction to the LSU ring.
+func (c *Core) pushTx(tx transaction) {
+	if c.txLen == len(c.txq) {
+		panic("simt: LSU transaction ring overflow")
+	}
+	c.txq[(c.txHead+c.txLen)%len(c.txq)] = tx
+	c.txLen++
+}
+
+// popTx drops the oldest transaction, clearing its slot's pointers.
+func (c *Core) popTx() {
+	c.txq[c.txHead] = transaction{}
+	c.txHead = (c.txHead + 1) % len(c.txq)
+	c.txLen--
 }
 
 // issueTransactions pushes queued coalesced accesses into caches.
 func (c *Core) issueTransactions(cycle uint64) {
-	n := 0
-	for len(c.txQueue) > 0 && n < c.Cfg.LSUWidth {
-		tx := c.txQueue[0]
+	for n := 0; c.txLen > 0 && n < c.Cfg.LSUWidth; n++ {
+		tx := &c.txq[c.txHead]
+		lat := uint64(1)
 		if tx.cache == nil {
 			// Raw store (vertex output): straight to the output port.
 			// The transaction stays queued if the port is full.
@@ -402,34 +470,25 @@ func (c *Core) issueTransactions(cycle uint64) {
 				c.memStalls.Inc()
 				return // in-order LSU: retry next cycle
 			}
-			c.finishTx(tx, cycle, 1)
-			c.txQueue = c.txQueue[1:]
-			n++
-			continue
+		} else {
+			switch tx.cache.Access(cycle, tx.addr, tx.kind, tx.op) {
+			case cache.Hit:
+				lat = tx.cache.Config().HitLatency
+			case cache.Miss:
+				// Waiter registered with the MSHR; fill will decrement.
+				c.popTx()
+				continue
+			case cache.Blocked:
+				c.memStalls.Inc()
+				return // in-order LSU: retry next cycle
+			}
 		}
-		res := tx.cache.Access(cycle, tx.addr, tx.kind, tx.op)
-		switch res {
-		case cache.Hit:
-			c.finishTx(tx, cycle, tx.cache.Config().HitLatency)
-			c.txQueue = c.txQueue[1:]
-			n++
-		case cache.Miss:
-			// Waiter registered with the MSHR; fill will decrement.
-			c.txQueue = c.txQueue[1:]
-			n++
-		case cache.Blocked:
-			c.memStalls.Inc()
-			return // in-order LSU: retry next cycle
+		// Completes after lat cycles.
+		if tx.op != nil {
+			c.events = append(c.events, wbEvent{at: cycle + lat, op: tx.op})
 		}
+		c.popTx()
 	}
-}
-
-// finishTx schedules the transaction's completion after lat cycles.
-func (c *Core) finishTx(tx *transaction, cycle, lat uint64) {
-	if tx.op == nil {
-		return
-	}
-	c.events = append(c.events, wbEvent{at: cycle + lat, op: tx.op, warp: tx.op.warp})
 }
 
 // warpReady reports whether w can issue at this cycle.
@@ -437,25 +496,18 @@ func (c *Core) warpReady(w *Warp, cycle uint64) bool {
 	if w.done || w.atBarrier || w.readyAt > cycle {
 		return false
 	}
-	if len(w.stack) == 0 {
-		return false
-	}
-	pc := w.PC()
-	if pc >= uint32(len(w.Prog.Code)) {
-		return false
-	}
-	in := w.Prog.Code[pc]
-	if w.hazard(in) {
+	d := w.decoded()
+	if d == nil || w.hazard(d) {
 		return false
 	}
 	// LSU backpressure: don't issue memory work into a saturated queue.
-	if in.IsMemory() && len(c.txQueue) >= txQueueDepth {
+	if d.Mem && c.txLen >= txQueueDepth {
 		return false
 	}
 	// Memory fences: a memory instruction waits for prior ones from this
 	// warp to at least issue (outstanding loads are covered by the
 	// scoreboard; ROP ordering relies on program order).
-	if in.IsMemory() && w.outstanding > 0 && shader.ClassOf(in.Op) == shader.ClassROP {
+	if d.Class == shader.ClassROP && w.outstanding > 0 {
 		return false
 	}
 	return true
@@ -483,23 +535,19 @@ func (c *Core) schedReady(w *Warp, cycle uint64) bool {
 		w.parked = w.readyAt
 		return false
 	}
-	if len(w.stack) == 0 {
+	d := w.decoded()
+	if d == nil {
 		return false
 	}
-	pc := w.PC()
-	if pc >= uint32(len(w.Prog.Code)) {
-		return false
-	}
-	in := w.Prog.Code[pc]
-	if w.hazard(in) {
+	if w.hazard(d) {
 		w.parked = mem.NeverWake
 		return false
 	}
-	if in.IsMemory() {
-		if len(c.txQueue) >= txQueueDepth {
+	if d.Mem {
+		if c.txLen >= txQueueDepth {
 			return false
 		}
-		if w.outstanding > 0 && shader.ClassOf(in.Op) == shader.ClassROP {
+		if w.outstanding > 0 && d.Class == shader.ClassROP {
 			w.parked = mem.NeverWake
 			return false
 		}
@@ -575,17 +623,14 @@ func (c *Core) traceStall(cycle uint64) {
 		case w.readyAt > cycle:
 			sfu++
 		default:
-			pc := w.PC()
-			if pc >= uint32(len(w.Prog.Code)) {
-				continue
-			}
-			in := w.Prog.Code[pc]
+			d := w.decoded()
 			switch {
-			case w.hazard(in) && w.outstanding > 0:
+			case d == nil:
+			case w.hazard(d) && w.outstanding > 0:
 				memory++
-			case w.hazard(in):
+			case w.hazard(d):
 				scoreboard++
-			case in.IsMemory() && len(c.txQueue) >= txQueueDepth:
+			case d.Mem && c.txLen >= txQueueDepth:
 				memory++
 			}
 		}
@@ -611,8 +656,17 @@ func (c *Core) traceStall(cycle uint64) {
 
 // reap removes retired warps and fires their env callbacks.
 func (c *Core) reap() {
-	kept := c.warps[:0]
-	for _, w := range c.warps {
+	// Most cycles retire nothing: find the first retirable warp before
+	// rewriting the resident list.
+	n := 0
+	for n < len(c.warps) && !(c.warps[n].done && c.warps[n].outstanding == 0) {
+		n++
+	}
+	if n == len(c.warps) {
+		return
+	}
+	kept := c.warps[:n]
+	for _, w := range c.warps[n:] {
 		if w.done && w.outstanding == 0 {
 			c.warpsRetired.Inc()
 			c.trace.Span1(emtrace.SrcSIMT, c.traceTrack, w.Prog.Name,
@@ -620,6 +674,7 @@ func (c *Core) reap() {
 			if w.BlockID >= 0 {
 				if b := c.blocks[w.BlockID]; b != nil {
 					b.live--
+					b.drop(w)
 					if b.live == 0 {
 						delete(c.blocks, w.BlockID)
 					} else if b.atBarrier >= b.live && b.atBarrier > 0 {
@@ -636,9 +691,16 @@ func (c *Core) reap() {
 			if w.Env != nil {
 				w.Env.Retired(w)
 			}
+			c.regsUsed -= w.Prog.RegsUsed * WarpSize
+			// Bumping gen here, not at reuse, disowns the warp's queued
+			// writebacks while it sits on the free list too.
+			w.gen++
+			w.Prog, w.Env = nil, nil
+			c.freeWarps = append(c.freeWarps, w)
 			continue
 		}
 		kept = append(kept, w)
 	}
+	clear(c.warps[len(kept):])
 	c.warps = kept
 }

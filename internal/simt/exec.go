@@ -2,6 +2,7 @@ package simt
 
 import (
 	"math"
+	"math/bits"
 
 	"emerald/internal/cache"
 	"emerald/internal/emtrace"
@@ -25,20 +26,11 @@ const txQueueDepth = 192
 // writeback events and cache transactions.
 func (c *Core) execute(w *Warp, cycle uint64) {
 	pc := w.PC()
-	in := w.Prog.Code[pc]
-	mask := w.ActiveMask()
+	in := &w.Prog.Code[pc]
+	d := &w.Prog.Decode[pc]
 	c.instrs.Inc()
 
-	// Per-lane predication mask.
-	exec := uint32(0)
-	for lane := 0; lane < WarpSize; lane++ {
-		if mask&(1<<lane) == 0 {
-			continue
-		}
-		if shader.Active(in, &w.Threads[lane]) {
-			exec |= 1 << lane
-		}
-	}
+	exec := predMask(in, w)
 
 	switch in.Op {
 	case shader.OpSSY:
@@ -55,7 +47,7 @@ func (c *Core) execute(w *Warp, cycle uint64) {
 		return
 	case shader.OpExit, shader.OpKill:
 		if exec != 0 {
-			c.threadsRetired.Add(int64(popcount(exec)))
+			c.threadsRetired.Add(int64(bits.OnesCount32(exec)))
 			w.exitLanes(exec)
 		} else {
 			w.advance()
@@ -67,173 +59,191 @@ func (c *Core) execute(w *Warp, cycle uint64) {
 		return
 	}
 
-	cls := shader.ClassOf(in.Op)
-	switch cls {
+	switch d.Class {
 	case shader.ClassALU, shader.ClassSFU:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				shader.ExecALU(in, &w.Threads[lane], w.Special[lane])
-			}
-		}
-		if regs := w.lockDst(in); regs != nil {
-			lat := c.Cfg.ALULatency
-			if cls == shader.ClassSFU {
-				lat = c.Cfg.SFULatency
-			}
-			c.events = append(c.events, wbEvent{at: cycle + lat, warp: w, regs: regs})
-		}
-		if cls == shader.ClassSFU {
+		shader.ExecALULanes(in, exec, w.Threads[:], w.Special[:])
+		lat := c.Cfg.ALULatency
+		if d.Class == shader.ClassSFU {
+			lat = c.Cfg.SFULatency
 			w.readyAt = cycle + 1 + c.Cfg.SFUStall
 		}
-		w.advance()
+		c.writeback(w, w.lockDst(d), cycle+lat)
 	default:
-		c.executeMem(w, in, exec, cycle)
-		w.advance()
+		c.executeMem(w, in, d, exec, cycle)
+	}
+	w.advance()
+}
+
+// predMask narrows w's active mask to the lanes whose guard predicate
+// passes. Only predicated instructions need the per-lane test.
+func predMask(in *shader.Instr, w *Warp) uint32 {
+	mask := w.ActiveMask()
+	if in.Pred < 0 {
+		return mask
+	}
+	exec := uint32(0)
+	for m := mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		if shader.Active(in, &w.Threads[lane]) {
+			exec |= 1 << lane
+		}
+	}
+	return exec
+}
+
+// writeback queues the release of regs at cycle at. An instruction
+// without a destination queues nothing.
+func (c *Core) writeback(w *Warp, regs uint64, at uint64) {
+	if regs != 0 {
+		c.events = append(c.events, wbEvent{at: at, warp: w, gen: w.gen, regs: regs})
+	}
+}
+
+// coalesce reduces the first n scratch addresses to target's unique
+// cache lines in c.lines, in first-seen order, and returns how many.
+func (c *Core) coalesce(target *cache.Cache, n int) int {
+	k := 0
+next:
+	for _, a := range c.addrs[:n] {
+		la := target.LineAddr(a)
+		for _, seen := range c.lines[:k] {
+			if seen == la {
+				continue next
+			}
+		}
+		c.lines[k] = la
+		k++
+	}
+	return k
+}
+
+// issueLoad enqueues read transactions for the first n scratch
+// addresses; regs (already locked) release when the last one returns.
+func (c *Core) issueLoad(w *Warp, target *cache.Cache, n int, regs uint64, cycle uint64) {
+	if n == 0 {
+		// No memory touched (e.g. all lanes predicated off): release
+		// after a short delay.
+		c.writeback(w, regs, cycle+c.Cfg.ALULatency)
+		return
+	}
+	k := c.coalesce(target, n)
+	op := c.newOp(w, regs, k)
+	w.outstanding++
+	for _, la := range c.lines[:k] {
+		c.pushTx(transaction{addr: la, kind: mem.Read, cache: target, op: op})
+	}
+}
+
+// issueStore enqueues fire-and-forget write transactions for the first
+// n scratch addresses.
+func (c *Core) issueStore(target *cache.Cache, n int) {
+	k := c.coalesce(target, n)
+	for _, la := range c.lines[:k] {
+		c.pushTx(transaction{addr: la, kind: mem.Write, cache: target})
 	}
 }
 
 // executeMem handles every memory-class instruction: functional effect
-// now, timing via coalesced cache transactions.
-func (c *Core) executeMem(w *Warp, in shader.Instr, exec uint32, cycle uint64) {
+// now, timing via coalesced cache transactions. Each case gathers the
+// executing lanes' addresses into c.addrs (n of them) and hands them to
+// issueLoad / issueStore.
+func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uint32, cycle uint64) {
 	memory := w.Env.Memory()
-
-	// lineAddrs coalesces per-lane addresses into unique cache lines.
-	coalesce := func(target *cache.Cache, addrs []uint64) []uint64 {
-		seen := make(map[uint64]bool, 4)
-		var lines []uint64
-		for _, a := range addrs {
-			la := target.LineAddr(a)
-			if !seen[la] {
-				seen[la] = true
-				lines = append(lines, la)
-			}
-		}
-		return lines
-	}
-
-	// issueLoad locks dst registers and enqueues read transactions.
-	issueLoad := func(target *cache.Cache, addrs []uint64, regs []uint8) {
-		if len(addrs) == 0 {
-			// No memory touched (e.g. all lanes predicated off):
-			// release immediately via a short event.
-			if regs != nil {
-				c.events = append(c.events, wbEvent{at: cycle + c.Cfg.ALULatency, warp: w, regs: regs})
-			}
-			return
-		}
-		lines := coalesce(target, addrs)
-		op := &memOp{warp: w, regs: regs, remaining: len(lines), isLoad: true}
-		w.outstanding++
-		for _, la := range lines {
-			c.txQueue = append(c.txQueue, &transaction{addr: la, kind: mem.Read, cache: target, op: op})
-		}
-	}
-
-	// issueStore enqueues fire-and-forget write transactions.
-	issueStore := func(target *cache.Cache, addrs []uint64) {
-		if len(addrs) == 0 {
-			return
-		}
-		for _, la := range coalesce(target, addrs) {
-			c.txQueue = append(c.txQueue, &transaction{addr: la, kind: mem.Write, cache: target})
-		}
-	}
-
-	lanes := func(f func(lane int, t *shader.Thread)) {
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				f(lane, &w.Threads[lane])
-			}
-		}
-	}
+	addrs := &c.addrs
+	n := 0
 
 	switch in.Op {
 	case shader.OpLdGlobal:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			t := &w.Threads[bits.TrailingZeros32(m)]
 			ea := shader.EA(in, t)
 			t.SetU(in.Dst, memory.ReadU32(ea))
-			addrs = append(addrs, ea)
-		})
-		issueLoad(c.L1D, addrs, w.lockDst(in))
+			addrs[n] = ea
+			n++
+		}
+		c.issueLoad(w, c.L1D, n, w.lockDst(d), cycle)
 
 	case shader.OpStGlobal:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			t := &w.Threads[bits.TrailingZeros32(m)]
 			ea := shader.EA(in, t)
 			memory.WriteU32(ea, t.U(in.A))
-			addrs = append(addrs, ea)
-		})
-		issueStore(c.L1D, addrs)
+			addrs[n] = ea
+			n++
+		}
+		c.issueStore(c.L1D, n)
 
 	case shader.OpAtomAdd:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			t := &w.Threads[bits.TrailingZeros32(m)]
 			ea := shader.EA(in, t)
 			old := memory.ReadF32(ea)
 			memory.WriteF32(ea, old+t.F(in.A))
 			t.SetF(in.Dst, old)
-			addrs = append(addrs, ea)
-		})
-		issueLoad(c.L1D, addrs, w.lockDst(in))
+			addrs[n] = ea
+			n++
+		}
+		c.issueLoad(w, c.L1D, n, w.lockDst(d), cycle)
 		w.readyAt = cycle + atomExtraLatency
 
 	case shader.OpLdShared:
 		sh := w.Env.SharedMem()
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			t := &w.Threads[bits.TrailingZeros32(m)]
 			off := int(shader.EA(in, t))
 			if sh != nil && off >= 0 && off+4 <= len(sh) {
 				t.SetU(in.Dst, leU32(sh[off:]))
 			} else {
 				t.SetU(in.Dst, 0)
 			}
-		})
-		if regs := w.lockDst(in); regs != nil {
-			c.events = append(c.events, wbEvent{at: cycle + sharedLatency, warp: w, regs: regs})
 		}
+		c.writeback(w, w.lockDst(d), cycle+sharedLatency)
 
 	case shader.OpStShared:
 		sh := w.Env.SharedMem()
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			t := &w.Threads[bits.TrailingZeros32(m)]
 			off := int(shader.EA(in, t))
 			if sh != nil && off >= 0 && off+4 <= len(sh) {
 				putU32(sh[off:], t.U(in.A))
 			}
-		})
+		}
 		w.readyAt = cycle + 1
 
 	case shader.OpLdConst:
 		base := w.Env.ConstBase()
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			t := &w.Threads[bits.TrailingZeros32(m)]
 			ea := base + shader.EA(in, t)
 			t.SetU(in.Dst, memory.ReadU32(ea))
-			addrs = append(addrs, ea)
-		})
-		issueLoad(c.L1C, addrs, w.lockDst(in))
+			addrs[n] = ea
+			n++
+		}
+		c.issueLoad(w, c.L1C, n, w.lockDst(d), cycle)
 
 	case shader.OpAttr4:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			t := &w.Threads[lane]
 			val, addr := w.Env.AttrIn(lane, int(in.Slot))
 			for i := 0; i < 4; i++ {
 				t.SetF(in.Dst+uint8(i), val[i])
 			}
 			if addr != 0 {
-				addrs = append(addrs, addr, addr+12) // vec4 spans 16 bytes
+				addrs[n], addrs[n+1] = addr, addr+12 // vec4 spans 16 bytes
+				n += 2
 			}
-		})
-		regs := w.lockDst(in)
-		if len(addrs) > 0 {
-			issueLoad(c.L1C, addrs, regs)
-		} else if regs != nil {
-			// Fragment varyings: plane-equation evaluation, ALU cost.
-			c.events = append(c.events, wbEvent{at: cycle + c.Cfg.ALULatency, warp: w, regs: regs})
 		}
+		// With no address (fragment varyings: plane-equation evaluation)
+		// issueLoad charges the ALU latency.
+		c.issueLoad(w, c.L1C, n, w.lockDst(d), cycle)
 
 	case shader.OpOut4:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		// Vertex outputs stream directly to the L2-backed output buffer,
+		// bypassing L1 (cache == nil), one transaction per lane.
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			t := &w.Threads[lane]
 			r := in.A.Reg
 			val := [4]float32{
 				math.Float32frombits(t.Regs[r]),
@@ -242,18 +252,14 @@ func (c *Core) executeMem(w *Warp, in shader.Instr, exec uint32, cycle uint64) {
 				math.Float32frombits(t.Regs[r+3]),
 			}
 			if addr := w.Env.OutWrite(lane, int(in.Slot), val); addr != 0 {
-				addrs = append(addrs, addr)
+				c.pushTx(transaction{addr: addr, kind: mem.Write})
 			}
-		})
-		// Vertex outputs stream directly to the L2-backed output buffer,
-		// bypassing L1 (cache == nil).
-		for _, a := range addrs {
-			c.txQueue = append(c.txQueue, &transaction{addr: a, kind: mem.Write})
 		}
 
 	case shader.OpTex4:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			t := &w.Threads[lane]
 			u, v := t.F(in.A), t.F(in.B)
 			val, texels := w.Env.Tex(lane, int(in.Slot), u, v)
 			for i := 0; i < 4; i++ {
@@ -261,47 +267,52 @@ func (c *Core) executeMem(w *Warp, in shader.Instr, exec uint32, cycle uint64) {
 			}
 			for _, a := range texels {
 				if a != 0 {
-					addrs = append(addrs, a)
+					addrs[n] = a
+					n++
 				}
 			}
-		})
-		issueLoad(c.L1T, addrs, w.lockDst(in))
+		}
+		c.issueLoad(w, c.L1T, n, w.lockDst(d), cycle)
 
 	case shader.OpZLd:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
 			a := w.Env.ZAddr(lane)
-			t.SetF(in.Dst, memory.ReadF32(a))
-			addrs = append(addrs, a)
-		})
-		issueLoad(c.L1Z, addrs, w.lockDst(in))
+			w.Threads[lane].SetF(in.Dst, memory.ReadF32(a))
+			addrs[n] = a
+			n++
+		}
+		c.issueLoad(w, c.L1Z, n, w.lockDst(d), cycle)
 
 	case shader.OpZSt:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
 			a := w.Env.ZAddr(lane)
-			memory.WriteF32(a, t.F(in.A))
-			addrs = append(addrs, a)
-		})
-		issueStore(c.L1Z, addrs)
+			memory.WriteF32(a, w.Threads[lane].F(in.A))
+			addrs[n] = a
+			n++
+		}
+		c.issueStore(c.L1Z, n)
 
 	case shader.OpFBLd:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
 			a := w.Env.CAddr(lane)
-			t.SetU(in.Dst, memory.ReadU32(a))
-			addrs = append(addrs, a)
-		})
-		issueLoad(c.L1D, addrs, w.lockDst(in))
+			w.Threads[lane].SetU(in.Dst, memory.ReadU32(a))
+			addrs[n] = a
+			n++
+		}
+		c.issueLoad(w, c.L1D, n, w.lockDst(d), cycle)
 
 	case shader.OpFBSt:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
 			a := w.Env.CAddr(lane)
-			memory.WriteU32(a, t.U(in.A))
-			addrs = append(addrs, a)
-		})
-		issueStore(c.L1D, addrs)
+			memory.WriteU32(a, w.Threads[lane].U(in.A))
+			addrs[n] = a
+			n++
+		}
+		c.issueStore(c.L1D, n)
 	}
 }
 
@@ -323,15 +334,6 @@ func (c *Core) barrier(w *Warp) {
 		}
 		b.atBarrier = 0
 	}
-}
-
-func popcount(m uint32) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }
 
 func leU32(b []byte) uint32 {

@@ -41,13 +41,8 @@ type FuncRunner struct {
 // Exec runs one warp to completion with FuncExec semantics.
 func (r *FuncRunner) Exec(prog *shader.Program, env WarpEnv, mask uint32, specials [WarpSize]shader.Special) {
 	w := &r.warp
-	stack := w.stack[:0]
-	// Reset in place: the zero Warp matches newWarp's fresh allocation
-	// (threads and scoreboard cleared), only the stack backing array is
-	// carried over.
-	*w = Warp{Prog: prog, Env: env, BlockID: -1, Special: specials}
-	w.stack = append(stack, stackEntry{pc: 0, rpc: noRPC, mask: mask})
-	w.pendingRPC = noRPC
+	w.reset(0, prog, env, -1, mask)
+	w.Special = specials
 	if r.view == nil || r.view.Memory() != env.Memory() {
 		r.view = mem.NewView(env.Memory())
 	}
@@ -60,20 +55,8 @@ func (r *FuncRunner) Exec(prog *shader.Program, env WarpEnv, mask uint32, specia
 // funcStep executes one instruction for w, mirroring Core.execute with
 // the timing model removed.
 func funcStep(w *Warp, mv *mem.View) {
-	pc := w.PC()
-	in := w.Prog.Code[pc]
-	mask := w.ActiveMask()
-
-	exec := mask
-	if in.Pred >= 0 {
-		// Only predicated instructions need the per-lane test.
-		exec = 0
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<lane) != 0 && shader.Active(in, &w.Threads[lane]) {
-				exec |= 1 << lane
-			}
-		}
-	}
+	in := &w.Prog.Code[w.PC()]
+	exec := predMask(in, w)
 
 	switch in.Op {
 	case shader.OpSSY:
@@ -98,11 +81,7 @@ func funcStep(w *Warp, mv *mem.View) {
 
 	switch shader.ClassOf(in.Op) {
 	case shader.ClassALU, shader.ClassSFU:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				shader.ExecALU(in, &w.Threads[lane], w.Special[lane])
-			}
-		}
+		shader.ExecALULanes(in, exec, w.Threads[:], w.Special[:])
 	default:
 		funcMem(w, in, exec, mv)
 	}
@@ -114,7 +93,7 @@ func funcStep(w *Warp, mv *mem.View) {
 // through the runner's page-caching view rather than Env.Memory() —
 // the effects are bit-identical, only the page-directory lookups are
 // elided.
-func funcMem(w *Warp, in shader.Instr, exec uint32, memory *mem.View) {
+func funcMem(w *Warp, in *shader.Instr, exec uint32, memory *mem.View) {
 	// Direct per-op loops (no per-lane closure dispatch): this is the
 	// hottest leaf of the functional pass.
 	switch in.Op {

@@ -3,6 +3,7 @@ package simt
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"emerald/internal/guard"
 )
@@ -49,6 +50,7 @@ func (w *Warp) checkInvariants() error {
 func (c *Core) AttachGuard(g *guard.Checker) {
 	track := fmt.Sprintf("core%d_%d", c.Cfg.ClusterID, c.Cfg.ID)
 	g.Register("simt", track+".warps", c.checkWarps)
+	g.Register("simt", track+".pools", c.checkPools)
 	c.L1D.AttachGuard(g, track+".l1d")
 	c.L1T.AttachGuard(g, track+".l1t")
 	c.L1Z.AttachGuard(g, track+".l1z")
@@ -71,6 +73,63 @@ func (c *Core) checkWarps(cycle uint64) error {
 	return nil
 }
 
+// checkPools audits the recycling invariants. Nothing live may reach a
+// warp on the free list: not the resident set, not a writeback event of
+// the current generation, not a memOp still owed completions (those
+// are reachable from the LSU ring and from hit events). Freed objects
+// hold no pointers, and the register-file counter matches a recount.
+func (c *Core) checkPools(cycle uint64) error {
+	free := make(map[*Warp]bool, len(c.freeWarps))
+	for _, w := range c.freeWarps {
+		if w.Prog != nil || w.Env != nil {
+			return fmt.Errorf("free warp (last id %d) still holds its program or env", w.ID)
+		}
+		free[w] = true
+	}
+	freeOp := make(map[*memOp]bool, len(c.freeOps))
+	for _, op := range c.freeOps {
+		if op.warp != nil {
+			return fmt.Errorf("free memOp still points at warp %d", op.warp.ID)
+		}
+		freeOp[op] = true
+	}
+	liveOp := func(where string, op *memOp) error {
+		switch {
+		case op == nil:
+			return nil
+		case freeOp[op]:
+			return fmt.Errorf("%s holds a memOp that is on the free list", where)
+		case op.warp == nil || free[op.warp]:
+			return fmt.Errorf("%s holds a memOp whose warp was recycled", where)
+		}
+		return nil
+	}
+	regs := 0
+	for _, w := range c.warps {
+		if free[w] {
+			return fmt.Errorf("resident warp %d is on the free list", w.ID)
+		}
+		regs += w.Prog.RegsUsed * WarpSize
+	}
+	if regs != c.regsUsed {
+		return fmt.Errorf("register-file counter %d, recount over resident warps %d", c.regsUsed, regs)
+	}
+	for _, e := range c.events {
+		if e.op == nil && e.gen == e.warp.gen && free[e.warp] {
+			return fmt.Errorf("writeback due at %d targets free warp (last id %d) under its current generation", e.at, e.warp.ID)
+		}
+		if err := liveOp("a writeback event", e.op); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < c.txLen; i++ {
+		if err := liveOp("the LSU ring", c.txq[(c.txHead+i)%len(c.txq)].op); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Instructions returns the number of instructions issued so far — one
 // term of the run loops' forward-progress signature.
 func (c *Core) Instructions() int64 { return c.instrs.Value() }
@@ -79,12 +138,12 @@ func (c *Core) Instructions() int64 { return c.instrs.Value() }
 // and L1 occupancy plus one line per resident warp (capped at maxWarps
 // lines). Returns nil when the core holds no work.
 func (c *Core) Diagnose(cycle uint64, maxWarps int) []string {
-	if len(c.warps) == 0 && len(c.txQueue) == 0 && len(c.events) == 0 {
+	if c.Idle() {
 		return nil
 	}
 	lines := make([]string, 0, len(c.warps)+2)
 	lines = append(lines, fmt.Sprintf("txQueue=%d events=%d mshrs: l1d=%d l1t=%d l1z=%d l1c=%d",
-		len(c.txQueue), len(c.events),
+		c.txLen, len(c.events),
 		c.L1D.PendingMisses(), c.L1T.PendingMisses(), c.L1Z.PendingMisses(), c.L1C.PendingMisses()))
 	for i, w := range c.warps {
 		if maxWarps > 0 && i >= maxWarps {
@@ -99,12 +158,6 @@ func (c *Core) Diagnose(cycle uint64, maxWarps int) []string {
 // warpDiag names the reason one warp cannot issue right now, in the
 // same priority order the scheduler observes stalls.
 func (c *Core) warpDiag(w *Warp, cycle uint64) string {
-	pending := 0
-	for _, n := range w.scoreboard {
-		if n > 0 {
-			pending++
-		}
-	}
 	state := "ready"
 	switch {
 	case w.done:
@@ -116,18 +169,17 @@ func (c *Core) warpDiag(w *Warp, cycle uint64) string {
 	case w.readyAt > cycle:
 		state = fmt.Sprintf("pipeline(until=%d)", w.readyAt)
 	default:
-		if pc := w.PC(); pc < uint32(len(w.Prog.Code)) {
-			in := w.Prog.Code[pc]
+		if d := w.decoded(); d != nil {
 			switch {
-			case w.hazard(in) && w.outstanding > 0:
+			case w.hazard(d) && w.outstanding > 0:
 				state = "mem-wait"
-			case w.hazard(in):
+			case w.hazard(d):
 				state = "scoreboard"
-			case in.IsMemory() && len(c.txQueue) >= txQueueDepth:
+			case d.Mem && c.txLen >= txQueueDepth:
 				state = "lsu-full"
 			}
 		}
 	}
 	return fmt.Sprintf("warp%d %s: pc=%d mask=%08x depth=%d outstanding=%d pendingRegs=%d %s",
-		w.ID, w.Prog.Name, w.PC(), w.ActiveMask(), len(w.stack), w.outstanding, pending, state)
+		w.ID, w.Prog.Name, w.PC(), w.ActiveMask(), len(w.stack), w.outstanding, bits.OnesCount64(w.pending), state)
 }

@@ -48,13 +48,15 @@ func (e *testEnv) Retired(w *Warp)       { e.retired++ }
 // runCore ticks the core with an ideal next memory level until idle.
 func runCore(t *testing.T, c *Core, budget uint64) uint64 {
 	t.Helper()
-	for cycle := uint64(0); cycle < budget; cycle++ {
+	return runFrom(t, c, 0, budget)
+}
+
+// runFrom is runCore starting at a given cycle.
+func runFrom(t *testing.T, c *Core, from, budget uint64) uint64 {
+	t.Helper()
+	for cycle := from; cycle < from+budget; cycle++ {
 		c.Tick(cycle)
-		for {
-			r := c.Out.Pop()
-			if r == nil {
-				break
-			}
+		for r := c.Out.Pop(); r != nil; r = c.Out.Pop() {
 			r.Complete(cycle)
 		}
 		if c.Idle() {
@@ -488,7 +490,7 @@ func runCoreSlow(t *testing.T, c *Core, budget uint64) []*mem.Request {
 		}
 	}
 	t.Fatalf("core did not go idle within %d cycles (%d warps, %d tx queued, %d out)",
-		budget, c.ActiveWarps(), len(c.txQueue), c.Out.Len())
+		budget, c.ActiveWarps(), c.txLen, c.Out.Len())
 	return served
 }
 

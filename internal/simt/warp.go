@@ -77,10 +77,18 @@ type Warp struct {
 	stack      []stackEntry
 	pendingRPC uint32
 
-	// scoreboard counts pending writers per register.
-	scoreboard [shader.NumRegs]uint8
+	// pending is the scoreboard: bit r is set while a write to register
+	// r is in flight. One bit per register is exact, not an
+	// approximation: an instruction whose destination is pending stalls
+	// (WAW), so no register ever has two writers in flight.
+	pending uint64
 	// outstanding memory operations (issued, awaiting data).
 	outstanding int
+	// gen counts the times this Warp struct has been retired. Cores
+	// recycle warps, and a writeback event can outlive the warp that
+	// queued it; the event carries the generation it was queued under
+	// and is ignored once that no longer matches.
+	gen uint32
 
 	readyAt   uint64 // earliest cycle the warp may issue again
 	atBarrier bool
@@ -106,12 +114,16 @@ type Warp struct {
 	launchCycle uint64
 }
 
-// newWarp initializes a warp at pc 0 with the given initial active mask.
-func newWarp(id int, prog *shader.Program, env WarpEnv, blockID int, mask uint32) *Warp {
-	w := &Warp{ID: id, Prog: prog, Env: env, BlockID: blockID}
-	w.stack = append(w.stack, stackEntry{pc: 0, rpc: noRPC, mask: mask})
+// reset puts w at pc 0 of prog with the given initial active mask, in
+// the state of a freshly allocated warp (registers, predicates and
+// scoreboard zero). Only the SIMT stack's backing array and the
+// generation survive from the previous occupant.
+func (w *Warp) reset(id int, prog *shader.Program, env WarpEnv, blockID int, mask uint32) {
+	stack, gen := w.stack[:0], w.gen
+	*w = Warp{}
+	w.ID, w.Prog, w.Env, w.BlockID, w.gen = id, prog, env, blockID, gen
+	w.stack = append(stack, stackEntry{pc: 0, rpc: noRPC, mask: mask})
 	w.pendingRPC = noRPC
-	return w
 }
 
 // Done reports whether every thread has exited.
@@ -200,64 +212,36 @@ func (w *Warp) advance() {
 	w.reconverge()
 }
 
-// hazard reports whether instruction in has a RAW/WAW hazard against the
-// scoreboard.
-func (w *Warp) hazard(in shader.Instr) bool {
-	read := func(s shader.Src) bool {
-		return !s.IsImm && w.scoreboard[s.Reg] > 0
-	}
-	if read(in.A) || read(in.B) || read(in.C) {
-		return true
-	}
-	// Quad-register reads.
-	switch in.Op {
-	case shader.OpOut4, shader.OpPack4, shader.OpFBSt, shader.OpZSt:
-		if !in.A.IsImm {
-			for i := 0; i < 4; i++ {
-				r := int(in.A.Reg) + i
-				if r < shader.NumRegs && w.scoreboard[r] > 0 {
-					return true
-				}
-			}
+// decoded returns the issue-path table entry of the instruction at the
+// warp's pc, or nil when the stack is empty or the pc has run off the
+// program.
+func (w *Warp) decoded() *shader.Decoded {
+	if n := len(w.stack); n > 0 {
+		if pc := w.stack[n-1].pc; pc < uint32(len(w.Prog.Decode)) {
+			return &w.Prog.Decode[pc]
 		}
 	}
-	if in.HasDst() {
-		for i := 0; i < in.DstWidth(); i++ {
-			r := int(in.Dst) + i
-			if r < shader.NumRegs && w.scoreboard[r] > 0 {
-				return true
-			}
-		}
-	}
-	return false
+	return nil
 }
 
-// lockDst marks the instruction's destination registers pending.
-func (w *Warp) lockDst(in shader.Instr) []uint8 {
-	n := in.DstWidth()
-	if n == 0 {
-		return nil
-	}
-	regs := make([]uint8, 0, n)
-	for i := 0; i < n; i++ {
-		r := in.Dst + uint8(i)
-		w.scoreboard[r]++
-		regs = append(regs, r)
-	}
-	return regs
+// hazard reports whether the instruction has a RAW/WAW hazard against
+// the scoreboard.
+func (w *Warp) hazard(d *shader.Decoded) bool { return d.Hazard&w.pending != 0 }
+
+// lockDst marks the instruction's destination registers pending and
+// returns them for the matching unlock.
+func (w *Warp) lockDst(d *shader.Decoded) uint64 {
+	w.pending |= d.Dst
+	return d.Dst
 }
 
 // unlock releases registers locked by lockDst. This is the single
 // scoreboard-release chokepoint (ALU/SFU writebacks and memory fills
 // both land here), so it doubles as the park-clearing hook: the warp
 // becomes schedulable again the cycle its dependency resolves.
-func (w *Warp) unlock(regs []uint8) {
+func (w *Warp) unlock(regs uint64) {
 	w.parked = 0
-	for _, r := range regs {
-		if w.scoreboard[r] > 0 {
-			w.scoreboard[r]--
-		}
-	}
+	w.pending &^= regs
 }
 
 func (w *Warp) String() string {

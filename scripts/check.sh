@@ -44,8 +44,37 @@ echo "ok"
 # Every go test below carries an explicit -timeout (it applies to each
 # package's test binary), so a hung test fails in minutes with a
 # goroutine dump instead of spinning.
-echo "== go test =="
-go test -timeout 8m ./...
+echo "== go test (tier-1) =="
+# One run, as JSON, so the slowest tests can be named afterwards. A
+# failing run is repeated in plain form to show what failed: passing
+# packages come back from the test cache.
+t1=$(mktemp)
+if ! go test -json -timeout 8m ./... >"$t1"; then
+	rm -f "$t1"
+	go test -timeout 8m ./...
+	exit 1
+fi
+echo "ok; ten slowest tests (seconds, package, test):"
+grep '"Action":"pass"' "$t1" | grep '"Test":"[^"/]*"' |
+	sed -E 's/.*"Package":"([^"]*)".*"Test":"([^"]*)".*"Elapsed":([0-9.eE+-]+).*/\3 \1 \2/' |
+	sort -rn | head -10 | awk '{ printf "  %7.2f  %-28s %s\n", $1, $2, $3 }'
+rm -f "$t1"
+
+echo "== assembler fuzz (10 s) =="
+go test -timeout 5m -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/shader
+
+echo "== frame allocation tripwire =="
+# The SIMT issue path recycles its warps, memory ops and transactions;
+# a W3 frame allocated 6.7 MB before that and 2.2 MB after. An
+# allocation creeping back into the per-cycle path shows here first.
+out=$(go test -timeout 5m -run '^$' -bench 'BenchmarkFrameW3$' -benchmem -benchtime 5x -count=1 .)
+echo "$out" | awk '
+	$1 ~ /^BenchmarkFrameW3(-[0-9]+)?$/ { for (i = 2; i <= NF; i++) if ($i == "B/op") bytes = $(i-1) }
+	END {
+		if (bytes == "") { print "FAIL: benchmark output missing" > "/dev/stderr"; exit 1 }
+		printf "BenchmarkFrameW3: %.2f MB/op (gate 3.5)\n", bytes / 1e6
+		if (bytes >= 3.5e6) { print "FAIL: a W3 frame allocates 3.5 MB or more" > "/dev/stderr"; exit 1 }
+	}'
 
 echo "== go test -race (short) =="
 go test -race -short -timeout 15m ./...
