@@ -481,44 +481,6 @@ func BenchmarkGPGPUSAXPY(b *testing.B) {
 	}
 }
 
-// sampleBenchFrames is the scenario length of the sampled-simulation
-// benchmark pair below — well past the 100-frame floor, because
-// sampling's fixed per-region cost (the ~3-frame cold-start transient
-// each region replays as warm-up) only amortizes on scenarios much
-// longer than the sampled frame count, which is the regime sampled
-// simulation exists for.
-const sampleBenchFrames = 480
-
-// BenchmarkFullW3Long renders the whole sampleBenchFrames-frame W3
-// scenario in detail — the baseline scripts/bench_sample.sh pairs
-// against BenchmarkSampledW3Long to record the sampled-simulation
-// speedup in BENCH_sample.json.
-func BenchmarkFullW3Long(b *testing.B) {
-	opt := exp.Smoke()
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunRegionJob(geom.W3Cube, sampleBenchFrames, 0, sampleBenchFrames, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.TotalCycles()), "true_cycles")
-	}
-}
-
-// BenchmarkSampledW3Long runs the same scenario through the sampled
-// pipeline — functional pass, 3 representative regions, weighted
-// reconstruction — on a single worker so the recorded speedup is pure
-// sampling, not parallelism.
-func BenchmarkSampledW3Long(b *testing.B) {
-	opt := exp.Smoke()
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunSampled(geom.W3Cube, sampleBenchFrames, 3, 1, 1, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Estimate.TotalCycles), "est_cycles")
-	}
-}
-
 // BenchmarkFrameW3 renders frames of the W3 cube workload on the
 // standalone Table 7 GPU — the reference frame-rendering benchmark used
 // to guard the hot tick path (the emtrace nil-tracer fast path must keep

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"emerald/internal/daemon"
 	"emerald/internal/fleet"
 	"emerald/internal/sweep"
 )
@@ -35,10 +35,10 @@ type MemberOpts struct {
 	Logf                func(format string, args ...any)
 }
 
-// Member is one in-process emeraldd-equivalent node: store + journal +
-// runner + fleet.Node + HTTP server, restartable on a fixed address.
-// Crash models kill -9 (listener yanked, in-flight jobs aborted,
-// journal left as-is); Restart replays the journal, reconciles
+// Member is one in-process emeraldd: the shared daemon.Daemon assembly
+// plus what is chaos-specific — the Engine transport, the store fault,
+// an execution counter, and restart on a fixed address. Crash models
+// kill -9 (daemon.Kill); Restart replays the journal, reconciles
 // journaled jobs against peers holding finished blobs, and re-adopts
 // the rest; Leave is the graceful exit with blob handoff.
 type Member struct {
@@ -50,23 +50,17 @@ type Member struct {
 	peers []string // initial membership (static start)
 	join  string   // seed URL (dynamic join), mutually exclusive with peers
 
-	mu        sync.Mutex
-	running   bool
-	ln        net.Listener // pre-reserved before first Start
-	store     *sweep.Store
-	runner    *sweep.Runner
-	node      *fleet.Node
-	journal   *sweep.Journal
-	srv       *http.Server
-	execs     atomic.Int64 // executions this incarnation
-	recovered int          // journaled jobs found at last Start
+	mu    sync.Mutex
+	ln    net.Listener   // pre-reserved before first Start
+	d     *daemon.Daemon // nil while down
+	store *sweep.Store   // the last incarnation's, valid even while down
+	execs atomic.Int64   // executions this incarnation
 }
 
 // Cluster drives a set of members through a storm.
 type Cluster struct {
 	Members []*Member
 	dir     string
-	mkOpts  func(i int) MemberOpts
 }
 
 // NewCluster reserves n listeners (so URLs are known before any node
@@ -77,30 +71,19 @@ func NewCluster(dir string, n int, mkOpts func(i int) MemberOpts) (*Cluster, err
 	if mkOpts == nil {
 		mkOpts = func(int) MemberOpts { return MemberOpts{} }
 	}
-	c := &Cluster{dir: dir, mkOpts: mkOpts}
-	urls := make([]string, n)
-	lns := make([]net.Listener, n)
+	c := &Cluster{dir: dir}
+	var urls []string
 	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		m, err := c.reserve(mkOpts(i))
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	for i := 0; i < n; i++ {
-		m := &Member{
-			URL:   urls[i],
-			addr:  lns[i].Addr().String(),
-			dir:   filepath.Join(dir, fmt.Sprintf("m%d", i)),
-			opts:  c.mkOpts(i),
-			peers: urls,
-			ln:    lns[i],
-		}
 		c.Members = append(c.Members, m)
+		urls = append(urls, m.URL)
 	}
 	for _, m := range c.Members {
+		m.peers = urls
 		if err := m.Start(); err != nil {
 			c.Close()
 			return nil, err
@@ -109,21 +92,29 @@ func NewCluster(dir string, n int, mkOpts func(i int) MemberOpts) (*Cluster, err
 	return c, nil
 }
 
-// Join starts a new member that joins the fleet through the given
-// existing member, and appends it to c.Members.
-func (c *Cluster) Join(via *Member, opts MemberOpts) (*Member, error) {
+// reserve binds a loopback port for the cluster's next member.
+func (c *Cluster) reserve(opts MemberOpts) (*Member, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	m := &Member{
+	return &Member{
 		URL:  "http://" + ln.Addr().String(),
 		addr: ln.Addr().String(),
 		dir:  filepath.Join(c.dir, fmt.Sprintf("m%d", len(c.Members))),
 		opts: opts,
-		join: via.URL,
 		ln:   ln,
+	}, nil
+}
+
+// Join starts a new member that joins the fleet through the given
+// existing member, and appends it to c.Members.
+func (c *Cluster) Join(via *Member, opts MemberOpts) (*Member, error) {
+	m, err := c.reserve(opts)
+	if err != nil {
+		return nil, err
 	}
+	m.join = via.URL
 	if err := m.Start(); err != nil {
 		return nil, err
 	}
@@ -145,9 +136,6 @@ func (o MemberOpts) withDefaults() MemberOpts {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.Replicas <= 0 {
-		o.Replicas = 2
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 150 * time.Millisecond
 	}
@@ -163,180 +151,118 @@ func (o MemberOpts) withDefaults() MemberOpts {
 	return o
 }
 
-// Start boots (or reboots) the member. On a restart the journal is
-// replayed: jobs already finished elsewhere in the fleet are pulled
-// into the local store first (ReconcilePending), so Recover completes
-// them as cache hits instead of re-executing.
+// Start boots (or reboots) the member. On a restart the daemon replays
+// the journal: jobs already finished elsewhere in the fleet are pulled
+// into the local store first, so they complete as cache hits instead
+// of re-executing.
 func (m *Member) Start() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.running {
+	if m.d != nil {
 		return fmt.Errorf("chaos: member %s already running", m.URL)
 	}
 	opts := m.opts.withDefaults()
-	if err := os.MkdirAll(m.dir, 0o755); err != nil {
-		return err
-	}
-	store, err := sweep.NewStore(filepath.Join(m.dir, "cache"))
-	if err != nil {
-		return err
-	}
-	store.SetFault(opts.StoreFault)
-	journal, pending, err := sweep.OpenJournal(filepath.Join(m.dir, "journal.wal"))
-	if err != nil {
-		return err
-	}
-
 	ln := m.ln
 	m.ln = nil
 	if ln == nil {
 		// Restart: rebind the fixed address. The previous incarnation's
 		// listener closes asynchronously, so give the port a moment.
+		var err error
 		for i := 0; ; i++ {
 			if ln, err = net.Listen("tcp", m.addr); err == nil {
 				break
 			}
 			if i >= 50 {
-				journal.Close()
 				return fmt.Errorf("chaos: rebind %s: %w", m.addr, err)
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-
 	httpc := http.DefaultClient
 	if opts.Engine != nil {
 		httpc = &http.Client{Transport: opts.Engine.Transport(m.URL, nil)}
 	}
-	fcfg := fleet.Config{
-		Self:                m.URL,
-		Peers:               m.peers,
-		Join:                m.join,
-		Replicas:            opts.Replicas,
-		ProbeInterval:       opts.ProbeInterval,
-		StealInterval:       opts.StealInterval,
-		AntiEntropyInterval: opts.AntiEntropyInterval,
-		ProbeFails:          opts.ProbeFails,
-		HTTP:                httpc,
-		Logf:                opts.Logf,
-	}
-	node, err := fleet.New(fcfg, store)
+	m.execs.Store(0)
+	d, err := daemon.Start(daemon.Config{
+		Cache:      filepath.Join(m.dir, "cache"),
+		Journal:    filepath.Join(m.dir, "journal.wal"),
+		StoreFault: opts.StoreFault,
+		Runner: sweep.RunnerConfig{
+			Workers: opts.Workers,
+			Exec: func(ctx context.Context, spec sweep.Spec) (*sweep.Result, error) {
+				m.execs.Add(1)
+				return opts.Exec(ctx, spec)
+			},
+		},
+		Fleet: fleet.Config{
+			Self:                m.URL,
+			Peers:               m.peers,
+			Join:                m.join,
+			Replicas:            opts.Replicas,
+			ProbeInterval:       opts.ProbeInterval,
+			StealInterval:       opts.StealInterval,
+			AntiEntropyInterval: opts.AntiEntropyInterval,
+			ProbeFails:          opts.ProbeFails,
+			HTTP:                httpc,
+			Logf:                opts.Logf,
+		},
+	}, ln)
 	if err != nil {
-		ln.Close()
-		journal.Close()
 		return err
 	}
-	m.execs.Store(0)
-	exec := opts.Exec
-	counted := func(ctx context.Context, spec sweep.Spec) (*sweep.Result, error) {
-		m.execs.Add(1)
-		return exec(ctx, spec)
-	}
-	runner := sweep.NewRunner(store, sweep.RunnerConfig{
-		Workers:  opts.Workers,
-		Exec:     counted,
-		Journal:  journal,
-		OnStored: node.OnStored,
-	})
-	node.SetRunner(runner)
-	m.recovered = len(pending)
-	if len(pending) > 0 {
-		// Journal-aware failover: learn who is alive, fetch blobs peers
-		// finished while we were down, then re-adopt the remainder.
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		node.ProbeOnce(ctx)
-		node.ReconcilePending(ctx, pending)
-		cancel()
-		runner.Recover(pending)
-	}
-	api := sweep.NewServer(runner, store)
-	api.Fleet = node
-	node.Start()
-	srv := &http.Server{Handler: api.Handler()}
-	go srv.Serve(ln) //nolint:errcheck // closed on Crash/stop
-
-	m.store, m.runner, m.node, m.journal, m.srv = store, runner, node, journal, srv
-	m.running = true
+	m.d, m.store = d, d.Store
 	return nil
 }
 
-// Crash is the kill -9 analog: the HTTP surface vanishes, in-flight
-// executions are aborted, nothing is drained or handed off, and the
-// journal keeps whatever was accepted. Safe to call twice.
+// Crash is the kill -9 analog (see daemon.Kill). Safe to call twice.
 func (m *Member) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.running {
-		return
+	if m.d != nil {
+		m.d.Kill()
+		m.d = nil
 	}
-	m.srv.Close() //nolint:errcheck // crash semantics: connections die
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	m.runner.Shutdown(canceled) //nolint:errcheck // forced abort
-	m.node.Close()
-	m.journal.Close() //nolint:errcheck
-	m.running = false
 }
 
 // Restart reboots a crashed member on its original address.
 func (m *Member) Restart() error { return m.Start() }
 
-// Leave gracefully removes the member: membership handoff first (new
-// view broadcast, blobs pushed to their new owners), then the runner
-// drains its queued jobs — the HTTP surface stays up throughout so an
-// in-flight sweep can collect them — and finally the process-analog
-// shuts down.
+// Leave gracefully removes the member (see daemon.Stop): membership
+// handoff first, then the runner drains its queued jobs — the HTTP
+// surface stays up throughout so an in-flight sweep can collect them —
+// and finally the process-analog shuts down.
 func (m *Member) Leave(ctx context.Context) error {
-	m.mu.Lock()
-	node, runner, srv, journal := m.node, m.runner, m.srv, m.journal
-	running := m.running
-	m.mu.Unlock()
-	if !running {
+	d := m.daemon()
+	if d == nil {
 		return fmt.Errorf("chaos: member %s not running", m.URL)
 	}
-	if err := node.Leave(ctx); err != nil {
-		return err
-	}
-	if err := runner.Shutdown(ctx); err != nil {
-		return err
-	}
-	// Results produced while draining replicated fire-and-forget; hand
-	// them off again, verified, before the HTTP surface disappears.
-	node.Handoff(ctx)
+	err := d.Stop(ctx, true)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	srv.Close() //nolint:errcheck
-	node.Close()
-	journal.Close() //nolint:errcheck
-	m.running = false
-	return nil
+	m.d = nil
+	m.mu.Unlock()
+	return err
 }
 
-// Running reports whether the member is currently up.
-func (m *Member) Running() bool {
+func (m *Member) daemon() *daemon.Daemon {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.running
+	return m.d
 }
 
 // Node returns the member's fleet node (nil when down).
 func (m *Member) Node() *fleet.Node {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.running {
-		return nil
+	if d := m.daemon(); d != nil {
+		return d.Node
 	}
-	return m.node
+	return nil
 }
 
 // Runner returns the member's runner (nil when down).
 func (m *Member) Runner() *sweep.Runner {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.running {
-		return nil
+	if d := m.daemon(); d != nil {
+		return d.Runner
 	}
-	return m.runner
+	return nil
 }
 
 // Store returns the member's store (valid even while down).
@@ -349,11 +275,13 @@ func (m *Member) Store() *sweep.Store {
 // ExecCount returns how many real executions this incarnation ran.
 func (m *Member) ExecCount() int64 { return m.execs.Load() }
 
-// Recovered returns how many journaled jobs the last Start found.
+// Recovered returns how many journaled jobs the running incarnation
+// found at Start (0 while down).
 func (m *Member) Recovered() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recovered
+	if d := m.daemon(); d != nil {
+		return d.Recovery.Pending
+	}
+	return 0
 }
 
 // WaitReady polls the member's readiness endpoint until it reports

@@ -33,20 +33,12 @@ type Client struct {
 	// tries it again (default 15s).
 	DownFor time.Duration
 
-	// ResultWait bounds how long Result keeps re-walking the fleet for
-	// a blob no node currently serves (default 8s). A result that a
-	// node finished just before crashing is briefly unavailable until
-	// the node restarts, anti-entropy repairs the replica, or a leave
-	// handoff delivers it — fetches should ride out that window rather
-	// than fail a whole sweep on a heal in progress.
-	ResultWait time.Duration
-
 	// Hedge is the tail-latency hedging policy (see HedgePolicy).
 	Hedge HedgePolicy
 
 	mu      sync.Mutex
 	down    map[string]time.Time // node -> when it was marked down
-	tracked map[string]*placed   // synthetic job id -> placement
+	tracked map[string]*placed   // synthetic job id -> placements
 	nextID  int
 
 	latMu sync.Mutex
@@ -58,7 +50,7 @@ type Client struct {
 }
 
 // HedgePolicy controls hedged requests: once a job has been pending
-// longer than max(Min, Factor × p95 of observed completions), the
+// longer than max(Min, hedgeFactor × p95 of observed completions), the
 // client submits a second copy to the next alive ring owner and takes
 // whichever placement reaches a terminal state first. Determinism
 // makes this free of coordination: both executions produce
@@ -69,12 +61,14 @@ type HedgePolicy struct {
 	// Min is the floor before any hedge fires (default 2s) — also the
 	// deadline used before MinSamples completions have been observed.
 	Min time.Duration
-	// Factor multiplies the observed p95 completion latency (default 2).
-	Factor float64
 	// MinSamples is how many completions the latency tracker needs
 	// before the percentile deadline is trusted (default 5).
 	MinSamples int
 }
+
+// hedgeFactor multiplies the observed p95 completion latency into the
+// hedge deadline.
+const hedgeFactor = 2
 
 // HedgeStats reports how many hedges fired and how many completed
 // before the primary placement did.
@@ -88,17 +82,22 @@ func (c *Client) HedgeStats() HedgeStats {
 	return HedgeStats{Fired: c.hedgeFired.Load(), Won: c.hedgeWon.Load()}
 }
 
-// placed records where a synthetic job currently lives.
+// placed records where a synthetic job currently lives: a short list
+// of live placements, all polled. It holds one until a hedge adds a
+// sibling (at most once per job), and is refilled when it runs empty.
 type placed struct {
-	node        string
-	realID      string
 	spec        sweep.Spec
 	key         string
 	submittedAt time.Time
-	hedged      bool   // a hedge was attempted (at most one per job)
-	altNode     string // hedge placement, if any
-	altID       string
-	failovers   int // times a failed execution was re-placed elsewhere
+	live        []placement
+	hedged      bool // a hedge was attempted
+	failovers   int  // placements dropped because their execution failed
+}
+
+// placement is one copy of a job on one node.
+type placement struct {
+	node, id string
+	hedge    bool // opened by the hedge, not by Submit or a re-placement
 }
 
 // NewClient builds a fleet client over the same peer list the nodes
@@ -152,14 +151,15 @@ func (c *Client) markDown(node string) {
 }
 
 // place submits spec to the first owner that accepts it, walking the
-// ring past down and failing nodes. exclude skips one node (the one
-// that just died). Returns the accepting node and its job snapshot.
-func (c *Client) place(ctx context.Context, spec sweep.Spec, exclude string) (string, sweep.Job, error) {
+// ring past down and failing nodes and skipping exclude (nodes that
+// just dropped the job, or already hold a copy). Returns the accepting
+// node and its job snapshot.
+func (c *Client) place(ctx context.Context, spec sweep.Spec, exclude ...string) (string, sweep.Job, error) {
 	key := spec.Key()
 	var lastErr error
 	tried := 0
 	for _, node := range c.ring.OwnersAlive(key, len(c.nodes), c.alive) {
-		if node == exclude {
+		if contains(exclude, node) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -183,7 +183,7 @@ func (c *Client) place(ctx context.Context, spec sweep.Spec, exclude string) (st
 // under a fleet-scoped synthetic id (the underlying node's id is an
 // implementation detail that changes on failover).
 func (c *Client) Submit(ctx context.Context, spec sweep.Spec) (sweep.Job, error) {
-	node, job, err := c.place(ctx, spec, "")
+	node, job, err := c.place(ctx, spec)
 	if err != nil {
 		return sweep.Job{}, err
 	}
@@ -191,8 +191,8 @@ func (c *Client) Submit(ctx context.Context, spec sweep.Spec) (sweep.Job, error)
 	c.nextID++
 	sid := fmt.Sprintf("f%d", c.nextID)
 	c.tracked[sid] = &placed{
-		node: node, realID: job.ID, spec: spec, key: spec.Key(),
-		submittedAt: time.Now(),
+		spec: spec, key: spec.Key(), submittedAt: time.Now(),
+		live: []placement{{node: node, id: job.ID}},
 	}
 	c.mu.Unlock()
 	job.ID = sid
@@ -215,15 +215,12 @@ func (c *Client) recordLatency(d time.Duration) {
 
 // hedgeDeadline returns how long a job may stay pending before a hedge
 // fires. Below MinSamples completions only the Min floor applies; with
-// enough samples the deadline is max(Min, Factor × p95), so hedging
+// enough samples the deadline is max(Min, hedgeFactor × p95), so hedging
 // targets the tail without duplicating median-latency work.
 func (c *Client) hedgeDeadline() time.Duration {
 	h := c.Hedge
 	if h.Min <= 0 {
 		h.Min = 2 * time.Second
-	}
-	if h.Factor <= 0 {
-		h.Factor = 2
 	}
 	if h.MinSamples <= 0 {
 		h.MinSamples = 5
@@ -237,7 +234,7 @@ func (c *Client) hedgeDeadline() time.Duration {
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	p95 := sorted[(len(sorted)*95)/100]
-	return max(h.Min, time.Duration(h.Factor*float64(p95)))
+	return max(h.Min, hedgeFactor*p95)
 }
 
 func (c *Client) placement(sid string) (*placed, error) {
@@ -251,14 +248,16 @@ func (c *Client) placement(sid string) (*placed, error) {
 }
 
 // WaitAll polls every listed job to a terminal state, invoking onDone
-// per completion. A node that stops answering mid-wait is marked down
-// and its pending jobs are re-placed on the next alive owner; a job
-// that comes back canceled (its node was force-drained) is re-placed
-// the same way. A job pending past the hedge deadline gets a second
-// placement on the next alive owner, and whichever copy finishes first
-// wins (results are byte-identical by construction). Zero jobs are
-// lost: every spec either reaches a terminal state on some node or the
-// wait fails loudly once no node will take it.
+// per completion. Every live placement of a job is polled and the
+// first terminal one wins (results are byte-identical by construction).
+// A placement is dropped when its node stops answering (the node is
+// marked down), when it comes back canceled (its node was
+// force-drained), or when it failed and the failover budget — one try
+// per other node — is not spent. A job left with no placement is
+// re-placed on the next alive owner; a job with one placement pending
+// past the hedge deadline gains a sibling. Zero jobs are lost: every
+// spec either reaches a terminal state on some node or the wait fails
+// loudly once no node will take it.
 func (c *Client) WaitAll(ctx context.Context, ids []string, poll time.Duration, onDone func(sweep.Job)) (map[string]sweep.Job, error) {
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
@@ -272,67 +271,12 @@ func (c *Client) WaitAll(ctx context.Context, ids []string, poll time.Duration, 
 			if err != nil {
 				return nil, err
 			}
-			c.mu.Lock()
-			node, realID := p.node, p.realID
-			altNode, altID := p.altNode, p.altID
-			failovers := p.failovers
-			c.mu.Unlock()
-			job, err := c.nodes[node].Job(ctx, realID)
+			job, done, err := c.pollPlaced(ctx, p)
 			if err != nil && ctx.Err() != nil {
 				return nil, fmt.Errorf("fleet: %d job(s) still pending: %w", len(pending), ctx.Err())
 			}
-			relocate := false
-			switch {
-			case err != nil:
-				// The node is unreachable (or forgot the job after a
-				// restart): fail it over.
-				c.markDown(node)
-				relocate = true
-			case job.State == sweep.JobCanceled:
-				// A forced drain on the node abandoned it; it is not
-				// coming back there.
-				relocate = true
-			case job.State == sweep.JobFailed && failovers < len(c.nodes)-1:
-				// The node exhausted its local retries — a sick disk or
-				// injected store faults, not necessarily the spec's fate.
-				// Determinism means any other node computes the identical
-				// result, so re-place instead of failing the sweep; a spec
-				// that genuinely cannot run fails on every node and the
-				// failover budget (one try per other node) runs out.
-				relocate = true
-				c.mu.Lock()
-				p.failovers++
-				c.mu.Unlock()
-			}
-			if relocate {
-				if altNode != "" {
-					// The hedge already holds a live placement; promote it
-					// instead of opening a third.
-					c.mu.Lock()
-					p.node, p.realID = altNode, altID
-					p.altNode, p.altID = "", ""
-					c.mu.Unlock()
-					next = append(next, sid)
-					continue
-				}
-				nnode, njob, err := c.place(ctx, p.spec, node)
-				if err != nil {
-					return nil, fmt.Errorf("fleet: relocating job %s off %s: %w", sid, node, err)
-				}
-				c.mu.Lock()
-				p.node, p.realID = nnode, njob.ID
-				c.mu.Unlock()
-				job = njob // may already be terminal (cache hit on arrival)
-			}
-			done := job.Terminal() && job.State != sweep.JobCanceled
-			if !done && altNode != "" {
-				// Poll the hedge; first terminal placement wins.
-				if ajob, aerr := c.nodes[altNode].Job(ctx, altID); aerr == nil &&
-					ajob.Terminal() && ajob.State != sweep.JobCanceled {
-					job = ajob
-					done = true
-					c.hedgeWon.Add(1)
-				}
+			if err != nil {
+				return nil, fmt.Errorf("fleet: relocating job %s: %w", sid, err)
 			}
 			if !done {
 				c.maybeHedge(ctx, p)
@@ -361,43 +305,111 @@ func (c *Client) WaitAll(ctx context.Context, ids []string, poll time.Duration, 
 	return final, nil
 }
 
-// maybeHedge opens a second placement for a job pending past the hedge
-// deadline. At most one hedge per job: the point is cutting the tail,
-// not flooding the fleet with duplicates (which would be correct —
-// executions are byte-identical — but wasteful).
+// pollPlaced polls every live placement of p once, drops the ones that
+// are not coming back, and re-places the job if none is left. It
+// returns the winning snapshot once any placement is terminal.
+func (c *Client) pollPlaced(ctx context.Context, p *placed) (sweep.Job, bool, error) {
+	// Placements are never edited in place (a hedge appends, a drop
+	// swaps in a new list), so the list read here stays valid unlocked.
+	c.mu.Lock()
+	live, failovers := p.live, p.failovers
+	c.mu.Unlock()
+
+	var dropped []string
+	for _, pl := range live {
+		job, err := c.nodes[pl.node].Job(ctx, pl.id)
+		switch {
+		case err != nil && ctx.Err() != nil:
+			return sweep.Job{}, false, err
+		case err != nil:
+			// The node is unreachable (or forgot the job after a restart).
+			c.markDown(pl.node)
+		case job.State == sweep.JobCanceled:
+			// A forced drain on the node abandoned it; it is not coming
+			// back there.
+		case job.State == sweep.JobFailed && failovers < len(c.nodes)-1:
+			// The node exhausted its local retries — a sick disk or
+			// injected store faults, not necessarily the spec's fate.
+			// Determinism means any other node computes the identical
+			// result, so drop the placement instead of failing the sweep; a
+			// spec that genuinely cannot run fails on every node and the
+			// failover budget runs out.
+			failovers++
+		case job.Terminal():
+			if pl.hedge {
+				c.hedgeWon.Add(1)
+			}
+			return job, true, nil
+		default:
+			continue // still pending there
+		}
+		dropped = append(dropped, pl.node)
+	}
+	if len(dropped) == 0 {
+		return sweep.Job{}, false, nil
+	}
+	var kept []placement
+	for _, pl := range live {
+		if !contains(dropped, pl.node) { // a job's placements sit on distinct nodes
+			kept = append(kept, pl)
+		}
+	}
+	var first sweep.Job
+	if len(kept) == 0 {
+		node, job, err := c.place(ctx, p.spec, dropped...)
+		if err != nil {
+			return sweep.Job{}, false, err
+		}
+		kept, first = []placement{{node: node, id: job.ID}}, job
+	}
+	c.mu.Lock()
+	p.live, p.failovers = kept, failovers
+	c.mu.Unlock()
+	// A re-placement may already be terminal (cache hit on arrival).
+	return first, first.Terminal() && first.State != sweep.JobCanceled, nil
+}
+
+// maybeHedge opens a second placement for a job whose single placement
+// is pending past the hedge deadline. At most one hedge per job: the
+// point is cutting the tail, not flooding the fleet with duplicates
+// (which would be correct — executions are byte-identical — but
+// wasteful).
 func (c *Client) maybeHedge(ctx context.Context, p *placed) {
 	if c.Hedge.Disabled {
 		return
 	}
 	c.mu.Lock()
-	hedged := p.hedged
-	node := p.node
-	age := time.Since(p.submittedAt)
+	candidate := !p.hedged && len(p.live) == 1
+	first := p.live[0].node
 	c.mu.Unlock()
-	if hedged || age < c.hedgeDeadline() {
+	if !candidate || time.Since(p.submittedAt) < c.hedgeDeadline() {
 		return
 	}
 	c.mu.Lock()
 	p.hedged = true // even if placement fails: one attempt per job
 	c.mu.Unlock()
-	anode, ajob, err := c.place(ctx, p.spec, node)
+	node, job, err := c.place(ctx, p.spec, first)
 	if err != nil {
 		return
 	}
 	c.mu.Lock()
-	p.altNode, p.altID = anode, ajob.ID
+	p.live = append(p.live, placement{node: node, id: job.ID, hedge: true})
 	c.mu.Unlock()
 	c.hedgeFired.Add(1)
 }
 
+// resultWait bounds how long Result keeps re-walking the fleet for a
+// blob no node currently serves. A result that a node finished just
+// before crashing is briefly unavailable until the node restarts,
+// anti-entropy repairs the replica, or a leave handoff delivers it —
+// fetches ride out that window rather than fail a whole sweep on a
+// heal in progress.
+const resultWait = 8 * time.Second
+
 // Result fetches the stored result for key from its owners (alive
 // first), falling back across the ring until a copy answers.
 func (c *Client) Result(ctx context.Context, key string) (*sweep.Result, error) {
-	wait := c.ResultWait
-	if wait <= 0 {
-		wait = 8 * time.Second
-	}
-	deadline := time.Now().Add(wait)
+	deadline := time.Now().Add(resultWait)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		for _, node := range c.ring.OwnersAlive(key, len(c.nodes), c.alive) {
@@ -429,12 +441,13 @@ func (c *Client) Jobs(ctx context.Context) ([]sweep.Job, error) {
 	c.mu.Lock()
 	byNode := make(map[string]map[string]string) // node -> realID -> sid
 	for sid, p := range c.tracked {
-		m, ok := byNode[p.node]
+		pl := p.live[0] // placements are never left empty
+		m, ok := byNode[pl.node]
 		if !ok {
 			m = make(map[string]string)
-			byNode[p.node] = m
+			byNode[pl.node] = m
 		}
-		m[p.realID] = sid
+		m[pl.id] = sid
 	}
 	c.mu.Unlock()
 

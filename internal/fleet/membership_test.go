@@ -256,55 +256,84 @@ func TestReconcilePendingCompletesRacedJobsAsCacheHits(t *testing.T) {
 }
 
 // A job pending past the hedge deadline gets a second placement on the
-// next alive owner, and the hedge's completion wins while the primary
-// is still stuck.
+// next alive owner, and the hedge's completion wins — while the primary
+// is still stuck, and equally when the primary dies after the hedge
+// fired: the sibling is then the job's only placement, and no third
+// one is opened.
 func TestHedgedSubmitCompletesViaNextOwner(t *testing.T) {
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	openGate := func() { gateOnce.Do(func() { close(gate) }) }
-	defer openGate()
-
-	nodes := startCluster(t, 2, func(i int) sweep.Exec {
-		if i != 0 {
-			return fastExec
-		}
-		return func(ctx context.Context, spec sweep.Spec) (*sweep.Result, error) {
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return nil, ctx.Err()
+	for _, tc := range []struct {
+		name        string
+		killPrimary bool
+	}{
+		{"primary stuck", false},
+		{"primary dies after the hedge fired", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// gates[i] holds node i's executions until closed.
+			gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+			var once [2]sync.Once
+			open := func(i int) { once[i].Do(func() { close(gates[i]) }) }
+			defer open(0)
+			defer open(1)
+			if !tc.killPrimary {
+				open(1) // the sibling runs at full speed
 			}
-			return fakeResult(spec)
-		}
-	}, nil)
-	probeAll(t, nodes)
+			nodes := startCluster(t, 2, func(i int) sweep.Exec {
+				return func(ctx context.Context, spec sweep.Spec) (*sweep.Result, error) {
+					select {
+					case <-gates[i]:
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+					return fakeResult(spec)
+				}
+			}, nil)
+			probeAll(t, nodes)
 
-	urls := []string{nodes[0].url, nodes[1].url}
-	spec := findSpecOwnedBy(t, nodes[0].node.Ring(), urls, 0)
+			urls := []string{nodes[0].url, nodes[1].url}
+			spec := findSpecOwnedBy(t, nodes[0].node.Ring(), urls, 0)
 
-	fc, err := NewClient(urls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force the floor: no samples yet, Min is the deadline.
-	fc.Hedge = HedgePolicy{Min: 50 * time.Millisecond, MinSamples: 1 << 30}
+			fc, err := NewClient(urls, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Force the floor: no samples yet, Min is the deadline.
+			fc.Hedge = HedgePolicy{Min: 50 * time.Millisecond, MinSamples: 1 << 30}
+			fc.DownFor = time.Hour
 
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	job, err := fc.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := fc.WaitAll(ctx, []string{job.ID}, 5*time.Millisecond, nil)
-	if err != nil {
-		t.Fatalf("WaitAll: %v", err)
-	}
-	got := final[job.ID]
-	if got.State != sweep.JobDone {
-		t.Fatalf("job state = %s, want done via the hedge", got.State)
-	}
-	if st := fc.HedgeStats(); st.Fired != 1 || st.Won != 1 {
-		t.Fatalf("hedge stats = %+v, want exactly one fired and won", st)
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			job, err := fc.Submit(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.killPrimary {
+				go func() {
+					for fc.HedgeStats().Fired == 0 && ctx.Err() == nil {
+						time.Sleep(time.Millisecond)
+					}
+					nodes[0].kill()
+					// Let WaitAll find the primary gone before the sibling
+					// finishes.
+					time.Sleep(50 * time.Millisecond)
+					open(1)
+				}()
+			}
+			final, err := fc.WaitAll(ctx, []string{job.ID}, 5*time.Millisecond, nil)
+			if err != nil {
+				t.Fatalf("WaitAll: %v", err)
+			}
+			got := final[job.ID]
+			if got.State != sweep.JobDone {
+				t.Fatalf("job state = %s, want done via the hedge", got.State)
+			}
+			if st := fc.HedgeStats(); st.Fired != 1 || st.Won != 1 {
+				t.Fatalf("hedge stats = %+v, want exactly one fired and won", st)
+			}
+			if placed := len(nodes[1].runner.Jobs()); placed != 1 {
+				t.Fatalf("the sibling node holds %d placement(s) of the job, want 1", placed)
+			}
+		})
 	}
 }
 
@@ -315,9 +344,9 @@ func TestHedgeDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc.Hedge = HedgePolicy{Disabled: true, Min: time.Nanosecond}
-	p := &placed{node: "http://a", submittedAt: time.Now().Add(-time.Hour)}
+	p := &placed{live: []placement{{node: "http://a"}}, submittedAt: time.Now().Add(-time.Hour)}
 	fc.maybeHedge(context.Background(), p)
-	if p.hedged || p.altNode != "" {
+	if p.hedged || len(p.live) != 1 {
 		t.Fatal("disabled policy must never hedge")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -42,29 +43,23 @@ type Config struct {
 	// takes to mark a peer down (default 3). One dropped packet must
 	// not trigger ring failover; one successful probe recovers.
 	ProbeFails int
-	// VNodes is the virtual nodes per member on the ring (default
-	// DefaultVirtualNodes).
-	VNodes int
-	// ProbeInterval is the health-probe period (default 2s);
-	// ProbeTimeout bounds one probe (default min(ProbeInterval, 2s)).
+	// ProbeInterval is the health-probe period (default 2s); one probe
+	// is bounded by min(ProbeInterval, 2s).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// StealInterval is how often an idle node tries to pull queued work
-	// from its peers (default 500ms); StealBatch bounds one haul
-	// (default 4).
+	// from its peers (default 500ms), stealBatch specs at a time.
 	StealInterval time.Duration
-	StealBatch    int
 	// AntiEntropyInterval is the period of the replica repair sweep
 	// (default 30s).
 	AntiEntropyInterval time.Duration
-	// GCUnowned lets anti-entropy delete local blobs this node does not
-	// own once every owner is confirmed to hold a verified copy.
-	GCUnowned bool
 	// HTTP overrides the transport used for fleet-internal traffic.
 	HTTP *http.Client
 	// Logf sinks fleet lifecycle messages (default log.Printf).
 	Logf func(format string, args ...any)
 }
+
+// stealBatch bounds one work-steal haul.
+const stealBatch = 4
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Self == "" {
@@ -73,13 +68,7 @@ func (c Config) withDefaults() (Config, error) {
 	if len(c.Peers) == 0 {
 		c.Peers = []string{c.Self}
 	}
-	found := false
-	for _, p := range c.Peers {
-		if p == c.Self {
-			found = true
-		}
-	}
-	if !found {
+	if !contains(c.Peers, c.Self) {
 		return c, fmt.Errorf("fleet: self %q is not in the peer list %v", c.Self, c.Peers)
 	}
 	if c.Replicas <= 0 {
@@ -91,14 +80,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
-	if c.ProbeTimeout <= 0 || c.ProbeTimeout > c.ProbeInterval {
-		c.ProbeTimeout = min(c.ProbeInterval, 2*time.Second)
-	}
 	if c.StealInterval <= 0 {
 		c.StealInterval = 500 * time.Millisecond
-	}
-	if c.StealBatch <= 0 {
-		c.StealBatch = 4
 	}
 	if c.AntiEntropyInterval <= 0 {
 		c.AntiEntropyInterval = 30 * time.Second
@@ -130,11 +113,10 @@ type Node struct {
 	OnLeave func()
 
 	mu      sync.Mutex
-	epoch   uint64                   // membership version; strictly-higher wins
-	members []string                 // current membership, sorted, self included
-	ring    *Ring                    // rebuilt on every membership change
-	clients map[string]*sweep.Client // per current peer, self excluded
-	peers   map[string]*peerState    // self excluded
+	epoch   uint64                // membership version; strictly-higher wins
+	members []string              // current membership, sorted, self included
+	ring    *Ring                 // rebuilt on every membership change
+	peers   map[string]*peerState // self excluded
 	ready   bool
 	joined  bool // Join handshake done (or not configured)
 	leaving bool
@@ -145,7 +127,6 @@ type Node struct {
 	repairCorrupt  atomic.Int64 // corrupt local blobs healed from a peer
 	repairPull     atomic.Int64 // owned-but-missing blobs pulled
 	repairPush     atomic.Int64 // under-replicated blobs pushed
-	gcDeleted      atomic.Int64 // unowned blobs deleted (GCUnowned)
 	handoffPushed  atomic.Int64 // blobs pushed to new owners on graceful leave
 	reconciled     atomic.Int64 // journaled jobs completed via peer blobs at restart
 
@@ -156,8 +137,8 @@ type Node struct {
 
 type peerState struct {
 	alive   bool
-	fails   int // consecutive probe failures (debounce)
-	rtt     time.Duration
+	fails   int           // consecutive probe failures (debounce)
+	rtt     time.Duration // of the last successful probe
 	lastErr string
 }
 
@@ -170,7 +151,7 @@ func New(cfg Config, store *sweep.Store) (*Node, error) {
 		return nil, err
 	}
 	members := normalizeMembers(cfg.Peers)
-	ring, err := NewRing(members, cfg.VNodes)
+	ring, err := NewRing(members, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -179,34 +160,16 @@ func New(cfg Config, store *sweep.Store) (*Node, error) {
 		members: members,
 		ring:    ring,
 		store:   store,
-		clients: make(map[string]*sweep.Client),
 		peers:   make(map[string]*peerState),
 		victims: make(map[string]string),
 		joined:  cfg.Join == "",
 		stop:    make(chan struct{}),
 	}
-	for _, p := range members {
-		if p == cfg.Self {
-			continue
-		}
-		n.peers[p] = &peerState{}
-		n.clients[p] = n.newClient(p)
-	}
+	n.syncPeersLocked()
 	if len(n.peers) == 0 && n.joined {
 		n.ready = true // a fleet of one has nothing to probe
 	}
 	return n, nil
-}
-
-// newClient builds the sweep client for fleet-internal traffic to one
-// peer. The per-request retry budget stays tight: the fleet's own
-// failover (next owner on the ring) is the real recovery path, not
-// transport-level persistence.
-func (n *Node) newClient(p string) *sweep.Client {
-	return &sweep.Client{
-		Base: p, HTTP: n.cfg.HTTP,
-		Retries: 1, RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond,
-	}
 }
 
 // normalizeMembers sorts and deduplicates a membership list, dropping
@@ -247,15 +210,28 @@ func (n *Node) Members() (uint64, []string) {
 	return n.epoch, append([]string(nil), n.members...)
 }
 
-// Start launches the background loops: peer health probes, the
-// work-steal loop, and the anti-entropy sweep. Close stops them. The
-// steal and anti-entropy loops always run — membership is dynamic, so
-// a fleet of one may grow peers later.
+// Start launches the background loops: peer health probes (the first
+// round at once), the work-steal loop, and the anti-entropy sweep.
+// Close stops them. The steal and anti-entropy loops always run —
+// membership is dynamic, so a fleet of one may grow peers later.
 func (n *Node) Start() {
 	n.wg.Add(3)
-	go n.probeLoop()
-	go n.stealLoop()
-	go n.antiEntropyLoop()
+	go func() {
+		n.probeTick()
+		n.every(n.cfg.ProbeInterval, n.probeTick)
+	}()
+	go n.every(n.cfg.StealInterval, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.StealInterval*4+time.Second)
+		defer cancel()
+		n.StealOnce(ctx) //nolint:errcheck // best effort; next tick retries
+	})
+	go n.every(n.cfg.AntiEntropyInterval, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.AntiEntropyInterval)
+		defer cancel()
+		if _, err := n.AntiEntropy(ctx); err != nil {
+			n.cfg.Logf("fleet: anti-entropy sweep: %v", err)
+		}
+	})
 }
 
 // Close stops the background loops and waits for in-flight replication
@@ -265,59 +241,33 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
-func (n *Node) probeLoop() {
+// every runs fn once per period until Close.
+func (n *Node) every(period time.Duration, fn func()) {
 	defer n.wg.Done()
 	for {
-		if n.cfg.Join != "" && !n.isJoined() {
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeInterval+2*time.Second)
-			if err := n.JoinFleet(ctx); err != nil {
-				n.cfg.Logf("fleet: join via %s: %v (retrying)", n.cfg.Join, err)
-			}
-			cancel()
-		}
-		n.ProbeOnce(context.Background())
 		select {
 		case <-n.stop:
 			return
-		case <-time.After(n.cfg.ProbeInterval):
+		case <-time.After(period):
 		}
+		fn()
 	}
 }
 
-func (n *Node) isJoined() bool {
+// probeTick is one beat of the probe loop: finish the join handshake
+// if it is still pending, then probe every peer.
+func (n *Node) probeTick() {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.joined
-}
-
-func (n *Node) stealLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-time.After(n.cfg.StealInterval):
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.StealInterval*4+time.Second)
-		n.StealOnce(ctx) //nolint:errcheck // best effort; next tick retries
-		cancel()
-	}
-}
-
-func (n *Node) antiEntropyLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-time.After(n.cfg.AntiEntropyInterval):
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.AntiEntropyInterval)
-		if _, err := n.AntiEntropy(ctx); err != nil {
-			n.cfg.Logf("fleet: anti-entropy sweep: %v", err)
+	joined := n.joined
+	n.mu.Unlock()
+	if !joined {
+		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeInterval+2*time.Second)
+		if err := n.JoinFleet(ctx); err != nil {
+			n.cfg.Logf("fleet: join via %s: %v (retrying)", n.cfg.Join, err)
 		}
 		cancel()
 	}
+	n.ProbeOnce(context.Background())
 }
 
 // othersSorted returns the current non-self members in deterministic
@@ -331,19 +281,6 @@ func (n *Node) othersSorted() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// client returns (creating if needed) the sweep client for a current
-// or recent peer.
-func (n *Node) client(p string) *sweep.Client {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c, ok := n.clients[p]
-	if !ok {
-		c = n.newClient(p)
-		n.clients[p] = c
-	}
-	return c
 }
 
 // alive reports whether peer passed its last health probe (self is
@@ -370,16 +307,22 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 	type probeResult struct {
 		peer string
 		rtt  time.Duration
-		info *Info
+		info Info
 		err  error
 	}
 	results := make(chan probeResult, len(others))
 	for _, p := range others {
 		go func(peer string) {
-			pctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, min(n.cfg.ProbeInterval, 2*time.Second))
 			defer cancel()
 			start := time.Now()
-			info, err := n.probe(pctx, peer)
+			var info Info
+			err := n.call(pctx, peer, http.MethodGet, "/fleet/info", nil, &info)
+			if errors.Is(err, errBadBody) {
+				// Alive but not gossiping: health and gossip are separate
+				// concerns, and an empty view is never adopted.
+				info, err = Info{}, nil
+			}
 			results <- probeResult{peer, time.Since(start), info, err}
 		}(p)
 	}
@@ -393,11 +336,11 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 			continue
 		}
 		was := ps.alive
-		ps.rtt = r.rtt
-		ps.lastErr = ""
 		if r.err == nil {
 			ps.alive = true
 			ps.fails = 0
+			ps.rtt = r.rtt
+			ps.lastErr = ""
 		} else {
 			ps.fails++
 			ps.lastErr = r.err.Error()
@@ -415,7 +358,7 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 				n.cfg.Logf("fleet: peer %s down after %d consecutive probe failures: %v", r.peer, fails, r.err)
 			}
 		}
-		if r.info != nil {
+		if r.err == nil {
 			n.maybeAdopt(r.info.Epoch, r.info.Members, r.peer)
 		}
 	}
@@ -424,28 +367,51 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 	n.mu.Unlock()
 }
 
-// probe hits a peer's /fleet/info endpoint and returns the decoded
-// view. A 200 whose body fails to decode still counts as a successful
-// probe (health and gossip are separate concerns).
-func (n *Node) probe(ctx context.Context, peer string) (*Info, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/fleet/info", nil)
+// errBadBody marks a 2xx peer response whose body did not decode.
+var errBadBody = errors.New("undecodable response body")
+
+// call is the one fleet-internal request: method path on peer, with in
+// as the body (nil for none, a []byte verbatim, anything else as JSON)
+// and a 2xx JSON answer decoded into out (nil discards it). It is
+// retry-free on purpose: ProbeFails counts *consecutive* failures, and
+// every caller is a periodic loop that catches the peer next round.
+func (n *Node) call(ctx context.Context, peer, method, path string, in, out any) error {
+	var body io.Reader
+	switch v := in.(type) {
+	case nil:
+	case []byte:
+		body = bytes.NewReader(v)
+	default:
+		b, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, peer+path, body)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := n.cfg.HTTP.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode/100 != 2 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+		return fmt.Errorf("fleet: %s %s%s: %s: %s", method, peer, path, resp.Status, bytes.TrimSpace(msg))
+	}
+	if out == nil {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10)) //nolint:errcheck // drain for reuse
-		return nil, fmt.Errorf("fleet info returned %s", resp.Status)
+		return nil
 	}
-	var info Info
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&info); err != nil {
-		return nil, nil //nolint:nilnil // alive but not gossiping
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 32<<20)).Decode(out); err != nil {
+		return fmt.Errorf("fleet: %s %s%s: %w: %v", method, peer, path, errBadBody, err)
 	}
-	return &info, nil
+	return nil
 }
 
 // --- dynamic membership ---
@@ -498,28 +464,38 @@ func (n *Node) maybeAdopt(epoch uint64, members []string, from string) bool {
 		epoch++
 		readd = true
 	}
-	ring, err := NewRing(members, n.cfg.VNodes)
+	view, err := n.installLocked(epoch, members)
+	n.mu.Unlock()
 	if err != nil {
-		n.mu.Unlock()
 		n.cfg.Logf("fleet: rejecting membership view from %s: %v", from, err)
 		return false
 	}
-	n.epoch, n.members, n.ring = epoch, members, ring
-	n.syncPeersLocked()
-	view := memberView{Epoch: n.epoch, Members: append([]string(nil), n.members...)}
-	n.mu.Unlock()
-
 	n.cfg.Logf("fleet: adopted membership epoch %d from %s: %d member(s)", epoch, from, len(members))
 	if readd {
 		n.cfg.Logf("fleet: view from %s dropped self; re-added at epoch %d", from, epoch)
-		n.broadcast(view, from)
+		n.background(10*time.Second, func(ctx context.Context) { n.broadcast(ctx, view, from) })
 	}
 	return true
 }
 
-// syncPeersLocked reconciles the peer-state and client maps with
-// n.members. Callers hold n.mu. New peers start dead with zero fails:
-// the next probe round brings them up (a single success suffices), and
+// installLocked swaps in a membership view — the ring and the peer
+// table follow it — and returns its wire form. Callers hold n.mu.
+func (n *Node) installLocked(epoch uint64, members []string) (memberView, error) {
+	if len(members) > 0 { // the last member to leave keeps its ring of one
+		ring, err := NewRing(members, 0)
+		if err != nil {
+			return memberView{}, err
+		}
+		n.ring = ring
+	}
+	n.epoch, n.members = epoch, members
+	n.syncPeersLocked()
+	return memberView{Epoch: epoch, Members: append([]string(nil), members...)}, nil
+}
+
+// syncPeersLocked reconciles the peer-state map with n.members.
+// Callers hold n.mu. New peers start dead with zero fails: the next
+// probe round brings them up (a single success suffices), and
 // until then placement simply prefers established members.
 func (n *Node) syncPeersLocked() {
 	want := make(map[string]bool, len(n.members))
@@ -531,17 +507,12 @@ func (n *Node) syncPeersLocked() {
 		if _, ok := n.peers[m]; !ok {
 			n.peers[m] = &peerState{}
 		}
-		if _, ok := n.clients[m]; !ok {
-			n.clients[m] = n.newClient(m)
-		}
 	}
 	for p := range n.peers {
 		if !want[p] {
 			delete(n.peers, p)
 		}
 	}
-	// Departed members' clients are kept: in-flight work (a steal
-	// victim's push-back, a reconcile fetch) may still reference them.
 }
 
 // JoinFleet performs the join handshake against cfg.Join: POST
@@ -554,28 +525,9 @@ func (n *Node) JoinFleet(ctx context.Context) error {
 	if seed == "" {
 		return nil
 	}
-	body, err := json.Marshal(joinRequest{URL: n.cfg.Self})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		seed+"/fleet/join", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.cfg.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return fmt.Errorf("fleet: join via %s: %s: %s", seed, resp.Status, bytes.TrimSpace(b))
-	}
 	var view memberView
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&view); err != nil {
-		return fmt.Errorf("fleet: join via %s: %w", seed, err)
+	if err := n.call(ctx, seed, http.MethodPost, "/fleet/join", joinRequest{URL: n.cfg.Self}, &view); err != nil {
+		return err
 	}
 	n.maybeAdopt(view.Epoch, view.Members, seed)
 	n.mu.Lock()
@@ -601,32 +553,21 @@ func (n *Node) Leave(ctx context.Context) error {
 		return nil
 	}
 	n.leaving = true
-	n.epoch++
 	remaining := make([]string, 0, len(n.members))
 	for _, m := range n.members {
 		if m != n.cfg.Self {
 			remaining = append(remaining, m)
 		}
 	}
-	n.members = remaining
-	var newRing *Ring
-	if len(remaining) > 0 {
-		var err error
-		if newRing, err = NewRing(remaining, n.cfg.VNodes); err != nil {
-			n.mu.Unlock()
-			return err
-		}
-		n.ring = newRing
-	}
-	n.syncPeersLocked()
-	view := memberView{Epoch: n.epoch, Members: append([]string(nil), remaining...)}
+	view, err := n.installLocked(n.epoch+1, remaining)
+	ring := n.ring
 	n.mu.Unlock()
-
-	n.cfg.Logf("fleet: leaving (epoch %d, %d member(s) remain)", view.Epoch, len(remaining))
-	if newRing != nil {
-		n.handoff(ctx, newRing)
-		n.broadcastSync(ctx, view, "")
+	if err != nil {
+		return err
 	}
+	n.cfg.Logf("fleet: leaving (epoch %d, %d member(s) remain)", view.Epoch, len(remaining))
+	n.handoff(ctx, ring)
+	n.broadcast(ctx, view, "")
 	return nil
 }
 
@@ -636,11 +577,7 @@ func (n *Node) Leave(ctx context.Context) error {
 // replicate via OnStored, but those pushes are fire-and-forget and a
 // flaky network can drop them — this pass is the verified, retried
 // delivery that makes "graceful leave loses nothing" hold.
-func (n *Node) Handoff(ctx context.Context) {
-	if ring := n.Ring(); ring != nil {
-		n.handoff(ctx, ring)
-	}
-}
+func (n *Node) Handoff(ctx context.Context) { n.handoff(ctx, n.Ring()) }
 
 // handoff pushes every verified local blob to its post-leave ring
 // owners so no range loses its replicas when this node departs. Pushes
@@ -656,16 +593,11 @@ func (n *Node) handoff(ctx context.Context, ring *Ring) {
 		n.cfg.Logf("fleet: leave handoff: %v", err)
 		return
 	}
-	type target struct {
-		key, owner string
-	}
-	var due []target
+	// due maps a key to the owners still missing it; nil means nobody
+	// has been tried yet, so every owner is due.
+	due := make(map[string][]string, len(keys))
 	for _, key := range keys {
-		for _, o := range ring.Owners(key, n.cfg.Replicas) {
-			if o != n.cfg.Self {
-				due = append(due, target{key, o})
-			}
-		}
+		due[key] = nil
 	}
 	pushed := 0
 	for round := 0; len(due) > 0 && round < 4; round++ {
@@ -675,67 +607,50 @@ func (n *Node) handoff(ctx context.Context, ring *Ring) {
 			case <-time.After(100 * time.Millisecond << (round - 1)):
 			}
 		}
-		var failed []target
-		for _, tg := range due {
+		for key, missing := range due {
 			if ctx.Err() != nil {
 				n.cfg.Logf("fleet: leave handoff interrupted: %v", ctx.Err())
 				return
 			}
-			payload, ok, err := n.store.Get(tg.key)
-			if err != nil || !ok {
-				continue // corrupt blobs are not worth handing off
+			ok, failed := n.replicate(ctx, ring, key, nil, "", func(owner string) bool {
+				return missing != nil && !contains(missing, owner)
+			})
+			pushed += ok
+			n.handoffPushed.Add(int64(ok))
+			if due[key] = failed; len(failed) == 0 {
+				delete(due, key)
 			}
-			if !n.push(ctx, tg.owner, tg.key, payload) {
-				failed = append(failed, tg)
-				continue
-			}
-			pushed++
-			n.handoffPushed.Add(1)
 		}
-		due = failed
 	}
 	if len(due) > 0 {
-		n.cfg.Logf("fleet: leave handoff gave up on %d blob replica(s)", len(due))
+		n.cfg.Logf("fleet: leave handoff gave up on %d blob(s)", len(due))
 	}
 	n.cfg.Logf("fleet: leave handoff pushed %d blob replica(s)", pushed)
 }
 
-// broadcast fans a membership view out to every other member (minus
-// exclude) on a background goroutine.
-func (n *Node) broadcast(view memberView, exclude string) {
+// background runs fn under a deadline on a goroutine Close waits for.
+func (n *Node) background(timeout time.Duration, fn func(ctx context.Context)) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
-		n.broadcastSync(ctx, view, exclude)
+		fn(ctx)
 	}()
 }
 
-func (n *Node) broadcastSync(ctx context.Context, view memberView, exclude string) {
-	body, err := json.Marshal(view)
-	if err != nil {
-		return
-	}
+// broadcast fans a membership view out to every other member (minus
+// exclude).
+func (n *Node) broadcast(ctx context.Context, view memberView, exclude string) {
 	for _, m := range view.Members {
 		if m == n.cfg.Self || m == exclude {
 			continue
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			m+"/fleet/membership", bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := n.cfg.HTTP.Do(req)
-		if err != nil {
+		if err := n.call(ctx, m, http.MethodPost, "/fleet/membership", view, nil); err != nil {
 			// Probe-piggybacked gossip converges any member the
 			// broadcast misses.
 			n.cfg.Logf("fleet: membership broadcast to %s: %v", m, err)
-			continue
 		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10)) //nolint:errcheck
-		resp.Body.Close()
 	}
 }
 
@@ -771,10 +686,8 @@ func (n *Node) ReconcilePending(ctx context.Context, pending []sweep.PendingJob)
 	return fetched
 }
 
-// stealRequest and stealResponse are the POST /fleet/steal wire shape.
-type stealRequest struct {
-	Max int `json:"max"`
-}
+// stealResponse is the POST /fleet/steal answer: up to stealBatch
+// queued specs.
 type stealResponse struct {
 	Specs []sweep.Spec `json:"specs"`
 }
@@ -801,14 +714,14 @@ func (n *Node) StealOnce(ctx context.Context) (int, error) {
 		if !n.alive(peer) {
 			continue
 		}
-		specs, err := n.stealFrom(ctx, peer)
-		if err != nil {
+		var haul stealResponse
+		if err := n.call(ctx, peer, http.MethodPost, "/fleet/steal", nil, &haul); err != nil {
 			lastErr = err
 			continue
 		}
 		adopted := 0
-		for _, spec := range specs {
-			if n.adopt(ctx, peer, spec) {
+		for _, spec := range haul.Specs {
+			if n.adopt(r, peer, spec) {
 				adopted++
 			}
 		}
@@ -820,104 +733,75 @@ func (n *Node) StealOnce(ctx context.Context) (int, error) {
 	return 0, lastErr
 }
 
-func (n *Node) stealFrom(ctx context.Context, peer string) ([]sweep.Spec, error) {
-	body, err := json.Marshal(stealRequest{Max: n.cfg.StealBatch})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		peer+"/fleet/steal", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10)) //nolint:errcheck
-		return nil, fmt.Errorf("fleet: steal from %s: %s", peer, resp.Status)
-	}
-	var sr stealResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("fleet: steal from %s: %w", peer, err)
-	}
-	return sr.Specs, nil
-}
-
 // adopt submits one stolen spec locally. The victim is recorded
 // before the submit so the OnStored hook (which may fire immediately
 // from a worker) replicates the result back; a submit that is already
-// a cache hit pushes the existing blob to the victim right away.
-func (n *Node) adopt(ctx context.Context, victim string, spec sweep.Spec) bool {
-	r := n.runner.Load()
-	if r == nil {
-		return false
-	}
+// a cache hit runs the hook right away, so the victim's queued job
+// completes as a cache hit.
+func (n *Node) adopt(r *sweep.Runner, victim string, spec sweep.Spec) bool {
 	key := spec.Key()
 	n.mu.Lock()
 	n.victims[key] = victim
 	n.mu.Unlock()
 	job, err := r.Submit(spec)
-	if err != nil || job.Cached {
+	if err != nil {
 		n.mu.Lock()
 		delete(n.victims, key)
 		n.mu.Unlock()
-	}
-	if err != nil {
 		return false
 	}
 	if job.Cached {
-		// Already have the result; hand it straight back so the victim's
-		// queued job completes as a cache hit.
-		if payload, ok, err := n.store.Get(key); err == nil && ok {
-			n.push(ctx, victim, key, payload)
-		}
+		n.OnStored(key, nil)
 	}
 	return true
 }
 
 // OnStored is the runner hook: after a local execution lands its
 // result in the store, replicate the blob to the other ring owners —
-// and to the steal victim, if this was stolen work. Runs the pushes on
-// a background goroutine so the worker is never blocked on a peer.
+// and to the steal victim, if this was stolen work (a nil payload is
+// read back from the store). Runs the pushes on a background goroutine
+// so the worker is never blocked on a peer, and fire-and-forget:
+// anti-entropy repairs what they miss.
 func (n *Node) OnStored(key string, payload []byte) {
 	n.mu.Lock()
-	victim, hadVictim := n.victims[key]
+	victim := n.victims[key]
 	delete(n.victims, key)
+	ring := n.ring
 	n.mu.Unlock()
 
-	targets := make([]string, 0, n.cfg.Replicas)
-	for _, o := range n.Ring().Owners(key, n.cfg.Replicas) {
-		if o != n.cfg.Self {
-			targets = append(targets, o)
-		}
+	n.background(30*time.Second, func(ctx context.Context) {
+		n.replicate(ctx, ring, key, payload, victim, nil)
+	})
+}
+
+// replicate is the one replication loop: it makes sure every owner of
+// key on ring — and also, when named (a steal victim) — holds the blob,
+// except this node and the peers skip reports as already holding it. A
+// nil payload is read from the store on the first push that needs it;
+// a blob that no longer verifies there is not worth sending. Returns
+// how many pushes landed and which targets they missed.
+func (n *Node) replicate(ctx context.Context, ring *Ring, key string, payload []byte, also string, skip func(peer string) bool) (pushed int, failed []string) {
+	targets := ring.Owners(key, n.cfg.Replicas)
+	if also != "" && !contains(targets, also) {
+		targets = append(targets, also)
 	}
-	if hadVictim && victim != n.cfg.Self {
-		dup := false
-		for _, t := range targets {
-			if t == victim {
-				dup = true
+	for _, t := range targets {
+		if t == n.cfg.Self || skip != nil && skip(t) {
+			continue
+		}
+		if payload == nil {
+			var ok bool
+			if payload, ok, _ = n.store.Get(key); !ok {
+				return pushed, failed
 			}
 		}
-		if !dup {
-			targets = append(targets, victim)
+		if n.push(ctx, t, key, payload) {
+			pushed++
+		} else {
+			failed = append(failed, t)
 		}
 	}
-	if len(targets) == 0 {
-		return
-	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		for _, t := range targets {
-			n.push(ctx, t, key, payload)
-		}
-	}()
+	return pushed, failed
 }
 
 // push replicates one result payload to a peer (PUT
@@ -925,21 +809,8 @@ func (n *Node) OnStored(key string, payload []byte) {
 // anti-entropy sweep repairs under-replication later, and the blob can
 // always be recomputed.
 func (n *Node) push(ctx context.Context, peer, key string, payload []byte) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		peer+"/fleet/results/"+key, bytes.NewReader(payload))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.cfg.HTTP.Do(req)
-	if err != nil {
+	if err := n.call(ctx, peer, http.MethodPut, "/fleet/results/"+key, payload, nil); err != nil {
 		n.cfg.Logf("fleet: replicate %s to %s: %v", key[:12], peer, err)
-		return false
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10)) //nolint:errcheck
-	if resp.StatusCode/100 != 2 {
-		n.cfg.Logf("fleet: replicate %s to %s: %s", key[:12], peer, resp.Status)
 		return false
 	}
 	n.replicasPushed.Add(1)
@@ -974,8 +845,6 @@ type RepairStats struct {
 	Pushed int `json:"pushed"`
 	// Pulled counts owned blobs this node was missing and fetched.
 	Pulled int `json:"pulled"`
-	// Deleted counts unowned blobs garbage-collected (GCUnowned only).
-	Deleted int `json:"deleted"`
 }
 
 // AntiEntropy runs one replica repair sweep:
@@ -984,9 +853,7 @@ type RepairStats struct {
 //     from a peer (or drop them if nobody has a copy),
 //  2. exchange verified key lists with alive peers,
 //  3. push blobs to co-owners that are missing them,
-//  4. pull blobs this node owns but does not hold,
-//  5. optionally GC blobs this node does not own once every owner
-//     holds a verified copy.
+//  4. pull blobs this node owns but does not hold.
 //
 // The store's integrity footer is the only comparison needed: a blob
 // either verifies (and is byte-identical everywhere, by the
@@ -1026,15 +893,15 @@ func (n *Node) AntiEntropy(ctx context.Context) (RepairStats, error) {
 		return st, nil
 	}
 	// Key exchange: who verifiably holds what. A peer whose key list
-	// cannot be fetched is excluded from push/GC decisions — absence of
-	// evidence must not look like absence of a blob.
+	// cannot be fetched is left out of the push — absence of evidence
+	// must not look like absence of a blob.
 	peerKeys := make(map[string]map[string]bool)
 	for _, p := range others {
 		if !n.alive(p) {
 			continue
 		}
 		var ks []string
-		if err := n.getJSON(ctx, p+"/fleet/keys", &ks); err != nil {
+		if err := n.call(ctx, p, http.MethodGet, "/fleet/keys", nil, &ks); err != nil {
 			n.cfg.Logf("fleet: key exchange with %s: %v", p, err)
 			continue
 		}
@@ -1050,26 +917,15 @@ func (n *Node) AntiEntropy(ctx context.Context) (RepairStats, error) {
 		if ctx.Err() != nil {
 			return st, ctx.Err()
 		}
-		owners := ring.Owners(key, n.cfg.Replicas)
-		if !contains(owners, n.cfg.Self) {
+		if !ring.IsOwner(key, n.cfg.Self, n.cfg.Replicas) {
 			continue
 		}
-		for _, o := range owners {
-			if o == n.cfg.Self {
-				continue
-			}
-			held, exchanged := peerKeys[o]
-			if !exchanged || held[key] {
-				continue
-			}
-			payload, ok, err := n.store.Get(key)
-			if err != nil || !ok {
-				continue
-			}
-			n.push(ctx, o, key, payload)
-			st.Pushed++
-			n.repairPush.Add(1)
-		}
+		ok, failed := n.replicate(ctx, ring, key, nil, "", func(owner string) bool {
+			held, exchanged := peerKeys[owner]
+			return !exchanged || held[key]
+		})
+		st.Pushed += ok + len(failed)
+		n.repairPush.Add(int64(ok + len(failed)))
 	}
 
 	// Pull owned blobs this node is missing.
@@ -1089,27 +945,6 @@ func (n *Node) AntiEntropy(ctx context.Context) (RepairStats, error) {
 		}
 	}
 
-	// GC blobs this node no longer owns, but only when every owner is
-	// confirmed (this sweep, not assumed) to hold a verified copy.
-	if n.cfg.GCUnowned {
-		for key := range verified {
-			owners := ring.Owners(key, n.cfg.Replicas)
-			if contains(owners, n.cfg.Self) {
-				continue
-			}
-			safe := true
-			for _, o := range owners {
-				if held, exchanged := peerKeys[o]; !exchanged || !held[key] {
-					safe = false
-					break
-				}
-			}
-			if safe && n.store.Delete(key) == nil {
-				st.Deleted++
-				n.gcDeleted.Add(1)
-			}
-		}
-	}
 	return st, nil
 }
 
@@ -1122,7 +957,11 @@ func (n *Node) fetchInto(ctx context.Context, key string) bool {
 		if p == n.cfg.Self || !n.alive(p) {
 			continue
 		}
-		payload, err := n.client(p).ResultBytes(ctx, key)
+		// The per-request retry budget stays tight: the next owner on the
+		// ring is the real recovery path, not transport-level persistence.
+		peer := sweep.Client{Base: p, HTTP: n.cfg.HTTP,
+			Retries: 1, RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond}
+		payload, err := peer.ResultBytes(ctx, key)
 		if err != nil {
 			continue
 		}
@@ -1137,25 +976,6 @@ func (n *Node) fetchInto(ctx context.Context, key string) bool {
 		return true
 	}
 	return false
-}
-
-// getJSON fetches a fleet-internal endpoint into v (no retry: callers
-// are periodic loops and simply catch the peer next round).
-func (n *Node) getJSON(ctx context.Context, url string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := n.cfg.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10)) //nolint:errcheck
-		return fmt.Errorf("fleet: GET %s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 func contains(ss []string, s string) bool {
@@ -1208,31 +1028,19 @@ func (n *Node) Ready() (bool, string) {
 
 // WriteProm appends the fleet gauges to a Prometheus scrape.
 func (n *Node) WriteProm(w io.Writer) error {
-	n.mu.Lock()
-	ups := []telemetry.LabeledValue{{
-		Labels: [][2]string{{"peer", n.cfg.Self}}, Value: 1, // self is trivially up
-	}}
-	var rtts []telemetry.LabeledValue
-	others := make([]string, 0, len(n.peers))
-	for p := range n.peers {
-		others = append(others, p)
-	}
-	sort.Strings(others)
-	for _, p := range others {
-		ps := n.peers[p]
+	info := n.Snapshot()
+	var ups, rtts []telemetry.LabeledValue
+	for _, p := range info.Peers {
+		peer := [][2]string{{"peer", p.URL}}
 		up := 0.0
-		if ps.alive {
+		if p.Alive { // self is trivially up
 			up = 1.0
 		}
-		ups = append(ups, telemetry.LabeledValue{
-			Labels: [][2]string{{"peer", p}}, Value: up,
-		})
-		rtts = append(rtts, telemetry.LabeledValue{
-			Labels: [][2]string{{"peer", p}}, Value: ps.rtt.Seconds(),
-		})
+		ups = append(ups, telemetry.LabeledValue{Labels: peer, Value: up})
+		if !p.Self {
+			rtts = append(rtts, telemetry.LabeledValue{Labels: peer, Value: p.RTTMS / 1e3})
+		}
 	}
-	epoch, memberCount := n.epoch, len(n.members)
-	n.mu.Unlock()
 
 	pw := telemetry.NewPromWriter(w)
 	pw.GaugeVec("emerald_fleet_peer_up",
@@ -1254,13 +1062,10 @@ func (n *Node) WriteProm(w io.Writer) error {
 			{Labels: [][2]string{{"kind", "pull"}}, Value: float64(n.repairPull.Load())},
 			{Labels: [][2]string{{"kind", "push"}}, Value: float64(n.repairPush.Load())},
 		})
-	pw.Counter("emerald_fleet_gc_deleted_total",
-		"Unowned result blobs garbage-collected after full-owner confirmation.",
-		float64(n.gcDeleted.Load()))
 	pw.Gauge("emerald_fleet_membership_epoch",
-		"Current membership view version (higher wins).", float64(epoch))
+		"Current membership view version (higher wins).", float64(info.Epoch))
 	pw.Gauge("emerald_fleet_members",
-		"Members in the current view, self included.", float64(memberCount))
+		"Members in the current view, self included.", float64(len(info.Members)))
 	pw.Counter("emerald_fleet_handoff_pushed_total",
 		"Blob replicas pushed to new owners during a graceful leave.",
 		float64(n.handoffPushed.Load()))
@@ -1272,18 +1077,10 @@ func (n *Node) WriteProm(w io.Writer) error {
 
 // --- HTTP handlers ---
 
-func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
-	var req stealRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad steal request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if req.Max <= 0 {
-		req.Max = n.cfg.StealBatch
-	}
+func (n *Node) handleSteal(w http.ResponseWriter, _ *http.Request) {
 	var specs []sweep.Spec
 	if run := n.runner.Load(); run != nil && !run.Draining() {
-		specs = run.StealQueued(req.Max)
+		specs = run.StealQueued(stealBatch)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(stealResponse{Specs: specs}) //nolint:errcheck
@@ -1406,31 +1203,27 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fleet: this node is leaving; join via another member", http.StatusServiceUnavailable)
 		return
 	}
-	added := false
-	if !contains(n.members, joiner) {
-		members := normalizeMembers(append(append([]string(nil), n.members...), joiner))
-		ring, err := NewRing(members, n.cfg.VNodes)
+	view := memberView{Epoch: n.epoch, Members: append([]string(nil), n.members...)}
+	added := !contains(n.members, joiner)
+	if added {
+		var err error
+		view, err = n.installLocked(n.epoch+1, normalizeMembers(append(view.Members, joiner)))
 		if err != nil {
 			n.mu.Unlock()
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		n.epoch++
-		n.members, n.ring = members, ring
-		n.syncPeersLocked()
 		// The joiner just reached us over HTTP; start it alive rather
 		// than waiting out a probe round.
 		if ps, ok := n.peers[joiner]; ok {
 			ps.alive = true
 		}
-		added = true
 	}
-	view := memberView{Epoch: n.epoch, Members: append([]string(nil), n.members...)}
 	n.mu.Unlock()
 
 	if added {
 		n.cfg.Logf("fleet: admitted %s (epoch %d, %d member(s))", joiner, view.Epoch, len(view.Members))
-		n.broadcast(view, joiner)
+		n.background(10*time.Second, func(ctx context.Context) { n.broadcast(ctx, view, joiner) })
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(view) //nolint:errcheck
@@ -1440,11 +1233,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 // returns 202 immediately (the handoff can outlive the request). The
 // OnLeave callback then lets the embedding daemon drain and exit.
 func (n *Node) handleLeave(w http.ResponseWriter, _ *http.Request) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
+	n.background(60*time.Second, func(ctx context.Context) {
 		if err := n.Leave(ctx); err != nil {
 			n.cfg.Logf("fleet: leave: %v", err)
 			return
@@ -1452,7 +1241,7 @@ func (n *Node) handleLeave(w http.ResponseWriter, _ *http.Request) {
 		if cb := n.OnLeave; cb != nil {
 			cb()
 		}
-	}()
+	})
 	w.WriteHeader(http.StatusAccepted)
 }
 

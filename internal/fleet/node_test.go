@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -488,6 +490,13 @@ func TestReadinessGatesOnFleetWarmup(t *testing.T) {
 func TestFleetInfoAndPromReflectPeerDeath(t *testing.T) {
 	nodes := startCluster(t, 3, nil, nil)
 	probeAll(t, nodes)
+	// Stretch the last successful probe's RTT far past anything a
+	// refused connection takes to fail, so the check below can tell
+	// "kept" from "overwritten by the failing probe".
+	const lastGoodRTT = time.Hour
+	nodes[0].node.mu.Lock()
+	nodes[0].node.peers[nodes[2].url].rtt = lastGoodRTT
+	nodes[0].node.mu.Unlock()
 	nodes[2].kill()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -513,6 +522,11 @@ func TestFleetInfoAndPromReflectPeerDeath(t *testing.T) {
 		if (p.URL == nodes[0].url) != p.Self {
 			t.Fatalf("peer %s self flag wrong", p.URL)
 		}
+		// A failed probe reports why it failed, not how long failing
+		// took: the RTT stays that of the last successful probe.
+		if p.URL == nodes[2].url && (p.LastErr == "" || p.RTTMS != float64(lastGoodRTT/time.Millisecond)) {
+			t.Fatalf("dead peer reports rtt %v ms, last_error %q; want the last good rtt and an error", p.RTTMS, p.LastErr)
+		}
 	}
 
 	// The fleet gauges ride the node's ordinary metrics scrape.
@@ -537,7 +551,116 @@ func TestFleetInfoAndPromReflectPeerDeath(t *testing.T) {
 	if !strings.Contains(text, `emerald_fleet_peer_up{peer="`+nodes[0].url+`"} 1`) {
 		t.Fatal("scrape does not report self up")
 	}
+	if want := fmt.Sprintf(`emerald_fleet_peer_rtt_seconds{peer="%s"} %v`, nodes[2].url, lastGoodRTT.Seconds()); !strings.Contains(text, want) {
+		t.Fatalf("scrape does not keep the dead peer's last good rtt (%s):\n%s", want, text)
+	}
 	if err := telemetry.ValidateExposition(strings.NewReader(text)); err != nil {
 		t.Fatalf("fleet scrape is not valid exposition text: %v", err)
+	}
+}
+
+// The one replication loop, against a peer that counts the PUTs it
+// receives and refuses the first failFirst of them: an owner known to
+// hold the blob is not pushed to, a steal victim that is also an owner
+// is pushed once, an unreachable owner is reported as failed — and
+// only handoff comes back for it; OnStored is fire and forget.
+func TestReplicate(t *testing.T) {
+	res, err := fakeResult(cs1Spec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cs1Spec(1).Key()
+	const never = 1 << 30
+	type outcome struct {
+		pushed int
+		failed []string
+	}
+	for _, tc := range []struct {
+		name      string
+		failFirst int
+		run       func(ctx context.Context, n *Node, payload []byte, peer string) outcome
+		wantHits  int64
+		want      outcome // failed holds "peer" for the peer's URL
+		handedOff int64
+	}{
+		{"owner already holds it: no push", 0,
+			func(ctx context.Context, n *Node, payload []byte, _ string) outcome {
+				pushed, failed := n.replicate(ctx, n.Ring(), key, payload, "", func(string) bool { return true })
+				return outcome{pushed, failed}
+			}, 0, outcome{}, 0},
+		{"owner missing it: one push", 0,
+			func(ctx context.Context, n *Node, payload []byte, _ string) outcome {
+				pushed, failed := n.replicate(ctx, n.Ring(), key, payload, "", nil)
+				return outcome{pushed, failed}
+			}, 1, outcome{pushed: 1}, 0},
+		{"steal victim that is also an owner: pushed once", 0,
+			func(ctx context.Context, n *Node, _ []byte, peer string) outcome {
+				pushed, failed := n.replicate(ctx, n.Ring(), key, nil, peer, nil) // nil payload: read from the store
+				return outcome{pushed, failed}
+			}, 1, outcome{pushed: 1}, 0},
+		{"owner down: reported failed", never,
+			func(ctx context.Context, n *Node, payload []byte, _ string) outcome {
+				pushed, failed := n.replicate(ctx, n.Ring(), key, payload, "", nil)
+				return outcome{pushed, failed}
+			}, 1, outcome{failed: []string{"peer"}}, 0},
+		{"OnStored does not retry a failed push", never,
+			func(_ context.Context, n *Node, payload []byte, _ string) outcome {
+				n.OnStored(key, payload)
+				n.Close() // waits for the background push
+				return outcome{}
+			}, 1, outcome{}, 0},
+		{"handoff retries until the owner takes it", 2,
+			func(ctx context.Context, n *Node, _ []byte, _ string) outcome {
+				n.handoff(ctx, n.Ring())
+				return outcome{}
+			}, 3, outcome{}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hits atomic.Int64
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method != http.MethodPut || r.URL.Path != "/fleet/results/"+key {
+					http.NotFound(w, r)
+					return
+				}
+				if hits.Add(1) <= int64(tc.failFirst) {
+					http.Error(w, "down", http.StatusServiceUnavailable)
+					return
+				}
+				w.WriteHeader(http.StatusNoContent)
+			}))
+			defer peer.Close()
+			st, err := sweep.NewStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := st.Put(key, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			self := "http://127.0.0.1:1" // never dialled: a node does not push to itself
+			n, err := New(Config{Self: self, Peers: []string{self, peer.URL}, Logf: t.Logf}, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			got := tc.run(ctx, n, payload, peer.URL)
+			for i, f := range got.failed {
+				if f == peer.URL {
+					got.failed[i] = "peer"
+				}
+			}
+			if got.pushed != tc.want.pushed || fmt.Sprint(got.failed) != fmt.Sprint(tc.want.failed) {
+				t.Fatalf("replicate = %+v, want %+v", got, tc.want)
+			}
+			if hits.Load() != tc.wantHits {
+				t.Fatalf("the peer saw %d PUT(s), want %d", hits.Load(), tc.wantHits)
+			}
+			if got := n.handoffPushed.Load(); got != tc.handedOff {
+				t.Fatalf("handoffPushed = %d, want %d", got, tc.handedOff)
+			}
+		})
 	}
 }

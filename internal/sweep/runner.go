@@ -283,18 +283,30 @@ func (r *Runner) Submit(spec Spec) (Job, error) {
 		})
 		return jb.snapshot(), err
 	}
-	select {
-	case r.queue <- jb:
-		r.met.enqueued()
-	default:
+	// Shutdown closes the queue under r.mu; the send holds it too, so a
+	// submit racing a shutdown is refused instead of panicking on a
+	// closed channel.
+	r.mu.Lock()
+	err := errClosed
+	if !r.closed {
+		select {
+		case r.queue <- jb:
+			err = nil
+		default:
+			err = errQueueFull
+		}
+	}
+	r.mu.Unlock()
+	if err != nil {
 		jb.update(func(j *Job) {
 			j.State = JobFailed
-			j.Error = errQueueFull.Error()
+			j.Error = err.Error()
 			j.FinishedAt = time.Now()
 		})
-		r.journal.Fail(jb.j.ID, errQueueFull.Error())
-		return jb.snapshot(), errQueueFull
+		r.journal.Fail(jb.j.ID, err.Error())
+		return jb.snapshot(), err
 	}
+	r.met.enqueued()
 	return jb.snapshot(), nil
 }
 

@@ -334,3 +334,41 @@ func BenchmarkRunnerCached(b *testing.B) {
 		}
 	}
 }
+
+// A submit racing a shutdown is refused with errClosed; it must never
+// reach the closed queue (that panicked the HTTP handler of a daemon
+// killed mid-sweep).
+func TestSubmitRacingShutdownIsRefused(t *testing.T) {
+	for round := 0; round < 30; round++ {
+		r := newTestRunner(t, RunnerConfig{Workers: 1, Exec: okExec})
+		const submitters = 4
+		started := make(chan struct{}, submitters)
+		refused := make(chan error, submitters)
+		for g := 0; g < submitters; g++ {
+			go func(g int) {
+				for mbps := 1000 + g; ; mbps += submitters { // distinct keys: every submit takes the queue path
+					spec := Spec{Kind: KindCS1, Scale: "smoke", Model: 2, Config: "BAS", Mbps: mbps}
+					_, err := r.Submit(spec)
+					if err != nil && !errors.Is(err, errQueueFull) {
+						refused <- err
+						return
+					}
+					if mbps < 1000+submitters {
+						started <- struct{}{}
+					}
+				}
+			}(g)
+		}
+		for g := 0; g < submitters; g++ {
+			<-started
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		r.Shutdown(ctx) //nolint:errcheck // forced: the abort is the point
+		for g := 0; g < submitters; g++ {
+			if err := <-refused; !errors.Is(err, errClosed) {
+				t.Fatalf("submit during shutdown = %v, want %v", err, errClosed)
+			}
+		}
+	}
+}

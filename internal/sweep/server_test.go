@@ -144,6 +144,26 @@ func TestServerErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
+
+	// The profiler endpoints are opt-in (emeraldd -pprof): absent from
+	// the route table unless Pprof is set.
+	for _, tc := range []struct {
+		pprof bool
+		want  int
+	}{{false, http.StatusNotFound}, {true, http.StatusOK}} {
+		api := NewServer(nil, nil)
+		api.Pprof = tc.pprof
+		ts := httptest.NewServer(api.Handler())
+		resp, err := http.Get(ts.URL + "/debug/pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		ts.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("GET /debug/pprof/ with Pprof=%v = %d, want %d", tc.pprof, resp.StatusCode, tc.want)
+		}
+	}
 }
 
 // A submitted spec round-trips the service and lands in /jobs.

@@ -63,6 +63,13 @@ rm -f "$t1"
 echo "== assembler fuzz (10 s) =="
 go test -timeout 5m -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/shader
 
+echo "== service-plane decoder fuzz (3 x 5 s) =="
+# Journal records, store footers and the replication endpoint's payload
+# gate all parse bytes a crash, a bad disk or a confused peer wrote.
+go test -timeout 5m -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/sweep
+go test -timeout 5m -run '^$' -fuzz '^FuzzStoreFooter$' -fuzztime 5s ./internal/sweep
+go test -timeout 5m -run '^$' -fuzz '^FuzzValidatePayload$' -fuzztime 5s ./internal/fleet
+
 echo "== frame allocation tripwire =="
 # The SIMT issue path recycles its warps, memory ops and transactions;
 # a W3 frame allocated 6.7 MB before that and 2.2 MB after. An
@@ -82,8 +89,10 @@ go test -race -short -timeout 15m ./...
 echo "== fleet race pass (full) =="
 # The fleet plane is all cross-goroutine state (membership gossip,
 # steal loops, replication pushes, hedges); run its full suite — not
-# just -short — under the race detector.
-go test -race -count=1 -timeout 10m ./internal/fleet/...
+# just -short — under the race detector, and the daemon assembly's with
+# it: cold, warm, kill -9 mid-sweep and restart on 1 and 3 nodes, and
+# the live job surface of a real simulation.
+go test -race -count=1 -timeout 10m ./internal/fleet/... ./internal/daemon/...
 
 echo "== chaos soak gate =="
 # The permanent robustness gate: a 3-node fleet under seeded network
@@ -150,306 +159,68 @@ else
 		}'
 fi
 
-echo "== sweep service smoke test =="
-# Start emeraldd on a loopback port, run a tiny two-point sweep cold,
-# rerun it warm, and require (a) the warm run to be 100% cache hits and
-# (b) its stdout to be byte-identical to the cold run.
+echo "== sweep service smoke test (the binaries) =="
+# The one check that runs main's flag parsing and the "listening on"
+# line: start emeraldd on a loopback port, run a tiny two-point sweep
+# cold, rerun it warm, and require 0/2 then 2/2 cache hits with
+# byte-identical stdout — in figure mode and in sampled mode (region
+# jobs are content-addressed by their canonical spec too). Everything
+# else the service promises (crash recovery, the 3-node fleet, a node
+# killed mid-sweep, live telemetry, the pprof gate) is held by go tests
+# on the same assembly the binary wraps: internal/daemon,
+# internal/fleet, internal/chaos and internal/sweep.
 tmp=$(mktemp -d)
 daemon_pid=""
-fleet_pids=""
 cleanup() {
 	if [ -n "$daemon_pid" ]; then
 		kill "$daemon_pid" 2>/dev/null || true
 		wait "$daemon_pid" 2>/dev/null || true
 	fi
-	for fp in $fleet_pids; do
-		kill -9 "$fp" 2>/dev/null || true
-		wait "$fp" 2>/dev/null || true
-	done
 	rm -rf "$tmp"
 }
 trap cleanup EXIT
-# wait_addr <logfile>: poll for the daemon's listen address.
-wait_addr() {
-	addr=""
-	for _ in $(seq 1 50); do
-		addr=$(awk '/listening on/ { print $4; exit }' "$1" 2>/dev/null || true)
-		[ -n "$addr" ] && break
-		sleep 0.1
-	done
-	if [ -z "$addr" ]; then
-		echo "FAIL: emeraldd never reported its address" >&2
-		cat "$1" >&2
-		exit 1
-	fi
-}
 go build -o "$tmp/emeraldd" ./cmd/emeraldd
 go build -o "$tmp/sweep" ./cmd/sweep
 "$tmp/emeraldd" -addr 127.0.0.1:0 -cache "$tmp/cache" >"$tmp/daemon.log" 2>&1 &
 daemon_pid=$!
-wait_addr "$tmp/daemon.log"
-sweep_args="-addr http://$addr -fig 9 -scale smoke -models 2 -configs BAS,DCB"
-"$tmp/sweep" $sweep_args >"$tmp/cold.out" 2>"$tmp/cold.err"
-"$tmp/sweep" $sweep_args >"$tmp/warm.out" 2>"$tmp/warm.err"
-if ! grep -q "cache 0/2" "$tmp/cold.err"; then
-	echo "FAIL: cold sweep was not 0/2 cache hits:" >&2
-	cat "$tmp/cold.err" >&2
-	exit 1
-fi
-if ! grep -q "cache 2/2 hits (100.0%)" "$tmp/warm.err"; then
-	echo "FAIL: warm sweep was not 100% cache hits:" >&2
-	cat "$tmp/warm.err" >&2
-	exit 1
-fi
-if ! cmp -s "$tmp/cold.out" "$tmp/warm.out"; then
-	echo "FAIL: warm sweep output differs from cold:" >&2
-	diff "$tmp/cold.out" "$tmp/warm.out" >&2 || true
-	exit 1
-fi
-cat "$tmp/warm.err"
-# Sampled mode through the same daemon: region jobs are content-
-# addressed by their canonical spec, so the warm rerun must be 100%
-# cache hits with byte-identical stdout.
-sample_args="-addr http://$addr -sample -workloads 3 -scale smoke -sample-frames 8 -sample-k 2"
-"$tmp/sweep" $sample_args >"$tmp/scold.out" 2>"$tmp/scold.err"
-"$tmp/sweep" $sample_args >"$tmp/swarm.out" 2>"$tmp/swarm.err"
-if ! grep -q "cache 2/2 hits (100.0%)" "$tmp/swarm.err"; then
-	echo "FAIL: warm sampled sweep was not 100% cache hits:" >&2
-	cat "$tmp/swarm.err" >&2
-	exit 1
-fi
-if ! cmp -s "$tmp/scold.out" "$tmp/swarm.out"; then
-	echo "FAIL: warm sampled sweep output differs from cold:" >&2
-	diff "$tmp/scold.out" "$tmp/swarm.out" >&2 || true
-	exit 1
-fi
-cat "$tmp/swarm.err"
-# Stop the first daemon before the crash-recovery scenario below.
-kill "$daemon_pid" 2>/dev/null || true
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=""
-echo "ok"
-
-echo "== crash recovery smoke test =="
-# Start a journaling daemon on a fresh cache, kill -9 it mid-sweep,
-# restart it on the same cache + journal, and require the resumed
-# sweep to (a) succeed, (b) report 100% coverage (zero lost jobs), and
-# (c) produce tables byte-identical to the uninterrupted run above.
-"$tmp/emeraldd" -addr 127.0.0.1:0 -cache "$tmp/crashcache" >"$tmp/crash1.log" 2>&1 &
-daemon_pid=$!
-wait_addr "$tmp/crash1.log"
-crash_args="-addr http://$addr -fig 9 -scale smoke -models 2 -configs BAS,DCB"
-"$tmp/sweep" $crash_args >"$tmp/interrupted.out" 2>"$tmp/interrupted.err" &
-sweep_pid=$!
-sleep 0.5
-kill -9 "$daemon_pid" 2>/dev/null || true
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=""
-wait "$sweep_pid" 2>/dev/null || true # the client dies with the daemon
-"$tmp/emeraldd" -addr 127.0.0.1:0 -cache "$tmp/crashcache" >"$tmp/crash2.log" 2>&1 &
-daemon_pid=$!
-wait_addr "$tmp/crash2.log"
-grep "recovered" "$tmp/crash2.log" || echo "(nothing was in flight at the kill)"
-crash_args="-addr http://$addr -fig 9 -scale smoke -models 2 -configs BAS,DCB"
-if ! "$tmp/sweep" $crash_args >"$tmp/resumed.out" 2>"$tmp/resumed.err"; then
-	echo "FAIL: post-crash sweep did not complete:" >&2
-	cat "$tmp/resumed.err" >&2
-	cat "$tmp/crash2.log" >&2
-	exit 1
-fi
-if ! grep -q "cache [0-9]*/2 hits" "$tmp/resumed.err"; then
-	echo "FAIL: post-crash sweep lost jobs:" >&2
-	cat "$tmp/resumed.err" >&2
-	exit 1
-fi
-if ! cmp -s "$tmp/cold.out" "$tmp/resumed.out"; then
-	echo "FAIL: post-crash tables differ from the uninterrupted run:" >&2
-	diff "$tmp/cold.out" "$tmp/resumed.out" >&2 || true
-	exit 1
-fi
-cat "$tmp/resumed.err"
-echo "ok"
-
-echo "== fleet smoke test (3 nodes) =="
-# Start three emeraldd nodes as one fleet (static -peers membership),
-# fan the same two-point sweep across them through the fleet client,
-# and require: (a) the cold fleet table byte-identical to the
-# single-node cold run above, (b) a warm re-run 100% cache hits with
-# the same bytes, (c) every result blob replicated to R=2 nodes, and
-# (d) kill -9 of one node mid-sweep loses zero jobs and still produces
-# the single-node table.
-set -- $(go run ./scripts/freeport 3)
-fport1=$1 fport2=$2 fport3=$3
-peers="http://127.0.0.1:$fport1,http://127.0.0.1:$fport2,http://127.0.0.1:$fport3"
-i=1
-for fport in $fport1 $fport2 $fport3; do
-	"$tmp/emeraldd" -addr "127.0.0.1:$fport" -cache "$tmp/fleet$i" \
-		-peers "$peers" -probe-interval 200ms -steal-interval 100ms \
-		>"$tmp/fleet$i.log" 2>&1 &
-	fleet_pids="$fleet_pids $!"
-	i=$((i + 1))
-done
-# Fleet readiness gates on the first peer-probe round; wait for it.
-for fport in $fport1 $fport2 $fport3; do
-	ready=""
-	for _ in $(seq 1 100); do
-		if curl -sf "http://127.0.0.1:$fport/healthz/ready" >/dev/null 2>&1; then
-			ready=yes
-			break
-		fi
-		sleep 0.1
-	done
-	if [ -z "$ready" ]; then
-		echo "FAIL: fleet node on port $fport never became ready:" >&2
-		cat "$tmp"/fleet*.log >&2
-		exit 1
-	fi
-done
-fleet_args="-addr $peers -fig 9 -scale smoke -models 2 -configs BAS,DCB"
-"$tmp/sweep" $fleet_args >"$tmp/fleetcold.out" 2>"$tmp/fleetcold.err"
-if ! grep -q "cache 0/2" "$tmp/fleetcold.err"; then
-	echo "FAIL: cold fleet sweep was not 0/2 cache hits:" >&2
-	cat "$tmp/fleetcold.err" >&2
-	exit 1
-fi
-if ! cmp -s "$tmp/cold.out" "$tmp/fleetcold.out"; then
-	echo "FAIL: fleet tables differ from the single-node run:" >&2
-	diff "$tmp/cold.out" "$tmp/fleetcold.out" >&2 || true
-	exit 1
-fi
-"$tmp/sweep" $fleet_args >"$tmp/fleetwarm.out" 2>"$tmp/fleetwarm.err"
-if ! grep -q "cache 2/2 hits (100.0%)" "$tmp/fleetwarm.err"; then
-	echo "FAIL: warm fleet sweep was not 100% cache hits:" >&2
-	cat "$tmp/fleetwarm.err" >&2
-	exit 1
-fi
-if ! cmp -s "$tmp/cold.out" "$tmp/fleetwarm.out"; then
-	echo "FAIL: warm fleet tables differ:" >&2
-	diff "$tmp/cold.out" "$tmp/fleetwarm.out" >&2 || true
-	exit 1
-fi
-cat "$tmp/fleetwarm.err"
-# Replication is asynchronous; wait for both result blobs to reach
-# their R=2 owners (>= 4 blob files across the three caches).
-blobs=0
-for _ in $(seq 1 100); do
-	blobs=$(ls "$tmp"/fleet1 "$tmp"/fleet2 "$tmp"/fleet3 2>/dev/null | grep -c '\.json$' || true)
-	[ "$blobs" -ge 4 ] && break
+addr=""
+for _ in $(seq 1 50); do
+	addr=$(awk '/listening on/ { print $4; exit }' "$tmp/daemon.log" 2>/dev/null || true)
+	[ -n "$addr" ] && break
 	sleep 0.1
 done
-if [ "$blobs" -lt 4 ]; then
-	echo "FAIL: expected >= 4 replicated blobs across 3 caches, found $blobs" >&2
+if [ -z "$addr" ]; then
+	echo "FAIL: emeraldd never reported its address" >&2
+	cat "$tmp/daemon.log" >&2
 	exit 1
 fi
-echo "replication: $blobs blobs across 3 caches (2 keys, R=2)"
-# Node death mid-sweep: reference table first (uninterrupted single
-# node, 4 cells), then the same sweep through the fleet with one node
-# killed -9 while work is in flight.
-"$tmp/emeraldd" -addr 127.0.0.1:0 -cache "$tmp/fleetref" >"$tmp/fleetref.log" 2>&1 &
-daemon_pid=$!
-wait_addr "$tmp/fleetref.log"
-kill_args="-fig 9 -scale smoke -models 2 -configs BAS,DCB,DTB,HMC"
-"$tmp/sweep" -addr "http://$addr" $kill_args >"$tmp/fleetref.out" 2>/dev/null
-kill "$daemon_pid" 2>/dev/null || true
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=""
-"$tmp/sweep" -addr "$peers" $kill_args >"$tmp/fleetkill.out" 2>"$tmp/fleetkill.err" &
-sweep_pid=$!
-sleep 0.3
-last_pid=${fleet_pids##* }
-kill -9 "$last_pid" 2>/dev/null || true
-wait "$last_pid" 2>/dev/null || true
-if ! wait "$sweep_pid"; then
-	echo "FAIL: fleet sweep did not survive the node kill:" >&2
-	cat "$tmp/fleetkill.err" >&2
-	cat "$tmp"/fleet*.log >&2
-	exit 1
-fi
-if ! grep -q "cache [0-9]*/4 hits" "$tmp/fleetkill.err"; then
-	echo "FAIL: fleet sweep lost jobs after the node kill:" >&2
-	cat "$tmp/fleetkill.err" >&2
-	exit 1
-fi
-if ! cmp -s "$tmp/fleetref.out" "$tmp/fleetkill.out"; then
-	echo "FAIL: tables after node kill differ from the uninterrupted run:" >&2
-	diff "$tmp/fleetref.out" "$tmp/fleetkill.out" >&2 || true
-	exit 1
-fi
-grep "marking .* down\|down:" "$tmp/fleetkill.err" | head -2 || true
-for fp in $fleet_pids; do
-	kill -9 "$fp" 2>/dev/null || true
-	wait "$fp" 2>/dev/null || true
-done
-fleet_pids=""
-echo "ok"
-
-echo "== live telemetry smoke test =="
-# Start a pprof-enabled daemon, submit one quick-scale CS1 job (a few
-# seconds of simulation), and require: (a) the running job's
-# GET /jobs/{id} progress.cycle advances between two polls, (b) the
-# on-demand GET /jobs/{id}/diag bundle is non-empty while the job is
-# healthy and live, (c) GET /metrics content-negotiates to prometheus
-# text exposition, (d) the JSON /metrics shape is still served by
-# default, and (e) the flag-gated pprof index answers.
-"$tmp/emeraldd" -addr 127.0.0.1:0 -cache "$tmp/telemcache" -pprof >"$tmp/telem.log" 2>&1 &
-daemon_pid=$!
-wait_addr "$tmp/telem.log"
-job_json=$(curl -sf -X POST "http://$addr/jobs" \
-	-d '{"kind":"cs1","scale":"quick","model":2,"config":"BAS","mbps":1333}')
-job_id=$(echo "$job_json" | grep -o '"id": *"[^"]*"' | head -1 | sed 's/.*"id": *"//;s/"$//')
-if [ -z "$job_id" ]; then
-	echo "FAIL: job submission returned no id: $job_json" >&2
-	exit 1
-fi
-# Poll until the running job publishes progress (first stride poll).
-cycle1=""
-for _ in $(seq 1 100); do
-	cycle1=$(curl -sf "http://$addr/jobs/$job_id" | grep -o '"cycle": *[0-9]*' | head -1 | grep -o '[0-9]*' || true)
-	[ -n "$cycle1" ] && break
-	sleep 0.05
-done
-if [ -z "$cycle1" ]; then
-	echo "FAIL: running job never reported progress:" >&2
-	curl -s "http://$addr/jobs/$job_id" >&2 || true
-	exit 1
-fi
-# Capture an on-demand diagnostic bundle from the live healthy run
-# (before the cycle re-poll, while the job is certainly still going).
-diag=$(curl -sf "http://$addr/jobs/$job_id/diag")
-if ! echo "$diag" | grep -q '"sections"'; then
-	echo "FAIL: live diag bundle empty or malformed: $diag" >&2
-	exit 1
-fi
-# The simulation must advance between polls.
-advanced=""
-for _ in $(seq 1 100); do
-	sleep 0.05
-	cycle2=$(curl -sf "http://$addr/jobs/$job_id" | grep -o '"cycle": *[0-9]*' | head -1 | grep -o '[0-9]*' || true)
-	[ -z "$cycle2" ] && break # job finished; the advance check below decides
-	if [ "$cycle2" -gt "$cycle1" ]; then
-		advanced=yes
-		break
+# cold_warm <name> <cold hit pattern> <sweep args...>: run the sweep
+# twice; the first must match the cold pattern, the second must be all
+# hits with the same stdout.
+cold_warm() {
+	name=$1 cold_hits=$2
+	shift 2
+	"$tmp/sweep" -addr "http://$addr" "$@" >"$tmp/$name.cold.out" 2>"$tmp/$name.cold.err"
+	"$tmp/sweep" -addr "http://$addr" "$@" >"$tmp/$name.warm.out" 2>"$tmp/$name.warm.err"
+	if ! grep -q "$cold_hits" "$tmp/$name.cold.err"; then
+		echo "FAIL: cold $name sweep did not report '$cold_hits':" >&2
+		cat "$tmp/$name.cold.err" >&2
+		exit 1
 	fi
-done
-if [ -z "$advanced" ]; then
-	echo "FAIL: progress.cycle never advanced past $cycle1" >&2
-	exit 1
-fi
-echo "progress: cycle $cycle1 -> $cycle2, diag captured live"
-# Prometheus exposition via content negotiation; JSON stays the default.
-if ! curl -sf -H 'Accept: text/plain;version=0.0.4' "http://$addr/metrics" |
-	grep -q '# TYPE emerald_sweep_job_latency_ms histogram'; then
-	echo "FAIL: prometheus exposition missing from /metrics" >&2
-	exit 1
-fi
-if ! curl -sf "http://$addr/metrics" | grep -q '"queue_depth"'; then
-	echo "FAIL: default JSON /metrics shape regressed" >&2
-	exit 1
-fi
-if ! curl -sf "http://$addr/debug/pprof/" >/dev/null; then
-	echo "FAIL: pprof index not served with -pprof" >&2
-	exit 1
-fi
+	if ! grep -q "cache 2/2 hits (100.0%)" "$tmp/$name.warm.err"; then
+		echo "FAIL: warm $name sweep was not 100% cache hits:" >&2
+		cat "$tmp/$name.warm.err" >&2
+		exit 1
+	fi
+	if ! cmp -s "$tmp/$name.cold.out" "$tmp/$name.warm.out"; then
+		echo "FAIL: warm $name sweep output differs from cold:" >&2
+		diff "$tmp/$name.cold.out" "$tmp/$name.warm.out" >&2 || true
+		exit 1
+	fi
+	cat "$tmp/$name.warm.err"
+}
+cold_warm fig "cache 0/2" -fig 9 -scale smoke -models 2 -configs BAS,DCB
+cold_warm sampled "cache 0/2" -sample -workloads 3 -scale smoke -sample-frames 8 -sample-k 2
 kill "$daemon_pid" 2>/dev/null || true
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
