@@ -196,26 +196,12 @@ func BenchmarkFig14Timelines(b *testing.B) {
 // workloads — the paper sees 25% (W6) to 88% (W5).
 func BenchmarkFig17WTSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := exp.Fig17(benchOpt, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = tab
-		// Recompute spreads from a fresh sweep of two representative
-		// workloads for the metric (the table is the artifact).
+		sweeps := wtSweeps(b)
+		_ = exp.Fig17Table(allWorkloads, sweeps, benchOpt.MaxWT) // the table is the artifact
 		var spreads []float64
 		for _, w := range []int{geom.W1Sibenik, geom.W3Cube} {
-			scene, _ := geom.DFSLWorkload(w)
-			r, err := exp.NewCS2Renderer(scene, benchOpt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			times, err := r.WTSweep(benchOpt.MaxWT)
-			if err != nil {
-				b.Fatal(err)
-			}
-			lo, hi := times[0], times[0]
-			for _, t := range times {
+			lo, hi := sweeps[w][0], sweeps[w][0]
+			for _, t := range sweeps[w] {
 				if t < lo {
 					lo = t
 				}
@@ -227,6 +213,24 @@ func BenchmarkFig17WTSweep(b *testing.B) {
 		}
 		b.ReportMetric(geomean(spreads), "wt_time_spread")
 	}
+}
+
+// allWorkloads lists Table 8's workloads.
+var allWorkloads = []int{geom.W1Sibenik, geom.W2Spot, geom.W3Cube, geom.W4Suzanne, geom.W5SuzanneT, geom.W6Teapot}
+
+// wtSweeps runs every workload's WT sweep (Figure 17's data, and the
+// first pass of Figure 19).
+func wtSweeps(b *testing.B) map[int][]uint64 {
+	b.Helper()
+	sweeps := make(map[int][]uint64)
+	for _, w := range allWorkloads {
+		times, err := exp.RunWTSweep(w, benchOpt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweeps[w] = times
+	}
+	return sweeps
 }
 
 // BenchmarkFig18W1Misses regenerates Figure 18: W1 execution time and
@@ -261,7 +265,7 @@ func BenchmarkFig18W1Misses(b *testing.B) {
 // Paper shape: DFSL ~+19% over MLB and ~+7.3% over SOPT on average.
 func BenchmarkFig19DFSL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, raw, err := exp.Fig19(benchOpt, nil)
+		_, raw, err := exp.Fig19(benchOpt, allWorkloads, wtSweeps(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,17 +303,7 @@ func renderOnce(b *testing.B, mutate func(*gpu.Config), wt int) uint64 {
 		b.Fatal(err)
 	}
 	ctx.Viewport(benchOpt.CS2Width, benchOpt.CS2Height)
-	if err := ctx.UseProgram(VSTransform, FSTexturedEarlyZ); err != nil {
-		b.Fatal(err)
-	}
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		b.Fatal(err)
-	}
-	mesh, err := ctx.UploadMesh(scene.Mesh)
+	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -433,10 +427,10 @@ func BenchmarkAblationMapping(b *testing.B) {
 		ctx := NewGL(sys)
 		scene, _ := geom.DFSLWorkload(geom.W3Cube)
 		ctx.Viewport(benchOpt.CS2Width, benchOpt.CS2Height)
-		ctx.UseProgram(VSTransform, FSTexturedEarlyZ)
-		tex, _ := ctx.UploadTexture(scene.Texture)
-		ctx.BindTexture(0, tex)
-		mesh, _ := ctx.UploadMesh(scene.Mesh)
+		mesh, err := ctx.LoadScene(scene)
+		if err != nil {
+			b.Fatal(err)
+		}
 		ctx.Clear(0xFF101020, true)
 		ctx.SetMVP(scene.MVP(0, 1))
 		if err := ctx.DrawMesh(mesh); err != nil {
@@ -487,6 +481,25 @@ func BenchmarkGPGPUSAXPY(b *testing.B) {
 // this within 2% of the untraced seed).
 func BenchmarkFrameW3(b *testing.B) {
 	benchmarkFrame(b, geom.W3Cube)
+}
+
+// TestFrameAllocationTripwire holds a W3 frame's allocation: the SIMT
+// issue path recycles its warps, memory ops and transactions, and a
+// frame allocated 6.7 MB before that and 2.2 MB after. An allocation
+// creeping back into the per-cycle path shows here first.
+func TestFrameAllocationTripwire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders benchmark frames")
+	}
+	res := testing.Benchmark(BenchmarkFrameW3)
+	if res.N == 0 {
+		t.Fatal("BenchmarkFrameW3 did not run")
+	}
+	mb := float64(res.AllocedBytesPerOp()) / 1e6
+	t.Logf("BenchmarkFrameW3: %.2f MB/op (gate 3.5)", mb)
+	if mb >= 3.5 {
+		t.Error("a W3 frame allocates 3.5 MB or more")
+	}
 }
 
 // BenchmarkFrameW1 is the same guard over the geometry-heavy W1 hall.
@@ -545,17 +558,7 @@ func benchmarkFrameOpts(b *testing.B, workload, workers int, probe *telemetry.Pr
 		b.Fatal(err)
 	}
 	ctx.Viewport(benchOpt.CS2Width, benchOpt.CS2Height)
-	if err := ctx.UseProgram(VSTransform, FSTexturedEarlyZ); err != nil {
-		b.Fatal(err)
-	}
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		b.Fatal(err)
-	}
-	mesh, err := ctx.UploadMesh(scene.Mesh)
+	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		b.Fatal(err)
 	}

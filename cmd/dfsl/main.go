@@ -12,31 +12,19 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"emerald/internal/emtrace"
 	"emerald/internal/exp"
-	"emerald/internal/par"
-	"emerald/internal/stats"
-	"emerald/internal/telemetry"
 )
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 17|18|19|all")
 	scale := flag.String("scale", "quick", "experiment scale: smoke|quick|paper")
 	workloads := flag.String("workloads", "", "comma-separated workload ids 1..6 (default all)")
-	traceFile := flag.String("trace-events", "", "write a Chrome/Perfetto trace-event JSON file covering every run")
-	traceStart := flag.Uint64("trace-start", 0, "drop trace events before this cycle")
-	traceFrames := flag.Int("trace-frames", 0, "stop tracing after this many frames (0 = all)")
-	workers := flag.Int("workers", par.DefaultWorkers(), "worker threads for the parallel tick engine (1 = sequential; results are identical)")
-	watchdog := flag.Uint64("watchdog", 0, "abort after this many cycles without forward progress, with a diagnostic dump (0 = off)")
-	guard := flag.Bool("guard", false, "run cycle-level microarchitectural invariant checks (MSHR leaks, SIMT stack balance, DRAM/NoC legality)")
-	everyCycle := flag.Bool("every-cycle", false, "reference mode: tick every component on every cycle, with no clock jumps and no parked shards (results are identical; the digest oracle, and for debugging)")
-	statsJSON := flag.String("stats-json", "", "write all counters and distributions as JSON to this file")
-	progress := flag.Bool("progress", false, "print a live progress line to stderr every second (cycle, draws, sim rate, skip ratio)")
+	rf := exp.AddRunFlags(flag.CommandLine, "dfsl")
 	flag.Parse()
 
 	switch *fig {
@@ -48,31 +36,10 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	opt.WatchdogCycles = *watchdog
-	opt.Guard = *guard
-	opt.EveryCycle = *everyCycle
-	if *workers > 1 {
-		pool := par.NewPool(*workers)
-		defer pool.Close()
-		opt.Pool = pool
-	}
-	var tr *emtrace.Tracer
-	if *traceFile != "" {
-		tr = emtrace.New(0)
-		tr.SetStart(*traceStart)
-		tr.SetFrameLimit(*traceFrames)
-		opt.Trace = tr
-	}
-	if *statsJSON != "" {
-		opt.Stats = stats.NewRegistry()
-	}
-	if *progress {
-		opt.Probe = telemetry.NewProbe()
-		stop := telemetry.StartTicker(os.Stderr, opt.Probe, "dfsl: ", time.Second)
-		defer stop()
-	}
 	var ws []int
-	if *workloads != "" {
+	if *workloads == "" {
+		ws = []int{1, 2, 3, 4, 5, 6}
+	} else {
 		for _, part := range strings.Split(*workloads, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || v < 1 || v > 6 {
@@ -81,53 +48,55 @@ func main() {
 			ws = append(ws, v)
 		}
 	}
+	rf.Apply(&opt)
+	check(printFigures(os.Stdout, *fig, opt, ws, exp.RunWTSweep))
+	check(rf.Finish(os.Stdout))
+}
 
-	want := func(f string) bool { return *fig == "all" || *fig == f }
-
+// printFigures writes the requested figures to w. Figure 17 plots the
+// workloads' WT sweeps and Figure 19 picks SOPT from them, so each
+// workload is swept (by sweep) once for both.
+func printFigures(w io.Writer, fig string, opt exp.Options, workloads []int,
+	sweep func(workload int, opt exp.Options) ([]uint64, error)) error {
+	want := func(f string) bool { return fig == "all" || fig == f }
+	sweeps := make(map[int][]uint64)
+	if want("17") || want("19") {
+		for _, wl := range workloads {
+			times, err := sweep(wl, opt)
+			if err != nil {
+				return err
+			}
+			sweeps[wl] = times
+		}
+	}
 	if want("17") {
-		tab, err := exp.Fig17(opt, ws)
-		check(err)
-		tab.Write(os.Stdout)
-		fmt.Println()
+		exp.Fig17Table(workloads, sweeps, opt.MaxWT).Write(w)
+		fmt.Fprintln(w)
 	}
 	if want("18") {
 		tab, err := exp.Fig18(opt)
-		check(err)
-		tab.Write(os.Stdout)
-		fmt.Println()
+		if err != nil {
+			return err
+		}
+		tab.Write(w)
+		fmt.Fprintln(w)
 	}
 	if want("19") {
-		tab, _, err := exp.Fig19(opt, ws)
-		check(err)
-		tab.Write(os.Stdout)
+		tab, _, err := exp.Fig19(opt, workloads, sweeps)
+		if err != nil {
+			return err
+		}
+		tab.Write(w)
 	}
-
-	if tr != nil {
-		f, err := os.Create(*traceFile)
-		check(err)
-		check(tr.WriteChromeJSON(f))
-		check(f.Close())
-		fmt.Printf("wrote %s (%d events, %d dropped)\n", *traceFile, tr.Len(), tr.Dropped())
-	}
-	if *statsJSON != "" {
-		f, err := os.Create(*statsJSON)
-		check(err)
-		check(opt.Stats.DumpJSON(f))
-		check(f.Close())
-		fmt.Println("wrote", *statsJSON)
-	}
+	return nil
 }
 
+// check reports a runtime failure (exit 1).
 func check(err error) {
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "dfsl:", err)
+		os.Exit(1)
 	}
-}
-
-// fatal reports a runtime failure (exit 1).
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dfsl:", err)
-	os.Exit(1)
 }
 
 // usage reports a bad invocation (exit 2, the CLI usage-error

@@ -18,14 +18,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"emerald/internal/emtrace"
-	"emerald/internal/geom"
-	"emerald/internal/gl"
-	"emerald/internal/gpu"
+	"emerald/internal/exp"
 	"emerald/internal/sample"
-	"emerald/internal/shader"
 	"emerald/internal/trace"
 )
 
@@ -72,43 +70,16 @@ func main() {
 	}
 }
 
-func newSystem(rec gl.Recorder) (*gpu.Standalone, *gl.Context) {
-	s := gpu.DefaultStandalone(nil)
-	ctx := gl.NewContext(s.Mem(), 0x1000_0000, 256<<20)
-	ctx.Submit = func(call *gpu.DrawCall) error { return s.GPU.SubmitDraw(call, nil) }
-	ctx.OnClearDepth = s.GPU.ClearHiZ
-	ctx.Recorder = rec
-	return s, ctx
-}
+// replayBudget bounds each draw of -replay and -resume, in cycles.
+const replayBudget = 4_000_000_000
 
+// doRecord records a workload's API stream; nothing is simulated.
 func doRecord(path string, workload, frames, w, h int) error {
-	scene, err := geom.DFSLWorkload(workload)
+	tr, err := exp.RecordWorkloadTrace(workload, frames, exp.Options{CS2Width: w, CS2Height: h})
 	if err != nil {
 		return err
 	}
-	tr := &trace.Trace{}
-	s, ctx := newSystem(tr)
-	r, err := setupScene(s, ctx, scene, w, h)
-	if err != nil {
-		return err
-	}
-	for f := 0; f < frames; f++ {
-		if err := r(f); err != nil {
-			return err
-		}
-		if _, err := s.RunUntilIdle(2_000_000_000); err != nil {
-			return err
-		}
-		// Frame boundaries anchor checkpoints and sampled regions
-		// (-sample / -checkpoint / -resume need them).
-		ctx.FrameEnd()
-	}
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	if err := tr.Save(out); err != nil {
+	if err := writeFile(path, tr.Save); err != nil {
 		return err
 	}
 	fmt.Printf("recorded %d ops (%d draws) over %d frames to %s\n",
@@ -116,45 +87,8 @@ func doRecord(path string, workload, frames, w, h int) error {
 	return nil
 }
 
-// setupScene binds assets and returns a per-frame render closure.
-func setupScene(s *gpu.Standalone, ctx *gl.Context, scene *geom.Scene, w, h int) (func(frame int) error, error) {
-	ctx.Viewport(w, h)
-	fsProg := shader.FSTexturedEarlyZ
-	if scene.Translucent {
-		fsProg = shader.FSTexturedBlend
-		ctx.Enable(gl.Blend)
-		ctx.DepthMask(false)
-		ctx.SetAlpha(0.6)
-	}
-	if err := ctx.UseProgram(shader.VSTransform, fsProg); err != nil {
-		return nil, err
-	}
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		return nil, err
-	}
-	hMesh, err := ctx.UploadMesh(scene.Mesh)
-	if err != nil {
-		return nil, err
-	}
-	aspect := float32(w) / float32(h)
-	return func(frame int) error {
-		ctx.Clear(0xFF101020, true)
-		ctx.SetMVP(scene.MVP(frame, aspect))
-		return ctx.DrawMesh(hMesh)
-	}, nil
-}
-
 func doInfo(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tr, err := trace.Load(f)
+	tr, err := loadTrace(path)
 	if err != nil {
 		return err
 	}
@@ -169,27 +103,33 @@ func doInfo(path string) error {
 	return nil
 }
 
+// doReplay re-renders a trace on a fresh detailed GPU, each draw to
+// completion as the renderer that recorded it ran them.
 func doReplay(path string, first, last int) error {
-	f, err := os.Open(path)
+	tr, err := loadTrace(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	tr, err := trace.Load(f)
-	if err != nil {
-		return err
-	}
-	s, ctx := newSystem(nil)
-	if err := trace.Replay(tr, ctx, trace.ReplayOptions{FirstDraw: first, LastDraw: last}); err != nil {
-		return err
-	}
-	cycles, err := s.RunUntilIdle(4_000_000_000)
-	if err != nil {
+	r := exp.NewReplay(exp.Options{BudgetCycles: replayBudget})
+	if err := trace.Replay(tr, r.Ctx, trace.ReplayOptions{FirstDraw: first, LastDraw: last}); err != nil {
 		return err
 	}
 	fmt.Printf("replayed draws %d..%d in %d GPU cycles (%d fragments shaded)\n",
-		first, last, cycles, s.GPU.FragsShaded())
+		first, last, r.S.Cycle(), r.S.GPU.FragsShaded())
 	return nil
+}
+
+// writeFile creates path and fills it from save.
+func writeFile(path string, save func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // loadTrace reads a trace file.
@@ -246,12 +186,7 @@ func doCheckpoint(path string, frame int, out string) error {
 		return err
 	}
 	cp := pass.Checkpoints[frame]
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := cp.Save(f); err != nil {
+	if err := writeFile(out, cp.Save); err != nil {
 		return err
 	}
 	dg, err := cp.Digest()
@@ -284,37 +219,8 @@ func doResume(path, ckptPath string, span int) error {
 	if err != nil {
 		return err
 	}
-	s := gpu.DefaultStandalone(nil)
-	ctx := gl.NewContext(s.Mem(), 0x1000_0000, 256<<20)
-	// Unlike -replay's submit-only hook, resume drains after every draw
-	// so per-frame cycles are attributable.
-	ctx.Submit = func(call *gpu.DrawCall) error {
-		if err := s.GPU.SubmitDraw(call, nil); err != nil {
-			return err
-		}
-		_, err := s.RunUntilIdle(4_000_000_000)
-		return err
-	}
-	ctx.OnClearDepth = s.GPU.ClearHiZ
-	var mark uint64
-	rr := &sample.RegionRun{
-		Trace: tr, CP: cp, Start: cp.Frame, Span: span,
-		Ctx: ctx, Mem: s.Mem(),
-		OnRestore: func() {
-			s.GPU.ClearHiZ()
-			if err := s.ResumeAt(cp.Cycle); err != nil {
-				check(err)
-			}
-			mark = s.Cycle()
-		},
-		Drain: func(int) (uint64, error) {
-			c := s.Cycle()
-			d := c - mark
-			mark = c
-			return d, nil
-		},
-	}
-	cycles, err := rr.Run()
+	r := exp.NewReplay(exp.Options{BudgetCycles: replayBudget})
+	cycles, err := r.RunRegion(tr, cp, cp.Frame, 0, span)
 	if err != nil {
 		return err
 	}
@@ -324,7 +230,7 @@ func doResume(path, ckptPath string, span int) error {
 		total += c
 	}
 	fmt.Printf("resumed at frame %d, ran %d frame(s) in %d GPU cycles (%d fragments shaded)\n",
-		cp.Frame, len(cycles), total, s.GPU.FragsShaded())
+		cp.Frame, len(cycles), total, r.S.GPU.FragsShaded())
 	return nil
 }
 

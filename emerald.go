@@ -169,7 +169,7 @@ func NewStandaloneGPUWith(g GPUConfig, d dram.Config, reg *Registry) *Standalone
 // NewGL creates a GL context wired to a standalone system: draws submit
 // to the GPU and depth clears invalidate its Hi-Z.
 func NewGL(s *StandaloneGPU) *GL {
-	ctx := gl.NewContext(s.Mem(), 0x1000_0000, 256<<20)
+	ctx := gl.NewContext(s.Mem(), gl.HeapBase, gl.HeapSize)
 	ctx.Submit = func(call *DrawCall) error { return s.GPU.SubmitDraw(call, nil) }
 	ctx.OnClearDepth = s.GPU.ClearHiZ
 	return ctx

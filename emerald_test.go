@@ -136,22 +136,11 @@ func TestFacadeQuickRender(t *testing.T) {
 	ctx := NewGL(sys)
 	const w, h = 64, 48
 	ctx.Viewport(w, h)
-	if err := ctx.UseProgram(VSTransform, FSTexturedEarlyZ); err != nil {
-		t.Fatal(err)
-	}
-	ctx.SetLight(V3(0.4, 0.5, 0.8))
 	scene, err := DFSLWorkload(W3Cube)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		t.Fatal(err)
-	}
-	mesh, err := ctx.UploadMesh(scene.Mesh)
+	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)
 	}

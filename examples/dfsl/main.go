@@ -22,18 +22,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx.Viewport(w, h)
-	if err := ctx.UseProgram(emerald.VSTransform, emerald.FSTexturedEarlyZ); err != nil {
-		log.Fatal(err)
-	}
-	ctx.SetLight(emerald.V3(0.3, 0.6, 0.7))
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		log.Fatal(err)
-	}
-	mesh, err := ctx.UploadMesh(scene.Mesh)
+	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		log.Fatal(err)
 	}

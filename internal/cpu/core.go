@@ -179,16 +179,7 @@ func (c *Core) Tick(cycle uint64) {
 	c.L2.Tick(cycle)
 	c.drainTo(c.L1I.Out)
 	c.drainTo(c.L1D.Out)
-	for {
-		r := c.L2.Out.Peek()
-		if r == nil {
-			break
-		}
-		if !c.Out.Push(r) {
-			break // output port full: retry next cycle
-		}
-		c.L2.Out.Pop()
-	}
+	c.L2.Out.DrainTo(c.Out)
 
 	if c.halted || c.waitingMem {
 		c.stallCycles.Inc()

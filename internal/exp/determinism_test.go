@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"testing"
 
-	"emerald/internal/dram"
 	"emerald/internal/geom"
 	"emerald/internal/gl"
 	"emerald/internal/gpu"
 	"emerald/internal/par"
-	"emerald/internal/shader"
 	"emerald/internal/stats"
 )
 
@@ -88,15 +86,11 @@ func socStateDigest(t *testing.T, model int, cfg MemConfig, pool *par.Pool, adv 
 // and hashes the observable end state.
 func standaloneStateDigest(t *testing.T, pool *par.Pool, adv timeAdvance) string {
 	t.Helper()
-	cfg := gpu.CaseStudyIIConfig()
-	sys := gpu.NewStandalone(cfg, dram.Config{
-		Geometry: dram.LPDDR3Geometry(4),
-		Timing:   dram.LPDDR3Timing(1600),
-	}, nil)
+	sys := gpu.DefaultStandalone(nil)
 	sys.SetParallel(pool)
 	sys.SetIdleSkip(adv.skip)
 	sys.SetEventWheel(adv.wheel)
-	ctx := gl.NewContext(sys.Mem(), 0x1000_0000, 256<<20)
+	ctx := gl.NewContext(sys.Mem(), gl.HeapBase, gl.HeapSize)
 	ctx.Submit = func(call *gpu.DrawCall) error { return sys.GPU.SubmitDraw(call, nil) }
 	ctx.OnClearDepth = sys.GPU.ClearHiZ
 	scene, err := geom.DFSLWorkload(geom.W3Cube)
@@ -104,17 +98,7 @@ func standaloneStateDigest(t *testing.T, pool *par.Pool, adv timeAdvance) string
 		t.Fatal(err)
 	}
 	ctx.Viewport(160, 120)
-	if err := ctx.UseProgram(shader.VSTransform, shader.FSTexturedEarlyZ); err != nil {
-		t.Fatal(err)
-	}
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		t.Fatal(err)
-	}
-	mesh, err := ctx.UploadMesh(scene.Mesh)
+	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)
 	}

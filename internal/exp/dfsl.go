@@ -5,14 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"emerald/internal/dram"
 	"emerald/internal/emtrace"
 	"emerald/internal/geom"
 	"emerald/internal/gl"
 	"emerald/internal/gpu"
-	"emerald/internal/guard"
-	"emerald/internal/mathx"
-	"emerald/internal/shader"
 	"emerald/internal/stats"
 )
 
@@ -39,60 +35,20 @@ type CS2Renderer struct {
 // baseline around each measured frame, so a registry shared across
 // sequential systems stays correct.
 func NewCS2Renderer(scene *geom.Scene, opt Options) (*CS2Renderer, error) {
-	reg := opt.Stats
-	if reg == nil {
-		reg = stats.NewRegistry()
+	s, ctx := newStandalone(opt, opt.Stats)
+	ctx.Viewport(opt.CS2Width, opt.CS2Height)
+	mesh, err := ctx.LoadScene(scene)
+	if err != nil {
+		return nil, err
 	}
-	s := gpu.NewStandalone(gpu.CaseStudyIIConfig(), dram.Config{
-		Geometry: dram.LPDDR3Geometry(4),
-		Timing:   dram.LPDDR3Timing(1600),
-	}, reg)
-	ctx := gl.NewContext(s.Mem(), 0x1000_0000, 256<<20)
-	ctx.Submit = func(call *gpu.DrawCall) error { return s.GPU.SubmitDraw(call, nil) }
-	ctx.OnClearDepth = s.GPU.ClearHiZ
-
-	if opt.Trace != nil {
-		s.AttachTracer(opt.Trace)
-	}
-	if opt.guardOn() {
-		s.AttachGuard(guard.NewChecker())
-	}
-	s.SetWatchdog(opt.WatchdogCycles)
-	s.SetParallel(opt.Pool)
-	s.SetIdleSkip(!opt.EveryCycle)
-	s.SetEventWheel(!opt.EveryCycle)
-	s.SetProbe(opt.Probe)
-	r := &CS2Renderer{
-		S: s, Ctx: ctx, Scene: scene, Reg: reg,
+	return &CS2Renderer{
+		S: s, Ctx: ctx, Scene: scene, Reg: s.Reg,
+		mesh:   mesh,
 		aspect: float32(opt.CS2Width) / float32(opt.CS2Height),
 		budget: opt.BudgetCycles,
 		trace:  opt.Trace,
 		ctx:    opt.Ctx,
-	}
-	ctx.Viewport(opt.CS2Width, opt.CS2Height)
-	var err error
-	if r.mesh, err = ctx.UploadMesh(scene.Mesh); err != nil {
-		return nil, err
-	}
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		return nil, err
-	}
-	fs := shader.FSTexturedEarlyZ
-	if scene.Translucent {
-		fs = shader.FSTexturedBlend
-		ctx.Enable(gl.Blend)
-		ctx.DepthMask(false)
-		ctx.SetAlpha(0.6)
-	}
-	if err := ctx.UseProgram(shader.VSTransform, fs); err != nil {
-		return nil, err
-	}
-	ctx.SetLight(mathx.V3(0.4, 0.5, 0.8).Normalize())
-	return r, nil
+	}, nil
 }
 
 // RenderFrame renders the next frame at the given WT size and returns
@@ -162,23 +118,6 @@ func RunWTSweep(workload int, opt Options) ([]uint64, error) {
 	return times, nil
 }
 
-// Fig17 reproduces Figure 17: frame execution time for WT sizes 1..MaxWT
-// per workload, normalized to WT=1.
-func Fig17(opt Options, workloads []int) (*stats.Table, error) {
-	if len(workloads) == 0 {
-		workloads = allWorkloads()
-	}
-	sweeps := make(map[int][]uint64)
-	for _, w := range workloads {
-		times, err := RunWTSweep(w, opt)
-		if err != nil {
-			return nil, err
-		}
-		sweeps[w] = times
-	}
-	return Fig17Table(workloads, sweeps, opt.MaxWT), nil
-}
-
 // Fig18 reproduces Figure 18: W1 execution time and L1 cache misses
 // (color=L1D, texture=L1T, depth=L1Z) versus WT size, normalized to
 // WT=1.
@@ -242,23 +181,11 @@ func (p DFSLPolicy) String() string {
 
 // Fig19 reproduces Figure 19: average frame time under MLB / MLC / SOPT
 // / DFSL per workload, reported as speedup normalized to MLB (paper:
-// DFSL ~+19% over MLB, ~+7.3% over SOPT).
-func Fig19(opt Options, workloads []int) (*stats.Table, map[int]map[DFSLPolicy]float64, error) {
-	if len(workloads) == 0 {
-		workloads = allWorkloads()
-	}
-	// Pass 1: per-workload WT sweeps to determine SOPT.
-	sweeps := make(map[int][]uint64)
-	for _, w := range workloads {
-		times, err := RunWTSweep(w, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		sweeps[w] = times
-	}
+// DFSL ~+19% over MLB, ~+7.3% over SOPT). sweeps are the workloads' WT
+// sweeps, from which SOPT is picked; each policy then runs over an
+// identical frame sequence.
+func Fig19(opt Options, workloads []int, sweeps map[int][]uint64) (*stats.Table, map[int]map[DFSLPolicy]float64, error) {
 	sopt := SOPTFromSweeps(sweeps, opt.MaxWT)
-
-	// Pass 2: run each policy over an identical frame sequence.
 	raw := make(map[int]map[DFSLPolicy]float64)
 	for _, w := range workloads {
 		raw[w] = make(map[DFSLPolicy]float64)
@@ -317,11 +244,6 @@ func RunCS2Policy(workload int, policy DFSLPolicy, sopt int, opt Options) (float
 		sum += float64(cycles)
 	}
 	return sum / float64(totalFrames), nil
-}
-
-func allWorkloads() []int {
-	return []int{geom.W1Sibenik, geom.W2Spot, geom.W3Cube,
-		geom.W4Suzanne, geom.W5SuzanneT, geom.W6Teapot}
 }
 
 func workloadName(w int) string {

@@ -9,12 +9,10 @@ package exp
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"emerald/internal/dram"
 	"emerald/internal/emtrace"
 	"emerald/internal/geom"
-	"emerald/internal/guard"
 	"emerald/internal/mem"
 	"emerald/internal/par"
 	"emerald/internal/sched"
@@ -95,13 +93,6 @@ type Options struct {
 	// bit-identical with or without a probe.
 	Probe *telemetry.Probe
 }
-
-// guardEnv force-enables invariant checking for every harness-built
-// system (EMERALD_GUARD=1) without plumbing a flag through each test.
-var guardEnv = os.Getenv("EMERALD_GUARD") == "1"
-
-// guardOn reports whether this run should attach an invariant checker.
-func (o Options) guardOn() bool { return o.Guard || guardEnv }
 
 // Quick returns bench-friendly scaling.
 func Quick() Options {
@@ -225,17 +216,7 @@ func buildSoC(model int, cfg MemConfig, dataRateMbps int, opt Options, reg *stat
 	if err != nil {
 		return nil, err
 	}
-	if opt.Trace != nil {
-		s.AttachTracer(opt.Trace)
-	}
-	if opt.guardOn() {
-		s.AttachGuard(guard.NewChecker())
-	}
-	s.SetWatchdog(opt.WatchdogCycles)
-	s.SetParallel(opt.Pool)
-	s.SetIdleSkip(!opt.EveryCycle)
-	s.SetEventWheel(!opt.EveryCycle)
-	s.SetProbe(opt.Probe)
+	arm(s, opt)
 	return s, nil
 }
 
@@ -279,47 +260,6 @@ func modelName(m int) string {
 		return fmt.Sprintf("M%d", m)
 	}
 	return s.Name
-}
-
-// Fig09 reproduces Figure 9: GPU execution time per frame under regular
-// load, normalized to BAS (paper: DASH +19-20%, HMC ~2x).
-func Fig09(opt Options, models []int) (*stats.Table, error) {
-	res, err := CaseStudyIMatrix(opt.RegularMbps, opt, models)
-	if err != nil {
-		return nil, err
-	}
-	return Fig09Table(res), nil
-}
-
-// Fig11 reproduces Figure 11: HMC row-buffer hit rate and bytes accessed
-// per row activation, normalized to BAS (paper: -15% and -60%).
-func Fig11(opt Options, models []int) (*stats.Table, error) {
-	res, err := CaseStudyIMatrix(opt.RegularMbps, opt, models)
-	if err != nil {
-		return nil, err
-	}
-	return Fig11Table(res), nil
-}
-
-// Fig12 reproduces Figure 12: total frame time and GPU rendering time
-// under the high-load (133 Mb/s/pin) scenario, normalized to BAS.
-func Fig12(opt Options, models []int) (*stats.Table, error) {
-	res, err := CaseStudyIMatrix(opt.HighMbps, opt, models)
-	if err != nil {
-		return nil, err
-	}
-	return Fig12Table(res), nil
-}
-
-// Fig13 reproduces Figure 13: display requests serviced relative to BAS
-// under high load (paper: DTB -85% on M1; HMC above 1 on the small
-// models).
-func Fig13(opt Options, models []int) (*stats.Table, error) {
-	res, err := CaseStudyIMatrix(opt.HighMbps, opt, models)
-	if err != nil {
-		return nil, err
-	}
-	return Fig13Table(res), nil
 }
 
 // TimelineRun runs one cell with a bandwidth timeline attached and

@@ -33,10 +33,11 @@ func TestRunCaseStudyICell(t *testing.T) {
 }
 
 func TestFig09ShapeSmall(t *testing.T) {
-	tab, err := Fig09(tinyOptions(), []int{geom.M2Cube})
+	res, err := CaseStudyIMatrix(1333, tinyOptions(), []int{geom.M2Cube})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := Fig09Table(res)
 	if tab.Rows() != 1 {
 		t.Fatalf("rows = %d", tab.Rows())
 	}
@@ -69,10 +70,11 @@ func TestFig10TimelineHasAllSources(t *testing.T) {
 
 func TestFig17SweepRuns(t *testing.T) {
 	opt := tinyOptions()
-	tab, err := Fig17(opt, []int{geom.W3Cube})
+	times, err := RunWTSweep(geom.W3Cube, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := Fig17Table([]int{geom.W3Cube}, map[int][]uint64{geom.W3Cube: times}, opt.MaxWT)
 	if tab.Rows() != 1 {
 		t.Fatalf("rows = %d", tab.Rows())
 	}
@@ -83,7 +85,11 @@ func TestFig17SweepRuns(t *testing.T) {
 
 func TestFig19PicksPoliciesAndRuns(t *testing.T) {
 	opt := tinyOptions()
-	tab, raw, err := Fig19(opt, []int{geom.W3Cube})
+	times, err := RunWTSweep(geom.W3Cube, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, raw, err := Fig19(opt, []int{geom.W3Cube}, map[int][]uint64{geom.W3Cube: times})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,20 +118,18 @@ func TestMemConfigNames(t *testing.T) {
 func TestFig12And13HighLoadShapes(t *testing.T) {
 	opt := tinyOptions()
 	opt.Frames = 2 // frame-to-frame deltas need at least two measured frames
-	t12, err := Fig12(opt, []int{geom.M4Triangles})
+	res, err := CaseStudyIMatrix(opt.HighMbps, opt, []int{geom.M4Triangles})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t12 := Fig12Table(res)
 	if t12.Rows() != 4 { // one row per config for the single model
 		t.Fatalf("fig12 rows = %d", t12.Rows())
 	}
 	if t12.Cell(0, 2) != "1.000" {
 		t.Fatalf("BAS frame time must normalize to 1, got %q", t12.Cell(0, 2))
 	}
-	t13, err := Fig13(opt, []int{geom.M4Triangles})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t13 := Fig13Table(res)
 	if t13.Rows() != 1 || t13.Cell(0, 1) != "1.000" {
 		t.Fatalf("fig13 shape wrong: rows=%d bas=%q", t13.Rows(), t13.Cell(0, 1))
 	}

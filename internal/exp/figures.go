@@ -9,9 +9,9 @@ import (
 
 // This file holds the pure aggregation half of the experiment
 // harnesses: given raw per-cell results, compute the paper's figure
-// tables. The Fig* runners in exp.go/dfsl.go and the sweep service's
-// aggregator (cmd/sweep) share these, so a figure printed from a
-// cache-backed sweep is byte-identical to one printed by the
+// tables. The sequential CLIs (cmd/memstudy, cmd/dfsl) and the sweep
+// service's aggregator (cmd/sweep) share these, so a figure printed
+// from a cache-backed sweep is byte-identical to one printed by the
 // sequential CLIs.
 
 // CS1Results indexes Case Study I cell results by [model][config].

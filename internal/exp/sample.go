@@ -1,21 +1,14 @@
 package exp
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"sync"
 
-	"emerald/internal/dram"
 	"emerald/internal/geom"
 	"emerald/internal/gl"
 	"emerald/internal/gpu"
-	"emerald/internal/guard"
-	"emerald/internal/mathx"
 	"emerald/internal/mem"
 	"emerald/internal/sample"
-	"emerald/internal/shader"
-	"emerald/internal/stats"
 	"emerald/internal/trace"
 )
 
@@ -39,35 +32,16 @@ func RecordWorkloadTrace(workload, frames int, opt Options) (*trace.Trace, error
 	if frames < 1 {
 		return nil, fmt.Errorf("exp: record needs frames >= 1, got %d", frames)
 	}
-	m := mem.NewMemory()
-	ctx := gl.NewContext(m, sample.DefaultHeapBase, sample.DefaultHeapSize)
+	ctx := gl.NewContext(mem.NewMemory(), gl.HeapBase, gl.HeapSize)
 	tr := &trace.Trace{}
 	ctx.Recorder = tr
 	ctx.Submit = func(*gpu.DrawCall) error { return nil }
 
 	ctx.Viewport(opt.CS2Width, opt.CS2Height)
-	mesh, err := ctx.UploadMesh(scene.Mesh)
+	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		return nil, err
 	}
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		return nil, err
-	}
-	fs := shader.FSTexturedEarlyZ
-	if scene.Translucent {
-		fs = shader.FSTexturedBlend
-		ctx.Enable(gl.Blend)
-		ctx.DepthMask(false)
-		ctx.SetAlpha(0.6)
-	}
-	if err := ctx.UseProgram(shader.VSTransform, fs); err != nil {
-		return nil, err
-	}
-	ctx.SetLight(mathx.V3(0.4, 0.5, 0.8).Normalize())
 	aspect := float32(opt.CS2Width) / float32(opt.CS2Height)
 	for f := 0; f < frames; f++ {
 		ctx.Clear(0xFF101020, true)
@@ -78,51 +52,6 @@ func RecordWorkloadTrace(workload, frames int, opt Options) (*trace.Trace, error
 		ctx.FrameEnd()
 	}
 	return tr, nil
-}
-
-// replaySystem is a detailed standalone system wired for trace replay:
-// every submitted draw runs to completion, matching the straight-
-// through CS2 renderer's submit-then-drain loop.
-type replaySystem struct {
-	S   *gpu.Standalone
-	Ctx *gl.Context
-	Reg *stats.Registry
-
-	opt  Options
-	mark uint64
-}
-
-func newReplaySystem(opt Options, reg *stats.Registry) *replaySystem {
-	if reg == nil {
-		reg = stats.NewRegistry()
-	}
-	s := gpu.NewStandalone(gpu.CaseStudyIIConfig(), dram.Config{
-		Geometry: dram.LPDDR3Geometry(4),
-		Timing:   dram.LPDDR3Timing(1600),
-	}, reg)
-	if opt.Trace != nil {
-		s.AttachTracer(opt.Trace)
-	}
-	if opt.guardOn() {
-		s.AttachGuard(guard.NewChecker())
-	}
-	s.SetWatchdog(opt.WatchdogCycles)
-	s.SetParallel(opt.Pool)
-	s.SetIdleSkip(!opt.EveryCycle)
-	s.SetEventWheel(!opt.EveryCycle)
-	s.SetProbe(opt.Probe)
-	rs := &replaySystem{S: s, Reg: reg, opt: opt}
-	ctx := gl.NewContext(s.Mem(), sample.DefaultHeapBase, sample.DefaultHeapSize)
-	ctx.Submit = func(call *gpu.DrawCall) error {
-		if err := s.GPU.SubmitDraw(call, nil); err != nil {
-			return err
-		}
-		_, err := s.RunUntilIdleCtx(opt.Ctx, opt.BudgetCycles)
-		return err
-	}
-	ctx.OnClearDepth = s.GPU.ClearHiZ
-	rs.Ctx = ctx
-	return rs
 }
 
 // RegionWarmupFrames is the fixed warm-up policy for region jobs: the
@@ -155,48 +84,22 @@ func warmupStart(start int) int {
 	return w0 - w0%checkpointStride
 }
 
-// regionRun builds the sample.RegionRun wiring for this system. The
-// checkpoint must be anchored at warmupStart(start).
-func (rs *replaySystem) regionRun(tr *trace.Trace, cp *trace.Checkpoint, start, span int) *sample.RegionRun {
-	return &sample.RegionRun{
-		Trace: tr, CP: cp, Start: start, Span: span,
-		Warmup: start - warmupStart(start),
-		Ctx:    rs.Ctx, Mem: rs.S.Mem(),
-		OnRestore: func() {
-			// The functional checkpoint carries no Hi-Z; drop any built
-			// during the (draw-free) prefix and adopt the snapshot clock.
-			rs.S.GPU.ClearHiZ()
-			if err := rs.S.ResumeAt(cp.Cycle); err != nil {
-				panic(fmt.Sprintf("exp: region restore on busy system: %v", err))
-			}
-			rs.mark = rs.S.Cycle()
-		},
-		Drain: func(frame int) (uint64, error) {
-			// Draws already drained at submit; account the frame's cycles.
-			c := rs.S.Cycle()
-			d := c - rs.mark
-			rs.mark = c
-			return d, nil
-		},
+// runRegion runs one region on a fresh replay system from the
+// checkpoint anchored at warmupStart(start).
+func runRegion(workload, frames int, tr *trace.Trace, cp *trace.Checkpoint, start, span int, opt Options) (*RegionResult, error) {
+	r := NewReplay(opt)
+	cycles, err := r.RunRegion(tr, cp, start, start-warmupStart(start), span)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// digest hashes the system's observable end state — registry JSON,
-// framebuffer, final cycle — the same SHA-256 gate pattern as the
-// workers/skip determinism tests.
-func (rs *replaySystem) digest() (string, error) {
-	var buf bytes.Buffer
-	if err := rs.Reg.DumpJSON(&buf); err != nil {
-		return "", err
+	dg, err := r.digest()
+	if err != nil {
+		return nil, err
 	}
-	cs := rs.Ctx.ColorSurface()
-	fb := make([]byte, cs.Width*cs.Height*4)
-	rs.S.Mem().Read(cs.Base, fb)
-	h := sha256.New()
-	h.Write(buf.Bytes())
-	h.Write(fb)
-	fmt.Fprintf(h, "cycle=%d", rs.S.Cycle())
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	return &RegionResult{
+		Workload: workload, Frames: frames, Start: start, Span: span,
+		FrameCycles: cycles, Digest: dg,
+	}, nil
 }
 
 // RegionResult is one detailed region measurement — a sweep job
@@ -237,19 +140,7 @@ func RunRegionJob(workload, frames, start, span int, opt Options) (*RegionResult
 	if err != nil {
 		return nil, err
 	}
-	rs := newReplaySystem(opt, nil)
-	cycles, err := rs.regionRun(tr, pass.Checkpoints[w0], start, span).Run()
-	if err != nil {
-		return nil, err
-	}
-	dg, err := rs.digest()
-	if err != nil {
-		return nil, err
-	}
-	return &RegionResult{
-		Workload: workload, Frames: frames, Start: start, Span: span,
-		FrameCycles: cycles, Digest: dg,
-	}, nil
+	return runRegion(workload, frames, tr, pass.Checkpoints[w0], start, span, opt)
 }
 
 // SampledResult is the in-process sampled pipeline's outcome.
@@ -312,21 +203,12 @@ func RunSampled(workload, frames, k, span, parallel int, opt Options) (*SampledR
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			rs := newReplaySystem(ropt, nil)
-			cycles, err := rs.regionRun(tr, pass.Checkpoints[warmupStart(reg.Frame)], reg.Frame, span).Run()
+			res, err := runRegion(workload, frames, tr, pass.Checkpoints[warmupStart(reg.Frame)], reg.Frame, span, ropt)
 			if err != nil {
 				errs[i] = fmt.Errorf("region at frame %d: %w", reg.Frame, err)
 				return
 			}
-			dg, err := rs.digest()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = &RegionResult{
-				Workload: workload, Frames: frames, Start: reg.Frame, Span: span,
-				FrameCycles: cycles, Digest: dg,
-			}
+			results[i] = res
 		}(i, reg)
 	}
 	wg.Wait()

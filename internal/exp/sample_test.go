@@ -45,7 +45,7 @@ func TestFunctionalMatchesDetailed(t *testing.T) {
 		}
 
 		// Detailed leg.
-		rs := newReplaySystem(opt, nil)
+		rs := NewReplay(opt)
 		dopt := trace.ReplayAll()
 		if err := trace.Replay(tr, rs.Ctx, dopt); err != nil {
 			t.Fatal(err)
@@ -74,8 +74,8 @@ func regionState(t *testing.T, tr *trace.Trace, cp *trace.Checkpoint, start, spa
 	opt := sampleTestOptions()
 	opt.Pool = pool
 	opt.EveryCycle = everyCycle
-	rs := newReplaySystem(opt, nil)
-	if _, err := rs.regionRun(tr, cp, start, span).Run(); err != nil {
+	rs := NewReplay(opt)
+	if _, err := rs.RunRegion(tr, cp, start, start-warmupStart(start), span); err != nil {
 		t.Fatal(err)
 	}
 	dg, err := rs.digest()

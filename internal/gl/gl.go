@@ -38,6 +38,15 @@ const (
 	uniformBytes = 128
 )
 
+// HeapBase and HeapSize place every context's object heap: the full
+// SoC, the standalone rigs and functional replay all allocate from the
+// same range, which is what lets a functional checkpoint restore onto
+// a detailed system with identical addresses.
+const (
+	HeapBase = 0x1000_0000
+	HeapSize = 256 << 20
+)
+
 // Recorder observes the API stream (implemented by the trace package).
 type Recorder interface {
 	Op(name string, args []uint32, blob []byte)
@@ -437,6 +446,37 @@ func (c *Context) UploadTexture(t *geom.Texture) (uint32, error) {
 		return 0, err
 	}
 	return name, nil
+}
+
+// LoadScene uploads a scene's assets and binds the state every
+// harness renders it with: mesh, texture on unit 0, the blend state for
+// a translucent scene, the textured program and the light. The order is
+// pinned: heap addresses follow from it, and with them every cycle
+// count, state digest and cached sweep result.
+func (c *Context) LoadScene(scene *geom.Scene) (MeshHandle, error) {
+	mesh, err := c.UploadMesh(scene.Mesh)
+	if err != nil {
+		return MeshHandle{}, err
+	}
+	tex, err := c.UploadTexture(scene.Texture)
+	if err != nil {
+		return MeshHandle{}, err
+	}
+	if err := c.BindTexture(0, tex); err != nil {
+		return MeshHandle{}, err
+	}
+	fs := shader.FSTexturedEarlyZ
+	if scene.Translucent {
+		fs = shader.FSTexturedBlend
+		c.Enable(Blend)
+		c.DepthMask(false)
+		c.SetAlpha(0.6)
+	}
+	if err := c.UseProgram(shader.VSTransform, fs); err != nil {
+		return MeshHandle{}, err
+	}
+	c.SetLight(mathx.V3(0.4, 0.5, 0.8).Normalize())
+	return mesh, nil
 }
 
 // DrawMesh binds a mesh handle and draws it.

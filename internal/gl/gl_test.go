@@ -1,12 +1,16 @@
 package gl
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"emerald/internal/dram"
 	"emerald/internal/geom"
 	"emerald/internal/gpu"
 	"emerald/internal/mathx"
+	"emerald/internal/mem"
 	"emerald/internal/raster"
 	"emerald/internal/shader"
 )
@@ -18,7 +22,7 @@ func system(t *testing.T) (*gpu.Standalone, *Context) {
 		Geometry: dram.LPDDR3Geometry(2),
 		Timing:   dram.LPDDR3Timing(1333),
 	}, nil)
-	ctx := NewContext(s.Mem(), 0x1000_0000, 64<<20)
+	ctx := NewContext(s.Mem(), HeapBase, 64<<20)
 	ctx.Submit = func(call *gpu.DrawCall) error {
 		return s.GPU.SubmitDraw(call, nil)
 	}
@@ -181,17 +185,11 @@ func TestSceneWorkloadRenders(t *testing.T) {
 	}
 	ctx.Viewport(64, 48)
 	ctx.Clear(0xFF202020, true)
-	if err := ctx.UseProgram(shader.VSTransform, shader.FSTexturedEarlyZ); err != nil {
-		t.Fatal(err)
-	}
-	ctx.SetMVP(scene.MVP(0, 64.0/48.0))
-	ctx.SetLight(mathx.V3(0.3, 0.5, 0.8).Normalize())
-	tex, _ := ctx.UploadTexture(scene.Texture)
-	ctx.BindTexture(0, tex)
-	h, err := ctx.UploadMesh(scene.Mesh)
+	h, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx.SetMVP(scene.MVP(0, 64.0/48.0))
 	if err := ctx.DrawMesh(h); err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +202,82 @@ func TestSceneWorkloadRenders(t *testing.T) {
 	// Center of screen should be covered by the cube (not clear color).
 	if got := ctx.ColorSurface().ReadPixel(s.Mem(), 32, 24); got == 0xFF202020 {
 		t.Fatal("cube not visible at screen center")
+	}
+}
+
+// TestLoadSceneLayout pins LoadScene to the hand-spelled sequence it
+// replaced — mesh, texture, bind, blend state, program, light — on a
+// fresh context: same recorded ops, same heap addresses, same bound
+// state, for an opaque and a translucent scene. Heap addresses decide
+// cycle counts, so a reordered copy of this block is a different
+// experiment.
+func TestLoadSceneLayout(t *testing.T) {
+	for _, w := range []int{geom.W3Cube, geom.W5SuzanneT} {
+		scene, err := geom.DFSLWorkload(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := func() (*Context, *captureRecorder) {
+			rec := &captureRecorder{}
+			c := NewContext(mem.NewMemory(), HeapBase, HeapSize)
+			c.Recorder = rec
+			c.Viewport(64, 48)
+			return c, rec
+		}
+
+		hand, want := fresh()
+		wantMesh, err := hand.UploadMesh(scene.Mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tex, err := hand.UploadTexture(scene.Texture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hand.BindTexture(0, tex); err != nil {
+			t.Fatal(err)
+		}
+		fs := shader.FSTexturedEarlyZ
+		if scene.Translucent {
+			fs = shader.FSTexturedBlend
+			hand.Enable(Blend)
+			hand.DepthMask(false)
+			hand.SetAlpha(0.6)
+		}
+		if err := hand.UseProgram(shader.VSTransform, fs); err != nil {
+			t.Fatal(err)
+		}
+		hand.SetLight(mathx.V3(0.4, 0.5, 0.8).Normalize())
+
+		ctx, got := fresh()
+		mesh, err := ctx.LoadScene(scene)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.full, want.full) {
+			t.Errorf("%s: LoadScene recorded %v, the hand-spelled block %v", scene.Name, got.ops, want.ops)
+		}
+		if !reflect.DeepEqual(mesh, wantMesh) {
+			t.Errorf("%s: mesh handle differs", scene.Name)
+		}
+		if g, w := ctx.buffers[mesh.Buffer], hand.buffers[wantMesh.Buffer]; g != w || g.size == 0 {
+			t.Errorf("%s: vertex buffer at %+v, want %+v", scene.Name, g, w)
+		}
+		if g, w := ctx.textures[ctx.texUnits[0]], hand.textures[hand.texUnits[0]]; g != w || g.width == 0 {
+			t.Errorf("%s: texture at %+v, want %+v", scene.Name, g, w)
+		}
+		if ctx.heap != hand.heap {
+			t.Errorf("%s: heap cursor %#x, want %#x", scene.Name, ctx.heap, hand.heap)
+		}
+		if ctx.fs != fs || ctx.caps[Blend] != scene.Translucent || ctx.depthWrite == scene.Translucent {
+			t.Errorf("%s: bound fs=%s blend=%v depthWrite=%v", scene.Name, ctx.fs.Name, ctx.caps[Blend], ctx.depthWrite)
+		}
+		gu, wu := make([]byte, uniformBytes), make([]byte, uniformBytes)
+		ctx.Mem.Read(ctx.uniformBase, gu)
+		hand.Mem.Read(hand.uniformBase, wu)
+		if !bytes.Equal(gu, wu) {
+			t.Errorf("%s: uniform bank differs", scene.Name)
+		}
 	}
 }
 
@@ -230,8 +304,10 @@ func TestRecorderSeesOps(t *testing.T) {
 	}
 }
 
-type captureRecorder struct{ ops []string }
+// captureRecorder keeps each op's name, and the whole op as one string.
+type captureRecorder struct{ ops, full []string }
 
 func (r *captureRecorder) Op(name string, args []uint32, blob []byte) {
 	r.ops = append(r.ops, name)
+	r.full = append(r.full, fmt.Sprintf("%s %v %x", name, args, blob))
 }

@@ -390,19 +390,9 @@ func (g *GPU) Tick(cycle uint64) {
 	g.l2Events = kept
 
 	g.L2.Tick(cycle)
-	// L2 miss/writeback traffic leaves the GPU. Pop only after the
-	// output port accepted the request — dropping a popped fill would
-	// strand its MSHR forever.
-	for {
-		r := g.L2.Out.Peek()
-		if r == nil {
-			break
-		}
-		if !g.Out.Push(r) {
-			break // output port full: retry next cycle
-		}
-		g.L2.Out.Pop()
-	}
+	// L2 miss/writeback traffic leaves the GPU; what the output port
+	// refuses waits in L2.Out.
+	g.L2.Out.DrainTo(g.Out)
 
 	g.noc.Tick(cycle)
 
@@ -438,17 +428,7 @@ func (g *GPU) tickClusterShard(cl *cluster) {
 		}
 		// Core L1 miss traffic into the cluster's NoC port; requests
 		// stay in the core's output queue while the port is full.
-		port := g.noc.Port(cl.id)
-		for {
-			r := core.Out.Peek()
-			if r == nil {
-				break
-			}
-			if !port.Push(r) {
-				break
-			}
-			core.Out.Pop()
-		}
+		core.Out.DrainTo(g.noc.Port(cl.id))
 	}
 	g.tickClusterGraphics(cl, cycle)
 	g.wheel.Arm(cl.id, g.clusterWake(cl, cycle+1, coresQuiet))
@@ -486,41 +466,6 @@ func (g *GPU) clusterWake(cl *cluster, from uint64, coresQuiet bool) uint64 {
 		}
 	}
 	return w
-}
-
-// RunUntilIdle ticks the GPU with an ideal memory (completing Out
-// requests after a fixed latency) until all work retires. It returns the
-// cycles consumed. Used by unit tests; real setups attach DRAM.
-func (g *GPU) RunUntilIdle(start uint64, memLatency uint64, budget uint64) (uint64, error) {
-	type pendingReq struct {
-		at uint64
-		r  *mem.Request
-	}
-	var pend []pendingReq
-	cycle := start
-	for ; cycle < start+budget; cycle++ {
-		g.Tick(cycle)
-		for {
-			r := g.Out.Pop()
-			if r == nil {
-				break
-			}
-			pend = append(pend, pendingReq{at: cycle + memLatency, r: r})
-		}
-		keep := pend[:0]
-		for _, p := range pend {
-			if p.at <= cycle {
-				p.r.Complete(cycle)
-			} else {
-				keep = append(keep, p)
-			}
-		}
-		pend = keep
-		if !g.Busy() && len(pend) == 0 {
-			return cycle - start, nil
-		}
-	}
-	return cycle - start, fmt.Errorf("gpu: not idle after %d cycles", budget)
 }
 
 // CoreActiveWarps reports resident warps on the i-th core (cluster-major

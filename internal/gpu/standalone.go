@@ -169,17 +169,7 @@ func (s *Standalone) Cycle() uint64 { return s.cycle }
 func (s *Standalone) Tick() {
 	c := s.cycle
 	s.GPU.Tick(c)
-	port := s.sysNoC.Port(0)
-	for {
-		r := s.GPU.Out.Peek()
-		if r == nil {
-			break
-		}
-		if !port.Push(r) {
-			break // port full: requests wait in GPU.Out
-		}
-		s.GPU.Out.Pop()
-	}
+	s.GPU.Out.DrainTo(s.sysNoC.Port(0))
 	s.sysNoC.Tick(c)
 	s.DRAM.Tick(c)
 	s.run.Guard.Tick(c)

@@ -321,9 +321,33 @@ func (q *Queue) Pop() *Request {
 		return nil
 	}
 	r := q.items[0]
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
+	q.drop(1)
 	return r
+}
+
+// DrainTo moves requests oldest-first into dst until dst refuses one,
+// leaving the rest queued in order: the backpressure contract of every
+// port in the system. A request leaves q only once dst has accepted it,
+// so a full port delays traffic and never drops it (a dropped fill
+// would strand its MSHR forever).
+func (q *Queue) DrainTo(dst *Queue) {
+	n := len(q.items)
+	if dst.cap > 0 && dst.cap-len(dst.items) < n {
+		n = dst.cap - len(dst.items)
+	}
+	if n <= 0 {
+		return
+	}
+	dst.items = append(dst.items, q.items[:n]...)
+	q.drop(n)
+}
+
+// drop removes the n oldest requests. The vacated tail slots are
+// cleared so the backing array does not pin retired requests.
+func (q *Queue) drop(n int) {
+	m := copy(q.items, q.items[n:])
+	clear(q.items[m:])
+	q.items = q.items[:m]
 }
 
 // Items returns the backing slice, oldest first (read-only use).

@@ -125,6 +125,81 @@ func TestQueueUnbounded(t *testing.T) {
 	}
 }
 
+// TestQueueDrainTo is the backpressure contract of every port: with
+// room for k of n, exactly the k oldest move, in order; the rest stay,
+// in order; nothing is dropped; and the per-cycle path allocates
+// nothing.
+func TestQueueDrainTo(t *testing.T) {
+	const n = 5
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		reqs[i] = &Request{Addr: uint64(i)}
+	}
+	for _, tc := range []struct{ dstCap, dstHeld, moved int }{
+		{0, 0, n}, // unbounded destination takes everything
+		{8, 0, n}, // room to spare
+		{3, 0, 3}, // room for k < n
+		{4, 3, 1}, // partly full
+		{2, 2, 0}, // full: nothing moves
+	} {
+		src, dst := NewQueue(0), NewQueue(tc.dstCap)
+		held := &Request{Addr: 99}
+		for i := 0; i < tc.dstHeld; i++ {
+			dst.Push(held)
+		}
+		for _, r := range reqs {
+			src.Push(r)
+		}
+		tail := src.items[:n:n]
+		src.DrainTo(dst)
+		if src.Len() != n-tc.moved || dst.Len() != tc.dstHeld+tc.moved {
+			t.Fatalf("%+v: src %d, dst %d after drain", tc, src.Len(), dst.Len())
+		}
+		for i, r := range dst.Items()[tc.dstHeld:] {
+			if r != reqs[i] {
+				t.Fatalf("%+v: dst[%d] = request %d, want %d", tc, i, r.Addr, i)
+			}
+		}
+		for i, r := range src.Items() {
+			if r != reqs[tc.moved+i] {
+				t.Fatalf("%+v: src[%d] = request %d, want %d", tc, i, r.Addr, tc.moved+i)
+			}
+		}
+		for i, r := range tail[src.Len():] {
+			if r != nil {
+				t.Fatalf("%+v: vacated slot %d still pins request %d", tc, src.Len()+i, r.Addr)
+			}
+		}
+	}
+
+	// Pop vacates its slot too.
+	q := NewQueue(0)
+	q.Push(reqs[0])
+	tail := q.items[:1]
+	q.Pop()
+	if tail[0] != nil {
+		t.Fatal("Pop left the popped request pinned in the backing array")
+	}
+
+	// Steady state: a port that drains one request per cycle.
+	src, dst := NewQueue(4), NewQueue(2)
+	if a := testing.AllocsPerRun(100, func() {
+		src.Push(reqs[0])
+		src.Push(reqs[1])
+		src.Push(reqs[2])
+		src.DrainTo(dst)
+		dst.Pop()
+		src.DrainTo(dst)
+		dst.Pop()
+		dst.Pop()
+	}); a != 0 {
+		t.Fatalf("drain path allocates %v times per run", a)
+	}
+	if src.Len() != 0 || dst.Len() != 0 {
+		t.Fatalf("steady-state drain lost track: src %d, dst %d", src.Len(), dst.Len())
+	}
+}
+
 func TestClientClassification(t *testing.T) {
 	if ClientCPU.IsIP() {
 		t.Fatal("CPU is not an IP")

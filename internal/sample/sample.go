@@ -21,12 +21,12 @@ import (
 	"emerald/internal/trace"
 )
 
-// Default GL heap placement for functional replay, matching the cmd
-// tools' detailed-mode contexts so a functional checkpoint restores
-// onto a detailed system with identical addresses.
+// Default GL heap placement for functional replay: the placement every
+// detailed-mode context uses, so a functional checkpoint restores onto
+// a detailed system with identical addresses.
 const (
-	DefaultHeapBase = 0x1000_0000
-	DefaultHeapSize = 256 << 20
+	DefaultHeapBase = gl.HeapBase
+	DefaultHeapSize = gl.HeapSize
 )
 
 // Signature is one frame's workload fingerprint: the dimensions along

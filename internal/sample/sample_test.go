@@ -7,9 +7,7 @@ import (
 	"emerald/internal/geom"
 	"emerald/internal/gl"
 	"emerald/internal/gpu"
-	"emerald/internal/mathx"
 	"emerald/internal/mem"
-	"emerald/internal/shader"
 	"emerald/internal/trace"
 )
 
@@ -27,18 +25,7 @@ func recordCube(t *testing.T, frames int) *trace.Trace {
 	ctx.Recorder = tr
 	ctx.Submit = func(*gpu.DrawCall) error { return nil }
 	ctx.Viewport(48, 48)
-	if err := ctx.UseProgram(shader.VSTransform, shader.FSTexturedEarlyZ); err != nil {
-		t.Fatal(err)
-	}
-	ctx.SetLight(mathx.V3(0.3, 0.5, 0.8).Normalize())
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ctx.UploadMesh(scene.Mesh)
+	h, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -355,22 +355,12 @@ func (c *Core) Tick(cycle uint64) (quiet bool) {
 	c.L1Z.Tick(cycle)
 	c.L1C.Tick(cycle)
 
-	// 3. Drain cache miss traffic into the core output port. A request
-	// is only popped once the output port accepted it: popping first
-	// and dropping the request on a full port would leave its MSHR
-	// waiting forever.
-	for _, ca := range []*cache.Cache{c.L1D, c.L1T, c.L1Z, c.L1C} {
-		for {
-			r := ca.Out.Peek()
-			if r == nil {
-				break
-			}
-			if !c.Out.Push(r) {
-				break // output port full: retry next cycle
-			}
-			ca.Out.Pop()
-		}
-	}
+	// 3. Drain cache miss traffic into the core output port; what the
+	// port refuses waits in the cache's queue.
+	c.L1D.Out.DrainTo(c.Out)
+	c.L1T.Out.DrainTo(c.Out)
+	c.L1Z.Out.DrainTo(c.Out)
+	c.L1C.Out.DrainTo(c.Out)
 
 	// 4. LSU: issue pending transactions.
 	c.issueTransactions(cycle)

@@ -13,11 +13,9 @@ import (
 	"emerald/internal/gpu"
 	"emerald/internal/guard"
 	"emerald/internal/interconnect"
-	"emerald/internal/mathx"
 	"emerald/internal/mem"
 	"emerald/internal/par"
 	"emerald/internal/sched"
-	"emerald/internal/shader"
 	"emerald/internal/stats"
 	"emerald/internal/telemetry"
 	"emerald/internal/trace"
@@ -233,34 +231,15 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	s.Display.SetFrontBuffer(s.colorB)
 
 	// GL context over its own heap, submitting into the GPU.
-	s.GL = gl.NewContext(memory, 0x1000_0000, 256<<20)
+	s.GL = gl.NewContext(memory, gl.HeapBase, gl.HeapSize)
 	s.GL.Submit = func(call *gpu.DrawCall) error { return s.GPU.SubmitDraw(call, nil) }
 	s.GL.OnClearDepth = s.GPU.ClearHiZ
 
 	// Upload scene assets once (app start).
 	var err error
-	s.mesh, err = s.GL.UploadMesh(cfg.Scene.Mesh)
-	if err != nil {
+	if s.mesh, err = s.GL.LoadScene(cfg.Scene); err != nil {
 		return nil, err
 	}
-	tex, err := s.GL.UploadTexture(cfg.Scene.Texture)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.GL.BindTexture(0, tex); err != nil {
-		return nil, err
-	}
-	fs := shader.FSTexturedEarlyZ
-	if cfg.Scene.Translucent {
-		fs = shader.FSTexturedBlend
-		s.GL.Enable(gl.Blend)
-		s.GL.DepthMask(false)
-		s.GL.SetAlpha(0.6)
-	}
-	if err := s.GL.UseProgram(shader.VSTransform, fs); err != nil {
-		return nil, err
-	}
-	s.GL.SetLight(mathx.V3(0.4, 0.5, 0.8).Normalize())
 
 	// CPU cores.
 	for i := 0; i < cfg.NumCPUs; i++ {
@@ -642,17 +621,7 @@ func (s *SoC) tickCPUShard(i int) {
 	for m := 0; m < s.Cfg.CPUClockMult; m++ {
 		core.Tick(c*uint64(s.Cfg.CPUClockMult) + uint64(m))
 	}
-	port := s.noc.Port(i)
-	for {
-		r := core.Out.Peek()
-		if r == nil {
-			break
-		}
-		if !port.Push(r) {
-			break // port full: requests wait in the core's out queue
-		}
-		core.Out.Pop()
-	}
+	core.Out.DrainTo(s.noc.Port(i))
 	s.wheel.Arm(i, s.cpuWake(core, c+1))
 }
 
@@ -684,17 +653,7 @@ func (s *SoC) tickDisplayShard() {
 		return
 	}
 	s.Display.Tick(c)
-	dport := s.noc.Port(s.Cfg.NumCPUs + 1)
-	for {
-		r := s.Display.Out.Peek()
-		if r == nil {
-			break
-		}
-		if !dport.Push(r) {
-			break // port full: scan-out reads wait in Display.Out
-		}
-		s.Display.Out.Pop()
-	}
+	s.Display.Out.DrainTo(s.noc.Port(s.Cfg.NumCPUs + 1))
 	w := s.Display.NextWake(c + 1)
 	if w <= c+1 {
 		w = c + 1
@@ -726,17 +685,7 @@ func (s *SoC) Tick() {
 
 	// GPU.
 	s.GPU.Tick(c)
-	gport := s.noc.Port(s.Cfg.NumCPUs)
-	for {
-		r := s.GPU.Out.Peek()
-		if r == nil {
-			break
-		}
-		if !gport.Push(r) {
-			break // port full: requests wait in GPU.Out
-		}
-		s.GPU.Out.Pop()
-	}
+	s.GPU.Out.DrainTo(s.noc.Port(s.Cfg.NumCPUs))
 
 	s.noc.Tick(c)
 	s.DRAM.Tick(c)

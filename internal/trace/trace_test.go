@@ -8,9 +8,7 @@ import (
 	"emerald/internal/geom"
 	"emerald/internal/gl"
 	"emerald/internal/gpu"
-	"emerald/internal/mathx"
 	"emerald/internal/mem"
-	"emerald/internal/shader"
 )
 
 // newSystem builds a standalone GPU + GL context, optionally recording.
@@ -20,7 +18,7 @@ func newSystem(t *testing.T, rec gl.Recorder) (*gpu.Standalone, *gl.Context) {
 		Geometry: dram.LPDDR3Geometry(2),
 		Timing:   dram.LPDDR3Timing(1333),
 	}, nil)
-	ctx := gl.NewContext(s.Mem(), 0x1000_0000, 64<<20)
+	ctx := gl.NewContext(s.Mem(), gl.HeapBase, 64<<20)
 	ctx.Submit = func(call *gpu.DrawCall) error { return s.GPU.SubmitDraw(call, nil) }
 	ctx.OnClearDepth = s.GPU.ClearHiZ
 	ctx.Recorder = rec
@@ -35,18 +33,7 @@ func renderScene(t *testing.T, s *gpu.Standalone, ctx *gl.Context) {
 		t.Fatal(err)
 	}
 	ctx.Viewport(48, 48)
-	if err := ctx.UseProgram(shader.VSTransform, shader.FSTexturedEarlyZ); err != nil {
-		t.Fatal(err)
-	}
-	ctx.SetLight(mathx.V3(0.3, 0.5, 0.8).Normalize())
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ctx.UploadMesh(scene.Mesh)
+	h, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)
 	}

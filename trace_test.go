@@ -12,10 +12,7 @@ import (
 
 	"emerald/internal/emtrace"
 	"emerald/internal/geom"
-	"emerald/internal/gl"
 	"emerald/internal/gpu"
-	"emerald/internal/mathx"
-	"emerald/internal/shader"
 )
 
 // renderTracedFrame renders one small W3 frame with a tracer attached.
@@ -28,29 +25,9 @@ func renderTracedFrame(t *testing.T) *emtrace.Tracer {
 	s := gpu.DefaultStandalone(nil)
 	tr := emtrace.New(0)
 	s.AttachTracer(tr)
-	ctx := gl.NewContext(s.Mem(), 0x1000_0000, 256<<20)
-	ctx.Submit = func(call *gpu.DrawCall) error { return s.GPU.SubmitDraw(call, nil) }
-	ctx.OnClearDepth = s.GPU.ClearHiZ
+	ctx := NewGL(s)
 	ctx.Viewport(96, 72)
-	fs := shader.FSTexturedEarlyZ
-	if scene.Translucent {
-		fs = shader.FSTexturedBlend
-		ctx.Enable(gl.Blend)
-		ctx.DepthMask(false)
-		ctx.SetAlpha(0.6)
-	}
-	if err := ctx.UseProgram(shader.VSTransform, fs); err != nil {
-		t.Fatal(err)
-	}
-	ctx.SetLight(mathx.V3(0.4, 0.5, 0.8).Normalize())
-	tex, err := ctx.UploadTexture(scene.Texture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.BindTexture(0, tex); err != nil {
-		t.Fatal(err)
-	}
-	mesh, err := ctx.UploadMesh(scene.Mesh)
+	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,22 +170,9 @@ func TestDisabledTracerIsInert(t *testing.T) {
 			tr.SetEnabled(false)
 			s.AttachTracer(tr)
 		}
-		ctx := gl.NewContext(s.Mem(), 0x1000_0000, 256<<20)
-		ctx.Submit = func(call *gpu.DrawCall) error { return s.GPU.SubmitDraw(call, nil) }
-		ctx.OnClearDepth = s.GPU.ClearHiZ
+		ctx := NewGL(s)
 		ctx.Viewport(96, 72)
-		if err := ctx.UseProgram(shader.VSTransform, shader.FSTexturedEarlyZ); err != nil {
-			t.Fatal(err)
-		}
-		ctx.SetLight(mathx.V3(0.4, 0.5, 0.8).Normalize())
-		tex, err := ctx.UploadTexture(scene.Texture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ctx.BindTexture(0, tex); err != nil {
-			t.Fatal(err)
-		}
-		mesh, err := ctx.UploadMesh(scene.Mesh)
+		mesh, err := ctx.LoadScene(scene)
 		if err != nil {
 			t.Fatal(err)
 		}
