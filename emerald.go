@@ -12,7 +12,7 @@
 //
 //	sys := emerald.NewStandaloneGPU(nil)           // Table 7 GPU
 //	ctx := emerald.NewGL(sys)
-//	ctx.Viewport(256, 192)
+//	err := ctx.Viewport(256, 192)
 //	ctx.UseProgram(emerald.VSTransform, emerald.FSTexturedEarlyZ)
 //	... upload mesh/texture, DrawMesh, sys.RunUntilIdle(budget)
 //

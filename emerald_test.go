@@ -135,7 +135,9 @@ func TestFacadeQuickRender(t *testing.T) {
 	sys := NewStandaloneGPU(nil)
 	ctx := NewGL(sys)
 	const w, h = 64, 48
-	ctx.Viewport(w, h)
+	if err := ctx.Viewport(w, h); err != nil {
+		t.Fatal(err)
+	}
 	scene, err := DFSLWorkload(W3Cube)
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,9 @@ func main() {
 	sys := emerald.NewStandaloneGPU(nil)
 	ctx := emerald.NewGL(sys)
 	const w, h = 72, 48
-	ctx.Viewport(w, h)
+	if err := ctx.Viewport(w, h); err != nil {
+		log.Fatal(err)
+	}
 	if err := ctx.UseProgram(emerald.VSTransform, fs); err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx.Viewport(w, h)
+	if err := ctx.Viewport(w, h); err != nil {
+		log.Fatal(err)
+	}
 	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		log.Fatal(err)

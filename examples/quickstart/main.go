@@ -18,7 +18,9 @@ func main() {
 	ctx := emerald.NewGL(sys)
 
 	const w, h = 96, 64
-	ctx.Viewport(w, h)
+	if err := ctx.Viewport(w, h); err != nil {
+		log.Fatal(err)
+	}
 	if err := ctx.UseProgram(emerald.VSTransform, emerald.FSTexturedEarlyZ); err != nil {
 		log.Fatal(err)
 	}

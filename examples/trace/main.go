@@ -76,7 +76,9 @@ func renderTwoFrames(sys *emerald.StandaloneGPU, ctx *emerald.GL) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx.Viewport(w, h)
+	if err := ctx.Viewport(w, h); err != nil {
+		log.Fatal(err)
+	}
 	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		log.Fatal(err)

@@ -134,38 +134,17 @@ type Controller struct {
 	group     *par.Group
 	tickCycle uint64
 
-	// wheel holds one wake slot per channel: Push wakes the target
-	// channel, tickChannel re-arms with the channel's own next event
-	// (now while requests are queued, the earliest in-service DoneAt
-	// otherwise), and a channel whose slot is in the future skips its
-	// entire tick body. wheelOn gates the skip only — arming and waking
-	// always run, so the wheel can be toggled at a phase boundary.
-	wheel   *par.Wheel
-	wheelOn bool
-
 	// onRetire, when set, is called for every request the moment it
 	// retires (Done becomes observable next cycle). Channel shards run
 	// in parallel, so the callback must be safe for concurrent use and
 	// restricted to commutative atomic updates — the SoC uses it to
-	// wake the retiring client's wheel slot.
+	// wake the retiring client's phase-1 wheel slot.
 	onRetire func(r *mem.Request, cycle uint64)
 }
 
 // SetOnRetire installs the retirement callback. See the field comment
 // for the concurrency contract.
 func (c *Controller) SetOnRetire(fn func(r *mem.Request, cycle uint64)) { c.onRetire = fn }
-
-// SetEventWheel enables or disables per-channel wheel skipping.
-// Enabling re-arms every slot as due so no pre-toggle staleness can
-// park a channel past work.
-func (c *Controller) SetEventWheel(on bool) {
-	c.wheelOn = on
-	if on {
-		for i := range c.Channels {
-			c.wheel.Arm(i, 0)
-		}
-	}
-}
 
 // SetParallel arms the worker pool for per-channel parallel ticking.
 // A nil pool (or pool of size 1) keeps the sequential path.
@@ -177,7 +156,7 @@ func (c *Controller) SetParallel(p *par.Pool) {
 	tasks := make([]func(), len(c.Channels))
 	for i, ch := range c.Channels {
 		ch := ch
-		tasks[i] = func() { c.tickChannel(ch, c.tickCycle) }
+		tasks[i] = func() { c.serveChannel(ch, c.tickCycle) }
 	}
 	c.group = par.NewGroup(p, tasks)
 }
@@ -202,7 +181,6 @@ func NewController(cfg Config, reg *stats.Registry) *Controller {
 	}
 	s := reg.Scope(cfg.Name)
 	c := &Controller{cfg: cfg, sched: cfg.Scheduler, reg: reg, rejected: s.Counter("rejected")}
-	c.wheel = par.NewWheel(cfg.Geometry.Channels)
 	for i := 0; i < cfg.Geometry.Channels; i++ {
 		chScope := s.Scope("ch" + string(rune('0'+i)))
 		ch := &Channel{
@@ -263,7 +241,6 @@ func (c *Controller) Push(r *mem.Request) bool {
 		return false
 	}
 	ch.Queue = append(ch.Queue, r)
-	c.wheel.Wake(ch.ID, 0)
 	return true
 }
 
@@ -285,23 +262,12 @@ func (c *Controller) Tick(cycle uint64) {
 	c.sched.Tick(cycle)
 	if c.group == nil || c.QueuedRequests() == 0 {
 		for _, ch := range c.Channels {
-			c.tickChannel(ch, cycle)
+			c.serveChannel(ch, cycle)
 		}
 		return
 	}
 	c.tickCycle = cycle
 	c.group.Run()
-}
-
-func (c *Controller) tickChannel(ch *Channel, cycle uint64) {
-	if c.wheelOn && !c.wheel.Due(ch.ID, cycle) {
-		// Empty queue and no transfer finishing before the slot's wake:
-		// serving the channel would be a no-op. Push wakes the slot when
-		// new work arrives, so a parked channel costs one atomic load.
-		return
-	}
-	c.serveChannel(ch, cycle)
-	c.wheel.Arm(ch.ID, c.channelWake(ch, cycle+1))
 }
 
 // serveChannel retires the channel's finished transfers and issues at
@@ -402,11 +368,11 @@ func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
 // Drained reports whether no requests are queued or in flight.
 func (c *Controller) Drained() bool { return c.QueuedRequests() == 0 }
 
-// channelWake returns the earliest cycle >= from at which the
-// channel's tick body can do anything: every cycle while requests are
-// queued (issue gating depends on bus/bank state that evolves each
-// cycle), the earliest in-service completion otherwise, and
-// mem.NeverWake when the channel is empty.
+// channelWake is the per-channel term of NextWake: the earliest cycle
+// >= from at which serveChannel can do anything — every cycle while
+// requests are queued (issue gating depends on bus/bank state that
+// evolves each cycle), the earliest in-service completion otherwise,
+// and mem.NeverWake when the channel is empty.
 func (c *Controller) channelWake(ch *Channel, from uint64) uint64 {
 	if len(ch.Queue) > 0 {
 		return from
@@ -424,15 +390,15 @@ func (c *Controller) channelWake(ch *Channel, from uint64) uint64 {
 }
 
 // NextWake returns the earliest future cycle at which the controller's
-// state can change on its own: the earliest channel slot (now while any
+// state can change on its own: the earliest channel wake (now while any
 // channel has queued requests) or scheduler deadline, and mem.NeverWake
-// when fully drained with a stateless scheduler. The slots are armed
-// with channelWake after every channel tick and pulled to "now" by
-// Push, so they already hold each channel's answer.
+// when fully drained with a stateless scheduler.
 func (c *Controller) NextWake(cycle uint64) uint64 {
 	w := c.sched.NextWake(cycle)
-	if v := c.wheel.Min(); v < w {
-		w = v
+	for _, ch := range c.Channels {
+		if v := c.channelWake(ch, cycle); v < w {
+			w = v
+		}
 	}
 	if w <= cycle {
 		return cycle

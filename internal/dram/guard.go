@@ -50,16 +50,6 @@ func (c *Controller) checkChannel(ch *Channel, cycle uint64) error {
 			return fmt.Errorf("in-service request %#x finishes at %d past bus-free %d", req.Addr, req.DoneAt, ch.busFree)
 		}
 	}
-	// Wheel audit: a slot parked past the next cycle asserts the
-	// channel has nothing actionable until then. Cross-check against
-	// the wake computation so a Push that failed to wake the slot
-	// surfaces here instead of as a silently-stalled request.
-	if due := c.wheel.At(ch.ID); due > cycle+1 {
-		if w := c.channelWake(ch, cycle+1); w <= cycle+1 {
-			return fmt.Errorf("channel parked until %d but actionable at %d (queued=%d inService=%d)",
-				due, cycle+1, len(ch.Queue), len(ch.inService))
-		}
-	}
 	return nil
 }
 

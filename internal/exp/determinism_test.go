@@ -20,8 +20,9 @@ import (
 // demand equality between -workers 1 and -workers 4.
 
 // timeAdvance is one setting of the engine's two time-advancement
-// mechanisms: clock jumps over idle stretches, and shards parked on
-// their wheel slots.
+// mechanisms: clock jumps over idle stretches, and parked components —
+// the SoC's phase-1 shards on their wheel slots, the drained GPU behind
+// its latch ("wheel" is SetEventWheel's name for both).
 type timeAdvance struct {
 	name        string
 	skip, wheel bool
@@ -97,7 +98,9 @@ func standaloneStateDigest(t *testing.T, pool *par.Pool, adv timeAdvance) string
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.Viewport(160, 120)
+	if err := ctx.Viewport(160, 120); err != nil {
+		t.Fatal(err)
+	}
 	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)
@@ -166,9 +169,10 @@ func TestParallelDeterminismStandalone(t *testing.T) {
 }
 
 // TestTimeAdvanceDeterminismSoC checks that how time advances is
-// invisible. The default engine jumps the clock over idle stretches and
-// parks CPU cores, the display, GPU clusters and DRAM channels on their
-// wheel slots; both may only elide ticks that were gated no-ops anyway.
+// invisible. The default engine jumps the clock over idle stretches,
+// parks CPU cores and the display on their wheel slots and stops
+// ticking a drained GPU; all may only elide ticks that were gated
+// no-ops anyway.
 // So the complete observable end state of a run (registry JSON,
 // framebuffer, final cycle, results) must match the every-cycle
 // reference, and each mechanism on its own, under both the sequential

@@ -36,7 +36,9 @@ type CS2Renderer struct {
 // sequential systems stays correct.
 func NewCS2Renderer(scene *geom.Scene, opt Options) (*CS2Renderer, error) {
 	s, ctx := newStandalone(opt, opt.Stats)
-	ctx.Viewport(opt.CS2Width, opt.CS2Height)
+	if err := ctx.Viewport(opt.CS2Width, opt.CS2Height); err != nil {
+		return nil, err
+	}
 	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		return nil, err
@@ -51,15 +53,22 @@ func NewCS2Renderer(scene *geom.Scene, opt Options) (*CS2Renderer, error) {
 	}, nil
 }
 
+// drawCS2Frame issues frame f's API calls. The detailed renderer and
+// the trace recorder both go through it: a sampled region is only valid
+// while the recorded stream is the stream the renderer issues.
+func drawCS2Frame(ctx *gl.Context, scene *geom.Scene, mesh gl.MeshHandle, f int, aspect float32) error {
+	ctx.Clear(0xFF101020, true)
+	ctx.SetMVP(scene.MVP(f, aspect))
+	return ctx.DrawMesh(mesh)
+}
+
 // RenderFrame renders the next frame at the given WT size and returns
 // its execution cycles. advance controls whether the camera moves
 // (temporal coherence) or the same frame is re-rendered (WT sweeps).
 func (r *CS2Renderer) RenderFrame(wt int, advance bool) (uint64, error) {
 	r.S.GPU.SetWT(wt)
-	r.Ctx.Clear(0xFF101020, true)
-	r.Ctx.SetMVP(r.Scene.MVP(r.frame, r.aspect))
 	start := r.S.Cycle()
-	if err := r.Ctx.DrawMesh(r.mesh); err != nil {
+	if err := drawCS2Frame(r.Ctx, r.Scene, r.mesh, r.frame, r.aspect); err != nil {
 		return 0, err
 	}
 	if _, err := r.S.RunUntilIdleCtx(r.ctx, r.budget); err != nil {
@@ -77,7 +86,7 @@ func (r *CS2Renderer) missSum(cacheName string) int64 {
 	var sum int64
 	for _, n := range r.Reg.Names() {
 		if strings.Contains(n, "."+cacheName+".misses") {
-			sum += r.Reg.Value(strings.TrimPrefix(n, ""))
+			sum += r.Reg.Value(n)
 		}
 	}
 	return sum

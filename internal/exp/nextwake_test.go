@@ -7,7 +7,9 @@ import (
 	"emerald/internal/cache"
 	"emerald/internal/cpu"
 	"emerald/internal/dram"
+	"emerald/internal/geom"
 	"emerald/internal/gfx"
+	"emerald/internal/gl"
 	"emerald/internal/gpu"
 	"emerald/internal/interconnect"
 	"emerald/internal/mem"
@@ -21,12 +23,12 @@ import (
 // crafted busy period and asserts the wake contract directly: whenever
 // a component reports its next self-driven wake is strictly in the
 // future, ticking it this cycle must not observably change its state.
-// A violation is a late wake — the event wheel would fast-forward over
-// a cycle where the component had real work, a silent-correctness bug
-// the whole-system digest gates only catch after the divergence has
-// already propagated. External stimulus (memory completions, new
-// requests) is applied strictly after each cycle's check, mirroring
-// how wheel Wake hooks fire between shard ticks.
+// A violation is a late wake — a clock jump or a parked component would
+// pass over a cycle where the component had real work, a
+// silent-correctness bug the whole-system digest gates only catch after
+// the divergence has already propagated. External stimulus (memory
+// completions, new requests, new submissions) is applied strictly after
+// each cycle's check, mirroring how inputs arrive between ticks.
 
 // wakeProbe adapts one component to the shared contract checker.
 type wakeProbe struct {
@@ -270,6 +272,24 @@ func TestNextWakeContract(t *testing.T) {
 		}
 	})
 
+	// The two GPU rows run their work twice, the second submission
+	// landing on a GPU that has sat drained for a while: the latch's set,
+	// act and clear paths are all inside the checked window. resubmit
+	// calls again once the GPU has reported NeverWake for 100 cycles.
+	resubmit := func(g *gpu.GPU, again func()) func(cy uint64) {
+		idle, fired := 0, false
+		return func(cy uint64) {
+			if fired || g.NextWake(cy+1) != mem.NeverWake {
+				idle = 0
+				return
+			}
+			if idle++; idle == 100 {
+				fired = true
+				again()
+			}
+		}
+	}
+
 	t.Run("gpu", func(t *testing.T) {
 		m := mem.NewMemory()
 		for i := 0; i < 256; i++ {
@@ -286,19 +306,70 @@ func TestNextWakeContract(t *testing.T) {
 			exit
 		`)
 		done := 0
-		if err := g.LaunchKernel(gpu.Kernel{Prog: prog, Blocks: 4, ThreadsPerBlock: 64},
-			func(uint64) { done++ }); err != nil {
-			t.Fatal(err)
+		launch := func() {
+			if err := g.LaunchKernel(gpu.Kernel{Prog: prog, Blocks: 4, ThreadsPerBlock: 64},
+				func(uint64) { done++ }); err != nil {
+				t.Fatal(err)
+			}
 		}
+		launch()
+		relaunch := resubmit(g, launch)
 		cp := &completer{lat: 40}
 		checkWakeContract(t, wakeProbe{
 			wake: g.NextWake,
 			sig:  func() string { return fmt.Sprint(g.Progress(), g.Out.Len(), done) },
 			tick: g.Tick,
-			post: func(cy uint64) { cp.drain(g.Out, cy) },
+			post: func(cy uint64) { cp.drain(g.Out, cy); relaunch(cy) },
 		}, 30000)
-		if done != 1 {
-			t.Fatalf("kernel done = %d; GPU never finished", done)
+		if done != 2 {
+			t.Fatalf("kernels done = %d, want 2; GPU never finished or never left the drained latch", done)
+		}
+	})
+
+	// The kernel row never enters the raster pipeline; a textured draw
+	// covers the cluster terms the kernel cannot reach (the primitive
+	// reorder buffer's readyAt, setup, raster, pending fragment launches
+	// and the TC drain).
+	t.Run("gpu-draw", func(t *testing.T) {
+		m := mem.NewMemory()
+		g := gpu.New(gpu.CaseStudyIConfig(), m, nil)
+		ctx := gl.NewContext(m, gl.HeapBase, gl.HeapSize)
+		ctx.Submit = func(call *gpu.DrawCall) error { return g.SubmitDraw(call, nil) }
+		ctx.OnClearDepth = g.ClearHiZ
+		scene, err := geom.DFSLWorkload(geom.W3Cube)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const w, h = 48, 36
+		if err := ctx.Viewport(w, h); err != nil {
+			t.Fatal(err)
+		}
+		mesh, err := ctx.LoadScene(scene)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := 0
+		draw := func() {
+			if err := drawCS2Frame(ctx, scene, mesh, frames, float32(w)/h); err != nil {
+				t.Fatal(err)
+			}
+			frames++
+		}
+		draw()
+		redraw := resubmit(g, draw)
+		cp := &completer{lat: 40}
+		checkWakeContract(t, wakeProbe{
+			wake: g.NextWake,
+			sig:  func() string { return fmt.Sprint(g.Progress(), g.Out.Len(), g.DrawsDone()) },
+			tick: g.Tick,
+			post: func(cy uint64) { cp.drain(g.Out, cy); redraw(cy) },
+		}, 60000)
+		if g.DrawsDone() != 2 || g.Busy() {
+			t.Fatalf("draws done = %d (want 2), busy = %v; GPU never finished or never left the drained latch",
+				g.DrawsDone(), g.Busy())
+		}
+		if g.FragsShaded() == 0 {
+			t.Fatal("no fragment shaded; the raster pipeline never ran")
 		}
 	})
 

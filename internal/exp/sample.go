@@ -37,16 +37,16 @@ func RecordWorkloadTrace(workload, frames int, opt Options) (*trace.Trace, error
 	ctx.Recorder = tr
 	ctx.Submit = func(*gpu.DrawCall) error { return nil }
 
-	ctx.Viewport(opt.CS2Width, opt.CS2Height)
+	if err := ctx.Viewport(opt.CS2Width, opt.CS2Height); err != nil {
+		return nil, err
+	}
 	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		return nil, err
 	}
 	aspect := float32(opt.CS2Width) / float32(opt.CS2Height)
 	for f := 0; f < frames; f++ {
-		ctx.Clear(0xFF101020, true)
-		ctx.SetMVP(scene.MVP(f, aspect))
-		if err := ctx.DrawMesh(mesh); err != nil {
+		if err := drawCS2Frame(ctx, scene, mesh, f, aspect); err != nil {
 			return nil, err
 		}
 		ctx.FrameEnd()

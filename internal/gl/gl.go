@@ -110,7 +110,11 @@ func NewContext(m *mem.Memory, heapBase, heapSize uint64) *Context {
 		caps:       map[Capability]bool{DepthTest: true, CullFace: true},
 		depthWrite: true,
 	}
-	c.uniformBase = c.alloc(uniformBytes)
+	base, err := c.alloc(uniformBytes)
+	if err != nil {
+		panic(err) // a heap too small for the uniform bank is a caller bug
+	}
+	c.uniformBase = base
 	// Sensible defaults.
 	c.SetMVP(mathx.Identity())
 	c.SetLight(mathx.V3(0, 0, 1))
@@ -118,15 +122,17 @@ func NewContext(m *mem.Memory, heapBase, heapSize uint64) *Context {
 	return c
 }
 
-func (c *Context) alloc(size uint64) uint64 {
+// alloc bumps size bytes off the heap. Sizes reach it from trace files
+// (trace.Replay), so exhaustion is an error, and a failed allocation
+// leaves the cursor where it was.
+func (c *Context) alloc(size uint64) (uint64, error) {
 	const align = 256
-	c.heap = (c.heap + align - 1) &^ (align - 1)
-	addr := c.heap
-	c.heap += size
-	if c.heap > c.heapEnd {
-		panic(fmt.Sprintf("gl: heap exhausted (%d bytes over)", c.heap-c.heapEnd))
+	addr := (c.heap + align - 1) &^ (align - 1)
+	if addr > c.heapEnd || size > c.heapEnd-addr {
+		return 0, fmt.Errorf("gl: heap exhausted (%d bytes requested at %#x, heap ends at %#x)", size, addr, c.heapEnd)
 	}
-	return addr
+	c.heap = addr + size
+	return addr, nil
 }
 
 func (c *Context) record(name string, args []uint32, blob []byte) {
@@ -149,7 +155,10 @@ func (c *Context) BufferData(name uint32, data []byte) error {
 	if _, ok := c.buffers[name]; !ok {
 		return fmt.Errorf("gl: unknown buffer %d", name)
 	}
-	base := c.alloc(uint64(len(data)))
+	base, err := c.alloc(uint64(len(data)))
+	if err != nil {
+		return err
+	}
 	c.Mem.Write(base, data)
 	c.buffers[name] = bufferObj{base: base, size: uint64(len(data))}
 	c.record("BufferData", []uint32{name}, data)
@@ -183,10 +192,16 @@ func (c *Context) TexImage2D(name uint32, w, h int, rgba []byte) error {
 	if _, ok := c.textures[name]; !ok {
 		return fmt.Errorf("gl: unknown texture %d", name)
 	}
+	if err := checkDims(w, h); err != nil {
+		return err
+	}
 	if len(rgba) != w*h*4 {
 		return fmt.Errorf("gl: texture data %d bytes, want %d", len(rgba), w*h*4)
 	}
-	base := c.alloc(uint64(len(rgba)))
+	base, err := c.alloc(uint64(len(rgba)))
+	if err != nil {
+		return err
+	}
 	c.Mem.Write(base, rgba)
 	c.textures[name] = texObj{base: base, width: w, height: h}
 	c.record("TexImage2D", []uint32{name, uint32(w), uint32(h)}, rgba)
@@ -271,12 +286,38 @@ func (c *Context) DepthMask(write bool) {
 }
 
 // Viewport sets the render size and allocates color/depth surfaces for
-// it (a combined glViewport + framebuffer allocation).
-func (c *Context) Viewport(w, h int) {
+// it (a combined glViewport + framebuffer allocation). On error the
+// previous viewport and surfaces stay bound.
+func (c *Context) Viewport(w, h int) error {
+	if err := checkDims(w, h); err != nil {
+		return err
+	}
+	color, err := c.alloc(uint64(w * h * 4))
+	if err != nil {
+		return err
+	}
+	depth, err := c.alloc(uint64(w * h * 4))
+	if err != nil {
+		return err
+	}
 	c.vp = raster.Viewport{Width: w, Height: h}
-	c.color = gfx.Surface{Base: c.alloc(uint64(w * h * 4)), Width: w, Height: h}
-	c.depth = gfx.Surface{Base: c.alloc(uint64(w * h * 4)), Width: w, Height: h}
+	c.color = gfx.Surface{Base: color, Width: w, Height: h}
+	c.depth = gfx.Surface{Base: depth, Width: w, Height: h}
 	c.record("Viewport", []uint32{uint32(w), uint32(h)}, nil)
+	return nil
+}
+
+// MaxSurfaceDim bounds the width and height of a render surface or
+// texture. Dimensions arrive from trace files as raw 32-bit words;
+// inside the bound w*h*4 cannot overflow and one Clear touches at most
+// 64 MiB of simulated memory.
+const MaxSurfaceDim = 4096
+
+func checkDims(w, h int) error {
+	if w < 0 || h < 0 || w > MaxSurfaceDim || h > MaxSurfaceDim {
+		return fmt.Errorf("gl: surface %dx%d outside [0, %d]", w, h, MaxSurfaceDim)
+	}
+	return nil
 }
 
 // BindSurfaces points rendering at externally managed color/depth

@@ -72,7 +72,9 @@ func TestDrawRequiresState(t *testing.T) {
 
 func TestEndToEndTriangle(t *testing.T) {
 	s, ctx := system(t)
-	ctx.Viewport(48, 48)
+	if err := ctx.Viewport(48, 48); err != nil {
+		t.Fatal(err)
+	}
 	ctx.Clear(0xFF000000, true)
 	if err := ctx.UseProgram(shader.VSTransform, shader.FSFlat); err != nil {
 		t.Fatal(err)
@@ -107,7 +109,9 @@ func TestEndToEndTriangle(t *testing.T) {
 
 func TestTexturedMeshThroughGL(t *testing.T) {
 	s, ctx := system(t)
-	ctx.Viewport(32, 32)
+	if err := ctx.Viewport(32, 32); err != nil {
+		t.Fatal(err)
+	}
 	ctx.Clear(0, true)
 	if err := ctx.UseProgram(shader.VSTransform, shader.FSTexturedEarlyZ); err != nil {
 		t.Fatal(err)
@@ -147,7 +151,9 @@ func TestTexturedMeshThroughGL(t *testing.T) {
 
 func TestBlendStateFlowsToDraw(t *testing.T) {
 	s, ctx := system(t)
-	ctx.Viewport(16, 16)
+	if err := ctx.Viewport(16, 16); err != nil {
+		t.Fatal(err)
+	}
 	ctx.Clear(0, true)
 	ctx.Enable(Blend)
 	ctx.DepthMask(false)
@@ -183,7 +189,9 @@ func TestSceneWorkloadRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.Viewport(64, 48)
+	if err := ctx.Viewport(64, 48); err != nil {
+		t.Fatal(err)
+	}
 	ctx.Clear(0xFF202020, true)
 	h, err := ctx.LoadScene(scene)
 	if err != nil {
@@ -221,7 +229,9 @@ func TestLoadSceneLayout(t *testing.T) {
 			rec := &captureRecorder{}
 			c := NewContext(mem.NewMemory(), HeapBase, HeapSize)
 			c.Recorder = rec
-			c.Viewport(64, 48)
+			if err := c.Viewport(64, 48); err != nil {
+				t.Fatal(err)
+			}
 			return c, rec
 		}
 
@@ -285,7 +295,9 @@ func TestRecorderSeesOps(t *testing.T) {
 	_, ctx := system(t)
 	rec := &captureRecorder{}
 	ctx.Recorder = rec
-	ctx.Viewport(8, 8)
+	if err := ctx.Viewport(8, 8); err != nil {
+		t.Fatal(err)
+	}
 	ctx.Enable(Blend)
 	b := ctx.GenBuffer()
 	ctx.BufferData(b, []byte{1, 2})

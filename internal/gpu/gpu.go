@@ -92,15 +92,15 @@ type GPU struct {
 	// gauges and the shared functional memory at shard-disjoint bytes.
 	clusterGroup *par.Group
 
-	// wheel holds one slot per cluster: the earliest cycle at which that
-	// cluster's shard can change state on its own. The shard re-arms its
-	// slot after every tick it runs; the serialized phases (L2
-	// completions, NoC delivery, draw front end, kernel dispatch) Wake a
-	// slot whenever they hand the cluster new input. Maintenance always
-	// runs — wheelOn gates only the skip — so the toggle is safe at any
-	// phase boundary and both modes compute bit-identical state.
-	wheel   *par.Wheel
-	wheelOn bool
+	// drained is the memoised NeverWake answer of NextWake: set at the
+	// end of a Tick that leaves the GPU with nothing anywhere, cleared by
+	// SubmitDraw and LaunchKernel — the only inputs that reach a drained
+	// GPU, both its own methods. While it holds, Tick returns at once and
+	// NextWake answers in O(1). The latch is maintained in both modes;
+	// parkDrained gates only whether it is acted on, so the reference
+	// mode still ticks a drained GPU and stays an oracle for the latch.
+	drained     bool
+	parkDrained bool
 
 	// trace, when armed via AttachTracer, receives draw/kernel spans and
 	// per-cluster setup/raster/fragment-shading phase spans.
@@ -181,10 +181,6 @@ func New(cfg Config, memory *mem.Memory, reg *stats.Registry) *GPU {
 	g.L2.OnReady = func(waiter any, cycle uint64) {
 		if r, ok := waiter.(*mem.Request); ok && r != nil {
 			r.Complete(cycle)
-			// Fill returned to a cluster request: its shard must run
-			// this cycle (OnReady fires from L2.Tick, before the
-			// cluster phase).
-			g.wakeCluster(r.ClientID, cycle)
 		}
 	}
 	g.noc = interconnect.New(interconnect.Config{
@@ -203,22 +199,15 @@ func New(cfg Config, memory *mem.Memory, reg *stats.Registry) *GPU {
 		cl.tc = gfx.NewTCUnit(cfg.TC, scope.Scope(fmt.Sprintf("cluster%d", ci)))
 		g.clusters = append(g.clusters, cl)
 	}
-	g.wheel = par.NewWheel(cfg.Clusters)
-	g.wheelOn = true
+	g.parkDrained = true
 	return g
 }
 
-// SetEventWheel toggles per-cluster event-wheel gating. Slots are
-// maintained in both modes, so the toggle takes effect immediately and
-// never changes simulated state — only whether provably-idle cluster
-// shards burn a tick.
-func (g *GPU) SetEventWheel(on bool) { g.wheelOn = on }
-
-// wakeCluster records that cluster ci may have new input at cycle `at`.
-// Safe from any phase: Wake is an atomic min.
-func (g *GPU) wakeCluster(ci int, at uint64) {
-	g.wheel.Wake(ci%g.Cfg.Clusters, at)
-}
+// SetParkDrained toggles whether a drained GPU parks (see GPU.drained).
+// The latch is maintained in both modes, so the toggle takes effect
+// immediately and never changes simulated state — only whether a GPU
+// with nothing to do burns its ticks.
+func (g *GPU) SetParkDrained(on bool) { g.parkDrained = on }
 
 // AttachTracer arms event tracing on the GPU, its L2, and every SIMT
 // core (which in turn arms the core's L1 caches).
@@ -263,6 +252,7 @@ func (g *GPU) SubmitDraw(call *DrawCall, onDone func(cycles uint64)) error {
 		return err
 	}
 	g.drawQueue = append(g.drawQueue, &drawEntry{call: call, onDone: onDone})
+	g.drained = false
 	return nil
 }
 
@@ -285,25 +275,30 @@ func (g *GPU) coresIdle() bool {
 
 // NextWake returns the earliest future cycle at which the GPU's state
 // can change on its own: the earliest of its serial stages (front end,
-// L2, L2 hit completions, cluster NoC, output port) and the cluster
-// wheel slots, which clusterWake arms after every shard tick and the
-// serial stages pull forward whenever they hand a cluster new input.
+// L2, L2 hit completions, cluster NoC, output port) and its clusters.
 // The front end is deliberately conservative: any active or queued draw
-// or kernel reports "now", so clock jumps only cover a genuinely idle
-// GPU (between frames, or an SoC GPU waiting for the next app
-// submission); a busy GPU's savings come from the parked slots.
+// or kernel reports "now", so a busy GPU answers in O(1) and only the
+// short tail after the last warp retires folds over the clusters. Clock
+// jumps therefore only cover a genuinely idle GPU (between frames, or an
+// SoC GPU waiting for the next app submission), and that GPU answers
+// from the drained latch.
 func (g *GPU) NextWake(cycle uint64) uint64 {
+	if g.drained && g.parkDrained {
+		return mem.NeverWake
+	}
 	if g.draw != nil || len(g.drawQueue) > 0 || len(g.kernels) > 0 ||
 		!g.L2.Quiet() || g.Out.Len() > 0 {
 		return cycle
 	}
-	w := g.wheel.Min()
-	if v := g.noc.NextWake(cycle); v < w {
-		w = v
-	}
+	w := g.noc.NextWake(cycle)
 	for _, e := range g.l2Events {
 		if e.at < w {
 			w = e.at
+		}
+	}
+	for _, cl := range g.clusters {
+		if v := g.clusterWake(cl, cycle); v < w {
+			w = v
 		}
 	}
 	if w <= cycle {
@@ -354,7 +349,6 @@ func (g *GPU) l2Sink(r *mem.Request) bool {
 			return false
 		}
 		r.Complete(g.cycle)
-		g.wakeCluster(r.ClientID, g.cycle)
 		return true
 	}
 	switch g.L2.Access(g.cycle, r.Addr, mem.Read, r) {
@@ -373,8 +367,11 @@ func (g *GPU) l2Sink(r *mem.Request) bool {
 // drain, cluster NoC), the per-cluster shard phase (parallel when
 // SetParallel armed a pool, inline otherwise), and the serialized draw
 // front end / kernel dispatch, which observe the shards' results only
-// after the phase barrier.
+// after the phase barrier. A drained GPU skips all three.
 func (g *GPU) Tick(cycle uint64) {
+	if g.drained && g.parkDrained {
+		return
+	}
 	g.cycle = cycle
 
 	// L2 hit completions.
@@ -382,7 +379,6 @@ func (g *GPU) Tick(cycle uint64) {
 	for _, e := range g.l2Events {
 		if e.at <= cycle {
 			e.req.Complete(cycle)
-			g.wakeCluster(e.req.ClientID, cycle)
 		} else {
 			kept = append(kept, e)
 		}
@@ -406,6 +402,10 @@ func (g *GPU) Tick(cycle uint64) {
 
 	g.tickDrawFrontEnd(cycle)
 	g.tickKernels(cycle)
+
+	if !g.drained {
+		g.drained = g.NextWake(cycle+1) == mem.NeverWake
+	}
 }
 
 // tickClusterShard advances one cluster for the cycle most recently
@@ -416,36 +416,22 @@ func (g *GPU) Tick(cycle uint64) {
 // tracer, and shard-disjoint framebuffer bytes in functional memory.
 func (g *GPU) tickClusterShard(cl *cluster) {
 	cycle := g.cycle
-	if g.wheelOn && !g.wheel.Due(cl.id, cycle) {
-		// Parked: the slot value asserts every tick until then is a
-		// gated no-op (cores quiet, raster pipeline empty, TC drained).
-		return
-	}
-	coresQuiet := true
 	for _, core := range cl.cores {
-		if !core.Tick(cycle) {
-			coresQuiet = false
-		}
+		core.Tick(cycle)
 		// Core L1 miss traffic into the cluster's NoC port; requests
 		// stay in the core's output queue while the port is full.
 		core.Out.DrainTo(g.noc.Port(cl.id))
 	}
 	g.tickClusterGraphics(cl, cycle)
-	g.wheel.Arm(cl.id, g.clusterWake(cl, cycle+1, coresQuiet))
 }
 
-// clusterWake computes the cluster's next self-driven wake cycle, at or
-// after `from`, for re-arming its wheel slot post-tick. Any pipeline
-// stage holding work pins the cluster hot; a drained pipeline wakes at
-// the first pending primitive's readyAt (pmrb is appended in readyAt
-// order) or the earliest core wake, whichever comes first. This is the
-// cluster's one wake definition; GPU.NextWake reads it back from the
-// slot. coresQuiet (did every core no-op this cycle)
-// short-circuits the per-core NextWake scans: a busy cluster arms
-// "from" at the cost of one branch, and the precise computation runs
-// only on the busy→quiet transition and while parked-adjacent.
-func (g *GPU) clusterWake(cl *cluster, from uint64, coresQuiet bool) uint64 {
-	if !coresQuiet || cl.setup.prim != nil || cl.rast.tri != nil ||
+// clusterWake is the per-cluster term of NextWake: the cluster's next
+// self-driven wake cycle, at or after `from`. Any pipeline stage holding
+// work pins the cluster hot; a drained pipeline wakes at the first
+// pending primitive's readyAt (pmrb is appended in readyAt order) or the
+// earliest core wake, whichever comes first.
+func (g *GPU) clusterWake(cl *cluster, from uint64) uint64 {
+	if cl.setup.prim != nil || cl.rast.tri != nil ||
 		len(cl.pendingFS) > 0 || !cl.tc.Drained() {
 		return from
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // AttachGuard registers invariant probes across the GPU: the L2's MSHR
-// accounting, the cluster NoC's credit conservation, and every SIMT
-// core's reconvergence-stack and L1 invariants. Safe with a nil
-// checker.
+// accounting, the cluster NoC's credit conservation, every SIMT core's
+// reconvergence-stack and L1 invariants, and the drained latch. Safe
+// with a nil checker.
 func (g *GPU) AttachGuard(gc *guard.Checker) {
 	g.L2.AttachGuard(gc, "l2")
 	g.noc.AttachGuard(gc)
@@ -18,25 +18,20 @@ func (g *GPU) AttachGuard(gc *guard.Checker) {
 			core.AttachGuard(gc)
 		}
 	}
-	gc.Register("wheel", "gpu.clusters", g.checkWheel)
+	gc.Register("gpu", "drained", g.checkDrained)
 }
 
-// checkWheel audits the per-cluster event wheel at the end-of-cycle
-// quiesce point: any slot claiming the cluster stays a no-op past the
-// next cycle must be backed by a genuinely quiet cluster. A violation
-// means a wake hook is missing somewhere and the wheel is skipping a
-// shard that holds actionable work — exactly the silent-correctness
-// failure the skip-vs-wheel digest gates can only catch after the fact.
-func (g *GPU) checkWheel(cycle uint64) error {
-	for _, cl := range g.clusters {
-		due := g.wheel.At(cl.id)
-		if due <= cycle+1 {
-			continue
-		}
-		if w := g.clusterWake(cl, cycle+1, true); w <= cycle+1 {
-			return fmt.Errorf("cluster %d parked until %d but has actionable work at %d",
-				cl.id, due, cycle+1)
-		}
+// checkDrained audits the drained latch at the end-of-cycle quiesce
+// point against a predicate that shares no code with NextWake: a
+// latched GPU skips every tick until the next submission, so it must
+// hold no work anywhere. A violation means the latch was set over work
+// in flight, or an input path reached the GPU without clearing it —
+// the silent-correctness failure the time-advance digest gates can only
+// catch after the fact.
+func (g *GPU) checkDrained(uint64) error {
+	if g.drained && (g.Busy() || g.Out.Len() > 0) {
+		return fmt.Errorf("latched as drained but busy (activeDraw=%v queuedDraws=%d kernels=%d outQueue=%d)",
+			g.draw != nil, len(g.drawQueue), len(g.kernels), g.Out.Len())
 	}
 	return nil
 }

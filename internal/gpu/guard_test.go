@@ -132,3 +132,35 @@ func TestWatchdogWindowClamped(t *testing.T) {
 		t.Fatalf("window = %d, want 0 (disabled)", s.run.Watchdog)
 	}
 }
+
+// The drained-latch audit must fire when the latch is set over queued
+// work — the failure an input path that forgot to clear it would
+// produce.
+func TestGuardCatchesLatchOverQueuedDraw(t *testing.T) {
+	s := testStandalone()
+	g := guard.NewChecker()
+	s.AttachGuard(g)
+	const vp = 64
+	clearTargets(s, vp, 0)
+	idx := uploadQuad(s, 0)
+	uploadIdentityUniforms(s, [4]float32{1, 0, 0, 1}, 1)
+	s.Tick() // an empty GPU latches on its first tick
+	if !s.GPU.drained || len(g.Violations()) != 0 {
+		t.Fatalf("idle tick: drained = %v, violations = %v; want a clean latch", s.GPU.drained, g.Violations())
+	}
+	if err := s.GPU.SubmitDraw(quadCall(s, idx, shader.FSFlat, vp), nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.GPU.drained {
+		t.Fatal("SubmitDraw left the latch set")
+	}
+	s.GPU.drained = true // the fault: a submission that did not clear it
+	s.Tick()
+	v := g.Violations()
+	if len(v) == 0 {
+		t.Fatal("latched over a queued draw and no probe fired")
+	}
+	if v[0].Name != "drained" || !strings.Contains(v[0].Detail, "latched as drained but busy") {
+		t.Fatalf("first violation = %v, want the drained-latch report", v[0])
+	}
+}

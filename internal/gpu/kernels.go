@@ -65,6 +65,7 @@ func (g *GPU) LaunchKernel(k Kernel, onDone func(cycles uint64)) error {
 		return fmt.Errorf("gpu: max 1024 threads per block")
 	}
 	g.kernels = append(g.kernels, &kernelState{k: k, onDone: onDone})
+	g.drained = false
 	return nil
 }
 
@@ -105,10 +106,6 @@ func (g *GPU) tickKernels(cycle uint64) {
 }
 
 func (g *GPU) dispatchBlock(core *simt.Core, ks *kernelState, blockIdx, warps int) {
-	// Kernel dispatch runs after the cluster phase; the core's cluster
-	// may have been parked this cycle (see launchVSBatch).
-	core.StampCycle(g.cycle)
-	g.wakeCluster(core.Cfg.ClusterID, g.cycle+1)
 	env := &kernelEnv{g: g, ks: ks}
 	if ks.k.SharedBytes > 0 {
 		env.shared = make([]byte, ks.k.SharedBytes)

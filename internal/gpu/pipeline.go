@@ -100,15 +100,10 @@ func (g *GPU) launchVSBatch(core *simt.Core, d *drawState, batchIdx int) {
 			VID:  d.call.Indices[b.positions[lane]],
 		}
 	}
-	// The front end runs after the cluster phase, so the target core may
-	// sit in a cluster whose shard was parked this cycle: bring its
-	// launch-stamp clock current and wake the cluster for the next cycle.
-	core.StampCycle(g.cycle)
 	if _, err := core.Launch(d.call.VS, env, -1, mask, specials, nil); err == nil {
 		d.vsOutstanding.Add(1)
 		b.launched = true
 		g.vsWarpsC.Inc()
-		g.wakeCluster(core.Cfg.ClusterID, g.cycle+1)
 	}
 }
 
@@ -169,7 +164,6 @@ func (g *GPU) assembleBatch(d *drawState, batchIdx int, cycle uint64) {
 					readyAt: cycle + lat,
 					fetch:   fetch,
 				})
-				g.wakeCluster(ci, cycle+lat)
 			}
 		}
 	}

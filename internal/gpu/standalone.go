@@ -107,14 +107,11 @@ func (s *Standalone) SetParallel(p *par.Pool) {
 // are clamped to the watchdog/context poll stride.
 func (s *Standalone) SetIdleSkip(on bool) { s.run.Skip = on }
 
-// SetEventWheel toggles the per-shard event wheels (GPU clusters, DRAM
-// channels). Where idle skipping fast-forwards only when the whole
-// system is quiet, the wheels park individual components inside busy
-// periods; results are bit-identical either way.
-func (s *Standalone) SetEventWheel(on bool) {
-	s.GPU.SetEventWheel(on)
-	s.DRAM.SetEventWheel(on)
-}
+// SetEventWheel toggles component parking, which in standalone mode is
+// the drained GPU alone (it stops ticking while DRAM finishes its
+// writebacks); the name is the SoC's, whose wheel parks CPU cores and
+// the display as well. Results are bit-identical either way.
+func (s *Standalone) SetEventWheel(on bool) { s.GPU.SetParkDrained(on) }
 
 // SetProbe attaches a telemetry probe: RunUntilIdleCtx publishes a
 // progress snapshot to it at every stride poll and serves its

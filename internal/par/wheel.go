@@ -2,14 +2,14 @@ package par
 
 import "sync/atomic"
 
-// Wheel is the per-shard wake index for the tick engine: one slot per
-// shard-owned component (a CPU core, a GPU cluster, a DRAM channel,
-// the display), holding the earliest cycle at which that component
-// must next be ticked. A shard body consults its slot before doing any
-// work (Due) and re-arms it after ticking with the component's own
-// NextWake (Arm); anything that delivers new input to a parked
-// component — a Push into its port, a retired DRAM request, a warp
-// launch — pulls the wake forward (Wake), so within a busy period
+// Wheel is a per-shard wake index for the tick engine: one slot per
+// shard-owned component, holding the earliest cycle at which that
+// component must next be ticked. The SoC owns the only one — its
+// phase-1 shards, a slot per CPU core and one for the display. A shard
+// body consults its slot before doing any work (Due) and re-arms it
+// after ticking with the component's own NextWake (Arm); anything that
+// delivers new input to a parked component — a retiring DRAM read, a
+// frame flip — pulls the wake forward (Wake), so within a busy period
 // parked components are never ticked at all while their neighbours run
 // hot.
 //
@@ -19,8 +19,9 @@ import "sync/atomic"
 // cycle the component's state can change *on its own*; every external
 // input path must therefore call Wake, or the component sleeps through
 // the event. scripts/check.sh cross-checks the digest gates with the
-// wheel on and off, and the EMERALD_GUARD wheel audit re-verifies
-// every skipped slot against NextWake at runtime.
+// wheel on and off and keeps Wake/Arm call sites inside internal/soc,
+// and the EMERALD_GUARD wheel audit re-verifies every skipped slot
+// against NextWake at runtime.
 //
 // Arm is a plain store and may only be called by the slot's owner (the
 // shard that ticks the component, between phases or inside its own

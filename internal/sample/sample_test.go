@@ -24,7 +24,9 @@ func recordCube(t *testing.T, frames int) *trace.Trace {
 	tr := &trace.Trace{}
 	ctx.Recorder = tr
 	ctx.Submit = func(*gpu.DrawCall) error { return nil }
-	ctx.Viewport(48, 48)
+	if err := ctx.Viewport(48, 48); err != nil {
+		t.Fatal(err)
+	}
 	h, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)

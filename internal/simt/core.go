@@ -258,16 +258,6 @@ func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint3
 	return w, nil
 }
 
-// StampCycle brings the launch-stamp clock current without ticking.
-// Owners that skip provably-idle ticks (the GPU's cluster event wheel)
-// call this before Launch so warp launch timestamps match a run that
-// ticked every cycle.
-func (c *Core) StampCycle(cycle uint64) {
-	if cycle > c.curCycle {
-		c.curCycle = cycle
-	}
-}
-
 // Idle reports whether the core has no warps and no outstanding memory.
 func (c *Core) Idle() bool {
 	return len(c.warps) == 0 && c.txLen == 0 && len(c.events) == 0
@@ -325,16 +315,13 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 	return w
 }
 
-// Tick advances the core one cycle. It reports whether the cycle was
-// quiet (a no-op): owners that park idle cores on an event wheel use
-// this to skip the precise NextWake computation while the core is
-// demonstrably busy, paying it only on the busy→quiet transition.
-func (c *Core) Tick(cycle uint64) (quiet bool) {
+// Tick advances the core one cycle.
+func (c *Core) Tick(cycle uint64) {
 	// curCycle must be stamped before the idle gate: Launch reads it
 	// for warp launch timestamps and may run later this same cycle.
 	c.curCycle = cycle
 	if c.NextWake(cycle) > cycle {
-		return true
+		return
 	}
 	c.cycles.Inc()
 
@@ -372,7 +359,6 @@ func (c *Core) Tick(cycle uint64) (quiet bool) {
 
 	// 6. Reap finished warps.
 	c.reap()
-	return false
 }
 
 func (c *Core) completeEvent(e wbEvent) {

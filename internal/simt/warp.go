@@ -102,8 +102,8 @@ type Warp struct {
 	// (unlock, which every outstanding-memory decrement rides along
 	// with) and barrier release. Timed stalls (readyAt) expire on their
 	// own. A warp with parked > cycle is invisible to the scheduler and
-	// to the core's quiet/NextWake checks, which is what lets a fully
-	// memory-stalled core park its cluster shard on the event wheel.
+	// to the core's quiet/NextWake checks, which is what makes a fully
+	// memory-stalled core's Tick a gated no-op.
 	parked uint64
 
 	// LaunchedAt orders warps for greedy-then-oldest scheduling.

@@ -77,3 +77,34 @@ func TestGuardCleanOnHealthySoC(t *testing.T) {
 		t.Fatalf("healthy run recorded violations: %v", v)
 	}
 }
+
+// The phase-1 wheel audit must fire when a slot is parked over a
+// runnable shard — the failure a missing Wake hook would produce.
+func TestGuardCatchesParkedRunnableCPU(t *testing.T) {
+	s, err := New(smallConfig(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := guard.NewChecker()
+	s.AttachGuard(g)
+	// Core 0 boots runnable; run until it is again at a cycle boundary.
+	for s.cpuWake(s.CPUs[0], s.cycle) > s.cycle {
+		if s.cycle > 100_000 {
+			t.Fatal("cpu0 never became runnable")
+		}
+		s.Tick()
+	}
+	if v := g.Violations(); len(v) != 0 {
+		t.Fatalf("violations before the fault was injected: %v", v)
+	}
+	s.wheel.Arm(0, s.cycle+1_000_000)
+	s.Tick()
+	v := g.Violations()
+	if len(v) == 0 {
+		t.Fatal("cpu0 parked over runnable work and no probe fired")
+	}
+	if v[0].Source != "wheel" || !strings.Contains(v[0].Detail, "cpu0 parked until") ||
+		!strings.Contains(v[0].Detail, "but actionable") {
+		t.Fatalf("first violation = %v, want the wheel audit's cpu0 report", v[0])
+	}
+}

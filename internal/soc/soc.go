@@ -204,8 +204,7 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	// (A retiring write hands nothing back, and waking for it would cost
 	// an idle system a tick per writeback.) The callback runs on
 	// parallel channel shards; Wake is an atomic min. GPU fills need no
-	// slot — the GPU's serial L2 phase is never wheel-gated and routes
-	// completions to its own cluster wheel.
+	// slot: a GPU with a fill in flight is not drained, so it is ticking.
 	s.DRAM.SetOnRetire(func(r *mem.Request, cycle uint64) {
 		switch {
 		case r.Kind == mem.Write:
@@ -552,15 +551,14 @@ func (s *SoC) RestoreCheckpoint(cp *trace.Checkpoint) {
 // clamped to the watchdog/context poll stride.
 func (s *SoC) SetIdleSkip(on bool) { s.run.Skip = on }
 
-// SetEventWheel toggles the per-shard event wheels across the whole
-// system (CPU cores, display, GPU clusters, DRAM channels). Where idle
-// skipping fast-forwards only when every component is quiet, the wheels
-// park individual components inside busy periods; results are
-// bit-identical either way.
+// SetEventWheel toggles component parking across the whole system:
+// CPU cores and the display on their phase-1 wheel slots, and the
+// drained GPU as a whole. Where idle skipping fast-forwards only when
+// every component is quiet, parking takes individual components out of
+// busy periods; results are bit-identical either way.
 func (s *SoC) SetEventWheel(on bool) {
 	s.wheelOn = on
-	s.GPU.SetEventWheel(on)
-	s.DRAM.SetEventWheel(on)
+	s.GPU.SetParkDrained(on)
 }
 
 // SetProbe attaches a telemetry probe: RunCtx publishes a progress

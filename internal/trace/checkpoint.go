@@ -109,12 +109,17 @@ func (c *Checkpoint) Save(w io.Writer) error {
 	if _, err := w.Write(hp); err != nil {
 		return err
 	}
+	_, err = w.Write(footer(hp))
+	return err
+}
+
+// footer seals header+payload: the payload length and the SHA-256.
+func footer(hp []byte) []byte {
 	var ftr [ckptFtrLen]byte
 	binary.BigEndian.PutUint64(ftr[:8], uint64(len(hp)-ckptHdrLen))
 	sum := sha256.Sum256(hp)
 	copy(ftr[8:], sum[:])
-	_, err = w.Write(ftr[:])
-	return err
+	return ftr[:]
 }
 
 // Digest returns the SHA-256 hex of the canonical serialized form —
@@ -157,6 +162,11 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err := gob.NewDecoder(bytes.NewReader(hp[ckptHdrLen:])).Decode(&file); err != nil {
 		return nil, fmt.Errorf("trace: checkpoint: %w", err)
 	}
+	// The footer proves the bytes are what some writer sealed, not that
+	// the writer was Save: hold the fields to what Save can produce.
+	if file.Trace == nil || file.Frame < 0 || file.OpIndex < 0 || file.OpIndex > file.Trace.Len() {
+		return nil, fmt.Errorf("trace: checkpoint: frame %d / op index %d do not fit the embedded trace", file.Frame, file.OpIndex)
+	}
 	c := &Checkpoint{
 		Trace: file.Trace, Pages: make(map[uint64][]byte, len(file.Pages)),
 		Cycle: file.Cycle, Frame: file.Frame, OpIndex: file.OpIndex,
@@ -165,6 +175,9 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	for _, rec := range file.Pages {
 		if int64(rec.Page) <= last {
 			return nil, fmt.Errorf("trace: checkpoint: page records out of order at page %d", rec.Page)
+		}
+		if len(rec.Data) > mem.PageSize {
+			return nil, fmt.Errorf("trace: checkpoint: page %d holds %d bytes (page size %d)", rec.Page, len(rec.Data), mem.PageSize)
 		}
 		last = int64(rec.Page)
 		c.Pages[rec.Page] = rec.Data

@@ -200,8 +200,13 @@ func replayOp(op Op, ctx *gl.Context, bufMap, texMap map[uint32]uint32, draw, fr
 	case "DepthMask":
 		ctx.DepthMask(argAt(0) != 0)
 	case "Viewport":
-		ctx.Viewport(int(argAt(0)), int(argAt(1)))
+		return ctx.Viewport(int(argAt(0)), int(argAt(1)))
 	case "BindSurfaces":
+		// External surfaces bypass the context's heap, so nothing but
+		// this check bounds what a Clear of them touches.
+		if argAt(2) > gl.MaxSurfaceDim || argAt(3) > gl.MaxSurfaceDim {
+			return fmt.Errorf("surface %dx%d larger than %d", argAt(2), argAt(3), gl.MaxSurfaceDim)
+		}
 		color := gfx.Surface{
 			Base:  uint64(argAt(0)) | uint64(argAt(1))<<32,
 			Width: int(argAt(2)), Height: int(argAt(3)),

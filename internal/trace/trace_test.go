@@ -32,7 +32,9 @@ func renderScene(t *testing.T, s *gpu.Standalone, ctx *gl.Context) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.Viewport(48, 48)
+	if err := ctx.Viewport(48, 48); err != nil {
+		t.Fatal(err)
+	}
 	h, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)

@@ -49,6 +49,23 @@ if [ -n "$bad" ]; then
 fi
 echo "ok"
 
+echo "== wake-hook inventory (one wheel, hooked from internal/soc only) =="
+# A parked component sleeps through any input whose delivery path
+# forgot to wake it, so every Wake/Arm call site is a place a bug can
+# hide. There are three Wake sites (DRAM retire -> CPU, DRAM retire ->
+# display, frame flip -> display) and two Arm sites (the CPU and display
+# shard bodies), all on the SoC's phase-1 wheel. A second wheel, or a
+# hook in another package, has to be argued for here (DESIGN.md "Time
+# advancement" has the measurements that removed the last two).
+bad=$(grep -rn --include='*.go' -E '\.(Wake|Arm)\(|par\.NewWheel\(' internal/ cmd/ *.go |
+	grep -v -e '_test\.go' -e '^internal/par/' -e '^internal/soc/' || true)
+if [ -n "$bad" ]; then
+	echo "FAIL: event-wheel call site outside internal/soc:" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+echo "ok"
+
 # Every go test below carries an explicit -timeout (it applies to each
 # package's test binary), so a hung test fails in minutes with a
 # goroutine dump instead of spinning.
@@ -78,6 +95,14 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./interna
 go test -timeout 5m -run '^$' -fuzz '^FuzzStoreFooter$' -fuzztime 5s ./internal/sweep
 go test -timeout 5m -run '^$' -fuzz '^FuzzValidatePayload$' -fuzztime 5s ./internal/fleet
 
+echo "== trace and checkpoint decoder fuzz (2 x 5 s) =="
+# tracetool -replay/-resume and region jobs read these files; the seeds
+# are a recorded W3 trace and a checkpoint of it. Minimisation is off:
+# the seeds carry a 256 KiB texture, and shrinking one interesting
+# mutation of that takes longer than the whole run.
+go test -timeout 5m -run '^$' -fuzz '^FuzzLoadReplay$' -fuzztime 5s -fuzzminimizetime 0 ./internal/trace
+go test -timeout 5m -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 5s -fuzzminimizetime 0 ./internal/trace
+
 echo "== go test -race (short) =="
 go test -race -short -timeout 15m ./...
 
@@ -99,12 +124,15 @@ echo "== chaos soak gate =="
 go test -count=1 -run 'TestChaosSoak|TestJournalReplayRacesReexecution' -timeout 180s ./internal/chaos
 
 echo "== determinism (workers 1 vs 4; default vs every-cycle, skip-only, wheel-only) + wake contract =="
-# The digest gates, and every NextWake implementor driven through a
-# crafted busy period: reporting a wake later than the first self-driven
-# state change is the silent-correctness bug class that parking and
-# clock jumps turn into wrong results. Run with fewer Ps than workers
-# too: the worker pool's barrier has to hold when its workers are
-# descheduled mid-dispatch, not only on a host with a core for each.
+# The digest gates — "wheel-only" is SetEventWheel alone: clock jumps
+# off, the phase-1 wheel slots (CPU cores, display) and the GPU's
+# drained latch acted on — and every NextWake implementor driven through
+# a crafted busy period: reporting a wake later than the first
+# self-driven state change is the silent-correctness bug class that
+# parking and clock jumps turn into wrong results. Run with fewer Ps
+# than workers too: the worker pool's barrier has to hold when its
+# workers are descheduled mid-dispatch, not only on a host with a core
+# for each.
 for procs in 1 2 ""; do
 	echo "-- GOMAXPROCS=${procs:-default} --"
 	env ${procs:+GOMAXPROCS=$procs} go test -count=1 -timeout 10m \

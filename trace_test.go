@@ -26,7 +26,9 @@ func renderTracedFrame(t *testing.T) *emtrace.Tracer {
 	tr := emtrace.New(0)
 	s.AttachTracer(tr)
 	ctx := NewGL(s)
-	ctx.Viewport(96, 72)
+	if err := ctx.Viewport(96, 72); err != nil {
+		t.Fatal(err)
+	}
 	mesh, err := ctx.LoadScene(scene)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +173,9 @@ func TestDisabledTracerIsInert(t *testing.T) {
 			s.AttachTracer(tr)
 		}
 		ctx := NewGL(s)
-		ctx.Viewport(96, 72)
+		if err := ctx.Viewport(96, 72); err != nil {
+			t.Fatal(err)
+		}
 		mesh, err := ctx.LoadScene(scene)
 		if err != nil {
 			t.Fatal(err)
