@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"emerald/internal/emtrace"
@@ -66,38 +67,60 @@ func (r Result) String() string {
 	return "blocked"
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // last-use cycle
+// mshr tracks one outstanding miss line: its fill request, the waiters
+// merged into it, and its place in the two lists that find it — the
+// chain of its set (lookup by line address) and the issue-order list
+// of fills (install order). The fill request carries its mshr in Tag,
+// so neither completion nor install looks anything up.
+type mshr struct {
+	c        *Cache
+	lineAddr uint64
+	set      int
+	req      *mem.Request
+	waiters  []any
+	isWrite  bool  // at least one merged store (line fills dirty)
+	chain    *mshr // next MSHR of the same set
+	next     *mshr // next fill in issue order
 }
 
-type mshr struct {
-	lineAddr uint64
-	waiters  []any
-	isWrite  bool // at least one merged store (line fills dirty)
-}
+// RequestDone implements mem.DoneWatcher: downstream completion of the
+// fill (DRAM retire, an L2 hit event, an L2 fill install handing
+// waiters back) lands here. May run on a parallel DRAM channel shard;
+// the counter is atomic and the result is not observed until the next
+// phase barrier.
+func (m *mshr) RequestDone(*mem.Request) { m.c.doneFills.Add(1) }
 
 // Cache is a single cache instance. Not safe for concurrent use.
 type Cache struct {
-	cfg  Config
-	sets [][]line
+	cfg Config
 
-	mshrs map[uint64]*mshr
-	// freeMSHRs holds released mshr structs (with their waiters' backing
-	// arrays, entries cleared) for the next miss.
+	// Tag state is flat, way-major within a set: tags[set*Ways+way]
+	// holds lineAddr|1 for a valid line (line addresses have their low
+	// bits clear) and 0 for an invalid one, so a lookup is one pass
+	// over Ways contiguous words; lru and dirty sit beside it.
+	tags      []uint64
+	lru       []uint64 // last-use cycle
+	dirty     []bool
+	lineShift uint
+	lineMask  uint64 // LineBytes-1
+	sets      uint64
+
+	// setMSHR heads each set's chain of live MSHRs; fills/fillEnd is
+	// the issue-order list of all of them (one fill per MSHR).
+	setMSHR   []*mshr
+	fills     *mshr
+	fillEnd   **mshr
+	live      int
 	freeMSHRs []*mshr
+	reqs      mem.Pool
 
 	// Out carries fill reads and writebacks toward the next level.
 	Out *mem.Queue
-	// inflight are fill requests awaiting completion by downstream.
-	inflight []*mem.Request
-	// doneFills counts inflight entries whose request has completed but
-	// whose line has not yet been installed by Tick. Incremented by
-	// RequestDone (possibly on a parallel DRAM channel shard, hence
-	// atomic), decremented as Tick installs — so NextWake answers "any
-	// fill ready to install?" in O(1) instead of scanning inflight.
+	// doneFills counts fills whose request has completed but whose line
+	// has not yet been installed by Tick. Incremented at completion
+	// (possibly on a parallel DRAM channel shard, hence atomic),
+	// decremented as Tick installs — so NextWake answers "any fill ready
+	// to install?" in O(1) and Tick knows how many to look for.
 	doneFills atomic.Int64
 	// pendingWB buffers writebacks when Out is full.
 	pendingWB []*mem.Request
@@ -115,7 +138,7 @@ type Cache struct {
 }
 
 // New creates a cache. reg may be nil (stats are then kept on a private
-// registry).
+// registry). LineBytes must be a power of two.
 func New(cfg Config, reg *stats.Registry) *Cache {
 	if reg == nil {
 		reg = stats.NewRegistry()
@@ -132,10 +155,20 @@ func New(cfg Config, reg *stats.Registry) *Cache {
 	if cfg.MSHRTargets == 0 {
 		cfg.MSHRTargets = 8
 	}
+	if cfg.LineBytes < 2 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		panic(fmt.Sprintf("cache %s: line size %d is not a power of two", cfg.Name, cfg.LineBytes))
+	}
 	s := reg.Scope(cfg.Name)
+	sets := cfg.Sets()
 	c := &Cache{
 		cfg:        cfg,
-		mshrs:      make(map[uint64]*mshr),
+		tags:       make([]uint64, sets*cfg.Ways),
+		lru:        make([]uint64, sets*cfg.Ways),
+		dirty:      make([]bool, sets*cfg.Ways),
+		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		lineMask:   uint64(cfg.LineBytes - 1),
+		sets:       uint64(sets),
+		setMSHR:    make([]*mshr, sets),
 		Out:        mem.NewQueue(64),
 		accesses:   s.Counter("accesses"),
 		hits:       s.Counter("hits"),
@@ -145,11 +178,7 @@ func New(cfg Config, reg *stats.Registry) *Cache {
 		readHits:   s.Counter("read_hits"),
 		readMisses: s.Counter("read_misses"),
 	}
-	sets := cfg.Sets()
-	c.sets = make([][]line, sets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
+	c.fillEnd = &c.fills
 	return c
 }
 
@@ -165,11 +194,36 @@ func (c *Cache) SetTracer(t *emtrace.Tracer, track string) {
 
 // LineAddr masks addr down to its line address.
 func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ uint64(c.cfg.LineBytes-1)
+	return addr &^ c.lineMask
 }
 
+// setIndex keeps the divide for the one set count that is not a power
+// of two (Case Study I's 24-way L1T has 21 sets).
 func (c *Cache) setIndex(lineAddr uint64) int {
-	return int((lineAddr / uint64(c.cfg.LineBytes)) % uint64(len(c.sets)))
+	n := lineAddr >> c.lineShift
+	if c.sets&(c.sets-1) == 0 {
+		return int(n & (c.sets - 1))
+	}
+	return int(n % c.sets)
+}
+
+// find returns the tag-array index of lineAddr in set, or -1.
+func (c *Cache) find(set int, lineAddr uint64) int {
+	base := set * c.cfg.Ways
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == lineAddr|1 {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// request builds one line-sized request of this cache.
+func (c *Cache) request(la uint64, kind mem.Kind, cycle uint64) mem.Request {
+	return mem.Request{
+		Addr: la, Size: uint32(c.cfg.LineBytes), Kind: kind,
+		Client: c.cfg.Client, ClientID: c.cfg.ClientID, IssuedAt: cycle,
+	}
 }
 
 // Access attempts a read or write of addr at the given cycle. waiter is
@@ -178,27 +232,24 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 func (c *Cache) Access(cycle uint64, addr uint64, kind mem.Kind, waiter any) Result {
 	c.accesses.Inc()
 	la := c.LineAddr(addr)
-	set := c.sets[c.setIndex(la)]
+	set := c.setIndex(la)
 
-	// Tag lookup.
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			set[i].lru = cycle
-			if kind == mem.Write {
-				if c.cfg.WriteThrough {
-					if !c.enqueueWrite(cycle, la) {
-						return Blocked
-					}
-				} else {
-					set[i].dirty = true
+	if i := c.find(set, la); i >= 0 {
+		c.lru[i] = cycle
+		if kind == mem.Write {
+			if c.cfg.WriteThrough {
+				if !c.enqueueWrite(cycle, la) {
+					return Blocked
 				}
+			} else {
+				c.dirty[i] = true
 			}
-			c.hits.Inc()
-			if kind == mem.Read {
-				c.readHits.Inc()
-			}
-			return Hit
 		}
+		c.hits.Inc()
+		if kind == mem.Read {
+			c.readHits.Inc()
+		}
+		return Hit
 	}
 
 	// Write-no-allocate stores bypass the cache entirely.
@@ -211,48 +262,40 @@ func (c *Cache) Access(cycle uint64, addr uint64, kind mem.Kind, waiter any) Res
 	}
 
 	// Merge into an existing MSHR if the line is already in flight.
-	if m, ok := c.mshrs[la]; ok {
+	m := c.setMSHR[set]
+	for m != nil && m.lineAddr != la {
+		m = m.chain
+	}
+	if m != nil {
 		if len(m.waiters) >= c.cfg.MSHRTargets {
 			return Blocked
-		}
-		if waiter != nil {
-			m.waiters = append(m.waiters, waiter)
 		}
 		if kind == mem.Write {
 			m.isWrite = true
 		}
-		c.misses.Inc()
-		if kind == mem.Read {
-			c.readMisses.Inc()
+	} else {
+		// New miss: needs an MSHR and room for the fill request, asked
+		// for before anything is built (a refused push would otherwise
+		// build and drop a request every retry cycle).
+		if c.live >= c.cfg.MSHRs || c.Out.Full() {
+			return Blocked
 		}
-		c.trace.Instant1(emtrace.SrcCache, c.traceTrack, "miss", cycle,
-			emtrace.Arg{Key: "addr", Val: int64(la)})
-		return Miss
+		if n := len(c.freeMSHRs); n > 0 {
+			m, c.freeMSHRs = c.freeMSHRs[n-1], c.freeMSHRs[:n-1]
+		} else {
+			m = &mshr{c: c}
+		}
+		m.lineAddr, m.set, m.isWrite = la, set, kind == mem.Write
+		m.req = c.reqs.New(c.request(la, mem.Read, cycle))
+		m.req.Tag = m
+		c.Out.MustPush(m.req)
+		m.chain, c.setMSHR[set] = c.setMSHR[set], m
+		*c.fillEnd, c.fillEnd = m, &m.next
+		c.live++
 	}
-
-	// New miss: need an MSHR and room for the fill request.
-	if len(c.mshrs) >= c.cfg.MSHRs {
-		return Blocked
-	}
-	req := &mem.Request{
-		Addr:     la,
-		Size:     uint32(c.cfg.LineBytes),
-		Kind:     mem.Read,
-		Client:   c.cfg.Client,
-		ClientID: c.cfg.ClientID,
-		IssuedAt: cycle,
-		Tag:      c,
-	}
-	if !c.Out.Push(req) {
-		return Blocked // output port full: the requester retries
-	}
-	c.inflight = append(c.inflight, req)
-	m := c.newMSHR()
-	m.lineAddr, m.isWrite = la, kind == mem.Write
 	if waiter != nil {
 		m.waiters = append(m.waiters, waiter)
 	}
-	c.mshrs[la] = m
 	c.misses.Inc()
 	if kind == mem.Read {
 		c.readMisses.Inc()
@@ -262,33 +305,24 @@ func (c *Cache) Access(cycle uint64, addr uint64, kind mem.Kind, waiter any) Res
 	return Miss
 }
 
-func (c *Cache) newMSHR() *mshr {
-	if n := len(c.freeMSHRs); n > 0 {
-		m := c.freeMSHRs[n-1]
-		c.freeMSHRs = c.freeMSHRs[:n-1]
-		return m
-	}
-	return new(mshr)
-}
-
 func (c *Cache) enqueueWrite(cycle uint64, la uint64) bool {
-	return c.Out.Push(&mem.Request{
-		Addr:     la,
-		Size:     uint32(c.cfg.LineBytes),
-		Kind:     mem.Write,
-		Client:   c.cfg.Client,
-		ClientID: c.cfg.ClientID,
-		IssuedAt: cycle,
-	})
+	if c.Out.Full() {
+		return false
+	}
+	return c.Out.Push(c.reqs.Fire(c.request(la, mem.Write, cycle)))
 }
 
 // Tick retires completed fills, installs their lines (possibly evicting
 // and writing back victims), releases MSHRs and notifies waiters. It also
 // drains any writebacks buffered while Out was full.
+//
+// Order is the contract: fills install in issue order, waiters are
+// notified in merge order.
 func (c *Cache) Tick(cycle uint64) {
 	// Nothing to drain and no fill to install: the common case by far,
-	// answered without walking inflight (see doneFills).
-	if len(c.pendingWB) == 0 && c.doneFills.Load() == 0 {
+	// answered without walking the fills (see doneFills).
+	done := c.doneFills.Load()
+	if len(c.pendingWB) == 0 && done == 0 {
 		return
 	}
 	// Drain buffered writebacks first so evictions below have room.
@@ -306,120 +340,113 @@ func (c *Cache) Tick(cycle uint64) {
 		}
 	}
 
-	kept := c.inflight[:0]
-	for _, req := range c.inflight {
-		if !req.Done {
-			kept = append(kept, req)
+	// Walk the fills in issue order until every completed one has been
+	// found; the rest of the list is not looked at.
+	for link := &c.fills; done > 0 && *link != nil; {
+		m := *link
+		if !m.req.Done {
+			link = &m.next
 			continue
 		}
+		done--
 		c.doneFills.Add(-1)
-		c.install(cycle, req.Addr)
-		c.trace.Span1(emtrace.SrcCache, c.traceTrack, "fill", req.IssuedAt, cycle,
-			emtrace.Arg{Key: "addr", Val: int64(req.Addr)})
-		if m, ok := c.mshrs[req.Addr]; ok {
-			delete(c.mshrs, req.Addr)
-			if c.OnReady != nil {
-				for _, w := range m.waiters {
-					c.OnReady(w, cycle)
-				}
-			}
-			if m.isWrite {
-				c.markDirty(req.Addr)
-			}
-			clear(m.waiters) // a pooled mshr pins no requester state
-			m.waiters = m.waiters[:0]
-			c.freeMSHRs = append(c.freeMSHRs, m)
+		if *link = m.next; m.next == nil {
+			c.fillEnd = link
 		}
-	}
-	c.inflight = kept
-}
-
-func (c *Cache) markDirty(la uint64) {
-	set := c.sets[c.setIndex(la)]
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			if c.cfg.WriteThrough {
-				// write-through caches hold no dirty state; the
-				// store traffic already went downstream.
-				return
-			}
-			set[i].dirty = true
-			return
+		c.install(cycle, m.lineAddr)
+		c.trace.Span1(emtrace.SrcCache, c.traceTrack, "fill", m.req.IssuedAt, cycle,
+			emtrace.Arg{Key: "addr", Val: int64(m.lineAddr)})
+		chain := &c.setMSHR[m.set]
+		for *chain != m {
+			chain = &(*chain).chain
 		}
+		*chain = m.chain
+		c.live--
+		if c.OnReady != nil {
+			for _, w := range m.waiters {
+				c.OnReady(w, cycle)
+			}
+		}
+		if m.isWrite && !c.cfg.WriteThrough {
+			// write-through caches hold no dirty state; the store
+			// traffic already went downstream.
+			if i := c.find(m.set, m.lineAddr); i >= 0 {
+				c.dirty[i] = true
+			}
+		}
+		// A pooled mshr pins no requester state, and the fill request
+		// goes back to this cache's pool: its issuer, after Done.
+		c.reqs.Put(m.req)
+		clear(m.waiters)
+		m.waiters, m.req, m.chain, m.next = m.waiters[:0], nil, nil, nil
+		c.freeMSHRs = append(c.freeMSHRs, m)
 	}
 }
 
-// install places lineAddr into its set, evicting the LRU way.
+// install places lineAddr into its set, evicting the LRU way: the first
+// invalid way, else the lowest-index way with the oldest use.
 func (c *Cache) install(cycle uint64, la uint64) {
-	set := c.sets[c.setIndex(la)]
+	set := c.setIndex(la)
 	// The line may already be resident in ANY way (e.g. refetched), so
 	// the full set must be scanned for the tag before a victim is
 	// chosen: stopping the tag check at the first invalid way would
 	// miss a copy in a later way and install the same tag twice.
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			set[i].lru = cycle
-			return // already present
-		}
+	if i := c.find(set, la); i >= 0 {
+		c.lru[i] = cycle
+		return // already present
 	}
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
+	base := set * c.cfg.Ways
+	v := base
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if c.tags[i] == 0 {
+			v = i
 			break
 		}
-		if victim < 0 || set[i].lru < set[victim].lru {
-			victim = i
+		if c.lru[i] < c.lru[v] {
+			v = i
 		}
 	}
-	v := &set[victim]
-	if v.valid {
+	if c.tags[v] != 0 {
 		c.evictions.Inc()
 		if c.trace.Active(cycle) {
 			dirty := int64(0)
-			if v.dirty {
+			if c.dirty[v] {
 				dirty = 1
 			}
 			c.trace.Instant1(emtrace.SrcCache, c.traceTrack, "evict", cycle,
 				emtrace.Arg{Key: "dirty", Val: dirty})
 		}
-		if v.dirty && c.cfg.WriteBack {
-			c.writebacks.Inc()
-			wb := &mem.Request{
-				Addr:     v.tag,
-				Size:     uint32(c.cfg.LineBytes),
-				Kind:     mem.Write,
-				Client:   c.cfg.Client,
-				ClientID: c.cfg.ClientID,
-				IssuedAt: cycle,
-			}
-			if !c.Out.Push(wb) {
-				c.pendingWB = append(c.pendingWB, wb)
-			}
+		if c.dirty[v] && c.cfg.WriteBack {
+			c.writeBack(cycle, c.tags[v]&^1)
 		}
 	}
-	*v = line{tag: la, valid: true, dirty: false, lru: cycle}
+	c.tags[v], c.dirty[v], c.lru[v] = la|1, false, cycle
+}
+
+// writeBack sends a dirty line downstream, buffering it when Out is
+// full (an eviction cannot be refused).
+func (c *Cache) writeBack(cycle uint64, la uint64) {
+	c.writebacks.Inc()
+	wb := c.reqs.Fire(c.request(la, mem.Write, cycle))
+	if !c.Out.Push(wb) {
+		c.pendingWB = append(c.pendingWB, wb)
+	}
 }
 
 // Contains reports whether the line holding addr is resident (test hook).
 func (c *Cache) Contains(addr uint64) bool {
 	la := c.LineAddr(addr)
-	for _, l := range c.sets[c.setIndex(la)] {
-		if l.valid && l.tag == la {
-			return true
-		}
-	}
-	return false
+	return c.find(c.setIndex(la), la) >= 0
 }
 
 // PendingMisses reports the number of live MSHRs.
-func (c *Cache) PendingMisses() int { return len(c.mshrs) }
+func (c *Cache) PendingMisses() int { return c.live }
 
 // Quiet reports whether Tick would be a no-op and no queued output is
 // waiting to drain: no buffered writebacks, no in-flight fills and an
 // empty output port. Owners use it to gate per-cycle work.
 func (c *Cache) Quiet() bool {
-	return len(c.pendingWB) == 0 && len(c.inflight) == 0 && c.Out.Len() == 0
+	return len(c.pendingWB) == 0 && c.live == 0 && c.Out.Len() == 0
 }
 
 // NextWake returns the earliest future cycle at which the cache's
@@ -438,19 +465,12 @@ func (c *Cache) NextWake(cycle uint64) uint64 {
 	return mem.NeverWake
 }
 
-// RequestDone implements mem.DoneWatcher: fill requests carry the
-// issuing cache in Tag, so downstream completion (DRAM retire, an L2
-// hit event, an L2 fill install handing waiters back) lands here. May
-// run on a parallel DRAM channel shard; the counter is atomic and the
-// result is not observed until the next phase barrier.
-func (c *Cache) RequestDone(*mem.Request) { c.doneFills.Add(1) }
-
 // scanWake is the O(n) reference implementation of NextWake's
 // done-fill clause, kept for the counter/scan agreement test and the
 // EMERALD_GUARD audit.
 func (c *Cache) scanWake() bool {
-	for _, r := range c.inflight {
-		if r.Done {
+	for m := c.fills; m != nil; m = m.next {
+		if m.req.Done {
 			return true
 		}
 	}
@@ -463,8 +483,8 @@ func (c *Cache) scanWake() bool {
 // cache's owner past a ready fill.
 func (c *Cache) AuditDoneFills() string {
 	n := int64(0)
-	for _, r := range c.inflight {
-		if r.Done {
+	for m := c.fills; m != nil; m = m.next {
+		if m.req.Done {
 			n++
 		}
 	}
@@ -493,25 +513,10 @@ func (c *Cache) MissRate() float64 {
 // Flush marks every line invalid, emitting writebacks for dirty lines
 // (used at frame boundaries and by checkpointing).
 func (c *Cache) Flush(cycle uint64) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty && c.cfg.WriteBack {
-				c.writebacks.Inc()
-				wb := &mem.Request{
-					Addr:     l.tag,
-					Size:     uint32(c.cfg.LineBytes),
-					Kind:     mem.Write,
-					Client:   c.cfg.Client,
-					ClientID: c.cfg.ClientID,
-					IssuedAt: cycle,
-				}
-				if !c.Out.Push(wb) {
-					c.pendingWB = append(c.pendingWB, wb)
-				}
-			}
-			l.valid = false
-			l.dirty = false
+	for i, t := range c.tags {
+		if t != 0 && c.dirty[i] && c.cfg.WriteBack {
+			c.writeBack(cycle, t&^1)
 		}
+		c.tags[i], c.dirty[i] = 0, false
 	}
 }

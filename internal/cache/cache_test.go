@@ -290,29 +290,28 @@ func TestInstallScansFullSetBeforeVictim(t *testing.T) {
 
 	// Shape the set by hand: way 0 holds another line, way 1 is
 	// invalid, way 2 already holds the line being installed.
-	set := c.sets[0]
-	set[0] = line{tag: 0x000, valid: true, lru: 1}
-	set[2] = line{tag: 0x0C0, valid: true, dirty: true, lru: 2}
+	c.tags[0], c.lru[0] = 0x000|1, 1
+	c.tags[2], c.lru[2], c.dirty[2] = 0x0C0|1, 2, true
 
 	c.install(5, 0x0C0)
 
 	copies := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == 0x0C0 {
+	for _, tag := range c.tags {
+		if tag == 0x0C0|1 {
 			copies++
 		}
 	}
 	if copies != 1 {
 		t.Fatalf("line 0x0C0 resident in %d ways, want 1", copies)
 	}
-	if set[1].valid {
+	if c.tags[1] != 0 {
 		t.Fatal("install filled an invalid way for an already-resident line")
 	}
-	if !set[2].dirty {
+	if !c.dirty[2] {
 		t.Fatal("re-install clobbered the resident copy's dirty bit")
 	}
-	if set[2].lru != 5 {
-		t.Fatalf("resident copy LRU = %d, want refreshed to 5", set[2].lru)
+	if c.lru[2] != 5 {
+		t.Fatalf("resident copy LRU = %d, want refreshed to 5", c.lru[2])
 	}
 	if c.Evictions() != 0 {
 		t.Fatalf("evictions = %d, want 0 (nothing was displaced)", c.Evictions())
@@ -371,9 +370,9 @@ func TestMissBlockedOnFullOutputPort(t *testing.T) {
 	if res := c.Access(0, 0x100, mem.Read, "w"); res != Blocked {
 		t.Fatalf("miss with full output port = %v, want blocked", res)
 	}
-	if c.PendingMisses() != 0 || len(c.inflight) != 0 {
-		t.Fatalf("blocked miss leaked state: mshrs=%d inflight=%d",
-			c.PendingMisses(), len(c.inflight))
+	if c.PendingMisses() != 0 || c.fills != nil {
+		t.Fatalf("blocked miss leaked state: mshrs=%d inflight=%v",
+			c.PendingMisses(), c.fills != nil)
 	}
 	for c.Out.Pop() != nil {
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"emerald/internal/guard"
+	"emerald/internal/mem"
 )
 
 // AttachGuard registers this cache's MSHR-accounting invariants under
@@ -13,31 +14,58 @@ func (c *Cache) AttachGuard(g *guard.Checker, name string) {
 }
 
 // checkInvariants verifies the MSHR bookkeeping that every fill path
-// relies on: live MSHRs never exceed capacity, each MSHR has exactly
-// one in-flight fill request (and vice versa — a broken pairing is an
-// MSHR leak: the line would never fill and its waiters would wedge),
-// and merged waiters respect the per-line target cap.
+// relies on: live MSHRs never exceed capacity, the issue-order fill
+// list and the per-set chains hold the same MSHRs (a broken pairing is
+// an MSHR leak: the line would never fill and its waiters would
+// wedge), each fill request carries its MSHR, merged waiters respect
+// the per-line target cap, and nothing this cache holds or has queued
+// is a request already released to a free list.
 func (c *Cache) checkInvariants(cycle uint64) error {
-	if len(c.mshrs) > c.cfg.MSHRs {
-		return fmt.Errorf("%d MSHRs live, capacity %d", len(c.mshrs), c.cfg.MSHRs)
+	if c.live > c.cfg.MSHRs {
+		return fmt.Errorf("%d MSHRs live, capacity %d", c.live, c.cfg.MSHRs)
 	}
-	if len(c.inflight) != len(c.mshrs) {
-		return fmt.Errorf("MSHR leak: %d MSHRs vs %d in-flight fills", len(c.mshrs), len(c.inflight))
-	}
-	for _, req := range c.inflight {
-		if _, ok := c.mshrs[req.Addr]; !ok {
-			return fmt.Errorf("in-flight fill of line %#x has no MSHR", req.Addr)
+	fills := 0
+	for m := c.fills; m != nil; m = m.next {
+		fills++
+		chained := c.setMSHR[m.set]
+		for chained != nil && chained != m {
+			chained = chained.chain
+		}
+		switch {
+		case chained == nil:
+			return fmt.Errorf("in-flight fill of line %#x has no MSHR in its set", m.lineAddr)
+		case m.req.Released() || m.req.Tag != m || m.req.Addr != m.lineAddr:
+			return fmt.Errorf("fill of line %#x lost its request (released=%v addr=%#x)", m.lineAddr, m.req.Released(), m.req.Addr)
+		case len(m.waiters) > c.cfg.MSHRTargets:
+			return fmt.Errorf("MSHR %#x holds %d waiters, cap %d", m.lineAddr, len(m.waiters), c.cfg.MSHRTargets)
+		}
+		for _, w := range m.waiters {
+			if r, ok := w.(*mem.Request); ok && r.Released() {
+				return fmt.Errorf("MSHR %#x waits on behalf of a released request", m.lineAddr)
+			}
 		}
 	}
-	for la, m := range c.mshrs {
-		if len(m.waiters) > c.cfg.MSHRTargets {
-			return fmt.Errorf("MSHR %#x holds %d waiters, cap %d", la, len(m.waiters), c.cfg.MSHRTargets)
+	chained := 0
+	for _, m := range c.setMSHR {
+		for ; m != nil; m = m.chain {
+			chained++
 		}
 	}
-	// Wheel audit: the O(1) done-fill counter must agree with an
-	// inflight scan. A lost RequestDone would make NextWake report
-	// "nothing to install" past a ready fill, parking the cache's owner
-	// on the event wheel while data sits undelivered.
+	if fills != c.live || chained != c.live {
+		return fmt.Errorf("MSHR leak: %d MSHRs vs %d in-flight fills (%d chained in sets)", c.live, fills, chained)
+	}
+	if err := c.Out.AuditReleased(); err != nil {
+		return fmt.Errorf("output port: %w", err)
+	}
+	for _, wb := range c.pendingWB {
+		if wb.Released() {
+			return fmt.Errorf("a buffered writeback was released")
+		}
+	}
+	// Wheel audit: the O(1) done-fill counter must agree with a scan of
+	// the fills. A lost RequestDone would make NextWake report "nothing
+	// to install" past a ready fill, parking the cache's owner while
+	// data sits undelivered.
 	if msg := c.AuditDoneFills(); msg != "" {
 		return fmt.Errorf("done-fill counter drift: %s", msg)
 	}

@@ -26,7 +26,7 @@ func TestGuardDetectsMSHRLeak(t *testing.T) {
 
 	// Corrupt the bookkeeping: the fill vanishes but its MSHR stays
 	// live, so the waiters would wedge forever.
-	c.inflight = nil
+	c.fills, c.fillEnd = nil, &c.fills
 	g.Tick(1)
 	v := g.Violations()
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "MSHR leak") {
@@ -49,7 +49,7 @@ func TestGuardDetectsOrphanFill(t *testing.T) {
 		t.Fatalf("access = %v, want miss", res)
 	}
 	// Duplicate the fill: counts diverge.
-	c.inflight = append(c.inflight, c.inflight[0])
+	c.fills.next = &mshr{c: c, lineAddr: 0x100, set: c.fills.set, req: c.fills.req}
 	g.Tick(0)
 	if v := g.Violations(); len(v) != 1 {
 		t.Fatalf("violations = %v, want exactly one", v)

@@ -76,18 +76,28 @@ type bank struct {
 
 // Channel is one DRAM channel: a request queue, banks and a data bus.
 type Channel struct {
-	ID      int
-	Queue   []*mem.Request
+	ID    int
+	Queue []*mem.Request
+	// locs[i] is where Queue[i] lives, decoded once when it was pushed
+	// and kept in lockstep with Queue through serveChannel's removal.
+	locs    []Loc
 	banks   [][]bank // [rank][bank]
 	busFree uint64
 	mapping Mapping
+	// ownMapping: Push decodes with this channel's mapping, because the
+	// request was source-routed here or the mapping is not channel 0's
+	// (whose decode picked the channel and is otherwise reused).
+	ownMapping bool
 
-	inService []*mem.Request
+	// inService holds issued transfers in issue order. The data bus
+	// serializes them, so DoneAt strictly increases front to back and
+	// the finished ones are always a prefix.
+	inService mem.Ring[*mem.Request]
 
 	rowHits, rowMisses, rowConflicts *stats.Counter
 	activations                      *stats.Counter
 	bytes                            *stats.Counter
-	served                           map[mem.Client]*stats.Counter
+	served                           [len(burstNames)]*stats.Counter // by mem.Client
 	latency                          *stats.Distribution
 
 	trace *emtrace.Tracer
@@ -100,16 +110,16 @@ func (ch *Channel) OpenRow(rank, b int) int64 { return ch.banks[rank][b].openRow
 // Mapping returns the channel's address mapping.
 func (ch *Channel) Mapping() Mapping { return ch.mapping }
 
-// IsRowHit reports whether the request would hit the open row.
-func (ch *Channel) IsRowHit(r *mem.Request) bool {
-	loc := ch.mapping.Decode(r.Addr)
+// IsRowHit reports whether Queue[i] would hit the open row.
+func (ch *Channel) IsRowHit(i int) bool {
+	loc := &ch.locs[i]
 	return ch.banks[loc.Rank][loc.Bank].openRow == int64(loc.Row)
 }
 
-// BankReady reports whether the request's bank can accept a command at
-// the given cycle.
-func (ch *Channel) BankReady(r *mem.Request, cycle uint64) bool {
-	loc := ch.mapping.Decode(r.Addr)
+// BankReady reports whether Queue[i]'s bank can accept a command at the
+// given cycle.
+func (ch *Channel) BankReady(i int, cycle uint64) bool {
+	loc := &ch.locs[i]
 	return ch.banks[loc.Rank][loc.Bank].readyAt <= cycle
 }
 
@@ -176,6 +186,7 @@ func NewController(cfg Config, reg *stats.Registry) *Controller {
 		cfg.Mappings = []Mapping{MappingPageStriped(cfg.Geometry)}
 	}
 	// Replicate a single mapping across channels.
+	given := len(cfg.Mappings)
 	for len(cfg.Mappings) < cfg.Geometry.Channels {
 		cfg.Mappings = append(cfg.Mappings, cfg.Mappings[0])
 	}
@@ -193,7 +204,7 @@ func NewController(cfg Config, reg *stats.Registry) *Controller {
 			activations:  chScope.Counter("activations"),
 			bytes:        chScope.Counter("bytes"),
 			latency:      chScope.Distribution("latency"),
-			served:       make(map[mem.Client]*stats.Counter),
+			ownMapping:   cfg.Assign != nil || i > 0 && i < given,
 		}
 		for _, cl := range []mem.Client{mem.ClientCPU, mem.ClientGPU, mem.ClientDisplay, mem.ClientDMA} {
 			ch.served[cl] = chScope.Counter("served_" + cl.String())
@@ -221,26 +232,28 @@ func (c *Controller) AttachTracer(t *emtrace.Tracer) {
 	}
 }
 
-// channelFor routes a request.
-func (c *Controller) channelFor(r *mem.Request) int {
-	if c.cfg.Assign != nil {
-		ch := c.cfg.Assign(r)
-		if ch >= 0 && ch < len(c.Channels) {
-			return ch
-		}
-	}
-	return c.cfg.Mappings[0].Decode(r.Addr).Channel
-}
-
-// Push enqueues a request; it reports false when the target channel's
-// queue is full (backpressure to the NoC).
+// Push enqueues a request, decoding its address once; it reports false
+// when the target channel's queue is full (backpressure to the NoC).
 func (c *Controller) Push(r *mem.Request) bool {
-	ch := c.Channels[c.channelFor(r)]
+	n := -1
+	if c.cfg.Assign != nil {
+		n = c.cfg.Assign(r)
+	}
+	var loc Loc
+	if n < 0 || n >= len(c.Channels) {
+		loc = c.cfg.Mappings[0].Decode(r.Addr)
+		n = loc.Channel
+	}
+	ch := c.Channels[n]
 	if len(ch.Queue) >= c.cfg.QueueDepth {
 		c.rejected.Inc()
 		return false
 	}
+	if ch.ownMapping {
+		loc = ch.mapping.Decode(r.Addr)
+	}
 	ch.Queue = append(ch.Queue, r)
+	ch.locs = append(ch.locs, loc)
 	return true
 }
 
@@ -248,7 +261,7 @@ func (c *Controller) Push(r *mem.Request) bool {
 func (c *Controller) QueuedRequests() int {
 	n := 0
 	for _, ch := range c.Channels {
-		n += len(ch.Queue) + len(ch.inService)
+		n += len(ch.Queue) + ch.inService.Len()
 	}
 	return n
 }
@@ -273,18 +286,13 @@ func (c *Controller) Tick(cycle uint64) {
 // serveChannel retires the channel's finished transfers and issues at
 // most one new transaction.
 func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
-	kept := ch.inService[:0]
-	for _, r := range ch.inService {
-		if r.DoneAt <= cycle {
-			r.Complete(r.DoneAt) // keeps DoneAt; notifies the issuer's DoneWatcher
-			if c.onRetire != nil {
-				c.onRetire(r, cycle)
-			}
-		} else {
-			kept = append(kept, r)
+	for ch.inService.Len() > 0 && (*ch.inService.Front()).DoneAt <= cycle {
+		r := ch.inService.Pop()
+		r.Complete(r.DoneAt) // keeps DoneAt; notifies the issuer's DoneWatcher
+		if c.onRetire != nil {
+			c.onRetire(r, cycle)
 		}
 	}
-	ch.inService = kept
 
 	// Command/data-bus overlap (bank-level parallelism): a command may
 	// issue while an earlier transfer still occupies the data bus, as
@@ -301,8 +309,7 @@ func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
 	if idx < 0 || idx >= len(ch.Queue) {
 		return
 	}
-	r := ch.Queue[idx]
-	loc := ch.mapping.Decode(r.Addr)
+	r, loc := ch.Queue[idx], ch.locs[idx]
 	bk := &ch.banks[loc.Rank][loc.Bank]
 	if bk.readyAt > cycle {
 		// FR-FCFS semantics: never issue to a bank that cannot accept a
@@ -310,7 +317,11 @@ func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
 		// BankReady already, so a well-behaved Pick never lands here).
 		return
 	}
-	ch.Queue = append(ch.Queue[:idx], ch.Queue[idx+1:]...)
+	last := len(ch.Queue) - 1
+	copy(ch.Queue[idx:], ch.Queue[idx+1:])
+	copy(ch.locs[idx:], ch.locs[idx+1:])
+	ch.Queue[last] = nil // the vacated slot pins nothing
+	ch.Queue, ch.locs = ch.Queue[:last], ch.locs[:last]
 
 	t := c.cfg.Timing
 	start := cycle
@@ -352,7 +363,7 @@ func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
 	ch.busFree = finish // the data bus serializes transfers
 
 	r.DoneAt = finish // Done flag set when cycle reaches finish
-	ch.inService = append(ch.inService, r)
+	ch.inService.PushBack(r)
 
 	ch.bytes.Add(int64(r.Size))
 	ch.served[r.Client].Inc()
@@ -377,16 +388,10 @@ func (c *Controller) channelWake(ch *Channel, from uint64) uint64 {
 	if len(ch.Queue) > 0 {
 		return from
 	}
-	w := mem.NeverWake
-	for _, r := range ch.inService {
-		if r.DoneAt < w {
-			w = r.DoneAt
-		}
+	if ch.inService.Len() == 0 {
+		return mem.NeverWake
 	}
-	if w < from {
-		w = from
-	}
-	return w
+	return max(from, (*ch.inService.Front()).DoneAt)
 }
 
 // NextWake returns the earliest future cycle at which the controller's

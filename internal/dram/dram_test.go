@@ -323,3 +323,86 @@ func TestBankBurstsOverlap(t *testing.T) {
 		t.Fatalf("r3 burst gap = %d cycles, want exactly one 13-cycle burst", burst)
 	}
 }
+
+// perPickFRFCFS is the parent commit's FR-FCFS, which decoded every
+// queued request's address again on every pick; wrapped around the
+// shipped scheduler it checks, at every pick of a run, that the
+// locations decoded once at Push are still beside their requests and
+// give the same answer.
+type perPickFRFCFS struct {
+	FRFCFS
+	t     *testing.T
+	picks int
+}
+
+func (s *perPickFRFCFS) Pick(ch *Channel, cycle uint64) int {
+	want := -1
+	for i, r := range ch.Queue {
+		loc := ch.mapping.Decode(r.Addr)
+		if ch.locs[i] != loc {
+			s.t.Fatalf("cycle %d: queue slot %d (%#x) carries location %+v, decodes to %+v", cycle, i, r.Addr, ch.locs[i], loc)
+		}
+		bk := &ch.banks[loc.Rank][loc.Bank]
+		if bk.readyAt > cycle {
+			continue
+		}
+		if bk.openRow == int64(loc.Row) {
+			want = i
+			break
+		}
+		if want < 0 {
+			want = i
+		}
+	}
+	got := s.FRFCFS.Pick(ch, cycle)
+	if got != want {
+		s.t.Fatalf("cycle %d ch%d: decode-once pick %d, decode-per-pick %d", cycle, ch.ID, got, want)
+	}
+	s.picks++
+	return got
+}
+
+// TestDecodeOnceEqualsDecodePerPick runs a random stream (arrivals
+// interleaved with mid-queue removals, so the lockstep copy is
+// exercised) through the three ways a request finds its channel and
+// mapping: replicated mapping, per-channel mappings without Assign, and
+// source routing.
+func TestDecodeOnceEqualsDecodePerPick(t *testing.T) {
+	g := LPDDR3Geometry(2)
+	for name, cfg := range map[string]Config{
+		"replicated mapping":   {},
+		"per-channel mappings": {Mappings: []Mapping{MappingPageStriped(g), MappingLineStriped(g)}},
+		"source routed": {Mappings: []Mapping{MappingPageStriped(g), MappingLineStriped(g)},
+			Assign: func(r *mem.Request) int { return int(r.Client) % 3 }}, // 2 is out of range: falls back to the address
+	} {
+		sched := &perPickFRFCFS{t: t}
+		cfg.Name, cfg.Geometry, cfg.Timing, cfg.QueueDepth, cfg.Scheduler = "dram", g, LPDDR3Timing(1333), 12, sched
+		c := NewController(cfg, nil)
+		rng := rand.New(rand.NewSource(11))
+		pushed, done := 0, 0
+		var live []*mem.Request
+		for cycle := uint64(0); cycle < 20000; cycle++ {
+			for k := rng.Intn(3); k > 0; k-- {
+				r := &mem.Request{Addr: uint64(rng.Intn(1<<14)) * 64, Size: 64, Client: mem.Client(rng.Intn(3)), IssuedAt: cycle}
+				if c.Push(r) {
+					pushed++
+					live = append(live, r)
+				}
+			}
+			c.Tick(cycle)
+			for _, ch := range c.Channels {
+				if err := c.checkChannel(ch, cycle); err != nil {
+					t.Fatalf("%s: cycle %d: %v", name, cycle, err)
+				}
+			}
+		}
+		for _, r := range live {
+			if r.Done {
+				done++
+			}
+		}
+		if sched.picks < 500 || done < pushed/2 {
+			t.Fatalf("%s: stream too thin: %d picks, %d of %d served", name, sched.picks, done, pushed)
+		}
+	}
+}

@@ -22,11 +22,21 @@ func (c *Controller) AttachGuard(g *guard.Checker) {
 // checkChannel verifies one channel's state machine: the queue honors
 // its depth bound, every bank's open row and ready time are legal (the
 // data bus serializes transfers, so no bank may be busy past the bus),
-// and in-service transfers are still genuinely in flight — a retired
-// request lingering here would complete twice.
+// every queued request still sits beside its own decoded location, and
+// in-service transfers are still genuinely in flight — a retired
+// request lingering here would complete twice (and, once its issuer has
+// recycled it, complete somebody else's request).
 func (c *Controller) checkChannel(ch *Channel, cycle uint64) error {
 	if len(ch.Queue) > c.cfg.QueueDepth {
 		return fmt.Errorf("queue holds %d requests, depth %d", len(ch.Queue), c.cfg.QueueDepth)
+	}
+	if len(ch.locs) != len(ch.Queue) {
+		return fmt.Errorf("%d decoded locations for %d queued requests", len(ch.locs), len(ch.Queue))
+	}
+	for i, req := range ch.Queue {
+		if req.Released() || ch.locs[i] != ch.mapping.Decode(req.Addr) {
+			return fmt.Errorf("queue slot %d (%#x): released=%v, stored location %+v", i, req.Addr, req.Released(), ch.locs[i])
+		}
 	}
 	for r := range ch.banks {
 		for b := range ch.banks[r] {
@@ -39,7 +49,8 @@ func (c *Controller) checkChannel(ch *Channel, cycle uint64) error {
 			}
 		}
 	}
-	for _, req := range ch.inService {
+	for i := 0; i < ch.inService.Len(); i++ {
+		req := *ch.inService.At(i)
 		if req.Done {
 			return fmt.Errorf("retired request %#x still in service", req.Addr)
 		}
@@ -72,7 +83,7 @@ func (c *Controller) Diagnose(cycle uint64) []string {
 			busAhead = int64(ch.busFree - cycle)
 		}
 		lines = append(lines, fmt.Sprintf("%s: queued=%d inService=%d busFree=+%d openBanks=%d bytes=%d",
-			ch.track, len(ch.Queue), len(ch.inService), busAhead, open, ch.bytes.Value()))
+			ch.track, len(ch.Queue), ch.inService.Len(), busAhead, open, ch.bytes.Value()))
 	}
 	return lines
 }

@@ -42,11 +42,11 @@ func (f *FRFCFS) NextWake(uint64) uint64 { return mem.NeverWake }
 // Pick implements Scheduler.
 func (f *FRFCFS) Pick(ch *Channel, cycle uint64) int {
 	firstReady := -1
-	for i, r := range ch.Queue {
-		if !ch.BankReady(r, cycle) {
+	for i := range ch.Queue {
+		if !ch.BankReady(i, cycle) {
 			continue
 		}
-		if ch.IsRowHit(r) {
+		if ch.IsRowHit(i) {
 			return i // first row hit in arrival order
 		}
 		if firstReady < 0 {

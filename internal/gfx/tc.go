@@ -1,6 +1,8 @@
 package gfx
 
 import (
+	"slices"
+
 	"emerald/internal/raster"
 	"emerald/internal/stats"
 )
@@ -41,7 +43,7 @@ type tcEngine struct {
 	tx, ty     int
 	covered    uint64 // pixel occupancy bitmap of the 8x8 tile
 	frags      []raster.Fragment
-	prims      map[uint32]bool
+	prims      []uint32 // distinct primitive ids staged, at most one per bin
 	bins       int
 	lastStaged uint64
 }
@@ -54,8 +56,11 @@ type TCUnit struct {
 	cfg     TCConfig
 	engines []*tcEngine
 
-	ready    []*TCTileOut
-	inflight map[[2]int]bool
+	ready []*TCTileOut
+	// inflight lists the TC-tile positions being shaded: a handful (one
+	// per tile task the cluster's cores have not retired), searched
+	// linearly.
+	inflight [][2]int
 
 	coalesced, flushFull, flushConflict, flushTimeout, flushEvict *stats.Counter
 	tilesOut                                                      *stats.Counter
@@ -71,7 +76,6 @@ func NewTCUnit(cfg TCConfig, reg *stats.Registry) *TCUnit {
 	}
 	u := &TCUnit{
 		cfg:           cfg,
-		inflight:      make(map[[2]int]bool),
 		coalesced:     reg.Counter("tc.raster_tiles_staged"),
 		flushFull:     reg.Counter("tc.flush_full"),
 		flushConflict: reg.Counter("tc.flush_conflict"),
@@ -141,13 +145,15 @@ func (u *TCUnit) Stage(rt *raster.RasterTile, cycle uint64) {
 		eng.tx, eng.ty = tx, ty
 		eng.covered = 0
 		eng.frags = nil
-		eng.prims = make(map[uint32]bool)
+		eng.prims = eng.prims[:0]
 		eng.bins = 0
 	}
 
 	eng.covered |= mask
 	eng.frags = append(eng.frags, rt.Frags...)
-	eng.prims[rt.Tri.ID] = true
+	if !slices.Contains(eng.prims, rt.Tri.ID) {
+		eng.prims = append(eng.prims, rt.Tri.ID)
+	}
 	eng.bins++
 	eng.lastStaged = cycle
 
@@ -201,11 +207,14 @@ func (u *TCUnit) FlushAll() {
 func (u *TCUnit) PopReady() *TCTileOut {
 	for i, t := range u.ready {
 		pos := [2]int{t.TX, t.TY}
-		if u.inflight[pos] {
+		if slices.Contains(u.inflight, pos) {
 			continue
 		}
-		u.inflight[pos] = true
-		u.ready = append(u.ready[:i], u.ready[i+1:]...)
+		u.inflight = append(u.inflight, pos)
+		last := len(u.ready) - 1
+		copy(u.ready[i:], u.ready[i+1:])
+		u.ready[last] = nil // the vacated tail slot pins no tile
+		u.ready = u.ready[:last]
 		return t
 	}
 	return nil
@@ -214,7 +223,11 @@ func (u *TCUnit) PopReady() *TCTileOut {
 // Complete releases the in-flight reservation for a TC tile position,
 // allowing the next tile at the same position to issue.
 func (u *TCUnit) Complete(tx, ty int) {
-	delete(u.inflight, [2]int{tx, ty})
+	if i := slices.Index(u.inflight, [2]int{tx, ty}); i >= 0 {
+		last := len(u.inflight) - 1
+		u.inflight[i] = u.inflight[last]
+		u.inflight = u.inflight[:last]
+	}
 }
 
 // Drained reports whether no tiles are staged, ready or in flight.

@@ -27,12 +27,12 @@ type cluster struct {
 
 	// pmrb is the primitive-mask reorder buffer output: primitives this
 	// cluster must process, in draw order.
-	pmrb []*clusterPrim
+	pmrb mem.Ring[*clusterPrim]
 
 	setup setupState
 	rast  rasterState
 
-	pendingFS []*fsLaunch
+	pendingFS mem.Ring[*fsLaunch]
 }
 
 // clusterPrim is one primitive delivered to a cluster by the VPO.
@@ -44,8 +44,9 @@ type clusterPrim struct {
 
 type setupState struct {
 	prim      *clusterPrim
-	toIssue   []uint64
-	reqs      []*mem.Request
+	issued    int             // vertex-record fetches pushed so far
+	reqs      [3]*mem.Request // prim.fetch[i]'s request, from pool
+	pool      mem.Pool
 	startedAt uint64 // cycle the primitive entered setup (trace span)
 }
 
@@ -79,8 +80,8 @@ type GPU struct {
 	screenMap gfx.ScreenMap
 
 	draw      *drawState
-	drawQueue []*drawEntry
-	kernels   []*kernelState
+	drawQueue mem.Ring[drawEntry]
+	kernels   mem.Ring[*kernelState]
 
 	blockSeq int
 	cycle    uint64
@@ -106,7 +107,9 @@ type GPU struct {
 	// per-cluster setup/raster/fragment-shading phase spans.
 	trace *emtrace.Tracer
 
-	l2Events []l2Event
+	// l2Events holds L2 hit completions. The hit latency is constant, so
+	// they are due in the order they were queued.
+	l2Events mem.Ring[l2Event]
 
 	drawsDone     *stats.Counter
 	fragsShadedC  *stats.Counter
@@ -251,15 +254,15 @@ func (g *GPU) SubmitDraw(call *DrawCall, onDone func(cycles uint64)) error {
 	if err := call.Validate(); err != nil {
 		return err
 	}
-	g.drawQueue = append(g.drawQueue, &drawEntry{call: call, onDone: onDone})
+	g.drawQueue.PushBack(drawEntry{call: call, onDone: onDone})
 	g.drained = false
 	return nil
 }
 
 // Busy reports whether any draw or kernel work remains.
 func (g *GPU) Busy() bool {
-	return g.draw != nil || len(g.drawQueue) > 0 || len(g.kernels) > 0 ||
-		len(g.l2Events) > 0 || g.noc.Busy() || g.L2.PendingMisses() > 0 || !g.coresIdle()
+	return g.draw != nil || g.drawQueue.Len() > 0 || g.kernels.Len() > 0 ||
+		g.l2Events.Len() > 0 || g.noc.Busy() || g.L2.PendingMisses() > 0 || !g.coresIdle()
 }
 
 func (g *GPU) coresIdle() bool {
@@ -286,15 +289,13 @@ func (g *GPU) NextWake(cycle uint64) uint64 {
 	if g.drained && g.parkDrained {
 		return mem.NeverWake
 	}
-	if g.draw != nil || len(g.drawQueue) > 0 || len(g.kernels) > 0 ||
+	if g.draw != nil || g.drawQueue.Len() > 0 || g.kernels.Len() > 0 ||
 		!g.L2.Quiet() || g.Out.Len() > 0 {
 		return cycle
 	}
 	w := g.noc.NextWake(cycle)
-	for _, e := range g.l2Events {
-		if e.at < w {
-			w = e.at
-		}
+	if g.l2Events.Len() > 0 && g.l2Events.Front().at < w {
+		w = g.l2Events.Front().at
 	}
 	for _, cl := range g.clusters {
 		if v := g.clusterWake(cl, cycle); v < w {
@@ -318,7 +319,7 @@ func (g *GPU) DrawsDone() int64 { return g.drawsDone.Value() }
 func (g *GPU) DrawProgress() float64 {
 	d := g.draw
 	if d == nil {
-		if len(g.drawQueue) > 0 {
+		if g.drawQueue.Len() > 0 {
 			return 0
 		}
 		return 1
@@ -353,7 +354,7 @@ func (g *GPU) l2Sink(r *mem.Request) bool {
 	}
 	switch g.L2.Access(g.cycle, r.Addr, mem.Read, r) {
 	case cache.Hit:
-		g.l2Events = append(g.l2Events, l2Event{at: g.cycle + g.Cfg.L2.HitLatency, req: r})
+		g.l2Events.PushBack(l2Event{at: g.cycle + g.Cfg.L2.HitLatency, req: r})
 		return true
 	case cache.Miss:
 		return true // completed via OnReady when the fill returns
@@ -375,15 +376,9 @@ func (g *GPU) Tick(cycle uint64) {
 	g.cycle = cycle
 
 	// L2 hit completions.
-	kept := g.l2Events[:0]
-	for _, e := range g.l2Events {
-		if e.at <= cycle {
-			e.req.Complete(cycle)
-		} else {
-			kept = append(kept, e)
-		}
+	for g.l2Events.Len() > 0 && g.l2Events.Front().at <= cycle {
+		g.l2Events.Pop().req.Complete(cycle)
 	}
-	g.l2Events = kept
 
 	g.L2.Tick(cycle)
 	// L2 miss/writeback traffic leaves the GPU; what the output port
@@ -432,15 +427,14 @@ func (g *GPU) tickClusterShard(cl *cluster) {
 // earliest core wake, whichever comes first.
 func (g *GPU) clusterWake(cl *cluster, from uint64) uint64 {
 	if cl.setup.prim != nil || cl.rast.tri != nil ||
-		len(cl.pendingFS) > 0 || !cl.tc.Drained() {
+		cl.pendingFS.Len() > 0 || !cl.tc.Drained() {
 		return from
 	}
 	w := uint64(mem.NeverWake)
-	if len(cl.pmrb) > 0 {
-		if cl.pmrb[0].readyAt <= from {
+	if cl.pmrb.Len() > 0 {
+		if w = (*cl.pmrb.Front()).readyAt; w <= from {
 			return from
 		}
-		w = cl.pmrb[0].readyAt
 	}
 	for _, core := range cl.cores {
 		cw := core.NextWake(from)

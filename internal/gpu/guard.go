@@ -19,6 +19,29 @@ func (g *GPU) AttachGuard(gc *guard.Checker) {
 		}
 	}
 	gc.Register("gpu", "drained", g.checkDrained)
+	gc.Register("gpu", "requests", g.checkRequests)
+}
+
+// checkRequests audits the request ownership rule from the GPU's side:
+// nothing it holds for later — an L2 hit completion, a setup fetch, its
+// output port — is a request its issuer has already released.
+func (g *GPU) checkRequests(uint64) error {
+	for i := 0; i < g.l2Events.Len(); i++ {
+		if g.l2Events.At(i).req.Released() {
+			return fmt.Errorf("L2 hit completion %d carries a released request", i)
+		}
+	}
+	if err := g.Out.AuditReleased(); err != nil {
+		return fmt.Errorf("output port: %w", err)
+	}
+	for _, cl := range g.clusters {
+		for i, r := range cl.setup.reqs {
+			if held := cl.setup.prim != nil && i < cl.setup.issued; held != (r != nil) || held && r.Released() {
+				return fmt.Errorf("%s: setup fetch %d: held=%v, request %v", cl.track, i, held, r)
+			}
+		}
+	}
+	return nil
 }
 
 // checkDrained audits the drained latch at the end-of-cycle quiesce
@@ -31,7 +54,7 @@ func (g *GPU) AttachGuard(gc *guard.Checker) {
 func (g *GPU) checkDrained(uint64) error {
 	if g.drained && (g.Busy() || g.Out.Len() > 0) {
 		return fmt.Errorf("latched as drained but busy (activeDraw=%v queuedDraws=%d kernels=%d outQueue=%d)",
-			g.draw != nil, len(g.drawQueue), len(g.kernels), g.Out.Len())
+			g.draw != nil, g.drawQueue.Len(), g.kernels.Len(), g.Out.Len())
 	}
 	return nil
 }
@@ -59,7 +82,7 @@ const diagWarpLines = 8
 // every core still holding work.
 func (g *GPU) Diagnose(d *guard.Diag, cycle uint64) {
 	front := fmt.Sprintf("activeDraw=%v queuedDraws=%d kernels=%d l2Events=%d l2Mshrs=%d outQueue=%d",
-		g.draw != nil, len(g.drawQueue), len(g.kernels), len(g.l2Events),
+		g.draw != nil, g.drawQueue.Len(), g.kernels.Len(), g.l2Events.Len(),
 		g.L2.PendingMisses(), g.Out.Len())
 	d.Add("gpu front end", []string{front})
 	d.Add("gpu noc", g.noc.Diagnose(cycle))

@@ -164,3 +164,44 @@ func TestGuardCatchesLatchOverQueuedDraw(t *testing.T) {
 		t.Fatalf("first violation = %v, want the drained-latch report", v[0])
 	}
 }
+
+// The request ownership audit must fire when a request is freed while
+// something downstream still holds it — what a component releasing a
+// request it did not issue, or before Done, would cause. The fault here
+// is injected by hand: a request waiting in a cluster's NoC port is
+// completed and released to a pool behind the machine's back.
+func TestGuardCatchesReleasedRequestStillQueued(t *testing.T) {
+	s := testStandalone()
+	g := guard.NewChecker()
+	s.AttachGuard(g)
+	const vp = 64
+	clearTargets(s, vp, 0)
+	idx := uploadQuad(s, 0)
+	uploadIdentityUniforms(s, [4]float32{1, 0, 0, 1}, 1)
+	if err := s.GPU.SubmitDraw(quadCall(s, idx, shader.FSTexturedEarlyZ, vp), nil); err != nil {
+		t.Fatal(err)
+	}
+	var queued *mem.Request
+	for i := 0; queued == nil; i++ {
+		if i > 100_000 {
+			t.Fatal("no request ever waited in a NoC port")
+		}
+		s.Tick()
+		for c := range s.GPU.clusters {
+			if p := s.GPU.noc.Port(c); p.Len() > 0 {
+				queued = p.At(0)
+			}
+		}
+	}
+	if v := g.Violations(); len(v) != 0 {
+		t.Fatalf("healthy run reported violations: %v", v)
+	}
+	var rogue mem.Pool
+	queued.Complete(s.Cycle())
+	rogue.Put(queued)
+	s.run.Guard.Tick(s.Cycle())
+	v := g.Violations()
+	if len(v) == 0 || !strings.Contains(v[0].Detail, "released request") {
+		t.Fatalf("violations = %v, want a released-request report from the NoC", v)
+	}
+}

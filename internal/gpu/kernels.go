@@ -64,7 +64,7 @@ func (g *GPU) LaunchKernel(k Kernel, onDone func(cycles uint64)) error {
 	if k.ThreadsPerBlock > 1024 {
 		return fmt.Errorf("gpu: max 1024 threads per block")
 	}
-	g.kernels = append(g.kernels, &kernelState{k: k, onDone: onDone})
+	g.kernels.PushBack(&kernelState{k: k, onDone: onDone})
 	g.drained = false
 	return nil
 }
@@ -72,10 +72,10 @@ func (g *GPU) LaunchKernel(k Kernel, onDone func(cycles uint64)) error {
 // tickKernels dispatches thread blocks of the oldest queued kernel
 // (kernels execute in submission order).
 func (g *GPU) tickKernels(cycle uint64) {
-	if len(g.kernels) == 0 {
+	if g.kernels.Len() == 0 {
 		return
 	}
-	ks := g.kernels[0]
+	ks := *g.kernels.Front()
 	if !ks.started {
 		ks.started = true
 		ks.startCycle = cycle
@@ -96,7 +96,7 @@ func (g *GPU) tickKernels(cycle uint64) {
 	}
 
 	if ks.nextBlock >= ks.k.Blocks && ks.outstanding.Load() == 0 {
-		g.kernels = g.kernels[1:]
+		g.kernels.Pop()
 		g.trace.Span1(emtrace.SrcGPU, "frontend", ks.k.Prog.Name,
 			ks.startCycle, cycle, emtrace.Arg{Key: "blocks", Val: int64(ks.k.Blocks)})
 		if ks.onDone != nil {

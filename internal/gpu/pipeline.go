@@ -17,11 +17,10 @@ import (
 // in-order primitive assembly + clipping + VPO distribution (D-F).
 func (g *GPU) tickDrawFrontEnd(cycle uint64) {
 	if g.draw == nil {
-		if len(g.drawQueue) == 0 {
+		if g.drawQueue.Len() == 0 {
 			return
 		}
-		e := g.drawQueue[0]
-		g.drawQueue = g.drawQueue[1:]
+		e := g.drawQueue.Pop()
 		g.draw = &drawState{
 			call:       e.call,
 			batches:    buildBatches(e.call),
@@ -159,7 +158,7 @@ func (g *GPU) assembleBatch(d *drawState, batchIdx int, cycle uint64) {
 				if ci == 0 { // local commit skips the interconnect
 					lat = 1
 				}
-				g.clusters[ci].pmrb = append(g.clusters[ci].pmrb, &clusterPrim{
+				g.clusters[ci].pmrb.PushBack(&clusterPrim{
 					tri:     st,
 					readyAt: cycle + lat,
 					fetch:   fetch,
@@ -182,8 +181,8 @@ func (g *GPU) drawComplete(d *drawState) bool {
 		return false
 	}
 	for _, cl := range g.clusters {
-		if len(cl.pmrb) > 0 || cl.setup.prim != nil || cl.rast.tri != nil ||
-			len(cl.pendingFS) > 0 || !cl.tc.Drained() {
+		if cl.pmrb.Len() > 0 || cl.setup.prim != nil || cl.rast.tri != nil ||
+			cl.pendingFS.Len() > 0 || !cl.tc.Drained() {
 			return false
 		}
 	}
@@ -205,20 +204,15 @@ func (g *GPU) tickClusterGraphics(cl *cluster, cycle uint64) {
 	g.tickSetup(cl, d, cycle)
 
 	// PMRB -> setup (one primitive at a time, in order).
-	if cl.setup.prim == nil && len(cl.pmrb) > 0 && cl.pmrb[0].readyAt <= cycle {
-		p := cl.pmrb[0]
-		cl.pmrb = cl.pmrb[1:]
-		cl.setup.prim = p
-		cl.setup.startedAt = cycle
-		// Setup fetches the three vertex records from the L2-backed
-		// output vertex buffer (paper §3.3.4).
-		cl.setup.toIssue = p.fetch[:]
-		cl.setup.reqs = nil
+	if cl.setup.prim == nil && cl.pmrb.Len() > 0 && (*cl.pmrb.Front()).readyAt <= cycle {
+		// Setup fetches the primitive's three vertex records from the
+		// L2-backed output vertex buffer (paper §3.3.4).
+		cl.setup.prim, cl.setup.issued, cl.setup.startedAt = cl.pmrb.Pop(), 0, cycle
 	}
 
 	// Expedite end-of-draw: flush staged TC tiles once the geometry side
 	// has drained (the timeout would get there anyway, later).
-	if d.nextAssemble == len(d.batches) && len(cl.pmrb) == 0 &&
+	if d.nextAssemble == len(d.batches) && cl.pmrb.Len() == 0 &&
 		cl.setup.prim == nil && cl.rast.tri == nil {
 		cl.tc.FlushAll()
 	}
@@ -231,21 +225,17 @@ func (g *GPU) tickSetup(cl *cluster, d *drawState, cycle uint64) {
 	if s.prim == nil {
 		return
 	}
-	// Issue remaining fetches through the cluster port.
-	port := g.noc.Port(cl.id)
-	for len(s.toIssue) > 0 {
-		r := &mem.Request{
-			Addr: s.toIssue[0], Size: ovbRecordBytes, Kind: mem.Read,
+	// Issue remaining fetches through the cluster port; a full port
+	// builds nothing and the rest retry next cycle.
+	for port := g.noc.Port(cl.id); s.issued < len(s.reqs); s.issued++ {
+		if port.Full() {
+			return
+		}
+		s.reqs[s.issued] = s.pool.New(mem.Request{
+			Addr: s.prim.fetch[s.issued], Size: ovbRecordBytes, Kind: mem.Read,
 			Client: mem.ClientGPU, ClientID: cl.id, IssuedAt: cycle,
-		}
-		if !port.Push(r) {
-			break // port full: remaining fetches retry next cycle
-		}
-		s.reqs = append(s.reqs, r)
-		s.toIssue = s.toIssue[1:]
-	}
-	if len(s.toIssue) > 0 {
-		return
+		})
+		port.MustPush(s.reqs[s.issued])
 	}
 	for _, r := range s.reqs {
 		if !r.Done {
@@ -259,8 +249,13 @@ func (g *GPU) tickSetup(cl *cluster, d *drawState, cycle uint64) {
 	g.trace.Span1(emtrace.SrcGPU, cl.track, "setup", s.startedAt, cycle,
 		emtrace.Arg{Key: "prim", Val: int64(s.prim.tri.ID)})
 	g.startRaster(cl, d, s.prim.tri, cycle)
+	// The fetches go back to the pool they came from: here, in the
+	// cluster's own shard, after all three were seen Done.
+	for i, r := range s.reqs {
+		s.pool.Put(r)
+		s.reqs[i] = nil
+	}
 	s.prim = nil
-	s.reqs = nil
 }
 
 // startRaster precomputes the cluster-owned raster tiles of a primitive.
@@ -370,7 +365,7 @@ func (t *tileTask) warpRetired(frags int) {
 // the owning core.
 func (g *GPU) tickFSLaunch(cl *cluster, cycle uint64) {
 	d := g.draw
-	if len(cl.pendingFS) == 0 && d != nil {
+	if cl.pendingFS.Len() == 0 && d != nil {
 		t := cl.tc.PopReady()
 		if t != nil {
 			px, py := gfx.TCOrigin(t.TX, t.TY)
@@ -406,14 +401,14 @@ func (g *GPU) tickFSLaunch(cl *cluster, cycle uint64) {
 						FZ:   mathFloat32bits(f.Z),
 					}
 				}
-				cl.pendingFS = append(cl.pendingFS, &fsLaunch{
+				cl.pendingFS.PushBack(&fsLaunch{
 					env: env, mask: mask, specials: specials, core: core,
 				})
 			}
 		}
 	}
-	for len(cl.pendingFS) > 0 {
-		e := cl.pendingFS[0]
+	for cl.pendingFS.Len() > 0 {
+		e := *cl.pendingFS.Front()
 		core := cl.cores[e.core]
 		if e.env.d.call.FS == nil || !core.CanLaunch(e.env.d.call.FS) {
 			return
@@ -422,7 +417,7 @@ func (g *GPU) tickFSLaunch(cl *cluster, cycle uint64) {
 			return
 		}
 		g.fsWarpsC.Inc()
-		cl.pendingFS = cl.pendingFS[1:]
+		cl.pendingFS.Pop()
 	}
 }
 

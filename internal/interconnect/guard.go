@@ -16,12 +16,24 @@ func (x *Crossbar) AttachGuard(g *guard.Checker) {
 }
 
 func (x *Crossbar) checkInvariants(cycle uint64) error {
-	if credits := 4 * x.cfg.Width; len(x.inflight) > credits {
-		return fmt.Errorf("%d flits in flight, credit limit %d", len(x.inflight), credits)
+	if credits := 4 * x.cfg.Width; x.inflight.Len() > credits {
+		return fmt.Errorf("%d flits in flight, credit limit %d", x.inflight.Len(), credits)
+	}
+	for i := 0; i < x.inflight.Len(); i++ {
+		f := x.inflight.At(i)
+		if f.req.Released() {
+			return fmt.Errorf("flit %d carries a released request", i)
+		}
+		if i > 0 && f.arrives < x.inflight.At(i-1).arrives {
+			return fmt.Errorf("flit %d arrives at %d, before the flit ahead of it", i, f.arrives)
+		}
 	}
 	for i, p := range x.ports {
 		if p.Len() > x.cfg.Depth {
 			return fmt.Errorf("port %d holds %d requests, depth %d", i, p.Len(), x.cfg.Depth)
+		}
+		if err := p.AuditReleased(); err != nil {
+			return fmt.Errorf("port %d: %w", i, err)
 		}
 	}
 	return nil
@@ -41,5 +53,5 @@ func (x *Crossbar) Diagnose(cycle uint64) []string {
 		fmt.Fprintf(&occ, "p%d=%d", i, p.Len())
 	}
 	return []string{fmt.Sprintf("%s: inflight=%d/%d ports: %s",
-		x.cfg.Name, len(x.inflight), 4*x.cfg.Width, occ.String())}
+		x.cfg.Name, x.inflight.Len(), 4*x.cfg.Width, occ.String())}
 }

@@ -27,8 +27,11 @@ type Config struct {
 type Crossbar struct {
 	cfg   Config
 	ports []*mem.Queue
-	// inflight holds requests traversing the crossbar, with arrival time.
-	inflight []flit
+	// inflight holds requests traversing the crossbar, oldest first. The
+	// latency is constant, so arrival times never decrease from front to
+	// back and the arrived flits are always a prefix.
+	inflight mem.Ring[flit]
+	refused  []flit // arrived flits the sink turned down this cycle
 	sink     func(*mem.Request) bool
 	rr       int
 
@@ -77,30 +80,35 @@ func (x *Crossbar) Push(port int, r *mem.Request) bool { return x.ports[port].Pu
 // Tick moves up to Width requests from ports into the pipe and delivers
 // arrived requests to the sink (retrying under backpressure).
 func (x *Crossbar) Tick(cycle uint64) {
-	// Deliver arrivals first.
-	kept := x.inflight[:0]
-	for _, f := range x.inflight {
-		if f.arrives <= cycle {
-			if x.sink(f.req) {
-				x.transferred.Inc()
-				continue
-			}
+	// Deliver arrivals first: every arrived flit is offered, in order,
+	// and one the sink refuses goes back to the front without holding
+	// up the ones behind it.
+	for x.inflight.Len() > 0 && x.inflight.Front().arrives <= cycle {
+		if f := x.inflight.Pop(); x.sink(f.req) {
+			x.transferred.Inc()
+		} else {
 			x.stalls.Inc()
+			x.refused = append(x.refused, f)
 		}
-		kept = append(kept, f)
 	}
-	x.inflight = kept
+	for i := len(x.refused) - 1; i >= 0; i-- {
+		x.inflight.PushFront(x.refused[i])
+	}
+	clear(x.refused)
+	x.refused = x.refused[:0]
 
 	// Accept new flits round-robin, bounded by the internal buffering
 	// (4 flits per unit of width) so a blocked sink backpressures the
 	// ports instead of ballooning the in-flight set.
 	moved := 0
 	for scanned := 0; scanned < len(x.ports) && moved < x.cfg.Width &&
-		len(x.inflight) < 4*x.cfg.Width; scanned++ {
+		x.inflight.Len() < 4*x.cfg.Width; scanned++ {
 		p := x.ports[x.rr]
-		x.rr = (x.rr + 1) % len(x.ports)
+		if x.rr++; x.rr == len(x.ports) {
+			x.rr = 0
+		}
 		if r := p.Pop(); r != nil {
-			x.inflight = append(x.inflight, flit{req: r, arrives: cycle + x.cfg.Latency})
+			x.inflight.PushBack(flit{req: r, arrives: cycle + x.cfg.Latency})
 			moved++
 		}
 	}
@@ -114,12 +122,9 @@ func (x *Crossbar) Tick(cycle uint64) {
 // cycles leave no trace.
 func (x *Crossbar) NextWake(cycle uint64) uint64 {
 	w := uint64(mem.NeverWake)
-	for _, f := range x.inflight {
-		if f.arrives <= cycle {
+	if x.inflight.Len() > 0 {
+		if w = x.inflight.Front().arrives; w <= cycle {
 			return cycle
-		}
-		if f.arrives < w {
-			w = f.arrives
 		}
 	}
 	for _, p := range x.ports {
@@ -132,7 +137,7 @@ func (x *Crossbar) NextWake(cycle uint64) uint64 {
 
 // Busy reports whether any request is queued or in flight.
 func (x *Crossbar) Busy() bool {
-	if len(x.inflight) > 0 {
+	if x.inflight.Len() > 0 {
 		return true
 	}
 	for _, p := range x.ports {

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"fmt"
 	"testing"
 
 	"emerald/internal/mem"
@@ -106,5 +107,52 @@ func TestPortDepthBackpressure(t *testing.T) {
 	}
 	if x.Push(0, &mem.Request{}) {
 		t.Fatal("push over depth must fail")
+	}
+}
+
+// A refused arrived flit does not block the arrived flits behind it:
+// every arrived flit is offered every cycle, in order, and the ones the
+// sink turns down keep their place at the front for the next cycle.
+func TestRefusedFlitDoesNotBlockThoseBehindIt(t *testing.T) {
+	var offered, taken []uint64
+	refuse := map[uint64]bool{0: true, 2: true}
+	x := New(Config{Name: "noc", Ports: 1, Latency: 3, Width: 2, Depth: 8},
+		func(r *mem.Request) bool {
+			offered = append(offered, r.Addr)
+			if refuse[r.Addr] {
+				return false
+			}
+			taken = append(taken, r.Addr)
+			return true
+		}, nil)
+	for a := uint64(0); a < 6; a++ {
+		x.Push(0, &mem.Request{Addr: a})
+	}
+	// One flit leaves the port per cycle: flit a arrives at cycle a+3.
+	expect := func(cycle uint64, wantOffered, wantTaken []uint64) {
+		t.Helper()
+		offered, taken = offered[:0], taken[:0]
+		x.Tick(cycle)
+		if fmt.Sprint(offered) != fmt.Sprint(wantOffered) || fmt.Sprint(taken) != fmt.Sprint(wantTaken) {
+			t.Fatalf("cycle %d: offered %v took %v, want offered %v took %v", cycle, offered, taken, wantOffered, wantTaken)
+		}
+		if w := x.NextWake(cycle + 1); len(wantOffered) > len(wantTaken) && w != cycle+1 {
+			t.Fatalf("cycle %d: a refused flit is waiting but NextWake = %d", cycle, w)
+		}
+	}
+	for c := uint64(0); c < 3; c++ {
+		expect(c, nil, nil)
+	}
+	expect(3, []uint64{0}, nil)
+	expect(4, []uint64{0, 1}, []uint64{1})    // 0 refused again, 1 behind it delivered
+	expect(5, []uint64{0, 2}, nil)            // refused flits keep their order at the front
+	expect(6, []uint64{0, 2, 3}, []uint64{3}) // and are offered before later arrivals
+	expect(7, []uint64{0, 2, 4}, []uint64{4})
+	refuse[0] = false
+	expect(8, []uint64{0, 2, 5}, []uint64{0, 5})
+	refuse[2] = false
+	expect(9, []uint64{2}, []uint64{2})
+	if x.Busy() || x.Transferred() != 6 || x.stalls.Value() != 9 {
+		t.Fatalf("after draining: busy=%v transferred=%d stalls=%d, want idle, 6, 9", x.Busy(), x.Transferred(), x.stalls.Value())
 	}
 }

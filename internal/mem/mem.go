@@ -9,35 +9,56 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
 // PageSize is the granularity of the sparse backing store.
 const PageSize = 4096
 
+// The page directory is a four-level radix tree over the 52-bit page
+// index of a 64-bit address, 13 bits per level: a lookup is four
+// indexed loads and never hashes, and an address near 2^63 costs three
+// interior nodes and a page, not memory in proportion to the address.
+const (
+	fanBits = 13
+	fanout  = 1 << fanBits
+	fanMask = fanout - 1
+)
+
+type (
+	page   = [PageSize]byte
+	leaf   [fanout]atomic.Pointer[page]
+	branch [fanout]atomic.Pointer[leaf]
+	trunk  [fanout]atomic.Pointer[branch]
+	// root is one generation of the directory; Reset swaps it whole.
+	root struct {
+		kids  [fanout]atomic.Pointer[trunk]
+		pages atomic.Int64 // materialized pages
+	}
+)
+
 // Memory is a sparse functional model of physical memory. Reads of pages
 // never written return zeroes, like freshly mapped DRAM from the
-// simulator's point of view. Memory carries data only; all timing lives
-// in the cache/DRAM models.
+// simulator's point of view, and do not materialize the page. Memory
+// carries data only; all timing lives in the cache/DRAM models.
 //
-// The page directory is safe for concurrent use: lookups read an
-// immutable map snapshot through an atomic pointer, and materializing a
-// new page copies the directory under a mutex (copy-on-insert). Page
-// *contents* carry no locks — the parallel tick engine guarantees that
-// two shards never write the same byte in the same phase (shard-owned
-// address ranges; see DESIGN.md), which the race detector verifies,
-// since distinct bytes of an array are distinct memory locations.
+// The page directory is safe for concurrent use and lock-free: every
+// slot is an atomic pointer that goes from nil to its final value
+// exactly once, by compare-and-swap, so a reader sees either nothing
+// (the page reads as zeroes) or a fully zeroed node or page; the loser
+// of a racing insert adopts the winner's. Page *contents* carry no
+// locks — the parallel tick engine guarantees that two shards never
+// write the same byte in the same phase (shard-owned address ranges;
+// see DESIGN.md), which the race detector verifies, since distinct
+// bytes of an array are distinct memory locations.
 type Memory struct {
-	pages atomic.Pointer[map[uint64]*[PageSize]byte]
-	mu    sync.Mutex // serializes copy-on-insert of new pages
+	dir atomic.Pointer[root]
 }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
 	m := &Memory{}
-	empty := make(map[uint64]*[PageSize]byte)
-	m.pages.Store(&empty)
+	m.dir.Store(new(root))
 	return m
 }
 
@@ -63,28 +84,41 @@ func (m *Memory) Write(addr uint64, p []byte) {
 
 // zeroPage backs reads of never-written pages. It is never written to,
 // so sharing one instance across goroutines is safe.
-var zeroPage [PageSize]byte
+var zeroPage page
 
-func (m *Memory) pageFor(page uint64, create bool) *[PageSize]byte {
-	p, ok := (*m.pages.Load())[page]
-	if !ok {
-		if !create {
-			return &zeroPage
-		}
-		m.mu.Lock()
-		old := *m.pages.Load()
-		if p, ok = old[page]; !ok {
-			next := make(map[uint64]*[PageSize]byte, len(old)+1)
-			for k, v := range old {
-				next[k] = v
-			}
-			p = new([PageSize]byte)
-			next[page] = p
-			m.pages.Store(&next)
-		}
-		m.mu.Unlock()
+// child returns the node behind slot, materializing it if absent.
+func child[T any](slot *atomic.Pointer[T]) *T {
+	if c := slot.Load(); c != nil {
+		return c
 	}
-	return p
+	c := new(T)
+	if slot.CompareAndSwap(nil, c) {
+		return c
+	}
+	return slot.Load()
+}
+
+func (m *Memory) pageFor(idx uint64, create bool) *page {
+	r := m.dir.Load()
+	top, mid, low := idx>>(3*fanBits), idx>>(2*fanBits)&fanMask, idx>>fanBits&fanMask
+	if t := r.kids[top].Load(); t != nil {
+		if b := t[mid].Load(); b != nil {
+			if l := b[low].Load(); l != nil {
+				if p := l[idx&fanMask].Load(); p != nil {
+					return p
+				}
+			}
+		}
+	}
+	if !create {
+		return &zeroPage
+	}
+	p, slot := new(page), &child(&child(&child(&r.kids[top])[mid])[low])[idx&fanMask]
+	if slot.CompareAndSwap(nil, p) {
+		r.pages.Add(1)
+		return p
+	}
+	return slot.Load()
 }
 
 // Reset drops every materialized page, returning the memory to its
@@ -92,24 +126,35 @@ func (m *Memory) pageFor(page uint64, create bool) *[PageSize]byte {
 // reconcile the page set: without it, pages the target has but the
 // snapshot lacks would survive the restore as stale state. Not safe
 // concurrently with a running simulation.
-func (m *Memory) Reset() {
-	m.mu.Lock()
-	empty := make(map[uint64]*[PageSize]byte)
-	m.pages.Store(&empty)
-	m.mu.Unlock()
-}
+func (m *Memory) Reset() { m.dir.Store(new(root)) }
 
 // PageCount reports how many pages have been materialized (for
 // checkpoint sizing and tests).
-func (m *Memory) PageCount() int { return len(*m.pages.Load()) }
+func (m *Memory) PageCount() int { return int(m.dir.Load().pages.Load()) }
 
-// Pages returns the set of materialized page indices (unordered).
-func (m *Memory) Pages() []uint64 {
-	pages := *m.pages.Load()
-	out := make([]uint64, 0, len(pages))
-	for p := range pages {
-		out = append(out, p)
+// eachPage visits every materialized page in ascending index order.
+func (m *Memory) eachPage(fn func(idx uint64, p *page)) {
+	r := m.dir.Load()
+	for i := range r.kids {
+		t := r.kids[i].Load()
+		for j := 0; t != nil && j < fanout; j++ {
+			b := t[j].Load()
+			for k := 0; b != nil && k < fanout; k++ {
+				l := b[k].Load()
+				for n := 0; l != nil && n < fanout; n++ {
+					if p := l[n].Load(); p != nil {
+						fn(((uint64(i)<<fanBits|uint64(j))<<fanBits|uint64(k))<<fanBits|uint64(n), p)
+					}
+				}
+			}
+		}
 	}
+}
+
+// Pages returns the set of materialized page indices.
+func (m *Memory) Pages() []uint64 {
+	out := make([]uint64, 0, m.PageCount())
+	m.eachPage(func(idx uint64, _ *page) { out = append(out, idx) })
 	return out
 }
 
@@ -119,22 +164,19 @@ func (m *Memory) Pages() []uint64 {
 // single bulk alloc plus page copies rather than one allocation per
 // page.
 func (m *Memory) SnapshotPages() map[uint64][]byte {
-	pages := *m.pages.Load()
-	out := make(map[uint64][]byte, len(pages))
-	buf := make([]byte, len(pages)*PageSize)
-	i := 0
-	for p, data := range pages {
-		dst := buf[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
-		copy(dst, data[:])
-		out[p] = dst
-		i++
-	}
+	n := m.PageCount()
+	out := make(map[uint64][]byte, n)
+	buf := make([]byte, 0, n*PageSize)
+	m.eachPage(func(idx uint64, p *page) {
+		buf = append(buf, p[:]...)
+		out[idx] = buf[len(buf)-PageSize : len(buf) : len(buf)]
+	})
 	return out
 }
 
 // PageData returns the raw contents of one materialized page, or nil.
-func (m *Memory) PageData(page uint64) []byte {
-	if p, ok := (*m.pages.Load())[page]; ok {
+func (m *Memory) PageData(idx uint64) []byte {
+	if p := m.pageFor(idx, false); p != &zeroPage {
 		return p[:]
 	}
 	return nil
@@ -142,13 +184,20 @@ func (m *Memory) PageData(page uint64) []byte {
 
 // ReadU32 reads a little-endian uint32.
 func (m *Memory) ReadU32(addr uint64) uint32 {
-	var b [4]byte
+	if off := addr % PageSize; off <= PageSize-4 {
+		return binary.LittleEndian.Uint32(m.pageFor(addr/PageSize, false)[off:])
+	}
+	var b [4]byte // page-straddling access; rare
 	m.Read(addr, b[:])
 	return binary.LittleEndian.Uint32(b[:])
 }
 
 // WriteU32 writes a little-endian uint32.
 func (m *Memory) WriteU32(addr uint64, v uint32) {
+	if off := addr % PageSize; off <= PageSize-4 {
+		binary.LittleEndian.PutUint32(m.pageFor(addr/PageSize, true)[off:], v)
+		return
+	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	m.Write(addr, b[:])
@@ -246,10 +295,18 @@ type Request struct {
 	// memory system (for latency stats).
 	IssuedAt uint64
 
-	// Tag is requester-private metadata (e.g. MSHR index). When it
-	// implements DoneWatcher, Complete notifies it.
+	// Tag is requester-private metadata (e.g. the cache MSHR a fill
+	// belongs to). When it implements DoneWatcher, Complete notifies it.
 	Tag any
+
+	// released marks a request sitting on its issuer's free list (Pool).
+	released bool
 }
+
+// Released reports whether the request is on a Pool's free list. Such a
+// request must be unreachable from every queue, MSHR, flit and event;
+// the guard audits check exactly that.
+func (r *Request) Released() bool { return r.released }
 
 // DoneWatcher is implemented by request issuers (carried in
 // Request.Tag) that need a synchronous signal when their request
@@ -280,75 +337,3 @@ func (r *Request) Complete(cycle uint64) {
 // events — its state cannot change until new work arrives from
 // outside. The tick loops treat it as "no wake deadline".
 const NeverWake = ^uint64(0)
-
-// Queue is a bounded FIFO of requests. A zero-capacity queue is
-// unbounded.
-type Queue struct {
-	cap   int
-	items []*Request
-}
-
-// NewQueue returns a queue with the given capacity (0 = unbounded).
-func NewQueue(capacity int) *Queue { return &Queue{cap: capacity} }
-
-// Len returns the number of queued requests.
-func (q *Queue) Len() int { return len(q.items) }
-
-// Full reports whether the queue is at capacity.
-func (q *Queue) Full() bool { return q.cap > 0 && len(q.items) >= q.cap }
-
-// Push appends r; it reports false (and drops nothing) if the queue is
-// full.
-func (q *Queue) Push(r *Request) bool {
-	if q.Full() {
-		return false
-	}
-	q.items = append(q.items, r)
-	return true
-}
-
-// Peek returns the oldest request without removing it, or nil.
-func (q *Queue) Peek() *Request {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
-}
-
-// Pop removes and returns the oldest request, or nil.
-func (q *Queue) Pop() *Request {
-	if len(q.items) == 0 {
-		return nil
-	}
-	r := q.items[0]
-	q.drop(1)
-	return r
-}
-
-// DrainTo moves requests oldest-first into dst until dst refuses one,
-// leaving the rest queued in order: the backpressure contract of every
-// port in the system. A request leaves q only once dst has accepted it,
-// so a full port delays traffic and never drops it (a dropped fill
-// would strand its MSHR forever).
-func (q *Queue) DrainTo(dst *Queue) {
-	n := len(q.items)
-	if dst.cap > 0 && dst.cap-len(dst.items) < n {
-		n = dst.cap - len(dst.items)
-	}
-	if n <= 0 {
-		return
-	}
-	dst.items = append(dst.items, q.items[:n]...)
-	q.drop(n)
-}
-
-// drop removes the n oldest requests. The vacated tail slots are
-// cleared so the backing array does not pin retired requests.
-func (q *Queue) drop(n int) {
-	m := copy(q.items, q.items[n:])
-	clear(q.items[m:])
-	q.items = q.items[:m]
-}
-
-// Items returns the backing slice, oldest first (read-only use).
-func (q *Queue) Items() []*Request { return q.items }

@@ -150,34 +150,30 @@ func TestQueueDrainTo(t *testing.T) {
 		for _, r := range reqs {
 			src.Push(r)
 		}
-		tail := src.items[:n:n]
 		src.DrainTo(dst)
 		if src.Len() != n-tc.moved || dst.Len() != tc.dstHeld+tc.moved {
 			t.Fatalf("%+v: src %d, dst %d after drain", tc, src.Len(), dst.Len())
 		}
-		for i, r := range dst.Items()[tc.dstHeld:] {
-			if r != reqs[i] {
+		for i := 0; i < tc.moved; i++ {
+			if r := dst.At(tc.dstHeld + i); r != reqs[i] {
 				t.Fatalf("%+v: dst[%d] = request %d, want %d", tc, i, r.Addr, i)
 			}
 		}
-		for i, r := range src.Items() {
-			if r != reqs[tc.moved+i] {
+		for i := 0; i < src.Len(); i++ {
+			if r := src.At(i); r != reqs[tc.moved+i] {
 				t.Fatalf("%+v: src[%d] = request %d, want %d", tc, i, r.Addr, tc.moved+i)
 			}
 		}
-		for i, r := range tail[src.Len():] {
-			if r != nil {
-				t.Fatalf("%+v: vacated slot %d still pins request %d", tc, src.Len()+i, r.Addr)
-			}
+		if held := pinned(src); held != src.Len() {
+			t.Fatalf("%+v: backing array pins %d requests, %d queued", tc, held, src.Len())
 		}
 	}
 
 	// Pop vacates its slot too.
 	q := NewQueue(0)
 	q.Push(reqs[0])
-	tail := q.items[:1]
 	q.Pop()
-	if tail[0] != nil {
+	if pinned(q) != 0 {
 		t.Fatal("Pop left the popped request pinned in the backing array")
 	}
 
@@ -220,4 +216,15 @@ func TestRequestComplete(t *testing.T) {
 	if !r.Done || r.DoneAt != 25 {
 		t.Fatal("complete did not mark request")
 	}
+}
+
+// pinned counts the requests a queue's backing array still references.
+func pinned(q *Queue) int {
+	n := 0
+	for _, r := range q.r.buf {
+		if r != nil {
+			n++
+		}
+	}
+	return n
 }

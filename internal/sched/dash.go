@@ -298,11 +298,11 @@ func (d *DASH) Pick(ch *dram.Channel, cycle uint64) int {
 	bestClass := prioLast + 1
 	bestHit := false
 	for i, r := range ch.Queue {
-		if !ch.BankReady(r, cycle) {
+		if !ch.BankReady(i, cycle) {
 			continue
 		}
 		class := d.classify(r)
-		hit := ch.IsRowHit(r)
+		hit := ch.IsRowHit(i)
 		if class < bestClass || (class == bestClass && hit && !bestHit) {
 			best, bestClass, bestHit = i, class, hit
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"emerald/internal/dram"
@@ -211,5 +212,48 @@ func TestDASHDRAMWiring(t *testing.T) {
 	}
 	if NewDASH(DefaultDASHConfig(4, false)).Name() != "DASH-DCB" {
 		t.Fatal("DCB name wrong")
+	}
+}
+
+// lockstep wraps a scheduler and checks, at every pick, through the
+// exported surface only, that the row-hit answer a channel gives for
+// queue slot i (from the location it decoded once, at Push) is the one
+// decoding the request's address now gives: the stored locations stay
+// beside their requests through every mid-queue removal.
+type lockstep struct {
+	dram.Scheduler
+	t     *testing.T
+	picks int
+}
+
+func (s *lockstep) Pick(ch *dram.Channel, cycle uint64) int {
+	for i, r := range ch.Queue {
+		loc := ch.Mapping().Decode(r.Addr)
+		if want := ch.OpenRow(loc.Rank, loc.Bank) == int64(loc.Row); ch.IsRowHit(i) != want {
+			s.t.Fatalf("cycle %d: slot %d (%#x): IsRowHit = %v, decoding now says %v", cycle, i, r.Addr, !want, want)
+		}
+	}
+	s.picks++
+	return s.Scheduler.Pick(ch, cycle)
+}
+
+func TestDecodeOnceEqualsDecodePerPickDASHAndHMC(t *testing.T) {
+	g, tm := dram.LPDDR3Geometry(2), dram.LPDDR3Timing(1333)
+	dashCfg, _ := DASHDRAM("dash", g, tm, DefaultDASHConfig(2, false))
+	for name, cfg := range map[string]dram.Config{"DASH": dashCfg, "HMC": HMCDRAM("hmc", g, tm)} {
+		wrapped := &lockstep{Scheduler: cfg.Scheduler, t: t}
+		cfg.Scheduler, cfg.QueueDepth = wrapped, 12
+		c := dram.NewController(cfg, nil)
+		rng := rand.New(rand.NewSource(5))
+		for cycle := uint64(0); cycle < 20000; cycle++ {
+			for k := rng.Intn(3); k > 0; k-- {
+				c.Push(&mem.Request{Addr: uint64(rng.Intn(1<<14)) * 64, Size: 64,
+					Client: mem.Client(rng.Intn(3)), ClientID: rng.Intn(2), IssuedAt: cycle})
+			}
+			c.Tick(cycle)
+		}
+		if wrapped.picks < 500 || c.TotalBytes() == 0 {
+			t.Fatalf("%s: stream too thin: %d picks, %d bytes", name, wrapped.picks, c.TotalBytes())
+		}
 	}
 }

@@ -84,6 +84,17 @@ type wbEvent struct {
 	op   *memOp // when set, decrement op instead of direct unlock
 }
 
+// eventClass is the FIFO of pending writebacks that share one latency.
+// Ticks arrive in cycle order, so within a class `at` never decreases
+// from front to back: the due events are a prefix and the earliest is
+// the front, with nothing rewritten or scanned. The handful of classes
+// (ALU, SFU, scratchpad, one per distinct L1 hit latency) are found by
+// their latency.
+type eventClass struct {
+	lat uint64
+	q   mem.Ring[wbEvent]
+}
+
 // Core is one SIMT core.
 type Core struct {
 	Cfg CoreConfig
@@ -94,8 +105,10 @@ type Core struct {
 	freeWarps []*Warp
 	// regsUsed is the register-file space held by resident warps.
 	regsUsed int
-	// blocks tracks compute thread blocks for barrier handling.
-	blocks map[int]*blockState
+	// blocks tracks compute thread blocks for barrier handling; a block
+	// whose last warp retired goes to freeBlocks, empty, for the next.
+	blocks     map[int]*blockState
+	freeBlocks []*blockState
 
 	L1D, L1T, L1Z, L1C *cache.Cache
 
@@ -113,7 +126,11 @@ type Core struct {
 	// of one memory instruction and the cache lines they coalesce to.
 	addrs, lines [4 * WarpSize]uint64
 
-	events []wbEvent
+	events  []eventClass
+	nEvents int
+	// reqs supplies the vertex-output stores, the only requests the core
+	// issues itself (its caches own theirs).
+	reqs mem.Pool
 
 	lastScheduled int
 	warpSeq       uint64
@@ -249,7 +266,7 @@ func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint3
 	if blockID >= 0 {
 		b := c.blocks[blockID]
 		if b == nil {
-			b = &blockState{}
+			b = pop(&c.freeBlocks)
 			c.blocks[blockID] = b
 		}
 		b.warps = append(b.warps, w)
@@ -260,7 +277,7 @@ func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint3
 
 // Idle reports whether the core has no warps and no outstanding memory.
 func (c *Core) Idle() bool {
-	return len(c.warps) == 0 && c.txLen == 0 && len(c.events) == 0
+	return len(c.warps) == 0 && c.txLen == 0 && c.nEvents == 0
 }
 
 // NextWake returns the earliest future cycle at which the core's state
@@ -304,15 +321,29 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 	if v := c.L1C.NextWake(cycle); v < w {
 		w = v
 	}
-	for _, e := range c.events {
-		if e.at < w {
-			w = e.at
+	for i := range c.events {
+		if q := &c.events[i].q; q.Len() > 0 && q.Front().at < w {
+			w = q.Front().at
 		}
 	}
 	if w <= cycle {
 		return cycle
 	}
 	return w
+}
+
+// schedule queues e to fire lat cycles after cycle.
+func (c *Core) schedule(cycle, lat uint64, e wbEvent) {
+	i := 0
+	for i < len(c.events) && c.events[i].lat != lat {
+		i++
+	}
+	if i == len(c.events) {
+		c.events = append(c.events, eventClass{lat: lat})
+	}
+	e.at = cycle + lat
+	c.events[i].q.PushBack(e)
+	c.nEvents++
 }
 
 // Tick advances the core one cycle.
@@ -325,16 +356,13 @@ func (c *Core) Tick(cycle uint64) {
 	}
 	c.cycles.Inc()
 
-	// 1. Writeback events.
-	kept := c.events[:0]
-	for _, e := range c.events {
-		if e.at <= cycle {
-			c.completeEvent(e)
-		} else {
-			kept = append(kept, e)
+	// 1. Writeback events. Completion order within a cycle is not
+	// simulation-visible: unlocking is commutative.
+	for i := range c.events {
+		for q := &c.events[i].q; q.Len() > 0 && q.Front().at <= cycle; c.nEvents-- {
+			c.completeEvent(q.Pop())
 		}
 	}
-	c.events = kept
 
 	// 2. Caches retire fills (may call onCacheReady).
 	c.L1D.Tick(cycle)
@@ -438,14 +466,14 @@ func (c *Core) issueTransactions(cycle uint64) {
 		if tx.cache == nil {
 			// Raw store (vertex output): straight to the output port.
 			// The transaction stays queued if the port is full.
-			ok := c.Out.Push(&mem.Request{
-				Addr: tx.addr, Size: 16, Kind: mem.Write,
-				Client: mem.ClientGPU, ClientID: c.Cfg.ClusterID, IssuedAt: cycle,
-			})
-			if !ok {
+			if c.Out.Full() {
 				c.memStalls.Inc()
 				return // in-order LSU: retry next cycle
 			}
+			c.Out.MustPush(c.reqs.Fire(mem.Request{
+				Addr: tx.addr, Size: 16, Kind: mem.Write,
+				Client: mem.ClientGPU, ClientID: c.Cfg.ClusterID, IssuedAt: cycle,
+			}))
 		} else {
 			switch tx.cache.Access(cycle, tx.addr, tx.kind, tx.op) {
 			case cache.Hit:
@@ -461,7 +489,7 @@ func (c *Core) issueTransactions(cycle uint64) {
 		}
 		// Completes after lat cycles.
 		if tx.op != nil {
-			c.events = append(c.events, wbEvent{at: cycle + lat, op: tx.op})
+			c.schedule(cycle, lat, wbEvent{op: tx.op})
 		}
 		c.popTx()
 	}
@@ -653,6 +681,8 @@ func (c *Core) reap() {
 					b.drop(w)
 					if b.live == 0 {
 						delete(c.blocks, w.BlockID)
+						b.atBarrier = 0
+						c.freeBlocks = append(c.freeBlocks, b)
 					} else if b.atBarrier >= b.live && b.atBarrier > 0 {
 						// A warp exited while siblings wait: the barrier
 						// is now satisfied by the survivors.

@@ -67,7 +67,7 @@ func (c *Core) execute(w *Warp, cycle uint64) {
 			lat = c.Cfg.SFULatency
 			w.readyAt = cycle + 1 + c.Cfg.SFUStall
 		}
-		c.writeback(w, w.lockDst(d), cycle+lat)
+		c.writeback(w, w.lockDst(d), cycle, lat)
 	default:
 		c.executeMem(w, in, d, exec, cycle)
 	}
@@ -91,11 +91,11 @@ func predMask(in *shader.Instr, w *Warp) uint32 {
 	return exec
 }
 
-// writeback queues the release of regs at cycle at. An instruction
-// without a destination queues nothing.
-func (c *Core) writeback(w *Warp, regs uint64, at uint64) {
+// writeback queues the release of regs lat cycles from now. An
+// instruction without a destination queues nothing.
+func (c *Core) writeback(w *Warp, regs uint64, cycle, lat uint64) {
 	if regs != 0 {
-		c.events = append(c.events, wbEvent{at: at, warp: w, gen: w.gen, regs: regs})
+		c.schedule(cycle, lat, wbEvent{warp: w, gen: w.gen, regs: regs})
 	}
 }
 
@@ -123,7 +123,7 @@ func (c *Core) issueLoad(w *Warp, target *cache.Cache, n int, regs uint64, cycle
 	if n == 0 {
 		// No memory touched (e.g. all lanes predicated off): release
 		// after a short delay.
-		c.writeback(w, regs, cycle+c.Cfg.ALULatency)
+		c.writeback(w, regs, cycle, c.Cfg.ALULatency)
 		return
 	}
 	k := c.coalesce(target, n)
@@ -197,7 +197,7 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 				t.SetU(in.Dst, 0)
 			}
 		}
-		c.writeback(w, w.lockDst(d), cycle+sharedLatency)
+		c.writeback(w, w.lockDst(d), cycle, sharedLatency)
 
 	case shader.OpStShared:
 		sh := w.Env.SharedMem()

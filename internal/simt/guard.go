@@ -114,13 +114,28 @@ func (c *Core) checkPools(cycle uint64) error {
 	if regs != c.regsUsed {
 		return fmt.Errorf("register-file counter %d, recount over resident warps %d", c.regsUsed, regs)
 	}
-	for _, e := range c.events {
-		if e.op == nil && e.gen == e.warp.gen && free[e.warp] {
-			return fmt.Errorf("writeback due at %d targets free warp (last id %d) under its current generation", e.at, e.warp.ID)
+	events := 0
+	for i := range c.events {
+		q := &c.events[i].q
+		events += q.Len()
+		for j := 0; j < q.Len(); j++ {
+			e := q.At(j)
+			if j > 0 && e.at < q.At(j-1).at {
+				return fmt.Errorf("writeback class %d: event due at %d queued behind one due at %d", c.events[i].lat, e.at, q.At(j-1).at)
+			}
+			if e.op == nil && e.gen == e.warp.gen && free[e.warp] {
+				return fmt.Errorf("writeback due at %d targets free warp (last id %d) under its current generation", e.at, e.warp.ID)
+			}
+			if err := liveOp("a writeback event", e.op); err != nil {
+				return err
+			}
 		}
-		if err := liveOp("a writeback event", e.op); err != nil {
-			return err
-		}
+	}
+	if events != c.nEvents {
+		return fmt.Errorf("event counter %d, %d events queued", c.nEvents, events)
+	}
+	if err := c.Out.AuditReleased(); err != nil {
+		return fmt.Errorf("output port: %w", err)
 	}
 	for i := 0; i < c.txLen; i++ {
 		if err := liveOp("the LSU ring", c.txq[(c.txHead+i)%len(c.txq)].op); err != nil {
@@ -143,7 +158,7 @@ func (c *Core) Diagnose(cycle uint64, maxWarps int) []string {
 	}
 	lines := make([]string, 0, len(c.warps)+2)
 	lines = append(lines, fmt.Sprintf("txQueue=%d events=%d mshrs: l1d=%d l1t=%d l1z=%d l1c=%d",
-		c.txLen, len(c.events),
+		c.txLen, c.nEvents,
 		c.L1D.PendingMisses(), c.L1T.PendingMisses(), c.L1Z.PendingMisses(), c.L1C.PendingMisses()))
 	for i, w := range c.warps {
 		if maxWarps > 0 && i >= maxWarps {

@@ -12,6 +12,8 @@
 package soc
 
 import (
+	"fmt"
+
 	"emerald/internal/emtrace"
 	"emerald/internal/gfx"
 	"emerald/internal/mem"
@@ -31,6 +33,7 @@ type Display struct {
 	issued     int
 	completed  int
 	inflight   []*mem.Request
+	reqs       mem.Pool // scan-out reads return here once seen Done
 	frameStart uint64
 
 	// Out is drained by the SoC into the system NoC.
@@ -97,10 +100,12 @@ func (d *Display) Tick(cycle uint64) {
 		if r.Done {
 			d.completed++
 			d.served.Inc()
+			d.reqs.Put(r)
 		} else {
 			kept = append(kept, r)
 		}
 	}
+	clear(d.inflight[len(kept):])
 	d.inflight = kept
 
 	// Deadline check.
@@ -131,13 +136,14 @@ func (d *Display) Tick(cycle uint64) {
 	}
 	for d.issued < target && len(d.inflight) < 8 {
 		addr := d.fb.Base + uint64(d.issued)*uint64(d.reqBytes)
-		r := &mem.Request{
-			Addr: addr, Size: d.reqBytes, Kind: mem.Read,
-			Client: mem.ClientDisplay, IssuedAt: cycle,
-		}
-		if !d.Out.Push(r) {
+		if d.Out.Full() {
 			break
 		}
+		r := d.reqs.New(mem.Request{
+			Addr: addr, Size: d.reqBytes, Kind: mem.Read,
+			Client: mem.ClientDisplay, IssuedAt: cycle,
+		})
+		d.Out.MustPush(r)
 		d.inflight = append(d.inflight, r)
 		d.issued++
 	}
@@ -197,8 +203,23 @@ func (d *Display) beginScan(cycle uint64) {
 	d.totalReqs = (d.fb.SizeBytes() + int(d.reqBytes) - 1) / int(d.reqBytes)
 	d.issued = 0
 	d.completed = 0
+	// Reads of an abandoned scan are still on their way to DRAM: they
+	// are dropped here, never recycled (nobody will see them Done).
+	clear(d.inflight)
 	d.inflight = d.inflight[:0]
 	d.frameStart = cycle
+}
+
+// checkRequests audits the request ownership rule from the display's
+// side: a read it still waits on, or has queued, is not on its free
+// list.
+func (d *Display) checkRequests(uint64) error {
+	for _, r := range d.inflight {
+		if r.Released() {
+			return fmt.Errorf("display waits on a released request")
+		}
+	}
+	return d.Out.AuditReleased()
 }
 
 // Progress returns the fraction of the current scan completed (DASH

@@ -349,6 +349,7 @@ func (s *SoC) AttachGuard(g *guard.Checker) {
 		c.AttachGuard(g)
 	}
 	g.Register("wheel", "soc.shards", s.checkWheel)
+	g.Register("soc", "display.requests", s.Display.checkRequests)
 }
 
 // checkWheel audits the phase-1 event wheel at the quiesce point: any

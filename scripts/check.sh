@@ -32,7 +32,10 @@ echo "== backpressure contract (no ignored Push results) =="
 # answer and silently loses the request under backpressure (the
 # MSHR-hang bug class fixed in the silent-drop PR). Every push must
 # check the result: `if !q.Push(r) { retry }`, or move requests with
-# `src.DrainTo(dst)`, which pops only what the downstream accepted.
+# `src.DrainTo(dst)`, which pops only what the downstream accepted. A
+# producer that builds its request (check room first: `if q.Full()
+# { retry }`, then build) hands it over with `q.MustPush(r)`, which
+# panics instead of dropping.
 bad=$(grep -rn --include='*.go' -E '^[[:space:]]*[A-Za-z0-9_.]+\.Push\(' internal/ cmd/ | grep -v '_test\.go' || true)
 if [ -n "$bad" ]; then
 	echo "FAIL: Push result ignored (request dropped under backpressure):" >&2
@@ -65,6 +68,43 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 echo "ok"
+
+echo "== request-allocation inventory + hot-struct lint =="
+# A mem.Request is allocated in exactly one place, mem.Pool.New, and
+# goes back to the pool of the component that took it (DESIGN.md
+# "Memory request path"). A literal or a new() anywhere else in product
+# code is a per-request allocation on the path between the LSU and DRAM
+# growing back unreviewed. bench/ and tests build their own requests;
+# pools never adopt those.
+bad=$(grep -rn --include='*.go' -E '&mem\.Request\{|new\(mem\.Request\)' internal/ cmd/ examples/ *.go | grep -v '_test\.go' || true)
+sites=$(grep -n -E '&Request\{|new\(Request\)' internal/mem/*.go | grep -v '_test\.go' || true)
+if [ -n "$bad" ] || [ "$(echo "$sites" | grep -c .)" != 1 ] || ! echo "$sites" | grep -q 'queue\.go.*new(Request)'; then
+	echo "FAIL: mem.Request allocated outside mem.Pool.New:" >&2
+	echo "$bad" >&2
+	echo "$sites" >&2
+	exit 1
+fi
+# The per-cycle structures of the memory path are index-addressed: no
+# struct in these packages (or the TC unit) holds a Go map.
+bad=$(grep -n -E '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+(\*|\[\])*map\[' \
+	internal/cache/*.go internal/interconnect/*.go internal/dram/*.go internal/mem/*.go internal/gfx/tc.go |
+	grep -v '_test\.go' || true)
+if [ -n "$bad" ]; then
+	echo "FAIL: map-typed field on the memory request path:" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+echo "ok"
+
+echo "== allocation gates (uncached) =="
+# The zero-allocation tick, the warm-launch object budget, the blocked
+# access that builds nothing and the pool's own contract: -count=1 so
+# the test cache cannot answer for them.
+go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate' ./internal/simt
+go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping' ./internal/gpu
+go test -count=1 -timeout 5m -run 'TestBlockedAccessAllocatesNothing|TestRequestsAreRecycledByTheirIssuer' ./internal/cache
+go test -count=1 -timeout 5m -run 'TestPoolRecyclingAndPoison|TestQueueDrainTo' ./internal/mem
+go test -count=1 -timeout 5m -run 'TestFrameAllocationTripwire' .
 
 # Every go test below carries an explicit -timeout (it applies to each
 # package's test binary), so a hung test fails in minutes with a
