@@ -1,6 +1,7 @@
 package emerald
 
 import (
+	"strings"
 	"testing"
 
 	"emerald/internal/dram"
@@ -200,6 +201,12 @@ func TestFacadeCustomShader(t *testing.T) {
 	}
 	if p.Kind != shader.KindCompute || p.Len() != 3 {
 		t.Fatal("custom shader assembly wrong")
+	}
+	// A kernel that can run off its end never reaches the GPU: launched,
+	// its warps would never retire and the kernel would spin out the
+	// cycle budget.
+	if _, err := AssembleShader("k", KindCompute, "mov r0, 1.0"); err == nil || !strings.Contains(err.Error(), "pc 0") {
+		t.Fatalf("a shader with no exit assembled (err = %v), want an error naming pc 0", err)
 	}
 }
 

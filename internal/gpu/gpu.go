@@ -33,6 +33,9 @@ type cluster struct {
 	rast  rasterState
 
 	pendingFS mem.Ring[*fsLaunch]
+
+	// freeEnvs holds the kernelEnvs of this cluster's finished blocks.
+	freeEnvs []*kernelEnv
 }
 
 // clusterPrim is one primitive delivered to a cluster by the VPO.

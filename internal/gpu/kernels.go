@@ -33,11 +33,16 @@ type kernelState struct {
 	started     bool
 }
 
-// kernelEnv is one thread block's warp environment.
+// kernelEnv is one thread block's warp environment. Envs and their
+// scratchpads are recycled per cluster: the block's last warp to retire
+// (on the cluster's shard) returns the env to cl.freeEnvs, and
+// dispatchBlock (serialized, after the shard phase) takes it from there.
 type kernelEnv struct {
 	g      *GPU
+	cl     *cluster
 	ks     *kernelState
 	shared []byte
+	live   int // warps of the block still resident
 }
 
 func (e *kernelEnv) AttrIn(lane, slot int) ([4]float32, uint64)     { return [4]float32{}, 0 }
@@ -45,12 +50,18 @@ func (e *kernelEnv) OutWrite(lane, slot int, val [4]float32) uint64 { return 0 }
 func (e *kernelEnv) Tex(lane, unit int, u, v float32) ([4]float32, [4]uint64) {
 	return [4]float32{}, [4]uint64{}
 }
-func (e *kernelEnv) ZAddr(int) uint64     { return 0 }
-func (e *kernelEnv) CAddr(int) uint64     { return 0 }
-func (e *kernelEnv) ConstBase() uint64    { return e.ks.k.ParamBase }
-func (e *kernelEnv) SharedMem() []byte    { return e.shared }
-func (e *kernelEnv) Memory() *mem.Memory  { return e.g.Mem }
-func (e *kernelEnv) Retired(w *simt.Warp) { e.ks.outstanding.Add(-1) }
+func (e *kernelEnv) ZAddr(int) uint64    { return 0 }
+func (e *kernelEnv) CAddr(int) uint64    { return 0 }
+func (e *kernelEnv) ConstBase() uint64   { return e.ks.k.ParamBase }
+func (e *kernelEnv) SharedMem() []byte   { return e.shared }
+func (e *kernelEnv) Memory() *mem.Memory { return e.g.Mem }
+func (e *kernelEnv) Retired(w *simt.Warp) {
+	e.ks.outstanding.Add(-1)
+	if e.live--; e.live == 0 {
+		e.ks = nil
+		e.cl.freeEnvs = append(e.cl.freeEnvs, e)
+	}
+}
 
 // LaunchKernel queues a compute kernel; onDone (optional) fires when the
 // grid completes, with the cycles it occupied the GPU.
@@ -90,7 +101,7 @@ func (g *GPU) tickKernels(cycle uint64) {
 				!core.CanLaunch(ks.k.Prog) {
 				continue
 			}
-			g.dispatchBlock(core, ks, ks.nextBlock, warpsPerBlock)
+			g.dispatchBlock(g.clusters[ci], core, ks, ks.nextBlock, warpsPerBlock)
 			ks.nextBlock++
 		}
 	}
@@ -105,10 +116,20 @@ func (g *GPU) tickKernels(cycle uint64) {
 	}
 }
 
-func (g *GPU) dispatchBlock(core *simt.Core, ks *kernelState, blockIdx, warps int) {
-	env := &kernelEnv{g: g, ks: ks}
-	if ks.k.SharedBytes > 0 {
-		env.shared = make([]byte, ks.k.SharedBytes)
+func (g *GPU) dispatchBlock(cl *cluster, core *simt.Core, ks *kernelState, blockIdx, warps int) {
+	var env *kernelEnv
+	if n := len(cl.freeEnvs); n > 0 {
+		env, cl.freeEnvs = cl.freeEnvs[n-1], cl.freeEnvs[:n-1]
+	} else {
+		env = &kernelEnv{g: g, cl: cl}
+	}
+	env.ks = ks
+	// A block starts with a zeroed scratchpad, whoever held it before.
+	if n := ks.k.SharedBytes; n > cap(env.shared) {
+		env.shared = make([]byte, n)
+	} else {
+		env.shared = env.shared[:n]
+		clear(env.shared)
 	}
 	g.blockSeq++
 	blockID := g.blockSeq
@@ -134,6 +155,7 @@ func (g *GPU) dispatchBlock(core *simt.Core, ks *kernelState, blockIdx, warps in
 		}
 		if _, err := core.Launch(ks.k.Prog, env, blockID, mask, specials, nil); err == nil {
 			ks.outstanding.Add(1)
+			env.live++
 		}
 	}
 }

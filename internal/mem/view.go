@@ -6,14 +6,15 @@ import (
 )
 
 // View is a single-goroutine accessor over a Memory that caches the
-// most recently touched page, eliding the page-directory lookup (an
-// atomic map load per access) on the overwhelmingly common case of
+// most recently touched page, eliding the page-directory walk (four
+// dependent loads per access) on the overwhelmingly common case of
 // consecutive accesses landing on the same page. The functional-mode
-// executors use it for their fragment-rate memory traffic; the timed
-// machine keeps reading Memory directly.
+// executors keep one for their fragment-rate memory traffic; the timed
+// machine builds one on the stack for each memory instruction (MakeView),
+// where the lanes of a warp mostly share a page.
 //
 // A View caches page *pointers*, which stay valid across concurrent
-// materialization (the directory is copy-on-insert; page arrays are
+// materialization (the directory only gains nodes; page arrays are
 // never replaced) — but not across Memory.Reset or
 // Checkpoint.RestoreMemory, which swap the page set. Drop the View
 // when the memory is restored.
@@ -29,7 +30,14 @@ type View struct {
 const noPage = ^uint64(0)
 
 // NewView returns a view over m with a cold cache.
-func NewView(m *Memory) *View { return &View{m: m, page: noPage} }
+func NewView(m *Memory) *View {
+	v := MakeView(m)
+	return &v
+}
+
+// MakeView is NewView by value, for a view that lives on its user's
+// stack.
+func MakeView(m *Memory) View { return View{m: m, page: noPage} }
 
 // Memory returns the backing store.
 func (v *View) Memory() *Memory { return v.m }
@@ -78,6 +86,7 @@ func (v *View) WriteU32(addr uint64, val uint32) {
 		return
 	}
 	v.m.WriteU32(addr, val)
+	v.page = noPage // the write may have materialized the cached zero page
 }
 
 // ReadF32 reads a little-endian float32.

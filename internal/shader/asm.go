@@ -546,6 +546,14 @@ func (p *Program) validate() error {
 			}
 		}
 	}
+	// Control must not run off the end: the executors index Code and
+	// Decode by pc unchecked, and a warp whose pc left the program never
+	// retires. Branch targets are in range, so only the last instruction
+	// can fall through.
+	if last := p.Code[len(p.Code)-1]; last.Pred >= 0 || (last.Op != OpExit && last.Op != OpKill && last.Op != OpBra) {
+		return fmt.Errorf("shader %q pc %d: control can run off the end of the program (the last instruction must be an unpredicated exit, kill or bra)",
+			p.Name, len(p.Code)-1)
+	}
 	// Graphics-op sanity per kind.
 	for pc, in := range p.Code {
 		switch in.Op {

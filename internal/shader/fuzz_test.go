@@ -1,6 +1,7 @@
 package shader
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,56 @@ func TestAssembleRejectsQuadPastRegisterFile(t *testing.T) {
 	}
 }
 
+// A program whose control can run past its last instruction must be
+// rejected at assembly, with the pc: the timed core would keep such a
+// warp awake and unretired forever, and the functional executor indexes
+// Code[pc] unchecked.
+func TestAssembleRejectsFallingOffTheEnd(t *testing.T) {
+	for _, tc := range []struct {
+		src string
+		ok  bool
+	}{
+		{"mov r0, 1.0", false},
+		{"exit\nnop", false},
+		{"setp.eq.i p0, r0, 0\n@p0 exit", false},
+		{"setp.eq.i p0, r0, 0\n@!p0 kill", false},
+		{"top: setp.eq.i p0, r0, 0\n@p0 bra top", false},
+		{"top: nop\nssy top", false},
+		{"nop\nbar", false},
+		{"exit", true},
+		{"nop\nkill", true},
+		{"top: nop\nbra top", true},
+		{"setp.eq.i p0, r0, 0\n@p0 exit\nexit", true},
+	} {
+		_, err := Assemble("t", KindCompute, tc.src)
+		last := strings.Count(tc.src, "\n")
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%q: %v", tc.src, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%q assembled, want an error", tc.src)
+		case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("pc %d", last)):
+			t.Errorf("%q: error %q does not name pc %d", tc.src, err, last)
+		}
+	}
+}
+
+// successors lists the pcs control can reach from the instruction at
+// pc, derived from the opcode alone (not from validate's rule).
+func successors(in Instr, pc int) []int {
+	switch {
+	case in.Op == OpBra && in.Pred < 0:
+		return []int{int(in.Target)}
+	case in.Op == OpBra:
+		return []int{int(in.Target), pc + 1}
+	case (in.Op == OpExit || in.Op == OpKill) && in.Pred < 0:
+		return nil
+	case in.Op == OpSSY: // the reconvergence entry resumes at the target
+		return []int{int(in.Target), pc + 1}
+	}
+	return []int{pc + 1}
+}
+
 // FuzzAssemble feeds the assembler arbitrary text. It must never panic,
 // and whatever it accepts must be safe to hand to the executors, which
 // index registers, branch targets and the decode table unchecked.
@@ -75,6 +126,12 @@ func FuzzAssemble(f *testing.F) {
 			}
 			if in.Pred >= NumPregs {
 				t.Fatalf("pc %d: predicate p%d", pc, in.Pred)
+			}
+			// An accepted program never reaches pc == len(Code).
+			for _, next := range successors(in, pc) {
+				if next >= len(p.Code) {
+					t.Fatalf("pc %d (%s): control can reach pc %d of %d", pc, DisasmInstr(in), next, len(p.Code))
+				}
 			}
 			// Every register the executors index, quads included.
 			th := &Thread{}

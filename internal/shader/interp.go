@@ -93,12 +93,140 @@ func ExecALU(in Instr, t *Thread, sp Special) { execALU(&in, t, &sp) }
 
 // ExecALULanes is ExecALU for every lane whose bit is set in lanes:
 // thread i runs with specials[i]. The warp executors call this rather
-// than ExecALU per lane, which would copy the Instr and the Special
-// for each of 32 lanes.
+// than ExecALU per lane: the opcode is dispatched once per warp
+// instruction, each opcode's lane loop holds its operands in locals,
+// and nothing is copied per lane. ExecALU stays the reference the lane
+// loops are tested against.
 func ExecALULanes(in *Instr, lanes uint32, threads []Thread, specials []Special) {
+	a, b, c, d := in.A, in.B, in.C, in.Dst
+	switch in.Op {
+	case OpNop:
+	case OpFMov:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return x })
+	case OpFAdd:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return fb(ff(x) + ff(y)) })
+	case OpFSub:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return fb(ff(x) - ff(y)) })
+	case OpFMul:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return fb(ff(x) * ff(y)) })
+	case OpFDiv:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return fb(ff(x) / ff(y)) })
+	case OpFMin:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return fb(fmin(ff(x), ff(y))) })
+	case OpFMax:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return fb(fmax(ff(x), ff(y))) })
+	case OpFMad:
+		for ; lanes != 0; lanes &= lanes - 1 {
+			t := &threads[bits.TrailingZeros32(lanes)]
+			t.Regs[d] = fb(ff(t.U(a))*ff(t.U(b)) + ff(t.U(c)))
+		}
+	case OpFAbs:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(math.Abs(float64(ff(x))))) })
+	case OpFNeg:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(-ff(x)) })
+	case OpFFlr:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(math.Floor(float64(ff(x))))) })
+	case OpFFrc:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(float64(ff(x)) - math.Floor(float64(ff(x))))) })
+	case OpFRcp:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(1 / ff(x)) })
+	case OpFRsq:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(1 / math.Sqrt(float64(ff(x))))) })
+	case OpFSqrt:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(math.Sqrt(float64(ff(x))))) })
+	case OpFSin:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(math.Sin(float64(ff(x))))) })
+	case OpFCos:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(math.Cos(float64(ff(x))))) })
+	case OpFEx2:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(math.Exp2(float64(ff(x))))) })
+	case OpFLg2:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(math.Log2(float64(ff(x))))) })
+	case OpIAdd:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return x + y })
+	case OpISub:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return x - y })
+	case OpIMul:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return x * y })
+	case OpIMad:
+		for ; lanes != 0; lanes &= lanes - 1 {
+			t := &threads[bits.TrailingZeros32(lanes)]
+			t.Regs[d] = t.U(a)*t.U(b) + t.U(c)
+		}
+	case OpIMin:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return uint32(imin(int32(x), int32(y))) })
+	case OpIMax:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return uint32(imax(int32(x), int32(y))) })
+	case OpIAnd:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return x & y })
+	case OpIOr:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return x | y })
+	case OpIXor:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return x ^ y })
+	case OpIShl:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return x << (y & 31) })
+	case OpIShr:
+		lanes2(lanes, threads, d, a, b, func(x, y uint32) uint32 { return x >> (y & 31) })
+	case OpCvtFI:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return uint32(int32(ff(x))) })
+	case OpCvtIF:
+		lanes1(lanes, threads, d, a, func(x uint32) uint32 { return fb(float32(int32(x))) })
+	case OpSetpF:
+		for cmp := in.Cmp; lanes != 0; lanes &= lanes - 1 {
+			t := &threads[bits.TrailingZeros32(lanes)]
+			t.Pregs[d] = compareF(cmp, t.F(a), t.F(b))
+		}
+	case OpSetpI:
+		for cmp := in.Cmp; lanes != 0; lanes &= lanes - 1 {
+			t := &threads[bits.TrailingZeros32(lanes)]
+			t.Pregs[d] = compareI(cmp, t.I(a), t.I(b))
+		}
+	case OpSelp:
+		for p := in.Slot; lanes != 0; lanes &= lanes - 1 {
+			t := &threads[bits.TrailingZeros32(lanes)]
+			if t.Pregs[p] {
+				t.Regs[d] = t.U(a)
+			} else {
+				t.Regs[d] = t.U(b)
+			}
+		}
+	case OpMovS:
+		for r := SReg(in.Slot); lanes != 0; lanes &= lanes - 1 {
+			i := bits.TrailingZeros32(lanes)
+			threads[i].Regs[d] = specials[i].read(r)
+		}
+	case OpPack4:
+		for r := a.Reg; lanes != 0; lanes &= lanes - 1 {
+			t := &threads[bits.TrailingZeros32(lanes)]
+			t.Regs[d] = PackRGBA8(ff(t.Regs[r]), ff(t.Regs[r+1]), ff(t.Regs[r+2]), ff(t.Regs[r+3]))
+		}
+	case OpUnpk4:
+		for ; lanes != 0; lanes &= lanes - 1 {
+			t := &threads[bits.TrailingZeros32(lanes)]
+			r, g, b, a := UnpackRGBA8(t.U(a))
+			t.Regs[d], t.Regs[d+1], t.Regs[d+2], t.Regs[d+3] = fb(r), fb(g), fb(b), fb(a)
+		}
+	}
+}
+
+func ff(x uint32) float32 { return math.Float32frombits(x) }
+func fb(x float32) uint32 { return math.Float32bits(x) }
+
+// lanes1 and lanes2 run one- and two-source lane loops. They are small
+// enough to inline into ExecALULanes, which turns f into a direct,
+// inlined call: each opcode gets its own loop. (A three-source helper
+// is past the inliner's budget, so mad and imad spell their loops out.)
+func lanes1(lanes uint32, threads []Thread, d uint8, a Src, f func(x uint32) uint32) {
 	for ; lanes != 0; lanes &= lanes - 1 {
-		i := bits.TrailingZeros32(lanes)
-		execALU(in, &threads[i], &specials[i])
+		t := &threads[bits.TrailingZeros32(lanes)]
+		t.Regs[d] = f(t.U(a))
+	}
+}
+
+func lanes2(lanes uint32, threads []Thread, d uint8, a, b Src, f func(x, y uint32) uint32) {
+	for ; lanes != 0; lanes &= lanes - 1 {
+		t := &threads[bits.TrailingZeros32(lanes)]
+		t.Regs[d] = f(t.U(a), t.U(b))
 	}
 }
 

@@ -2,6 +2,7 @@ package simt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"emerald/internal/cache"
 	"emerald/internal/emtrace"
@@ -99,10 +100,33 @@ type eventClass struct {
 type Core struct {
 	Cfg CoreConfig
 
-	warps []*Warp
+	// slots holds every Warp struct the core has built, by Warp.slot,
+	// resident or not; order lists the resident ones, oldest launch
+	// first. Both are sized from Cfg.MaxWarps in NewCore.
+	slots []*Warp
+	order []int32
 	// freeWarps holds retired Warp structs (10 KB each) for Launch to
 	// reuse. A retired warp keeps no Prog or Env pointer.
 	freeWarps []*Warp
+
+	// The ready set, one bit per slot (DESIGN.md "SIMT hot path"). A
+	// resident warp is in exactly one of four states: awake (the
+	// schedulers look at it), timed (asleep until wakeAt[slot]), lsuWait
+	// (asleep until the LSU ring has room) or, in none of the three,
+	// asleep until a scoreboard or barrier release. awake is written
+	// only by wake, sleep, sleepOnLSU, wakeLSU and forget (check.sh
+	// lints it); a warp leaves it when a scheduler finds it blocked or
+	// when it retires, never otherwise.
+	awake, timed, lsuWait bitset
+	wakeAt                []uint64
+	// retiring marks warps that became done with nothing outstanding;
+	// reap runs only while it is non-empty.
+	retiring bitset
+	// issued marks the warps whose last instruction issued at cycle
+	// issuedAt, greedy those that last issued the cycle before: the
+	// greedy-then-oldest candidates.
+	issued, greedy bitset
+	issuedAt       uint64
 	// regsUsed is the register-file space held by resident warps.
 	regsUsed int
 	// blocks tracks compute thread blocks for barrier handling; a block
@@ -132,7 +156,7 @@ type Core struct {
 	// issues itself (its caches own theirs).
 	reqs mem.Pool
 
-	lastScheduled int
+	lastScheduled int // LRR rotation
 	warpSeq       uint64
 
 	// trace, when armed via AttachTracer, receives warp launch→retire
@@ -151,6 +175,22 @@ type Core struct {
 	memStalls      *stats.Counter
 	issueIdle      *stats.Counter
 	threadsRetired *stats.Counter
+}
+
+// bitset is one bit per warp slot.
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+func (b bitset) any() bool {
+	for _, w := range b {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 type blockState struct {
@@ -209,6 +249,13 @@ func NewCore(cfg CoreConfig, reg *stats.Registry) *Core {
 	for _, c := range []*cache.Cache{core.L1D, core.L1T, core.L1Z, core.L1C} {
 		c.OnReady = core.onCacheReady
 	}
+	n := max(cfg.MaxWarps, 0)
+	words := (n + 63) / 64
+	sets := make(bitset, 6*words)
+	for i, b := range []*bitset{&core.awake, &core.timed, &core.lsuWait, &core.retiring, &core.issued, &core.greedy} {
+		*b = sets[i*words : (i+1)*words : (i+1)*words]
+	}
+	core.slots, core.order, core.wakeAt = make([]*Warp, n), make([]int32, 0, n), make([]uint64, n)
 	return core
 }
 
@@ -227,11 +274,11 @@ func (c *Core) AttachTracer(t *emtrace.Tracer) {
 }
 
 // ActiveWarps returns the number of resident warps.
-func (c *Core) ActiveWarps() int { return len(c.warps) }
+func (c *Core) ActiveWarps() int { return len(c.order) }
 
 // CanLaunch reports whether a warp of prog can be accepted now.
 func (c *Core) CanLaunch(prog *shader.Program) bool {
-	return len(c.warps) < c.Cfg.MaxWarps && c.Cfg.RegFile-c.regsUsed >= prog.RegsUsed*WarpSize
+	return len(c.order) < c.Cfg.MaxWarps && c.Cfg.RegFile-c.regsUsed >= prog.RegsUsed*WarpSize
 }
 
 // Launch places a new warp on the core. mask selects live lanes;
@@ -242,12 +289,18 @@ func (c *Core) CanLaunch(prog *shader.Program) bool {
 func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint32,
 	specials [WarpSize]shader.Special, init func(lane int, t *shader.Thread)) (*Warp, error) {
 	if !c.CanLaunch(prog) {
-		return nil, fmt.Errorf("simt: core %d full (%d warps)", c.Cfg.ID, len(c.warps))
+		return nil, fmt.Errorf("simt: core %d full (%d warps)", c.Cfg.ID, len(c.order))
 	}
 	if mask == 0 {
 		return nil, fmt.Errorf("simt: empty launch mask")
 	}
 	w := pop(&c.freeWarps)
+	if c.slots[w.slot] != w {
+		// A new struct: every older one is resident, so the next slot
+		// never used is the resident count.
+		w.slot = len(c.order)
+		c.slots[w.slot] = w
+	}
 	w.reset(int(c.warpSeq), prog, env, blockID, mask)
 	c.regsUsed += prog.RegsUsed * WarpSize
 	c.warpSeq++
@@ -261,7 +314,14 @@ func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint3
 			}
 		}
 	}
-	c.warps = append(c.warps, w)
+	c.order = append(c.order, int32(w.slot))
+	c.wake(w.slot)
+	if c.curCycle == 0 {
+		// A warp that has never issued counts as having issued at cycle
+		// 0 (the digests pin this): resident before cycle 1, it is a
+		// greedy candidate there.
+		c.issued.set(w.slot)
+	}
 	c.warpsLaunched.Inc()
 	if blockID >= 0 {
 		b := c.blocks[blockID]
@@ -277,36 +337,113 @@ func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint3
 
 // Idle reports whether the core has no warps and no outstanding memory.
 func (c *Core) Idle() bool {
-	return len(c.warps) == 0 && c.txLen == 0 && c.nEvents == 0
+	return len(c.order) == 0 && c.txLen == 0 && c.nEvents == 0
+}
+
+// wake puts slot s in the awake set, whatever it slept on. The three
+// wake conditions each call it from one place: scoreboard release
+// (unlock), barrier release (releaseBarrier) and LSU room (wakeLSU,
+// in bulk); a timed sleeper comes due in wakeTimed.
+func (c *Core) wake(s int) {
+	c.timed.clear(s)
+	c.lsuWait.clear(s)
+	c.awake.set(s)
+}
+
+// sleep takes slot s out of the awake set until cycle `until`, or, with
+// mem.NeverWake, until unlock or releaseBarrier wakes it.
+func (c *Core) sleep(s int, until uint64) {
+	c.awake.clear(s)
+	if until != mem.NeverWake {
+		c.timed.set(s)
+		c.wakeAt[s] = until
+	}
+}
+
+// sleepOnLSU takes slot s out of the awake set until the LSU ring drops
+// below txQueueDepth.
+func (c *Core) sleepOnLSU(s int) {
+	c.awake.clear(s)
+	c.lsuWait.set(s)
+}
+
+// readySets lists the per-slot sets, for what treats them alike.
+func (c *Core) readySets() [6]bitset {
+	return [6]bitset{c.awake, c.timed, c.lsuWait, c.retiring, c.issued, c.greedy}
+}
+
+// forget takes slot s, whose warp retired, out of every set.
+func (c *Core) forget(s int) {
+	for _, b := range c.readySets() {
+		b.clear(s)
+	}
+}
+
+// wakeLSU wakes every warp sleeping on LSU room.
+func (c *Core) wakeLSU() {
+	for i, word := range c.lsuWait {
+		c.awake[i] |= word
+		c.lsuWait[i] = 0
+	}
+}
+
+// wakeTimed wakes the timed sleepers due at cycle.
+func (c *Core) wakeTimed(cycle uint64) {
+	for i, word := range c.timed {
+		for ; word != 0; word &= word - 1 {
+			if s := i<<6 | bits.TrailingZeros64(word); c.wakeAt[s] <= cycle {
+				c.wake(s)
+			}
+		}
+	}
+}
+
+// unlock releases registers locked by lockDst. This is the single
+// scoreboard-release chokepoint (ALU/SFU writebacks and memory fills
+// both land here, and every outstanding-memory decrement rides along
+// with one), so it is the scoreboard's wake hook.
+func (c *Core) unlock(w *Warp, regs uint64) {
+	w.pending &^= regs
+	c.wake(w.slot)
+}
+
+// releaseBarrier lets every resident warp of b go: the barrier's wake
+// hook.
+func (c *Core) releaseBarrier(b *blockState) {
+	for _, w := range b.warps {
+		w.atBarrier = false
+		c.wake(w.slot)
+	}
+	b.atBarrier = 0
 }
 
 // NextWake returns the earliest future cycle at which the core's state
-// can change on its own: now while any warp is schedulable or
-// transactions are live, the earliest park expiry, writeback event or
-// cache wake otherwise, mem.NeverWake when fully drained. Warps parked
-// on an external dependency (scoreboard held by an in-flight fill,
-// barrier) contribute NeverWake here — the fill's arrival flows
-// through a cache wake plus the cluster's L2-completion Wake, and
-// barrier release can only happen while some sibling executes, i.e.
-// while the core is awake anyway. In-flight cache fills are covered
-// downstream (NoC/DRAM).
+// can change on its own: now while any warp is awake or transactions
+// are live, the earliest timed wake, writeback event or cache wake
+// otherwise, mem.NeverWake when fully drained. It is answered from the
+// ready set without looking at a warp. Warps asleep on an external
+// dependency (scoreboard held by an in-flight fill, barrier) contribute
+// nothing here — the fill's arrival flows through a cache wake plus the
+// cluster's L2-completion Wake, and barrier release can only happen
+// while some sibling executes, i.e. while the core is awake anyway.
+// Warps asleep on LSU room need no term either: the ring is not empty.
+// In-flight cache fills are covered downstream (NoC/DRAM).
 //
 // This is the core's one wake definition: Tick gates on it every cycle,
 // in every mode, so results never depend on how time is advanced. A
-// cycle where every resident warp is parked is a wake in the future:
+// cycle where every resident warp is asleep is a wake in the future:
 // the schedulers could not issue anything, so such cycles do not
 // increment the cycles / issue_idle counters or emit stall instants.
 func (c *Core) NextWake(cycle uint64) uint64 {
-	if c.txLen > 0 || c.Out.Len() > 0 {
+	if c.txLen > 0 || c.Out.Len() > 0 || c.awake.any() {
 		return cycle
 	}
 	w := uint64(mem.NeverWake)
-	for _, wp := range c.warps {
-		if wp.parked <= cycle {
-			return cycle
-		}
-		if wp.parked < w {
-			w = wp.parked
+	for i, word := range c.timed {
+		for ; word != 0; word &= word - 1 {
+			if at := c.wakeAt[i<<6|bits.TrailingZeros64(word)]; at < w {
+				w = at
+			}
 		}
 	}
 	if v := c.L1D.NextWake(cycle); v < w {
@@ -351,11 +488,26 @@ func (c *Core) Tick(cycle uint64) {
 	// curCycle must be stamped before the idle gate: Launch reads it
 	// for warp launch timestamps and may run later this same cycle.
 	c.curCycle = cycle
+	c.wakeTimed(cycle)
 	if c.NextWake(cycle) > cycle {
 		return
 	}
 	c.cycles.Inc()
+	c.tickMemory(cycle)
 
+	// 5. Warp schedulers.
+	for s := 0; s < c.Cfg.Schedulers; s++ {
+		c.issueOne(cycle)
+	}
+
+	// 6. Reap finished warps.
+	c.reap()
+}
+
+// tickMemory is the memory half of a tick, everything that can wake a
+// warp before the schedulers run: writebacks, cache fills, the L1s'
+// miss traffic and the LSU.
+func (c *Core) tickMemory(cycle uint64) {
 	// 1. Writeback events. Completion order within a cycle is not
 	// simulation-visible: unlocking is commutative.
 	for i := range c.events {
@@ -379,14 +531,6 @@ func (c *Core) Tick(cycle uint64) {
 
 	// 4. LSU: issue pending transactions.
 	c.issueTransactions(cycle)
-
-	// 5. Warp schedulers.
-	for s := 0; s < c.Cfg.Schedulers; s++ {
-		c.issueOne(cycle)
-	}
-
-	// 6. Reap finished warps.
-	c.reap()
 }
 
 func (c *Core) completeEvent(e wbEvent) {
@@ -394,7 +538,7 @@ func (c *Core) completeEvent(e wbEvent) {
 	case e.op != nil:
 		c.opDone(e.op)
 	case e.warp.gen == e.gen:
-		e.warp.unlock(e.regs)
+		c.unlock(e.warp, e.regs)
 	}
 	// Otherwise the warp retired with this writeback still queued (it
 	// exited right behind an ALU op). The struct may already hold a new
@@ -416,8 +560,12 @@ func (c *Core) opDone(op *memOp) {
 	if op.remaining > 0 {
 		return
 	}
-	op.warp.unlock(op.regs)
-	op.warp.outstanding--
+	w := op.warp
+	c.unlock(w, op.regs)
+	w.outstanding--
+	if w.done && w.outstanding == 0 {
+		c.retiring.set(w.slot)
+	}
 	op.warp = nil
 	c.freeOps = append(c.freeOps, op)
 }
@@ -451,11 +599,15 @@ func (c *Core) pushTx(tx transaction) {
 	c.txLen++
 }
 
-// popTx drops the oldest transaction, clearing its slot's pointers.
+// popTx drops the oldest transaction, clearing its slot's pointers. The
+// pop that makes room below txQueueDepth is the LSU's wake hook.
 func (c *Core) popTx() {
 	c.txq[c.txHead] = transaction{}
 	c.txHead = (c.txHead + 1) % len(c.txq)
 	c.txLen--
+	if c.txLen == txQueueDepth-1 {
+		c.wakeLSU()
+	}
 }
 
 // issueTransactions pushes queued coalesced accesses into caches.
@@ -517,26 +669,25 @@ func (c *Core) warpReady(w *Warp, cycle uint64) bool {
 	return true
 }
 
-// schedReady is warpReady fused with park classification: one pass
-// decides both whether w can issue and, if not, how long the scheduler
-// may skip it. A park of mem.NeverWake means "until an external hook
-// clears w.parked": every condition that earns it can only lift
-// through unlock (scoreboard release, which all outstanding-memory
-// decrements ride along with) or barrier release, and both of those
-// clear the park. readyAt stalls are purely timed and expire on their
-// own. Conditions with no such hook (LSU backpressure, an empty
-// reconvergence stack) leave the warp unparked — it is rescanned next
-// cycle, same as before parking existed. A parked warp's own pc,
-// stack, done, and readyAt cannot change, because only its own
-// execution mutates them and a parked warp never executes. warpReady
-// stays as the side-effect-free reference (guard, tests).
-func (c *Core) schedReady(w *Warp, cycle uint64) bool {
+// schedReady is warpReady fused with sleep classification: one pass
+// decides both whether slot s can issue and, if not, what wakes it.
+// Every blocking condition has exactly one hook: a scoreboard hazard or
+// a ROP fence lifts through unlock (every outstanding-memory decrement
+// rides along with one), a barrier through releaseBarrier, a full LSU
+// ring through popTx, and readyAt stalls are timed. A done warp sleeps
+// until it retires. Only a hand-built program whose pc ran off its end
+// stays awake (Assemble rejects those). A sleeping warp's own pc,
+// stack, done and readyAt cannot change, because only its own execution
+// mutates them and a sleeping warp never executes. warpReady stays as
+// the side-effect-free reference (guard, tests).
+func (c *Core) schedReady(s int, cycle uint64) bool {
+	w := c.slots[s]
 	if w.done || w.atBarrier {
-		w.parked = mem.NeverWake
+		c.sleep(s, mem.NeverWake)
 		return false
 	}
 	if w.readyAt > cycle {
-		w.parked = w.readyAt
+		c.sleep(s, w.readyAt)
 		return false
 	}
 	d := w.decoded()
@@ -544,70 +695,98 @@ func (c *Core) schedReady(w *Warp, cycle uint64) bool {
 		return false
 	}
 	if w.hazard(d) {
-		w.parked = mem.NeverWake
+		c.sleep(s, mem.NeverWake)
 		return false
 	}
 	if d.Mem {
 		if c.txLen >= txQueueDepth {
+			c.sleepOnLSU(s)
 			return false
 		}
 		if w.outstanding > 0 && d.Class == shader.ClassROP {
-			w.parked = mem.NeverWake
+			c.sleep(s, mem.NeverWake)
 			return false
 		}
 	}
 	return true
 }
 
-// issueOne lets one scheduler pick and execute a warp instruction.
-func (c *Core) issueOne(cycle uint64) {
-	n := len(c.warps)
-	if n == 0 {
-		c.issueIdle.Inc()
-		return
-	}
-	// Greedy-then-oldest: try the last-issued warp first, then oldest
-	// launch order; LRR just rotates. Candidates are visited in place:
-	// this is the hottest loop in the simulator, and materializing the
-	// candidate order allocates once per scheduler slot.
-	try := func(w *Warp) bool {
-		if w.parked > cycle {
-			return false // still parked: warpReady cannot be true
-		}
-		if !c.schedReady(w, cycle) {
-			return false
-		}
-		c.execute(w, cycle)
-		w.lastIssued = cycle
-		return true
-	}
-	if c.Cfg.GTO {
-		var greedy *Warp
-		for _, w := range c.warps {
-			if w.lastIssued == cycle-1 && cycle > 0 {
-				greedy = w
-				break
-			}
-		}
-		if greedy != nil && try(greedy) {
-			return
-		}
-		for _, w := range c.warps {
-			if w != greedy && try(w) {
-				return
-			}
-		}
-	} else {
+// pick chooses the slot one scheduler issues from, or -1: the first
+// awake warp that is ready, visiting awake warps only. Greedy-then-
+// oldest tries the oldest-launched warp that last issued the cycle
+// before (after a dual issue that need not be the warp the other
+// scheduler just ran), then launch order; LRR rotates its start. A warp
+// found blocked goes to sleep on the way.
+func (c *Core) pick(cycle uint64) int {
+	if n := len(c.order); !c.Cfg.GTO && n > 0 {
 		start := c.lastScheduled % n
 		c.lastScheduled++
 		for i := 0; i < n; i++ {
-			if try(c.warps[(start+i)%n]) {
-				return
+			if s := int(c.order[(start+i)%n]); c.awake.has(s) && c.schedReady(s, cycle) {
+				return s
+			}
+		}
+		return -1
+	}
+	if !c.awake.any() {
+		return -1
+	}
+	g := -1
+	for i, word := range c.greedy {
+		for ; word != 0; word &= word - 1 {
+			if s := i<<6 | bits.TrailingZeros64(word); g < 0 || c.slots[s].LaunchedAt < c.slots[g].LaunchedAt {
+				g = s
 			}
 		}
 	}
-	c.issueIdle.Inc()
-	c.traceStall(cycle)
+	if g >= 0 && c.awake.has(g) && c.schedReady(g, cycle) {
+		return g
+	}
+	for _, s32 := range c.order {
+		if s := int(s32); s != g && c.awake.has(s) && c.schedReady(s, cycle) {
+			return s
+		}
+	}
+	return -1
+}
+
+// issueOne lets one scheduler pick and execute a warp instruction. It
+// returns the slot it issued from, -1 for an idle slot.
+func (c *Core) issueOne(cycle uint64) int {
+	if cycle != c.issuedAt {
+		// First slot of a cycle: the warps that issued last, if that was
+		// the cycle before, are this cycle's greedy candidates.
+		for i := range c.greedy {
+			c.greedy[i] = 0
+			if cycle == c.issuedAt+1 {
+				c.greedy[i] = c.issued[i]
+			}
+			c.issued[i] = 0
+		}
+		c.issuedAt = cycle
+	}
+	s := c.pick(cycle)
+	if s < 0 {
+		c.issueIdle.Inc()
+		c.traceStall(cycle)
+		return -1
+	}
+	c.issue(s, cycle)
+	return s
+}
+
+// issue executes the next instruction of the warp in slot s and records
+// the issue: the warp is no longer last cycle's, and its own last
+// instruction is one of the two places a warp becomes retirable (opDone
+// is the other).
+func (c *Core) issue(s int, cycle uint64) {
+	w := c.slots[s]
+	c.execute(w, cycle)
+	c.greedy.clear(s)
+	c.issued.set(s)
+	if w.done && w.outstanding == 0 {
+		c.retiring.set(s)
+	}
 }
 
 // traceStall emits one instant naming the dominant reason no warp could
@@ -619,7 +798,8 @@ func (c *Core) traceStall(cycle uint64) {
 		return
 	}
 	var scoreboard, memory, reconv, sfu int
-	for _, w := range c.warps {
+	for _, s := range c.order {
+		w := c.slots[s]
 		switch {
 		case w.done || len(w.stack) == 0:
 		case w.atBarrier:
@@ -658,55 +838,50 @@ func (c *Core) traceStall(cycle uint64) {
 	}
 }
 
-// reap removes retired warps and fires their env callbacks.
+// reap removes retired warps, in launch order, and fires their env
+// callbacks. It runs only when a warp was marked retiring (by its own
+// last instruction in issueOne, or by its last fill in opDone) and
+// touches no other warp.
 func (c *Core) reap() {
-	// Most cycles retire nothing: find the first retirable warp before
-	// rewriting the resident list.
-	n := 0
-	for n < len(c.warps) && !(c.warps[n].done && c.warps[n].outstanding == 0) {
-		n++
-	}
-	if n == len(c.warps) {
+	if !c.retiring.any() {
 		return
 	}
-	kept := c.warps[:n]
-	for _, w := range c.warps[n:] {
-		if w.done && w.outstanding == 0 {
-			c.warpsRetired.Inc()
-			c.trace.Span1(emtrace.SrcSIMT, c.traceTrack, w.Prog.Name,
-				w.launchCycle, c.curCycle, emtrace.Arg{Key: "warp", Val: int64(w.ID)})
-			if w.BlockID >= 0 {
-				if b := c.blocks[w.BlockID]; b != nil {
-					b.live--
-					b.drop(w)
-					if b.live == 0 {
-						delete(c.blocks, w.BlockID)
-						b.atBarrier = 0
-						c.freeBlocks = append(c.freeBlocks, b)
-					} else if b.atBarrier >= b.live && b.atBarrier > 0 {
-						// A warp exited while siblings wait: the barrier
-						// is now satisfied by the survivors.
-						for _, bw := range b.warps {
-							bw.atBarrier = false
-							bw.parked = 0
-						}
-						b.atBarrier = 0
-					}
-				}
-			}
-			if w.Env != nil {
-				w.Env.Retired(w)
-			}
-			c.regsUsed -= w.Prog.RegsUsed * WarpSize
-			// Bumping gen here, not at reuse, disowns the warp's queued
-			// writebacks while it sits on the free list too.
-			w.gen++
-			w.Prog, w.Env = nil, nil
-			c.freeWarps = append(c.freeWarps, w)
+	kept := c.order[:0]
+	for _, s32 := range c.order {
+		s := int(s32)
+		if !c.retiring.has(s) {
+			kept = append(kept, s32)
 			continue
 		}
-		kept = append(kept, w)
+		w := c.slots[s]
+		c.warpsRetired.Inc()
+		c.trace.Span1(emtrace.SrcSIMT, c.traceTrack, w.Prog.Name,
+			w.launchCycle, c.curCycle, emtrace.Arg{Key: "warp", Val: int64(w.ID)})
+		if w.BlockID >= 0 {
+			if b := c.blocks[w.BlockID]; b != nil {
+				b.live--
+				b.drop(w)
+				if b.live == 0 {
+					delete(c.blocks, w.BlockID)
+					b.atBarrier = 0
+					c.freeBlocks = append(c.freeBlocks, b)
+				} else if b.atBarrier >= b.live && b.atBarrier > 0 {
+					// A warp exited while siblings wait: the barrier
+					// is now satisfied by the survivors.
+					c.releaseBarrier(b)
+				}
+			}
+		}
+		if w.Env != nil {
+			w.Env.Retired(w)
+		}
+		c.regsUsed -= w.Prog.RegsUsed * WarpSize
+		// Bumping gen here, not at reuse, disowns the warp's queued
+		// writebacks while it sits on the free list too.
+		w.gen++
+		w.Prog, w.Env = nil, nil
+		c.freeWarps = append(c.freeWarps, w)
+		c.forget(s)
 	}
-	clear(c.warps[len(kept):])
-	c.warps = kept
+	c.order = kept
 }

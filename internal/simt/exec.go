@@ -143,15 +143,54 @@ func (c *Core) issueStore(target *cache.Cache, n int) {
 	}
 }
 
-// executeMem handles every memory-class instruction: functional effect
-// now, timing via coalesced cache transactions. Each case gathers the
-// executing lanes' addresses into c.addrs (n of them) and hands them to
-// issueLoad / issueStore.
+// executeMem handles every memory-class instruction: the functional
+// effect now (memEffects, shared with the functional executor), timing
+// via the coalesced cache transactions of the addresses it touched.
 func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uint32, cycle uint64) {
-	memory := w.Env.Memory()
-	addrs := &c.addrs
-	n := 0
+	// The view lives for this one instruction: nothing is cached across
+	// instructions, so a Reset or restore of the memory cannot stale it.
+	view := mem.MakeView(w.Env.Memory())
+	n := memEffects(w, in, exec, &view, &c.addrs)
 
+	switch in.Op {
+	case shader.OpLdGlobal, shader.OpFBLd:
+		c.issueLoad(w, c.L1D, n, w.lockDst(d), cycle)
+	case shader.OpAtomAdd:
+		c.issueLoad(w, c.L1D, n, w.lockDst(d), cycle)
+		w.readyAt = cycle + atomExtraLatency
+	case shader.OpStGlobal, shader.OpFBSt:
+		c.issueStore(c.L1D, n)
+	case shader.OpLdShared:
+		c.writeback(w, w.lockDst(d), cycle, sharedLatency)
+	case shader.OpStShared:
+		w.readyAt = cycle + 1
+	case shader.OpLdConst, shader.OpAttr4:
+		// Attributes with no address (fragment varyings: plane-equation
+		// evaluation) touch nothing; issueLoad charges the ALU latency.
+		c.issueLoad(w, c.L1C, n, w.lockDst(d), cycle)
+	case shader.OpOut4:
+		// Vertex outputs stream directly to the L2-backed output buffer,
+		// bypassing L1 (cache == nil), one transaction per lane.
+		for _, addr := range c.addrs[:n] {
+			c.pushTx(transaction{addr: addr, kind: mem.Write})
+		}
+	case shader.OpTex4:
+		c.issueLoad(w, c.L1T, n, w.lockDst(d), cycle)
+	case shader.OpZLd:
+		c.issueLoad(w, c.L1Z, n, w.lockDst(d), cycle)
+	case shader.OpZSt:
+		c.issueStore(c.L1Z, n)
+	}
+}
+
+// memEffects applies the architectural effect of a memory-class
+// instruction for the lanes in exec — registers, memory, scratchpad and
+// the env's attribute, output and texture hooks, in lane order — and
+// gathers the memory addresses the timing model charges into addrs,
+// returning how many. Functional memory goes through the caller's view,
+// so the lanes of one instruction that share a page pay for one
+// directory walk.
+func memEffects(w *Warp, in *shader.Instr, exec uint32, memory *mem.View, addrs *[4 * WarpSize]uint64) (n int) {
 	switch in.Op {
 	case shader.OpLdGlobal:
 		for m := exec; m != 0; m &= m - 1 {
@@ -161,7 +200,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 			addrs[n] = ea
 			n++
 		}
-		c.issueLoad(w, c.L1D, n, w.lockDst(d), cycle)
 
 	case shader.OpStGlobal:
 		for m := exec; m != 0; m &= m - 1 {
@@ -171,7 +209,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 			addrs[n] = ea
 			n++
 		}
-		c.issueStore(c.L1D, n)
 
 	case shader.OpAtomAdd:
 		for m := exec; m != 0; m &= m - 1 {
@@ -183,8 +220,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 			addrs[n] = ea
 			n++
 		}
-		c.issueLoad(w, c.L1D, n, w.lockDst(d), cycle)
-		w.readyAt = cycle + atomExtraLatency
 
 	case shader.OpLdShared:
 		sh := w.Env.SharedMem()
@@ -197,7 +232,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 				t.SetU(in.Dst, 0)
 			}
 		}
-		c.writeback(w, w.lockDst(d), cycle, sharedLatency)
 
 	case shader.OpStShared:
 		sh := w.Env.SharedMem()
@@ -208,7 +242,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 				putU32(sh[off:], t.U(in.A))
 			}
 		}
-		w.readyAt = cycle + 1
 
 	case shader.OpLdConst:
 		base := w.Env.ConstBase()
@@ -219,7 +252,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 			addrs[n] = ea
 			n++
 		}
-		c.issueLoad(w, c.L1C, n, w.lockDst(d), cycle)
 
 	case shader.OpAttr4:
 		for m := exec; m != 0; m &= m - 1 {
@@ -234,13 +266,8 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 				n += 2
 			}
 		}
-		// With no address (fragment varyings: plane-equation evaluation)
-		// issueLoad charges the ALU latency.
-		c.issueLoad(w, c.L1C, n, w.lockDst(d), cycle)
 
 	case shader.OpOut4:
-		// Vertex outputs stream directly to the L2-backed output buffer,
-		// bypassing L1 (cache == nil), one transaction per lane.
 		for m := exec; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
 			t := &w.Threads[lane]
@@ -252,7 +279,8 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 				math.Float32frombits(t.Regs[r+3]),
 			}
 			if addr := w.Env.OutWrite(lane, int(in.Slot), val); addr != 0 {
-				c.pushTx(transaction{addr: addr, kind: mem.Write})
+				addrs[n] = addr
+				n++
 			}
 		}
 
@@ -272,7 +300,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 				}
 			}
 		}
-		c.issueLoad(w, c.L1T, n, w.lockDst(d), cycle)
 
 	case shader.OpZLd:
 		for m := exec; m != 0; m &= m - 1 {
@@ -282,7 +309,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 			addrs[n] = a
 			n++
 		}
-		c.issueLoad(w, c.L1Z, n, w.lockDst(d), cycle)
 
 	case shader.OpZSt:
 		for m := exec; m != 0; m &= m - 1 {
@@ -292,7 +318,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 			addrs[n] = a
 			n++
 		}
-		c.issueStore(c.L1Z, n)
 
 	case shader.OpFBLd:
 		for m := exec; m != 0; m &= m - 1 {
@@ -302,7 +327,6 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 			addrs[n] = a
 			n++
 		}
-		c.issueLoad(w, c.L1D, n, w.lockDst(d), cycle)
 
 	case shader.OpFBSt:
 		for m := exec; m != 0; m &= m - 1 {
@@ -312,8 +336,8 @@ func (c *Core) executeMem(w *Warp, in *shader.Instr, d *shader.Decoded, exec uin
 			addrs[n] = a
 			n++
 		}
-		c.issueStore(c.L1D, n)
 	}
+	return n
 }
 
 // barrier handles a warp arriving at bar.
@@ -328,11 +352,7 @@ func (c *Core) barrier(w *Warp) {
 	w.atBarrier = true
 	b.atBarrier++
 	if b.atBarrier >= b.live {
-		for _, bw := range b.warps {
-			bw.atBarrier = false
-			bw.parked = 0 // barrier release: wake parked siblings
-		}
-		b.atBarrier = 0
+		c.releaseBarrier(b)
 	}
 }
 

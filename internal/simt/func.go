@@ -1,8 +1,6 @@
 package simt
 
 import (
-	"math"
-
 	"emerald/internal/mem"
 	"emerald/internal/shader"
 )
@@ -36,6 +34,9 @@ func FuncExec(prog *shader.Program, env WarpEnv, mask uint32, specials [WarpSize
 type FuncRunner struct {
 	warp Warp
 	view *mem.View
+	// addrs receives the addresses memEffects gathers for the timing
+	// model, which this executor has no use for.
+	addrs [4 * WarpSize]uint64
 }
 
 // Exec runs one warp to completion with FuncExec semantics.
@@ -47,14 +48,17 @@ func (r *FuncRunner) Exec(prog *shader.Program, env WarpEnv, mask uint32, specia
 		r.view = mem.NewView(env.Memory())
 	}
 	for !w.Done() {
-		funcStep(w, r.view)
+		r.step()
 	}
 	env.Retired(w)
 }
 
-// funcStep executes one instruction for w, mirroring Core.execute with
-// the timing model removed.
-func funcStep(w *Warp, mv *mem.View) {
+// step executes one instruction of the runner's warp, mirroring
+// Core.execute with the timing model removed: ALU work and memory
+// effects are the timed core's own (shader.ExecALULanes, memEffects),
+// through the runner's page-caching view.
+func (r *FuncRunner) step() {
+	w := &r.warp
 	in := &w.Prog.Code[w.PC()]
 	exec := predMask(in, w)
 
@@ -83,150 +87,7 @@ func funcStep(w *Warp, mv *mem.View) {
 	case shader.ClassALU, shader.ClassSFU:
 		shader.ExecALULanes(in, exec, w.Threads[:], w.Special[:])
 	default:
-		funcMem(w, in, exec, mv)
+		memEffects(w, in, exec, r.view, &r.addrs)
 	}
 	w.advance()
-}
-
-// funcMem applies the functional half of executeMem: identical
-// register/memory effects, no transactions. Memory traffic goes
-// through the runner's page-caching view rather than Env.Memory() —
-// the effects are bit-identical, only the page-directory lookups are
-// elided.
-func funcMem(w *Warp, in *shader.Instr, exec uint32, memory *mem.View) {
-	// Direct per-op loops (no per-lane closure dispatch): this is the
-	// hottest leaf of the functional pass.
-	switch in.Op {
-	case shader.OpLdGlobal:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				t.SetU(in.Dst, memory.ReadU32(shader.EA(in, t)))
-			}
-		}
-
-	case shader.OpStGlobal:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				memory.WriteU32(shader.EA(in, t), t.U(in.A))
-			}
-		}
-
-	case shader.OpAtomAdd:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				ea := shader.EA(in, t)
-				old := memory.ReadF32(ea)
-				memory.WriteF32(ea, old+t.F(in.A))
-				t.SetF(in.Dst, old)
-			}
-		}
-
-	case shader.OpLdShared:
-		sh := w.Env.SharedMem()
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				off := int(shader.EA(in, t))
-				if sh != nil && off >= 0 && off+4 <= len(sh) {
-					t.SetU(in.Dst, leU32(sh[off:]))
-				} else {
-					t.SetU(in.Dst, 0)
-				}
-			}
-		}
-
-	case shader.OpStShared:
-		sh := w.Env.SharedMem()
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				off := int(shader.EA(in, t))
-				if sh != nil && off >= 0 && off+4 <= len(sh) {
-					putU32(sh[off:], t.U(in.A))
-				}
-			}
-		}
-
-	case shader.OpLdConst:
-		base := w.Env.ConstBase()
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				t.SetU(in.Dst, memory.ReadU32(base+shader.EA(in, t)))
-			}
-		}
-
-	case shader.OpAttr4:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				val, _ := w.Env.AttrIn(lane, int(in.Slot))
-				for i := 0; i < 4; i++ {
-					t.SetF(in.Dst+uint8(i), val[i])
-				}
-			}
-		}
-
-	case shader.OpOut4:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				r := in.A.Reg
-				val := [4]float32{
-					math.Float32frombits(t.Regs[r]),
-					math.Float32frombits(t.Regs[r+1]),
-					math.Float32frombits(t.Regs[r+2]),
-					math.Float32frombits(t.Regs[r+3]),
-				}
-				w.Env.OutWrite(lane, int(in.Slot), val)
-			}
-		}
-
-	case shader.OpTex4:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				u, v := t.F(in.A), t.F(in.B)
-				val, _ := w.Env.Tex(lane, int(in.Slot), u, v)
-				for i := 0; i < 4; i++ {
-					t.SetF(in.Dst+uint8(i), val[i])
-				}
-			}
-		}
-
-	case shader.OpZLd:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				t.SetF(in.Dst, memory.ReadF32(w.Env.ZAddr(lane)))
-			}
-		}
-
-	case shader.OpZSt:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				memory.WriteF32(w.Env.ZAddr(lane), t.F(in.A))
-			}
-		}
-
-	case shader.OpFBLd:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				t.SetU(in.Dst, memory.ReadU32(w.Env.CAddr(lane)))
-			}
-		}
-
-	case shader.OpFBSt:
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				t := &w.Threads[lane]
-				memory.WriteU32(w.Env.CAddr(lane), t.U(in.A))
-			}
-		}
-	}
 }

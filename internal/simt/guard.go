@@ -58,17 +58,58 @@ func (c *Core) AttachGuard(g *guard.Checker) {
 }
 
 func (c *Core) checkWarps(cycle uint64) error {
-	for _, w := range c.warps {
+	for _, s32 := range c.order {
+		s := int(s32)
+		w := c.slots[s]
 		if err := w.checkInvariants(); err != nil {
 			return fmt.Errorf("warp %d (%s): %w", w.ID, w.Prog.Name, err)
 		}
-		// Wake-contract audit: a parked warp must genuinely be
-		// unschedulable. A violation means a release path forgot to
-		// clear the park and the scheduler is skipping issuable work.
-		if w.parked > cycle && c.warpReady(w, cycle) {
-			return fmt.Errorf("warp %d (%s): parked until %d but ready at %d (missing park-clear hook)",
-				w.ID, w.Prog.Name, w.parked, cycle)
+		// Wake-contract audit: a warp outside the awake set must
+		// genuinely be unschedulable. A violation means a release path
+		// forgot its wake hook and the scheduler is skipping issuable
+		// work. (A timed sleeper that is due wakes at the next Tick.)
+		if !c.awake.has(s) && !(c.timed.has(s) && c.wakeAt[s] <= cycle) && c.warpReady(w, cycle) {
+			return fmt.Errorf("warp %d (%s): asleep (timed=%v until %d, lsu=%v) but ready at %d (missing wake hook)",
+				w.ID, w.Prog.Name, c.timed.has(s), c.wakeAt[s], c.lsuWait.has(s), cycle)
 		}
+	}
+	return c.checkReadySet()
+}
+
+// checkReadySet audits that the ready set, the slot table and the
+// resident list agree: every bit belongs to a resident warp, no warp
+// sleeps in two ways or is both awake and asleep, a warp waits for LSU
+// room only while there is none, and the retiring marks are exactly the
+// warps with nothing left to do (none, between ticks).
+func (c *Core) checkReadySet() error {
+	resident := make(bitset, len(c.awake))
+	for i, s32 := range c.order {
+		s := int(s32)
+		w := c.slots[s]
+		if w == nil || w.slot != s || resident.has(s) {
+			return fmt.Errorf("resident list entry %d names slot %d, which is empty, mislabelled or listed twice", i, s)
+		}
+		if i > 0 && w.LaunchedAt <= c.slots[c.order[i-1]].LaunchedAt {
+			return fmt.Errorf("resident list not in launch order at entry %d (slot %d)", i, s)
+		}
+		resident.set(s)
+		if retirable := w.done && w.outstanding == 0; retirable != c.retiring.has(s) {
+			return fmt.Errorf("warp %d: retirable=%v but retiring mark=%v", w.ID, retirable, c.retiring.has(s))
+		}
+	}
+	for i := range resident {
+		for j, b := range c.readySets() {
+			if stray := b[i] &^ resident[i]; stray != 0 {
+				return fmt.Errorf("%s set has bits %#x in word %d with no resident warp",
+					[...]string{"awake", "timed", "lsuWait", "retiring", "issued", "greedy"}[j], stray, i)
+			}
+		}
+		if both := c.awake[i]&(c.timed[i]|c.lsuWait[i]) | c.timed[i]&c.lsuWait[i]; both != 0 {
+			return fmt.Errorf("slots %#x of word %d are in two of awake/timed/lsuWait", both, i)
+		}
+	}
+	if c.lsuWait.any() && c.txLen < txQueueDepth {
+		return fmt.Errorf("warps asleep on LSU room with %d of %d transactions queued (missing wake hook)", c.txLen, txQueueDepth)
 	}
 	return nil
 }
@@ -105,7 +146,8 @@ func (c *Core) checkPools(cycle uint64) error {
 		return nil
 	}
 	regs := 0
-	for _, w := range c.warps {
+	for _, s := range c.order {
+		w := c.slots[s]
 		if free[w] {
 			return fmt.Errorf("resident warp %d is on the free list", w.ID)
 		}
@@ -156,16 +198,16 @@ func (c *Core) Diagnose(cycle uint64, maxWarps int) []string {
 	if c.Idle() {
 		return nil
 	}
-	lines := make([]string, 0, len(c.warps)+2)
+	lines := make([]string, 0, len(c.order)+2)
 	lines = append(lines, fmt.Sprintf("txQueue=%d events=%d mshrs: l1d=%d l1t=%d l1z=%d l1c=%d",
 		c.txLen, c.nEvents,
 		c.L1D.PendingMisses(), c.L1T.PendingMisses(), c.L1Z.PendingMisses(), c.L1C.PendingMisses()))
-	for i, w := range c.warps {
+	for i, s := range c.order {
 		if maxWarps > 0 && i >= maxWarps {
-			lines = append(lines, fmt.Sprintf("... %d more warps", len(c.warps)-maxWarps))
+			lines = append(lines, fmt.Sprintf("... %d more warps", len(c.order)-maxWarps))
 			break
 		}
-		lines = append(lines, c.warpDiag(w, cycle))
+		lines = append(lines, c.warpDiag(c.slots[s], cycle))
 	}
 	return lines
 }

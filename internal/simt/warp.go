@@ -94,21 +94,13 @@ type Warp struct {
 	atBarrier bool
 	done      bool
 
-	// parked is a conservative lower bound on the next cycle warpReady
-	// can return true: the scheduler skips the warp (one comparison)
-	// until it expires. Set by Core.schedReady when the warp fails to
-	// issue; cleared (to 0) at every point the blocking condition can
-	// lift from outside the warp's own execution — scoreboard release
-	// (unlock, which every outstanding-memory decrement rides along
-	// with) and barrier release. Timed stalls (readyAt) expire on their
-	// own. A warp with parked > cycle is invisible to the scheduler and
-	// to the core's quiet/NextWake checks, which is what makes a fully
-	// memory-stalled core's Tick a gated no-op.
-	parked uint64
+	// slot is the warp's index into its core's per-slot scheduling state
+	// (Core.slots, the ready set). It belongs to the struct, not to the
+	// occupant: a recycled warp keeps it.
+	slot int
 
 	// LaunchedAt orders warps for greedy-then-oldest scheduling.
 	LaunchedAt uint64
-	lastIssued uint64
 
 	// launchCycle stamps the launch time for the warp's trace span.
 	launchCycle uint64
@@ -116,12 +108,12 @@ type Warp struct {
 
 // reset puts w at pc 0 of prog with the given initial active mask, in
 // the state of a freshly allocated warp (registers, predicates and
-// scoreboard zero). Only the SIMT stack's backing array and the
-// generation survive from the previous occupant.
+// scoreboard zero). Only the SIMT stack's backing array, the generation
+// and the slot survive from the previous occupant.
 func (w *Warp) reset(id int, prog *shader.Program, env WarpEnv, blockID int, mask uint32) {
-	stack, gen := w.stack[:0], w.gen
+	stack, gen, slot := w.stack[:0], w.gen, w.slot
 	*w = Warp{}
-	w.ID, w.Prog, w.Env, w.BlockID, w.gen = id, prog, env, blockID, gen
+	w.ID, w.Prog, w.Env, w.BlockID, w.gen, w.slot = id, prog, env, blockID, gen, slot
 	w.stack = append(stack, stackEntry{pc: 0, rpc: noRPC, mask: mask})
 	w.pendingRPC = noRPC
 }
@@ -233,15 +225,6 @@ func (w *Warp) hazard(d *shader.Decoded) bool { return d.Hazard&w.pending != 0 }
 func (w *Warp) lockDst(d *shader.Decoded) uint64 {
 	w.pending |= d.Dst
 	return d.Dst
-}
-
-// unlock releases registers locked by lockDst. This is the single
-// scoreboard-release chokepoint (ALU/SFU writebacks and memory fills
-// both land here), so it doubles as the park-clearing hook: the warp
-// becomes schedulable again the cycle its dependency resolves.
-func (w *Warp) unlock(regs uint64) {
-	w.parked = 0
-	w.pending &^= regs
 }
 
 func (w *Warp) String() string {

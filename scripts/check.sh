@@ -69,6 +69,40 @@ if [ -n "$bad" ]; then
 fi
 echo "ok"
 
+echo "== warp-wake inventory (one ready set, written by its helpers only) =="
+# The same bug class one level down: a warp outside simt.Core's awake
+# set is invisible to the schedulers and to NextWake, so every write to
+# that set is a place a wake can go missing. The set is written by five
+# helpers in core.go (wake, sleep, sleepOnLSU, wakeLSU, and forget
+# through readySets) and sliced up in NewCore; the guard's
+# checkReadySet reads its words;
+# everything else only asks has() or any(). The
+# scheduling state lives there and nowhere else: Warp carries no parked
+# or lastIssued field for a second scheduler to grow back on.
+bad=$(awk '
+	FNR == 1 { fn = "" }
+	/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+	/[a-z]+\.awake/ {
+		line = $0
+		gsub(/[a-z]+\.awake\.(has\(|any\(\))/, "", line)
+		if (line ~ /[a-z]+\.awake/ && fn !~ /^(NewCore|wake|sleep|sleepOnLSU|wakeLSU|readySets|checkReadySet)$/)
+			print FILENAME ":" FNR ": " fn ": " $0
+	}
+	/readySets\(\)/ && fn !~ /^(readySets|forget|checkReadySet)$/ { print FILENAME ":" FNR ": " fn ": " $0 }
+	' $(ls internal/simt/*.go | grep -v '_test\.go'))
+if [ -n "$bad" ]; then
+	echo "FAIL: the awake set is written outside its helpers:" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+bad=$(awk '/^type Warp struct/,/^}/' internal/simt/warp.go | grep -n -E '^[[:space:]]+(parked|lastIssued)[[:space:],]' || true)
+if [ -n "$bad" ]; then
+	echo "FAIL: simt.Warp carries scheduling state again:" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+echo "ok"
+
 echo "== request-allocation inventory + hot-struct lint =="
 # A mem.Request is allocated in exactly one place, mem.Pool.New, and
 # goes back to the pool of the component that took it (DESIGN.md
@@ -96,11 +130,16 @@ if [ -n "$bad" ]; then
 fi
 echo "ok"
 
-echo "== allocation gates (uncached) =="
+echo "== allocation gates and hot-path references (uncached) =="
 # The zero-allocation tick, the warm-launch object budget, the blocked
-# access that builds nothing and the pool's own contract: -count=1 so
+# access that builds nothing, the pool's own contract, and the two
+# differential references of the SIMT hot path (the ready set against
+# the full-scan scheduler — once more with the guard auditing every
+# cycle — and the lane loops against single-lane ExecALU): -count=1 so
 # the test cache cannot answer for them.
-go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate' ./internal/simt
+go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate|TestReadySetAgainstFullScanReference' ./internal/simt
+EMERALD_GUARD=1 go test -count=1 -timeout 5m -run 'TestReadySetAgainstFullScanReference' ./internal/simt
+go test -count=1 -timeout 5m -run 'TestExecALULanesMatchesExecALU' ./internal/shader
 go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping' ./internal/gpu
 go test -count=1 -timeout 5m -run 'TestBlockedAccessAllocatesNothing|TestRequestsAreRecycledByTheirIssuer' ./internal/cache
 go test -count=1 -timeout 5m -run 'TestPoolRecyclingAndPoison|TestQueueDrainTo' ./internal/mem
