@@ -53,7 +53,8 @@ const (
 	// Miss: an MSHR was allocated (or merged); the waiter will be
 	// handed back through the OnReady callback when the fill returns.
 	Miss
-	// Blocked: no MSHR/queue space; the requester must retry.
+	// Blocked: no MSHR/queue space; the requester must retry (see
+	// Room).
 	Blocked
 )
 
@@ -124,6 +125,8 @@ type Cache struct {
 	doneFills atomic.Int64
 	// pendingWB buffers writebacks when Out is full.
 	pendingWB []*mem.Request
+	// room counts installs and flushes, Room's share beside Out's pops.
+	room uint64
 
 	// OnReady is invoked once per waiter when its miss data returns.
 	OnReady func(waiter any, cycle uint64)
@@ -312,6 +315,44 @@ func (c *Cache) enqueueWrite(cycle uint64, la uint64) bool {
 	return c.Out.Push(c.reqs.Fire(c.request(la, mem.Write, cycle)))
 }
 
+// Room is the cache's room counter. It moves on every event that can
+// turn a Blocked access into an accepted one: a fill installed (its
+// MSHR and merge slots freed, its line made resident), a Flush, a
+// request taken off Out. Nothing else frees (an accepted access only
+// consumes), so an access refused at one value is refused again, with
+// the same effects, until it moves.
+func (c *Cache) Room() uint64 { return c.room + c.Out.Pops() }
+
+// Refused charges an access that Room says would be Blocked again,
+// without performing it: it has exactly the effects of that Blocked
+// Access, which counts the access and, for a write-through store hit
+// refused for want of Out room, has already refreshed the line's LRU
+// stamp.
+func (c *Cache) Refused(cycle, addr uint64, kind mem.Kind) {
+	c.accesses.Inc()
+	if kind == mem.Write && c.cfg.WriteThrough {
+		c.touch(cycle, addr)
+	}
+}
+
+// RefusedAll is Refused for each of rs, counted at once.
+func (c *Cache) RefusedAll(cycle uint64, rs []*mem.Request) {
+	c.accesses.Add(int64(len(rs)))
+	for _, r := range rs {
+		if c.cfg.WriteThrough && r.Kind == mem.Write {
+			c.touch(cycle, r.Addr)
+		}
+	}
+}
+
+// touch refreshes the LRU stamp of addr's line, if it is resident.
+func (c *Cache) touch(cycle, addr uint64) {
+	la := c.LineAddr(addr)
+	if i := c.find(c.setIndex(la), la); i >= 0 {
+		c.lru[i] = cycle
+	}
+}
+
 // Tick retires completed fills, installs their lines (possibly evicting
 // and writing back victims), releases MSHRs and notifies waiters. It also
 // drains any writebacks buffered while Out was full.
@@ -354,6 +395,7 @@ func (c *Cache) Tick(cycle uint64) {
 			c.fillEnd = link
 		}
 		c.install(cycle, m.lineAddr)
+		c.room++
 		c.trace.Span1(emtrace.SrcCache, c.traceTrack, "fill", m.req.IssuedAt, cycle,
 			emtrace.Arg{Key: "addr", Val: int64(m.lineAddr)})
 		chain := &c.setMSHR[m.set]
@@ -513,6 +555,7 @@ func (c *Cache) MissRate() float64 {
 // Flush marks every line invalid, emitting writebacks for dirty lines
 // (used at frame boundaries and by checkpointing).
 func (c *Cache) Flush(cycle uint64) {
+	c.room++ // a refused store hit may be a miss now
 	for i, t := range c.tags {
 		if t != 0 && c.dirty[i] && c.cfg.WriteBack {
 			c.writeBack(cycle, t&^1)

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"sync/atomic"
+
 	"emerald/internal/emtrace"
 	"emerald/internal/mem"
 	"emerald/internal/par"
@@ -135,6 +137,9 @@ type Controller struct {
 	reg       *stats.Registry
 	rejected  *stats.Counter
 	totalBusy uint64
+	// room counts requests taken off the channel queues (see Room);
+	// channels issue on parallel shards, hence atomic.
+	room atomic.Uint64
 
 	// Parallel tick engine state: when armed via SetParallel, Tick runs
 	// the per-channel work as one shard per channel on the worker pool.
@@ -257,6 +262,15 @@ func (c *Controller) Push(r *mem.Request) bool {
 	return true
 }
 
+// Room is the controller's room counter: it moves each time a request
+// leaves a channel queue, the one event that can turn a refused Push
+// into an accepted one.
+func (c *Controller) Room() uint64 { return c.room.Load() }
+
+// Refused charges a Push of each of rs that Room says would be refused
+// again, without performing them.
+func (c *Controller) Refused(rs []*mem.Request) { c.rejected.Add(int64(len(rs))) }
+
 // QueuedRequests reports the total number of waiting requests.
 func (c *Controller) QueuedRequests() int {
 	n := 0
@@ -322,6 +336,7 @@ func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
 	copy(ch.locs[idx:], ch.locs[idx+1:])
 	ch.Queue[last] = nil // the vacated slot pins nothing
 	ch.Queue, ch.locs = ch.Queue[:last], ch.locs[:last]
+	c.room.Add(1)
 
 	t := c.cfg.Timing
 	start := cycle

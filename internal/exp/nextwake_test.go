@@ -264,7 +264,7 @@ func TestNextWakeContract(t *testing.T) {
 			sig: func() string {
 				return fmt.Sprint(d.Served(), d.FramesShown(), d.FramesDropped(), d.Out.Len(), d.FrameStart())
 			},
-			tick: d.Tick,
+			tick: func(cy uint64) { d.Tick(cy) },
 			post: func(cy uint64) { cp.drain(d.Out, cy) },
 		}, 10000)
 		if d.FramesShown() < 2 {

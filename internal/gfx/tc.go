@@ -1,6 +1,7 @@
 package gfx
 
 import (
+	"fmt"
 	"slices"
 
 	"emerald/internal/raster"
@@ -61,6 +62,10 @@ type TCUnit struct {
 	// per tile task the cluster's cores have not retired), searched
 	// linearly.
 	inflight [][2]int
+	// dry latches PopReady's "nothing launchable": every ready tile's
+	// position is being shaded. Only a flush (a new ready tile) or a
+	// Complete (a position freed) can change that answer; both clear it.
+	dry bool
 
 	coalesced, flushFull, flushConflict, flushTimeout, flushEvict *stats.Counter
 	tilesOut                                                      *stats.Counter
@@ -189,6 +194,7 @@ func (u *TCUnit) flush(e *tcEngine, reason *stats.Counter) {
 		}
 	}
 	u.ready = append(u.ready, out)
+	u.dry = false
 	u.tilesOut.Inc()
 	e.active = false
 	e.frags = nil
@@ -203,31 +209,70 @@ func (u *TCUnit) FlushAll() {
 
 // PopReady returns the next TC tile whose screen position is not already
 // being shaded, marking it in flight; nil if none available. Per-position
-// order is preserved (the ready queue is scanned front to back).
+// order is preserved (the ready queue is scanned front to back). Once it
+// has found nothing, it answers nil in O(1) until a flush or a Complete.
 func (u *TCUnit) PopReady() *TCTileOut {
-	for i, t := range u.ready {
-		pos := [2]int{t.TX, t.TY}
-		if slices.Contains(u.inflight, pos) {
-			continue
-		}
-		u.inflight = append(u.inflight, pos)
-		last := len(u.ready) - 1
-		copy(u.ready[i:], u.ready[i+1:])
-		u.ready[last] = nil // the vacated tail slot pins no tile
-		u.ready = u.ready[:last]
-		return t
+	if u.dry {
+		return nil
 	}
-	return nil
+	i := u.launchable()
+	if i < 0 {
+		u.dry = true
+		return nil
+	}
+	t := u.ready[i]
+	u.inflight = append(u.inflight, [2]int{t.TX, t.TY})
+	last := len(u.ready) - 1
+	copy(u.ready[i:], u.ready[i+1:])
+	u.ready[last] = nil // the vacated tail slot pins no tile
+	u.ready = u.ready[:last]
+	return t
+}
+
+// launchable returns the index of the oldest ready tile whose position
+// is not being shaded, or -1.
+func (u *TCUnit) launchable() int {
+	for i, t := range u.ready {
+		if u.shading(t.TX, t.TY) < 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// shading returns the index of position (tx, ty) in inflight, or -1.
+func (u *TCUnit) shading(tx, ty int) int {
+	for i, p := range u.inflight {
+		if p == [2]int{tx, ty} {
+			return i
+		}
+	}
+	return -1
 }
 
 // Complete releases the in-flight reservation for a TC tile position,
 // allowing the next tile at the same position to issue.
 func (u *TCUnit) Complete(tx, ty int) {
-	if i := slices.Index(u.inflight, [2]int{tx, ty}); i >= 0 {
+	if i := u.shading(tx, ty); i >= 0 {
 		last := len(u.inflight) - 1
 		u.inflight[i] = u.inflight[last]
 		u.inflight = u.inflight[:last]
 	}
+	u.dry = false
+}
+
+// AuditDry is the guard's check of the dry latch, made with PopReady's
+// own search: while the latch holds, no ready tile may be launchable. A
+// launchable one means a flush or a Complete forgot to clear the latch,
+// and fragment launches are being withheld.
+func (u *TCUnit) AuditDry() error {
+	if !u.dry {
+		return nil
+	}
+	if i := u.launchable(); i >= 0 {
+		return fmt.Errorf("PopReady latched dry, but the ready tile at (%d,%d) is launchable", u.ready[i].TX, u.ready[i].TY)
+	}
+	return nil
 }
 
 // Drained reports whether no tiles are staged, ready or in flight.

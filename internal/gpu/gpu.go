@@ -189,10 +189,10 @@ func New(cfg Config, memory *mem.Memory, reg *stats.Registry) *GPU {
 			r.Complete(cycle)
 		}
 	}
-	g.noc = interconnect.New(interconnect.Config{
+	g.noc = interconnect.Connect(interconnect.Config{
 		Name: "gpu_noc", Ports: cfg.Clusters, Latency: cfg.NoCLatency,
 		Width: cfg.NoCWidth, Depth: 32,
-	}, g.l2Sink, scope)
+	}, l2Port{g}, scope)
 
 	for ci := 0; ci < cfg.Clusters; ci++ {
 		cl := &cluster{id: ci, track: fmt.Sprintf("cluster%d", ci)}
@@ -345,8 +345,16 @@ func (g *GPU) ClearHiZ() {
 	}
 }
 
-// l2Sink services requests arriving at the L2 from the cluster NoC.
-func (g *GPU) l2Sink(r *mem.Request) bool {
+// l2Port is the L2 as the cluster NoC's sink: Push services a request
+// arriving from the NoC, and a refused one waits for the L2's room
+// counter to move.
+type l2Port struct{ *GPU }
+
+func (g l2Port) Room() uint64 { return g.L2.Room() }
+
+func (g l2Port) Refused(rs []*mem.Request) { g.L2.RefusedAll(g.cycle, rs) }
+
+func (g l2Port) Push(r *mem.Request) bool {
 	if r.Kind == mem.Write {
 		res := g.L2.Access(g.cycle, r.Addr, mem.Write, nil)
 		if res == cache.Blocked {

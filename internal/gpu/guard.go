@@ -7,9 +7,9 @@ import (
 )
 
 // AttachGuard registers invariant probes across the GPU: the L2's MSHR
-// accounting, the cluster NoC's credit conservation, every SIMT core's
-// reconvergence-stack and L1 invariants, and the drained latch. Safe
-// with a nil checker.
+// accounting, the cluster NoC's credit conservation and room audit,
+// every SIMT core's reconvergence-stack and L1 invariants, each TC
+// unit's dry latch, and the drained latch. Safe with a nil checker.
 func (g *GPU) AttachGuard(gc *guard.Checker) {
 	g.L2.AttachGuard(gc, "l2")
 	g.noc.AttachGuard(gc)
@@ -17,6 +17,8 @@ func (g *GPU) AttachGuard(gc *guard.Checker) {
 		for _, core := range cl.cores {
 			core.AttachGuard(gc)
 		}
+		tc := cl.tc
+		gc.Register("gpu", cl.track+".tc", func(uint64) error { return tc.AuditDry() })
 	}
 	gc.Register("gpu", "drained", g.checkDrained)
 	gc.Register("gpu", "requests", g.checkRequests)

@@ -47,9 +47,9 @@ func NewStandalone(gpuCfg Config, dramCfg dram.Config, reg *stats.Registry) *Sta
 	}
 	d := dram.NewController(dramCfg, reg)
 	s := &Standalone{GPU: g, DRAM: d, Reg: reg}
-	s.sysNoC = interconnect.New(interconnect.Config{
+	s.sysNoC = interconnect.Connect(interconnect.Config{
 		Name: "sys_noc", Ports: 1, Latency: 8, Width: 4, Depth: 64,
-	}, d.Push, reg)
+	}, d, reg)
 	s.run = par.Loop{
 		Cycle: &s.cycle, Skip: true,
 		Tick: s.Tick, NextWake: s.NextWake,

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -8,16 +9,29 @@ import (
 )
 
 // AttachGuard registers the crossbar's credit-conservation invariants:
-// the in-flight flit buffer never exceeds its credit pool (4 flits per
-// unit of width — the bound Tick enforces to backpressure a blocked
-// sink) and no port queue overruns its depth. Safe with a nil checker.
+// the arrived and in-flight flits never exceed their credit pool (4
+// flits per unit of width — the bound Tick enforces to backpressure a
+// blocked sink) and no port queue overruns its depth. It also turns on
+// the room audit: parked flits are re-offered every cycle instead of
+// charged, and a sink that takes one its room counter said it would
+// refuse is reported as a room event that forgot to move the counter.
+// Safe with a nil checker.
 func (x *Crossbar) AttachGuard(g *guard.Checker) {
+	x.audit = g.Enabled()
 	g.Register("noc", x.cfg.Name, x.checkInvariants)
 }
 
 func (x *Crossbar) checkInvariants(cycle uint64) error {
-	if credits := 4 * x.cfg.Width; x.inflight.Len() > credits {
-		return fmt.Errorf("%d flits in flight, credit limit %d", x.inflight.Len(), credits)
+	if x.lost != "" {
+		return errors.New(x.lost)
+	}
+	if n, credits := x.inflight.Len()+len(x.parked), 4*x.cfg.Width; n > credits {
+		return fmt.Errorf("%d flits in flight or parked, credit limit %d", n, credits)
+	}
+	for i, r := range x.parked {
+		if r.Released() {
+			return fmt.Errorf("parked flit %d carries a released request", i)
+		}
 	}
 	for i := 0; i < x.inflight.Len(); i++ {
 		f := x.inflight.At(i)
@@ -52,6 +66,6 @@ func (x *Crossbar) Diagnose(cycle uint64) []string {
 		}
 		fmt.Fprintf(&occ, "p%d=%d", i, p.Len())
 	}
-	return []string{fmt.Sprintf("%s: inflight=%d/%d ports: %s",
-		x.cfg.Name, x.inflight.Len(), 4*x.cfg.Width, occ.String())}
+	return []string{fmt.Sprintf("%s: inflight=%d/%d (parked %d) ports: %s",
+		x.cfg.Name, x.inflight.Len()+len(x.parked), 4*x.cfg.Width, len(x.parked), occ.String())}
 }

@@ -6,6 +6,8 @@
 package interconnect
 
 import (
+	"fmt"
+
 	"emerald/internal/mem"
 	"emerald/internal/stats"
 )
@@ -19,6 +21,29 @@ type Config struct {
 	Depth   int    // per-port input queue depth
 }
 
+// Sink is what a crossbar delivers into. Push hands a request over and
+// reports whether it was taken. Room is the sink's room counter: a
+// monotone number that moves on every event that can turn a refusal
+// into an acceptance, so a request refused at one value is refused
+// again while it holds. Refused charges a refusal of each of rs without
+// asking: whatever a refused Push would have counted.
+type Sink interface {
+	Push(r *mem.Request) bool
+	Room() uint64
+	Refused(rs []*mem.Request)
+}
+
+// funcSink is a bare func as a Sink whose room moves whenever it is
+// asked, so a refused flit is re-offered every cycle.
+type funcSink struct {
+	push func(*mem.Request) bool
+	room uint64
+}
+
+func (s *funcSink) Push(r *mem.Request) bool { return s.push(r) }
+func (s *funcSink) Room() uint64             { s.room++; return s.room }
+func (s *funcSink) Refused([]*mem.Request)   {}
+
 // Crossbar moves requests from N input ports to a single downstream sink
 // with fixed latency and bounded per-cycle width, arbitrating round-robin
 // across ports. Responses travel out-of-band (requests are completed in
@@ -31,9 +56,17 @@ type Crossbar struct {
 	// latency is constant, so arrival times never decrease from front to
 	// back and the arrived flits are always a prefix.
 	inflight mem.Ring[flit]
-	refused  []flit // arrived flits the sink turned down this cycle
-	sink     func(*mem.Request) bool
-	rr       int
+	// parked holds the requests of arrived flits the sink refused,
+	// oldest first, and room is the sink's room counter when they were
+	// last offered.
+	parked []*mem.Request
+	room   uint64
+	sink   Sink
+	rr     int
+	// audit (a guard is attached) re-offers parked flits even while room
+	// has not moved; lost describes the first one the sink took anyway.
+	audit bool
+	lost  string
 
 	transferred *stats.Counter
 	stalls      *stats.Counter
@@ -44,8 +77,14 @@ type flit struct {
 	arrives uint64
 }
 
-// New creates a crossbar delivering into sink. reg may be nil.
+// New creates a crossbar delivering into a bare func, whose refusals
+// are re-offered every cycle. reg may be nil.
 func New(cfg Config, sink func(*mem.Request) bool, reg *stats.Registry) *Crossbar {
+	return Connect(cfg, &funcSink{push: sink}, reg)
+}
+
+// Connect creates a crossbar delivering into sink. reg may be nil.
+func Connect(cfg Config, sink Sink, reg *stats.Registry) *Crossbar {
 	if reg == nil {
 		reg = stats.NewRegistry()
 	}
@@ -78,31 +117,46 @@ func (x *Crossbar) Port(i int) *mem.Queue { return x.ports[i] }
 func (x *Crossbar) Push(port int, r *mem.Request) bool { return x.ports[port].Push(r) }
 
 // Tick moves up to Width requests from ports into the pipe and delivers
-// arrived requests to the sink (retrying under backpressure).
+// arrived requests to the sink. Every arrived flit is answered every
+// cycle, oldest first, and a refused one does not hold up those behind
+// it: the parked flits go first, re-offered once the sink's room has
+// moved since they were refused and charged as refused again otherwise
+// (nothing else frees room, so the answer is certain), then the new
+// arrivals, a refused one parking behind the rest.
 func (x *Crossbar) Tick(cycle uint64) {
-	// Deliver arrivals first: every arrived flit is offered, in order,
-	// and one the sink refuses goes back to the front without holding
-	// up the ones behind it.
+	room := x.sink.Room()
+	if stale := room == x.room; stale && !x.audit {
+		if n := len(x.parked); n > 0 {
+			x.stalls.Add(int64(n))
+			x.sink.Refused(x.parked)
+		}
+	} else if len(x.parked) > 0 {
+		kept := x.parked[:0]
+		for _, r := range x.parked {
+			if !x.deliver(r) {
+				kept = append(kept, r)
+			} else if stale && x.lost == "" {
+				x.lost = fmt.Sprintf("cycle %d: the sink took a flit for %#x refused at room %d, which has not moved since",
+					cycle, r.Addr, room)
+			}
+		}
+		clear(x.parked[len(kept):])
+		x.parked = kept
+	}
 	for x.inflight.Len() > 0 && x.inflight.Front().arrives <= cycle {
-		if f := x.inflight.Pop(); x.sink(f.req) {
-			x.transferred.Inc()
-		} else {
-			x.stalls.Inc()
-			x.refused = append(x.refused, f)
+		if r := x.inflight.Pop().req; !x.deliver(r) {
+			x.parked = append(x.parked, r)
 		}
 	}
-	for i := len(x.refused) - 1; i >= 0; i-- {
-		x.inflight.PushFront(x.refused[i])
-	}
-	clear(x.refused)
-	x.refused = x.refused[:0]
+	x.room = room
 
 	// Accept new flits round-robin, bounded by the internal buffering
-	// (4 flits per unit of width) so a blocked sink backpressures the
-	// ports instead of ballooning the in-flight set.
+	// (4 flits per unit of width, parked ones included) so a blocked
+	// sink backpressures the ports instead of ballooning the in-flight
+	// set.
 	moved := 0
 	for scanned := 0; scanned < len(x.ports) && moved < x.cfg.Width &&
-		x.inflight.Len() < 4*x.cfg.Width; scanned++ {
+		x.inflight.Len()+len(x.parked) < 4*x.cfg.Width; scanned++ {
 		p := x.ports[x.rr]
 		if x.rr++; x.rr == len(x.ports) {
 			x.rr = 0
@@ -114,13 +168,26 @@ func (x *Crossbar) Tick(cycle uint64) {
 	}
 }
 
+// deliver offers r to the sink and counts the answer.
+func (x *Crossbar) deliver(r *mem.Request) bool {
+	if x.sink.Push(r) {
+		x.transferred.Inc()
+		return true
+	}
+	x.stalls.Inc()
+	return false
+}
+
 // NextWake returns the earliest future cycle at which the crossbar's
-// state can change on its own: now when a port has queued input or an
-// in-flight request has arrived, the earliest arrival otherwise, and
-// mem.NeverWake when empty. An idle Tick is a strict no-op (the
-// round-robin pointer advances by a full rotation), so skipped idle
-// cycles leave no trace.
+// state can change on its own: now when a port has queued input or a
+// flit has arrived (parked ones included: a refusal is counted every
+// cycle), the earliest arrival otherwise, and mem.NeverWake when empty.
+// An idle Tick is a strict no-op (the round-robin pointer advances by a
+// full rotation), so skipped idle cycles leave no trace.
 func (x *Crossbar) NextWake(cycle uint64) uint64 {
+	if len(x.parked) > 0 {
+		return cycle
+	}
 	w := uint64(mem.NeverWake)
 	if x.inflight.Len() > 0 {
 		if w = x.inflight.Front().arrives; w <= cycle {
@@ -137,7 +204,7 @@ func (x *Crossbar) NextWake(cycle uint64) uint64 {
 
 // Busy reports whether any request is queued or in flight.
 func (x *Crossbar) Busy() bool {
-	if x.inflight.Len() > 0 {
+	if x.inflight.Len()+len(x.parked) > 0 {
 		return true
 	}
 	for _, p := range x.ports {

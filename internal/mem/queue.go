@@ -3,7 +3,7 @@ package mem
 import "fmt"
 
 // Ring is a growable circular FIFO over a power-of-two backing array:
-// PushBack, PushFront, Pop, Front and At are O(1), nothing is shifted,
+// PushBack, Pop, Front and At are O(1), nothing is shifted,
 // and a popped slot is zeroed so the array pins nothing it no longer
 // holds. The zero value is an empty ring; the array grows by doubling,
 // sized by use.
@@ -32,16 +32,6 @@ func (r *Ring[T]) PushBack(v T) {
 	r.n++
 }
 
-// PushFront puts v back at the front (ahead of the oldest element).
-func (r *Ring[T]) PushFront(v T) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.head = (r.head - 1) & (len(r.buf) - 1)
-	r.buf[r.head] = v
-	r.n++
-}
-
 // At returns the i-th oldest element, 0 <= i < Len.
 func (r *Ring[T]) At(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
 
@@ -62,8 +52,9 @@ func (r *Ring[T]) Pop() T {
 // Queue is a bounded FIFO of requests. A zero-capacity queue is
 // unbounded.
 type Queue struct {
-	cap int
-	r   Ring[*Request]
+	cap  int
+	r    Ring[*Request]
+	pops uint64
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
@@ -109,8 +100,14 @@ func (q *Queue) Pop() *Request {
 	if q.r.n == 0 {
 		return nil
 	}
+	q.pops++
 	return q.r.Pop()
 }
+
+// Pops counts the requests taken off the queue so far: the queue's
+// share of its owner's room counter (DESIGN.md "Backpressure
+// contract").
+func (q *Queue) Pops() uint64 { return q.pops }
 
 // At returns the i-th oldest request, 0 <= i < Len (audits and tests).
 func (q *Queue) At(i int) *Request { return *q.r.At(i) }
@@ -134,6 +131,7 @@ func (q *Queue) AuditReleased() error {
 func (q *Queue) DrainTo(dst *Queue) {
 	for q.r.n > 0 && !dst.Full() {
 		dst.r.PushBack(q.r.Pop())
+		q.pops++
 	}
 }
 

@@ -119,7 +119,7 @@ func TestQueueAgainstSliceModel(t *testing.T) {
 	}
 }
 
-func TestRingPushFrontAndGrowthWhileWrapped(t *testing.T) {
+func TestRingGrowthWhileWrapped(t *testing.T) {
 	var r Ring[int]
 	for i := 0; i < 6; i++ {
 		r.PushBack(i)
@@ -127,12 +127,10 @@ func TestRingPushFrontAndGrowthWhileWrapped(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Pop()
 	}
-	for i := 6; i < 12; i++ { // wraps inside the 8-slot array, then grows
+	for i := 6; i < 14; i++ { // wraps inside the 8-slot array, then grows
 		r.PushBack(i)
 	}
-	r.PushFront(3)
-	r.PushFront(2)
-	for want := 2; want < 12; want++ {
+	for want := 4; want < 14; want++ {
 		if got := *r.Front(); got != want || *r.At(0) != want {
 			t.Fatalf("front = %d, want %d", got, want)
 		}

@@ -145,7 +145,15 @@ type Core struct {
 	// issues only below txQueueDepth and adds at most 4*WarpSize.
 	txq           [txQueueDepth + 4*WarpSize]transaction
 	txHead, txLen int
-	freeOps       []*memOp
+	// headRoom is the room counter of the head transaction's cache when
+	// it refused that transaction (headParked): until the counter moves,
+	// the head is charged as refused instead of re-offered. auditRoom (a
+	// guard is attached) re-offers it anyway; lostRoom describes the
+	// first such offer the cache took.
+	headParked, auditRoom bool
+	headRoom              uint64
+	lostRoom              string
+	freeOps               []*memOp
 	// addrs and lines are executeMem's scratch: the per-lane addresses
 	// of one memory instruction and the cache lines they coalesce to.
 	addrs, lines [4 * WarpSize]uint64
@@ -495,9 +503,22 @@ func (c *Core) Tick(cycle uint64) {
 	c.cycles.Inc()
 	c.tickMemory(cycle)
 
-	// 5. Warp schedulers.
-	for s := 0; s < c.Cfg.Schedulers; s++ {
-		c.issueOne(cycle)
+	// 5. Warp schedulers. With every warp asleep (say, a core ticking
+	// only to charge its parked LSU head) each slot is idle, as issueOne
+	// would find: only the counts, the stall instants and LRR's
+	// rotation move.
+	if !c.awake.any() {
+		c.issueIdle.Add(int64(c.Cfg.Schedulers))
+		for s := 0; s < c.Cfg.Schedulers; s++ {
+			c.traceStall(cycle)
+		}
+		if !c.Cfg.GTO && len(c.order) > 0 {
+			c.lastScheduled += c.Cfg.Schedulers
+		}
+	} else {
+		for s := 0; s < c.Cfg.Schedulers; s++ {
+			c.issueOne(cycle)
+		}
 	}
 
 	// 6. Reap finished warps.
@@ -610,7 +631,10 @@ func (c *Core) popTx() {
 	}
 }
 
-// issueTransactions pushes queued coalesced accesses into caches.
+// issueTransactions pushes queued coalesced accesses into caches. A
+// head its cache refused is re-offered once the cache's room counter
+// has moved, and charged as refused (the access counted, a stall
+// counted) every cycle until then.
 func (c *Core) issueTransactions(cycle uint64) {
 	for n := 0; c.txLen > 0 && n < c.Cfg.LSUWidth; n++ {
 		tx := &c.txq[c.txHead]
@@ -627,7 +651,21 @@ func (c *Core) issueTransactions(cycle uint64) {
 				Client: mem.ClientGPU, ClientID: c.Cfg.ClusterID, IssuedAt: cycle,
 			}))
 		} else {
-			switch tx.cache.Access(cycle, tx.addr, tx.kind, tx.op) {
+			room := tx.cache.Room()
+			stale := c.headParked && room == c.headRoom
+			if stale && !c.auditRoom {
+				// Nothing has freed since the cache refused the head.
+				tx.cache.Refused(cycle, tx.addr, tx.kind)
+				c.memStalls.Inc()
+				return
+			}
+			res := tx.cache.Access(cycle, tx.addr, tx.kind, tx.op)
+			if stale && res != cache.Blocked && c.lostRoom == "" {
+				c.lostRoom = fmt.Sprintf("cycle %d: the cache took a transaction for %#x refused at room %d, which has not moved since",
+					cycle, tx.addr, room)
+			}
+			c.headParked, c.headRoom = res == cache.Blocked, room
+			switch res {
 			case cache.Hit:
 				lat = tx.cache.Config().HitLatency
 			case cache.Miss:
@@ -636,7 +674,7 @@ func (c *Core) issueTransactions(cycle uint64) {
 				continue
 			case cache.Blocked:
 				c.memStalls.Inc()
-				return // in-order LSU: retry next cycle
+				return // in-order LSU: the head waits for room
 			}
 		}
 		// Completes after lat cycles.

@@ -46,11 +46,21 @@ func (w *Warp) checkInvariants() error {
 }
 
 // AttachGuard registers the core's SIMT-stack invariants and the MSHR
-// invariants of its four L1 caches. Safe with a nil checker.
+// invariants of its four L1 caches, and turns on the LSU's room audit:
+// a refused head is re-offered every cycle instead of charged, and a
+// cache that takes it with its room counter unmoved is reported. Safe
+// with a nil checker.
 func (c *Core) AttachGuard(g *guard.Checker) {
 	track := fmt.Sprintf("core%d_%d", c.Cfg.ClusterID, c.Cfg.ID)
+	c.auditRoom = g.Enabled()
 	g.Register("simt", track+".warps", c.checkWarps)
 	g.Register("simt", track+".pools", c.checkPools)
+	g.Register("simt", track+".lsu", func(uint64) error {
+		if c.lostRoom != "" {
+			return errors.New(c.lostRoom)
+		}
+		return nil
+	})
 	c.L1D.AttachGuard(g, track+".l1d")
 	c.L1T.AttachGuard(g, track+".l1t")
 	c.L1Z.AttachGuard(g, track+".l1z")

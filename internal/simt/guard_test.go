@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"emerald/internal/guard"
+	"emerald/internal/mem"
 	"emerald/internal/shader"
 )
 
@@ -189,6 +190,45 @@ func TestGuardCatchesLSURoomWithoutWake(t *testing.T) {
 		return
 	}
 	t.Fatalf("no warp ever slept on LSU room (%d transactions queued)", c.txLen)
+}
+
+// A request that leaves the L1D's port without moving the cache's room
+// counter: the LSU's parked head, re-offered by the guarded core, is
+// taken with the counter unmoved, and the guard must report it.
+func TestGuardCatchesAnOutPopThatDoesNotMoveRoom(t *testing.T) {
+	for _, forget := range []bool{false, true} {
+		c, g := wakeRig()
+		c.Out = mem.NewQueue(1)
+		c.Out.MustPush(&mem.Request{Addr: 0xF000}) // the core's port stays full: nothing drains
+		c.L1D.Out = mem.NewQueue(1)
+		launch(t, c, shader.MustAssemble("two_lines", shader.KindCompute, `
+			movs r0, %tid
+			and  r1, r0, 0
+			ldg  r2, [r1+4096]
+			ldg  r3, [r1+8192]
+			exit
+		`), newTestEnv(), FullMask, nil)
+		cycle := uint64(0)
+		for ; !c.headParked; cycle++ {
+			if cycle == 100 {
+				t.Fatal("the second load's transaction was never refused")
+			}
+			c.Tick(cycle)
+			g.Tick(cycle)
+		}
+		if v := g.Violations(); len(v) != 0 {
+			t.Fatalf("healthy core reported violations: %v", v)
+		}
+		if forget {
+			c.L1D.Out = mem.NewQueue(1) // the fill leaves uncounted: Room has not moved
+		}
+		c.Tick(cycle)
+		g.Tick(cycle)
+		v := g.Violations()
+		if caught := len(v) > 0 && strings.Contains(v[0].Detail, "has not moved"); caught != forget {
+			t.Fatalf("forget=%v: violations = %v", forget, v)
+		}
+	}
 }
 
 // The ready set, the slot table and the resident list must agree; each

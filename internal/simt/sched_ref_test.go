@@ -164,8 +164,54 @@ func (r *refSched) issueOne(cycle uint64) int {
 	return -1
 }
 
-// tick is the old Core.Tick around the reference scheduler. It returns
-// the warp ID each scheduler slot issued, nil for a gated cycle.
+// refTickMemory is Core.tickMemory with the LSU the core had before its
+// head waited for room: a transaction its cache refused is re-offered
+// every cycle.
+func refTickMemory(c *Core, cycle uint64) {
+	for i := range c.events {
+		for q := &c.events[i].q; q.Len() > 0 && q.Front().at <= cycle; c.nEvents-- {
+			c.completeEvent(q.Pop())
+		}
+	}
+	for _, ca := range []*cache.Cache{c.L1D, c.L1T, c.L1Z, c.L1C} {
+		ca.Tick(cycle)
+	}
+	for _, ca := range []*cache.Cache{c.L1D, c.L1T, c.L1Z, c.L1C} {
+		ca.Out.DrainTo(c.Out)
+	}
+	for n := 0; c.txLen > 0 && n < c.Cfg.LSUWidth; n++ {
+		tx := &c.txq[c.txHead]
+		lat := uint64(1)
+		if tx.cache == nil {
+			if c.Out.Full() {
+				c.memStalls.Inc()
+				return
+			}
+			c.Out.MustPush(c.reqs.Fire(mem.Request{
+				Addr: tx.addr, Size: 16, Kind: mem.Write,
+				Client: mem.ClientGPU, ClientID: c.Cfg.ClusterID, IssuedAt: cycle,
+			}))
+		} else {
+			switch tx.cache.Access(cycle, tx.addr, tx.kind, tx.op) {
+			case cache.Hit:
+				lat = tx.cache.Config().HitLatency
+			case cache.Miss:
+				c.popTx()
+				continue
+			case cache.Blocked:
+				c.memStalls.Inc()
+				return
+			}
+		}
+		if tx.op != nil {
+			c.schedule(cycle, lat, wbEvent{op: tx.op})
+		}
+		c.popTx()
+	}
+}
+
+// tick is the old Core.Tick around the reference scheduler and LSU. It
+// returns the warp ID each scheduler slot issued, nil for a gated cycle.
 func (r *refSched) tick(cycle uint64) []int {
 	c := r.c
 	c.curCycle = cycle
@@ -173,7 +219,7 @@ func (r *refSched) tick(cycle uint64) []int {
 		return nil
 	}
 	c.cycles.Inc()
-	c.tickMemory(cycle)
+	refTickMemory(c, cycle)
 	picks := make([]int, 0, c.Cfg.Schedulers)
 	for s := 0; s < c.Cfg.Schedulers; s++ {
 		picks = append(picks, r.issueOne(cycle))
@@ -284,6 +330,22 @@ var (
 		ldg  r7, [r2+12288]
 		exit
 	`)
+	// Stores into lines just loaded: write-through store hits, each
+	// lane its own line, which a short L1D port refuses in bursts.
+	schedStoreHits = shader.MustAssemble("store_hits", shader.KindCompute, `
+		movs r0, %tid
+		movs r1, %ctaid
+		shl  r2, r0, 7
+		iadd r2, r2, r1
+		ldg  r3, [r2]
+		stg  [r2], r3
+		stg  [r2+4], r3
+		ldg  r4, [r2+4096]
+		stg  [r2+8], r4
+		stg  [r2+4096], r4
+		stg  [r2+12], r3
+		exit
+	`)
 )
 
 // schedRig is one core with its own memory and next level.
@@ -299,11 +361,14 @@ type schedFill struct {
 	r  *mem.Request
 }
 
-func newSchedRig(cfg CoreConfig, outCap int, seed int64) *schedRig {
+func newSchedRig(cfg CoreConfig, outCap, l1dOut int, seed int64) *schedRig {
 	r := &schedRig{c: NewCore(cfg, nil), env: newTestEnv(), lat: rand.New(rand.NewSource(seed))}
 	r.env.attrs[0] = [4]float32{0.25, 0.5, 0.75, 1}
 	r.env.texVal = [4]float32{0.1, 0.2, 0.3, 0.4}
 	r.c.Out = mem.NewQueue(outCap)
+	if l1dOut > 0 {
+		r.c.L1D.Out = mem.NewQueue(l1dOut)
+	}
 	return r
 }
 
@@ -330,6 +395,18 @@ func (r *schedRig) counters() [7]int64 {
 		c.warpsRetired.Value(), c.divergences.Value(), c.threadsRetired.Value()}
 }
 
+// memCounters is what the LSU's refusals move: its stall counter and
+// each L1's accesses, hits, misses and evictions (a refused store hit
+// that lost its LRU touch shows up as a different victim later).
+func (r *schedRig) memCounters() []int64 {
+	c := r.c
+	out := []int64{c.memStalls.Value()}
+	for _, ca := range []*cache.Cache{c.L1D, c.L1T, c.L1Z, c.L1C} {
+		out = append(out, ca.Accesses(), ca.Hits(), ca.Misses(), ca.Evictions())
+	}
+	return out
+}
+
 // TestReadySetAgainstFullScanReference drives three cores through the
 // same seeded launches and the same next level: one ticked by Core.Tick,
 // one by the same steps taken apart (to read every slot's pick), one
@@ -337,32 +414,41 @@ func (r *schedRig) counters() [7]int64 {
 // warp, every cycle must report the same NextWake, no warp outside the
 // awake set may be ready, and the counters must end equal.
 func TestReadySetAgainstFullScanReference(t *testing.T) {
-	progs := []struct {
+	type schedProg struct {
 		prog  *shader.Program
 		block bool
-	}{
+	}
+	progs := []schedProg{
 		{fragStyle, false}, {saxpyStyle, true}, {aluStyle, true},
 		{schedEarlyExit, true}, {schedAtom, false}, {schedScatter, false}, {schedROP, false}, {schedIndep, false},
 	}
 	everyCycle := os.Getenv("EMERALD_GUARD") == "1"
-	var lsuSleeps, timedSleeps, relaunches, refusals, wide int
+	var lsuSleeps, timedSleeps, relaunches, refusals, wide, charged, storeHitTraps int
 	for _, tc := range []struct {
 		gto              bool
 		scheds, maxWarps int
 		outCap, slow     int // next level: port depth (0 = unbounded), worst answer delay
 		refuse           bool
+		l1dOut           int // the write-through L1D's port depth (0 = the cache's own)
 	}{
 		{gto: true, scheds: 2, maxWarps: 64, slow: 40},
 		{gto: true, scheds: 1, maxWarps: 10, slow: 40},
 		{gto: false, scheds: 2, maxWarps: 10, slow: 8},
 		{gto: false, scheds: 1, maxWarps: 70, slow: 200},
 		{gto: true, scheds: 2, maxWarps: 80, outCap: 6, slow: 300, refuse: true},
+		{gto: false, scheds: 2, maxWarps: 48, outCap: 2, slow: 100, refuse: true, l1dOut: 3},
 	} {
-		name := fmt.Sprintf("gto=%v/scheds=%d/warps=%d/refuse=%v", tc.gto, tc.scheds, tc.maxWarps, tc.refuse)
+		name := fmt.Sprintf("gto=%v/scheds=%d/warps=%d/refuse=%v/l1dOut=%d", tc.gto, tc.scheds, tc.maxWarps, tc.refuse, tc.l1dOut)
 		cfg := DefaultCoreConfig()
 		cfg.GTO, cfg.Schedulers, cfg.MaxWarps = tc.gto, tc.scheds, tc.maxWarps
+		if tc.l1dOut > 0 {
+			// Two ways: a refused store hit's LRU touch can decide the
+			// next victim of its set.
+			cfg.L1D.SizeBytes, cfg.L1D.Ways = 16384, 2
+		}
 		seed := int64(tc.maxWarps*4 + tc.scheds)
-		real, stepped, refRig := newSchedRig(cfg, tc.outCap, seed), newSchedRig(cfg, tc.outCap, seed), newSchedRig(cfg, tc.outCap, seed)
+		real, stepped, refRig := newSchedRig(cfg, tc.outCap, tc.l1dOut, seed), newSchedRig(cfg, tc.outCap, tc.l1dOut, seed),
+			newSchedRig(cfg, tc.outCap, tc.l1dOut, seed)
 		rigs := []*schedRig{real, stepped, refRig}
 		ref := &refSched{c: refRig.c}
 		g := guard.NewChecker()
@@ -370,8 +456,7 @@ func TestReadySetAgainstFullScanReference(t *testing.T) {
 		script := rand.New(rand.NewSource(seed))
 		blockSeq, launches := 0, 0
 
-		launchBurst := func(pi int) {
-			p := progs[pi]
+		launchBurst := func(p schedProg) {
 			block := -1
 			if p.block {
 				blockSeq++
@@ -406,24 +491,38 @@ func TestReadySetAgainstFullScanReference(t *testing.T) {
 		}
 
 		const window = 5000
-		launchBurst(len(progs) - 1) // resident before the first tick: the cycle 0 and 1 greedy rule
+		launchBurst(progs[len(progs)-1]) // resident before the first tick: the cycle 0 and 1 greedy rule
 		for cycle := uint64(0); ; cycle++ {
 			if cycle > 400_000 {
 				t.Fatalf("%s: the cores never drained", name)
 			}
 			if cycle < window && script.Intn(5) == 0 {
-				launchBurst(script.Intn(len(progs)))
+				if p := progs[script.Intn(len(progs))]; tc.l1dOut > 0 && script.Intn(2) == 0 {
+					launchBurst(schedProg{schedStoreHits, false})
+				} else {
+					launchBurst(p)
+				}
 			}
 			wake := real.c.NextWake(cycle)
 			if w2, w3 := stepped.c.NextWake(cycle), ref.nextWake(cycle); wake != w2 || wake != w3 {
 				t.Fatalf("%s cycle %d: NextWake %d (Tick), %d (stepped), %d (reference)", name, cycle, wake, w2, w3)
+			}
+			c := stepped.c
+			if c.txLen > 0 && c.headParked && c.txq[c.txHead].cache.Room() == c.headRoom {
+				charged++
 			}
 			real.c.Tick(cycle)
 			got, want := steppedTick(stepped.c, cycle), ref.tick(cycle)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s cycle %d: slots issued warps %v, the reference %v", name, cycle, got, want)
 			}
-			c := stepped.c
+			if a, b, r := real.memCounters(), stepped.memCounters(), refRig.memCounters(); fmt.Sprint(a) != fmt.Sprint(r) || fmt.Sprint(b) != fmt.Sprint(r) {
+				t.Fatalf("%s cycle %d: mem_stalls and L1 accesses/hits/misses/evictions\n%v (Tick)\n%v (stepped)\n%v (reference)", name, cycle, a, b, r)
+			}
+			if tx := &c.txq[c.txHead]; c.txLen > 0 && c.headParked && tx.cache == c.L1D && tx.kind == mem.Write &&
+				c.L1D.Contains(tx.addr) && c.L1D.Out.Full() {
+				storeHitTraps++
+			}
 			for _, s := range c.order {
 				if w := c.slots[s]; !c.awake.has(int(s)) && c.warpReady(w, cycle) {
 					t.Fatalf("%s cycle %d: warp %d is ready but outside the awake set", name, cycle, w.ID)
@@ -474,8 +573,9 @@ func TestReadySetAgainstFullScanReference(t *testing.T) {
 			t.Fatalf("%s: a refusing next level never stalled the LSU", name)
 		}
 	}
-	if lsuSleeps == 0 || timedSleeps == 0 || relaunches == 0 || refusals == 0 || wide == 0 {
-		t.Fatalf("coverage lost: %d cycles with warps asleep on LSU room, %d with timed sleepers, %d with more than 64 resident, %d cases reusing slots, %d refused cycles",
-			lsuSleeps, timedSleeps, wide, relaunches, refusals)
+	if lsuSleeps == 0 || timedSleeps == 0 || relaunches == 0 || refusals == 0 || wide == 0 || charged == 0 || storeHitTraps == 0 {
+		t.Fatalf("coverage lost: %d cycles with warps asleep on LSU room, %d with timed sleepers, %d with more than 64 resident, %d cases reusing slots, %d refused cycles, %d LSU heads charged unasked, %d store hits refused for a full L1D port",
+			lsuSleeps, timedSleeps, wide, relaunches, refusals, charged, storeHitTraps)
 	}
+	t.Logf("%d LSU heads charged unasked, %d store hits refused for a full L1D port", charged, storeHitTraps)
 }

@@ -35,6 +35,9 @@ type Display struct {
 	inflight   []*mem.Request
 	reqs       mem.Pool // scan-out reads return here once seen Done
 	frameStart uint64
+	// wake is the next cycle with work of the display's own, as the
+	// last Tick (or, before the first kickoff, SetFrontBuffer) found it.
+	wake uint64
 
 	// Out is drained by the SoC into the system NoC.
 	Out *mem.Queue
@@ -63,9 +66,13 @@ func NewDisplay(period uint64, reg *stats.Registry) *Display {
 	}
 }
 
-// SetFrontBuffer points scan-out at a surface (flip).
+// SetFrontBuffer points scan-out at a surface (flip). A display that
+// has not started scanning starts at the first refresh boundary.
 func (d *Display) SetFrontBuffer(fb gfx.Surface) {
 	d.fb = fb
+	if d.totalReqs == 0 {
+		d.wake = d.frameStart + d.Period
+	}
 }
 
 // Served returns the number of scan-out requests completed by DRAM.
@@ -77,19 +84,21 @@ func (d *Display) FramesShown() int64 { return d.shown.Value() }
 // FramesDropped returns refreshes aborted for missing their deadline.
 func (d *Display) FramesDropped() int64 { return d.dropped.Value() }
 
-// Tick advances the display one cycle.
-func (d *Display) Tick(cycle uint64) {
+// Tick advances the display one cycle and returns the next cycle at
+// which it has work of its own: the refresh deadline, or the pace's
+// next issue slot while the in-flight window has room (a full window
+// moves on read completions, which reach it from outside).
+func (d *Display) Tick(cycle uint64) uint64 {
 	if d.fb.Width == 0 {
-		return
+		return mem.NeverWake
 	}
 	if d.totalReqs == 0 {
 		// First kickoff: scanning starts at the first refresh boundary,
-		// not at whatever cycle the first Tick happens to land on. Tick
-		// and NextWake agree the panel is parked until then, so a
+		// not at whatever cycle the first Tick happens to land on, so a
 		// configured-but-idle display cannot busy-pin the loop (and the
 		// kickoff cycle does not depend on how often the owner ticked).
-		if cycle < d.frameStart+d.Period {
-			return
+		if w := d.frameStart + d.Period; cycle < w {
+			return w
 		}
 		d.beginScan(cycle)
 	}
@@ -108,7 +117,10 @@ func (d *Display) Tick(cycle uint64) {
 	clear(d.inflight[len(kept):])
 	d.inflight = kept
 
-	// Deadline check.
+	// At the deadline the scan is shown or dropped and restarts; before
+	// it, issues are paced across the period, aiming to finish at ~90%
+	// of it so in-flight tail requests can retire in time.
+	budget := max(d.Period*9/10, 1)
 	if cycle-d.frameStart >= d.Period {
 		if d.completed >= d.totalReqs {
 			d.shown.Inc()
@@ -120,55 +132,35 @@ func (d *Display) Tick(cycle uint64) {
 				emtrace.Arg{Key: "missing", Val: int64(d.totalReqs - d.completed)})
 		}
 		d.beginScan(cycle)
-		return
-	}
-
-	// Pace issues across the period, aiming to finish at ~90% of it so
-	// in-flight tail requests can retire before the deadline.
-	elapsed := cycle - d.frameStart
-	budget := d.Period * 9 / 10
-	if budget == 0 {
-		budget = 1
-	}
-	target := int(uint64(d.totalReqs) * elapsed / budget)
-	if target > d.totalReqs {
-		target = d.totalReqs
-	}
-	for d.issued < target && len(d.inflight) < 8 {
-		addr := d.fb.Base + uint64(d.issued)*uint64(d.reqBytes)
-		if d.Out.Full() {
-			break
+	} else {
+		target := min(int(uint64(d.totalReqs)*(cycle-d.frameStart)/budget), d.totalReqs)
+		for d.issued < target && len(d.inflight) < 8 && !d.Out.Full() {
+			r := d.reqs.New(mem.Request{
+				Addr: d.fb.Base + uint64(d.issued)*uint64(d.reqBytes), Size: d.reqBytes,
+				Kind: mem.Read, Client: mem.ClientDisplay, IssuedAt: cycle,
+			})
+			d.Out.MustPush(r)
+			d.inflight = append(d.inflight, r)
+			d.issued++
 		}
-		r := d.reqs.New(mem.Request{
-			Addr: addr, Size: d.reqBytes, Kind: mem.Read,
-			Client: mem.ClientDisplay, IssuedAt: cycle,
-		})
-		d.Out.MustPush(r)
-		d.inflight = append(d.inflight, r)
-		d.issued++
 	}
+	// The target reaches issued+1 once cycle-frameStart >=
+	// ceil((issued+1)*budget/totalReqs).
+	d.wake = d.frameStart + d.Period
+	if d.issued < d.totalReqs && len(d.inflight) < 8 {
+		e := (uint64(d.issued+1)*budget + uint64(d.totalReqs) - 1) / uint64(d.totalReqs)
+		d.wake = min(d.wake, d.frameStart+e)
+	}
+	return max(d.wake, cycle+1)
 }
 
 // NextWake returns the earliest future cycle at which the display's
-// state can change on its own: now when a scan must start, a completed
-// read must retire or queued output must drain; otherwise the earlier
-// of the refresh deadline and the pace-driven next issue slot. The
-// pacing wake mirrors Tick's target arithmetic exactly (target >=
-// issued+1 ⇔ elapsed >= ceil((issued+1)*budget/totalReqs)) and is only
-// a wake source while the in-flight window has room — a full window
-// advances via request completions, which DRAM's NextWake bounds.
+// state can change: the wake its last Tick returned, or now when input
+// has reached it from outside since (a read DRAM completed, requests
+// its owner has not drained).
 func (d *Display) NextWake(cycle uint64) uint64 {
 	if d.fb.Width == 0 {
 		return mem.NeverWake
-	}
-	if d.totalReqs == 0 {
-		// Awaiting first kickoff: parked until the first refresh
-		// boundary (mirrors Tick exactly). Returning "now" here would
-		// busy-pin the whole loop on an idle panel.
-		if w := d.frameStart + d.Period; w > cycle {
-			return w
-		}
-		return cycle
 	}
 	if d.Out.Len() > 0 {
 		return cycle
@@ -178,25 +170,7 @@ func (d *Display) NextWake(cycle uint64) uint64 {
 			return cycle
 		}
 	}
-	deadline := d.frameStart + d.Period
-	if deadline <= cycle {
-		return cycle
-	}
-	wake := deadline
-	if d.issued < d.totalReqs && len(d.inflight) < 8 {
-		budget := d.Period * 9 / 10
-		if budget == 0 {
-			budget = 1
-		}
-		e := (uint64(d.issued+1)*budget + uint64(d.totalReqs) - 1) / uint64(d.totalReqs)
-		if t := d.frameStart + e; t < wake {
-			wake = t
-		}
-	}
-	if wake <= cycle {
-		return cycle
-	}
-	return wake
+	return max(d.wake, cycle)
 }
 
 func (d *Display) beginScan(cycle uint64) {

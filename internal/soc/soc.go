@@ -218,9 +218,9 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	})
 
 	// Ports: CPUs, GPU, display.
-	s.noc = interconnect.New(interconnect.Config{
+	s.noc = interconnect.Connect(interconnect.Config{
 		Name: "sys_noc", Ports: cfg.NumCPUs + 2, Latency: 10, Width: 4, Depth: 64,
-	}, s.DRAM.Push, reg)
+	}, s.DRAM, reg)
 
 	// Surfaces (double-buffered color + depth) at fixed addresses.
 	fbBytes := uint64(cfg.Width * cfg.Height * 4)
@@ -651,11 +651,9 @@ func (s *SoC) tickDisplayShard() {
 	if s.wheelOn && !s.wheel.Due(slot, c) {
 		return
 	}
-	s.Display.Tick(c)
-	s.Display.Out.DrainTo(s.noc.Port(s.Cfg.NumCPUs + 1))
-	w := s.Display.NextWake(c + 1)
-	if w <= c+1 {
-		w = c + 1
+	w := s.Display.Tick(c)
+	if s.Display.Out.DrainTo(s.noc.Port(s.Cfg.NumCPUs + 1)); s.Display.Out.Len() > 0 {
+		w = c + 1 // the port is full: drain again next cycle
 	}
 	s.wheel.Arm(slot, w)
 }

@@ -26,32 +26,6 @@ echo "== go vet =="
 go vet ./...
 echo "ok"
 
-echo "== backpressure contract (no ignored Push results) =="
-# Queue.Push and Controller.Push return false when the queue is full —
-# and drop nothing. Calling Push in statement position discards that
-# answer and silently loses the request under backpressure (the
-# MSHR-hang bug class fixed in the silent-drop PR). Every push must
-# check the result: `if !q.Push(r) { retry }`, or move requests with
-# `src.DrainTo(dst)`, which pops only what the downstream accepted. A
-# producer that builds its request (check room first: `if q.Full()
-# { retry }`, then build) hands it over with `q.MustPush(r)`, which
-# panics instead of dropping.
-bad=$(grep -rn --include='*.go' -E '^[[:space:]]*[A-Za-z0-9_.]+\.Push\(' internal/ cmd/ | grep -v '_test\.go' || true)
-if [ -n "$bad" ]; then
-	echo "FAIL: Push result ignored (request dropped under backpressure):" >&2
-	echo "$bad" >&2
-	exit 1
-fi
-# The pop-only-if-accepted loop exists once, as mem.Queue.DrainTo;
-# nothing else takes requests off a component's output port.
-bad=$(grep -rn --include='*.go' -E '\.Out\.(Pop|Peek)\(\)' internal/ cmd/ | grep -v -e '_test\.go' -e '^internal/mem/' || true)
-if [ -n "$bad" ]; then
-	echo "FAIL: hand-rolled port drain (use mem.Queue.DrainTo):" >&2
-	echo "$bad" >&2
-	exit 1
-fi
-echo "ok"
-
 echo "== wake-hook inventory (one wheel, hooked from internal/soc only) =="
 # A parked component sleeps through any input whose delivery path
 # forgot to wake it, so every Wake/Arm call site is a place a bug can
@@ -132,16 +106,22 @@ echo "ok"
 
 echo "== allocation gates and hot-path references (uncached) =="
 # The zero-allocation tick, the warm-launch object budget, the blocked
-# access that builds nothing, the pool's own contract, and the two
-# differential references of the SIMT hot path (the ready set against
-# the full-scan scheduler — once more with the guard auditing every
-# cycle — and the lane loops against single-lane ExecALU): -count=1 so
-# the test cache cannot answer for them.
+# access that builds nothing, the pool's own contract, and the
+# differential references of the hot paths: the ready set and the
+# parking LSU against the full-scan scheduler and retry-every-cycle LSU,
+# the parking crossbar against the retry-every-cycle one (both once more
+# with the guard re-offering what they park), PopReady's latch against
+# the linear scan, Refused against a blocked Access, and the lane loops
+# against single-lane ExecALU: -count=1 so the test cache cannot answer
+# for them. The backpressure contract's static rules are a tier-1 test
+# (TestBackpressureContract, root package).
 go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate|TestReadySetAgainstFullScanReference' ./internal/simt
-EMERALD_GUARD=1 go test -count=1 -timeout 5m -run 'TestReadySetAgainstFullScanReference' ./internal/simt
+go test -count=1 -timeout 5m -run 'TestParkingAgainstRetryEveryCycleReference' ./internal/interconnect
+EMERALD_GUARD=1 go test -count=1 -timeout 5m -run 'TestReadySetAgainstFullScanReference|TestParkingAgainstRetryEveryCycleReference' ./internal/simt ./internal/interconnect
+go test -count=1 -timeout 5m -run 'TestPopReadyAgainstLinearScan' ./internal/gfx
 go test -count=1 -timeout 5m -run 'TestExecALULanesMatchesExecALU' ./internal/shader
 go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping' ./internal/gpu
-go test -count=1 -timeout 5m -run 'TestBlockedAccessAllocatesNothing|TestRequestsAreRecycledByTheirIssuer' ./internal/cache
+go test -count=1 -timeout 5m -run 'TestBlockedAccessAllocatesNothing|TestRequestsAreRecycledByTheirIssuer|TestRefusedHasTheEffectsOfABlockedAccess' ./internal/cache
 go test -count=1 -timeout 5m -run 'TestPoolRecyclingAndPoison|TestQueueDrainTo' ./internal/mem
 go test -count=1 -timeout 5m -run 'TestFrameAllocationTripwire' .
 
