@@ -2,11 +2,7 @@ package emerald
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -24,48 +20,33 @@ import (
 //     re-offered every cycle.
 func TestBackpressureContract(t *testing.T) {
 	fset := token.NewFileSet()
-	files := 0
-	for _, root := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			files++
-			dir := filepath.ToSlash(filepath.Dir(path))
-			ast.Inspect(f, func(n ast.Node) bool {
-				bad := ""
-				switch n := n.(type) {
-				case *ast.ExprStmt:
-					if method(n.X) == "Push" {
-						bad = "Push result ignored (the request is dropped under backpressure)"
-					}
-				case *ast.CallExpr:
-					sel, _ := n.Fun.(*ast.SelectorExpr)
-					switch {
-					case sel == nil:
-					case (sel.Sel.Name == "Pop" || sel.Sel.Name == "Peek") && method(sel.X) == "Out" && dir != "internal/mem":
-						bad = "hand-rolled port drain (use mem.Queue.DrainTo)"
-					case sel.Sel.Name == "PushFront" && dir == "internal/interconnect":
-						bad = "refused flit pushed back to the front (park it on the sink's room counter)"
-					}
+	files := productFiles(t, fset, "internal", "cmd")
+	for _, sf := range files {
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			bad := ""
+			switch n := n.(type) {
+			case *ast.ExprStmt:
+				if method(n.X) == "Push" {
+					bad = "Push result ignored (the request is dropped under backpressure)"
 				}
-				if bad != "" {
-					t.Errorf("%s: %s", fset.Position(n.Pos()), bad)
+			case *ast.CallExpr:
+				sel, _ := n.Fun.(*ast.SelectorExpr)
+				switch {
+				case sel == nil:
+				case (sel.Sel.Name == "Pop" || sel.Sel.Name == "Peek") && method(sel.X) == "Out" && sf.dir != "internal/mem":
+					bad = "hand-rolled port drain (use mem.Queue.DrainTo)"
+				case sel.Sel.Name == "PushFront" && sf.dir == "internal/interconnect":
+					bad = "refused flit pushed back to the front (park it on the sink's room counter)"
 				}
-				return true
-			})
-			return nil
+			}
+			if bad != "" {
+				t.Errorf("%s: %s", fset.Position(n.Pos()), bad)
+			}
+			return true
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
-	if files < 50 {
-		t.Fatalf("parsed %d product files; run from the repository root", files)
+	if len(files) < 50 {
+		t.Fatalf("parsed %d product files; run from the repository root", len(files))
 	}
 }
 

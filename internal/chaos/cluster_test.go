@@ -110,36 +110,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Skip("chaos soak skipped in -short mode")
 	}
 	const seed = 42
-
-	req := sweep.FigureRequest{Figs: []string{"9", "17"}, Scale: "smoke"}
-	runFigs := func(svc sweep.Service) ([]byte, *sweep.FigureSet, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-		defer cancel()
-		fs, err := sweep.RunFigures(ctx, svc, req, 5*time.Millisecond)
-		if err != nil {
-			return nil, nil, err
-		}
-		var buf bytes.Buffer
-		for _, f := range fs.Figures {
-			f.Table.Write(&buf)
-		}
-		return buf.Bytes(), fs, nil
-	}
-
-	// Reference: one clean member, no chaos. SyntheticExec is a pure
-	// function of the spec, so per-job wall time cannot change results.
-	ref, err := NewCluster(t.TempDir(), 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	if err := ref.Members[0].WaitReady(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := runFigs(&sweep.Client{Base: ref.Members[0].URL})
-	if err != nil {
-		t.Fatalf("reference sweep: %v", err)
-	}
+	want := referenceFigures(t)
 
 	// The storm: seeded chaos on all fleet-internal traffic, store
 	// faults on member 2 only (so at least one replica chain is clean
@@ -195,7 +166,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	done := make(chan sweepOut, 1)
 	go func() {
-		table, fs, err := runFigs(fc)
+		table, fs, err := runFigures(fc)
 		done <- sweepOut{table, fs, err}
 	}()
 
@@ -238,19 +209,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// The core acceptance: byte-identical tables, zero lost jobs.
-	if !bytes.Equal(out.table, want) {
-		t.Fatalf("chaos tables differ from the clean single-node run:\nchaos:\n%s\nclean:\n%s", out.table, want)
-	}
-	lost := 0
-	for _, j := range out.fs.Jobs {
-		if j.State != sweep.JobDone {
-			lost++
-			t.Errorf("job %s (%s) ended %s: %s", j.ID, j.Key, j.State, j.Error)
-		}
-	}
-	if lost > 0 {
-		t.Fatalf("%d job(s) lost under chaos", lost)
-	}
+	checkFigures(t, out.table, out.fs, want)
 
 	// The storm actually stormed.
 	if engine.Total() == 0 {
@@ -301,6 +260,110 @@ func TestChaosSoak(t *testing.T) {
 	replay.SetPartitions(GeneratePartitions(seed, urls, 3, 2*time.Second, 400*time.Millisecond))
 	if replay.Schedule() != schedule {
 		t.Fatalf("same seed produced a different fault schedule:\n%s\nvs\n%s", replay.Schedule(), schedule)
+	}
+}
+
+// A member that answers every probe but never finishes a job is the
+// gray failure: it stays in the ring, so its queued work can be stolen,
+// but the job it is running cannot. Only the client's hedge, a second
+// placement of a job that outlives its deadline, covers that job. With
+// hedging disabled and stealing on, the same sweep still had jobs
+// pending 30 s in.
+func TestHungMemberIsCoveredByHedging(t *testing.T) {
+	want := referenceFigures(t)
+	cluster, err := NewCluster(t.TempDir(), 3, func(i int) MemberOpts {
+		opts := MemberOpts{Logf: t.Logf}
+		if i == 0 {
+			opts.Exec = func(ctx context.Context, spec sweep.Spec) (*sweep.Result, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+		}
+		return opts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	urls := make([]string, len(cluster.Members))
+	for i, m := range cluster.Members {
+		urls[i] = m.URL
+		if err := m.WaitReady(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fc, err := fleet.NewClient(urls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.Hedge = fleet.HedgePolicy{Min: 500 * time.Millisecond}
+
+	table, fs, err := runFigures(fc)
+	if err != nil {
+		t.Fatalf("sweep with a hung member: %v", err)
+	}
+	checkFigures(t, table, fs, want)
+	hs := fc.HedgeStats()
+	t.Logf("hedges: %+v", hs)
+	if hs.Won == 0 {
+		t.Fatal("no hedge won: the hung member's in-flight job was covered by something else")
+	}
+}
+
+// figureRequest is the sweep both fleet tests run: Figures 9 and 17 at
+// smoke scale.
+var figureRequest = sweep.FigureRequest{Figs: []string{"9", "17"}, Scale: "smoke"}
+
+// runFigures runs figureRequest through svc and returns its tables.
+func runFigures(svc sweep.Service) ([]byte, *sweep.FigureSet, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	fs, err := sweep.RunFigures(ctx, svc, figureRequest, 5*time.Millisecond)
+	if err != nil {
+		return nil, nil, err
+	}
+	var buf bytes.Buffer
+	for _, f := range fs.Figures {
+		f.Table.Write(&buf)
+	}
+	return buf.Bytes(), fs, nil
+}
+
+// referenceFigures runs figureRequest on one clean member. SyntheticExec
+// is a pure function of the spec, so per-job wall time cannot change
+// results.
+func referenceFigures(t *testing.T) []byte {
+	ref, err := NewCluster(t.TempDir(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.Members[0].WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := runFigures(&sweep.Client{Base: ref.Members[0].URL})
+	if err != nil {
+		t.Fatalf("reference sweep: %v", err)
+	}
+	return want
+}
+
+// checkFigures requires tables byte-identical to the clean single-node
+// run and zero lost jobs.
+func checkFigures(t *testing.T, table []byte, fs *sweep.FigureSet, want []byte) {
+	t.Helper()
+	if !bytes.Equal(table, want) {
+		t.Fatalf("fleet tables differ from the clean single-node run:\nfleet:\n%s\nclean:\n%s", table, want)
+	}
+	lost := 0
+	for _, j := range fs.Jobs {
+		if j.State != sweep.JobDone {
+			lost++
+			t.Errorf("job %s (%s) ended %s: %s", j.ID, j.Key, j.State, j.Error)
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d job(s) lost", lost)
 	}
 }
 

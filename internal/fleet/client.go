@@ -423,7 +423,7 @@ func (c *Client) Result(ctx context.Context, key string) (*sweep.Result, error) 
 			}
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("fleet: result %s unavailable on every node: %w", key[:12], lastErr)
+			return nil, fmt.Errorf("fleet: result %s unavailable on every node: %w", shortKey(key), lastErr)
 		}
 		select {
 		case <-ctx.Done():

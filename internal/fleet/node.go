@@ -810,7 +810,7 @@ func (n *Node) replicate(ctx context.Context, ring *Ring, key string, payload []
 // always be recomputed.
 func (n *Node) push(ctx context.Context, peer, key string, payload []byte) bool {
 	if err := n.call(ctx, peer, http.MethodPut, "/fleet/results/"+key, payload, nil); err != nil {
-		n.cfg.Logf("fleet: replicate %s to %s: %v", key[:12], peer, err)
+		n.cfg.Logf("fleet: replicate %s to %s: %v", shortKey(key), peer, err)
 		return false
 	}
 	n.replicasPushed.Add(1)
@@ -905,9 +905,12 @@ func (n *Node) AntiEntropy(ctx context.Context) (RepairStats, error) {
 			n.cfg.Logf("fleet: key exchange with %s: %v", p, err)
 			continue
 		}
+		// A peer's list is not trusted to hold only result keys.
 		set := make(map[string]bool, len(ks))
 		for _, k := range ks {
-			set[k] = true
+			if sweep.ValidKey(k) {
+				set[k] = true
+			}
 		}
 		peerKeys[p] = set
 	}
@@ -966,16 +969,25 @@ func (n *Node) fetchInto(ctx context.Context, key string) bool {
 			continue
 		}
 		if err := validatePayload(key, payload); err != nil {
-			n.cfg.Logf("fleet: repair %s from %s: %v", key[:12], p, err)
+			n.cfg.Logf("fleet: repair %s from %s: %v", shortKey(key), p, err)
 			continue
 		}
 		if err := n.store.PutRaw(key, payload); err != nil {
-			n.cfg.Logf("fleet: repair %s: %v", key[:12], err)
+			n.cfg.Logf("fleet: repair %s: %v", shortKey(key), err)
 			return false
 		}
 		return true
 	}
 	return false
+}
+
+// shortKey abbreviates a result key for messages. Keys can come from
+// peers, so it never slices past the end.
+func shortKey(key string) string {
+	if len(key) > 12 {
+		return key[:12]
+	}
+	return key
 }
 
 func contains(ss []string, s string) bool {

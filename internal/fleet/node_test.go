@@ -664,3 +664,47 @@ func TestReplicate(t *testing.T) {
 		})
 	}
 }
+
+// A peer's key list is not trusted to hold only result keys. One that
+// advertises a one-byte key, and serves a body for it, must neither
+// crash the anti-entropy sweep (whose log lines abbreviate keys to 12
+// bytes) nor get anything into the store.
+func TestAntiEntropyIgnoresMalformedPeerKeys(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/fleet/info":
+			w.Write([]byte("alive")) //nolint:errcheck // alive, not gossiping
+		case "/fleet/keys":
+			json.NewEncoder(w).Encode([]string{"x"}) //nolint:errcheck
+		case "/results/x":
+			w.Write([]byte("not a result")) //nolint:errcheck
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer peer.Close()
+	st, err := sweep.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := "http://127.0.0.1:1" // never dialled
+	n, err := New(Config{Self: self, Peers: []string{self, peer.URL}, Logf: t.Logf}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	n.ProbeOnce(ctx)
+	if !n.alive(peer.URL) {
+		t.Fatal("the fake peer did not pass its probe")
+	}
+	rs, err := n.AntiEntropy(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := st.Keys(); rs.Pulled != 0 || len(keys) != 0 {
+		t.Fatalf("anti-entropy pulled %d, store holds %v; want nothing", rs.Pulled, keys)
+	}
+}

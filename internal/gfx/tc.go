@@ -287,6 +287,3 @@ func (u *TCUnit) Drained() bool {
 	}
 	return true
 }
-
-// TilesOut reports how many TC tiles have been emitted.
-func (u *TCUnit) TilesOut() int64 { return u.tilesOut.Value() }

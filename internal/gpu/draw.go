@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 
 	"emerald/internal/gfx"
 	"emerald/internal/mem"
@@ -81,7 +82,6 @@ type vertexBatch struct {
 	tris      []int // triangle ids (into drawState.tris) assembled here
 	results   [simt.WarpSize]raster.Vertex
 	completed bool
-	launched  bool
 }
 
 // batchStep is the number of fresh index positions per vertex warp; the
@@ -164,36 +164,106 @@ func (b *vertexBatch) laneOf(p int) int {
 	return -1
 }
 
-// triPositions returns the 3 index-stream positions of triangle k under
-// the draw's topology (winding corrected for strips).
-func triPositions(mode raster.PrimMode, k int) [3]int {
-	switch mode {
-	case raster.TriangleStrip:
-		if k%2 == 1 {
-			return [3]int{k + 1, k, k + 2}
+// The rest of this file is the one definition of what a draw computes,
+// called by both executors: the timed pipeline (pipeline.go) decides
+// when each step happens and on which core, cluster and cache; the
+// functional executor (functional.go) runs the steps back to back and
+// counts. Neither re-implements a step.
+
+// vsWarp returns the lane mask and specials of batch b's vertex warp:
+// one index-stream position per lane.
+func vsWarp(call *DrawCall, b *vertexBatch) (mask uint32, specials [simt.WarpSize]shader.Special) {
+	for lane := 0; lane < len(b.positions) && lane < simt.WarpSize; lane++ {
+		mask |= 1 << lane
+		specials[lane] = shader.Special{
+			TID:  uint32(lane),
+			NTID: uint32(len(b.positions)),
+			VID:  call.Indices[b.positions[lane]],
 		}
-		return [3]int{k, k + 1, k + 2}
-	case raster.TriangleFan:
-		return [3]int{0, k + 1, k + 2}
 	}
-	return [3]int{k * 3, k*3 + 1, k*3 + 2}
+	return mask, specials
 }
 
-// vsEnv is the warp environment for vertex shading: attribute fetch from
-// the vertex buffer (timed via L1C), outputs to the batch record and the
-// L2-backed output vertex buffer.
-type vsEnv struct {
-	g        *GPU
-	d        *drawState
-	b        *vertexBatch
-	batchIdx int
+// fsWarp returns the lane mask and specials of a fragment warp: one
+// fragment per lane, with its pixel, primitive and depth.
+func fsWarp(frags []raster.Fragment) (mask uint32, specials [simt.WarpSize]shader.Special) {
+	for lane, f := range frags {
+		mask |= 1 << lane
+		specials[lane] = shader.Special{
+			TID:  uint32(lane),
+			PX:   uint32(f.X),
+			PY:   uint32(f.Y),
+			Prim: f.Tri.ID,
+			FZ:   math.Float32bits(f.Z),
+		}
+	}
+	return mask, specials
 }
 
-func (e *vsEnv) AttrIn(lane, slot int) ([4]float32, uint64) {
-	if lane >= len(e.b.positions) {
-		return [4]float32{}, 0
+// assemble runs batch b's triangles through topology, clip/cull and
+// setup in draw order, numbers the survivors from *seq, and hands each
+// to emit with the batch lanes of its three vertices. It returns how
+// many triangles it assembled and how many of those clipping, backface
+// culling or a degenerate setup removed.
+func assemble(call *DrawCall, b *vertexBatch, seq *uint32, emit func(tri *raster.SetupTri, lanes [3]int)) (assembled, culled int) {
+	for _, k := range b.tris {
+		pos := call.Mode.Tri(k)
+		var prim raster.Primitive
+		var lanes [3]int
+		ok := true
+		for i := range pos {
+			if lanes[i] = b.laneOf(pos[i]); lanes[i] < 0 {
+				ok = false
+				break
+			}
+			prim.V[i] = b.results[lanes[i]]
+		}
+		if !ok {
+			continue
+		}
+		assembled++
+		tris, _ := raster.ClipCull(prim, call.CullBack)
+		if len(tris) == 0 {
+			culled++
+			continue
+		}
+		for _, t := range tris {
+			tri, sok := raster.Setup(t, call.Viewport)
+			if !sok {
+				culled++
+				continue
+			}
+			tri.ID = *seq
+			*seq++
+			emit(tri, lanes)
+		}
 	}
-	return vertexAttrIn(e.g.Mem, e.d.call, e.d.call.Indices[e.b.positions[lane]], slot)
+	return assembled, culled
+}
+
+// rasterTiles walks tri's raster tiles TC-tile-blocked: coarse raster
+// over 8x8 TC tiles, then the 2x2 raster tiles within each that the
+// viewport and tri's bounding box reach. The TC engines then see a TC
+// tile's raster tiles back to back and can coalesce them fully instead
+// of thrashing between screen positions. keep, when non-nil, restricts
+// the walk to the TC tiles it accepts (a cluster's share of the screen);
+// the visits it lets through keep their order in the unfiltered walk.
+func rasterTiles(tri *raster.SetupTri, vp raster.Viewport, keep func(cx, cy int) bool, visit func(tx, ty int)) {
+	raster.CoarseRaster(tri, gfx.TCTilePx, func(cx, cy int) {
+		if keep != nil && !keep(cx, cy) {
+			return
+		}
+		for dy := 0; dy < gfx.TCTilePx; dy += raster.RasterTileSize {
+			for dx := 0; dx < gfx.TCTilePx; dx += raster.RasterTileSize {
+				tx, ty := cx+dx, cy+dy
+				if tx >= vp.Width || ty >= vp.Height || tx+raster.RasterTileSize <= tri.X0 ||
+					ty+raster.RasterTileSize <= tri.Y0 || tx >= tri.X1 || ty >= tri.Y1 {
+					continue
+				}
+				visit(tx, ty)
+			}
+		}
+	})
 }
 
 // memReader is the read path a vertex or texture fetch needs —
@@ -204,19 +274,28 @@ type memReader interface {
 	ReadF32(addr uint64) float32
 }
 
-// vertexAttrIn fetches one vertex input attribute from the vertex
-// buffer — shared by the timed vsEnv and the functional draw executor
-// so both read identical bytes.
-func vertexAttrIn(m memReader, call *DrawCall, idx uint32, slot int) ([4]float32, uint64) {
+// vertexIO is the vertex shader's data path: attribute fetch from the
+// vertex buffer, results into the batch record, texture sampling. It
+// never writes the output vertex buffer: that transaction is timing
+// only, and the timed vsEnv adds its address.
+type vertexIO struct {
+	m    *mem.Memory
+	rd   memReader // m, or a page-caching view of it
+	call *DrawCall
+	b    *vertexBatch
+}
+
+func (e *vertexIO) AttrIn(lane, slot int) ([4]float32, uint64) {
 	var out [4]float32
-	if slot >= len(call.AttrOffsets) {
+	if lane >= len(e.b.positions) || slot >= len(e.call.AttrOffsets) {
 		return out, 0
 	}
-	off := call.AttrOffsets[slot][0]
-	count := call.AttrOffsets[slot][1]
-	addr := call.VertexBase + uint64(idx)*uint64(call.VertexStride) + uint64(off)
+	off := e.call.AttrOffsets[slot][0]
+	count := e.call.AttrOffsets[slot][1]
+	idx := e.call.Indices[e.b.positions[lane]]
+	addr := e.call.VertexBase + uint64(idx)*uint64(e.call.VertexStride) + uint64(off)
 	for i := 0; i < int(count) && i < 4; i++ {
-		out[i] = m.ReadF32(addr + uint64(i)*4)
+		out[i] = e.rd.ReadF32(addr + uint64(i)*4)
 	}
 	if slot == 0 && count < 4 {
 		out[3] = 1 // homogeneous position
@@ -224,20 +303,11 @@ func vertexAttrIn(m memReader, call *DrawCall, idx uint32, slot int) ([4]float32
 	return out, addr
 }
 
-// ovbRecordBytes is the per-vertex output record: clip position plus
-// MaxVaryings vec4s.
-const ovbRecordBytes = 16 * (1 + raster.MaxVaryings)
-
-// ovbAddr returns the output-vertex-buffer slot address of (batch, lane,
-// slot); the 36 KB buffer wraps (Table 5 sizes it for ~9K vertices).
-func (e *vsEnv) ovbAddr(lane, slot int) uint64 {
-	rec := uint64(e.batchIdx*simt.WarpSize+lane) * ovbRecordBytes
-	return e.g.Cfg.OVBBase + (rec+uint64(slot)*16)%e.g.Cfg.OVBSize
-}
-
-func (e *vsEnv) OutWrite(lane, slot int, val [4]float32) uint64 {
+// store records a lane's output slot in the batch record; false means
+// the lane holds no vertex.
+func (e *vertexIO) store(lane, slot int, val [4]float32) bool {
 	if lane >= len(e.b.positions) {
-		return 0
+		return false
 	}
 	if slot == 0 {
 		e.b.results[lane].Clip.X = val[0]
@@ -247,83 +317,65 @@ func (e *vsEnv) OutWrite(lane, slot int, val [4]float32) uint64 {
 	} else if slot-1 < raster.MaxVaryings {
 		e.b.results[lane].Attrs[slot-1] = val
 	}
-	return e.ovbAddr(lane, slot)
+	return true
 }
 
-func (e *vsEnv) Tex(lane, unit int, u, v float32) ([4]float32, [4]uint64) {
-	return e.g.sampleTexture(e.d.call, unit, u, v)
+func (e *vertexIO) Tex(lane, unit int, u, v float32) ([4]float32, [4]uint64) {
+	return sampleTexture(e.rd, e.call, unit, u, v)
 }
-func (e *vsEnv) ZAddr(int) uint64    { return 0 }
-func (e *vsEnv) CAddr(int) uint64    { return 0 }
-func (e *vsEnv) ConstBase() uint64   { return e.d.call.UniformBase }
-func (e *vsEnv) SharedMem() []byte   { return nil }
-func (e *vsEnv) Memory() *mem.Memory { return e.g.Mem }
-func (e *vsEnv) Retired(w *simt.Warp) {
-	// Runs in the shard of the core that executed the warp: completed is
-	// single-writer (one core runs the whole batch) and read only by the
-	// serial front end after the barrier; the draw-wide gauge is atomic.
-	e.b.completed = true
-	e.d.vsOutstanding.Add(-1)
-}
+func (e *vertexIO) ZAddr(int) uint64    { return 0 }
+func (e *vertexIO) CAddr(int) uint64    { return 0 }
+func (e *vertexIO) ConstBase() uint64   { return e.call.UniformBase }
+func (e *vertexIO) SharedMem() []byte   { return nil }
+func (e *vertexIO) Memory() *mem.Memory { return e.m }
 
-// fsEnv is the warp environment for fragment shading: varyings from the
-// attribute planes, textures via L1T, in-shader ROP addresses on the
-// bound surfaces.
-type fsEnv struct {
-	g     *GPU
-	d     *drawState
-	task  *tileTask
+// fragmentIO is the fragment shader's data path: varyings from the
+// attribute planes, texture sampling, and the in-shader ROP addresses
+// on the bound surfaces.
+type fragmentIO struct {
+	m     *mem.Memory
+	rd    memReader // m, or a page-caching view of it
+	call  *DrawCall
 	frags []raster.Fragment // one per lane
 }
 
-func (e *fsEnv) AttrIn(lane, slot int) ([4]float32, uint64) {
-	var out [4]float32
+func (e *fragmentIO) AttrIn(lane, slot int) ([4]float32, uint64) {
 	if lane >= len(e.frags) || slot < 1 || slot-1 >= raster.MaxVaryings {
-		return out, 0
+		return [4]float32{}, 0
 	}
 	f := e.frags[lane]
 	return f.Tri.AttrAt(slot-1, f.L0, f.L1, f.L2), 0
 }
 
-func (e *fsEnv) OutWrite(lane, slot int, val [4]float32) uint64 { return 0 }
+func (e *fragmentIO) OutWrite(lane, slot int, val [4]float32) uint64 { return 0 }
 
-func (e *fsEnv) Tex(lane, unit int, u, v float32) ([4]float32, [4]uint64) {
-	return e.g.sampleTexture(e.d.call, unit, u, v)
+func (e *fragmentIO) Tex(lane, unit int, u, v float32) ([4]float32, [4]uint64) {
+	return sampleTexture(e.rd, e.call, unit, u, v)
 }
 
-func (e *fsEnv) ZAddr(lane int) uint64 {
+func (e *fragmentIO) ZAddr(lane int) uint64 {
 	if lane >= len(e.frags) {
-		return e.d.call.Depth.Base
+		return e.call.Depth.Base
 	}
 	f := e.frags[lane]
-	return e.d.call.Depth.Addr(f.X, f.Y)
+	return e.call.Depth.Addr(f.X, f.Y)
 }
 
-func (e *fsEnv) CAddr(lane int) uint64 {
+func (e *fragmentIO) CAddr(lane int) uint64 {
 	if lane >= len(e.frags) {
-		return e.d.call.Color.Base
+		return e.call.Color.Base
 	}
 	f := e.frags[lane]
-	return e.d.call.Color.Addr(f.X, f.Y)
+	return e.call.Color.Addr(f.X, f.Y)
 }
 
-func (e *fsEnv) ConstBase() uint64   { return e.d.call.UniformBase }
-func (e *fsEnv) SharedMem() []byte   { return nil }
-func (e *fsEnv) Memory() *mem.Memory { return e.g.Mem }
-func (e *fsEnv) Retired(w *simt.Warp) {
-	e.task.warpRetired(len(e.frags))
-}
+func (e *fragmentIO) ConstBase() uint64   { return e.call.UniformBase }
+func (e *fragmentIO) SharedMem() []byte   { return nil }
+func (e *fragmentIO) Memory() *mem.Memory { return e.m }
 
 // sampleTexture performs nearest or bilinear filtering with repeat
 // wrapping, returning the filtered color and the texel addresses read.
-func (g *GPU) sampleTexture(call *DrawCall, unit int, u, v float32) ([4]float32, [4]uint64) {
-	return sampleTextureMem(g.Mem, call, unit, u, v)
-}
-
-// sampleTextureMem is the filtering model against an explicit memory —
-// shared by the timed pipeline (via GPU.sampleTexture) and the
-// functional draw executor, so both read identical texels.
-func sampleTextureMem(m memReader, call *DrawCall, unit int, u, v float32) ([4]float32, [4]uint64) {
+func sampleTexture(m memReader, call *DrawCall, unit int, u, v float32) ([4]float32, [4]uint64) {
 	var out [4]float32
 	var addrs [4]uint64
 	if unit >= len(call.Textures) {

@@ -1,0 +1,246 @@
+package gpu
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"emerald/internal/gfx"
+	"emerald/internal/mathx"
+	"emerald/internal/mem"
+	"emerald/internal/raster"
+	"emerald/internal/shader"
+)
+
+func TestWarpPackingShortBatches(t *testing.T) {
+	call := &DrawCall{Indices: []uint32{7, 8, 9, 10, 11}}
+	b := &vertexBatch{positions: []int{1, 3, 4}}
+	mask, sp := vsWarp(call, b)
+	if mask != 0b111 {
+		t.Fatalf("vertex mask = %#b, want 0b111", mask)
+	}
+	for lane, want := range []uint32{8, 10, 11} {
+		if s := sp[lane]; s.TID != uint32(lane) || s.NTID != 3 || s.VID != want {
+			t.Fatalf("vertex lane %d specials = %+v, want TID %d NTID 3 VID %d", lane, s, lane, want)
+		}
+	}
+	if sp[3] != (shader.Special{}) {
+		t.Fatalf("inactive vertex lane has specials %+v", sp[3])
+	}
+
+	tri := &raster.SetupTri{ID: 42}
+	frags := []raster.Fragment{{Tri: tri, X: 3, Y: 5, Z: 0.25}, {Tri: tri, X: 4, Y: 6, Z: 0.75}}
+	mask, sp = fsWarp(frags)
+	if mask != 0b11 {
+		t.Fatalf("fragment mask = %#b, want 0b11", mask)
+	}
+	for lane, f := range frags {
+		want := shader.Special{TID: uint32(lane), PX: uint32(f.X), PY: uint32(f.Y), Prim: 42, FZ: math.Float32bits(f.Z)}
+		if sp[lane] != want {
+			t.Fatalf("fragment lane %d specials = %+v, want %+v", lane, sp[lane], want)
+		}
+	}
+	if mask, _ := fsWarp(nil); mask != 0 {
+		t.Fatalf("empty fragment warp mask = %#b", mask)
+	}
+}
+
+// The functional executor walks the whole screen where each timed
+// cluster walks only its own TC tiles. That is the same work in the same
+// per-pixel order only if the clusters' filtered walks partition the
+// unfiltered one, each keeping its order.
+func TestRasterTilesClusterWalksPartitionTheWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 200; iter++ {
+		vp := raster.Viewport{Width: 8 + rng.Intn(90), Height: 8 + rng.Intn(90)}
+		var p raster.Primitive
+		for i := range p.V {
+			p.V[i].Clip = mathx.V4(rng.Float32()*3-1.5, rng.Float32()*3-1.5, 0, 1)
+		}
+		tri, ok := raster.Setup(p, vp)
+		if !ok {
+			continue
+		}
+		var all [][2]int
+		rasterTiles(tri, vp, nil, func(tx, ty int) { all = append(all, [2]int{tx, ty}) })
+		sm := gfx.NewScreenMap(6, 1, 1+rng.Intn(8))
+		seen := map[[2]int]int{}
+		for cl := 0; cl < 6; cl++ {
+			next := 0 // position in all of the previous visit
+			rasterTiles(tri, vp,
+				func(cx, cy int) bool { return sm.ClusterOf(cx, cy) == cl },
+				func(tx, ty int) {
+					pos := [2]int{tx, ty}
+					for next < len(all) && all[next] != pos {
+						next++
+					}
+					if next == len(all) {
+						t.Fatalf("iter %d cluster %d: tile %v out of walk order", iter, cl, pos)
+					}
+					seen[pos]++
+				})
+		}
+		if len(seen) != len(all) {
+			t.Fatalf("iter %d: clusters visit %d distinct tiles, the walk %d", iter, len(seen), len(all))
+		}
+		for pos, n := range seen {
+			if n != 1 {
+				t.Fatalf("iter %d: tile %v visited by %d clusters", iter, pos, n)
+			}
+		}
+	}
+}
+
+// Oracle address map: vertices, uniforms, the texture and both surfaces.
+const (
+	oVB    = 0x1000_0000
+	oUni   = 0x2000_0000
+	oTex   = 0x2100_0000
+	oColor = 0x3000_0000
+	oDepth = 0x3100_0000
+	oVerts = 24 // vertex pool the random index streams draw from
+)
+
+// TestFunctionalMatchesTimedRandomDraws is the draw-level differential
+// oracle: seeded random draws run in detail on the Table 7 GPU and
+// through ExecuteDrawFunc on a mirror memory must leave byte-identical
+// colour and depth surfaces, and agree on every count that timing does
+// not decide. Fragment counts agree only where Hi-Z cannot cull (depth
+// test off, or Hi-Z disabled). FS warp counts differ by design: the
+// timed pipeline packs fragment warps per TC tile, the functional
+// executor per primitive.
+func TestFunctionalMatchesTimedRandomDraws(t *testing.T) {
+	draws := 96
+	if testing.Short() {
+		draws = 48
+	}
+	rng := rand.New(rand.NewSource(24))
+	s := DefaultStandalone(nil)
+	ref := mem.NewMemory()
+	both := func(f func(m *mem.Memory)) { f(s.Mem()); f(ref) }
+	fss := []*shader.Program{shader.FSTexturedEarlyZ, shader.FSTexturedLateZ, shader.FSTexturedBlend, shader.FSFlat}
+	modes := []raster.PrimMode{raster.Triangles, raster.TriangleStrip, raster.TriangleFan}
+	var color, depth gfx.Surface
+	var total FuncStats
+
+	for n := 0; n < draws; n++ {
+		// A new frame every fourth draw, so most draws land on what the
+		// ones before wrote (and on the Hi-Z state they left).
+		if n%4 == 0 {
+			w, h := 9+rng.Intn(60), 9+rng.Intn(60) // rarely a tile multiple
+			color = gfx.Surface{Base: oColor, Width: w, Height: h}
+			depth = gfx.Surface{Base: oDepth, Width: w, Height: h}
+			rgba := rng.Uint32()
+			both(func(m *mem.Memory) { color.ClearColor(m, rgba); depth.ClearDepth(m, 1) })
+			s.GPU.ClearHiZ()
+			s.GPU.SetWT(1 + rng.Intn(8))
+		}
+
+		// Vertices: position, normal, uv (stride 32). Positions reach
+		// past every clip plane; uvs past [0,1] to exercise the wrap.
+		var vb [oVerts * 8]float32
+		for i := range vb {
+			switch i % 8 {
+			case 0, 1:
+				vb[i] = rng.Float32()*2.8 - 1.4
+			case 2:
+				vb[i] = rng.Float32()*2.6 - 1.3
+			default:
+				vb[i] = rng.Float32()*3 - 1
+			}
+		}
+		mvp := mathx.Identity()
+		if rng.Intn(2) == 0 {
+			view := mathx.LookAt(mathx.V3(0, 0, 2.5), mathx.V3(0, 0, 0), mathx.V3(0, 1, 0))
+			mvp = mathx.Perspective(1, 1, 0.1, 10).Mul(view).Mul(mathx.RotateY(rng.Float32() * 6))
+		}
+		tex := TextureBinding{Base: oTex, Width: 4 << rng.Intn(3), Height: 4 << rng.Intn(3), Bilinear: rng.Intn(2) == 0}
+		texels := make([]uint32, tex.Width*tex.Height)
+		for i := range texels {
+			texels[i] = rng.Uint32()
+		}
+		light := [4]float32{rng.Float32()*2 - 1, rng.Float32()*2 - 1, rng.Float32()*2 - 1, 1}
+		alpha := rng.Float32()
+		both(func(m *mem.Memory) {
+			for i, f := range vb {
+				m.WriteF32(oVB+uint64(i*4), f)
+			}
+			for i, f := range mvp {
+				m.WriteF32(oUni+uint64(i*4), f)
+			}
+			for i, f := range light {
+				m.WriteF32(oUni+64+uint64(i*4), f)
+			}
+			m.WriteF32(oUni+80, alpha)
+			for i, c := range texels {
+				m.WriteU32(oTex+uint64(i*4), c)
+			}
+		})
+
+		indices := make([]uint32, 3+rng.Intn(70))
+		for i := range indices {
+			indices[i] = uint32(rng.Intn(oVerts))
+		}
+		fs := fss[rng.Intn(len(fss))]
+		call := &DrawCall{
+			VS: shader.VSTransform, FS: fs,
+			VertexBase: oVB, VertexStride: 32,
+			AttrOffsets: [][2]uint32{{0, 3}, {12, 3}, {24, 2}},
+			Indices:     indices,
+			Mode:        modes[rng.Intn(len(modes))],
+			UniformBase: oUni,
+			Textures:    []TextureBinding{tex},
+			Color:       color,
+			Depth:       depth,
+			DepthTest:   rng.Intn(2) == 0,
+			DepthWrite:  rng.Intn(2) == 0,
+			Blend:       fs == shader.FSTexturedBlend,
+			CullBack:    rng.Intn(2) == 0,
+			Viewport:    raster.Viewport{Width: color.Width, Height: color.Height},
+		}
+		s.GPU.Cfg.HiZ = rng.Intn(2) == 0
+
+		names := []string{"prims_assembled", "prims_culled", "vs_warps", "fragments_shaded"}
+		var before [4]int64
+		for i, name := range names {
+			before[i] = s.GPU.Reg.Value(name)
+		}
+		if _, err := s.RenderDraw(call, 20_000_000); err != nil {
+			t.Fatalf("draw %d: %v", n, err)
+		}
+		var fst FuncStats
+		if err := ExecuteDrawFunc(ref, call, &fst); err != nil {
+			t.Fatalf("draw %d: %v", n, err)
+		}
+		total.Prims += fst.Prims
+		total.Culled += fst.Culled
+		total.Frags += fst.Frags
+
+		what := func() string {
+			return fmt.Sprintf("draw %d (%s, mode %d, %d indices, %dx%d, WT %d, cull %v, depth test %v write %v, Hi-Z %v, bilinear %v)",
+				n, fs.Name, call.Mode, len(indices), color.Width, color.Height, s.GPU.WT(),
+				call.CullBack, call.DepthTest, call.DepthWrite, s.GPU.Cfg.HiZ, tex.Bilinear)
+		}
+		for _, sf := range []gfx.Surface{color, depth} {
+			got, want := make([]byte, sf.SizeBytes()), make([]byte, sf.SizeBytes())
+			s.Mem().Read(sf.Base, got)
+			ref.Read(sf.Base, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: surface at %#x differs from ExecuteDrawFunc", what(), sf.Base)
+			}
+		}
+		want := [4]uint64{fst.Prims, fst.Culled, fst.VSWarps, fst.Frags}
+		for i, name := range names {
+			if i == 3 && call.DepthTest && s.GPU.Cfg.HiZ {
+				continue // Hi-Z may cull tiles the functional pass shades
+			}
+			if got := s.GPU.Reg.Value(name) - before[i]; uint64(got) != want[i] {
+				t.Fatalf("%s: %s = %d, functional %d", what(), name, got, want[i])
+			}
+		}
+	}
+	t.Logf("%d draws: %d triangles assembled, %d culled, %d fragments, %d tiles culled by Hi-Z",
+		draws, total.Prims, total.Culled, total.Frags, s.GPU.Reg.Value("hiz_culled_tiles"))
+}

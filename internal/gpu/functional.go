@@ -1,30 +1,17 @@
 package gpu
 
 import (
-	"emerald/internal/gfx"
 	"emerald/internal/mem"
 	"emerald/internal/raster"
-	"emerald/internal/shader"
 	"emerald/internal/simt"
 )
 
-// This file is the functional-mode draw executor: it renders a draw
-// call against the functional memory with every timing model removed —
-// no cores, no caches, no interconnect, no cycles. It exists for
-// sampled simulation: the fast pass replays a whole trace through it
-// to collect per-frame signatures and drop checkpoints, orders of
-// magnitude faster than detailed timing.
-//
-// Exactness contract: the timed pipeline applies all functional
-// effects immediately at issue, in lock step per instruction
-// (simt.Core.execute), keeps primitive order per pixel (the TC unit's
-// conflict flush), never functionally writes the output vertex buffer
-// (OpOut4 data lives in the batch record; the OVB transaction is
-// timing-only), and Hi-Z only culls tiles whose fragments would fail
-// the in-shader depth test anyway. Executing warps with simt.FuncExec
-// and walking primitives in draw order therefore produces bit-identical
-// memory — framebuffer, depth, everything — to a detailed run of the
-// same draw. The fidelity tests in internal/sample gate this.
+// This file is the functional-mode draw executor: it runs the steps of
+// a draw (draw.go) against the functional memory with every timing
+// model removed — no cores, no caches, no interconnect, no cycles — and
+// counts. Sampled simulation's fast pass replays a whole trace through
+// it. DESIGN.md "Sampled simulation" states why its memory matches a
+// timed run's byte for byte.
 
 // FuncStats accumulates the functional pass's counters — the raw
 // material of a frame's sampled-simulation signature vector (draws,
@@ -49,29 +36,11 @@ type FuncStats struct {
 // signature's DRAM-pressure dimension.
 func (s *FuncStats) TrafficBytes() uint64 { return s.VtxBytes + s.TexBytes + s.ROPBytes }
 
-// add accumulates other into s.
-func (s *FuncStats) Add(o FuncStats) {
-	s.Draws += o.Draws
-	s.VSWarps += o.VSWarps
-	s.Verts += o.Verts
-	s.Prims += o.Prims
-	s.Culled += o.Culled
-	s.SetupTris += o.SetupTris
-	s.Tiles += o.Tiles
-	s.Frags += o.Frags
-	s.FSWarps += o.FSWarps
-	s.TexReads += o.TexReads
-	s.VtxBytes += o.VtxBytes
-	s.TexBytes += o.TexBytes
-	s.ROPBytes += o.ROPBytes
-}
-
 // ExecuteDrawFunc renders one draw call functionally: vertex shading
-// per batch, primitive assembly/clip/setup in strict draw order, then
-// fine rasterization and fragment shading per primitive — each
-// primitive's fragments complete before the next primitive starts, so
-// per-pixel blending and depth order match the timed pipeline's
-// in-order guarantee. st may be nil.
+// per batch, then assembly and setup in strict draw order, each
+// surviving primitive rasterized and its fragments shaded before the
+// next primitive starts, so per-pixel blending and depth order match
+// the timed pipeline's in-order guarantee. st may be nil.
 func ExecuteDrawFunc(m *mem.Memory, call *DrawCall, st *FuncStats) error {
 	if err := call.Validate(); err != nil {
 		return err
@@ -87,60 +56,22 @@ func ExecuteDrawFunc(m *mem.Memory, call *DrawCall, st *FuncStats) error {
 	// per-primitive hot paths allocate nothing.
 	fd := &funcDraw{m: m, mv: mem.NewView(m)}
 
-	// Vertex shading: one functional warp per batch.
 	for _, b := range batches {
-		env := &funcVSEnv{m: m, mv: fd.mv, call: call, b: b, st: st}
-		var mask uint32
-		var specials [simt.WarpSize]shader.Special
-		for lane := 0; lane < len(b.positions) && lane < simt.WarpSize; lane++ {
-			mask |= 1 << lane
-			specials[lane] = shader.Special{
-				TID:  uint32(lane),
-				NTID: uint32(len(b.positions)),
-				VID:  call.Indices[b.positions[lane]],
-			}
-		}
+		env := &funcVSEnv{vertexIO: vertexIO{m: m, rd: fd.mv, call: call, b: b}, st: st}
+		mask, specials := vsWarp(call, b)
 		fd.runner.Exec(call.VS, env, mask, specials)
 		st.VSWarps++
 		st.Verts += uint64(len(b.positions))
 	}
 
-	// Assembly, clip/cull, setup and shading, in draw order.
-	var primSeq uint32
+	var seq uint32
 	for _, b := range batches {
-		for _, k := range b.tris {
-			pos := triPositions(call.Mode, k)
-			var prim raster.Primitive
-			ok := true
-			for i := 0; i < 3; i++ {
-				lane := b.laneOf(pos[i])
-				if lane < 0 {
-					ok = false
-					break
-				}
-				prim.V[i] = b.results[lane]
-			}
-			if !ok {
-				continue
-			}
-			st.Prims++
-			tris, _ := raster.ClipCull(prim, call.CullBack)
-			if len(tris) == 0 {
-				st.Culled++
-				continue
-			}
-			for _, t := range tris {
-				stri, sok := raster.Setup(t, call.Viewport)
-				if !sok {
-					st.Culled++
-					continue
-				}
-				stri.ID = primSeq
-				primSeq++
-				st.SetupTris++
-				fd.shadePrim(call, stri, st)
-			}
-		}
+		assembled, culled := assemble(call, b, &seq, func(tri *raster.SetupTri, _ [3]int) {
+			st.SetupTris++
+			fd.shadePrim(call, tri, st)
+		})
+		st.Prims += uint64(assembled)
+		st.Culled += uint64(culled)
 	}
 	return nil
 }
@@ -157,50 +88,22 @@ type funcDraw struct {
 	fsEnv  funcFSEnv         // reused across fragment warps
 }
 
-// shadePrim rasterizes one setup triangle and shades its fragments.
-// The tile walk is the same TC-tile-blocked order as the timed
-// startRaster, minus the per-cluster screen-map filter (the functional
-// pass owns the whole screen).
+// shadePrim rasterizes one setup triangle over the whole screen and
+// shades its fragments, one warp per 32 in walk order.
 func (fd *funcDraw) shadePrim(call *DrawCall, tri *raster.SetupTri, st *FuncStats) {
-	vp := call.Viewport
 	frags := fd.frags[:0]
-	raster.CoarseRaster(tri, gfx.TCTilePx, func(cx, cy int) {
-		for dy := 0; dy < gfx.TCTilePx; dy += raster.RasterTileSize {
-			for dx := 0; dx < gfx.TCTilePx; dx += raster.RasterTileSize {
-				tx, ty := cx+dx, cy+dy
-				if tx >= vp.Width || ty >= vp.Height || tx+raster.RasterTileSize <= tri.X0 ||
-					ty+raster.RasterTileSize <= tri.Y0 || tx >= tri.X1 || ty >= tri.Y1 {
-					continue
-				}
-				before := len(frags)
-				frags = raster.FineRasterInto(tri, tx, ty, vp, frags)
-				if len(frags) > before {
-					st.Tiles++
-				}
-			}
+	rasterTiles(tri, call.Viewport, nil, func(tx, ty int) {
+		before := len(frags)
+		frags = raster.FineRasterInto(tri, tx, ty, call.Viewport, frags)
+		if len(frags) > before {
+			st.Tiles++
 		}
 	})
 	env := &fd.fsEnv
-	*env = funcFSEnv{m: fd.m, mv: fd.mv, call: call, st: st}
+	*env = funcFSEnv{fragmentIO: fragmentIO{m: fd.m, rd: fd.mv, call: call}, st: st}
 	for lo := 0; lo < len(frags); lo += simt.WarpSize {
-		hi := lo + simt.WarpSize
-		if hi > len(frags) {
-			hi = len(frags)
-		}
-		warp := frags[lo:hi]
-		env.frags = warp
-		var mask uint32
-		var specials [simt.WarpSize]shader.Special
-		for lane, f := range warp {
-			mask |= 1 << lane
-			specials[lane] = shader.Special{
-				TID:  uint32(lane),
-				PX:   uint32(f.X),
-				PY:   uint32(f.Y),
-				Prim: f.Tri.ID,
-				FZ:   mathFloat32bits(f.Z),
-			}
-		}
+		env.frags = frags[lo:min(lo+simt.WarpSize, len(frags))]
+		mask, specials := fsWarp(env.frags)
 		fd.runner.Exec(call.FS, env, mask, specials)
 		st.FSWarps++
 	}
@@ -208,24 +111,17 @@ func (fd *funcDraw) shadePrim(call *DrawCall, tri *raster.SetupTri, st *FuncStat
 	fd.frags = frags[:0] // hand the (possibly grown) scratch back
 }
 
-// funcVSEnv is the functional vertex-shading environment: identical
-// data paths to vsEnv, no GPU behind it. OutWrite returns addr 0 —
-// like the timed path, the output vertex buffer is never functionally
-// written (its transactions are timing-only), so functional and timed
-// runs materialize identical page sets.
+// funcVSEnv is the functional vertex warp's environment: the shared
+// data path plus traffic counters. OutWrite returns no address: the
+// output vertex buffer is never functionally written, in either
+// executor.
 type funcVSEnv struct {
-	m    *mem.Memory
-	mv   *mem.View
-	call *DrawCall
-	b    *vertexBatch
-	st   *FuncStats
+	vertexIO
+	st *FuncStats
 }
 
 func (e *funcVSEnv) AttrIn(lane, slot int) ([4]float32, uint64) {
-	if lane >= len(e.b.positions) {
-		return [4]float32{}, 0
-	}
-	val, addr := vertexAttrIn(e.mv, e.call, e.call.Indices[e.b.positions[lane]], slot)
+	val, addr := e.vertexIO.AttrIn(lane, slot)
 	if addr != 0 {
 		e.st.VtxBytes += 16
 	}
@@ -233,79 +129,41 @@ func (e *funcVSEnv) AttrIn(lane, slot int) ([4]float32, uint64) {
 }
 
 func (e *funcVSEnv) OutWrite(lane, slot int, val [4]float32) uint64 {
-	if lane >= len(e.b.positions) {
-		return 0
-	}
-	if slot == 0 {
-		e.b.results[lane].Clip.X = val[0]
-		e.b.results[lane].Clip.Y = val[1]
-		e.b.results[lane].Clip.Z = val[2]
-		e.b.results[lane].Clip.W = val[3]
-	} else if slot-1 < raster.MaxVaryings {
-		e.b.results[lane].Attrs[slot-1] = val
-	}
+	e.store(lane, slot, val)
 	return 0
 }
 
 func (e *funcVSEnv) Tex(lane, unit int, u, v float32) ([4]float32, [4]uint64) {
-	val, addrs := sampleTextureMem(e.mv, e.call, unit, u, v)
+	val, addrs := e.vertexIO.Tex(lane, unit, u, v)
 	e.st.countTex(addrs)
 	return val, addrs
 }
 
-func (e *funcVSEnv) ZAddr(int) uint64     { return 0 }
-func (e *funcVSEnv) CAddr(int) uint64     { return 0 }
-func (e *funcVSEnv) ConstBase() uint64    { return e.call.UniformBase }
-func (e *funcVSEnv) SharedMem() []byte    { return nil }
-func (e *funcVSEnv) Memory() *mem.Memory  { return e.m }
 func (e *funcVSEnv) Retired(w *simt.Warp) {}
 
-// funcFSEnv is the functional fragment-shading environment.
+// funcFSEnv is the functional fragment warp's environment: the shared
+// data path plus traffic counters.
 type funcFSEnv struct {
-	m     *mem.Memory
-	mv    *mem.View
-	call  *DrawCall
-	frags []raster.Fragment
-	st    *FuncStats
+	fragmentIO
+	st *FuncStats
 }
-
-func (e *funcFSEnv) AttrIn(lane, slot int) ([4]float32, uint64) {
-	if lane >= len(e.frags) || slot < 1 || slot-1 >= raster.MaxVaryings {
-		return [4]float32{}, 0
-	}
-	f := e.frags[lane]
-	return f.Tri.AttrAt(slot-1, f.L0, f.L1, f.L2), 0
-}
-
-func (e *funcFSEnv) OutWrite(lane, slot int, val [4]float32) uint64 { return 0 }
 
 func (e *funcFSEnv) Tex(lane, unit int, u, v float32) ([4]float32, [4]uint64) {
-	val, addrs := sampleTextureMem(e.mv, e.call, unit, u, v)
+	val, addrs := e.fragmentIO.Tex(lane, unit, u, v)
 	e.st.countTex(addrs)
 	return val, addrs
 }
 
 func (e *funcFSEnv) ZAddr(lane int) uint64 {
 	e.st.ROPBytes += 4
-	if lane >= len(e.frags) {
-		return e.call.Depth.Base
-	}
-	f := e.frags[lane]
-	return e.call.Depth.Addr(f.X, f.Y)
+	return e.fragmentIO.ZAddr(lane)
 }
 
 func (e *funcFSEnv) CAddr(lane int) uint64 {
 	e.st.ROPBytes += 4
-	if lane >= len(e.frags) {
-		return e.call.Color.Base
-	}
-	f := e.frags[lane]
-	return e.call.Color.Addr(f.X, f.Y)
+	return e.fragmentIO.CAddr(lane)
 }
 
-func (e *funcFSEnv) ConstBase() uint64    { return e.call.UniformBase }
-func (e *funcFSEnv) SharedMem() []byte    { return nil }
-func (e *funcFSEnv) Memory() *mem.Memory  { return e.m }
 func (e *funcFSEnv) Retired(w *simt.Warp) {}
 
 // countTex tallies the texel fetches of one sample.

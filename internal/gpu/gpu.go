@@ -458,10 +458,3 @@ func (g *GPU) clusterWake(cl *cluster, from uint64) uint64 {
 	}
 	return w
 }
-
-// CoreActiveWarps reports resident warps on the i-th core (cluster-major
-// flat index) — an occupancy probe for tools and tests.
-func (g *GPU) CoreActiveWarps(i int) int {
-	cl := g.clusters[i%len(g.clusters)]
-	return cl.cores[i/len(g.clusters)%len(cl.cores)].ActiveWarps()
-}

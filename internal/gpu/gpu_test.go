@@ -374,7 +374,7 @@ func TestBatchConstruction(t *testing.T) {
 	n := 0
 	for _, b := range batches {
 		for _, k := range b.tris {
-			pos := triPositions(raster.Triangles, k)
+			pos := raster.Triangles.Tri(k)
 			for _, p := range pos {
 				if b.laneOf(p) < 0 {
 					t.Fatalf("triangle %d vertex at %d missing from its batch", k, p)
@@ -392,7 +392,7 @@ func TestBatchConstruction(t *testing.T) {
 	total := 0
 	for _, b := range sb {
 		for _, k := range b.tris {
-			for _, p := range triPositions(raster.TriangleStrip, k) {
+			for _, p := range raster.TriangleStrip.Tri(k) {
 				if b.laneOf(p) < 0 {
 					t.Fatalf("strip triangle %d vertex %d missing", k, p)
 				}
@@ -409,7 +409,7 @@ func TestBatchConstruction(t *testing.T) {
 	total = 0
 	for _, b := range fb {
 		for _, k := range b.tris {
-			for _, p := range triPositions(raster.TriangleFan, k) {
+			for _, p := range raster.TriangleFan.Tri(k) {
 				if b.laneOf(p) < 0 {
 					t.Fatalf("fan triangle %d vertex %d missing", k, p)
 				}

@@ -8,7 +8,6 @@ import (
 	"emerald/internal/emtrace"
 	"emerald/internal/mem"
 	"emerald/internal/raster"
-	"emerald/internal/shader"
 	"emerald/internal/simt"
 )
 
@@ -88,90 +87,89 @@ func (g *GPU) ensureHiZ(vp raster.Viewport) {
 // launchVSBatch places one vertex warp on a core.
 func (g *GPU) launchVSBatch(core *simt.Core, d *drawState, batchIdx int) {
 	b := d.batches[batchIdx]
-	env := &vsEnv{g: g, d: d, b: b, batchIdx: batchIdx}
-	var mask uint32
-	var specials [simt.WarpSize]shader.Special
-	for lane := 0; lane < len(b.positions) && lane < simt.WarpSize; lane++ {
-		mask |= 1 << lane
-		specials[lane] = shader.Special{
-			TID:  uint32(lane),
-			NTID: uint32(len(b.positions)),
-			VID:  d.call.Indices[b.positions[lane]],
-		}
-	}
+	env := &vsEnv{vertexIO: vertexIO{m: g.Mem, rd: g.Mem, call: d.call, b: b}, g: g, d: d, batchIdx: batchIdx}
+	mask, specials := vsWarp(d.call, b)
 	if _, err := core.Launch(d.call.VS, env, -1, mask, specials, nil); err == nil {
 		d.vsOutstanding.Add(1)
-		b.launched = true
 		g.vsWarpsC.Inc()
 	}
 }
 
-// assembleBatch assembles, clips and distributes one vertex warp's
-// primitives.
+// assembleBatch assembles, clips and sets up one vertex warp's
+// primitives and distributes each to the clusters its bounding box
+// touches (VPO, paper Figure 6).
 func (g *GPU) assembleBatch(d *drawState, batchIdx int, cycle uint64) {
-	b := d.batches[batchIdx]
-	for _, k := range b.tris {
-		pos := triPositions(d.call.Mode, k)
-		var prim raster.Primitive
-		prim.ID = d.primSeq
-		lanes := [3]int{}
-		ok := true
-		for i := 0; i < 3; i++ {
-			lane := b.laneOf(pos[i])
-			if lane < 0 {
-				ok = false
-				break
-			}
-			lanes[i] = lane
-			prim.V[i] = b.results[lane]
+	assembled, culled := assemble(d.call, d.batches[batchIdx], &d.primSeq, func(tri *raster.SetupTri, lanes [3]int) {
+		maskBits := g.screenMap.ClusterMask(tri.X0, tri.Y0, tri.X1, tri.Y1)
+		var fetch [3]uint64
+		for i, lane := range lanes {
+			fetch[i] = g.ovbAddr(batchIdx, lane, 0)
 		}
-		if !ok {
-			continue
-		}
-		g.primsAssembly.Inc()
-
-		tris, res := raster.ClipCull(prim, d.call.CullBack)
-		if len(tris) == 0 {
-			_ = res
-			g.primsCulledC.Inc()
-			continue
-		}
-		for _, t := range tris {
-			st, sok := raster.Setup(t, d.call.Viewport)
-			if !sok {
-				g.primsCulledC.Inc()
+		for ci := 0; ci < g.Cfg.Clusters; ci++ {
+			if maskBits&(1<<ci) == 0 {
 				continue
 			}
-			st.ID = d.primSeq
-			d.primSeq++
-			// VPO: bounding box -> per-cluster primitive mask (Figure 6).
-			maskBits := g.screenMap.ClusterMask(st.X0, st.Y0, st.X1, st.Y1)
-			var fetch [3]uint64
-			for i := 0; i < 3; i++ {
-				fetch[i] = g.ovbAddr(batchIdx, lanes[i], 0)
+			lat := g.Cfg.MaskLatency
+			if ci == 0 { // local commit skips the interconnect
+				lat = 1
 			}
-			for ci := 0; ci < g.Cfg.Clusters; ci++ {
-				if maskBits&(1<<ci) == 0 {
-					continue
-				}
-				lat := g.Cfg.MaskLatency
-				if ci == 0 { // local commit skips the interconnect
-					lat = 1
-				}
-				g.clusters[ci].pmrb.PushBack(&clusterPrim{
-					tri:     st,
-					readyAt: cycle + lat,
-					fetch:   fetch,
-				})
-			}
+			g.clusters[ci].pmrb.PushBack(&clusterPrim{
+				tri:     tri,
+				readyAt: cycle + lat,
+				fetch:   fetch,
+			})
 		}
-	}
+	})
+	g.primsAssembly.Add(int64(assembled))
+	g.primsCulledC.Add(int64(culled))
 }
 
-// ovbAddr mirrors vsEnv.ovbAddr for the assembly/setup stages.
+// ovbRecordBytes is the per-vertex output record: clip position plus
+// MaxVaryings vec4s.
+const ovbRecordBytes = 16 * (1 + raster.MaxVaryings)
+
+// ovbAddr returns the output-vertex-buffer slot address of (batch, lane,
+// slot); the 36 KB buffer wraps (Table 5 sizes it for ~9K vertices).
+// Vertex shading stores there and setup fetches from there.
 func (g *GPU) ovbAddr(batchIdx, lane, slot int) uint64 {
 	rec := uint64(batchIdx*simt.WarpSize+lane) * ovbRecordBytes
 	return g.Cfg.OVBBase + (rec+uint64(slot)*16)%g.Cfg.OVBSize
+}
+
+// vsEnv is the timed vertex warp's environment: the shared data path
+// plus the output-vertex-buffer store address (timed via L2) and the
+// batch's retirement.
+type vsEnv struct {
+	vertexIO
+	g        *GPU
+	d        *drawState
+	batchIdx int
+}
+
+func (e *vsEnv) OutWrite(lane, slot int, val [4]float32) uint64 {
+	if !e.store(lane, slot, val) {
+		return 0
+	}
+	return e.g.ovbAddr(e.batchIdx, lane, slot)
+}
+
+func (e *vsEnv) Retired(w *simt.Warp) {
+	// Runs in the shard of the core that executed the warp: completed is
+	// single-writer (one core runs the whole batch) and read only by the
+	// serial front end after the barrier; the draw-wide gauge is atomic.
+	e.b.completed = true
+	e.d.vsOutstanding.Add(-1)
+}
+
+// fsEnv is the timed fragment warp's environment: the shared data path
+// plus the retirement that advances the warp's TC tile task.
+type fsEnv struct {
+	fragmentIO
+	task *tileTask
+}
+
+func (e *fsEnv) Retired(w *simt.Warp) {
+	e.task.warpRetired(len(e.frags))
 }
 
 // drawComplete reports whether every pipeline stage has drained.
@@ -259,31 +257,14 @@ func (g *GPU) tickSetup(cl *cluster, d *drawState, cycle uint64) {
 }
 
 // startRaster precomputes the cluster-owned raster tiles of a primitive.
-// The walk is TC-tile-blocked (coarse raster over 8x8 TC tiles, then the
-// 2x2 raster tiles within each): the TC engines then see a TC tile's
-// raster tiles back to back and can coalesce them fully instead of
-// thrashing between screen positions.
 func (g *GPU) startRaster(cl *cluster, d *drawState, tri *raster.SetupTri, cycle uint64) {
 	cl.rast.tri = tri
 	cl.rast.tiles = cl.rast.tiles[:0]
 	cl.rast.next = 0
 	cl.rast.startedAt = cycle
-	vp := d.call.Viewport
-	raster.CoarseRaster(tri, gfx.TCTilePx, func(cx, cy int) {
-		if g.screenMap.ClusterOf(cx, cy) != cl.id {
-			return
-		}
-		for dy := 0; dy < gfx.TCTilePx; dy += raster.RasterTileSize {
-			for dx := 0; dx < gfx.TCTilePx; dx += raster.RasterTileSize {
-				tx, ty := cx+dx, cy+dy
-				if tx >= vp.Width || ty >= vp.Height || tx+raster.RasterTileSize <= tri.X0 ||
-					ty+raster.RasterTileSize <= tri.Y0 || tx >= tri.X1 || ty >= tri.Y1 {
-					continue
-				}
-				cl.rast.tiles = append(cl.rast.tiles, [2]int{tx, ty})
-			}
-		}
-	})
+	rasterTiles(tri, d.call.Viewport,
+		func(cx, cy int) bool { return g.screenMap.ClusterOf(cx, cy) == cl.id },
+		func(tx, ty int) { cl.rast.tiles = append(cl.rast.tiles, [2]int{tx, ty}) })
 }
 
 // tickRaster processes up to RasterThroughput raster tiles of the
@@ -388,37 +369,25 @@ func (g *GPU) tickFSLaunch(cl *cluster, cycle uint64) {
 					hi = len(t.Frags)
 				}
 				frags := t.Frags[lo:hi]
-				env := &fsEnv{g: g, d: d, task: task, frags: frags}
-				var mask uint32
-				var specials [simt.WarpSize]shader.Special
-				for lane, f := range frags {
-					mask |= 1 << lane
-					specials[lane] = shader.Special{
-						TID:  uint32(lane),
-						PX:   uint32(f.X),
-						PY:   uint32(f.Y),
-						Prim: f.Tri.ID,
-						FZ:   mathFloat32bits(f.Z),
-					}
-				}
-				cl.pendingFS.PushBack(&fsLaunch{
-					env: env, mask: mask, specials: specials, core: core,
-				})
+				e := &fsLaunch{core: core, env: &fsEnv{
+					fragmentIO: fragmentIO{m: g.Mem, rd: g.Mem, call: d.call, frags: frags},
+					task:       task,
+				}}
+				e.mask, e.specials = fsWarp(frags)
+				cl.pendingFS.PushBack(e)
 			}
 		}
 	}
 	for cl.pendingFS.Len() > 0 {
 		e := *cl.pendingFS.Front()
 		core := cl.cores[e.core]
-		if e.env.d.call.FS == nil || !core.CanLaunch(e.env.d.call.FS) {
+		if e.env.call.FS == nil || !core.CanLaunch(e.env.call.FS) {
 			return
 		}
-		if _, err := core.Launch(e.env.d.call.FS, e.env, -1, e.mask, e.specials, nil); err != nil {
+		if _, err := core.Launch(e.env.call.FS, e.env, -1, e.mask, e.specials, nil); err != nil {
 			return
 		}
 		g.fsWarpsC.Inc()
 		cl.pendingFS.Pop()
 	}
 }
-
-func mathFloat32bits(f float32) uint32 { return math.Float32bits(f) }

@@ -20,20 +20,23 @@ func tri(id uint32, pts [3][2]float32, z float32) Primitive {
 var vp = Viewport{Width: 64, Height: 64}
 
 func TestAssembleModes(t *testing.T) {
-	idx := []uint32{0, 1, 2, 3, 4, 5}
-	if got := Assemble(Triangles, idx); len(got) != 2 || got[1] != [3]uint32{3, 4, 5} {
-		t.Fatalf("triangles = %v", got)
+	cases := []struct {
+		mode PrimMode
+		want [][3]int // triangles 0..3
+	}{
+		{Triangles, [][3]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11}}},
+		// Odd strip triangles swap their first two vertices, so every
+		// triangle keeps the winding of the first.
+		{TriangleStrip, [][3]int{{0, 1, 2}, {2, 1, 3}, {2, 3, 4}, {4, 3, 5}}},
+		// Every fan triangle starts at the hub.
+		{TriangleFan, [][3]int{{0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}}},
 	}
-	strip := Assemble(TriangleStrip, []uint32{0, 1, 2, 3})
-	if len(strip) != 2 || strip[0] != [3]uint32{0, 1, 2} || strip[1] != [3]uint32{2, 1, 3} {
-		t.Fatalf("strip = %v (winding must alternate)", strip)
-	}
-	fan := Assemble(TriangleFan, []uint32{9, 1, 2, 3})
-	if len(fan) != 2 || fan[0] != [3]uint32{9, 1, 2} || fan[1] != [3]uint32{9, 2, 3} {
-		t.Fatalf("fan = %v", fan)
-	}
-	if Assemble(Triangles, []uint32{0, 1}) != nil {
-		t.Fatal("short index list must produce nothing")
+	for _, c := range cases {
+		for k, want := range c.want {
+			if got := c.mode.Tri(k); got != want {
+				t.Errorf("mode %d: Tri(%d) = %v, want %v", c.mode, k, got, want)
+			}
+		}
 	}
 }
 
@@ -267,9 +270,25 @@ func TestHiZNeverCullsVisible(t *testing.T) {
 	}
 }
 
+// Consecutive triangles share no vertex in a list, two in a strip, and
+// the hub plus one in a fan — the overlap vertex batching must carry so
+// a triangle never spans two vertex warps (paper §3.3.3).
 func TestVertexOverlapPerMode(t *testing.T) {
-	if Triangles.VertexOverlap() != 0 || TriangleStrip.VertexOverlap() != 2 {
-		t.Fatal("overlap constants wrong")
+	for mode, want := range map[PrimMode]int{Triangles: 0, TriangleStrip: 2, TriangleFan: 2} {
+		for k := 0; k < 8; k++ {
+			a, b := mode.Tri(k), mode.Tri(k+1)
+			shared := 0
+			for _, p := range a {
+				for _, q := range b {
+					if p == q {
+						shared++
+					}
+				}
+			}
+			if shared != want {
+				t.Fatalf("mode %d: triangles %d and %d share %d positions, want %d", mode, k, k+1, shared, want)
+			}
+		}
 	}
 }
 

@@ -129,9 +129,3 @@ func (t *SetupTri) AttrAt(slot int, l0, l1, l2 float32) [4]float32 {
 	}
 	return out
 }
-
-// MinZ returns the minimum vertex depth (conservative nearest, for
-// Hi-Z testing).
-func (t *SetupTri) MinZ() float32 {
-	return mathx.Min(t.Z[0], mathx.Min(t.Z[1], t.Z[2]))
-}

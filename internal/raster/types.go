@@ -39,41 +39,18 @@ const (
 	TriangleFan
 )
 
-// VertexOverlap returns how many vertices of warp-aligned batches must
-// overlap between consecutive vertex warps for this topology, so
-// primitive processing never needs to consult another warp's vertices
-// (paper §3.3.3: "batches of, sometimes overlapping, warps").
-func (m PrimMode) VertexOverlap() int {
+// Tri returns the index-stream positions of triangle k under the
+// topology: odd strip triangles swap their first two vertices to keep
+// the winding, and every fan triangle starts at the hub, position 0.
+func (m PrimMode) Tri(k int) [3]int {
 	switch m {
 	case TriangleStrip:
-		return 2
+		if k%2 == 1 {
+			return [3]int{k + 1, k, k + 2}
+		}
+		return [3]int{k, k + 1, k + 2}
 	case TriangleFan:
-		return 2 // fan also re-reads the hub vertex; handled by the batcher
+		return [3]int{0, k + 1, k + 2}
 	}
-	return 0
-}
-
-// Assemble converts an index stream into triangle index triples
-// according to the topology. Degenerate index counts are truncated.
-func Assemble(mode PrimMode, indices []uint32) [][3]uint32 {
-	var out [][3]uint32
-	switch mode {
-	case Triangles:
-		for i := 0; i+2 < len(indices); i += 3 {
-			out = append(out, [3]uint32{indices[i], indices[i+1], indices[i+2]})
-		}
-	case TriangleStrip:
-		for i := 0; i+2 < len(indices); i++ {
-			a, b, c := indices[i], indices[i+1], indices[i+2]
-			if i%2 == 1 {
-				a, b = b, a // preserve winding
-			}
-			out = append(out, [3]uint32{a, b, c})
-		}
-	case TriangleFan:
-		for i := 1; i+1 < len(indices); i++ {
-			out = append(out, [3]uint32{indices[0], indices[i], indices[i+1]})
-		}
-	}
-	return out
+	return [3]int{k * 3, k*3 + 1, k*3 + 2}
 }

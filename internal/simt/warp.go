@@ -137,9 +137,6 @@ func (w *Warp) PC() uint32 {
 	return w.stack[len(w.stack)-1].pc
 }
 
-// StackDepth returns the SIMT stack depth (test/stat hook).
-func (w *Warp) StackDepth() int { return len(w.stack) }
-
 // reconverge pops stack entries whose pc reached their reconvergence
 // point, and drops empty-mask entries.
 func (w *Warp) reconverge() {

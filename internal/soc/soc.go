@@ -18,7 +18,6 @@ import (
 	"emerald/internal/sched"
 	"emerald/internal/stats"
 	"emerald/internal/telemetry"
-	"emerald/internal/trace"
 )
 
 // Config describes the full SoC (paper Table 5 + workload knobs).
@@ -532,19 +531,6 @@ func (s *SoC) completeFrame() {
 
 // Cycle returns the current system cycle.
 func (s *SoC) Cycle() uint64 { return s.cycle }
-
-// RestoreCheckpoint seeds the system from a trace checkpoint: the
-// functional memory is replaced with the snapshot (the page set is
-// reconciled, so no stale pages survive), the GPU's Hi-Z summaries are
-// invalidated (the restored depth buffer has no on-chip counterpart),
-// and the system clock adopts the checkpoint cycle so downstream stats
-// sit on the original run's timeline. Call it on a freshly built,
-// idle system, before Run.
-func (s *SoC) RestoreCheckpoint(cp *trace.Checkpoint) {
-	cp.RestoreMemory(s.Mem)
-	s.GPU.ClearHiZ()
-	s.cycle = cp.Cycle
-}
 
 // SetIdleSkip enables or disables event-driven idle cycle-skipping in
 // RunCtx. Results are bit-identical either way: skipping only jumps

@@ -69,9 +69,6 @@ func (t *Timeline) Record(cycle uint64, source string, bytes uint64) {
 	t.buckets[b][si] += bytes
 }
 
-// Sources returns the source names in first-seen order.
-func (t *Timeline) Sources() []string { return t.sources }
-
 // Buckets returns the number of buckets recorded so far.
 func (t *Timeline) Buckets() int { return len(t.buckets) }
 

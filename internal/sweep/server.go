@@ -196,7 +196,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !ValidKey(key) {
 		http.Error(w, "malformed result key", http.StatusBadRequest)
 		return
 	}

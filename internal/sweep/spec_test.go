@@ -10,7 +10,7 @@ func TestKeyIsStableAndDiscriminating(t *testing.T) {
 	if a.Key() != a.Key() {
 		t.Fatal("key is not deterministic")
 	}
-	if len(a.Key()) != 64 || !validKey(a.Key()) {
+	if len(a.Key()) != 64 || !ValidKey(a.Key()) {
 		t.Fatalf("key %q is not a sha256 hex digest", a.Key())
 	}
 	variants := []Spec{

@@ -91,9 +91,9 @@ func NewStore(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// validKey reports whether key looks like a SHA-256 hex digest. Keys
+// ValidKey reports whether key looks like a SHA-256 hex digest. Keys
 // become file names, so this also guards against path traversal.
-func validKey(key string) bool {
+func ValidKey(key string) bool {
 	if len(key) != 64 {
 		return false
 	}
@@ -114,7 +114,7 @@ func (s *Store) path(key string) string {
 // file whose footer is missing or fails verification is a miss, not an
 // error: corruption must never masquerade as a result.
 func (s *Store) Get(key string) (data []byte, ok bool, err error) {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return nil, false, fmt.Errorf("sweep: malformed result key %q", key)
 	}
 	data, err = os.ReadFile(s.path(key))
@@ -150,7 +150,7 @@ func (s *Store) GetResult(key string) (*Result, bool, error) {
 // concurrent writer's work with an identical payload, so
 // last-writer-wins is harmless.
 func (s *Store) Put(key string, r *Result) ([]byte, error) {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return nil, fmt.Errorf("sweep: malformed result key %q", key)
 	}
 	data, err := json.MarshalIndent(r, "", "  ")
@@ -169,7 +169,7 @@ func (s *Store) Put(key string, r *Result) ([]byte, error) {
 // Replication uses this so a blob stays byte-identical across every
 // node that holds it; like Put, the write is atomic.
 func (s *Store) PutRaw(key string, payload []byte) error {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return fmt.Errorf("sweep: malformed result key %q", key)
 	}
 	return s.writeFile(key, payload)
@@ -216,7 +216,7 @@ func (s *Store) Keys() ([]string, error) {
 	}
 	var keys []string
 	for _, e := range entries {
-		if name, found := strings.CutSuffix(e.Name(), ".json"); found && validKey(name) {
+		if name, found := strings.CutSuffix(e.Name(), ".json"); found && ValidKey(name) {
 			keys = append(keys, name)
 		}
 	}
@@ -227,7 +227,7 @@ func (s *Store) Keys() ([]string, error) {
 // Delete removes the stored result for key. Deleting a key that is not
 // stored is not an error — the end state is the same.
 func (s *Store) Delete(key string) error {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return fmt.Errorf("sweep: malformed result key %q", key)
 	}
 	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {

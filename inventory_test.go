@@ -1,0 +1,262 @@
+package emerald
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// The inventories below pin a bug class to a short list of reviewed
+// sites in the product code, and fail with file:line the way
+// TestBackpressureContract does.
+
+// TestWakeHookSites: a parked component sleeps through any input whose
+// delivery path forgot to wake it, so every Wake/Arm call site is a
+// place a bug can hide. There is one wheel, the SoC's phase-1 wheel:
+// internal/par defines it and only internal/soc builds or hooks it (three
+// Wake sites, two Arm sites). A second wheel, or a hook in another
+// package, has to be argued for in DESIGN.md "Time advancement".
+func TestWakeHookSites(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, sf := range productFiles(t, fset, "internal", "cmd", ".") {
+		if strings.HasPrefix(sf.dir+"/", "internal/soc/") || strings.HasPrefix(sf.dir+"/", "internal/par/") {
+			continue
+		}
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if name := sel.Sel.Name; name == "Wake" || name == "Arm" || name == "NewWheel" && isIdent(sel.X, "par") {
+				t.Errorf("%s: event-wheel call %s outside internal/soc", fset.Position(call.Pos()), name)
+			}
+			return true
+		})
+	}
+}
+
+// TestWarpWakeWriters is the same bug class one level down: a warp
+// outside simt.Core's awake set is invisible to the schedulers and to
+// NextWake, so every write to that set is a place a wake can go
+// missing. The set is written by five helpers in core.go (wake, sleep,
+// sleepOnLSU, wakeLSU, and forget through readySets) and sliced up in
+// NewCore; the guard's checkReadySet reads its words; everything else
+// only asks has() or any(). The scheduling state lives there and nowhere
+// else: Warp carries no parked or lastIssued field for a second
+// scheduler to grow back on.
+func TestWarpWakeWriters(t *testing.T) {
+	writers := names("NewCore", "wake", "sleep", "sleepOnLSU", "wakeLSU", "readySets", "checkReadySet")
+	listers := names("readySets", "forget", "checkReadySet")
+	fset := token.NewFileSet()
+	for _, sf := range productFiles(t, fset, "internal/simt") {
+		for _, decl := range sf.f.Decls {
+			fn := ""
+			if d, ok := decl.(*ast.FuncDecl); ok {
+				fn = d.Name.Name
+			}
+			queries := map[ast.Node]bool{} // x.awake in x.awake.has(...) or x.awake.any()
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "has" || sel.Sel.Name == "any") && method(sel.X) == "awake" {
+						queries[sel.X] = true
+					}
+					if callee(n) == "readySets" && !listers[fn] {
+						t.Errorf("%s: readySets() called from %s", fset.Position(n.Pos()), fn)
+					}
+				case *ast.SelectorExpr:
+					if n.Sel.Name == "awake" && !queries[n] && !writers[fn] {
+						t.Errorf("%s: the awake set is written outside its helpers (in %q)", fset.Position(n.Pos()), fn)
+					}
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Warp" {
+						for _, f := range st.Fields.List {
+							for _, id := range f.Names {
+								if id.Name == "parked" || id.Name == "lastIssued" {
+									t.Errorf("%s: simt.Warp carries scheduling state again (%s)", fset.Position(id.Pos()), id.Name)
+								}
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// TestRequestAllocationSites: a mem.Request is allocated in exactly one
+// place, mem.Pool.New, and goes back to the pool of the component that
+// took it (DESIGN.md "Memory request path"). A literal or a new()
+// anywhere else in product code is a per-request allocation on the path
+// between the LSU and DRAM growing back unreviewed. bench/ and tests
+// build their own requests; pools never adopt those.
+func TestRequestAllocationSites(t *testing.T) {
+	fset := token.NewFileSet()
+	inPool := 0
+	for _, sf := range productFiles(t, fset, "internal", "cmd", "examples", ".") {
+		inMem := sf.dir == "internal/mem"
+		for _, decl := range sf.f.Decls {
+			fn := ""
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Recv != nil && len(d.Recv.List) == 1 {
+				fn = receiver(d.Recv.List[0].Type) + "." + d.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				var typ ast.Expr
+				switch n := n.(type) {
+				case *ast.UnaryExpr:
+					if lit, ok := n.X.(*ast.CompositeLit); ok && n.Op == token.AND {
+						typ = lit.Type
+					}
+				case *ast.CallExpr:
+					if isIdent(n.Fun, "new") && len(n.Args) == 1 {
+						typ = n.Args[0]
+					}
+				}
+				isRequest := false
+				if sel, ok := typ.(*ast.SelectorExpr); ok {
+					isRequest = isIdent(sel.X, "mem") && sel.Sel.Name == "Request"
+				} else if inMem {
+					isRequest = isIdent(typ, "Request")
+				}
+				switch {
+				case !isRequest:
+				case inMem && fn == "Pool.New":
+					inPool++
+				default:
+					t.Errorf("%s: mem.Request allocated outside mem.Pool.New", fset.Position(n.Pos()))
+				}
+				return true
+			})
+		}
+	}
+	if inPool != 1 {
+		t.Errorf("mem.Pool.New allocates a Request at %d sites, want 1", inPool)
+	}
+}
+
+// TestNoMapFieldsOnRequestPath: the per-cycle structures of the memory
+// path are index-addressed, so no struct in these packages (or the TC
+// unit) holds a Go map, directly or behind pointers and slices.
+func TestNoMapFieldsOnRequestPath(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, sf := range productFiles(t, fset, "internal/cache", "internal/interconnect", "internal/dram", "internal/mem", "internal/gfx/tc.go") {
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, f := range st.Fields.List {
+					if mapTyped(f.Type) {
+						t.Errorf("%s: map-typed field on the memory request path", fset.Position(f.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// srcFile is one parsed product file.
+type srcFile struct {
+	dir string // slash-separated, relative to the repository root
+	f   *ast.File
+}
+
+// productFiles parses the non-test .go files under each root: a
+// directory (walked recursively), a single file, or "." for the root
+// package's own files.
+func productFiles(t *testing.T, fset *token.FileSet, roots ...string) []srcFile {
+	var out []srcFile
+	add := func(path string) error {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		out = append(out, srcFile{dir: filepath.ToSlash(filepath.Dir(path)), f: f})
+		return nil
+	}
+	for _, root := range roots {
+		var err error
+		if root == "." {
+			var paths []string
+			paths, err = filepath.Glob("*.go")
+			for _, p := range paths {
+				if err == nil {
+					err = add(p)
+				}
+			}
+		} else {
+			err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+				if err != nil || d.IsDir() {
+					return err
+				}
+				return add(path)
+			})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("no product files under %v; run from the repository root", roots)
+	}
+	return out
+}
+
+func names(ns ...string) map[string]bool {
+	m := make(map[string]bool, len(ns))
+	for _, n := range ns {
+		m[n] = true
+	}
+	return m
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// callee names the function or method a call invokes, "" if neither.
+func callee(c *ast.CallExpr) string {
+	if id, ok := c.Fun.(*ast.Ident); ok {
+		return id.Name
+	}
+	return method(c.Fun)
+}
+
+// receiver names a method's receiver type, pointer or not.
+func receiver(e ast.Expr) string {
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// mapTyped reports whether a field type is a map, directly or behind
+// pointers, slices and arrays.
+func mapTyped(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ArrayType:
+			e = x.Elt
+		case *ast.MapType:
+			return true
+		default:
+			return false
+		}
+	}
+}

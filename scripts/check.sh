@@ -26,84 +26,6 @@ echo "== go vet =="
 go vet ./...
 echo "ok"
 
-echo "== wake-hook inventory (one wheel, hooked from internal/soc only) =="
-# A parked component sleeps through any input whose delivery path
-# forgot to wake it, so every Wake/Arm call site is a place a bug can
-# hide. There are three Wake sites (DRAM retire -> CPU, DRAM retire ->
-# display, frame flip -> display) and two Arm sites (the CPU and display
-# shard bodies), all on the SoC's phase-1 wheel. A second wheel, or a
-# hook in another package, has to be argued for here (DESIGN.md "Time
-# advancement" has the measurements that removed the last two).
-bad=$(grep -rn --include='*.go' -E '\.(Wake|Arm)\(|par\.NewWheel\(' internal/ cmd/ *.go |
-	grep -v -e '_test\.go' -e '^internal/par/' -e '^internal/soc/' || true)
-if [ -n "$bad" ]; then
-	echo "FAIL: event-wheel call site outside internal/soc:" >&2
-	echo "$bad" >&2
-	exit 1
-fi
-echo "ok"
-
-echo "== warp-wake inventory (one ready set, written by its helpers only) =="
-# The same bug class one level down: a warp outside simt.Core's awake
-# set is invisible to the schedulers and to NextWake, so every write to
-# that set is a place a wake can go missing. The set is written by five
-# helpers in core.go (wake, sleep, sleepOnLSU, wakeLSU, and forget
-# through readySets) and sliced up in NewCore; the guard's
-# checkReadySet reads its words;
-# everything else only asks has() or any(). The
-# scheduling state lives there and nowhere else: Warp carries no parked
-# or lastIssued field for a second scheduler to grow back on.
-bad=$(awk '
-	FNR == 1 { fn = "" }
-	/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
-	/[a-z]+\.awake/ {
-		line = $0
-		gsub(/[a-z]+\.awake\.(has\(|any\(\))/, "", line)
-		if (line ~ /[a-z]+\.awake/ && fn !~ /^(NewCore|wake|sleep|sleepOnLSU|wakeLSU|readySets|checkReadySet)$/)
-			print FILENAME ":" FNR ": " fn ": " $0
-	}
-	/readySets\(\)/ && fn !~ /^(readySets|forget|checkReadySet)$/ { print FILENAME ":" FNR ": " fn ": " $0 }
-	' $(ls internal/simt/*.go | grep -v '_test\.go'))
-if [ -n "$bad" ]; then
-	echo "FAIL: the awake set is written outside its helpers:" >&2
-	echo "$bad" >&2
-	exit 1
-fi
-bad=$(awk '/^type Warp struct/,/^}/' internal/simt/warp.go | grep -n -E '^[[:space:]]+(parked|lastIssued)[[:space:],]' || true)
-if [ -n "$bad" ]; then
-	echo "FAIL: simt.Warp carries scheduling state again:" >&2
-	echo "$bad" >&2
-	exit 1
-fi
-echo "ok"
-
-echo "== request-allocation inventory + hot-struct lint =="
-# A mem.Request is allocated in exactly one place, mem.Pool.New, and
-# goes back to the pool of the component that took it (DESIGN.md
-# "Memory request path"). A literal or a new() anywhere else in product
-# code is a per-request allocation on the path between the LSU and DRAM
-# growing back unreviewed. bench/ and tests build their own requests;
-# pools never adopt those.
-bad=$(grep -rn --include='*.go' -E '&mem\.Request\{|new\(mem\.Request\)' internal/ cmd/ examples/ *.go | grep -v '_test\.go' || true)
-sites=$(grep -n -E '&Request\{|new\(Request\)' internal/mem/*.go | grep -v '_test\.go' || true)
-if [ -n "$bad" ] || [ "$(echo "$sites" | grep -c .)" != 1 ] || ! echo "$sites" | grep -q 'queue\.go.*new(Request)'; then
-	echo "FAIL: mem.Request allocated outside mem.Pool.New:" >&2
-	echo "$bad" >&2
-	echo "$sites" >&2
-	exit 1
-fi
-# The per-cycle structures of the memory path are index-addressed: no
-# struct in these packages (or the TC unit) holds a Go map.
-bad=$(grep -n -E '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+(\*|\[\])*map\[' \
-	internal/cache/*.go internal/interconnect/*.go internal/dram/*.go internal/mem/*.go internal/gfx/tc.go |
-	grep -v '_test\.go' || true)
-if [ -n "$bad" ]; then
-	echo "FAIL: map-typed field on the memory request path:" >&2
-	echo "$bad" >&2
-	exit 1
-fi
-echo "ok"
-
 echo "== allocation gates and hot-path references (uncached) =="
 # The zero-allocation tick, the warm-launch object budget, the blocked
 # access that builds nothing, the pool's own contract, and the
@@ -113,8 +35,10 @@ echo "== allocation gates and hot-path references (uncached) =="
 # with the guard re-offering what they park), PopReady's latch against
 # the linear scan, Refused against a blocked Access, and the lane loops
 # against single-lane ExecALU: -count=1 so the test cache cannot answer
-# for them. The backpressure contract's static rules are a tier-1 test
-# (TestBackpressureContract, root package).
+# for them. The static rules (the backpressure contract, the wake-hook
+# and warp-wake inventories, request allocation and the map-field lint)
+# are tier-1 go/ast tests in the root package: TestBackpressureContract
+# and inventory_test.go.
 go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate|TestReadySetAgainstFullScanReference' ./internal/simt
 go test -count=1 -timeout 5m -run 'TestParkingAgainstRetryEveryCycleReference' ./internal/interconnect
 EMERALD_GUARD=1 go test -count=1 -timeout 5m -run 'TestReadySetAgainstFullScanReference|TestParkingAgainstRetryEveryCycleReference' ./internal/simt ./internal/interconnect
