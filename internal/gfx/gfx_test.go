@@ -310,3 +310,50 @@ func TestSurfaceIntegrationWithRaster(t *testing.T) {
 		t.Fatal("exterior pixel painted")
 	}
 }
+
+// A released tile is poisoned and empty, a second release panics, and
+// the next flush hands the tile out again with the staged fragments
+// swapped in (the engine keeps the tile's emptied buffer).
+func TestTCReleasePoisonsAndRecycles(t *testing.T) {
+	u := NewTCUnit(DefaultTCConfig(), nil)
+	u.Stage(mkRasterTile(1, 0, 0, 0x0003, 0.5), 0)
+	u.FlushAll()
+	tile := u.PopReady()
+	if tile == nil || len(tile.Frags) != 2 {
+		t.Fatalf("first tile: %+v", tile)
+	}
+	frags := tile.Frags[:cap(tile.Frags)]
+	u.Complete(tile.TX, tile.TY)
+	u.Release(tile)
+	if !tile.released || tile.TX != releasedTile || tile.TY != releasedTile ||
+		len(tile.Frags) != 0 || tile.Prims != 0 || tile.FullCover || tile.MaxZ != 0 {
+		t.Fatalf("released tile not poisoned: %+v", tile)
+	}
+	for i, f := range frags {
+		if f != (raster.Fragment{}) {
+			t.Fatalf("released tile still holds fragment %d: %+v", i, f)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a second Release did not panic")
+			}
+		}()
+		u.Release(tile)
+	}()
+
+	u.Stage(mkRasterTile(2, 8, 8, 0x0001, 0.25), 1)
+	u.FlushAll()
+	again := u.PopReady()
+	if again != tile {
+		t.Fatal("the flush after a release built a new tile instead of recycling it")
+	}
+	if again.released || again.TX != 1 || again.TY != 1 || len(again.Frags) != 1 ||
+		again.Frags[0].Tri.ID != 2 || again.MaxZ != 0.25 {
+		t.Fatalf("recycled tile: %+v", again)
+	}
+	if e := u.engines[0]; len(e.frags) != 0 || cap(e.frags) != cap(frags) {
+		t.Fatalf("engine buffer after the swap: len %d cap %d, want 0 and the released tile's %d", len(e.frags), cap(e.frags), cap(frags))
+	}
+}

@@ -24,7 +24,8 @@ func DefaultTCConfig() TCConfig {
 
 // TCTileOut is a coalesced TC tile handed to a SIMT core for fragment
 // shading: up to 8x8 pixels gathered from one or more primitives'
-// raster tiles, all within one screen-space TC tile.
+// raster tiles, all within one screen-space TC tile. The unit owns it:
+// the consumer hands it back with Release.
 type TCTileOut struct {
 	TX, TY int // TC tile coordinates
 	Frags  []raster.Fragment
@@ -34,7 +35,14 @@ type TCTileOut struct {
 	FullCover bool
 	// MaxZ is the maximum fragment depth (for the Hi-Z update).
 	MaxZ float32
+
+	released bool
 }
+
+// releasedTile is the position scribbled over a released tile, so a
+// stale reader shows up in a digest or an index panic instead of
+// reading a plausible tile.
+const releasedTile = -1 << 24
 
 // fullTCMask covers all 64 pixels of an 8x8 TC tile.
 const fullTCMask = ^uint64(0)
@@ -58,6 +66,9 @@ type TCUnit struct {
 	engines []*tcEngine
 
 	ready []*TCTileOut
+	// free holds released tiles, fragment buffers emptied but kept, for
+	// flush to hand out again.
+	free []*TCTileOut
 	// inflight lists the TC-tile positions being shaded: a handful (one
 	// per tile task the cluster's cores have not retired), searched
 	// linearly.
@@ -149,7 +160,7 @@ func (u *TCUnit) Stage(rt *raster.RasterTile, cycle uint64) {
 		eng.active = true
 		eng.tx, eng.ty = tx, ty
 		eng.covered = 0
-		eng.frags = nil
+		eng.frags = eng.frags[:0]
 		eng.prims = eng.prims[:0]
 		eng.bins = 0
 	}
@@ -182,7 +193,16 @@ func (u *TCUnit) flush(e *tcEngine, reason *stats.Counter) {
 		return
 	}
 	reason.Inc()
-	out := &TCTileOut{
+	var out *TCTileOut
+	if n := len(u.free); n > 0 {
+		out, u.free = u.free[n-1], u.free[:n-1]
+	} else {
+		out = &TCTileOut{}
+	}
+	// Swap buffers: the staged fragments leave with the tile, and the
+	// engine stages into the recycled tile's emptied buffer.
+	spare := out.Frags
+	*out = TCTileOut{
 		TX: e.tx, TY: e.ty,
 		Frags:     e.frags,
 		Prims:     len(e.prims),
@@ -197,7 +217,20 @@ func (u *TCUnit) flush(e *tcEngine, reason *stats.Counter) {
 	u.dry = false
 	u.tilesOut.Inc()
 	e.active = false
-	e.frags = nil
+	e.frags = spare[:0]
+}
+
+// Release hands back a tile PopReady returned, once its fragments are
+// shaded and its position Completed. Like mem.Pool.Put, it always
+// poisons: the fragments are zeroed (a stale one points at no
+// triangle), the position is scribbled, and a second release panics.
+func (u *TCUnit) Release(t *TCTileOut) {
+	if t.released {
+		panic("gfx: TC tile released twice")
+	}
+	clear(t.Frags)
+	*t = TCTileOut{TX: releasedTile, TY: releasedTile, Frags: t.Frags[:0], released: true}
+	u.free = append(u.free, t)
 }
 
 // FlushAll force-flushes every engine (end of draw).

@@ -4,6 +4,10 @@ import (
 	"runtime"
 	"testing"
 
+	"emerald/internal/geom"
+	"emerald/internal/gfx"
+	"emerald/internal/mathx"
+	"emerald/internal/raster"
 	"emerald/internal/shader"
 )
 
@@ -59,6 +63,103 @@ func TestWarmKernelLaunchAllocatesOnlyBookkeeping(t *testing.T) {
 	}
 	if best > saxpyLaunchBudget {
 		t.Fatalf("a warm SAXPY launch allocated %d objects, budget %d", best, saxpyLaunchBudget)
+	}
+}
+
+// sceneRig builds the Table 7 standalone system with a Case Study II
+// workload's mesh, texture and light in memory, and returns its frame:
+// the draw gl.LoadScene and DrawMesh would issue at bench's gpu_frag
+// size, i.e. the GPU's share of a gpu_frag frame without the GL layer.
+func sceneRig(tb testing.TB, workload int) (frame func(i int)) {
+	tb.Helper()
+	scene, err := geom.DFSLWorkload(workload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const vb, uni, tex, color, depth = 0x1000_0000, 0x2000_0000, 0x2100_0000, 0x3000_0000, 0x3100_0000
+	const w, h = 160, 120
+	s := DefaultStandalone(nil)
+	m := s.Mem()
+	for i, f := range scene.Mesh.InterleavedVertexData() {
+		m.WriteF32(vb+uint64(i*4), f)
+	}
+	m.Write(tex, scene.Texture.Pixels)
+	light := mathx.V3(0.4, 0.5, 0.8).Normalize()
+	for i, f := range []float32{light.X, light.Y, light.Z} {
+		m.WriteF32(uni+64+uint64(i*4), f)
+	}
+	fs := shader.FSTexturedEarlyZ
+	if scene.Translucent {
+		fs = shader.FSTexturedBlend
+		m.WriteF32(uni+80, 0.6)
+	}
+	call := &DrawCall{
+		VS: shader.VSTransform, FS: fs,
+		VertexBase: vb, VertexStride: geom.VertexStrideBytes,
+		AttrOffsets: [][2]uint32{{0, 3}, {12, 3}, {24, 2}},
+		Indices:     scene.Mesh.Indices,
+		Mode:        raster.Triangles,
+		UniformBase: uni,
+		Textures:    []TextureBinding{{Base: tex, Width: scene.Texture.Width, Height: scene.Texture.Height}},
+		Color:       gfx.Surface{Base: color, Width: w, Height: h},
+		Depth:       gfx.Surface{Base: depth, Width: w, Height: h},
+		DepthTest:   true,
+		DepthWrite:  !scene.Translucent,
+		Blend:       scene.Translucent,
+		CullBack:    true,
+		Viewport:    raster.Viewport{Width: w, Height: h},
+	}
+	return func(i int) {
+		call.Color.ClearColor(m, 0xFF101020)
+		call.Depth.ClearDepth(m, 1)
+		s.GPU.ClearHiZ()
+		for k, f := range scene.MVP(i, float32(w)/h) {
+			m.WriteF32(uni+uint64(k*4), f)
+		}
+		if _, err := s.RenderDraw(call, 50_000_000); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// warmFrameBudget is what one warm frame may allocate: the drawState and
+// the two row buffers of the surface clears, plus slack for the run
+// loop. Every batch, vertex environment, setup triangle, VPO delivery,
+// raster tile, TC tile, tile task and fragment warp of the frame is
+// reused from the frames before it.
+const warmFrameBudget = 3 + 16
+
+// TestWarmFrameAllocatesOnlyBookkeeping is the allocation gate of the
+// draw path, as TestWarmKernelLaunchAllocatesOnlyBookkeeping is of the
+// memory request path: after ten warm-up frames, a W3 and a W1 frame
+// stay inside a fixed object budget. Best of five under GOMAXPROCS(1).
+// The orbiting camera keeps raising the free lists' high-water marks
+// for the first few frames; after three a frame still allocates ~12
+// objects, after twenty exactly the bookkeeping.
+func TestWarmFrameAllocatesOnlyBookkeeping(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, w := range []int{geom.W3Cube, geom.W1Sibenik} {
+		frame := sceneRig(t, w)
+		n := 0
+		measure := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			frame(n)
+			runtime.ReadMemStats(&after)
+			n++
+			return after.Mallocs - before.Mallocs
+		}
+		for i := 0; i < 10; i++ {
+			measure()
+		}
+		best := measure()
+		for i := 0; i < 4; i++ {
+			best = min(best, measure())
+		}
+		t.Logf("W%d: a warm frame allocates %d objects", w, best)
+		if best > warmFrameBudget {
+			t.Errorf("a warm W%d frame allocated %d objects, budget %d", w, best, warmFrameBudget)
+		}
 	}
 }
 

@@ -79,9 +79,10 @@ func (c *DrawCall) Validate() error {
 // warps).
 type vertexBatch struct {
 	positions []int // index-stream positions, one per lane
-	tris      []int // triangle ids (into drawState.tris) assembled here
+	tris      []int // topology triangle numbers (PrimMode.Tri) assembled here
 	results   [simt.WarpSize]raster.Vertex
 	completed bool
+	env       vsEnv // the timed vertex warp's environment
 }
 
 // batchStep is the number of fresh index positions per vertex warp; the
@@ -90,27 +91,30 @@ const batchStep = 30
 
 // buildBatches splits the draw's index stream into vertex warps and
 // assigns every assembled triangle to the single warp containing all
-// three of its vertices.
-func buildBatches(call *DrawCall) []*vertexBatch {
+// three of its vertices. It reuses the batches (and their slices) of
+// reuse, a previous draw's result that nothing references any more; a
+// reused batch starts zeroed, results included, so a vertex shader that
+// writes fewer varyings than the last one reads no stale value.
+func buildBatches(call *DrawCall, reuse []*vertexBatch) []*vertexBatch {
 	n := len(call.Indices)
-	var batches []*vertexBatch
-	addBatch := func(positions []int) *vertexBatch {
-		b := &vertexBatch{positions: positions}
+	batches := reuse[:0]
+	addBatch := func(from, to int) {
+		var b *vertexBatch
+		if k := len(batches); k < cap(batches) && batches[:k+1][k] != nil {
+			b = batches[:k+1][k]
+			*b = vertexBatch{positions: b.positions[:0], tris: b.tris[:0]}
+		} else {
+			b = &vertexBatch{}
+		}
+		for p := from; p < to; p++ {
+			b.positions = append(b.positions, p)
+		}
 		batches = append(batches, b)
-		return b
 	}
 	switch call.Mode {
 	case raster.Triangles:
 		for s := 0; s < n; s += batchStep {
-			end := s + batchStep
-			if end > n {
-				end = n
-			}
-			pos := make([]int, 0, end-s)
-			for p := s; p < end; p++ {
-				pos = append(pos, p)
-			}
-			addBatch(pos)
+			addBatch(s, min(s+batchStep, n))
 		}
 		for k := 0; k*3+2 < n; k++ {
 			b := (k * 3) / batchStep
@@ -118,15 +122,7 @@ func buildBatches(call *DrawCall) []*vertexBatch {
 		}
 	case raster.TriangleStrip:
 		for s := 0; s < n-2; s += batchStep {
-			end := s + batchStep + 2 // 2-vertex overlap
-			if end > n {
-				end = n
-			}
-			pos := make([]int, 0, end-s)
-			for p := s; p < end; p++ {
-				pos = append(pos, p)
-			}
-			addBatch(pos)
+			addBatch(s, min(s+batchStep+2, n)) // 2-vertex overlap
 		}
 		for k := 0; k+2 < n; k++ {
 			b := k / batchStep
@@ -134,16 +130,11 @@ func buildBatches(call *DrawCall) []*vertexBatch {
 		}
 	case raster.TriangleFan:
 		for s := 1; s < n-1; s += batchStep {
-			end := s + batchStep + 1 // +1 so triangle (0, s+29, s+30) fits
-			if end > n {
-				end = n
-			}
-			pos := make([]int, 0, end-s+1)
-			pos = append(pos, 0) // hub vertex replicated per warp
-			for p := s; p < end; p++ {
-				pos = append(pos, p)
-			}
-			addBatch(pos)
+			// Lanes hold the hub vertex (replicated per warp), then
+			// s..s+30, so triangle (0, s+29, s+30) fits: build s-1..s+30
+			// and put the hub in lane 0.
+			addBatch(s-1, min(s+batchStep+1, n))
+			batches[len(batches)-1].positions[0] = 0
 		}
 		for k := 0; k+2 < n; k++ {
 			b := k / batchStep
@@ -201,14 +192,16 @@ func fsWarp(frags []raster.Fragment) (mask uint32, specials [simt.WarpSize]shade
 }
 
 // assemble runs batch b's triangles through topology, clip/cull and
-// setup in draw order, numbers the survivors from *seq, and hands each
-// to emit with the batch lanes of its three vertices. It returns how
-// many triangles it assembled and how many of those clipping, backface
-// culling or a degenerate setup removed.
-func assemble(call *DrawCall, b *vertexBatch, seq *uint32, emit func(tri *raster.SetupTri, lanes [3]int)) (assembled, culled int) {
+// setup in draw order, sets each survivor up in a slot of tris,
+// numbers it from *seq, and hands it to emit with the batch lanes of
+// its three vertices. It returns how many triangles it assembled and
+// how many of those clipping, backface culling or a degenerate setup
+// removed.
+func assemble(call *DrawCall, b *vertexBatch, seq *uint32, tris *triSlab, emit func(tri *raster.SetupTri, lanes [3]int)) (assembled, culled int) {
+	var prim raster.Primitive
+	var clipped [2]raster.Primitive
 	for _, k := range b.tris {
 		pos := call.Mode.Tri(k)
-		var prim raster.Primitive
 		var lanes [3]int
 		ok := true
 		for i := range pos {
@@ -222,17 +215,18 @@ func assemble(call *DrawCall, b *vertexBatch, seq *uint32, emit func(tri *raster
 			continue
 		}
 		assembled++
-		tris, _ := raster.ClipCull(prim, call.CullBack)
-		if len(tris) == 0 {
+		n, _ := raster.ClipCullInto(prim, call.CullBack, &clipped)
+		if n == 0 {
 			culled++
 			continue
 		}
-		for _, t := range tris {
-			tri, sok := raster.Setup(t, call.Viewport)
-			if !sok {
+		for _, t := range clipped[:n] {
+			tri := tris.next()
+			if !raster.SetupInto(t, call.Viewport, tri) {
 				culled++
 				continue
 			}
+			tris.keep()
 			tri.ID = *seq
 			*seq++
 			emit(tri, lanes)
@@ -241,16 +235,17 @@ func assemble(call *DrawCall, b *vertexBatch, seq *uint32, emit func(tri *raster
 	return assembled, culled
 }
 
-// rasterTiles walks tri's raster tiles TC-tile-blocked: coarse raster
-// over 8x8 TC tiles, then the 2x2 raster tiles within each that the
-// viewport and tri's bounding box reach. The TC engines then see a TC
-// tile's raster tiles back to back and can coalesce them fully instead
-// of thrashing between screen positions. keep, when non-nil, restricts
-// the walk to the TC tiles it accepts (a cluster's share of the screen);
-// the visits it lets through keep their order in the unfiltered walk.
-func rasterTiles(tri *raster.SetupTri, vp raster.Viewport, keep func(cx, cy int) bool, visit func(tx, ty int)) {
+// rasterTiles appends tri's raster tiles to tiles, walking them
+// TC-tile-blocked: coarse raster over 8x8 TC tiles, then the 2x2 raster
+// tiles within each that the viewport and tri's bounding box reach. The
+// TC engines then see a TC tile's raster tiles back to back and can
+// coalesce them fully instead of thrashing between screen positions. A
+// non-nil sm restricts the walk to the TC tiles it assigns to cluster
+// (that cluster's share of the screen); the tiles it lets through keep
+// their order in the unfiltered walk.
+func rasterTiles(tri *raster.SetupTri, vp raster.Viewport, sm *gfx.ScreenMap, cluster int, tiles [][2]int) [][2]int {
 	raster.CoarseRaster(tri, gfx.TCTilePx, func(cx, cy int) {
-		if keep != nil && !keep(cx, cy) {
+		if sm != nil && sm.ClusterOf(cx, cy) != cluster {
 			return
 		}
 		for dy := 0; dy < gfx.TCTilePx; dy += raster.RasterTileSize {
@@ -260,10 +255,11 @@ func rasterTiles(tri *raster.SetupTri, vp raster.Viewport, keep func(cx, cy int)
 					ty+raster.RasterTileSize <= tri.Y0 || tx >= tri.X1 || ty >= tri.Y1 {
 					continue
 				}
-				visit(tx, ty)
+				tiles = append(tiles, [2]int{tx, ty})
 			}
 		}
 	})
+	return tiles
 }
 
 // memReader is the read path a vertex or texture fetch needs —

@@ -63,24 +63,20 @@ func TestRasterTilesClusterWalksPartitionTheWalk(t *testing.T) {
 		if !ok {
 			continue
 		}
-		var all [][2]int
-		rasterTiles(tri, vp, nil, func(tx, ty int) { all = append(all, [2]int{tx, ty}) })
+		all := rasterTiles(tri, vp, nil, 0, nil)
 		sm := gfx.NewScreenMap(6, 1, 1+rng.Intn(8))
 		seen := map[[2]int]int{}
 		for cl := 0; cl < 6; cl++ {
 			next := 0 // position in all of the previous visit
-			rasterTiles(tri, vp,
-				func(cx, cy int) bool { return sm.ClusterOf(cx, cy) == cl },
-				func(tx, ty int) {
-					pos := [2]int{tx, ty}
-					for next < len(all) && all[next] != pos {
-						next++
-					}
-					if next == len(all) {
-						t.Fatalf("iter %d cluster %d: tile %v out of walk order", iter, cl, pos)
-					}
-					seen[pos]++
-				})
+			for _, pos := range rasterTiles(tri, vp, &sm, cl, nil) {
+				for next < len(all) && all[next] != pos {
+					next++
+				}
+				if next == len(all) {
+					t.Fatalf("iter %d cluster %d: tile %v out of walk order", iter, cl, pos)
+				}
+				seen[pos]++
+			}
 		}
 		if len(seen) != len(all) {
 			t.Fatalf("iter %d: clusters visit %d distinct tiles, the walk %d", iter, len(seen), len(all))
@@ -243,4 +239,83 @@ func TestFunctionalMatchesTimedRandomDraws(t *testing.T) {
 	}
 	t.Logf("%d draws: %d triangles assembled, %d culled, %d fragments, %d tiles culled by Hi-Z",
 		draws, total.Prims, total.Culled, total.Frags, s.GPU.Reg.Value("hiz_culled_tiles"))
+}
+
+// Shaders for TestReusedBatchesLeakNothingBetweenDraws: a vertex shader
+// that writes the clip position and no varying, and a fragment shader
+// that shows varying 1 as its colour.
+var (
+	vsPositionOnly = shader.MustAssemble("vs_position_only", shader.KindVertex, `
+	attr4 r0, 0
+	out4  0, r0
+	exit
+`)
+	fsShowVarying1 = shader.MustAssemble("fs_show_varying1", shader.KindFragment, `
+	attr4 r0, 1
+	pack4 r16, r0
+	fbst  r16
+	exit
+`)
+)
+
+// A draw reuses the vertex batches of the draw before it on the same
+// GPU, so a batch must start zeroed. The first draw's vertex shader
+// writes two varyings, the second's none, and the second's fragment
+// shader reads varying 1: the timed surfaces must still match
+// ExecuteDrawFunc, which builds its batches fresh.
+func TestReusedBatchesLeakNothingBetweenDraws(t *testing.T) {
+	s := DefaultStandalone(nil)
+	ref := mem.NewMemory()
+	const vp = 32
+	idx := []uint32{0, 1, 2, 0, 2, 3}
+	for _, m := range []*mem.Memory{s.Mem(), ref} {
+		gfx.Surface{Base: tColor, Width: vp, Height: vp}.ClearColor(m, 0xFF000000)
+		gfx.Surface{Base: tDepth, Width: vp, Height: vp}.ClearDepth(m, 1)
+		for i, f := range mathx.Identity() {
+			m.WriteF32(tUniform+uint64(i*4), f)
+		}
+		for i, v := range [][8]float32{
+			{-1, -1, 0, 0.9, 0.5, 0.25, 0, 0}, // x, y, z, normal, uv
+			{1, -1, 0, 0.5, 0.25, 0.9, 1, 0},
+			{1, 1, 0, 0.25, 0.9, 0.5, 1, 1},
+			{-1, 1, 0, 0.9, 0.9, 0.9, 0, 1},
+		} {
+			for j, f := range v {
+				m.WriteF32(tVB+uint64(i*32+j*4), f)
+			}
+		}
+	}
+	call := func(vs, fs *shader.Program) *DrawCall {
+		return &DrawCall{
+			VS: vs, FS: fs,
+			VertexBase: tVB, VertexStride: 32,
+			AttrOffsets: [][2]uint32{{0, 3}, {12, 3}, {24, 2}},
+			Indices:     idx,
+			UniformBase: tUniform,
+			Color:       gfx.Surface{Base: tColor, Width: vp, Height: vp},
+			Depth:       gfx.Surface{Base: tDepth, Width: vp, Height: vp},
+			Viewport:    raster.Viewport{Width: vp, Height: vp},
+		}
+	}
+	var first *vertexBatch
+	for n, c := range []*DrawCall{call(shader.VSTransform, fsShowVarying1), call(vsPositionOnly, fsShowVarying1)} {
+		if _, err := s.RenderDraw(c, 5_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := ExecuteDrawFunc(ref, c, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			first = s.GPU.batches[0]
+		} else if s.GPU.batches[0] != first {
+			t.Fatal("the second draw built a new batch: the test exercised no reuse")
+		}
+		got, want := make([]byte, c.Color.SizeBytes()), make([]byte, c.Color.SizeBytes())
+		s.Mem().Read(tColor, got)
+		ref.Read(tColor, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("draw %d: timed colour surface differs from ExecuteDrawFunc (pixel 0: %#x, want %#x)",
+				n, c.Color.ReadPixel(s.Mem(), 0, 0), c.Color.ReadPixel(ref, 0, 0))
+		}
+	}
 }

@@ -49,11 +49,11 @@ func ExecuteDrawFunc(m *mem.Memory, call *DrawCall, st *FuncStats) error {
 		st = &FuncStats{}
 	}
 	st.Draws++
-	batches := buildBatches(call)
+	batches := buildBatches(call, nil)
 
-	// One warp runner, one page-caching memory view and one fragment
-	// scratch buffer serve the whole draw — the per-warp and
-	// per-primitive hot paths allocate nothing.
+	// One warp runner, one page-caching memory view, one setup triangle
+	// and one fragment scratch buffer serve the whole draw — the
+	// per-warp and per-primitive hot paths allocate nothing.
 	fd := &funcDraw{m: m, mv: mem.NewView(m)}
 
 	for _, b := range batches {
@@ -66,9 +66,10 @@ func ExecuteDrawFunc(m *mem.Memory, call *DrawCall, st *FuncStats) error {
 
 	var seq uint32
 	for _, b := range batches {
-		assembled, culled := assemble(call, b, &seq, func(tri *raster.SetupTri, _ [3]int) {
+		assembled, culled := assemble(call, b, &seq, &fd.tris, func(tri *raster.SetupTri, _ [3]int) {
 			st.SetupTris++
 			fd.shadePrim(call, tri, st)
+			fd.tris.reset() // shaded: nothing points at tri any more
 		})
 		st.Prims += uint64(assembled)
 		st.Culled += uint64(culled)
@@ -78,12 +79,14 @@ func ExecuteDrawFunc(m *mem.Memory, call *DrawCall, st *FuncStats) error {
 
 // funcDraw carries the per-draw execution state the functional path
 // reuses across warps and primitives: the warp runner (warp + SIMT
-// stack + memory view), the shared texture/vertex-fetch view, and the
-// fragment scratch buffer.
+// stack + memory view), the shared texture/vertex-fetch view, the setup
+// triangle, and the raster-tile and fragment scratch buffers.
 type funcDraw struct {
 	m      *mem.Memory
 	mv     *mem.View
 	runner simt.FuncRunner
+	tris   triSlab           // one triangle, reset once it is shaded
+	tiles  [][2]int          // scratch, reused across primitives
 	frags  []raster.Fragment // scratch, reused across primitives
 	fsEnv  funcFSEnv         // reused across fragment warps
 }
@@ -91,14 +94,15 @@ type funcDraw struct {
 // shadePrim rasterizes one setup triangle over the whole screen and
 // shades its fragments, one warp per 32 in walk order.
 func (fd *funcDraw) shadePrim(call *DrawCall, tri *raster.SetupTri, st *FuncStats) {
+	fd.tiles = rasterTiles(tri, call.Viewport, nil, 0, fd.tiles[:0])
 	frags := fd.frags[:0]
-	rasterTiles(tri, call.Viewport, nil, func(tx, ty int) {
+	for _, pos := range fd.tiles {
 		before := len(frags)
-		frags = raster.FineRasterInto(tri, tx, ty, call.Viewport, frags)
+		frags = raster.FineRasterInto(tri, pos[0], pos[1], call.Viewport, frags)
 		if len(frags) > before {
 			st.Tiles++
 		}
-	})
+	}
 	env := &fd.fsEnv
 	*env = funcFSEnv{fragmentIO: fragmentIO{m: fd.m, rd: fd.mv, call: call}, st: st}
 	for lo := 0; lo < len(frags); lo += simt.WarpSize {

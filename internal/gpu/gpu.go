@@ -34,8 +34,14 @@ type cluster struct {
 
 	pendingFS mem.Ring[*fsLaunch]
 
-	// freeEnvs holds the kernelEnvs of this cluster's finished blocks.
-	freeEnvs []*kernelEnv
+	// freeEnvs holds the kernelEnvs of this cluster's finished blocks;
+	// freeTasks and freeLaunches the tile tasks and fragment warps of its
+	// shaded TC tiles. All three are returned on the cluster's own shard,
+	// and the tasks and launches are taken there too (DESIGN.md "Draw
+	// path storage").
+	freeEnvs     []*kernelEnv
+	freeTasks    []*tileTask
+	freeLaunches []*fsLaunch
 }
 
 // clusterPrim is one primitive delivered to a cluster by the VPO.
@@ -44,6 +50,43 @@ type clusterPrim struct {
 	readyAt uint64
 	fetch   [3]uint64 // OVB vertex record addresses (setup L2 fetch)
 }
+
+// triSlab holds a draw's setup triangles. Fragments point at their
+// triangle until their tile retires, so a slot is reused only after
+// reset, when the next draw starts. next hands out the first free slot
+// and keep claims it, so a triangle setup rejects costs nothing.
+type triSlab struct {
+	tris []*raster.SetupTri
+	used int
+}
+
+func (s *triSlab) next() *raster.SetupTri {
+	if s.used == len(s.tris) {
+		s.tris = append(s.tris, new(raster.SetupTri))
+	}
+	return s.tris[s.used]
+}
+
+func (s *triSlab) keep()  { s.used++ }
+func (s *triSlab) reset() { s.used = 0 }
+
+// primSlab holds a draw's VPO deliveries, under triSlab's rule.
+type primSlab struct {
+	prims []*clusterPrim
+	used  int
+}
+
+func (s *primSlab) take(p clusterPrim) *clusterPrim {
+	if s.used == len(s.prims) {
+		s.prims = append(s.prims, new(clusterPrim))
+	}
+	cp := s.prims[s.used]
+	s.used++
+	*cp = p
+	return cp
+}
+
+func (s *primSlab) reset() { s.used = 0 }
 
 type setupState struct {
 	prim      *clusterPrim
@@ -58,10 +101,15 @@ type rasterState struct {
 	tiles     [][2]int // owned raster-tile origins
 	next      int
 	startedAt uint64 // cycle rasterization of tri began (trace span)
+	// scratch receives each fine-rastered tile; TCUnit.Stage copies the
+	// fragments out, so one tile serves the whole walk.
+	scratch raster.RasterTile
 }
 
+// fsLaunch is one fragment warp: its environment and launch arguments.
+// It stays with the warp until fsEnv.Retired returns it to the cluster.
 type fsLaunch struct {
-	env      *fsEnv
+	env      fsEnv
 	mask     uint32
 	specials [simt.WarpSize]shader.Special
 	core     int
@@ -85,6 +133,12 @@ type GPU struct {
 	draw      *drawState
 	drawQueue mem.Ring[drawEntry]
 	kernels   mem.Ring[*kernelState]
+
+	// Per-draw storage of the serial front end, reused from draw to draw:
+	// the vertex batches, the setup triangles and the VPO deliveries.
+	batches []*vertexBatch
+	tris    triSlab
+	prims   primSlab
 
 	blockSeq int
 	cycle    uint64

@@ -366,7 +366,7 @@ func TestDrawValidation(t *testing.T) {
 
 func TestBatchConstruction(t *testing.T) {
 	call := &DrawCall{Mode: raster.Triangles, Indices: make([]uint32, 93)}
-	batches := buildBatches(call)
+	batches := buildBatches(call, nil)
 	if len(batches) != 4 { // ceil(93/30)
 		t.Fatalf("batches = %d", len(batches))
 	}
@@ -388,7 +388,7 @@ func TestBatchConstruction(t *testing.T) {
 	}
 
 	strip := &DrawCall{Mode: raster.TriangleStrip, Indices: make([]uint32, 40)}
-	sb := buildBatches(strip)
+	sb := buildBatches(strip, nil)
 	total := 0
 	for _, b := range sb {
 		for _, k := range b.tris {
@@ -405,7 +405,7 @@ func TestBatchConstruction(t *testing.T) {
 	}
 
 	fan := &DrawCall{Mode: raster.TriangleFan, Indices: make([]uint32, 35)}
-	fb := buildBatches(fan)
+	fb := buildBatches(fan, nil)
 	total = 0
 	for _, b := range fb {
 		for _, k := range b.tris {

@@ -20,9 +20,15 @@ func (g *GPU) tickDrawFrontEnd(cycle uint64) {
 			return
 		}
 		e := g.drawQueue.Pop()
+		// The previous draw has drained (drawComplete: no task
+		// outstanding, every TC unit empty), so no fragment or cluster
+		// still points into its batches or slabs.
+		g.batches = buildBatches(e.call, g.batches)
+		g.tris.reset()
+		g.prims.reset()
 		g.draw = &drawState{
 			call:       e.call,
-			batches:    buildBatches(e.call),
+			batches:    g.batches,
 			startCycle: cycle,
 			onDone:     e.onDone,
 		}
@@ -87,9 +93,9 @@ func (g *GPU) ensureHiZ(vp raster.Viewport) {
 // launchVSBatch places one vertex warp on a core.
 func (g *GPU) launchVSBatch(core *simt.Core, d *drawState, batchIdx int) {
 	b := d.batches[batchIdx]
-	env := &vsEnv{vertexIO: vertexIO{m: g.Mem, rd: g.Mem, call: d.call, b: b}, g: g, d: d, batchIdx: batchIdx}
+	b.env = vsEnv{vertexIO: vertexIO{m: g.Mem, rd: g.Mem, call: d.call, b: b}, g: g, d: d, batchIdx: batchIdx}
 	mask, specials := vsWarp(d.call, b)
-	if _, err := core.Launch(d.call.VS, env, -1, mask, specials, nil); err == nil {
+	if _, err := core.Launch(d.call.VS, &b.env, -1, mask, specials, nil); err == nil {
 		d.vsOutstanding.Add(1)
 		g.vsWarpsC.Inc()
 	}
@@ -99,7 +105,7 @@ func (g *GPU) launchVSBatch(core *simt.Core, d *drawState, batchIdx int) {
 // primitives and distributes each to the clusters its bounding box
 // touches (VPO, paper Figure 6).
 func (g *GPU) assembleBatch(d *drawState, batchIdx int, cycle uint64) {
-	assembled, culled := assemble(d.call, d.batches[batchIdx], &d.primSeq, func(tri *raster.SetupTri, lanes [3]int) {
+	assembled, culled := assemble(d.call, d.batches[batchIdx], &d.primSeq, &g.tris, func(tri *raster.SetupTri, lanes [3]int) {
 		maskBits := g.screenMap.ClusterMask(tri.X0, tri.Y0, tri.X1, tri.Y1)
 		var fetch [3]uint64
 		for i, lane := range lanes {
@@ -113,11 +119,11 @@ func (g *GPU) assembleBatch(d *drawState, batchIdx int, cycle uint64) {
 			if ci == 0 { // local commit skips the interconnect
 				lat = 1
 			}
-			g.clusters[ci].pmrb.PushBack(&clusterPrim{
+			g.clusters[ci].pmrb.PushBack(g.prims.take(clusterPrim{
 				tri:     tri,
 				readyAt: cycle + lat,
 				fetch:   fetch,
-			})
+			}))
 		}
 	})
 	g.primsAssembly.Add(int64(assembled))
@@ -162,14 +168,20 @@ func (e *vsEnv) Retired(w *simt.Warp) {
 }
 
 // fsEnv is the timed fragment warp's environment: the shared data path
-// plus the retirement that advances the warp's TC tile task.
+// plus the retirement that advances the warp's TC tile task. It lives
+// inside its fsLaunch, which it hands back to the cluster at
+// retirement, in the cluster's shard.
 type fsEnv struct {
 	fragmentIO
-	task *tileTask
+	task   *tileTask
+	launch *fsLaunch // the launch embedding this env
 }
 
 func (e *fsEnv) Retired(w *simt.Warp) {
-	e.task.warpRetired(len(e.frags))
+	task, frags := e.task, len(e.frags)
+	e.fragmentIO, e.task = fragmentIO{}, nil // a free launch pins no draw
+	task.cl.freeLaunches = append(task.cl.freeLaunches, e.launch)
+	task.warpRetired(frags)
 }
 
 // drawComplete reports whether every pipeline stage has drained.
@@ -259,12 +271,9 @@ func (g *GPU) tickSetup(cl *cluster, d *drawState, cycle uint64) {
 // startRaster precomputes the cluster-owned raster tiles of a primitive.
 func (g *GPU) startRaster(cl *cluster, d *drawState, tri *raster.SetupTri, cycle uint64) {
 	cl.rast.tri = tri
-	cl.rast.tiles = cl.rast.tiles[:0]
+	cl.rast.tiles = rasterTiles(tri, d.call.Viewport, &g.screenMap, cl.id, cl.rast.tiles[:0])
 	cl.rast.next = 0
 	cl.rast.startedAt = cycle
-	rasterTiles(tri, d.call.Viewport,
-		func(cx, cy int) bool { return g.screenMap.ClusterOf(cx, cy) == cl.id },
-		func(tx, ty int) { cl.rast.tiles = append(cl.rast.tiles, [2]int{tx, ty}) })
 }
 
 // tickRaster processes up to RasterThroughput raster tiles of the
@@ -281,8 +290,8 @@ func (g *GPU) tickRaster(cl *cluster, d *drawState, cycle uint64) {
 			return
 		}
 		pos := cl.rast.tiles[cl.rast.next]
-		rt := raster.FineRaster(cl.rast.tri, pos[0], pos[1], d.call.Viewport)
-		if rt == nil {
+		rt := &cl.rast.scratch
+		if !raster.FineRasterTile(cl.rast.tri, pos[0], pos[1], d.call.Viewport, rt) {
 			cl.rast.next++
 			continue
 		}
@@ -312,17 +321,16 @@ type tileTask struct {
 	g         *GPU
 	cl        *cluster
 	d         *drawState
-	tx, ty    int
+	tile      *gfx.TCTileOut
 	remaining int
-	fullCover bool
-	maxZ      float32
-	frags     int
 	started   uint64 // launch cycle, for the fragment-shading span
 }
 
 // warpRetired runs inside the owning cluster's shard (every warp of a
 // tile task launches on one core), so the task fields are shard-local;
-// only the draw-wide gauges cross shards and those are atomic.
+// only the draw-wide gauges cross shards and those are atomic. The last
+// warp's retirement completes the tile and hands the tile back to the
+// TC unit and the task to the cluster.
 func (t *tileTask) warpRetired(frags int) {
 	t.d.fragsShaded.Add(int64(frags))
 	t.g.fragsShadedC.Add(int64(frags))
@@ -330,16 +338,42 @@ func (t *tileTask) warpRetired(frags int) {
 	if t.remaining > 0 {
 		return
 	}
-	t.g.trace.Span1(emtrace.SrcGPU, t.cl.track, "fs_tile", t.started, t.g.cycle,
-		emtrace.Arg{Key: "frags", Val: int64(t.frags)})
-	t.cl.tc.Complete(t.tx, t.ty)
+	tile, cl := t.tile, t.cl
+	t.g.trace.Span1(emtrace.SrcGPU, cl.track, "fs_tile", t.started, t.g.cycle,
+		emtrace.Arg{Key: "frags", Val: int64(len(tile.Frags))})
+	cl.tc.Complete(tile.TX, tile.TY)
 	t.d.tasksOutstanding.Add(-1)
 	// Safe Hi-Z update: full-tile opaque depth-written coverage only.
-	if t.g.Cfg.HiZ && t.cl.hiz != nil && t.fullCover &&
+	if t.g.Cfg.HiZ && cl.hiz != nil && tile.FullCover &&
 		t.d.call.DepthTest && t.d.call.DepthWrite && !t.d.call.Blend {
-		px, py := gfx.TCOrigin(t.tx, t.ty)
-		t.cl.hiz.Update(px, py, t.maxZ, true)
+		px, py := gfx.TCOrigin(tile.TX, tile.TY)
+		cl.hiz.Update(px, py, tile.MaxZ, true)
 	}
+	cl.tc.Release(tile)
+	*t = tileTask{}
+	cl.freeTasks = append(cl.freeTasks, t)
+}
+
+// newTask takes a tile task from the cluster's free list.
+func (cl *cluster) newTask() *tileTask {
+	if n := len(cl.freeTasks); n > 0 {
+		t := cl.freeTasks[n-1]
+		cl.freeTasks = cl.freeTasks[:n-1]
+		return t
+	}
+	return &tileTask{}
+}
+
+// newLaunch takes a fragment-warp launch from the cluster's free list.
+func (cl *cluster) newLaunch() *fsLaunch {
+	if n := len(cl.freeLaunches); n > 0 {
+		e := cl.freeLaunches[n-1]
+		cl.freeLaunches = cl.freeLaunches[:n-1]
+		return e
+	}
+	e := &fsLaunch{}
+	e.env.launch = e
+	return e
 }
 
 // tickFSLaunch pops coalesced TC tiles and launches fragment warps on
@@ -355,24 +389,16 @@ func (g *GPU) tickFSLaunch(cl *cluster, cycle uint64) {
 				core = 0
 			}
 			warps := (len(t.Frags) + simt.WarpSize - 1) / simt.WarpSize
-			task := &tileTask{
-				g: g, cl: cl, d: d, tx: t.TX, ty: t.TY,
-				remaining: warps, fullCover: t.FullCover, maxZ: t.MaxZ,
-				frags: len(t.Frags), started: cycle,
-			}
+			task := cl.newTask()
+			*task = tileTask{g: g, cl: cl, d: d, tile: t, remaining: warps, started: cycle}
 			d.tasksOutstanding.Add(1)
 			d.fragsLaunched.Add(int64(len(t.Frags)))
-			for w := 0; w < warps; w++ {
-				lo := w * simt.WarpSize
-				hi := lo + simt.WarpSize
-				if hi > len(t.Frags) {
-					hi = len(t.Frags)
-				}
-				frags := t.Frags[lo:hi]
-				e := &fsLaunch{core: core, env: &fsEnv{
-					fragmentIO: fragmentIO{m: g.Mem, rd: g.Mem, call: d.call, frags: frags},
-					task:       task,
-				}}
+			for lo := 0; lo < len(t.Frags); lo += simt.WarpSize {
+				frags := t.Frags[lo:min(lo+simt.WarpSize, len(t.Frags))]
+				e := cl.newLaunch()
+				e.env.fragmentIO = fragmentIO{m: g.Mem, rd: g.Mem, call: d.call, frags: frags}
+				e.env.task = task
+				e.core = core
 				e.mask, e.specials = fsWarp(frags)
 				cl.pendingFS.PushBack(e)
 			}
@@ -384,7 +410,7 @@ func (g *GPU) tickFSLaunch(cl *cluster, cycle uint64) {
 		if e.env.call.FS == nil || !core.CanLaunch(e.env.call.FS) {
 			return
 		}
-		if _, err := core.Launch(e.env.call.FS, e.env, -1, e.mask, e.specials, nil); err != nil {
+		if _, err := core.Launch(e.env.call.FS, &e.env, -1, e.mask, e.specials, nil); err != nil {
 			return
 		}
 		g.fsWarpsC.Inc()

@@ -22,6 +22,17 @@ const (
 // to 2 triangles), and backface culling in screen space. cullBackfaces
 // follows the GL state. Returned triangles have w > 0.
 func ClipCull(p Primitive, cullBackfaces bool) ([]Primitive, CullResult) {
+	var out [2]Primitive
+	n, res := ClipCullInto(p, cullBackfaces, &out)
+	if n == 0 {
+		return nil, res
+	}
+	return out[:n], res
+}
+
+// ClipCullInto is ClipCull into caller-owned storage: the surviving
+// triangles (at most two) go to out[:n].
+func ClipCullInto(p Primitive, cullBackfaces bool, out *[2]Primitive) (n int, res CullResult) {
 	// Trivial frustum rejection: all vertices outside one plane.
 	allOut := func(test func(v mathx.Vec4) bool) bool {
 		return test(p.V[0].Clip) && test(p.V[1].Clip) && test(p.V[2].Clip)
@@ -33,68 +44,71 @@ func ClipCull(p Primitive, cullBackfaces bool) ([]Primitive, CullResult) {
 		allOut(func(v mathx.Vec4) bool { return v.Y < -v.W }),
 		allOut(func(v mathx.Vec4) bool { return v.Z > v.W }),
 		allOut(func(v mathx.Vec4) bool { return v.Z < -v.W }):
-		return nil, CulledFrustum
+		return 0, CulledFrustum
 	}
 
 	// Near-plane clip (z >= -w, i.e. w+z >= 0) via Sutherland-Hodgman.
-	tris, clipped := clipNear(p)
-	if len(tris) == 0 {
-		return nil, CulledFrustum
+	tris, clipped := clipNear(p, out)
+	if tris == 0 {
+		return 0, CulledFrustum
 	}
 
-	// Backface cull per resulting triangle (signed area in NDC).
-	var out []Primitive
-	for _, t := range tris {
-		area := signedAreaNDC(t)
+	// Backface cull per resulting triangle (signed area in NDC),
+	// compacting the survivors to the front of out.
+	for i := 0; i < tris; i++ {
+		area := signedAreaNDC(&out[i])
 		if area == 0 {
 			continue
 		}
 		if cullBackfaces && area < 0 {
 			continue
 		}
-		out = append(out, t)
+		out[n] = out[i]
+		n++
 	}
-	if len(out) == 0 {
-		if cullBackfaces {
-			return nil, CulledBackface
-		}
-		return nil, CulledDegenerate
+	switch {
+	case n == 0 && cullBackfaces:
+		return 0, CulledBackface
+	case n == 0:
+		return 0, CulledDegenerate
+	case clipped:
+		return n, Clipped
 	}
-	if clipped {
-		return out, Clipped
-	}
-	return out, Accepted
+	return n, Accepted
 }
 
-// clipNear clips p against the near plane, emitting 1-2 triangles.
-func clipNear(p Primitive) ([]Primitive, bool) {
-	dist := func(v Vertex) float32 { return v.Clip.W + v.Clip.Z }
-	inside := func(v Vertex) bool { return dist(v) > nearEps }
+// clipNear clips p against the near plane into out, emitting 1-2
+// triangles: one plane cuts a triangle into a polygon of at most four
+// vertices.
+func clipNear(p Primitive, out *[2]Primitive) (n int, clipped bool) {
+	dist := func(v *Vertex) float32 { return v.Clip.W + v.Clip.Z }
+	inside := func(v *Vertex) bool { return dist(v) > nearEps }
 
-	allIn := inside(p.V[0]) && inside(p.V[1]) && inside(p.V[2])
+	allIn := inside(&p.V[0]) && inside(&p.V[1]) && inside(&p.V[2])
 	if allIn {
-		return []Primitive{p}, false
+		out[0] = p
+		return 1, false
 	}
 
-	var poly []Vertex
+	var poly [4]Vertex
+	np := 0
 	for i := 0; i < 3; i++ {
-		cur, nxt := p.V[i], p.V[(i+1)%3]
+		cur, nxt := &p.V[i], &p.V[(i+1)%3]
 		if inside(cur) {
-			poly = append(poly, cur)
+			poly[np] = *cur
+			np++
 		}
 		if inside(cur) != inside(nxt) {
 			t := dist(cur) / (dist(cur) - dist(nxt))
-			poly = append(poly, lerpVertex(cur, nxt, t))
+			poly[np] = lerpVertex(*cur, *nxt, t)
+			np++
 		}
 	}
-	if len(poly) < 3 {
-		return nil, true
+	for i := 1; i+1 < np; i++ {
+		out[n] = Primitive{ID: p.ID, V: [3]Vertex{poly[0], poly[i], poly[i+1]}}
+		n++
 	}
-	out := make([]Primitive, 0, len(poly)-2)
-	for i := 1; i+1 < len(poly); i++ {
-		out = append(out, Primitive{ID: p.ID, V: [3]Vertex{poly[0], poly[i], poly[i+1]}})
-	}
-	return out, true
+	return n, true
 }
 
 func lerpVertex(a, b Vertex, t float32) Vertex {
@@ -110,7 +124,7 @@ func lerpVertex(a, b Vertex, t float32) Vertex {
 
 // signedAreaNDC computes twice the signed area of the triangle in NDC
 // (y up; positive = counter-clockwise = front-facing).
-func signedAreaNDC(p Primitive) float32 {
+func signedAreaNDC(p *Primitive) float32 {
 	n := [3]mathx.Vec4{
 		p.V[0].Clip.PerspectiveDivide(),
 		p.V[1].Clip.PerspectiveDivide(),

@@ -41,26 +41,24 @@ func CoarseRaster(t *SetupTri, tileSize int, visit func(tx, ty int)) {
 	}
 }
 
-// FineRaster tests the 16 pixels of the raster tile at (tileX, tileY)
-// against the triangle and returns the covered fragments, or nil if
-// empty (paper Figure 3, I). The viewport clamps pixel coordinates.
-func FineRaster(t *SetupTri, tileX, tileY int, vp Viewport) *RasterTile {
-	frags := FineRasterInto(t, tileX, tileY, vp, nil)
-	if len(frags) == 0 {
-		return nil
-	}
-	rt := &RasterTile{Tri: t, TileX: tileX, TileY: tileY, Frags: frags}
+// FineRasterTile tests the 16 pixels of the raster tile at (tileX,
+// tileY) against the triangle and reports whether any is covered (paper
+// Figure 3, I). It fills the caller's rt, reusing rt.Frags' storage.
+// The viewport clamps pixel coordinates.
+func FineRasterTile(t *SetupTri, tileX, tileY int, vp Viewport, rt *RasterTile) bool {
+	frags := FineRasterInto(t, tileX, tileY, vp, rt.Frags[:0])
+	*rt = RasterTile{Tri: t, TileX: tileX, TileY: tileY, Frags: frags}
 	for _, f := range frags {
 		rt.Coverage |= 1 << ((f.Y-tileY)*RasterTileSize + (f.X - tileX))
 	}
-	return rt
+	return len(frags) > 0
 }
 
 // FineRasterInto appends the covered fragments of the raster tile at
 // (tileX, tileY) to frags and returns the extended slice — the
-// allocation-free core of FineRaster, for callers that batch fragments
-// across tiles themselves (the functional draw executor). Fragment
-// order matches FineRaster exactly.
+// allocation-free core of FineRasterTile, for callers that batch
+// fragments across tiles themselves (the functional draw executor).
+// Fragment order matches FineRasterTile exactly.
 func FineRasterInto(t *SetupTri, tileX, tileY int, vp Viewport, frags []Fragment) []Fragment {
 	for dy := 0; dy < RasterTileSize; dy++ {
 		py := tileY + dy
@@ -87,11 +85,13 @@ func FineRasterInto(t *SetupTri, tileX, tileY int, vp Viewport, frags []Fragment
 }
 
 // Rasterize runs coarse+fine rasterization over the whole triangle,
-// emitting non-empty raster tiles in tile-scan order.
+// emitting non-empty raster tiles in tile-scan order. Every emit gets
+// the same tile, refilled: emit must copy what it keeps.
 func Rasterize(t *SetupTri, vp Viewport, emit func(*RasterTile)) {
+	var rt RasterTile
 	CoarseRaster(t, RasterTileSize, func(tx, ty int) {
-		if rt := FineRaster(t, tx, ty, vp); rt != nil {
-			emit(rt)
+		if FineRasterTile(t, tx, ty, vp, &rt) {
+			emit(&rt)
 		}
 	})
 }

@@ -309,3 +309,27 @@ func TestFullCoverageMask(t *testing.T) {
 		t.Fatal("expected some fully covered tiles")
 	}
 }
+
+// SetupInto on storage that held another triangle, front- or
+// back-facing, leaves exactly what Setup builds fresh.
+func TestSetupIntoReusedStorageMatchesSetup(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var reused SetupTri
+	for iter := 0; iter < 200; iter++ {
+		var pts [3][2]float32
+		for i := range pts {
+			pts[i] = [2]float32{rng.Float32()*2.4 - 1.2, rng.Float32()*2.4 - 1.2}
+		}
+		p := tri(uint32(iter), pts, rng.Float32()-0.5)
+		for i := range p.V {
+			p.V[i].Attrs[iter%MaxVaryings] = [4]float32{rng.Float32(), rng.Float32(), 1, 0}
+		}
+		fresh, ok := Setup(p, vp)
+		if SetupInto(p, vp, &reused) != ok {
+			t.Fatalf("iter %d: SetupInto and Setup disagree on ok=%v", iter, ok)
+		}
+		if ok && reused != *fresh {
+			t.Fatalf("iter %d: reused storage %+v, fresh %+v", iter, reused, *fresh)
+		}
+	}
+}

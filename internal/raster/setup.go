@@ -33,7 +33,17 @@ type SetupTri struct {
 // Setup performs the viewport transform and attribute plane setup for a
 // clipped primitive; ok=false means zero-area or out of viewport.
 func Setup(p Primitive, vp Viewport) (*SetupTri, bool) {
-	t := &SetupTri{ID: p.ID}
+	t := &SetupTri{}
+	if !SetupInto(p, vp, t) {
+		return nil, false
+	}
+	return t, true
+}
+
+// SetupInto is Setup into caller-owned storage: it overwrites every
+// field of t. On false, t holds no triangle.
+func SetupInto(p Primitive, vp Viewport, t *SetupTri) bool {
+	t.ID = p.ID
 	for i := 0; i < 3; i++ {
 		ndc := p.V[i].Clip.PerspectiveDivide()
 		// Viewport: x right, y down (framebuffer convention).
@@ -49,11 +59,9 @@ func Setup(p Primitive, vp Viewport) (*SetupTri, bool) {
 	}
 	t.Area = (t.X[1]-t.X[0])*(t.Y[2]-t.Y[0]) - (t.X[2]-t.X[0])*(t.Y[1]-t.Y[0])
 	if t.Area == 0 {
-		return nil, false
+		return false
 	}
-	if t.Area < 0 {
-		t.BackFacing = true
-	}
+	t.BackFacing = t.Area < 0
 	// Top-left rule: edge i (opposite vertex i) has gradient
 	// (A, B) = d(edge_i)/d(x, y), sign-corrected for orientation so the
 	// interior is the positive side. Include boundary pixels on "left"
@@ -75,10 +83,7 @@ func Setup(p Primitive, vp Viewport) (*SetupTri, bool) {
 	t.Y0 = clampi(int(mathx.Floor(minf(t.Y[0], t.Y[1], t.Y[2]))), 0, vp.Height)
 	t.X1 = clampi(int(mathx.Ceil(maxf(t.X[0], t.X[1], t.X[2])))+1, 0, vp.Width)
 	t.Y1 = clampi(int(mathx.Ceil(maxf(t.Y[0], t.Y[1], t.Y[2])))+1, 0, vp.Height)
-	if t.X0 >= t.X1 || t.Y0 >= t.Y1 {
-		return nil, false
-	}
-	return t, true
+	return t.X0 < t.X1 && t.Y0 < t.Y1
 }
 
 func clampi(v, lo, hi int) int {

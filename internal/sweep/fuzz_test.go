@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -120,6 +121,61 @@ func FuzzStoreFooter(f *testing.F) {
 		want := fmt.Appendf(append([]byte(nil), payload...), "%slen=%d sha256=%x\n", footerPrefix, len(payload), sha256.Sum256(payload))
 		if !bytes.Equal(file, want) {
 			t.Fatalf("Get served %d byte(s) the footer does not vouch for", len(payload))
+		}
+	})
+}
+
+// FuzzSpecKey decodes arbitrary JSON into a Spec. For every spec that
+// validates, the result key is a function of what the simulation
+// depends on and nothing else: Canonical is idempotent and still
+// validates, Key is the canonical spec's key and a valid store key,
+// Workers never moves it, and the canonical spec survives a JSON round
+// trip with its key.
+func FuzzSpecKey(f *testing.F) {
+	for _, s := range []Spec{
+		{Kind: KindCS1, Scale: "smoke", Model: 2, Config: "DTB", Mbps: 1333, Workers: 4},
+		{Kind: KindCS2Sweep, Scale: "quick", Workload: 3, Policy: "MLB"},
+		{Kind: KindCS2Policy, Scale: "smoke", Workload: 1, Policy: "SOPT", SOPT: 4, Workers: 2},
+		{Kind: KindRegion, Scale: "paper", Workload: 6, Frames: 8, Region: 3, Span: 2, Model: 1},
+	} {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"kind":"cs2policy","scale":"smoke","workload":2,"policy":"DFSL","sopt":7}`))
+	f.Add([]byte(`{"kind":"cs1","scale":"smoke","model":1,"config":"BAS","mbps":1,"workers":-1}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+			return
+		}
+		c := s.Canonical()
+		if c.Canonical() != c {
+			t.Fatalf("Canonical is not idempotent: %+v then %+v", c, c.Canonical())
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("canonical spec %+v does not validate: %v", c, err)
+		}
+		key := s.Key()
+		if key != c.Key() || !ValidKey(key) {
+			t.Fatalf("key %q: canonical key %q, valid %v", key, c.Key(), ValidKey(key))
+		}
+		for _, w := range []int{0, 1, 8, s.Workers + 1} {
+			s.Workers = w
+			if s.Key() != key {
+				t.Fatalf("workers=%d moves the key", w)
+			}
+		}
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Spec
+		if err := json.Unmarshal(b, &back); err != nil || back.Key() != key {
+			t.Fatalf("round trip of %s: err %v, key %q, want %q", b, err, back.Key(), key)
 		}
 	})
 }

@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -100,15 +102,40 @@ func TestWarpWakeWriters(t *testing.T) {
 // between the LSU and DRAM growing back unreviewed. bench/ and tests
 // build their own requests; pools never adopt those.
 func TestRequestAllocationSites(t *testing.T) {
+	checkAllocationSites(t, map[string][]string{"mem.Request": {"mem.Pool.New"}})
+}
+
+// TestDrawRecordAllocationSites is the same rule for the records the
+// timed draw path takes per tile, per warp or per primitive: each comes
+// from the component that owns it and goes back to it (DESIGN.md "Draw
+// path storage"), so each is allocated at its one take site. fsEnv and
+// vsEnv live inside their fsLaunch and vertexBatch and have none;
+// raster.Setup is the allocating wrapper bench/ and tests call.
+func TestDrawRecordAllocationSites(t *testing.T) {
+	checkAllocationSites(t, map[string][]string{
+		"gpu.tileTask":    {"gpu.cluster.newTask"},
+		"gpu.fsLaunch":    {"gpu.cluster.newLaunch"},
+		"gpu.fsEnv":       nil,
+		"gpu.vsEnv":       nil,
+		"gpu.vertexBatch": {"gpu.buildBatches"},
+		"gpu.clusterPrim": {"gpu.primSlab.take"},
+		"raster.SetupTri": {"gpu.triSlab.next", "raster.Setup"},
+		"gfx.TCTileOut":   {"gfx.TCUnit.flush"},
+	})
+}
+
+// checkAllocationSites fails on every &T{...} or new(T) in product code
+// of a type listed in takeSites (as package.Type) outside the functions
+// listed for it (as package.Func or package.Recv.Method), and on a listed
+// function that does not allocate its type exactly once.
+func checkAllocationSites(t *testing.T, takeSites map[string][]string) {
+	t.Helper()
+	found := map[string]int{} // "function type" -> allocations
 	fset := token.NewFileSet()
-	inPool := 0
 	for _, sf := range productFiles(t, fset, "internal", "cmd", "examples", ".") {
-		inMem := sf.dir == "internal/mem"
+		pkg := path.Base(sf.dir)
 		for _, decl := range sf.f.Decls {
-			fn := ""
-			if d, ok := decl.(*ast.FuncDecl); ok && d.Recv != nil && len(d.Recv.List) == 1 {
-				fn = receiver(d.Recv.List[0].Type) + "." + d.Name.Name
-			}
+			fn := pkg + "." + declName(decl)
 			ast.Inspect(decl, func(n ast.Node) bool {
 				var typ ast.Expr
 				switch n := n.(type) {
@@ -121,25 +148,25 @@ func TestRequestAllocationSites(t *testing.T) {
 						typ = n.Args[0]
 					}
 				}
-				isRequest := false
-				if sel, ok := typ.(*ast.SelectorExpr); ok {
-					isRequest = isIdent(sel.X, "mem") && sel.Sel.Name == "Request"
-				} else if inMem {
-					isRequest = isIdent(typ, "Request")
-				}
+				rec := qualified(typ, pkg)
+				sites, listed := takeSites[rec]
 				switch {
-				case !isRequest:
-				case inMem && fn == "Pool.New":
-					inPool++
+				case !listed:
+				case slices.Contains(sites, fn):
+					found[fn+" "+rec]++
 				default:
-					t.Errorf("%s: mem.Request allocated outside mem.Pool.New", fset.Position(n.Pos()))
+					t.Errorf("%s: %s allocated outside %v", fset.Position(n.Pos()), rec, sites)
 				}
 				return true
 			})
 		}
 	}
-	if inPool != 1 {
-		t.Errorf("mem.Pool.New allocates a Request at %d sites, want 1", inPool)
+	for rec, sites := range takeSites {
+		for _, fn := range sites {
+			if n := found[fn+" "+rec]; n != 1 {
+				t.Errorf("%s allocates %s at %d sites, want 1", fn, rec, n)
+			}
+		}
 	}
 }
 
@@ -231,6 +258,32 @@ func callee(c *ast.CallExpr) string {
 		return id.Name
 	}
 	return method(c.Fun)
+}
+
+// declName names a declaration as Func or Recv.Method, "" if neither.
+func declName(decl ast.Decl) string {
+	d, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return ""
+	}
+	if d.Recv != nil && len(d.Recv.List) == 1 {
+		return receiver(d.Recv.List[0].Type) + "." + d.Name.Name
+	}
+	return d.Name.Name
+}
+
+// qualified names a type expression as package.Type, an unqualified
+// name taking the package it appears in; "" for anything else.
+func qualified(e ast.Expr, pkg string) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return pkg + "." + x.Name
+	case *ast.SelectorExpr:
+		if id, ok := x.X.(*ast.Ident); ok {
+			return id.Name + "." + x.Sel.Name
+		}
+	}
+	return ""
 }
 
 // receiver names a method's receiver type, pointer or not.

@@ -27,24 +27,25 @@ go vet ./...
 echo "ok"
 
 echo "== allocation gates and hot-path references (uncached) =="
-# The zero-allocation tick, the warm-launch object budget, the blocked
-# access that builds nothing, the pool's own contract, and the
-# differential references of the hot paths: the ready set and the
-# parking LSU against the full-scan scheduler and retry-every-cycle LSU,
-# the parking crossbar against the retry-every-cycle one (both once more
-# with the guard re-offering what they park), PopReady's latch against
-# the linear scan, Refused against a blocked Access, and the lane loops
-# against single-lane ExecALU: -count=1 so the test cache cannot answer
-# for them. The static rules (the backpressure contract, the wake-hook
-# and warp-wake inventories, request allocation and the map-field lint)
-# are tier-1 go/ast tests in the root package: TestBackpressureContract
-# and inventory_test.go.
+# The zero-allocation tick, the warm-launch and warm-frame object
+# budgets, the blocked access that builds nothing, the pool's own
+# contract, and the differential references of the hot paths: the ready
+# set and the parking LSU against the full-scan scheduler and
+# retry-every-cycle LSU, the parking crossbar against the
+# retry-every-cycle one (both once more with the guard re-offering what
+# they park), PopReady's latch against the linear scan, Refused against
+# a blocked Access, and the lane loops against single-lane ExecALU:
+# -count=1 so the test cache cannot answer for them. The static rules
+# (the backpressure contract, the wake-hook and warp-wake inventories,
+# request and draw-record allocation and the map-field lint) are tier-1
+# go/ast tests in the root package: TestBackpressureContract and
+# inventory_test.go.
 go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate|TestReadySetAgainstFullScanReference' ./internal/simt
 go test -count=1 -timeout 5m -run 'TestParkingAgainstRetryEveryCycleReference' ./internal/interconnect
 EMERALD_GUARD=1 go test -count=1 -timeout 5m -run 'TestReadySetAgainstFullScanReference|TestParkingAgainstRetryEveryCycleReference' ./internal/simt ./internal/interconnect
 go test -count=1 -timeout 5m -run 'TestPopReadyAgainstLinearScan' ./internal/gfx
 go test -count=1 -timeout 5m -run 'TestExecALULanesMatchesExecALU' ./internal/shader
-go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping' ./internal/gpu
+go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping|TestWarmFrameAllocatesOnlyBookkeeping' ./internal/gpu
 go test -count=1 -timeout 5m -run 'TestBlockedAccessAllocatesNothing|TestRequestsAreRecycledByTheirIssuer|TestRefusedHasTheEffectsOfABlockedAccess' ./internal/cache
 go test -count=1 -timeout 5m -run 'TestPoolRecyclingAndPoison|TestQueueDrainTo' ./internal/mem
 go test -count=1 -timeout 5m -run 'TestFrameAllocationTripwire' .
@@ -71,9 +72,11 @@ rm -f "$t1"
 echo "== assembler fuzz (10 s) =="
 go test -timeout 5m -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/shader
 
-echo "== service-plane decoder fuzz (3 x 5 s) =="
+echo "== service-plane decoder fuzz (4 x 5 s) =="
 # Journal records, store footers and the replication endpoint's payload
-# gate all parse bytes a crash, a bad disk or a confused peer wrote.
+# gate all parse bytes a crash, a bad disk or a confused peer wrote; a
+# job spec's key must depend on nothing but what the simulation does.
+go test -timeout 5m -run '^$' -fuzz '^FuzzSpecKey$' -fuzztime 5s ./internal/sweep
 go test -timeout 5m -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/sweep
 go test -timeout 5m -run '^$' -fuzz '^FuzzStoreFooter$' -fuzztime 5s ./internal/sweep
 go test -timeout 5m -run '^$' -fuzz '^FuzzValidatePayload$' -fuzztime 5s ./internal/fleet
