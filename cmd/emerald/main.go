@@ -116,9 +116,9 @@ func runSampled(opt options, eopt exp.Options) error {
 	}
 	elapsed := time.Since(start)
 
-	scene, _ := geom.DFSLWorkload(opt.workload)
+	name, _ := geom.DFSLWorkloadName(opt.workload) // RunSampled built it
 	fmt.Printf("%s sampled on the Table 7 GPU (%dx%d): %d frames, %d region(s), span %d\n",
-		scene.Name, opt.w, opt.h, opt.frames, len(res.Regions), opt.sampleSpan)
+		name, opt.w, opt.h, opt.frames, len(res.Regions), opt.sampleSpan)
 	detailed := 0
 	for i, r := range res.Regions {
 		re := res.Estimate.Regions[i]

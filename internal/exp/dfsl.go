@@ -256,9 +256,9 @@ func RunCS2Policy(workload int, policy DFSLPolicy, sopt int, opt Options) (float
 }
 
 func workloadName(w int) string {
-	s, err := geom.DFSLWorkload(w)
+	name, err := geom.DFSLWorkloadName(w)
 	if err != nil {
 		return fmt.Sprintf("W%d", w)
 	}
-	return s.Name
+	return name
 }

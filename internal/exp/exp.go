@@ -253,13 +253,13 @@ func CaseStudyIMatrix(dataRateMbps int, opt Options, models []int) (map[int]map[
 	return out, nil
 }
 
-// modelNames maps model ids to display names.
+// modelName maps a model id to its display name.
 func modelName(m int) string {
-	s, err := geom.SoCModel(m)
+	name, err := geom.SoCModelName(m)
 	if err != nil {
 		return fmt.Sprintf("M%d", m)
 	}
-	return s.Name
+	return name
 }
 
 // TimelineRun runs one cell with a bandwidth timeline attached and

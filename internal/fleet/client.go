@@ -36,10 +36,11 @@ type Client struct {
 	// Hedge is the tail-latency hedging policy (see HedgePolicy).
 	Hedge HedgePolicy
 
-	mu      sync.Mutex
-	down    map[string]time.Time // node -> when it was marked down
-	tracked map[string]*placed   // synthetic job id -> placements
-	nextID  int
+	mu       sync.Mutex
+	down     map[string]time.Time // node -> when it was marked down
+	tracked  map[string]*placed   // synthetic job id -> placements
+	finished []string             // handed-out ids still in tracked, oldest first
+	nextID   int
 
 	latMu sync.Mutex
 	lats  []time.Duration // completed-job wall times (non-cached), ring buffer
@@ -92,6 +93,7 @@ type placed struct {
 	live        []placement
 	hedged      bool // a hedge was attempted
 	failovers   int  // placements dropped because their execution failed
+	handedOut   bool // its terminal snapshot went to the caller
 }
 
 // placement is one copy of a job on one node.
@@ -150,12 +152,11 @@ func (c *Client) markDown(node string) {
 	c.mu.Unlock()
 }
 
-// place submits spec to the first owner that accepts it, walking the
-// ring past down and failing nodes and skipping exclude (nodes that
-// just dropped the job, or already hold a copy). Returns the accepting
-// node and its job snapshot.
-func (c *Client) place(ctx context.Context, spec sweep.Spec, exclude ...string) (string, sweep.Job, error) {
-	key := spec.Key()
+// place submits spec, whose result key is key, to the first owner that
+// accepts it, walking the ring past down and failing nodes and skipping
+// exclude (nodes that just dropped the job, or already hold a copy).
+// Returns the accepting node and its job snapshot.
+func (c *Client) place(ctx context.Context, spec sweep.Spec, key string, exclude ...string) (string, sweep.Job, error) {
 	var lastErr error
 	tried := 0
 	for _, node := range c.ring.OwnersAlive(key, len(c.nodes), c.alive) {
@@ -183,20 +184,43 @@ func (c *Client) place(ctx context.Context, spec sweep.Spec, exclude ...string) 
 // under a fleet-scoped synthetic id (the underlying node's id is an
 // implementation detail that changes on failover).
 func (c *Client) Submit(ctx context.Context, spec sweep.Spec) (sweep.Job, error) {
-	node, job, err := c.place(ctx, spec)
+	key := spec.Key()
+	node, job, err := c.place(ctx, spec, key)
 	if err != nil {
 		return sweep.Job{}, err
+	}
+	p := &placed{
+		spec: spec, key: key, submittedAt: time.Now(),
+		live: []placement{{node: node, id: job.ID}},
 	}
 	c.mu.Lock()
 	c.nextID++
 	sid := fmt.Sprintf("f%d", c.nextID)
-	c.tracked[sid] = &placed{
-		spec: spec, key: spec.Key(), submittedAt: time.Now(),
-		live: []placement{{node: node, id: job.ID}},
-	}
+	c.tracked[sid] = p
 	c.mu.Unlock()
+	if job.Terminal() {
+		c.handOut(sid, p)
+	}
 	job.ID = sid
 	return job, nil
+}
+
+// handOut records that sid's terminal snapshot went to the caller: the
+// id joins the finished FIFO, and once that holds more than
+// sweep.KeepFinished ids the oldest is forgotten. A job still pending
+// is never forgotten.
+func (c *Client) handOut(sid string, p *placed) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p.handedOut {
+		return
+	}
+	p.handedOut = true
+	c.finished = append(c.finished, sid)
+	if len(c.finished) > sweep.KeepFinished {
+		delete(c.tracked, c.finished[0])
+		c.finished = c.finished[1:]
+	}
 }
 
 // recordLatency feeds one completed (non-cached) job's wall time into
@@ -286,6 +310,7 @@ func (c *Client) WaitAll(ctx context.Context, ids []string, poll time.Duration, 
 			if !job.Cached {
 				c.recordLatency(time.Since(p.submittedAt))
 			}
+			c.handOut(sid, p)
 			job.ID = sid
 			final[sid] = job
 			if onDone != nil {
@@ -356,7 +381,7 @@ func (c *Client) pollPlaced(ctx context.Context, p *placed) (sweep.Job, bool, er
 	}
 	var first sweep.Job
 	if len(kept) == 0 {
-		node, job, err := c.place(ctx, p.spec, dropped...)
+		node, job, err := c.place(ctx, p.spec, p.key, dropped...)
 		if err != nil {
 			return sweep.Job{}, false, err
 		}
@@ -388,7 +413,7 @@ func (c *Client) maybeHedge(ctx context.Context, p *placed) {
 	c.mu.Lock()
 	p.hedged = true // even if placement fails: one attempt per job
 	c.mu.Unlock()
-	node, job, err := c.place(ctx, p.spec, first)
+	node, job, err := c.place(ctx, p.spec, p.key, first)
 	if err != nil {
 		return
 	}

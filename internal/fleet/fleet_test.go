@@ -302,3 +302,75 @@ func TestFleetRealSimMatchesSingleNode(t *testing.T) {
 		t.Fatalf("real-sim fleet table differs from single node:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// The client keeps every pending placement but only the last
+// sweep.KeepFinished jobs whose terminal snapshot it handed out, from
+// Submit (a cache hit) or from WaitAll.
+func TestClientTrackedStaysBounded(t *testing.T) {
+	release := make(chan struct{})
+	holdOnNode0 := func(i int) sweep.Exec {
+		return func(ctx context.Context, spec sweep.Spec) (*sweep.Result, error) {
+			if i == 0 {
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+			}
+			return fakeResult(spec)
+		}
+	}
+	nodes := startCluster(t, 2, holdOnNode0, nil)
+	probeAll(t, nodes)
+	urls := clusterURLs(nodes)
+	ring := nodes[0].node.Ring()
+	fc, err := NewClient(urls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.Hedge.Disabled = true
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	held, err := fc.Submit(ctx, findSpecOwnedBy(t, ring, urls, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Node 0's one worker is held, so every other spec is one node 1
+	// owns; every second submit repeats the last spec and hits its cache.
+	var sids []string
+	var spec sweep.Spec
+	for mbps := 1; len(sids) < sweep.KeepFinished+100; mbps++ {
+		if len(sids)%2 == 0 {
+			if spec = cs1Spec(mbps); ring.Owners(spec.Key(), 1)[0] != urls[1] {
+				continue
+			}
+		}
+		job, err := fc.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !job.Terminal() {
+			if _, err := fc.WaitAll(ctx, []string{job.ID}, time.Millisecond, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sids = append(sids, job.ID)
+	}
+
+	fc.mu.Lock()
+	n := len(fc.tracked)
+	fc.mu.Unlock()
+	if n != sweep.KeepFinished+1 {
+		t.Fatalf("client tracks %d jobs, want %d finished plus the held one", n, sweep.KeepFinished)
+	}
+	for i, sid := range sids {
+		if _, err := fc.placement(sid); (err == nil) != (i >= len(sids)-sweep.KeepFinished) {
+			t.Fatalf("job %d of %d (%s): placement error %v", i, len(sids), sid, err)
+		}
+	}
+	close(release)
+	final, err := fc.WaitAll(ctx, []string{held.ID}, time.Millisecond, nil)
+	if err != nil || final[held.ID].State != sweep.JobDone {
+		t.Fatalf("held job = %+v (%v), want it kept and done", final[held.ID], err)
+	}
+}

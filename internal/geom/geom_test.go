@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,36 @@ func TestUnknownSceneIDs(t *testing.T) {
 	}
 	if _, err := SoCModel(99); err == nil {
 		t.Fatal("model 99 should error")
+	}
+}
+
+// TestCatalogueMatchesBuilders: a name lookup answers exactly what the
+// builder would, so a caller that only names or validates a workload
+// never needs to build one.
+func TestCatalogueMatchesBuilders(t *testing.T) {
+	kinds := []struct {
+		kind  string
+		name  func(int) (string, error)
+		build func(int) (*Scene, error)
+	}{
+		{"SoC model", SoCModelName, SoCModel},
+		{"DFSL workload", DFSLWorkloadName, DFSLWorkload},
+	}
+	for _, k := range kinds {
+		for id := -1; id <= 8; id++ {
+			name, nerr := k.name(id)
+			s, berr := k.build(id)
+			switch {
+			case (nerr == nil) != (berr == nil):
+				t.Errorf("%s %d: name lookup error %v, builder error %v", k.kind, id, nerr, berr)
+			case berr != nil:
+				if want := fmt.Sprintf("geom: unknown %s %d", k.kind, id); nerr.Error() != want || berr.Error() != want {
+					t.Errorf("%s %d: errors %q and %q, want %q", k.kind, id, nerr, berr, want)
+				}
+			case name != s.Name:
+				t.Errorf("%s %d: name %q, built scene %q", k.kind, id, name, s.Name)
+			}
+		}
 	}
 }
 

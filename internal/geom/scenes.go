@@ -51,96 +51,6 @@ const (
 	W6Teapot              // textured teapot
 )
 
-// DFSLWorkload builds one of the paper's Case Study II workloads W1-W6.
-func DFSLWorkload(id int) (*Scene, error) {
-	switch id {
-	case W1Sibenik:
-		return &Scene{
-			Name:          "W1-sibenik",
-			Mesh:          Hall(6),
-			Texture:       Checker(256, 256, 8, [4]byte{200, 180, 150, 255}, [4]byte{90, 80, 70, 255}),
-			Eye:           mathx.V3(0, 2, 13),
-			Center:        mathx.V3(0, 1.8, 0),
-			Up:            mathx.V3(0, 1, 0),
-			FovY:          1.1,
-			Near:          0.3,
-			Far:           80,
-			OrbitPerFrame: 0.012,
-		}, nil
-	case W2Spot:
-		return &Scene{
-			Name:          "W2-spot",
-			Mesh:          Blob(28, 36, 11),
-			Texture:       Checker(256, 256, 16, [4]byte{240, 240, 240, 255}, [4]byte{30, 30, 30, 255}),
-			Eye:           mathx.V3(0.6, 0.8, 3.0),
-			Center:        mathx.V3(0, 0, 0),
-			Up:            mathx.V3(0, 1, 0),
-			FovY:          0.9,
-			Near:          0.3,
-			Far:           30,
-			OrbitPerFrame: 0.02,
-		}, nil
-	case W3Cube:
-		return &Scene{
-			Name:          "W3-cube",
-			Mesh:          Cube(),
-			Texture:       Noise(256, 256, 99),
-			Eye:           mathx.V3(1.2, 1.0, 1.6),
-			Center:        mathx.V3(0, 0, 0),
-			Up:            mathx.V3(0, 1, 0),
-			FovY:          0.8,
-			Near:          0.3,
-			Far:           20,
-			OrbitPerFrame: 0.02,
-		}, nil
-	case W4Suzanne:
-		return &Scene{
-			Name:          "W4-suzanne",
-			Mesh:          Blob(32, 44, 3),
-			Texture:       Gradient(256, 256, [4]byte{220, 120, 60, 255}, [4]byte{60, 80, 200, 255}),
-			Eye:           mathx.V3(-0.8, 0.4, 3.2),
-			Center:        mathx.V3(0, 0, 0),
-			Up:            mathx.V3(0, 1, 0),
-			FovY:          0.9,
-			Near:          0.3,
-			Far:           30,
-			OrbitPerFrame: 0.018,
-		}, nil
-	case W5SuzanneT:
-		s, _ := DFSLWorkload(W4Suzanne)
-		s.Name = "W5-suzanne-transparent"
-		s.Translucent = true
-		return s, nil
-	case W6Teapot:
-		return &Scene{
-			Name:          "W6-teapot",
-			Mesh:          Teapot(),
-			Texture:       Checker(256, 256, 12, [4]byte{255, 255, 255, 255}, [4]byte{180, 40, 40, 255}),
-			Eye:           mathx.V3(1.6, 1.3, 2.2),
-			Center:        mathx.V3(0, 0.5, 0),
-			Up:            mathx.V3(0, 1, 0),
-			FovY:          0.9,
-			Near:          0.3,
-			Far:           30,
-			OrbitPerFrame: 0.02,
-		}, nil
-	}
-	return nil, fmt.Errorf("geom: unknown DFSL workload %d", id)
-}
-
-// AllDFSLWorkloads returns W1..W6 in order.
-func AllDFSLWorkloads() []*Scene {
-	out := make([]*Scene, 0, 6)
-	for id := W1Sibenik; id <= W6Teapot; id++ {
-		s, err := DFSLWorkload(id)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // SoC model identifiers (paper Table 6, Case Study I).
 const (
 	M1Chair = iota + 1
@@ -149,71 +59,210 @@ const (
 	M4Triangles
 )
 
-// SoCModel builds one of the Case Study I Android-app models M1-M4.
-func SoCModel(id int) (*Scene, error) {
-	switch id {
-	case M1Chair:
-		return &Scene{
-			Name:          "M1-chair",
-			Mesh:          Chair(),
-			Texture:       Checker(128, 128, 8, [4]byte{160, 110, 60, 255}, [4]byte{120, 80, 40, 255}),
-			Eye:           mathx.V3(2.2, 2.0, 2.8),
-			Center:        mathx.V3(0, 0.6, 0),
-			Up:            mathx.V3(0, 1, 0),
-			FovY:          0.9,
-			Near:          0.3,
-			Far:           30,
-			OrbitPerFrame: 0.03,
-		}, nil
-	case M2Cube:
-		s, err := DFSLWorkload(W3Cube)
-		if err != nil {
-			return nil, err
-		}
-		s.Name = "M2-cube"
-		s.OrbitPerFrame = 0.03
-		return s, nil
-	case M3Mask:
-		return &Scene{
-			Name:          "M3-mask",
-			Mesh:          Mask(),
-			Texture:       Noise(256, 256, 7),
-			Eye:           mathx.V3(0, 0.3, 2.6),
-			Center:        mathx.V3(0, 0, 0),
-			Up:            mathx.V3(0, 1, 0),
-			FovY:          1.0,
-			Near:          0.3,
-			Far:           30,
-			OrbitPerFrame: 0.03,
-		}, nil
-	case M4Triangles:
-		return &Scene{
-			Name:          "M4-triangles",
-			Mesh:          TriangleFan(12),
-			Texture:       Gradient(64, 64, [4]byte{255, 0, 0, 255}, [4]byte{0, 0, 255, 255}),
-			Eye:           mathx.V3(0, 0, 2.4),
-			Center:        mathx.V3(0, 0, 0),
-			Up:            mathx.V3(0, 1, 0),
-			FovY:          0.9,
-			Near:          0.3,
-			Far:           20,
-			OrbitPerFrame: 0.03,
-		}, nil
+// workload is one catalogue row: a scene's name and the function that
+// builds its mesh, texture and camera. Naming or validating a workload
+// reads the row; only a simulation calls build.
+type workload struct {
+	name  string
+	build func() *Scene
+}
+
+// catalogue is one kind's workload table; row i describes id i+1.
+type catalogue struct {
+	kind string // names the kind in the unknown-id error
+	rows []workload
+}
+
+var (
+	dfslWorkloads = catalogue{"DFSL workload", []workload{
+		{"W1-sibenik", sibenikScene},
+		{"W2-spot", spotScene},
+		{"W3-cube", cubeScene},
+		{"W4-suzanne", suzanneScene},
+		{"W5-suzanne-transparent", func() *Scene {
+			s := suzanneScene()
+			s.Translucent = true
+			return s
+		}},
+		{"W6-teapot", teapotScene},
+	}}
+	socModels = catalogue{"SoC model", []workload{
+		{"M1-chair", chairScene},
+		{"M2-cube", func() *Scene {
+			s := cubeScene()
+			s.OrbitPerFrame = 0.03
+			return s
+		}},
+		{"M3-mask", maskScene},
+		{"M4-triangles", trianglesScene},
+	}}
+)
+
+func (c catalogue) row(id int) (workload, error) {
+	if id < 1 || id > len(c.rows) {
+		return workload{}, fmt.Errorf("geom: unknown %s %d", c.kind, id)
 	}
-	return nil, fmt.Errorf("geom: unknown SoC model %d", id)
+	return c.rows[id-1], nil
+}
+
+func (w workload) scene() *Scene {
+	s := w.build()
+	s.Name = w.name
+	return s
+}
+
+func (c catalogue) scene(id int) (*Scene, error) {
+	w, err := c.row(id)
+	if err != nil {
+		return nil, err
+	}
+	return w.scene(), nil
+}
+
+func (c catalogue) all() []*Scene {
+	out := make([]*Scene, len(c.rows))
+	for i, w := range c.rows {
+		out[i] = w.scene()
+	}
+	return out
+}
+
+// DFSLWorkload builds one of the paper's Case Study II workloads W1-W6.
+func DFSLWorkload(id int) (*Scene, error) { return dfslWorkloads.scene(id) }
+
+// DFSLWorkloadName returns the name DFSLWorkload(id) gives its scene,
+// and the same error for an unknown id, without building anything.
+func DFSLWorkloadName(id int) (string, error) {
+	w, err := dfslWorkloads.row(id)
+	return w.name, err
+}
+
+// AllDFSLWorkloads returns W1..W6 in order.
+func AllDFSLWorkloads() []*Scene { return dfslWorkloads.all() }
+
+// SoCModel builds one of the Case Study I Android-app models M1-M4.
+func SoCModel(id int) (*Scene, error) { return socModels.scene(id) }
+
+// SoCModelName returns the name SoCModel(id) gives its scene, and the
+// same error for an unknown id, without building anything.
+func SoCModelName(id int) (string, error) {
+	w, err := socModels.row(id)
+	return w.name, err
 }
 
 // AllSoCModels returns M1..M4 in order.
-func AllSoCModels() []*Scene {
-	out := make([]*Scene, 0, 4)
-	for id := M1Chair; id <= M4Triangles; id++ {
-		s, err := SoCModel(id)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, s)
+func AllSoCModels() []*Scene { return socModels.all() }
+
+func sibenikScene() *Scene {
+	return &Scene{
+		Mesh:          Hall(6),
+		Texture:       Checker(256, 256, 8, [4]byte{200, 180, 150, 255}, [4]byte{90, 80, 70, 255}),
+		Eye:           mathx.V3(0, 2, 13),
+		Center:        mathx.V3(0, 1.8, 0),
+		Up:            mathx.V3(0, 1, 0),
+		FovY:          1.1,
+		Near:          0.3,
+		Far:           80,
+		OrbitPerFrame: 0.012,
 	}
-	return out
+}
+
+func spotScene() *Scene {
+	return &Scene{
+		Mesh:          Blob(28, 36, 11),
+		Texture:       Checker(256, 256, 16, [4]byte{240, 240, 240, 255}, [4]byte{30, 30, 30, 255}),
+		Eye:           mathx.V3(0.6, 0.8, 3.0),
+		Center:        mathx.V3(0, 0, 0),
+		Up:            mathx.V3(0, 1, 0),
+		FovY:          0.9,
+		Near:          0.3,
+		Far:           30,
+		OrbitPerFrame: 0.02,
+	}
+}
+
+func cubeScene() *Scene {
+	return &Scene{
+		Mesh:          Cube(),
+		Texture:       Noise(256, 256, 99),
+		Eye:           mathx.V3(1.2, 1.0, 1.6),
+		Center:        mathx.V3(0, 0, 0),
+		Up:            mathx.V3(0, 1, 0),
+		FovY:          0.8,
+		Near:          0.3,
+		Far:           20,
+		OrbitPerFrame: 0.02,
+	}
+}
+
+func suzanneScene() *Scene {
+	return &Scene{
+		Mesh:          Blob(32, 44, 3),
+		Texture:       Gradient(256, 256, [4]byte{220, 120, 60, 255}, [4]byte{60, 80, 200, 255}),
+		Eye:           mathx.V3(-0.8, 0.4, 3.2),
+		Center:        mathx.V3(0, 0, 0),
+		Up:            mathx.V3(0, 1, 0),
+		FovY:          0.9,
+		Near:          0.3,
+		Far:           30,
+		OrbitPerFrame: 0.018,
+	}
+}
+
+func teapotScene() *Scene {
+	return &Scene{
+		Mesh:          Teapot(),
+		Texture:       Checker(256, 256, 12, [4]byte{255, 255, 255, 255}, [4]byte{180, 40, 40, 255}),
+		Eye:           mathx.V3(1.6, 1.3, 2.2),
+		Center:        mathx.V3(0, 0.5, 0),
+		Up:            mathx.V3(0, 1, 0),
+		FovY:          0.9,
+		Near:          0.3,
+		Far:           30,
+		OrbitPerFrame: 0.02,
+	}
+}
+
+func chairScene() *Scene {
+	return &Scene{
+		Mesh:          Chair(),
+		Texture:       Checker(128, 128, 8, [4]byte{160, 110, 60, 255}, [4]byte{120, 80, 40, 255}),
+		Eye:           mathx.V3(2.2, 2.0, 2.8),
+		Center:        mathx.V3(0, 0.6, 0),
+		Up:            mathx.V3(0, 1, 0),
+		FovY:          0.9,
+		Near:          0.3,
+		Far:           30,
+		OrbitPerFrame: 0.03,
+	}
+}
+
+func maskScene() *Scene {
+	return &Scene{
+		Mesh:          Mask(),
+		Texture:       Noise(256, 256, 7),
+		Eye:           mathx.V3(0, 0.3, 2.6),
+		Center:        mathx.V3(0, 0, 0),
+		Up:            mathx.V3(0, 1, 0),
+		FovY:          1.0,
+		Near:          0.3,
+		Far:           30,
+		OrbitPerFrame: 0.03,
+	}
+}
+
+func trianglesScene() *Scene {
+	return &Scene{
+		Mesh:          TriangleFan(12),
+		Texture:       Gradient(64, 64, [4]byte{255, 0, 0, 255}, [4]byte{0, 0, 255, 255}),
+		Eye:           mathx.V3(0, 0, 2.4),
+		Center:        mathx.V3(0, 0, 0),
+		Up:            mathx.V3(0, 1, 0),
+		FovY:          0.9,
+		Near:          0.3,
+		Far:           20,
+		OrbitPerFrame: 0.03,
+	}
 }
 
 // OrbitEye is a helper for examples: a camera orbiting at radius r,

@@ -13,7 +13,7 @@ import (
 
 // recordCube records a few frames of the W3 cube workload at a tiny
 // viewport — recording needs no simulation, just a no-op submit.
-func recordCube(t *testing.T, frames int) *trace.Trace {
+func recordCube(t testing.TB, frames int) *trace.Trace {
 	t.Helper()
 	scene, err := geom.DFSLWorkload(geom.W3Cube)
 	if err != nil {

@@ -229,8 +229,11 @@ func (j *Journal) append(rec journalRec, sync bool) error {
 }
 
 // Accept durably records job acceptance (fsync before return).
-func (j *Journal) Accept(id string, spec Spec) error {
-	return j.append(journalRec{T: "accept", ID: id, Key: spec.Key(), Spec: &spec}, true)
+func (j *Journal) Accept(id string, spec Spec) error { return j.accept(id, spec.Key(), spec) }
+
+// accept is Accept for a caller that already holds the spec's key.
+func (j *Journal) accept(id, key string, spec Spec) error {
+	return j.append(journalRec{T: "accept", ID: id, Key: key, Spec: &spec}, true)
 }
 
 // Start records an execution attempt beginning.

@@ -256,6 +256,11 @@ func TestRunnerJournalsCompleteLifecycle(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The accept record carries the key Submit hashed, once.
+	lines := journalLines(t, path)
+	if rec, ok := decodeRecord([]byte(lines[0])); !ok || rec.T != "accept" || rec.Key != job.Key || rec.Key != wlSpec(1).Key() {
+		t.Fatalf("first record = %+v (ok %v), want the accept of key %s", rec, ok, job.Key)
+	}
 	_, pending := openTestJournal(t, path)
 	if len(pending) != 0 {
 		t.Fatalf("pending = %+v, want none after a clean run", pending)

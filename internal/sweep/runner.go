@@ -39,6 +39,15 @@ var errNotCancelable = errors.New("sweep: job is not queued")
 // currently executing — there is no live simulation to snapshot.
 var errNotRunning = errors.New("sweep: job is not running")
 
+// KeepFinished is how many terminal jobs a Runner (and a fleet.Client)
+// keeps for status queries. Pending jobs are always kept; past this
+// many finished ones the oldest is forgotten, so GET /jobs/{id} answers
+// 404 for it like for any unknown id. Pollers are safe: RunFigures and
+// fleet.Client poll only jobs that were pending at submit, every 100 ms
+// by default, and such a job is forgotten only once it has finished and
+// KeepFinished more jobs have finished on the same runner after it.
+const KeepFinished = 1024
+
 // JobState is a job's lifecycle stage.
 type JobState string
 
@@ -209,10 +218,11 @@ type Runner struct {
 	queue chan *job
 	wg    sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	nextID int
-	closed bool
+	mu       sync.Mutex
+	jobs     map[string]*job
+	finished []string // ids of terminal jobs still in jobs, oldest first
+	nextID   int
+	closed   bool
 }
 
 // NewRunner builds a runner over the given store and starts its
@@ -264,23 +274,15 @@ func (r *Runner) Submit(spec Spec) (Job, error) {
 
 	if _, ok, err := r.store.Get(key); err == nil && ok {
 		r.met.cacheHit()
-		jb.update(func(j *Job) {
-			j.State = JobDone
-			j.Cached = true
-			j.FinishedAt = time.Now()
-		})
+		r.finish(jb, JobQueued, cachedDone)
 		return jb.snapshot(), nil
 	}
 	r.met.cacheMissed()
 
 	// Journal the accept (fsynced) before the job becomes runnable: once
 	// Submit acknowledges, the job survives kill -9.
-	if err := r.journal.Accept(jb.j.ID, spec); err != nil {
-		jb.update(func(j *Job) {
-			j.State = JobFailed
-			j.Error = err.Error()
-			j.FinishedAt = time.Now()
-		})
+	if err := r.journal.accept(jb.j.ID, key, spec); err != nil {
+		r.finish(jb, JobQueued, failedWith(err.Error()))
 		return jb.snapshot(), err
 	}
 	// Shutdown closes the queue under r.mu; the send holds it too, so a
@@ -298,11 +300,7 @@ func (r *Runner) Submit(spec Spec) (Job, error) {
 	}
 	r.mu.Unlock()
 	if err != nil {
-		jb.update(func(j *Job) {
-			j.State = JobFailed
-			j.Error = err.Error()
-			j.FinishedAt = time.Now()
-		})
+		r.finish(jb, JobQueued, failedWith(err.Error()))
 		r.journal.Fail(jb.j.ID, err.Error())
 		return jb.snapshot(), err
 	}
@@ -321,15 +319,7 @@ func (r *Runner) Cancel(id string) (Job, error) {
 	if !ok {
 		return Job{}, errNoSuchJob
 	}
-	canceled := false
-	jb.update(func(j *Job) {
-		if j.State == JobQueued {
-			j.State = JobCanceled
-			j.FinishedAt = time.Now()
-			canceled = true
-		}
-	})
-	if !canceled {
+	if !r.finish(jb, JobQueued, func(j *Job) { j.State = JobCanceled }) {
 		return jb.snapshot(), errNotCancelable
 	}
 	r.met.canceled()
@@ -362,11 +352,7 @@ func (r *Runner) Recover(pending []PendingJob) (requeued, cached int) {
 
 		if _, ok, err := r.store.Get(jb.j.Key); err == nil && ok {
 			r.met.cacheHit()
-			jb.update(func(j *Job) {
-				j.State = JobDone
-				j.Cached = true
-				j.FinishedAt = time.Now()
-			})
+			r.finish(jb, JobQueued, cachedDone)
 			r.journal.Done(p.ID)
 			cached++
 			continue
@@ -377,11 +363,7 @@ func (r *Runner) Recover(pending []PendingJob) (requeued, cached int) {
 			r.met.enqueued()
 			requeued++
 		default:
-			jb.update(func(j *Job) {
-				j.State = JobFailed
-				j.Error = errQueueFull.Error()
-				j.FinishedAt = time.Now()
-			})
+			r.finish(jb, JobQueued, failedWith(errQueueFull.Error()))
 			r.journal.Fail(p.ID, errQueueFull.Error())
 		}
 	}
@@ -552,14 +534,9 @@ func (r *Runner) drainCanceled() {
 // abandon marks a dequeued-but-never-run job as canceled (forced
 // shutdown reached it first).
 func (r *Runner) abandon(jb *job) {
-	abandoned := false
-	jb.update(func(j *Job) {
-		if j.State == JobQueued {
-			j.State = JobCanceled
-			j.Error = "abandoned by forced shutdown"
-			j.FinishedAt = time.Now()
-			abandoned = true
-		}
+	abandoned := r.finish(jb, JobQueued, func(j *Job) {
+		j.State = JobCanceled
+		j.Error = "abandoned by forced shutdown"
 	})
 	if abandoned {
 		r.met.canceled()
@@ -626,11 +603,7 @@ func (r *Runner) runJob(jb *job) {
 	// one sat in the queue; serve it from the store instead of
 	// recomputing.
 	if _, ok, err := r.store.Get(key); err == nil && ok {
-		jb.update(func(j *Job) {
-			j.State = JobDone
-			j.Cached = true
-			j.FinishedAt = time.Now()
-		})
+		r.finish(jb, JobRunning, cachedDone)
 		r.journal.Done(snap.ID)
 		r.met.finished(true, -1)
 		return
@@ -664,10 +637,7 @@ attempts:
 				if _, ok, verr := r.store.Get(key); verr != nil || !ok {
 					err = fmt.Errorf("sweep: stored result %s failed read-back verification: %w", key, ErrTransient)
 				} else {
-					jb.update(func(j *Job) {
-						j.State = JobDone
-						j.FinishedAt = time.Now()
-					})
+					r.finish(jb, JobRunning, func(j *Job) { j.State = JobDone })
 					r.journal.Done(snap.ID)
 					r.met.finished(true, float64(time.Since(start))/float64(time.Millisecond))
 					if r.cfg.OnStored != nil {
@@ -682,11 +652,7 @@ attempts:
 			break
 		}
 	}
-	jb.update(func(j *Job) {
-		j.State = JobFailed
-		j.Error = lastErr.Error()
-		j.FinishedAt = time.Now()
-	})
+	r.finish(jb, JobRunning, failedWith(lastErr.Error()))
 	if r.baseCtx.Err() == nil {
 		r.journal.Fail(snap.ID, lastErr.Error())
 	}
@@ -694,6 +660,41 @@ attempts:
 	// journal record, so the accept stays pending and restart recovery
 	// requeues the job — the crash analog of "the process died here".
 	r.met.finished(false, float64(time.Since(start))/float64(time.Millisecond))
+}
+
+// finish is every job's one terminal transition: if jb is still in
+// state from, it applies to (which sets the terminal state), stamps
+// FinishedAt and appends the id to the finished FIFO, forgetting the
+// oldest finished job once more than KeepFinished are held. A job that
+// is not terminal is never forgotten. Reports whether the transition
+// happened.
+func (r *Runner) finish(jb *job, from JobState, to func(*Job)) bool {
+	done := false
+	jb.update(func(j *Job) {
+		if j.State == from {
+			to(j)
+			j.FinishedAt = time.Now()
+			done = true
+		}
+	})
+	if !done {
+		return false
+	}
+	r.mu.Lock()
+	r.finished = append(r.finished, jb.j.ID)
+	if len(r.finished) > KeepFinished {
+		delete(r.jobs, r.finished[0])
+		r.finished = r.finished[1:]
+	}
+	r.mu.Unlock()
+	return true
+}
+
+// cachedDone and failedWith are finish's common terminal states.
+func cachedDone(j *Job) { j.State, j.Cached = JobDone, true }
+
+func failedWith(msg string) func(*Job) {
+	return func(j *Job) { j.State, j.Error = JobFailed, msg }
 }
 
 // execOnce runs one attempt under the per-job timeout, converting a

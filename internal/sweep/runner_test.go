@@ -372,3 +372,71 @@ func TestSubmitRacingShutdownIsRefused(t *testing.T) {
 		}
 	}
 }
+
+// The job table keeps every pending job but only the last KeepFinished
+// finished ones: the oldest finished ids become unknown, like any id
+// the runner never issued, while a job held running is never dropped.
+func TestRunnerForgetsOldestFinishedJobs(t *testing.T) {
+	held := wlSpec(1)
+	running := make(chan struct{})
+	release := make(chan struct{})
+	r := newTestRunner(t, RunnerConfig{
+		Workers:    2,
+		QueueDepth: 3 * KeepFinished,
+		Exec: func(ctx context.Context, spec Spec) (*Result, error) {
+			if spec == held {
+				close(running)
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+			}
+			return okExec(ctx, spec)
+		},
+	})
+	heldJob, err := r.Submit(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	ids := make([]string, 3*KeepFinished)
+	for i := range ids {
+		j, err := r.Submit(Spec{Kind: KindCS1, Scale: "smoke", Model: 2, Config: "BAS", Mbps: 1 + i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = j.ID
+	}
+	waitTerminal(t, r, ids[len(ids)-1]) // one free worker runs them in order
+
+	finished := 0
+	for _, j := range r.Jobs() {
+		if j.Terminal() {
+			finished++
+		} else if j.ID != heldJob.ID {
+			t.Fatalf("pending job %s besides the held one", j.ID)
+		}
+	}
+	if finished != KeepFinished {
+		t.Fatalf("Jobs() lists %d finished jobs, want %d", finished, KeepFinished)
+	}
+	for i, id := range ids {
+		if _, ok := r.Job(id); ok != (i >= len(ids)-KeepFinished) {
+			t.Fatalf("job %d of %d (%s): found = %v", i, len(ids), id, ok)
+		}
+	}
+	if j, ok := r.Job(heldJob.ID); !ok || j.State != JobRunning {
+		t.Fatalf("held job = %+v (found %v), want it kept running", j, ok)
+	}
+
+	close(release)
+	if j := waitTerminal(t, r, heldJob.ID); j.State != JobDone {
+		t.Fatalf("held job = %+v, want done", j)
+	}
+	if n := len(r.Jobs()); n != KeepFinished {
+		t.Fatalf("after the held job finished, Jobs() lists %d, want %d", n, KeepFinished)
+	}
+	if _, ok := r.Job(ids[len(ids)-KeepFinished]); ok {
+		t.Fatal("the held job's completion did not push out the oldest finished job")
+	}
+}

@@ -87,7 +87,7 @@ func (s Spec) Validate() error {
 	}
 	switch s.Kind {
 	case KindCS1:
-		if _, err := geom.SoCModel(s.Model); err != nil {
+		if _, err := geom.SoCModelName(s.Model); err != nil {
 			return fmt.Errorf("sweep: cs1 job: %w", err)
 		}
 		if _, err := exp.ParseMemConfig(s.Config); err != nil {
@@ -97,11 +97,11 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("sweep: cs1 job: mbps must be positive, got %d", s.Mbps)
 		}
 	case KindCS2Sweep:
-		if _, err := geom.DFSLWorkload(s.Workload); err != nil {
+		if _, err := geom.DFSLWorkloadName(s.Workload); err != nil {
 			return fmt.Errorf("sweep: cs2sweep job: %w", err)
 		}
 	case KindCS2Policy:
-		if _, err := geom.DFSLWorkload(s.Workload); err != nil {
+		if _, err := geom.DFSLWorkloadName(s.Workload); err != nil {
 			return fmt.Errorf("sweep: cs2policy job: %w", err)
 		}
 		p, err := exp.ParseDFSLPolicy(s.Policy)
@@ -112,7 +112,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("sweep: cs2policy job: SOPT policy needs sopt >= 1, got %d", s.SOPT)
 		}
 	case KindRegion:
-		if _, err := geom.DFSLWorkload(s.Workload); err != nil {
+		if _, err := geom.DFSLWorkloadName(s.Workload); err != nil {
 			return fmt.Errorf("sweep: region job: %w", err)
 		}
 		if s.Frames < 1 {

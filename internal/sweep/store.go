@@ -131,19 +131,6 @@ func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 	return payload, true, nil
 }
 
-// GetResult decodes the stored result for key.
-func (s *Store) GetResult(key string) (*Result, bool, error) {
-	data, ok, err := s.Get(key)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	var r Result
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, false, fmt.Errorf("sweep: corrupt result %s: %w", key, err)
-	}
-	return &r, true, nil
-}
-
 // Put stores a result under key and returns the canonical JSON payload
 // served by every future Get (the on-disk file additionally carries
 // the integrity footer). The write is atomic: a rename replaces any

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"sort"
 	"testing"
 
@@ -40,9 +41,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if !bytes.Equal(written, got1) || !bytes.Equal(got1, got2) {
 		t.Fatal("stored bytes are not identical across lookups")
 	}
-	dec, ok, err := st.GetResult(key)
-	if err != nil || !ok {
-		t.Fatalf("GetResult = (%v, %v)", ok, err)
+	var dec Result
+	if err := json.Unmarshal(got1, &dec); err != nil {
+		t.Fatal(err)
 	}
 	if dec.CS1 == nil || dec.CS1.MeanGPUCycles != r.CS1.MeanGPUCycles {
 		t.Fatalf("decoded result = %+v, want %+v", dec.CS1, r.CS1)

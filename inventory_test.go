@@ -189,6 +189,23 @@ func TestNoMapFieldsOnRequestPath(t *testing.T) {
 	}
 }
 
+// TestServicePathBuildsNoScene: submitting, queueing, placing and
+// serving a job costs the same for every scene, so the service plane
+// names and validates workloads through geom's catalogue lookups and
+// never builds one. Its executor reaches scenes only through exp.
+func TestServicePathBuildsNoScene(t *testing.T) {
+	builders := names("SoCModel", "DFSLWorkload", "AllSoCModels", "AllDFSLWorkloads")
+	fset := token.NewFileSet()
+	for _, sf := range productFiles(t, fset, "internal/sweep", "internal/fleet", "internal/daemon", "cmd/emeraldd", "cmd/sweep") {
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && isIdent(sel.X, "geom") && builders[sel.Sel.Name] {
+				t.Errorf("%s: geom.%s builds a scene on the service path", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
 // srcFile is one parsed product file.
 type srcFile struct {
 	dir string // slash-separated, relative to the repository root

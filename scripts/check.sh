@@ -81,13 +81,14 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./interna
 go test -timeout 5m -run '^$' -fuzz '^FuzzStoreFooter$' -fuzztime 5s ./internal/sweep
 go test -timeout 5m -run '^$' -fuzz '^FuzzValidatePayload$' -fuzztime 5s ./internal/fleet
 
-echo "== trace and checkpoint decoder fuzz (2 x 5 s) =="
-# tracetool -replay/-resume and region jobs read these files; the seeds
-# are a recorded W3 trace and a checkpoint of it. Minimisation is off:
-# the seeds carry a 256 KiB texture, and shrinking one interesting
-# mutation of that takes longer than the whole run.
+echo "== trace, checkpoint and sampling-pass decoder fuzz (3 x 5 s) =="
+# tracetool -replay/-resume/-analyze and region jobs read these files;
+# the seeds are a recorded W3 trace and a checkpoint of it. Minimisation
+# is off: the seeds carry a 256 KiB texture, and shrinking one
+# interesting mutation of that takes longer than the whole run.
 go test -timeout 5m -run '^$' -fuzz '^FuzzLoadReplay$' -fuzztime 5s -fuzzminimizetime 0 ./internal/trace
 go test -timeout 5m -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 5s -fuzzminimizetime 0 ./internal/trace
+go test -timeout 5m -run '^$' -fuzz '^FuzzSamplePass$' -fuzztime 5s -fuzzminimizetime 0 ./internal/sample
 
 echo "== go test -race (short) =="
 go test -race -short -timeout 15m ./...
