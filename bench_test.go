@@ -21,7 +21,6 @@ import (
 	"emerald/internal/exp"
 	"emerald/internal/geom"
 	"emerald/internal/gpu"
-	"emerald/internal/par"
 	"emerald/internal/soc"
 	"emerald/internal/telemetry"
 )
@@ -39,11 +38,11 @@ var (
 func matrices(b *testing.B) (reg, high map[int]map[exp.MemConfig]soc.Results) {
 	b.Helper()
 	matrixOnce.Do(func() {
-		matrixReg, matrixErr = exp.CaseStudyIMatrix(benchOpt.RegularMbps, benchOpt, nil)
+		matrixReg, matrixErr = exp.CaseStudyIMatrix(exp.RunCaseStudyI, benchOpt.RegularMbps, benchOpt, nil)
 		if matrixErr != nil {
 			return
 		}
-		matrixHigh, matrixErr = exp.CaseStudyIMatrix(benchOpt.HighMbps, benchOpt, nil)
+		matrixHigh, matrixErr = exp.CaseStudyIMatrix(exp.RunCaseStudyI, benchOpt.HighMbps, benchOpt, nil)
 	})
 	if matrixErr != nil {
 		b.Fatal(matrixErr)
@@ -521,37 +520,14 @@ func BenchmarkFrameW3Telemetry(b *testing.B) {
 	benchmarkFrameProbe(b, geom.W3Cube, telemetry.NewProbe())
 }
 
-// BenchmarkFrameW3Par4 is BenchmarkFrameW3 on the parallel tick engine
-// with 4 workers — the speedup guard for the -workers flag
-// (scripts/check.sh demands >= 1.5x over the sequential run). Results
-// are bit-identical to BenchmarkFrameW3; only wall clock changes.
-func BenchmarkFrameW3Par4(b *testing.B) {
-	benchmarkFrameWorkers(b, geom.W3Cube, 4)
-}
-
 func benchmarkFrame(b *testing.B, workload int) {
 	b.Helper()
-	benchmarkFrameOpts(b, workload, 1, nil)
-}
-
-func benchmarkFrameWorkers(b *testing.B, workload, workers int) {
-	b.Helper()
-	benchmarkFrameOpts(b, workload, workers, nil)
+	benchmarkFrameProbe(b, workload, nil)
 }
 
 func benchmarkFrameProbe(b *testing.B, workload int, probe *telemetry.Probe) {
 	b.Helper()
-	benchmarkFrameOpts(b, workload, 1, probe)
-}
-
-func benchmarkFrameOpts(b *testing.B, workload, workers int, probe *telemetry.Probe) {
-	b.Helper()
 	sys := NewStandaloneGPU(nil)
-	if workers > 1 {
-		pool := par.NewPool(workers)
-		defer pool.Close()
-		sys.SetParallel(pool)
-	}
 	if probe != nil {
 		sys.SetProbe(probe)
 	}

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"emerald/internal/exp"
 )
@@ -36,37 +34,31 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	var ws []int
-	if *workloads == "" {
-		ws = []int{1, 2, 3, 4, 5, 6}
-	} else {
-		for _, part := range strings.Split(*workloads, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || v < 1 || v > 6 {
-				usage(fmt.Errorf("bad workload id %q", part))
-			}
-			ws = append(ws, v)
-		}
+	ws, err := exp.ParseIDs(*workloads, 1, 6, "workload")
+	if err != nil {
+		usage(err)
 	}
-	rf.Apply(&opt)
+	if len(ws) == 0 {
+		ws = []int{1, 2, 3, 4, 5, 6}
+	}
+	if err := rf.Apply(&opt); err != nil {
+		usage(err)
+	}
 	check(printFigures(os.Stdout, *fig, opt, ws, exp.RunWTSweep))
 	check(rf.Finish(os.Stdout))
 }
 
 // printFigures writes the requested figures to w. Figure 17 plots the
 // workloads' WT sweeps and Figure 19 picks SOPT from them, so each
-// workload is swept (by sweep) once for both.
+// workload is swept (by sweep, up to opt.Workers at once) once for both.
 func printFigures(w io.Writer, fig string, opt exp.Options, workloads []int,
 	sweep func(workload int, opt exp.Options) ([]uint64, error)) error {
 	want := func(f string) bool { return fig == "all" || fig == f }
-	sweeps := make(map[int][]uint64)
+	var sweeps map[int][]uint64
 	if want("17") || want("19") {
-		for _, wl := range workloads {
-			times, err := sweep(wl, opt)
-			if err != nil {
-				return err
-			}
-			sweeps[wl] = times
+		var err error
+		if sweeps, err = exp.WTSweeps(sweep, workloads, opt); err != nil {
+			return err
 		}
 	}
 	if want("17") {

@@ -68,7 +68,9 @@ func main() {
 	eopt := exp.Quick()
 	eopt.CS2Width, eopt.CS2Height = opt.w, opt.h
 	eopt.BudgetCycles = 4_000_000_000
-	rf.Apply(&eopt)
+	if err := rf.Apply(&eopt); err != nil {
+		usage(err)
+	}
 	err := run(opt, eopt)
 	if err == nil {
 		err = rf.Finish(os.Stdout)
@@ -110,7 +112,7 @@ func sampledFlagsOK(set []string) error {
 // across -workers), and a weighted whole-run reconstruction.
 func runSampled(opt options, eopt exp.Options) error {
 	start := time.Now()
-	res, err := exp.RunSampled(opt.workload, opt.frames, opt.sampleK, opt.sampleSpan, eopt.Pool.Size(), eopt)
+	res, err := exp.RunSampled(opt.workload, opt.frames, opt.sampleK, opt.sampleSpan, eopt.Workers, eopt)
 	if err != nil {
 		return err
 	}

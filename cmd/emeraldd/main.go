@@ -59,7 +59,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address (port 0 picks a free port)")
 	cache := flag.String("cache", ".emerald-cache", "content-addressed result store directory")
 	journal := flag.String("journal", "auto", "job journal path for crash recovery (\"auto\" = <cache>/journal.wal, \"off\" disables)")
-	jobs := flag.Int("jobs", 2, "concurrently executing jobs (each job may additionally use -workers-style tick parallelism from its spec)")
+	jobs := flag.Int("jobs", 2, "concurrently executing jobs, one simulation each")
 	queue := flag.Int("queue", 1024, "maximum queued jobs")
 	jobTimeout := flag.Duration("job-timeout", 15*time.Minute, "per-job execution timeout")
 	retries := flag.Int("retries", 2, "retry attempts for transient job failures")

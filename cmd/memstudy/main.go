@@ -13,10 +13,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"emerald/internal/exp"
+	"emerald/internal/soc"
 	"emerald/internal/stats"
 )
 
@@ -36,27 +35,23 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	var ms []int
-	if *models != "" {
-		for _, part := range strings.Split(*models, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || v < 1 || v > 4 {
-				usage(fmt.Errorf("bad model id %q", part))
-			}
-			ms = append(ms, v)
-		}
+	ms, err := exp.ParseIDs(*models, 1, 4, "model")
+	if err != nil {
+		usage(err)
 	}
-	rf.Apply(&opt)
-	check(printFigures(os.Stdout, *fig, opt, ms, exp.CaseStudyIMatrix))
+	if err := rf.Apply(&opt); err != nil {
+		usage(err)
+	}
+	check(printFigures(os.Stdout, *fig, opt, ms, exp.RunCaseStudyI))
 	check(rf.Finish(os.Stdout))
 }
 
 // printFigures writes the requested figures to w. Figures 9 and 11 read
 // the regular-load matrix and Figures 12 and 13 the high-load one, so
-// each is simulated (by matrix) at most once however many figures are
-// printed.
+// each matrix cell is simulated (by run, up to opt.Workers at once) at
+// most once however many figures are printed.
 func printFigures(w io.Writer, fig string, opt exp.Options, models []int,
-	matrix func(dataRateMbps int, opt exp.Options, models []int) (exp.CS1Results, error)) error {
+	run func(model int, cfg exp.MemConfig, dataRateMbps int, opt exp.Options) (soc.Results, error)) error {
 	want := func(f string) bool { return fig == "all" || fig == f }
 	byRate := map[int]exp.CS1Results{}
 	table := func(f string, mbps int, build func(exp.CS1Results) *stats.Table) error {
@@ -66,7 +61,7 @@ func printFigures(w io.Writer, fig string, opt exp.Options, models []int,
 		res, ok := byRate[mbps]
 		if !ok {
 			var err error
-			if res, err = matrix(mbps, opt, models); err != nil {
+			if res, err = exp.CaseStudyIMatrix(run, mbps, opt, models); err != nil {
 				return err
 			}
 			byRate[mbps] = res

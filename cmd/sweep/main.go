@@ -40,10 +40,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
+	"emerald/internal/exp"
 	"emerald/internal/fleet"
 	"emerald/internal/sweep"
 )
@@ -69,7 +70,6 @@ func main() {
 	models := flag.String("models", "", "comma-separated model ids (1=chair 2=cube 3=mask 4=triangles; default all)")
 	workloads := flag.String("workloads", "", "comma-separated workload ids 1..6 (default all)")
 	configs := flag.String("configs", "", "comma-separated memory configs (BAS,DCB,DTB,HMC; default all)")
-	workers := flag.Int("workers", 0, "per-job tick-engine workers (0 = daemon default; results are identical)")
 	poll := flag.Duration("poll", 100*time.Millisecond, "job poll interval")
 	timeout := flag.Duration("timeout", 30*time.Minute, "overall sweep deadline")
 	progress := flag.Bool("progress", false, "print live progress lines for running cells to stderr every second")
@@ -84,12 +84,12 @@ func main() {
 	if flag.NArg() > 0 {
 		usageErr(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	}
-	req := sweep.FigureRequest{Scale: *scale, Workers: *workers}
+	req := sweep.FigureRequest{Scale: *scale}
 	if *fig == "all" {
 		req.Figs = sweepable
 	} else {
 		for _, f := range splitList(*fig) {
-			if !contains(sweepable, f) {
+			if !slices.Contains(sweepable, f) {
 				usageErr(fmt.Errorf("figure %q is not sweepable (want one of %s, or all)",
 					f, strings.Join(sweepable, "|")))
 			}
@@ -97,10 +97,10 @@ func main() {
 		}
 	}
 	var err error
-	if req.Models, err = parseIDs(*models, 1, 4, "model"); err != nil {
+	if req.Models, err = exp.ParseIDs(*models, 1, 4, "model"); err != nil {
 		usageErr(err)
 	}
-	if req.Workloads, err = parseIDs(*workloads, 1, 6, "workload"); err != nil {
+	if req.Workloads, err = exp.ParseIDs(*workloads, 1, 6, "workload"); err != nil {
 		usageErr(err)
 	}
 	req.Configs = splitList(*configs)
@@ -144,7 +144,7 @@ func main() {
 	if *sampled {
 		if err := runSampled(ctx, c, req.Workloads, sweep.SampleRequest{
 			Frames: *sampleFrames, K: *sampleK, Span: *sampleSpan,
-			Scale: *scale, Workers: *workers, Notify: notify,
+			Scale: *scale, Notify: notify,
 		}, *poll, start); err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			os.Exit(1)
@@ -247,28 +247,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseIDs parses a comma-separated id list bounded to [lo, hi].
-func parseIDs(s string, lo, hi int, what string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil || v < lo || v > hi {
-			return nil, fmt.Errorf("bad %s id %q", what, part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 func usageErr(err error) {

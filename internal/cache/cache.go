@@ -11,7 +11,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"emerald/internal/emtrace"
 	"emerald/internal/mem"
@@ -86,10 +85,8 @@ type mshr struct {
 
 // RequestDone implements mem.DoneWatcher: downstream completion of the
 // fill (DRAM retire, an L2 hit event, an L2 fill install handing
-// waiters back) lands here. May run on a parallel DRAM channel shard;
-// the counter is atomic and the result is not observed until the next
-// phase barrier.
-func (m *mshr) RequestDone(*mem.Request) { m.c.doneFills.Add(1) }
+// waiters back) lands here.
+func (m *mshr) RequestDone(*mem.Request) { m.c.doneFills++ }
 
 // Cache is a single cache instance. Not safe for concurrent use.
 type Cache struct {
@@ -118,11 +115,10 @@ type Cache struct {
 	// Out carries fill reads and writebacks toward the next level.
 	Out *mem.Queue
 	// doneFills counts fills whose request has completed but whose line
-	// has not yet been installed by Tick. Incremented at completion
-	// (possibly on a parallel DRAM channel shard, hence atomic),
+	// has not yet been installed by Tick. Incremented at completion,
 	// decremented as Tick installs — so NextWake answers "any fill ready
 	// to install?" in O(1) and Tick knows how many to look for.
-	doneFills atomic.Int64
+	doneFills int64
 	// pendingWB buffers writebacks when Out is full.
 	pendingWB []*mem.Request
 	// room counts installs and flushes, Room's share beside Out's pops.
@@ -362,7 +358,7 @@ func (c *Cache) touch(cycle, addr uint64) {
 func (c *Cache) Tick(cycle uint64) {
 	// Nothing to drain and no fill to install: the common case by far,
 	// answered without walking the fills (see doneFills).
-	done := c.doneFills.Load()
+	done := c.doneFills
 	if len(c.pendingWB) == 0 && done == 0 {
 		return
 	}
@@ -390,7 +386,7 @@ func (c *Cache) Tick(cycle uint64) {
 			continue
 		}
 		done--
-		c.doneFills.Add(-1)
+		c.doneFills--
 		if *link = m.next; m.next == nil {
 			c.fillEnd = link
 		}
@@ -501,7 +497,7 @@ func (c *Cache) Quiet() bool {
 // inflight — NextWake runs in every core's per-cycle quiet gate, where
 // an MSHR scan is the dominant cost.
 func (c *Cache) NextWake(cycle uint64) uint64 {
-	if len(c.pendingWB) > 0 || c.Out.Len() > 0 || c.doneFills.Load() > 0 {
+	if len(c.pendingWB) > 0 || c.Out.Len() > 0 || c.doneFills > 0 {
 		return cycle
 	}
 	return mem.NeverWake
@@ -530,7 +526,7 @@ func (c *Cache) AuditDoneFills() string {
 			n++
 		}
 	}
-	if got := c.doneFills.Load(); got != n {
+	if got := c.doneFills; got != n {
 		return fmt.Sprintf("%s: doneFills counter %d, inflight scan %d", c.cfg.Name, got, n)
 	}
 	return ""

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"emerald/internal/emtrace"
 	"emerald/internal/mem"
@@ -41,10 +40,9 @@ type refCache struct {
 	inflight []*mem.Request
 	// doneFills counts inflight entries whose request has completed but
 	// whose line has not yet been installed by Tick. Incremented by
-	// RequestDone (possibly on a parallel DRAM channel shard, hence
-	// atomic), decremented as Tick installs — so NextWake answers "any
+	// RequestDone, decremented as Tick installs — so NextWake answers "any
 	// fill ready to install?" in O(1) instead of scanning inflight.
-	doneFills atomic.Int64
+	doneFills int64
 	// pendingWB buffers writebacks when Out is full.
 	pendingWB []*mem.Request
 
@@ -234,7 +232,7 @@ func (c *refCache) enqueueWrite(cycle uint64, la uint64) bool {
 func (c *refCache) Tick(cycle uint64) {
 	// Nothing to drain and no fill to install: the common case by far,
 	// answered without walking inflight (see doneFills).
-	if len(c.pendingWB) == 0 && c.doneFills.Load() == 0 {
+	if len(c.pendingWB) == 0 && c.doneFills == 0 {
 		return
 	}
 	// Drain buffered writebacks first so evictions below have room.
@@ -258,7 +256,7 @@ func (c *refCache) Tick(cycle uint64) {
 			kept = append(kept, req)
 			continue
 		}
-		c.doneFills.Add(-1)
+		c.doneFills--
 		c.install(cycle, req.Addr)
 		c.trace.Span1(emtrace.SrcCache, c.traceTrack, "fill", req.IssuedAt, cycle,
 			emtrace.Arg{Key: "addr", Val: int64(req.Addr)})
@@ -378,7 +376,7 @@ func (c *refCache) Quiet() bool {
 // inflight — NextWake runs in every core's per-cycle quiet gate, where
 // an MSHR scan is the dominant cost.
 func (c *refCache) NextWake(cycle uint64) uint64 {
-	if len(c.pendingWB) > 0 || c.Out.Len() > 0 || c.doneFills.Load() > 0 {
+	if len(c.pendingWB) > 0 || c.Out.Len() > 0 || c.doneFills > 0 {
 		return cycle
 	}
 	return mem.NeverWake
@@ -386,10 +384,8 @@ func (c *refCache) NextWake(cycle uint64) uint64 {
 
 // RequestDone implements mem.DoneWatcher: fill requests carry the
 // issuing cache in Tag, so downstream completion (DRAM retire, an L2
-// hit event, an L2 fill install handing waiters back) lands here. May
-// run on a parallel DRAM channel shard; the counter is atomic and the
-// result is not observed until the next phase barrier.
-func (c *refCache) RequestDone(*mem.Request) { c.doneFills.Add(1) }
+// hit event, an L2 fill install handing waiters back) lands here.
+func (c *refCache) RequestDone(*mem.Request) { c.doneFills++ }
 
 // scanWake is the O(n) reference implementation of NextWake's
 // done-fill clause, kept for the counter/scan agreement test and the
@@ -414,7 +410,7 @@ func (c *refCache) AuditDoneFills() string {
 			n++
 		}
 	}
-	if got := c.doneFills.Load(); got != n {
+	if got := c.doneFills; got != n {
 		return fmt.Sprintf("%s: doneFills counter %d, inflight scan %d", c.cfg.Name, got, n)
 	}
 	return ""

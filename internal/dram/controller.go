@@ -1,11 +1,8 @@
 package dram
 
 import (
-	"sync/atomic"
-
 	"emerald/internal/emtrace"
 	"emerald/internal/mem"
-	"emerald/internal/par"
 	"emerald/internal/stats"
 )
 
@@ -137,44 +134,17 @@ type Controller struct {
 	reg       *stats.Registry
 	rejected  *stats.Counter
 	totalBusy uint64
-	// room counts requests taken off the channel queues (see Room);
-	// channels issue on parallel shards, hence atomic.
-	room atomic.Uint64
-
-	// Parallel tick engine state: when armed via SetParallel, Tick runs
-	// the per-channel work as one shard per channel on the worker pool.
-	// Channels share no mutable state (the scheduler's cross-channel
-	// tallies are atomic), so any interleaving yields the sequential
-	// result bit for bit.
-	group     *par.Group
-	tickCycle uint64
+	// room counts requests taken off the channel queues (see Room).
+	room uint64
 
 	// onRetire, when set, is called for every request the moment it
-	// retires (Done becomes observable next cycle). Channel shards run
-	// in parallel, so the callback must be safe for concurrent use and
-	// restricted to commutative atomic updates — the SoC uses it to
+	// retires (Done becomes observable next cycle) — the SoC uses it to
 	// wake the retiring client's phase-1 wheel slot.
 	onRetire func(r *mem.Request, cycle uint64)
 }
 
-// SetOnRetire installs the retirement callback. See the field comment
-// for the concurrency contract.
+// SetOnRetire installs the retirement callback (see the field comment).
 func (c *Controller) SetOnRetire(fn func(r *mem.Request, cycle uint64)) { c.onRetire = fn }
-
-// SetParallel arms the worker pool for per-channel parallel ticking.
-// A nil pool (or pool of size 1) keeps the sequential path.
-func (c *Controller) SetParallel(p *par.Pool) {
-	if p == nil || p.Size() <= 1 {
-		c.group = nil
-		return
-	}
-	tasks := make([]func(), len(c.Channels))
-	for i, ch := range c.Channels {
-		ch := ch
-		tasks[i] = func() { c.serveChannel(ch, c.tickCycle) }
-	}
-	c.group = par.NewGroup(p, tasks)
-}
 
 // NewController builds a DRAM controller. reg may be nil.
 func NewController(cfg Config, reg *stats.Registry) *Controller {
@@ -265,7 +235,7 @@ func (c *Controller) Push(r *mem.Request) bool {
 // Room is the controller's room counter: it moves each time a request
 // leaves a channel queue, the one event that can turn a refused Push
 // into an accepted one.
-func (c *Controller) Room() uint64 { return c.room.Load() }
+func (c *Controller) Room() uint64 { return c.room }
 
 // Refused charges a Push of each of rs that Room says would be refused
 // again, without performing them.
@@ -281,20 +251,13 @@ func (c *Controller) QueuedRequests() int {
 }
 
 // Tick advances the DRAM by one controller cycle: completes in-flight
-// transfers and issues at most one new transaction per channel. With
-// SetParallel armed, channels tick concurrently (one shard each);
-// otherwise they tick in channel order. Both paths compute identical
-// state.
+// transfers and issues at most one new transaction per channel, in
+// channel order.
 func (c *Controller) Tick(cycle uint64) {
 	c.sched.Tick(cycle)
-	if c.group == nil || c.QueuedRequests() == 0 {
-		for _, ch := range c.Channels {
-			c.serveChannel(ch, cycle)
-		}
-		return
+	for _, ch := range c.Channels {
+		c.serveChannel(ch, cycle)
 	}
-	c.tickCycle = cycle
-	c.group.Run()
 }
 
 // serveChannel retires the channel's finished transfers and issues at
@@ -336,7 +299,7 @@ func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
 	copy(ch.locs[idx:], ch.locs[idx+1:])
 	ch.Queue[last] = nil // the vacated slot pins nothing
 	ch.Queue, ch.locs = ch.Queue[:last], ch.locs[:last]
-	c.room.Add(1)
+	c.room++
 
 	t := c.cfg.Timing
 	start := cycle

@@ -7,9 +7,8 @@ import (
 )
 
 // AttachGuard registers per-channel bank/bus state-machine legality
-// invariants. Probes run at the system quiesce point, after every
-// channel shard has ticked, so they read stable state even under the
-// parallel tick engine. Safe with a nil checker.
+// invariants. Probes run at the end of a system Tick, after every
+// channel has ticked. Safe with a nil checker.
 func (c *Controller) AttachGuard(g *guard.Checker) {
 	for _, ch := range c.Channels {
 		ch := ch

@@ -33,7 +33,7 @@ func TestGuardCatchesARemovalThatDoesNotMoveRoom(t *testing.T) {
 			t.Fatal("setup: the queued request did not issue")
 		}
 		if forget {
-			c.room.Add(^uint64(0))
+			c.room--
 		}
 		x.Tick(2)
 		g.Tick(2)

@@ -7,10 +7,7 @@ import "emerald/internal/mem"
 // only return requests whose bank is ready (ch.BankReady) — the
 // controller refuses to issue to a busy bank. Schedulers may keep
 // cross-channel state; Tick is called once per controller cycle before
-// any Pick, on the coordinator. Under the parallel tick engine, Pick
-// runs concurrently for different channels, so any mutable
-// cross-channel state it touches must be commutative and atomic (see
-// sched.DASH's bandwidth tallies).
+// any Pick.
 // NextWake reports the earliest future cycle at which Tick would do
 // something (deadline-driven schedulers return their next deadline;
 // stateless ones return mem.NeverWake), letting the tick loops skip

@@ -76,14 +76,12 @@ func (e Event) End() uint64 { return e.Cycle + e.Dur }
 // below is safe (and cheap) to call on nil, so models hold a bare
 // *Tracer field with no guard at the call sites beyond Active().
 //
-// Event *emission* is safe from concurrent tick-engine shards: emit
-// serializes ring writes under a mutex. Control methods (SetStart,
-// SetEnabled, FrameMark, Events, ...) must stay on the coordinator —
-// they run in serialized tick phases by construction. Note that with
-// -workers > 1 the interleaving of same-cycle events from different
-// shards follows the host schedule, so the emit-order sequence numbers
-// (and thus same-cycle tie-breaking in Events) are only deterministic
-// in single-worker runs; cycle timestamps are deterministic always.
+// Event *emission* is safe from concurrent goroutines: emit serializes
+// ring writes under a mutex, so systems on different goroutines may
+// share a tracer (the harnesses in internal/exp do not: a shared tracer
+// makes them run one system at a time). Control methods (SetStart,
+// SetEnabled, FrameMark, Events, ...) belong to the goroutine that
+// drives the run.
 type Tracer struct {
 	on       bool
 	start    uint64 // ROI: events strictly before this cycle are skipped

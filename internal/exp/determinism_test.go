@@ -9,20 +9,19 @@ import (
 	"emerald/internal/geom"
 	"emerald/internal/gl"
 	"emerald/internal/gpu"
-	"emerald/internal/par"
 	"emerald/internal/stats"
 )
 
-// The parallel tick engine must be bit-identical to the sequential
-// engine: every counter, every framebuffer byte, every reported frame
-// time. These tests hash the complete observable state of a run —
-// stats registry, framebuffer, final cycle, results summary — and
-// demand equality between -workers 1 and -workers 4.
+// How time advances must be invisible: every counter, every
+// framebuffer byte, every reported frame time. These tests hash the
+// complete observable state of a run — stats registry, framebuffer,
+// final cycle, results summary — and demand equality between the
+// default engine and the every-cycle reference.
 
 // timeAdvance is one setting of the engine's two time-advancement
 // mechanisms: clock jumps over idle stretches, and parked components —
-// the SoC's phase-1 shards on their wheel slots, the drained GPU behind
-// its latch ("wheel" is SetEventWheel's name for both).
+// the SoC's CPU cores and display on their wheel slots, the drained
+// GPU behind its latch ("wheel" is SetEventWheel's name for both).
 type timeAdvance struct {
 	name        string
 	skip, wheel bool
@@ -38,27 +37,17 @@ var referenceArms = []timeAdvance{
 	{"wheel-only", false, true},
 }
 
-type workerArm struct {
-	name string
-	pool *par.Pool
-}
-
-func workerArms(pool *par.Pool) []workerArm {
-	return []workerArm{{"workers1", nil}, {"workers4", pool}}
-}
-
 // socStateDigest runs one Case Study I cell and hashes its observable
 // end state.
-func socStateDigest(t *testing.T, model int, cfg MemConfig, pool *par.Pool, adv timeAdvance) string {
+func socStateDigest(t *testing.T, model int, cfg MemConfig, adv timeAdvance) string {
 	t.Helper()
 	opt := Quick()
 	if testing.Short() {
 		// Race-detector runs (scripts/check.sh uses -race -short) pay
 		// ~20x per simulated cycle; one frame still exercises every
-		// shard boundary.
+		// component.
 		opt.Frames, opt.WarmupFrames = 1, 0
 	}
-	opt.Pool = pool
 	opt.EveryCycle = !adv.skip && !adv.wheel
 	reg := stats.NewRegistry()
 	s, err := buildSoC(model, cfg, opt.RegularMbps, opt, reg)
@@ -85,10 +74,9 @@ func socStateDigest(t *testing.T, model int, cfg MemConfig, pool *par.Pool, adv 
 
 // standaloneStateDigest renders two DFSL frames on the standalone GPU
 // and hashes the observable end state.
-func standaloneStateDigest(t *testing.T, pool *par.Pool, adv timeAdvance) string {
+func standaloneStateDigest(t *testing.T, adv timeAdvance) string {
 	t.Helper()
 	sys := gpu.DefaultStandalone(nil)
-	sys.SetParallel(pool)
 	sys.SetIdleSkip(adv.skip)
 	sys.SetEventWheel(adv.wheel)
 	ctx := gl.NewContext(sys.Mem(), gl.HeapBase, gl.HeapSize)
@@ -129,45 +117,6 @@ func standaloneStateDigest(t *testing.T, pool *par.Pool, adv timeAdvance) string
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestParallelDeterminismSoC checks the full-SoC path (memstudy
-// workloads): CPU/display shards, GPU clusters, DRAM channels.
-func TestParallelDeterminismSoC(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
-	cases := []struct {
-		model int
-		cfg   MemConfig
-	}{
-		{geom.M2Cube, BAS},
-		{geom.M1Chair, DTB},
-	}
-	if testing.Short() {
-		cases = cases[:1]
-	}
-	for _, c := range cases {
-		seq := socStateDigest(t, c.model, c.cfg, nil, defaultAdvance)
-		parl := socStateDigest(t, c.model, c.cfg, pool, defaultAdvance)
-		t.Logf("%s/%s state digest: %s", modelName(c.model), c.cfg, seq)
-		if seq != parl {
-			t.Errorf("%s/%s: workers=1 digest %s != workers=4 digest %s",
-				modelName(c.model), c.cfg, seq, parl)
-		}
-	}
-}
-
-// TestParallelDeterminismStandalone checks the standalone-GPU path
-// (dfsl workloads): cluster shards and DRAM channels.
-func TestParallelDeterminismStandalone(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
-	seq := standaloneStateDigest(t, nil, defaultAdvance)
-	parl := standaloneStateDigest(t, pool, defaultAdvance)
-	t.Logf("standalone W3 state digest: %s", seq)
-	if seq != parl {
-		t.Errorf("workers=1 digest %s != workers=4 digest %s", seq, parl)
-	}
-}
-
 // TestTimeAdvanceDeterminismSoC checks that how time advances is
 // invisible. The default engine jumps the clock over idle stretches,
 // parks CPU cores and the display on their wheel slots and stops
@@ -175,11 +124,9 @@ func TestParallelDeterminismStandalone(t *testing.T) {
 // no-ops anyway.
 // So the complete observable end state of a run (registry JSON,
 // framebuffer, final cycle, results) must match the every-cycle
-// reference, and each mechanism on its own, under both the sequential
-// and the parallel tick engine.
+// reference, and each mechanism on its own. The default digests are
+// logged, so a change that moves simulated state shows up as a new hash.
 func TestTimeAdvanceDeterminismSoC(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
 	cases := []struct {
 		model int
 		cfg   MemConfig
@@ -191,13 +138,12 @@ func TestTimeAdvanceDeterminismSoC(t *testing.T) {
 		cases = cases[:1]
 	}
 	for _, c := range cases {
-		for _, tc := range workerArms(pool) {
-			def := socStateDigest(t, c.model, c.cfg, tc.pool, defaultAdvance)
-			for _, arm := range referenceArms {
-				if got := socStateDigest(t, c.model, c.cfg, tc.pool, arm); got != def {
-					t.Errorf("%s/%s %s: default digest %s != %s digest %s",
-						modelName(c.model), c.cfg, tc.name, def, arm.name, got)
-				}
+		def := socStateDigest(t, c.model, c.cfg, defaultAdvance)
+		t.Logf("%s/%s state digest: %s", modelName(c.model), c.cfg, def)
+		for _, arm := range referenceArms {
+			if got := socStateDigest(t, c.model, c.cfg, arm); got != def {
+				t.Errorf("%s/%s: default digest %s != %s digest %s",
+					modelName(c.model), c.cfg, def, arm.name, got)
 			}
 		}
 	}
@@ -206,14 +152,11 @@ func TestTimeAdvanceDeterminismSoC(t *testing.T) {
 // TestTimeAdvanceDeterminismStandalone is the standalone-GPU (dfsl W3)
 // counterpart of TestTimeAdvanceDeterminismSoC.
 func TestTimeAdvanceDeterminismStandalone(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
-	for _, tc := range workerArms(pool) {
-		def := standaloneStateDigest(t, tc.pool, defaultAdvance)
-		for _, arm := range referenceArms {
-			if got := standaloneStateDigest(t, tc.pool, arm); got != def {
-				t.Errorf("%s: default digest %s != %s digest %s", tc.name, def, arm.name, got)
-			}
+	def := standaloneStateDigest(t, defaultAdvance)
+	t.Logf("standalone W3 state digest: %s", def)
+	for _, arm := range referenceArms {
+		if got := standaloneStateDigest(t, arm); got != def {
+			t.Errorf("default digest %s != %s digest %s", def, arm.name, got)
 		}
 	}
 }

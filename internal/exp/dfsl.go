@@ -92,25 +92,9 @@ func (r *CS2Renderer) missSum(cacheName string) int64 {
 	return sum
 }
 
-// WTSweep renders the same frame once per WT size in [1, maxWT] and
-// returns per-WT execution cycles (after one warmup render).
-func (r *CS2Renderer) WTSweep(maxWT int) ([]uint64, error) {
-	if _, err := r.RenderFrame(1, false); err != nil { // warmup
-		return nil, err
-	}
-	out := make([]uint64, maxWT)
-	for wt := 1; wt <= maxWT; wt++ {
-		c, err := r.RenderFrame(wt, false)
-		if err != nil {
-			return nil, err
-		}
-		out[wt-1] = c
-	}
-	return out, nil
-}
-
 // RunWTSweep runs one workload's WT sweep (Figure 17's unit of work):
-// per-WT frame execution cycles for sizes 1..opt.MaxWT.
+// the same frame rendered once per WT size 1..opt.MaxWT, after one
+// warmup render, and its per-WT execution cycles.
 func RunWTSweep(workload int, opt Options) ([]uint64, error) {
 	scene, err := geom.DFSLWorkload(workload)
 	if err != nil {
@@ -120,11 +104,33 @@ func RunWTSweep(workload int, opt Options) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	times, err := r.WTSweep(opt.MaxWT)
-	if err != nil {
+	if _, err := r.RenderFrame(1, false); err != nil { // warmup
 		return nil, fmt.Errorf("%s: %w", scene.Name, err)
 	}
-	return times, nil
+	out := make([]uint64, opt.MaxWT)
+	for wt := 1; wt <= opt.MaxWT; wt++ {
+		if out[wt-1], err = r.RenderFrame(wt, false); err != nil {
+			return nil, fmt.Errorf("%s: %w", scene.Name, err)
+		}
+	}
+	return out, nil
+}
+
+// WTSweeps runs sweep over each workload, up to opt.Workers at once, and
+// returns the WT sweeps by workload id (Figure 17's rows, and SOPT's
+// input for Figure 19). RunWTSweep is the sweep the CLIs use.
+func WTSweeps(sweep func(workload int, opt Options) ([]uint64, error), workloads []int, opt Options) (map[int][]uint64, error) {
+	times, err := runCells(opt, len(workloads), func(i int) ([]uint64, error) {
+		return sweep(workloads[i], opt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int][]uint64, len(workloads))
+	for i, w := range workloads {
+		out[w] = times[i]
+	}
+	return out, nil
 }
 
 // Fig18 reproduces Figure 18: W1 execution time and L1 cache misses
@@ -138,37 +144,36 @@ func Fig18(opt Options) (*stats.Table, error) {
 	t := stats.NewTable("Figure 18: W1 execution time and L1 misses vs WT (normalized to WT=1)",
 		"WT", "exec_time", "color_misses", "texture_misses", "depth_misses")
 
-	var base [4]float64
-	for wt := 1; wt <= opt.MaxWT; wt++ {
-		// Fresh system per WT so cache-miss counters are isolated.
+	// One fresh system per WT point, so cache-miss counters are isolated.
+	points, err := runCells(opt, opt.MaxWT, func(i int) ([4]float64, error) {
+		wt := i + 1
 		r, err := NewCS2Renderer(scene, opt)
 		if err != nil {
-			return nil, err
+			return [4]float64{}, err
 		}
 		if _, err := r.RenderFrame(wt, false); err != nil { // warmup
-			return nil, err
+			return [4]float64{}, err
 		}
 		d0 := [3]int64{r.missSum("l1d"), r.missSum("l1t"), r.missSum("l1z")}
 		cycles, err := r.RenderFrame(wt, false)
-		if err != nil {
-			return nil, err
-		}
-		vals := [4]float64{
+		return [4]float64{
 			float64(cycles),
 			float64(r.missSum("l1d") - d0[0]),
 			float64(r.missSum("l1t") - d0[1]),
 			float64(r.missSum("l1z") - d0[2]),
-		}
-		if wt == 1 {
-			base = vals
-		}
-		norm := func(i int) float64 {
-			if base[i] == 0 {
+		}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, vals := range points {
+		norm := func(j int) float64 {
+			if points[0][j] == 0 {
 				return 0
 			}
-			return vals[i] / base[i]
+			return vals[j] / points[0][j]
 		}
-		t.AddRow(wt, norm(0), norm(1), norm(2), norm(3))
+		t.AddRow(i+1, norm(0), norm(1), norm(2), norm(3))
 	}
 	return t, nil
 }
@@ -195,15 +200,23 @@ func (p DFSLPolicy) String() string {
 // identical frame sequence.
 func Fig19(opt Options, workloads []int, sweeps map[int][]uint64) (*stats.Table, map[int]map[DFSLPolicy]float64, error) {
 	sopt := SOPTFromSweeps(sweeps, opt.MaxWT)
+	policies := AllDFSLPolicies()
+	avgs, err := runCells(opt, len(workloads)*len(policies), func(i int) (float64, error) {
+		w, p := workloads[i/len(policies)], policies[i%len(policies)]
+		avg, err := RunCS2Policy(w, p, sopt, opt)
+		if err != nil {
+			return 0, fmt.Errorf("%s/%s: %w", workloadName(w), p, err)
+		}
+		return avg, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	raw := make(map[int]map[DFSLPolicy]float64)
-	for _, w := range workloads {
+	for i, w := range workloads {
 		raw[w] = make(map[DFSLPolicy]float64)
-		for _, p := range AllDFSLPolicies() {
-			avg, err := RunCS2Policy(w, p, sopt, opt)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", workloadName(w), p, err)
-			}
-			raw[w][p] = avg
+		for j, p := range policies {
+			raw[w][p] = avgs[i*len(policies)+j]
 		}
 	}
 	return Fig19Table(workloads, raw, sopt, opt.MaxWT, opt.DFSLRunFrames), raw, nil

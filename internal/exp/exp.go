@@ -9,12 +9,13 @@ package exp
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"emerald/internal/dram"
 	"emerald/internal/emtrace"
 	"emerald/internal/geom"
 	"emerald/internal/mem"
-	"emerald/internal/par"
 	"emerald/internal/sched"
 	"emerald/internal/soc"
 	"emerald/internal/stats"
@@ -52,11 +53,11 @@ type Options struct {
 	// as TimelineRun does).
 	Stats *stats.Registry
 
-	// Pool, when non-nil with more than one worker, arms the
-	// deterministic parallel tick engine on every system the harness
-	// builds (see internal/par and the -workers flag on the cmd tools).
-	// Results are bit-identical regardless of worker count.
-	Pool *par.Pool
+	// Workers is how many independent simulations — the cells of a
+	// figure — a harness runs at once (the -workers flag on the cmd
+	// tools); 0 or 1 runs them one at a time. Every cell builds its own
+	// system, so results are bit-identical regardless of worker count.
+	Workers int
 
 	// Ctx, when non-nil, cancels in-flight simulations: the run loops
 	// poll it every ~1k simulated cycles, so a timeout or cancel stops
@@ -79,8 +80,8 @@ type Options struct {
 	Guard bool
 
 	// EveryCycle selects the reference mode (the -every-cycle flag): no
-	// clock jumps and no parked shards, so every CPU core, display, GPU
-	// cluster and DRAM channel is ticked on every cycle. Results are
+	// clock jumps and no parked components, so every CPU core, display,
+	// GPU cluster and DRAM channel is ticked on every cycle. Results are
 	// bit-identical either way; the mode exists as the oracle the
 	// digest gates compare the default against, and for debugging.
 	EveryCycle bool
@@ -151,6 +152,24 @@ func ByScale(name string) (Options, error) {
 		return Paper(), nil
 	}
 	return Options{}, fmt.Errorf("exp: unknown scale %q (want smoke|quick|paper)", name)
+}
+
+// ParseIDs parses a comma-separated id list, the form of the CLIs'
+// -models and -workloads flags, with every id in [lo, hi]; what names
+// the id in errors. Blank entries are skipped, so "" parses to nil.
+func ParseIDs(list string, lo, hi int, what string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(list, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil || v < lo || v > hi {
+			return nil, fmt.Errorf("bad %s id %q", what, part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // MemConfig identifies a Case Study I memory configuration (Table 6).
@@ -234,20 +253,26 @@ func RunCaseStudyI(model int, cfg MemConfig, dataRateMbps int, opt Options) (soc
 }
 
 // CaseStudyIMatrix runs every model x config cell at the given DRAM data
-// rate and returns results indexed [model][config].
-func CaseStudyIMatrix(dataRateMbps int, opt Options, models []int) (map[int]map[MemConfig]soc.Results, error) {
+// rate through run (RunCaseStudyI, or a test's stand-in), up to
+// opt.Workers cells at once, and returns results indexed
+// [model][config].
+func CaseStudyIMatrix(run func(model int, cfg MemConfig, dataRateMbps int, opt Options) (soc.Results, error),
+	dataRateMbps int, opt Options, models []int) (CS1Results, error) {
 	if len(models) == 0 {
 		models = []int{geom.M1Chair, geom.M2Cube, geom.M3Mask, geom.M4Triangles}
 	}
-	out := make(map[int]map[MemConfig]soc.Results)
-	for _, m := range models {
+	cfgs := AllMemConfigs()
+	cells, err := runCells(opt, len(models)*len(cfgs), func(i int) (soc.Results, error) {
+		return run(models[i/len(cfgs)], cfgs[i%len(cfgs)], dataRateMbps, opt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(CS1Results)
+	for i, m := range models {
 		out[m] = make(map[MemConfig]soc.Results)
-		for _, cfg := range AllMemConfigs() {
-			r, err := RunCaseStudyI(m, cfg, dataRateMbps, opt)
-			if err != nil {
-				return nil, err
-			}
-			out[m][cfg] = r
+		for j, cfg := range cfgs {
+			out[m][cfg] = cells[i*len(cfgs)+j]
 		}
 	}
 	return out, nil
@@ -274,9 +299,8 @@ func TimelineRun(model int, cfg MemConfig, dataRateMbps int, opt Options, bucket
 		return nil, err
 	}
 	tl := stats.NewTimeline(bucket)
-	// Pin the column order up front: under the parallel engine the DRAM
-	// channel shards record concurrently, so first-seen source order
-	// would otherwise depend on thread interleaving.
+	// Pin the column order up front, so every figure prints the same
+	// columns in the same order whichever source moves bytes first.
 	tl.Register(mem.ClientCPU.String(), mem.ClientGPU.String(),
 		mem.ClientDisplay.String(), mem.ClientDMA.String())
 	s.DRAM.Timeline = tl
@@ -297,15 +321,14 @@ func Fig10(opt Options) (*stats.Timeline, error) {
 // load — two timelines showing CPU over-prioritization and display
 // starvation under DTB.
 func Fig14(opt Options) (bas, dtb *stats.Timeline, err error) {
-	bas, err = TimelineRun(geom.M1Chair, BAS, opt.HighMbps, opt, opt.AppPeriod/16)
+	cfgs := [2]MemConfig{BAS, DTB}
+	tls, err := runCells(opt, len(cfgs), func(i int) (*stats.Timeline, error) {
+		return TimelineRun(geom.M1Chair, cfgs[i], opt.HighMbps, opt, opt.AppPeriod/16)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	dtb, err = TimelineRun(geom.M1Chair, DTB, opt.HighMbps, opt, opt.AppPeriod/16)
-	if err != nil {
-		return nil, nil, err
-	}
-	return bas, dtb, nil
+	return tls[0], tls[1], nil
 }
 
 func sortedModels(res map[int]map[MemConfig]soc.Results) []int {

@@ -33,7 +33,7 @@ func TestRunCaseStudyICell(t *testing.T) {
 }
 
 func TestFig09ShapeSmall(t *testing.T) {
-	res, err := CaseStudyIMatrix(1333, tinyOptions(), []int{geom.M2Cube})
+	res, err := CaseStudyIMatrix(RunCaseStudyI, 1333, tinyOptions(), []int{geom.M2Cube})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMemConfigNames(t *testing.T) {
 func TestFig12And13HighLoadShapes(t *testing.T) {
 	opt := tinyOptions()
 	opt.Frames = 2 // frame-to-frame deltas need at least two measured frames
-	res, err := CaseStudyIMatrix(opt.HighMbps, opt, []int{geom.M4Triangles})
+	res, err := CaseStudyIMatrix(RunCaseStudyI, opt.HighMbps, opt, []int{geom.M4Triangles})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"emerald/internal/gl"
 	"emerald/internal/gpu"
 	"emerald/internal/guard"
-	"emerald/internal/par"
 	"emerald/internal/sample"
 	"emerald/internal/stats"
 	"emerald/internal/telemetry"
@@ -31,15 +30,14 @@ type armable interface {
 	AttachTracer(*emtrace.Tracer)
 	AttachGuard(*guard.Checker)
 	SetWatchdog(uint64)
-	SetParallel(*par.Pool)
 	SetIdleSkip(bool)
 	SetEventWheel(bool)
 	SetProbe(*telemetry.Probe)
 }
 
 // arm applies the harness half of opt to a freshly built system: the
-// tracer, the invariant checker, the watchdog, the tick-engine pool,
-// the time-advance mode and the telemetry probe, in that order.
+// tracer, the invariant checker, the watchdog, the time-advance mode
+// and the telemetry probe, in that order.
 func arm(sys armable, opt Options) {
 	if opt.Trace != nil {
 		sys.AttachTracer(opt.Trace)
@@ -48,7 +46,6 @@ func arm(sys armable, opt Options) {
 		sys.AttachGuard(guard.NewChecker())
 	}
 	sys.SetWatchdog(opt.WatchdogCycles)
-	sys.SetParallel(opt.Pool)
 	sys.SetIdleSkip(!opt.EveryCycle)
 	sys.SetEventWheel(!opt.EveryCycle)
 	sys.SetProbe(opt.Probe)
@@ -121,7 +118,7 @@ func (r *Replay) RunRegion(tr *trace.Trace, cp *trace.Checkpoint, start, warmup,
 
 // digest hashes the system's observable end state — registry JSON,
 // framebuffer, final cycle — the same SHA-256 gate pattern as the
-// workers/skip determinism tests.
+// time-advance determinism tests.
 func (r *Replay) digest() (string, error) {
 	var buf bytes.Buffer
 	if err := r.S.Reg.DumpJSON(&buf); err != nil {

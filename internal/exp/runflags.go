@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	"emerald/internal/emtrace"
-	"emerald/internal/par"
 	"emerald/internal/stats"
 	"emerald/internal/telemetry"
 )
@@ -30,7 +30,6 @@ type RunFlags struct {
 	traceFrames int
 	statsJSON   string
 
-	pool       *par.Pool
 	trace      *emtrace.Tracer
 	stats      *stats.Registry
 	stopTicker func()
@@ -40,10 +39,10 @@ type RunFlags struct {
 // -progress lines.
 func AddRunFlags(fs *flag.FlagSet, tool string) *RunFlags {
 	f := &RunFlags{tool: tool}
-	fs.IntVar(&f.workers, "workers", par.DefaultWorkers(), "worker threads for the parallel tick engine (1 = sequential; results are identical)")
+	fs.IntVar(&f.workers, "workers", runtime.NumCPU(), "simulations run at once, one per figure cell (1 = one at a time; results are identical)")
 	fs.Uint64Var(&f.watchdog, "watchdog", 0, "abort after this many cycles without forward progress, with a diagnostic dump (0 = off)")
 	fs.BoolVar(&f.guard, "guard", false, "run cycle-level microarchitectural invariant checks (MSHR leaks, SIMT stack balance, DRAM/NoC legality)")
-	fs.BoolVar(&f.everyCycle, "every-cycle", false, "reference mode: tick every component on every cycle, with no clock jumps and no parked shards (results are identical; the digest oracle, and for debugging)")
+	fs.BoolVar(&f.everyCycle, "every-cycle", false, "reference mode: tick every component on every cycle, with no clock jumps and no parked components (results are identical; the digest oracle, and for debugging)")
 	fs.BoolVar(&f.progress, "progress", false, "print a live progress line to stderr every second (cycle, frames or draws, sim rate, skip ratio)")
 	fs.StringVar(&f.traceFile, "trace-events", "", "write a Chrome/Perfetto trace-event JSON file covering every run")
 	fs.Uint64Var(&f.traceStart, "trace-start", 0, "drop trace events before this cycle")
@@ -53,16 +52,16 @@ func AddRunFlags(fs *flag.FlagSet, tool string) *RunFlags {
 }
 
 // Apply turns the parsed flags into opt's harness half, starting what
-// they ask for: the worker pool, the tracer, the stats registry and the
-// progress ticker. Finish releases them.
-func (f *RunFlags) Apply(opt *Options) {
+// they ask for: the tracer, the stats registry and the progress ticker.
+// Finish releases them. A -workers below 1 is a usage error.
+func (f *RunFlags) Apply(opt *Options) error {
+	if f.workers < 1 {
+		return fmt.Errorf("-workers must be at least 1, got %d", f.workers)
+	}
+	opt.Workers = f.workers
 	opt.WatchdogCycles = f.watchdog
 	opt.Guard = f.guard
 	opt.EveryCycle = f.everyCycle
-	if f.workers > 1 {
-		f.pool = par.NewPool(f.workers)
-		opt.Pool = f.pool
-	}
 	if f.traceFile != "" {
 		f.trace = emtrace.New(0)
 		f.trace.SetStart(f.traceStart)
@@ -77,15 +76,15 @@ func (f *RunFlags) Apply(opt *Options) {
 		opt.Probe = telemetry.NewProbe()
 		f.stopTicker = telemetry.StartTicker(os.Stderr, opt.Probe, f.tool+": ", time.Second)
 	}
+	return nil
 }
 
-// Finish ends what Apply started: it stops the ticker, closes the pool
-// and writes the trace and stats files, reporting each on w.
+// Finish ends what Apply started: it stops the ticker and writes the
+// trace and stats files, reporting each on w.
 func (f *RunFlags) Finish(w io.Writer) error {
 	if f.stopTicker != nil {
 		f.stopTicker()
 	}
-	f.pool.Close()
 	if f.trace != nil {
 		if err := writeFile(f.traceFile, f.trace.WriteChromeJSON); err != nil {
 			return err

@@ -6,13 +6,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"emerald/internal/emtrace"
 	"emerald/internal/geom"
-	"emerald/internal/par"
 )
 
 // TestRunFlagsSurface: the shared set is exactly the nine run flags,
@@ -21,7 +21,7 @@ func TestRunFlagsSurface(t *testing.T) {
 	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 	AddRunFlags(fs, "tool")
 	want := map[string]string{
-		"workers":      strconv.Itoa(par.DefaultWorkers()),
+		"workers":      strconv.Itoa(runtime.NumCPU()),
 		"watchdog":     "0",
 		"guard":        "false",
 		"every-cycle":  "false",
@@ -62,12 +62,14 @@ func TestRunFlagsApplyFinish(t *testing.T) {
 	}
 	opt := tinyOptions()
 	opt.CS2Width, opt.CS2Height = 32, 24
-	rf.Apply(&opt)
+	if err := rf.Apply(&opt); err != nil {
+		t.Fatal(err)
+	}
 	if opt.WatchdogCycles != 500000 || !opt.Guard || !opt.EveryCycle {
 		t.Errorf("flags not applied: %+v", opt)
 	}
-	if opt.Pool.Size() != 2 || opt.Trace == nil || opt.Stats == nil || opt.Probe != nil {
-		t.Errorf("pool %d, trace %v, stats %v, probe %v", opt.Pool.Size(), opt.Trace, opt.Stats, opt.Probe)
+	if opt.Workers != 2 || opt.Trace == nil || opt.Stats == nil || opt.Probe != nil {
+		t.Errorf("workers %d, trace %v, stats %v, probe %v", opt.Workers, opt.Trace, opt.Stats, opt.Probe)
 	}
 
 	scene, err := geom.DFSLWorkload(geom.W3Cube)
@@ -111,8 +113,8 @@ func TestRunFlagsApplyFinish(t *testing.T) {
 }
 
 // TestRunFlagsDefaultsArmNothing: with no observability flag set,
-// Apply leaves the harness half of Options at its zero value (one
-// worker is no pool) and Finish has nothing to write.
+// Apply leaves the harness half of Options at its zero value, bar the
+// worker count, and Finish has nothing to write.
 func TestRunFlagsDefaultsArmNothing(t *testing.T) {
 	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 	rf := AddRunFlags(fs, "tool")
@@ -120,13 +122,49 @@ func TestRunFlagsDefaultsArmNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var opt Options
-	rf.Apply(&opt)
-	if opt.Pool != nil || opt.Trace != nil || opt.Stats != nil || opt.Probe != nil ||
+	if err := rf.Apply(&opt); err != nil {
+		t.Fatal(err)
+	}
+	if opt.Workers != 1 || opt.Trace != nil || opt.Stats != nil || opt.Probe != nil ||
 		opt.Guard || opt.EveryCycle || opt.WatchdogCycles != 0 {
 		t.Errorf("defaults armed something: %+v", opt)
 	}
 	var out bytes.Buffer
 	if err := rf.Finish(&out); err != nil || out.Len() != 0 {
 		t.Errorf("finish wrote %q, err %v", out.String(), err)
+	}
+}
+
+// TestRunFlagsRejectWorkersBelowOne: -workers 0 or a negative count is
+// a usage error that names the flag, not a quiet fallback to one at a
+// time.
+func TestRunFlagsRejectWorkersBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		rf := AddRunFlags(fs, "tool")
+		if err := fs.Parse([]string{"-workers", v}); err != nil {
+			t.Fatal(err)
+		}
+		var opt Options
+		err := rf.Apply(&opt)
+		if err == nil || !strings.Contains(err.Error(), "-workers") {
+			t.Errorf("-workers %s: Apply returned %v, want an error naming -workers", v, err)
+		}
+	}
+}
+
+// TestParseIDs: the -models/-workloads parser skips blanks, bounds every
+// id and names the bad one.
+func TestParseIDs(t *testing.T) {
+	if ids, err := ParseIDs(" 1, 3,,4 ", 1, 4, "model"); err != nil || len(ids) != 3 || ids[0] != 1 || ids[1] != 3 || ids[2] != 4 {
+		t.Errorf("ParseIDs = %v, %v; want [1 3 4]", ids, err)
+	}
+	if ids, err := ParseIDs("", 1, 6, "workload"); err != nil || ids != nil {
+		t.Errorf("empty list parsed to %v, %v", ids, err)
+	}
+	for _, bad := range []string{"0", "7", "x", "2,9"} {
+		if _, err := ParseIDs(bad, 1, 6, "workload"); err == nil || !strings.Contains(err.Error(), "bad workload id") {
+			t.Errorf("ParseIDs(%q) error %v, want a bad workload id", bad, err)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"emerald/internal/geom"
 	"emerald/internal/gl"
@@ -159,8 +158,8 @@ type SampledResult struct {
 // record the scenario, functional-pass it for per-frame signatures,
 // cluster the signatures into k regions, checkpoint the region starts,
 // run each region in detail (up to parallel at once, each on its own
-// system and registry), and reconstruct the whole-run estimate from
-// the weighted region means.
+// system and registry, under runCells' rules), and reconstruct the
+// whole-run estimate from the weighted region means.
 func RunSampled(workload, frames, k, span, parallel int, opt Options) (*SampledResult, error) {
 	tr, err := RecordWorkloadTrace(workload, frames, opt)
 	if err != nil {
@@ -184,38 +183,18 @@ func RunSampled(workload, frames, k, span, parallel int, opt Options) (*SampledR
 		return nil, err
 	}
 
-	if parallel < 1 {
-		parallel = 1
-	}
 	ropt := opt
-	if parallel > 1 {
-		// Region fan-out owns the process parallelism; the tick-engine
-		// pool is not shareable across concurrently running systems.
-		ropt.Pool = nil
-	}
-	results := make([]*RegionResult, len(regions))
-	errs := make([]error, len(regions))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i, reg := range regions {
-		wg.Add(1)
-		go func(i int, reg sample.Region) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := runRegion(workload, frames, tr, pass.Checkpoints[warmupStart(reg.Frame)], reg.Frame, span, ropt)
-			if err != nil {
-				errs[i] = fmt.Errorf("region at frame %d: %w", reg.Frame, err)
-				return
-			}
-			results[i] = res
-		}(i, reg)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	ropt.Workers = parallel
+	results, err := runCells(ropt, len(regions), func(i int) (*RegionResult, error) {
+		reg := regions[i]
+		res, err := runRegion(workload, frames, tr, pass.Checkpoints[warmupStart(reg.Frame)], reg.Frame, span, ropt)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("region at frame %d: %w", reg.Frame, err)
 		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	cycles := make([][]uint64, len(results))
 	for i, r := range results {

@@ -8,7 +8,6 @@ import (
 	"emerald/internal/gl"
 	"emerald/internal/gpu"
 	"emerald/internal/mem"
-	"emerald/internal/par"
 	"emerald/internal/sample"
 	"emerald/internal/trace"
 )
@@ -69,10 +68,9 @@ func TestFunctionalMatchesDetailed(t *testing.T) {
 // regionState runs one region leg and returns its end-state digest and
 // final framebuffer.
 func regionState(t *testing.T, tr *trace.Trace, cp *trace.Checkpoint, start, span int,
-	pool *par.Pool, everyCycle bool) (string, []byte) {
+	everyCycle bool) (string, []byte) {
 	t.Helper()
 	opt := sampleTestOptions()
-	opt.Pool = pool
 	opt.EveryCycle = everyCycle
 	rs := NewReplay(opt)
 	if _, err := rs.RunRegion(tr, cp, start, start-warmupStart(start), span); err != nil {
@@ -91,8 +89,8 @@ func regionState(t *testing.T, tr *trace.Trace, cp *trace.Checkpoint, start, spa
 // TestCheckpointResumeFidelity is the resume digest gate: a detailed
 // region resumed from a checkpoint must be bit-identical — registry
 // JSON, framebuffer, final cycle — whether the checkpoint came from
-// memory or from a Save→Load file round trip, at workers 1 and 4, in
-// the default and the every-cycle mode; and its final framebuffer must
+// memory or from a Save→Load file round trip, in the default and the
+// every-cycle mode; and its final framebuffer must
 // match the straight-through detailed replay of the whole scenario.
 func TestCheckpointResumeFidelity(t *testing.T) {
 	const frames, start = 4, 2
@@ -121,23 +119,19 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 	}
 
 	span := frames - start
-	ref, refFB := regionState(t, tr, cp, start, span, nil, false)
+	ref, refFB := regionState(t, tr, cp, start, span, false)
 
-	pool := par.NewPool(4)
-	defer pool.Close()
 	legs := []struct {
 		name       string
 		cp         *trace.Checkpoint
-		pool       *par.Pool
 		everyCycle bool
 	}{
-		{"file round trip", loaded, nil, false},
-		{"workers=4", cp, pool, false},
-		{"every-cycle", cp, nil, true},
-		{"workers=4 every-cycle", loaded, pool, true},
+		{"file round trip", loaded, false},
+		{"every-cycle", cp, true},
+		{"file round trip every-cycle", loaded, true},
 	}
 	for _, leg := range legs {
-		got, _ := regionState(t, tr, leg.cp, start, span, leg.pool, leg.everyCycle)
+		got, _ := regionState(t, tr, leg.cp, start, span, leg.everyCycle)
 		if got != ref {
 			t.Errorf("%s: resume digest %s != reference %s", leg.name, got, ref)
 		}
@@ -146,7 +140,7 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 	// Functional-equivalence gate: the resumed run's final framebuffer
 	// must match the straight-through detailed replay (resuming from
 	// frame 0's checkpoint replays every frame in detail).
-	_, straightFB := regionState(t, tr, pass.Checkpoints[0], 0, frames, nil, false)
+	_, straightFB := regionState(t, tr, pass.Checkpoints[0], 0, frames, false)
 	if !bytes.Equal(refFB, straightFB) {
 		t.Error("resumed run's final framebuffer differs from the straight-through detailed replay")
 	}
@@ -154,7 +148,7 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 
 // TestRunRegionJobDeterministic: the sweep executor's unit of work
 // must be a pure function of its spec — identical digests and cycles
-// across repeated runs and across worker counts.
+// across repeated runs.
 func TestRunRegionJobDeterministic(t *testing.T) {
 	opt := sampleTestOptions()
 	a, err := RunRegionJob(geom.W3Cube, 3, 1, 2, opt)
@@ -164,20 +158,16 @@ func TestRunRegionJobDeterministic(t *testing.T) {
 	if len(a.FrameCycles) != 2 || a.TotalCycles() == 0 {
 		t.Fatalf("region job measured %v cycles", a.FrameCycles)
 	}
-	pool := par.NewPool(4)
-	defer pool.Close()
-	popt := opt
-	popt.Pool = pool
-	b, err := RunRegionJob(geom.W3Cube, 3, 1, 2, popt)
+	b, err := RunRegionJob(geom.W3Cube, 3, 1, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Digest != b.Digest {
-		t.Errorf("workers=1 digest %s != workers=4 digest %s", a.Digest, b.Digest)
+		t.Errorf("first run's digest %s != second run's %s", a.Digest, b.Digest)
 	}
 	for i := range a.FrameCycles {
 		if a.FrameCycles[i] != b.FrameCycles[i] {
-			t.Errorf("frame %d cycles %d != %d across worker counts", i, a.FrameCycles[i], b.FrameCycles[i])
+			t.Errorf("frame %d cycles %d != %d across runs", i, a.FrameCycles[i], b.FrameCycles[i])
 		}
 	}
 }

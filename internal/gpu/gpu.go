@@ -2,14 +2,12 @@ package gpu
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"emerald/internal/cache"
 	"emerald/internal/emtrace"
 	"emerald/internal/gfx"
 	"emerald/internal/interconnect"
 	"emerald/internal/mem"
-	"emerald/internal/par"
 	"emerald/internal/raster"
 	"emerald/internal/shader"
 	"emerald/internal/simt"
@@ -36,9 +34,7 @@ type cluster struct {
 
 	// freeEnvs holds the kernelEnvs of this cluster's finished blocks;
 	// freeTasks and freeLaunches the tile tasks and fragment warps of its
-	// shaded TC tiles. All three are returned on the cluster's own shard,
-	// and the tasks and launches are taken there too (DESIGN.md "Draw
-	// path storage").
+	// shaded TC tiles (DESIGN.md "Draw path storage").
 	freeEnvs     []*kernelEnv
 	freeTasks    []*tileTask
 	freeLaunches []*fsLaunch
@@ -143,13 +139,6 @@ type GPU struct {
 	blockSeq int
 	cycle    uint64
 
-	// clusterGroup, when armed via SetParallel, runs the per-cluster
-	// shards (cores + raster pipeline) on the worker pool; nil ticks the
-	// clusters inline in cluster order. Both orders compute identical
-	// state: a cluster shard touches only state it owns, plus atomic
-	// gauges and the shared functional memory at shard-disjoint bytes.
-	clusterGroup *par.Group
-
 	// drained is the memoised NeverWake answer of NextWake: set at the
 	// end of a Tick that leaves the GPU with nothing anywhere, cleared by
 	// SubmitDraw and LaunchKernel — the only inputs that reach a drained
@@ -197,17 +186,15 @@ type drawState struct {
 	nextAssemble int
 	launchCore   int
 
-	// The outstanding/progress gauges are updated from cluster shards
-	// (warp-retirement callbacks) while the front end reads them in the
-	// serial phase; additions commute, so atomics keep them exact and
-	// worker-count-independent.
-	vsOutstanding    atomic.Int64
-	tasksOutstanding atomic.Int64
+	// The outstanding/progress gauges are updated by warp-retirement
+	// callbacks and read by the front end.
+	vsOutstanding    int64
+	tasksOutstanding int64
 
 	primSeq uint32
 
-	fragsLaunched atomic.Int64
-	fragsShaded   atomic.Int64
+	fragsLaunched int64
+	fragsShaded   int64
 
 	startCycle uint64
 	onDone     func(cycles uint64)
@@ -279,22 +266,6 @@ func (g *GPU) AttachTracer(t *emtrace.Tracer) {
 			core.AttachTracer(t)
 		}
 	}
-}
-
-// SetParallel arms the worker pool: each cluster becomes one shard of
-// the parallel tick phase. A nil pool (or pool of size 1) restores the
-// inline path.
-func (g *GPU) SetParallel(p *par.Pool) {
-	if p == nil || p.Size() <= 1 {
-		g.clusterGroup = nil
-		return
-	}
-	tasks := make([]func(), len(g.clusters))
-	for i, cl := range g.clusters {
-		cl := cl
-		tasks[i] = func() { g.tickClusterShard(cl) }
-	}
-	g.clusterGroup = par.NewGroup(p, tasks)
 }
 
 // SetWT changes the work-tile granularity (between draws/frames only).
@@ -383,8 +354,8 @@ func (g *GPU) DrawProgress() float64 {
 	}
 	geom := float64(d.nextAssemble) / float64(len(d.batches)+1)
 	var frag float64
-	if launched := d.fragsLaunched.Load(); launched > 0 {
-		frag = float64(d.fragsShaded.Load()) / float64(launched)
+	if launched := d.fragsLaunched; launched > 0 {
+		frag = float64(d.fragsShaded) / float64(launched)
 	}
 	return 0.3*geom + 0.7*frag*geom
 }
@@ -429,11 +400,9 @@ func (g l2Port) Push(r *mem.Request) bool {
 }
 
 // Tick advances the whole GPU one core cycle. It runs as three phases:
-// a serialized memory-side exchange (L2 completions, L2 tick, miss
-// drain, cluster NoC), the per-cluster shard phase (parallel when
-// SetParallel armed a pool, inline otherwise), and the serialized draw
-// front end / kernel dispatch, which observe the shards' results only
-// after the phase barrier. A drained GPU skips all three.
+// the memory side (L2 completions, L2 tick, miss drain, cluster NoC),
+// the clusters in cluster order, and the draw front end / kernel
+// dispatch. A drained GPU skips all three.
 func (g *GPU) Tick(cycle uint64) {
 	if g.drained && g.parkDrained {
 		return
@@ -452,12 +421,8 @@ func (g *GPU) Tick(cycle uint64) {
 
 	g.noc.Tick(cycle)
 
-	if g.clusterGroup != nil {
-		g.clusterGroup.Run()
-	} else {
-		for _, cl := range g.clusters {
-			g.tickClusterShard(cl)
-		}
+	for _, cl := range g.clusters {
+		g.tickCluster(cl)
 	}
 
 	g.tickDrawFrontEnd(cycle)
@@ -468,13 +433,10 @@ func (g *GPU) Tick(cycle uint64) {
 	}
 }
 
-// tickClusterShard advances one cluster for the cycle most recently
-// passed to Tick: its SIMT cores (draining L1 miss traffic into the
-// cluster's own NoC port) and its raster pipeline. This is the unit of
-// parallelism of the tick engine; everything it mutates is owned by
-// this cluster except the atomic draw/kernel gauges, the (locked)
-// tracer, and shard-disjoint framebuffer bytes in functional memory.
-func (g *GPU) tickClusterShard(cl *cluster) {
+// tickCluster advances one cluster for the cycle most recently passed
+// to Tick: its SIMT cores (draining L1 miss traffic into the cluster's
+// own NoC port) and its raster pipeline.
+func (g *GPU) tickCluster(cl *cluster) {
 	cycle := g.cycle
 	for _, core := range cl.cores {
 		core.Tick(cycle)

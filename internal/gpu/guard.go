@@ -63,8 +63,7 @@ func (g *GPU) checkDrained(uint64) error {
 
 // Progress returns a monotone progress signature for the watchdog: it
 // changes whenever any SIMT core issues an instruction, a fragment is
-// shaded, or a draw retires. All terms are atomic counters, safe to
-// read from the run-loop coordinator.
+// shaded, or a draw retires.
 func (g *GPU) Progress() uint64 {
 	var sig int64
 	for _, cl := range g.clusters {

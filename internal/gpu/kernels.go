@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"emerald/internal/emtrace"
 	"emerald/internal/mem"
@@ -25,9 +24,9 @@ type Kernel struct {
 type kernelState struct {
 	k         Kernel
 	nextBlock int
-	// outstanding counts warps in flight; decremented from cluster
-	// shards at warp retirement, so it is atomic.
-	outstanding atomic.Int64
+	// outstanding counts warps in flight; decremented at warp
+	// retirement.
+	outstanding int64
 	onDone      func(cycles uint64)
 	startCycle  uint64
 	started     bool
@@ -35,8 +34,7 @@ type kernelState struct {
 
 // kernelEnv is one thread block's warp environment. Envs and their
 // scratchpads are recycled per cluster: the block's last warp to retire
-// (on the cluster's shard) returns the env to cl.freeEnvs, and
-// dispatchBlock (serialized, after the shard phase) takes it from there.
+// returns the env to cl.freeEnvs, and dispatchBlock takes it from there.
 type kernelEnv struct {
 	g      *GPU
 	cl     *cluster
@@ -56,7 +54,7 @@ func (e *kernelEnv) ConstBase() uint64   { return e.ks.k.ParamBase }
 func (e *kernelEnv) SharedMem() []byte   { return e.shared }
 func (e *kernelEnv) Memory() *mem.Memory { return e.g.Mem }
 func (e *kernelEnv) Retired(w *simt.Warp) {
-	e.ks.outstanding.Add(-1)
+	e.ks.outstanding--
 	if e.live--; e.live == 0 {
 		e.ks = nil
 		e.cl.freeEnvs = append(e.cl.freeEnvs, e)
@@ -106,7 +104,7 @@ func (g *GPU) tickKernels(cycle uint64) {
 		}
 	}
 
-	if ks.nextBlock >= ks.k.Blocks && ks.outstanding.Load() == 0 {
+	if ks.nextBlock >= ks.k.Blocks && ks.outstanding == 0 {
 		g.kernels.Pop()
 		g.trace.Span1(emtrace.SrcGPU, "frontend", ks.k.Prog.Name,
 			ks.startCycle, cycle, emtrace.Arg{Key: "blocks", Val: int64(ks.k.Blocks)})
@@ -154,7 +152,7 @@ func (g *GPU) dispatchBlock(cl *cluster, core *simt.Core, ks *kernelState, block
 			continue
 		}
 		if _, err := core.Launch(ks.k.Prog, env, blockID, mask, specials, nil); err == nil {
-			ks.outstanding.Add(1)
+			ks.outstanding++
 			env.live++
 		}
 	}

@@ -73,7 +73,7 @@ func (g *GPU) tickDrawFrontEnd(cycle uint64) {
 		g.drawCyclesD.Sample(float64(cycle - d.startCycle))
 		g.trace.Span2(emtrace.SrcGPU, "frontend", "draw", d.startCycle, cycle,
 			emtrace.Arg{Key: "prims", Val: int64(d.primSeq)},
-			emtrace.Arg{Key: "frags", Val: d.fragsShaded.Load()})
+			emtrace.Arg{Key: "frags", Val: d.fragsShaded})
 		if d.onDone != nil {
 			d.onDone(cycle - d.startCycle)
 		}
@@ -96,7 +96,7 @@ func (g *GPU) launchVSBatch(core *simt.Core, d *drawState, batchIdx int) {
 	b.env = vsEnv{vertexIO: vertexIO{m: g.Mem, rd: g.Mem, call: d.call, b: b}, g: g, d: d, batchIdx: batchIdx}
 	mask, specials := vsWarp(d.call, b)
 	if _, err := core.Launch(d.call.VS, &b.env, -1, mask, specials, nil); err == nil {
-		d.vsOutstanding.Add(1)
+		d.vsOutstanding++
 		g.vsWarpsC.Inc()
 	}
 }
@@ -160,17 +160,14 @@ func (e *vsEnv) OutWrite(lane, slot int, val [4]float32) uint64 {
 }
 
 func (e *vsEnv) Retired(w *simt.Warp) {
-	// Runs in the shard of the core that executed the warp: completed is
-	// single-writer (one core runs the whole batch) and read only by the
-	// serial front end after the barrier; the draw-wide gauge is atomic.
 	e.b.completed = true
-	e.d.vsOutstanding.Add(-1)
+	e.d.vsOutstanding--
 }
 
 // fsEnv is the timed fragment warp's environment: the shared data path
 // plus the retirement that advances the warp's TC tile task. It lives
 // inside its fsLaunch, which it hands back to the cluster at
-// retirement, in the cluster's shard.
+// retirement.
 type fsEnv struct {
 	fragmentIO
 	task   *tileTask
@@ -187,7 +184,7 @@ func (e *fsEnv) Retired(w *simt.Warp) {
 // drawComplete reports whether every pipeline stage has drained.
 func (g *GPU) drawComplete(d *drawState) bool {
 	if d.nextLaunch < len(d.batches) || d.nextAssemble < len(d.batches) ||
-		d.vsOutstanding.Load() > 0 || d.tasksOutstanding.Load() > 0 {
+		d.vsOutstanding > 0 || d.tasksOutstanding > 0 {
 		return false
 	}
 	for _, cl := range g.clusters {
@@ -259,8 +256,8 @@ func (g *GPU) tickSetup(cl *cluster, d *drawState, cycle uint64) {
 	g.trace.Span1(emtrace.SrcGPU, cl.track, "setup", s.startedAt, cycle,
 		emtrace.Arg{Key: "prim", Val: int64(s.prim.tri.ID)})
 	g.startRaster(cl, d, s.prim.tri, cycle)
-	// The fetches go back to the pool they came from: here, in the
-	// cluster's own shard, after all three were seen Done.
+	// The fetches go back to the pool they came from, now that all
+	// three were seen Done.
 	for i, r := range s.reqs {
 		s.pool.Put(r)
 		s.reqs[i] = nil
@@ -326,13 +323,11 @@ type tileTask struct {
 	started   uint64 // launch cycle, for the fragment-shading span
 }
 
-// warpRetired runs inside the owning cluster's shard (every warp of a
-// tile task launches on one core), so the task fields are shard-local;
-// only the draw-wide gauges cross shards and those are atomic. The last
-// warp's retirement completes the tile and hands the tile back to the
+// warpRetired counts a fragment warp of the task out (every warp of a
+// tile task launches on one core). The last warp's retirement completes the tile and hands the tile back to the
 // TC unit and the task to the cluster.
 func (t *tileTask) warpRetired(frags int) {
-	t.d.fragsShaded.Add(int64(frags))
+	t.d.fragsShaded += int64(frags)
 	t.g.fragsShadedC.Add(int64(frags))
 	t.remaining--
 	if t.remaining > 0 {
@@ -342,7 +337,7 @@ func (t *tileTask) warpRetired(frags int) {
 	t.g.trace.Span1(emtrace.SrcGPU, cl.track, "fs_tile", t.started, t.g.cycle,
 		emtrace.Arg{Key: "frags", Val: int64(len(tile.Frags))})
 	cl.tc.Complete(tile.TX, tile.TY)
-	t.d.tasksOutstanding.Add(-1)
+	t.d.tasksOutstanding--
 	// Safe Hi-Z update: full-tile opaque depth-written coverage only.
 	if t.g.Cfg.HiZ && cl.hiz != nil && tile.FullCover &&
 		t.d.call.DepthTest && t.d.call.DepthWrite && !t.d.call.Blend {
@@ -391,8 +386,8 @@ func (g *GPU) tickFSLaunch(cl *cluster, cycle uint64) {
 			warps := (len(t.Frags) + simt.WarpSize - 1) / simt.WarpSize
 			task := cl.newTask()
 			*task = tileTask{g: g, cl: cl, d: d, tile: t, remaining: warps, started: cycle}
-			d.tasksOutstanding.Add(1)
-			d.fragsLaunched.Add(int64(len(t.Frags)))
+			d.tasksOutstanding++
+			d.fragsLaunched += int64(len(t.Frags))
 			for lo := 0; lo < len(t.Frags); lo += simt.WarpSize {
 				frags := t.Frags[lo:min(lo+simt.WarpSize, len(t.Frags))]
 				e := cl.newLaunch()

@@ -78,9 +78,7 @@ func (s *Standalone) AttachTracer(t *emtrace.Tracer) {
 }
 
 // AttachGuard arms invariant checking across GPU, system NoC and DRAM.
-// Probes run at the end of every Tick — the quiesce point where no
-// tick-engine shard is mutating state — so checking stays race-clean
-// under -workers.
+// Probes run at the end of every Tick, once every component has ticked.
 func (s *Standalone) AttachGuard(g *guard.Checker) {
 	s.run.Guard = g
 	s.GPU.AttachGuard(g)
@@ -94,12 +92,11 @@ func (s *Standalone) AttachGuard(g *guard.Checker) {
 // cycles (clamped to guard.MinWatchdogWindow; 0 disables).
 func (s *Standalone) SetWatchdog(window uint64) { s.run.Watchdog = guard.ClampWindow(window) }
 
-// SetParallel arms the deterministic parallel tick engine on the GPU
-// clusters and DRAM channels; nil restores the sequential paths.
-func (s *Standalone) SetParallel(p *par.Pool) {
-	s.GPU.SetParallel(p)
-	s.DRAM.SetParallel(p)
-}
+// SetParallel does nothing: a system ticks on one goroutine, and
+// independent runs are what execute concurrently (DESIGN.md
+// "Parallelism"). It stays only because the benchmark's par arm still
+// calls it.
+func (s *Standalone) SetParallel(*par.Pool) {}
 
 // SetIdleSkip enables or disables event-driven idle cycle-skipping in
 // RunUntilIdleCtx. Results are bit-identical either way: skipping only

@@ -11,10 +11,9 @@
 // without cycles.
 //
 // Usage: a run harness creates a Checker, the system's AttachGuard
-// methods register invariant probes into it, and the coordinator calls
-// Tick once per system cycle at the quiesce point (after every tick
-// phase has completed, so probes read stable state even under the
-// parallel tick engine). Run loops poll Err and abort on the first
+// methods register invariant probes into it, and the system calls Tick
+// once per system cycle at the end of its own Tick, after every
+// component has ticked. Run loops poll Err and abort on the first
 // violation instead of simulating onward from corrupt state.
 package guard
 
@@ -56,9 +55,8 @@ const maxViolations = 16
 // are all safe (and branch-cheap) on nil, so models and run loops hold
 // bare fields with no guards.
 //
-// Not safe for concurrent use: Tick must run on the coordinator at a
-// point where no tick-engine shard is mutating model state (the end of
-// the system Tick, after the phase barriers).
+// Not safe for concurrent use: Tick runs on the system's goroutine, at
+// the end of the system Tick.
 type Checker struct {
 	probes     []probe
 	violations []Violation

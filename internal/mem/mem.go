@@ -47,10 +47,7 @@ type (
 // exactly once, by compare-and-swap, so a reader sees either nothing
 // (the page reads as zeroes) or a fully zeroed node or page; the loser
 // of a racing insert adopts the winner's. Page *contents* carry no
-// locks — the parallel tick engine guarantees that two shards never
-// write the same byte in the same phase (shard-owned address ranges;
-// see DESIGN.md), which the race detector verifies, since distinct
-// bytes of an array are distinct memory locations.
+// locks: a Memory belongs to one system, which ticks on one goroutine.
 type Memory struct {
 	dir atomic.Pointer[root]
 }
@@ -311,9 +308,7 @@ func (r *Request) Released() bool { return r.released }
 // DoneWatcher is implemented by request issuers (carried in
 // Request.Tag) that need a synchronous signal when their request
 // completes — e.g. a cache counting completed-but-uninstalled fills so
-// its NextWake stays O(1). The callback may run on a parallel shard
-// (a DRAM channel retiring the request), so implementations must be
-// safe for concurrent use and restricted to commutative atomic updates.
+// its NextWake stays O(1).
 type DoneWatcher interface {
 	RequestDone(r *Request)
 }

@@ -201,8 +201,8 @@ func TestPoolRecyclingAndPoison(t *testing.T) {
 }
 
 // Distinct pages may be materialized and read from many goroutines at
-// once (the parallel tick engine's shards do exactly that); run under
-// -race this is the directory's concurrency argument, executed.
+// once; run under -race this is the directory's concurrency argument,
+// executed.
 func TestMemoryConcurrentMaterialize(t *testing.T) {
 	m := NewMemory()
 	const workers, pagesEach = 8, 64

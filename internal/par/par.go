@@ -1,16 +1,17 @@
-// Package par provides the deterministic parallel execution substrate
-// for the tick engine: a persistent worker pool plus pre-built task
-// groups executed with barrier semantics once per simulated phase, the
-// per-shard wake index (Wheel) and the run loop that reads it (Loop).
+// Package par holds a system's time advancement: the run loop that
+// moves its clock (Loop) and the per-component wake index it reads
+// (Wheel). A system ticks on one goroutine; parallelism lives across
+// runs, not inside a cycle (DESIGN.md "Parallelism").
 //
-// Determinism contract: a Group's tasks must be mutually independent
-// (shard-owned state only; cross-shard effects restricted to commutative
-// atomic updates whose results are not observed until after Run
-// returns). Under that contract Run produces state identical to running
-// the tasks sequentially in slice order — which is exactly what happens
-// when the pool is nil or sized for a single worker, so `-workers 1`
-// executes the same statements in the same order as the pre-parallel
-// engine.
+// Pool and Group are a barrier-synchronised worker pool that runs a
+// set of independent tasks across threads. No simulator path uses them;
+// they stay only for the benchmark's par arm, which measures their
+// dispatch cost. The package keeps its name because the benchmark also
+// imports NewWheel from it.
+//
+// A Group's tasks must be mutually independent; Run then produces state
+// identical to running them in slice order, which is what happens when
+// the pool is nil or sized for a single worker.
 package par
 
 import (
@@ -18,24 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// MaxDefaultWorkers caps the default worker count derived from
-// runtime.NumCPU(); beyond this the per-cycle barriers dominate any
-// remaining shard-level parallelism for the model sizes Emerald runs.
-const MaxDefaultWorkers = 8
-
-// DefaultWorkers returns the default worker count for the -workers
-// flag: runtime.NumCPU() capped at MaxDefaultWorkers.
-func DefaultWorkers() int {
-	n := runtime.NumCPU()
-	if n > MaxDefaultWorkers {
-		n = MaxDefaultWorkers
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
 
 // Pool is a persistent set of workers that execute Groups. The
 // coordinator (the goroutine calling Group.Run) participates as one

@@ -8,7 +8,7 @@ import (
 )
 
 // TestInlineOrder proves the degenerate pool executes tasks in slice
-// order on the calling goroutine — the `-workers 1` determinism anchor.
+// order on the calling goroutine.
 func TestInlineOrder(t *testing.T) {
 	for _, pool := range []*Pool{nil, NewPool(1)} {
 		var got []int
@@ -80,8 +80,7 @@ func TestBarrierVisibility(t *testing.T) {
 	}
 }
 
-// TestMultipleGroups interleaves two groups on one pool, as the tick
-// engine does with its per-phase groups.
+// TestMultipleGroups interleaves two groups on one pool.
 func TestMultipleGroups(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
@@ -94,13 +93,6 @@ func TestMultipleGroups(t *testing.T) {
 	}
 	if a.Load() != 300 || b.Load() != 2000 {
 		t.Fatalf("a=%d b=%d, want 300/2000", a.Load(), b.Load())
-	}
-}
-
-func TestDefaultWorkers(t *testing.T) {
-	n := DefaultWorkers()
-	if n < 1 || n > MaxDefaultWorkers {
-		t.Fatalf("DefaultWorkers()=%d out of [1,%d]", n, MaxDefaultWorkers)
 	}
 }
 

@@ -1,9 +1,6 @@
 package par
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // TestWheelArmWake pins the slot semantics: fresh slots are due, Arm
 // moves the wake anywhere, Wake only ever pulls it forward.
@@ -43,29 +40,5 @@ func TestWheelArmWake(t *testing.T) {
 	w.Arm(2, 250)
 	if got := w.Min(); got != 250 {
 		t.Fatalf("Min = %d, want 250", got)
-	}
-}
-
-// TestWheelConcurrentWake hammers one slot with racing Wake calls and
-// checks the final value is the global minimum — the property DRAM
-// retire callbacks on parallel channel shards rely on.
-func TestWheelConcurrentWake(t *testing.T) {
-	w := NewWheel(1)
-	w.Arm(0, 1<<40)
-	const workers, per = 8, 1000
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := per; i > 0; i-- {
-				w.Wake(0, uint64(1000+g*per+i))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := w.At(0); got != 1001 {
-		t.Fatalf("concurrent Wake min = %d, want 1001", got)
 	}
 }

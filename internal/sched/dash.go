@@ -8,7 +8,6 @@ package sched
 import (
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"emerald/internal/dram"
 	"emerald/internal/mem"
@@ -68,19 +67,16 @@ type DASH struct {
 
 	ips map[ipKey]*ipState
 
-	// Clustering state. The byte/served tallies are bumped from Pick,
-	// which the parallel tick engine calls concurrently across DRAM
-	// channel shards; additions commute, so atomics keep the quantum
-	// totals exact. Everything else is read-only during the channel
-	// phase and mutated only in Tick (coordinator).
-	cpuBytes  []atomic.Uint64 // bytes this quantum, per CPU core
-	ipBytes   atomic.Uint64   // IP bytes this quantum (for DTB)
-	intensive []bool          // per-core: memory-intensive this quantum?
+	// Clustering state. The byte/served tallies are bumped from Pick;
+	// everything else changes only in Tick.
+	cpuBytes  []uint64 // bytes this quantum, per CPU core
+	ipBytes   uint64   // IP bytes this quantum (for DTB)
+	intensive []bool   // per-core: memory-intensive this quantum?
 
 	// Probabilistic switching state.
 	p                  float64 // probability intensive CPU beats non-urgent IP
-	servedIntensiveCPU atomic.Uint64
-	servedNonUrgentIP  atomic.Uint64
+	servedIntensiveCPU uint64
+	servedNonUrgentIP  uint64
 	coinIsCPU          bool // this switching-window coin flip
 
 	nextSchedule, nextSwitch, nextQuantum uint64
@@ -92,7 +88,7 @@ func NewDASH(cfg DASHConfig) *DASH {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		ips:       make(map[ipKey]*ipState),
-		cpuBytes:  make([]atomic.Uint64, cfg.NumCPUs),
+		cpuBytes:  make([]uint64, cfg.NumCPUs),
 		intensive: make([]bool, cfg.NumCPUs),
 		p:         0.5,
 	}
@@ -183,7 +179,7 @@ func (d *DASH) Tick(cycle uint64) {
 		d.nextSwitch = cycle + d.cfg.SwitchingUnit
 		// Balance service between intensive CPU and non-urgent IPs by
 		// steering P toward whichever was underserved.
-		cpu, ip := d.servedIntensiveCPU.Load(), d.servedNonUrgentIP.Load()
+		cpu, ip := d.servedIntensiveCPU, d.servedNonUrgentIP
 		if cpu > ip {
 			d.p -= 0.05
 		} else if cpu < ip {
@@ -195,8 +191,8 @@ func (d *DASH) Tick(cycle uint64) {
 		if d.p > 0.95 {
 			d.p = 0.95
 		}
-		d.servedIntensiveCPU.Store(0)
-		d.servedNonUrgentIP.Store(0)
+		d.servedIntensiveCPU = 0
+		d.servedNonUrgentIP = 0
 		d.coinIsCPU = d.rng.Float64() < d.p
 	}
 	if cycle >= d.nextQuantum {
@@ -232,11 +228,11 @@ func (d *DASH) NextWake(cycle uint64) uint64 {
 func (d *DASH) recluster() {
 	var cpuTotal uint64
 	for i := range d.cpuBytes {
-		cpuTotal += d.cpuBytes[i].Load()
+		cpuTotal += d.cpuBytes[i]
 	}
 	clusterTotal := cpuTotal
 	if d.cfg.UseSystemBW {
-		clusterTotal += d.ipBytes.Load()
+		clusterTotal += d.ipBytes
 	}
 	type coreBW struct {
 		core  int
@@ -244,7 +240,7 @@ func (d *DASH) recluster() {
 	}
 	cores := make([]coreBW, len(d.cpuBytes))
 	for i := range d.cpuBytes {
-		cores[i] = coreBW{i, d.cpuBytes[i].Load()}
+		cores[i] = coreBW{i, d.cpuBytes[i]}
 	}
 	sort.Slice(cores, func(i, j int) bool { return cores[i].bytes < cores[j].bytes })
 	budget := uint64(d.cfg.ClusterFactor * float64(clusterTotal))
@@ -259,9 +255,9 @@ func (d *DASH) recluster() {
 		}
 	}
 	for i := range d.cpuBytes {
-		d.cpuBytes[i].Store(0)
+		d.cpuBytes[i] = 0
 	}
-	d.ipBytes.Store(0)
+	d.ipBytes = 0
 }
 
 // priority classes, lower wins.
@@ -312,15 +308,15 @@ func (d *DASH) Pick(ch *dram.Channel, cycle uint64) int {
 		// Bandwidth accounting for clustering and switching balance.
 		if r.Client == mem.ClientCPU {
 			if r.ClientID < len(d.cpuBytes) {
-				d.cpuBytes[r.ClientID].Add(uint64(r.Size))
+				d.cpuBytes[r.ClientID] += uint64(r.Size)
 			}
 			if r.ClientID < len(d.intensive) && d.intensive[r.ClientID] {
-				d.servedIntensiveCPU.Add(1)
+				d.servedIntensiveCPU++
 			}
 		} else {
-			d.ipBytes.Add(uint64(r.Size))
+			d.ipBytes += uint64(r.Size)
 			if bestClass != prioUrgentIP {
-				d.servedNonUrgentIP.Add(1)
+				d.servedNonUrgentIP++
 			}
 		}
 	}

@@ -147,14 +147,14 @@ func TestDASHSwitchingProbabilityMoves(t *testing.T) {
 	d := dashForTest(false)
 	p0 := d.P()
 	// Pretend IPs were served much more than intensive CPUs.
-	d.servedNonUrgentIP.Store(100)
-	d.servedIntensiveCPU.Store(0)
+	d.servedNonUrgentIP = 100
+	d.servedIntensiveCPU = 0
 	d.Tick(d.nextSwitch)
 	if d.P() <= p0 {
 		t.Fatalf("P should rise when CPU underserved: %v -> %v", p0, d.P())
 	}
-	d.servedNonUrgentIP.Store(0)
-	d.servedIntensiveCPU.Store(100)
+	d.servedNonUrgentIP = 0
+	d.servedIntensiveCPU = 100
 	p1 := d.P()
 	d.Tick(d.nextSwitch)
 	if d.P() >= p1 {

@@ -271,7 +271,7 @@ type Program struct {
 	Labels map[string]uint32
 
 	// Decode parallels Code. Assemble builds it and nothing writes it
-	// afterwards: cluster shards issue warps of one Program in parallel.
+	// afterwards: systems running at once issue warps of one Program.
 	Decode []Decoded
 
 	// RegsUsed is the highest register index referenced + 1 (occupancy).

@@ -140,17 +140,11 @@ type SoC struct {
 	// parameter sweeps actually change it.
 	dashFeedbackEvery uint64
 
-	// phase1, when armed via SetParallel, runs the CPU core shards and
-	// the display shard concurrently; nil ticks them inline in shard
-	// order. Only CPU 0 (the app core) issues state-mutating syscalls —
-	// frame submission touches the GL context, GPU queue and fence, all
-	// unread by other shards until later serialized phases.
-	phase1 *par.Group
-
-	// wheel holds one slot per phase-1 shard (CPU cores, then the
-	// display): the earliest system cycle at which that shard can change
-	// state on its own. Shards re-arm their slot post-tick; DRAM retires
-	// and frame flips Wake slots when they hand a parked shard new input.
+	// wheel holds one slot per phase-1 component (CPU cores, then the
+	// display): the earliest system cycle at which that component can
+	// change state on its own. Each re-arms its slot post-tick; DRAM
+	// retires and frame flips Wake slots when they hand a parked
+	// component new input.
 	// Maintenance always runs — wheelOn gates only the skip — so results
 	// are bit-identical in both modes.
 	wheel   *par.Wheel
@@ -199,11 +193,10 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	s.wheel = par.NewWheel(cfg.NumCPUs + 1)
 	s.wheelOn = true
 	// A retiring DRAM read is the one input that reaches a parked
-	// phase-1 shard from outside: route it to the owner's wheel slot.
+	// phase-1 component from outside: route it to the owner's wheel slot.
 	// (A retiring write hands nothing back, and waking for it would cost
-	// an idle system a tick per writeback.) The callback runs on
-	// parallel channel shards; Wake is an atomic min. GPU fills need no
-	// slot: a GPU with a fill in flight is not drained, so it is ticking.
+	// an idle system a tick per writeback.) GPU fills need no slot: a GPU
+	// with a fill in flight is not drained, so it is ticking.
 	s.DRAM.SetOnRetire(func(r *mem.Request, cycle uint64) {
 		switch {
 		case r.Kind == mem.Write:
@@ -291,29 +284,6 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	return s, nil
 }
 
-// SetParallel arms the deterministic parallel tick engine across the
-// whole system: CPU cores and the display become phase-1 shards, GPU
-// clusters and DRAM channels become shards of their subsystems' tick
-// phases. A nil pool (or pool of size 1) restores the inline paths,
-// which execute the exact statement order of the sequential engine;
-// see DESIGN.md for the shard-ownership argument that makes the
-// parallel schedule bit-identical.
-func (s *SoC) SetParallel(p *par.Pool) {
-	s.GPU.SetParallel(p)
-	s.DRAM.SetParallel(p)
-	if p == nil || p.Size() <= 1 {
-		s.phase1 = nil
-		return
-	}
-	tasks := make([]func(), 0, len(s.CPUs)+1)
-	for i := range s.CPUs {
-		i := i
-		tasks = append(tasks, func() { s.tickCPUShard(i) })
-	}
-	tasks = append(tasks, s.tickDisplayShard)
-	s.phase1 = par.NewGroup(p, tasks)
-}
-
 // AttachTracer arms event tracing across the whole system: GPU (and its
 // cores/caches), DRAM, display, CPU cache hierarchies, and the SoC's own
 // frame/syscall spans. Frame completions drive the tracer's FrameMark
@@ -336,9 +306,7 @@ func (s *SoC) AttachTracer(t *emtrace.Tracer) {
 // AttachGuard arms invariant checking across the whole system: the
 // GPU (L2, cluster NoC, SIMT cores and their L1s), the system NoC,
 // DRAM, and every CPU core's cache hierarchy. Probes run at the end of
-// every Tick — the coordinator quiesce point, after all tick-engine
-// shards have synchronized — so checking stays race-clean under
-// -workers.
+// every Tick, once every component has ticked.
 func (s *SoC) AttachGuard(g *guard.Checker) {
 	s.run.Guard = g
 	s.GPU.AttachGuard(g)
@@ -351,8 +319,8 @@ func (s *SoC) AttachGuard(g *guard.Checker) {
 	g.Register("soc", "display.requests", s.Display.checkRequests)
 }
 
-// checkWheel audits the phase-1 event wheel at the quiesce point: any
-// CPU or display slot claiming its shard stays a no-op past the next
+// checkWheel audits the phase-1 event wheel at the end of a Tick: any
+// CPU or display slot claiming its component stays a no-op past the next
 // cycle must be backed by a wake computation that agrees. A violation
 // means an input path failed to wake the slot and the wheel is
 // fast-forwarding over actionable work.
@@ -507,10 +475,9 @@ func (s *SoC) completeFrame() {
 	front := s.backBuffer()
 	s.backIsA = !s.backIsA
 	s.Display.SetFrontBuffer(front)
-	// The flip is display input from outside its shard: a parked panel
-	// may have to act sooner now (first configuration after
-	// construction, or a geometry change between surfaces). No shard is
-	// running in this phase, so the panel can be asked directly.
+	// The flip is display input from outside: a parked panel may have
+	// to act sooner now (first configuration after construction, or a
+	// geometry change between surfaces).
 	s.wheel.Wake(s.Cfg.NumCPUs, max(s.Display.NextWake(s.cycle+1), s.cycle+1))
 
 	st := FrameStats{
@@ -563,13 +530,13 @@ func (s *SoC) SkippedCycles() uint64 { return s.run.Skipped }
 // component's state can change on its own: mem.NeverWake when the
 // whole system is quiescent, the current cycle when any component has
 // actionable work (in which case the run loop must not jump). The CPU
-// cores and the display answer through their wheel slots, which their
-// shards arm after every tick; the serial stages answer directly.
+// cores and the display answer through their wheel slots, which they
+// arm after every tick; the rest answer directly.
 func (s *SoC) NextWake() uint64 {
 	c := s.cycle
 	w := s.wheel.Min()
 	if w <= c || (s.fenceBusy && !s.GPU.Busy()) {
-		return c // a shard is due, or fence resolution is pending
+		return c // a core or the display is due, or fence resolution is pending
 	}
 	if v := s.GPU.NextWake(c); v < w {
 		w = v
@@ -589,12 +556,9 @@ func (s *SoC) NextWake() uint64 {
 	return w
 }
 
-// tickCPUShard advances CPU core i at its clock multiple and drains
-// its outbound requests into its private NoC ingress port. The shard
-// owns the core, its L1, and port i exclusively; core 0's syscalls may
-// additionally mutate SoC frame state, which no other phase-1 shard
-// reads.
-func (s *SoC) tickCPUShard(i int) {
+// tickCPU advances CPU core i at its clock multiple and drains its
+// outbound requests into its NoC ingress port.
+func (s *SoC) tickCPU(i int) {
 	c := s.cycle
 	if s.wheelOn && !s.wheel.Due(i, c) {
 		// Parked: the slot value asserts every CPU-domain tick until
@@ -613,7 +577,7 @@ func (s *SoC) tickCPUShard(i int) {
 // cpuWake converts core i's next-wake from its clock domain to system
 // cycles, at or after system cycle `from`, for re-arming its wheel
 // slot. Floor division is exact here: CPU cycle w falls inside system
-// cycle w/mult, whose shard tick covers it.
+// cycle w/mult, whose tick covers it.
 func (s *SoC) cpuWake(core *cpu.Core, from uint64) uint64 {
 	mult := uint64(s.Cfg.CPUClockMult)
 	w := core.NextWake(from * mult)
@@ -626,12 +590,9 @@ func (s *SoC) cpuWake(core *cpu.Core, from uint64) uint64 {
 	return w
 }
 
-// tickDisplayShard advances the display controller and drains its
-// requests into its private NoC ingress port. The display only reads
-// the front buffer (published by completeFrame, a later serialized
-// phase) and its own scan-out state, so it is independent of the CPU
-// shards.
-func (s *SoC) tickDisplayShard() {
+// tickDisplay advances the display controller and drains its requests
+// into its NoC ingress port.
+func (s *SoC) tickDisplay() {
 	c := s.cycle
 	slot := s.Cfg.NumCPUs
 	if s.wheelOn && !s.wheel.Due(slot, c) {
@@ -644,27 +605,19 @@ func (s *SoC) tickDisplayShard() {
 	s.wheel.Arm(slot, w)
 }
 
-// Tick advances the SoC one system cycle. The cycle is phase-structured
-// so independent shards can tick concurrently between serialized
-// exchange stages (see SetParallel):
+// Tick advances the SoC one system cycle, in three phases:
 //
-//	phase 1: CPU core shards + display shard   (parallel)
-//	phase 2: GPU (internally: serial L2/NoC, parallel clusters, serial
-//	         front end), then GPU→NoC drain, NoC, DRAM (serial
-//	         scheduler tick, parallel channels)
-//	phase 3: fence resolution + DASH feedback  (coordinator)
+//	phase 1: CPU cores, then the display
+//	phase 2: GPU, GPU→NoC drain, NoC, DRAM
+//	phase 3: fence resolution + DASH feedback
 func (s *SoC) Tick() {
 	c := s.cycle
 
 	// Phase 1: CPUs (at their clock multiple) and display.
-	if s.phase1 != nil {
-		s.phase1.Run()
-	} else {
-		for i := range s.CPUs {
-			s.tickCPUShard(i)
-		}
-		s.tickDisplayShard()
+	for i := range s.CPUs {
+		s.tickCPU(i)
 	}
+	s.tickDisplay()
 
 	// GPU.
 	s.GPU.Tick(c)

@@ -13,15 +13,11 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
-// Registry is a hierarchy of named statistics. Creating, enumerating and
-// dumping statistics is not safe for concurrent use — models build their
-// counters during construction, on the coordinator. Counter updates
-// (Inc/Add) are atomic so shards of the parallel tick engine may bump
-// shared counters concurrently; Distribution is not, and must stay
-// shard-local or coordinator-only (see DESIGN.md, concurrency model).
+// Registry is a hierarchy of named statistics. Nothing in it is safe for
+// concurrent use: a registry belongs to one system, and a system ticks
+// on one goroutine (DESIGN.md "Parallelism").
 type Registry struct {
 	prefix   string
 	counters map[string]*Counter
@@ -100,7 +96,7 @@ func (r *Registry) Each(f func(name string, v int64)) {
 // Reset zeroes every counter and distribution in the registry.
 func (r *Registry) Reset() {
 	for _, c := range r.counters {
-		c.v.Store(0)
+		c.v = 0
 	}
 	for _, d := range r.dists {
 		*d = Distribution{}
@@ -174,20 +170,17 @@ func (r *Registry) DumpJSON(w io.Writer) error {
 	})
 }
 
-// Counter is a monotonically adjustable int64 statistic. Updates are
-// atomic: counters are the one statistic shards may touch from inside a
-// parallel tick phase (additions commute, so totals are independent of
-// worker interleaving).
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically adjustable int64 statistic.
+type Counter struct{ v int64 }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.v++ }
 
 // Add adds n (which may be negative, e.g. for occupancy gauges).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) { c.v += n }
 
 // Value returns the current value.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 { return c.v }
 
 // distBuckets is the number of log₂ histogram buckets past the first:
 // bucket 0 holds v < 1, bucket i (1..distBuckets) holds 2^(i-1) <= v <

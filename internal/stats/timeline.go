@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Timeline accumulates per-source byte counts into fixed-width time
@@ -11,14 +10,11 @@ import (
 // 14 in the paper: for each bucket, how many bytes each traffic source
 // (CPU, GPU, display, ...) moved.
 //
-// Record is safe to call from concurrent tick-engine shards (per-bucket
-// byte additions commute, so totals are worker-count-independent).
-// Sources() reports first-seen order, which under concurrent recording
-// is scheduling-dependent — callers that dump timelines should pin the
-// column order up front with Register.
+// Dump prints sources in first-seen order; callers that want a fixed
+// column order, whatever traffic arrives first, pin it up front with
+// Register.
 type Timeline struct {
 	BucketCycles uint64
-	mu           sync.Mutex
 	sources      []string
 	index        map[string]int
 	buckets      []map[int]uint64 // bucket -> source index -> bytes
@@ -36,11 +32,9 @@ func NewTimeline(bucketCycles uint64) *Timeline {
 }
 
 // Register pins the given sources (and their column order) ahead of any
-// recording, making Sources()/Dump output independent of which shard
-// records first. Unknown names are appended; known ones are left alone.
+// recording, making Dump output independent of which source records
+// first. Unknown names are appended; known ones are left alone.
 func (t *Timeline) Register(sources ...string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, s := range sources {
 		if _, ok := t.index[s]; !ok {
 			t.index[s] = len(t.sources)
@@ -51,8 +45,6 @@ func (t *Timeline) Register(sources ...string) {
 
 // Record adds bytes moved by source at the given cycle.
 func (t *Timeline) Record(cycle uint64, source string, bytes uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	b := int(cycle / t.BucketCycles)
 	for len(t.buckets) <= b {
 		t.buckets = append(t.buckets, nil)

@@ -38,7 +38,7 @@ type FigureRequest struct {
 	Configs []string
 	// Workloads restricts Case Study II workloads (default all 1..6).
 	Workloads []int
-	// Workers sets each job's tick-engine worker count.
+	// Workers is accepted and ignored, like Spec.Workers.
 	Workers int
 	// Notify, when non-nil, is invoked once per job as it reaches a
 	// terminal state (including jobs already terminal at submit — cache
@@ -179,7 +179,7 @@ func RunFigures(ctx context.Context, c Service, req FigureRequest, poll time.Dur
 		for _, m := range req.Models {
 			for _, cfg := range req.Configs {
 				spec := Spec{Kind: KindCS1, Scale: req.Scale, Model: m,
-					Config: cfg, Mbps: mbps, Workers: req.Workers}
+					Config: cfg, Mbps: mbps}
 				if err := sub.submit(ctx, spec); err != nil {
 					return err
 				}
@@ -200,8 +200,7 @@ func RunFigures(ctx context.Context, c Service, req FigureRequest, poll time.Dur
 	}
 	if req.wantsFig("17") || req.wantsFig("19") {
 		for _, w := range req.Workloads {
-			spec := Spec{Kind: KindCS2Sweep, Scale: req.Scale, Workload: w,
-				Workers: req.Workers}
+			spec := Spec{Kind: KindCS2Sweep, Scale: req.Scale, Workload: w}
 			if err := sub.submit(ctx, spec); err != nil {
 				return nil, err
 			}
@@ -234,16 +233,13 @@ func RunFigures(ctx context.Context, c Service, req FigureRequest, poll time.Dur
 		return out, nil
 	}
 	sweeps := func() (map[int][]uint64, error) {
-		out := make(map[int][]uint64)
-		for _, w := range req.Workloads {
-			key := Spec{Kind: KindCS2Sweep, Scale: req.Scale, Workload: w}.Key()
-			res, ok := results[key]
+		return exp.WTSweeps(func(w int, _ exp.Options) ([]uint64, error) {
+			res, ok := results[Spec{Kind: KindCS2Sweep, Scale: req.Scale, Workload: w}.Key()]
 			if !ok || res.Cycles == nil {
 				return nil, fmt.Errorf("missing WT sweep result for W%d", w)
 			}
-			out[w] = res.Cycles
-		}
-		return out, nil
+			return res.Cycles, nil
+		}, req.Workloads, exp.Options{})
 	}
 
 	fs := &FigureSet{}
@@ -288,7 +284,7 @@ func RunFigures(ctx context.Context, c Service, req FigureRequest, poll time.Dur
 			for _, w := range req.Workloads {
 				for _, p := range exp.AllDFSLPolicies() {
 					spec := Spec{Kind: KindCS2Policy, Scale: req.Scale,
-						Workload: w, Policy: p.String(), Workers: req.Workers}
+						Workload: w, Policy: p.String()}
 					if p == exp.SOPT {
 						spec.SOPT = sopt
 					}

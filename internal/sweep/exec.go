@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"emerald/internal/exp"
-	"emerald/internal/par"
 	"emerald/internal/soc"
 	"emerald/internal/telemetry"
 )
@@ -22,83 +21,68 @@ type ExecConfig struct {
 	Guard bool
 }
 
-// Executor returns the built-in executor with the given hardening.
+// Executor returns the built-in executor with the given hardening: it
+// runs the simulation a spec describes, honoring ctx through the tick
+// loops (internal/exp threads it into soc.RunCtx /
+// Standalone.RunUntilIdleCtx), and returns the result keyed by the
+// spec's canonical form. The spec must already be validated.
 func Executor(cfg ExecConfig) Exec {
 	return func(ctx context.Context, spec Spec) (*Result, error) {
-		return execute(ctx, spec, cfg)
+		opt, err := ScaleOptions(spec.Scale)
+		if err != nil {
+			return nil, err
+		}
+		opt.Ctx = ctx
+		opt.WatchdogCycles = cfg.Watchdog
+		opt.Guard = cfg.Guard
+		// The runner threads the job's telemetry probe through the context;
+		// attaching it here gives GET /jobs/{id} live progress and
+		// /jobs/{id}/diag on-demand diagnostics for this simulation.
+		opt.Probe = telemetry.FromContext(ctx)
+
+		res := &Result{Spec: spec.Canonical()}
+		switch spec.Kind {
+		case KindCS1:
+			cfg, err := exp.ParseMemConfig(spec.Config)
+			if err != nil {
+				return nil, err
+			}
+			r, err := exp.RunCaseStudyI(spec.Model, cfg, spec.Mbps, opt)
+			if err != nil {
+				return nil, err
+			}
+			res.CS1 = &r
+
+		case KindCS2Sweep:
+			times, err := exp.RunWTSweep(spec.Workload, opt)
+			if err != nil {
+				return nil, err
+			}
+			res.Cycles = times
+
+		case KindCS2Policy:
+			policy, err := exp.ParseDFSLPolicy(spec.Policy)
+			if err != nil {
+				return nil, err
+			}
+			avg, err := exp.RunCS2Policy(spec.Workload, policy, spec.SOPT, opt)
+			if err != nil {
+				return nil, err
+			}
+			res.AvgCycles = avg
+
+		case KindRegion:
+			r, err := exp.RunRegionJob(spec.Workload, spec.Frames, spec.Region, spec.Span, opt)
+			if err != nil {
+				return nil, err
+			}
+			res.Region = r
+
+		default:
+			return nil, fmt.Errorf("sweep: unknown job kind %q", spec.Kind)
+		}
+		return res, nil
 	}
-}
-
-// Execute is the built-in executor with default hardening (no
-// watchdog, no guard): it runs the simulation a spec describes,
-// honoring ctx through the tick loops (internal/exp threads it into
-// soc.RunCtx / Standalone.RunUntilIdleCtx), and returns the result
-// keyed by the spec's canonical form. The spec must already be
-// validated.
-func Execute(ctx context.Context, spec Spec) (*Result, error) {
-	return execute(ctx, spec, ExecConfig{})
-}
-
-func execute(ctx context.Context, spec Spec, cfg ExecConfig) (*Result, error) {
-	opt, err := ScaleOptions(spec.Scale)
-	if err != nil {
-		return nil, err
-	}
-	opt.Ctx = ctx
-	opt.WatchdogCycles = cfg.Watchdog
-	opt.Guard = cfg.Guard
-	// The runner threads the job's telemetry probe through the context;
-	// attaching it here gives GET /jobs/{id} live progress and
-	// /jobs/{id}/diag on-demand diagnostics for this simulation.
-	opt.Probe = telemetry.FromContext(ctx)
-	if spec.Workers > 1 {
-		pool := par.NewPool(spec.Workers)
-		defer pool.Close()
-		opt.Pool = pool
-	}
-
-	res := &Result{Spec: spec.Canonical()}
-	switch spec.Kind {
-	case KindCS1:
-		cfg, err := exp.ParseMemConfig(spec.Config)
-		if err != nil {
-			return nil, err
-		}
-		r, err := exp.RunCaseStudyI(spec.Model, cfg, spec.Mbps, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.CS1 = &r
-
-	case KindCS2Sweep:
-		times, err := exp.RunWTSweep(spec.Workload, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.Cycles = times
-
-	case KindCS2Policy:
-		policy, err := exp.ParseDFSLPolicy(spec.Policy)
-		if err != nil {
-			return nil, err
-		}
-		avg, err := exp.RunCS2Policy(spec.Workload, policy, spec.SOPT, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.AvgCycles = avg
-
-	case KindRegion:
-		r, err := exp.RunRegionJob(spec.Workload, spec.Frames, spec.Region, spec.Span, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.Region = r
-
-	default:
-		return nil, fmt.Errorf("sweep: unknown job kind %q", spec.Kind)
-	}
-	return res, nil
 }
 
 // SyntheticExec returns an executor that sleeps for d instead of

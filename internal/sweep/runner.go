@@ -141,8 +141,6 @@ type Exec func(ctx context.Context, spec Spec) (*Result, error)
 // RunnerConfig parameterizes the runner. Zero fields take defaults.
 type RunnerConfig struct {
 	// Workers is the number of concurrently executing jobs (default 2).
-	// Distinct from Spec.Workers, which parallelizes ticks inside one
-	// simulation.
 	Workers int
 	// QueueDepth bounds the queued-job backlog (default 1024).
 	QueueDepth int

@@ -20,7 +20,6 @@ type SampleRequest struct {
 	K        int    // representative regions to select
 	Span     int    // detailed frames per region
 	Scale    string // smoke|quick|paper
-	Workers  int    // per-job tick-engine workers
 	// Notify, when non-nil, streams jobs as they reach a terminal
 	// state (including cache hits at submit).
 	Notify func(Job)
@@ -76,7 +75,7 @@ func RunSample(ctx context.Context, c Service, req SampleRequest, poll time.Dura
 
 	spec := func(r sample.Region) Spec {
 		return Spec{Kind: KindRegion, Scale: req.Scale, Workload: req.Workload,
-			Frames: req.Frames, Region: r.Frame, Span: req.Span, Workers: req.Workers}
+			Frames: req.Frames, Region: r.Frame, Span: req.Span}
 	}
 	sub := &submitter{c: c, poll: poll, seen: make(map[string]Job), notify: req.Notify}
 	for _, r := range regions {

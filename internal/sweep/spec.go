@@ -6,11 +6,10 @@
 // exponential backoff, graceful drain), and the HTTP surface served by
 // cmd/emeraldd and consumed by cmd/sweep.
 //
-// The content-addressed cache is sound because of the determinism
-// contract established by the parallel tick engine (see DESIGN.md,
-// "Concurrency model"): a simulation point is a pure function of its
-// spec, bit-identical regardless of worker count, so a stored result
-// can be returned byte-for-byte in place of a rerun.
+// The content-addressed cache is sound because a simulation point is a
+// pure function of its spec (each job runs on a private system, on one
+// goroutine), so a stored result can be returned byte-for-byte in place
+// of a rerun.
 package sweep
 
 import (
@@ -68,10 +67,10 @@ type Spec struct {
 	Region int `json:"region,omitempty"` // first detailed frame (0-based)
 	Span   int `json:"span,omitempty"`   // detailed frames from Region
 
-	// Workers sets the simulation's tick-engine worker count. It is
-	// deliberately excluded from the result key: the parallel engine is
-	// bit-identical across worker counts (enforced by the determinism
-	// gate), so results are shared between differently-parallel runs.
+	// Workers is accepted and ignored: a job is one simulation, which
+	// runs on one goroutine, and RunnerConfig.Workers sets how many jobs
+	// run at once. The field stays so specs that carry it still decode;
+	// it is not part of the result key.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -127,15 +126,12 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("sweep: unknown job kind %q (want cs1|cs2sweep|cs2policy|region)", s.Kind)
 	}
-	if s.Workers < 0 {
-		return fmt.Errorf("sweep: workers must be >= 0, got %d", s.Workers)
-	}
 	return nil
 }
 
 // Canonical returns the spec with every field that does not affect the
-// simulation result zeroed: Workers always (determinism makes results
-// worker-count-independent), and the fields of the other case study.
+// simulation result zeroed: Workers always (it is ignored), and the
+// fields of the other case study.
 func (s Spec) Canonical() Spec {
 	c := Spec{Kind: s.Kind, Scale: s.Scale}
 	switch s.Kind {

@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"context"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -27,8 +30,7 @@ func TestKeyIsStableAndDiscriminating(t *testing.T) {
 	}
 }
 
-// Workers parallelizes the tick engine without changing results (the
-// determinism gate), so it must not affect the cache key.
+// Workers is accepted and ignored, so it must not affect the cache key.
 func TestKeyIgnoresWorkers(t *testing.T) {
 	base := Spec{Kind: KindCS2Sweep, Scale: "smoke", Workload: 1}
 	for _, w := range []int{1, 2, 8} {
@@ -37,6 +39,37 @@ func TestKeyIgnoresWorkers(t *testing.T) {
 		if s.Key() != base.Key() {
 			t.Fatalf("workers=%d changed the key", w)
 		}
+	}
+}
+
+// A job spec cannot make the executor start goroutines: a huge Workers
+// validates, runs the same simulation as Workers 0 under the same key,
+// and leaves the goroutine count where it was.
+func TestHugeWorkersIsIgnored(t *testing.T) {
+	base := Spec{Kind: KindCS2Sweep, Scale: "smoke", Workload: 3}
+	huge := base
+	huge.Workers = 1 << 30
+	if err := huge.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if huge.Key() != base.Key() {
+		t.Fatal("workers changed the key")
+	}
+	exec := Executor(ExecConfig{})
+	want, err := exec(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	got, err := exec(context.Background(), huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d before the job, %d after", before, after)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("workers %d result %+v, want %+v", huge.Workers, got, want)
 	}
 }
 
@@ -89,7 +122,6 @@ func TestValidate(t *testing.T) {
 		{Spec{Kind: KindCS2Sweep, Scale: "smoke", Workload: 7}, "workload"},
 		{Spec{Kind: KindCS2Policy, Scale: "smoke", Workload: 1, Policy: "WAT"}, "policy"},
 		{Spec{Kind: KindCS2Policy, Scale: "smoke", Workload: 1, Policy: "SOPT"}, "sopt"},
-		{Spec{Kind: KindCS2Sweep, Scale: "smoke", Workload: 1, Workers: -1}, "workers"},
 	}
 	for _, tc := range bad {
 		err := tc.spec.Validate()

@@ -13,10 +13,9 @@
 //
 // Determinism contract: telemetry reads counters, it never mutates
 // model state. The probe is written from the simulation goroutine only
-// (inside the stride poll, a point where no tick-engine shard runs)
-// and read from any goroutine through an atomic pointer, so attaching
-// a probe cannot perturb results — the skip/parallel determinism
-// digest gates run with telemetry enabled to enforce exactly that.
+// (inside the stride poll, between ticks) and read from any goroutine
+// through an atomic pointer, so attaching a probe cannot perturb
+// results — TestTelemetryDigestInvariance enforces exactly that.
 package telemetry
 
 import (

@@ -1,8 +1,7 @@
 #!/bin/sh
 # Pre-PR gate: formatting, vet, the full test suite, a race-detector
 # pass (shortened: race mode pays ~20x per simulated cycle, and the
-# determinism tests honor -short), the parallel-engine determinism gate,
-# and — on machines with enough cores — the parallel speedup guard.
+# determinism tests honor -short) and the time-advance determinism gate.
 # Run from the repository root:
 #
 #	scripts/check.sh
@@ -110,28 +109,21 @@ echo "== chaos soak gate =="
 # re-derive the same fault schedule (see internal/chaos).
 go test -count=1 -run 'TestChaosSoak|TestJournalReplayRacesReexecution' -timeout 180s ./internal/chaos
 
-echo "== determinism (workers 1 vs 4; default vs every-cycle, skip-only, wheel-only) + wake contract =="
+echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake contract =="
 # The digest gates — "wheel-only" is SetEventWheel alone: clock jumps
 # off, the phase-1 wheel slots (CPU cores, display) and the GPU's
 # drained latch acted on — and every NextWake implementor driven through
 # a crafted busy period: reporting a wake later than the first
 # self-driven state change is the silent-correctness bug class that
-# parking and clock jumps turn into wrong results. Run with fewer Ps
-# than workers too: the worker pool's barrier has to hold when its
-# workers are descheduled mid-dispatch, not only on a host with a core
-# for each.
-for procs in 1 2 ""; do
-	echo "-- GOMAXPROCS=${procs:-default} --"
-	env ${procs:+GOMAXPROCS=$procs} go test -count=1 -timeout 10m \
-		-run 'TestParallelDeterminism|TestTimeAdvanceDeterminism|TestNextWakeContract' ./internal/exp
-done
+# parking and clock jumps turn into wrong results.
+go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract' ./internal/exp
 
 echo "== checkpoint-resume digest gate =="
 # The sampled-simulation contract: the functional executor's memory is
 # bit-identical to the detailed pipeline's, a region resumed from a
-# checkpoint digests identically across file round trips, worker
-# counts and the every-cycle mode, and a sweep region job is a pure
-# function of its canonical spec.
+# checkpoint digests identically across file round trips and the
+# every-cycle mode, and a sweep region job is a pure function of its
+# canonical spec.
 go test -count=1 -timeout 5m -run 'TestFunctionalMatchesDetailed|TestCheckpointResumeFidelity|TestRunRegionJobDeterministic' ./internal/exp
 
 echo "== sampled-vs-full smoke (emerald -sampled) =="
@@ -150,24 +142,6 @@ if echo "$sampled_out" | grep -q "estimate: 0 cycles/frame"; then
 	exit 1
 fi
 echo "ok"
-
-echo "== parallel speedup guard =="
-cores=$(nproc 2>/dev/null || echo 1)
-if [ "$cores" -lt 4 ]; then
-	echo "skipped: $cores core(s) available; the 1.5x guard needs >= 4"
-else
-	out=$(go test -timeout 5m -run '^$' -bench 'BenchmarkFrameW3$|BenchmarkFrameW3Par4$' -benchtime=5x -count=1 .)
-	echo "$out"
-	echo "$out" | awk '
-		$1 ~ /^BenchmarkFrameW3(-[0-9]+)?$/ { seq = $3 }
-		$1 ~ /^BenchmarkFrameW3Par4(-[0-9]+)?$/ { par = $3 }
-		END {
-			if (seq == "" || par == "") { print "FAIL: benchmark output missing" > "/dev/stderr"; exit 1 }
-			speedup = seq / par
-			printf "speedup at 4 workers: %.2fx\n", speedup
-			if (speedup < 1.5) { print "FAIL: parallel speedup below 1.5x" > "/dev/stderr"; exit 1 }
-		}'
-fi
 
 echo "== sweep service smoke test (the binaries) =="
 # The one check that runs main's flag parsing and the "listening on"
