@@ -38,16 +38,30 @@ var (
 func matrices(b *testing.B) (reg, high map[int]map[exp.MemConfig]soc.Results) {
 	b.Helper()
 	matrixOnce.Do(func() {
-		matrixReg, matrixErr = exp.CaseStudyIMatrix(exp.RunCaseStudyI, benchOpt.RegularMbps, benchOpt, nil)
-		if matrixErr != nil {
-			return
+		res, err := simulate([]string{"9", "12"})
+		if matrixErr = err; err == nil {
+			matrixReg, matrixHigh = res.CS1(benchOpt.RegularMbps), res.CS1(benchOpt.HighMbps)
 		}
-		matrixHigh, matrixErr = exp.CaseStudyIMatrix(exp.RunCaseStudyI, benchOpt.HighMbps, benchOpt, nil)
 	})
 	if matrixErr != nil {
 		b.Fatal(matrixErr)
 	}
 	return matrixReg, matrixHigh
+}
+
+// simulate runs the experiment plan of the given figures at benchOpt.
+func simulate(figs []string) (*exp.Results, error) {
+	return exp.Plan{Figs: figs, Opt: benchOpt}.Simulate(exp.RunCell)
+}
+
+// figure runs one figure's plan and returns the figure.
+func figure(b *testing.B, name string) exp.Figure {
+	b.Helper()
+	res, err := simulate([]string{name})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Figures()[0]
 }
 
 func geomean(vals []float64) float64 {
@@ -89,10 +103,7 @@ func BenchmarkFig09RegularLoad(b *testing.B) {
 // (CPU bandwidth outside GPU render vs during).
 func BenchmarkFig10HMCTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tl, err := exp.Fig10(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tl := figure(b, "10").Timelines[0]
 		cpu := tl.Series("cpu")
 		gpuS := tl.Series("gpu")
 		var cpuQuiet, cpuBusy, nQuiet, nBusy float64
@@ -178,10 +189,8 @@ func BenchmarkFig13DisplayService(b *testing.B) {
 // (the starvation the paper highlights in callout 6).
 func BenchmarkFig14Timelines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bas, dtb, err := exp.Fig14(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tls := figure(b, "14").Timelines
+		bas, dtb := tls[0], tls[1]
 		basDisp := float64(bas.TotalBytes("display"))
 		if basDisp > 0 {
 			b.ReportMetric(float64(dtb.TotalBytes("display"))/basDisp, "dtb_display_bytes_vs_bas")
@@ -195,8 +204,11 @@ func BenchmarkFig14Timelines(b *testing.B) {
 // workloads — the paper sees 25% (W6) to 88% (W5).
 func BenchmarkFig17WTSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sweeps := wtSweeps(b)
-		_ = exp.Fig17Table(allWorkloads, sweeps, benchOpt.MaxWT) // the table is the artifact
+		res, err := simulate([]string{"17"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweeps := res.Sweeps()
 		var spreads []float64
 		for _, w := range []int{geom.W1Sibenik, geom.W3Cube} {
 			lo, hi := sweeps[w][0], sweeps[w][0]
@@ -214,34 +226,13 @@ func BenchmarkFig17WTSweep(b *testing.B) {
 	}
 }
 
-// allWorkloads lists Table 8's workloads.
-var allWorkloads = []int{geom.W1Sibenik, geom.W2Spot, geom.W3Cube, geom.W4Suzanne, geom.W5SuzanneT, geom.W6Teapot}
-
-// wtSweeps runs every workload's WT sweep (Figure 17's data, and the
-// first pass of Figure 19).
-func wtSweeps(b *testing.B) map[int][]uint64 {
-	b.Helper()
-	sweeps := make(map[int][]uint64)
-	for _, w := range allWorkloads {
-		times, err := exp.RunWTSweep(w, benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sweeps[w] = times
-	}
-	return sweeps
-}
-
 // BenchmarkFig18W1Misses regenerates Figure 18: W1 execution time and
 // L1 miss counts vs WT. Reports the best (minimum) texture-miss ratio
 // across WT sizes — the locality benefit larger work tiles buy
 // (ratio < 1 reproduces the paper's trend).
 func BenchmarkFig18W1Misses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := exp.Fig18(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tab := figure(b, "18").Table
 		parse := func(s string) float64 {
 			v, _ := strconv.ParseFloat(s, 64)
 			return v
@@ -264,10 +255,11 @@ func BenchmarkFig18W1Misses(b *testing.B) {
 // Paper shape: DFSL ~+19% over MLB and ~+7.3% over SOPT on average.
 func BenchmarkFig19DFSL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, raw, err := exp.Fig19(benchOpt, allWorkloads, wtSweeps(b))
+		res, err := simulate([]string{"19"})
 		if err != nil {
 			b.Fatal(err)
 		}
+		raw := res.Policies()
 		var vsMLB, vsSOPT []float64
 		for _, per := range raw {
 			if per[exp.DFSL] > 0 {

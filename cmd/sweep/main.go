@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -58,14 +57,9 @@ type service interface {
 	Jobs(ctx context.Context) ([]sweep.Job, error)
 }
 
-// sweepable lists the figures the service can regenerate, in print
-// order. 10, 14 and 18 need timelines or per-system counter isolation
-// and stay on the sequential CLIs.
-var sweepable = []string{"9", "11", "12", "13", "17", "19"}
-
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8321", "emeraldd base URL, or a comma-separated list of fleet node URLs")
-	fig := flag.String("fig", "all", "figures to regenerate: comma-separated from 9|11|12|13|17|19, or all")
+	fig := flag.String("fig", "all", "figures to regenerate: comma-separated from 9|11|12|13|17|19 (printed in that order), or all")
 	scale := flag.String("scale", "quick", "experiment scale: smoke|quick|paper")
 	models := flag.String("models", "", "comma-separated model ids (1=chair 2=cube 3=mask 4=triangles; default all)")
 	workloads := flag.String("workloads", "", "comma-separated workload ids 1..6 (default all)")
@@ -85,18 +79,10 @@ func main() {
 		usageErr(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	}
 	req := sweep.FigureRequest{Scale: *scale}
-	if *fig == "all" {
-		req.Figs = sweepable
-	} else {
-		for _, f := range splitList(*fig) {
-			if !slices.Contains(sweepable, f) {
-				usageErr(fmt.Errorf("figure %q is not sweepable (want one of %s, or all)",
-					f, strings.Join(sweepable, "|")))
-			}
-			req.Figs = append(req.Figs, f)
-		}
-	}
 	var err error
+	if req.Figs, err = exp.ParseFigs(*fig, sweep.Figures); err != nil {
+		usageErr(err)
+	}
 	if req.Models, err = exp.ParseIDs(*models, 1, 4, "model"); err != nil {
 		usageErr(err)
 	}

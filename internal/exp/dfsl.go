@@ -96,86 +96,52 @@ func (r *CS2Renderer) missSum(cacheName string) int64 {
 // the same frame rendered once per WT size 1..opt.MaxWT, after one
 // warmup render, and its per-WT execution cycles.
 func RunWTSweep(workload int, opt Options) ([]uint64, error) {
-	scene, err := geom.DFSLWorkload(workload)
-	if err != nil {
-		return nil, err
-	}
-	r, err := NewCS2Renderer(scene, opt)
+	r, err := workloadRenderer(workload, opt)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := r.RenderFrame(1, false); err != nil { // warmup
-		return nil, fmt.Errorf("%s: %w", scene.Name, err)
+		return nil, fmt.Errorf("%s: %w", r.Scene.Name, err)
 	}
 	out := make([]uint64, opt.MaxWT)
 	for wt := 1; wt <= opt.MaxWT; wt++ {
 		if out[wt-1], err = r.RenderFrame(wt, false); err != nil {
-			return nil, fmt.Errorf("%s: %w", scene.Name, err)
+			return nil, fmt.Errorf("%s: %w", r.Scene.Name, err)
 		}
 	}
 	return out, nil
 }
 
-// WTSweeps runs sweep over each workload, up to opt.Workers at once, and
-// returns the WT sweeps by workload id (Figure 17's rows, and SOPT's
-// input for Figure 19). RunWTSweep is the sweep the CLIs use.
-func WTSweeps(sweep func(workload int, opt Options) ([]uint64, error), workloads []int, opt Options) (map[int][]uint64, error) {
-	times, err := runCells(opt, len(workloads), func(i int) ([]uint64, error) {
-		return sweep(workloads[i], opt)
-	})
+// workloadRenderer builds the renderer of one Table 8 workload on a
+// fresh system.
+func workloadRenderer(workload int, opt Options) (*CS2Renderer, error) {
+	scene, err := geom.DFSLWorkload(workload)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int][]uint64, len(workloads))
-	for i, w := range workloads {
-		out[w] = times[i]
-	}
-	return out, nil
+	return NewCS2Renderer(scene, opt)
 }
 
-// Fig18 reproduces Figure 18: W1 execution time and L1 cache misses
-// (color=L1D, texture=L1T, depth=L1Z) versus WT size, normalized to
-// WT=1.
-func Fig18(opt Options) (*stats.Table, error) {
-	scene, err := geom.DFSLWorkload(geom.W1Sibenik)
+// runWTPoint renders one workload on a fresh system at one WT size, a
+// warmup frame and then a measured one (Figure 18's unit of work), and
+// returns the measured frame's cycles and its L1 color, texture and
+// depth misses.
+func runWTPoint(workload, wt int, opt Options) ([4]float64, error) {
+	r, err := workloadRenderer(workload, opt)
 	if err != nil {
-		return nil, err
+		return [4]float64{}, err
 	}
-	t := stats.NewTable("Figure 18: W1 execution time and L1 misses vs WT (normalized to WT=1)",
-		"WT", "exec_time", "color_misses", "texture_misses", "depth_misses")
-
-	// One fresh system per WT point, so cache-miss counters are isolated.
-	points, err := runCells(opt, opt.MaxWT, func(i int) ([4]float64, error) {
-		wt := i + 1
-		r, err := NewCS2Renderer(scene, opt)
-		if err != nil {
-			return [4]float64{}, err
-		}
-		if _, err := r.RenderFrame(wt, false); err != nil { // warmup
-			return [4]float64{}, err
-		}
-		d0 := [3]int64{r.missSum("l1d"), r.missSum("l1t"), r.missSum("l1z")}
-		cycles, err := r.RenderFrame(wt, false)
-		return [4]float64{
-			float64(cycles),
-			float64(r.missSum("l1d") - d0[0]),
-			float64(r.missSum("l1t") - d0[1]),
-			float64(r.missSum("l1z") - d0[2]),
-		}, err
-	})
-	if err != nil {
-		return nil, err
+	if _, err := r.RenderFrame(wt, false); err != nil { // warmup
+		return [4]float64{}, err
 	}
-	for i, vals := range points {
-		norm := func(j int) float64 {
-			if points[0][j] == 0 {
-				return 0
-			}
-			return vals[j] / points[0][j]
-		}
-		t.AddRow(i+1, norm(0), norm(1), norm(2), norm(3))
-	}
-	return t, nil
+	d0 := [3]int64{r.missSum("l1d"), r.missSum("l1t"), r.missSum("l1z")}
+	cycles, err := r.RenderFrame(wt, false)
+	return [4]float64{
+		float64(cycles),
+		float64(r.missSum("l1d") - d0[0]),
+		float64(r.missSum("l1t") - d0[1]),
+		float64(r.missSum("l1z") - d0[2]),
+	}, err
 }
 
 // DFSLPolicy identifies a Figure 19 configuration.
@@ -193,45 +159,12 @@ func (p DFSLPolicy) String() string {
 	return [...]string{"MLB", "MLC", "SOPT", "DFSL"}[p]
 }
 
-// Fig19 reproduces Figure 19: average frame time under MLB / MLC / SOPT
-// / DFSL per workload, reported as speedup normalized to MLB (paper:
-// DFSL ~+19% over MLB, ~+7.3% over SOPT). sweeps are the workloads' WT
-// sweeps, from which SOPT is picked; each policy then runs over an
-// identical frame sequence.
-func Fig19(opt Options, workloads []int, sweeps map[int][]uint64) (*stats.Table, map[int]map[DFSLPolicy]float64, error) {
-	sopt := SOPTFromSweeps(sweeps, opt.MaxWT)
-	policies := AllDFSLPolicies()
-	avgs, err := runCells(opt, len(workloads)*len(policies), func(i int) (float64, error) {
-		w, p := workloads[i/len(policies)], policies[i%len(policies)]
-		avg, err := RunCS2Policy(w, p, sopt, opt)
-		if err != nil {
-			return 0, fmt.Errorf("%s/%s: %w", workloadName(w), p, err)
-		}
-		return avg, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	raw := make(map[int]map[DFSLPolicy]float64)
-	for i, w := range workloads {
-		raw[w] = make(map[DFSLPolicy]float64)
-		for j, p := range policies {
-			raw[w][p] = avgs[i*len(policies)+j]
-		}
-	}
-	return Fig19Table(workloads, raw, sopt, opt.MaxWT, opt.DFSLRunFrames), raw, nil
-}
-
 // RunCS2Policy runs one workload under one Figure 19 policy (Figure
 // 19's unit of work) and returns the average frame execution cycles
 // over the evaluation + run phases. sopt is the static WT used when
 // policy is SOPT (ignored otherwise).
 func RunCS2Policy(workload int, policy DFSLPolicy, sopt int, opt Options) (float64, error) {
-	scene, err := geom.DFSLWorkload(workload)
-	if err != nil {
-		return 0, err
-	}
-	r, err := NewCS2Renderer(scene, opt)
+	r, err := workloadRenderer(workload, opt)
 	if err != nil {
 		return 0, err
 	}
@@ -241,7 +174,7 @@ func RunCS2Policy(workload int, policy DFSLPolicy, sopt int, opt Options) (float
 	// One untimed warmup frame so cold caches do not contaminate the
 	// first evaluation phase (all policies get the same treatment).
 	if _, err := r.RenderFrame(1, true); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("%s/%s: %w", r.Scene.Name, policy, err)
 	}
 	var sum float64
 	for f := 0; f < totalFrames; f++ {
@@ -258,7 +191,7 @@ func RunCS2Policy(workload int, policy DFSLPolicy, sopt int, opt Options) (float
 		}
 		cycles, err := r.RenderFrame(wt, true)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("%s/%s: %w", r.Scene.Name, policy, err)
 		}
 		if policy == DFSL {
 			ctrl.ObserveFrame(cycles)

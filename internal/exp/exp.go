@@ -9,6 +9,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -49,8 +50,7 @@ type Options struct {
 	Trace *emtrace.Tracer
 
 	// Stats, when non-nil, collects counters from every Case Study I
-	// system the harness builds (unless a run supplies its own registry,
-	// as TimelineRun does).
+	// system the harness builds: every Case Study I cell registers into it.
 	Stats *stats.Registry
 
 	// Workers is how many independent simulations — the cells of a
@@ -155,8 +155,10 @@ func ByScale(name string) (Options, error) {
 }
 
 // ParseIDs parses a comma-separated id list, the form of the CLIs'
-// -models and -workloads flags, with every id in [lo, hi]; what names
-// the id in errors. Blank entries are skipped, so "" parses to nil.
+// -models and -workloads flags, with every id in [lo, hi] and none
+// repeated (a repeat would simulate its cells twice, or print its rows
+// twice); what names the id in errors. Blank entries are skipped, so ""
+// parses to nil.
 func ParseIDs(list string, lo, hi int, what string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(list, ",") {
@@ -166,6 +168,9 @@ func ParseIDs(list string, lo, hi int, what string) ([]int, error) {
 		v, err := strconv.Atoi(part)
 		if err != nil || v < lo || v > hi {
 			return nil, fmt.Errorf("bad %s id %q", what, part)
+		}
+		if slices.Contains(out, v) {
+			return nil, fmt.Errorf("repeated %s id %d", what, v)
 		}
 		out = append(out, v)
 	}
@@ -240,42 +245,35 @@ func buildSoC(model int, cfg MemConfig, dataRateMbps int, opt Options, reg *stat
 }
 
 // RunCaseStudyI runs one (model, config, load) cell and returns the
-// results summary.
+// results summary. It records no timeline: the sweep service's jobs
+// carry none.
 func RunCaseStudyI(model int, cfg MemConfig, dataRateMbps int, opt Options) (soc.Results, error) {
-	s, err := buildSoC(model, cfg, dataRateMbps, opt, nil)
-	if err != nil {
-		return soc.Results{}, err
-	}
-	if err := s.RunCtx(opt.Ctx, opt.BudgetCycles); err != nil {
-		return soc.Results{}, fmt.Errorf("%s/%s: %w", cfg, s.Cfg.Scene.Name, err)
-	}
-	return s.Results(cfg.String()), nil
+	res, _, err := runCS1(model, cfg, dataRateMbps, opt, false)
+	return res, err
 }
 
-// CaseStudyIMatrix runs every model x config cell at the given DRAM data
-// rate through run (RunCaseStudyI, or a test's stand-in), up to
-// opt.Workers cells at once, and returns results indexed
-// [model][config].
-func CaseStudyIMatrix(run func(model int, cfg MemConfig, dataRateMbps int, opt Options) (soc.Results, error),
-	dataRateMbps int, opt Options, models []int) (CS1Results, error) {
-	if len(models) == 0 {
-		models = []int{geom.M1Chair, geom.M2Cube, geom.M3Mask, geom.M4Triangles}
-	}
-	cfgs := AllMemConfigs()
-	cells, err := runCells(opt, len(models)*len(cfgs), func(i int) (soc.Results, error) {
-		return run(models[i/len(cfgs)], cfgs[i%len(cfgs)], dataRateMbps, opt)
-	})
+// runCS1 runs one Case Study I cell. With timeline set it also records a
+// bandwidth timeline, in buckets of a sixteenth of the app period
+// (Figures 10 and 14). The timeline only observes DRAM completions, so
+// the results are those of a run without it.
+func runCS1(model int, cfg MemConfig, dataRateMbps int, opt Options, timeline bool) (soc.Results, *stats.Timeline, error) {
+	s, err := buildSoC(model, cfg, dataRateMbps, opt, nil)
 	if err != nil {
-		return nil, err
+		return soc.Results{}, nil, err
 	}
-	out := make(CS1Results)
-	for i, m := range models {
-		out[m] = make(map[MemConfig]soc.Results)
-		for j, cfg := range cfgs {
-			out[m][cfg] = cells[i*len(cfgs)+j]
-		}
+	var tl *stats.Timeline
+	if timeline {
+		tl = stats.NewTimeline(opt.AppPeriod / 16)
+		// Pin the column order up front, so every figure prints the same
+		// columns in the same order whichever source moves bytes first.
+		tl.Register(mem.ClientCPU.String(), mem.ClientGPU.String(),
+			mem.ClientDisplay.String(), mem.ClientDMA.String())
+		s.DRAM.Timeline = tl
 	}
-	return out, nil
+	if err := s.RunCtx(opt.Ctx, opt.BudgetCycles); err != nil {
+		return soc.Results{}, nil, fmt.Errorf("%s/%s: %w", cfg, s.Cfg.Scene.Name, err)
+	}
+	return s.Results(cfg.String()), tl, nil
 }
 
 // modelName maps a model id to its display name.
@@ -285,50 +283,6 @@ func modelName(m int) string {
 		return fmt.Sprintf("M%d", m)
 	}
 	return name
-}
-
-// TimelineRun runs one cell with a bandwidth timeline attached and
-// returns the timeline (Figures 10 and 14).
-func TimelineRun(model int, cfg MemConfig, dataRateMbps int, opt Options, bucket uint64) (*stats.Timeline, error) {
-	reg := opt.Stats
-	if reg == nil {
-		reg = stats.NewRegistry()
-	}
-	s, err := buildSoC(model, cfg, dataRateMbps, opt, reg)
-	if err != nil {
-		return nil, err
-	}
-	tl := stats.NewTimeline(bucket)
-	// Pin the column order up front, so every figure prints the same
-	// columns in the same order whichever source moves bytes first.
-	tl.Register(mem.ClientCPU.String(), mem.ClientGPU.String(),
-		mem.ClientDisplay.String(), mem.ClientDMA.String())
-	s.DRAM.Timeline = tl
-	if err := s.RunCtx(opt.Ctx, opt.BudgetCycles); err != nil {
-		return nil, err
-	}
-	return tl, nil
-}
-
-// Fig10 reproduces Figure 10: M3 under HMC, per-source DRAM bandwidth
-// over time (paper: CPU bursts before each frame, idles during
-// rendering).
-func Fig10(opt Options) (*stats.Timeline, error) {
-	return TimelineRun(geom.M3Mask, HMC, opt.RegularMbps, opt, opt.AppPeriod/16)
-}
-
-// Fig14 reproduces Figure 14: M1 rendering under BAS vs DASH-DTB at high
-// load — two timelines showing CPU over-prioritization and display
-// starvation under DTB.
-func Fig14(opt Options) (bas, dtb *stats.Timeline, err error) {
-	cfgs := [2]MemConfig{BAS, DTB}
-	tls, err := runCells(opt, len(cfgs), func(i int) (*stats.Timeline, error) {
-		return TimelineRun(geom.M1Chair, cfgs[i], opt.HighMbps, opt, opt.AppPeriod/16)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return tls[0], tls[1], nil
 }
 
 func sortedModels(res map[int]map[MemConfig]soc.Results) []int {

@@ -32,12 +32,18 @@ func TestRunCaseStudyICell(t *testing.T) {
 	}
 }
 
-func TestFig09ShapeSmall(t *testing.T) {
-	res, err := CaseStudyIMatrix(RunCaseStudyI, 1333, tinyOptions(), []int{geom.M2Cube})
+// simulate runs a plan of the given figures at tinyOptions.
+func simulate(t *testing.T, p Plan) []Figure {
+	t.Helper()
+	res, err := p.Simulate(RunCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := Fig09Table(res)
+	return res.Figures()
+}
+
+func TestFig09ShapeSmall(t *testing.T) {
+	tab := simulate(t, Plan{Figs: []string{"9"}, Models: []int{geom.M2Cube}, Opt: tinyOptions()})[0].Table
 	if tab.Rows() != 1 {
 		t.Fatalf("rows = %d", tab.Rows())
 	}
@@ -53,11 +59,7 @@ func TestFig09ShapeSmall(t *testing.T) {
 }
 
 func TestFig10TimelineHasAllSources(t *testing.T) {
-	opt := tinyOptions()
-	tl, err := Fig10(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := simulate(t, Plan{Figs: []string{"10"}, Opt: tinyOptions()})[0].Timelines[0]
 	for _, src := range []string{"cpu", "gpu", "display"} {
 		if tl.TotalBytes(src) == 0 {
 			t.Fatalf("timeline missing %s traffic", src)
@@ -69,12 +71,7 @@ func TestFig10TimelineHasAllSources(t *testing.T) {
 }
 
 func TestFig17SweepRuns(t *testing.T) {
-	opt := tinyOptions()
-	times, err := RunWTSweep(geom.W3Cube, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := Fig17Table([]int{geom.W3Cube}, map[int][]uint64{geom.W3Cube: times}, opt.MaxWT)
+	tab := simulate(t, Plan{Figs: []string{"17"}, Workloads: []int{geom.W3Cube}, Opt: tinyOptions()})[0].Table
 	if tab.Rows() != 1 {
 		t.Fatalf("rows = %d", tab.Rows())
 	}
@@ -84,15 +81,11 @@ func TestFig17SweepRuns(t *testing.T) {
 }
 
 func TestFig19PicksPoliciesAndRuns(t *testing.T) {
-	opt := tinyOptions()
-	times, err := RunWTSweep(geom.W3Cube, opt)
+	res, err := Plan{Figs: []string{"19"}, Workloads: []int{geom.W3Cube}, Opt: tinyOptions()}.Simulate(RunCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, raw, err := Fig19(opt, []int{geom.W3Cube}, map[int][]uint64{geom.W3Cube: times})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, raw := res.Figures()[0].Table, res.Policies()
 	if tab.Rows() != 1 {
 		t.Fatalf("rows = %d", tab.Rows())
 	}
@@ -118,30 +111,23 @@ func TestMemConfigNames(t *testing.T) {
 func TestFig12And13HighLoadShapes(t *testing.T) {
 	opt := tinyOptions()
 	opt.Frames = 2 // frame-to-frame deltas need at least two measured frames
-	res, err := CaseStudyIMatrix(RunCaseStudyI, opt.HighMbps, opt, []int{geom.M4Triangles})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t12 := Fig12Table(res)
+	figs := simulate(t, Plan{Figs: []string{"12", "13"}, Models: []int{geom.M4Triangles}, Opt: opt})
+	t12 := figs[0].Table
 	if t12.Rows() != 4 { // one row per config for the single model
 		t.Fatalf("fig12 rows = %d", t12.Rows())
 	}
 	if t12.Cell(0, 2) != "1.000" {
 		t.Fatalf("BAS frame time must normalize to 1, got %q", t12.Cell(0, 2))
 	}
-	t13 := Fig13Table(res)
+	t13 := figs[1].Table
 	if t13.Rows() != 1 || t13.Cell(0, 1) != "1.000" {
 		t.Fatalf("fig13 shape wrong: rows=%d bas=%q", t13.Rows(), t13.Cell(0, 1))
 	}
 }
 
 func TestFig14TwoTimelines(t *testing.T) {
-	opt := tinyOptions()
-	bas, dtb, err := Fig14(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, tl := range map[string]*stats.Timeline{"bas": bas, "dtb": dtb} {
+	tls := simulate(t, Plan{Figs: []string{"14"}, Opt: tinyOptions()})[0].Timelines
+	for name, tl := range map[string]*stats.Timeline{"bas": tls[0], "dtb": tls[1]} {
 		if tl.TotalBytes("cpu") == 0 || tl.TotalBytes("gpu") == 0 {
 			t.Fatalf("%s timeline missing traffic", name)
 		}
@@ -150,10 +136,7 @@ func TestFig14TwoTimelines(t *testing.T) {
 
 func TestFig18Table(t *testing.T) {
 	opt := tinyOptions()
-	tab, err := Fig18(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := simulate(t, Plan{Figs: []string{"18"}, Opt: opt})[0].Table
 	if tab.Rows() != opt.MaxWT {
 		t.Fatalf("fig18 rows = %d, want %d", tab.Rows(), opt.MaxWT)
 	}

@@ -7,12 +7,11 @@ import (
 	"emerald/internal/stats"
 )
 
-// This file holds the pure aggregation half of the experiment
-// harnesses: given raw per-cell results, compute the paper's figure
-// tables. The sequential CLIs (cmd/memstudy, cmd/dfsl) and the sweep
-// service's aggregator (cmd/sweep) share these, so a figure printed
-// from a cache-backed sweep is byte-identical to one printed by the
-// sequential CLIs.
+// This file holds the pure aggregation half of the experiment plan:
+// given raw per-cell results, compute the paper's figure tables. Every
+// front end builds its tables through Results.Figures, so a figure
+// printed from a cache-backed sweep is byte-identical to one printed by
+// memstudy or dfsl.
 
 // CS1Results indexes Case Study I cell results by [model][config].
 type CS1Results = map[int]map[MemConfig]soc.Results
@@ -43,7 +42,8 @@ func ParseDFSLPolicy(s string) (DFSLPolicy, error) {
 }
 
 // Fig09Table computes Figure 9 (normalized GPU execution time under
-// regular load) from a Case Study I result set.
+// regular load) from a Case Study I result set. It is exported for
+// bench's table-build driver.
 func Fig09Table(res CS1Results) *stats.Table {
 	t := stats.NewTable("Figure 9: normalized GPU execution time (regular load)",
 		"model", "BAS", "DCB", "DTB", "HMC")
@@ -60,9 +60,10 @@ func Fig09Table(res CS1Results) *stats.Table {
 	return t
 }
 
-// Fig11Table computes Figure 11 (HMC row locality normalized to BAS)
-// from a Case Study I result set.
-func Fig11Table(res CS1Results) *stats.Table {
+// fig11Table computes Figure 11 (HMC row locality normalized to BAS)
+// from the regular-load matrix.
+func fig11Table(r *Results) *stats.Table {
+	res := r.CS1(r.plan.Opt.RegularMbps)
 	t := stats.NewTable("Figure 11: HMC row locality normalized to BAS",
 		"model", "rowbuffer_hit_rate", "bytes_per_activation")
 	for _, m := range sortedModels(res) {
@@ -79,10 +80,10 @@ func Fig11Table(res CS1Results) *stats.Table {
 	return t
 }
 
-// Fig12Table computes Figure 12 (normalized execution time under high
-// load) from a Case Study I result set measured at the high-load DRAM
-// rate.
-func Fig12Table(res CS1Results) *stats.Table {
+// fig12Table computes Figure 12 (normalized execution time under high
+// load) from the high-load matrix.
+func fig12Table(r *Results) *stats.Table {
+	res := r.CS1(r.plan.Opt.HighMbps)
 	t := stats.NewTable("Figure 12: normalized execution time (high load)",
 		"model", "config", "total_frame_time", "gpu_render_time")
 	for _, m := range sortedModels(res) {
@@ -102,10 +103,10 @@ func Fig12Table(res CS1Results) *stats.Table {
 	return t
 }
 
-// Fig13Table computes Figure 13 (display requests serviced relative to
-// BAS) from a Case Study I result set measured at the high-load DRAM
-// rate.
-func Fig13Table(res CS1Results) *stats.Table {
+// fig13Table computes Figure 13 (display requests serviced relative to
+// BAS) from the high-load matrix.
+func fig13Table(r *Results) *stats.Table {
+	res := r.CS1(r.plan.Opt.HighMbps)
 	t := stats.NewTable("Figure 13: display requests serviced relative to BAS",
 		"model", "BAS", "DCB", "DTB", "HMC")
 	for _, m := range sortedModels(res) {
@@ -121,21 +122,16 @@ func Fig13Table(res CS1Results) *stats.Table {
 	return t
 }
 
-// Fig17Table computes Figure 17 (frame time vs WT size, normalized to
-// WT=1) from per-workload WT sweeps. order fixes the row order (the
-// workload ids, as passed on the command line or expanded by the sweep
-// client); maxWT is the sweep length.
-func Fig17Table(order []int, sweeps map[int][]uint64, maxWT int) *stats.Table {
+// fig17Table computes Figure 17 (frame time vs WT size, normalized to
+// WT=1) from the WT sweeps, one row per workload in plan order.
+func fig17Table(r *Results) *stats.Table {
 	headers := []string{"workload"}
-	for wt := 1; wt <= maxWT; wt++ {
+	for wt := 1; wt <= r.plan.Opt.MaxWT; wt++ {
 		headers = append(headers, fmt.Sprintf("WT%d", wt))
 	}
 	t := stats.NewTable("Figure 17: frame time vs WT size (normalized to WT=1)", headers...)
-	for _, w := range order {
-		times, ok := sweeps[w]
-		if !ok {
-			continue
-		}
+	for _, w := range r.plan.Workloads {
+		times := r.cells[Cell{Kind: SweepCell, Workload: w}].Cycles
 		row := []any{workloadName(w)}
 		for _, c := range times {
 			row = append(row, float64(c)/float64(times[0]))
@@ -145,15 +141,17 @@ func Fig17Table(order []int, sweeps map[int][]uint64, maxWT int) *stats.Table {
 	return t
 }
 
-// SOPTFromSweeps picks the static-optimal WT: the size with the best
-// average normalized frame time across every workload's sweep (the
-// first pass of Figure 19).
-func SOPTFromSweeps(sweeps map[int][]uint64, maxWT int) int {
+// pickSOPT picks the static-optimal WT: the size with the best average
+// normalized frame time across the workloads' WT sweeps (the first pass
+// of Figure 19). The sum runs in plan order, so the pick is the same on
+// every run.
+func (r *Results) pickSOPT() int {
 	sopt := 1
 	best := 0.0
-	for wt := 1; wt <= maxWT; wt++ {
+	for wt := 1; wt <= r.plan.Opt.MaxWT; wt++ {
 		sum := 0.0
-		for _, times := range sweeps {
+		for _, w := range r.plan.Workloads {
+			times := r.cells[Cell{Kind: SweepCell, Workload: w}].Cycles
 			sum += float64(times[wt-1]) / float64(times[0])
 		}
 		if sopt == 1 && wt == 1 || sum < best {
@@ -164,26 +162,42 @@ func SOPTFromSweeps(sweeps map[int][]uint64, maxWT int) int {
 	return sopt
 }
 
-// Fig19Table computes Figure 19 (frame speedup vs MLB) from
-// per-workload, per-policy average frame cycles. order fixes the row
-// order; sopt, evalFrames and runFrames parameterize the title the way
-// the dfsl CLI prints it.
-func Fig19Table(order []int, avg map[int]map[DFSLPolicy]float64, sopt, evalFrames, runFrames int) *stats.Table {
+// fig18Table computes Figure 18 (W1 execution time and L1 misses vs
+// WT, normalized to WT=1) from its WT points.
+func fig18Table(r *Results) *stats.Table {
+	t := stats.NewTable("Figure 18: W1 execution time and L1 misses vs WT (normalized to WT=1)",
+		"WT", "exec_time", "color_misses", "texture_misses", "depth_misses")
+	points := r.plan.wtPoints()
+	base := r.cells[points[0]].Point
+	for _, c := range points {
+		vals := r.cells[c].Point
+		norm := func(j int) float64 {
+			if base[j] == 0 {
+				return 0
+			}
+			return vals[j] / base[j]
+		}
+		t.AddRow(c.WT, norm(0), norm(1), norm(2), norm(3))
+	}
+	return t
+}
+
+// fig19Table computes Figure 19 (frame speedup vs MLB) from the policy
+// runs, one row per workload in plan order; the title carries SOPT and
+// the evaluation and run phase lengths.
+func fig19Table(r *Results) *stats.Table {
 	t := stats.NewTable(
 		fmt.Sprintf("Figure 19: frame speedup vs MLB (SOPT=WT%d, eval %d + run %d frames)",
-			sopt, evalFrames, runFrames),
+			r.sopt, r.plan.Opt.MaxWT, r.plan.Opt.DFSLRunFrames),
 		"workload", "MLB", "MLC", "SOPT", "DFSL")
-	for _, w := range order {
-		byPolicy, ok := avg[w]
-		if !ok {
-			continue
-		}
-		mlb := byPolicy[MLB]
+	avg := r.Policies()
+	for _, w := range r.plan.Workloads {
+		mlb := avg[w][MLB]
 		row := []any{workloadName(w)}
 		for _, p := range AllDFSLPolicies() {
 			v := 0.0
-			if byPolicy[p] > 0 {
-				v = mlb / byPolicy[p]
+			if avg[w][p] > 0 {
+				v = mlb / avg[w][p]
 			}
 			row = append(row, v)
 		}

@@ -154,7 +154,7 @@ func TestRunFlagsRejectWorkersBelowOne(t *testing.T) {
 }
 
 // TestParseIDs: the -models/-workloads parser skips blanks, bounds every
-// id and names the bad one.
+// id, rejects a repeated one and names the bad one.
 func TestParseIDs(t *testing.T) {
 	if ids, err := ParseIDs(" 1, 3,,4 ", 1, 4, "model"); err != nil || len(ids) != 3 || ids[0] != 1 || ids[1] != 3 || ids[2] != 4 {
 		t.Errorf("ParseIDs = %v, %v; want [1 3 4]", ids, err)
@@ -166,5 +166,8 @@ func TestParseIDs(t *testing.T) {
 		if _, err := ParseIDs(bad, 1, 6, "workload"); err == nil || !strings.Contains(err.Error(), "bad workload id") {
 			t.Errorf("ParseIDs(%q) error %v, want a bad workload id", bad, err)
 		}
+	}
+	if _, err := ParseIDs("3,2,3", 1, 6, "workload"); err == nil || err.Error() != "repeated workload id 3" {
+		t.Errorf(`ParseIDs("3,2,3") error %v, want "repeated workload id 3"`, err)
 	}
 }

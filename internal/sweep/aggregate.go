@@ -3,12 +3,10 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"emerald/internal/exp"
-	"emerald/internal/geom"
-	"emerald/internal/soc"
-	"emerald/internal/stats"
 )
 
 // Service is the submit/poll/fetch surface RunFigures drives. It is
@@ -22,13 +20,17 @@ type Service interface {
 	Result(ctx context.Context, key string) (*Result, error)
 }
 
+// Figures lists the figures the service can regenerate, in print
+// order: those whose cells are job kinds. Figures 10, 14 and 18 read
+// bandwidth timelines or one system's counters, which a Result does not
+// carry, and stay on memstudy and dfsl.
+var Figures = []string{"9", "11", "12", "13", "17", "19"}
+
 // FigureRequest describes a client-side sweep: which figures to
 // regenerate, at which scale, over which slices of the paper's config
-// matrices (Tables 6/8).
+// matrices (Tables 6/8). It is an exp.Plan in the service's terms.
 type FigureRequest struct {
-	// Figs lists figure names in print order: "9", "11", "12", "13",
-	// "17", "19". (10, 14 and 18 need timelines or per-system counter
-	// isolation and stay on the sequential CLIs.)
+	// Figs lists figure names from Figures, in print order.
 	Figs []string
 	// Scale is the experiment scale: smoke|quick|paper.
 	Scale string
@@ -48,37 +50,8 @@ type FigureRequest struct {
 	Notify func(Job)
 }
 
-func (r FigureRequest) withDefaults() FigureRequest {
-	if len(r.Models) == 0 {
-		r.Models = []int{geom.M1Chair, geom.M2Cube, geom.M3Mask, geom.M4Triangles}
-	}
-	if len(r.Configs) == 0 {
-		for _, c := range exp.AllMemConfigs() {
-			r.Configs = append(r.Configs, c.String())
-		}
-	}
-	if len(r.Workloads) == 0 {
-		r.Workloads = []int{geom.W1Sibenik, geom.W2Spot, geom.W3Cube,
-			geom.W4Suzanne, geom.W5SuzanneT, geom.W6Teapot}
-	}
-	return r
-}
-
-// wantsFig reports whether fig is requested.
-func (r FigureRequest) wantsFig(fig string) bool {
-	for _, f := range r.Figs {
-		if f == fig {
-			return true
-		}
-	}
-	return false
-}
-
-// Figure pairs a figure name with its aggregated table.
-type Figure struct {
-	Name  string
-	Table *stats.Table
-}
+// Figure is one aggregated figure; the service's are all tables.
+type Figure = exp.Figure
 
 // FigureSet is the outcome of a client-side sweep: the aggregated
 // tables (in request order) plus every unique job that was submitted,
@@ -101,13 +74,20 @@ func (fs *FigureSet) CacheHits() int {
 
 // submitter deduplicates specs by result key while preserving
 // submission order, so overlapping figures (9 and 11 share the
-// regular-load matrix) cost one job per unique simulation point.
+// regular-load matrix) cost one job per unique simulation point, and
+// fetches each key's result once however many waits follow.
 type submitter struct {
-	c      Service
-	poll   time.Duration
-	seen   map[string]Job
-	jobs   []Job
-	notify func(Job)
+	c       Service
+	poll    time.Duration
+	seen    map[string]Job
+	jobs    []Job
+	results map[string]*Result
+	notify  func(Job)
+}
+
+func newSubmitter(c Service, poll time.Duration, notify func(Job)) *submitter {
+	return &submitter{c: c, poll: poll, seen: make(map[string]Job),
+		results: make(map[string]*Result), notify: notify}
 }
 
 func (s *submitter) submit(ctx context.Context, spec Spec) error {
@@ -127,7 +107,8 @@ func (s *submitter) submit(ctx context.Context, spec Spec) error {
 }
 
 // wait blocks until every submitted job is terminal, then fetches the
-// results, indexed by key. A failed job fails the whole sweep.
+// results not fetched before and returns every result so far, indexed
+// by key. A failed job fails the whole sweep.
 func (s *submitter) wait(ctx context.Context) (map[string]*Result, error) {
 	var pending []string
 	for _, j := range s.jobs {
@@ -144,180 +125,102 @@ func (s *submitter) wait(ctx context.Context) (map[string]*Result, error) {
 			s.jobs[i] = f
 		}
 	}
-	results := make(map[string]*Result, len(s.jobs))
 	for _, j := range s.jobs {
 		if j.State == JobFailed {
 			return nil, fmt.Errorf("job %s (%s) failed: %s", j.ID, j.Spec, j.Error)
 		}
-		if _, ok := results[j.Key]; ok {
+		if _, ok := s.results[j.Key]; ok {
 			continue
 		}
 		res, err := s.c.Result(ctx, j.Key)
 		if err != nil {
 			return nil, fmt.Errorf("fetch result %s: %w", j.Key, err)
 		}
-		results[j.Key] = res
+		s.results[j.Key] = res
 	}
-	return results, nil
+	return s.results, nil
 }
 
-// RunFigures expands the request into jobs, submits them (deduplicated
-// by result key), waits for completion, and aggregates the results
-// through the same internal/exp table builders the sequential CLIs
-// use — so the output is byte-identical to memstudy/dfsl on the same
-// points. Figure 19 submits in two phases: the WT sweeps must finish
-// before the SOPT policy jobs can be specified.
+// cellSpec is the job that runs a plan cell at the given scale. Only the
+// kinds of Figures' cells have one.
+func cellSpec(scale string, c exp.Cell) Spec {
+	switch c.Kind {
+	case exp.CS1Cell:
+		return Spec{Kind: KindCS1, Scale: scale, Model: c.Model, Config: c.Config.String(), Mbps: c.Mbps}
+	case exp.SweepCell:
+		return Spec{Kind: KindCS2Sweep, Scale: scale, Workload: c.Workload}
+	case exp.PolicyCell:
+		return Spec{Kind: KindCS2Policy, Scale: scale, Workload: c.Workload,
+			Policy: c.Policy.String(), SOPT: c.SOPT}
+	}
+	panic(fmt.Sprintf("sweep: no job kind runs cell kind %d", c.Kind))
+}
+
+// cellResult unpacks a fetched result into the plan's form, checking it
+// carries its kind's payload.
+func cellResult(res *Result) (exp.CellResult, error) {
+	var out exp.CellResult
+	switch {
+	case res == nil:
+		return out, fmt.Errorf("sweep: missing result")
+	case res.Spec.Kind == KindCS1 && res.CS1 == nil, res.Spec.Kind == KindCS2Sweep && res.Cycles == nil:
+		return out, fmt.Errorf("sweep: result for %s carries no payload", res.Spec)
+	}
+	if res.CS1 != nil {
+		out.CS1 = *res.CS1
+	}
+	out.Cycles, out.AvgCycles = res.Cycles, res.AvgCycles
+	return out, nil
+}
+
+// RunFigures runs the request's exp.Plan through the service: each batch
+// of cells the plan hands over becomes jobs (deduplicated by result
+// key), and the fetched results go back to the plan, which builds the
+// tables the same way memstudy and dfsl do, so the output is
+// byte-identical to theirs on the same points. Figure 19 makes a second
+// batch: its SOPT policy jobs wait for the WT sweeps.
 func RunFigures(ctx context.Context, c Service, req FigureRequest, poll time.Duration) (*FigureSet, error) {
-	req = req.withDefaults()
 	opt, err := ScaleOptions(req.Scale)
 	if err != nil {
 		return nil, err
 	}
-	sub := &submitter{c: c, poll: poll, seen: make(map[string]Job), notify: req.Notify}
-
-	cs1 := func(mbps int) error {
-		for _, m := range req.Models {
-			for _, cfg := range req.Configs {
-				spec := Spec{Kind: KindCS1, Scale: req.Scale, Model: m,
-					Config: cfg, Mbps: mbps}
-				if err := sub.submit(ctx, spec); err != nil {
-					return err
-				}
-			}
+	plan := exp.Plan{Figs: req.Figs, Models: req.Models, Workloads: req.Workloads, Opt: opt}
+	for _, f := range req.Figs {
+		if !slices.Contains(Figures, f) {
+			return nil, fmt.Errorf("sweep: figure %q is not sweepable (10, 14 and 18 need the sequential CLIs)", f)
 		}
-		return nil
 	}
-	// Phase 1: everything that is independent of other results.
-	if req.wantsFig("9") || req.wantsFig("11") {
-		if err := cs1(opt.RegularMbps); err != nil {
+	for _, name := range req.Configs {
+		cfg, err := exp.ParseMemConfig(name)
+		if err != nil {
 			return nil, err
 		}
+		plan.Configs = append(plan.Configs, cfg)
 	}
-	if req.wantsFig("12") || req.wantsFig("13") {
-		if err := cs1(opt.HighMbps); err != nil {
-			return nil, err
-		}
-	}
-	if req.wantsFig("17") || req.wantsFig("19") {
-		for _, w := range req.Workloads {
-			spec := Spec{Kind: KindCS2Sweep, Scale: req.Scale, Workload: w}
+	sub := newSubmitter(c, poll, req.Notify)
+	res, err := plan.Run(func(cells []exp.Cell) ([]exp.CellResult, error) {
+		keys := make([]string, len(cells))
+		for i, cell := range cells {
+			spec := cellSpec(req.Scale, cell)
 			if err := sub.submit(ctx, spec); err != nil {
 				return nil, err
 			}
+			keys[i] = spec.Key()
 		}
-	}
-	results, err := sub.wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-
-	// Aggregation helpers over the fetched results.
-	matrix := func(mbps int) (exp.CS1Results, error) {
-		out := make(exp.CS1Results)
-		for _, m := range req.Models {
-			out[m] = make(map[exp.MemConfig]soc.Results)
-			for _, cfgName := range req.Configs {
-				cfg, err := exp.ParseMemConfig(cfgName)
-				if err != nil {
-					return nil, err
-				}
-				key := Spec{Kind: KindCS1, Scale: req.Scale, Model: m,
-					Config: cfgName, Mbps: mbps}.Key()
-				res, ok := results[key]
-				if !ok || res.CS1 == nil {
-					return nil, fmt.Errorf("missing cs1 result for M%d/%s/%d", m, cfgName, mbps)
-				}
-				out[m][cfg] = *res.CS1
+		results, err := sub.wait(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]exp.CellResult, len(cells))
+		for i, key := range keys {
+			if out[i], err = cellResult(results[key]); err != nil {
+				return nil, fmt.Errorf("%w for %s", err, key)
 			}
 		}
 		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sweeps := func() (map[int][]uint64, error) {
-		return exp.WTSweeps(func(w int, _ exp.Options) ([]uint64, error) {
-			res, ok := results[Spec{Kind: KindCS2Sweep, Scale: req.Scale, Workload: w}.Key()]
-			if !ok || res.Cycles == nil {
-				return nil, fmt.Errorf("missing WT sweep result for W%d", w)
-			}
-			return res.Cycles, nil
-		}, req.Workloads, exp.Options{})
-	}
-
-	fs := &FigureSet{}
-	addTable := func(name string, t *stats.Table) {
-		fs.Figures = append(fs.Figures, Figure{Name: name, Table: t})
-	}
-	for _, fig := range req.Figs {
-		switch fig {
-		case "9", "11":
-			m, err := matrix(opt.RegularMbps)
-			if err != nil {
-				return nil, err
-			}
-			if fig == "9" {
-				addTable(fig, exp.Fig09Table(m))
-			} else {
-				addTable(fig, exp.Fig11Table(m))
-			}
-		case "12", "13":
-			m, err := matrix(opt.HighMbps)
-			if err != nil {
-				return nil, err
-			}
-			if fig == "12" {
-				addTable(fig, exp.Fig12Table(m))
-			} else {
-				addTable(fig, exp.Fig13Table(m))
-			}
-		case "17":
-			sw, err := sweeps()
-			if err != nil {
-				return nil, err
-			}
-			addTable(fig, exp.Fig17Table(req.Workloads, sw, opt.MaxWT))
-		case "19":
-			sw, err := sweeps()
-			if err != nil {
-				return nil, err
-			}
-			sopt := exp.SOPTFromSweeps(sw, opt.MaxWT)
-			// Phase 2: the policy runs, now that SOPT is known.
-			for _, w := range req.Workloads {
-				for _, p := range exp.AllDFSLPolicies() {
-					spec := Spec{Kind: KindCS2Policy, Scale: req.Scale,
-						Workload: w, Policy: p.String()}
-					if p == exp.SOPT {
-						spec.SOPT = sopt
-					}
-					if err := sub.submit(ctx, spec); err != nil {
-						return nil, err
-					}
-				}
-			}
-			polRes, err := sub.wait(ctx)
-			if err != nil {
-				return nil, err
-			}
-			avgs := make(map[int]map[exp.DFSLPolicy]float64)
-			for _, w := range req.Workloads {
-				avgs[w] = make(map[exp.DFSLPolicy]float64)
-				for _, p := range exp.AllDFSLPolicies() {
-					spec := Spec{Kind: KindCS2Policy, Scale: req.Scale,
-						Workload: w, Policy: p.String()}
-					if p == exp.SOPT {
-						spec.SOPT = sopt
-					}
-					res, ok := polRes[spec.Key()]
-					if !ok {
-						return nil, fmt.Errorf("missing policy result for W%d/%s", w, p)
-					}
-					avgs[w][p] = res.AvgCycles
-				}
-			}
-			addTable(fig, exp.Fig19Table(req.Workloads, avgs, sopt, opt.MaxWT, opt.DFSLRunFrames))
-		default:
-			return nil, fmt.Errorf("sweep: figure %q is not sweepable (10, 14 and 18 need the sequential CLIs)", fig)
-		}
-	}
-	fs.Jobs = sub.jobs
-	return fs, nil
+	return &FigureSet{Figures: res.Figures(), Jobs: sub.jobs}, nil
 }

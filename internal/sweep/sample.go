@@ -77,7 +77,7 @@ func RunSample(ctx context.Context, c Service, req SampleRequest, poll time.Dura
 		return Spec{Kind: KindRegion, Scale: req.Scale, Workload: req.Workload,
 			Frames: req.Frames, Region: r.Frame, Span: req.Span}
 	}
-	sub := &submitter{c: c, poll: poll, seen: make(map[string]Job), notify: req.Notify}
+	sub := newSubmitter(c, poll, req.Notify)
 	for _, r := range regions {
 		if err := sub.submit(ctx, spec(r)); err != nil {
 			return nil, err
