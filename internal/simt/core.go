@@ -147,13 +147,14 @@ type Core struct {
 	txHead, txLen int
 	// headRoom is the room counter of the head transaction's cache when
 	// it refused that transaction (headParked): until the counter moves,
-	// the head is charged as refused instead of re-offered. auditRoom (a
+	// the head is charged as refused instead of re-offered. audit (a
 	// guard is attached) re-offers it anyway; lostRoom describes the
 	// first such offer the cache took.
-	headParked, auditRoom bool
-	headRoom              uint64
-	lostRoom              string
-	freeOps               []*memOp
+	headParked, audit bool
+	headRoom          uint64
+	lostRoom          string
+	freeOps           []*memOp
+
 	// addrs and lines are executeMem's scratch: the per-lane addresses
 	// of one memory instruction and the cache lines they coalesce to.
 	addrs, lines [4 * WarpSize]uint64
@@ -183,6 +184,14 @@ type Core struct {
 	memStalls      *stats.Counter
 	issueIdle      *stats.Counter
 	threadsRetired *stats.Counter
+
+	// waitUntil memoises a wait: set by tick when it learns the core
+	// cannot act before that cycle, it is acted on while waiting says it
+	// still holds (DESIGN.md "Time advancement"). Under audit the full
+	// tick runs anyway, and lostWait describes the first one that did
+	// more than the wait's charges.
+	waitUntil uint64
+	lostWait  string
 }
 
 // bitset is one bit per warp slot.
@@ -274,6 +283,7 @@ func (c *Core) Registry() *stats.Registry { return c.reg }
 // names are precomputed here so emitting never builds strings.
 func (c *Core) AttachTracer(t *emtrace.Tracer) {
 	c.trace = t
+	c.waitUntil = 0
 	c.traceTrack = fmt.Sprintf("core%d_%d", c.Cfg.ClusterID, c.Cfg.ID)
 	c.L1D.SetTracer(t, c.traceTrack+".l1d")
 	c.L1T.SetTracer(t, c.traceTrack+".l1t")
@@ -437,23 +447,18 @@ func (c *Core) releaseBarrier(b *blockState) {
 // Warps asleep on LSU room need no term either: the ring is not empty.
 // In-flight cache fills are covered downstream (NoC/DRAM).
 //
-// This is the core's one wake definition: Tick gates on it every cycle,
-// in every mode, so results never depend on how time is advanced. A
-// cycle where every resident warp is asleep is a wake in the future:
-// the schedulers could not issue anything, so such cycles do not
-// increment the cycles / issue_idle counters or emit stall instants.
+// This is the core's one wake definition: Tick gates on it in every
+// mode, so results never depend on how time is advanced. A cycle where
+// every resident warp is asleep is a wake in the future: the schedulers
+// could not issue anything, so such cycles do not increment the
+// cycles / issue_idle counters or emit stall instants. A wait Tick has
+// memoised (waitUntil) never changes this answer: it only spares Tick
+// the asking.
 func (c *Core) NextWake(cycle uint64) uint64 {
 	if c.txLen > 0 || c.Out.Len() > 0 || c.awake.any() {
 		return cycle
 	}
-	w := uint64(mem.NeverWake)
-	for i, word := range c.timed {
-		for ; word != 0; word &= word - 1 {
-			if at := c.wakeAt[i<<6|bits.TrailingZeros64(word)]; at < w {
-				w = at
-			}
-		}
-	}
+	w := c.timedWake()
 	if v := c.L1D.NextWake(cycle); v < w {
 		w = v
 	}
@@ -466,13 +471,27 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 	if v := c.L1C.NextWake(cycle); v < w {
 		w = v
 	}
+	if w <= cycle {
+		return cycle
+	}
+	return w
+}
+
+// timedWake is the earliest timed wake or writeback event, mem.NeverWake
+// when there is none.
+func (c *Core) timedWake() uint64 {
+	w := uint64(mem.NeverWake)
+	for i, word := range c.timed {
+		for ; word != 0; word &= word - 1 {
+			if at := c.wakeAt[i<<6|bits.TrailingZeros64(word)]; at < w {
+				w = at
+			}
+		}
+	}
 	for i := range c.events {
 		if q := &c.events[i].q; q.Len() > 0 && q.Front().at < w {
 			w = q.Front().at
 		}
-	}
-	if w <= cycle {
-		return cycle
 	}
 	return w
 }
@@ -491,30 +510,45 @@ func (c *Core) schedule(cycle, lat uint64, e wbEvent) {
 	c.nEvents++
 }
 
-// Tick advances the core one cycle.
+// Tick advances the core one cycle. A core waiting behind memory (its
+// port, a parked LSU head, a fill or a timed wake; see waiting) takes
+// the cycle as its full tick would, charging only what that tick
+// charges, in this cycle: the counter contract (DESIGN.md) allows no
+// deferred charge. Under a guard the full tick runs and audits the wait
+// instead; with a tracer it runs for traceStall's instants.
 func (c *Core) Tick(cycle uint64) {
-	// curCycle must be stamped before the idle gate: Launch reads it
+	// curCycle must be stamped before anything returns: Launch reads it
 	// for warp launch timestamps and may run later this same cycle.
 	c.curCycle = cycle
+	if cycle < c.waitUntil && c.waiting(cycle) { // a busy core pays one compare
+		switch {
+		case c.audit:
+			c.auditWait(cycle)
+			return
+		case c.trace == nil:
+			c.chargeWait(cycle)
+			return
+		}
+	}
+	c.tick(cycle)
+}
+
+// tick is the full tick. It ends by memoising the wait it finds, if
+// any: at the gate, NextWake's future answer; after a tick that leaves
+// no warp awake and no LSU head but a parked one, the earliest timed
+// wake or writeback event.
+func (c *Core) tick(cycle uint64) {
 	c.wakeTimed(cycle)
-	if c.NextWake(cycle) > cycle {
+	if w := c.NextWake(cycle); w > cycle {
+		c.waitUntil = w
 		return
 	}
 	c.cycles.Inc()
 	c.tickMemory(cycle)
 
-	// 5. Warp schedulers. With every warp asleep (say, a core ticking
-	// only to charge its parked LSU head) each slot is idle, as issueOne
-	// would find: only the counts, the stall instants and LRR's
-	// rotation move.
+	// 5. Warp schedulers.
 	if !c.awake.any() {
-		c.issueIdle.Add(int64(c.Cfg.Schedulers))
-		for s := 0; s < c.Cfg.Schedulers; s++ {
-			c.traceStall(cycle)
-		}
-		if !c.Cfg.GTO && len(c.order) > 0 {
-			c.lastScheduled += c.Cfg.Schedulers
-		}
+		c.idleSlots(cycle)
 	} else {
 		for s := 0; s < c.Cfg.Schedulers; s++ {
 			c.issueOne(cycle)
@@ -523,6 +557,95 @@ func (c *Core) Tick(cycle uint64) {
 
 	// 6. Reap finished warps.
 	c.reap()
+
+	c.waitUntil = 0
+	if !c.awake.any() && (c.txLen == 0 || c.headParked) {
+		c.waitUntil = c.timedWake()
+	}
+}
+
+// idleSlots takes the scheduler slots of a cycle with every warp asleep
+// (say, a core ticking only to charge its parked LSU head): each slot
+// is idle, as issueOne would find, so only the counts, the stall
+// instants and LRR's rotation move.
+func (c *Core) idleSlots(cycle uint64) {
+	c.issueIdle.Add(int64(c.Cfg.Schedulers))
+	for s := 0; s < c.Cfg.Schedulers; s++ {
+		c.traceStall(cycle)
+	}
+	if !c.Cfg.GTO && len(c.order) > 0 {
+		c.lastScheduled += c.Cfg.Schedulers
+	}
+}
+
+// waiting reports whether the memoised wait holds at cycle. Nothing
+// timed or queued comes due before waitUntil; a warp wakes only through
+// Launch (from outside) or through what the wait rules out here: no
+// warp is awake, no L1 has a fill to install, a writeback to buffer or
+// a request to drain (a fill's completion is the other input from
+// outside), and the LSU head, if any, is parked with its cache's room
+// counter unmoved. So the full tick would only gate, or charge the
+// cycle, its idle slots and the parked head.
+func (c *Core) waiting(cycle uint64) bool {
+	if cycle >= c.waitUntil || c.awake.any() ||
+		c.L1D.NextWake(cycle) != mem.NeverWake || c.L1T.NextWake(cycle) != mem.NeverWake ||
+		c.L1Z.NextWake(cycle) != mem.NeverWake || c.L1C.NextWake(cycle) != mem.NeverWake {
+		return false
+	}
+	return c.txLen == 0 || c.txq[c.txHead].cache.Room() == c.headRoom
+}
+
+// chargeWait is the tick of a waiting core: the gate's return while
+// nothing is queued, else the cycle, the parked head's refusal and the
+// idle slots.
+func (c *Core) chargeWait(cycle uint64) {
+	if c.txLen == 0 && c.Out.Len() == 0 {
+		return
+	}
+	c.cycles.Inc()
+	if c.txLen > 0 {
+		c.refuseHead(cycle)
+	}
+	c.idleSlots(cycle)
+}
+
+// waitMarks is what a tick on a waiting core can move: the charges
+// chargeWait makes, and what only the full tick moves.
+type waitMarks struct {
+	cycles, issueIdle, memStalls, instrs, retired int64
+	lastScheduled, events, lsu, out, resident     int
+	issuedAt                                      uint64
+}
+
+func (c *Core) marks() waitMarks {
+	return waitMarks{c.cycles.Value(), c.issueIdle.Value(), c.memStalls.Value(), c.instrs.Value(), c.warpsRetired.Value(),
+		c.lastScheduled, c.nEvents, c.txLen, c.Out.Len(), len(c.order), c.issuedAt}
+}
+
+// auditWait runs the full tick on a cycle the wait covers and records
+// the first such tick that moved more than chargeWait would have. A
+// tick that moved no more leaves the wait standing, as chargeWait
+// does, so a wait is audited on every cycle it covers.
+func (c *Core) auditWait(cycle uint64) {
+	want, until := c.marks(), c.waitUntil
+	if c.txLen > 0 || c.Out.Len() > 0 {
+		want.cycles++
+		want.issueIdle += int64(c.Cfg.Schedulers)
+		if c.txLen > 0 {
+			want.memStalls++
+		}
+		if !c.Cfg.GTO && len(c.order) > 0 {
+			want.lastScheduled += c.Cfg.Schedulers
+		}
+	}
+	c.tick(cycle)
+	switch got := c.marks(); {
+	case got == want:
+		c.waitUntil = until
+	case c.lostWait == "":
+		c.lostWait = fmt.Sprintf("cycle %d: waiting until %d, but the tick moved %+v where the wait charges %+v",
+			cycle, until, got, want)
+	}
 }
 
 // tickMemory is the memory half of a tick, everything that can wake a
@@ -653,10 +776,9 @@ func (c *Core) issueTransactions(cycle uint64) {
 		} else {
 			room := tx.cache.Room()
 			stale := c.headParked && room == c.headRoom
-			if stale && !c.auditRoom {
+			if stale && !c.audit {
 				// Nothing has freed since the cache refused the head.
-				tx.cache.Refused(cycle, tx.addr, tx.kind)
-				c.memStalls.Inc()
+				c.refuseHead(cycle)
 				return
 			}
 			res := tx.cache.Access(cycle, tx.addr, tx.kind, tx.op)
@@ -683,6 +805,13 @@ func (c *Core) issueTransactions(cycle uint64) {
 		}
 		c.popTx()
 	}
+}
+
+// refuseHead charges the parked LSU head as its cache's refusal.
+func (c *Core) refuseHead(cycle uint64) {
+	tx := &c.txq[c.txHead]
+	tx.cache.Refused(cycle, tx.addr, tx.kind)
+	c.memStalls.Inc()
 }
 
 // warpReady reports whether w can issue at this cycle.

@@ -46,18 +46,27 @@ func (w *Warp) checkInvariants() error {
 }
 
 // AttachGuard registers the core's SIMT-stack invariants and the MSHR
-// invariants of its four L1 caches, and turns on the LSU's room audit:
-// a refused head is re-offered every cycle instead of charged, and a
-// cache that takes it with its room counter unmoved is reported. Safe
-// with a nil checker.
+// invariants of its four L1 caches, and turns on two audits. The LSU's
+// room audit: a refused head is re-offered every cycle instead of
+// charged, and a cache that takes it with its room counter unmoved is
+// reported. The wait audit: a cycle the memoised wait covers runs the
+// full tick, and one that moves more than the wait charges is reported.
+// Safe with a nil checker.
 func (c *Core) AttachGuard(g *guard.Checker) {
 	track := fmt.Sprintf("core%d_%d", c.Cfg.ClusterID, c.Cfg.ID)
-	c.auditRoom = g.Enabled()
+	c.audit = g.Enabled()
+	c.waitUntil = 0
 	g.Register("simt", track+".warps", c.checkWarps)
 	g.Register("simt", track+".pools", c.checkPools)
 	g.Register("simt", track+".lsu", func(uint64) error {
 		if c.lostRoom != "" {
 			return errors.New(c.lostRoom)
+		}
+		return nil
+	})
+	g.Register("simt", track+".wait", func(uint64) error {
+		if c.lostWait != "" {
+			return errors.New(c.lostWait)
 		}
 		return nil
 	})

@@ -231,6 +231,40 @@ func TestGuardCatchesAnOutPopThatDoesNotMoveRoom(t *testing.T) {
 	}
 }
 
+// A wait memoised past the core's next event: under a guard the full
+// tick runs on the cycles the wait covers, and the first one that does
+// more than charge the wait (here, the writeback that releases the
+// warp's scoreboard) must be reported.
+func TestGuardCatchesStaleWait(t *testing.T) {
+	for _, stale := range []bool{false, true} {
+		c, g := wakeRig()
+		w := launch(t, c, shader.MustAssemble("raw", shader.KindCompute, `
+			rcp r1, r0
+			add r2, r1, 1.0
+			exit
+		`), newTestEnv(), FullMask, nil)
+		cycle := tickUntilAsleep(t, c, g, w)
+		if c.waitUntil <= cycle+1 || !c.waiting(cycle+1) {
+			t.Fatalf("a core with its one warp asleep until %d memoised no wait (waitUntil %d)", c.timedWake(), c.waitUntil)
+		}
+		if stale {
+			c.waitUntil = mem.NeverWake // a writer that overlooked the writeback
+		}
+		for c.ActiveWarps() > 0 && cycle < 200 {
+			cycle++
+			c.Tick(cycle)
+			g.Tick(cycle)
+		}
+		if c.ActiveWarps() > 0 {
+			t.Fatalf("stale=%v: the warp never retired", stale)
+		}
+		v := g.Violations()
+		if caught := len(v) > 0 && strings.Contains(v[0].Detail, "waiting until"); caught != stale {
+			t.Fatalf("stale=%v: violations = %v", stale, v)
+		}
+	}
+}
+
 // The ready set, the slot table and the resident list must agree; each
 // way they can fall apart is reported.
 func TestGuardAuditsReadySet(t *testing.T) {

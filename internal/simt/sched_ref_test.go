@@ -407,6 +407,151 @@ func (r *schedRig) memCounters() []int64 {
 	return out
 }
 
+// schedCase is one core and next level the scheduler references run.
+type schedCase struct {
+	gto              bool
+	scheds, maxWarps int
+	outCap, slow     int // next level: port depth (0 = unbounded), worst answer delay
+	refuse           bool
+	l1dOut           int // the write-through L1D's port depth (0 = the cache's own)
+}
+
+var schedCases = []schedCase{
+	{gto: true, scheds: 2, maxWarps: 64, slow: 40},
+	{gto: true, scheds: 1, maxWarps: 10, slow: 40},
+	{gto: false, scheds: 2, maxWarps: 10, slow: 8},
+	{gto: false, scheds: 1, maxWarps: 70, slow: 200},
+	{gto: true, scheds: 2, maxWarps: 80, outCap: 6, slow: 300, refuse: true},
+	{gto: false, scheds: 2, maxWarps: 48, outCap: 2, slow: 100, refuse: true, l1dOut: 3},
+	// An unbounded port behind a refusing next level, as a GPU core's
+	// behind its cluster's NoC port: the L1s drain, the port holds.
+	{gto: true, scheds: 2, maxWarps: 8, slow: 60, refuse: true},
+}
+
+func (tc schedCase) String() string {
+	return fmt.Sprintf("gto=%v/scheds=%d/warps=%d/refuse=%v/l1dOut=%d", tc.gto, tc.scheds, tc.maxWarps, tc.refuse, tc.l1dOut)
+}
+
+func (tc schedCase) seed() int64 { return int64(tc.maxWarps*4 + tc.scheds) }
+
+// rigs builds n cores of the case on the same seed.
+func (tc schedCase) rigs(n int) []*schedRig {
+	cfg := DefaultCoreConfig()
+	cfg.GTO, cfg.Schedulers, cfg.MaxWarps = tc.gto, tc.scheds, tc.maxWarps
+	if tc.l1dOut > 0 {
+		// Two ways: a refused store hit's LRU touch can decide the
+		// next victim of its set.
+		cfg.L1D.SizeBytes, cfg.L1D.Ways = 16384, 2
+	}
+	rigs := make([]*schedRig, n)
+	for i := range rigs {
+		rigs[i] = newSchedRig(cfg, tc.outCap, tc.l1dOut, tc.seed())
+	}
+	return rigs
+}
+
+// take is how many requests the next level takes off the port at cycle:
+// two a cycle, and a refusing one none for 150 cycles in every 400.
+func (tc schedCase) take(cycle uint64) int {
+	if tc.refuse && cycle%400 < 150 {
+		return 0
+	}
+	return 2
+}
+
+type schedProg struct {
+	prog  *shader.Program
+	block bool
+}
+
+var schedProgs = []schedProg{
+	{fragStyle, false}, {saxpyStyle, true}, {aluStyle, true},
+	{schedEarlyExit, true}, {schedAtom, false}, {schedScatter, false}, {schedROP, false}, {schedIndep, false},
+}
+
+// schedWindow is how many cycles the script launches for; the rigs then
+// drain.
+const schedWindow = 5000
+
+// schedScript launches the same seeded bursts onto every rig of a case.
+type schedScript struct {
+	tc                 schedCase
+	rigs               []*schedRig
+	rnd                *rand.Rand
+	blockSeq, launches int
+	launched           func(r *schedRig, w *Warp) // nil, or told of every launch
+}
+
+func newSchedScript(tc schedCase, rigs []*schedRig) *schedScript {
+	return &schedScript{tc: tc, rigs: rigs, rnd: rand.New(rand.NewSource(tc.seed()))}
+}
+
+// start launches the burst resident before the first tick: the cycle 0
+// and 1 greedy rule.
+func (s *schedScript) start(t *testing.T) { s.burst(t, schedProgs[len(schedProgs)-1]) }
+
+// step launches, one cycle in five of the window, a burst of a seeded
+// program (store hits half the time when the L1D port is short).
+func (s *schedScript) step(t *testing.T, cycle uint64) {
+	if cycle < schedWindow && s.rnd.Intn(5) == 0 {
+		if p := schedProgs[s.rnd.Intn(len(schedProgs))]; s.tc.l1dOut > 0 && s.rnd.Intn(2) == 0 {
+			s.burst(t, schedProg{schedStoreHits, false})
+		} else {
+			s.burst(t, p)
+		}
+	}
+}
+
+func (s *schedScript) burst(t *testing.T, p schedProg) {
+	t.Helper()
+	block := -1
+	if p.block {
+		s.blockSeq++
+		block = s.blockSeq
+	}
+	for k, n := 0, 1+s.rnd.Intn(4); k < n; k++ {
+		mask := FullMask
+		if s.rnd.Intn(4) == 0 {
+			mask = s.rnd.Uint32() | 1
+		}
+		var sp [WarpSize]shader.Special
+		for i := range sp {
+			sp[i] = shader.Special{TID: uint32(i), NTID: WarpSize, WID: uint32(k),
+				CTAID: uint32(0x100_0000 + s.launches%24*0x1_0000), FZ: 0x3F000000}
+		}
+		can := s.rigs[0].c.CanLaunch(p.prog)
+		for _, r := range s.rigs[1:] {
+			if r.c.CanLaunch(p.prog) != can {
+				t.Fatalf("%s: the cores disagree on CanLaunch", s.tc)
+			}
+		}
+		if !can {
+			return
+		}
+		for _, r := range s.rigs {
+			w, err := r.c.Launch(p.prog, r.env, block, mask, sp, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.launched != nil {
+				s.launched(r, w)
+			}
+		}
+		s.launches++
+	}
+}
+
+// nextLevel answers every rig's port for cycle, and reports whether the
+// script is over and every rig drained.
+func (s *schedScript) nextLevel(cycle uint64) bool {
+	drained := cycle >= schedWindow
+	for _, r := range s.rigs {
+		r.nextLevel(cycle, s.tc.take(cycle), s.tc.slow)
+		drained = drained && r.c.Idle() && len(r.inflight) == 0
+	}
+	return drained
+}
+
 // TestReadySetAgainstFullScanReference drives three cores through the
 // same seeded launches and the same next level: one ticked by Core.Tick,
 // one by the same steps taken apart (to read every slot's pick), one
@@ -414,95 +559,28 @@ func (r *schedRig) memCounters() []int64 {
 // warp, every cycle must report the same NextWake, no warp outside the
 // awake set may be ready, and the counters must end equal.
 func TestReadySetAgainstFullScanReference(t *testing.T) {
-	type schedProg struct {
-		prog  *shader.Program
-		block bool
-	}
-	progs := []schedProg{
-		{fragStyle, false}, {saxpyStyle, true}, {aluStyle, true},
-		{schedEarlyExit, true}, {schedAtom, false}, {schedScatter, false}, {schedROP, false}, {schedIndep, false},
-	}
 	everyCycle := os.Getenv("EMERALD_GUARD") == "1"
 	var lsuSleeps, timedSleeps, relaunches, refusals, wide, charged, storeHitTraps int
-	for _, tc := range []struct {
-		gto              bool
-		scheds, maxWarps int
-		outCap, slow     int // next level: port depth (0 = unbounded), worst answer delay
-		refuse           bool
-		l1dOut           int // the write-through L1D's port depth (0 = the cache's own)
-	}{
-		{gto: true, scheds: 2, maxWarps: 64, slow: 40},
-		{gto: true, scheds: 1, maxWarps: 10, slow: 40},
-		{gto: false, scheds: 2, maxWarps: 10, slow: 8},
-		{gto: false, scheds: 1, maxWarps: 70, slow: 200},
-		{gto: true, scheds: 2, maxWarps: 80, outCap: 6, slow: 300, refuse: true},
-		{gto: false, scheds: 2, maxWarps: 48, outCap: 2, slow: 100, refuse: true, l1dOut: 3},
-	} {
-		name := fmt.Sprintf("gto=%v/scheds=%d/warps=%d/refuse=%v/l1dOut=%d", tc.gto, tc.scheds, tc.maxWarps, tc.refuse, tc.l1dOut)
-		cfg := DefaultCoreConfig()
-		cfg.GTO, cfg.Schedulers, cfg.MaxWarps = tc.gto, tc.scheds, tc.maxWarps
-		if tc.l1dOut > 0 {
-			// Two ways: a refused store hit's LRU touch can decide the
-			// next victim of its set.
-			cfg.L1D.SizeBytes, cfg.L1D.Ways = 16384, 2
-		}
-		seed := int64(tc.maxWarps*4 + tc.scheds)
-		real, stepped, refRig := newSchedRig(cfg, tc.outCap, tc.l1dOut, seed), newSchedRig(cfg, tc.outCap, tc.l1dOut, seed),
-			newSchedRig(cfg, tc.outCap, tc.l1dOut, seed)
-		rigs := []*schedRig{real, stepped, refRig}
+	for _, tc := range schedCases {
+		name := tc.String()
+		rigs := tc.rigs(3)
+		real, stepped, refRig := rigs[0], rigs[1], rigs[2]
 		ref := &refSched{c: refRig.c}
 		g := guard.NewChecker()
 		real.c.AttachGuard(g)
-		script := rand.New(rand.NewSource(seed))
-		blockSeq, launches := 0, 0
-
-		launchBurst := func(p schedProg) {
-			block := -1
-			if p.block {
-				blockSeq++
-				block = blockSeq
-			}
-			for k, n := 0, 1+script.Intn(4); k < n; k++ {
-				mask := FullMask
-				if script.Intn(4) == 0 {
-					mask = script.Uint32() | 1
-				}
-				var sp [WarpSize]shader.Special
-				for i := range sp {
-					sp[i] = shader.Special{TID: uint32(i), NTID: WarpSize, WID: uint32(k),
-						CTAID: uint32(0x100_0000 + launches%24*0x1_0000), FZ: 0x3F000000}
-				}
-				if can := real.c.CanLaunch(p.prog); can != stepped.c.CanLaunch(p.prog) || can != refRig.c.CanLaunch(p.prog) {
-					t.Fatalf("%s: the cores disagree on CanLaunch", name)
-				} else if !can {
-					return
-				}
-				for _, r := range rigs {
-					w, err := r.c.Launch(p.prog, r.env, block, mask, sp, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r == refRig {
-						ref.launched(w)
-					}
-				}
-				launches++
+		script := newSchedScript(tc, rigs)
+		script.launched = func(r *schedRig, w *Warp) {
+			if r == refRig {
+				ref.launched(w)
 			}
 		}
 
-		const window = 5000
-		launchBurst(progs[len(progs)-1]) // resident before the first tick: the cycle 0 and 1 greedy rule
+		script.start(t)
 		for cycle := uint64(0); ; cycle++ {
 			if cycle > 400_000 {
 				t.Fatalf("%s: the cores never drained", name)
 			}
-			if cycle < window && script.Intn(5) == 0 {
-				if p := progs[script.Intn(len(progs))]; tc.l1dOut > 0 && script.Intn(2) == 0 {
-					launchBurst(schedProg{schedStoreHits, false})
-				} else {
-					launchBurst(p)
-				}
-			}
+			script.step(t, cycle)
 			wake := real.c.NextWake(cycle)
 			if w2, w3 := stepped.c.NextWake(cycle), ref.nextWake(cycle); wake != w2 || wake != w3 {
 				t.Fatalf("%s cycle %d: NextWake %d (Tick), %d (stepped), %d (reference)", name, cycle, wake, w2, w3)
@@ -543,18 +621,10 @@ func TestReadySetAgainstFullScanReference(t *testing.T) {
 					t.Fatalf("%s cycle %d: guard: %v", name, cycle, v)
 				}
 			}
-			// The next level takes two requests a cycle; a refusing one
-			// takes none for 150 cycles in every 400.
-			take := 2
-			if tc.refuse && cycle%400 < 150 {
-				take = 0
+			if tc.take(cycle) == 0 {
 				refusals++
 			}
-			for _, r := range rigs {
-				r.nextLevel(cycle, take, tc.slow)
-			}
-			if cycle >= window && real.c.Idle() && stepped.c.Idle() && refRig.c.Idle() &&
-				len(real.inflight)+len(stepped.inflight)+len(refRig.inflight) == 0 {
+			if script.nextLevel(cycle) {
 				break
 			}
 		}
@@ -562,13 +632,13 @@ func TestReadySetAgainstFullScanReference(t *testing.T) {
 			t.Fatalf("%s: instructions, cycles, issue_idle, mem_stalls, warps_retired, divergences, threads_retired:\n%v (Tick)\n%v (stepped)\n%v (reference)",
 				name, a, b, c)
 		}
-		if int(real.c.warpsRetired.Value()) != launches || real.env.retired != launches {
-			t.Fatalf("%s: %d of %d warps retired", name, real.c.warpsRetired.Value(), launches)
+		if int(real.c.warpsRetired.Value()) != script.launches || real.env.retired != script.launches {
+			t.Fatalf("%s: %d of %d warps retired", name, real.c.warpsRetired.Value(), script.launches)
 		}
-		if launches > 2*tc.maxWarps {
+		if script.launches > 2*tc.maxWarps {
 			relaunches++
 		}
-		t.Logf("%s: %d warps, counters %v", name, launches, real.counters())
+		t.Logf("%s: %d warps, counters %v", name, script.launches, real.counters())
 		if tc.refuse && real.c.memStalls.Value() == 0 {
 			t.Fatalf("%s: a refusing next level never stalled the LSU", name)
 		}
@@ -578,4 +648,68 @@ func TestReadySetAgainstFullScanReference(t *testing.T) {
 			lsuSleeps, timedSleeps, wide, relaunches, refusals, charged, storeHitTraps)
 	}
 	t.Logf("%d LSU heads charged unasked, %d store hits refused for a full L1D port", charged, storeHitTraps)
+}
+
+// TestMemoisedWaitAgainstSteppedTick drives three cores through the
+// reference's seeded launches and next level: one ticked by Core.Tick
+// with no guard, so it acts on its memoised waits; one ticked by Tick
+// under a guard, which runs the full tick on those cycles and audits
+// the wait; one by the stepped tick, which never memoises. All the
+// counters, each L1's included, must agree after every cycle, not only
+// at the end: the counter contract allows no deferred charge.
+func TestMemoisedWaitAgainstSteppedTick(t *testing.T) {
+	everyCycle := os.Getenv("EMERALD_GUARD") == "1"
+	var gated, charged, parked, audited int
+	for _, tc := range schedCases {
+		name := tc.String()
+		rigs := tc.rigs(3)
+		memo, guarded, stepped := rigs[0], rigs[1], rigs[2]
+		g := guard.NewChecker()
+		guarded.c.AttachGuard(g)
+		script := newSchedScript(tc, rigs)
+		script.start(t)
+		for cycle := uint64(0); ; cycle++ {
+			if cycle > 400_000 {
+				t.Fatalf("%s: the cores never drained", name)
+			}
+			script.step(t, cycle)
+			if c := memo.c; c.waiting(cycle) {
+				switch {
+				case c.txLen > 0:
+					parked++
+				case c.Out.Len() > 0:
+					charged++
+				default:
+					gated++
+				}
+			}
+			if guarded.c.waiting(cycle) {
+				audited++
+			}
+			memo.c.Tick(cycle)
+			guarded.c.Tick(cycle)
+			steppedTick(stepped.c, cycle)
+			want := fmt.Sprint(stepped.counters(), stepped.memCounters(), stepped.c.lastScheduled)
+			for _, r := range []*schedRig{memo, guarded} {
+				if got := fmt.Sprint(r.counters(), r.memCounters(), r.c.lastScheduled); got != want {
+					t.Fatalf("%s cycle %d: counters, L1 counts and LRR rotation\n%s (Tick, guard=%v)\n%s (stepped)",
+						name, cycle, got, r == guarded, want)
+				}
+			}
+			if everyCycle || cycle%16 == 0 {
+				g.Tick(cycle)
+				if v := g.Violations(); len(v) != 0 {
+					t.Fatalf("%s cycle %d: guard: %v", name, cycle, v)
+				}
+			}
+			if script.nextLevel(cycle) {
+				break
+			}
+		}
+	}
+	if gated == 0 || charged == 0 || parked == 0 || audited == 0 {
+		t.Fatalf("coverage lost: memoised waits on %d gated cycles, %d charged behind the port, %d charged for a parked head; %d audited",
+			gated, charged, parked, audited)
+	}
+	t.Logf("memoised waits: %d gated cycles, %d charged behind the port, %d charged for a parked head; %d audited", gated, charged, parked, audited)
 }

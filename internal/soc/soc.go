@@ -531,24 +531,27 @@ func (s *SoC) SkippedCycles() uint64 { return s.run.Skipped }
 // whole system is quiescent, the current cycle when any component has
 // actionable work (in which case the run loop must not jump). The CPU
 // cores and the display answer through their wheel slots, which they
-// arm after every tick; the rest answer directly.
+// arm after every tick; the rest answer directly. The first term due
+// now is the answer, and the GPU's, O(1) while it draws, is asked
+// first: a busy system rarely gets past it.
 func (s *SoC) NextWake() uint64 {
 	c := s.cycle
-	w := s.wheel.Min()
-	if w <= c || (s.fenceBusy && !s.GPU.Busy()) {
-		return c // a core or the display is due, or fence resolution is pending
+	if s.fenceBusy && !s.GPU.Busy() {
+		return c // fence resolution is pending
 	}
-	if v := s.GPU.NextWake(c); v < w {
-		w = v
+	w := s.GPU.NextWake(c)
+	if w <= c {
+		return c
 	}
-	if v := s.noc.NextWake(c); v < w {
-		w = v
+	if w = min(w, s.wheel.Min()); w <= c {
+		return c // a core or the display is due
 	}
-	if v := s.DRAM.NextWake(c); v < w {
-		w = v
+	if w = min(w, s.noc.NextWake(c)); w <= c {
+		return c
 	}
-	if s.Cfg.DASH != nil && s.nextDashFeedback < w {
-		w = s.nextDashFeedback
+	w = min(w, s.DRAM.NextWake(c))
+	if s.Cfg.DASH != nil {
+		w = min(w, s.nextDashFeedback)
 	}
 	if w <= c {
 		return c

@@ -95,6 +95,65 @@ func TestWarpWakeWriters(t *testing.T) {
 	}
 }
 
+// TestWaitMemoWriters is the same bug class once more: simt.Core.Tick
+// acts on the memoised wait (waitUntil) without asking NextWake, so
+// every write to it is a place a stale wait can come from, and every
+// input from outside must end the wait. It is set only by tick (at the
+// gate, and after a full tick that leaves the core waiting) and
+// auditWait (which keeps it standing across an audited tick);
+// AttachTracer and AttachGuard clear it; Launch wakes the warp it
+// places, and waiting holds only while no warp is awake. The other
+// outside input, a fill's completion, is asked of the L1s by waiting
+// itself.
+func TestWaitMemoWriters(t *testing.T) {
+	writers := names("tick", "auditWait", "AttachTracer", "AttachGuard")
+	wrote, woke := map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	for _, sf := range productFiles(t, fset, "internal/simt") {
+		for _, decl := range sf.f.Decls {
+			fn := ""
+			if d, ok := decl.(*ast.FuncDecl); ok {
+				fn = d.Name.Name
+			}
+			write := func(e ast.Expr) {
+				if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "waitUntil" {
+					if !writers[fn] {
+						t.Errorf("%s: the memoised wait is written outside its writers (in %q)", fset.Position(e.Pos()), fn)
+					}
+					wrote[fn] = true
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				case *ast.CallExpr:
+					if callee(n) == "wake" {
+						woke[fn] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, fn := range []string{"AttachTracer", "AttachGuard"} {
+		if !wrote[fn] {
+			t.Errorf("simt.Core.%s does not clear the memoised wait", fn)
+		}
+	}
+	if !woke["Launch"] {
+		t.Error("simt.Core.Launch does not wake the warp it places")
+	}
+}
+
 // TestRequestAllocationSites: a mem.Request is allocated in exactly one
 // place, mem.Pool.New, and goes back to the pool of the component that
 // took it (DESIGN.md "Memory request path"). A literal or a new()

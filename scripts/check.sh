@@ -30,18 +30,19 @@ echo "== allocation gates and hot-path references (uncached) =="
 # budgets, the blocked access that builds nothing, the pool's own
 # contract, and the differential references of the hot paths: the ready
 # set and the parking LSU against the full-scan scheduler and
-# retry-every-cycle LSU, the parking crossbar against the
-# retry-every-cycle one (both once more with the guard re-offering what
-# they park), PopReady's latch against the linear scan, Refused against
-# a blocked Access, and the lane loops against single-lane ExecALU:
-# -count=1 so the test cache cannot answer for them. The static rules
-# (the backpressure contract, the wake-hook and warp-wake inventories,
-# request and draw-record allocation and the map-field lint) are tier-1
-# go/ast tests in the root package: TestBackpressureContract and
-# inventory_test.go.
-go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate|TestReadySetAgainstFullScanReference' ./internal/simt
+# retry-every-cycle LSU, a core acting on its memoised waits against
+# the stepped tick that never memoises, the parking crossbar against the
+# retry-every-cycle one (all three once more under the guard, which
+# re-offers what they park and audits every memoised wait), PopReady's
+# latch against the linear scan, Refused against a blocked Access, and
+# the lane loops against single-lane ExecALU: -count=1 so the test cache
+# cannot answer for them. The static rules (the backpressure contract,
+# the wake-hook, warp-wake and wait-memo inventories, request and
+# draw-record allocation and the map-field lint) are tier-1 go/ast tests
+# in the root package: TestBackpressureContract and inventory_test.go.
+go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate|TestReadySetAgainstFullScanReference|TestMemoisedWaitAgainstSteppedTick' ./internal/simt
 go test -count=1 -timeout 5m -run 'TestParkingAgainstRetryEveryCycleReference' ./internal/interconnect
-EMERALD_GUARD=1 go test -count=1 -timeout 5m -run 'TestReadySetAgainstFullScanReference|TestParkingAgainstRetryEveryCycleReference' ./internal/simt ./internal/interconnect
+EMERALD_GUARD=1 go test -count=1 -timeout 5m -run 'TestReadySetAgainstFullScanReference|TestMemoisedWaitAgainstSteppedTick|TestParkingAgainstRetryEveryCycleReference' ./internal/simt ./internal/interconnect
 go test -count=1 -timeout 5m -run 'TestPopReadyAgainstLinearScan' ./internal/gfx
 go test -count=1 -timeout 5m -run 'TestExecALULanesMatchesExecALU' ./internal/shader
 go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping|TestWarmFrameAllocatesOnlyBookkeeping' ./internal/gpu
