@@ -85,8 +85,16 @@ type mshr struct {
 
 // RequestDone implements mem.DoneWatcher: downstream completion of the
 // fill (DRAM retire, an L2 hit event, an L2 fill install handing
-// waiters back) lands here.
-func (m *mshr) RequestDone(*mem.Request) { m.c.doneFills++ }
+// waiters back) lands here. It arrives from downstream, outside any
+// call the cache's owner makes, so it also bumps the owner's fill
+// counter (CountFills).
+func (m *mshr) RequestDone(*mem.Request) {
+	c := m.c
+	c.doneFills++
+	if c.fillCount != nil {
+		*c.fillCount++
+	}
+}
 
 // Cache is a single cache instance. Not safe for concurrent use.
 type Cache struct {
@@ -119,6 +127,9 @@ type Cache struct {
 	// decremented as Tick installs — so NextWake answers "any fill ready
 	// to install?" in O(1) and Tick knows how many to look for.
 	doneFills int64
+	// fillCount, when wired by CountFills, is bumped at every fill
+	// completion.
+	fillCount *uint64
 	// pendingWB buffers writebacks when Out is full.
 	pendingWB []*mem.Request
 	// room counts installs and flushes, Room's share beside Out's pops.
@@ -190,6 +201,12 @@ func (c *Cache) SetTracer(t *emtrace.Tracer, track string) {
 	c.trace = t
 	c.traceTrack = track
 }
+
+// CountFills makes every fill completion of this cache add one to *n.
+// Between its owner's calls into the cache, a completion is the only
+// thing that can change what NextWake answers, so an owner that found
+// the cache quiet knows it still is while *n stands.
+func (c *Cache) CountFills(n *uint64) { c.fillCount = n }
 
 // LineAddr masks addr down to its line address.
 func (c *Cache) LineAddr(addr uint64) uint64 {

@@ -442,7 +442,9 @@ func (g *GPU) tickCluster(cl *cluster) {
 		core.Tick(cycle)
 		// Core L1 miss traffic into the cluster's NoC port; requests
 		// stay in the core's output queue while the port is full.
-		core.Out.DrainTo(g.noc.Port(cl.id))
+		if core.Out.Len() > 0 {
+			core.Out.DrainTo(g.noc.Port(cl.id))
+		}
 	}
 	g.tickClusterGraphics(cl, cycle)
 }

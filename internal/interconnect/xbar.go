@@ -122,8 +122,15 @@ func (x *Crossbar) Push(port int, r *mem.Request) bool { return x.ports[port].Pu
 // it: the parked flits go first, re-offered once the sink's room has
 // moved since they were refused and charged as refused again otherwise
 // (nothing else frees room, so the answer is certain), then the new
-// arrivals, a refused one parking behind the rest.
+// arrivals, a refused one parking behind the rest. With nothing parked,
+// nothing arriving and every port empty, Tick returns before asking the
+// sink: its room is read only to judge parked flits (one that parks
+// reads it afresh), and a full round-robin rotation over empty ports
+// leaves rr where it was.
 func (x *Crossbar) Tick(cycle uint64) {
+	if len(x.parked) == 0 && (x.inflight.Len() == 0 || x.inflight.Front().arrives > cycle) && x.portsEmpty() {
+		return
+	}
 	room := x.sink.Room()
 	if stale := room == x.room; stale && !x.audit {
 		if n := len(x.parked); n > 0 {
@@ -182,37 +189,31 @@ func (x *Crossbar) deliver(r *mem.Request) bool {
 // state can change on its own: now when a port has queued input or a
 // flit has arrived (parked ones included: a refusal is counted every
 // cycle), the earliest arrival otherwise, and mem.NeverWake when empty.
-// An idle Tick is a strict no-op (the round-robin pointer advances by a
-// full rotation), so skipped idle cycles leave no trace.
+// An idle Tick is a strict no-op (it returns before asking the sink),
+// so skipped idle cycles leave no trace.
 func (x *Crossbar) NextWake(cycle uint64) uint64 {
-	if len(x.parked) > 0 {
+	if len(x.parked) > 0 || !x.portsEmpty() {
 		return cycle
 	}
-	w := uint64(mem.NeverWake)
 	if x.inflight.Len() > 0 {
-		if w = x.inflight.Front().arrives; w <= cycle {
-			return cycle
-		}
+		return max(x.inflight.Front().arrives, cycle)
 	}
+	return mem.NeverWake
+}
+
+// portsEmpty reports whether no input port holds a request.
+func (x *Crossbar) portsEmpty() bool {
 	for _, p := range x.ports {
 		if p.Len() > 0 {
-			return cycle
+			return false
 		}
 	}
-	return w
+	return true
 }
 
 // Busy reports whether any request is queued or in flight.
 func (x *Crossbar) Busy() bool {
-	if x.inflight.Len()+len(x.parked) > 0 {
-		return true
-	}
-	for _, p := range x.ports {
-		if p.Len() > 0 {
-			return true
-		}
-	}
-	return false
+	return x.inflight.Len()+len(x.parked) > 0 || !x.portsEmpty()
 }
 
 // Transferred returns the number of requests delivered downstream.

@@ -160,23 +160,31 @@ func (s *refSink) counters() string {
 // full, merge slots full, output port full, a write-through store hit
 // with the port full, a DRAM channel queue full). Every cycle the two
 // must have taken the same flits in the same order, with equal stalls,
-// equal sink counters, the same NextWake and Busy. With EMERALD_GUARD=1
-// the parking crossbar runs its room audit and must report nothing.
+// equal sink counters, the same NextWake and Busy, and the round-robin
+// pointer where the reference has it. Both of Tick's quiet returns
+// (fully idle; flits in flight with none arriving) must be taken. With
+// EMERALD_GUARD=1 the parking crossbar runs its room audit and must
+// report nothing.
 func TestParkingAgainstRetryEveryCycleReference(t *testing.T) {
 	audit := os.Getenv("EMERALD_GUARD") == "1"
-	why := map[string]int{}
+	why, quiet := map[string]int{}, map[string]int{}
 	skipped := map[string]int{}
 	for _, sink := range []string{"l2", "l1d", "dram"} {
 		for width := 1; width <= 4; width++ {
 			for _, lat := range []uint64{0, 3, 10} {
 				for seed := int64(1); seed <= 2; seed++ {
 					name := fmt.Sprintf("%s/width=%d/latency=%d/seed=%d", sink, width, lat, seed)
-					skipped[sink] += refRun(t, name, sink, width, lat, seed, audit, why)
+					skipped[sink] += refRun(t, name, sink, width, lat, seed, audit, why, quiet)
 				}
 			}
 		}
 	}
-	t.Logf("refusals by class %v; cycles the parked flits were charged unasked, by sink, %v", why, skipped)
+	t.Logf("refusals by class %v; cycles the parked flits were charged unasked, by sink, %v; quiet ticks %v", why, skipped, quiet)
+	for _, class := range []string{"idle", "in-flight"} {
+		if quiet[class] == 0 {
+			t.Fatalf("coverage lost: no %s tick returned early in %v", class, quiet)
+		}
+	}
 	for _, class := range []string{"channel-full", "store-hit-out-full", "out-full", "mshr-full", "merge-full"} {
 		if why[class] == 0 {
 			t.Fatalf("coverage lost: no %s refusal in %v", class, why)
@@ -189,7 +197,7 @@ func TestParkingAgainstRetryEveryCycleReference(t *testing.T) {
 	}
 }
 
-func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, audit bool, why map[string]int) int {
+func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, audit bool, why, quiet map[string]int) int {
 	rng := rand.New(rand.NewSource(seed*131 + int64(width)*7 + int64(lat)))
 	var cycle uint64
 	mk := func() *refSink {
@@ -250,11 +258,21 @@ func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, 
 		if len(x.parked) > 0 && b.Room() == x.room {
 			skipped++
 		}
+		if len(x.parked) == 0 && (x.inflight.Len() == 0 || x.inflight.Front().arrives > cycle) && x.portsEmpty() {
+			if x.inflight.Len() == 0 {
+				quiet["idle"]++
+			} else {
+				quiet["in-flight"]++
+			}
+		}
 		a.took, b.took = a.took[:0], b.took[:0]
 		ref.tick(cycle)
 		x.Tick(cycle)
 		if fmt.Sprint(a.took) != fmt.Sprint(b.took) {
 			where("took %v, the reference %v", b.took, a.took)
+		}
+		if x.rr != ref.rr {
+			where("round-robin pointer %d, the reference %d", x.rr, ref.rr)
 		}
 		if ref.transferred != x.transferred.Value() || ref.stalls != x.stalls.Value() {
 			where("transferred/stalls %d/%d, the reference %d/%d", x.transferred.Value(), x.stalls.Value(), ref.transferred, ref.stalls)

@@ -192,6 +192,15 @@ type Core struct {
 	// more than the wait's charges.
 	waitUntil uint64
 	lostWait  string
+	// fills counts the four L1s' fill completions (cache.CountFills):
+	// the one way an L1 changes outside the core's tick. waitFills is
+	// its value when the wait was memoised, with every L1 quiet.
+	fills, waitFills uint64
+	// napUntil is the deadline of a wait that charges nothing (no LSU
+	// head, nothing in Out): until it, or a fill completion, Tick
+	// returns at once. Launch, AttachTracer, AttachGuard and any full
+	// tick end the nap; only chargeWait starts one.
+	napUntil uint64
 }
 
 // bitset is one bit per warp slot.
@@ -265,6 +274,7 @@ func NewCore(cfg CoreConfig, reg *stats.Registry) *Core {
 	}
 	for _, c := range []*cache.Cache{core.L1D, core.L1T, core.L1Z, core.L1C} {
 		c.OnReady = core.onCacheReady
+		c.CountFills(&core.fills)
 	}
 	n := max(cfg.MaxWarps, 0)
 	words := (n + 63) / 64
@@ -283,7 +293,7 @@ func (c *Core) Registry() *stats.Registry { return c.reg }
 // names are precomputed here so emitting never builds strings.
 func (c *Core) AttachTracer(t *emtrace.Tracer) {
 	c.trace = t
-	c.waitUntil = 0
+	c.waitUntil, c.napUntil = 0, 0
 	c.traceTrack = fmt.Sprintf("core%d_%d", c.Cfg.ClusterID, c.Cfg.ID)
 	c.L1D.SetTracer(t, c.traceTrack+".l1d")
 	c.L1T.SetTracer(t, c.traceTrack+".l1t")
@@ -334,6 +344,7 @@ func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint3
 	}
 	c.order = append(c.order, int32(w.slot))
 	c.wake(w.slot)
+	c.napUntil = 0
 	if c.curCycle == 0 {
 		// A warp that has never issued counts as having issued at cycle
 		// 0 (the digests pin this): resident before cycle 1, it is a
@@ -515,11 +526,21 @@ func (c *Core) schedule(cycle, lat uint64, e wbEvent) {
 // the cycle as its full tick would, charging only what that tick
 // charges, in this cycle: the counter contract (DESIGN.md) allows no
 // deferred charge. Under a guard the full tick runs and audits the wait
-// instead; with a tracer it runs for traceStall's instants.
+// instead; with a tracer it runs for traceStall's instants. A napping
+// core, whose wait charges nothing, pays two compares; Tick stays small
+// enough to inline into the cluster loop.
 func (c *Core) Tick(cycle uint64) {
 	// curCycle must be stamped before anything returns: Launch reads it
 	// for warp launch timestamps and may run later this same cycle.
 	c.curCycle = cycle
+	if cycle < c.napUntil && c.fills == c.waitFills {
+		return
+	}
+	c.step(cycle)
+}
+
+// step is Tick past the nap.
+func (c *Core) step(cycle uint64) {
 	if cycle < c.waitUntil && c.waiting(cycle) { // a busy core pays one compare
 		switch {
 		case c.audit:
@@ -533,14 +554,16 @@ func (c *Core) Tick(cycle uint64) {
 	c.tick(cycle)
 }
 
-// tick is the full tick. It ends by memoising the wait it finds, if
-// any: at the gate, NextWake's future answer; after a tick that leaves
-// no warp awake and no LSU head but a parked one, the earliest timed
-// wake or writeback event.
+// tick is the full tick. It ends any nap, and ends by memoising the
+// wait it finds, if any, with the fill count it found: at the gate,
+// NextWake's future answer; after a tick that leaves no warp awake, no
+// LSU head but a parked one and every L1 quiet, the earliest timed wake
+// or writeback event.
 func (c *Core) tick(cycle uint64) {
+	c.napUntil = 0
 	c.wakeTimed(cycle)
 	if w := c.NextWake(cycle); w > cycle {
-		c.waitUntil = w
+		c.waitUntil, c.waitFills = w, c.fills
 		return
 	}
 	c.cycles.Inc()
@@ -559,9 +582,17 @@ func (c *Core) tick(cycle uint64) {
 	c.reap()
 
 	c.waitUntil = 0
-	if !c.awake.any() && (c.txLen == 0 || c.headParked) {
-		c.waitUntil = c.timedWake()
+	if !c.awake.any() && (c.txLen == 0 || c.headParked) && c.l1sQuiet(cycle) {
+		c.waitUntil, c.waitFills = c.timedWake(), c.fills
 	}
+}
+
+// l1sQuiet reports whether no L1 has a fill to install, a writeback to
+// buffer or a request to drain: from here on only a fill completion,
+// which bumps fills, can change that before the next tick.
+func (c *Core) l1sQuiet(cycle uint64) bool {
+	return c.L1D.NextWake(cycle) == mem.NeverWake && c.L1T.NextWake(cycle) == mem.NeverWake &&
+		c.L1Z.NextWake(cycle) == mem.NeverWake && c.L1C.NextWake(cycle) == mem.NeverWake
 }
 
 // idleSlots takes the scheduler slots of a cycle with every warp asleep
@@ -581,15 +612,14 @@ func (c *Core) idleSlots(cycle uint64) {
 // waiting reports whether the memoised wait holds at cycle. Nothing
 // timed or queued comes due before waitUntil; a warp wakes only through
 // Launch (from outside) or through what the wait rules out here: no
-// warp is awake, no L1 has a fill to install, a writeback to buffer or
-// a request to drain (a fill's completion is the other input from
-// outside), and the LSU head, if any, is parked with its cache's room
-// counter unmoved. So the full tick would only gate, or charge the
-// cycle, its idle slots and the parked head.
+// warp is awake, no fill has completed since the wait was memoised with
+// every L1 quiet (a completion is the other input from outside; the
+// rest of an L1's work comes from the core's own tick), and the LSU
+// head, if any, is parked with its cache's room counter unmoved. So the
+// full tick would only gate, or charge the cycle, its idle slots and
+// the parked head.
 func (c *Core) waiting(cycle uint64) bool {
-	if cycle >= c.waitUntil || c.awake.any() ||
-		c.L1D.NextWake(cycle) != mem.NeverWake || c.L1T.NextWake(cycle) != mem.NeverWake ||
-		c.L1Z.NextWake(cycle) != mem.NeverWake || c.L1C.NextWake(cycle) != mem.NeverWake {
+	if cycle >= c.waitUntil || c.fills != c.waitFills || c.awake.any() {
 		return false
 	}
 	return c.txLen == 0 || c.txq[c.txHead].cache.Room() == c.headRoom
@@ -597,9 +627,12 @@ func (c *Core) waiting(cycle uint64) bool {
 
 // chargeWait is the tick of a waiting core: the gate's return while
 // nothing is queued, else the cycle, the parked head's refusal and the
-// idle slots.
+// idle slots. A wait with nothing queued stays so until a tick (only a
+// tick issues or fills Out), so it becomes a nap: Tick takes its
+// cycles without asking waiting.
 func (c *Core) chargeWait(cycle uint64) {
 	if c.txLen == 0 && c.Out.Len() == 0 {
+		c.napUntil = c.waitUntil
 		return
 	}
 	c.cycles.Inc()

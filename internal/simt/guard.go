@@ -55,7 +55,7 @@ func (w *Warp) checkInvariants() error {
 func (c *Core) AttachGuard(g *guard.Checker) {
 	track := fmt.Sprintf("core%d_%d", c.Cfg.ClusterID, c.Cfg.ID)
 	c.audit = g.Enabled()
-	c.waitUntil = 0
+	c.waitUntil, c.napUntil = 0, 0
 	g.Register("simt", track+".warps", c.checkWarps)
 	g.Register("simt", track+".pools", c.checkPools)
 	g.Register("simt", track+".lsu", func(uint64) error {

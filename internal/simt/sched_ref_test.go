@@ -656,10 +656,12 @@ func TestReadySetAgainstFullScanReference(t *testing.T) {
 // under a guard, which runs the full tick on those cycles and audits
 // the wait; one by the stepped tick, which never memoises. All the
 // counters, each L1's included, must agree after every cycle, not only
-// at the end: the counter contract allows no deferred charge.
+// at the end: the counter contract allows no deferred charge. The
+// unguarded core must nap, and have naps ended both by a fill
+// completing and by a Launch.
 func TestMemoisedWaitAgainstSteppedTick(t *testing.T) {
 	everyCycle := os.Getenv("EMERALD_GUARD") == "1"
-	var gated, charged, parked, audited int
+	var gated, charged, parked, audited, napped, fillWakes, launchWakes int
 	for _, tc := range schedCases {
 		name := tc.String()
 		rigs := tc.rigs(3)
@@ -672,7 +674,15 @@ func TestMemoisedWaitAgainstSteppedTick(t *testing.T) {
 			if cycle > 400_000 {
 				t.Fatalf("%s: the cores never drained", name)
 			}
+			napping := func() bool { c := memo.c; return cycle < c.napUntil && c.fills == c.waitFills }
+			launches, asleep := script.launches, napping()
 			script.step(t, cycle)
+			if asleep && script.launches > launches {
+				launchWakes++
+			}
+			if napping() {
+				napped++
+			}
 			if c := memo.c; c.waiting(cycle) {
 				switch {
 				case c.txLen > 0:
@@ -702,14 +712,100 @@ func TestMemoisedWaitAgainstSteppedTick(t *testing.T) {
 					t.Fatalf("%s cycle %d: guard: %v", name, cycle, v)
 				}
 			}
+			fills, asleep := memo.c.fills, memo.c.napUntil > cycle+1
 			if script.nextLevel(cycle) {
 				break
 			}
+			if asleep && memo.c.fills != fills {
+				fillWakes++
+			}
 		}
 	}
-	if gated == 0 || charged == 0 || parked == 0 || audited == 0 {
-		t.Fatalf("coverage lost: memoised waits on %d gated cycles, %d charged behind the port, %d charged for a parked head; %d audited",
-			gated, charged, parked, audited)
+	if gated == 0 || charged == 0 || parked == 0 || audited == 0 || napped == 0 || fillWakes == 0 || launchWakes == 0 {
+		t.Fatalf("coverage lost: memoised waits on %d gated cycles, %d charged behind the port, %d charged for a parked head; %d audited; %d napped, naps ended by %d fills and %d launches",
+			gated, charged, parked, audited, napped, fillWakes, launchWakes)
 	}
-	t.Logf("memoised waits: %d gated cycles, %d charged behind the port, %d charged for a parked head; %d audited", gated, charged, parked, audited)
+	t.Logf("memoised waits: %d gated cycles, %d charged behind the port, %d charged for a parked head; %d audited; %d napped, naps ended by %d fills and %d launches",
+		gated, charged, parked, audited, napped, fillWakes, launchWakes)
+}
+
+// TestFillEndsTheNap runs one warp per L1 whose only miss is on that
+// L1, on a core ticked by Core.Tick beside one ticked by the stepped
+// tick. The next level holds the fill until the first core has napped
+// for a while, then completes it: the completion, which that L1 alone
+// reports, must end the nap, and the counters must agree every cycle.
+func TestFillEndsTheNap(t *testing.T) {
+	progs := map[string]*shader.Program{
+		"l1d": shader.MustAssemble("ld_global", shader.KindCompute, `
+			movs r0, %tid
+			shl  r1, r0, 2
+			ldg  r2, [r1]
+			add  r3, r2, r2
+			exit
+		`),
+		"l1t": shader.MustAssemble("ld_tex", shader.KindFragment, `
+			tex4 r4, 0, r0, r1
+			add  r8, r4, r4
+			exit
+		`),
+		"l1z": shader.MustAssemble("ld_depth", shader.KindFragment, `
+			zld r12
+			add r13, r12, r12
+			exit
+		`),
+		"l1c": shader.MustAssemble("ld_const", shader.KindCompute, `
+			ldc r2, [32]
+			add r3, r2, r2
+			exit
+		`),
+	}
+	for _, name := range []string{"l1d", "l1t", "l1z", "l1c"} {
+		cfg := DefaultCoreConfig()
+		memo, stepped := newSchedRig(cfg, 0, 0, 1), newSchedRig(cfg, 0, 0, 1)
+		rigs := []*schedRig{memo, stepped}
+		var sp [WarpSize]shader.Special
+		for _, r := range rigs {
+			if _, err := r.c.Launch(progs[name], r.env, -1, FullMask, sp, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := make([][]*mem.Request, len(rigs))
+		napped := 0
+		for cycle := uint64(0); ; cycle++ {
+			if cycle > 2000 {
+				t.Fatalf("%s: the cores never drained (napped %d cycles)", name, napped)
+			}
+			if c := memo.c; cycle < c.napUntil && c.fills == c.waitFills {
+				napped++
+			}
+			memo.c.Tick(cycle)
+			steppedTick(stepped.c, cycle)
+			if got, want := fmt.Sprint(memo.counters(), memo.memCounters()), fmt.Sprint(stepped.counters(), stepped.memCounters()); got != want {
+				t.Fatalf("%s cycle %d: counters and L1 counts\n%s (Tick)\n%s (stepped)", name, cycle, got, want)
+			}
+			for i, r := range rigs {
+				for r.c.Out.Len() > 0 {
+					held[i] = append(held[i], r.c.Out.Pop())
+				}
+				if napped == 20 {
+					for _, f := range held[i] {
+						f.Complete(cycle)
+					}
+					held[i] = nil
+				}
+			}
+			if napped > 20 && memo.c.Idle() && stepped.c.Idle() {
+				break
+			}
+		}
+		c := memo.c
+		for _, l1 := range []*cache.Cache{c.L1D, c.L1T, c.L1Z, c.L1C} {
+			if misses := l1.Misses(); (l1.Config().Name == name) != (misses > 0) {
+				t.Fatalf("%s: %s missed %d times", name, l1.Config().Name, misses)
+			}
+		}
+		if memo.env.retired != 1 {
+			t.Fatalf("%s: %d warps retired, want 1", name, memo.env.retired)
+		}
+	}
 }

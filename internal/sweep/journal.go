@@ -149,19 +149,7 @@ func compact(path string, pending []PendingJob) error {
 	if err != nil {
 		return fmt.Errorf("sweep: compact journal: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: compact journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: compact journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("sweep: compact journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := commitTemp(tmp, buf.Bytes(), true, path); err != nil {
 		return fmt.Errorf("sweep: compact journal: %w", err)
 	}
 	return nil

@@ -178,18 +178,30 @@ func (s *Store) writeFile(key string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("sweep: store result: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(file); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: store result: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("sweep: store result: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
+	if err := commitTemp(tmp, file, false, s.path(key)); err != nil {
 		return fmt.Errorf("sweep: store result: %w", err)
 	}
 	return nil
+}
+
+// commitTemp writes data into tmp, syncs it when sync is set, closes it
+// and renames it over dst. Only a failure leaves tmp to remove: after
+// the rename there is no file by that name.
+func commitTemp(tmp *os.File, data []byte, sync bool, dst string) error {
+	_, err := tmp.Write(data)
+	if err == nil && sync {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Keys enumerates every stored key, sorted, without verifying file

@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -163,5 +165,54 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 		if _, ok, err := st.Get(key); err != nil || !ok {
 			b.Fatal(ok, err)
 		}
+	}
+}
+
+// storeFiles lists the names in a store's directory.
+func storeFiles(t *testing.T, st *Store) []string {
+	t.Helper()
+	entries, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// A write whose rename fails (the key's path is a directory) reports
+// the failure and leaves no temp file behind.
+func TestStoreFailedRenameLeavesNoTempFile(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testResult().Spec.Key()
+	if err := os.Mkdir(st.path(key), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put(key, testResult()); err == nil {
+		t.Fatal("Put over a directory succeeded")
+	}
+	if got, want := storeFiles(t, st), []string{key + ".json"}; !slices.Equal(got, want) {
+		t.Fatalf("store holds %v after a failed Put, want only %v", got, want)
+	}
+}
+
+// A successful Put leaves exactly the key's file: the temp file is gone
+// by the rename.
+func TestStorePutLeavesOnlyTheKeysFile(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testResult().Spec.Key()
+	if _, err := st.Put(key, testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := storeFiles(t, st), []string{key + ".json"}; !slices.Equal(got, want) {
+		t.Fatalf("store holds %v after Put, want only %v", got, want)
 	}
 }

@@ -99,61 +99,101 @@ func TestWarpWakeWriters(t *testing.T) {
 }
 
 // TestWaitMemoWriters is the same bug class once more: simt.Core.Tick
-// acts on the memoised wait (waitUntil) without asking NextWake, so
-// every write to it is a place a stale wait can come from, and every
-// input from outside must end the wait. It is set only by tick (at the
-// gate, and after a full tick that leaves the core waiting) and
-// auditWait (which keeps it standing across an audited tick);
-// AttachTracer and AttachGuard clear it; Launch wakes the warp it
+// acts on the memoised wait (waitUntil) and on the nap (napUntil)
+// without asking NextWake, so every write to them is a place a stale
+// wait can come from, and every input from outside must end the wait.
+// waitUntil is set only by tick (at the gate, and after a full tick that
+// leaves the core waiting with every L1 quiet) and auditWait (which
+// keeps it standing across an audited tick); AttachTracer and
+// AttachGuard clear it. A nap is started only by chargeWait and ended by
+// tick, Launch, AttachTracer and AttachGuard. Launch wakes the warp it
 // places, and waiting holds only while no warp is awake. The other
-// outside input, a fill's completion, is asked of the L1s by waiting
-// itself.
+// input from outside, a fill's completion, reaches the core as its fill
+// counter: NewCore hands each L1 a pointer to it (cache.CountFills, its
+// one caller), and the cache's RequestDone is the one writer through
+// that pointer.
 func TestWaitMemoWriters(t *testing.T) {
-	writers := names("tick", "auditWait", "AttachTracer", "AttachGuard")
-	wrote, woke := map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
-	for _, sf := range productFiles(t, fset, "internal/simt") {
+	simt, cache := productFiles(t, fset, "internal/simt"), productFiles(t, fset, "internal/cache")
+	woke := map[string]bool{}
+	for _, sf := range simt {
 		for _, decl := range sf.f.Decls {
-			fn := ""
-			if d, ok := decl.(*ast.FuncDecl); ok {
-				fn = d.Name.Name
-			}
-			write := func(e ast.Expr) {
-				if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "waitUntil" {
-					if !writers[fn] {
-						t.Errorf("%s: the memoised wait is written outside its writers (in %q)", fset.Position(e.Pos()), fn)
-					}
-					wrote[fn] = true
-				}
-			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						write(lhs)
-					}
-				case *ast.IncDecStmt:
-					write(n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						write(n.X)
-					}
-				case *ast.CallExpr:
-					if callee(n) == "wake" {
-						woke[fn] = true
-					}
+				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "wake" {
+					woke[declName(decl)] = true
 				}
 				return true
 			})
 		}
 	}
-	for _, fn := range []string{"AttachTracer", "AttachGuard"} {
-		if !wrote[fn] {
-			t.Errorf("simt.Core.%s does not clear the memoised wait", fn)
+	for _, pin := range []struct {
+		what, field string
+		deref       bool // written through the pointer the field holds
+		files       []srcFile
+		writers     []string
+	}{
+		{"the memoised wait", "waitUntil", false, simt, []string{"tick", "auditWait", "AttachTracer", "AttachGuard"}},
+		{"the nap deadline", "napUntil", false, simt, []string{"tick", "chargeWait", "Launch", "AttachTracer", "AttachGuard"}},
+		{"the fill counter", "fills", false, simt, []string{"NewCore"}},
+		{"the fill counter's wiring", "fillCount", false, cache, []string{"CountFills"}},
+		{"the fill counter, through its wiring", "fillCount", true, cache, []string{"RequestDone"}},
+	} {
+		want, wrote := names(pin.writers...), map[string]bool{}
+		for _, sf := range pin.files {
+			for _, decl := range sf.f.Decls {
+				fn := ""
+				if d, ok := decl.(*ast.FuncDecl); ok {
+					fn = d.Name.Name
+				}
+				write := func(e ast.Expr) {
+					if star, ok := e.(*ast.StarExpr); ok && pin.deref {
+						e = star.X
+					} else if pin.deref {
+						return
+					}
+					if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == pin.field {
+						if !want[fn] {
+							t.Errorf("%s: %s is written outside its writers (in %q)", fset.Position(e.Pos()), pin.what, fn)
+						}
+						wrote[fn] = true
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							write(lhs)
+						}
+					case *ast.IncDecStmt:
+						write(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							write(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+		for _, fn := range pin.writers {
+			if !wrote[fn] {
+				t.Errorf("%s no longer writes %s", fn, pin.what)
+			}
 		}
 	}
-	if !woke["Launch"] {
+	if !woke["Core.Launch"] {
 		t.Error("simt.Core.Launch does not wake the warp it places")
+	}
+	for _, sf := range productFiles(t, fset, "internal", "cmd", "examples", ".") {
+		for _, decl := range sf.f.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "CountFills" &&
+					(sf.dir != "internal/simt" || declName(decl) != "NewCore") {
+					t.Errorf("%s: cache.CountFills called outside simt.NewCore", fset.Position(call.Pos()))
+				}
+				return true
+			})
+		}
 	}
 }
 

@@ -31,8 +31,9 @@ echo "== allocation gates and hot-path references (uncached) =="
 # contract, and the differential references of the hot paths: the ready
 # set and the parking LSU against the full-scan scheduler and
 # retry-every-cycle LSU, a core acting on its memoised waits against
-# the stepped tick that never memoises, the parking crossbar against the
-# retry-every-cycle one (all three once more under the guard, which
+# the stepped tick that never memoises (and a fill on each L1 ending its
+# nap), the parking crossbar against the retry-every-cycle one (all
+# three once more under the guard, which
 # re-offers what they park and audits every memoised wait), PopReady's
 # latch against the linear scan, Refused against a blocked Access, and
 # the lane loops against single-lane ExecALU: -count=1 so the test cache
@@ -40,7 +41,13 @@ echo "== allocation gates and hot-path references (uncached) =="
 # the wake-hook, warp-wake and wait-memo inventories, request and
 # draw-record allocation and the map-field lint) are tier-1 go/ast tests
 # in the root package: TestBackpressureContract and inventory_test.go.
-go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate|TestReadySetAgainstFullScanReference|TestMemoisedWaitAgainstSteppedTick' ./internal/simt
+go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate|TestReadySetAgainstFullScanReference|TestMemoisedWaitAgainstSteppedTick|TestFillEndsTheNap' ./internal/simt
+# A napping core costs the cluster loop two compares only while
+# simt.Core.Tick inlines there.
+if ! go build -gcflags=-m ./internal/simt 2>&1 | grep -q 'can inline (\*Core).Tick$'; then
+	echo "check.sh: simt.(*Core).Tick no longer inlines (go build -gcflags=-m ./internal/simt)" >&2
+	exit 1
+fi
 go test -count=1 -timeout 5m -run 'TestParkingAgainstRetryEveryCycleReference' ./internal/interconnect
 EMERALD_GUARD=1 go test -count=1 -timeout 5m -run 'TestReadySetAgainstFullScanReference|TestMemoisedWaitAgainstSteppedTick|TestParkingAgainstRetryEveryCycleReference' ./internal/simt ./internal/interconnect
 go test -count=1 -timeout 5m -run 'TestPopReadyAgainstLinearScan' ./internal/gfx
