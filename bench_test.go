@@ -13,7 +13,9 @@ package emerald
 
 import (
 	"math"
+	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -22,6 +24,7 @@ import (
 	"emerald/internal/geom"
 	"emerald/internal/gpu"
 	"emerald/internal/soc"
+	"emerald/internal/stats"
 	"emerald/internal/telemetry"
 )
 
@@ -104,8 +107,8 @@ func BenchmarkFig09RegularLoad(b *testing.B) {
 func BenchmarkFig10HMCTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tl := figure(b, "10").Timelines[0]
-		cpu := tl.Series("cpu")
-		gpuS := tl.Series("gpu")
+		bw := series(tl)
+		cpu, gpuS := bw["cpu"], bw["gpu"]
 		var cpuQuiet, cpuBusy, nQuiet, nBusy float64
 		for k := range cpu {
 			if gpuS[k] > 0.2 {
@@ -119,7 +122,7 @@ func BenchmarkFig10HMCTimeline(b *testing.B) {
 		if nBusy > 0 && nQuiet > 0 && cpuBusy > 0 {
 			b.ReportMetric((cpuQuiet/nQuiet)/(cpuBusy/nBusy), "cpu_burst_ratio")
 		}
-		b.ReportMetric(float64(tl.TotalBytes("display"))/1024, "display_KB")
+		b.ReportMetric(sum(bw["display"])*float64(tl.BucketCycles)/1024, "display_KB")
 	}
 }
 
@@ -190,12 +193,15 @@ func BenchmarkFig13DisplayService(b *testing.B) {
 func BenchmarkFig14Timelines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tls := figure(b, "14").Timelines
-		bas, dtb := tls[0], tls[1]
-		basDisp := float64(bas.TotalBytes("display"))
-		if basDisp > 0 {
-			b.ReportMetric(float64(dtb.TotalBytes("display"))/basDisp, "dtb_display_bytes_vs_bas")
+		// Both timelines bucket alike, so sums of bytes per cycle compare
+		// as bytes do.
+		bas, dtb := series(tls[0]), series(tls[1])
+		if basDisp := sum(bas["display"]); basDisp > 0 {
+			b.ReportMetric(sum(dtb["display"])/basDisp, "dtb_display_bytes_vs_bas")
 		}
-		b.ReportMetric(float64(dtb.TotalBytes("cpu"))/float64(max64(bas.TotalBytes("cpu"), 1)), "dtb_cpu_bytes_vs_bas")
+		if basCPU := sum(bas["cpu"]); basCPU > 0 {
+			b.ReportMetric(sum(dtb["cpu"])/basCPU, "dtb_cpu_bytes_vs_bas")
+		}
 	}
 }
 
@@ -204,23 +210,20 @@ func BenchmarkFig14Timelines(b *testing.B) {
 // workloads — the paper sees 25% (W6) to 88% (W5).
 func BenchmarkFig17WTSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := simulate([]string{"17"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sweeps := res.Sweeps()
+		// One row per workload: frame time by WT, normalized to WT1.
+		w1, _ := geom.DFSLWorkloadName(geom.W1Sibenik)
+		w3, _ := geom.DFSLWorkloadName(geom.W3Cube)
 		var spreads []float64
-		for _, w := range []int{geom.W1Sibenik, geom.W3Cube} {
-			lo, hi := sweeps[w][0], sweeps[w][0]
-			for _, t := range sweeps[w] {
-				if t < lo {
-					lo = t
-				}
-				if t > hi {
-					hi = t
-				}
+		for _, row := range tableCells(figure(b, "17").Table) {
+			if row[0] != w1 && row[0] != w3 {
+				continue
 			}
-			spreads = append(spreads, float64(hi)/float64(lo))
+			lo, hi := math.Inf(1), 0.0
+			for _, c := range row[1:] {
+				t, _ := strconv.ParseFloat(c, 64)
+				lo, hi = min(lo, t), max(hi, t)
+			}
+			spreads = append(spreads, hi/lo)
 		}
 		b.ReportMetric(geomean(spreads), "wt_time_spread")
 	}
@@ -232,17 +235,16 @@ func BenchmarkFig17WTSweep(b *testing.B) {
 // (ratio < 1 reproduces the paper's trend).
 func BenchmarkFig18W1Misses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab := figure(b, "18").Table
 		parse := func(s string) float64 {
 			v, _ := strconv.ParseFloat(s, 64)
 			return v
 		}
 		bestTex, bestExec := 1.0, 1.0
-		for row := 0; row < tab.Rows(); row++ {
-			if v := parse(tab.Cell(row, 3)); v > 0 && v < bestTex {
+		for _, row := range tableCells(figure(b, "18").Table) {
+			if v := parse(row[3]); v > 0 && v < bestTex {
 				bestTex = v
 			}
-			if v := parse(tab.Cell(row, 1)); v > 0 && v < bestExec {
+			if v := parse(row[1]); v > 0 && v < bestExec {
 				bestExec = v
 			}
 		}
@@ -554,9 +556,44 @@ func benchmarkFrameProbe(b *testing.B, workload int, probe *telemetry.Probe) {
 	}
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
+// tableCells reads a table's data rows back from what Write prints,
+// splitting each row at the column gaps.
+func tableCells(tab *stats.Table) [][]string {
+	var b strings.Builder
+	tab.Write(&b)
+	_, body, _ := strings.Cut(b.String(), "-\n")
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if line != "" {
+			rows = append(rows, columnGap.Split(strings.TrimSpace(line), -1))
+		}
 	}
-	return b
+	return rows
+}
+
+var columnGap = regexp.MustCompile(`\s{2,}`)
+
+// series reads a timeline back from what Dump prints: bytes per cycle
+// by source, one value per bucket.
+func series(tl *stats.Timeline) map[string][]float64 {
+	var b strings.Builder
+	tl.Dump(&b, 0)
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	names := strings.Fields(lines[0])[1:]
+	out := make(map[string][]float64, len(names))
+	for _, line := range lines[1:] {
+		for i, f := range strings.Fields(line)[1:] {
+			v, _ := strconv.ParseFloat(f, 64)
+			out[names[i]] = append(out[names[i]], v)
+		}
+	}
+	return out
+}
+
+func sum(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

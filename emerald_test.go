@@ -1,6 +1,7 @@
 package emerald
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,11 +55,12 @@ func TestTable3(t *testing.T) {
 // TestTable4 checks the two DRAM address mappings of Table 4.
 func TestTable4(t *testing.T) {
 	g := dram.LPDDR3Geometry(2)
-	if got := dram.MappingPageStriped(g).String(); got != "Row:Rank:Bank:Column:Channel" {
-		t.Fatalf("baseline mapping = %s", got)
+	// Order lists the fields LSB first; Table 4 writes them MSB first.
+	if got := dram.MappingPageStriped(g).Order; !slices.Equal(got, []dram.Field{dram.FieldChannel, dram.FieldColumn, dram.FieldBank, dram.FieldRank, dram.FieldRow}) {
+		t.Fatalf("baseline mapping = %v, want Row:Rank:Bank:Column:Channel", got)
 	}
-	if got := dram.MappingLineStriped(g).String(); got != "Row:Column:Rank:Bank:Channel" {
-		t.Fatalf("HMC IP mapping = %s", got)
+	if got := dram.MappingLineStriped(g).Order; !slices.Equal(got, []dram.Field{dram.FieldChannel, dram.FieldBank, dram.FieldRank, dram.FieldColumn, dram.FieldRow}) {
+		t.Fatalf("HMC IP mapping = %v, want Row:Column:Rank:Bank:Channel", got)
 	}
 	hmc := sched.HMCDRAM("hmc", g, dram.LPDDR3Timing(1333))
 	if hmc.Assign == nil {
@@ -92,9 +94,13 @@ func TestTable5(t *testing.T) {
 
 // TestTable6 checks the Case Study I workload/config matrix.
 func TestTable6(t *testing.T) {
-	models := geom.AllSoCModels()
-	if len(models) != 4 {
-		t.Fatalf("Table 6: %d models, want 4", len(models))
+	for id := 1; id <= 4; id++ {
+		if _, err := geom.SoCModelName(id); err != nil {
+			t.Fatalf("Table 6: %v", err)
+		}
+	}
+	if _, err := geom.SoCModelName(5); err == nil {
+		t.Fatal("Table 6: want 4 models, M5 exists")
 	}
 	if len(exp.AllMemConfigs()) != 4 {
 		t.Fatal("Table 6: want BAS/DCB/DTB/HMC")
@@ -120,9 +126,13 @@ func TestTable7(t *testing.T) {
 
 // TestTable8 checks the Case Study II workload list.
 func TestTable8(t *testing.T) {
-	scenes := geom.AllDFSLWorkloads()
-	if len(scenes) != 6 {
-		t.Fatalf("Table 8: %d workloads, want 6", len(scenes))
+	for id := 1; id <= 6; id++ {
+		if _, err := geom.DFSLWorkloadName(id); err != nil {
+			t.Fatalf("Table 8: %v", err)
+		}
+	}
+	if _, err := geom.DFSLWorkloadName(7); err == nil {
+		t.Fatal("Table 8: want 6 workloads, W7 exists")
 	}
 	w5, _ := DFSLWorkload(W5SuzanneT)
 	if !w5.Translucent {
@@ -199,7 +209,7 @@ func TestFacadeCustomShader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != shader.KindCompute || p.Len() != 3 {
+	if p.Kind != shader.KindCompute || len(p.Code) != 3 {
 		t.Fatal("custom shader assembly wrong")
 	}
 	// A kernel that can run off its end never reaches the GPU: launched,

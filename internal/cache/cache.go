@@ -57,16 +57,6 @@ const (
 	Blocked
 )
 
-func (r Result) String() string {
-	switch r {
-	case Hit:
-		return "hit"
-	case Miss:
-		return "miss"
-	}
-	return "blocked"
-}
-
 // mshr tracks one outstanding miss line: its fill request, the waiters
 // merged into it, and its place in the two lists that find it — the
 // chain of its set (lookup by line address) and the issue-order list
@@ -132,7 +122,7 @@ type Cache struct {
 	fillCount *uint64
 	// pendingWB buffers writebacks when Out is full.
 	pendingWB []*mem.Request
-	// room counts installs and flushes, Room's share beside Out's pops.
+	// room counts installs, Room's share beside Out's pops.
 	room uint64
 
 	// OnReady is invoked once per waiter when its miss data returns.
@@ -330,10 +320,10 @@ func (c *Cache) enqueueWrite(cycle uint64, la uint64) bool {
 
 // Room is the cache's room counter. It moves on every event that can
 // turn a Blocked access into an accepted one: a fill installed (its
-// MSHR and merge slots freed, its line made resident), a Flush, a
-// request taken off Out. Nothing else frees (an accepted access only
-// consumes), so an access refused at one value is refused again, with
-// the same effects, until it moves.
+// MSHR and merge slots freed, its line made resident), a request taken
+// off Out. Nothing else frees (an accepted access only consumes), so an
+// access refused at one value is refused again, with the same effects,
+// until it moves.
 func (c *Cache) Room() uint64 { return c.room + c.Out.Pops() }
 
 // Refused charges an access that Room says would be Blocked again,
@@ -520,18 +510,6 @@ func (c *Cache) NextWake(cycle uint64) uint64 {
 	return mem.NeverWake
 }
 
-// scanWake is the O(n) reference implementation of NextWake's
-// done-fill clause, kept for the counter/scan agreement test and the
-// EMERALD_GUARD audit.
-func (c *Cache) scanWake() bool {
-	for m := c.fills; m != nil; m = m.next {
-		if m.req.Done {
-			return true
-		}
-	}
-	return false
-}
-
 // AuditDoneFills compares the done-fill counter against an inflight
 // scan, returning a non-empty description on disagreement. Used by the
 // guard's wheel audit: a lost RequestDone notification would park the
@@ -547,32 +525,4 @@ func (c *Cache) AuditDoneFills() string {
 		return fmt.Sprintf("%s: doneFills counter %d, inflight scan %d", c.cfg.Name, got, n)
 	}
 	return ""
-}
-
-// Stats snapshot.
-func (c *Cache) Accesses() int64   { return c.accesses.Value() }
-func (c *Cache) Hits() int64       { return c.hits.Value() }
-func (c *Cache) Misses() int64     { return c.misses.Value() }
-func (c *Cache) Evictions() int64  { return c.evictions.Value() }
-func (c *Cache) Writebacks() int64 { return c.writebacks.Value() }
-
-// MissRate returns misses/accesses (0 when idle).
-func (c *Cache) MissRate() float64 {
-	a := c.accesses.Value()
-	if a == 0 {
-		return 0
-	}
-	return float64(c.misses.Value()) / float64(a)
-}
-
-// Flush marks every line invalid, emitting writebacks for dirty lines
-// (used at frame boundaries and by checkpointing).
-func (c *Cache) Flush(cycle uint64) {
-	c.room++ // a refused store hit may be a miss now
-	for i, t := range c.tags {
-		if t != 0 && c.dirty[i] && c.cfg.WriteBack {
-			c.writeBack(cycle, t&^1)
-		}
-		c.tags[i], c.dirty[i] = 0, false
-	}
 }

@@ -14,7 +14,6 @@ import (
 type sut interface {
 	Access(cycle, addr uint64, kind mem.Kind, waiter any) Result
 	Tick(cycle uint64)
-	Flush(cycle uint64)
 	Contains(addr uint64) bool
 	PendingMisses() int
 	Quiet() bool
@@ -130,10 +129,6 @@ func diffRun(t *testing.T, cfg Config, writes bool, lines int, seed int64) {
 		if rng.Intn(3) > 0 {
 			a.Tick(cycle)
 			b.Tick(cycle)
-		}
-		if rng.Intn(400) == 0 {
-			a.Flush(cycle)
-			b.Flush(cycle)
 		}
 		if fmt.Sprint(a.ready) != fmt.Sprint(b.ready) {
 			t.Fatalf("%s", where(fmt.Sprintf("OnReady order %v, parent %v", a.ready, b.ready)))

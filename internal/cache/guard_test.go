@@ -126,8 +126,8 @@ func TestRefusedHasTheEffectsOfABlockedAccess(t *testing.T) {
 					c.Tick(cycle)
 				}
 			}
-			if fmt.Sprint(a.tags, a.lru, a.dirty, a.Accesses(), a.Hits(), a.Misses()) !=
-				fmt.Sprint(b.tags, b.lru, b.dirty, b.Accesses(), b.Hits(), b.Misses()) {
+			if fmt.Sprint(a.tags, a.lru, a.dirty, a.accesses.Value(), a.hits.Value(), a.misses.Value()) !=
+				fmt.Sprint(b.tags, b.lru, b.dirty, b.accesses.Value(), b.hits.Value(), b.misses.Value()) {
 				t.Fatalf("%s cycle %d: Refused(%#x, %v) left the cache unlike a blocked Access", cfg.Name, cycle, addr, kind)
 			}
 		}

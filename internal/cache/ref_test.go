@@ -387,18 +387,6 @@ func (c *refCache) NextWake(cycle uint64) uint64 {
 // hit event, an L2 fill install handing waiters back) lands here.
 func (c *refCache) RequestDone(*mem.Request) { c.doneFills++ }
 
-// scanWake is the O(n) reference implementation of NextWake's
-// done-fill clause, kept for the counter/scan agreement test and the
-// EMERALD_GUARD audit.
-func (c *refCache) scanWake() bool {
-	for _, r := range c.inflight {
-		if r.Done {
-			return true
-		}
-	}
-	return false
-}
-
 // AuditDoneFills compares the done-fill counter against an inflight
 // scan, returning a non-empty description on disagreement. Used by the
 // guard's wheel audit: a lost RequestDone notification would park the
@@ -414,46 +402,4 @@ func (c *refCache) AuditDoneFills() string {
 		return fmt.Sprintf("%s: doneFills counter %d, inflight scan %d", c.cfg.Name, got, n)
 	}
 	return ""
-}
-
-// Stats snapshot.
-func (c *refCache) Accesses() int64   { return c.accesses.Value() }
-func (c *refCache) Hits() int64       { return c.hits.Value() }
-func (c *refCache) Misses() int64     { return c.misses.Value() }
-func (c *refCache) Evictions() int64  { return c.evictions.Value() }
-func (c *refCache) Writebacks() int64 { return c.writebacks.Value() }
-
-// MissRate returns misses/accesses (0 when idle).
-func (c *refCache) MissRate() float64 {
-	a := c.accesses.Value()
-	if a == 0 {
-		return 0
-	}
-	return float64(c.misses.Value()) / float64(a)
-}
-
-// Flush marks every line invalid, emitting writebacks for dirty lines
-// (used at frame boundaries and by checkpointing).
-func (c *refCache) Flush(cycle uint64) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty && c.cfg.WriteBack {
-				c.writebacks.Inc()
-				wb := &mem.Request{
-					Addr:     l.tag,
-					Size:     uint32(c.cfg.LineBytes),
-					Kind:     mem.Write,
-					Client:   c.cfg.Client,
-					ClientID: c.cfg.ClientID,
-					IssuedAt: cycle,
-				}
-				if !c.Out.Push(wb) {
-					c.pendingWB = append(c.pendingWB, wb)
-				}
-			}
-			l.valid = false
-			l.dirty = false
-		}
-	}
 }

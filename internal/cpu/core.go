@@ -119,21 +119,8 @@ func (c *Core) AttachTracer(t *emtrace.Tracer) {
 	c.L2.SetTracer(t, track+".l2")
 }
 
-// Halted reports whether the program executed halt.
-func (c *Core) Halted() bool { return c.halted }
-
 // Instructions returns the retired instruction count.
 func (c *Core) Instructions() int64 { return c.instrs.Value() }
-
-// Reset restarts the program (used at frame boundaries by some
-// workloads).
-func (c *Core) Reset() {
-	c.PC = 0
-	c.halted = false
-	c.waitingMem = false
-	c.stallUntil = 0
-	c.sleepUntil = 0
-}
 
 // SleepUntil parks the core until the given CPU cycle. It must be
 // called from inside the SysHandler: the deadline is folded into the

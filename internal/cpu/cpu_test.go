@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"emerald/internal/mem"
+	"emerald/internal/stats"
 )
 
 // run ticks the core with an ideal memory until halted.
@@ -18,7 +19,7 @@ func run(t *testing.T, c *Core, budget uint64) uint64 {
 			}
 			r.Complete(cycle)
 		}
-		if c.Halted() {
+		if c.halted {
 			return cycle
 		}
 	}
@@ -129,7 +130,7 @@ func TestSysHandler(t *testing.T) {
 func TestSysWithoutHandlerHalts(t *testing.T) {
 	c, _ := mk(t, "sys 1\nhalt")
 	run(t, c, 1000)
-	if !c.Halted() {
+	if !c.halted {
 		t.Fatal("core should halt on unhandled syscall")
 	}
 }
@@ -151,7 +152,7 @@ func TestAssembleErrors(t *testing.T) {
 
 func TestCacheHierarchyCounts(t *testing.T) {
 	// Two passes over a small array: second pass hits in L1D.
-	c, _ := mk(t, `
+	p, err := Assemble("t", `
 		movi r5, 2
 		movi r0, 0
 	pass:
@@ -166,23 +167,16 @@ func TestCacheHierarchyCounts(t *testing.T) {
 		blt  r0, r5, pass
 		halt
 	`)
-	run(t, c, 1_000_000)
-	if c.L1D.Misses() != 16 {
-		t.Fatalf("L1D misses = %d, want 16 (second pass should hit)", c.L1D.Misses())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.L1D.Hits() < 16 {
-		t.Fatalf("L1D hits = %d, want >= 16", c.L1D.Hits())
+	reg := stats.NewRegistry()
+	run(t, NewCore(DefaultConfig(0), p, mem.NewMemory(), reg), 1_000_000)
+	if m := reg.Value("cpu0.l1d.misses"); m != 16 {
+		t.Fatalf("L1D misses = %d, want 16 (second pass should hit)", m)
 	}
-}
-
-func TestResetRestartsProgram(t *testing.T) {
-	c, _ := mk(t, "movi r2, 5\nhalt")
-	run(t, c, 1000)
-	c.Reset()
-	c.Regs[2] = 0
-	run(t, c, 1000)
-	if c.Regs[2] != 5 {
-		t.Fatal("program did not re-execute after reset")
+	if h := reg.Value("cpu0.l1d.hits"); h < 16 {
+		t.Fatalf("L1D hits = %d, want >= 16", h)
 	}
 }
 

@@ -103,12 +103,6 @@ type Channel struct {
 	track string // "chN", precomputed so emitting never builds strings
 }
 
-// OpenRow reports the open row in (rank,bank), or -1.
-func (ch *Channel) OpenRow(rank, b int) int64 { return ch.banks[rank][b].openRow }
-
-// Mapping returns the channel's address mapping.
-func (ch *Channel) Mapping() Mapping { return ch.mapping }
-
 // IsRowHit reports whether Queue[i] would hit the open row.
 func (ch *Channel) IsRowHit(i int) bool {
 	loc := &ch.locs[i]
@@ -195,9 +189,6 @@ func NewController(cfg Config, reg *stats.Registry) *Controller {
 	}
 	return c
 }
-
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // AttachTracer arms event tracing: per-bank activate/precharge instants
 // and data-burst spans, one trace lane per channel.

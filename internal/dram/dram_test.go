@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -66,7 +67,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	}
 	// Conflicting: 16 bursts each targeting a distinct row of one bank
 	// (FR-FCFS cannot reorder these into hits).
-	rowStride := uint64(g.RowBytes() * g.Banks * g.Ranks * g.Channels)
+	rowStride := uint64(g.Columns * g.ColumnBytes * g.Banks * g.Ranks * g.Channels)
 	var conf []*mem.Request
 	for i := 0; i < 16; i++ {
 		conf = append(conf, &mem.Request{Addr: uint64(i) * rowStride, Size: 64})
@@ -103,7 +104,7 @@ func TestBankParallelismBeatsSameBank(t *testing.T) {
 	// same bank causing serial precharge/activate.
 	mkReqs := func() []*mem.Request {
 		var rs []*mem.Request
-		stride := uint64(g.RowBytes()) // one row per access in page-striped
+		stride := uint64(g.Columns * g.ColumnBytes) // one row per access in page-striped
 		for i := 0; i < 32; i++ {
 			rs = append(rs, &mem.Request{Addr: uint64(i) * stride * uint64(g.Banks), Size: 64})
 		}
@@ -129,7 +130,7 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	c := testController(1)
 	ch := c.Channels[0]
 	g := c.cfg.Geometry
-	rowStride := uint64(g.RowBytes() * g.Banks * g.Ranks * g.Channels)
+	rowStride := uint64(g.Columns * g.ColumnBytes * g.Banks * g.Ranks * g.Channels)
 
 	// Open row 0 by servicing a first request.
 	r0 := &mem.Request{Addr: 0, Size: 64}
@@ -255,8 +256,10 @@ func TestTimelineIntegration(t *testing.T) {
 	r := &mem.Request{Addr: 0, Size: 64, Client: mem.ClientDisplay}
 	c.Push(r)
 	run(t, c, []*mem.Request{r}, 1000)
-	if c.Timeline.TotalBytes("display") != 64 {
-		t.Fatal("timeline did not record serviced bytes")
+	var b strings.Builder
+	c.Timeline.Dump(&b, 0)
+	if out := b.String(); !strings.Contains(out, "display") || !strings.Contains(out, " 0.6400\n") {
+		t.Fatalf("timeline did not record the 64 bytes serviced in bucket 0:\n%s", out)
 	}
 }
 
@@ -274,12 +277,25 @@ func TestLPDDR3TimingScales(t *testing.T) {
 
 func TestMappingString(t *testing.T) {
 	g := LPDDR3Geometry(2)
-	if s := MappingPageStriped(g).String(); s != "Row:Rank:Bank:Column:Channel" {
+	if s := table4(MappingPageStriped(g)); s != "Row:Rank:Bank:Column:Channel" {
 		t.Fatalf("page-striped = %q", s)
 	}
-	if s := MappingLineStriped(g).String(); s != "Row:Column:Rank:Bank:Channel" {
+	if s := table4(MappingLineStriped(g)); s != "Row:Column:Rank:Bank:Channel" {
 		t.Fatalf("line-striped = %q", s)
 	}
+}
+
+// table4 renders a mapping the way Table 4 writes it (MSB:...:LSB).
+func table4(m Mapping) string {
+	names := map[Field]string{FieldChannel: "Channel", FieldColumn: "Column", FieldBank: "Bank", FieldRank: "Rank", FieldRow: "Row"}
+	s := ""
+	for i := len(m.Order) - 1; i >= 0; i-- {
+		if s != "" {
+			s += ":"
+		}
+		s += names[m.Order[i]]
+	}
+	return s
 }
 
 // TestBankBurstsOverlap pins down the head-of-line fix: a request to a
@@ -290,7 +306,7 @@ func TestMappingString(t *testing.T) {
 // phases across banks.
 func TestBankBurstsOverlap(t *testing.T) {
 	c := testController(1)
-	rowBytes := uint64(c.cfg.Geometry.RowBytes())
+	rowBytes := uint64(c.cfg.Geometry.Columns * c.cfg.Geometry.ColumnBytes)
 	r1 := &mem.Request{Addr: 0, Size: 64}             // bank 0, row 0 (closed)
 	r2 := &mem.Request{Addr: rowBytes, Size: 64}      // bank 1, row 0 (closed)
 	r3 := &mem.Request{Addr: 64, Size: 64}            // bank 0, row hit

@@ -5,8 +5,6 @@
 // (Figures 9-14) measures.
 package dram
 
-import "fmt"
-
 // Field names one component of a DRAM address.
 type Field uint8
 
@@ -18,22 +16,6 @@ const (
 	FieldRank
 	FieldRow
 )
-
-func (f Field) String() string {
-	switch f {
-	case FieldChannel:
-		return "Channel"
-	case FieldColumn:
-		return "Column"
-	case FieldBank:
-		return "Bank"
-	case FieldRank:
-		return "Rank"
-	case FieldRow:
-		return "Row"
-	}
-	return "?"
-}
 
 // Loc is a fully decoded DRAM location.
 type Loc struct {
@@ -62,9 +44,6 @@ type Geometry struct {
 	Columns     int
 	ColumnBytes int
 }
-
-// RowBytes returns the row-buffer size implied by the geometry.
-func (g Geometry) RowBytes() int { return g.Columns * g.ColumnBytes }
 
 // MappingPageStriped returns the baseline "Row:Rank:Bank:Column:Channel"
 // mapping of Table 4: channel interleaving at burst granularity, with
@@ -160,23 +139,4 @@ func (m Mapping) Encode(loc Loc) uint64 {
 		}
 	}
 	return u * uint64(m.ColumnBytes)
-}
-
-// String renders the mapping the way Table 4 writes it (MSB:...:LSB).
-func (m Mapping) String() string {
-	s := ""
-	for i := len(m.Order) - 1; i >= 0; i-- {
-		if s != "" {
-			s += ":"
-		}
-		s += m.Order[i].String()
-	}
-	return s
-}
-
-func (m Mapping) validate() error {
-	if m.Channels < 1 || m.Ranks < 1 || m.Banks < 1 || m.Columns < 1 || m.ColumnBytes < 1 {
-		return fmt.Errorf("dram: invalid mapping geometry %+v", m)
-	}
-	return nil
 }

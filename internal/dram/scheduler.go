@@ -16,7 +16,6 @@ type Scheduler interface {
 	Pick(ch *Channel, cycle uint64) int
 	Tick(cycle uint64)
 	NextWake(cycle uint64) uint64
-	Name() string
 }
 
 // FRFCFS is first-ready, first-come-first-served: among queued requests
@@ -26,9 +25,6 @@ type FRFCFS struct{}
 
 // NewFRFCFS returns the baseline scheduler.
 func NewFRFCFS() *FRFCFS { return &FRFCFS{} }
-
-// Name implements Scheduler.
-func (f *FRFCFS) Name() string { return "FR-FCFS" }
 
 // Tick implements Scheduler.
 func (f *FRFCFS) Tick(uint64) {}

@@ -146,14 +146,6 @@ func (t *Tracer) FrameMark() {
 	}
 }
 
-// SetEnabled turns event collection on or off.
-func (t *Tracer) SetEnabled(on bool) {
-	if t == nil {
-		return
-	}
-	t.on = on
-}
-
 // Active reports whether an event starting at cycle would be recorded.
 // Hot paths call this once before building event data.
 func (t *Tracer) Active(cycle uint64) bool {
@@ -204,14 +196,6 @@ func (t *Tracer) Span2(source, track, name string, start, end uint64, a, b Arg) 
 	}
 	t.emit(Event{Source: source, Track: track, Name: name, Cycle: start, Dur: end - start,
 		NArgs: 2, Args: [2]Arg{a, b}})
-}
-
-// Instant records a point event at cycle.
-func (t *Tracer) Instant(source, track, name string, cycle uint64) {
-	if !t.Active(cycle) {
-		return
-	}
-	t.emit(Event{Source: source, Track: track, Name: name, Cycle: cycle, Kind: KindInstant})
 }
 
 // Instant1 is Instant with one annotation.

@@ -16,11 +16,10 @@ func TestNilTracerNoOps(t *testing.T) {
 	tr.SetStart(100)
 	tr.SetFrameLimit(2)
 	tr.FrameMark()
-	tr.SetEnabled(true)
 	tr.Span(SrcGPU, "c0", "draw", 0, 10)
 	tr.Span1(SrcGPU, "c0", "draw", 0, 10, Arg{"tris", 3})
 	tr.Span2(SrcGPU, "c0", "draw", 0, 10, Arg{"tris", 3}, Arg{"frags", 9})
-	tr.Instant(SrcDRAM, "ch0", "activate", 5)
+	instant(tr, SrcDRAM, "ch0", "activate", 5)
 	tr.Instant1(SrcDRAM, "ch0", "activate", 5, Arg{"bank", 1})
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer must report empty state")
@@ -59,7 +58,7 @@ func TestEventsSortedByCycle(t *testing.T) {
 	// start-cycle order here.
 	tr.Span(SrcGPU, "c0", "late", 100, 110)
 	tr.Span(SrcGPU, "c0", "early", 5, 120)
-	tr.Instant(SrcGPU, "c0", "tie-a", 100)
+	instant(tr, SrcGPU, "c0", "tie-a", 100)
 	evs := tr.Events()
 	var last uint64
 	for i, e := range evs {
@@ -80,7 +79,7 @@ func TestEventsSortedByCycle(t *testing.T) {
 func TestRingWrapDropsOldest(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 10; i++ {
-		tr.Instant(SrcSoC, "t", "e", uint64(i))
+		instant(tr, SrcSoC, "t", "e", uint64(i))
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", tr.Len())
@@ -100,8 +99,8 @@ func TestRingWrapDropsOldest(t *testing.T) {
 func TestROIStartAndFrameLimit(t *testing.T) {
 	tr := New(16)
 	tr.SetStart(50)
-	tr.Instant(SrcSoC, "t", "before", 10)
-	tr.Instant(SrcSoC, "t", "after", 60)
+	instant(tr, SrcSoC, "t", "before", 10)
+	instant(tr, SrcSoC, "t", "after", 60)
 	if tr.Len() != 1 || tr.Events()[0].Name != "after" {
 		t.Fatalf("SetStart filter failed: %+v", tr.Events())
 	}
@@ -118,7 +117,7 @@ func TestROIStartAndFrameLimit(t *testing.T) {
 	if tr.Active(100) {
 		t.Fatal("tracer still active after frame limit")
 	}
-	tr.Instant(SrcSoC, "t", "dead", 200)
+	instant(tr, SrcSoC, "t", "dead", 200)
 	if tr.Len() != 1 {
 		t.Fatal("event recorded after frame limit")
 	}
@@ -127,7 +126,7 @@ func TestROIStartAndFrameLimit(t *testing.T) {
 func TestWriteChromeJSONFields(t *testing.T) {
 	tr := New(16)
 	tr.Span1(SrcGPU, "cluster0", "draw", 10, 50, Arg{"tris", 2})
-	tr.Instant(SrcDRAM, "ch0", "activate", 12)
+	instant(tr, SrcDRAM, "ch0", "activate", 12)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeJSON(&buf); err != nil {
@@ -219,7 +218,7 @@ func TestWriteSummary(t *testing.T) {
 	tr := New(16)
 	tr.Span(SrcGPU, "cluster0", "draw", 0, 100)
 	tr.Span(SrcGPU, "cluster0", "draw", 100, 150)
-	tr.Instant(SrcCache, "l1d", "miss", 40)
+	instant(tr, SrcCache, "l1d", "miss", 40)
 	var buf bytes.Buffer
 	tr.WriteSummary(&buf)
 	out := buf.String()
@@ -264,15 +263,16 @@ func BenchmarkNilTracer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Span2(SrcDRAM, "ch0", "burst", uint64(i), uint64(i+4),
 			Arg{"bytes", 32}, Arg{"bank", 1})
-		tr.Instant(SrcSIMT, "core0_0", "stall_mem", uint64(i))
+		instant(tr, SrcSIMT, "core0_0", "stall_mem", uint64(i))
 	}
 }
 
-// BenchmarkDisabledTracer covers the SetEnabled(false) path, which
-// models hit when tracing was armed but the ROI has ended.
+// BenchmarkDisabledTracer covers the path models hit when tracing was
+// armed but the ROI has ended.
 func BenchmarkDisabledTracer(b *testing.B) {
 	tr := New(64)
-	tr.SetEnabled(false)
+	tr.SetFrameLimit(1)
+	tr.FrameMark()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Span(SrcGPU, "cluster0", "draw", uint64(i), uint64(i+10))
@@ -308,5 +308,13 @@ func TestWriteChromeJSONEmpty(t *testing.T) {
 	}
 	if len(events) != 0 {
 		t.Fatalf("expected no events, got %d", len(events))
+	}
+}
+
+// instant records a point event at cycle, as Instant1 does with no
+// annotation.
+func instant(t *Tracer, source, track, name string, cycle uint64) {
+	if t.Active(cycle) {
+		t.emit(Event{Source: source, Track: track, Name: name, Cycle: cycle, Kind: KindInstant})
 	}
 }

@@ -268,15 +268,6 @@ func (r *Results) CS1(mbps int) CS1Results {
 	return out
 }
 
-// Sweeps returns the WT sweeps by workload.
-func (r *Results) Sweeps() map[int][]uint64 {
-	out := make(map[int][]uint64)
-	for _, w := range r.plan.Workloads {
-		out[w] = r.cells[Cell{Kind: SweepCell, Workload: w}].Cycles
-	}
-	return out
-}
-
 // Policies returns Figure 19's average frame cycles by [workload][policy].
 func (r *Results) Policies() map[int]map[DFSLPolicy]float64 {
 	out := make(map[int]map[DFSLPolicy]float64)

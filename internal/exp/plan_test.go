@@ -88,8 +88,8 @@ func TestPlanExpandsEachCellOnce(t *testing.T) {
 				if f.Name != tc.plan.Figs[i] || (f.Table == nil) == (f.Timelines == nil) {
 					t.Errorf("figure %d is %q with table %v and %d timelines", i, f.Name, f.Table != nil, len(f.Timelines))
 				}
-				if f.Name == "19" && !strings.Contains(f.Table.String(), "SOPT=WT2") {
-					t.Errorf("figure 19 did not pick SOPT=WT2:\n%s", f.Table)
+				if f.Name == "19" && !strings.Contains(tableText(f.Table), "SOPT=WT2") {
+					t.Errorf("figure 19 did not pick SOPT=WT2:\n%s", tableText(f.Table))
 				}
 			}
 		})

@@ -727,20 +727,32 @@ func (n *Node) OnStored(key string, payload []byte) {
 // key on ring — and also, when named (a steal victim) — holds the blob,
 // except this node and the peers skip reports as already holding it. A
 // nil payload is read from the store on the first push that needs it;
-// a blob that no longer verifies there is not worth sending. Returns
-// how many pushes landed and which targets they missed.
+// a blob that no longer verifies there is not worth sending, but one
+// the store failed to read may read next time, so every target still
+// due counts as missed. Returns how many pushes landed and which
+// targets they missed.
 func (n *Node) replicate(ctx context.Context, ring *Ring, key string, payload []byte, also string, skip func(peer string) bool) (pushed int, failed []string) {
 	targets := ring.Owners(key, n.cfg.Replicas)
 	if also != "" && !contains(targets, also) {
 		targets = append(targets, also)
 	}
-	for _, t := range targets {
-		if t == n.cfg.Self || skip != nil && skip(t) {
+	due := func(t string) bool { return t != n.cfg.Self && (skip == nil || !skip(t)) }
+	for i, t := range targets {
+		if !due(t) {
 			continue
 		}
 		if payload == nil {
 			var ok bool
-			if payload, ok, _ = n.store.Get(key); !ok {
+			var err error
+			if payload, ok, err = n.store.Get(key); err != nil {
+				n.cfg.Logf("fleet: replicate %s: %v", shortKey(key), err)
+				for _, rest := range targets[i:] {
+					if due(rest) {
+						failed = append(failed, rest)
+					}
+				}
+				return pushed, failed
+			} else if !ok {
 				return pushed, failed
 			}
 		}

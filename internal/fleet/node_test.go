@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -673,6 +674,67 @@ func TestReplicate(t *testing.T) {
 				t.Fatalf("handoffPushed = %d, want %d", got, tc.handedOff)
 			}
 		})
+	}
+}
+
+// A blob the store fails to read (its file replaced by a directory) is
+// not a blob that is gone: replicate reports the owner as missed, so
+// the leave handoff keeps the key due, retries it and logs that it gave
+// up, instead of dropping it silently after one attempt.
+func TestHandoffKeepsUnreadableBlobDue(t *testing.T) {
+	res, err := fakeResult(cs1Spec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cs1Spec(1).Key()
+	var puts atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		puts.Add(1)
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer peer.Close()
+	dir := t.TempDir()
+	st, err := sweep.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	blob := filepath.Join(dir, key+".json")
+	if err := os.Remove(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(blob, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	self := "http://127.0.0.1:1" // never dialled: a node does not push to itself
+	n, err := New(Config{Self: self, Peers: []string{self, peer.URL}, Logf: logf}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	if pushed, failed := n.replicate(ctx, n.Ring(), key, nil, "", nil); pushed != 0 || fmt.Sprint(failed) != fmt.Sprint([]string{peer.URL}) {
+		t.Fatalf("replicate = %d pushed, missed %v; want 0 pushed, missed [%s]", pushed, failed, peer.URL)
+	}
+	n.handoff(ctx, n.Ring())
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Contains(logs, "fleet: leave handoff gave up on 1 blob(s)") {
+		t.Fatalf("handoff did not give up on the unreadable blob; logs:\n%s", strings.Join(logs, "\n"))
+	}
+	if puts.Load() != 0 {
+		t.Fatalf("the peer saw %d PUT(s) of a blob nobody could read", puts.Load())
 	}
 }
 

@@ -2,6 +2,8 @@ package geom
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,19 +12,19 @@ import (
 
 func checkMeshInvariants(t *testing.T, name string, m *Mesh) {
 	t.Helper()
-	if m.VertexCount() == 0 || m.TriangleCount() == 0 {
+	if len(m.Positions) == 0 || m.TriangleCount() == 0 {
 		t.Fatalf("%s: empty mesh", name)
 	}
 	if len(m.Indices)%3 != 0 {
 		t.Fatalf("%s: index count %d not a multiple of 3", name, len(m.Indices))
 	}
 	for _, i := range m.Indices {
-		if int(i) >= m.VertexCount() {
-			t.Fatalf("%s: index %d out of range (%d verts)", name, i, m.VertexCount())
+		if int(i) >= len(m.Positions) {
+			t.Fatalf("%s: index %d out of range (%d verts)", name, i, len(m.Positions))
 		}
 	}
-	if len(m.Normals) != m.VertexCount() {
-		t.Fatalf("%s: %d normals for %d verts", name, len(m.Normals), m.VertexCount())
+	if len(m.Normals) != len(m.Positions) {
+		t.Fatalf("%s: %d normals for %d verts", name, len(m.Normals), len(m.Positions))
 	}
 	for i, n := range m.Normals {
 		l := n.Len()
@@ -55,7 +57,7 @@ func TestCubeGeometry(t *testing.T) {
 	if c.TriangleCount() != 12 {
 		t.Fatalf("cube tris = %d, want 12", c.TriangleCount())
 	}
-	lo, hi := c.Bounds()
+	lo, hi := bounds(c)
 	if lo != mathx.V3(-0.5, -0.5, -0.5) || hi != mathx.V3(0.5, 0.5, 0.5) {
 		t.Fatalf("cube bounds = %v..%v", lo, hi)
 	}
@@ -74,7 +76,7 @@ func TestSphereOnUnitShell(t *testing.T) {
 func TestTransformMovesBounds(t *testing.T) {
 	c := Cube()
 	c.Transform(mathx.Translate(10, 0, 0))
-	lo, hi := c.Bounds()
+	lo, hi := bounds(c)
 	if lo.X != 9.5 || hi.X != 10.5 {
 		t.Fatalf("bounds after translate = %v..%v", lo, hi)
 	}
@@ -82,10 +84,10 @@ func TestTransformMovesBounds(t *testing.T) {
 
 func TestAppendRebasesIndices(t *testing.T) {
 	a, b := Cube(), Cube()
-	nVerts := a.VertexCount()
+	nVerts := len(a.Positions)
 	nTris := a.TriangleCount()
 	a.Append(b)
-	if a.VertexCount() != 2*nVerts || a.TriangleCount() != 2*nTris {
+	if len(a.Positions) != 2*nVerts || a.TriangleCount() != 2*nTris {
 		t.Fatal("append counts wrong")
 	}
 	checkMeshInvariants(t, "appended", a)
@@ -94,8 +96,8 @@ func TestAppendRebasesIndices(t *testing.T) {
 func TestInterleavedVertexData(t *testing.T) {
 	c := Cube()
 	data := c.InterleavedVertexData()
-	if len(data) != c.VertexCount()*8 {
-		t.Fatalf("interleaved len = %d, want %d", len(data), c.VertexCount()*8)
+	if len(data) != len(c.Positions)*8 {
+		t.Fatalf("interleaved len = %d, want %d", len(data), len(c.Positions)*8)
 	}
 	// First vertex: position matches.
 	if data[0] != c.Positions[0].X || data[1] != c.Positions[0].Y || data[2] != c.Positions[0].Z {
@@ -115,12 +117,10 @@ func TestTexturesDeterministic(t *testing.T) {
 		}
 	}
 	ch := Checker(16, 16, 4, [4]byte{255, 0, 0, 255}, [4]byte{0, 255, 0, 255})
-	r, g, _, _ := ch.At(0, 0)
-	if r != 255 || g != 0 {
+	if p := ch.Pixels[0:4]; p[0] != 255 || p[1] != 0 {
 		t.Fatal("checker origin color wrong")
 	}
-	r, g, _, _ = ch.At(4, 0)
-	if r != 0 || g != 255 {
+	if p := ch.Pixels[16:20]; p[0] != 0 || p[1] != 255 {
 		t.Fatal("checker alternation wrong")
 	}
 }
@@ -129,8 +129,8 @@ func TestTextureSetAt(t *testing.T) {
 	f := func(x, y uint8, r, g, b, a byte) bool {
 		tex := NewTexture(256, 256)
 		tex.Set(int(x), int(y), r, g, b, a)
-		gr, gg, gb, ga := tex.At(int(x), int(y))
-		return gr == r && gg == g && gb == b && ga == a
+		i := (int(y)*tex.Width + int(x)) * 4
+		return slices.Equal(tex.Pixels[i:i+4], []byte{r, g, b, a})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestTextureSetAt(t *testing.T) {
 }
 
 func TestDFSLWorkloadsComplete(t *testing.T) {
-	scenes := AllDFSLWorkloads()
+	scenes := allScenes(dfslWorkloads)
 	if len(scenes) != 6 {
 		t.Fatalf("workloads = %d, want 6", len(scenes))
 	}
@@ -165,7 +165,7 @@ func TestDFSLWorkloadsComplete(t *testing.T) {
 }
 
 func TestSoCModelsComplete(t *testing.T) {
-	models := AllSoCModels()
+	models := allScenes(socModels)
 	if len(models) != 4 {
 		t.Fatalf("models = %d, want 4", len(models))
 	}
@@ -192,7 +192,7 @@ func TestCameraPathTemporalCoherence(t *testing.T) {
 func matDiff(a, b mathx.Mat4) float32 {
 	var d float32
 	for i := range a {
-		d += mathx.Abs(a[i] - b[i])
+		d += float32(math.Abs(float64(a[i] - b[i])))
 	}
 	return d
 }
@@ -245,4 +245,27 @@ func TestComputeNormalsFacesOutOnCube(t *testing.T) {
 			t.Fatalf("normal %d points inward", i)
 		}
 	}
+}
+
+// bounds returns m's axis-aligned bounding box.
+func bounds(m *Mesh) (lo, hi mathx.Vec3) {
+	lo, hi = m.Positions[0], m.Positions[0]
+	for _, p := range m.Positions[1:] {
+		lo.X = mathx.Min(lo.X, p.X)
+		lo.Y = mathx.Min(lo.Y, p.Y)
+		lo.Z = mathx.Min(lo.Z, p.Z)
+		hi.X = mathx.Max(hi.X, p.X)
+		hi.Y = mathx.Max(hi.Y, p.Y)
+		hi.Z = mathx.Max(hi.Z, p.Z)
+	}
+	return lo, hi
+}
+
+// allScenes builds every row of a catalogue in order.
+func allScenes(c catalogue) []*Scene {
+	out := make([]*Scene, len(c.rows))
+	for i, w := range c.rows {
+		out[i] = w.scene()
+	}
+	return out
 }

@@ -21,28 +21,8 @@ type Mesh struct {
 	Indices   []uint32 // triangle list, 3 per triangle
 }
 
-// VertexCount returns the number of vertices.
-func (m *Mesh) VertexCount() int { return len(m.Positions) }
-
 // TriangleCount returns the number of triangles.
 func (m *Mesh) TriangleCount() int { return len(m.Indices) / 3 }
-
-// Bounds returns the axis-aligned bounding box.
-func (m *Mesh) Bounds() (lo, hi mathx.Vec3) {
-	if len(m.Positions) == 0 {
-		return
-	}
-	lo, hi = m.Positions[0], m.Positions[0]
-	for _, p := range m.Positions[1:] {
-		lo.X = mathx.Min(lo.X, p.X)
-		lo.Y = mathx.Min(lo.Y, p.Y)
-		lo.Z = mathx.Min(lo.Z, p.Z)
-		hi.X = mathx.Max(hi.X, p.X)
-		hi.Y = mathx.Max(hi.Y, p.Y)
-		hi.Z = mathx.Max(hi.Z, p.Z)
-	}
-	return lo, hi
-}
 
 // Transform applies a matrix to all positions (and its rotation to
 // normals, assuming uniform scale) in place.

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"fmt"
-	"math"
 
 	"emerald/internal/mathx"
 )
@@ -119,14 +118,6 @@ func (c catalogue) scene(id int) (*Scene, error) {
 	return w.scene(), nil
 }
 
-func (c catalogue) all() []*Scene {
-	out := make([]*Scene, len(c.rows))
-	for i, w := range c.rows {
-		out[i] = w.scene()
-	}
-	return out
-}
-
 // DFSLWorkload builds one of the paper's Case Study II workloads W1-W6.
 func DFSLWorkload(id int) (*Scene, error) { return dfslWorkloads.scene(id) }
 
@@ -137,9 +128,6 @@ func DFSLWorkloadName(id int) (string, error) {
 	return w.name, err
 }
 
-// AllDFSLWorkloads returns W1..W6 in order.
-func AllDFSLWorkloads() []*Scene { return dfslWorkloads.all() }
-
 // SoCModel builds one of the Case Study I Android-app models M1-M4.
 func SoCModel(id int) (*Scene, error) { return socModels.scene(id) }
 
@@ -149,9 +137,6 @@ func SoCModelName(id int) (string, error) {
 	w, err := socModels.row(id)
 	return w.name, err
 }
-
-// AllSoCModels returns M1..M4 in order.
-func AllSoCModels() []*Scene { return socModels.all() }
 
 func sibenikScene() *Scene {
 	return &Scene{
@@ -263,10 +248,4 @@ func trianglesScene() *Scene {
 		Far:           20,
 		OrbitPerFrame: 0.03,
 	}
-}
-
-// OrbitEye is a helper for examples: a camera orbiting at radius r,
-// height h, angle a.
-func OrbitEye(r, h float32, a float32) mathx.Vec3 {
-	return mathx.V3(r*float32(math.Cos(float64(a))), h, r*float32(math.Sin(float64(a))))
 }

@@ -20,12 +20,6 @@ func (t *Texture) Set(x, y int, r, g, b, a byte) {
 	t.Pixels[i+3] = a
 }
 
-// At reads one texel.
-func (t *Texture) At(x, y int) (r, g, b, a byte) {
-	i := (y*t.Width + x) * 4
-	return t.Pixels[i], t.Pixels[i+1], t.Pixels[i+2], t.Pixels[i+3]
-}
-
 // Checker returns a w x h checkerboard with the given square size and two
 // colors — high-frequency content that defeats texture-cache locality
 // when sampled sparsely, matching typical game textures.

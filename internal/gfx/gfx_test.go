@@ -20,9 +20,6 @@ func TestSurfaceAddressing(t *testing.T) {
 	if s.SizeBytes() != 64*32*4 {
 		t.Fatal("size wrong")
 	}
-	if !s.Contains(63, 31) || s.Contains(64, 0) || s.Contains(0, -1) {
-		t.Fatal("contains wrong")
-	}
 }
 
 // Property: consecutive pixels on a row have consecutive addresses
@@ -47,7 +44,7 @@ func TestSurfaceClearAndRead(t *testing.T) {
 	}
 	d := Surface{Base: 0x8000, Width: 16, Height: 16}
 	d.ClearDepth(m, 1.0)
-	if d.ReadDepth(m, 3, 3) != 1.0 {
+	if m.ReadF32(d.Addr(3, 3)) != 1.0 {
 		t.Fatal("clear depth not read back")
 	}
 }
@@ -113,13 +110,6 @@ func TestClusterMaskSmallVsLargePrimitive(t *testing.T) {
 	mask = m.ClusterMask(0, 0, 512, 512)
 	if mask != 0xF {
 		t.Fatalf("huge prim mask = %b, want 1111", mask)
-	}
-	// BBoxCoversCluster consistency.
-	for c := 0; c < 4; c++ {
-		want := mask&(1<<c) != 0
-		if m.BBoxCoversCluster(0, 0, 512, 512, c) != want {
-			t.Fatal("BBoxCoversCluster inconsistent with ClusterMask")
-		}
 	}
 }
 
@@ -282,7 +272,7 @@ func TestSurfaceIntegrationWithRaster(t *testing.T) {
 				break
 			}
 			for _, f := range tile.Frags {
-				if !s.Contains(f.X, f.Y) {
+				if f.X < 0 || f.Y < 0 || f.X >= s.Width || f.Y >= s.Height {
 					t.Fatalf("fragment out of surface: (%d,%d)", f.X, f.Y)
 				}
 				m.WriteU32(s.Addr(f.X, f.Y), 0xFFFFFFFF)

@@ -54,22 +54,6 @@ func (m ScreenMap) ClusterOf(px, py int) int {
 	return c
 }
 
-// BBoxCoversCluster reports whether any pixel of the (inclusive-
-// exclusive) bounding box is owned by the given cluster — the VPO
-// bounding-box to primitive-mask computation (paper Figure 6). The scan
-// steps at work-tile granularity, which is exact for this mapping.
-func (m ScreenMap) BBoxCoversCluster(x0, y0, x1, y1 int, cluster int) bool {
-	step := TCTilePx * m.WT
-	for ty := y0 - y0%step; ty < y1; ty += step {
-		for tx := x0 - x0%step; tx < x1; tx += step {
-			if m.ClusterOf(max(tx, x0), max(ty, y0)) == cluster {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ClusterMask computes the per-cluster coverage bit-mask of a bounding
 // box (bit i set = cluster i must process the primitive).
 func (m ScreenMap) ClusterMask(x0, y0, x1, y1 int) uint64 {

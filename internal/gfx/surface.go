@@ -33,11 +33,6 @@ func (s Surface) Addr(x, y int) uint64 {
 // SizeBytes returns the surface footprint.
 func (s Surface) SizeBytes() int { return s.Width * s.Height * BytesPerPixel }
 
-// Contains reports whether (x,y) is on the surface.
-func (s Surface) Contains(x, y int) bool {
-	return x >= 0 && y >= 0 && x < s.Width && y < s.Height
-}
-
 // ClearColor functionally fills a color surface with a packed RGBA8
 // value.
 func (s Surface) ClearColor(m *mem.Memory, rgba uint32) {
@@ -70,9 +65,4 @@ func (s Surface) ClearDepth(m *mem.Memory, z float32) {
 // ReadPixel returns the packed RGBA8 value at (x, y) of a color surface.
 func (s Surface) ReadPixel(m *mem.Memory, x, y int) uint32 {
 	return m.ReadU32(s.Addr(x, y))
-}
-
-// ReadDepth returns the depth value at (x, y) of a depth surface.
-func (s Surface) ReadDepth(m *mem.Memory, x, y int) float32 {
-	return m.ReadF32(s.Addr(x, y))
 }

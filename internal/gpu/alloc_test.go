@@ -116,7 +116,7 @@ func sceneRig(tb testing.TB, workload int) (frame func(i int)) {
 		for k, f := range scene.MVP(i, float32(w)/h) {
 			m.WriteF32(uni+uint64(k*4), f)
 		}
-		if _, err := s.RenderDraw(call, 50_000_000); err != nil {
+		if _, err := renderDraw(s, call, 50_000_000); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ func TestRenderDeterminism(t *testing.T) {
 		uploadIdentityUniforms(s, [4]float32{0, 0, 1, 0}, 1)
 		idx := uploadQuad(s, 0)
 		call := quadCall(s, idx, shader.FSTexturedEarlyZ, vp)
-		cycles, err := s.RenderDraw(call, 5_000_000)
+		cycles, err := renderDraw(s, call, 5_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestTopologyEquivalence(t *testing.T) {
 		uploadQuad(s, 0)
 		call := quadCall(s, indices, shader.FSFlat, vp)
 		call.Mode = mode
-		if _, err := s.RenderDraw(call, 5_000_000); err != nil {
+		if _, err := renderDraw(s, call, 5_000_000); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]uint32, 0, vp*vp)

@@ -79,6 +79,3 @@ func (d *DFSL) ObserveFrame(execCycles uint64) {
 
 // BestWT returns the current best-known WT size.
 func (d *DFSL) BestWT() int { return d.wtBest }
-
-// Frame returns the number of frames observed.
-func (d *DFSL) Frame() int { return d.frame }

@@ -203,7 +203,7 @@ func TestFunctionalMatchesTimedRandomDraws(t *testing.T) {
 		for i, name := range names {
 			before[i] = s.GPU.Reg.Value(name)
 		}
-		if _, err := s.RenderDraw(call, 20_000_000); err != nil {
+		if _, err := renderDraw(s, call, 20_000_000); err != nil {
 			t.Fatalf("draw %d: %v", n, err)
 		}
 		var fst FuncStats
@@ -216,7 +216,7 @@ func TestFunctionalMatchesTimedRandomDraws(t *testing.T) {
 
 		what := func() string {
 			return fmt.Sprintf("draw %d (%s, mode %d, %d indices, %dx%d, WT %d, cull %v, depth test %v write %v, Hi-Z %v, bilinear %v)",
-				n, fs.Name, call.Mode, len(indices), color.Width, color.Height, s.GPU.WT(),
+				n, fs.Name, call.Mode, len(indices), color.Width, color.Height, s.GPU.screenMap.WT,
 				call.CullBack, call.DepthTest, call.DepthWrite, s.GPU.Cfg.HiZ, tex.Bilinear)
 		}
 		for _, sf := range []gfx.Surface{color, depth} {
@@ -299,7 +299,7 @@ func TestReusedBatchesLeakNothingBetweenDraws(t *testing.T) {
 	}
 	var first *vertexBatch
 	for n, c := range []*DrawCall{call(shader.VSTransform, fsShowVarying1), call(vsPositionOnly, fsShowVarying1)} {
-		if _, err := s.RenderDraw(c, 5_000_000); err != nil {
+		if _, err := renderDraw(s, c, 5_000_000); err != nil {
 			t.Fatal(err)
 		}
 		if err := ExecuteDrawFunc(ref, c, nil); err != nil {

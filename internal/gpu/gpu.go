@@ -273,9 +273,6 @@ func (g *GPU) SetWT(wt int) {
 	g.screenMap = gfx.NewScreenMap(g.Cfg.Clusters, g.Cfg.CoresPerCluster, wt)
 }
 
-// WT returns the current work-tile granularity.
-func (g *GPU) WT() int { return g.screenMap.WT }
-
 // SubmitDraw queues a draw call; onDone (optional) fires at retirement
 // with the number of cycles the draw spent in the GPU.
 func (g *GPU) SubmitDraw(call *DrawCall, onDone func(cycles uint64)) error {

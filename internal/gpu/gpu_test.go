@@ -102,7 +102,7 @@ func TestFullScreenQuadFlat(t *testing.T) {
 	idx := uploadQuad(s, 0)
 	uploadIdentityUniforms(s, [4]float32{1, 0, 0, 1}, 1)
 	call := quadCall(s, idx, shader.FSFlat, vp)
-	cycles, err := s.RenderDraw(call, 3_000_000)
+	cycles, err := renderDraw(s, call, 3_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFullScreenQuadFlat(t *testing.T) {
 		}
 	}
 	// Depth buffer was written: z = 0 ndc -> 0.5 depth.
-	if d := call.Depth.ReadDepth(s.Mem(), 32, 32); mathx.Abs(d-0.5) > 1e-5 {
+	if d := s.Mem().ReadF32(call.Depth.Addr(32, 32)); math.Abs(float64(d)-0.5) > 1e-5 {
 		t.Fatalf("depth = %v, want 0.5", d)
 	}
 	if s.GPU.FragsShaded() != vp*vp {
@@ -132,13 +132,13 @@ func TestDepthOcclusion(t *testing.T) {
 
 	// Near quad (z=-0.5 -> depth 0.25) red.
 	idx := uploadQuad(s, -0.5)
-	if _, err := s.RenderDraw(quadCall(s, idx, shader.FSFlat, vp), 3_000_000); err != nil {
+	if _, err := renderDraw(s, quadCall(s, idx, shader.FSFlat, vp), 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	// Far quad (z=0.5 -> depth 0.75) green: must lose everywhere.
 	uploadIdentityUniforms(s, [4]float32{0, 1, 0, 1}, 1)
 	idx = uploadQuad(s, 0.5)
-	if _, err := s.RenderDraw(quadCall(s, idx, shader.FSFlat, vp), 3_000_000); err != nil {
+	if _, err := renderDraw(s, quadCall(s, idx, shader.FSFlat, vp), 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	red := shader.PackRGBA8(1, 0, 0, 1)
@@ -160,12 +160,12 @@ func TestDepthReversePainters(t *testing.T) {
 	// Far green first, then near red: red must win (normal painter's).
 	uploadIdentityUniforms(s, [4]float32{0, 1, 0, 1}, 1)
 	idx := uploadQuad(s, 0.5)
-	if _, err := s.RenderDraw(quadCall(s, idx, shader.FSFlat, vp), 3_000_000); err != nil {
+	if _, err := renderDraw(s, quadCall(s, idx, shader.FSFlat, vp), 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	uploadIdentityUniforms(s, [4]float32{1, 0, 0, 1}, 1)
 	idx = uploadQuad(s, -0.5)
-	if _, err := s.RenderDraw(quadCall(s, idx, shader.FSFlat, vp), 3_000_000); err != nil {
+	if _, err := renderDraw(s, quadCall(s, idx, shader.FSFlat, vp), 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	red := shader.PackRGBA8(1, 0, 0, 1)
@@ -184,7 +184,7 @@ func TestBlending(t *testing.T) {
 	call := quadCall(s, idx, shader.FSTexturedBlend, vp)
 	call.Blend = true
 	call.DepthWrite = false
-	if _, err := s.RenderDraw(call, 3_000_000); err != nil {
+	if _, err := renderDraw(s, call, 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	// White texture at alpha 0.5 over black: ~mid gray.
@@ -205,7 +205,7 @@ func TestTexturedLighting(t *testing.T) {
 	uploadIdentityUniforms(s, [4]float32{0, 0, 1, 0}, 1)
 	idx := uploadQuad(s, 0)
 	call := quadCall(s, idx, shader.FSTexturedEarlyZ, vp)
-	if _, err := s.RenderDraw(call, 3_000_000); err != nil {
+	if _, err := renderDraw(s, call, 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	got := call.Color.ReadPixel(s.Mem(), 16, 16)
@@ -226,7 +226,7 @@ func TestBackfaceCullSkipsEverything(t *testing.T) {
 		idx[i], idx[i+1] = idx[i+1], idx[i]
 	}
 	call := quadCall(s, idx, shader.FSFlat, vp)
-	if _, err := s.RenderDraw(call, 3_000_000); err != nil {
+	if _, err := renderDraw(s, call, 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if got := call.Color.ReadPixel(s.Mem(), 16, 16); got != 0 {
@@ -308,7 +308,7 @@ func TestWTChangesTimingNotResult(t *testing.T) {
 		idx := uploadQuad(s, 0)
 		s.GPU.SetWT(wt)
 		call := quadCall(s, idx, shader.FSFlat, vp)
-		cycles, err := s.RenderDraw(call, 5_000_000)
+		cycles, err := renderDraw(s, call, 5_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func TestPerspectiveSceneSmoke(t *testing.T) {
 	}
 	idx := uploadQuad(s, 0)
 	call := quadCall(s, idx, shader.FSTexturedEarlyZ, vp)
-	if _, err := s.RenderDraw(call, 5_000_000); err != nil {
+	if _, err := renderDraw(s, call, 5_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if s.GPU.FragsShaded() == 0 {
@@ -451,4 +451,13 @@ func TestPerspectiveSceneSmoke(t *testing.T) {
 	if math.IsNaN(float64(s.GPU.DrawProgress())) {
 		t.Fatal("progress NaN")
 	}
+}
+
+// renderDraw submits one draw call and runs it to completion, returning
+// the cycles from submission to retirement of all its work.
+func renderDraw(s *Standalone, call *DrawCall, budget uint64) (uint64, error) {
+	if err := s.GPU.SubmitDraw(call, nil); err != nil {
+		return 0, err
+	}
+	return s.RunUntilIdle(budget)
 }

@@ -224,15 +224,6 @@ func (s *Standalone) telemetrySample() telemetry.Sample {
 	}
 }
 
-// RenderDraw submits one draw call and runs it to completion, returning
-// the cycles from submission to retirement of all its work.
-func (s *Standalone) RenderDraw(call *DrawCall, budget uint64) (uint64, error) {
-	if err := s.GPU.SubmitDraw(call, nil); err != nil {
-		return 0, err
-	}
-	return s.RunUntilIdle(budget)
-}
-
 // RunKernel launches one compute kernel to completion.
 func (s *Standalone) RunKernel(k Kernel, budget uint64) (uint64, error) {
 	if err := s.GPU.LaunchKernel(k, nil); err != nil {

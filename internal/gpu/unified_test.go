@@ -23,7 +23,7 @@ func TestBilinearFiltering(t *testing.T) {
 		s.Mem().WriteU32(tTex+8, 0xFFFFFFFF)
 		s.Mem().WriteU32(tTex+12, 0xFF000000)
 		call.Textures = []TextureBinding{{Base: tTex, Width: 2, Height: 2, Bilinear: bilinear}}
-		if _, err := s.RenderDraw(call, 5_000_000); err != nil {
+		if _, err := renderDraw(s, call, 5_000_000); err != nil {
 			t.Fatal(err)
 		}
 		var l1t int64
@@ -117,7 +117,7 @@ func TestTriangleStripAndFanDraws(t *testing.T) {
 		uploadQuad(s, 0)
 		call := quadCall(s, []uint32{0, 1, 2}, shader.FSFlat, vp)
 		mode.set(call)
-		if _, err := s.RenderDraw(call, 5_000_000); err != nil {
+		if _, err := renderDraw(s, call, 5_000_000); err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
 		green := shader.PackRGBA8(0, 1, 0, 1)

@@ -60,7 +60,6 @@ const maxViolations = 16
 type Checker struct {
 	probes     []probe
 	violations []Violation
-	checked    uint64 // probe invocations (test/metrics hook)
 }
 
 // NewChecker returns an empty enabled checker.
@@ -86,7 +85,6 @@ func (g *Checker) Tick(cycle uint64) {
 	}
 	for i := range g.probes {
 		p := &g.probes[i]
-		g.checked++
 		if err := p.fn(cycle); err != nil {
 			if len(g.violations) < maxViolations {
 				g.violations = append(g.violations, Violation{
@@ -103,22 +101,6 @@ func (g *Checker) Violations() []Violation {
 		return nil
 	}
 	return g.violations
-}
-
-// Checks returns the total number of probe invocations so far.
-func (g *Checker) Checks() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.checked
-}
-
-// Probes returns the number of registered probes.
-func (g *Checker) Probes() int {
-	if g == nil {
-		return 0
-	}
-	return len(g.probes)
 }
 
 // Err returns nil while every invariant holds, or an error (wrapping

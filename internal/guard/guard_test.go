@@ -20,14 +20,11 @@ func TestNilCheckerIsSafe(t *testing.T) {
 	if g.Enabled() {
 		t.Fatal("nil checker reports Enabled")
 	}
-	if g.Probes() != 0 || g.Checks() != 0 {
-		t.Fatal("nil checker reports registered probes or checks")
-	}
 }
 
 func TestCheckerRecordsViolations(t *testing.T) {
 	g := NewChecker()
-	calls := 0
+	calls, others := 0, 0
 	g.Register("dram", "bank", func(cycle uint64) error {
 		calls++
 		if cycle == 3 {
@@ -35,15 +32,12 @@ func TestCheckerRecordsViolations(t *testing.T) {
 		}
 		return nil
 	})
-	g.Register("simt", "stack", func(uint64) error { return nil })
+	g.Register("simt", "stack", func(uint64) error { others++; return nil })
 	for c := uint64(0); c < 5; c++ {
 		g.Tick(c)
 	}
-	if calls != 5 {
-		t.Fatalf("probe ran %d times, want 5", calls)
-	}
-	if g.Checks() != 10 {
-		t.Fatalf("Checks = %d, want 10", g.Checks())
+	if calls != 5 || others != 5 {
+		t.Fatalf("probes ran %d and %d times, want 5 each", calls, others)
 	}
 	vs := g.Violations()
 	if len(vs) != 1 {
@@ -113,14 +107,14 @@ func TestWatchdogResetsOnProgress(t *testing.T) {
 
 func TestWatchdogDisabledAndClamp(t *testing.T) {
 	w := NewWatchdog(0)
-	if w.Enabled() {
+	if w.window != 0 {
 		t.Fatal("window 0 should disable the watchdog")
 	}
 	if stalled, _ := w.Check(1<<30, 0); stalled {
 		t.Fatal("disabled watchdog tripped")
 	}
 	c := NewWatchdog(1)
-	if !c.Enabled() {
+	if c.window == 0 {
 		t.Fatal("clamped watchdog should be enabled")
 	}
 	if got := ClampWindow(1); got != MinWatchdogWindow {
@@ -139,9 +133,6 @@ func TestNoProgressError(t *testing.T) {
 	d.Add("warps", []string{"core0 warp3: pc=12 stalled(scoreboard)"})
 	d.Add("empty", nil) // dropped
 	err := &NoProgressError{Diag: d}
-	if !errors.Is(err, ErrNoProgress) {
-		t.Fatal("NoProgressError does not match ErrNoProgress")
-	}
 	msg := err.Error()
 	for _, want := range []string{"no forward progress for 2048 cycles", "cycle 5000", "warps", "stalled(scoreboard)"} {
 		if !strings.Contains(msg, want) {

@@ -6,14 +6,9 @@
 package guard
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 )
-
-// ErrNoProgress is the sentinel matched by errors.Is for watchdog
-// aborts.
-var ErrNoProgress = errors.New("guard: no forward progress")
 
 // MinWatchdogWindow is the floor applied to configured watchdog
 // windows. Run loops only sample the progress signature at their
@@ -74,7 +69,7 @@ func (d *Diag) String() string {
 }
 
 // NoProgressError is returned by run loops when the watchdog trips.
-// It matches ErrNoProgress under errors.Is and carries the bundle.
+// It carries the bundle; errors.As finds it through the loop's wrapping.
 type NoProgressError struct {
 	Diag Diag
 }
@@ -82,9 +77,6 @@ type NoProgressError struct {
 func (e *NoProgressError) Error() string {
 	return strings.TrimRight(e.Diag.String(), "\n")
 }
-
-// Is lets errors.Is(err, guard.ErrNoProgress) match.
-func (e *NoProgressError) Is(target error) bool { return target == ErrNoProgress }
 
 // Watchdog tracks a monotone progress signature between samples. The
 // zero value with window 0 is disabled; Check on a disabled watchdog is
@@ -101,9 +93,6 @@ type Watchdog struct {
 func NewWatchdog(window uint64) Watchdog {
 	return Watchdog{window: ClampWindow(window)}
 }
-
-// Enabled reports whether the watchdog is armed.
-func (w *Watchdog) Enabled() bool { return w.window != 0 }
 
 // Check records the signature observed at the given cycle and reports
 // whether the no-progress window has elapsed. The signature must be

@@ -215,6 +215,3 @@ func (x *Crossbar) portsEmpty() bool {
 func (x *Crossbar) Busy() bool {
 	return x.inflight.Len()+len(x.parked) > 0 || !x.portsEmpty()
 }
-
-// Transferred returns the number of requests delivered downstream.
-func (x *Crossbar) Transferred() int64 { return x.transferred.Value() }

@@ -307,10 +307,6 @@ func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, 
 				a.c.Tick(cycle)
 				b.c.Tick(cycle)
 			}
-			if rng.Intn(500) == 0 {
-				a.c.Flush(cycle)
-				b.c.Flush(cycle)
-			}
 		}
 		if ca, cb := a.counters(), b.counters(); ca != cb {
 			where("sink counters %s, the reference %s", cb, ca)

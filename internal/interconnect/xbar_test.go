@@ -23,7 +23,7 @@ func TestLatencyAndDelivery(t *testing.T) {
 	if len(delivered) != 1 || delivered[0] != r {
 		t.Fatalf("delivered = %v", delivered)
 	}
-	if x.Transferred() != 1 {
+	if x.transferred.Value() != 1 {
 		t.Fatal("transfer count wrong")
 	}
 }
@@ -152,7 +152,7 @@ func TestRefusedFlitDoesNotBlockThoseBehindIt(t *testing.T) {
 	expect(8, []uint64{0, 2, 5}, []uint64{0, 5})
 	refuse[2] = false
 	expect(9, []uint64{2}, []uint64{2})
-	if x.Busy() || x.Transferred() != 6 || x.stalls.Value() != 9 {
-		t.Fatalf("after draining: busy=%v transferred=%d stalls=%d, want idle, 6, 9", x.Busy(), x.Transferred(), x.stalls.Value())
+	if x.Busy() || x.transferred.Value() != 6 || x.stalls.Value() != 9 {
+		t.Fatalf("after draining: busy=%v transferred=%d stalls=%d, want idle, 6, 9", x.Busy(), x.transferred.Value(), x.stalls.Value())
 	}
 }

@@ -16,15 +16,6 @@ func Identity() Mat4 {
 	}
 }
 
-// At returns element (row, col).
-func (m Mat4) At(row, col int) float32 { return m[col*4+row] }
-
-// Set stores v at element (row, col) and returns the updated matrix.
-func (m Mat4) Set(row, col int, v float32) Mat4 {
-	m[col*4+row] = v
-	return m
-}
-
 // Mul returns m*n (column-vector convention: (m.Mul(n)).MulVec(v) ==
 // m.MulVec(n.MulVec(v))).
 func (m Mat4) Mul(n Mat4) Mat4 {
@@ -51,17 +42,6 @@ func (m Mat4) MulVec(v Vec4) Vec4 {
 	}
 }
 
-// Transpose returns the transpose of m.
-func (m Mat4) Transpose() Mat4 {
-	var r Mat4
-	for c := 0; c < 4; c++ {
-		for row := 0; row < 4; row++ {
-			r[row*4+c] = m[c*4+row]
-		}
-	}
-	return r
-}
-
 // Translate returns a translation matrix.
 func Translate(x, y, z float32) Mat4 {
 	m := Identity()
@@ -73,15 +53,6 @@ func Translate(x, y, z float32) Mat4 {
 func ScaleM(x, y, z float32) Mat4 {
 	m := Identity()
 	m[0], m[5], m[10] = x, y, z
-	return m
-}
-
-// RotateX returns a rotation matrix about the X axis (angle in radians).
-func RotateX(a float32) Mat4 {
-	s, c := sincos(a)
-	m := Identity()
-	m[5], m[9] = c, -s
-	m[6], m[10] = s, c
 	return m
 }
 
@@ -133,37 +104,4 @@ func LookAt(eye, center, up Vec3) Mat4 {
 	m[1], m[5], m[9] = u.X, u.Y, u.Z
 	m[2], m[6], m[10] = -f.X, -f.Y, -f.Z
 	return m.Mul(Translate(-eye.X, -eye.Y, -eye.Z))
-}
-
-// Invert returns the inverse of m and whether m was invertible. A general
-// cofactor expansion is used; graphics matrices are small enough that the
-// O(1) cost is irrelevant.
-func (m Mat4) Invert() (Mat4, bool) {
-	var inv Mat4
-	inv[0] = m[5]*m[10]*m[15] - m[5]*m[11]*m[14] - m[9]*m[6]*m[15] + m[9]*m[7]*m[14] + m[13]*m[6]*m[11] - m[13]*m[7]*m[10]
-	inv[4] = -m[4]*m[10]*m[15] + m[4]*m[11]*m[14] + m[8]*m[6]*m[15] - m[8]*m[7]*m[14] - m[12]*m[6]*m[11] + m[12]*m[7]*m[10]
-	inv[8] = m[4]*m[9]*m[15] - m[4]*m[11]*m[13] - m[8]*m[5]*m[15] + m[8]*m[7]*m[13] + m[12]*m[5]*m[11] - m[12]*m[7]*m[9]
-	inv[12] = -m[4]*m[9]*m[14] + m[4]*m[10]*m[13] + m[8]*m[5]*m[14] - m[8]*m[6]*m[13] - m[12]*m[5]*m[10] + m[12]*m[6]*m[9]
-	inv[1] = -m[1]*m[10]*m[15] + m[1]*m[11]*m[14] + m[9]*m[2]*m[15] - m[9]*m[3]*m[14] - m[13]*m[2]*m[11] + m[13]*m[3]*m[10]
-	inv[5] = m[0]*m[10]*m[15] - m[0]*m[11]*m[14] - m[8]*m[2]*m[15] + m[8]*m[3]*m[14] + m[12]*m[2]*m[11] - m[12]*m[3]*m[10]
-	inv[9] = -m[0]*m[9]*m[15] + m[0]*m[11]*m[13] + m[8]*m[1]*m[15] - m[8]*m[3]*m[13] - m[12]*m[1]*m[11] + m[12]*m[3]*m[9]
-	inv[13] = m[0]*m[9]*m[14] - m[0]*m[10]*m[13] - m[8]*m[1]*m[14] + m[8]*m[2]*m[13] + m[12]*m[1]*m[10] - m[12]*m[2]*m[9]
-	inv[2] = m[1]*m[6]*m[15] - m[1]*m[7]*m[14] - m[5]*m[2]*m[15] + m[5]*m[3]*m[14] + m[13]*m[2]*m[7] - m[13]*m[3]*m[6]
-	inv[6] = -m[0]*m[6]*m[15] + m[0]*m[7]*m[14] + m[4]*m[2]*m[15] - m[4]*m[3]*m[14] - m[12]*m[2]*m[7] + m[12]*m[3]*m[6]
-	inv[10] = m[0]*m[5]*m[15] - m[0]*m[7]*m[13] - m[4]*m[1]*m[15] + m[4]*m[3]*m[13] + m[12]*m[1]*m[7] - m[12]*m[3]*m[5]
-	inv[14] = -m[0]*m[5]*m[14] + m[0]*m[6]*m[13] + m[4]*m[1]*m[14] - m[4]*m[2]*m[13] - m[12]*m[1]*m[6] + m[12]*m[2]*m[5]
-	inv[3] = -m[1]*m[6]*m[11] + m[1]*m[7]*m[10] + m[5]*m[2]*m[11] - m[5]*m[3]*m[10] - m[9]*m[2]*m[7] + m[9]*m[3]*m[6]
-	inv[7] = m[0]*m[6]*m[11] - m[0]*m[7]*m[10] - m[4]*m[2]*m[11] + m[4]*m[3]*m[10] + m[8]*m[2]*m[7] - m[8]*m[3]*m[6]
-	inv[11] = -m[0]*m[5]*m[11] + m[0]*m[7]*m[9] + m[4]*m[1]*m[11] - m[4]*m[3]*m[9] - m[8]*m[1]*m[7] + m[8]*m[3]*m[5]
-	inv[15] = m[0]*m[5]*m[10] - m[0]*m[6]*m[9] - m[4]*m[1]*m[10] + m[4]*m[2]*m[9] + m[8]*m[1]*m[6] - m[8]*m[2]*m[5]
-
-	det := m[0]*inv[0] + m[1]*inv[4] + m[2]*inv[8] + m[3]*inv[12]
-	if det == 0 {
-		return Identity(), false
-	}
-	d := 1 / det
-	for i := range inv {
-		inv[i] *= d
-	}
-	return inv, true
 }

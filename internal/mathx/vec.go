@@ -26,25 +26,10 @@ func V3(x, y, z float32) Vec3 { return Vec3{x, y, z} }
 func V4(x, y, z, w float32) Vec4 { return Vec4{x, y, z, w} }
 
 // Add returns v+u.
-func (v Vec2) Add(u Vec2) Vec2 { return Vec2{v.X + u.X, v.Y + u.Y} }
-
-// Sub returns v-u.
-func (v Vec2) Sub(u Vec2) Vec2 { return Vec2{v.X - u.X, v.Y - u.Y} }
-
-// Scale returns v*s.
-func (v Vec2) Scale(s float32) Vec2 { return Vec2{v.X * s, v.Y * s} }
-
-// Dot returns the dot product of v and u.
-func (v Vec2) Dot(u Vec2) float32 { return v.X*u.X + v.Y*u.Y }
-
-// Add returns v+u.
 func (v Vec3) Add(u Vec3) Vec3 { return Vec3{v.X + u.X, v.Y + u.Y, v.Z + u.Z} }
 
 // Sub returns v-u.
 func (v Vec3) Sub(u Vec3) Vec3 { return Vec3{v.X - u.X, v.Y - u.Y, v.Z - u.Z} }
-
-// Mul returns the component-wise product of v and u.
-func (v Vec3) Mul(u Vec3) Vec3 { return Vec3{v.X * u.X, v.Y * u.Y, v.Z * u.Z} }
 
 // Scale returns v*s.
 func (v Vec3) Scale(s float32) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
@@ -74,18 +59,6 @@ func (v Vec3) Normalize() Vec3 {
 	return v.Scale(1 / l)
 }
 
-// Add returns v+u.
-func (v Vec4) Add(u Vec4) Vec4 { return Vec4{v.X + u.X, v.Y + u.Y, v.Z + u.Z, v.W + u.W} }
-
-// Sub returns v-u.
-func (v Vec4) Sub(u Vec4) Vec4 { return Vec4{v.X - u.X, v.Y - u.Y, v.Z - u.Z, v.W - u.W} }
-
-// Scale returns v*s.
-func (v Vec4) Scale(s float32) Vec4 { return Vec4{v.X * s, v.Y * s, v.Z * s, v.W * s} }
-
-// Dot returns the dot product of v and u.
-func (v Vec4) Dot(u Vec4) float32 { return v.X*u.X + v.Y*u.Y + v.Z*u.Z + v.W*u.W }
-
 // XYZ drops the W component.
 func (v Vec4) XYZ() Vec3 { return Vec3{v.X, v.Y, v.Z} }
 
@@ -112,14 +85,6 @@ func (v Vec4) Lerp(u Vec4, t float32) Vec4 {
 
 // Sqrt is float32 square root.
 func Sqrt(x float32) float32 { return float32(math.Sqrt(float64(x))) }
-
-// Abs is float32 absolute value.
-func Abs(x float32) float32 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
 
 // Floor is float32 floor.
 func Floor(x float32) float32 { return float32(math.Floor(float64(x))) }

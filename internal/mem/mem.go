@@ -148,13 +148,6 @@ func (m *Memory) eachPage(fn func(idx uint64, p *page)) {
 	}
 }
 
-// Pages returns the set of materialized page indices.
-func (m *Memory) Pages() []uint64 {
-	out := make([]uint64, 0, m.PageCount())
-	m.eachPage(func(idx uint64, _ *page) { out = append(out, idx) })
-	return out
-}
-
 // SnapshotPages returns a deep copy of every materialized page, all
 // backed by a single allocation — the checkpoint-per-frame sampled
 // pass takes one of these per frame boundary, so snapshot cost is a
@@ -169,14 +162,6 @@ func (m *Memory) SnapshotPages() map[uint64][]byte {
 		out[idx] = buf[len(buf)-PageSize : len(buf) : len(buf)]
 	})
 	return out
-}
-
-// PageData returns the raw contents of one materialized page, or nil.
-func (m *Memory) PageData(idx uint64) []byte {
-	if p := m.pageFor(idx, false); p != &zeroPage {
-		return p[:]
-	}
-	return nil
 }
 
 // ReadU32 reads a little-endian uint32.
@@ -197,20 +182,6 @@ func (m *Memory) WriteU32(addr uint64, v uint32) {
 	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	m.Write(addr, b[:])
-}
-
-// ReadU64 reads a little-endian uint64.
-func (m *Memory) ReadU64(addr uint64) uint64 {
-	var b [8]byte
-	m.Read(addr, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// WriteU64 writes a little-endian uint64.
-func (m *Memory) WriteU64(addr uint64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
 	m.Write(addr, b[:])
 }
 
@@ -263,14 +234,6 @@ const (
 	Read Kind = iota
 	Write
 )
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	if k == Write {
-		return "write"
-	}
-	return "read"
-}
 
 // Request is a timing-level memory request. Requests are created by an
 // agent (cache miss, DMA engine, CPU load) and flow through queues to the

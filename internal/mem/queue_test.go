@@ -228,20 +228,20 @@ func TestMemoryConcurrentMaterialize(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if m.PageCount() != workers*pagesEach || len(m.Pages()) != workers*pagesEach {
-		t.Fatalf("materialized %d pages (%d enumerated), want %d", m.PageCount(), len(m.Pages()), workers*pagesEach)
+	if m.PageCount() != workers*pagesEach || len(m.SnapshotPages()) != workers*pagesEach {
+		t.Fatalf("materialized %d pages (%d enumerated), want %d", m.PageCount(), len(m.SnapshotPages()), workers*pagesEach)
 	}
 }
 
 func TestMemoryResetReadsZero(t *testing.T) {
 	m := NewMemory()
-	m.WriteU64(0x1234_5678, 0xfeed)
+	m.WriteU32(0x1234_5678, 0xfeed)
 	m.Write(3*PageSize-2, []byte{1, 2, 3, 4}) // straddles a page boundary
 	m.Reset()
-	if m.PageCount() != 0 || len(m.SnapshotPages()) != 0 || m.PageData(0x1234_5678/PageSize) != nil {
+	if m.PageCount() != 0 || len(m.SnapshotPages()) != 0 || m.pageFor(0x1234_5678/PageSize, false) != &zeroPage {
 		t.Fatal("Reset left pages behind")
 	}
-	if m.ReadU64(0x1234_5678) != 0 || m.ReadU32(3*PageSize-2) != 0 {
+	if m.ReadU32(0x1234_5678) != 0 || m.ReadU32(3*PageSize-2) != 0 {
 		t.Fatal("memory does not read as zero after Reset")
 	}
 	if m.PageCount() != 0 {

@@ -61,16 +61,6 @@ func (v *View) Read(addr uint64, p []byte) {
 	}
 }
 
-// Write copies p into memory starting at addr.
-func (v *View) Write(addr uint64, p []byte) {
-	for len(p) > 0 {
-		page, off := addr/PageSize, addr%PageSize
-		n := copy(v.pageFor(page, true)[off:], p)
-		p = p[n:]
-		addr += uint64(n)
-	}
-}
-
 // ReadU32 reads a little-endian uint32.
 func (v *View) ReadU32(addr uint64) uint32 {
 	if off := addr % PageSize; off+4 <= PageSize {

@@ -68,14 +68,6 @@ func NewPool(size int) *Pool {
 	return p
 }
 
-// Size returns the worker count (including the coordinator).
-func (p *Pool) Size() int {
-	if p == nil {
-		return 1
-	}
-	return p.size
-}
-
 // Close stops the workers. The pool must not be used afterwards.
 func (p *Pool) Close() {
 	if p == nil || p.size <= 1 {

@@ -34,9 +34,6 @@ func NewWheel(n int) *Wheel {
 	return &Wheel{slots: make([]uint64, n)}
 }
 
-// Len returns the slot count.
-func (w *Wheel) Len() int { return len(w.slots) }
-
 // Due reports whether the slot's component must be ticked at cycle.
 func (w *Wheel) Due(slot int, cycle uint64) bool {
 	return w.slots[slot] <= cycle

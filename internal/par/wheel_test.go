@@ -6,8 +6,8 @@ import "testing"
 // moves the wake anywhere, Wake only ever pulls it forward.
 func TestWheelArmWake(t *testing.T) {
 	w := NewWheel(3)
-	if w.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", w.Len())
+	if len(w.slots) != 3 {
+		t.Fatalf("Len = %d, want 3", len(w.slots))
 	}
 	for i := 0; i < 3; i++ {
 		if !w.Due(i, 0) {

@@ -40,16 +40,6 @@ func (h *HiZ) index(px, py int) int {
 	return ty*h.TilesX + tx
 }
 
-// TileMax returns the stored conservative max depth for the tile
-// containing pixel (px,py).
-func (h *HiZ) TileMax(px, py int) float32 {
-	i := h.index(px, py)
-	if i < 0 {
-		return 1
-	}
-	return h.maxZ[i]
-}
-
 // Test reports whether a fragment tile with minimum depth minZ at pixel
 // (px,py) might be visible. False means provably occluded.
 func (h *HiZ) Test(px, py int, minZ float32) bool {

@@ -225,8 +225,8 @@ func TestHiZCulling(t *testing.T) {
 	}
 	// Full-cover write at depth 0.3 lowers the tile max.
 	h.Update(5, 5, 0.3, true)
-	if h.TileMax(5, 5) != 0.3 {
-		t.Fatalf("tile max = %v", h.TileMax(5, 5))
+	if h.maxZ[h.index(5, 5)] != 0.3 {
+		t.Fatalf("tile max = %v", h.maxZ[h.index(5, 5)])
 	}
 	if h.Test(5, 5, 0.5) {
 		t.Fatal("fragment behind tile max must be culled")
@@ -236,14 +236,14 @@ func TestHiZCulling(t *testing.T) {
 	}
 	// Partial cover must NOT update (conservative).
 	h.Update(40, 40, 0.1, false)
-	if h.TileMax(40, 40) != 1 {
+	if h.maxZ[h.index(40, 40)] != 1 {
 		t.Fatal("partial cover must not update HiZ")
 	}
 	if h.Culled != 1 || h.Tested != 3 {
 		t.Fatalf("stats tested=%d culled=%d", h.Tested, h.Culled)
 	}
 	h.Clear()
-	if h.TileMax(5, 5) != 1 {
+	if h.maxZ[h.index(5, 5)] != 1 {
 		t.Fatal("clear must reset")
 	}
 }

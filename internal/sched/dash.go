@@ -101,14 +101,6 @@ func NewDASH(cfg DASHConfig) *DASH {
 // progress feedback (Table 3).
 func (d *DASH) SchedulingUnit() uint64 { return d.cfg.SchedulingUnit }
 
-// Name implements dram.Scheduler.
-func (d *DASH) Name() string {
-	if d.cfg.UseSystemBW {
-		return "DASH-DTB"
-	}
-	return "DASH-DCB"
-}
-
 // RegisterIP declares an IP block with its frame period in cycles. The
 // paper classifies both the GPU (33 ms) and the display (16 ms) as
 // long-deadline IPs.
@@ -137,25 +129,6 @@ func (d *DASH) ReportProgress(client mem.Client, id int, progress float64) {
 		ip.progress = progress
 	}
 }
-
-// Urgent reports whether an IP is currently classified urgent (test hook).
-func (d *DASH) Urgent(client mem.Client, id int) bool {
-	if ip, ok := d.ips[ipKey{client, id}]; ok {
-		return ip.urgent
-	}
-	return false
-}
-
-// Intensive reports a CPU core's current cluster (test hook).
-func (d *DASH) Intensive(core int) bool {
-	if core < 0 || core >= len(d.intensive) {
-		return false
-	}
-	return d.intensive[core]
-}
-
-// P returns the current switching probability (test hook).
-func (d *DASH) P() float64 { return d.p }
 
 // Tick implements dram.Scheduler: periodic urgency evaluation, switching
 // probability update, and TCM quantum re-clustering.

@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"emerald/internal/dram"
+	"emerald/internal/guard"
 	"emerald/internal/mem"
 )
 
@@ -24,25 +26,25 @@ func TestDASHUrgencyTracksProgress(t *testing.T) {
 	// On schedule at 50% elapsed with 60% done: not urgent.
 	d.ReportProgress(mem.ClientGPU, 0, 0.6)
 	d.Tick(510)
-	if d.Urgent(mem.ClientGPU, 0) {
+	if d.urgent(mem.ClientGPU, 0) {
 		t.Fatal("ahead-of-schedule IP must not be urgent")
 	}
 	// Materially behind at 50% elapsed with 10% done: urgent.
 	d.ReportProgress(mem.ClientGPU, 0, 0.1)
 	d.Tick(520)
-	if !d.Urgent(mem.ClientGPU, 0) {
+	if !d.urgent(mem.ClientGPU, 0) {
 		t.Fatal("behind-schedule IP must be urgent")
 	}
 	// Tail of period, unfinished: urgent even if close to done.
 	d.ReportProgress(mem.ClientGPU, 0, 0.95)
 	d.Tick(950)
-	if !d.Urgent(mem.ClientGPU, 0) {
+	if !d.urgent(mem.ClientGPU, 0) {
 		t.Fatal("IP in deadline tail must be urgent")
 	}
 	// Finished: never urgent.
 	d.ReportProgress(mem.ClientGPU, 0, 1.0)
 	d.Tick(960)
-	if d.Urgent(mem.ClientGPU, 0) {
+	if d.urgent(mem.ClientGPU, 0) {
 		t.Fatal("finished IP must not be urgent")
 	}
 }
@@ -86,16 +88,16 @@ func TestDASHClusteringDCBvsDTB(t *testing.T) {
 
 	// Under DCB (CPU-only total), core 0 dominates CPU bandwidth and must
 	// be intensive.
-	if !dcb.Intensive(0) {
+	if !dcb.intensive[0] {
 		t.Fatal("DCB: heavy core must be classified memory-intensive")
 	}
-	if dcb.Intensive(1) {
+	if dcb.intensive[1] {
 		t.Fatal("DCB: light core must be non-intensive")
 	}
 	// Under DTB, GPU bytes inflate the clustering total so even the heavy
 	// CPU core fits in the non-intensive budget (the paper's observed
 	// hazard of including IP bandwidth).
-	if dtb.Intensive(0) {
+	if dtb.intensive[0] {
 		t.Fatal("DTB: GPU bandwidth should absorb the heavy core into the non-intensive cluster")
 	}
 }
@@ -114,7 +116,7 @@ func TestDASHPickPrefersUrgentIP(t *testing.T) {
 
 	d.Tick(900) // display far behind: urgent
 
-	if !d.Urgent(mem.ClientDisplay, 0) {
+	if !d.urgent(mem.ClientDisplay, 0) {
 		t.Fatal("display should be urgent")
 	}
 	c.Push(&mem.Request{Addr: 0, Size: 64, Client: mem.ClientCPU, ClientID: 0})
@@ -145,20 +147,20 @@ func TestDASHPickPrefersNonIntensiveCPUOverNonUrgentIP(t *testing.T) {
 
 func TestDASHSwitchingProbabilityMoves(t *testing.T) {
 	d := dashForTest(false)
-	p0 := d.P()
+	p0 := d.p
 	// Pretend IPs were served much more than intensive CPUs.
 	d.servedNonUrgentIP = 100
 	d.servedIntensiveCPU = 0
 	d.Tick(d.nextSwitch)
-	if d.P() <= p0 {
-		t.Fatalf("P should rise when CPU underserved: %v -> %v", p0, d.P())
+	if d.p <= p0 {
+		t.Fatalf("P should rise when CPU underserved: %v -> %v", p0, d.p)
 	}
 	d.servedNonUrgentIP = 0
 	d.servedIntensiveCPU = 100
-	p1 := d.P()
+	p1 := d.p
 	d.Tick(d.nextSwitch)
-	if d.P() >= p1 {
-		t.Fatalf("P should fall when IP underserved: %v -> %v", p1, d.P())
+	if d.p >= p1 {
+		t.Fatalf("P should fall when IP underserved: %v -> %v", p1, d.p)
 	}
 }
 
@@ -176,14 +178,14 @@ func TestHMCRoutesByClient(t *testing.T) {
 		t.Fatalf("IP channel queue = %d, want 2", len(c.Channels[1].Queue))
 	}
 	// IP channel mapping spreads consecutive columns across banks.
-	ipMap := c.Channels[1].Mapping()
+	ipMap := cfg.Mappings[1]
 	stride := uint64(ipMap.ColumnBytes)
 	l0 := ipMap.Decode(0)
 	l1 := ipMap.Decode(stride)
 	if l0.Bank == l1.Bank {
 		t.Fatal("line-striped IP mapping should change bank between consecutive columns")
 	}
-	cpuMap := c.Channels[0].Mapping()
+	cpuMap := cfg.Mappings[0]
 	c0, c1 := cpuMap.Decode(0), cpuMap.Decode(stride)
 	if c0.Bank != c1.Bank || c0.Row != c1.Row {
 		t.Fatal("page-striped CPU mapping should keep consecutive columns in one row")
@@ -193,8 +195,8 @@ func TestHMCRoutesByClient(t *testing.T) {
 func TestBaselineConfigShape(t *testing.T) {
 	g := dram.LPDDR3Geometry(2)
 	cfg := BaselineDRAM("bas", g, dram.LPDDR3Timing(1333))
-	if cfg.Scheduler.Name() != "FR-FCFS" {
-		t.Fatalf("baseline scheduler = %s", cfg.Scheduler.Name())
+	if _, ok := cfg.Scheduler.(*dram.FRFCFS); !ok {
+		t.Fatalf("baseline scheduler = %T, want FR-FCFS", cfg.Scheduler)
 	}
 	if cfg.Assign != nil {
 		t.Fatal("baseline must not source-route")
@@ -207,43 +209,84 @@ func TestDASHDRAMWiring(t *testing.T) {
 	if cfg.Scheduler != dram.Scheduler(d) {
 		t.Fatal("returned DASH must be the attached scheduler")
 	}
-	if d.Name() != "DASH-DTB" {
-		t.Fatalf("name = %s", d.Name())
-	}
-	if NewDASH(DefaultDASHConfig(4, false)).Name() != "DASH-DCB" {
-		t.Fatal("DCB name wrong")
+	if !d.cfg.UseSystemBW {
+		t.Fatal("DASHDRAM dropped the DTB setting")
 	}
 }
 
-// lockstep wraps a scheduler and checks, at every pick, through the
-// exported surface only, that the row-hit answer a channel gives for
-// queue slot i (from the location it decoded once, at Push) is the one
-// decoding the request's address now gives: the stored locations stay
-// beside their requests through every mid-queue removal.
-type lockstep struct {
+// TestDASHNextWakeContract: no tick before NextWake's answer changes
+// DASH's scheduling state (switching probability, urgency, clusters),
+// while the display's progress reports move urgency back and forth.
+func TestDASHNextWakeContract(t *testing.T) {
+	d := NewDASH(DASHConfig{
+		SchedulingUnit: 40, SwitchingUnit: 25, QuantumLength: 100,
+		ClusterFactor: 0.15, EmergentThreshold: 0.8, GPUEmergent: 0.9,
+		NumCPUs: 2, Seed: 1,
+	})
+	d.RegisterIP(mem.ClientDisplay, 0, 500)
+	d.StartFrame(mem.ClientDisplay, 0, 0)
+	ip := d.ips[ipKey{mem.ClientDisplay, 0}]
+	sig := func() string { return fmt.Sprint(d.p, ip.urgent, d.intensive) }
+	flips, last := 0, false
+	for cy := uint64(0); cy < 2000; cy++ {
+		w := d.NextWake(cy)
+		if w < cy {
+			t.Fatalf("cycle %d: NextWake = %d is in the past", cy, w)
+		}
+		before := sig()
+		d.Tick(cy)
+		if after := sig(); after != before && w > cy {
+			t.Fatalf("cycle %d: NextWake = %d, but ticking changed %s to %s", cy, w, before, after)
+		}
+		if ip.urgent != last {
+			last = ip.urgent
+			flips++
+		}
+		switch cy {
+		case 250:
+			d.ReportProgress(mem.ClientDisplay, 0, 0.2)
+		case 500:
+			d.StartFrame(mem.ClientDisplay, 0, cy)
+			d.ReportProgress(mem.ClientDisplay, 0, 1)
+		case 900:
+			d.ReportProgress(mem.ClientDisplay, 0, 0.1)
+		}
+	}
+	if flips == 0 {
+		t.Fatal("urgency never changed; scheduler state was static")
+	}
+}
+
+// urgent reports whether an IP is currently classified urgent.
+func (d *DASH) urgent(client mem.Client, id int) bool {
+	ip, ok := d.ips[ipKey{client, id}]
+	return ok && ip.urgent
+}
+
+// counting wraps a scheduler to count its picks.
+type counting struct {
 	dram.Scheduler
-	t     *testing.T
 	picks int
 }
 
-func (s *lockstep) Pick(ch *dram.Channel, cycle uint64) int {
-	for i, r := range ch.Queue {
-		loc := ch.Mapping().Decode(r.Addr)
-		if want := ch.OpenRow(loc.Rank, loc.Bank) == int64(loc.Row); ch.IsRowHit(i) != want {
-			s.t.Fatalf("cycle %d: slot %d (%#x): IsRowHit = %v, decoding now says %v", cycle, i, r.Addr, !want, want)
-		}
-	}
+func (s *counting) Pick(ch *dram.Channel, cycle uint64) int {
 	s.picks++
 	return s.Scheduler.Pick(ch, cycle)
 }
 
+// The location a channel decodes once, at Push, stays beside its
+// request through every mid-queue removal DASH and HMC make: after
+// every cycle the DRAM guard decodes each queued request's address
+// again and compares it with the stored location IsRowHit reads.
 func TestDecodeOnceEqualsDecodePerPickDASHAndHMC(t *testing.T) {
 	g, tm := dram.LPDDR3Geometry(2), dram.LPDDR3Timing(1333)
 	dashCfg, _ := DASHDRAM("dash", g, tm, DefaultDASHConfig(2, false))
 	for name, cfg := range map[string]dram.Config{"DASH": dashCfg, "HMC": HMCDRAM("hmc", g, tm)} {
-		wrapped := &lockstep{Scheduler: cfg.Scheduler, t: t}
+		wrapped := &counting{Scheduler: cfg.Scheduler}
 		cfg.Scheduler, cfg.QueueDepth = wrapped, 12
 		c := dram.NewController(cfg, nil)
+		audit := guard.NewChecker()
+		c.AttachGuard(audit)
 		rng := rand.New(rand.NewSource(5))
 		for cycle := uint64(0); cycle < 20000; cycle++ {
 			for k := rng.Intn(3); k > 0; k-- {
@@ -251,6 +294,9 @@ func TestDecodeOnceEqualsDecodePerPickDASHAndHMC(t *testing.T) {
 					Client: mem.Client(rng.Intn(3)), ClientID: rng.Intn(2), IssuedAt: cycle})
 			}
 			c.Tick(cycle)
+			if audit.Tick(cycle); audit.Err() != nil {
+				t.Fatalf("%s cycle %d: %v", name, cycle, audit.Err())
+			}
 		}
 		if wrapped.picks < 500 || c.TotalBytes() == 0 {
 			t.Fatalf("%s: stream too thin: %d picks, %d bytes", name, wrapped.picks, c.TotalBytes())

@@ -20,8 +20,8 @@ func TestDisasmRoundTripsThroughAssembler(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reassembly failed: %v\n%s", p.Name, err, text)
 		}
-		if p2.Len() != p.Len() {
-			t.Fatalf("%s: length %d -> %d", p.Name, p.Len(), p2.Len())
+		if len(p2.Code) != len(p.Code) {
+			t.Fatalf("%s: length %d -> %d", p.Name, len(p.Code), len(p2.Code))
 		}
 		for pc := range p.Code {
 			a, b := p.Code[pc], p2.Code[pc]

@@ -282,9 +282,6 @@ type Program struct {
 	Units int
 }
 
-// Len returns the instruction count.
-func (p *Program) Len() int { return len(p.Code) }
-
 func (p *Program) String() string {
 	return fmt.Sprintf("%s shader %q: %d instrs, %d regs", p.Kind, p.Name, len(p.Code), p.RegsUsed)
 }

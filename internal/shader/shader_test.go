@@ -19,8 +19,8 @@ func TestAssembleBasicProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 5 {
-		t.Fatalf("len = %d, want 5", p.Len())
+	if len(p.Code) != 5 {
+		t.Fatalf("len = %d, want 5", len(p.Code))
 	}
 	if p.RegsUsed != 4 {
 		t.Fatalf("regs = %d, want 4", p.RegsUsed)

@@ -250,7 +250,3 @@ func init() {
 
 // ByName returns a built-in shader program, or nil.
 func ByName(name string) *Program { return registry[name] }
-
-// Register adds a program to the name registry (custom shaders that
-// should survive trace round trips).
-func Register(p *Program) { registry[p.Name] = p }

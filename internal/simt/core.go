@@ -175,7 +175,6 @@ type Core struct {
 	curCycle   uint64 // latest Tick cycle, for launch/retire stamping
 
 	// Stats.
-	reg            *stats.Registry
 	instrs         *stats.Counter
 	cycles         *stats.Counter
 	warpsLaunched  *stats.Counter
@@ -262,7 +261,6 @@ func NewCore(cfg CoreConfig, reg *stats.Registry) *Core {
 		L1Z:            mkCache("l1z", cfg.L1Z),
 		L1C:            mkCache("l1c", cfg.L1C),
 		Out:            mem.NewQueue(0),
-		reg:            scope,
 		instrs:         scope.Counter("instructions"),
 		cycles:         scope.Counter("cycles"),
 		warpsLaunched:  scope.Counter("warps_launched"),
@@ -285,9 +283,6 @@ func NewCore(cfg CoreConfig, reg *stats.Registry) *Core {
 	core.slots, core.order, core.wakeAt = make([]*Warp, n), make([]int32, 0, n), make([]uint64, n)
 	return core
 }
-
-// Registry returns the core's stats scope.
-func (c *Core) Registry() *stats.Registry { return c.reg }
 
 // AttachTracer arms event tracing on the core and its L1 caches. Track
 // names are precomputed here so emitting never builds strings.

@@ -5,32 +5,27 @@ import (
 	"emerald/internal/shader"
 )
 
-// FuncExec runs one warp to completion functionally: every
+// FuncRunner runs warps to completion functionally: every
 // architectural effect of the timed Core — register writes, memory
 // loads/stores, texture fetches, attribute input and output streaming —
 // happens in program order with no scoreboard, no caches and no cycle
 // accounting. Because the timed core also applies all functional
 // effects immediately at issue, in lock step per instruction (see
-// Core.execute/executeMem), a warp run through FuncExec leaves memory
-// and the env bit-identical to the same warp run through the timed
-// pipeline. The sampled-simulation functional pass rides on this.
+// Core.execute/executeMem), a warp run through a FuncRunner leaves
+// memory and the env bit-identical to the same warp run through the
+// timed pipeline. The sampled-simulation functional pass rides on this.
 //
 // Limits, shared with the graphics pipeline's use of warps: OpBar
 // advances without cross-warp coordination (block barriers are a
 // compute feature; graphics warps are independent), and Retired is
 // invoked once when the last lane exits.
-func FuncExec(prog *shader.Program, env WarpEnv, mask uint32, specials [WarpSize]shader.Special) {
-	var r FuncRunner
-	r.Exec(prog, env, mask, specials)
-}
-
-// FuncRunner executes warps functionally, reusing one warp struct, its
-// SIMT stack and one page-caching memory view across executions so the
-// per-warp hot loop of the sampled-simulation functional pass is
-// allocation-free. A runner is single-goroutine and must not outlive a
-// Memory.Reset or checkpoint restore of the env's memory (the cached
-// view would go stale); the graphics pipeline scopes one runner per
-// draw call.
+//
+// A runner reuses one warp struct, its SIMT stack and one page-caching
+// memory view across executions so the per-warp hot loop of the
+// sampled-simulation functional pass is allocation-free. It is
+// single-goroutine and must not outlive a Memory.Reset or checkpoint
+// restore of the env's memory (the cached view would go stale); the
+// graphics pipeline scopes one runner per draw call.
 type FuncRunner struct {
 	warp Warp
 	view *mem.View
@@ -39,7 +34,7 @@ type FuncRunner struct {
 	addrs [4 * WarpSize]uint64
 }
 
-// Exec runs one warp to completion with FuncExec semantics.
+// Exec runs one warp to completion.
 func (r *FuncRunner) Exec(prog *shader.Program, env WarpEnv, mask uint32, specials [WarpSize]shader.Special) {
 	w := &r.warp
 	w.reset(0, prog, env, -1, mask)

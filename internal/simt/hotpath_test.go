@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"emerald/internal/cache"
 	"emerald/internal/shader"
 )
 
@@ -227,7 +226,7 @@ func TestSteadyStateTickDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		prog     *shader.Program
 		block    int
-		cold     bool // flush the L1s before every batch: loads miss
+		cold     bool // rotate the data over three ranges the L1D cannot hold at once: loads miss
 		requests bool
 	}{
 		{prog: aluStyle, block: 3},
@@ -239,19 +238,19 @@ func TestSteadyStateTickDoesNotAllocate(t *testing.T) {
 		env.attrs[0] = [4]float32{0.25, 0.5, 0.75, 1}
 		env.texVal = [4]float32{0.1, 0.2, 0.3, 0.4}
 		c := NewCore(DefaultCoreConfig(), nil)
-		cycle := uint64(0)
+		cycle, batches := uint64(0), 0
 		// batch fills the core, ticks it to idle against an ideal next
 		// level and returns what the ticks allocated and emitted.
 		batch := func() (allocs uint64, requests int) {
+			base := uint32(0x100_0000)
 			if tc.cold {
-				for _, ca := range []*cache.Cache{c.L1D, c.L1T, c.L1Z, c.L1C} {
-					ca.Flush(cycle)
-				}
+				base += uint32(batches%3) * 0x10_0000
 			}
+			batches++
 			for w := 0; w < 48 && c.CanLaunch(tc.prog); w++ {
 				var sp [WarpSize]shader.Special
 				for i := range sp {
-					sp[i] = shader.Special{TID: uint32(i), NTID: WarpSize, CTAID: uint32(0x100_0000 + w*256)}
+					sp[i] = shader.Special{TID: uint32(i), NTID: WarpSize, CTAID: base + uint32(w*256)}
 				}
 				if _, err := c.Launch(tc.prog, env, tc.block, FullMask, sp, nil); err != nil {
 					t.Fatal(err)

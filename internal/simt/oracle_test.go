@@ -10,11 +10,12 @@ import (
 	"emerald/internal/guard"
 	"emerald/internal/mem"
 	"emerald/internal/shader"
+	"emerald/internal/stats"
 )
 
 // The differential oracle: seeded random EIR programs run once through
-// FuncExec and once through a timed Core, and must leave the same
-// registers, predicates and memory. FuncExec has no scoreboard, no
+// a FuncRunner and once through a timed Core, and must leave the same
+// registers, predicates and memory. A FuncRunner has no scoreboard, no
 // events, no LSU and no caches, so anything the timing machinery does to
 // architectural state shows up as a difference. One Core serves every
 // program, so its warps, memOps and LSU ring are recycled hundreds of
@@ -267,7 +268,8 @@ func oracleSetup(seed int64, warps int) (*mem.Memory, []*testEnv, []oracleWarp) 
 
 func TestDifferentialOracle(t *testing.T) {
 	const warps = 3
-	core := NewCore(DefaultCoreConfig(), nil)
+	reg := stats.NewRegistry()
+	core := NewCore(DefaultCoreConfig(), reg)
 	g := guard.NewChecker()
 	core.AttachGuard(g)
 	var fr FuncRunner
@@ -348,7 +350,7 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 		}
 	}
-	if core.divergences.Value() == 0 || core.L1D.Misses() == 0 {
+	if core.divergences.Value() == 0 || l1Stat(reg, core, core.L1D, "misses") == 0 {
 		t.Fatal("oracle programs never diverged or never missed: the generator lost its coverage")
 	}
 	if len(core.freeWarps) != warps {

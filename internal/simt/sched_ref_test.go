@@ -10,6 +10,7 @@ import (
 	"emerald/internal/guard"
 	"emerald/internal/mem"
 	"emerald/internal/shader"
+	"emerald/internal/stats"
 )
 
 // refSched is the warp scheduler simt.Core had before the ready set,
@@ -351,6 +352,7 @@ var (
 // schedRig is one core with its own memory and next level.
 type schedRig struct {
 	c        *Core
+	reg      *stats.Registry
 	env      *testEnv
 	lat      *rand.Rand
 	inflight []schedFill
@@ -362,7 +364,8 @@ type schedFill struct {
 }
 
 func newSchedRig(cfg CoreConfig, outCap, l1dOut int, seed int64) *schedRig {
-	r := &schedRig{c: NewCore(cfg, nil), env: newTestEnv(), lat: rand.New(rand.NewSource(seed))}
+	reg := stats.NewRegistry()
+	r := &schedRig{c: NewCore(cfg, reg), reg: reg, env: newTestEnv(), lat: rand.New(rand.NewSource(seed))}
 	r.env.attrs[0] = [4]float32{0.25, 0.5, 0.75, 1}
 	r.env.texVal = [4]float32{0.1, 0.2, 0.3, 0.4}
 	r.c.Out = mem.NewQueue(outCap)
@@ -402,7 +405,9 @@ func (r *schedRig) memCounters() []int64 {
 	c := r.c
 	out := []int64{c.memStalls.Value()}
 	for _, ca := range []*cache.Cache{c.L1D, c.L1T, c.L1Z, c.L1C} {
-		out = append(out, ca.Accesses(), ca.Hits(), ca.Misses(), ca.Evictions())
+		for _, n := range []string{"accesses", "hits", "misses", "evictions"} {
+			out = append(out, l1Stat(r.reg, c, ca, n))
+		}
 	}
 	return out
 }
@@ -800,7 +805,7 @@ func TestFillEndsTheNap(t *testing.T) {
 		}
 		c := memo.c
 		for _, l1 := range []*cache.Cache{c.L1D, c.L1T, c.L1Z, c.L1C} {
-			if misses := l1.Misses(); (l1.Config().Name == name) != (misses > 0) {
+			if misses := l1Stat(memo.reg, c, l1, "misses"); (l1.Config().Name == name) != (misses > 0) {
 				t.Fatalf("%s: %s missed %d times", name, l1.Config().Name, misses)
 			}
 		}

@@ -1,10 +1,13 @@
 package simt
 
 import (
+	"fmt"
 	"testing"
 
+	"emerald/internal/cache"
 	"emerald/internal/mem"
 	"emerald/internal/shader"
+	"emerald/internal/stats"
 )
 
 // testEnv is an ideal warp environment for core unit tests.
@@ -243,7 +246,8 @@ func TestNestedDivergence(t *testing.T) {
 
 func TestGlobalLoadStoreSAXPY(t *testing.T) {
 	env := newTestEnv()
-	c := NewCore(DefaultCoreConfig(), nil)
+	reg := stats.NewRegistry()
+	c := NewCore(DefaultCoreConfig(), reg)
 	// y[i] = 2*x[i] + y[i] for 32 elements.
 	xBase, yBase := uint64(0x1000), uint64(0x2000)
 	for i := 0; i < 32; i++ {
@@ -270,7 +274,7 @@ func TestGlobalLoadStoreSAXPY(t *testing.T) {
 		}
 	}
 	// Coalescing: 32 consecutive 4-byte loads = one 128B line per array.
-	if acc := c.L1D.Accesses(); acc > 6 {
+	if acc := l1Stat(reg, c, c.L1D, "accesses"); acc > 6 {
 		t.Fatalf("L1D accesses = %d, want few (coalesced)", acc)
 	}
 }
@@ -360,7 +364,8 @@ func TestGraphicsOpsThroughEnv(t *testing.T) {
 	env := newTestEnv()
 	env.attrs[0] = [4]float32{0.25, 0.5, 0.75, 1}
 	env.texVal = [4]float32{1, 0, 0, 1}
-	c := NewCore(DefaultCoreConfig(), nil)
+	reg := stats.NewRegistry()
+	c := NewCore(DefaultCoreConfig(), reg)
 	p := shader.MustAssemble("fs", shader.KindFragment, `
 		attr4 r0, 0
 		tex4  r4, 0, r0, r1
@@ -388,10 +393,10 @@ func TestGraphicsOpsThroughEnv(t *testing.T) {
 		}
 	}
 	// Texture accesses went through L1T.
-	if c.L1T.Accesses() == 0 {
+	if l1Stat(reg, c, c.L1T, "accesses") == 0 {
 		t.Fatal("tex4 must access L1T")
 	}
-	if c.L1Z.Accesses() == 0 {
+	if l1Stat(reg, c, c.L1Z, "accesses") == 0 {
 		t.Fatal("zld/zst must access L1Z")
 	}
 }
@@ -575,4 +580,10 @@ func TestRawStoreBackpressureNoLoss(t *testing.T) {
 		t.Fatalf("raw stores on the wire: unbounded=%d bounded=%d; want equal and nonzero",
 			unbounded, bounded)
 	}
+}
+
+// l1Stat reads one of c's L1 counters from the registry c was built
+// with.
+func l1Stat(reg *stats.Registry, c *Core, l1 *cache.Cache, name string) int64 {
+	return reg.Value(fmt.Sprintf("core%d_%d.%s.%s", c.Cfg.ClusterID, c.Cfg.ID, l1.Config().Name, name))
 }

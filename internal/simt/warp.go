@@ -8,8 +8,6 @@
 package simt
 
 import (
-	"fmt"
-
 	"emerald/internal/mem"
 	"emerald/internal/shader"
 )
@@ -222,8 +220,4 @@ func (w *Warp) hazard(d *shader.Decoded) bool { return d.Hazard&w.pending != 0 }
 func (w *Warp) lockDst(d *shader.Decoded) uint64 {
 	w.pending |= d.Dst
 	return d.Dst
-}
-
-func (w *Warp) String() string {
-	return fmt.Sprintf("warp%d pc=%d mask=%08x depth=%d", w.ID, w.PC(), w.ActiveMask(), len(w.stack))
 }

@@ -93,16 +93,6 @@ func (r *Registry) Each(f func(name string, v int64)) {
 	}
 }
 
-// Reset zeroes every counter and distribution in the registry.
-func (r *Registry) Reset() {
-	for _, c := range r.counters {
-		c.v = 0
-	}
-	for _, d := range r.dists {
-		*d = Distribution{}
-	}
-}
-
 // distNames returns all distribution names (fully qualified), sorted.
 func (r *Registry) distNames() []string {
 	names := make([]string, 0, len(r.dists))

@@ -35,17 +35,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
-// Cell returns the formatted cell at (row, col), or "" if out of range.
-func (t *Table) Cell(row, col int) string {
-	if row < 0 || row >= len(t.rows) || col < 0 || col >= len(t.rows[row]) {
-		return ""
-	}
-	return t.rows[row][col]
-}
-
 // Write renders the table.
 func (t *Table) Write(w io.Writer) {
 	widths := make([]int, len(t.Headers))
@@ -79,11 +68,4 @@ func (t *Table) Write(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Write(&b)
-	return b.String()
 }

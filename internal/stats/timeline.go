@@ -61,39 +61,6 @@ func (t *Timeline) Record(cycle uint64, source string, bytes uint64) {
 	t.buckets[b][si] += bytes
 }
 
-// Buckets returns the number of buckets recorded so far.
-func (t *Timeline) Buckets() int { return len(t.buckets) }
-
-// Bytes returns the bytes moved by source within bucket b.
-func (t *Timeline) Bytes(b int, source string) uint64 {
-	if b < 0 || b >= len(t.buckets) || t.buckets[b] == nil {
-		return 0
-	}
-	si, ok := t.index[source]
-	if !ok {
-		return 0
-	}
-	return t.buckets[b][si]
-}
-
-// TotalBytes returns the total bytes moved by source across all buckets.
-func (t *Timeline) TotalBytes(source string) uint64 {
-	var sum uint64
-	for b := range t.buckets {
-		sum += t.Bytes(b, source)
-	}
-	return sum
-}
-
-// Series returns the per-bucket bandwidth of source in bytes-per-cycle.
-func (t *Timeline) Series(source string) []float64 {
-	out := make([]float64, len(t.buckets))
-	for b := range t.buckets {
-		out[b] = float64(t.Bytes(b, source)) / float64(t.BucketCycles)
-	}
-	return out
-}
-
 // Dump writes a CSV-ish table: one row per bucket, one column per source,
 // values in bytes/cycle. cyclesPerMS converts bucket index to
 // milliseconds for the first column (0 disables the conversion and prints

@@ -217,9 +217,6 @@ func (p *Probe) Finish() {
 	}
 }
 
-// Finished reports whether Finish has been called.
-func (p *Probe) Finished() bool { return p.finished.Load() }
-
 // ctxKey keys the probe in a context. The sweep runner threads a
 // per-job probe through the executor's context so the Exec signature
 // (and its ~15 test injection sites) stays unchanged.

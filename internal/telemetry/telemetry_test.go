@@ -186,7 +186,7 @@ func TestFinish(t *testing.T) {
 		t.Fatal("pending RequestDiag hung across Finish")
 	}
 
-	if !p.Finished() {
+	if !p.finished.Load() {
 		t.Fatal("Finished() false after Finish")
 	}
 	if _, err := p.RequestDiag(context.Background()); !errors.Is(err, ErrFinished) {

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path"
 	"path/filepath"
 	"slices"
@@ -433,26 +434,35 @@ func mapTyped(e ast.Expr) bool {
 	}
 }
 
-// servicePlane lists the packages TestServicePlaneSurface audits.
-var servicePlane = []string{"emerald/internal/sweep", "emerald/internal/fleet", "emerald/internal/daemon"}
-
-// surfaceAllowed names the service plane's exported funcs and methods
-// that keep no caller in non-test code, each with the reason it stays.
+// surfaceAllowed names the funcs and methods under internal/ that keep
+// no caller in non-test code, each with the reason it stays. A key
+// "pkg.*" covers every func of that package.
 var surfaceAllowed = map[string]string{
-	"sweep.Spec.String": "fmt.Stringer: messages print a spec with %s",
+	"sweep.Spec.String":            "fmt.Stringer: messages print a spec with %s",
+	"shader.Kind.String":           "fmt.Stringer: Program.String prints the kind with %s",
+	"shader.Cmp.String":            "fmt.Stringer: Disassemble prints setp's comparison with %s",
+	"guard.Violation.String":       "fmt.Stringer: Checker.Err prints the first violation with %s",
+	"guard.Checker.Violations":     "the guard's test oracle: every package's guard tests read which probe failed and why",
+	"cache.Cache.Contains":         "test oracle: the cache, crossbar and LSU differential references compare residency line by line and class a store-hit refusal by it",
+	"dram.Mapping.Encode":          "test oracle: the inverse the Decode round-trip property checks",
+	"telemetry.ValidateExposition": "test oracle: the telemetry, sweep and fleet tests check every /metrics body against the exposition format",
+	"chaos.*":                      "the fault-injection harness behind TestChaosSoak: only chaos's own tests drive its Engine and Member controls",
 }
 
-// TestServicePlaneSurface: every exported func or method of the
-// service plane has a caller in non-test code somewhere in the module
-// (bench/ and cmd/ count), or a line in surfaceAllowed. Uses are matched
-// through go/types, by object, so a method gets no credit from another
-// type's method of the same name (ring.Nodes, URL.Path, Runner.Diag). A
-// method reached only through an interface counts when its type
-// implements an interface whose method is called. The same test holds
-// emeraldd to sixteen flags.
-func TestServicePlaneSurface(t *testing.T) {
+// TestExportedSurface: every func or method declared in a non-test file
+// under internal/ has a use in non-test code somewhere in the module
+// (bench/, cmd/ and examples/ count), or a line in surfaceAllowed; an
+// unexported one needs a use too, since the toolchain never reports
+// one that only tests call. Uses are matched through go/types, by
+// object, so a method gets no credit from another type's method of the
+// same name (ring.Nodes, URL.Path, Runner.Diag). A method reached only
+// through an interface counts when the interface's method is called
+// and some type of the module implements it with this method, its own
+// or promoted from an embedded field. The same test holds emeraldd to
+// sixteen flags.
+func TestExportedSurface(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks the service plane and its importers from source")
+		t.Skip("type-checks the whole module from source")
 	}
 	fset := token.NewFileSet()
 	l := &srcLoader{
@@ -462,14 +472,19 @@ func TestServicePlaneSurface(t *testing.T) {
 		files: map[string][]*ast.File{},
 		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
 	}
-	for _, path := range servicePlaneImporters(t) {
+	audited, all := modulePackages(t)
+	for _, path := range all {
 		if _, err := l.Import(path); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	used := map[*types.Func]bool{}
-	var viaIface []*types.Func // interface methods called somewhere
+	type ifaceMethod struct {
+		iface *types.Interface
+		name  string
+	}
+	called := map[ifaceMethod]bool{} // interface methods called somewhere
 	for _, obj := range l.info.Uses {
 		fn, ok := obj.(*types.Func)
 		if !ok {
@@ -477,44 +492,57 @@ func TestServicePlaneSurface(t *testing.T) {
 		}
 		used[fn.Origin()] = true
 		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-			viaIface = append(viaIface, fn)
+			called[ifaceMethod{recv.Type().Underlying().(*types.Interface), fn.Name()}] = true
 		}
 	}
-	reached := func(fn *types.Func) bool {
-		if used[fn] {
-			return true
-		}
-		recv := fn.Type().(*types.Signature).Recv()
-		if recv == nil {
-			return false
-		}
-		T := recv.Type()
-		if p, ok := T.(*types.Pointer); ok {
-			T = p.Elem()
-		}
-		for _, im := range viaIface {
-			iface, _ := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
-			if im.Name() == fn.Name() && iface != nil &&
-				(types.Implements(T, iface) || types.Implements(types.NewPointer(T), iface)) {
-				return true
+	// Credit the method each module type answers a called interface
+	// method with, through its method set: a method promoted from an
+	// embedded field counts for the type it is promoted into.
+	for _, path := range all {
+		scope := l.pkgs[path].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			for im := range called {
+				if !types.Implements(ptr, im.iface) {
+					continue
+				}
+				if fn, ok := types.NewMethodSet(ptr).Lookup(tn.Pkg(), im.name).Obj().(*types.Func); ok {
+					used[fn.Origin()] = true
+				}
 			}
 		}
-		return false
 	}
-	for _, path := range servicePlane {
+	unused := maps.Clone(surfaceAllowed) // allowlist lines nothing needs
+	for _, path := range audited {
+		pkg := l.pkgs[path].Name()
 		for _, f := range l.files[path] {
 			for _, decl := range f.Decls {
 				d, ok := decl.(*ast.FuncDecl)
-				if !ok || !d.Name.IsExported() {
+				if !ok || d.Name.Name == "init" || d.Name.Name == "_" || used[l.info.Defs[d.Name].(*types.Func)] {
 					continue
 				}
-				name := l.pkgs[path].Name() + "." + declName(d)
-				if fn := l.info.Defs[d.Name].(*types.Func); !reached(fn) && surfaceAllowed[name] == "" {
+				name := pkg + "." + declName(d)
+				switch {
+				case surfaceAllowed[name] != "":
+					delete(unused, name)
+				case surfaceAllowed[pkg+".*"] != "":
+					delete(unused, pkg+".*")
+				default:
 					t.Errorf("%s: %s has no caller outside tests; delete it or allowlist it with a reason",
 						fset.Position(d.Pos()), name)
 				}
 			}
 		}
+	}
+	for name := range unused {
+		t.Errorf("surfaceAllowed[%q] excuses nothing: its func is gone or has a caller now", name)
 	}
 
 	flags := 0
@@ -537,10 +565,9 @@ var flagRegistrars = names("Bool", "BoolVar", "BoolFunc", "Duration", "DurationV
 	"Func", "Int", "IntVar", "Int64", "Int64Var", "String", "StringVar", "TextVar",
 	"Uint", "UintVar", "Uint64", "Uint64Var", "Var")
 
-// servicePlaneImporters lists the module's packages whose non-test
-// files import the service plane, the service plane included.
-func servicePlaneImporters(t *testing.T) []string {
-	var out []string
+// modulePackages lists the module's packages with non-test Go files:
+// those under internal/, which TestExportedSurface audits, and all.
+func modulePackages(t *testing.T) (audited, all []string) {
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -548,22 +575,20 @@ func servicePlaneImporters(t *testing.T) []string {
 		if dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
-		bp, err := build.ImportDir(dir, 0)
-		if err != nil {
+		if _, err := build.ImportDir(dir, 0); err != nil {
 			return nil // no Go files here
 		}
 		path := importPath(dir)
-		if slices.Contains(servicePlane, path) || slices.ContainsFunc(bp.Imports, func(p string) bool {
-			return slices.Contains(servicePlane, p)
-		}) {
-			out = append(out, path)
+		all = append(all, path)
+		if strings.HasPrefix(path, "emerald/internal/") {
+			audited = append(audited, path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return audited, all
 }
 
 func importPath(dir string) string {

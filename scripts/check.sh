@@ -39,8 +39,12 @@ echo "== allocation gates and hot-path references (uncached) =="
 # the lane loops against single-lane ExecALU: -count=1 so the test cache
 # cannot answer for them. The static rules (the backpressure contract,
 # the wake-hook, warp-wake and wait-memo inventories, request and
-# draw-record allocation and the map-field lint) are tier-1 go/ast tests
+# draw-record allocation, the map-field lint and TestExportedSurface's
+# no-func-without-a-caller census of internal/) are tier-1 go/ast tests
 # in the root package: TestBackpressureContract and inventory_test.go.
+# TestExportedSurface also runs here, uncached, because it reads every
+# package of the module from source: a cached result must not answer
+# for a function that a change elsewhere left without a caller.
 go test -count=1 -timeout 5m -run 'TestSteadyStateTickDoesNotAllocate|TestReadySetAgainstFullScanReference|TestMemoisedWaitAgainstSteppedTick|TestFillEndsTheNap' ./internal/simt
 # A napping core costs the cluster loop two compares only while
 # simt.Core.Tick inlines there.
@@ -55,7 +59,7 @@ go test -count=1 -timeout 5m -run 'TestExecALULanesMatchesExecALU' ./internal/sh
 go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping|TestWarmFrameAllocatesOnlyBookkeeping' ./internal/gpu
 go test -count=1 -timeout 5m -run 'TestBlockedAccessAllocatesNothing|TestRequestsAreRecycledByTheirIssuer|TestRefusedHasTheEffectsOfABlockedAccess' ./internal/cache
 go test -count=1 -timeout 5m -run 'TestPoolRecyclingAndPoison|TestQueueDrainTo' ./internal/mem
-go test -count=1 -timeout 5m -run 'TestFrameAllocationTripwire' .
+go test -count=1 -timeout 5m -run 'TestFrameAllocationTripwire|TestExportedSurface' .
 
 # Every go test below carries an explicit -timeout (it applies to each
 # package's test binary), so a hung test fails in minutes with a

@@ -169,7 +169,8 @@ func TestDisabledTracerIsInert(t *testing.T) {
 		s := gpu.DefaultStandalone(nil)
 		if attach {
 			tr := emtrace.New(0)
-			tr.SetEnabled(false)
+			tr.SetFrameLimit(1)
+			tr.FrameMark() // the ROI has ended before the draw
 			s.AttachTracer(tr)
 		}
 		ctx := NewGL(s)
