@@ -487,13 +487,6 @@ func (c *Cache) Contains(addr uint64) bool {
 // PendingMisses reports the number of live MSHRs.
 func (c *Cache) PendingMisses() int { return c.live }
 
-// Quiet reports whether Tick would be a no-op and no queued output is
-// waiting to drain: no buffered writebacks, no in-flight fills and an
-// empty output port. Owners use it to gate per-cycle work.
-func (c *Cache) Quiet() bool {
-	return len(c.pendingWB) == 0 && c.live == 0 && c.Out.Len() == 0
-}
-
 // NextWake returns the earliest future cycle at which the cache's
 // state can change on its own: now if work is already actionable
 // (buffered writebacks, queued output, a completed fill to install),

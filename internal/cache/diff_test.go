@@ -232,3 +232,10 @@ func TestRequestsAreRecycledByTheirIssuer(t *testing.T) {
 		t.Fatal("completed writeback was not reclaimed by the next miss")
 	}
 }
+
+// Quiet reports whether Tick would be a no-op and no queued output is
+// waiting to drain: no buffered writebacks, no in-flight fills and an
+// empty output port. Only the differential check compares it.
+func (c *Cache) Quiet() bool {
+	return len(c.pendingWB) == 0 && c.live == 0 && c.Out.Len() == 0
+}

@@ -349,23 +349,25 @@ func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
 func (c *Controller) Drained() bool { return c.QueuedRequests() == 0 }
 
 // channelWake is the per-channel term of NextWake: the earliest cycle
-// >= from at which serveChannel can do anything — every cycle while
-// requests are queued (issue gating depends on bus/bank state that
-// evolves each cycle), the earliest in-service completion otherwise,
-// and mem.NeverWake when the channel is empty.
+// >= from at which serveChannel can do anything. With requests queued
+// that is the bus gate, busFree - TCL: serveChannel issues nothing
+// while the data bus is booked past cycle + TCL. The in-service front's
+// DoneAt bounds it; with nothing queued that DoneAt is the wake, and
+// an empty channel never wakes (mem.NeverWake).
 func (c *Controller) channelWake(ch *Channel, from uint64) uint64 {
+	w := uint64(mem.NeverWake)
+	if ch.inService.Len() > 0 {
+		w = (*ch.inService.Front()).DoneAt
+	}
 	if len(ch.Queue) > 0 {
-		return from
+		w = min(w, max(ch.busFree, c.cfg.Timing.TCL)-c.cfg.Timing.TCL)
 	}
-	if ch.inService.Len() == 0 {
-		return mem.NeverWake
-	}
-	return max(from, (*ch.inService.Front()).DoneAt)
+	return max(from, w)
 }
 
 // NextWake returns the earliest future cycle at which the controller's
-// state can change on its own: the earliest channel wake (now while any
-// channel has queued requests) or scheduler deadline, and mem.NeverWake
+// state can change on its own: the earliest channel wake (a queued
+// channel's bus gate) or scheduler deadline, and mem.NeverWake
 // when fully drained with a stateless scheduler.
 func (c *Controller) NextWake(cycle uint64) uint64 {
 	w := c.sched.NextWake(cycle)

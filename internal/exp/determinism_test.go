@@ -20,8 +20,8 @@ import (
 
 // timeAdvance is one setting of the engine's two time-advancement
 // mechanisms: clock jumps over idle stretches, and parked components —
-// the SoC's CPU cores and display on their wheel slots, the drained
-// GPU behind its latch ("wheel" is SetEventWheel's name for both).
+// the SoC's CPU cores and display on their wheel slots, the GPU behind
+// its memoised wait ("wheel" is SetEventWheel's name for both).
 type timeAdvance struct {
 	name        string
 	skip, wheel bool
@@ -38,19 +38,12 @@ var referenceArms = []timeAdvance{
 }
 
 // socStateDigest runs one Case Study I cell and hashes its observable
-// end state.
-func socStateDigest(t *testing.T, model int, cfg MemConfig, adv timeAdvance) string {
+// end state. It also returns the share of cycles the clock jumped.
+func socStateDigest(t *testing.T, opt Options, model int, cfg MemConfig, mbps int, adv timeAdvance) (string, float64) {
 	t.Helper()
-	opt := Quick()
-	if testing.Short() {
-		// Race-detector runs (scripts/check.sh uses -race -short) pay
-		// ~20x per simulated cycle; one frame still exercises every
-		// component.
-		opt.Frames, opt.WarmupFrames = 1, 0
-	}
 	opt.EveryCycle = !adv.skip && !adv.wheel
 	reg := stats.NewRegistry()
-	s, err := buildSoC(model, cfg, opt.RegularMbps, opt, reg)
+	s, err := buildSoC(model, cfg, mbps, opt, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +62,7 @@ func socStateDigest(t *testing.T, model int, cfg MemConfig, adv timeAdvance) str
 	h.Write(buf.Bytes())
 	h.Write(fb)
 	fmt.Fprintf(h, "cycle=%d res=%+v", s.Cycle(), s.Results("digest"))
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return fmt.Sprintf("%x", h.Sum(nil)), float64(s.SkippedCycles()) / float64(s.Cycle())
 }
 
 // standaloneStateDigest renders two DFSL frames on the standalone GPU
@@ -120,8 +113,8 @@ func standaloneStateDigest(t *testing.T, adv timeAdvance) string {
 // TestTimeAdvanceDeterminismSoC checks that how time advances is
 // invisible. The default engine jumps the clock over idle stretches,
 // parks CPU cores and the display on their wheel slots and stops
-// ticking a drained GPU; all may only elide ticks that were gated
-// no-ops anyway.
+// ticking a GPU inside its memoised wait; all may only elide ticks that
+// were gated no-ops anyway.
 // So the complete observable end state of a run (registry JSON,
 // framebuffer, final cycle, results) must match the every-cycle
 // reference, and each mechanism on its own. The default digests are
@@ -134,14 +127,19 @@ func TestTimeAdvanceDeterminismSoC(t *testing.T) {
 		{geom.M2Cube, BAS},
 		{geom.M1Chair, DTB},
 	}
+	opt := Quick()
 	if testing.Short() {
 		cases = cases[:1]
+		// Race-detector runs (scripts/check.sh uses -race -short) pay
+		// ~20x per simulated cycle; one frame still exercises every
+		// component.
+		opt.Frames, opt.WarmupFrames = 1, 0
 	}
 	for _, c := range cases {
-		def := socStateDigest(t, c.model, c.cfg, defaultAdvance)
+		def, _ := socStateDigest(t, opt, c.model, c.cfg, opt.RegularMbps, defaultAdvance)
 		t.Logf("%s/%s state digest: %s", modelName(c.model), c.cfg, def)
 		for _, arm := range referenceArms {
-			if got := socStateDigest(t, c.model, c.cfg, arm); got != def {
+			if got, _ := socStateDigest(t, opt, c.model, c.cfg, opt.RegularMbps, arm); got != def {
 				t.Errorf("%s/%s: default digest %s != %s digest %s",
 					modelName(c.model), c.cfg, def, arm.name, got)
 			}
@@ -158,5 +156,34 @@ func TestTimeAdvanceDeterminismStandalone(t *testing.T) {
 		if got := standaloneStateDigest(t, arm); got != def {
 			t.Errorf("default digest %s != %s digest %s", def, arm.name, got)
 		}
+	}
+}
+
+// TestHighLoadCellSkipsMemoryBoundCycles is the count-based tripwire of
+// the memory-bound jump: a high-load Case Study I cell spends most of
+// its cycles waiting on the LPDDR3 bus, and the clock jumps over every
+// cycle where a DRAM channel waits at its bus gate and the drawing GPU
+// waits on memory (DESIGN.md "Time advancement"). The jumps must leave
+// the end state equal to a run that ticks every cycle, and must cover
+// at least skipFloor of the cell's cycles: a wake that falls back to
+// "now" while the GPU draws or a channel has a request queued drops
+// the share to the idle gaps between frames.
+// skipFloor is the least share of its cycles the high-load cell must
+// jump. It measured 47.4%; without the GPU's memoised wait 41.2%, and
+// without the DRAM bus gate 2.1%, as at the parent. So the floor trips
+// on the loss of either wake and leaves 3.4 points for model changes
+// that move the share honestly.
+const skipFloor = 0.44
+
+func TestHighLoadCellSkipsMemoryBoundCycles(t *testing.T) {
+	opt := Smoke()
+	def, share := socStateDigest(t, opt, geom.M1Chair, BAS, opt.HighMbps, defaultAdvance)
+	ref, _ := socStateDigest(t, opt, geom.M1Chair, BAS, opt.HighMbps, timeAdvance{"every-cycle", false, false})
+	if def != ref {
+		t.Errorf("default digest %s != every-cycle digest %s", def, ref)
+	}
+	t.Logf("M1-chair/BAS at %d Mb/s: skipped %.1f%% of cycles", opt.HighMbps, 100*share)
+	if share < skipFloor {
+		t.Errorf("skipped %.1f%% of cycles, want at least %.0f%%", 100*share, 100*skipFloor)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"emerald/internal/shader"
 	"emerald/internal/simt"
 	"emerald/internal/soc"
+	"emerald/internal/stats"
 )
 
 // TestNextWakeContract drives every NextWake implementor through a
@@ -103,6 +104,24 @@ func (e *wakeEnv) ConstBase() uint64     { return 0 }
 func (e *wakeEnv) SharedMem() []byte     { return nil }
 func (e *wakeEnv) Memory() *mem.Memory   { return e.m }
 func (e *wakeEnv) Retired(w *simt.Warp)  {}
+
+// The GPU rows run their work twice, the second submission landing on a
+// GPU that has sat drained for a while: the NeverWake memo's set, act
+// and end paths are all inside the checked window. resubmit calls again
+// once the GPU has reported NeverWake for 100 cycles.
+func resubmit(g *gpu.GPU, again func()) func(cy uint64) {
+	idle, fired := 0, false
+	return func(cy uint64) {
+		if fired || g.NextWake(cy+1) != mem.NeverWake {
+			idle = 0
+			return
+		}
+		if idle++; idle == 100 {
+			fired = true
+			again()
+		}
+	}
+}
 
 func TestNextWakeContract(t *testing.T) {
 	t.Run("cpu", func(t *testing.T) {
@@ -203,14 +222,24 @@ func TestNextWakeContract(t *testing.T) {
 		}
 	})
 
-	t.Run("dram", func(t *testing.T) {
+	// The regular-load bus frees within TCL of every issue; at the
+	// high-load 133 Mb/s a 64 B burst holds it for 121 cycles, so a
+	// queued channel waits at its bus gate, a wake in the future that
+	// gated must count.
+	dramRow := func(t *testing.T, mbps int, cycles uint64) (gated int) {
 		ctrl := dram.NewController(dram.Config{
-			Name: "dram", Geometry: dram.LPDDR3Geometry(2), Timing: dram.LPDDR3Timing(1333),
+			Name: "dram", Geometry: dram.LPDDR3Geometry(2), Timing: dram.LPDDR3Timing(mbps),
 		}, nil)
 		retired := 0
 		ctrl.SetOnRetire(func(*mem.Request, uint64) { retired++ })
 		checkWakeContract(t, wakeProbe{
-			wake: ctrl.NextWake,
+			wake: func(cy uint64) uint64 {
+				w := ctrl.NextWake(cy)
+				if w > cy && (len(ctrl.Channels[0].Queue) > 0 || len(ctrl.Channels[1].Queue) > 0) {
+					gated++
+				}
+				return w
+			},
 			sig:  func() string { return fmt.Sprint(ctrl.QueuedRequests(), ctrl.TotalBytes(), retired) },
 			tick: ctrl.Tick,
 			post: func(cy uint64) {
@@ -221,9 +250,16 @@ func TestNextWakeContract(t *testing.T) {
 					ctrl.Push(&mem.Request{Addr: cy*4096 + 64, Size: 64, Kind: mem.Write, Client: mem.ClientCPU})
 				}
 			},
-		}, 2000)
+		}, cycles)
 		if retired == 0 || !ctrl.Drained() {
 			t.Fatalf("retired=%d drained=%v; traffic did not complete", retired, ctrl.Drained())
+		}
+		return gated
+	}
+	t.Run("dram", func(t *testing.T) { dramRow(t, 1333, 2000) })
+	t.Run("dram-133", func(t *testing.T) {
+		if gated := dramRow(t, 133, 6000); gated == 0 {
+			t.Fatal("no cycle with a queued request reported a future wake; the bus gate is not the wake")
 		}
 	})
 
@@ -271,24 +307,6 @@ func TestNextWakeContract(t *testing.T) {
 		}
 	})
 
-	// The two GPU rows run their work twice, the second submission
-	// landing on a GPU that has sat drained for a while: the latch's set,
-	// act and clear paths are all inside the checked window. resubmit
-	// calls again once the GPU has reported NeverWake for 100 cycles.
-	resubmit := func(g *gpu.GPU, again func()) func(cy uint64) {
-		idle, fired := 0, false
-		return func(cy uint64) {
-			if fired || g.NextWake(cy+1) != mem.NeverWake {
-				idle = 0
-				return
-			}
-			if idle++; idle == 100 {
-				fired = true
-				again()
-			}
-		}
-	}
-
 	t.Run("gpu", func(t *testing.T) {
 		m := mem.NewMemory()
 		for i := 0; i < 256; i++ {
@@ -321,54 +339,98 @@ func TestNextWakeContract(t *testing.T) {
 			post: func(cy uint64) { cp.drain(g.Out, cy); relaunch(cy) },
 		}, 30000)
 		if done != 2 {
-			t.Fatalf("kernels done = %d, want 2; GPU never finished or never left the drained latch", done)
+			t.Fatalf("kernels done = %d, want 2; GPU never finished or never left the NeverWake memo", done)
 		}
 	})
 
 	// The kernel row never enters the raster pipeline; a textured draw
 	// covers the cluster terms the kernel cannot reach (the primitive
 	// reorder buffer's readyAt, setup, raster, pending fragment launches
-	// and the TC drain).
+	// and the TC drain). A drawing GPU memoises exact waits on memory, so
+	// the row runs acting on the memo and with every tick run in full
+	// (SetParkDrained off), where a memo that hides a due tick fails the
+	// contract check. Memory as slow as a loaded LPDDR3 bus (400 cycles)
+	// leaves the GPU waiting often enough for rare terms, such as a TC
+	// timeout flush falling inside a wait, to come due under the memo.
 	t.Run("gpu-draw", func(t *testing.T) {
-		m := mem.NewMemory()
-		g := gpu.New(gpu.CaseStudyIConfig(), m, nil)
-		ctx := gl.NewContext(m, gl.HeapBase, gl.HeapSize)
-		ctx.Submit = func(call *gpu.DrawCall) error { return g.SubmitDraw(call, nil) }
-		ctx.OnClearDepth = g.ClearHiZ
-		scene, err := geom.DFSLWorkload(geom.W3Cube)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const w, h = 48, 36
-		if err := ctx.Viewport(w, h); err != nil {
-			t.Fatal(err)
-		}
-		mesh, err := ctx.LoadScene(scene)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames := 0
-		draw := func() {
-			if err := drawCS2Frame(ctx, scene, mesh, frames, float32(w)/h); err != nil {
-				t.Fatal(err)
-			}
-			frames++
-		}
-		draw()
-		redraw := resubmit(g, draw)
-		cp := &completer{lat: 40}
-		checkWakeContract(t, wakeProbe{
-			wake: g.NextWake,
-			sig:  func() string { return fmt.Sprint(g.Progress(), g.Out.Len(), g.DrawsDone()) },
-			tick: g.Tick,
-			post: func(cy uint64) { cp.drain(g.Out, cy); redraw(cy) },
-		}, 60000)
-		if g.DrawsDone() != 2 || g.Busy() {
-			t.Fatalf("draws done = %d (want 2), busy = %v; GPU never finished or never left the drained latch",
-				g.DrawsDone(), g.Busy())
-		}
-		if g.FragsShaded() == 0 {
-			t.Fatal("no fragment shaded; the raster pipeline never ran")
+		for _, lat := range []uint64{40, 400} {
+			gpuDrawContract(t, lat, true)
+			gpuDrawContract(t, lat, false)
 		}
 	})
+}
+
+func gpuDrawContract(t *testing.T, lat uint64, park bool) {
+	m := mem.NewMemory()
+	reg := stats.NewRegistry()
+	g := gpu.New(gpu.CaseStudyIConfig(), m, reg)
+	g.SetParkDrained(park)
+	// Every counter the GPU registers is in the signature: each stage
+	// (assembly, setup, raster, TC, launches) counts what it does.
+	counters := reg.Names()
+	counted := func() (n int64) {
+		for _, name := range counters {
+			n += reg.Value(name)
+		}
+		return n
+	}
+	ctx := gl.NewContext(m, gl.HeapBase, gl.HeapSize)
+	ctx.Submit = func(call *gpu.DrawCall) error { return g.SubmitDraw(call, nil) }
+	ctx.OnClearDepth = g.ClearHiZ
+	scene, err := geom.DFSLWorkload(geom.W3Cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const w, h = 48, 36
+	if err := ctx.Viewport(w, h); err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := ctx.LoadScene(scene)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	draw := func() {
+		if err := drawCS2Frame(ctx, scene, mesh, frames, float32(w)/h); err != nil {
+			t.Fatal(err)
+		}
+		frames++
+	}
+	draw()
+	redraw := resubmit(g, draw)
+	cp := &completer{lat: lat}
+	// waited counts cycles of an active draw whose wake is in the
+	// future; filled counts memos a completing L2 fill ended.
+	waited, filled := 0, 0
+	checkWakeContract(t, wakeProbe{
+		wake: func(cy uint64) uint64 {
+			w := g.NextWake(cy)
+			if w > cy && g.DrawProgress() < 1 {
+				waited++
+			}
+			return w
+		},
+		sig:  func() string { return fmt.Sprint(g.Progress(), g.Out.Len(), g.DrawsDone(), counted()) },
+		tick: g.Tick,
+		post: func(cy uint64) {
+			before := g.NextWake(cy + 1)
+			cp.drain(g.Out, cy)
+			if before > cy+1 && g.NextWake(cy+1) == cy+1 {
+				filled++
+			}
+			redraw(cy)
+		},
+	}, 60000)
+	if g.DrawsDone() != 2 || g.Busy() {
+		t.Fatalf("lat=%d park=%v: draws done = %d (want 2), busy = %v; GPU never finished or never left the NeverWake memo",
+			lat, park, g.DrawsDone(), g.Busy())
+	}
+	if g.FragsShaded() == 0 {
+		t.Fatal("no fragment shaded; the raster pipeline never ran")
+	}
+	if waited == 0 || filled == 0 {
+		t.Fatalf("lat=%d park=%v: %d drawing cycles reported a future wake, %d memos ended by an L2 fill; want both above 0",
+			lat, park, waited, filled)
+	}
+	t.Logf("lat=%d park=%v: %d drawing cycles waited, %d memos ended by an L2 fill", lat, park, waited, filled)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"emerald/internal/mem"
 	"emerald/internal/raster"
 	"emerald/internal/stats"
 )
@@ -187,6 +188,18 @@ func (u *TCUnit) Tick(cycle uint64) {
 	}
 }
 
+// NextFlush returns the cycle at which Tick's timeout first flushes an
+// active engine, mem.NeverWake when no engine is active.
+func (u *TCUnit) NextFlush() uint64 {
+	w := uint64(mem.NeverWake)
+	for _, e := range u.engines {
+		if e.active {
+			w = min(w, e.lastStaged+u.cfg.FlushTimeout)
+		}
+	}
+	return w
+}
+
 func (u *TCUnit) flush(e *tcEngine, reason *stats.Counter) {
 	if !e.active || len(e.frags) == 0 {
 		e.active = false
@@ -261,6 +274,10 @@ func (u *TCUnit) PopReady() *TCTileOut {
 	u.ready = u.ready[:last]
 	return t
 }
+
+// Poppable reports whether PopReady may hand out a tile: one is ready
+// and the dry latch is clear.
+func (u *TCUnit) Poppable() bool { return !u.dry && len(u.ready) > 0 }
 
 // launchable returns the index of the oldest ready tile whose position
 // is not being shaded, or -1.

@@ -139,15 +139,20 @@ type GPU struct {
 	blockSeq int
 	cycle    uint64
 
-	// drained is the memoised NeverWake answer of NextWake: set at the
-	// end of a Tick that leaves the GPU with nothing anywhere, cleared by
-	// SubmitDraw and LaunchKernel — the only inputs that reach a drained
-	// GPU, both its own methods. While it holds, Tick returns at once and
-	// NextWake answers in O(1). The latch is maintained in both modes;
-	// parkDrained gates only whether it is acted on, so the reference
-	// mode still ticks a drained GPU and stays an oracle for the latch.
-	drained     bool
-	parkDrained bool
+	// waitUntil memoises the GPU's exact wake: set at the end of every
+	// Tick to wake's answer for the next cycle, with the L2 fill count
+	// it saw (waitFills). Between ticks three inputs reach the GPU:
+	// SubmitDraw and LaunchKernel, which end the memo, and an L2 fill
+	// completing downstream, which moves fills (cache.CountFills). While
+	// the memo holds, Tick returns at once and NextWake answers it in
+	// O(1); a drained GPU is the memo at mem.NeverWake. The memo is kept
+	// in both modes; parkDrained gates only whether Tick acts on it, so
+	// the reference mode still ticks a waiting GPU and stays an oracle
+	// for the memo. Under a guard (audit) the full tick runs inside the
+	// memo, and lostWait describes the first one that moved anything.
+	waitUntil, waitFills, fills uint64
+	parkDrained, audit          bool
+	lostWait                    string
 
 	// trace, when armed via AttachTracer, receives draw/kernel spans and
 	// per-cluster setup/raster/fragment-shading phase spans.
@@ -230,6 +235,7 @@ func New(cfg Config, memory *mem.Memory, reg *stats.Registry) *GPU {
 			r.Complete(cycle)
 		}
 	}
+	g.L2.CountFills(&g.fills)
 	g.noc = interconnect.Connect(interconnect.Config{
 		Name: "gpu_noc", Ports: cfg.Clusters, Latency: cfg.NoCLatency,
 		Width: cfg.NoCWidth, Depth: 32,
@@ -250,10 +256,11 @@ func New(cfg Config, memory *mem.Memory, reg *stats.Registry) *GPU {
 	return g
 }
 
-// SetParkDrained toggles whether a drained GPU parks (see GPU.drained).
-// The latch is maintained in both modes, so the toggle takes effect
+// SetParkDrained toggles whether Tick acts on the memoised wait (see
+// GPU.waitUntil), which covers a drained GPU and one waiting on memory.
+// The memo is maintained in both modes, so the toggle takes effect
 // immediately and never changes simulated state — only whether a GPU
-// with nothing to do burns its ticks.
+// with nothing due burns its ticks.
 func (g *GPU) SetParkDrained(on bool) { g.parkDrained = on }
 
 // AttachTracer arms event tracing on the GPU, its L2, and every SIMT
@@ -280,7 +287,7 @@ func (g *GPU) SubmitDraw(call *DrawCall, onDone func(cycles uint64)) error {
 		return err
 	}
 	g.drawQueue.PushBack(drawEntry{call: call, onDone: onDone})
-	g.drained = false
+	g.waitUntil = 0
 	return nil
 }
 
@@ -302,35 +309,70 @@ func (g *GPU) coresIdle() bool {
 }
 
 // NextWake returns the earliest future cycle at which the GPU's state
-// can change on its own: the earliest of its serial stages (front end,
-// L2, L2 hit completions, cluster NoC, output port) and its clusters.
-// The front end is deliberately conservative: any active or queued draw
-// or kernel reports "now", so a busy GPU answers in O(1) and only the
-// short tail after the last warp retires folds over the clusters. Clock
-// jumps therefore only cover a genuinely idle GPU (between frames, or an
-// SoC GPU waiting for the next app submission), and that GPU answers
-// from the drained latch.
+// can change on its own. It answers in O(1) from the memoised wait
+// (waitUntil), which the last Tick computed exactly with wake: a
+// drawing GPU whose cores, raster stages and L2 all wait on memory
+// reports the cycle its next event is due, so clock jumps cover
+// memory-bound stretches as well as an idle GPU. Once the memo has
+// ended (its cycle came, a fill completed, work was submitted) the
+// answer is "now".
 func (g *GPU) NextWake(cycle uint64) uint64 {
-	if g.drained && g.parkDrained {
-		return mem.NeverWake
+	if cycle < g.waitUntil && g.fills == g.waitFills {
+		return g.waitUntil
 	}
-	if g.draw != nil || g.drawQueue.Len() > 0 || g.kernels.Len() > 0 ||
-		!g.L2.Quiet() || g.Out.Len() > 0 {
-		return cycle
+	return cycle
+}
+
+// wake is the GPU's exact next wake at or after from: the first cycle
+// whose Tick would do anything. The memory side is due when the output
+// port holds traffic or the L2 has work (a fill to install, a
+// writeback to drain), and otherwise at the next L2 hit completion and
+// cluster NoC event; each cluster at clusterWake; the front end when a
+// kernel is queued, a draw can start, a vertex launch fits some core, a
+// batch is ready to assemble or the draw is complete. The front end's
+// scan over the cores comes last: a busy NoC or cluster usually
+// answers first.
+func (g *GPU) wake(from uint64) uint64 {
+	if g.Out.Len() > 0 || g.L2.NextWake(from) <= from || g.kernels.Len() > 0 {
+		return from
 	}
-	w := g.noc.NextWake(cycle)
-	if g.l2Events.Len() > 0 && g.l2Events.Front().at < w {
-		w = g.l2Events.Front().at
+	w := g.noc.NextWake(from)
+	if g.l2Events.Len() > 0 {
+		w = min(w, g.l2Events.Front().at)
 	}
 	for _, cl := range g.clusters {
-		if v := g.clusterWake(cl, cycle); v < w {
-			w = v
+		if w <= from {
+			return from
 		}
+		w = min(w, g.clusterWake(cl, from))
 	}
-	if w <= cycle {
-		return cycle
+	if w <= from || g.frontEndDue() {
+		return from
 	}
 	return w
+}
+
+// frontEndDue reports whether tickDrawFrontEnd would act: start a
+// queued draw, launch a vertex warp, assemble a batch or retire the
+// draw.
+func (g *GPU) frontEndDue() bool {
+	d := g.draw
+	if d == nil {
+		return g.drawQueue.Len() > 0
+	}
+	if d.nextAssemble < d.nextLaunch && d.batches[d.nextAssemble].completed {
+		return true
+	}
+	if d.nextLaunch < len(d.batches) && d.nextLaunch-d.nextAssemble < g.Cfg.VertexWindow {
+		for _, cl := range g.clusters {
+			for _, core := range cl.cores {
+				if core.CanLaunch(d.call.VS) {
+					return true
+				}
+			}
+		}
+	}
+	return g.drawComplete(d)
 }
 
 // FragsShaded returns total fragments shaded (for progress feedback).
@@ -396,14 +438,26 @@ func (g l2Port) Push(r *mem.Request) bool {
 	}
 }
 
-// Tick advances the whole GPU one core cycle. It runs as three phases:
-// the memory side (L2 completions, L2 tick, miss drain, cluster NoC),
-// the clusters in cluster order, and the draw front end / kernel
-// dispatch. A drained GPU skips all three.
+// Tick advances the whole GPU one core cycle and memoises the wait it
+// leaves behind (see waitUntil). A cycle inside the memo is a gated
+// no-op, so Tick returns at once; in the reference mode (parkDrained
+// off) it runs the full tick anyway, and under a guard it audits one.
 func (g *GPU) Tick(cycle uint64) {
-	if g.drained && g.parkDrained {
+	switch {
+	case cycle >= g.waitUntil || g.fills != g.waitFills || !g.parkDrained && !g.audit:
+		g.step(cycle)
+	case g.audit:
+		g.auditWait(cycle)
+	default:
 		return
 	}
+	g.waitUntil, g.waitFills = g.wake(cycle+1), g.fills
+}
+
+// step is the full tick. It runs as three phases: the memory side (L2
+// completions, L2 tick, miss drain, cluster NoC), the clusters in
+// cluster order, and the draw front end / kernel dispatch.
+func (g *GPU) step(cycle uint64) {
 	g.cycle = cycle
 
 	// L2 hit completions.
@@ -424,10 +478,6 @@ func (g *GPU) Tick(cycle uint64) {
 
 	g.tickDrawFrontEnd(cycle)
 	g.tickKernels(cycle)
-
-	if !g.drained {
-		g.drained = g.NextWake(cycle+1) == mem.NeverWake
-	}
 }
 
 // tickCluster advances one cluster for the cycle most recently passed
@@ -446,30 +496,41 @@ func (g *GPU) tickCluster(cl *cluster) {
 	g.tickClusterGraphics(cl, cycle)
 }
 
-// clusterWake is the per-cluster term of NextWake: the cluster's next
-// self-driven wake cycle, at or after `from`. Any pipeline stage holding
-// work pins the cluster hot; a drained pipeline wakes at the first
-// pending primitive's readyAt (pmrb is appended in readyAt order) or the
-// earliest core wake, whichever comes first.
+// clusterWake is the per-cluster term of wake: the first cycle at or
+// after from at which the cluster's tick would do anything. A stage
+// that can move is due now: raster holding a primitive, setup with
+// fetches to issue or all of them back, the head fragment launch when
+// its core has room (with none pending, PopReady when a tile may be
+// launchable) and the end-of-draw flush of an active TC engine.
+// Otherwise the cluster waits for the earliest TC timeout flush, the
+// head primitive's readyAt (pmrb is appended in readyAt order) and its
+// cores' wakes.
 func (g *GPU) clusterWake(cl *cluster, from uint64) uint64 {
-	if cl.setup.prim != nil || cl.rast.tri != nil ||
-		cl.pendingFS.Len() > 0 || !cl.tc.Drained() {
+	d, s := g.draw, &cl.setup
+	if cl.rast.tri != nil ||
+		s.prim != nil && (s.issued < len(s.reqs) || s.reqs[0].Done && s.reqs[1].Done && s.reqs[2].Done) {
 		return from
 	}
-	w := uint64(mem.NeverWake)
-	if cl.pmrb.Len() > 0 {
-		if w = (*cl.pmrb.Front()).readyAt; w <= from {
+	if cl.pendingFS.Len() > 0 {
+		if e := *cl.pendingFS.Front(); e.env.call.FS != nil && cl.cores[e.core].CanLaunch(e.env.call.FS) {
 			return from
+		}
+	} else if d != nil && cl.tc.Poppable() {
+		return from
+	}
+	w := cl.tc.NextFlush()
+	if d != nil && s.prim == nil {
+		if cl.pmrb.Len() > 0 {
+			w = min(w, (*cl.pmrb.Front()).readyAt)
+		} else if w != mem.NeverWake && d.nextAssemble == len(d.batches) {
+			return from // tickClusterGraphics flushes every engine
 		}
 	}
 	for _, core := range cl.cores {
-		cw := core.NextWake(from)
-		if cw <= from {
+		if w <= from {
 			return from
 		}
-		if cw < w {
-			w = cw
-		}
+		w = min(w, core.NextWake(from))
 	}
 	return w
 }

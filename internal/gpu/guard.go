@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 
 	"emerald/internal/guard"
@@ -9,8 +10,12 @@ import (
 // AttachGuard registers invariant probes across the GPU: the L2's MSHR
 // accounting, the cluster NoC's credit conservation and room audit,
 // every SIMT core's reconvergence-stack and L1 invariants, each TC
-// unit's dry latch, and the drained latch. Safe with a nil checker.
+// unit's dry latch, and the GPU's own request ownership. It turns on
+// the wait audit: a cycle the memoised wait covers runs the full tick,
+// and one that moves anything is reported. Safe with a nil checker.
 func (g *GPU) AttachGuard(gc *guard.Checker) {
+	g.audit = gc.Enabled()
+	g.waitUntil = 0
 	g.L2.AttachGuard(gc, "l2")
 	g.noc.AttachGuard(gc)
 	for _, cl := range g.clusters {
@@ -20,7 +25,12 @@ func (g *GPU) AttachGuard(gc *guard.Checker) {
 		tc := cl.tc
 		gc.Register("gpu", cl.track+".tc", func(uint64) error { return tc.AuditDry() })
 	}
-	gc.Register("gpu", "drained", g.checkDrained)
+	gc.Register("gpu", "wait", func(uint64) error {
+		if g.lostWait != "" {
+			return errors.New(g.lostWait)
+		}
+		return nil
+	})
 	gc.Register("gpu", "requests", g.checkRequests)
 }
 
@@ -46,19 +56,37 @@ func (g *GPU) checkRequests(uint64) error {
 	return nil
 }
 
-// checkDrained audits the drained latch at the end-of-cycle quiesce
-// point against a predicate that shares no code with NextWake: a
-// latched GPU skips every tick until the next submission, so it must
-// hold no work anywhere. A violation means the latch was set over work
-// in flight, or an input path reached the GPU without clearing it —
-// the silent-correctness failure the time-advance digest gates can only
-// catch after the fact.
-func (g *GPU) checkDrained(uint64) error {
-	if g.drained && (g.Busy() || g.Out.Len() > 0) {
-		return fmt.Errorf("latched as drained but busy (activeDraw=%v queuedDraws=%d kernels=%d outQueue=%d)",
-			g.draw != nil, g.drawQueue.Len(), g.kernels.Len(), g.Out.Len())
+// waitMarks is what a tick inside the memoised wait must leave unmoved:
+// the watchdog's progress signature, the output port, the draws retired
+// and the front end's state.
+type waitMarks struct {
+	progress             uint64
+	out, queued          int
+	draws, fragsLaunched int64
+	drawing              bool
+	launched, assembled  int
+}
+
+func (g *GPU) marks() waitMarks {
+	m := waitMarks{progress: g.Progress(), out: g.Out.Len(), queued: g.drawQueue.Len() + g.kernels.Len(),
+		draws: g.drawsDone.Value(), drawing: g.draw != nil}
+	if d := g.draw; d != nil {
+		m.launched, m.assembled, m.fragsLaunched = d.nextLaunch, d.nextAssemble, d.fragsLaunched
 	}
-	return nil
+	return m
+}
+
+// auditWait runs the full tick on a cycle the memoised wait covers and
+// records the first such tick that moved anything the marks see: a
+// wait memoised past due work, or an input that reached the GPU
+// without ending it.
+func (g *GPU) auditWait(cycle uint64) {
+	want := g.marks()
+	g.step(cycle)
+	if got := g.marks(); got != want && g.lostWait == "" {
+		g.lostWait = fmt.Sprintf("cycle %d: waiting until %d, but the tick moved %+v to %+v",
+			cycle, g.waitUntil, want, got)
+	}
 }
 
 // Progress returns a monotone progress signature for the watchdog: it

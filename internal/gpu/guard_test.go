@@ -131,9 +131,9 @@ func TestWatchdogWindowClamped(t *testing.T) {
 	}
 }
 
-// The drained-latch audit must fire when the latch is set over queued
-// work — the failure an input path that forgot to clear it would
-// produce.
+// The wait audit must fire when the memo is set over queued work: a
+// drained GPU is the memo at NeverWake, and a submission that forgot
+// to end it would leave the draw unstarted.
 func TestGuardCatchesLatchOverQueuedDraw(t *testing.T) {
 	s := testStandalone()
 	g := guard.NewChecker()
@@ -142,24 +142,64 @@ func TestGuardCatchesLatchOverQueuedDraw(t *testing.T) {
 	clearTargets(s, vp, 0)
 	idx := uploadQuad(s, 0)
 	uploadIdentityUniforms(s, [4]float32{1, 0, 0, 1}, 1)
-	s.Tick() // an empty GPU latches on its first tick
-	if !s.GPU.drained || len(g.Violations()) != 0 {
-		t.Fatalf("idle tick: drained = %v, violations = %v; want a clean latch", s.GPU.drained, g.Violations())
+	s.Tick() // an empty GPU memoises NeverWake on its first tick
+	if s.GPU.waitUntil != mem.NeverWake || len(g.Violations()) != 0 {
+		t.Fatalf("idle tick: waitUntil = %d, violations = %v; want a clean NeverWake memo", s.GPU.waitUntil, g.Violations())
 	}
 	if err := s.GPU.SubmitDraw(quadCall(s, idx, shader.FSFlat, vp), nil); err != nil {
 		t.Fatal(err)
 	}
-	if s.GPU.drained {
-		t.Fatal("SubmitDraw left the latch set")
+	if s.GPU.waitUntil != 0 {
+		t.Fatal("SubmitDraw left the memo standing")
 	}
-	s.GPU.drained = true // the fault: a submission that did not clear it
+	s.GPU.waitUntil = mem.NeverWake // the fault: a submission that did not end it
 	s.Tick()
+	assertLostWait(t, g)
+}
+
+// The wait audit must also fire mid-draw, when the memo outlives the
+// work it was computed for: here it is pushed to NeverWake after every
+// tick, fill count included, so the first tick that moves anything is
+// audited inside it.
+func TestGuardCatchesMemoPastDueWork(t *testing.T) {
+	s := testStandalone()
+	g := guard.NewChecker()
+	s.AttachGuard(g)
+	const vp = 64
+	clearTargets(s, vp, 0)
+	idx := uploadQuad(s, 0)
+	uploadIdentityUniforms(s, [4]float32{1, 0, 0, 1}, 1)
+	if err := s.GPU.SubmitDraw(quadCall(s, idx, shader.FSTexturedEarlyZ, vp), nil); err != nil {
+		t.Fatal(err)
+	}
+	// Run the healthy draw until the GPU memoises a wait on memory.
+	for i := 0; s.GPU.waitUntil <= s.Cycle()+1; i++ {
+		if i > 100_000 {
+			t.Fatal("the drawing GPU never memoised a wait")
+		}
+		s.Tick()
+	}
+	if v := g.Violations(); len(v) != 0 {
+		t.Fatalf("healthy run reported violations: %v", v)
+	}
+	for i := 0; len(g.Violations()) == 0; i++ {
+		if i > 100_000 {
+			t.Fatal("a memo held past due work and no probe fired")
+		}
+		s.GPU.waitUntil, s.GPU.waitFills = mem.NeverWake, s.GPU.fills
+		s.Tick()
+	}
+	assertLostWait(t, g)
+}
+
+func assertLostWait(t *testing.T, g *guard.Checker) {
+	t.Helper()
 	v := g.Violations()
 	if len(v) == 0 {
-		t.Fatal("latched over a queued draw and no probe fired")
+		t.Fatal("a memo held over queued work and no probe fired")
 	}
-	if v[0].Name != "drained" || !strings.Contains(v[0].Detail, "latched as drained but busy") {
-		t.Fatalf("first violation = %v, want the drained-latch report", v[0])
+	if v[0].Name != "wait" || !strings.Contains(v[0].Detail, "waiting until") {
+		t.Fatalf("first violation = %v, want the wait audit's report", v[0])
 	}
 }
 

@@ -74,7 +74,7 @@ func (g *GPU) LaunchKernel(k Kernel, onDone func(cycles uint64)) error {
 		return fmt.Errorf("gpu: max 1024 threads per block")
 	}
 	g.kernels.PushBack(&kernelState{k: k, onDone: onDone})
-	g.drained = false
+	g.waitUntil = 0
 	return nil
 }
 

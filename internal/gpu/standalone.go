@@ -105,9 +105,9 @@ func (s *Standalone) SetParallel(*par.Pool) {}
 func (s *Standalone) SetIdleSkip(on bool) { s.run.Skip = on }
 
 // SetEventWheel toggles component parking, which in standalone mode is
-// the drained GPU alone (it stops ticking while DRAM finishes its
-// writebacks); the name is the SoC's, whose wheel parks CPU cores and
-// the display as well. Results are bit-identical either way.
+// the GPU alone: it stops ticking while its memoised wait holds (a
+// drained GPU, or one waiting on memory); the name is the SoC's, whose
+// wheel parks CPU cores and the display as well. Results are bit-identical either way.
 func (s *Standalone) SetEventWheel(on bool) { s.GPU.SetParkDrained(on) }
 
 // SetProbe attaches a telemetry probe: RunUntilIdleCtx publishes a

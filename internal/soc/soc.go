@@ -195,8 +195,9 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	// A retiring DRAM read is the one input that reaches a parked
 	// phase-1 component from outside: route it to the owner's wheel slot.
 	// (A retiring write hands nothing back, and waking for it would cost
-	// an idle system a tick per writeback.) GPU fills need no slot: a GPU
-	// with a fill in flight is not drained, so it is ticking.
+	// an idle system a tick per writeback.) GPU fills need no slot: a
+	// completing L2 fill moves the GPU's fill counter, which ends its
+	// memoised wait (gpu.GPU.waitUntil).
 	s.DRAM.SetOnRetire(func(r *mem.Request, cycle uint64) {
 		switch {
 		case r.Kind == mem.Write:
@@ -506,8 +507,8 @@ func (s *SoC) Cycle() uint64 { return s.cycle }
 func (s *SoC) SetIdleSkip(on bool) { s.run.Skip = on }
 
 // SetEventWheel toggles component parking across the whole system:
-// CPU cores and the display on their phase-1 wheel slots, and the
-// drained GPU as a whole. Where idle skipping fast-forwards only when
+// CPU cores and the display on their phase-1 wheel slots, and the GPU
+// as a whole behind its memoised wait. Where idle skipping fast-forwards only when
 // every component is quiet, parking takes individual components out of
 // busy periods; results are bit-identical either way.
 func (s *SoC) SetEventWheel(on bool) {

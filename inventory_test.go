@@ -110,12 +110,18 @@ func TestWarpWakeWriters(t *testing.T) {
 // tick, Launch, AttachTracer and AttachGuard. Launch wakes the warp it
 // places, and waiting holds only while no warp is awake. The other
 // input from outside, a fill's completion, reaches the core as its fill
-// counter: NewCore hands each L1 a pointer to it (cache.CountFills, its
-// one caller), and the cache's RequestDone is the one writer through
-// that pointer.
+// counter: NewCore hands each L1 a pointer to it (cache.CountFills),
+// and the cache's RequestDone is the one writer through that pointer.
+// gpu.GPU memoises its whole wait the same way: waitUntil is set only at
+// the end of Tick and ended by SubmitDraw, LaunchKernel and AttachGuard
+// (the inputs that reach the GPU between ticks, and the guard), and
+// the third input, an L2 fill completing, reaches it as the fill
+// counter gpu.New hands the L2. NewCore and gpu.New are CountFills'
+// only callers.
 func TestWaitMemoWriters(t *testing.T) {
 	fset := token.NewFileSet()
 	simt, cache := productFiles(t, fset, "internal/simt"), productFiles(t, fset, "internal/cache")
+	gpu := productFiles(t, fset, "internal/gpu")
 	woke := map[string]bool{}
 	for _, sf := range simt {
 		for _, decl := range sf.f.Decls {
@@ -138,6 +144,8 @@ func TestWaitMemoWriters(t *testing.T) {
 		{"the fill counter", "fills", false, simt, []string{"NewCore"}},
 		{"the fill counter's wiring", "fillCount", false, cache, []string{"CountFills"}},
 		{"the fill counter, through its wiring", "fillCount", true, cache, []string{"RequestDone"}},
+		{"the GPU's memoised wait", "waitUntil", false, gpu, []string{"Tick", "SubmitDraw", "LaunchKernel", "AttachGuard"}},
+		{"the GPU's fill counter", "fills", false, gpu, []string{"New"}},
 	} {
 		want, wrote := names(pin.writers...), map[string]bool{}
 		for _, sf := range pin.files {
@@ -188,9 +196,10 @@ func TestWaitMemoWriters(t *testing.T) {
 	for _, sf := range productFiles(t, fset, "internal", "cmd", "examples", ".") {
 		for _, decl := range sf.f.Decls {
 			ast.Inspect(decl, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "CountFills" &&
-					(sf.dir != "internal/simt" || declName(decl) != "NewCore") {
-					t.Errorf("%s: cache.CountFills called outside simt.NewCore", fset.Position(call.Pos()))
+				wired := sf.dir == "internal/simt" && declName(decl) == "NewCore" ||
+					sf.dir == "internal/gpu" && declName(decl) == "New"
+				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "CountFills" && !wired {
+					t.Errorf("%s: cache.CountFills called outside simt.NewCore and gpu.New", fset.Position(call.Pos()))
 				}
 				return true
 			})

@@ -121,14 +121,15 @@ echo "== chaos soak gate =="
 # re-derive the same fault schedule (see internal/chaos).
 go test -count=1 -run 'TestChaosSoak|TestJournalReplayRacesReexecution' -timeout 180s ./internal/chaos
 
-echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake contract =="
+echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake contract + skip tripwire =="
 # The digest gates — "wheel-only" is SetEventWheel alone: clock jumps
 # off, the phase-1 wheel slots (CPU cores, display) and the GPU's
-# drained latch acted on — and every NextWake implementor driven through
+# memoised wait acted on — and every NextWake implementor driven through
 # a crafted busy period: reporting a wake later than the first
 # self-driven state change is the silent-correctness bug class that
-# parking and clock jumps turn into wrong results.
-go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract' ./internal/exp
+# parking and clock jumps turn into wrong results. The tripwire fails
+# when a high-load cell stops jumping its memory-bound cycles.
+go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract|TestHighLoadCellSkipsMemoryBoundCycles' ./internal/exp
 
 echo "== checkpoint-resume digest gate =="
 # The sampled-simulation contract: the functional executor's memory is
