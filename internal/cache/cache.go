@@ -326,21 +326,21 @@ func (c *Cache) enqueueWrite(cycle uint64, la uint64) bool {
 // until it moves.
 func (c *Cache) Room() uint64 { return c.room + c.Out.Pops() }
 
-// Refused charges an access that Room says would be Blocked again,
-// without performing it: it has exactly the effects of that Blocked
-// Access, which counts the access and, for a write-through store hit
-// refused for want of Out room, has already refreshed the line's LRU
-// stamp.
-func (c *Cache) Refused(cycle, addr uint64, kind mem.Kind) {
-	c.accesses.Inc()
+// Refused charges n accesses that Room says would be Blocked again, one
+// a cycle up to cycle, without performing them: it has exactly the
+// effects of those Blocked Accesses, which count the accesses and, for
+// a write-through store hit refused for want of Out room, refresh the
+// line's LRU stamp (the last of them wins).
+func (c *Cache) Refused(cycle, addr uint64, kind mem.Kind, n uint64) {
+	c.accesses.Add(int64(n))
 	if kind == mem.Write && c.cfg.WriteThrough {
 		c.touch(cycle, addr)
 	}
 }
 
 // RefusedAll is Refused for each of rs, counted at once.
-func (c *Cache) RefusedAll(cycle uint64, rs []*mem.Request) {
-	c.accesses.Add(int64(len(rs)))
+func (c *Cache) RefusedAll(cycle uint64, rs []*mem.Request, n uint64) {
+	c.accesses.Add(int64(len(rs)) * int64(n))
 	for _, r := range rs {
 		if c.cfg.WriteThrough && r.Kind == mem.Write {
 			c.touch(cycle, r.Addr)

@@ -53,8 +53,8 @@ type nocSink struct {
 func (s *nocSink) Push(r *mem.Request) bool {
 	return s.c.Access(s.cycle, r.Addr, r.Kind, r) != Blocked
 }
-func (s *nocSink) Room() uint64              { return s.c.Room() }
-func (s *nocSink) Refused(rs []*mem.Request) { s.c.RefusedAll(s.cycle, rs) }
+func (s *nocSink) Room() uint64                        { return s.c.Room() }
+func (s *nocSink) Refused(rs []*mem.Request, n uint64) { s.c.RefusedAll(s.cycle, rs, n) }
 
 // A fill installed without moving the room counter: the crossbar's
 // parked flit, which waits on the one MSHR, is re-offered by the
@@ -113,7 +113,7 @@ func TestRefusedHasTheEffectsOfABlockedAccess(t *testing.T) {
 				kind = mem.Write
 			}
 			if ra := a.Access(cycle, addr, kind, 1); ra == Blocked {
-				b.Refused(cycle, addr, kind)
+				b.Refused(cycle, addr, kind, 1)
 				blocked++
 			} else if rb := b.Access(cycle, addr, kind, 1); rb != ra {
 				t.Fatalf("%s cycle %d: the caches diverged before the check (%v vs %v)", cfg.Name, cycle, ra, rb)

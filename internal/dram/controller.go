@@ -228,9 +228,9 @@ func (c *Controller) Push(r *mem.Request) bool {
 // into an accepted one.
 func (c *Controller) Room() uint64 { return c.room }
 
-// Refused charges a Push of each of rs that Room says would be refused
-// again, without performing them.
-func (c *Controller) Refused(rs []*mem.Request) { c.rejected.Add(int64(len(rs))) }
+// Refused charges n Pushes of each of rs that Room says would be
+// refused again, without performing them.
+func (c *Controller) Refused(rs []*mem.Request, n uint64) { c.rejected.Add(int64(len(rs)) * int64(n)) }
 
 // QueuedRequests reports the total number of waiting requests.
 func (c *Controller) QueuedRequests() int {

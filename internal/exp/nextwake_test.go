@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"emerald/internal/cache"
@@ -352,31 +354,44 @@ func TestNextWakeContract(t *testing.T) {
 	// contract check. Memory as slow as a loaded LPDDR3 bus (400 cycles)
 	// leaves the GPU waiting often enough for rare terms, such as a TC
 	// timeout flush falling inside a wait, to come due under the memo.
+	// The slow bus backs the cluster NoC and the cores up behind the L2,
+	// so waits that charge come up there (none do at 40 cycles).
 	t.Run("gpu-draw", func(t *testing.T) {
-		for _, lat := range []uint64{40, 400} {
-			gpuDrawContract(t, lat, true)
-			gpuDrawContract(t, lat, false)
+		for _, park := range []bool{true, false} {
+			charging := 0
+			for _, lat := range []uint64{40, 400} {
+				charging += gpuDrawContract(t, lat, park)
+			}
+			if charging == 0 {
+				t.Fatalf("park=%v: no drawing cycle with a future wake charged anything", park)
+			}
 		}
 	})
 }
 
-func gpuDrawContract(t *testing.T, lat uint64, park bool) {
-	m := mem.NewMemory()
-	reg := stats.NewRegistry()
-	g := gpu.New(gpu.CaseStudyIConfig(), m, reg)
-	g.SetParkDrained(park)
-	// Every counter the GPU registers is in the signature: each stage
-	// (assembly, setup, raster, TC, launches) counts what it does.
-	counters := reg.Names()
-	counted := func() (n int64) {
-		for _, name := range counters {
-			n += reg.Value(name)
+// drawRig is one GPU drawing the W3 cube frame by frame into its own
+// memory, with every counter it registers, charged (see chargedCounter)
+// or not, in name order.
+type drawRig struct {
+	g                  *gpu.GPU
+	draw               func()
+	charged, uncharged []*stats.Counter
+}
+
+func newDrawRig(t *testing.T, park bool) *drawRig {
+	m, reg := mem.NewMemory(), stats.NewRegistry()
+	r := &drawRig{g: gpu.New(gpu.CaseStudyIConfig(), m, reg)}
+	r.g.SetParkDrained(park)
+	for _, name := range reg.Names() {
+		if chargedCounter(name) {
+			r.charged = append(r.charged, reg.Counter(name))
+		} else {
+			r.uncharged = append(r.uncharged, reg.Counter(name))
 		}
-		return n
 	}
 	ctx := gl.NewContext(m, gl.HeapBase, gl.HeapSize)
-	ctx.Submit = func(call *gpu.DrawCall) error { return g.SubmitDraw(call, nil) }
-	ctx.OnClearDepth = g.ClearHiZ
+	ctx.Submit = func(call *gpu.DrawCall) error { return r.g.SubmitDraw(call, nil) }
+	ctx.OnClearDepth = r.g.ClearHiZ
 	scene, err := geom.DFSLWorkload(geom.W3Cube)
 	if err != nil {
 		t.Fatal(err)
@@ -390,17 +405,57 @@ func gpuDrawContract(t *testing.T, lat uint64, park bool) {
 		t.Fatal(err)
 	}
 	frames := 0
-	draw := func() {
+	r.draw = func() {
 		if err := drawCS2Frame(ctx, scene, mesh, frames, float32(w)/h); err != nil {
 			t.Fatal(err)
 		}
 		frames++
 	}
-	draw()
-	redraw := resubmit(g, draw)
-	cp := &completer{lat: lat}
+	return r
+}
+
+// chargedCounter names the counters a wait may move: the NoC's stalls,
+// a cache's accesses (a refused one counts), and a waiting core's
+// cycles, idle scheduler slots and LSU stalls.
+func chargedCounter(name string) bool {
+	for _, leaf := range []string{".stalls", ".accesses", ".cycles", ".issue_idle", ".mem_stalls"} {
+		if strings.HasSuffix(name, leaf) {
+			return true
+		}
+	}
+	return false
+}
+
+// gpuDrawContract checks the wake contract on a drawing GPU. A wait may
+// still charge every cycle (parked NoC flits refused again, a core's
+// wait), so a tick inside one may move the charged counters, and only
+// by exactly the charge: a twin GPU fed the same inputs takes each such
+// cycle as a clock jump does, with ChargeSkipped, and every counter of
+// the two must agree after every cycle. Every other counter is in the
+// contract's signature.
+func gpuDrawContract(t *testing.T, lat uint64, park bool) (charging int) {
+	r, twin := newDrawRig(t, park), newDrawRig(t, park)
+	g := r.g
+	uncharged := func(rig *drawRig) (n int64) {
+		for _, c := range rig.uncharged {
+			n += c.Value()
+		}
+		return n
+	}
+	charged := func(rig *drawRig) (n []int64) {
+		for _, c := range rig.charged {
+			n = append(n, c.Value())
+		}
+		return n
+	}
+	for _, rig := range []*drawRig{r, twin} {
+		rig.draw()
+	}
+	redraw, twinRedraw := resubmit(g, r.draw), resubmit(twin.g, twin.draw)
+	cp, twinCP := &completer{lat: lat}, &completer{lat: lat}
 	// waited counts cycles of an active draw whose wake is in the
-	// future; filled counts memos a completing L2 fill ended.
+	// future, charging those of them whose tick charged; filled counts
+	// memos a completing L2 fill ended.
 	waited, filled := 0, 0
 	checkWakeContract(t, wakeProbe{
 		wake: func(cy uint64) uint64 {
@@ -410,15 +465,37 @@ func gpuDrawContract(t *testing.T, lat uint64, park bool) {
 			}
 			return w
 		},
-		sig:  func() string { return fmt.Sprint(g.Progress(), g.Out.Len(), g.DrawsDone(), counted()) },
-		tick: g.Tick,
+		sig: func() string { return fmt.Sprint(g.Progress(), g.Out.Len(), g.DrawsDone(), uncharged(r)) },
+		tick: func(cy uint64) {
+			w := g.NextWake(cy)
+			if tw := twin.g.NextWake(cy); tw != w {
+				t.Fatalf("lat=%d park=%v cycle %d: NextWake %d, the twin's %d", lat, park, cy, w, tw)
+			}
+			if w <= cy {
+				g.Tick(cy)
+				twin.g.Tick(cy)
+				return
+			}
+			before := charged(r)
+			g.Tick(cy)
+			twin.g.ChargeSkipped(cy, 1)
+			got, want := charged(r), charged(twin)
+			if !slices.Equal(got, want) {
+				t.Fatalf("lat=%d park=%v cycle %d: a tick inside the wait charged\n  %v\nwhere the wait charges\n  %v", lat, park, cy, got, want)
+			}
+			if g.DrawProgress() < 1 && !slices.Equal(before, got) {
+				charging++
+			}
+		},
 		post: func(cy uint64) {
 			before := g.NextWake(cy + 1)
 			cp.drain(g.Out, cy)
+			twinCP.drain(twin.g.Out, cy)
 			if before > cy+1 && g.NextWake(cy+1) == cy+1 {
 				filled++
 			}
 			redraw(cy)
+			twinRedraw(cy)
 		},
 	}, 60000)
 	if g.DrawsDone() != 2 || g.Busy() {
@@ -428,9 +505,13 @@ func gpuDrawContract(t *testing.T, lat uint64, park bool) {
 	if g.FragsShaded() == 0 {
 		t.Fatal("no fragment shaded; the raster pipeline never ran")
 	}
+	if got, want := fmt.Sprint(charged(r), uncharged(r)), fmt.Sprint(charged(twin), uncharged(twin)); got != want {
+		t.Fatalf("lat=%d park=%v: counters %s at the end, the twin's %s", lat, park, got, want)
+	}
 	if waited == 0 || filled == 0 {
 		t.Fatalf("lat=%d park=%v: %d drawing cycles reported a future wake, %d memos ended by an L2 fill; want both above 0",
 			lat, park, waited, filled)
 	}
-	t.Logf("lat=%d park=%v: %d drawing cycles waited, %d memos ended by an L2 fill", lat, park, waited, filled)
+	t.Logf("lat=%d park=%v: %d drawing cycles waited, %d of them charging, %d memos ended by an L2 fill", lat, park, waited, charging, filled)
+	return charging
 }

@@ -153,6 +153,11 @@ type GPU struct {
 	waitUntil, waitFills, fills uint64
 	parkDrained, audit          bool
 	lostWait                    string
+	// A memo may still charge every cycle: the cluster NoC refuses its
+	// parked flits again, and each core listed in charging counts its
+	// wait (see simt.Core.Wait). A tick inside the memo and a jump over
+	// it (ChargeSkipped) pay those parts and nothing else.
+	charging []*simt.Core
 
 	// trace, when armed via AttachTracer, receives draw/kernel spans and
 	// per-cluster setup/raster/fragment-shading phase spans.
@@ -264,9 +269,11 @@ func New(cfg Config, memory *mem.Memory, reg *stats.Registry) *GPU {
 func (g *GPU) SetParkDrained(on bool) { g.parkDrained = on }
 
 // AttachTracer arms event tracing on the GPU, its L2, and every SIMT
-// core (which in turn arms the core's L1 caches).
+// core (which in turn arms the core's L1 caches). It ends the memoised
+// wait: a traced core's wait is ticked in full, never charged.
 func (g *GPU) AttachTracer(t *emtrace.Tracer) {
 	g.trace = t
+	g.waitUntil = 0
 	g.L2.SetTracer(t, "l2")
 	for _, cl := range g.clusters {
 		for _, core := range cl.cores {
@@ -416,7 +423,7 @@ type l2Port struct{ *GPU }
 
 func (g l2Port) Room() uint64 { return g.L2.Room() }
 
-func (g l2Port) Refused(rs []*mem.Request) { g.L2.RefusedAll(g.cycle, rs) }
+func (g l2Port) Refused(rs []*mem.Request, n uint64) { g.L2.RefusedAll(g.cycle, rs, n) }
 
 func (g l2Port) Push(r *mem.Request) bool {
 	if r.Kind == mem.Write {
@@ -439,9 +446,10 @@ func (g l2Port) Push(r *mem.Request) bool {
 }
 
 // Tick advances the whole GPU one core cycle and memoises the wait it
-// leaves behind (see waitUntil). A cycle inside the memo is a gated
-// no-op, so Tick returns at once; in the reference mode (parkDrained
-// off) it runs the full tick anyway, and under a guard it audits one.
+// leaves behind (see waitUntil). A cycle inside the memo only repeats
+// the memo's charges, so Tick pays them (nothing, mostly) and returns;
+// in the reference mode (parkDrained off) it runs the full tick anyway,
+// and under a guard it audits one.
 func (g *GPU) Tick(cycle uint64) {
 	switch {
 	case cycle >= g.waitUntil || g.fills != g.waitFills || !g.parkDrained && !g.audit:
@@ -449,9 +457,23 @@ func (g *GPU) Tick(cycle uint64) {
 	case g.audit:
 		g.auditWait(cycle)
 	default:
+		g.ChargeSkipped(cycle, 1)
 		return
 	}
+	g.charging = g.charging[:0]
 	g.waitUntil, g.waitFills = g.wake(cycle+1), g.fills
+}
+
+// ChargeSkipped pays n cycles of the memoised wait, the last of them at
+// cycle last: the cluster NoC's refusals of its parked flits and each
+// charging core's wait. It is a tick inside the memo (n = 1) and a
+// clock jump's charge for the cycles it passes.
+func (g *GPU) ChargeSkipped(last, n uint64) {
+	g.cycle = last
+	g.noc.Charge(n)
+	for _, c := range g.charging {
+		c.ChargeSkipped(last, n)
+	}
 }
 
 // step is the full tick. It runs as three phases: the memory side (L2
@@ -497,18 +519,21 @@ func (g *GPU) tickCluster(cl *cluster) {
 }
 
 // clusterWake is the per-cluster term of wake: the first cycle at or
-// after from at which the cluster's tick would do anything. A stage
-// that can move is due now: raster holding a primitive, setup with
-// fetches to issue or all of them back, the head fragment launch when
-// its core has room (with none pending, PopReady when a tile may be
-// launchable) and the end-of-draw flush of an active TC engine.
-// Otherwise the cluster waits for the earliest TC timeout flush, the
-// head primitive's readyAt (pmrb is appended in readyAt order) and its
-// cores' wakes.
+// after from at which the cluster's tick would do anything but charge.
+// A stage that can move is due now: raster holding a primitive, setup
+// with fetches to issue into a port with room or all of them back, the
+// head fragment launch when its core has room (with none pending,
+// PopReady when a tile may be launchable) and the end-of-draw flush of
+// an active TC engine. Otherwise the cluster waits for the earliest TC
+// timeout flush, the head primitive's readyAt (pmrb is appended in
+// readyAt order) and its cores' waits (simt.Core.Wait), a core whose
+// Out the port has room for being due now (after a tick a core holds
+// Out traffic only behind a full port: tickCluster drains each core
+// into it). It lists the cores whose wait charges in g.charging.
 func (g *GPU) clusterWake(cl *cluster, from uint64) uint64 {
-	d, s := g.draw, &cl.setup
-	if cl.rast.tri != nil ||
-		s.prim != nil && (s.issued < len(s.reqs) || s.reqs[0].Done && s.reqs[1].Done && s.reqs[2].Done) {
+	d, s, port := g.draw, &cl.setup, g.noc.Port(cl.id)
+	if cl.rast.tri != nil || s.prim != nil && (s.issued < len(s.reqs) && !port.Full() ||
+		s.issued == len(s.reqs) && s.reqs[0].Done && s.reqs[1].Done && s.reqs[2].Done) {
 		return from
 	}
 	if cl.pendingFS.Len() > 0 {
@@ -530,7 +555,14 @@ func (g *GPU) clusterWake(cl *cluster, from uint64) uint64 {
 		if w <= from {
 			return from
 		}
-		w = min(w, core.NextWake(from))
+		until, charges := core.Wait(from)
+		if charges {
+			if core.Out.Len() > 0 && !port.Full() {
+				return from
+			}
+			g.charging = append(g.charging, core)
+		}
+		w = min(w, until)
 	}
 	return w
 }

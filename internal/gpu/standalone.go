@@ -52,7 +52,7 @@ func NewStandalone(gpuCfg Config, dramCfg dram.Config, reg *stats.Registry) *Sta
 	}, d, reg)
 	s.run = par.Loop{
 		Cycle: &s.cycle, Skip: true,
-		Tick: s.Tick, NextWake: s.NextWake,
+		Tick: s.Tick, NextWake: s.NextWake, Charge: s.charge,
 		Done:     func() bool { return !s.Busy() },
 		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
 	}
@@ -139,6 +139,13 @@ func (s *Standalone) NextWake() uint64 {
 		return c
 	}
 	return w
+}
+
+// charge pays what the ticks of the jumped cycles [from, to) would have
+// charged: the GPU's memoised wait and the system NoC's parked flits.
+func (s *Standalone) charge(from, to uint64) {
+	s.GPU.ChargeSkipped(to-1, to-from)
+	s.sysNoC.Charge(to - from)
 }
 
 // Mem exposes the functional memory for asset upload.

@@ -25,12 +25,13 @@ type Config struct {
 // reports whether it was taken. Room is the sink's room counter: a
 // monotone number that moves on every event that can turn a refusal
 // into an acceptance, so a request refused at one value is refused
-// again while it holds. Refused charges a refusal of each of rs without
-// asking: whatever a refused Push would have counted.
+// again while it holds. Refused charges n cycles' refusals of each of
+// rs without asking: whatever n refused Pushes of each would have
+// counted, the last of them in the sink's latest cycle.
 type Sink interface {
 	Push(r *mem.Request) bool
 	Room() uint64
-	Refused(rs []*mem.Request)
+	Refused(rs []*mem.Request, n uint64)
 }
 
 // funcSink is a bare func as a Sink whose room moves whenever it is
@@ -40,9 +41,9 @@ type funcSink struct {
 	room uint64
 }
 
-func (s *funcSink) Push(r *mem.Request) bool { return s.push(r) }
-func (s *funcSink) Room() uint64             { s.room++; return s.room }
-func (s *funcSink) Refused([]*mem.Request)   {}
+func (s *funcSink) Push(r *mem.Request) bool       { return s.push(r) }
+func (s *funcSink) Room() uint64                   { s.room++; return s.room }
+func (s *funcSink) Refused([]*mem.Request, uint64) {}
 
 // Crossbar moves requests from N input ports to a single downstream sink
 // with fixed latency and bounded per-cycle width, arbitrating round-robin
@@ -133,10 +134,7 @@ func (x *Crossbar) Tick(cycle uint64) {
 	}
 	room := x.sink.Room()
 	if stale := room == x.room; stale && !x.audit {
-		if n := len(x.parked); n > 0 {
-			x.stalls.Add(int64(n))
-			x.sink.Refused(x.parked)
-		}
+		x.Charge(1)
 	} else if len(x.parked) > 0 {
 		kept := x.parked[:0]
 		for _, r := range x.parked {
@@ -186,19 +184,37 @@ func (x *Crossbar) deliver(r *mem.Request) bool {
 }
 
 // NextWake returns the earliest future cycle at which the crossbar's
-// state can change on its own: now when a port has queued input or a
-// flit has arrived (parked ones included: a refusal is counted every
-// cycle), the earliest arrival otherwise, and mem.NeverWake when empty.
-// An idle Tick is a strict no-op (it returns before asking the sink),
-// so skipped idle cycles leave no trace.
+// state can change on its own: now when the sink's room has moved under
+// parked flits or a port's input can enter, the earliest arrival
+// otherwise, and mem.NeverWake when nothing is in flight. Parked flits
+// whose room stands and ports held back for want of credit are a
+// charge, not work: until the next arrival or room event each Tick only
+// counts the same refusals again, which Charge pays for a jump over
+// those cycles. An idle Tick is a strict no-op (it returns before
+// asking the sink), so skipped idle cycles leave no trace. Under a
+// guard's audit parked flits and queued input are due every cycle.
 func (x *Crossbar) NextWake(cycle uint64) uint64 {
-	if len(x.parked) > 0 || !x.portsEmpty() {
+	if len(x.parked) > 0 && (x.audit || x.sink.Room() != x.room) {
+		return cycle
+	}
+	if !x.portsEmpty() && (x.audit || x.inflight.Len()+len(x.parked) < 4*x.cfg.Width) {
 		return cycle
 	}
 	if x.inflight.Len() > 0 {
 		return max(x.inflight.Front().arrives, cycle)
 	}
 	return mem.NeverWake
+}
+
+// Charge counts n cycles of the parked flits' refusals: what n Ticks
+// would count while the sink's room stands and nothing arrives. Every
+// jump over cycles NextWake put in the future calls it, with the sink's
+// clock at the last of them.
+func (x *Crossbar) Charge(n uint64) {
+	if k := len(x.parked); k > 0 {
+		x.stalls.Add(int64(k) * int64(n))
+		x.sink.Refused(x.parked, n)
+	}
 }
 
 // portsEmpty reports whether no input port holds a request.

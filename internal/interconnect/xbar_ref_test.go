@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"emerald/internal/cache"
 	"emerald/internal/dram"
@@ -137,12 +140,12 @@ func (s *refSink) Room() uint64 {
 	return s.c.Room()
 }
 
-func (s *refSink) Refused(rs []*mem.Request) {
+func (s *refSink) Refused(rs []*mem.Request, n uint64) {
 	if s.d != nil {
-		s.d.Refused(rs)
+		s.d.Refused(rs, n)
 		return
 	}
-	s.c.RefusedAll(*s.cycle, rs)
+	s.c.RefusedAll(*s.cycle, rs, n)
 }
 
 func (s *refSink) counters() string {
@@ -160,26 +163,42 @@ func (s *refSink) counters() string {
 // full, merge slots full, output port full, a write-through store hit
 // with the port full, a DRAM channel queue full). Every cycle the two
 // must have taken the same flits in the same order, with equal stalls,
-// equal sink counters, the same NextWake and Busy, and the round-robin
-// pointer where the reference has it. Both of Tick's quiet returns
-// (fully idle; flits in flight with none arriving) must be taken. With
-// EMERALD_GUARD=1 the parking crossbar runs its room audit and must
-// report nothing.
+// equal sink counters and LRU stamps, the same Busy, and the round-robin
+// pointer where the reference has it. NextWake is the reference's, or
+// later while the parked flits' room stands or the ports wait for
+// credit: then every tick up to it only charges. The jump arm takes
+// such a wait, on a seeded share of the cycles it is reported, as a
+// clock jump does: the reference ticks a seeded k cycles of it with no
+// traffic and no room event, and the parking crossbar is charged
+// Charge(k) with the sink's clock at the last of them; the two must
+// agree at landing, a refused write-through store hit's LRU touch
+// included. Both of Tick's quiet returns (fully idle; flits in flight
+// with none arriving) must be taken. With EMERALD_GUARD=1 the parking
+// crossbar runs its room audit, reports every wait as the reference
+// does (so nothing is jumped) and must report nothing.
 func TestParkingAgainstRetryEveryCycleReference(t *testing.T) {
 	audit := os.Getenv("EMERALD_GUARD") == "1"
 	why, quiet := map[string]int{}, map[string]int{}
-	skipped := map[string]int{}
+	skipped, jumped := map[string]int{}, map[string]int{}
 	for _, sink := range []string{"l2", "l1d", "dram"} {
 		for width := 1; width <= 4; width++ {
 			for _, lat := range []uint64{0, 3, 10} {
 				for seed := int64(1); seed <= 2; seed++ {
 					name := fmt.Sprintf("%s/width=%d/latency=%d/seed=%d", sink, width, lat, seed)
-					skipped[sink] += refRun(t, name, sink, width, lat, seed, audit, why, quiet)
+					skipped[sink] += refRun(t, name, sink, width, lat, seed, audit, why, quiet, jumped)
 				}
 			}
 		}
 	}
-	t.Logf("refusals by class %v; cycles the parked flits were charged unasked, by sink, %v; quiet ticks %v", why, skipped, quiet)
+	t.Logf("refusals by class %v; cycles the parked flits were charged unasked, by sink, %v; quiet ticks %v; jumped cycles %v",
+		why, skipped, quiet, jumped)
+	if !audit {
+		for _, class := range []string{"l2", "l1d", "dram", "store-hit-touch"} {
+			if jumped[class] == 0 {
+				t.Fatalf("coverage lost: no %s cycle was jumped in %v", class, jumped)
+			}
+		}
+	}
 	for _, class := range []string{"idle", "in-flight"} {
 		if quiet[class] == 0 {
 			t.Fatalf("coverage lost: no %s tick returned early in %v", class, quiet)
@@ -197,8 +216,9 @@ func TestParkingAgainstRetryEveryCycleReference(t *testing.T) {
 	}
 }
 
-func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, audit bool, why, quiet map[string]int) int {
+func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, audit bool, why, quiet, jumped map[string]int) int {
 	rng := rand.New(rand.NewSource(seed*131 + int64(width)*7 + int64(lat)))
+	jumps := rand.New(rand.NewSource(seed))
 	var cycle uint64
 	mk := func() *refSink {
 		s := &refSink{cycle: &cycle, reg: stats.NewRegistry()}
@@ -252,10 +272,13 @@ func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, 
 				where("the ports disagree on room")
 			}
 		}
-		if w1, w2 := ref.nextWake(cycle), x.NextWake(cycle); w1 != w2 {
+		stale := len(x.parked) > 0 && b.Room() == x.room
+		charging := stale || !x.portsEmpty() && x.inflight.Len()+len(x.parked) >= 4*width
+		w1, w2 := ref.nextWake(cycle), x.NextWake(cycle)
+		if w2 < w1 || w2 != w1 && (audit || !charging) {
 			where("NextWake %d, the reference %d", w2, w1)
 		}
-		if len(x.parked) > 0 && b.Room() == x.room {
+		if stale {
 			skipped++
 		}
 		if len(x.parked) == 0 && (x.inflight.Len() == 0 || x.inflight.Front().arrives > cycle) && x.portsEmpty() {
@@ -266,8 +289,33 @@ func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, 
 			}
 		}
 		a.took, b.took = a.took[:0], b.took[:0]
-		ref.tick(cycle)
-		x.Tick(cycle)
+		k := uint64(0)
+		if w2 > cycle && jumps.Intn(2) == 0 {
+			k = 1 + uint64(jumps.Int63n(int64(min(w2-cycle, 24))))
+		}
+		if k > 0 {
+			// The jump: the reference retries every cycle of the wait, and
+			// the parking crossbar is charged for all of them at once,
+			// with the sink's clock at the last.
+			jumped[kind] += int(k)
+			if kind == "l1d" {
+				for _, r := range x.parked {
+					if r.Kind == mem.Write && b.c.Contains(r.Addr) {
+						jumped["store-hit-touch"] += int(k)
+					}
+				}
+			}
+			for last := cycle + k - 1; ; cycle++ {
+				ref.tick(cycle)
+				if cycle == last {
+					break
+				}
+			}
+			x.Charge(k)
+		} else {
+			ref.tick(cycle)
+			x.Tick(cycle)
+		}
 		if fmt.Sprint(a.took) != fmt.Sprint(b.took) {
 			where("took %v, the reference %v", b.took, a.took)
 		}
@@ -277,13 +325,15 @@ func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, 
 		if ref.transferred != x.transferred.Value() || ref.stalls != x.stalls.Value() {
 			where("transferred/stalls %d/%d, the reference %d/%d", x.transferred.Value(), x.stalls.Value(), ref.transferred, ref.stalls)
 		}
-		// The room schedule, in step.
-		if kind == "dram" {
+		// The room schedule, in step; nothing moves room during a jump.
+		switch {
+		case k > 0:
+		case kind == "dram":
 			if rng.Intn(3) == 0 {
 				a.d.Tick(cycle)
 				b.d.Tick(cycle)
 			}
-		} else {
+		default:
 			for k := rng.Intn(3); k > 0 && a.c.Out.Len() > 0 && rng.Intn(2) == 0; k-- {
 				ra, rb := a.c.Out.Pop(), b.c.Out.Pop()
 				if rb == nil || ra.Addr != rb.Addr || ra.Kind != rb.Kind {
@@ -314,6 +364,9 @@ func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, 
 		if n := x.inflight.Len() + len(x.parked); n != len(ref.inflight) || x.Busy() != ref.busy() {
 			where("%d flits (busy %v), the reference %d (busy %v)", n, x.Busy(), len(ref.inflight), ref.busy())
 		}
+		if a.c != nil && !slices.Equal(lruOf(a.c), lruOf(b.c)) {
+			where("LRU stamps %v, the reference %v", lruOf(b.c), lruOf(a.c))
+		}
 		if a.c != nil && cycle%32 == 0 {
 			for l := 0; l < lines; l++ {
 				if a.c.Contains(uint64(l*64)) != b.c.Contains(uint64(l*64)) {
@@ -327,6 +380,11 @@ func refRun(t *testing.T, name, kind string, width int, lat uint64, seed int64, 
 		}
 	}
 	return skipped
+}
+
+// lruOf reads a cache's LRU stamps, which decide its victims.
+func lruOf(c *cache.Cache) []uint64 {
+	return *(*[]uint64)(unsafe.Pointer(reflect.ValueOf(c).Elem().FieldByName("lru").UnsafeAddr()))
 }
 
 func (x *refXbar) busy() bool {

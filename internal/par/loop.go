@@ -39,6 +39,13 @@ type Loop struct {
 
 	Tick     func()
 	NextWake func() uint64 // earliest cycle any component changes state on its own
+	// Charge pays what the ticks of cycles [from, to) would have charged:
+	// a wait in the future may still count something every cycle (a
+	// refusal, an idle scheduler slot), and the jump that passes those
+	// cycles counts it for them. Called on every jump, before the clock
+	// moves; jumps stop at every poll boundary, so a poll reads the
+	// counts an every-cycle run has there.
+	Charge   func(from, to uint64)
 	Done     func() bool   // the run's goal is met
 	Progress func() uint64 // sum of monotone counters; flat means stalled
 	Diagnose func(window uint64) guard.Diag
@@ -80,6 +87,7 @@ func (l *Loop) Run(ctx context.Context, budget uint64) error {
 		if l.Skip {
 			if w := l.NextWake(); w > c && (w != mem.NeverWake || !l.Done()) {
 				next := min((c|pollMask)+1, w, start+budget)
+				l.Charge(c, next)
 				l.Skipped += next - c
 				*l.Cycle = next
 				continue

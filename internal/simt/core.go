@@ -198,7 +198,7 @@ type Core struct {
 	// napUntil is the deadline of a wait that charges nothing (no LSU
 	// head, nothing in Out): until it, or a fill completion, Tick
 	// returns at once. Launch, AttachTracer, AttachGuard and any full
-	// tick end the nap; only chargeWait starts one.
+	// tick end the nap; only ChargeSkipped starts one.
 	napUntil uint64
 }
 
@@ -459,7 +459,7 @@ func (c *Core) releaseBarrier(b *blockState) {
 // could not issue anything, so such cycles do not increment the
 // cycles / issue_idle counters or emit stall instants. A wait Tick has
 // memoised (waitUntil) never changes this answer: it only spares Tick
-// the asking.
+// the asking. Wait is the answer that lets an owner jump such a wait.
 func (c *Core) NextWake(cycle uint64) uint64 {
 	if c.txLen > 0 || c.Out.Len() > 0 || c.awake.any() {
 		return cycle
@@ -519,11 +519,11 @@ func (c *Core) schedule(cycle, lat uint64, e wbEvent) {
 // Tick advances the core one cycle. A core waiting behind memory (its
 // port, a parked LSU head, a fill or a timed wake; see waiting) takes
 // the cycle as its full tick would, charging only what that tick
-// charges, in this cycle: the counter contract (DESIGN.md) allows no
-// deferred charge. Under a guard the full tick runs and audits the wait
-// instead; with a tracer it runs for traceStall's instants. A napping
-// core, whose wait charges nothing, pays two compares; Tick stays small
-// enough to inline into the cluster loop.
+// charges; a cycle its owner jumps instead is charged by ChargeSkipped
+// (DESIGN.md "Backpressure contract"). Under a guard the full tick runs
+// and audits the wait instead; with a tracer it runs for traceStall's
+// instants. A napping core, whose wait charges nothing, pays two
+// compares; Tick stays small enough to inline into the cluster loop.
 func (c *Core) Tick(cycle uint64) {
 	// curCycle must be stamped before anything returns: Launch reads it
 	// for warp launch timestamps and may run later this same cycle.
@@ -542,7 +542,7 @@ func (c *Core) step(cycle uint64) {
 			c.auditWait(cycle)
 			return
 		case c.trace == nil:
-			c.chargeWait(cycle)
+			c.ChargeSkipped(cycle, 1)
 			return
 		}
 	}
@@ -620,25 +620,48 @@ func (c *Core) waiting(cycle uint64) bool {
 	return c.txLen == 0 || c.txq[c.txHead].cache.Room() == c.headRoom
 }
 
-// chargeWait is the tick of a waiting core: the gate's return while
-// nothing is queued, else the cycle, the parked head's refusal and the
-// idle slots. A wait with nothing queued stays so until a tick (only a
-// tick issues or fills Out), so it becomes a nap: Tick takes its
-// cycles without asking waiting.
-func (c *Core) chargeWait(cycle uint64) {
+// Wait is the core's term in its owner's wake at cycle. A memoised wait
+// that holds there (see waiting) answers its end: until then every
+// cycle only repeats the charges ChargeSkipped pays, and charges
+// reports whether there are any (an LSU head or Out traffic is held;
+// otherwise the core naps). With no wait holding, and under a tracer or
+// a guard, whose full ticks run inside a wait, the answer is NextWake's.
+func (c *Core) Wait(cycle uint64) (until uint64, charges bool) {
+	if c.trace == nil && !c.audit && c.waiting(cycle) {
+		return c.waitUntil, c.txLen > 0 || c.Out.Len() > 0
+	}
+	return c.NextWake(cycle), false
+}
+
+// ChargeSkipped pays n cycles of a holding wait, the last of them at
+// cycle last: what n full ticks would charge. It is the tick of a
+// waiting core (n = 1) and its owner's charge for a jump over the wait.
+// A wait with nothing queued stays so until a tick (only a tick issues
+// or fills Out), so it becomes a nap: Tick takes its cycles without
+// asking waiting. Otherwise it counts the cycles, the idle scheduler
+// slots with LRR's rotation and, for a parked LSU head, the head's
+// refusals, the last of which touches its line at last. Neither caller
+// reaches it under a tracer, whose full ticks emit stall instants, or a
+// guard, which audits the full tick instead.
+func (c *Core) ChargeSkipped(last, n uint64) {
 	if c.txLen == 0 && c.Out.Len() == 0 {
 		c.napUntil = c.waitUntil
 		return
 	}
-	c.cycles.Inc()
+	c.cycles.Add(int64(n))
 	if c.txLen > 0 {
-		c.refuseHead(cycle)
+		tx := &c.txq[c.txHead]
+		tx.cache.Refused(last, tx.addr, tx.kind, n)
+		c.memStalls.Add(int64(n))
 	}
-	c.idleSlots(cycle)
+	c.issueIdle.Add(int64(n) * int64(c.Cfg.Schedulers))
+	if !c.Cfg.GTO && len(c.order) > 0 {
+		c.lastScheduled += int(n) * c.Cfg.Schedulers
+	}
 }
 
 // waitMarks is what a tick on a waiting core can move: the charges
-// chargeWait makes, and what only the full tick moves.
+// ChargeSkipped makes, and what only the full tick moves.
 type waitMarks struct {
 	cycles, issueIdle, memStalls, instrs, retired int64
 	lastScheduled, events, lsu, out, resident     int
@@ -651,8 +674,8 @@ func (c *Core) marks() waitMarks {
 }
 
 // auditWait runs the full tick on a cycle the wait covers and records
-// the first such tick that moved more than chargeWait would have. A
-// tick that moved no more leaves the wait standing, as chargeWait
+// the first such tick that moved more than ChargeSkipped would have. A
+// tick that moved no more leaves the wait standing, as ChargeSkipped
 // does, so a wait is audited on every cycle it covers.
 func (c *Core) auditWait(cycle uint64) {
 	want, until := c.marks(), c.waitUntil
@@ -838,7 +861,7 @@ func (c *Core) issueTransactions(cycle uint64) {
 // refuseHead charges the parked LSU head as its cache's refusal.
 func (c *Core) refuseHead(cycle uint64) {
 	tx := &c.txq[c.txHead]
-	tx.cache.Refused(cycle, tx.addr, tx.kind)
+	tx.cache.Refused(cycle, tx.addr, tx.kind, 1)
 	c.memStalls.Inc()
 }
 

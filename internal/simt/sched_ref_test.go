@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"emerald/internal/cache"
 	"emerald/internal/guard"
@@ -661,13 +664,15 @@ func TestReadySetAgainstFullScanReference(t *testing.T) {
 // under a guard, which runs the full tick on those cycles and audits
 // the wait; one by the stepped tick, which never memoises. All the
 // counters, each L1's included, must agree after every cycle, not only
-// at the end: the counter contract allows no deferred charge. The
-// unguarded core must nap, and have naps ended both by a fill
-// completing and by a Launch.
+// at the end: a tick charges its own cycle. The unguarded core must
+// nap, and have naps ended both by a fill completing and by a Launch.
+// The jump arm (jumpArm) takes waits as a clock jump does.
 func TestMemoisedWaitAgainstSteppedTick(t *testing.T) {
 	everyCycle := os.Getenv("EMERALD_GUARD") == "1"
 	var gated, charged, parked, audited, napped, fillWakes, launchWakes int
+	var jumps jumpCounts
 	for _, tc := range schedCases {
+		jumpArm(t, tc, &jumps)
 		name := tc.String()
 		rigs := tc.rigs(3)
 		memo, guarded, stepped := rigs[0], rigs[1], rigs[2]
@@ -732,6 +737,90 @@ func TestMemoisedWaitAgainstSteppedTick(t *testing.T) {
 	}
 	t.Logf("memoised waits: %d gated cycles, %d charged behind the port, %d charged for a parked head; %d audited; %d napped, naps ended by %d fills and %d launches",
 		gated, charged, parked, audited, napped, fillWakes, launchWakes)
+	if jumps.napped == 0 || jumps.out == 0 || jumps.head == 0 {
+		t.Fatalf("coverage lost: jumped cycles %+v; want every kind above 0", jumps)
+	}
+	t.Logf("jumped cycles %+v", jumps)
+}
+
+// jumpCounts counts the cycles jumpArm jumped: of naps, of waits
+// charging Out traffic alone and of waits charging a parked LSU head.
+// (A write-through store hit refused for want of its L1's port, the one
+// refusal that touches a line, never waits: that L1 has a request to
+// drain.)
+type jumpCounts struct{ napped, out, head uint64 }
+
+// jumpArm drives two cores through the case's seeded launches and next
+// level: one ticked by Core.Tick, one by the stepped tick. Whenever the
+// first one's memoised wait holds, on a seeded share of the cycles, it
+// is jumped as its GPU jumps it: the stepped core ticks a seeded k
+// cycles of the wait with no launch and no next level, and the other is
+// paid ChargeSkipped(last, k). The two must agree after every tick and
+// at every landing on every counter, each L1's included, on LRR's
+// rotation and on each L1's LRU stamps.
+func jumpArm(t *testing.T, tc schedCase, n *jumpCounts) {
+	name := tc.String() + "/jumps"
+	rigs := tc.rigs(2)
+	jumper, stepped := rigs[0], rigs[1]
+	script := newSchedScript(tc, rigs)
+	script.start(t)
+	rng := rand.New(rand.NewSource(tc.seed()))
+	for cycle := uint64(0); ; cycle++ {
+		if cycle > 400_000 {
+			t.Fatalf("%s: the cores never drained", name)
+		}
+		script.step(t, cycle)
+		c := jumper.c
+		k := uint64(0)
+		if until, _ := c.Wait(cycle); c.waiting(cycle) && rng.Intn(2) == 0 {
+			k = 1 + uint64(rng.Int63n(int64(min(until-cycle, 64))))
+		}
+		if k > 0 {
+			switch {
+			case c.txLen > 0:
+				n.head += k
+			case c.Out.Len() > 0:
+				n.out += k
+			default:
+				n.napped += k
+			}
+			for last := cycle + k - 1; ; cycle++ {
+				steppedTick(stepped.c, cycle)
+				if cycle == last {
+					break
+				}
+			}
+			c.ChargeSkipped(cycle, k)
+		} else {
+			c.Tick(cycle)
+			steppedTick(stepped.c, cycle)
+		}
+		if got, want := jumper.state(), stepped.state(); got != want {
+			t.Fatalf("%s cycle %d (jumped %d): counters, L1 counts and LRR rotation\n%s (jumped)\n%s (stepped)",
+				name, cycle, k, got, want)
+		}
+		for i, l1 := range jumper.l1s() {
+			if !slices.Equal(lruOf(l1), lruOf(stepped.l1s()[i])) {
+				t.Fatalf("%s cycle %d (jumped %d): %s LRU stamps differ from the stepped core's", name, cycle, k, l1.Config().Name)
+			}
+		}
+		if k == 0 && script.nextLevel(cycle) {
+			return
+		}
+	}
+}
+
+// state renders the counters a jump must leave as the stepped ticks do,
+// each L1's included, and LRR's rotation.
+func (r *schedRig) state() string {
+	return fmt.Sprint(r.counters(), r.memCounters(), r.c.lastScheduled)
+}
+
+func (r *schedRig) l1s() [4]*cache.Cache { return [4]*cache.Cache{r.c.L1D, r.c.L1T, r.c.L1Z, r.c.L1C} }
+
+// lruOf reads a cache's LRU stamps, which decide its victims.
+func lruOf(c *cache.Cache) []uint64 {
+	return *(*[]uint64)(unsafe.Pointer(reflect.ValueOf(c).Elem().FieldByName("lru").UnsafeAddr()))
 }
 
 // TestFillEndsTheNap runs one warp per L1 whose only miss is on that

@@ -182,7 +182,7 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	s := &SoC{Cfg: cfg, Reg: reg, Mem: memory, backIsA: true}
 	s.run = par.Loop{
 		Cycle: &s.cycle, Skip: true,
-		Tick: s.Tick, NextWake: s.NextWake,
+		Tick: s.Tick, NextWake: s.NextWake, Charge: s.charge,
 		Done:     func() bool { return s.framesDone >= s.Cfg.Frames+s.Cfg.WarmupFrames },
 		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
 	}
@@ -558,6 +558,13 @@ func (s *SoC) NextWake() uint64 {
 		return c
 	}
 	return w
+}
+
+// charge pays what the ticks of the jumped cycles [from, to) would have
+// charged: the GPU's memoised wait and the system NoC's parked flits.
+func (s *SoC) charge(from, to uint64) {
+	s.GPU.ChargeSkipped(to-1, to-from)
+	s.noc.Charge(to - from)
 }
 
 // tickCPU advances CPU core i at its clock multiple and drains its

@@ -196,7 +196,11 @@ func testSurface() gfx.Surface {
 // event-driven idle cycle-skipping and demands a bit-identical end
 // state (every counter, every framebuffer byte, the final cycle),
 // while the skipping run must actually have jumped over idle cycles:
-// the display-paced workload leaves long gaps between bursts.
+// the display-paced workload leaves long gaps between bursts. It is
+// also the tripwire for backpressured waits: cycles in which the GPU's
+// cluster NoC, its setup stage and its cores only wait on a refusing L2
+// are jumped, which lifts the skipped share from 14.4% to 33.5%. The
+// floor, 30%, leaves 3.5 points of margin below the measured share.
 func TestIdleSkipPreservesResults(t *testing.T) {
 	run := func(skip bool) (*SoC, string) {
 		cfg := smallConfig(t)
@@ -225,12 +229,12 @@ func TestIdleSkipPreservesResults(t *testing.T) {
 	if dSkip != dFull {
 		t.Errorf("idle skipping changed the observable end state: %s != %s", dSkip, dFull)
 	}
-	if skipped.SkippedCycles() == 0 {
-		t.Error("skipping run jumped over zero cycles on an idle-heavy workload")
+	share := float64(skipped.SkippedCycles()) / float64(skipped.Cycle())
+	if share < 0.30 {
+		t.Errorf("skipping run jumped %.1f%% of the cycles, below the 30%% floor", 100*share)
 	}
 	if full.SkippedCycles() != 0 {
 		t.Errorf("no-skip run reports %d skipped cycles", full.SkippedCycles())
 	}
-	t.Logf("skipped %d of %d cycles (%.1f%%)", skipped.SkippedCycles(), skipped.Cycle(),
-		100*float64(skipped.SkippedCycles())/float64(skipped.Cycle()))
+	t.Logf("skipped %d of %d cycles (%.1f%%)", skipped.SkippedCycles(), skipped.Cycle(), 100*share)
 }

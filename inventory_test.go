@@ -106,18 +106,22 @@ func TestWarpWakeWriters(t *testing.T) {
 // waitUntil is set only by tick (at the gate, and after a full tick that
 // leaves the core waiting with every L1 quiet) and auditWait (which
 // keeps it standing across an audited tick); AttachTracer and
-// AttachGuard clear it. A nap is started only by chargeWait and ended by
-// tick, Launch, AttachTracer and AttachGuard. Launch wakes the warp it
-// places, and waiting holds only while no warp is awake. The other
-// input from outside, a fill's completion, reaches the core as its fill
-// counter: NewCore hands each L1 a pointer to it (cache.CountFills),
+// AttachGuard clear it. A nap is started only by ChargeSkipped, the
+// tick of a waiting core and the charge for a jumped wait, whose other
+// caller is the GPU's ChargeSkipped (called by GPU.Tick inside its memo
+// and by the two systems' jump hooks), and ended by tick, Launch,
+// AttachTracer and AttachGuard. Launch wakes the warp it places, and
+// waiting holds only while no warp is awake. The other input from
+// outside, a fill's completion, reaches the core as its fill counter: NewCore hands each L1 a pointer to it (cache.CountFills),
 // and the cache's RequestDone is the one writer through that pointer.
 // gpu.GPU memoises its whole wait the same way: waitUntil is set only at
-// the end of Tick and ended by SubmitDraw, LaunchKernel and AttachGuard
-// (the inputs that reach the GPU between ticks, and the guard), and
+// the end of Tick and ended by SubmitDraw, LaunchKernel, AttachTracer
+// and AttachGuard (the inputs that reach the GPU between ticks, and the
+// tracer and guard, under which a core's wait is not charged), and
 // the third input, an L2 fill completing, reaches it as the fill
 // counter gpu.New hands the L2. NewCore and gpu.New are CountFills'
-// only callers.
+// only callers. Which cores the memo charges is recorded where the
+// memo is set: Tick and clusterWake write the list.
 func TestWaitMemoWriters(t *testing.T) {
 	fset := token.NewFileSet()
 	simt, cache := productFiles(t, fset, "internal/simt"), productFiles(t, fset, "internal/cache")
@@ -140,12 +144,13 @@ func TestWaitMemoWriters(t *testing.T) {
 		writers     []string
 	}{
 		{"the memoised wait", "waitUntil", false, simt, []string{"tick", "auditWait", "AttachTracer", "AttachGuard"}},
-		{"the nap deadline", "napUntil", false, simt, []string{"tick", "chargeWait", "Launch", "AttachTracer", "AttachGuard"}},
+		{"the nap deadline", "napUntil", false, simt, []string{"tick", "ChargeSkipped", "Launch", "AttachTracer", "AttachGuard"}},
 		{"the fill counter", "fills", false, simt, []string{"NewCore"}},
 		{"the fill counter's wiring", "fillCount", false, cache, []string{"CountFills"}},
 		{"the fill counter, through its wiring", "fillCount", true, cache, []string{"RequestDone"}},
-		{"the GPU's memoised wait", "waitUntil", false, gpu, []string{"Tick", "SubmitDraw", "LaunchKernel", "AttachGuard"}},
+		{"the GPU's memoised wait", "waitUntil", false, gpu, []string{"Tick", "SubmitDraw", "LaunchKernel", "AttachTracer", "AttachGuard"}},
 		{"the GPU's fill counter", "fills", false, gpu, []string{"New"}},
+		{"the GPU's charging cores", "charging", false, gpu, []string{"Tick", "clusterWake"}},
 	} {
 		want, wrote := names(pin.writers...), map[string]bool{}
 		for _, sf := range pin.files {
@@ -193,6 +198,8 @@ func TestWaitMemoWriters(t *testing.T) {
 	if !woke["Core.Launch"] {
 		t.Error("simt.Core.Launch does not wake the warp it places")
 	}
+	chargers := names("internal/simt Core.step", "internal/gpu GPU.ChargeSkipped", "internal/gpu GPU.Tick",
+		"internal/soc SoC.charge", "internal/gpu Standalone.charge")
 	for _, sf := range productFiles(t, fset, "internal", "cmd", "examples", ".") {
 		for _, decl := range sf.f.Decls {
 			ast.Inspect(decl, func(n ast.Node) bool {
@@ -200,6 +207,10 @@ func TestWaitMemoWriters(t *testing.T) {
 					sf.dir == "internal/gpu" && declName(decl) == "New"
 				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "CountFills" && !wired {
 					t.Errorf("%s: cache.CountFills called outside simt.NewCore and gpu.New", fset.Position(call.Pos()))
+				}
+				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "ChargeSkipped" && !chargers[sf.dir+" "+declName(decl)] {
+					t.Errorf("%s: ChargeSkipped called in %s %s: a core's is its own waiting tick and the GPU's charge, the GPU's its memo tick and a system's jump hook",
+						fset.Position(call.Pos()), sf.dir, declName(decl))
 				}
 				return true
 			})

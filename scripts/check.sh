@@ -127,9 +127,12 @@ echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake cont
 # memoised wait acted on — and every NextWake implementor driven through
 # a crafted busy period: reporting a wake later than the first
 # self-driven state change is the silent-correctness bug class that
-# parking and clock jumps turn into wrong results. The tripwire fails
-# when a high-load cell stops jumping its memory-bound cycles.
+# parking and clock jumps turn into wrong results. The tripwires fail
+# when a high-load cell stops jumping its memory-bound cycles, and when
+# the idle SoC's skipped share falls below its floor (backpressured
+# waits ticked again instead of jumped).
 go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract|TestHighLoadCellSkipsMemoryBoundCycles' ./internal/exp
+go test -count=1 -run 'TestIdleSkipPreservesResults' ./internal/soc
 
 echo "== checkpoint-resume digest gate =="
 # The sampled-simulation contract: the functional executor's memory is
