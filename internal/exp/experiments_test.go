@@ -1,0 +1,157 @@
+package exp
+
+import (
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestExperimentsCaseStudyI renders Case Study I's tabular figures (9,
+// 11, 12 and 13) once, at the quick scale EXPERIMENTS.md is written at,
+// through the one experiment plan, and checks them twice: against the
+// tables EXPERIMENTS.md prints, so the document cannot drift from the
+// program, and against the paper's findings that the document says the
+// model reproduces. About 6 s of wall time on two cores; the race pass
+// (-short) skips it. Case Study II is not rendered: dfsl takes 45 s at
+// quick.
+func TestExperimentsCaseStudyI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders 32 quick-scale SoC cells")
+	}
+	opt := Quick()
+	opt.Workers = runtime.NumCPU()
+	res, err := Plan{Figs: []string{"9", "11", "12", "13"}, Opt: opt}.Simulate(RunCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs := make(map[string]*figTable)
+	for _, f := range res.Figures() {
+		ft := &figTable{head: f.Table.Headers, rows: tableCells(f.Table)}
+		figs[f.Name] = ft
+		want := ft.markdown()
+		if got := docTable(string(doc), "### Figure "+f.Name+" "); got != want {
+			t.Errorf("EXPERIMENTS.md Figure %s table is not what the program prints at quick scale:\n%s\nwant:\n%s",
+				f.Name, got, want)
+		}
+	}
+
+	// The paper's Case Study I findings, as the tables state them. Each
+	// threshold's comment gives its margin on the tables above.
+	models := func(ft *figTable) int { return len(ft.rows) }
+	fig9 := figs["9"]
+	dcbSlower := 0
+	for i := range fig9.rows {
+		// HMC is the slowest configuration on every model (smallest
+		// lead: M3, 1.094 against DTB's 1.007).
+		if hmc := fig9.num(t, i, "HMC"); hmc <= max(fig9.num(t, i, "BAS"), fig9.num(t, i, "DCB"), fig9.num(t, i, "DTB")) {
+			t.Errorf("Figure 9 %s: HMC %.3f is not the slowest configuration", fig9.rows[i][0], hmc)
+		}
+		if fig9.num(t, i, "DCB") > 1 {
+			dcbSlower++
+		}
+	}
+	// DASH slows the GPU at regular load on 3 of 4 models (M3 sits at
+	// 0.966; the lowest of the other three is M4's 1.238).
+	if dcbSlower < 3 {
+		t.Errorf("Figure 9: DCB slows the GPU on %d of %d models, want at least 3", dcbSlower, models(fig9))
+	}
+	fig11 := figs["11"]
+	for i := range fig11.rows {
+		// HMC loses row locality on every model (highest: M2's hit
+		// rate, 0.880).
+		for _, col := range []string{"rowbuffer_hit_rate", "bytes_per_activation"} {
+			if v := fig11.num(t, i, col); v >= 1 {
+				t.Errorf("Figure 11 %s: HMC %s %.3f of BAS, want below 1", fig11.rows[i][0], col, v)
+			}
+		}
+	}
+	fig12 := figs["12"]
+	for i, row := range fig12.rows {
+		// HMC lengthens the high-load frame on every model (lowest:
+		// M4, 1.186).
+		if row[1] == "HMC" {
+			if v := fig12.num(t, i, "total_frame_time"); v <= 1 {
+				t.Errorf("Figure 12 %s: HMC total frame time %.3f of BAS, want above 1", row[0], v)
+			}
+		}
+	}
+	fig13 := figs["13"]
+	dtbStarves, hmcServes := 0, 0
+	for i := range fig13.rows {
+		if fig13.num(t, i, "DTB") < 1 {
+			dtbStarves++
+		}
+		if fig13.num(t, i, "HMC") > 1 {
+			hmcServes++
+		}
+	}
+	// DASH-DTB starves the display on 4 of 4 models (highest: M4,
+	// 0.947), so one model may flip before this fails.
+	if dtbStarves < 3 {
+		t.Errorf("Figure 13: DTB serves less display traffic on %d of %d models, want at least 3", dtbStarves, models(fig13))
+	}
+	// HMC serves the display better than BAS on 3 of 4 models (lowest
+	// of them: M1, 1.193), so one may flip before this fails.
+	if hmcServes < 2 {
+		t.Errorf("Figure 13: HMC serves more display traffic on %d of %d models, want at least 2", hmcServes, models(fig13))
+	}
+}
+
+// figTable is a rendered figure table: its headers and its data rows
+// as printed.
+type figTable struct {
+	head []string
+	rows [][]string
+}
+
+// markdown renders the table the way EXPERIMENTS.md prints it.
+func (ft *figTable) markdown() string {
+	var b strings.Builder
+	line := func(cells []string) { b.WriteString("| " + strings.Join(cells, " | ") + " |\n") }
+	line(ft.head)
+	b.WriteString(strings.Repeat("|---", len(ft.head)) + "|\n")
+	for _, r := range ft.rows {
+		line(r)
+	}
+	return b.String()
+}
+
+// num reads row i's value in the named column.
+func (ft *figTable) num(t *testing.T, i int, col string) float64 {
+	t.Helper()
+	for j, h := range ft.head {
+		if h == col {
+			v, err := strconv.ParseFloat(ft.rows[i][j], 64)
+			if err != nil {
+				t.Fatalf("row %v column %s: %v", ft.rows[i], col, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no column %q in %v", col, ft.head)
+	return 0
+}
+
+// docTable returns the first markdown table after the line that starts
+// with heading, "" when there is none.
+func docTable(doc, heading string) string {
+	var b strings.Builder
+	in := false
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case !in && strings.HasPrefix(line, heading):
+			in = true
+		case in && strings.HasPrefix(line, "|"):
+			b.WriteString(line + "\n")
+		case in && b.Len() > 0:
+			return b.String()
+		}
+	}
+	return b.String()
+}

@@ -130,8 +130,11 @@ echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake cont
 # parking and clock jumps turn into wrong results. The tripwires fail
 # when a high-load cell stops jumping its memory-bound cycles, and when
 # the idle SoC's skipped share falls below its floor (backpressured
-# waits ticked again instead of jumped).
-go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract|TestHighLoadCellSkipsMemoryBoundCycles' ./internal/exp
+# waits ticked again instead of jumped). TestExperimentsCaseStudyI
+# renders Case Study I's tables at quick scale and compares them with
+# EXPERIMENTS.md and with the paper's findings: a change that moves a
+# figure has to move the document with it.
+go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract|TestHighLoadCellSkipsMemoryBoundCycles|TestExperimentsCaseStudyI' ./internal/exp
 go test -count=1 -run 'TestIdleSkipPreservesResults' ./internal/soc
 
 echo "== checkpoint-resume digest gate =="
