@@ -505,7 +505,7 @@ func (c *Cache) NextWake(cycle uint64) uint64 {
 
 // AuditDoneFills compares the done-fill counter against an inflight
 // scan, returning a non-empty description on disagreement. Used by the
-// guard's wheel audit: a lost RequestDone notification would park the
+// guard's done-fill audit: a lost RequestDone notification would park the
 // cache's owner past a ready fill.
 func (c *Cache) AuditDoneFills() string {
 	n := int64(0)

@@ -62,7 +62,7 @@ func (c *Cache) checkInvariants(cycle uint64) error {
 			return fmt.Errorf("a buffered writeback was released")
 		}
 	}
-	// Wheel audit: the O(1) done-fill counter must agree with a scan of
+	// Done-fill audit: the O(1) counter must agree with a scan of
 	// the fills. A lost RequestDone would make NextWake report "nothing
 	// to install" past a ready fill, parking the cache's owner while
 	// data sits undelivered.

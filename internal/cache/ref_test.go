@@ -389,7 +389,7 @@ func (c *refCache) RequestDone(*mem.Request) { c.doneFills++ }
 
 // AuditDoneFills compares the done-fill counter against an inflight
 // scan, returning a non-empty description on disagreement. Used by the
-// guard's wheel audit: a lost RequestDone notification would park the
+// guard's done-fill audit: a lost RequestDone notification would park the
 // cache's owner past a ready fill.
 func (c *refCache) AuditDoneFills() string {
 	n := int64(0)

@@ -67,6 +67,21 @@ type Core struct {
 	// accesses.
 	codeBase uint64
 
+	// waitUntil memoises the core's wake in its owner's cycles: Park
+	// stores it after each owner tick, with the L2 fill count it saw
+	// (waitFills). A completing L2 fill is the only input that reaches a
+	// parked core from outside (cache.CountFills): L1 fills and the
+	// L1-to-L2 drain happen inside its own Tick, and a core with
+	// requests in Out is never parked, since NextWake answers now. The
+	// memo is kept in both modes; park gates only whether Parked lets
+	// the owner skip the core, so the reference mode still ticks every
+	// cycle and stays an oracle for the memo. Under a guard (audit) a
+	// cycle inside the memo is ticked too (auditing), and lostWait
+	// describes the first tick there that was not a gated no-op.
+	waitUntil, waitFills, fills uint64
+	park, audit, auditing       bool
+	lostWait                    string
+
 	instrs, loads, stores, icMisses *stats.Counter
 	sysCalls                        *stats.Counter
 	stallCycles                     *stats.Counter
@@ -93,6 +108,7 @@ func NewCore(cfg Config, prog *Program, m *mem.Memory, reg *stats.Registry) *Cor
 		L2:          mk("l2", cfg.L2),
 		Out:         mem.NewQueue(0),
 		codeBase:    0xF000_0000 + uint64(cfg.ID)<<20,
+		park:        true,
 		instrs:      scope.Counter("instructions"),
 		loads:       scope.Counter("loads"),
 		stores:      scope.Counter("stores"),
@@ -108,7 +124,44 @@ func NewCore(cfg Config, prog *Program, m *mem.Memory, reg *stats.Registry) *Cor
 			r.Complete(cycle)
 		}
 	}
+	c.L2.CountFills(&c.fills)
 	return c
+}
+
+// SetPark toggles whether Parked lets the owner skip the core while its
+// memoised wake holds (see Core.waitUntil). The memo is maintained in
+// both modes, so the toggle never changes simulated state: off, the
+// core is ticked every cycle and gates each tick on NextWake itself.
+func (c *Core) SetPark(on bool) { c.park = on }
+
+// Park memoises the core's wake as until, in the owner's cycles: the
+// first owner cycle whose CPU cycles hold one that NextWake reports
+// due. The owner converts NextWake to its clock after each tick.
+func (c *Core) Park(until uint64) {
+	c.waitUntil, c.waitFills, c.auditing = until, c.fills, false
+}
+
+// WaitUntil answers the memoised wake at owner cycle at: until while
+// the memo holds, at once its cycle has come or an L2 fill completed.
+func (c *Core) WaitUntil(at uint64) uint64 {
+	if at < c.waitUntil && c.fills == c.waitFills {
+		return c.waitUntil
+	}
+	return at
+}
+
+// Parked reports whether the owner may skip ticking the core at owner
+// cycle at: the memo holds and parking is on. Under a guard it never
+// may; the ticks of a cycle inside the memo are audited instead.
+func (c *Core) Parked(at uint64) bool {
+	if at >= c.waitUntil || c.fills != c.waitFills {
+		return false
+	}
+	if c.audit {
+		c.auditing = true
+		return false
+	}
+	return c.park
 }
 
 // AttachTracer arms cache event tracing on the core's cache hierarchy.
@@ -133,7 +186,7 @@ func (c *Core) SleepUntil(cycle uint64) { c.sleepUntil = cycle }
 // multi-cycle op, and mem.NeverWake when halted or blocked on a memory
 // fill whose completion is accounted for downstream (NoC/DRAM). It is
 // the core's one wake definition: Tick gates on it every cycle, in
-// every mode, and the SoC arms the core's wheel slot with it.
+// every mode, and the owner memoises it with Park.
 func (c *Core) NextWake(cycle uint64) uint64 {
 	running := !c.halted && !c.waitingMem
 	if (running && c.stallUntil <= cycle) || c.Out.Len() > 0 {
@@ -159,6 +212,9 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 func (c *Core) Tick(cycle uint64) {
 	if c.NextWake(cycle) > cycle {
 		return // only a stall cycle to burn
+	}
+	if c.auditing && c.lostWait == "" {
+		c.lostWait = fmt.Sprintf("cpu%d: waiting until %d, but due at CPU cycle %d", c.Cfg.ID, c.waitUntil, cycle)
 	}
 	// Cache maintenance + miss plumbing every cycle.
 	c.L1I.Tick(cycle)

@@ -247,3 +247,46 @@ func boolTo(b bool) int {
 	}
 	return 0
 }
+
+// TestFillEndsTheMemo: a core parked on an L2 miss keeps its memoised
+// wake across quiet cycles, and the fill's completion ends the memo by
+// itself, through the L2's fill counter, with no call from the owner.
+func TestFillEndsTheMemo(t *testing.T) {
+	c, _ := mk(t, "ld r3, [r2]\nhalt")
+	// Owner cycles are CPU cycles here: tick, take what the core sends
+	// downstream, park.
+	var held []*mem.Request
+	cycle := uint64(0)
+	for ; len(held) == 0; cycle++ {
+		if cycle > 1000 {
+			t.Fatal("the core never missed in its L2")
+		}
+		c.Tick(cycle)
+		for r := c.Out.Pop(); r != nil; r = c.Out.Pop() {
+			held = append(held, r)
+		}
+		c.Park(c.NextWake(cycle + 1))
+	}
+	if w := c.WaitUntil(cycle); w != mem.NeverWake {
+		t.Fatalf("core blocked on its L2 miss memoised wake %d, want NeverWake", w)
+	}
+	for end := cycle + 500; cycle < end; cycle++ {
+		if !c.Parked(cycle) || c.WaitUntil(cycle) != mem.NeverWake {
+			t.Fatalf("cycle %d: the memo ended with no fill", cycle)
+		}
+	}
+	for _, r := range held {
+		r.Complete(cycle)
+	}
+	if c.Parked(cycle) || c.WaitUntil(cycle) != cycle {
+		t.Fatal("the L2 fill completed and the memo still holds")
+	}
+	if c.NextWake(cycle) > cycle {
+		t.Fatal("the memo ended but the core has nothing due")
+	}
+	c.SetPark(false)
+	c.Park(mem.NeverWake)
+	if c.Parked(cycle) || c.WaitUntil(cycle) != mem.NeverWake {
+		t.Fatal("with parking off the memo is kept but never lets the owner skip")
+	}
+}

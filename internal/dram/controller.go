@@ -130,15 +130,7 @@ type Controller struct {
 	totalBusy uint64
 	// room counts requests taken off the channel queues (see Room).
 	room uint64
-
-	// onRetire, when set, is called for every request the moment it
-	// retires (Done becomes observable next cycle) — the SoC uses it to
-	// wake the retiring client's phase-1 wheel slot.
-	onRetire func(r *mem.Request, cycle uint64)
 }
-
-// SetOnRetire installs the retirement callback (see the field comment).
-func (c *Controller) SetOnRetire(fn func(r *mem.Request, cycle uint64)) { c.onRetire = fn }
 
 // NewController builds a DRAM controller. reg may be nil.
 func NewController(cfg Config, reg *stats.Registry) *Controller {
@@ -257,9 +249,6 @@ func (c *Controller) serveChannel(ch *Channel, cycle uint64) {
 	for ch.inService.Len() > 0 && (*ch.inService.Front()).DoneAt <= cycle {
 		r := ch.inService.Pop()
 		r.Complete(r.DoneAt) // keeps DoneAt; notifies the issuer's DoneWatcher
-		if c.onRetire != nil {
-			c.onRetire(r, cycle)
-		}
 	}
 
 	// Command/data-bus overlap (bank-level parallelism): a command may

@@ -20,8 +20,8 @@ import (
 
 // timeAdvance is one setting of the engine's two time-advancement
 // mechanisms: clock jumps over idle stretches, and parked components —
-// the SoC's CPU cores and display on their wheel slots, the GPU behind
-// its memoised wait ("wheel" is SetEventWheel's name for both).
+// the SoC's CPU cores and the GPU, each behind its memoised wake
+// ("wheel" is SetEventWheel's name for parking; no wheel is left).
 type timeAdvance struct {
 	name        string
 	skip, wheel bool
@@ -112,9 +112,8 @@ func standaloneStateDigest(t *testing.T, adv timeAdvance) string {
 
 // TestTimeAdvanceDeterminismSoC checks that how time advances is
 // invisible. The default engine jumps the clock over idle stretches,
-// parks CPU cores and the display on their wheel slots and stops
-// ticking a GPU inside its memoised wait; all may only elide ticks that
-// were gated no-ops anyway.
+// and stops ticking a CPU core or the GPU inside its memoised wake; all
+// may only elide ticks that were gated no-ops anyway.
 // So the complete observable end state of a run (registry JSON,
 // framebuffer, final cycle, results) must match the every-cycle
 // reference, and each mechanism on its own. The default digests are

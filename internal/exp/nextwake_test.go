@@ -59,6 +59,12 @@ func checkWakeContract(t *testing.T, p wakeProbe, cycles uint64) {
 	}
 }
 
+// doneCount counts the completions of the requests that carry it as
+// their Tag (a mem.DoneWatcher).
+type doneCount int
+
+func (n *doneCount) RequestDone(*mem.Request) { *n++ }
+
 // completer models an ideal external memory: requests popped from a
 // queue complete a fixed latency later (always after the cycle's
 // contract check, like a real downstream component would).
@@ -232,8 +238,7 @@ func TestNextWakeContract(t *testing.T) {
 		ctrl := dram.NewController(dram.Config{
 			Name: "dram", Geometry: dram.LPDDR3Geometry(2), Timing: dram.LPDDR3Timing(mbps),
 		}, nil)
-		retired := 0
-		ctrl.SetOnRetire(func(*mem.Request, uint64) { retired++ })
+		var retired doneCount
 		checkWakeContract(t, wakeProbe{
 			wake: func(cy uint64) uint64 {
 				w := ctrl.NextWake(cy)
@@ -248,8 +253,8 @@ func TestNextWakeContract(t *testing.T) {
 				// Two bursts separated by an idle gap, spread across
 				// both channels and several rows.
 				if cy < 8 || (cy >= 600 && cy < 604) {
-					ctrl.Push(&mem.Request{Addr: cy * 4096, Size: 64, Client: mem.ClientGPU})
-					ctrl.Push(&mem.Request{Addr: cy*4096 + 64, Size: 64, Kind: mem.Write, Client: mem.ClientCPU})
+					ctrl.Push(&mem.Request{Addr: cy * 4096, Size: 64, Client: mem.ClientGPU, Tag: &retired})
+					ctrl.Push(&mem.Request{Addr: cy*4096 + 64, Size: 64, Kind: mem.Write, Client: mem.ClientCPU, Tag: &retired})
 				}
 			},
 		}, cycles)

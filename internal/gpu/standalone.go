@@ -106,8 +106,9 @@ func (s *Standalone) SetIdleSkip(on bool) { s.run.Skip = on }
 
 // SetEventWheel toggles component parking, which in standalone mode is
 // the GPU alone: it stops ticking while its memoised wait holds (a
-// drained GPU, or one waiting on memory); the name is the SoC's, whose
-// wheel parks CPU cores and the display as well. Results are bit-identical either way.
+// drained GPU, or one waiting on memory). The name is the SoC's, where
+// the CPU cores park behind their memoised wakes as well, and predates
+// the memos: no wheel is left. Results are bit-identical either way.
 func (s *Standalone) SetEventWheel(on bool) { s.GPU.SetParkDrained(on) }
 
 // SetProbe attaches a telemetry probe: RunUntilIdleCtx publishes a

@@ -1,13 +1,12 @@
 // Package par holds a system's time advancement: the run loop that
-// moves its clock (Loop) and the per-component wake index it reads
-// (Wheel). A system ticks on one goroutine; parallelism lives across
-// runs, not inside a cycle (DESIGN.md "Parallelism").
+// moves its clock (Loop). A system ticks on one goroutine; parallelism
+// lives across runs, not inside a cycle (DESIGN.md "Parallelism").
 //
 // Pool and Group are a barrier-synchronised worker pool that runs a
-// set of independent tasks across threads. No simulator path uses them;
-// they stay only for the benchmark's par arm, which measures their
-// dispatch cost. The package keeps its name because the benchmark also
-// imports NewWheel from it.
+// set of independent tasks across threads, and Wheel a per-component
+// wake index. No simulator path uses them; they stay only for the
+// benchmark's par arm and its par.wheel_due_ns driver, which measure
+// their cost, and the package keeps its name for the same reason.
 //
 // A Group's tasks must be mutually independent; Run then produces state
 // identical to running them in slice order, which is what happens when

@@ -38,6 +38,10 @@ type Display struct {
 	// wake is the next cycle with work of the display's own, as the
 	// last Tick (or, before the first kickoff, SetFrontBuffer) found it.
 	wake uint64
+	// done counts the scan-out reads DRAM has completed (the display is
+	// their DoneWatcher) and seen what the last Tick had counted, so
+	// NextWake sees a completion without scanning the window.
+	done, seen uint64
 
 	// Out is drained by the SoC into the system NoC.
 	Out *mem.Queue
@@ -84,26 +88,27 @@ func (d *Display) FramesShown() int64 { return d.shown.Value() }
 // FramesDropped returns refreshes aborted for missing their deadline.
 func (d *Display) FramesDropped() int64 { return d.dropped.Value() }
 
-// Tick advances the display one cycle and returns the next cycle at
-// which it has work of its own: the refresh deadline, or the pace's
-// next issue slot while the in-flight window has room (a full window
-// moves on read completions, which reach it from outside).
-func (d *Display) Tick(cycle uint64) uint64 {
+// Tick advances the display one cycle and records the next cycle at
+// which it has work of its own (wake): the refresh deadline, or the
+// pace's next issue slot while the in-flight window has room (a full
+// window moves on read completions, which reach it from outside).
+func (d *Display) Tick(cycle uint64) {
 	if d.fb.Width == 0 {
-		return mem.NeverWake
+		return
 	}
 	if d.totalReqs == 0 {
 		// First kickoff: scanning starts at the first refresh boundary,
 		// not at whatever cycle the first Tick happens to land on, so a
 		// configured-but-idle display cannot busy-pin the loop (and the
 		// kickoff cycle does not depend on how often the owner ticked).
-		if w := d.frameStart + d.Period; cycle < w {
-			return w
+		if cycle < d.frameStart+d.Period {
+			return
 		}
 		d.beginScan(cycle)
 	}
 
 	// Retire completed reads.
+	d.seen = d.done
 	kept := d.inflight[:0]
 	for _, r := range d.inflight {
 		if r.Done {
@@ -137,7 +142,7 @@ func (d *Display) Tick(cycle uint64) uint64 {
 		for d.issued < target && len(d.inflight) < 8 && !d.Out.Full() {
 			r := d.reqs.New(mem.Request{
 				Addr: d.fb.Base + uint64(d.issued)*uint64(d.reqBytes), Size: d.reqBytes,
-				Kind: mem.Read, Client: mem.ClientDisplay, IssuedAt: cycle,
+				Kind: mem.Read, Client: mem.ClientDisplay, IssuedAt: cycle, Tag: d,
 			})
 			d.Out.MustPush(r)
 			d.inflight = append(d.inflight, r)
@@ -151,27 +156,25 @@ func (d *Display) Tick(cycle uint64) uint64 {
 		e := (uint64(d.issued+1)*budget + uint64(d.totalReqs) - 1) / uint64(d.totalReqs)
 		d.wake = min(d.wake, d.frameStart+e)
 	}
-	return max(d.wake, cycle+1)
 }
 
 // NextWake returns the earliest future cycle at which the display's
-// state can change: the wake its last Tick returned, or now when input
+// state can change: the wake its last Tick recorded, or now when input
 // has reached it from outside since (a read DRAM completed, requests
 // its owner has not drained).
 func (d *Display) NextWake(cycle uint64) uint64 {
 	if d.fb.Width == 0 {
 		return mem.NeverWake
 	}
-	if d.Out.Len() > 0 {
+	if d.Out.Len() > 0 || d.done != d.seen {
 		return cycle
-	}
-	for _, r := range d.inflight {
-		if r.Done {
-			return cycle
-		}
 	}
 	return max(d.wake, cycle)
 }
+
+// RequestDone implements mem.DoneWatcher: DRAM completed a scan-out
+// read.
+func (d *Display) RequestDone(*mem.Request) { d.done++ }
 
 func (d *Display) beginScan(cycle uint64) {
 	d.totalReqs = (d.fb.SizeBytes() + int(d.reqBytes) - 1) / int(d.reqBytes)

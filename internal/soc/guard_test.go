@@ -76,8 +76,9 @@ func TestGuardCleanOnHealthySoC(t *testing.T) {
 	}
 }
 
-// The phase-1 wheel audit must fire when a slot is parked over a
-// runnable shard — the failure a missing Wake hook would produce.
+// The CPU wait audit must fire when a core's memoised wake covers
+// runnable work — the failure an input that reached a parked core
+// without ending its memo would produce.
 func TestGuardCatchesParkedRunnableCPU(t *testing.T) {
 	s, err := New(smallConfig(t), nil)
 	if err != nil {
@@ -85,8 +86,10 @@ func TestGuardCatchesParkedRunnableCPU(t *testing.T) {
 	}
 	g := guard.NewChecker()
 	s.AttachGuard(g)
-	// Core 0 boots runnable; run until it is again at a cycle boundary.
-	for s.cpuWake(s.CPUs[0], s.cycle) > s.cycle {
+	// Core 0 boots runnable; run until it is again due at the first CPU
+	// cycle of a system cycle.
+	core, mult := s.CPUs[0], uint64(s.Cfg.CPUClockMult)
+	for core.NextWake(s.cycle*mult) > s.cycle*mult {
 		if s.cycle > 100_000 {
 			t.Fatal("cpu0 never became runnable")
 		}
@@ -95,14 +98,14 @@ func TestGuardCatchesParkedRunnableCPU(t *testing.T) {
 	if v := g.Violations(); len(v) != 0 {
 		t.Fatalf("violations before the fault was injected: %v", v)
 	}
-	s.wheel.Arm(0, s.cycle+1_000_000)
+	core.Park(s.cycle + 1_000_000) // a stale memo: no fill has moved since
 	s.Tick()
 	v := g.Violations()
 	if len(v) == 0 {
 		t.Fatal("cpu0 parked over runnable work and no probe fired")
 	}
-	if v[0].Source != "wheel" || !strings.Contains(v[0].Detail, "cpu0 parked until") ||
-		!strings.Contains(v[0].Detail, "but actionable") {
-		t.Fatalf("first violation = %v, want the wheel audit's cpu0 report", v[0])
+	if v[0].Source != "cpu" || !strings.Contains(v[0].Detail, "cpu0: waiting until") ||
+		!strings.Contains(v[0].Detail, "but due at") {
+		t.Fatalf("first violation = %v, want the cpu0 wait audit's report", v[0])
 	}
 }

@@ -140,16 +140,6 @@ type SoC struct {
 	// parameter sweeps actually change it.
 	dashFeedbackEvery uint64
 
-	// wheel holds one slot per phase-1 component (CPU cores, then the
-	// display): the earliest system cycle at which that component can
-	// change state on its own. Each re-arms its slot post-tick; DRAM
-	// retires and frame flips Wake slots when they hand a parked
-	// component new input.
-	// Maintenance always runs — wheelOn gates only the skip — so results
-	// are bit-identical in both modes.
-	wheel   *par.Wheel
-	wheelOn bool
-
 	// trace, when armed via AttachTracer, receives frame submit/complete
 	// spans and blocking-syscall spans; per-CPU state below tracks a
 	// pending (blocked, retried-each-tick) syscall's start cycle.
@@ -190,25 +180,6 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	s.GPU = gpu.New(cfg.GPU, memory, reg)
 	s.DRAM = dram.NewController(cfg.DRAM, reg)
 	s.Display = NewDisplay(cfg.DisplayPeriod, reg)
-	s.wheel = par.NewWheel(cfg.NumCPUs + 1)
-	s.wheelOn = true
-	// A retiring DRAM read is the one input that reaches a parked
-	// phase-1 component from outside: route it to the owner's wheel slot.
-	// (A retiring write hands nothing back, and waking for it would cost
-	// an idle system a tick per writeback.) GPU fills need no slot: a
-	// completing L2 fill moves the GPU's fill counter, which ends its
-	// memoised wait (gpu.GPU.waitUntil).
-	s.DRAM.SetOnRetire(func(r *mem.Request, cycle uint64) {
-		switch {
-		case r.Kind == mem.Write:
-		case r.Client == mem.ClientCPU:
-			if r.ClientID >= 0 && r.ClientID < cfg.NumCPUs {
-				s.wheel.Wake(r.ClientID, cycle+1)
-			}
-		case r.Client == mem.ClientDisplay:
-			s.wheel.Wake(cfg.NumCPUs, cycle+1)
-		}
-	})
 
 	// Ports: CPUs, GPU, display.
 	s.noc = interconnect.Connect(interconnect.Config{
@@ -316,29 +287,7 @@ func (s *SoC) AttachGuard(g *guard.Checker) {
 	for _, c := range s.CPUs {
 		c.AttachGuard(g)
 	}
-	g.Register("wheel", "soc.shards", s.checkWheel)
 	g.Register("soc", "display.requests", s.Display.checkRequests)
-}
-
-// checkWheel audits the phase-1 event wheel at the end of a Tick: any
-// CPU or display slot claiming its component stays a no-op past the next
-// cycle must be backed by a wake computation that agrees. A violation
-// means an input path failed to wake the slot and the wheel is
-// fast-forwarding over actionable work.
-func (s *SoC) checkWheel(cycle uint64) error {
-	for i, core := range s.CPUs {
-		if due := s.wheel.At(i); due > cycle+1 {
-			if w := s.cpuWake(core, cycle+1); w <= cycle+1 {
-				return fmt.Errorf("cpu%d parked until %d but actionable at %d", i, due, cycle+1)
-			}
-		}
-	}
-	if due := s.wheel.At(s.Cfg.NumCPUs); due > cycle+1 {
-		if w := s.Display.NextWake(cycle + 1); w <= cycle+1 {
-			return fmt.Errorf("display parked until %d but actionable at %d", due, cycle+1)
-		}
-	}
-	return nil
 }
 
 // SetWatchdog arms the forward-progress watchdog: RunCtx aborts with a
@@ -476,10 +425,6 @@ func (s *SoC) completeFrame() {
 	front := s.backBuffer()
 	s.backIsA = !s.backIsA
 	s.Display.SetFrontBuffer(front)
-	// The flip is display input from outside: a parked panel may have
-	// to act sooner now (first configuration after construction, or a
-	// geometry change between surfaces).
-	s.wheel.Wake(s.Cfg.NumCPUs, max(s.Display.NextWake(s.cycle+1), s.cycle+1))
 
 	st := FrameStats{
 		SubmitCycle: s.submitCycle,
@@ -507,12 +452,15 @@ func (s *SoC) Cycle() uint64 { return s.cycle }
 func (s *SoC) SetIdleSkip(on bool) { s.run.Skip = on }
 
 // SetEventWheel toggles component parking across the whole system:
-// CPU cores and the display on their phase-1 wheel slots, and the GPU
-// as a whole behind its memoised wait. Where idle skipping fast-forwards only when
-// every component is quiet, parking takes individual components out of
-// busy periods; results are bit-identical either way.
+// each CPU core and the GPU behind its memoised wake (cpu.Core.Park,
+// gpu.GPU.waitUntil). Where idle skipping fast-forwards only when every
+// component is quiet, parking takes individual components out of busy
+// periods; results are bit-identical either way. The name predates the
+// memos; no wheel is left.
 func (s *SoC) SetEventWheel(on bool) {
-	s.wheelOn = on
+	for _, c := range s.CPUs {
+		c.SetPark(on)
+	}
 	s.GPU.SetParkDrained(on)
 }
 
@@ -530,11 +478,10 @@ func (s *SoC) SkippedCycles() uint64 { return s.run.Skipped }
 // NextWake returns the earliest future system cycle at which any
 // component's state can change on its own: mem.NeverWake when the
 // whole system is quiescent, the current cycle when any component has
-// actionable work (in which case the run loop must not jump). The CPU
-// cores and the display answer through their wheel slots, which they
-// arm after every tick; the rest answer directly. The first term due
-// now is the answer, and the GPU's, O(1) while it draws, is asked
-// first: a busy system rarely gets past it.
+// actionable work (in which case the run loop must not jump). The GPU
+// and the CPU cores answer from their memoised wakes; the rest answer
+// directly. The first term due now is the answer, and the GPU's, O(1)
+// while it draws, is asked first: a busy system rarely gets past it.
 func (s *SoC) NextWake() uint64 {
 	c := s.cycle
 	if s.fenceBusy && !s.GPU.Busy() {
@@ -544,8 +491,13 @@ func (s *SoC) NextWake() uint64 {
 	if w <= c {
 		return c
 	}
-	if w = min(w, s.wheel.Min()); w <= c {
-		return c // a core or the display is due
+	for _, core := range s.CPUs {
+		if w = min(w, core.WaitUntil(c)); w <= c {
+			return c
+		}
+	}
+	if w = min(w, s.Display.NextWake(c)); w <= c {
+		return c
 	}
 	if w = min(w, s.noc.NextWake(c)); w <= c {
 		return c
@@ -567,53 +519,38 @@ func (s *SoC) charge(from, to uint64) {
 	s.noc.Charge(to - from)
 }
 
-// tickCPU advances CPU core i at its clock multiple and drains its
-// outbound requests into its NoC ingress port.
+// tickCPU advances CPU core i at its clock multiple, drains its
+// outbound requests into its NoC ingress port and memoises its wake in
+// system cycles. A parked core costs the memo's compare pair.
 func (s *SoC) tickCPU(i int) {
-	c := s.cycle
-	if s.wheelOn && !s.wheel.Due(i, c) {
-		// Parked: the slot value asserts every CPU-domain tick until
-		// then is a gated no-op (core sleeping/halted/blocked, caches
-		// quiet, output drained).
+	core, c := s.CPUs[i], s.cycle
+	if core.Parked(c) {
 		return
 	}
-	core := s.CPUs[i]
-	for m := 0; m < s.Cfg.CPUClockMult; m++ {
-		core.Tick(c*uint64(s.Cfg.CPUClockMult) + uint64(m))
+	mult := uint64(s.Cfg.CPUClockMult)
+	for k := c * mult; k < (c+1)*mult; k++ {
+		core.Tick(k)
 	}
 	core.Out.DrainTo(s.noc.Port(i))
-	s.wheel.Arm(i, s.cpuWake(core, c+1))
+	// CPU cycle w falls inside system cycle w/mult, whose tick covers it.
+	w := core.NextWake((c + 1) * mult)
+	if w != mem.NeverWake {
+		w = max(w/mult, c+1)
+	}
+	core.Park(w)
 }
 
-// cpuWake converts core i's next-wake from its clock domain to system
-// cycles, at or after system cycle `from`, for re-arming its wheel
-// slot. Floor division is exact here: CPU cycle w falls inside system
-// cycle w/mult, whose tick covers it.
-func (s *SoC) cpuWake(core *cpu.Core, from uint64) uint64 {
-	mult := uint64(s.Cfg.CPUClockMult)
-	w := core.NextWake(from * mult)
-	if w == mem.NeverWake {
-		return mem.NeverWake
-	}
-	if w /= mult; w < from {
-		return from
-	}
-	return w
-}
-
-// tickDisplay advances the display controller and drains its requests
-// into its NoC ingress port.
+// tickDisplay advances the display controller, when it has work, and
+// drains its requests into its NoC ingress port. Its NextWake reads its
+// own state, so input that reaches it needs no hook: the flip sets its
+// wake, and a completed read moves its done count.
 func (s *SoC) tickDisplay() {
 	c := s.cycle
-	slot := s.Cfg.NumCPUs
-	if s.wheelOn && !s.wheel.Due(slot, c) {
+	if s.Display.NextWake(c) > c {
 		return
 	}
-	w := s.Display.Tick(c)
-	if s.Display.Out.DrainTo(s.noc.Port(s.Cfg.NumCPUs + 1)); s.Display.Out.Len() > 0 {
-		w = c + 1 // the port is full: drain again next cycle
-	}
-	s.wheel.Arm(slot, w)
+	s.Display.Tick(c)
+	s.Display.Out.DrainTo(s.noc.Port(s.Cfg.NumCPUs + 1))
 }
 
 // Tick advances the SoC one system cycle, in three phases:

@@ -20,37 +20,7 @@ import (
 // sites in the product code, and fail with file:line the way
 // TestBackpressureContract does.
 
-// TestWakeHookSites: a parked component sleeps through any input whose
-// delivery path forgot to wake it, so every Wake/Arm call site is a
-// place a bug can hide. There is one wheel, the SoC's phase-1 wheel:
-// internal/par defines it and only internal/soc builds or hooks it (three
-// Wake sites, two Arm sites). A second wheel, or a hook in another
-// package, has to be argued for in DESIGN.md "Time advancement".
-func TestWakeHookSites(t *testing.T) {
-	fset := token.NewFileSet()
-	for _, sf := range productFiles(t, fset, "internal", "cmd", ".") {
-		if strings.HasPrefix(sf.dir+"/", "internal/soc/") || strings.HasPrefix(sf.dir+"/", "internal/par/") {
-			continue
-		}
-		ast.Inspect(sf.f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if name := sel.Sel.Name; name == "Wake" || name == "Arm" || name == "NewWheel" && isIdent(sel.X, "par") {
-				t.Errorf("%s: event-wheel call %s outside internal/soc", fset.Position(call.Pos()), name)
-			}
-			return true
-		})
-	}
-}
-
-// TestWarpWakeWriters is the same bug class one level down: a warp
-// outside simt.Core's awake set is invisible to the schedulers and to
+// TestWarpWakeWriters: a warp outside simt.Core's awake set is invisible to the schedulers and to
 // NextWake, so every write to that set is a place a wake can go
 // missing. The set is written by five helpers in core.go (wake, sleep,
 // sleepOnLSU, wakeLSU, and forget through readySets) and sliced up in
@@ -119,13 +89,21 @@ func TestWarpWakeWriters(t *testing.T) {
 // and AttachGuard (the inputs that reach the GPU between ticks, and the
 // tracer and guard, under which a core's wait is not charged), and
 // the third input, an L2 fill completing, reaches it as the fill
-// counter gpu.New hands the L2. NewCore and gpu.New are CountFills'
-// only callers. Which cores the memo charges is recorded where the
-// memo is set: Tick and clusterWake write the list.
+// counter gpu.New hands the L2. cpu.Core memoises its wake once more
+// the same way: waitUntil is written only by Park, which its owner calls
+// after each tick, and the one input from outside, an L2 fill
+// completing, reaches it as the fill counter cpu.NewCore hands the L2.
+// The display keeps no memo but reads its input the same way: its
+// completion count moves only in RequestDone (it is its reads'
+// mem.DoneWatcher), and only Tick, which retires them, catches up.
+// simt's and cpu's NewCore and gpu.New are CountFills' only callers.
+// Which cores the memo charges is recorded where the memo is set: Tick
+// and clusterWake write the list.
 func TestWaitMemoWriters(t *testing.T) {
 	fset := token.NewFileSet()
 	simt, cache := productFiles(t, fset, "internal/simt"), productFiles(t, fset, "internal/cache")
-	gpu := productFiles(t, fset, "internal/gpu")
+	gpu, cpu := productFiles(t, fset, "internal/gpu"), productFiles(t, fset, "internal/cpu")
+	soc := productFiles(t, fset, "internal/soc")
 	woke := map[string]bool{}
 	for _, sf := range simt {
 		for _, decl := range sf.f.Decls {
@@ -151,6 +129,10 @@ func TestWaitMemoWriters(t *testing.T) {
 		{"the GPU's memoised wait", "waitUntil", false, gpu, []string{"Tick", "SubmitDraw", "LaunchKernel", "AttachTracer", "AttachGuard"}},
 		{"the GPU's fill counter", "fills", false, gpu, []string{"New"}},
 		{"the GPU's charging cores", "charging", false, gpu, []string{"Tick", "clusterWake"}},
+		{"the CPU core's memoised wake", "waitUntil", false, cpu, []string{"Park"}},
+		{"the CPU core's fill counter", "fills", false, cpu, []string{"NewCore"}},
+		{"the display's completion count", "done", false, soc, []string{"RequestDone"}},
+		{"the display's retired count", "seen", false, soc, []string{"Tick"}},
 	} {
 		want, wrote := names(pin.writers...), map[string]bool{}
 		for _, sf := range pin.files {
@@ -203,10 +185,10 @@ func TestWaitMemoWriters(t *testing.T) {
 	for _, sf := range productFiles(t, fset, "internal", "cmd", "examples", ".") {
 		for _, decl := range sf.f.Decls {
 			ast.Inspect(decl, func(n ast.Node) bool {
-				wired := sf.dir == "internal/simt" && declName(decl) == "NewCore" ||
+				wired := (sf.dir == "internal/simt" || sf.dir == "internal/cpu") && declName(decl) == "NewCore" ||
 					sf.dir == "internal/gpu" && declName(decl) == "New"
 				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "CountFills" && !wired {
-					t.Errorf("%s: cache.CountFills called outside simt.NewCore and gpu.New", fset.Position(call.Pos()))
+					t.Errorf("%s: cache.CountFills called outside simt.NewCore, cpu.NewCore and gpu.New", fset.Position(call.Pos()))
 				}
 				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "ChargeSkipped" && !chargers[sf.dir+" "+declName(decl)] {
 					t.Errorf("%s: ChargeSkipped called in %s %s: a core's is its own waiting tick and the GPU's charge, the GPU's its memo tick and a system's jump hook",

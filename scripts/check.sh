@@ -38,7 +38,7 @@ echo "== allocation gates and hot-path references (uncached) =="
 # latch against the linear scan, Refused against a blocked Access, and
 # the lane loops against single-lane ExecALU: -count=1 so the test cache
 # cannot answer for them. The static rules (the backpressure contract,
-# the wake-hook, warp-wake and wait-memo inventories, request and
+# the warp-wake and wait-memo inventories, request and
 # draw-record allocation, the map-field lint and TestExportedSurface's
 # no-func-without-a-caller census of internal/) are tier-1 go/ast tests
 # in the root package: TestBackpressureContract and inventory_test.go.
@@ -123,8 +123,8 @@ go test -count=1 -run 'TestChaosSoak|TestJournalReplayRacesReexecution' -timeout
 
 echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake contract + skip tripwire =="
 # The digest gates — "wheel-only" is SetEventWheel alone: clock jumps
-# off, the phase-1 wheel slots (CPU cores, display) and the GPU's
-# memoised wait acted on — and every NextWake implementor driven through
+# off, the CPU cores' and the GPU's memoised wakes acted on — and every
+# NextWake implementor driven through
 # a crafted busy period: reporting a wake later than the first
 # self-driven state change is the silent-correctness bug class that
 # parking and clock jumps turn into wrong results. The tripwires fail
