@@ -59,8 +59,8 @@ type Core struct {
 	stallUntil uint64
 	waitingMem bool
 	// sleepUntil is a voluntary park deadline (CPU cycles) set by the
-	// SysHandler (yield/vsync-wait); it extends the stall window of the
-	// in-flight sys instruction so idle loops stop burning cycles.
+	// SysHandler (a vsync wait); it extends the stall window of the
+	// in-flight sys instruction so the wait stops burning cycles.
 	sleepUntil uint64
 
 	// codeBase is the synthetic address of the program text for L1I

@@ -290,3 +290,38 @@ func TestFillEndsTheMemo(t *testing.T) {
 		t.Fatal("with parking off the memo is kept but never lets the owner skip")
 	}
 }
+
+// TestIdleTaskHaltsForGood: an idle core retires its few instructions
+// and then answers mem.NeverWake, retiring nothing more however long
+// it is ticked. No syscall polls a scheduling quantum on its behalf.
+func TestIdleTaskHaltsForGood(t *testing.T) {
+	c := NewCore(DefaultConfig(0), IdleTask, mem.NewMemory(), nil)
+	// Without a handler a sys instruction halts the core; this one
+	// completes every call, so only the program can halt it.
+	c.Sys = func(*Core, int32) (uint32, bool) { return 0, true }
+	cycle := uint64(0)
+	for ; c.NextWake(cycle) != mem.NeverWake; cycle++ {
+		if cycle > 10_000 {
+			t.Fatalf("idle core still due at cycle %d, %d instructions retired",
+				cycle, c.Instructions())
+		}
+		c.Tick(cycle)
+		for r := c.Out.Pop(); r != nil; r = c.Out.Pop() {
+			r.Complete(cycle)
+		}
+	}
+	n := c.Instructions()
+	if n > int64(len(IdleTask.Code)) {
+		t.Fatalf("idle core retired %d instructions, more than its %d-instruction program",
+			n, len(IdleTask.Code))
+	}
+	for end := cycle + 100_000; cycle < end; cycle++ {
+		c.Tick(cycle)
+		if w := c.NextWake(cycle); w != mem.NeverWake {
+			t.Fatalf("cycle %d: idle core due at %d after halting", cycle, w)
+		}
+	}
+	if got := c.Instructions(); got != n {
+		t.Fatalf("idle core retired %d instructions after halting", got-n)
+	}
+}

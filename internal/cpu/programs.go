@@ -11,8 +11,6 @@ const (
 	SysFenceDone = 2
 	// SysWaitVsync blocks until the next frame period tick.
 	SysWaitVsync = 3
-	// SysYield burns one scheduling quantum (background tasks).
-	SysYield = 4
 )
 
 // AppFrameLoop is the full-system workload's application core program —
@@ -114,10 +112,11 @@ alu:
 	jmp  outer
 `)
 
-// IdleTask spins on SysYield — a parked core.
+// IdleTask is an idle core's program. Android's idle loop executes WFI,
+// which stops the core until an interrupt arrives. WFI; no interrupt
+// source exists, so it is `halt`: from then on the core's NextWake is
+// mem.NeverWake and its owner never ticks it again.
 var IdleTask = MustAssemble("idle_task", `
 	movi r0, 0
-loop:
-	sys  4
-	jmp  loop
+	halt
 `)

@@ -226,9 +226,12 @@ func (n *Node) Start() {
 }
 
 // Close stops the background loops and waits for in-flight replication
-// pushes to finish.
+// pushes to finish. It closes stop under mu, the lock background checks
+// it under, so no job is added to wg once Wait may have begun.
 func (n *Node) Close() {
+	n.mu.Lock()
 	n.stopOnce.Do(func() { close(n.stop) })
+	n.mu.Unlock()
 	n.wg.Wait()
 }
 
@@ -578,8 +581,20 @@ func (n *Node) handoff(ctx context.Context, ring *Ring) {
 }
 
 // background runs fn under a deadline on a goroutine Close waits for.
+// Once Close has begun it refuses the job and fn never runs: a refused
+// replica push is left to the peers' anti-entropy sweep, a refused
+// membership broadcast to probe gossip, and a refused leave handoff is
+// not made.
 func (n *Node) background(timeout time.Duration, fn func(ctx context.Context)) {
+	n.mu.Lock()
+	select {
+	case <-n.stop:
+		n.mu.Unlock()
+		return
+	default:
+	}
 	n.wg.Add(1)
+	n.mu.Unlock()
 	go func() {
 		defer n.wg.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)

@@ -781,3 +781,69 @@ func TestAntiEntropyIgnoresMalformedPeerKeys(t *testing.T) {
 		t.Fatalf("anti-entropy pulled %d, store holds %v; want nothing", rs.Pulled, keys)
 	}
 }
+
+// TestCloseRefusesBackgroundJobs races Close against background calls,
+// as a runner worker's OnStored can meet a daemon's shutdown. First,
+// with Close waiting on a held job, every background call is refused
+// and its job never runs. Then Close and the callers start together
+// from an idle node: under -race, a wg.Add that can meet Close's Wait
+// fails the test, and no job may run after Close returns.
+func TestCloseRefusesBackgroundJobs(t *testing.T) {
+	st, err := sweep.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	newNode := func() *Node {
+		nd, err := New(Config{Self: "http://127.0.0.1:1", Logf: t.Logf}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nd
+	}
+	var ran atomic.Int64
+	job := func(context.Context) { ran.Add(1) }
+	pushAll := func(nd *Node) {
+		var callers sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			callers.Add(1)
+			go func() {
+				defer callers.Done()
+				for i := 0; i < 100; i++ {
+					nd.background(time.Second, job)
+				}
+			}()
+		}
+		callers.Wait()
+	}
+
+	nd := newNode()
+	release := make(chan struct{})
+	nd.background(time.Minute, func(context.Context) { <-release })
+	closed := make(chan struct{})
+	go func() {
+		nd.Close()
+		close(closed)
+	}()
+	<-nd.stop // Close has begun: it waits for the held job
+	pushAll(nd)
+	close(release)
+	<-closed
+	if n := ran.Load(); n > 0 {
+		t.Fatalf("%d background jobs were accepted and ran after Close began", n)
+	}
+
+	for round := 0; round < 20; round++ {
+		nd := newNode()
+		done := make(chan struct{})
+		go func() {
+			pushAll(nd)
+			close(done)
+		}()
+		nd.Close()
+		before := ran.Load()
+		<-done
+		if n := ran.Load() - before; n > 0 {
+			t.Fatalf("round %d: %d background jobs ran after Close returned", round, n)
+		}
+	}
+}

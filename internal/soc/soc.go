@@ -315,7 +315,8 @@ func (s *SoC) syscall(c *cpu.Core, code int32) (uint32, bool) {
 }
 
 // traceSyscall emits a span for each syscall that blocked at least one
-// cycle (fast-path syscalls like yield produce no events).
+// cycle (one that completes at once, like a fence poll, produces no
+// event).
 func (s *SoC) traceSyscall(c *cpu.Core, code int32, done bool) {
 	id := c.Cfg.ID
 	if id < 0 || id >= len(s.sysStart) {
@@ -343,8 +344,6 @@ func syscallName(code int32) string {
 		return "sys_fence_done"
 	case cpu.SysWaitVsync:
 		return "sys_wait_vsync"
-	case cpu.SysYield:
-		return "sys_yield"
 	}
 	return "sys_unknown"
 }
@@ -378,21 +377,9 @@ func (s *SoC) syscallImpl(c *cpu.Core, code int32) (uint32, bool) {
 			return 0, false
 		}
 		return 0, true
-
-	case cpu.SysYield:
-		// Yielding burns the rest of the scheduling quantum: park the
-		// core until the next quantum boundary instead of spinning
-		// through the idle loop cycle by cycle.
-		next := (s.cycle/yieldQuantum + 1) * yieldQuantum
-		c.SleepUntil(next * uint64(s.Cfg.CPUClockMult))
-		return 0, true
 	}
 	return 0, true
 }
-
-// yieldQuantum is the scheduling quantum (in system cycles) a yielding
-// task gives up: sys_yield parks the core until the next boundary.
-const yieldQuantum = 64
 
 // submitFrame issues the frame's GL commands and arms the fence.
 func (s *SoC) submitFrame() {

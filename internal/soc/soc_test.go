@@ -97,6 +97,38 @@ func TestSoCCPUsGenerateTraffic(t *testing.T) {
 	}
 }
 
+// TestIdleCoresStopAfterBoot: with no background task (the soc_idle
+// shape) every core but the app core runs cpu.IdleTask, which halts:
+// its retired-instruction count after the first frame is already its
+// count at the end of the run.
+func TestIdleCoresStopAfterBoot(t *testing.T) {
+	cfg := smallConfig(t)
+	cfg.Background = make([]uint32, cfg.NumCPUs-1)
+	s, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(s.Frames) < 1 {
+		if s.Cycle() > 30_000_000 {
+			t.Fatal("no frame completed")
+		}
+		s.Tick()
+	}
+	first := make([]int64, cfg.NumCPUs)
+	for i := 1; i < cfg.NumCPUs; i++ {
+		first[i] = s.Reg.Value(fmt.Sprintf("cpu%d.instructions", i))
+	}
+	if err := s.Run(30_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < cfg.NumCPUs; i++ {
+		if got := s.Reg.Value(fmt.Sprintf("cpu%d.instructions", i)); got != first[i] {
+			t.Errorf("idle cpu%d: %d instructions after the first frame, %d at the end",
+				i, first[i], got)
+		}
+	}
+}
+
 func TestSoCWithDASHSchedulerRuns(t *testing.T) {
 	cfg := smallConfig(t)
 	dcfg, dash := sched.DASHDRAM("dram", dram.LPDDR3Geometry(2),
