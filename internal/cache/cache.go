@@ -478,7 +478,8 @@ func (c *Cache) writeBack(cycle uint64, la uint64) {
 	}
 }
 
-// Contains reports whether the line holding addr is resident (test hook).
+// Contains reports whether the line holding addr is resident, without
+// touching it: a CPU core asks it of the fetches it plans.
 func (c *Cache) Contains(addr uint64) bool {
 	la := c.LineAddr(addr)
 	return c.find(c.setIndex(la), la) >= 0

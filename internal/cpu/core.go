@@ -82,6 +82,12 @@ type Core struct {
 	park, audit, auditing       bool
 	lostWait                    string
 
+	// A planned run (plan): runLeft register-only instructions, the
+	// next of them issuing at runNext, and runEnd the issue cycle of
+	// the instruction after the run. Sync commits them.
+	runLeft         int
+	runNext, runEnd uint64
+
 	instrs, loads, stores, icMisses *stats.Counter
 	sysCalls                        *stats.Counter
 	stallCycles                     *stats.Counter
@@ -186,8 +192,12 @@ func (c *Core) SleepUntil(cycle uint64) { c.sleepUntil = cycle }
 // multi-cycle op, and mem.NeverWake when halted or blocked on a memory
 // fill whose completion is accounted for downstream (NoC/DRAM). It is
 // the core's one wake definition: Tick gates on it every cycle, in
-// every mode, and the owner memoises it with Park.
+// every mode, and the owner memoises it with Park. While a planned run
+// holds, it is the issue cycle of the instruction after the run.
 func (c *Core) NextWake(cycle uint64) uint64 {
+	if c.runLeft > 0 {
+		return max(c.runEnd, cycle)
+	}
 	running := !c.halted && !c.waitingMem
 	if (running && c.stallUntil <= cycle) || c.Out.Len() > 0 {
 		return cycle
@@ -208,13 +218,26 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 	return w
 }
 
-// Tick advances the core one CPU cycle.
+// Tick advances the core one CPU cycle: step, then, when an
+// instruction issued, plan the register-only run that follows it.
 func (c *Core) Tick(cycle uint64) {
+	if c.step(cycle) {
+		c.plan(cycle)
+	}
+}
+
+// step is Tick without the plan: the core issuing at most one
+// instruction per due cycle, which TestPlannedRunMatchesSteppedCore
+// holds a planning core to. It reports whether one issued.
+func (c *Core) step(cycle uint64) bool {
 	if c.NextWake(cycle) > cycle {
-		return // only a stall cycle to burn
+		return false // only a stall cycle to burn
 	}
 	if c.auditing && c.lostWait == "" {
 		c.lostWait = fmt.Sprintf("cpu%d: waiting until %d, but due at CPU cycle %d", c.Cfg.ID, c.waitUntil, cycle)
+	}
+	if c.runLeft > 0 {
+		c.Sync(cycle)
 	}
 	// Cache maintenance + miss plumbing every cycle.
 	c.L1I.Tick(cycle)
@@ -224,32 +247,93 @@ func (c *Core) Tick(cycle uint64) {
 	c.drainTo(c.L1D.Out)
 	c.L2.Out.DrainTo(c.Out)
 
-	if c.halted || c.waitingMem {
+	if c.halted || c.waitingMem || c.stallUntil > cycle {
 		c.stallCycles.Inc()
-		return
-	}
-	if c.stallUntil > cycle {
-		c.stallCycles.Inc()
-		return
+		return false
 	}
 	if int(c.PC) >= len(c.prog.Code) {
 		c.halted = true
-		return
+		return false
 	}
 
 	// Instruction fetch through L1I (4-byte instructions).
-	iaddr := c.codeBase + uint64(c.PC)*4
-	switch c.L1I.Access(cycle, iaddr, mem.Read, c) {
+	switch c.L1I.Access(cycle, c.codeBase+uint64(c.PC)*4, mem.Read, c) {
 	case cache.Miss:
 		c.icMisses.Inc()
 		c.waitingMem = true
-		return
+		return false
 	case cache.Blocked:
+		return false
+	}
+	return c.execute(c.prog.Code[c.PC], cycle)
+}
+
+// maxRun caps a planned run. The instruction after a capped run issues
+// from Tick and plans the rest, so where the cap falls changes nothing.
+const maxRun = 256
+
+// quiet reports that nothing outside the core can reach it: no cache
+// has work or an outstanding miss, and Out is empty. Only the core's
+// own ld, st or missing fetch gives its caches work again.
+func (c *Core) quiet() bool {
+	for _, k := range [...]*cache.Cache{c.L1I, c.L1D, c.L2} {
+		if k.NextWake(0) != mem.NeverWake || k.PendingMisses() > 0 {
+			return false
+		}
+	}
+	return c.Out.Len() == 0
+}
+
+// plan looks past the instruction just issued at cycle for a run of
+// register-only instructions (every op but ld, st, sys and halt) whose
+// fetches hit in L1I. While the core is quiet such a run touches
+// nothing outside the core, so its end is known now: NextWake answers
+// the issue cycle of the instruction after it, and the run commits
+// when the core is next due (Sync). The run is worked out on a copy of
+// the registers with Tick's issue rule, next = max(t+1, stallUntil).
+func (c *Core) plan(cycle uint64) {
+	if c.halted || c.waitingMem || !c.quiet() {
 		return
 	}
+	regs, pc, stall := c.Regs, c.PC, c.stallUntil
+	first := max(cycle+1, stall)
+	at, n := first, 0
+	for ; n < maxRun && int(pc) < len(c.prog.Code); n++ {
+		in := c.prog.Code[pc]
+		if in.Op == OpLd || in.Op == OpSt || in.Op == OpSys || in.Op == OpHalt ||
+			!c.L1I.Contains(c.codeBase+uint64(pc)*4) {
+			break
+		}
+		var cost uint64
+		pc, cost = c.regOp(in, pc, &regs)
+		if cost > 1 {
+			stall = at + cost - 1
+		}
+		at = max(at+1, stall)
+	}
+	c.runLeft, c.runNext, c.runEnd = n, first, at
+}
 
-	in := c.prog.Code[c.PC]
-	c.execute(in, cycle)
+// Sync commits the planned instructions that issue before CPU cycle
+// end, in order, each at its own cycle: its L1I fetch, then execute.
+// The core is then what ticking every cycle before end leaves. Tick
+// commits a run when the core is next due; an owner calls Sync before
+// it reads the core between ticks or at the end of a run. Under a
+// guard a commit checks that the core stayed quiet since the plan.
+func (c *Core) Sync(end uint64) {
+	if c.runLeft == 0 {
+		return
+	}
+	if c.audit && c.lostWait == "" && !c.quiet() {
+		c.lostWait = fmt.Sprintf("cpu%d: a cache got work inside the run planned to end at CPU cycle %d", c.Cfg.ID, c.runEnd)
+	}
+	for c.runLeft > 0 && c.runNext < end {
+		at := c.runNext
+		c.L1I.Access(at, c.codeBase+uint64(c.PC)*4, mem.Read, c)
+		c.execute(c.prog.Code[c.PC], at)
+		c.runLeft--
+		c.runNext = max(at+1, c.stallUntil)
+	}
 }
 
 // drainTo forwards an L1's miss traffic into the private L2.
@@ -279,13 +363,81 @@ func (c *Core) drainTo(q *mem.Queue) {
 	}
 }
 
-func (c *Core) execute(in Instr, cycle uint64) {
-	advance := true
-	cost := uint64(1)
+// execute issues in at cycle and reports whether it retired; a blocked
+// access or an unfinished sys leaves it to retry.
+func (c *Core) execute(in Instr, cycle uint64) bool {
+	next, cost := c.PC+1, uint64(1)
 	r := &c.Regs
 
 	switch in.Op {
-	case OpNop:
+	case OpLd:
+		addr := uint64(r[in.Ra]) + uint64(int64(in.Imm))
+		switch c.L1D.Access(cycle, addr, mem.Read, c) {
+		case cache.Hit:
+			c.stallUntil = cycle + c.Cfg.L1D.HitLatency
+		case cache.Miss:
+			c.waitingMem = true
+		case cache.Blocked:
+			return false // retry whole instruction
+		}
+		r[in.Rd] = c.mem.ReadU32(addr)
+		c.loads.Inc()
+
+	case OpSt:
+		addr := uint64(r[in.Ra]) + uint64(int64(in.Imm))
+		switch c.L1D.Access(cycle, addr, mem.Write, nil) {
+		case cache.Blocked:
+			return false
+		case cache.Miss:
+			// write-allocate: the line is being fetched; the store
+			// itself retires (store buffer assumption).
+		}
+		c.mem.WriteU32(addr, r[in.Rb])
+		c.stores.Inc()
+
+	case OpSys:
+		c.sysCalls.Inc()
+		if c.Sys == nil {
+			c.halted = true
+			return false
+		}
+		ret, done := c.Sys(c, in.Imm)
+		if !done {
+			c.sysCalls.Add(-1) // retried, count once
+			c.stallUntil = cycle + 1
+			if c.sleepUntil > c.stallUntil {
+				c.stallUntil = c.sleepUntil
+			}
+			c.sleepUntil = 0
+			return false
+		}
+		r[1] = ret
+
+	case OpHalt:
+		c.halted = true
+		return false
+
+	default:
+		next, cost = c.regOp(in, c.PC, r)
+	}
+
+	c.instrs.Inc()
+	c.PC = next
+	if cost > 1 {
+		c.stallUntil = cycle + cost - 1
+	}
+	if c.sleepUntil > c.stallUntil && c.sleepUntil > cycle {
+		c.stallUntil = c.sleepUntil
+	}
+	c.sleepUntil = 0
+	return true
+}
+
+// regOp is the one definition of the register-only instructions, used
+// by execute and by plan: it applies in, fetched at pc, to r and
+// returns the next pc and the instruction's cost in cycles.
+func (c *Core) regOp(in Instr, pc uint32, r *[NumRegs]uint32) (uint32, uint64) {
+	switch in.Op {
 	case OpMovi:
 		r[in.Rd] = uint32(in.Imm)
 	case OpMov:
@@ -296,7 +448,7 @@ func (c *Core) execute(in Instr, cycle uint64) {
 		r[in.Rd] = r[in.Ra] - r[in.Rb]
 	case OpMul:
 		r[in.Rd] = r[in.Ra] * r[in.Rb]
-		cost = c.Cfg.MulLatency
+		return pc + 1, c.Cfg.MulLatency
 	case OpAnd:
 		r[in.Rd] = r[in.Ra] & r[in.Rb]
 	case OpOr:
@@ -309,32 +461,6 @@ func (c *Core) execute(in Instr, cycle uint64) {
 		r[in.Rd] = r[in.Ra] >> (r[in.Rb] & 31)
 	case OpAddi:
 		r[in.Rd] = r[in.Ra] + uint32(in.Imm)
-
-	case OpLd:
-		addr := uint64(r[in.Ra]) + uint64(int64(in.Imm))
-		switch c.L1D.Access(cycle, addr, mem.Read, c) {
-		case cache.Hit:
-			c.stallUntil = cycle + c.Cfg.L1D.HitLatency
-		case cache.Miss:
-			c.waitingMem = true
-		case cache.Blocked:
-			return // retry whole instruction
-		}
-		r[in.Rd] = c.mem.ReadU32(addr)
-		c.loads.Inc()
-
-	case OpSt:
-		addr := uint64(r[in.Ra]) + uint64(int64(in.Imm))
-		switch c.L1D.Access(cycle, addr, mem.Write, nil) {
-		case cache.Blocked:
-			return
-		case cache.Miss:
-			// write-allocate: the line is being fetched; the store
-			// itself retires (store buffer assumption).
-		}
-		c.mem.WriteU32(addr, r[in.Rb])
-		c.stores.Inc()
-
 	case OpBeq, OpBne, OpBlt, OpBge:
 		taken := false
 		switch in.Op {
@@ -348,48 +474,10 @@ func (c *Core) execute(in Instr, cycle uint64) {
 			taken = int32(r[in.Ra]) >= int32(r[in.Rb])
 		}
 		if taken {
-			c.PC = in.Target
-			advance = false
-			cost = 1 + c.Cfg.BranchCost
+			return in.Target, 1 + c.Cfg.BranchCost
 		}
-
 	case OpJmp:
-		c.PC = in.Target
-		advance = false
-		cost = 1 + c.Cfg.BranchCost
-
-	case OpSys:
-		c.sysCalls.Inc()
-		if c.Sys == nil {
-			c.halted = true
-			return
-		}
-		ret, done := c.Sys(c, in.Imm)
-		if !done {
-			c.sysCalls.Add(-1) // retried, count once
-			c.stallUntil = cycle + 1
-			if c.sleepUntil > c.stallUntil {
-				c.stallUntil = c.sleepUntil
-			}
-			c.sleepUntil = 0
-			return
-		}
-		r[1] = ret
-
-	case OpHalt:
-		c.halted = true
-		return
+		return in.Target, 1 + c.Cfg.BranchCost
 	}
-
-	c.instrs.Inc()
-	if advance {
-		c.PC++
-	}
-	if cost > 1 {
-		c.stallUntil = cycle + cost - 1
-	}
-	if c.sleepUntil > c.stallUntil && c.sleepUntil > cycle {
-		c.stallUntil = c.sleepUntil
-	}
-	c.sleepUntil = 0
+	return pc + 1, 1
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -20,26 +21,7 @@ func TestExperimentsCaseStudyI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders 32 quick-scale SoC cells")
 	}
-	opt := Quick()
-	opt.Workers = runtime.NumCPU()
-	res, err := Plan{Figs: []string{"9", "11", "12", "13"}, Opt: opt}.Simulate(RunCell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := os.ReadFile("../../EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	figs := make(map[string]*figTable)
-	for _, f := range res.Figures() {
-		ft := &figTable{head: f.Table.Headers, rows: tableCells(f.Table)}
-		figs[f.Name] = ft
-		want := ft.markdown()
-		if got := docTable(string(doc), "### Figure "+f.Name+" "); got != want {
-			t.Errorf("EXPERIMENTS.md Figure %s table is not what the program prints at quick scale:\n%s\nwant:\n%s",
-				f.Name, got, want)
-		}
-	}
+	figs := docFigures(t, "9", "11", "12", "13")
 
 	// The paper's Case Study I findings, as the tables state them. Each
 	// threshold's comment gives its margin on the tables above.
@@ -101,6 +83,69 @@ func TestExperimentsCaseStudyI(t *testing.T) {
 	if hmcServes < 2 {
 		t.Errorf("Figure 13: HMC serves more display traffic on %d of %d models, want at least 2", hmcServes, models(fig13))
 	}
+}
+
+// TestExperimentsCaseStudyII is TestExperimentsCaseStudyI's method for
+// Figure 17, the one Case Study II figure rendered here (~2.5 s): the
+// table EXPERIMENTS.md prints, and the paper's finding that the best
+// WT size depends on the workload, with a large spread across sizes.
+// Figure 19 and the §3.4 validation are not checked.
+func TestExperimentsCaseStudyII(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders six quick-scale WT sweeps")
+	}
+	fig17 := docFigures(t, "17")["17"]
+	optima := make(map[string]bool)
+	for i, row := range fig17.rows {
+		lo, hi, best := math.Inf(1), 0.0, ""
+		for _, wt := range fig17.head[1:] {
+			v := fig17.num(t, i, wt)
+			if v < lo {
+				lo, best = v, wt
+			}
+			hi = max(hi, v)
+		}
+		optima[best] = true
+		// Frame time spreads by at least 20% across WT sizes on every
+		// workload (smallest: W6, 1.311 against 0.988, 1.33).
+		if hi/lo < 1.20 {
+			t.Errorf("Figure 17 %s: max/min across WT sizes %.3f, want at least 1.20", row[0], hi/lo)
+		}
+	}
+	// The optimum is not one WT size for every workload (WT1 for W1
+	// and W3, WT2 for W2, WT3 for W4 and W5, WT4 for W6).
+	if len(optima) < 2 {
+		t.Errorf("Figure 17: every workload is fastest at the same WT size (%v)", optima)
+	}
+}
+
+// docFigures renders figs at the quick scale EXPERIMENTS.md is written
+// at, through the one experiment plan, and fails the test where the
+// document's table under a figure's heading is not what the program
+// prints. It returns the rendered tables by figure name.
+func docFigures(t *testing.T, figs ...string) map[string]*figTable {
+	t.Helper()
+	opt := Quick()
+	opt.Workers = runtime.NumCPU()
+	res, err := Plan{Figs: figs, Opt: opt}.Simulate(RunCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]*figTable)
+	for _, f := range res.Figures() {
+		ft := &figTable{head: f.Table.Headers, rows: tableCells(f.Table)}
+		out[f.Name] = ft
+		want := ft.markdown()
+		if got := docTable(string(doc), "### Figure "+f.Name+" "); got != want {
+			t.Errorf("EXPERIMENTS.md Figure %s table is not what the program prints at quick scale:\n%s\nwant:\n%s",
+				f.Name, got, want)
+		}
+	}
+	return out
 }
 
 // figTable is a rendered figure table: its headers and its data rows

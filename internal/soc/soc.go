@@ -591,16 +591,29 @@ func (s *SoC) Run(budget uint64) error {
 // RunCtx is Run with cancellation and self-diagnosis (see
 // par.Loop.Run).
 func (s *SoC) RunCtx(ctx context.Context, budget uint64) error {
-	if err := s.run.Run(ctx, budget); err != nil {
+	err := s.run.Run(ctx, budget)
+	s.syncCPUs()
+	if err != nil {
 		return fmt.Errorf("soc: %d/%d frames: %w", s.framesDone, s.Cfg.Frames+s.Cfg.WarmupFrames, err)
 	}
 	return nil
+}
+
+// syncCPUs commits what the CPU cores' planned runs issue before the
+// current cycle (cpu.Core.Sync), so a reader between ticks or after a
+// run sees the state an every-cycle run has there.
+func (s *SoC) syncCPUs() {
+	end := s.cycle * uint64(s.Cfg.CPUClockMult)
+	for _, c := range s.CPUs {
+		c.Sync(end)
+	}
 }
 
 // progressSig sums the system's monotone progress counters: CPU and
 // GPU instructions, DRAM bytes, display service and completed frames.
 // Flat across a watchdog window means nothing anywhere is advancing.
 func (s *SoC) progressSig() uint64 {
+	s.syncCPUs()
 	var sig int64
 	for _, c := range s.CPUs {
 		sig += c.Instructions()
@@ -614,6 +627,7 @@ func (s *SoC) progressSig() uint64 {
 // emtrace tail when tracing is armed — for a watchdog abort (window >
 // 0) or an on-demand telemetry snapshot of a healthy run (window 0).
 func (s *SoC) diagnose(window uint64) guard.Diag {
+	s.syncCPUs()
 	d := guard.Diag{Cycle: s.cycle, Window: window}
 	cpuLines := make([]string, 0, len(s.CPUs)+1)
 	cpuLines = append(cpuLines, fmt.Sprintf("frames=%d/%d fenceBusy=%v",
@@ -633,6 +647,7 @@ func (s *SoC) diagnose(window uint64) guard.Diag {
 // probe — the same counters progressSig folds, kept per-component so
 // observers can see which engine is moving.
 func (s *SoC) telemetrySample() telemetry.Sample {
+	s.syncCPUs()
 	var cpu int64
 	for _, c := range s.CPUs {
 		cpu += c.Instructions()

@@ -231,8 +231,10 @@ func testSurface() gfx.Surface {
 // the display-paced workload leaves long gaps between bursts. It is
 // also the tripwire for backpressured waits: cycles in which the GPU's
 // cluster NoC, its setup stage and its cores only wait on a refusing L2
-// are jumped, which lifts the skipped share from 14.4% to 33.5%. The
-// floor, 30%, leaves 3.5 points of margin below the measured share.
+// are jumped, which lifted the skipped share from 14.4% to 33.5%, and
+// so is a background core's register-only burn, planned as one run
+// (cpu.Core.Sync), which lifts it from 34.6% to 72.0%. The floor, 60%,
+// leaves 12 points of margin below the measured share.
 func TestIdleSkipPreservesResults(t *testing.T) {
 	run := func(skip bool) (*SoC, string) {
 		cfg := smallConfig(t)
@@ -262,8 +264,8 @@ func TestIdleSkipPreservesResults(t *testing.T) {
 		t.Errorf("idle skipping changed the observable end state: %s != %s", dSkip, dFull)
 	}
 	share := float64(skipped.SkippedCycles()) / float64(skipped.Cycle())
-	if share < 0.30 {
-		t.Errorf("skipping run jumped %.1f%% of the cycles, below the 30%% floor", 100*share)
+	if share < 0.60 {
+		t.Errorf("skipping run jumped %.1f%% of the cycles, below the 60%% floor", 100*share)
 	}
 	if full.SkippedCycles() != 0 {
 		t.Errorf("no-skip run reports %d skipped cycles", full.SkippedCycles())

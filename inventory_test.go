@@ -445,7 +445,6 @@ var surfaceAllowed = map[string]string{
 	"shader.Cmp.String":            "fmt.Stringer: Disassemble prints setp's comparison with %s",
 	"guard.Violation.String":       "fmt.Stringer: Checker.Err prints the first violation with %s",
 	"guard.Checker.Violations":     "the guard's test oracle: every package's guard tests read which probe failed and why",
-	"cache.Cache.Contains":         "test oracle: the cache, crossbar and LSU differential references compare residency line by line and class a store-hit refusal by it",
 	"dram.Mapping.Encode":          "test oracle: the inverse the Decode round-trip property checks",
 	"telemetry.ValidateExposition": "test oracle: the telemetry, sweep and fleet tests check every /metrics body against the exposition format",
 	"chaos.*":                      "the fault-injection harness behind TestChaosSoak: only chaos's own tests drive its Engine and Member controls",

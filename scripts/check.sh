@@ -231,18 +231,22 @@ echo "ok"
 
 echo "== telemetry overhead guard =="
 # The probe publishes once per 1024-cycle stride poll; the budget for
-# that is 2% of frame time. Gate at 8% of the min-of-3 paired runs to
-# absorb scheduler noise on shared CI machines while still catching a
-# real regression (e.g. publishing every cycle).
-out=$(go test -timeout 5m -run '^$' -bench 'BenchmarkFrameW3$|BenchmarkFrameW3Telemetry$' -benchtime=3x -count=3 .)
+# that is 2% of frame time, the gate 8%. BenchmarkFrameW3TelemetryOverhead
+# renders the same W3 frames on a bare and a probed system in
+# alternating order (bare, probed, probed, bare) and reports the median
+# probed/bare over 41 such quartets, so a slow spell of a shared host
+# lands on both systems. Ten runs on a 2-vCPU host read -2.8% to +3.1%;
+# a probe that publishes on every ticked cycle and every jump read
+# +4.9% to +9.0%, which the 8% gate caught 4 times in 10.
+out=$(go test -timeout 5m -run '^$' -bench 'BenchmarkFrameW3TelemetryOverhead$' -benchtime=41x .)
 echo "$out"
 echo "$out" | awk '
-	$1 ~ /^BenchmarkFrameW3(-[0-9]+)?$/        { if (bare == 0 || $3 < bare) bare = $3 }
-	$1 ~ /^BenchmarkFrameW3Telemetry(-[0-9]+)?$/ { if (probed == 0 || $3 < probed) probed = $3 }
+	$1 ~ /^BenchmarkFrameW3TelemetryOverhead(-[0-9]+)?$/ {
+		for (i = 4; i < NF; i++) if ($(i + 1) == "probed/bare") ratio = $i
+	}
 	END {
-		if (bare == 0 || probed == 0) { print "FAIL: benchmark output missing" > "/dev/stderr"; exit 1 }
-		ratio = probed / bare
-		printf "telemetry overhead: %.1f%% (budget 2%%, gate 8%%)\n", 100 * (ratio - 1)
+		if (ratio == 0) { print "FAIL: benchmark output missing" > "/dev/stderr"; exit 1 }
+		printf "telemetry overhead: %.1f%% (median of 41 alternating quartets; budget 2%%, gate 8%%)\n", 100 * (ratio - 1)
 		if (ratio > 1.08) { print "FAIL: telemetry sampling overhead above gate" > "/dev/stderr"; exit 1 }
 	}'
 
