@@ -15,8 +15,7 @@ import (
 // tables EXPERIMENTS.md prints, so the document cannot drift from the
 // program, and against the paper's findings that the document says the
 // model reproduces. About 6 s of wall time on two cores; the race pass
-// (-short) skips it. Case Study II is not rendered: dfsl takes 45 s at
-// quick.
+// (-short) skips it.
 func TestExperimentsCaseStudyI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders 32 quick-scale SoC cells")

@@ -131,7 +131,8 @@ echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake cont
 # when a high-load cell stops jumping its memory-bound cycles, and when
 # the idle SoC's skipped share falls below its floor (backpressured
 # waits ticked again instead of jumped). TestExperimentsCaseStudyI
-# renders Case Study I's tables at quick scale and compares them with
+# (the pattern also runs TestExperimentsCaseStudyII) renders Case Study
+# I's tables and Figure 17 at quick scale and compares them with
 # EXPERIMENTS.md and with the paper's findings: a change that moves a
 # figure has to move the document with it.
 go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract|TestHighLoadCellSkipsMemoryBoundCycles|TestExperimentsCaseStudyI' ./internal/exp
