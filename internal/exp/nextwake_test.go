@@ -360,12 +360,17 @@ func TestNextWakeContract(t *testing.T) {
 	// leaves the GPU waiting often enough for rare terms, such as a TC
 	// timeout flush falling inside a wait, to come due under the memo.
 	// The slow bus backs the cluster NoC and the cores up behind the L2,
-	// so waits that charge come up there (none do at 40 cycles).
+	// so waits that charge come up there (none do at 40 cycles). Each
+	// row runs again with a one-entry TC ready queue, where the raster
+	// holds a refused tile through most of the draw and its wake waits
+	// on the TC's room.
 	t.Run("gpu-draw", func(t *testing.T) {
 		for _, park := range []bool{true, false} {
 			charging := 0
 			for _, lat := range []uint64{40, 400} {
-				charging += gpuDrawContract(t, lat, park)
+				for _, ready := range []int{0, 1} {
+					charging += gpuDrawContract(t, lat, park, ready)
+				}
 			}
 			if charging == 0 {
 				t.Fatalf("park=%v: no drawing cycle with a future wake charged anything", park)
@@ -376,16 +381,20 @@ func TestNextWakeContract(t *testing.T) {
 
 // drawRig is one GPU drawing the W3 cube frame by frame into its own
 // memory, with every counter it registers, charged (see chargedCounter)
-// or not, in name order.
+// or not, in name order. A ready above 0 sets its TC ready-queue depth.
 type drawRig struct {
 	g                  *gpu.GPU
 	draw               func()
 	charged, uncharged []*stats.Counter
 }
 
-func newDrawRig(t *testing.T, park bool) *drawRig {
+func newDrawRig(t *testing.T, park bool, ready int) *drawRig {
 	m, reg := mem.NewMemory(), stats.NewRegistry()
-	r := &drawRig{g: gpu.New(gpu.CaseStudyIConfig(), m, reg)}
+	cfg := gpu.CaseStudyIConfig()
+	if ready > 0 {
+		cfg.TC.ReadyDepth = ready
+	}
+	r := &drawRig{g: gpu.New(cfg, m, reg)}
 	r.g.SetParkDrained(park)
 	for _, name := range reg.Names() {
 		if chargedCounter(name) {
@@ -438,8 +447,8 @@ func chargedCounter(name string) bool {
 // cycle as a clock jump does, with ChargeSkipped, and every counter of
 // the two must agree after every cycle. Every other counter is in the
 // contract's signature.
-func gpuDrawContract(t *testing.T, lat uint64, park bool) (charging int) {
-	r, twin := newDrawRig(t, park), newDrawRig(t, park)
+func gpuDrawContract(t *testing.T, lat uint64, park bool, ready int) (charging int) {
+	r, twin := newDrawRig(t, park, ready), newDrawRig(t, park, ready)
 	g := r.g
 	uncharged := func(rig *drawRig) (n int64) {
 		for _, c := range rig.uncharged {
@@ -474,7 +483,7 @@ func gpuDrawContract(t *testing.T, lat uint64, park bool) (charging int) {
 		tick: func(cy uint64) {
 			w := g.NextWake(cy)
 			if tw := twin.g.NextWake(cy); tw != w {
-				t.Fatalf("lat=%d park=%v cycle %d: NextWake %d, the twin's %d", lat, park, cy, w, tw)
+				t.Fatalf("lat=%d ready=%d park=%v cycle %d: NextWake %d, the twin's %d", lat, ready, park, cy, w, tw)
 			}
 			if w <= cy {
 				g.Tick(cy)
@@ -486,7 +495,7 @@ func gpuDrawContract(t *testing.T, lat uint64, park bool) (charging int) {
 			twin.g.ChargeSkipped(cy, 1)
 			got, want := charged(r), charged(twin)
 			if !slices.Equal(got, want) {
-				t.Fatalf("lat=%d park=%v cycle %d: a tick inside the wait charged\n  %v\nwhere the wait charges\n  %v", lat, park, cy, got, want)
+				t.Fatalf("lat=%d ready=%d park=%v cycle %d: a tick inside the wait charged\n  %v\nwhere the wait charges\n  %v", lat, ready, park, cy, got, want)
 			}
 			if g.DrawProgress() < 1 && !slices.Equal(before, got) {
 				charging++
@@ -504,19 +513,19 @@ func gpuDrawContract(t *testing.T, lat uint64, park bool) (charging int) {
 		},
 	}, 60000)
 	if g.DrawsDone() != 2 || g.Busy() {
-		t.Fatalf("lat=%d park=%v: draws done = %d (want 2), busy = %v; GPU never finished or never left the NeverWake memo",
-			lat, park, g.DrawsDone(), g.Busy())
+		t.Fatalf("lat=%d ready=%d park=%v: draws done = %d (want 2), busy = %v; GPU never finished or never left the NeverWake memo",
+			lat, ready, park, g.DrawsDone(), g.Busy())
 	}
 	if g.FragsShaded() == 0 {
 		t.Fatal("no fragment shaded; the raster pipeline never ran")
 	}
 	if got, want := fmt.Sprint(charged(r), uncharged(r)), fmt.Sprint(charged(twin), uncharged(twin)); got != want {
-		t.Fatalf("lat=%d park=%v: counters %s at the end, the twin's %s", lat, park, got, want)
+		t.Fatalf("lat=%d ready=%d park=%v: counters %s at the end, the twin's %s", lat, ready, park, got, want)
 	}
 	if waited == 0 || filled == 0 {
-		t.Fatalf("lat=%d park=%v: %d drawing cycles reported a future wake, %d memos ended by an L2 fill; want both above 0",
-			lat, park, waited, filled)
+		t.Fatalf("lat=%d ready=%d park=%v: %d drawing cycles reported a future wake, %d memos ended by an L2 fill; want both above 0",
+			lat, ready, park, waited, filled)
 	}
-	t.Logf("lat=%d park=%v: %d drawing cycles waited, %d of them charging, %d memos ended by an L2 fill", lat, park, waited, charging, filled)
+	t.Logf("lat=%d ready=%d park=%v: %d drawing cycles waited, %d of them charging, %d memos ended by an L2 fill", lat, ready, park, waited, charging, filled)
 	return charging
 }

@@ -100,6 +100,12 @@ type rasterState struct {
 	// scratch receives each fine-rastered tile; TCUnit.Stage copies the
 	// fragments out, so one tile serves the whole walk.
 	scratch raster.RasterTile
+	// held marks tiles[next] as fine-rastered into scratch, with minimum
+	// depth minZ, and refused by a full TC ready queue: it is re-offered
+	// without being rastered again (fine raster is a pure function of the
+	// triangle, the tile and the viewport).
+	held bool
+	minZ float32
 }
 
 // fsLaunch is one fragment warp: its environment and launch arguments.
@@ -520,20 +526,25 @@ func (g *GPU) tickCluster(cl *cluster) {
 
 // clusterWake is the per-cluster term of wake: the first cycle at or
 // after from at which the cluster's tick would do anything but charge.
-// A stage that can move is due now: raster holding a primitive, setup
-// with fetches to issue into a port with room or all of them back, the
-// head fragment launch when its core has room (with none pending,
-// PopReady when a tile may be launchable) and the end-of-draw flush of
-// an active TC engine. Otherwise the cluster waits for the earliest TC
+// A stage that can move is due now: raster holding a primitive, unless
+// its tile is held behind a full TC ready queue, setup with fetches to
+// issue into a port with room or, once raster is free, all of them
+// back, the head fragment launch when its core has room (with none
+// pending, PopReady when a tile may be launchable) and, once raster is
+// free, the end-of-draw flush of an active TC engine. A held tile moves
+// only once a PopReady makes room or a retiring fragment tile lowers its
+// Hi-Z, and a step does both before its tickRaster, so a hold needs no
+// wake of its own. Otherwise the cluster waits for the earliest TC
 // timeout flush, the head primitive's readyAt (pmrb is appended in
 // readyAt order) and its cores' waits (simt.Core.Wait), a core whose
 // Out the port has room for being due now (after a tick a core holds
 // Out traffic only behind a full port: tickCluster drains each core
 // into it). It lists the cores whose wait charges in g.charging.
 func (g *GPU) clusterWake(cl *cluster, from uint64) uint64 {
-	d, s, port := g.draw, &cl.setup, g.noc.Port(cl.id)
-	if cl.rast.tri != nil || s.prim != nil && (s.issued < len(s.reqs) && !port.Full() ||
-		s.issued == len(s.reqs) && s.reqs[0].Done && s.reqs[1].Done && s.reqs[2].Done) {
+	d, s, r, port := g.draw, &cl.setup, &cl.rast, g.noc.Port(cl.id)
+	if r.tri != nil && (!r.held || cl.tc.CanStage()) ||
+		s.prim != nil && (s.issued < len(s.reqs) && !port.Full() ||
+			r.tri == nil && s.issued == len(s.reqs) && s.reqs[0].Done && s.reqs[1].Done && s.reqs[2].Done) {
 		return from
 	}
 	if cl.pendingFS.Len() > 0 {
@@ -547,7 +558,7 @@ func (g *GPU) clusterWake(cl *cluster, from uint64) uint64 {
 	if d != nil && s.prim == nil {
 		if cl.pmrb.Len() > 0 {
 			w = min(w, (*cl.pmrb.Front()).readyAt)
-		} else if w != mem.NeverWake && d.nextAssemble == len(d.batches) {
+		} else if w != mem.NeverWake && r.tri == nil && d.nextAssemble == len(d.batches) {
 			return from // tickClusterGraphics flushes every engine
 		}
 	}

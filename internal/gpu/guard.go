@@ -57,14 +57,16 @@ func (g *GPU) checkRequests(uint64) error {
 }
 
 // waitMarks is what a tick inside the memoised wait must leave unmoved:
-// the watchdog's progress signature, the output port, the draws retired
-// and the front end's state.
+// the watchdog's progress signature, the output port, the draws retired,
+// the front end's state and the raster stages' walks: a stage that
+// fine-rasters a tile moves on or holds it.
 type waitMarks struct {
-	progress             uint64
-	out, queued          int
-	draws, fragsLaunched int64
-	drawing              bool
-	launched, assembled  int
+	progress                 uint64
+	out, queued              int
+	draws, fragsLaunched     int64
+	drawing                  bool
+	launched, assembled      int
+	rasters, rastered, holds int
 }
 
 func (g *GPU) marks() waitMarks {
@@ -72,6 +74,15 @@ func (g *GPU) marks() waitMarks {
 		draws: g.drawsDone.Value(), drawing: g.draw != nil}
 	if d := g.draw; d != nil {
 		m.launched, m.assembled, m.fragsLaunched = d.nextLaunch, d.nextAssemble, d.fragsLaunched
+	}
+	for _, cl := range g.clusters {
+		if cl.rast.tri != nil {
+			m.rasters++
+			m.rastered += cl.rast.next
+		}
+		if cl.rast.held {
+			m.holds++
+		}
 	}
 	return m
 }

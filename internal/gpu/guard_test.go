@@ -192,6 +192,31 @@ func TestGuardCatchesMemoPastDueWork(t *testing.T) {
 	assertLostWait(t, g)
 }
 
+// The wait audit must see the raster stage: a held tile lets the
+// memoised wait run past the raster, so a hold forgotten without ending
+// the memo leaves a raster that is due inside a wait. The fault is
+// injected by hand once the GPU waits with its raster holding a tile,
+// and the audited tick that fine-rasters the tile and holds it again
+// must be reported.
+func TestGuardCatchesForgottenRasterHold(t *testing.T) {
+	s := heldRasterDraw(t)
+	g := guard.NewChecker()
+	s.AttachGuard(g)
+	cl := s.GPU.clusters[0]
+	for i := 0; !cl.rast.held || s.GPU.waitUntil <= s.Cycle()+1; i++ {
+		if i > 100_000 {
+			t.Fatal("the GPU never waited with its raster holding a tile")
+		}
+		s.Tick()
+	}
+	if v := g.Violations(); len(v) != 0 {
+		t.Fatalf("healthy run reported violations: %v", v)
+	}
+	cl.rast.held = false // the fault: the hold forgotten, the memo kept
+	s.Tick()
+	assertLostWait(t, g)
+}
+
 func assertLostWait(t *testing.T, g *guard.Checker) {
 	t.Helper()
 	v := g.Violations()

@@ -274,42 +274,53 @@ func (g *GPU) startRaster(cl *cluster, d *drawState, tri *raster.SetupTri, cycle
 }
 
 // tickRaster processes up to RasterThroughput raster tiles of the
-// current primitive: fine raster, Hi-Z, TC staging.
+// current primitive: fine raster, Hi-Z, TC staging. A tile the TC
+// refuses is held: later ticks skip its fine raster but re-test Hi-Z,
+// which a fragment tile retiring since may have lowered, before they
+// offer it again.
 func (g *GPU) tickRaster(cl *cluster, d *drawState, cycle uint64) {
-	if cl.rast.tri == nil {
+	r := &cl.rast
+	if r.tri == nil {
 		return
 	}
+	hiz := g.Cfg.HiZ && d.call.DepthTest && cl.hiz != nil
 	for n := 0; n < g.Cfg.RasterThroughput; n++ {
-		if cl.rast.next >= len(cl.rast.tiles) {
-			g.trace.Span1(emtrace.SrcGPU, cl.track, "raster", cl.rast.startedAt, cycle,
-				emtrace.Arg{Key: "tiles", Val: int64(len(cl.rast.tiles))})
-			cl.rast.tri = nil
+		if r.next >= len(r.tiles) {
+			g.trace.Span1(emtrace.SrcGPU, cl.track, "raster", r.startedAt, cycle,
+				emtrace.Arg{Key: "tiles", Val: int64(len(r.tiles))})
+			r.tri = nil
 			return
 		}
-		pos := cl.rast.tiles[cl.rast.next]
-		rt := &cl.rast.scratch
-		if !raster.FineRasterTile(cl.rast.tri, pos[0], pos[1], d.call.Viewport, rt) {
-			cl.rast.next++
-			continue
-		}
-		if g.Cfg.HiZ && d.call.DepthTest && cl.hiz != nil {
-			minZ := float32(math.Inf(1))
-			for _, f := range rt.Frags {
-				if f.Z < minZ {
-					minZ = f.Z
-				}
-			}
-			if !cl.hiz.Test(pos[0], pos[1], minZ) {
-				g.hizCulledC.Inc()
-				cl.rast.next++
+		pos := r.tiles[r.next]
+		rt := &r.scratch
+		if !r.held {
+			if !raster.FineRasterTile(r.tri, pos[0], pos[1], d.call.Viewport, rt) {
+				r.next++
 				continue
 			}
+			if hiz {
+				minZ := float32(math.Inf(1))
+				for _, f := range rt.Frags {
+					if f.Z < minZ {
+						minZ = f.Z
+					}
+				}
+				r.minZ = minZ
+			}
+		}
+		if hiz && !cl.hiz.Test(pos[0], pos[1], r.minZ) {
+			g.hizCulledC.Inc()
+			r.held = false
+			r.next++
+			continue
 		}
 		if !cl.tc.CanStage() {
-			return // backpressure: retry this tile next cycle
+			r.held = true // backpressure: re-offer this tile once the TC has room
+			return
 		}
 		cl.tc.Stage(rt, cycle)
-		cl.rast.next++
+		r.held = false
+		r.next++
 	}
 }
 

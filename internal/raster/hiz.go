@@ -9,8 +9,6 @@ type HiZ struct {
 	TileSize       int
 	TilesX, TilesY int
 	maxZ           []float32
-
-	Tested, Culled int64 // stats
 }
 
 // NewHiZ builds a Hi-Z buffer for a vp using the given tile edge.
@@ -27,8 +25,6 @@ func (h *HiZ) Clear() {
 	for i := range h.maxZ {
 		h.maxZ[i] = 1
 	}
-	h.Tested = 0
-	h.Culled = 0
 }
 
 func (h *HiZ) index(px, py int) int {
@@ -43,16 +39,8 @@ func (h *HiZ) index(px, py int) int {
 // Test reports whether a fragment tile with minimum depth minZ at pixel
 // (px,py) might be visible. False means provably occluded.
 func (h *HiZ) Test(px, py int, minZ float32) bool {
-	h.Tested++
 	i := h.index(px, py)
-	if i < 0 {
-		return true
-	}
-	if minZ > h.maxZ[i] {
-		h.Culled++
-		return false
-	}
-	return true
+	return i < 0 || !(minZ > h.maxZ[i]) // a NaN depth is never culled
 }
 
 // Update lowers the tile's stored max depth after a depth write that

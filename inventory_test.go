@@ -98,7 +98,9 @@ func TestWarpWakeWriters(t *testing.T) {
 // mem.DoneWatcher), and only Tick, which retires them, catches up.
 // simt's and cpu's NewCore and gpu.New are CountFills' only callers.
 // Which cores the memo charges is recorded where the memo is set: Tick
-// and clusterWake write the list.
+// and clusterWake write the list. The memo lets a raster stage whose
+// tile is held behind a full TC ready queue wait, so the hold is set
+// and cleared only in tickRaster, which re-tests Hi-Z before re-offering.
 func TestWaitMemoWriters(t *testing.T) {
 	fset := token.NewFileSet()
 	simt, cache := productFiles(t, fset, "internal/simt"), productFiles(t, fset, "internal/cache")
@@ -129,6 +131,7 @@ func TestWaitMemoWriters(t *testing.T) {
 		{"the GPU's memoised wait", "waitUntil", false, gpu, []string{"Tick", "SubmitDraw", "LaunchKernel", "AttachTracer", "AttachGuard"}},
 		{"the GPU's fill counter", "fills", false, gpu, []string{"New"}},
 		{"the GPU's charging cores", "charging", false, gpu, []string{"Tick", "clusterWake"}},
+		{"the raster's held tile", "held", false, gpu, []string{"tickRaster"}},
 		{"the CPU core's memoised wake", "waitUntil", false, cpu, []string{"Park"}},
 		{"the CPU core's fill counter", "fills", false, cpu, []string{"NewCore"}},
 		{"the display's completion count", "done", false, soc, []string{"RequestDone"}},
