@@ -39,7 +39,7 @@ func TestDrawTimeCorrelatesWithWork(t *testing.T) {
 	}
 	r := pearson(times, frags)
 	t.Logf("draw-time vs fragment-count correlation over resolutions: %.3f", r)
-	if r < 0.8 {
+	if r < 0.9 {
 		t.Fatalf("draw time poorly correlated with shaded work: r = %.3f", r)
 	}
 }

@@ -74,12 +74,13 @@ func (c *DrawCall) Validate() error {
 	return nil
 }
 
-// vertexBatch is one vertex warp's worth of index-stream positions
-// (paper §3.3.3: overlapped vertex warps sized so primitives never span
-// warps).
+// vertexBatch is the record of one vertex warp: its shaded vertices,
+// one per lane, and its retirement (paper §3.3.3: overlapped vertex
+// warps sized so primitives never span warps). Everything else about
+// the warp is closed-form in its batch number (batchLanes, lanePos,
+// batchTris). The timed pipeline keeps VertexWindow records in a ring,
+// the functional executor one.
 type vertexBatch struct {
-	positions []int // index-stream positions, one per lane
-	tris      []int // topology triangle numbers (PrimMode.Tri) assembled here
 	results   [simt.WarpSize]raster.Vertex
 	completed bool
 	env       vsEnv // the timed vertex warp's environment
@@ -89,70 +90,52 @@ type vertexBatch struct {
 // remaining lanes hold topology-dependent overlap.
 const batchStep = 30
 
-// buildBatches splits the draw's index stream into vertex warps and
-// assigns every assembled triangle to the single warp containing all
-// three of its vertices. It reuses the batches (and their slices) of
-// reuse, a previous draw's result that nothing references any more; a
-// reused batch starts zeroed, results included, so a vertex shader that
-// writes fewer varyings than the last one reads no stale value.
-func buildBatches(call *DrawCall, reuse []*vertexBatch) []*vertexBatch {
-	n := len(call.Indices)
-	batches := reuse[:0]
-	addBatch := func(from, to int) {
-		var b *vertexBatch
-		if k := len(batches); k < cap(batches) && batches[:k+1][k] != nil {
-			b = batches[:k+1][k]
-			*b = vertexBatch{positions: b.positions[:0], tris: b.tris[:0]}
-		} else {
-			b = &vertexBatch{}
-		}
-		for p := from; p < to; p++ {
-			b.positions = append(b.positions, p)
-		}
-		batches = append(batches, b)
+// batchCount returns how many vertex warps the draw's index stream
+// splits into.
+func batchCount(call *DrawCall) int {
+	if call.Mode == raster.Triangles {
+		return (len(call.Indices) + batchStep - 1) / batchStep
 	}
-	switch call.Mode {
-	case raster.Triangles:
-		for s := 0; s < n; s += batchStep {
-			addBatch(s, min(s+batchStep, n))
-		}
-		for k := 0; k*3+2 < n; k++ {
-			b := (k * 3) / batchStep
-			batches[b].tris = append(batches[b].tris, k)
-		}
-	case raster.TriangleStrip:
-		for s := 0; s < n-2; s += batchStep {
-			addBatch(s, min(s+batchStep+2, n)) // 2-vertex overlap
-		}
-		for k := 0; k+2 < n; k++ {
-			b := k / batchStep
-			batches[b].tris = append(batches[b].tris, k)
-		}
-	case raster.TriangleFan:
-		for s := 1; s < n-1; s += batchStep {
-			// Lanes hold the hub vertex (replicated per warp), then
-			// s..s+30, so triangle (0, s+29, s+30) fits: build s-1..s+30
-			// and put the hub in lane 0.
-			addBatch(s-1, min(s+batchStep+1, n))
-			batches[len(batches)-1].positions[0] = 0
-		}
-		for k := 0; k+2 < n; k++ {
-			b := k / batchStep
-			batches[b].tris = append(batches[b].tris, k)
-		}
-	}
-	return batches
+	return (len(call.Indices) - 2 + batchStep - 1) / batchStep
 }
 
-// laneOf returns the lane within batch b holding index-stream position
-// p, or -1.
-func (b *vertexBatch) laneOf(p int) int {
-	for i, q := range b.positions {
-		if q == p {
-			return i
-		}
+// batchLanes returns how many lanes of batch b hold a vertex: a list
+// batch holds its batchStep fresh positions, a strip or fan batch two
+// more of overlap, so its last triangle's vertices are in the warp.
+func batchLanes(call *DrawCall, b int) int {
+	if call.Mode == raster.Triangles {
+		return min(batchStep, len(call.Indices)-batchStep*b)
 	}
-	return -1
+	return min(simt.WarpSize, len(call.Indices)-batchStep*b)
+}
+
+// batchTris returns the topology triangle numbers (PrimMode.Tri) batch b
+// assembles, [from, to): each triangle goes to the one batch holding
+// all three of its vertices.
+func batchTris(call *DrawCall, b int) (from, to int) {
+	if call.Mode == raster.Triangles {
+		const step = batchStep / 3
+		return step * b, min(step*b+step, len(call.Indices)/3)
+	}
+	return batchStep * b, min(batchStep*b+batchStep, len(call.Indices)-2)
+}
+
+// lanePos returns the index-stream position lane of batch b holds.
+func lanePos(call *DrawCall, b, lane int) int {
+	if call.Mode == raster.TriangleFan && lane == 0 {
+		return 0 // the hub, replicated in every fan warp
+	}
+	return batchStep*b + lane
+}
+
+// laneOf returns the lane of batch b holding index-stream position p of
+// one of the batch's triangles: lanePos's inverse (no fan triangle of a
+// batch b > 0 uses position batchStep*b).
+func laneOf(call *DrawCall, b, p int) int {
+	if call.Mode == raster.TriangleFan && p == 0 {
+		return 0
+	}
+	return p - batchStep*b
 }
 
 // The rest of this file is the one definition of what a draw computes,
@@ -163,13 +146,14 @@ func (b *vertexBatch) laneOf(p int) int {
 
 // vsWarp returns the lane mask and specials of batch b's vertex warp:
 // one index-stream position per lane.
-func vsWarp(call *DrawCall, b *vertexBatch) (mask uint32, specials [simt.WarpSize]shader.Special) {
-	for lane := 0; lane < len(b.positions) && lane < simt.WarpSize; lane++ {
+func vsWarp(call *DrawCall, b int) (mask uint32, specials [simt.WarpSize]shader.Special) {
+	n := batchLanes(call, b)
+	for lane := 0; lane < n; lane++ {
 		mask |= 1 << lane
 		specials[lane] = shader.Special{
 			TID:  uint32(lane),
-			NTID: uint32(len(b.positions)),
-			VID:  call.Indices[b.positions[lane]],
+			NTID: uint32(n),
+			VID:  call.Indices[lanePos(call, b, lane)],
 		}
 	}
 	return mask, specials
@@ -192,27 +176,21 @@ func fsWarp(frags []raster.Fragment) (mask uint32, specials [simt.WarpSize]shade
 }
 
 // assemble runs batch b's triangles through topology, clip/cull and
-// setup in draw order, sets each survivor up in a slot of tris,
-// numbers it from *seq, and hands it to emit with the batch lanes of
-// its three vertices. It returns how many triangles it assembled and
-// how many of those clipping, backface culling or a degenerate setup
-// removed.
-func assemble(call *DrawCall, b *vertexBatch, seq *uint32, tris *triSlab, emit func(tri *raster.SetupTri, lanes [3]int)) (assembled, culled int) {
+// setup in draw order, reading their vertices from rec, sets each
+// survivor up in a slot of tris, numbers it from *seq, and hands it to
+// emit with the batch lanes of its three vertices. It returns how many
+// triangles it assembled and how many of those clipping, backface
+// culling or a degenerate setup removed.
+func assemble(call *DrawCall, b int, rec *vertexBatch, seq *uint32, tris *triSlab, emit func(tri *raster.SetupTri, lanes [3]int)) (assembled, culled int) {
 	var prim raster.Primitive
 	var clipped [2]raster.Primitive
-	for _, k := range b.tris {
+	from, to := batchTris(call, b)
+	for k := from; k < to; k++ {
 		pos := call.Mode.Tri(k)
 		var lanes [3]int
-		ok := true
 		for i := range pos {
-			if lanes[i] = b.laneOf(pos[i]); lanes[i] < 0 {
-				ok = false
-				break
-			}
-			prim.V[i] = b.results[lanes[i]]
-		}
-		if !ok {
-			continue
+			lanes[i] = laneOf(call, b, pos[i])
+			prim.V[i] = rec.results[lanes[i]]
 		}
 		assembled++
 		n, _ := raster.ClipCullInto(prim, call.CullBack, &clipped)
@@ -275,20 +253,21 @@ type memReader interface {
 // never writes the output vertex buffer: that transaction is timing
 // only, and the timed vsEnv adds its address.
 type vertexIO struct {
-	m    *mem.Memory
-	rd   memReader // m, or a page-caching view of it
-	call *DrawCall
-	b    *vertexBatch
+	m     *mem.Memory
+	rd    memReader // m, or a page-caching view of it
+	call  *DrawCall
+	batch int          // the batch number
+	rec   *vertexBatch // the batch's record
 }
 
 func (e *vertexIO) AttrIn(lane, slot int) ([4]float32, uint64) {
 	var out [4]float32
-	if lane >= len(e.b.positions) || slot >= len(e.call.AttrOffsets) {
+	if lane >= batchLanes(e.call, e.batch) || slot >= len(e.call.AttrOffsets) {
 		return out, 0
 	}
 	off := e.call.AttrOffsets[slot][0]
 	count := e.call.AttrOffsets[slot][1]
-	idx := e.call.Indices[e.b.positions[lane]]
+	idx := e.call.Indices[lanePos(e.call, e.batch, lane)]
 	addr := e.call.VertexBase + uint64(idx)*uint64(e.call.VertexStride) + uint64(off)
 	for i := 0; i < int(count) && i < 4; i++ {
 		out[i] = e.rd.ReadF32(addr + uint64(i)*4)
@@ -302,16 +281,14 @@ func (e *vertexIO) AttrIn(lane, slot int) ([4]float32, uint64) {
 // store records a lane's output slot in the batch record; false means
 // the lane holds no vertex.
 func (e *vertexIO) store(lane, slot int, val [4]float32) bool {
-	if lane >= len(e.b.positions) {
+	if lane >= batchLanes(e.call, e.batch) {
 		return false
 	}
+	v := &e.rec.results[lane]
 	if slot == 0 {
-		e.b.results[lane].Clip.X = val[0]
-		e.b.results[lane].Clip.Y = val[1]
-		e.b.results[lane].Clip.Z = val[2]
-		e.b.results[lane].Clip.W = val[3]
+		v.Clip.X, v.Clip.Y, v.Clip.Z, v.Clip.W = val[0], val[1], val[2], val[3]
 	} else if slot-1 < raster.MaxVaryings {
-		e.b.results[lane].Attrs[slot-1] = val
+		v.Attrs[slot-1] = val
 	}
 	return true
 }

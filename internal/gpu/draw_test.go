@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"emerald/internal/dram"
 	"emerald/internal/gfx"
 	"emerald/internal/mathx"
 	"emerald/internal/mem"
@@ -15,19 +16,23 @@ import (
 )
 
 func TestWarpPackingShortBatches(t *testing.T) {
-	call := &DrawCall{Indices: []uint32{7, 8, 9, 10, 11}}
-	b := &vertexBatch{positions: []int{1, 3, 4}}
-	mask, sp := vsWarp(call, b)
-	if mask != 0b111 {
-		t.Fatalf("vertex mask = %#b, want 0b111", mask)
+	// A fan's second batch: the hub in lane 0, then the four positions
+	// past the first batch's 30 fresh ones.
+	call := &DrawCall{Mode: raster.TriangleFan, Indices: make([]uint32, 35)}
+	for i := range call.Indices {
+		call.Indices[i] = uint32(100 + i)
 	}
-	for lane, want := range []uint32{8, 10, 11} {
-		if s := sp[lane]; s.TID != uint32(lane) || s.NTID != 3 || s.VID != want {
-			t.Fatalf("vertex lane %d specials = %+v, want TID %d NTID 3 VID %d", lane, s, lane, want)
+	mask, sp := vsWarp(call, 1)
+	if mask != 0b11111 {
+		t.Fatalf("vertex mask = %#b, want 0b11111", mask)
+	}
+	for lane, want := range []uint32{100, 131, 132, 133, 134} {
+		if s := sp[lane]; s.TID != uint32(lane) || s.NTID != 5 || s.VID != want {
+			t.Fatalf("vertex lane %d specials = %+v, want TID %d NTID 5 VID %d", lane, s, lane, want)
 		}
 	}
-	if sp[3] != (shader.Special{}) {
-		t.Fatalf("inactive vertex lane has specials %+v", sp[3])
+	if sp[5] != (shader.Special{}) {
+		t.Fatalf("inactive vertex lane has specials %+v", sp[5])
 	}
 
 	tri := &raster.SetupTri{ID: 42}
@@ -258,11 +263,11 @@ var (
 `)
 )
 
-// A draw reuses the vertex batches of the draw before it on the same
-// GPU, so a batch must start zeroed. The first draw's vertex shader
-// writes two varyings, the second's none, and the second's fragment
-// shader reads varying 1: the timed surfaces must still match
-// ExecuteDrawFunc, which builds its batches fresh.
+// A draw reuses the vertex batch records of the draw before it on the
+// same GPU, so a record must start zeroed. The first draw's vertex
+// shader writes two varyings, the second's none, and the second's
+// fragment shader reads varying 1: the timed surfaces must still match
+// ExecuteDrawFunc, which starts each draw with a zeroed record.
 func TestReusedBatchesLeakNothingBetweenDraws(t *testing.T) {
 	s := DefaultStandalone(nil)
 	ref := mem.NewMemory()
@@ -306,8 +311,8 @@ func TestReusedBatchesLeakNothingBetweenDraws(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n == 0 {
-			first = s.GPU.batches[0]
-		} else if s.GPU.batches[0] != first {
+			first = &s.GPU.batches[0]
+		} else if &s.GPU.batches[0] != first {
 			t.Fatal("the second draw built a new batch: the test exercised no reuse")
 		}
 		got, want := make([]byte, c.Color.SizeBytes()), make([]byte, c.Color.SizeBytes())
@@ -317,5 +322,97 @@ func TestReusedBatchesLeakNothingBetweenDraws(t *testing.T) {
 			t.Fatalf("draw %d: timed colour surface differs from ExecuteDrawFunc (pixel 0: %#x, want %#x)",
 				n, c.Color.ReadPixel(s.Mem(), 0, 0), c.Color.ReadPixel(ref, 0, 0))
 		}
+	}
+}
+
+// TestBatchRingWrapsLikeFunctional draws long index streams, which wrap
+// the ring of vertex batch records many times, in each topology on GPUs
+// with VertexWindow 2 and 24. Each standalone draws twice: a vertex
+// shader that writes two varyings, then one that writes none under a
+// fragment shader that shows varying 1, so a reused record that keeps
+// its last holder's varyings shows on the surface. After each draw the
+// timed surfaces must match ExecuteDrawFunc's byte for byte, and the
+// assembled and culled counts must not depend on the window.
+func TestBatchRingWrapsLikeFunctional(t *testing.T) {
+	const vp, nIdx = 40, 2100
+	rng := rand.New(rand.NewSource(42))
+	for _, mode := range []raster.PrimMode{raster.Triangles, raster.TriangleStrip, raster.TriangleFan} {
+		// Small triangles: list triangles around their own centre, a
+		// strip along a random walk, a fan about its hub.
+		vb := make([]float32, nIdx*8)
+		var cx, cy float32
+		for i := 0; i < nIdx; i++ {
+			if mode == raster.TriangleStrip || i%3 == 0 && mode == raster.Triangles {
+				cx = min(max(cx+rng.Float32()*0.3-0.15, -1), 1)
+				cy = min(max(cy+rng.Float32()*0.3-0.15, -1), 1)
+				if mode == raster.Triangles {
+					cx, cy = rng.Float32()*2.2-1.1, rng.Float32()*2.2-1.1
+				}
+			}
+			v := vb[i*8 : i*8+8]
+			v[0], v[1], v[2] = cx+rng.Float32()*0.3-0.15, cy+rng.Float32()*0.3-0.15, rng.Float32()*1.8-0.9
+			for j := 3; j < 8; j++ {
+				v[j] = rng.Float32()
+			}
+		}
+		idx := make([]uint32, nIdx)
+		for i := range idx {
+			idx[i] = uint32(i)
+		}
+		call := func(vs, fs *shader.Program) *DrawCall {
+			return &DrawCall{
+				VS: vs, FS: fs, Mode: mode,
+				VertexBase: tVB, VertexStride: 32,
+				AttrOffsets: [][2]uint32{{0, 3}, {12, 3}, {24, 2}},
+				Indices:     idx,
+				UniformBase: tUniform,
+				Color:       gfx.Surface{Base: tColor, Width: vp, Height: vp},
+				Depth:       gfx.Surface{Base: tDepth, Width: vp, Height: vp},
+				DepthTest:   true, DepthWrite: true,
+				Viewport: raster.Viewport{Width: vp, Height: vp},
+			}
+		}
+		draws := []*DrawCall{call(shader.VSTransform, fsShowVarying1), call(vsPositionOnly, fsShowVarying1)}
+		var counts [2][2]int64
+		for wi, window := range []int{2, 24} {
+			cfg := CaseStudyIIConfig()
+			cfg.VertexWindow = window
+			s := NewStandalone(cfg, dram.Config{Geometry: dram.LPDDR3Geometry(4), Timing: dram.LPDDR3Timing(1600)}, nil)
+			ref := mem.NewMemory()
+			for _, m := range []*mem.Memory{s.Mem(), ref} {
+				gfx.Surface{Base: tColor, Width: vp, Height: vp}.ClearColor(m, 0xFF000000)
+				gfx.Surface{Base: tDepth, Width: vp, Height: vp}.ClearDepth(m, 1)
+				for i, f := range mathx.Identity() {
+					m.WriteF32(tUniform+uint64(i*4), f)
+				}
+				for i, f := range vb {
+					m.WriteF32(tVB+uint64(i*4), f)
+				}
+			}
+			for n, c := range draws {
+				if _, err := renderDraw(s, c, 50_000_000); err != nil {
+					t.Fatal(err)
+				}
+				if err := ExecuteDrawFunc(ref, c, nil); err != nil {
+					t.Fatal(err)
+				}
+				for _, sf := range []gfx.Surface{c.Color, c.Depth} {
+					got, want := make([]byte, sf.SizeBytes()), make([]byte, sf.SizeBytes())
+					s.Mem().Read(sf.Base, got)
+					ref.Read(sf.Base, want)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("mode %d, window %d, draw %d: surface at %#x differs from ExecuteDrawFunc", mode, window, n, sf.Base)
+					}
+				}
+			}
+			if len(s.GPU.batches) != window {
+				t.Fatalf("mode %d, window %d: the GPU holds %d batch records", mode, window, len(s.GPU.batches))
+			}
+			counts[wi] = [2]int64{s.GPU.Reg.Value("prims_assembled"), s.GPU.Reg.Value("prims_culled")}
+		}
+		if counts[0] != counts[1] || counts[0][0] == 0 {
+			t.Fatalf("mode %d: assembled, culled = %v at window 2, %v at window 24", mode, counts[0], counts[1])
+		}
+		t.Logf("mode %d: %d triangles assembled, %d culled per window", mode, counts[0][0], counts[0][1])
 	}
 }

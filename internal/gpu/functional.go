@@ -36,11 +36,11 @@ type FuncStats struct {
 // signature's DRAM-pressure dimension.
 func (s *FuncStats) TrafficBytes() uint64 { return s.VtxBytes + s.TexBytes + s.ROPBytes }
 
-// ExecuteDrawFunc renders one draw call functionally: vertex shading
-// per batch, then assembly and setup in strict draw order, each
-// surviving primitive rasterized and its fragments shaded before the
-// next primitive starts, so per-pixel blending and depth order match
-// the timed pipeline's in-order guarantee. st may be nil.
+// ExecuteDrawFunc renders one draw call functionally, batch by batch in
+// draw order: vertex shading, then assembly and setup, each surviving
+// primitive rasterized and its fragments shaded before the next
+// primitive starts, so per-pixel blending and depth order match the
+// timed pipeline's in-order guarantee. st may be nil.
 func ExecuteDrawFunc(m *mem.Memory, call *DrawCall, st *FuncStats) error {
 	if err := call.Validate(); err != nil {
 		return err
@@ -49,24 +49,21 @@ func ExecuteDrawFunc(m *mem.Memory, call *DrawCall, st *FuncStats) error {
 		st = &FuncStats{}
 	}
 	st.Draws++
-	batches := buildBatches(call, nil)
 
-	// One warp runner, one page-caching memory view, one setup triangle
-	// and one fragment scratch buffer serve the whole draw — the
-	// per-warp and per-primitive hot paths allocate nothing.
+	// One warp runner, one page-caching memory view, one batch record,
+	// one setup triangle and one fragment scratch buffer serve the whole
+	// draw — the per-warp and per-primitive hot paths allocate nothing.
 	fd := &funcDraw{m: m, mv: mem.NewView(m)}
+	env := &funcVSEnv{vertexIO: vertexIO{m: m, rd: fd.mv, call: call, rec: &fd.batch}, st: st}
 
-	for _, b := range batches {
-		env := &funcVSEnv{vertexIO: vertexIO{m: m, rd: fd.mv, call: call, b: b}, st: st}
+	var seq uint32
+	for b := range batchCount(call) {
+		fd.batch, env.batch = vertexBatch{}, b
 		mask, specials := vsWarp(call, b)
 		fd.runner.Exec(call.VS, env, mask, specials)
 		st.VSWarps++
-		st.Verts += uint64(len(b.positions))
-	}
-
-	var seq uint32
-	for _, b := range batches {
-		assembled, culled := assemble(call, b, &seq, &fd.tris, func(tri *raster.SetupTri, _ [3]int) {
+		st.Verts += uint64(batchLanes(call, b))
+		assembled, culled := assemble(call, b, &fd.batch, &seq, &fd.tris, func(tri *raster.SetupTri, _ [3]int) {
 			st.SetupTris++
 			fd.shadePrim(call, tri, st)
 			fd.tris.reset() // shaded: nothing points at tri any more
@@ -79,12 +76,14 @@ func ExecuteDrawFunc(m *mem.Memory, call *DrawCall, st *FuncStats) error {
 
 // funcDraw carries the per-draw execution state the functional path
 // reuses across warps and primitives: the warp runner (warp + SIMT
-// stack + memory view), the shared texture/vertex-fetch view, the setup
-// triangle, and the raster-tile and fragment scratch buffers.
+// stack + memory view), the shared texture/vertex-fetch view, the batch
+// record, the setup triangle, and the raster-tile and fragment scratch
+// buffers.
 type funcDraw struct {
 	m      *mem.Memory
 	mv     *mem.View
 	runner simt.FuncRunner
+	batch  vertexBatch       // the batch being shaded and assembled
 	tris   triSlab           // one triangle, reset once it is shaded
 	tiles  [][2]int          // scratch, reused across primitives
 	frags  []raster.Fragment // scratch, reused across primitives

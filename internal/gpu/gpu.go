@@ -136,9 +136,10 @@ type GPU struct {
 	drawQueue mem.Ring[drawEntry]
 	kernels   mem.Ring[*kernelState]
 
-	// Per-draw storage of the serial front end, reused from draw to draw:
-	// the vertex batches, the setup triangles and the VPO deliveries.
-	batches []*vertexBatch
+	// Storage of the serial front end, reused from draw to draw: the
+	// ring of VertexWindow vertex batch records (batch b in b %
+	// VertexWindow), the setup triangles and the VPO deliveries.
+	batches []vertexBatch
 	tris    triSlab
 	prims   primSlab
 
@@ -196,7 +197,7 @@ type l2Event struct {
 // drawState is the in-flight draw call's pipeline state.
 type drawState struct {
 	call    *DrawCall
-	batches []*vertexBatch
+	batches int // vertex warps in the draw (batchCount)
 
 	nextLaunch   int
 	nextAssemble int
@@ -373,10 +374,10 @@ func (g *GPU) frontEndDue() bool {
 	if d == nil {
 		return g.drawQueue.Len() > 0
 	}
-	if d.nextAssemble < d.nextLaunch && d.batches[d.nextAssemble].completed {
+	if d.nextAssemble < d.nextLaunch && g.batch(d.nextAssemble).completed {
 		return true
 	}
-	if d.nextLaunch < len(d.batches) && d.nextLaunch-d.nextAssemble < g.Cfg.VertexWindow {
+	if d.nextLaunch < d.batches && d.nextLaunch-d.nextAssemble < g.Cfg.VertexWindow {
 		for _, cl := range g.clusters {
 			for _, core := range cl.cores {
 				if core.CanLaunch(d.call.VS) {
@@ -404,7 +405,7 @@ func (g *GPU) DrawProgress() float64 {
 		}
 		return 1
 	}
-	geom := float64(d.nextAssemble) / float64(len(d.batches)+1)
+	geom := float64(d.nextAssemble) / float64(d.batches+1)
 	var frag float64
 	if launched := d.fragsLaunched; launched > 0 {
 		frag = float64(d.fragsShaded) / float64(launched)
@@ -558,7 +559,7 @@ func (g *GPU) clusterWake(cl *cluster, from uint64) uint64 {
 	if d != nil && s.prim == nil {
 		if cl.pmrb.Len() > 0 {
 			w = min(w, (*cl.pmrb.Front()).readyAt)
-		} else if w != mem.NeverWake && r.tri == nil && d.nextAssemble == len(d.batches) {
+		} else if w != mem.NeverWake && r.tri == nil && d.nextAssemble == d.batches {
 			return from // tickClusterGraphics flushes every engine
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"emerald/internal/mathx"
 	"emerald/internal/raster"
 	"emerald/internal/shader"
+	"emerald/internal/simt"
 )
 
 // Test address map.
@@ -364,61 +365,58 @@ func TestDrawValidation(t *testing.T) {
 	}
 }
 
+// TestBatchConstruction: for every index count up to 200 in every
+// topology, the batches' triangles partition the draw's in order, each
+// triangle's vertices sit in lanes of its batch that hold them, and no
+// batch holds more than a warp.
 func TestBatchConstruction(t *testing.T) {
-	call := &DrawCall{Mode: raster.Triangles, Indices: make([]uint32, 93)}
-	batches := buildBatches(call, nil)
-	if len(batches) != 4 { // ceil(93/30)
-		t.Fatalf("batches = %d", len(batches))
-	}
-	// 31 triangles total; every triangle mapped exactly once.
-	n := 0
-	for _, b := range batches {
-		for _, k := range b.tris {
-			pos := raster.Triangles.Tri(k)
-			for _, p := range pos {
-				if b.laneOf(p) < 0 {
-					t.Fatalf("triangle %d vertex at %d missing from its batch", k, p)
-				}
-			}
-			n++
+	for _, tc := range []struct {
+		mode       raster.PrimMode
+		n, batches int
+		tris       int
+	}{
+		{raster.Triangles, 93, 4, 31}, // ceil(93/30) batches
+		{raster.TriangleStrip, 40, 2, 38},
+		{raster.TriangleFan, 35, 2, 33},
+	} {
+		call := &DrawCall{Mode: tc.mode, Indices: make([]uint32, tc.n)}
+		if got := batchCount(call); got != tc.batches {
+			t.Fatalf("mode %d, %d indices: %d batches, want %d", tc.mode, tc.n, got, tc.batches)
+		}
+		if _, to := batchTris(call, tc.batches-1); to != tc.tris {
+			t.Fatalf("mode %d, %d indices: %d triangles, want %d", tc.mode, tc.n, to, tc.tris)
 		}
 	}
-	if n != 31 {
-		t.Fatalf("triangles assigned = %d, want 31", n)
-	}
-
-	strip := &DrawCall{Mode: raster.TriangleStrip, Indices: make([]uint32, 40)}
-	sb := buildBatches(strip, nil)
-	total := 0
-	for _, b := range sb {
-		for _, k := range b.tris {
-			for _, p := range raster.TriangleStrip.Tri(k) {
-				if b.laneOf(p) < 0 {
-					t.Fatalf("strip triangle %d vertex %d missing", k, p)
+	for _, mode := range []raster.PrimMode{raster.Triangles, raster.TriangleStrip, raster.TriangleFan} {
+		for n := 3; n <= 200; n++ {
+			call := &DrawCall{Mode: mode, Indices: make([]uint32, n)}
+			next := 0
+			for b := 0; b < batchCount(call); b++ {
+				lanes := batchLanes(call, b)
+				if lanes < 1 || lanes > simt.WarpSize {
+					t.Fatalf("mode %d, %d indices, batch %d: %d lanes", mode, n, b, lanes)
 				}
-			}
-			total++
-		}
-	}
-	if total != 38 {
-		t.Fatalf("strip triangles = %d, want 38", total)
-	}
-
-	fan := &DrawCall{Mode: raster.TriangleFan, Indices: make([]uint32, 35)}
-	fb := buildBatches(fan, nil)
-	total = 0
-	for _, b := range fb {
-		for _, k := range b.tris {
-			for _, p := range raster.TriangleFan.Tri(k) {
-				if b.laneOf(p) < 0 {
-					t.Fatalf("fan triangle %d vertex %d missing", k, p)
+				from, to := batchTris(call, b)
+				if from != next || to < from {
+					t.Fatalf("mode %d, %d indices, batch %d: triangles [%d, %d), want from %d", mode, n, b, from, to, next)
 				}
+				for k := from; k < to; k++ {
+					for _, p := range mode.Tri(k) {
+						if lane := laneOf(call, b, p); lane < 0 || lane >= lanes || lanePos(call, b, lane) != p {
+							t.Fatalf("mode %d, %d indices: triangle %d vertex %d missing from batch %d", mode, n, k, p, b)
+						}
+					}
+				}
+				next = to
 			}
-			total++
+			want := n - 2
+			if mode == raster.Triangles {
+				want = n / 3
+			}
+			if next != want {
+				t.Fatalf("mode %d, %d indices: %d triangles assigned", mode, n, next)
+			}
 		}
-	}
-	if total != 33 {
-		t.Fatalf("fan triangles = %d, want 33", total)
 	}
 }
 

@@ -22,13 +22,15 @@ func (g *GPU) tickDrawFrontEnd(cycle uint64) {
 		e := g.drawQueue.Pop()
 		// The previous draw has drained (drawComplete: no task
 		// outstanding, every TC unit empty), so no fragment or cluster
-		// still points into its batches or slabs.
-		g.batches = buildBatches(e.call, g.batches)
+		// still points into its slabs.
+		if g.batches == nil {
+			g.batches = make([]vertexBatch, g.Cfg.VertexWindow)
+		}
 		g.tris.reset()
 		g.prims.reset()
 		g.draw = &drawState{
 			call:       e.call,
-			batches:    g.batches,
+			batches:    batchCount(e.call),
 			startCycle: cycle,
 			onDone:     e.onDone,
 		}
@@ -39,7 +41,7 @@ func (g *GPU) tickDrawFrontEnd(cycle uint64) {
 	// Vertex distribution: up to 2 warps per cycle, round-robin across
 	// all SIMT cores, throttled by the assembly window (PMRB credit).
 	for i := 0; i < 2; i++ {
-		if d.nextLaunch >= len(d.batches) ||
+		if d.nextLaunch >= d.batches ||
 			d.nextLaunch-d.nextAssemble >= g.Cfg.VertexWindow {
 			break
 		}
@@ -63,7 +65,7 @@ func (g *GPU) tickDrawFrontEnd(cycle uint64) {
 	}
 
 	// Primitive assembly: one vertex warp per cycle, in draw order.
-	if d.nextAssemble < d.nextLaunch && d.batches[d.nextAssemble].completed {
+	if d.nextAssemble < d.nextLaunch && g.batch(d.nextAssemble).completed {
 		g.assembleBatch(d, d.nextAssemble, cycle)
 		d.nextAssemble++
 	}
@@ -90,12 +92,20 @@ func (g *GPU) ensureHiZ(vp raster.Viewport) {
 	}
 }
 
-// launchVSBatch places one vertex warp on a core.
-func (g *GPU) launchVSBatch(core *simt.Core, d *drawState, batchIdx int) {
-	b := d.batches[batchIdx]
-	b.env = vsEnv{vertexIO: vertexIO{m: g.Mem, rd: g.Mem, call: d.call, b: b}, g: g, d: d, batchIdx: batchIdx}
+// batch returns the ring record of batch b.
+func (g *GPU) batch(b int) *vertexBatch { return &g.batches[b%len(g.batches)] }
+
+// launchVSBatch places batch b's vertex warp on a core. Its record last
+// held batch b-VertexWindow, which is assembled (a launch needs room in
+// the window), so its warp has retired and nothing reads the record any
+// more. The record starts zeroed, so a vertex shader that writes fewer
+// varyings than the last one reads no stale value.
+func (g *GPU) launchVSBatch(core *simt.Core, d *drawState, b int) {
+	rec := g.batch(b)
+	*rec = vertexBatch{}
+	rec.env = vsEnv{vertexIO: vertexIO{m: g.Mem, rd: g.Mem, call: d.call, batch: b, rec: rec}, g: g, d: d}
 	mask, specials := vsWarp(d.call, b)
-	if _, err := core.Launch(d.call.VS, &b.env, -1, mask, specials, nil); err == nil {
+	if _, err := core.Launch(d.call.VS, &rec.env, -1, mask, specials, nil); err == nil {
 		d.vsOutstanding++
 		g.vsWarpsC.Inc()
 	}
@@ -104,12 +114,12 @@ func (g *GPU) launchVSBatch(core *simt.Core, d *drawState, batchIdx int) {
 // assembleBatch assembles, clips and sets up one vertex warp's
 // primitives and distributes each to the clusters its bounding box
 // touches (VPO, paper Figure 6).
-func (g *GPU) assembleBatch(d *drawState, batchIdx int, cycle uint64) {
-	assembled, culled := assemble(d.call, d.batches[batchIdx], &d.primSeq, &g.tris, func(tri *raster.SetupTri, lanes [3]int) {
+func (g *GPU) assembleBatch(d *drawState, b int, cycle uint64) {
+	assembled, culled := assemble(d.call, b, g.batch(b), &d.primSeq, &g.tris, func(tri *raster.SetupTri, lanes [3]int) {
 		maskBits := g.screenMap.ClusterMask(tri.X0, tri.Y0, tri.X1, tri.Y1)
 		var fetch [3]uint64
 		for i, lane := range lanes {
-			fetch[i] = g.ovbAddr(batchIdx, lane, 0)
+			fetch[i] = g.ovbAddr(b, lane, 0)
 		}
 		for ci := 0; ci < g.Cfg.Clusters; ci++ {
 			if maskBits&(1<<ci) == 0 {
@@ -147,20 +157,19 @@ func (g *GPU) ovbAddr(batchIdx, lane, slot int) uint64 {
 // batch's retirement.
 type vsEnv struct {
 	vertexIO
-	g        *GPU
-	d        *drawState
-	batchIdx int
+	g *GPU
+	d *drawState
 }
 
 func (e *vsEnv) OutWrite(lane, slot int, val [4]float32) uint64 {
 	if !e.store(lane, slot, val) {
 		return 0
 	}
-	return e.g.ovbAddr(e.batchIdx, lane, slot)
+	return e.g.ovbAddr(e.batch, lane, slot)
 }
 
 func (e *vsEnv) Retired(w *simt.Warp) {
-	e.b.completed = true
+	e.rec.completed = true
 	e.d.vsOutstanding--
 }
 
@@ -183,7 +192,7 @@ func (e *fsEnv) Retired(w *simt.Warp) {
 
 // drawComplete reports whether every pipeline stage has drained.
 func (g *GPU) drawComplete(d *drawState) bool {
-	if d.nextLaunch < len(d.batches) || d.nextAssemble < len(d.batches) ||
+	if d.nextLaunch < d.batches || d.nextAssemble < d.batches ||
 		d.vsOutstanding > 0 || d.tasksOutstanding > 0 {
 		return false
 	}
@@ -219,7 +228,7 @@ func (g *GPU) tickClusterGraphics(cl *cluster, cycle uint64) {
 
 	// Expedite end-of-draw: flush staged TC tiles once the geometry side
 	// has drained (the timeout would get there anyway, later).
-	if d.nextAssemble == len(d.batches) && cl.pmrb.Len() == 0 &&
+	if d.nextAssemble == d.batches && cl.pmrb.Len() == 0 &&
 		cl.setup.prim == nil && cl.rast.tri == nil {
 		cl.tc.FlushAll()
 	}

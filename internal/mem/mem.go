@@ -15,27 +15,65 @@ import (
 // PageSize is the granularity of the sparse backing store.
 const PageSize = 4096
 
-// The page directory is a four-level radix tree over the 52-bit page
-// index of a 64-bit address, 13 bits per level: a lookup is four
-// indexed loads and never hashes, and an address near 2^63 costs three
-// interior nodes and a page, not memory in proportion to the address.
+// The page directory is a six-level radix tree over the 52-bit page
+// index of a 64-bit address, 9 bits per level: a lookup is six indexed
+// loads and never hashes, every node is 4 KB, a leaf covers 2 MB, and
+// an address near 2^63 costs five interior nodes and a page, not memory
+// in proportion to the address.
 const (
-	fanBits = 13
+	fanBits = 9
 	fanout  = 1 << fanBits
 	fanMask = fanout - 1
 )
 
 type (
-	page   = [PageSize]byte
-	leaf   [fanout]atomic.Pointer[page]
-	branch [fanout]atomic.Pointer[leaf]
-	trunk  [fanout]atomic.Pointer[branch]
+	page = [PageSize]byte
+	// node is one directory node; level 0 (a leaf) holds pages.
+	node[T any] [fanout]atomic.Pointer[T]
+	leaf        = node[page]
+	node1       = node[leaf]
+	node2       = node[node1]
+	node3       = node[node2]
+	node4       = node[node3]
 	// root is one generation of the directory; Reset swaps it whole.
 	root struct {
-		kids  [fanout]atomic.Pointer[trunk]
+		kids  node[node4]
 		pages atomic.Int64 // materialized pages
 	}
 )
+
+// at loads the slot of page idx in n, a node at level; a nil n holds
+// nothing.
+func (n *node[T]) at(idx uint64, level int) *T {
+	if n == nil {
+		return nil
+	}
+	return n[idx>>(level*fanBits)&fanMask].Load()
+}
+
+// child returns the node in the slot of page idx in n, a node at level,
+// materializing it if absent.
+func (n *node[T]) child(idx uint64, level int) *T {
+	slot := &n[idx>>(level*fanBits)&fanMask]
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	c := new(T)
+	if slot.CompareAndSwap(nil, c) {
+		return c
+	}
+	return slot.Load()
+}
+
+// each calls fn on every child of n in slot order, with prefix extended
+// by the slot.
+func each[T any](n *node[T], prefix uint64, fn func(idx uint64, c *T)) {
+	for i := range n {
+		if c := n[i].Load(); c != nil {
+			fn(prefix<<fanBits|uint64(i), c)
+		}
+	}
+}
 
 // Memory is a sparse functional model of physical memory. Reads of pages
 // never written return zeroes, like freshly mapped DRAM from the
@@ -83,34 +121,15 @@ func (m *Memory) Write(addr uint64, p []byte) {
 // so sharing one instance across goroutines is safe.
 var zeroPage page
 
-// child returns the node behind slot, materializing it if absent.
-func child[T any](slot *atomic.Pointer[T]) *T {
-	if c := slot.Load(); c != nil {
-		return c
-	}
-	c := new(T)
-	if slot.CompareAndSwap(nil, c) {
-		return c
-	}
-	return slot.Load()
-}
-
 func (m *Memory) pageFor(idx uint64, create bool) *page {
 	r := m.dir.Load()
-	top, mid, low := idx>>(3*fanBits), idx>>(2*fanBits)&fanMask, idx>>fanBits&fanMask
-	if t := r.kids[top].Load(); t != nil {
-		if b := t[mid].Load(); b != nil {
-			if l := b[low].Load(); l != nil {
-				if p := l[idx&fanMask].Load(); p != nil {
-					return p
-				}
-			}
-		}
+	if p := r.kids.at(idx, 5).at(idx, 4).at(idx, 3).at(idx, 2).at(idx, 1).at(idx, 0); p != nil {
+		return p
 	}
 	if !create {
 		return &zeroPage
 	}
-	p, slot := new(page), &child(&child(&child(&r.kids[top])[mid])[low])[idx&fanMask]
+	p, slot := new(page), &r.kids.child(idx, 5).child(idx, 4).child(idx, 3).child(idx, 2).child(idx, 1)[idx&fanMask]
 	if slot.CompareAndSwap(nil, p) {
 		r.pages.Add(1)
 		return p
@@ -131,21 +150,15 @@ func (m *Memory) PageCount() int { return int(m.dir.Load().pages.Load()) }
 
 // eachPage visits every materialized page in ascending index order.
 func (m *Memory) eachPage(fn func(idx uint64, p *page)) {
-	r := m.dir.Load()
-	for i := range r.kids {
-		t := r.kids[i].Load()
-		for j := 0; t != nil && j < fanout; j++ {
-			b := t[j].Load()
-			for k := 0; b != nil && k < fanout; k++ {
-				l := b[k].Load()
-				for n := 0; l != nil && n < fanout; n++ {
-					if p := l[n].Load(); p != nil {
-						fn(((uint64(i)<<fanBits|uint64(j))<<fanBits|uint64(k))<<fanBits|uint64(n), p)
-					}
-				}
-			}
-		}
-	}
+	each(&m.dir.Load().kids, 0, func(i uint64, n *node4) {
+		each(n, i, func(i uint64, n *node3) {
+			each(n, i, func(i uint64, n *node2) {
+				each(n, i, func(i uint64, n *node1) {
+					each(n, i, func(i uint64, n *leaf) { each(n, i, fn) })
+				})
+			})
+		})
+	})
 }
 
 // SnapshotPages returns a deep copy of every materialized page, all

@@ -2,6 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +92,102 @@ func TestPageEnumeration(t *testing.T) {
 	}
 	if m.pageFor(5, false) == &zeroPage || m.pageFor(99, false) != &zeroPage {
 		t.Fatal("page lookup broken")
+	}
+}
+
+// TestDirectoryAllocatesOnlyTouchedNodes: a fresh memory with one
+// write in each of six 2 MB regions below 4 GB, every one in its own
+// 512 MB region, and one write near 2^63 allocates its seven pages and
+// at most 96 KB of directory: the root and twenty 4 KB nodes. A
+// directory of 64 KB nodes costs 512 KB or more here. Best of five under
+// GOMAXPROCS(1), as gpu.TestWarmKernelLaunchAllocatesOnlyBookkeeping
+// does: a runtime goroutine's allocation shows in one run only.
+func TestDirectoryAllocatesOnlyTouchedNodes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	addrs := []uint64{1<<63 - PageSize}
+	for k := uint64(0); k < 6; k++ {
+		addrs = append(addrs, k<<29|k<<21|0x40)
+	}
+	fresh := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := NewMemory()
+		for _, a := range addrs {
+			m.WriteU32(a, 1)
+		}
+		runtime.ReadMemStats(&after)
+		if m.PageCount() != len(addrs) {
+			t.Fatalf("%d pages, want %d", m.PageCount(), len(addrs))
+		}
+		return after.TotalAlloc - before.TotalAlloc - uint64(len(addrs))*PageSize
+	}
+	best := fresh()
+	for i := 0; i < 4; i++ {
+		best = min(best, fresh())
+	}
+	t.Logf("directory: %d bytes", best)
+	if best > 96<<10 {
+		t.Fatalf("the directory of %d pages allocated %d bytes, budget 96 KB", len(addrs), best)
+	}
+}
+
+// TestEachPageOrderAcrossLevels writes, in a shuffled order, the pages on
+// both sides of every level's slot boundary, and the first and last page
+// index: eachPage must visit them all in ascending order.
+func TestEachPageOrderAcrossLevels(t *testing.T) {
+	want := []uint64{0, 1<<52 - 1}
+	for level := 1; level < 6; level++ {
+		b := uint64(1) << (level * fanBits)
+		want = append(want, b-1, b, b+1, 3*b-1, 3*b)
+	}
+	slices.Sort(want)
+	want = slices.Compact(want)
+	m := NewMemory()
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(want)) {
+		m.Write(want[i]*PageSize, []byte{byte(i + 1)})
+	}
+	var got []uint64
+	m.eachPage(func(idx uint64, _ *page) { got = append(got, idx) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("eachPage visited %v, want %v", got, want)
+	}
+	snap := m.SnapshotPages()
+	for _, idx := range want {
+		if p, ok := snap[idx]; !ok || p[0] == 0 {
+			t.Fatalf("snapshot lacks page %#x", idx)
+		}
+	}
+}
+
+// TestConcurrentFirstTouch: two goroutines write, at once, into a page
+// and a leaf neither has materialized, each also into a page of its own
+// in that leaf. The racing inserts must settle on one node per slot: no
+// write lost, three pages counted. Run it under -race.
+func TestConcurrentFirstTouch(t *testing.T) {
+	for iter := 0; iter < 200; iter++ {
+		m := NewMemory()
+		base := uint64(iter+1) << 40 // a new interior path every time
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for g := uint64(0); g < 2; g++ {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				m.WriteU32(base+4*g, uint32(g+1))
+				m.WriteU32(base+(g+1)*PageSize, uint32(g+1))
+			}()
+		}
+		start.Done()
+		done.Wait()
+		for g := uint64(0); g < 2; g++ {
+			if m.ReadU32(base+4*g) != uint32(g+1) || m.ReadU32(base+(g+1)*PageSize) != uint32(g+1) {
+				t.Fatalf("iteration %d: goroutine %d's write was lost", iter, g)
+			}
+		}
+		if m.PageCount() != 3 {
+			t.Fatalf("iteration %d: %d pages, want 3", iter, m.PageCount())
+		}
 	}
 }
 

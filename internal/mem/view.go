@@ -6,7 +6,7 @@ import (
 )
 
 // View is a single-goroutine accessor over a Memory that caches the
-// most recently touched page, eliding the page-directory walk (four
+// most recently touched page, eliding the page-directory walk (six
 // dependent loads per access) on the overwhelmingly common case of
 // consecutive accesses landing on the same page. The functional-mode
 // executors keep one for their fragment-rate memory traffic; the timed

@@ -217,15 +217,17 @@ func TestRequestAllocationSites(t *testing.T) {
 // timed draw path takes per tile, per warp or per primitive: each comes
 // from the component that owns it and goes back to it (DESIGN.md "Draw
 // path storage"), so each is allocated at its one take site. fsEnv and
-// vsEnv live inside their fsLaunch and vertexBatch and have none;
-// raster.Setup is the allocating wrapper bench/ and tests call.
+// vsEnv live inside their fsLaunch and vertexBatch and have none, nor
+// has vertexBatch: its records are the GPU's ring, made once, and the
+// functional executor's one; raster.Setup is the allocating wrapper
+// bench/ and tests call.
 func TestDrawRecordAllocationSites(t *testing.T) {
 	checkAllocationSites(t, map[string][]string{
 		"gpu.tileTask":    {"gpu.cluster.newTask"},
 		"gpu.fsLaunch":    {"gpu.cluster.newLaunch"},
 		"gpu.fsEnv":       nil,
 		"gpu.vsEnv":       nil,
-		"gpu.vertexBatch": {"gpu.buildBatches"},
+		"gpu.vertexBatch": nil,
 		"gpu.clusterPrim": {"gpu.primSlab.take"},
 		"raster.SetupTri": {"gpu.triSlab.next", "raster.Setup"},
 		"gfx.TCTileOut":   {"gfx.TCUnit.flush"},

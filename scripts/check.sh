@@ -27,8 +27,10 @@ echo "ok"
 
 echo "== allocation gates and hot-path references (uncached) =="
 # The zero-allocation tick, the warm-launch and warm-frame object
-# budgets, the blocked access that builds nothing, the pool's own
-# contract, and the differential references of the hot paths: the ready
+# budgets, the page directory's byte budget, the blocked access that
+# builds nothing, the pool's own contract, and the differential
+# references of the hot paths: the vertex batch ring wrapping against
+# ExecuteDrawFunc, the ready
 # set and the parking LSU against the full-scan scheduler and
 # retry-every-cycle LSU, a core acting on its memoised waits against
 # the stepped tick that never memoises (and a fill on each L1 ending its
@@ -56,9 +58,9 @@ go test -count=1 -timeout 5m -run 'TestParkingAgainstRetryEveryCycleReference' .
 EMERALD_GUARD=1 go test -count=1 -timeout 5m -run 'TestReadySetAgainstFullScanReference|TestMemoisedWaitAgainstSteppedTick|TestParkingAgainstRetryEveryCycleReference' ./internal/simt ./internal/interconnect
 go test -count=1 -timeout 5m -run 'TestPopReadyAgainstLinearScan' ./internal/gfx
 go test -count=1 -timeout 5m -run 'TestExecALULanesMatchesExecALU' ./internal/shader
-go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping|TestWarmFrameAllocatesOnlyBookkeeping' ./internal/gpu
+go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping|TestWarmFrameAllocatesOnlyBookkeeping|TestBatchRingWrapsLikeFunctional' ./internal/gpu
 go test -count=1 -timeout 5m -run 'TestBlockedAccessAllocatesNothing|TestRequestsAreRecycledByTheirIssuer|TestRefusedHasTheEffectsOfABlockedAccess' ./internal/cache
-go test -count=1 -timeout 5m -run 'TestPoolRecyclingAndPoison|TestQueueDrainTo' ./internal/mem
+go test -count=1 -timeout 5m -run 'TestPoolRecyclingAndPoison|TestQueueDrainTo|TestDirectoryAllocatesOnlyTouchedNodes' ./internal/mem
 go test -count=1 -timeout 5m -run 'TestFrameAllocationTripwire|TestExportedSurface' .
 
 # Every go test below carries an explicit -timeout (it applies to each
@@ -137,6 +139,9 @@ echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake cont
 # figure has to move the document with it.
 go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract|TestHighLoadCellSkipsMemoryBoundCycles|TestExperimentsCaseStudyI' ./internal/exp
 go test -count=1 -run 'TestIdleSkipPreservesResults' ./internal/soc
+# The determinism contract holds on one core too: the digest gates once
+# more under GOMAXPROCS=1 (short: one frame of one cell; about 1 s).
+GOMAXPROCS=1 go test -count=1 -short -timeout 5m -run 'TestTimeAdvanceDeterminism' ./internal/exp
 
 echo "== checkpoint-resume digest gate =="
 # The sampled-simulation contract: the functional executor's memory is
