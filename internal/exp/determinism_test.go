@@ -117,7 +117,8 @@ func standaloneStateDigest(t *testing.T, adv timeAdvance) string {
 // So the complete observable end state of a run (registry JSON,
 // framebuffer, final cycle, results) must match the every-cycle
 // reference, and each mechanism on its own. The default digests are
-// logged, so a change that moves simulated state shows up as a new hash.
+// pinned in testdata/digests.json (see TestPinnedDigests), so a change
+// that moves simulated state in every mode alike fails too.
 func TestTimeAdvanceDeterminismSoC(t *testing.T) {
 	cases := []struct {
 		model int
@@ -136,7 +137,8 @@ func TestTimeAdvanceDeterminismSoC(t *testing.T) {
 	}
 	for _, c := range cases {
 		def, _ := socStateDigest(t, opt, c.model, c.cfg, opt.RegularMbps, defaultAdvance)
-		t.Logf("%s/%s state digest: %s", modelName(c.model), c.cfg, def)
+		key := fmt.Sprintf("state digest: soc %s/%s, %d+%d frames at quick", modelName(c.model), c.cfg, opt.WarmupFrames, opt.Frames)
+		checkPinned(t, key, pinned{SHA256: def})
 		for _, arm := range referenceArms {
 			if got, _ := socStateDigest(t, opt, c.model, c.cfg, opt.RegularMbps, arm); got != def {
 				t.Errorf("%s/%s: default digest %s != %s digest %s",
@@ -150,7 +152,7 @@ func TestTimeAdvanceDeterminismSoC(t *testing.T) {
 // counterpart of TestTimeAdvanceDeterminismSoC.
 func TestTimeAdvanceDeterminismStandalone(t *testing.T) {
 	def := standaloneStateDigest(t, defaultAdvance)
-	t.Logf("standalone W3 state digest: %s", def)
+	checkPinned(t, "state digest: standalone W3, 2 frames", pinned{SHA256: def})
 	for _, arm := range referenceArms {
 		if got := standaloneStateDigest(t, arm); got != def {
 			t.Errorf("default digest %s != %s digest %s", def, arm.name, got)

@@ -140,8 +140,11 @@ echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake cont
 go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract|TestHighLoadCellSkipsMemoryBoundCycles|TestExperimentsCaseStudyI' ./internal/exp
 go test -count=1 -run 'TestIdleSkipPreservesResults' ./internal/soc
 # The determinism contract holds on one core too: the digest gates once
-# more under GOMAXPROCS=1 (short: one frame of one cell; about 1 s).
-GOMAXPROCS=1 go test -count=1 -short -timeout 5m -run 'TestTimeAdvanceDeterminism' ./internal/exp
+# more under GOMAXPROCS=1 (short: one frame of one cell; about 1 s), and
+# the pinned digests of testdata/digests.json with them (the smoke
+# figures; about 6 s), so one core reproduces the recorded values, not
+# only the modes' agreement.
+GOMAXPROCS=1 go test -count=1 -short -timeout 5m -run 'TestTimeAdvanceDeterminism|TestPinnedDigests' ./internal/exp
 
 echo "== checkpoint-resume digest gate =="
 # The sampled-simulation contract: the functional executor's memory is
