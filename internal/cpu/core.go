@@ -6,6 +6,7 @@ import (
 	"emerald/internal/cache"
 	"emerald/internal/emtrace"
 	"emerald/internal/mem"
+	"emerald/internal/par"
 	"emerald/internal/stats"
 )
 
@@ -73,13 +74,13 @@ type Core struct {
 	// parked core from outside (cache.CountFills): L1 fills and the
 	// L1-to-L2 drain happen inside its own Tick, and a core with
 	// requests in Out is never parked, since NextWake answers now. The
-	// memo is kept in both modes; park gates only whether Parked lets
-	// the owner skip the core, so the reference mode still ticks every
-	// cycle and stays an oracle for the memo. Under a guard (audit) a
-	// cycle inside the memo is ticked too (auditing), and lostWait
-	// describes the first tick there that was not a gated no-op.
+	// owner's loop skips the core while the memo holds; one that ticks
+	// every cycle (every-cycle mode) gates each tick on NextWake and
+	// stays an oracle for the memo. Under a guard (audit) an owner tick
+	// inside the memo is audited (auditing), and lostWait describes the
+	// first tick there that was not a gated no-op.
 	waitUntil, waitFills, fills uint64
-	park, audit, auditing       bool
+	audit, auditing             bool
 	lostWait                    string
 
 	// A planned run (plan): runLeft register-only instructions, the
@@ -114,7 +115,6 @@ func NewCore(cfg Config, prog *Program, m *mem.Memory, reg *stats.Registry) *Cor
 		L2:          mk("l2", cfg.L2),
 		Out:         mem.NewQueue(0),
 		codeBase:    0xF000_0000 + uint64(cfg.ID)<<20,
-		park:        true,
 		instrs:      scope.Counter("instructions"),
 		loads:       scope.Counter("loads"),
 		stores:      scope.Counter("stores"),
@@ -134,12 +134,6 @@ func NewCore(cfg Config, prog *Program, m *mem.Memory, reg *stats.Registry) *Cor
 	return c
 }
 
-// SetPark toggles whether Parked lets the owner skip the core while its
-// memoised wake holds (see Core.waitUntil). The memo is maintained in
-// both modes, so the toggle never changes simulated state: off, the
-// core is ticked every cycle and gates each tick on NextWake itself.
-func (c *Core) SetPark(on bool) { c.park = on }
-
 // Park memoises the core's wake as until, in the owner's cycles: the
 // first owner cycle whose CPU cycles hold one that NextWake reports
 // due. The owner converts NextWake to its clock after each tick.
@@ -156,18 +150,30 @@ func (c *Core) WaitUntil(at uint64) uint64 {
 	return at
 }
 
-// Parked reports whether the owner may skip ticking the core at owner
-// cycle at: the memo holds and parking is on. Under a guard it never
-// may; the ticks of a cycle inside the memo are audited instead.
-func (c *Core) Parked(at uint64) bool {
-	if at >= c.waitUntil || c.fills != c.waitFills {
-		return false
+// Part is the core as its owner's par.Loop drives it, mult CPU cycles
+// per owner cycle. A tick runs the CPU cycles of one owner cycle, hands
+// what the core sends downstream to port and memoises its wake in
+// owner cycles (Park); the memo is the part's wake (WaitUntil), and a
+// wait charges nothing. Under a guard the loop ticks a core inside its
+// memo, and the tick is audited.
+func (c *Core) Part(mult uint64, port *mem.Queue) par.Part {
+	return par.Part{
+		Tick: func(at uint64) {
+			c.auditing = c.audit && c.WaitUntil(at) > at
+			for k := at * mult; k < (at+1)*mult; k++ {
+				c.Tick(k)
+			}
+			c.Out.DrainTo(port)
+			// CPU cycle w falls inside owner cycle w/mult, whose tick
+			// covers it.
+			w := c.NextWake((at + 1) * mult)
+			if w != mem.NeverWake {
+				w = max(w/mult, at+1)
+			}
+			c.Park(w)
+		},
+		NextWake: c.WaitUntil,
 	}
-	if c.audit {
-		c.auditing = true
-		return false
-	}
-	return c.park
 }
 
 // AttachTracer arms cache event tracing on the core's cache hierarchy.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"emerald/internal/mem"
+	"emerald/internal/par"
 	"emerald/internal/stats"
 )
 
@@ -251,43 +252,56 @@ func boolTo(b bool) int {
 // TestFillEndsTheMemo: a core parked on an L2 miss keeps its memoised
 // wake across quiet cycles, and the fill's completion ends the memo by
 // itself, through the L2's fill counter, with no call from the owner.
+// The owner is a one-part par.Loop, one CPU cycle per owner cycle, that
+// counts the cycles it ticks the core rather than charging it.
 func TestFillEndsTheMemo(t *testing.T) {
 	c, _ := mk(t, "ld r3, [r2]\nhalt")
-	// Owner cycles are CPU cycles here: tick, take what the core sends
-	// downstream, park.
+	var cycle uint64
+	port := mem.NewQueue(0)
+	part, ticks := c.Part(1, port), 0
+	tick := part.Tick
+	part.Tick = func(at uint64) { ticks++; tick(at) }
+	l := par.Loop{Cycle: &cycle, Parts: []par.Part{part}, Park: true}
 	var held []*mem.Request
-	cycle := uint64(0)
-	for ; len(held) == 0; cycle++ {
+	for len(held) == 0 {
 		if cycle > 1000 {
 			t.Fatal("the core never missed in its L2")
 		}
-		c.Tick(cycle)
-		for r := c.Out.Pop(); r != nil; r = c.Out.Pop() {
+		l.Step()
+		for r := port.Pop(); r != nil; r = port.Pop() {
 			held = append(held, r)
 		}
-		c.Park(c.NextWake(cycle + 1))
 	}
 	if w := c.WaitUntil(cycle); w != mem.NeverWake {
 		t.Fatalf("core blocked on its L2 miss memoised wake %d, want NeverWake", w)
 	}
-	for end := cycle + 500; cycle < end; cycle++ {
-		if !c.Parked(cycle) || c.WaitUntil(cycle) != mem.NeverWake {
-			t.Fatalf("cycle %d: the memo ended with no fill", cycle)
+	for end := cycle + 500; cycle < end; {
+		n := ticks
+		if l.Step(); ticks != n || c.WaitUntil(cycle) != mem.NeverWake {
+			t.Fatalf("cycle %d: the memo ended with no fill", cycle-1)
 		}
 	}
 	for _, r := range held {
 		r.Complete(cycle)
 	}
-	if c.Parked(cycle) || c.WaitUntil(cycle) != cycle {
+	if c.WaitUntil(cycle) != cycle {
 		t.Fatal("the L2 fill completed and the memo still holds")
 	}
 	if c.NextWake(cycle) > cycle {
 		t.Fatal("the memo ended but the core has nothing due")
 	}
-	c.SetPark(false)
+	n := ticks
+	if l.Step(); ticks != n+1 {
+		t.Fatal("the memo ended and the loop did not tick the core")
+	}
+	l.SetEventWheel(false)
 	c.Park(mem.NeverWake)
-	if c.Parked(cycle) || c.WaitUntil(cycle) != mem.NeverWake {
-		t.Fatal("with parking off the memo is kept but never lets the owner skip")
+	if c.WaitUntil(cycle) != mem.NeverWake {
+		t.Fatal("with parking off the memo is not kept")
+	}
+	n = ticks
+	if l.Step(); ticks != n+1 {
+		t.Fatal("with parking off the memo lets the owner skip the core")
 	}
 }
 

@@ -58,8 +58,8 @@ func coreState(buf []int64, c *Core, ctrs []*stats.Counter) []int64 {
 
 // lockstep runs a core that plans its register-only runs beside a
 // reference that issues one instruction per due cycle (step), each on
-// its own memory. The planned core is driven like soc.tickCPU with one
-// CPU cycle per owner cycle: skipped while its memoised wake holds.
+// its own memory. The planned core is driven as its par.Part is with
+// one CPU cycle per owner cycle: skipped while its memoised wake holds.
 // After Sync(k+1) at every cycle k the two must agree. It returns the
 // cycles at which each was due, so a caller can see that plans ran.
 func lockstep(t *testing.T, cfg Config, prog *Program, init func(*Core), cycles uint64) (plannedDue, refDue int) {
@@ -82,7 +82,7 @@ func lockstep(t *testing.T, cfg Config, prog *Program, init func(*Core), cycles 
 	planned, ref := cores[0], cores[1]
 	var got, want []int64
 	for k := uint64(0); k < cycles; k++ {
-		if !planned.Parked(k) {
+		if planned.WaitUntil(k) <= k {
 			plannedDue++
 			planned.Tick(k)
 		}

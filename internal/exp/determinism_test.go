@@ -18,10 +18,10 @@ import (
 // final cycle, results summary — and demand equality between the
 // default engine and the every-cycle reference.
 
-// timeAdvance is one setting of the engine's two time-advancement
-// mechanisms: clock jumps over idle stretches, and parked components —
-// the SoC's CPU cores and the GPU, each behind its memoised wake
-// ("wheel" is SetEventWheel's name for parking; no wheel is left).
+// timeAdvance is one setting of the run loop's two time-advancement
+// knobs: clock jumps over idle stretches (Skip), and parking, which
+// charges a part that is not due instead of ticking it (Park; "wheel"
+// is SetEventWheel's name for it, and no wheel is left).
 type timeAdvance struct {
 	name        string
 	skip, wheel bool
@@ -111,9 +111,10 @@ func standaloneStateDigest(t *testing.T, adv timeAdvance) string {
 }
 
 // TestTimeAdvanceDeterminismSoC checks that how time advances is
-// invisible. The default engine jumps the clock over idle stretches,
-// and stops ticking a CPU core or the GPU inside its memoised wake; all
-// may only elide ticks that were gated no-ops anyway.
+// invisible. The default loop jumps the clock over idle stretches, and
+// charges instead of ticking a part that is not due (a CPU core or the
+// GPU inside its memoised wake, the display, NoC or DRAM with nothing
+// to do); both may only elide ticks that were gated no-ops anyway.
 // So the complete observable end state of a run (registry JSON,
 // framebuffer, final cycle, results) must match the every-cycle
 // reference, and each mechanism on its own. The default digests are

@@ -15,6 +15,7 @@ import (
 	"emerald/internal/gpu"
 	"emerald/internal/interconnect"
 	"emerald/internal/mem"
+	"emerald/internal/par"
 	"emerald/internal/shader"
 	"emerald/internal/simt"
 	"emerald/internal/soc"
@@ -354,9 +355,9 @@ func TestNextWakeContract(t *testing.T) {
 	// covers the cluster terms the kernel cannot reach (the primitive
 	// reorder buffer's readyAt, setup, raster, pending fragment launches
 	// and the TC drain). A drawing GPU memoises exact waits on memory, so
-	// the row runs acting on the memo and with every tick run in full
-	// (SetParkDrained off), where a memo that hides a due tick fails the
-	// contract check. Memory as slow as a loaded LPDDR3 bus (400 cycles)
+	// the row runs with the GPU parked in its memo and with every tick
+	// run in full (a loop with Park off), where a memo that hides a due
+	// tick fails the contract check. Memory as slow as a loaded LPDDR3 bus (400 cycles)
 	// leaves the GPU waiting often enough for rare terms, such as a TC
 	// timeout flush falling inside a wait, to come due under the memo.
 	// The slow bus backs the cluster NoC and the cores up behind the L2,
@@ -382,10 +383,19 @@ func TestNextWakeContract(t *testing.T) {
 // drawRig is one GPU drawing the W3 cube frame by frame into its own
 // memory, with every counter it registers, charged (see chargedCounter)
 // or not, in name order. A ready above 0 sets its TC ready-queue depth.
+// A one-part par.Loop ticks it, parking it or not.
 type drawRig struct {
 	g                  *gpu.GPU
 	draw               func()
 	charged, uncharged []*stats.Counter
+	loop               par.Loop
+	cycle              uint64
+}
+
+// tick runs the rig's loop for cycle cy.
+func (r *drawRig) tick(cy uint64) {
+	r.cycle = cy
+	r.loop.Step()
 }
 
 func newDrawRig(t *testing.T, park bool, ready int) *drawRig {
@@ -395,7 +405,8 @@ func newDrawRig(t *testing.T, park bool, ready int) *drawRig {
 		cfg.TC.ReadyDepth = ready
 	}
 	r := &drawRig{g: gpu.New(cfg, m, reg)}
-	r.g.SetParkDrained(park)
+	r.loop = par.Loop{Cycle: &r.cycle, Park: park, Parts: []par.Part{
+		{Tick: r.g.Tick, NextWake: r.g.NextWake, Charge: r.g.ChargeSkipped}}}
 	for _, name := range reg.Names() {
 		if chargedCounter(name) {
 			r.charged = append(r.charged, reg.Counter(name))
@@ -486,12 +497,12 @@ func gpuDrawContract(t *testing.T, lat uint64, park bool, ready int) (charging i
 				t.Fatalf("lat=%d ready=%d park=%v cycle %d: NextWake %d, the twin's %d", lat, ready, park, cy, w, tw)
 			}
 			if w <= cy {
-				g.Tick(cy)
-				twin.g.Tick(cy)
+				r.tick(cy)
+				twin.tick(cy)
 				return
 			}
 			before := charged(r)
-			g.Tick(cy)
+			r.tick(cy)
 			twin.g.ChargeSkipped(cy, 1)
 			got, want := charged(r), charged(twin)
 			if !slices.Equal(got, want) {

@@ -151,19 +151,19 @@ type GPU struct {
 	// it saw (waitFills). Between ticks three inputs reach the GPU:
 	// SubmitDraw and LaunchKernel, which end the memo, and an L2 fill
 	// completing downstream, which moves fills (cache.CountFills). While
-	// the memo holds, Tick returns at once and NextWake answers it in
-	// O(1); a drained GPU is the memo at mem.NeverWake. The memo is kept
-	// in both modes; parkDrained gates only whether Tick acts on it, so
-	// the reference mode still ticks a waiting GPU and stays an oracle
-	// for the memo. Under a guard (audit) the full tick runs inside the
-	// memo, and lostWait describes the first one that moved anything.
+	// the memo holds, NextWake answers it in O(1), and the owner's loop
+	// charges the GPU's cycles instead of ticking them; a drained GPU is
+	// the memo at mem.NeverWake. A tick inside the memo (every-cycle
+	// mode) runs in full, which keeps that mode an oracle for the memo;
+	// under a guard (audit) it is audited too, and lostWait describes
+	// the first one that moved anything.
 	waitUntil, waitFills, fills uint64
-	parkDrained, audit          bool
+	audit                       bool
 	lostWait                    string
 	// A memo may still charge every cycle: the cluster NoC refuses its
 	// parked flits again, and each core listed in charging counts its
-	// wait (see simt.Core.Wait). A tick inside the memo and a jump over
-	// it (ChargeSkipped) pay those parts and nothing else.
+	// wait (see simt.Core.Wait). ChargeSkipped pays those parts and
+	// nothing else.
 	charging []*simt.Core
 
 	// trace, when armed via AttachTracer, receives draw/kernel spans and
@@ -264,16 +264,8 @@ func New(cfg Config, memory *mem.Memory, reg *stats.Registry) *GPU {
 		cl.tc = gfx.NewTCUnit(cfg.TC, scope.Scope(fmt.Sprintf("cluster%d", ci)))
 		g.clusters = append(g.clusters, cl)
 	}
-	g.parkDrained = true
 	return g
 }
-
-// SetParkDrained toggles whether Tick acts on the memoised wait (see
-// GPU.waitUntil), which covers a drained GPU and one waiting on memory.
-// The memo is maintained in both modes, so the toggle takes effect
-// immediately and never changes simulated state — only whether a GPU
-// with nothing due burns its ticks.
-func (g *GPU) SetParkDrained(on bool) { g.parkDrained = on }
 
 // AttachTracer arms event tracing on the GPU, its L2, and every SIMT
 // core (which in turn arms the core's L1 caches). It ends the memoised
@@ -453,19 +445,13 @@ func (g l2Port) Push(r *mem.Request) bool {
 }
 
 // Tick advances the whole GPU one core cycle and memoises the wait it
-// leaves behind (see waitUntil). A cycle inside the memo only repeats
-// the memo's charges, so Tick pays them (nothing, mostly) and returns;
-// in the reference mode (parkDrained off) it runs the full tick anyway,
-// and under a guard it audits one.
+// leaves behind (see waitUntil). A tick inside the memo runs in full,
+// audited under a guard.
 func (g *GPU) Tick(cycle uint64) {
-	switch {
-	case cycle >= g.waitUntil || g.fills != g.waitFills || !g.parkDrained && !g.audit:
-		g.step(cycle)
-	case g.audit:
+	if g.audit && g.NextWake(cycle) > cycle {
 		g.auditWait(cycle)
-	default:
-		g.ChargeSkipped(cycle, 1)
-		return
+	} else {
+		g.step(cycle)
 	}
 	g.charging = g.charging[:0]
 	g.waitUntil, g.waitFills = g.wake(cycle+1), g.fills
@@ -473,8 +459,7 @@ func (g *GPU) Tick(cycle uint64) {
 
 // ChargeSkipped pays n cycles of the memoised wait, the last of them at
 // cycle last: the cluster NoC's refusals of its parked flits and each
-// charging core's wait. It is a tick inside the memo (n = 1) and a
-// clock jump's charge for the cycles it passes.
+// charging core's wait. It is the GPU's par.Part charge.
 func (g *GPU) ChargeSkipped(last, n uint64) {
 	g.cycle = last
 	g.noc.Charge(n)

@@ -51,7 +51,7 @@ func TestWatchdogAbortsDeadlockedSystem(t *testing.T) {
 		if i > 2_000_000 {
 			t.Fatal("system never wedged under the dead scheduler")
 		}
-		s.Tick()
+		s.Step()
 		if sig := s.progressSig(); sig != prev {
 			prev, flat = sig, 0
 		} else {
@@ -122,12 +122,12 @@ func TestWatchdogAndGuardCleanOnHealthyRun(t *testing.T) {
 func TestWatchdogWindowClamped(t *testing.T) {
 	s := testStandalone()
 	s.SetWatchdog(1)
-	if s.run.Watchdog != guard.MinWatchdogWindow {
-		t.Fatalf("window = %d, want clamped to %d", s.run.Watchdog, guard.MinWatchdogWindow)
+	if s.Watchdog != guard.MinWatchdogWindow {
+		t.Fatalf("window = %d, want clamped to %d", s.Watchdog, guard.MinWatchdogWindow)
 	}
 	s.SetWatchdog(0)
-	if s.run.Watchdog != 0 {
-		t.Fatalf("window = %d, want 0 (disabled)", s.run.Watchdog)
+	if s.Watchdog != 0 {
+		t.Fatalf("window = %d, want 0 (disabled)", s.Watchdog)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestGuardCatchesLatchOverQueuedDraw(t *testing.T) {
 	clearTargets(s, vp, 0)
 	idx := uploadQuad(s, 0)
 	uploadIdentityUniforms(s, [4]float32{1, 0, 0, 1}, 1)
-	s.Tick() // an empty GPU memoises NeverWake on its first tick
+	s.Step() // an empty GPU memoises NeverWake on its first tick
 	if s.GPU.waitUntil != mem.NeverWake || len(g.Violations()) != 0 {
 		t.Fatalf("idle tick: waitUntil = %d, violations = %v; want a clean NeverWake memo", s.GPU.waitUntil, g.Violations())
 	}
@@ -153,7 +153,7 @@ func TestGuardCatchesLatchOverQueuedDraw(t *testing.T) {
 		t.Fatal("SubmitDraw left the memo standing")
 	}
 	s.GPU.waitUntil = mem.NeverWake // the fault: a submission that did not end it
-	s.Tick()
+	s.Step()
 	assertLostWait(t, g)
 }
 
@@ -177,7 +177,7 @@ func TestGuardCatchesMemoPastDueWork(t *testing.T) {
 		if i > 100_000 {
 			t.Fatal("the drawing GPU never memoised a wait")
 		}
-		s.Tick()
+		s.Step()
 	}
 	if v := g.Violations(); len(v) != 0 {
 		t.Fatalf("healthy run reported violations: %v", v)
@@ -187,7 +187,7 @@ func TestGuardCatchesMemoPastDueWork(t *testing.T) {
 			t.Fatal("a memo held past due work and no probe fired")
 		}
 		s.GPU.waitUntil, s.GPU.waitFills = mem.NeverWake, s.GPU.fills
-		s.Tick()
+		s.Step()
 	}
 	assertLostWait(t, g)
 }
@@ -207,13 +207,13 @@ func TestGuardCatchesForgottenRasterHold(t *testing.T) {
 		if i > 100_000 {
 			t.Fatal("the GPU never waited with its raster holding a tile")
 		}
-		s.Tick()
+		s.Step()
 	}
 	if v := g.Violations(); len(v) != 0 {
 		t.Fatalf("healthy run reported violations: %v", v)
 	}
 	cl.rast.held = false // the fault: the hold forgotten, the memo kept
-	s.Tick()
+	s.Step()
 	assertLostWait(t, g)
 }
 
@@ -249,7 +249,7 @@ func TestGuardCatchesReleasedRequestStillQueued(t *testing.T) {
 		if i > 100_000 {
 			t.Fatal("no request ever waited in a NoC port")
 		}
-		s.Tick()
+		s.Step()
 		for c := range s.GPU.clusters {
 			if p := s.GPU.noc.Port(c); p.Len() > 0 {
 				queued = p.At(0)
@@ -262,7 +262,7 @@ func TestGuardCatchesReleasedRequestStillQueued(t *testing.T) {
 	var rogue mem.Pool
 	queued.Complete(s.Cycle())
 	rogue.Put(queued)
-	s.run.Guard.Tick(s.Cycle())
+	s.Guard.Tick(s.Cycle())
 	v := g.Violations()
 	if len(v) == 0 || !strings.Contains(v[0].Detail, "released request") {
 		t.Fatalf("violations = %v, want a released-request report from the NoC", v)

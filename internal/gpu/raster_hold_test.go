@@ -81,7 +81,7 @@ func runHeldRasterDraw(t *testing.T, parked, reraster bool) holdRun {
 			if reraster {
 				cl.rast.held = false
 			}
-			s.Tick()
+			s.Step()
 			if held {
 				r.held++
 				if s.GPU.hizCulledC.Value() > culled {

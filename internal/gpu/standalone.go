@@ -25,10 +25,9 @@ type Standalone struct {
 	sysNoC *interconnect.Crossbar
 	cycle  uint64
 
-	// run advances the clock and holds what its stride poll reads: the
-	// guard (whose probes also run at the end of every Tick; nil costs
-	// one branch), the watchdog window and the telemetry probe.
-	run par.Loop
+	// The loop advances the clock over the memory side (MemorySide)
+	// and holds what its stride poll reads.
+	par.Loop
 
 	// trace is kept for the watchdog bundle's emtrace tail.
 	trace *emtrace.Tracer
@@ -50,9 +49,8 @@ func NewStandalone(gpuCfg Config, dramCfg dram.Config, reg *stats.Registry) *Sta
 	s.sysNoC = interconnect.Connect(interconnect.Config{
 		Name: "sys_noc", Ports: 1, Latency: 8, Width: 4, Depth: 64,
 	}, d, reg)
-	s.run = par.Loop{
-		Cycle: &s.cycle, Skip: true,
-		Tick: s.Tick, NextWake: s.NextWake, Charge: s.charge,
+	s.Loop = par.Loop{
+		Cycle: &s.cycle, Parts: MemorySide(g, s.sysNoC, 0, d), Skip: true, Park: true,
 		Done:     func() bool { return !s.Busy() },
 		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
 	}
@@ -77,77 +75,35 @@ func (s *Standalone) AttachTracer(t *emtrace.Tracer) {
 	s.DRAM.AttachTracer(t)
 }
 
+// MemorySide is the GPU and what serves it, as a par.Loop drives
+// them: the GPU, its output port drained into port of the system NoC,
+// then the system NoC, then DRAM. Both systems build theirs here.
+func MemorySide(g *GPU, noc *interconnect.Crossbar, port int, d *dram.Controller) []par.Part {
+	out := noc.Port(port)
+	return []par.Part{
+		{Tick: func(c uint64) {
+			g.Tick(c)
+			g.Out.DrainTo(out)
+		}, NextWake: g.NextWake, Charge: g.ChargeSkipped},
+		{Tick: noc.Tick, NextWake: noc.NextWake, Charge: func(_, n uint64) { noc.Charge(n) }},
+		{Tick: d.Tick, NextWake: d.NextWake},
+	}
+}
+
 // AttachGuard arms invariant checking across GPU, system NoC and DRAM.
-// Probes run at the end of every Tick, once every component has ticked.
+// Probes run at the end of every cycle, once every part has ticked.
 func (s *Standalone) AttachGuard(g *guard.Checker) {
-	s.run.Guard = g
+	s.Loop.Guard = g
 	s.GPU.AttachGuard(g)
 	s.sysNoC.AttachGuard(g)
 	s.DRAM.AttachGuard(g)
 }
-
-// SetWatchdog arms the forward-progress watchdog: RunUntilIdleCtx
-// aborts with a guard.NoProgressError when no instruction issues, no
-// fragment shades, no draw retires and no DRAM byte moves for window
-// cycles (clamped to guard.MinWatchdogWindow; 0 disables).
-func (s *Standalone) SetWatchdog(window uint64) { s.run.Watchdog = guard.ClampWindow(window) }
 
 // SetParallel does nothing: a system ticks on one goroutine, and
 // independent runs are what execute concurrently (DESIGN.md
 // "Parallelism"). It stays only because the benchmark's par arm still
 // calls it.
 func (s *Standalone) SetParallel(*par.Pool) {}
-
-// SetIdleSkip enables or disables event-driven idle cycle-skipping in
-// RunUntilIdleCtx. Results are bit-identical either way: skipping only
-// jumps over cycles whose component ticks are gated no-ops, and jumps
-// are clamped to the watchdog/context poll stride.
-func (s *Standalone) SetIdleSkip(on bool) { s.run.Skip = on }
-
-// SetEventWheel toggles component parking, which in standalone mode is
-// the GPU alone: it stops ticking while its memoised wait holds (a
-// drained GPU, or one waiting on memory). The name is the SoC's, where
-// the CPU cores park behind their memoised wakes as well, and predates
-// the memos: no wheel is left. Results are bit-identical either way.
-func (s *Standalone) SetEventWheel(on bool) { s.GPU.SetParkDrained(on) }
-
-// SetProbe attaches a telemetry probe: RunUntilIdleCtx publishes a
-// progress snapshot to it at every stride poll and serves its
-// on-demand diagnostic requests. nil detaches. The probe reads
-// monotone counters only, so results are bit-identical with or without
-// one attached.
-func (s *Standalone) SetProbe(p *telemetry.Probe) { s.run.Probe = p }
-
-// SkippedCycles returns the number of cycles fast-forwarded over by
-// idle skipping since construction.
-func (s *Standalone) SkippedCycles() uint64 { return s.run.Skipped }
-
-// NextWake returns the earliest future cycle at which any component's
-// state can change on its own (mem.NeverWake when fully quiescent).
-func (s *Standalone) NextWake() uint64 {
-	c := s.cycle
-	w := s.GPU.NextWake(c)
-	if w <= c {
-		return c
-	}
-	if v := s.sysNoC.NextWake(c); v < w {
-		w = v
-	}
-	if v := s.DRAM.NextWake(c); v < w {
-		w = v
-	}
-	if w <= c {
-		return c
-	}
-	return w
-}
-
-// charge pays what the ticks of the jumped cycles [from, to) would have
-// charged: the GPU's memoised wait and the system NoC's parked flits.
-func (s *Standalone) charge(from, to uint64) {
-	s.GPU.ChargeSkipped(to-1, to-from)
-	s.sysNoC.Charge(to - from)
-}
 
 // Mem exposes the functional memory for asset upload.
 func (s *Standalone) Mem() *mem.Memory { return s.GPU.Mem }
@@ -167,17 +123,6 @@ func (s *Standalone) ResumeAt(cycle uint64) error {
 // Cycle returns the current simulation cycle.
 func (s *Standalone) Cycle() uint64 { return s.cycle }
 
-// Tick advances GPU, system NoC and DRAM by one cycle.
-func (s *Standalone) Tick() {
-	c := s.cycle
-	s.GPU.Tick(c)
-	s.GPU.Out.DrainTo(s.sysNoC.Port(0))
-	s.sysNoC.Tick(c)
-	s.DRAM.Tick(c)
-	s.run.Guard.Tick(c)
-	s.cycle++
-}
-
 // Busy reports outstanding work anywhere in the system.
 func (s *Standalone) Busy() bool {
 	return s.GPU.Busy() || s.GPU.Out.Len() > 0 || s.sysNoC.Busy() || !s.DRAM.Drained()
@@ -192,7 +137,7 @@ func (s *Standalone) RunUntilIdle(budget uint64) (uint64, error) {
 // (see par.Loop.Run).
 func (s *Standalone) RunUntilIdleCtx(ctx context.Context, budget uint64) (uint64, error) {
 	start := s.cycle
-	if err := s.run.Run(ctx, budget); err != nil {
+	if err := s.Loop.Run(ctx, budget); err != nil {
 		return s.cycle - start, fmt.Errorf("gpu: standalone system: %w", err)
 	}
 	return s.cycle - start, nil
@@ -223,7 +168,7 @@ func (s *Standalone) telemetrySample() telemetry.Sample {
 	return telemetry.Sample{
 		Cycle:         s.cycle,
 		FramesDone:    int(draws),
-		SkippedCycles: s.run.Skipped,
+		SkippedCycles: s.Skipped,
 		Components: telemetry.Components{
 			GPUWork:       int64(s.GPU.Progress()),
 			DRAMBytes:     s.DRAM.TotalBytes(),

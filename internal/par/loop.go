@@ -15,41 +15,98 @@ import (
 // mid-simulation.
 const pollMask = 1<<10 - 1
 
-// Loop is the run loop of one assembled system (soc.SoC, or
-// gpu.Standalone) and the only place its clock advances: one Tick at a
-// time while anything is due, straight to the system's next wake when
-// nothing is. The owner wires the hooks once at construction; the knobs
-// may change between runs.
-type Loop struct {
-	Cycle *uint64 // the system's clock; Tick advances it by one
+// Part is one component of a system as its Loop drives it.
+type Part struct {
+	Tick func(c uint64)
+	// NextWake is the earliest cycle, at or after c, at which the part's
+	// Tick would do anything: c or earlier when it is due.
+	NextWake func(c uint64) uint64
+	// Charge pays what n ticks of a wait would have charged, the last of
+	// them at cycle last: a wait may still count something every cycle
+	// (a refusal, an idle scheduler slot). nil charges nothing.
+	Charge func(last, n uint64)
+}
 
-	// Skip jumps the clock over stretches where NextWake says every
-	// component tick is a gated no-op, so results are bit-identical
-	// with it on or off. Skipped counts the cycles jumped over — kept
-	// out of the stats registry so both modes hash to the same JSON.
-	Skip    bool
+// Loop is the run loop of one assembled system (soc.SoC, or
+// gpu.Standalone) and the only place its clock advances. Each cycle it
+// walks its parts in list order: with Park on, a part that is due at
+// its turn (after the parts before it have ticked this cycle) is
+// ticked and one that is not is charged for the cycle; with Park off,
+// or under a guard, every part is ticked. When no part is due and Skip
+// is on, the clock jumps to the earliest wake, and every part is
+// charged for the cycles passed. A part's Tick on a cycle it is not
+// due is a gated no-op apart from its charge, so results are
+// bit-identical whatever Skip and Park say. The owner embeds the loop
+// and wires it once at construction; the knobs may change between
+// runs.
+type Loop struct {
+	Cycle *uint64 // the system's clock
+	Parts []Part  // in tick order: effects within a cycle keep it
+
+	Skip, Park bool
+	// Skipped counts the cycles jumped over, kept out of the stats
+	// registry so every mode hashes to the same JSON.
 	Skipped uint64
+	// due is 1 + the index of the first part Run found due at the
+	// current cycle before anything ticked in it, 0 when it has not
+	// looked. The parts before it were not due, which is each one's
+	// answer at its turn too: Step charges them and ticks that part
+	// without asking again.
+	due int
 
 	// Polled on the 1024-cycle stride: an attached guard's first
-	// violation, the forward-progress watchdog (window in cycles, 0 =
-	// off) and a telemetry probe. None of them writes model state.
+	// violation (its probes also run at the end of every ticked cycle),
+	// the forward-progress watchdog (window in cycles, 0 = off) and a
+	// telemetry probe. None of them writes model state.
 	Guard    *guard.Checker
 	Watchdog uint64
 	Probe    *telemetry.Probe
 
-	Tick     func()
-	NextWake func() uint64 // earliest cycle any component changes state on its own
-	// Charge pays what the ticks of cycles [from, to) would have charged:
-	// a wait in the future may still count something every cycle (a
-	// refusal, an idle scheduler slot), and the jump that passes those
-	// cycles counts it for them. Called on every jump, before the clock
-	// moves; jumps stop at every poll boundary, so a poll reads the
-	// counts an every-cycle run has there.
-	Charge   func(from, to uint64)
 	Done     func() bool   // the run's goal is met
 	Progress func() uint64 // sum of monotone counters; flat means stalled
 	Diagnose func(window uint64) guard.Diag
 	Sample   func() telemetry.Sample
+}
+
+// SetIdleSkip turns clock jumps over cycles where no part is due on or
+// off.
+func (l *Loop) SetIdleSkip(on bool) { l.Skip = on }
+
+// SetEventWheel turns parking on or off: a part that is not due is
+// charged for the cycle instead of ticked. The name predates the
+// parts' memoised wakes; no wheel is left.
+func (l *Loop) SetEventWheel(on bool) { l.Park = on }
+
+// SetWatchdog arms the forward-progress watchdog: Run aborts with a
+// guard.NoProgressError when the system's progress counters stay flat
+// for window cycles (clamped to guard.MinWatchdogWindow; 0 disables).
+func (l *Loop) SetWatchdog(window uint64) { l.Watchdog = guard.ClampWindow(window) }
+
+// SetProbe attaches a telemetry probe: Run publishes a progress
+// snapshot to it at every stride poll and serves its on-demand
+// diagnostic requests. nil detaches. The probe reads monotone counters
+// only.
+func (l *Loop) SetProbe(p *telemetry.Probe) { l.Probe = p }
+
+// SkippedCycles returns the number of cycles jumped over since
+// construction.
+func (l *Loop) SkippedCycles() uint64 { return l.Skipped }
+
+// Step advances the system one cycle by the gate rule, without a jump.
+func (l *Loop) Step() {
+	c := *l.Cycle
+	park := l.Park && !l.Guard.Enabled()
+	for i := range l.Parts {
+		p := &l.Parts[i]
+		if !park || i+1 == l.due || i+1 > l.due && p.NextWake(c) <= c {
+			p.Tick(c)
+		} else if p.Charge != nil {
+			p.Charge(c, 1)
+		}
+	}
+	l.due = 0
+	l.Guard.Tick(c)
+	*l.Cycle = c + 1
 }
 
 // Run advances the system until Done, for at most budget cycles. Every
@@ -85,15 +142,27 @@ func (l *Loop) Run(ctx context.Context, budget uint64) error {
 		// system that is done and will never wake ticks once more so the
 		// Done check below ends the run.
 		if l.Skip {
-			if w := l.NextWake(); w > c && (w != mem.NeverWake || !l.Done()) {
+			w, first := mem.NeverWake, 0
+			for first < len(l.Parts) {
+				if w = min(w, l.Parts[first].NextWake(c)); w <= c {
+					break
+				}
+				first++
+			}
+			if w > c && (w != mem.NeverWake || !l.Done()) {
 				next := min((c|pollMask)+1, w, start+budget)
-				l.Charge(c, next)
+				for i := range l.Parts {
+					if p := &l.Parts[i]; p.Charge != nil {
+						p.Charge(next-1, next-c)
+					}
+				}
 				l.Skipped += next - c
 				*l.Cycle = next
 				continue
 			}
+			l.due = first + 1
 		}
-		l.Tick()
+		l.Step()
 		if l.Done() {
 			return nil
 		}

@@ -3,105 +3,184 @@ package par
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"emerald/internal/guard"
 	"emerald/internal/mem"
 )
 
-// scripted is a system whose only state is its clock and a seeded list
-// of event cycles: it is due at each of them and waits in between, with
-// gaps from one cycle to several poll strides.
-type scripted struct {
-	cycle  uint64
-	events []uint64 // ascending
-	end    uint64   // Done once the clock reaches it
+// scriptedPart is a part whose only state is a seeded list of event
+// cycles: it is due at each of them and waits in between, with gaps
+// from one cycle to several poll strides. A tick at one of its forward
+// cycles adds that same cycle to the next part's events, an effect the
+// next part must see in the cycle it happened. It records, per cycle,
+// how often it was ticked and charged.
+type scriptedPart struct {
+	events   []uint64 // ascending; events[next:] are pending
+	next     int
+	forward  map[uint64]bool
+	to       *scriptedPart
+	posted   []uint64 // the cycles forwarded to it
+	start    uint64
+	ticked   []int
+	charged  []int
+	spans    int
+	crossing bool // a charged span crossed a poll boundary
 }
 
-func newScripted(seed int64, start uint64) *scripted {
-	rng := rand.New(rand.NewSource(seed))
-	s := &scripted{cycle: start}
+func newScriptedPart(rng *rand.Rand, start uint64, busy, wait int) *scriptedPart {
+	p := &scriptedPart{start: start, forward: map[uint64]bool{}}
 	at := start
 	for i := 0; i < 400; i++ {
 		switch rng.Intn(4) {
 		case 0:
-			at += 1 + uint64(rng.Intn(3)) // a busy stretch
+			at += 1 + uint64(rng.Intn(busy)) // a busy stretch
 		case 1:
-			at += uint64(rng.Intn(3000)) // a wait across poll boundaries
+			at += uint64(rng.Intn(wait)) // a wait across poll boundaries
 		default:
 			at += uint64(rng.Intn(200))
 		}
-		s.events = append(s.events, at)
+		p.events = append(p.events, at)
+		if rng.Intn(3) == 0 {
+			p.forward[at] = true
+		}
 	}
-	s.end = at + 1
-	return s
+	p.events = slices.Compact(p.events)
+	return p
 }
 
-func (s *scripted) nextWake() uint64 {
-	for _, e := range s.events {
-		if e >= s.cycle {
-			return e
-		}
+func (p *scriptedPart) nextWake(c uint64) uint64 {
+	if p.next < len(p.events) {
+		return p.events[p.next]
 	}
 	return mem.NeverWake
 }
 
-// TestChargeCoversEveryJumpedCycle runs the loop over scripted systems
-// and records what it ticks and what it hands to Charge. Each cycle
-// run is ticked or charged exactly once, so the spans plus the ticks
-// are the cycles run; no span crosses a poll boundary, where the
-// pollers read counters; and with Skip off the hook is never called.
+func (p *scriptedPart) tick(c uint64) {
+	p.ticked[c-p.start]++
+	for p.next < len(p.events) && p.events[p.next] <= c {
+		if e := p.events[p.next]; e == c && p.forward[e] && p.to != nil {
+			p.to.post(c)
+		}
+		p.next++
+	}
+}
+
+// post adds cycle c to the part's pending events.
+func (p *scriptedPart) post(c uint64) {
+	p.posted = append(p.posted, c)
+	i, found := slices.BinarySearch(p.events[p.next:], c)
+	if !found {
+		p.events = slices.Insert(p.events, p.next+i, c)
+	}
+}
+
+func (p *scriptedPart) charge(last, n uint64) {
+	if last>>10 != (last-n+1)>>10 {
+		p.crossing = true
+	}
+	for c := last + 1 - n; c <= last; c++ {
+		p.charged[c-p.start]++
+	}
+	p.spans++
+}
+
+// TestChargeCoversEveryJumpedCycle runs the loop over lists of three
+// scripted parts, in every setting of Skip and Park, and records what
+// it ticks and charges of each part. Each part's every cycle is ticked
+// or charged exactly once. With Park on, a part is ticked exactly on
+// its due cycles, forwarded ones included: a part sees the effects of
+// the parts before it in the same cycle, and one not due is charged,
+// never ticked. With Park off every part ticks on every cycle the
+// clock does not jump. Jumps happen only with Skip on, are charged to
+// every part, and never cross a poll boundary, where the pollers read
+// counters.
 func TestChargeCoversEveryJumpedCycle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, skip := range []bool{true, false} {
-			start := uint64(seed * 777)
-			s := newScripted(seed, start)
-			seen := make([]int, s.end-start)
-			var ticked, charged, spans uint64
-			l := &Loop{
-				Cycle: &s.cycle, Skip: skip,
-				Tick: func() {
-					seen[s.cycle-start]++
-					ticked++
-					s.cycle++
-				},
-				NextWake: s.nextWake,
-				Charge: func(from, to uint64) {
-					if !skip {
-						t.Fatalf("seed %d: Charge(%d, %d) called with Skip off", seed, from, to)
-					}
-					if from != s.cycle || to <= from {
-						t.Fatalf("seed %d: Charge(%d, %d) at cycle %d", seed, from, to, s.cycle)
-					}
-					if from>>10 != (to-1)>>10 {
-						t.Fatalf("seed %d: Charge(%d, %d) crosses a poll boundary", seed, from, to)
-					}
-					for c := from; c < to; c++ {
-						seen[c-start]++
-					}
-					charged += to - from
-					spans++
-				},
-				Done:     func() bool { return s.cycle >= s.end },
-				Progress: func() uint64 { return s.cycle },
-				Diagnose: func(uint64) guard.Diag { return guard.Diag{} },
-			}
-			if err := l.Run(context.Background(), 1<<30); err != nil {
-				t.Fatal(err)
-			}
-			run := s.cycle - start
-			if ticked+charged != run || charged != l.Skipped {
-				t.Fatalf("seed %d skip=%v: %d ticked + %d charged (Skipped %d), %d cycles run",
-					seed, skip, ticked, charged, l.Skipped, run)
-			}
-			for c := start; c < s.cycle; c++ {
-				if seen[c-start] != 1 {
-					t.Fatalf("seed %d skip=%v: cycle %d ticked or charged %d times", seed, skip, c, seen[c-start])
-				}
-			}
-			if skip && (spans == 0 || charged < run/2) {
-				t.Fatalf("seed %d: %d spans charged %d of %d cycles; the script did not wait", seed, spans, charged, run)
+			for _, park := range []bool{true, false} {
+				checkLoopRule(t, seed, skip, park)
 			}
 		}
+	}
+}
+
+func checkLoopRule(t *testing.T, seed int64, skip, park bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	start := uint64(seed * 777)
+	cycle := start
+	parts := []*scriptedPart{
+		newScriptedPart(rng, start, 3, 3000),
+		newScriptedPart(rng, start, 3, 6000),
+		newScriptedPart(rng, start, 3, 9000),
+	}
+	parts[0].to, parts[1].to = parts[1], parts[2]
+	var end uint64
+	for _, p := range parts {
+		end = max(end, p.events[len(p.events)-1]+1)
+	}
+	l := &Loop{
+		Cycle: &cycle, Skip: skip, Park: park,
+		Done:     func() bool { return cycle >= end },
+		Progress: func() uint64 { return cycle },
+		Diagnose: func(uint64) guard.Diag { return guard.Diag{} },
+	}
+	for _, p := range parts {
+		p.ticked = make([]int, end-start)
+		p.charged = make([]int, end-start)
+		l.Parts = append(l.Parts, Part{Tick: p.tick, NextWake: p.nextWake, Charge: p.charge})
+	}
+	if err := l.Run(context.Background(), 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	if cycle != end {
+		t.Fatalf("seed %d skip=%v park=%v: ran to %d, want %d", seed, skip, park, cycle, end)
+	}
+	for i, p := range parts {
+		if p.crossing {
+			t.Fatalf("seed %d skip=%v park=%v part %d: a charged span crossed a poll boundary", seed, skip, park, i)
+		}
+		if !skip && !park && p.spans > 0 {
+			t.Fatalf("seed %d part %d: charged %d times with Skip and Park off", seed, i, p.spans)
+		}
+		due := make([]bool, end-start)
+		for _, e := range p.events {
+			due[e-start] = true
+		}
+		jumped := uint64(0)
+		for c := start; c < end; c++ {
+			k := c - start
+			ticked, charged := p.ticked[k], p.charged[k]
+			if ticked+charged != 1 {
+				t.Fatalf("seed %d skip=%v park=%v part %d cycle %d: ticked %d and charged %d times",
+					seed, skip, park, i, c, ticked, charged)
+			}
+			if park && (ticked == 1) != due[k] {
+				t.Fatalf("seed %d skip=%v park=%v part %d cycle %d: ticked=%v, due=%v",
+					seed, skip, park, i, c, ticked == 1, due[k])
+			}
+			// A cycle every part is charged for with Park off was jumped.
+			if !park && charged == 1 {
+				jumped++
+			}
+		}
+		if !park && jumped != l.Skipped {
+			t.Fatalf("seed %d skip=%v part %d: charged %d cycles, the loop jumped %d", seed, skip, i, jumped, l.Skipped)
+		}
+		for _, c := range p.posted {
+			if p.ticked[c-start] != 1 {
+				t.Fatalf("seed %d skip=%v park=%v part %d: the part before it forwarded cycle %d, which it did not tick",
+					seed, skip, park, i, c)
+			}
+		}
+	}
+	if len(parts[1].posted) == 0 || len(parts[2].posted) == 0 {
+		t.Fatalf("seed %d: nothing was forwarded", seed)
+	}
+	run := end - start
+	if skip != (l.Skipped > 0) || skip && l.Skipped < run/4 {
+		t.Fatalf("seed %d skip=%v park=%v: jumped %d of %d cycles; the script did not wait", seed, skip, park, l.Skipped, run)
 	}
 }

@@ -93,13 +93,13 @@ func TestGuardCatchesParkedRunnableCPU(t *testing.T) {
 		if s.cycle > 100_000 {
 			t.Fatal("cpu0 never became runnable")
 		}
-		s.Tick()
+		s.Step()
 	}
 	if v := g.Violations(); len(v) != 0 {
 		t.Fatalf("violations before the fault was injected: %v", v)
 	}
 	core.Park(s.cycle + 1_000_000) // a stale memo: no fill has moved since
-	s.Tick()
+	s.Step()
 	v := g.Violations()
 	if len(v) == 0 {
 		t.Fatal("cpu0 parked over runnable work and no probe fired")

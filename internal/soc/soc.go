@@ -148,10 +148,9 @@ type SoC struct {
 	sysCode   []int32
 	cpuTracks []string
 
-	// run advances the clock and holds what its stride poll reads: the
-	// guard (whose probes also run at the end of every Tick; nil costs
-	// one branch), the watchdog window and the telemetry probe.
-	run par.Loop
+	// The loop advances the clock over the parts New lists, and holds
+	// what its stride poll reads.
+	par.Loop
 }
 
 // noSysStart marks "no blocked syscall pending" in SoC.sysStart.
@@ -170,12 +169,6 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	}
 	memory := mem.NewMemory()
 	s := &SoC{Cfg: cfg, Reg: reg, Mem: memory, backIsA: true}
-	s.run = par.Loop{
-		Cycle: &s.cycle, Skip: true,
-		Tick: s.Tick, NextWake: s.NextWake, Charge: s.charge,
-		Done:     func() bool { return s.framesDone >= s.Cfg.Frames+s.Cfg.WarmupFrames },
-		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
-	}
 
 	s.GPU = gpu.New(cfg.GPU, memory, reg)
 	s.DRAM = dram.NewController(cfg.DRAM, reg)
@@ -253,6 +246,26 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 			s.dashFeedbackEvery = 1000
 		}
 	}
+
+	// The loop's parts, in tick order: the CPU cores at their clock
+	// multiple, the display, the memory side (GPU, system NoC, DRAM),
+	// then fence resolution and DASH feedback.
+	var parts []par.Part
+	for i, c := range s.CPUs {
+		parts = append(parts, c.Part(uint64(cfg.CPUClockMult), s.noc.Port(i)))
+	}
+	display := s.noc.Port(cfg.NumCPUs + 1)
+	parts = append(parts, par.Part{Tick: func(c uint64) {
+		s.Display.Tick(c)
+		s.Display.Out.DrainTo(display)
+	}, NextWake: s.Display.NextWake})
+	parts = append(parts, gpu.MemorySide(s.GPU, s.noc, cfg.NumCPUs, s.DRAM)...)
+	parts = append(parts, par.Part{Tick: s.resolve, NextWake: s.resolveWake})
+	s.Loop = par.Loop{
+		Cycle: &s.cycle, Parts: parts, Skip: true, Park: true,
+		Done:     func() bool { return s.framesDone >= s.Cfg.Frames+s.Cfg.WarmupFrames },
+		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
+	}
 	return s, nil
 }
 
@@ -278,9 +291,9 @@ func (s *SoC) AttachTracer(t *emtrace.Tracer) {
 // AttachGuard arms invariant checking across the whole system: the
 // GPU (L2, cluster NoC, SIMT cores and their L1s), the system NoC,
 // DRAM, and every CPU core's cache hierarchy. Probes run at the end of
-// every Tick, once every component has ticked.
+// every cycle, once every part has ticked.
 func (s *SoC) AttachGuard(g *guard.Checker) {
-	s.run.Guard = g
+	s.Loop.Guard = g
 	s.GPU.AttachGuard(g)
 	s.noc.AttachGuard(g)
 	s.DRAM.AttachGuard(g)
@@ -289,12 +302,6 @@ func (s *SoC) AttachGuard(g *guard.Checker) {
 	}
 	g.Register("soc", "display.requests", s.Display.checkRequests)
 }
-
-// SetWatchdog arms the forward-progress watchdog: RunCtx aborts with a
-// guard.NoProgressError when no CPU or GPU instruction retires, no
-// DRAM byte moves, no frame completes and no display line is served
-// for window cycles (clamped to guard.MinWatchdogWindow; 0 disables).
-func (s *SoC) SetWatchdog(window uint64) { s.run.Watchdog = guard.ClampWindow(window) }
 
 // backBuffer returns the current render target.
 func (s *SoC) backBuffer() gfx.Surface {
@@ -432,141 +439,13 @@ func (s *SoC) completeFrame() {
 // Cycle returns the current system cycle.
 func (s *SoC) Cycle() uint64 { return s.cycle }
 
-// SetIdleSkip enables or disables event-driven idle cycle-skipping in
-// RunCtx. Results are bit-identical either way: skipping only jumps
-// over cycles whose component ticks are gated no-ops, and jumps are
-// clamped to the watchdog/context poll stride.
-func (s *SoC) SetIdleSkip(on bool) { s.run.Skip = on }
-
-// SetEventWheel toggles component parking across the whole system:
-// each CPU core and the GPU behind its memoised wake (cpu.Core.Park,
-// gpu.GPU.waitUntil). Where idle skipping fast-forwards only when every
-// component is quiet, parking takes individual components out of busy
-// periods; results are bit-identical either way. The name predates the
-// memos; no wheel is left.
-func (s *SoC) SetEventWheel(on bool) {
-	for _, c := range s.CPUs {
-		c.SetPark(on)
-	}
-	s.GPU.SetParkDrained(on)
-}
-
-// SetProbe attaches a telemetry probe: RunCtx publishes a progress
-// snapshot to it at every stride poll and serves its on-demand
-// diagnostic requests. nil detaches. The probe reads monotone counters
-// only and never writes model state, so results are bit-identical with
-// or without one attached.
-func (s *SoC) SetProbe(p *telemetry.Probe) { s.run.Probe = p }
-
-// SkippedCycles returns the number of cycles fast-forwarded over by
-// idle skipping since construction.
-func (s *SoC) SkippedCycles() uint64 { return s.run.Skipped }
-
-// NextWake returns the earliest future system cycle at which any
-// component's state can change on its own: mem.NeverWake when the
-// whole system is quiescent, the current cycle when any component has
-// actionable work (in which case the run loop must not jump). The GPU
-// and the CPU cores answer from their memoised wakes; the rest answer
-// directly. The first term due now is the answer, and the GPU's, O(1)
-// while it draws, is asked first: a busy system rarely gets past it.
-func (s *SoC) NextWake() uint64 {
-	c := s.cycle
-	if s.fenceBusy && !s.GPU.Busy() {
-		return c // fence resolution is pending
-	}
-	w := s.GPU.NextWake(c)
-	if w <= c {
-		return c
-	}
-	for _, core := range s.CPUs {
-		if w = min(w, core.WaitUntil(c)); w <= c {
-			return c
-		}
-	}
-	if w = min(w, s.Display.NextWake(c)); w <= c {
-		return c
-	}
-	if w = min(w, s.noc.NextWake(c)); w <= c {
-		return c
-	}
-	w = min(w, s.DRAM.NextWake(c))
-	if s.Cfg.DASH != nil {
-		w = min(w, s.nextDashFeedback)
-	}
-	if w <= c {
-		return c
-	}
-	return w
-}
-
-// charge pays what the ticks of the jumped cycles [from, to) would have
-// charged: the GPU's memoised wait and the system NoC's parked flits.
-func (s *SoC) charge(from, to uint64) {
-	s.GPU.ChargeSkipped(to-1, to-from)
-	s.noc.Charge(to - from)
-}
-
-// tickCPU advances CPU core i at its clock multiple, drains its
-// outbound requests into its NoC ingress port and memoises its wake in
-// system cycles. A parked core costs the memo's compare pair.
-func (s *SoC) tickCPU(i int) {
-	core, c := s.CPUs[i], s.cycle
-	if core.Parked(c) {
-		return
-	}
-	mult := uint64(s.Cfg.CPUClockMult)
-	for k := c * mult; k < (c+1)*mult; k++ {
-		core.Tick(k)
-	}
-	core.Out.DrainTo(s.noc.Port(i))
-	// CPU cycle w falls inside system cycle w/mult, whose tick covers it.
-	w := core.NextWake((c + 1) * mult)
-	if w != mem.NeverWake {
-		w = max(w/mult, c+1)
-	}
-	core.Park(w)
-}
-
-// tickDisplay advances the display controller, when it has work, and
-// drains its requests into its NoC ingress port. Its NextWake reads its
-// own state, so input that reaches it needs no hook: the flip sets its
-// wake, and a completed read moves its done count.
-func (s *SoC) tickDisplay() {
-	c := s.cycle
-	if s.Display.NextWake(c) > c {
-		return
-	}
-	s.Display.Tick(c)
-	s.Display.Out.DrainTo(s.noc.Port(s.Cfg.NumCPUs + 1))
-}
-
-// Tick advances the SoC one system cycle, in three phases:
-//
-//	phase 1: CPU cores, then the display
-//	phase 2: GPU, GPU→NoC drain, NoC, DRAM
-//	phase 3: fence resolution + DASH feedback
-func (s *SoC) Tick() {
-	c := s.cycle
-
-	// Phase 1: CPUs (at their clock multiple) and display.
-	for i := range s.CPUs {
-		s.tickCPU(i)
-	}
-	s.tickDisplay()
-
-	// GPU.
-	s.GPU.Tick(c)
-	s.GPU.Out.DrainTo(s.noc.Port(s.Cfg.NumCPUs))
-
-	s.noc.Tick(c)
-	s.DRAM.Tick(c)
-
-	// Fence resolution.
+// resolve is the loop's last part: it retires the fence of a frame the
+// GPU has finished, and feeds DASH the GPU's and the display's progress
+// once per scheduling unit.
+func (s *SoC) resolve(c uint64) {
 	if s.fenceBusy && !s.GPU.Busy() {
 		s.completeFrame()
 	}
-
-	// DASH progress feedback (per scheduling-unit granularity).
 	if s.Cfg.DASH != nil && c >= s.nextDashFeedback {
 		s.nextDashFeedback = c + s.dashFeedbackEvery
 		if s.fenceBusy {
@@ -577,9 +456,18 @@ func (s *SoC) Tick() {
 		s.Cfg.DASH.StartFrame(mem.ClientDisplay, 0, s.Display.FrameStart())
 		s.Cfg.DASH.ReportProgress(mem.ClientDisplay, 0, s.Display.Progress())
 	}
+}
 
-	s.run.Guard.Tick(c)
-	s.cycle++
+// resolveWake is resolve's wake: now while a frame's fence waits on a
+// GPU that has finished, else the next DASH feedback.
+func (s *SoC) resolveWake(c uint64) uint64 {
+	if s.fenceBusy && !s.GPU.Busy() {
+		return c
+	}
+	if s.Cfg.DASH != nil {
+		return s.nextDashFeedback
+	}
+	return mem.NeverWake
 }
 
 // Run simulates until Frames+WarmupFrames app frames have completed (or
@@ -591,7 +479,7 @@ func (s *SoC) Run(budget uint64) error {
 // RunCtx is Run with cancellation and self-diagnosis (see
 // par.Loop.Run).
 func (s *SoC) RunCtx(ctx context.Context, budget uint64) error {
-	err := s.run.Run(ctx, budget)
+	err := s.Loop.Run(ctx, budget)
 	s.syncCPUs()
 	if err != nil {
 		return fmt.Errorf("soc: %d/%d frames: %w", s.framesDone, s.Cfg.Frames+s.Cfg.WarmupFrames, err)
@@ -656,7 +544,7 @@ func (s *SoC) telemetrySample() telemetry.Sample {
 		Cycle:         s.cycle,
 		FramesDone:    s.framesDone,
 		FramesTarget:  s.Cfg.Frames + s.Cfg.WarmupFrames,
-		SkippedCycles: s.run.Skipped,
+		SkippedCycles: s.Skipped,
 		Components: telemetry.Components{
 			CPUInstructions: cpu,
 			GPUWork:         int64(s.GPU.Progress()),

@@ -112,7 +112,7 @@ func TestIdleCoresStopAfterBoot(t *testing.T) {
 		if s.Cycle() > 30_000_000 {
 			t.Fatal("no frame completed")
 		}
-		s.Tick()
+		s.Step()
 	}
 	first := make([]int64, cfg.NumCPUs)
 	for i := 1; i < cfg.NumCPUs; i++ {

@@ -78,8 +78,8 @@ func TestWarpWakeWriters(t *testing.T) {
 // keeps it standing across an audited tick); AttachTracer and
 // AttachGuard clear it. A nap is started only by ChargeSkipped, the
 // tick of a waiting core and the charge for a jumped wait, whose other
-// caller is the GPU's ChargeSkipped (called by GPU.Tick inside its memo
-// and by the two systems' jump hooks), and ended by tick, Launch,
+// caller is the GPU's ChargeSkipped (the GPU's par.Part charge, which
+// gpu.MemorySide hands the run loop), and ended by tick, Launch,
 // AttachTracer and AttachGuard. Launch wakes the warp it places, and
 // waiting holds only while no warp is awake. The other input from
 // outside, a fill's completion, reaches the core as its fill counter: NewCore hands each L1 a pointer to it (cache.CountFills),
@@ -90,8 +90,8 @@ func TestWarpWakeWriters(t *testing.T) {
 // tracer and guard, under which a core's wait is not charged), and
 // the third input, an L2 fill completing, reaches it as the fill
 // counter gpu.New hands the L2. cpu.Core memoises its wake once more
-// the same way: waitUntil is written only by Park, which its owner calls
-// after each tick, and the one input from outside, an L2 fill
+// the same way: waitUntil is written only by Park, which the core's
+// par.Part calls after each tick, and the one input from outside, an L2 fill
 // completing, reaches it as the fill counter cpu.NewCore hands the L2.
 // The display keeps no memo but reads its input the same way: its
 // completion count moves only in RequestDone (it is its reads'
@@ -183,8 +183,7 @@ func TestWaitMemoWriters(t *testing.T) {
 	if !woke["Core.Launch"] {
 		t.Error("simt.Core.Launch does not wake the warp it places")
 	}
-	chargers := names("internal/simt Core.step", "internal/gpu GPU.ChargeSkipped", "internal/gpu GPU.Tick",
-		"internal/soc SoC.charge", "internal/gpu Standalone.charge")
+	chargers := names("internal/simt Core.step", "internal/gpu GPU.ChargeSkipped", "internal/gpu MemorySide")
 	for _, sf := range productFiles(t, fset, "internal", "cmd", "examples", ".") {
 		for _, decl := range sf.f.Decls {
 			ast.Inspect(decl, func(n ast.Node) bool {
@@ -193,9 +192,11 @@ func TestWaitMemoWriters(t *testing.T) {
 				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "CountFills" && !wired {
 					t.Errorf("%s: cache.CountFills called outside simt.NewCore, cpu.NewCore and gpu.New", fset.Position(call.Pos()))
 				}
-				if call, ok := n.(*ast.CallExpr); ok && callee(call) == "ChargeSkipped" && !chargers[sf.dir+" "+declName(decl)] {
-					t.Errorf("%s: ChargeSkipped called in %s %s: a core's is its own waiting tick and the GPU's charge, the GPU's its memo tick and a system's jump hook",
-						fset.Position(call.Pos()), sf.dir, declName(decl))
+				// A call or a method value: the GPU's is handed to the
+				// loop as its part's charge.
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "ChargeSkipped" && !chargers[sf.dir+" "+declName(decl)] {
+					t.Errorf("%s: ChargeSkipped used in %s %s: a core's is its own waiting tick and the GPU's charge, the GPU's its part's charge in the run loop",
+						fset.Position(sel.Pos()), sf.dir, declName(decl))
 				}
 				return true
 			})

@@ -125,8 +125,9 @@ go test -count=1 -run 'TestChaosSoak|TestJournalReplayRacesReexecution' -timeout
 
 echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake contract + skip tripwire =="
 # The digest gates — "wheel-only" is SetEventWheel alone: clock jumps
-# off, the CPU cores' and the GPU's memoised wakes acted on — and every
-# NextWake implementor driven through
+# off, the loop's Park on, so a part that is not due at its turn is
+# charged for the cycle instead of ticked — and every NextWake
+# implementor driven through
 # a crafted busy period: reporting a wake later than the first
 # self-driven state change is the silent-correctness bug class that
 # parking and clock jumps turn into wrong results. The tripwires fail
@@ -134,7 +135,7 @@ echo "== determinism (default vs every-cycle, skip-only, wheel-only) + wake cont
 # the idle SoC's skipped share falls below its floor (backpressured
 # waits ticked again instead of jumped). TestExperimentsCaseStudyI
 # (the pattern also runs TestExperimentsCaseStudyII) renders Case Study
-# I's tables and Figure 17 at quick scale and compares them with
+# I's tables and Figures 17 and 18 at quick scale and compares them with
 # EXPERIMENTS.md and with the paper's findings: a change that moves a
 # figure has to move the document with it.
 go test -count=1 -timeout 10m -run 'TestTimeAdvanceDeterminism|TestNextWakeContract|TestHighLoadCellSkipsMemoryBoundCycles|TestExperimentsCaseStudyI' ./internal/exp
