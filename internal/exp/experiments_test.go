@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -85,15 +86,16 @@ func TestExperimentsCaseStudyI(t *testing.T) {
 }
 
 // TestExperimentsCaseStudyII is TestExperimentsCaseStudyI's method for
-// Figure 17, the one Case Study II figure rendered here (~2.5 s): the
-// table EXPERIMENTS.md prints, and the paper's finding that the best
-// WT size depends on the workload, with a large spread across sizes.
-// Figure 19 and the §3.4 validation are not checked.
+// Figures 17 and 18 (~3.5 s): the tables EXPERIMENTS.md prints, the
+// paper's finding that the best WT size depends on the workload, with
+// a large spread across sizes, and the shape the document states for
+// W1's misses. Figure 19 and the §3.4 validation are not checked.
 func TestExperimentsCaseStudyII(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders six quick-scale WT sweeps")
 	}
-	fig17 := docFigures(t, "17")["17"]
+	figs := docFigures(t, "17", "18")
+	fig17 := figs["17"]
 	optima := make(map[string]bool)
 	for i, row := range fig17.rows {
 		lo, hi, best := math.Inf(1), 0.0, ""
@@ -116,6 +118,46 @@ func TestExperimentsCaseStudyII(t *testing.T) {
 	if len(optima) < 2 {
 		t.Errorf("Figure 17: every workload is fastest at the same WT size (%v)", optima)
 	}
+
+	fig18 := figs["18"]
+	var wts, exec, tex []float64
+	for i := range fig18.rows {
+		wts = append(wts, fig18.num(t, i, "WT"))
+		exec = append(exec, fig18.num(t, i, "exec_time"))
+		tex = append(tex, fig18.num(t, i, "texture_misses"))
+	}
+	// Texture misses fall by at least 20% at some mid WT size (lowest:
+	// 0.740 at WT 4).
+	if lo := slices.Min(tex[1 : len(tex)-1]); lo > 0.80 {
+		t.Errorf("Figure 18: texture misses fall to %.3f at best between the end WT sizes, want at most 0.80", lo)
+	}
+	// Execution time is at its minimum at WT 5 or below (0.989 at WT 3)
+	// and rises again at every WT from 6 on (lowest there: 1.153 at WT
+	// 10, 1.17 times the minimum).
+	best := slices.Index(exec, slices.Min(exec))
+	if wts[best] > 5 {
+		t.Errorf("Figure 18: execution time is lowest at WT %.0f, want WT 5 or below", wts[best])
+	}
+	for i, wt := range wts {
+		if wt >= 6 && exec[i] < 1.10*exec[best] {
+			t.Errorf("Figure 18: execution time %.3f at WT %.0f, want at least 1.10 times the minimum %.3f", exec[i], wt, exec[best])
+		}
+	}
+	// The paper reports 78-82% correlation between execution time and
+	// L1 misses; at this scale balance dominates, so it is reported, not
+	// held.
+	t.Logf("Figure 18: exec-vs-texture-miss correlation %.2f (paper: 0.78-0.82 across L1D, L1Z and L1T)", correlation(exec, tex))
+}
+
+// correlation is the Pearson correlation of x and y.
+func correlation(x, y []float64) float64 {
+	n := float64(len(x))
+	var sx, sy, sxx, syy, sxy float64
+	for i := range x {
+		sx, sy = sx+x[i], sy+y[i]
+		sxx, syy, sxy = sxx+x[i]*x[i], syy+y[i]*y[i], sxy+x[i]*y[i]
+	}
+	return (n*sxy - sx*sy) / math.Sqrt((n*sxx-sx*sx)*(n*syy-sy*sy))
 }
 
 // docFigures renders figs at the quick scale EXPERIMENTS.md is written
