@@ -261,7 +261,7 @@ func TestFillEndsTheMemo(t *testing.T) {
 	part, ticks := c.Part(1, port), 0
 	tick := part.Tick
 	part.Tick = func(at uint64) { ticks++; tick(at) }
-	l := par.Loop{Cycle: &cycle, Parts: []par.Part{part}, Park: true}
+	l := par.NewLoop(&cycle, []par.Part{part}, par.Hooks{})
 	var held []*mem.Request
 	for len(held) == 0 {
 		if cycle > 1000 {

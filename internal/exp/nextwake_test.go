@@ -405,8 +405,9 @@ func newDrawRig(t *testing.T, park bool, ready int) *drawRig {
 		cfg.TC.ReadyDepth = ready
 	}
 	r := &drawRig{g: gpu.New(cfg, m, reg)}
-	r.loop = par.Loop{Cycle: &r.cycle, Park: park, Parts: []par.Part{
-		{Tick: r.g.Tick, NextWake: r.g.NextWake, Charge: r.g.ChargeSkipped}}}
+	r.loop = par.NewLoop(&r.cycle, []par.Part{
+		{Tick: r.g.Tick, NextWake: r.g.NextWake, Charge: r.g.ChargeSkipped}}, par.Hooks{})
+	r.loop.SetEventWheel(park)
 	for _, name := range reg.Names() {
 		if chargedCounter(name) {
 			r.charged = append(r.charged, reg.Counter(name))

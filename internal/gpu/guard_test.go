@@ -30,10 +30,12 @@ func deadStandalone() *Standalone {
 	}, nil)
 }
 
-// The watchdog must abort a wedged system within 2*N cycles of the last
-// forward progress and ship a non-empty diagnostic bundle naming the
-// stuck subsystems.
-func TestWatchdogAbortsDeadlockedSystem(t *testing.T) {
+// wedgedStandalone is a system drawing under the dead scheduler,
+// advanced until its progress signature has been flat for a while, so
+// a run from it starts from a known-stuck machine and the watchdog's
+// detection latency can be bounded tightly.
+func wedgedStandalone(t *testing.T) *Standalone {
+	t.Helper()
 	s := deadStandalone()
 	const vp = 64
 	clearTargets(s, vp, 0)
@@ -42,10 +44,6 @@ func TestWatchdogAbortsDeadlockedSystem(t *testing.T) {
 	if err := s.GPU.SubmitDraw(quadCall(s, idx, shader.FSFlat, vp), nil); err != nil {
 		t.Fatal(err)
 	}
-
-	// Advance until the progress signature has been flat for a while, so
-	// the run below starts from a known-stuck machine and the watchdog's
-	// detection latency can be bounded tightly.
 	prev, flat := s.progressSig(), 0
 	for i := 0; flat < 2048; i++ {
 		if i > 2_000_000 {
@@ -58,7 +56,14 @@ func TestWatchdogAbortsDeadlockedSystem(t *testing.T) {
 			flat++
 		}
 	}
+	return s
+}
 
+// The watchdog must abort a wedged system within 2*N cycles of the last
+// forward progress and ship a non-empty diagnostic bundle naming the
+// stuck subsystems.
+func TestWatchdogAbortsDeadlockedSystem(t *testing.T) {
+	s := wedgedStandalone(t)
 	const window = 4096
 	s.SetWatchdog(window)
 	start := s.Cycle()
@@ -83,6 +88,27 @@ func TestWatchdogAbortsDeadlockedSystem(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("diagnostic bundle lacks %q:\n%s", want, msg)
 		}
+	}
+}
+
+// SetWatchdog must clamp tiny windows so poll-stride aliasing cannot
+// produce false stall verdicts: a window of 1 trips on a wedged system
+// only once it has been flat for guard.MinWatchdogWindow cycles, not at
+// the next poll. A window of 0 disables the watchdog.
+func TestWatchdogWindowClamped(t *testing.T) {
+	s := wedgedStandalone(t)
+	s.SetWatchdog(1)
+	_, err := s.RunUntilIdleCtx(context.Background(), 100_000_000)
+	var np *guard.NoProgressError
+	if !errors.As(err, &np) {
+		t.Fatalf("RunUntilIdleCtx = %v, want a NoProgressError", err)
+	}
+	if np.Diag.Window < guard.MinWatchdogWindow {
+		t.Fatalf("tripped after %d flat cycles, want the window clamped to %d", np.Diag.Window, guard.MinWatchdogWindow)
+	}
+	s.SetWatchdog(0)
+	if _, err := s.RunUntilIdleCtx(context.Background(), 4*guard.MinWatchdogWindow); err == nil || errors.As(err, &np) {
+		t.Fatalf("RunUntilIdleCtx = %v with the watchdog off, want the budget to run out", err)
 	}
 }
 
@@ -114,20 +140,6 @@ func TestWatchdogAndGuardCleanOnHealthyRun(t *testing.T) {
 	}
 	if v := g.Violations(); len(v) != 0 {
 		t.Fatalf("healthy run recorded violations: %v", v)
-	}
-}
-
-// SetWatchdog must clamp tiny windows so poll-stride aliasing cannot
-// produce false stall verdicts.
-func TestWatchdogWindowClamped(t *testing.T) {
-	s := testStandalone()
-	s.SetWatchdog(1)
-	if s.Watchdog != guard.MinWatchdogWindow {
-		t.Fatalf("window = %d, want clamped to %d", s.Watchdog, guard.MinWatchdogWindow)
-	}
-	s.SetWatchdog(0)
-	if s.Watchdog != 0 {
-		t.Fatalf("window = %d, want 0 (disabled)", s.Watchdog)
 	}
 }
 
@@ -262,7 +274,7 @@ func TestGuardCatchesReleasedRequestStillQueued(t *testing.T) {
 	var rogue mem.Pool
 	queued.Complete(s.Cycle())
 	rogue.Put(queued)
-	s.Guard.Tick(s.Cycle())
+	g.Tick(s.Cycle())
 	v := g.Violations()
 	if len(v) == 0 || !strings.Contains(v[0].Detail, "released request") {
 		t.Fatalf("violations = %v, want a released-request report from the NoC", v)

@@ -49,11 +49,10 @@ func NewStandalone(gpuCfg Config, dramCfg dram.Config, reg *stats.Registry) *Sta
 	s.sysNoC = interconnect.Connect(interconnect.Config{
 		Name: "sys_noc", Ports: 1, Latency: 8, Width: 4, Depth: 64,
 	}, d, reg)
-	s.Loop = par.Loop{
-		Cycle: &s.cycle, Parts: MemorySide(g, s.sysNoC, 0, d), Skip: true, Park: true,
+	s.Loop = par.NewLoop(&s.cycle, MemorySide(g, s.sysNoC, 0, d), par.Hooks{
 		Done:     func() bool { return !s.Busy() },
 		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
-	}
+	})
 	return s
 }
 
@@ -77,7 +76,9 @@ func (s *Standalone) AttachTracer(t *emtrace.Tracer) {
 
 // MemorySide is the GPU and what serves it, as a par.Loop drives
 // them: the GPU, its output port drained into port of the system NoC,
-// then the system NoC, then DRAM. Both systems build theirs here.
+// then the system NoC and DRAM as one part. The NoC and DRAM each gate
+// their own Tick on their state, as cheaply as their wakes would, so
+// that part is self-gated. Both systems build theirs here.
 func MemorySide(g *GPU, noc *interconnect.Crossbar, port int, d *dram.Controller) []par.Part {
 	out := noc.Port(port)
 	return []par.Part{
@@ -85,18 +86,26 @@ func MemorySide(g *GPU, noc *interconnect.Crossbar, port int, d *dram.Controller
 			g.Tick(c)
 			g.Out.DrainTo(out)
 		}, NextWake: g.NextWake, Charge: g.ChargeSkipped},
-		{Tick: noc.Tick, NextWake: noc.NextWake, Charge: func(_, n uint64) { noc.Charge(n) }},
-		{Tick: d.Tick, NextWake: d.NextWake},
+		{Tick: func(c uint64) {
+			noc.Tick(c)
+			d.Tick(c)
+		}, NextWake: func(c uint64) uint64 {
+			w := noc.NextWake(c)
+			if w > c {
+				w = min(w, d.NextWake(c))
+			}
+			return w
+		}, Charge: func(_, n uint64) { noc.Charge(n) }, SelfGated: true},
 	}
 }
 
 // AttachGuard arms invariant checking across GPU, system NoC and DRAM.
 // Probes run at the end of every cycle, once every part has ticked.
 func (s *Standalone) AttachGuard(g *guard.Checker) {
-	s.Loop.Guard = g
 	s.GPU.AttachGuard(g)
 	s.sysNoC.AttachGuard(g)
 	s.DRAM.AttachGuard(g)
+	s.Loop.AttachGuard(g)
 }
 
 // SetParallel does nothing: a system ticks on one goroutine, and
@@ -134,10 +143,10 @@ func (s *Standalone) RunUntilIdle(budget uint64) (uint64, error) {
 }
 
 // RunUntilIdleCtx is RunUntilIdle with cancellation and self-diagnosis
-// (see par.Loop.Run).
+// (see par.Run).
 func (s *Standalone) RunUntilIdleCtx(ctx context.Context, budget uint64) (uint64, error) {
 	start := s.cycle
-	if err := s.Loop.Run(ctx, budget); err != nil {
+	if err := par.Run(ctx, &s.Loop, budget); err != nil {
 		return s.cycle - start, fmt.Errorf("gpu: standalone system: %w", err)
 	}
 	return s.cycle - start, nil
@@ -168,7 +177,7 @@ func (s *Standalone) telemetrySample() telemetry.Sample {
 	return telemetry.Sample{
 		Cycle:         s.cycle,
 		FramesDone:    int(draws),
-		SkippedCycles: s.Skipped,
+		SkippedCycles: s.SkippedCycles(),
 		Components: telemetry.Components{
 			GPUWork:       int64(s.GPU.Progress()),
 			DRAMBytes:     s.DRAM.TotalBytes(),

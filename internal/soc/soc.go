@@ -261,11 +261,10 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	}, NextWake: s.Display.NextWake})
 	parts = append(parts, gpu.MemorySide(s.GPU, s.noc, cfg.NumCPUs, s.DRAM)...)
 	parts = append(parts, par.Part{Tick: s.resolve, NextWake: s.resolveWake})
-	s.Loop = par.Loop{
-		Cycle: &s.cycle, Parts: parts, Skip: true, Park: true,
+	s.Loop = par.NewLoop(&s.cycle, parts, par.Hooks{
 		Done:     func() bool { return s.framesDone >= s.Cfg.Frames+s.Cfg.WarmupFrames },
 		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
-	}
+	})
 	return s, nil
 }
 
@@ -293,7 +292,6 @@ func (s *SoC) AttachTracer(t *emtrace.Tracer) {
 // DRAM, and every CPU core's cache hierarchy. Probes run at the end of
 // every cycle, once every part has ticked.
 func (s *SoC) AttachGuard(g *guard.Checker) {
-	s.Loop.Guard = g
 	s.GPU.AttachGuard(g)
 	s.noc.AttachGuard(g)
 	s.DRAM.AttachGuard(g)
@@ -301,6 +299,7 @@ func (s *SoC) AttachGuard(g *guard.Checker) {
 		c.AttachGuard(g)
 	}
 	g.Register("soc", "display.requests", s.Display.checkRequests)
+	s.Loop.AttachGuard(g)
 }
 
 // backBuffer returns the current render target.
@@ -477,9 +476,9 @@ func (s *SoC) Run(budget uint64) error {
 }
 
 // RunCtx is Run with cancellation and self-diagnosis (see
-// par.Loop.Run).
+// par.Run).
 func (s *SoC) RunCtx(ctx context.Context, budget uint64) error {
-	err := s.Loop.Run(ctx, budget)
+	err := par.Run(ctx, &s.Loop, budget)
 	s.syncCPUs()
 	if err != nil {
 		return fmt.Errorf("soc: %d/%d frames: %w", s.framesDone, s.Cfg.Frames+s.Cfg.WarmupFrames, err)
@@ -544,7 +543,7 @@ func (s *SoC) telemetrySample() telemetry.Sample {
 		Cycle:         s.cycle,
 		FramesDone:    s.framesDone,
 		FramesTarget:  s.Cfg.Frames + s.Cfg.WarmupFrames,
-		SkippedCycles: s.Skipped,
+		SkippedCycles: s.SkippedCycles(),
 		Components: telemetry.Components{
 			CPUInstructions: cpu,
 			GPUWork:         int64(s.GPU.Progress()),
