@@ -144,6 +144,11 @@ func TestAssembleErrors(t *testing.T) {
 		"ld r1, r2",
 		"",
 		"x: x: halt",
+		"ld r1, []",
+		"st [], r1",
+		"ld r1, [ ]",
+		"add r1, r2, r3, r4",
+		"halt r1",
 	} {
 		if _, err := Assemble("bad", src); err == nil {
 			t.Fatalf("expected error for %q", src)

@@ -9,40 +9,70 @@ package cpu
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
+
+	"emerald/internal/asm"
 )
 
 // NumRegs is the architectural register count.
 const NumRegs = 16
 
-// Op is an instruction opcode.
+// Op is an instruction opcode; opTable gives its mnemonic and operands.
 type Op uint8
 
 // Opcodes.
 const (
-	OpNop  Op = iota
-	OpMovi    // movi rd, imm32
-	OpMov     // mov rd, ra
-	OpAdd     // add rd, ra, rb
-	OpSub     // sub rd, ra, rb
-	OpMul     // mul rd, ra, rb (3-cycle)
-	OpAnd     // and rd, ra, rb
-	OpOr      // or rd, ra, rb
-	OpXor     // xor rd, ra, rb
-	OpShl     // shl rd, ra, rb
-	OpShr     // shr rd, ra, rb
-	OpAddi    // addi rd, ra, imm
-	OpLd      // ld rd, [ra+imm]
-	OpSt      // st [ra+imm], rb
-	OpBeq     // beq ra, rb, label
-	OpBne     // bne ra, rb, label
-	OpBlt     // blt ra, rb, label (signed)
-	OpBge     // bge ra, rb, label (signed)
-	OpJmp     // jmp label
-	OpSys     // sys imm  (r1 = handler result; may block)
-	OpHalt    // halt
+	OpNop Op = iota
+	OpMovi
+	OpMov
+	OpAdd
+	OpSub
+	OpMul
+	OpAnd
+	OpOr
+	OpXor
+	OpShl
+	OpShr
+	OpAddi
+	OpLd
+	OpSt
+	OpBeq
+	OpBne
+	OpBlt
+	OpBge
+	OpJmp
+	OpSys
+	OpHalt
 )
+
+// opInfo is an opcode's mnemonic and its operands, one letter each in
+// assembly order: d rd, a ra, b rb, i an immediate, m a memory operand
+// [ra+imm], L a label (into Target).
+type opInfo struct{ name, form string }
+
+var opTable = [...]opInfo{
+	OpNop:  {"nop", ""},
+	OpMovi: {"movi", "di"}, // rd = imm32
+	OpMov:  {"mov", "da"},
+	OpAdd:  {"add", "dab"},
+	OpSub:  {"sub", "dab"},
+	OpMul:  {"mul", "dab"}, // 3 cycles
+	OpAnd:  {"and", "dab"},
+	OpOr:   {"or", "dab"},
+	OpXor:  {"xor", "dab"},
+	OpShl:  {"shl", "dab"},
+	OpShr:  {"shr", "dab"},
+	OpAddi: {"addi", "dai"},
+	OpLd:   {"ld", "dm"},
+	OpSt:   {"st", "mb"},
+	OpBeq:  {"beq", "abL"},
+	OpBne:  {"bne", "abL"},
+	OpBlt:  {"blt", "abL"}, // signed
+	OpBge:  {"bge", "abL"}, // signed
+	OpJmp:  {"jmp", "L"},
+	OpSys:  {"sys", "i"}, // r1 = handler result; may block
+	OpHalt: {"halt", ""},
+}
 
 // Instr is one decoded instruction.
 type Instr struct {
@@ -60,40 +90,18 @@ type Program struct {
 	Labels map[string]uint32
 }
 
-// Assemble parses CPU assembly. Syntax mirrors the shader assembler:
-// labels "name:", comments ";" or "//", registers r0..r15.
+// Assemble parses CPU assembly: asm's comments, labels and operand
+// lists, as the shader assembler reads them; registers r0..r15.
 func Assemble(name, src string) (*Program, error) {
-	p := &Program{Name: name, Labels: make(map[string]uint32)}
-	for ln, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.IndexAny(line, ";"); i >= 0 {
-			line = line[:i]
-		}
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		for {
-			if i := strings.Index(line, ":"); i >= 0 && isIdent(line[:i]) {
-				lbl := line[:i]
-				if _, dup := p.Labels[lbl]; dup {
-					return nil, fmt.Errorf("%s:%d: duplicate label %q", name, ln+1, lbl)
-				}
-				p.Labels[lbl] = uint32(len(p.Code))
-				line = strings.TrimSpace(line[i+1:])
-				continue
-			}
-			break
-		}
-		if line == "" {
-			continue
-		}
-		in, err := parseInstr(line)
+	lines, labels, err := asm.Lines(name, src)
+	if err != nil {
+		return nil, err
+	}
+	p := &Program{Name: name, Labels: labels, Code: make([]Instr, 0, len(lines))}
+	for _, l := range lines {
+		in, err := parseInstr(l.Text)
 		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", name, ln+1, err)
+			return nil, fmt.Errorf("%s:%d: %v", name, l.N, err)
 		}
 		p.Code = append(p.Code, in)
 	}
@@ -124,166 +132,36 @@ func MustAssemble(name, src string) *Program {
 	return p
 }
 
-func isIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func parseInstr(line string) (Instr, error) {
+func parseInstr(text string) (Instr, error) {
 	var in Instr
-	var mn, rest string
-	if sp := strings.IndexAny(line, " \t"); sp >= 0 {
-		mn, rest = line[:sp], strings.TrimSpace(line[sp:])
-	} else {
-		mn = line
-	}
-	ops := splitOps(rest)
-	reg := func(i int) (uint8, error) {
-		if i >= len(ops) {
-			return 0, fmt.Errorf("%s: missing operand %d", mn, i+1)
-		}
-		s := ops[i]
-		if len(s) < 2 || s[0] != 'r' {
-			return 0, fmt.Errorf("bad register %q", s)
-		}
-		n, err := strconv.Atoi(s[1:])
-		if err != nil || n < 0 || n >= NumRegs {
-			return 0, fmt.Errorf("bad register %q", s)
-		}
-		return uint8(n), nil
-	}
-	imm := func(i int) (int32, error) {
-		if i >= len(ops) {
-			return 0, fmt.Errorf("%s: missing operand %d", mn, i+1)
-		}
-		v, err := strconv.ParseInt(ops[i], 0, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad immediate %q", ops[i])
-		}
-		return int32(uint32(v)), nil
-	}
-	lbl := func(i int) (string, error) {
-		if i >= len(ops) || !isIdent(ops[i]) {
-			return "", fmt.Errorf("%s: bad label", mn)
-		}
-		return ops[i], nil
-	}
-	var err error
-	switch mn {
-	case "nop":
-		in.Op = OpNop
-	case "halt":
-		in.Op = OpHalt
-	case "movi":
-		in.Op = OpMovi
-		if in.Rd, err = reg(0); err == nil {
-			in.Imm, err = imm(1)
-		}
-	case "mov":
-		in.Op = OpMov
-		if in.Rd, err = reg(0); err == nil {
-			in.Ra, err = reg(1)
-		}
-	case "add", "sub", "mul", "and", "or", "xor", "shl", "shr":
-		in.Op = map[string]Op{"add": OpAdd, "sub": OpSub, "mul": OpMul,
-			"and": OpAnd, "or": OpOr, "xor": OpXor, "shl": OpShl, "shr": OpShr}[mn]
-		if in.Rd, err = reg(0); err == nil {
-			if in.Ra, err = reg(1); err == nil {
-				in.Rb, err = reg(2)
-			}
-		}
-	case "addi":
-		in.Op = OpAddi
-		if in.Rd, err = reg(0); err == nil {
-			if in.Ra, err = reg(1); err == nil {
-				in.Imm, err = imm(2)
-			}
-		}
-	case "ld":
-		in.Op = OpLd
-		if in.Rd, err = reg(0); err == nil {
-			in.Ra, in.Imm, err = parseMemOperand(ops, 1)
-		}
-	case "st":
-		in.Op = OpSt
-		if in.Ra, in.Imm, err = parseMemOperand(ops, 0); err == nil {
-			in.Rb, err = reg(1)
-		}
-	case "beq", "bne", "blt", "bge":
-		in.Op = map[string]Op{"beq": OpBeq, "bne": OpBne, "blt": OpBlt, "bge": OpBge}[mn]
-		if in.Ra, err = reg(0); err == nil {
-			if in.Rb, err = reg(1); err == nil {
-				in.label, err = lbl(2)
-			}
-		}
-	case "jmp":
-		in.Op = OpJmp
-		in.label, err = lbl(0)
-	case "sys":
-		in.Op = OpSys
-		in.Imm, err = imm(0)
-	default:
+	mn, ops := asm.Fields(text)
+	op := slices.IndexFunc(opTable[:], func(o opInfo) bool { return o.name == mn })
+	if op < 0 {
 		return in, fmt.Errorf("unknown mnemonic %q", mn)
 	}
+	in.Op = Op(op)
+	err := asm.Operands(mn, opTable[op].form, ops, func(f byte, tok string) error {
+		var err error
+		switch f {
+		case 'd':
+			in.Rd, err = asm.Reg(tok, NumRegs)
+		case 'a':
+			in.Ra, err = asm.Reg(tok, NumRegs)
+		case 'b':
+			in.Rb, err = asm.Reg(tok, NumRegs)
+		case 'i':
+			in.Imm, err = asm.Int(tok)
+		case 'm':
+			var base int
+			base, in.Imm, err = asm.Mem(tok, NumRegs, false)
+			in.Ra = uint8(base)
+		case 'L':
+			in.label = tok
+			if !asm.IsIdent(tok) {
+				err = fmt.Errorf("bad label %q", tok)
+			}
+		}
+		return err
+	})
 	return in, err
-}
-
-func splitOps(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
-}
-
-func parseMemOperand(ops []string, i int) (base uint8, off int32, err error) {
-	if i >= len(ops) {
-		return 0, 0, fmt.Errorf("missing memory operand")
-	}
-	s := ops[i]
-	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
-		return 0, 0, fmt.Errorf("bad memory operand %q", s)
-	}
-	inner := strings.TrimSpace(s[1 : len(s)-1])
-	sign := int32(1)
-	regPart, offPart := inner, ""
-	if idx := strings.IndexAny(inner[1:], "+-"); idx >= 0 {
-		idx++
-		regPart = strings.TrimSpace(inner[:idx])
-		offPart = strings.TrimSpace(inner[idx+1:])
-		if inner[idx] == '-' {
-			sign = -1
-		}
-	}
-	if len(regPart) < 2 || regPart[0] != 'r' {
-		return 0, 0, fmt.Errorf("bad base register %q", regPart)
-	}
-	n, aerr := strconv.Atoi(regPart[1:])
-	if aerr != nil || n < 0 || n >= NumRegs {
-		return 0, 0, fmt.Errorf("bad base register %q", regPart)
-	}
-	if offPart != "" {
-		v, perr := strconv.ParseInt(offPart, 0, 32)
-		if perr != nil {
-			return 0, 0, fmt.Errorf("bad offset %q", offPart)
-		}
-		off = sign * int32(v)
-	}
-	return uint8(n), off, nil
 }

@@ -44,13 +44,13 @@ func wedgedStandalone(t *testing.T) *Standalone {
 	if err := s.GPU.SubmitDraw(quadCall(s, idx, shader.FSFlat, vp), nil); err != nil {
 		t.Fatal(err)
 	}
-	prev, flat := s.progressSig(), 0
+	prev, flat := s.telemetrySample().Components.WorkSig(), 0
 	for i := 0; flat < 2048; i++ {
 		if i > 2_000_000 {
 			t.Fatal("system never wedged under the dead scheduler")
 		}
 		s.Step()
-		if sig := s.progressSig(); sig != prev {
+		if sig := s.telemetrySample().Components.WorkSig(); sig != prev {
 			prev, flat = sig, 0
 		} else {
 			flat++

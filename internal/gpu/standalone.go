@@ -51,7 +51,7 @@ func NewStandalone(gpuCfg Config, dramCfg dram.Config, reg *stats.Registry) *Sta
 	}, d, reg)
 	s.Loop = par.NewLoop(&s.cycle, MemorySide(g, s.sysNoC, 0, d), par.Hooks{
 		Done:     func() bool { return !s.Busy() },
-		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
+		Diagnose: s.diagnose, Sample: s.telemetrySample,
 	})
 	return s
 }
@@ -152,12 +152,6 @@ func (s *Standalone) RunUntilIdleCtx(ctx context.Context, budget uint64) (uint64
 	return s.cycle - start, nil
 }
 
-// progressSig sums the system's monotone progress counters; flat
-// across a watchdog window means nothing anywhere is advancing.
-func (s *Standalone) progressSig() uint64 {
-	return s.GPU.Progress() + uint64(s.DRAM.TotalBytes())
-}
-
 // diagnose builds the diagnostic bundle for a watchdog abort (window >
 // 0) or an on-demand telemetry snapshot of a healthy run (window 0).
 func (s *Standalone) diagnose(window uint64) guard.Diag {
@@ -170,8 +164,10 @@ func (s *Standalone) diagnose(window uint64) guard.Diag {
 }
 
 // telemetrySample snapshots the monotone progress counters for the
-// probe. Standalone runs have no frame target (they run until idle),
-// so FramesTarget stays 0 and FramesDone counts retired draws.
+// probe and the watchdog. Standalone runs have no frame target (they
+// run until idle), so FramesTarget stays 0 and FramesDone counts
+// retired draws. GPU.Progress counts them too, so the draws never move
+// the work signature on a cycle the GPU's work does not.
 func (s *Standalone) telemetrySample() telemetry.Sample {
 	draws := s.GPU.DrawsDone()
 	return telemetry.Sample{

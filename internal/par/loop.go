@@ -33,10 +33,11 @@ type Part struct {
 
 // Hooks are what a Loop reads of its system besides the parts.
 type Hooks struct {
-	Done     func() bool   // the run's goal is met
-	Progress func() uint64 // sum of monotone counters; flat means stalled
+	Done     func() bool // the run's goal is met
 	Diagnose func(window uint64) guard.Diag
-	Sample   func() telemetry.Sample
+	// Sample snapshots the system's monotone counters at each stride
+	// poll, for the probe and, through its WorkSig, the watchdog.
+	Sample func() telemetry.Sample
 }
 
 // Loop is the run loop of one assembled system (soc.SoC, or
@@ -85,8 +86,8 @@ func (l *Loop) SetIdleSkip(on bool) { l.skip = on }
 func (l *Loop) SetEventWheel(on bool) { l.park = on }
 
 // SetWatchdog arms the forward-progress watchdog: Run aborts with a
-// guard.NoProgressError when the system's progress counters stay flat
-// for window cycles (guard.NewWatchdog clamps it to
+// guard.NoProgressError when the work signature of the system's Sample
+// stays flat for window cycles (guard.NewWatchdog clamps it to
 // guard.MinWatchdogWindow; 0 disables).
 func (l *Loop) SetWatchdog(window uint64) { l.watchdog = window }
 
@@ -141,11 +142,12 @@ func Run(ctx context.Context, l *Loop, budget uint64) error {
 			if err := l.guard.Err(); err != nil {
 				return fmt.Errorf("aborted at cycle %d: %w", c, err)
 			}
-			if stalled, window := wd.Check(c, l.hooks.Progress()); stalled {
+			s := l.hooks.Sample()
+			if stalled, window := wd.Check(c, s.Components.WorkSig()); stalled {
 				return &guard.NoProgressError{Diag: l.hooks.Diagnose(window)}
 			}
 			if l.probe != nil {
-				l.probe.Publish(l.hooks.Sample(), func() *guard.Diag {
+				l.probe.Publish(s, func() *guard.Diag {
 					d := l.hooks.Diagnose(0)
 					return &d
 				})

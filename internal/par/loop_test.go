@@ -9,6 +9,7 @@ import (
 
 	"emerald/internal/guard"
 	"emerald/internal/mem"
+	"emerald/internal/telemetry"
 )
 
 // scriptedPart is a part whose only state is a seeded list of event
@@ -148,7 +149,7 @@ func checkLoopRule(t *testing.T, seed int64, skip, park bool, list []script) {
 	}
 	l := NewLoop(&cycle, loopParts, Hooks{
 		Done:     func() bool { return cycle >= end },
-		Progress: func() uint64 { return cycle },
+		Sample:   func() telemetry.Sample { return telemetry.Sample{Cycle: cycle} },
 		Diagnose: func(uint64) guard.Diag { return guard.Diag{} },
 	})
 	l.SetIdleSkip(skip)

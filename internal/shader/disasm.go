@@ -6,27 +6,6 @@ import (
 	"strings"
 )
 
-// opNames maps opcodes back to mnemonics (inverse of the assembler
-// table; setp handled separately).
-var opNames = map[Opcode]string{
-	OpNop: "nop", OpFMov: "mov", OpFAdd: "add", OpFSub: "sub",
-	OpFMul: "mul", OpFDiv: "div", OpFMin: "min", OpFMax: "max",
-	OpFMad: "mad", OpFAbs: "abs", OpFNeg: "neg", OpFFlr: "flr",
-	OpFFrc: "frc", OpFRcp: "rcp", OpFRsq: "rsq", OpFSqrt: "sqrt",
-	OpFSin: "sin", OpFCos: "cos", OpFEx2: "ex2", OpFLg2: "lg2",
-	OpIAdd: "iadd", OpISub: "isub", OpIMul: "imul", OpIMad: "imad",
-	OpIMin: "imin", OpIMax: "imax", OpIAnd: "and", OpIOr: "or",
-	OpIXor: "xor", OpIShl: "shl", OpIShr: "shr",
-	OpCvtFI: "cvt.f2i", OpCvtIF: "cvt.i2f",
-	OpSelp: "selp", OpBra: "bra", OpSSY: "ssy", OpExit: "exit",
-	OpKill: "kill", OpBar: "bar", OpMovS: "movs",
-	OpLdGlobal: "ldg", OpStGlobal: "stg", OpLdShared: "lds",
-	OpStShared: "sts", OpLdConst: "ldc", OpAtomAdd: "atom.add",
-	OpAttr4: "attr4", OpOut4: "out4", OpTex4: "tex4",
-	OpZLd: "zld", OpZSt: "zst", OpFBLd: "fbld", OpFBSt: "fbst",
-	OpPack4: "pack4", OpUnpk4: "unpk4",
-}
-
 var sregByIndex = func() map[SReg]string {
 	m := make(map[SReg]string, len(sregNames))
 	for name, r := range sregNames {
@@ -34,17 +13,6 @@ var sregByIndex = func() map[SReg]string {
 	}
 	return m
 }()
-
-// isIntOp reports whether immediates of the opcode carry integer bits.
-func isIntOp(op Opcode) bool {
-	switch op {
-	case OpIAdd, OpISub, OpIMul, OpIMad, OpIMin, OpIMax, OpIAnd, OpIOr,
-		OpIXor, OpIShl, OpIShr, OpCvtIF, OpSetpI,
-		OpLdGlobal, OpStGlobal, OpLdShared, OpStShared, OpLdConst, OpAtomAdd:
-		return true
-	}
-	return false
-}
 
 func srcString(s Src, intImm bool) string {
 	if !s.IsImm {
@@ -71,8 +39,9 @@ func memString(in Instr) string {
 	return fmt.Sprintf("[r%d+%d]", in.B.Reg, in.Off)
 }
 
-// DisasmInstr renders one instruction in assembler syntax. Branch/ssy
-// targets print as "pcN" labels.
+// DisasmInstr renders one instruction in assembler syntax, operand by
+// operand from the opcode's form, so the assembler reads it back.
+// Branch/ssy targets print as "pcN" labels.
 func DisasmInstr(in Instr) string {
 	var b strings.Builder
 	if in.Pred >= 0 {
@@ -82,51 +51,34 @@ func DisasmInstr(in Instr) string {
 			fmt.Fprintf(&b, "@p%d ", in.Pred)
 		}
 	}
-	intImm := isIntOp(in.Op)
-	switch in.Op {
-	case OpSetpF:
-		fmt.Fprintf(&b, "setp.%s.f p%d, %s, %s", in.Cmp, in.Dst,
-			srcString(in.A, false), srcString(in.B, false))
-	case OpSetpI:
-		fmt.Fprintf(&b, "setp.%s.i p%d, %s, %s", in.Cmp, in.Dst,
-			srcString(in.A, true), srcString(in.B, true))
-	case OpSelp:
-		fmt.Fprintf(&b, "selp r%d, %s, %s, p%d", in.Dst,
-			srcString(in.A, false), srcString(in.B, false), in.Slot)
-	case OpBra, OpSSY:
-		fmt.Fprintf(&b, "%s pc%d", opNames[in.Op], in.Target)
-	case OpNop, OpExit, OpKill, OpBar:
-		b.WriteString(opNames[in.Op])
-	case OpMovS:
-		name := sregByIndex[SReg(in.Slot)]
-		fmt.Fprintf(&b, "movs r%d, %s", in.Dst, name)
-	case OpLdGlobal, OpLdShared, OpLdConst:
-		fmt.Fprintf(&b, "%s r%d, %s", opNames[in.Op], in.Dst, memString(in))
-	case OpStGlobal, OpStShared:
-		fmt.Fprintf(&b, "%s %s, %s", opNames[in.Op], memString(in), srcString(in.A, true))
-	case OpAtomAdd:
-		fmt.Fprintf(&b, "atom.add r%d, %s, %s", in.Dst, memString(in), srcString(in.A, true))
-	case OpAttr4:
-		fmt.Fprintf(&b, "attr4 r%d, %d", in.Dst, in.Slot)
-	case OpOut4:
-		fmt.Fprintf(&b, "out4 %d, %s", in.Slot, srcString(in.A, false))
-	case OpTex4:
-		fmt.Fprintf(&b, "tex4 r%d, %d, %s, %s", in.Dst, in.Slot,
-			srcString(in.A, false), srcString(in.B, false))
-	case OpZLd, OpFBLd:
-		fmt.Fprintf(&b, "%s r%d", opNames[in.Op], in.Dst)
-	case OpZSt, OpFBSt:
-		fmt.Fprintf(&b, "%s %s", opNames[in.Op], srcString(in.A, false))
-	case OpPack4, OpUnpk4, OpFMov, OpFAbs, OpFNeg, OpFFlr, OpFFrc,
-		OpFRcp, OpFRsq, OpFSqrt, OpFSin, OpFCos, OpFEx2, OpFLg2,
-		OpCvtFI, OpCvtIF:
-		fmt.Fprintf(&b, "%s r%d, %s", opNames[in.Op], in.Dst, srcString(in.A, intImm))
-	case OpFMad, OpIMad:
-		fmt.Fprintf(&b, "%s r%d, %s, %s, %s", opNames[in.Op], in.Dst,
-			srcString(in.A, intImm), srcString(in.B, intImm), srcString(in.C, intImm))
-	default:
-		fmt.Fprintf(&b, "%s r%d, %s, %s", opNames[in.Op], in.Dst,
-			srcString(in.A, intImm), srcString(in.B, intImm))
+	info := opTable[in.Op]
+	if in.Op == OpSetpF || in.Op == OpSetpI {
+		fmt.Fprintf(&b, "setp.%s%s", in.Cmp, strings.TrimPrefix(info.name, "setp"))
+	} else {
+		b.WriteString(info.name)
+	}
+	sep := " "
+	for i := 0; i < len(info.form); i++ {
+		b.WriteString(sep)
+		sep = ", "
+		switch f := info.form[i]; f {
+		case 'd':
+			fmt.Fprintf(&b, "r%d", in.Dst)
+		case 'P':
+			fmt.Fprintf(&b, "p%d", in.Dst)
+		case 'a', 'A', 'b', 'c':
+			b.WriteString(srcString(*in.src(f), info.isInt))
+		case 'p':
+			fmt.Fprintf(&b, "p%d", in.Slot)
+		case 'm':
+			b.WriteString(memString(in))
+		case 'L':
+			fmt.Fprintf(&b, "pc%d", in.Target)
+		case 's':
+			b.WriteString(sregByIndex[SReg(in.Slot)])
+		case 'S':
+			fmt.Fprintf(&b, "%d", in.Slot)
+		}
 	}
 	return b.String()
 }

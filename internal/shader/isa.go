@@ -7,89 +7,184 @@
 // GPGPU-Sim's ISA).
 package shader
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
-// Opcode enumerates EIR instructions.
+// Opcode enumerates EIR instructions. opTable gives each one's
+// mnemonic, operands, class and destination.
 type Opcode uint8
 
-// Opcodes. The comment gives the assembly mnemonic.
+// Opcodes.
 const (
-	OpNop Opcode = iota // nop
+	OpNop Opcode = iota
 
 	// Float arithmetic (registers hold raw 32-bit values; f-ops treat
 	// them as float32).
-	OpFMov  // mov   rd, a
-	OpFAdd  // add   rd, a, b
-	OpFSub  // sub   rd, a, b
-	OpFMul  // mul   rd, a, b
-	OpFDiv  // div   rd, a, b
-	OpFMin  // min   rd, a, b
-	OpFMax  // max   rd, a, b
-	OpFMad  // mad   rd, a, b, c
-	OpFAbs  // abs   rd, a
-	OpFNeg  // neg   rd, a
-	OpFFlr  // flr   rd, a
-	OpFFrc  // frc   rd, a
-	OpFRcp  // rcp   rd, a        (SFU)
-	OpFRsq  // rsq   rd, a        (SFU)
-	OpFSqrt // sqrt  rd, a        (SFU)
-	OpFSin  // sin   rd, a        (SFU)
-	OpFCos  // cos   rd, a        (SFU)
-	OpFEx2  // ex2   rd, a        (SFU)
-	OpFLg2  // lg2   rd, a        (SFU)
+	OpFMov
+	OpFAdd
+	OpFSub
+	OpFMul
+	OpFDiv
+	OpFMin
+	OpFMax
+	OpFMad
+	OpFAbs
+	OpFNeg
+	OpFFlr
+	OpFFrc
+	OpFRcp
+	OpFRsq
+	OpFSqrt
+	OpFSin
+	OpFCos
+	OpFEx2
+	OpFLg2
 
 	// Integer/bitwise (treat raw bits as int32/uint32).
-	OpIAdd // iadd  rd, a, b
-	OpISub // isub  rd, a, b
-	OpIMul // imul  rd, a, b
-	OpIMad // imad  rd, a, b, c
-	OpIMin // imin  rd, a, b
-	OpIMax // imax  rd, a, b
-	OpIAnd // and   rd, a, b
-	OpIOr  // or    rd, a, b
-	OpIXor // xor   rd, a, b
-	OpIShl // shl   rd, a, b
-	OpIShr // shr   rd, a, b     (logical)
+	OpIAdd
+	OpISub
+	OpIMul
+	OpIMad
+	OpIMin
+	OpIMax
+	OpIAnd
+	OpIOr
+	OpIXor
+	OpIShl
+	OpIShr
 	OpCvtFI
-	// cvt.f2i rd, a (truncate)
-	OpCvtIF // cvt.i2f rd, a
+	OpCvtIF
 
 	// Predicates.
-	OpSetpF // setp.<cmp>.f pd, a, b
-	OpSetpI // setp.<cmp>.i pd, a, b
-	OpSelp  // selp rd, a, b, pX (rd = pX ? a : b)
+	OpSetpF
+	OpSetpI
+	OpSelp
 
 	// Control flow.
-	OpBra  // bra LABEL (predicated for conditional branches)
-	OpSSY  // ssy LABEL (set reconvergence point for next divergent bra)
-	OpExit // exit
-	OpKill // kill (fragment discard / thread terminate)
-	OpBar  // bar (thread-block barrier, compute only)
+	OpBra
+	OpSSY
+	OpExit
+	OpKill
+	OpBar
 
 	// Special registers.
-	OpMovS // movs rd, %sreg
+	OpMovS
 
 	// Memory.
-	OpLdGlobal // ldg rd, [ra+imm]
-	OpStGlobal // stg [ra+imm], a
-	OpLdShared // lds rd, [ra+imm]
-	OpStShared // sts [ra+imm], a
-	OpLdConst  // ldc rd, [imm] | ldc rd, [ra+imm]
-	OpAtomAdd  // atom.add rd, [ra+imm], a   (via L2 atomic unit)
+	OpLdGlobal
+	OpStGlobal
+	OpLdShared
+	OpStShared
+	OpLdConst
+	OpAtomAdd
 
 	// Graphics.
-	OpAttr4 // attr4 rd, slot   (rd..rd+3 <- input attribute vec4)
-	OpOut4  // out4 slot, a     (output vec4 from a..a+3; VS varyings)
-	OpTex4  // tex4 rd, unit, ru, rv (rd..rd+3 <- RGBA sample)
-	OpZLd   // zld rd           (depth buffer read at fragment pixel)
-	OpZSt   // zst a            (depth buffer write)
-	OpFBLd  // fbld rd          (framebuffer color read, packed RGBA8)
-	OpFBSt  // fbst a           (framebuffer color write, packed RGBA8)
-	OpPack4 // pack4 rd, a      (rd <- RGBA8 from floats a..a+3)
-	OpUnpk4 // unpk4 rd, a      (rd..rd+3 <- floats from RGBA8 a)
+	OpAttr4
+	OpOut4
+	OpTex4
+	OpZLd
+	OpZSt
+	OpFBLd
+	OpFBSt
+	OpPack4
+	OpUnpk4
 
 	opCount
 )
+
+// opInfo is everything the assembler, the disassembler and the issue
+// path know of one opcode.
+type opInfo struct {
+	name string // mnemonic; setp's gains its comparison in the text: setp.<cmp>.f
+	// form has one letter per operand, in assembly order:
+	//	d  destination register rd          P  destination predicate pd
+	//	a  source a: register or immediate  A  a, read as the quad a..a+3
+	//	b  source b                         c  source c
+	//	p  predicate operand (into Slot)    m  memory operand [rN+off] or [off]
+	//	L  label (into Target)              s  special register %name (Slot)
+	//	S  slot or texture unit 0..255 (Slot)
+	form  string
+	isInt bool // immediates carry int32 bits, not float32
+	class Class
+	dst   uint8 // general registers written from rd: 0, 1 or 4
+}
+
+var opTable = [opCount]opInfo{
+	OpNop:   {"nop", "", false, ClassALU, 0},
+	OpFMov:  {"mov", "da", false, ClassALU, 1},
+	OpFAdd:  {"add", "dab", false, ClassALU, 1},
+	OpFSub:  {"sub", "dab", false, ClassALU, 1},
+	OpFMul:  {"mul", "dab", false, ClassALU, 1},
+	OpFDiv:  {"div", "dab", false, ClassALU, 1},
+	OpFMin:  {"min", "dab", false, ClassALU, 1},
+	OpFMax:  {"max", "dab", false, ClassALU, 1},
+	OpFMad:  {"mad", "dabc", false, ClassALU, 1},
+	OpFAbs:  {"abs", "da", false, ClassALU, 1},
+	OpFNeg:  {"neg", "da", false, ClassALU, 1},
+	OpFFlr:  {"flr", "da", false, ClassALU, 1},
+	OpFFrc:  {"frc", "da", false, ClassALU, 1},
+	OpFRcp:  {"rcp", "da", false, ClassSFU, 1},
+	OpFRsq:  {"rsq", "da", false, ClassSFU, 1},
+	OpFSqrt: {"sqrt", "da", false, ClassSFU, 1},
+	OpFSin:  {"sin", "da", false, ClassSFU, 1},
+	OpFCos:  {"cos", "da", false, ClassSFU, 1},
+	OpFEx2:  {"ex2", "da", false, ClassSFU, 1},
+	OpFLg2:  {"lg2", "da", false, ClassSFU, 1},
+
+	OpIAdd:  {"iadd", "dab", true, ClassALU, 1},
+	OpISub:  {"isub", "dab", true, ClassALU, 1},
+	OpIMul:  {"imul", "dab", true, ClassALU, 1},
+	OpIMad:  {"imad", "dabc", true, ClassALU, 1},
+	OpIMin:  {"imin", "dab", true, ClassALU, 1},
+	OpIMax:  {"imax", "dab", true, ClassALU, 1},
+	OpIAnd:  {"and", "dab", true, ClassALU, 1},
+	OpIOr:   {"or", "dab", true, ClassALU, 1},
+	OpIXor:  {"xor", "dab", true, ClassALU, 1},
+	OpIShl:  {"shl", "dab", true, ClassALU, 1},
+	OpIShr:  {"shr", "dab", true, ClassALU, 1},     // logical
+	OpCvtFI: {"cvt.f2i", "da", false, ClassALU, 1}, // truncates
+	OpCvtIF: {"cvt.i2f", "da", true, ClassALU, 1},
+
+	OpSetpF: {"setp.f", "Pab", false, ClassALU, 0},
+	OpSetpI: {"setp.i", "Pab", true, ClassALU, 0},
+	OpSelp:  {"selp", "dabp", false, ClassALU, 1}, // rd = p ? a : b
+
+	OpBra:  {"bra", "L", false, ClassCtrl, 0}, // predicated for a conditional branch
+	OpSSY:  {"ssy", "L", false, ClassCtrl, 0}, // reconvergence point of the next divergent bra
+	OpExit: {"exit", "", false, ClassCtrl, 0},
+	OpKill: {"kill", "", false, ClassCtrl, 0}, // fragment discard / thread terminate
+	OpBar:  {"bar", "", false, ClassCtrl, 0},  // thread-block barrier, compute only
+
+	OpMovS: {"movs", "ds", false, ClassALU, 1},
+
+	OpLdGlobal: {"ldg", "dm", true, ClassMem, 1},
+	OpStGlobal: {"stg", "ma", true, ClassMem, 0},
+	OpLdShared: {"lds", "dm", true, ClassMem, 1},
+	OpStShared: {"sts", "ma", true, ClassMem, 0},
+	OpLdConst:  {"ldc", "dm", true, ClassMem, 1},
+	OpAtomAdd:  {"atom.add", "dma", true, ClassMem, 1}, // via the L2 atomic unit
+
+	OpAttr4: {"attr4", "dS", false, ClassMem, 4},  // rd..rd+3 <- input attribute vec4
+	OpOut4:  {"out4", "SA", false, ClassMem, 0},   // output vec4 from a..a+3 (VS varyings)
+	OpTex4:  {"tex4", "dSab", false, ClassTex, 4}, // rd..rd+3 <- RGBA sample of unit at (a, b)
+	OpZLd:   {"zld", "d", false, ClassROP, 1},     // depth buffer read at the fragment's pixel
+	OpZSt:   {"zst", "a", false, ClassROP, 0},     // depth buffer write
+	OpFBLd:  {"fbld", "d", false, ClassROP, 1},    // framebuffer color read, packed RGBA8
+	OpFBSt:  {"fbst", "A", false, ClassROP, 0},    // framebuffer color write of packed RGBA8 a, accounted as a quad
+	OpPack4: {"pack4", "dA", false, ClassALU, 1},  // rd <- RGBA8 of floats a..a+3
+	OpUnpk4: {"unpk4", "da", false, ClassALU, 4},  // rd..rd+3 <- floats of RGBA8 a
+}
+
+// mnemonics inverts opTable for the assembler.
+var mnemonics = func() map[string]Opcode {
+	m := make(map[string]Opcode, opCount)
+	for op, info := range opTable {
+		m[info.name] = Opcode(op)
+	}
+	return m
+}()
 
 // Cmp is the comparison operator for setp.
 type Cmp uint8
@@ -178,21 +273,7 @@ const (
 )
 
 // ClassOf returns the resource class of an opcode.
-func ClassOf(op Opcode) Class {
-	switch op {
-	case OpFRcp, OpFRsq, OpFSqrt, OpFSin, OpFCos, OpFEx2, OpFLg2:
-		return ClassSFU
-	case OpLdGlobal, OpStGlobal, OpLdShared, OpStShared, OpLdConst, OpAtomAdd, OpAttr4, OpOut4:
-		return ClassMem
-	case OpTex4:
-		return ClassTex
-	case OpZLd, OpZSt, OpFBLd, OpFBSt:
-		return ClassROP
-	case OpBra, OpSSY, OpExit, OpKill, OpBar:
-		return ClassCtrl
-	}
-	return ClassALU
-}
+func ClassOf(op Opcode) Class { return opTable[op].class }
 
 // IsMemory reports whether the instruction accesses the memory system.
 func (i Instr) IsMemory() bool {
@@ -204,26 +285,15 @@ func (i Instr) IsMemory() bool {
 }
 
 // HasDst reports whether the instruction writes a general register.
-func (i Instr) HasDst() bool {
-	switch i.Op {
-	case OpStGlobal, OpStShared, OpOut4, OpZSt, OpFBSt, OpBra, OpSSY,
-		OpExit, OpKill, OpBar, OpNop, OpSetpF, OpSetpI:
-		return false
-	}
-	return true
-}
+func (i Instr) HasDst() bool { return opTable[i.Op].dst > 0 }
 
 // DstWidth returns how many consecutive registers the instruction writes.
-func (i Instr) DstWidth() int {
-	switch i.Op {
-	case OpAttr4, OpTex4, OpUnpk4:
-		return 4
-	}
-	if i.HasDst() {
-		return 1
-	}
-	return 0
-}
+func (i Instr) DstWidth() int { return int(opTable[i.Op].dst) }
+
+// quadSrc reports whether the instruction reads its a operand as the
+// quad a..a+3 (out4, pack4, and fbst, whose one register is accounted
+// as a quad).
+func (i Instr) quadSrc() bool { return strings.IndexByte(opTable[i.Op].form, 'A') >= 0 }
 
 // Decoded is the issue-path view of one instruction: everything the SIMT
 // core's scheduler asks about an instruction every cycle, derived once by

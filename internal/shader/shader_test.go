@@ -278,6 +278,19 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
+// Every opcode has its own mnemonic and a form of known letters: a
+// missing opTable row would be the zero opInfo, silently a nop.
+func TestOpTableNamesEveryOpcode(t *testing.T) {
+	if len(mnemonics) != int(opCount) {
+		t.Fatalf("%d mnemonics for %d opcodes", len(mnemonics), opCount)
+	}
+	for op, info := range opTable {
+		if info.name == "" || strings.Trim(info.form, "dPaAbcpmLsS") != "" {
+			t.Errorf("opcode %d: name %q, form %q", op, info.name, info.form)
+		}
+	}
+}
+
 func TestProgramMetadata(t *testing.T) {
 	p := MustAssemble("t", KindFragment, `
 		attr4 r0, 0

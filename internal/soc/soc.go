@@ -263,7 +263,7 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 	parts = append(parts, par.Part{Tick: s.resolve, NextWake: s.resolveWake})
 	s.Loop = par.NewLoop(&s.cycle, parts, par.Hooks{
 		Done:     func() bool { return s.framesDone >= s.Cfg.Frames+s.Cfg.WarmupFrames },
-		Progress: s.progressSig, Diagnose: s.diagnose, Sample: s.telemetrySample,
+		Diagnose: s.diagnose, Sample: s.telemetrySample,
 	})
 	return s, nil
 }
@@ -496,19 +496,6 @@ func (s *SoC) syncCPUs() {
 	}
 }
 
-// progressSig sums the system's monotone progress counters: CPU and
-// GPU instructions, DRAM bytes, display service and completed frames.
-// Flat across a watchdog window means nothing anywhere is advancing.
-func (s *SoC) progressSig() uint64 {
-	s.syncCPUs()
-	var sig int64
-	for _, c := range s.CPUs {
-		sig += c.Instructions()
-	}
-	sig += s.DRAM.TotalBytes() + s.Display.Served() + int64(s.framesDone)
-	return uint64(sig) + s.GPU.Progress()
-}
-
 // diagnose builds the diagnostic bundle — per-CPU state, GPU front end
 // and per-core warp detail, NoC credits, DRAM queue occupancy and the
 // emtrace tail when tracing is armed — for a watchdog abort (window >
@@ -530,9 +517,10 @@ func (s *SoC) diagnose(window uint64) guard.Diag {
 	return d
 }
 
-// telemetrySample snapshots the monotone progress counters for the
-// probe — the same counters progressSig folds, kept per-component so
-// observers can see which engine is moving.
+// telemetrySample snapshots the monotone progress counters: CPU and
+// GPU instructions, DRAM bytes, display service and completed frames,
+// kept per component so observers can see which engine is moving. The
+// watchdog reads their fold, Components.WorkSig.
 func (s *SoC) telemetrySample() telemetry.Sample {
 	s.syncCPUs()
 	var cpu int64

@@ -37,10 +37,10 @@ type Components struct {
 	FramesRetired   int64 `json:"frames_retired"`
 }
 
-// workSig folds the components into one monotone sum, in the spirit of
-// the forward-progress watchdog's signature: flat across a window
-// means nothing anywhere is advancing.
-func (c Components) workSig() uint64 {
+// WorkSig folds the components into one monotone sum, the
+// forward-progress watchdog's signature: flat across a window means
+// nothing anywhere is advancing.
+func (c Components) WorkSig() uint64 {
 	return uint64(c.CPUInstructions + c.GPUWork + c.DRAMBytes +
 		c.DisplayLines + c.FramesRetired)
 }
@@ -125,7 +125,7 @@ func NewProbe() *Probe {
 // 1024 simulated cycles between calls.
 func (p *Probe) Publish(s Sample, diag func() *guard.Diag) {
 	now := time.Now()
-	sig := s.Components.workSig()
+	sig := s.Components.WorkSig()
 	// A cycle or signature moving backwards means a new system was
 	// attached to the same probe (the harnesses run several systems
 	// sequentially per figure): restart the rate window.

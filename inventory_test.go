@@ -448,7 +448,6 @@ func mapTyped(e ast.Expr) bool {
 var surfaceAllowed = map[string]string{
 	"sweep.Spec.String":            "fmt.Stringer: messages print a spec with %s",
 	"shader.Kind.String":           "fmt.Stringer: Program.String prints the kind with %s",
-	"shader.Cmp.String":            "fmt.Stringer: Disassemble prints setp's comparison with %s",
 	"guard.Violation.String":       "fmt.Stringer: Checker.Err prints the first violation with %s",
 	"guard.Checker.Violations":     "the guard's test oracle: every package's guard tests read which probe failed and why",
 	"dram.Mapping.Encode":          "test oracle: the inverse the Decode round-trip property checks",

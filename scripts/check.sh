@@ -82,8 +82,9 @@ grep '"Action":"pass"' "$t1" | grep '"Test":"[^"/]*"' |
 	sort -rn | head -10 | awk '{ printf "  %7.2f  %-28s %s\n", $1, $2, $3 }'
 rm -f "$t1"
 
-echo "== assembler fuzz (10 s) =="
+echo "== assembler fuzz (10 s + 5 s) =="
 go test -timeout 5m -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/shader
+go test -timeout 5m -run '^$' -fuzz '^FuzzCPUAssemble$' -fuzztime 5s ./internal/cpu
 
 echo "== service-plane decoder fuzz (4 x 5 s) =="
 # Journal records, store footers and the replication endpoint's payload
