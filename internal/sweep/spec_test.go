@@ -30,6 +30,29 @@ func TestKeyIsStableAndDiscriminating(t *testing.T) {
 	}
 }
 
+// Every stored result is filed under its spec's key, so a change to how
+// keys derive orphans every existing store. One key per kind is pinned
+// here as recorded; it may only move with a deliberate store migration.
+func TestSpecKeysPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		key  string
+	}{
+		{Spec{Kind: KindCS1, Scale: "smoke", Model: 2, Config: "DTB", Mbps: 1333},
+			"d2d6b10dcff11451880ad755789a631073e7a7dc11a1b836ebc18f449852468a"},
+		{Spec{Kind: KindCS2Sweep, Scale: "smoke", Workload: 3},
+			"7801575dc5812c5851ff7b26eb4b6b36f638102d496916702f02625c685bf967"},
+		{Spec{Kind: KindCS2Policy, Scale: "smoke", Workload: 1, Policy: "SOPT", SOPT: 4},
+			"560adb6e856d72a2ecf80d0bf6a2a98f70227cd3228538384e728b8a3fbc9a64"},
+		{Spec{Kind: KindRegion, Scale: "smoke", Workload: 3, Frames: 8, Region: 3, Span: 1},
+			"81aab83d69700ede4b9577ecfd932c61ba59a09a64b7c500e04273728f539fc5"},
+	} {
+		if got := tc.spec.Key(); got != tc.key {
+			t.Errorf("%s: key %s, recorded %s", tc.spec, got, tc.key)
+		}
+	}
+}
+
 // Workers is accepted and ignored, so it must not affect the cache key.
 func TestKeyIgnoresWorkers(t *testing.T) {
 	base := Spec{Kind: KindCS2Sweep, Scale: "smoke", Workload: 1}
