@@ -107,13 +107,16 @@ func IsIdent(s string) bool {
 	return true
 }
 
-// Reg parses a register rK of a file of n: 0 <= K < n.
+// Reg parses a register rK of a file of n: 0 <= K < n, K plain decimal
+// digits with no sign and no leading zero.
 func Reg(s string, n int) (uint8, error) {
-	if len(s) < 2 || s[0] != 'r' {
+	digits := strings.TrimPrefix(s, "r")
+	if digits == s || digits == "" || strings.Trim(digits, "0123456789") != "" ||
+		len(digits) > 1 && digits[0] == '0' {
 		return 0, fmt.Errorf("bad register %q", s)
 	}
-	k, err := strconv.Atoi(s[1:])
-	if err != nil || k < 0 || k >= n {
+	k, err := strconv.Atoi(digits)
+	if err != nil || k >= n {
 		return 0, fmt.Errorf("bad register %q", s)
 	}
 	return uint8(k), nil
@@ -130,8 +133,9 @@ func Int(s string) (int32, error) {
 }
 
 // Mem parses a memory operand [rK], [rK+off] or [rK-off], its base a
-// register of a file of regs and its offset a 32-bit integer. Where
-// absolute is set it also takes [off], an address, and reports base -1.
+// register of a file of regs and its offset, which an operator always
+// has, a 32-bit integer. Where absolute is set it also takes [off], an
+// address, and reports base -1.
 func Mem(s string, regs int, absolute bool) (base int, off int32, err error) {
 	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
 		return 0, 0, fmt.Errorf("bad memory operand %q", s)
@@ -142,9 +146,10 @@ func Mem(s string, regs int, absolute bool) (base int, off int32, err error) {
 		return -1, off, err
 	}
 	reg, offset, sign := inner, "", int32(1)
-	if i := strings.IndexAny(inner, "+-"); i > 0 {
-		reg, offset = strings.TrimSpace(inner[:i]), strings.TrimSpace(inner[i+1:])
-		if inner[i] == '-' {
+	op := strings.IndexAny(inner, "+-")
+	if op > 0 {
+		reg, offset = strings.TrimSpace(inner[:op]), strings.TrimSpace(inner[op+1:])
+		if inner[op] == '-' {
 			sign = -1
 		}
 	}
@@ -152,7 +157,7 @@ func Mem(s string, regs int, absolute bool) (base int, off int32, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("bad memory operand %q: %v", s, err)
 	}
-	if offset != "" {
+	if op > 0 {
 		v, err := strconv.ParseInt(offset, 0, 32)
 		if err != nil {
 			return 0, 0, fmt.Errorf("bad offset %q", offset)

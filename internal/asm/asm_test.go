@@ -33,7 +33,9 @@ func TestMem(t *testing.T) {
 		{"[r2]", false, 2, 0, true},
 		{"[ r3 + 0x10 ]", false, 3, 16, true},
 		{"[r3-4]", false, 3, -4, true},
-		{"[r1+]", false, 1, 0, true},
+		{"[r1+]", false, 0, 0, false},
+		{"[r1 - ]", false, 0, 0, false},
+		{"[r01+4]", false, 0, 0, false},
 		{"[r1+-4]", false, 1, -4, true},
 		{"[32]", true, -1, 32, true},
 		{"[-8]", true, -1, -8, true},
@@ -48,6 +50,32 @@ func TestMem(t *testing.T) {
 		base, off, err := Mem(tc.s, 16, tc.absolute)
 		if (err == nil) != tc.ok || tc.ok && (base != tc.base || off != tc.off) {
 			t.Errorf("Mem(%q, %v) = %d, %d, %v", tc.s, tc.absolute, base, off, err)
+		}
+	}
+}
+
+func TestReg(t *testing.T) {
+	for _, tc := range []struct {
+		s  string
+		k  uint8
+		ok bool
+	}{
+		{"r0", 0, true},
+		{"r5", 5, true},
+		{"r15", 15, true},
+		{"r16", 0, false},
+		{"r05", 0, false},
+		{"r00", 0, false},
+		{"r+5", 0, false},
+		{"r-0", 0, false},
+		{"r 5", 0, false},
+		{"r", 0, false},
+		{"5", 0, false},
+		{"r99999999999999999999", 0, false},
+	} {
+		k, err := Reg(tc.s, 16)
+		if (err == nil) != tc.ok || tc.ok && k != tc.k {
+			t.Errorf("Reg(%q) = %d, %v", tc.s, k, err)
 		}
 	}
 }

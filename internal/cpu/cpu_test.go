@@ -149,9 +149,15 @@ func TestAssembleErrors(t *testing.T) {
 		"ld r1, [ ]",
 		"add r1, r2, r3, r4",
 		"halt r1",
+		"movi r05, 1",     // no leading zero in a register number
+		"add r1, r+2, r3", // no sign either
+		"ld r1, [r2+]",    // an operator needs its offset
+		"st [r2-], r1",    // in either direction
+		"ld r1, [r02+4]",  // a memory operand's base is a register
+		"movi r1, 1e3",    // an immediate is an integer
 	} {
 		if _, err := Assemble("bad", src); err == nil {
-			t.Fatalf("expected error for %q", src)
+			t.Errorf("expected error for %q", src)
 		}
 	}
 }

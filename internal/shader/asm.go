@@ -171,8 +171,8 @@ func parseSrc(s string, isInt bool) (Src, error) {
 			return R(r), nil
 		}
 	}
-	// Immediate.
-	if isInt && !strings.ContainsAny(s, ".eE") {
+	// Immediate: an integer opcode's is an integer.
+	if isInt {
 		v, err := asm.Int(s)
 		return Src{Imm: uint32(v), IsImm: true}, err
 	}

@@ -93,10 +93,18 @@ func TestAssembleErrors(t *testing.T) {
 		"mov r0, r1, r2", // too many operands
 		"",               // empty program
 		"loop: loop: exit",
+		// Each of these is the one fault of a program that ends.
+		"iadd r1, r2, 1e3\nexit", // an integer opcode's immediate is an integer
+		"iadd r1, r2, 1.5\nexit", // ...in every spelling
+		"mov r05, r1\nexit",      // no leading zero in a register number
+		"mov r1, r+5\nexit",      // no sign either
+		"ldg r1, [r2+]\nexit",    // an operator needs its offset
+		"stg [r3-], r1\nexit",    // in either direction
+		"ldg r1, [r02+16]\nexit", // a memory operand's base is a register
 	}
 	for _, src := range cases {
 		if _, err := Assemble("bad", KindCompute, src); err == nil {
-			t.Fatalf("expected error for %q", src)
+			t.Errorf("expected error for %q", src)
 		}
 	}
 }
@@ -186,6 +194,26 @@ func TestIntSemantics(t *testing.T) {
 	}
 	if math.Float32frombits(th.Regs[10]) != 10 {
 		t.Fatal("cvt.i2f wrong")
+	}
+}
+
+// An integer opcode's immediate is an integer in any base the
+// assembler takes, whatever digits it holds.
+func TestAssembleIntImmediates(t *testing.T) {
+	p, err := Assemble("t", KindCompute, `
+		iadd r1, r2, 0xE
+		iadd r1, r2, 0xD
+		and  r1, r2, 0b101
+		iadd r1, r2, -3
+		exit
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint32{14, 13, 5, 0xFFFFFFFD} {
+		if b := p.Code[i].B; !b.IsImm || b.Imm != want {
+			t.Errorf("instruction %d immediate = %+v, want %d", i, b, want)
+		}
 	}
 }
 
