@@ -245,8 +245,7 @@ func buildSoC(model int, cfg MemConfig, dataRateMbps int, opt Options, reg *stat
 }
 
 // RunCaseStudyI runs one (model, config, load) cell and returns the
-// results summary. It records no timeline: the sweep service's jobs
-// carry none.
+// results summary. It records no timeline.
 func RunCaseStudyI(model int, cfg MemConfig, dataRateMbps int, opt Options) (soc.Results, error) {
 	res, _, err := runCS1(model, cfg, dataRateMbps, opt, false)
 	return res, err

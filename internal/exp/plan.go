@@ -35,19 +35,24 @@ const (
 	SweepCell                   // one workload's WT sweep (Fig 17, and Fig 19's SOPT pick)
 	WTPointCell                 // one Fig 18 point: a fresh system, a warmup and one measured frame at WT
 	PolicyCell                  // one workload under one Fig 19 policy
+	RegionCell                  // one sampled-simulation region (RunRegionJob)
 )
 
-// Cell is one independent simulation of a figure matrix. Only the
-// fields its kind reads are set, so equal cells are the same simulation.
+// Cell is one independent simulation: a cell of a figure matrix, or a
+// region of a sampled run. Only the fields its kind reads are set, so
+// equal cells are the same simulation.
 type Cell struct {
 	Kind     CellKind
 	Model    int        // CS1Cell
 	Config   MemConfig  // CS1Cell
 	Mbps     int        // CS1Cell
-	Workload int        // SweepCell, WTPointCell, PolicyCell
+	Workload int        // SweepCell, WTPointCell, PolicyCell, RegionCell
 	WT       int        // WTPointCell
 	Policy   DFSLPolicy // PolicyCell
 	SOPT     int        // PolicyCell whose Policy is SOPT
+	Frames   int        // RegionCell: the scenario's length
+	Start    int        // RegionCell: its first measured frame
+	Span     int        // RegionCell: its measured frames
 }
 
 // CellResult is what a cell yields: the field of its kind.
@@ -57,6 +62,7 @@ type CellResult struct {
 	Cycles    []uint64        // SweepCell: frame cycles at WT 1..MaxWT
 	Point     [4]float64      // WTPointCell: frame cycles, then L1 color, texture and depth misses
 	AvgCycles float64         // PolicyCell
+	Region    *RegionResult   // RegionCell
 }
 
 // RunCell simulates one cell on a private system.
@@ -72,6 +78,8 @@ func RunCell(c Cell, opt Options) (CellResult, error) {
 		r.Point, err = runWTPoint(c.Workload, c.WT, opt)
 	case PolicyCell:
 		r.AvgCycles, err = RunCS2Policy(c.Workload, c.Policy, c.SOPT, opt)
+	case RegionCell:
+		r.Region, err = RunRegionJob(c.Workload, c.Frames, c.Start, c.Span, opt)
 	default:
 		err = fmt.Errorf("exp: unknown cell kind %d", c.Kind)
 	}

@@ -14,8 +14,10 @@ import (
 // This file is the sampled-simulation harness for Case Study II
 // scenarios: record a workload's draw stream once, run the functional
 // pass for signatures and checkpoints, select representative regions,
-// and execute them in detail — in-process across goroutines
-// (RunSampled) or as independent sweep jobs (RunRegionJob).
+// and execute them in detail as region cells: in process from the
+// pass's checkpoints, across goroutines (RunSampled), or as independent
+// sweep jobs, each re-recording its own trace (RunSampledCells,
+// RunRegionJob). The rest of the pipeline is written once, in sampled.
 
 // RecordWorkloadTrace records one DFSL workload's API stream — the
 // same per-frame sequence the detailed CS2 renderer issues — without
@@ -83,11 +85,11 @@ func warmupStart(start int) int {
 	return w0 - w0%checkpointStride
 }
 
-// runRegion runs one region on a fresh replay system from the
-// checkpoint anchored at warmupStart(start).
-func runRegion(workload, frames int, tr *trace.Trace, cp *trace.Checkpoint, start, span int, opt Options) (*RegionResult, error) {
+// runRegion runs a region cell on a fresh replay system from cp, the
+// checkpoint anchored at warmupStart(c.Start).
+func runRegion(c Cell, tr *trace.Trace, cp *trace.Checkpoint, opt Options) (*RegionResult, error) {
 	r := NewReplay(opt)
-	cycles, err := r.RunRegion(tr, cp, start, start-warmupStart(start), span)
+	cycles, err := r.RunRegion(tr, cp, c.Start, c.Start-warmupStart(c.Start), c.Span)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +98,7 @@ func runRegion(workload, frames int, tr *trace.Trace, cp *trace.Checkpoint, star
 		return nil, err
 	}
 	return &RegionResult{
-		Workload: workload, Frames: frames, Start: start, Span: span,
+		Workload: c.Workload, Frames: c.Frames, Start: c.Start, Span: c.Span,
 		FrameCycles: cycles, Digest: dg,
 	}, nil
 }
@@ -128,7 +130,7 @@ func (r *RegionResult) TotalCycles() uint64 {
 // the workload's trace, functional-pass up to the region start for its
 // checkpoint, restore, and run the region frames in detail. Everything
 // derives deterministically from the arguments, so the result is
-// content-addressable by its spec.
+// content-addressable by its spec. It is how RunCell runs a RegionCell.
 func RunRegionJob(workload, frames, start, span int, opt Options) (*RegionResult, error) {
 	tr, err := RecordWorkloadTrace(workload, frames, opt)
 	if err != nil {
@@ -139,10 +141,11 @@ func RunRegionJob(workload, frames, start, span int, opt Options) (*RegionResult
 	if err != nil {
 		return nil, err
 	}
-	return runRegion(workload, frames, tr, pass.Checkpoints[w0], start, span, opt)
+	c := Cell{Kind: RegionCell, Workload: workload, Frames: frames, Start: start, Span: span}
+	return runRegion(c, tr, pass.Checkpoints[w0], opt)
 }
 
-// SampledResult is the in-process sampled pipeline's outcome.
+// SampledResult is the sampled pipeline's outcome.
 type SampledResult struct {
 	Workload int                `json:"workload"`
 	Frames   int                `json:"frames"`
@@ -154,25 +157,54 @@ type SampledResult struct {
 	Estimate sample.Estimate    `json:"estimate"`
 }
 
-// RunSampled is the whole sampled-simulation pipeline in one process:
-// record the scenario, functional-pass it for per-frame signatures,
-// cluster the signatures into k regions, checkpoint the region starts,
-// run each region in detail (up to parallel at once, each on its own
-// system and registry, under runCells' rules), and reconstruct the
-// whole-run estimate from the weighted region means.
+// RunSampled is the whole sampled-simulation pipeline in one process.
+// It runs each selected region in detail from the one functional pass's
+// checkpoints, up to parallel at once, each on its own system and
+// registry, under runCells' rules.
 func RunSampled(workload, frames, k, span, parallel int, opt Options) (*SampledResult, error) {
-	tr, err := RecordWorkloadTrace(workload, frames, opt)
-	if err != nil {
-		return nil, err
-	}
 	// One functional pass serves both signatures and checkpoints: region
 	// starts aren't known until after clustering, so checkpoint every
 	// grid frame a warm-up start can snap to. A checkpoint is a copy of
 	// the materialized pages (a few hundred KB at quick scales), which
-	// is far cheaper than the second functional replay it replaces.
+	// is far cheaper than the functional replay per region it replaces.
 	var grid []int
 	for f := 0; f < frames; f += checkpointStride {
 		grid = append(grid, f)
+	}
+	ropt := opt
+	ropt.Workers = parallel
+	return sampled(workload, frames, k, span, opt, grid, func(tr *trace.Trace, pass *sample.PassResult, cells []Cell) ([]CellResult, error) {
+		return runCells(ropt, len(cells), func(i int) (CellResult, error) {
+			c := cells[i]
+			r, err := runRegion(c, tr, pass.Checkpoints[warmupStart(c.Start)], ropt)
+			if err != nil {
+				return CellResult{}, fmt.Errorf("region at frame %d: %w", c.Start, err)
+			}
+			return CellResult{Region: r}, nil
+		})
+	})
+}
+
+// RunSampledCells is the sampled pipeline with the selected regions run
+// by batch as region cells, each from scratch (RunRegionJob): how the
+// sweep service runs them, as jobs. Its functional pass takes no
+// checkpoints.
+func RunSampledCells(workload, frames, k, span int, opt Options, batch func([]Cell) ([]CellResult, error)) (*SampledResult, error) {
+	return sampled(workload, frames, k, span, opt, nil, func(_ *trace.Trace, _ *sample.PassResult, cells []Cell) ([]CellResult, error) {
+		return batch(cells)
+	})
+}
+
+// sampled is the pipeline RunSampled and RunSampledCells share: record
+// the scenario, functional-pass it for per-frame signatures (and
+// checkpoints at the grid frames), cluster the signatures into k
+// regions, hand run one region cell per region, and reconstruct the
+// whole-run estimate from the weighted region means.
+func sampled(workload, frames, k, span int, opt Options, grid []int,
+	run func(*trace.Trace, *sample.PassResult, []Cell) ([]CellResult, error)) (*SampledResult, error) {
+	tr, err := RecordWorkloadTrace(workload, frames, opt)
+	if err != nil {
+		return nil, err
 	}
 	pass, err := sample.Pass(tr, sample.PassConfig{CheckpointAt: grid})
 	if err != nil {
@@ -182,30 +214,22 @@ func RunSampled(workload, frames, k, span, parallel int, opt Options) (*SampledR
 	if err != nil {
 		return nil, err
 	}
-
-	ropt := opt
-	ropt.Workers = parallel
-	results, err := runCells(ropt, len(regions), func(i int) (*RegionResult, error) {
-		reg := regions[i]
-		res, err := runRegion(workload, frames, tr, pass.Checkpoints[warmupStart(reg.Frame)], reg.Frame, span, ropt)
-		if err != nil {
-			return nil, fmt.Errorf("region at frame %d: %w", reg.Frame, err)
-		}
-		return res, nil
-	})
+	cells := make([]Cell, len(regions))
+	for i, reg := range regions {
+		cells[i] = Cell{Kind: RegionCell, Workload: workload, Frames: frames, Start: reg.Frame, Span: span}
+	}
+	res, err := run(tr, pass, cells)
 	if err != nil {
 		return nil, err
 	}
-	cycles := make([][]uint64, len(results))
-	for i, r := range results {
-		cycles[i] = r.FrameCycles
+	out := &SampledResult{Workload: workload, Frames: frames, K: k, Span: span,
+		Sigs: pass.Frames, Regions: regions, Results: make([]*RegionResult, len(res))}
+	cycles := make([][]uint64, len(res))
+	for i, r := range res {
+		out.Results[i], cycles[i] = r.Region, r.Region.FrameCycles
 	}
-	est, err := sample.Reconstruct(frames, regions, cycles)
-	if err != nil {
+	if out.Estimate, err = sample.Reconstruct(frames, regions, cycles); err != nil {
 		return nil, err
 	}
-	return &SampledResult{
-		Workload: workload, Frames: frames, K: k, Span: span,
-		Sigs: pass.Frames, Regions: regions, Results: results, Estimate: est,
-	}, nil
+	return out, nil
 }

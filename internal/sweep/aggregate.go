@@ -54,17 +54,22 @@ type FigureRequest struct {
 type Figure = exp.Figure
 
 // FigureSet is the outcome of a client-side sweep: the aggregated
-// tables (in request order) plus every unique job that was submitted,
-// for cache accounting.
+// tables (in request order) and the jobs submitted.
 type FigureSet struct {
 	Figures []Figure
-	Jobs    []Job
+	submitted
+}
+
+// submitted lists every unique job a sweep submitted, in submission
+// order, for cache accounting.
+type submitted struct {
+	Jobs []Job
 }
 
 // CacheHits counts jobs served from the content-addressed store.
-func (fs *FigureSet) CacheHits() int {
+func (s submitted) CacheHits() int {
 	n := 0
-	for _, j := range fs.Jobs {
+	for _, j := range s.Jobs {
 		if j.Cached {
 			n++
 		}
@@ -72,22 +77,51 @@ func (fs *FigureSet) CacheHits() int {
 	return n
 }
 
-// submitter deduplicates specs by result key while preserving
-// submission order, so overlapping figures (9 and 11 share the
-// regular-load matrix) cost one job per unique simulation point, and
-// fetches each key's result once however many waits follow.
+// submitter runs batches of exp cells as jobs at one scale. It
+// deduplicates specs by result key while preserving submission order,
+// so overlapping figures (9 and 11 share the regular-load matrix) cost
+// one job per unique simulation point, and fetches each key's result
+// once however many batches follow.
 type submitter struct {
+	submitted
 	c       Service
+	scale   string
 	poll    time.Duration
 	seen    map[string]Job
-	jobs    []Job
 	results map[string]*Result
 	notify  func(Job)
 }
 
-func newSubmitter(c Service, poll time.Duration, notify func(Job)) *submitter {
-	return &submitter{c: c, poll: poll, seen: make(map[string]Job),
+func newSubmitter(c Service, scale string, poll time.Duration, notify func(Job)) *submitter {
+	return &submitter{c: c, scale: scale, poll: poll, seen: make(map[string]Job),
 		results: make(map[string]*Result), notify: notify}
+}
+
+// batch is an exp batch (exp.Plan.Run's, exp.RunSampledCells'): it
+// submits the cells as jobs, waits for them all and returns their
+// results by index.
+func (s *submitter) batch(ctx context.Context) func([]exp.Cell) ([]exp.CellResult, error) {
+	return func(cells []exp.Cell) ([]exp.CellResult, error) {
+		keys := make([]string, len(cells))
+		for i, cell := range cells {
+			spec := cellSpec(s.scale, cell)
+			if err := s.submit(ctx, spec); err != nil {
+				return nil, err
+			}
+			keys[i] = spec.Key()
+		}
+		results, err := s.wait(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]exp.CellResult, len(cells))
+		for i, key := range keys {
+			if out[i], err = cellResult(results[key]); err != nil {
+				return nil, fmt.Errorf("%w for %s", err, key)
+			}
+		}
+		return out, nil
+	}
 }
 
 func (s *submitter) submit(ctx context.Context, spec Spec) error {
@@ -99,7 +133,7 @@ func (s *submitter) submit(ctx context.Context, spec Spec) error {
 		return fmt.Errorf("submit %s: %w", spec, err)
 	}
 	s.seen[spec.Key()] = job
-	s.jobs = append(s.jobs, job)
+	s.Jobs = append(s.Jobs, job)
 	if job.Terminal() && s.notify != nil {
 		s.notify(job) // cache hit at submit: the cell is already done
 	}
@@ -111,7 +145,7 @@ func (s *submitter) submit(ctx context.Context, spec Spec) error {
 // by key. A failed job fails the whole sweep.
 func (s *submitter) wait(ctx context.Context) (map[string]*Result, error) {
 	var pending []string
-	for _, j := range s.jobs {
+	for _, j := range s.Jobs {
 		if !j.Terminal() {
 			pending = append(pending, j.ID)
 		}
@@ -120,12 +154,12 @@ func (s *submitter) wait(ctx context.Context) (map[string]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, j := range s.jobs {
+	for i, j := range s.Jobs {
 		if f, ok := final[j.ID]; ok {
-			s.jobs[i] = f
+			s.Jobs[i] = f
 		}
 	}
-	for _, j := range s.jobs {
+	for _, j := range s.Jobs {
 		if j.State == JobFailed {
 			return nil, fmt.Errorf("job %s (%s) failed: %s", j.ID, j.Spec, j.Error)
 		}
@@ -139,38 +173,6 @@ func (s *submitter) wait(ctx context.Context) (map[string]*Result, error) {
 		s.results[j.Key] = res
 	}
 	return s.results, nil
-}
-
-// cellSpec is the job that runs a plan cell at the given scale. Only the
-// kinds of Figures' cells have one.
-func cellSpec(scale string, c exp.Cell) Spec {
-	switch c.Kind {
-	case exp.CS1Cell:
-		return Spec{Kind: KindCS1, Scale: scale, Model: c.Model, Config: c.Config.String(), Mbps: c.Mbps}
-	case exp.SweepCell:
-		return Spec{Kind: KindCS2Sweep, Scale: scale, Workload: c.Workload}
-	case exp.PolicyCell:
-		return Spec{Kind: KindCS2Policy, Scale: scale, Workload: c.Workload,
-			Policy: c.Policy.String(), SOPT: c.SOPT}
-	}
-	panic(fmt.Sprintf("sweep: no job kind runs cell kind %d", c.Kind))
-}
-
-// cellResult unpacks a fetched result into the plan's form, checking it
-// carries its kind's payload.
-func cellResult(res *Result) (exp.CellResult, error) {
-	var out exp.CellResult
-	switch {
-	case res == nil:
-		return out, fmt.Errorf("sweep: missing result")
-	case res.Spec.Kind == KindCS1 && res.CS1 == nil, res.Spec.Kind == KindCS2Sweep && res.Cycles == nil:
-		return out, fmt.Errorf("sweep: result for %s carries no payload", res.Spec)
-	}
-	if res.CS1 != nil {
-		out.CS1 = *res.CS1
-	}
-	out.Cycles, out.AvgCycles = res.Cycles, res.AvgCycles
-	return out, nil
 }
 
 // RunFigures runs the request's exp.Plan through the service: each batch
@@ -197,30 +199,10 @@ func RunFigures(ctx context.Context, c Service, req FigureRequest, poll time.Dur
 		}
 		plan.Configs = append(plan.Configs, cfg)
 	}
-	sub := newSubmitter(c, poll, req.Notify)
-	res, err := plan.Run(func(cells []exp.Cell) ([]exp.CellResult, error) {
-		keys := make([]string, len(cells))
-		for i, cell := range cells {
-			spec := cellSpec(req.Scale, cell)
-			if err := sub.submit(ctx, spec); err != nil {
-				return nil, err
-			}
-			keys[i] = spec.Key()
-		}
-		results, err := sub.wait(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]exp.CellResult, len(cells))
-		for i, key := range keys {
-			if out[i], err = cellResult(results[key]); err != nil {
-				return nil, fmt.Errorf("%w for %s", err, key)
-			}
-		}
-		return out, nil
-	})
+	sub := newSubmitter(c, req.Scale, poll, req.Notify)
+	res, err := plan.Run(sub.batch(ctx))
 	if err != nil {
 		return nil, err
 	}
-	return &FigureSet{Figures: res.Figures(), Jobs: sub.jobs}, nil
+	return &FigureSet{Figures: res.Figures(), submitted: sub.submitted}, nil
 }

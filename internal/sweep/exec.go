@@ -10,79 +10,91 @@ import (
 	"emerald/internal/telemetry"
 )
 
-// ExecConfig parameterizes the built-in executor's hardening: both
-// knobs thread through exp.Options into every simulation it runs.
-type ExecConfig struct {
-	// Watchdog is the forward-progress window in cycles; a simulation
-	// flat for that long aborts with guard.ErrNoProgress and a
-	// diagnostic bundle (0 = off).
-	Watchdog uint64
-	// Guard attaches the microarchitectural invariant checker.
-	Guard bool
-}
-
-// Executor returns the built-in executor with the given hardening: it
-// runs the simulation a spec describes, honoring ctx through the tick
-// loops (internal/exp threads it into soc.RunCtx /
-// Standalone.RunUntilIdleCtx), and returns the result keyed by the
-// spec's canonical form. The spec must already be validated.
-func Executor(cfg ExecConfig) Exec {
+// Executor returns the built-in executor: it runs the exp cell a spec
+// describes (exp.RunCell) at the spec's scale, honoring ctx through the
+// tick loops, and returns the cell's payload keyed by the spec's
+// canonical form. watchdog is the forward-progress window in cycles (a
+// simulation flat for that long aborts with guard.ErrNoProgress and a
+// diagnostic bundle; 0 = off) and guard attaches the microarchitectural
+// invariant checker. The spec must already be validated.
+func Executor(watchdog uint64, guard bool) Exec {
 	return func(ctx context.Context, spec Spec) (*Result, error) {
 		opt, err := ScaleOptions(spec.Scale)
 		if err != nil {
 			return nil, err
 		}
-		opt.Ctx = ctx
-		opt.WatchdogCycles = cfg.Watchdog
-		opt.Guard = cfg.Guard
+		opt.Ctx, opt.WatchdogCycles, opt.Guard = ctx, watchdog, guard
 		// The runner threads the job's telemetry probe through the context;
 		// attaching it here gives GET /jobs/{id} live progress and
 		// /jobs/{id}/diag on-demand diagnostics for this simulation.
 		opt.Probe = telemetry.FromContext(ctx)
-
-		res := &Result{Spec: spec.Canonical()}
-		switch spec.Kind {
-		case KindCS1:
-			cfg, err := exp.ParseMemConfig(spec.Config)
-			if err != nil {
-				return nil, err
-			}
-			r, err := exp.RunCaseStudyI(spec.Model, cfg, spec.Mbps, opt)
-			if err != nil {
-				return nil, err
-			}
-			res.CS1 = &r
-
-		case KindCS2Sweep:
-			times, err := exp.RunWTSweep(spec.Workload, opt)
-			if err != nil {
-				return nil, err
-			}
-			res.Cycles = times
-
-		case KindCS2Policy:
-			policy, err := exp.ParseDFSLPolicy(spec.Policy)
-			if err != nil {
-				return nil, err
-			}
-			avg, err := exp.RunCS2Policy(spec.Workload, policy, spec.SOPT, opt)
-			if err != nil {
-				return nil, err
-			}
-			res.AvgCycles = avg
-
-		case KindRegion:
-			r, err := exp.RunRegionJob(spec.Workload, spec.Frames, spec.Region, spec.Span, opt)
-			if err != nil {
-				return nil, err
-			}
-			res.Region = r
-
-		default:
-			return nil, fmt.Errorf("sweep: unknown job kind %q", spec.Kind)
+		cell, err := spec.cell()
+		if err != nil {
+			return nil, err
+		}
+		r, err := exp.RunCell(cell, opt)
+		if err != nil {
+			return nil, err
+		}
+		res := &Result{Spec: spec.Canonical(), Cycles: r.Cycles, AvgCycles: r.AvgCycles, Region: r.Region}
+		if cell.Kind == exp.CS1Cell {
+			res.CS1 = &r.CS1
 		}
 		return res, nil
 	}
+}
+
+// cell is the exp cell a spec runs; cellSpec is its inverse.
+func (s Spec) cell() (exp.Cell, error) {
+	switch s.Kind {
+	case KindCS1:
+		cfg, err := exp.ParseMemConfig(s.Config)
+		return exp.Cell{Kind: exp.CS1Cell, Model: s.Model, Config: cfg, Mbps: s.Mbps}, err
+	case KindCS2Sweep:
+		return exp.Cell{Kind: exp.SweepCell, Workload: s.Workload}, nil
+	case KindCS2Policy:
+		policy, err := exp.ParseDFSLPolicy(s.Policy)
+		return exp.Cell{Kind: exp.PolicyCell, Workload: s.Workload, Policy: policy, SOPT: s.SOPT}, err
+	case KindRegion:
+		return exp.Cell{Kind: exp.RegionCell, Workload: s.Workload, Frames: s.Frames, Start: s.Region, Span: s.Span}, nil
+	}
+	return exp.Cell{}, fmt.Errorf("sweep: unknown job kind %q", s.Kind)
+}
+
+// cellSpec is the job that runs an exp cell at the given scale. Every
+// kind but Figure 18's WT points has one.
+func cellSpec(scale string, c exp.Cell) Spec {
+	switch c.Kind {
+	case exp.CS1Cell:
+		return Spec{Kind: KindCS1, Scale: scale, Model: c.Model, Config: c.Config.String(), Mbps: c.Mbps}
+	case exp.SweepCell:
+		return Spec{Kind: KindCS2Sweep, Scale: scale, Workload: c.Workload}
+	case exp.PolicyCell:
+		return Spec{Kind: KindCS2Policy, Scale: scale, Workload: c.Workload,
+			Policy: c.Policy.String(), SOPT: c.SOPT}
+	case exp.RegionCell:
+		return Spec{Kind: KindRegion, Scale: scale, Workload: c.Workload,
+			Frames: c.Frames, Region: c.Start, Span: c.Span}
+	}
+	panic(fmt.Sprintf("sweep: no job kind runs cell kind %d", c.Kind))
+}
+
+// cellResult unpacks a fetched result into the cell's form, checking it
+// carries its kind's payload.
+func cellResult(res *Result) (exp.CellResult, error) {
+	var out exp.CellResult
+	if res == nil {
+		return out, fmt.Errorf("sweep: missing result")
+	}
+	switch k := res.Spec.Kind; {
+	case k == KindCS1 && res.CS1 == nil, k == KindCS2Sweep && res.Cycles == nil, k == KindRegion && res.Region == nil:
+		return out, fmt.Errorf("sweep: result for %s carries no payload", res.Spec)
+	}
+	if res.CS1 != nil {
+		out.CS1 = *res.CS1
+	}
+	out.Cycles, out.AvgCycles, out.Region = res.Cycles, res.AvgCycles, res.Region
+	return out, nil
 }
 
 // SyntheticExec returns an executor that sleeps for d instead of

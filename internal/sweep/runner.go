@@ -181,7 +181,7 @@ func (c RunnerConfig) withDefaults() RunnerConfig {
 	}
 	c.Retry = c.Retry.withDefaults(Retry{Attempts: 2, Base: 100 * time.Millisecond, Max: 5 * time.Second})
 	if c.Exec == nil {
-		c.Exec = Executor(ExecConfig{Watchdog: c.Watchdog, Guard: c.Guard})
+		c.Exec = Executor(c.Watchdog, c.Guard)
 	}
 	return c
 }

@@ -78,7 +78,7 @@ func TestHugeWorkersIsIgnored(t *testing.T) {
 	if huge.Key() != base.Key() {
 		t.Fatal("workers changed the key")
 	}
-	exec := Executor(ExecConfig{})
+	exec := Executor(0, false)
 	want, err := exec(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)

@@ -451,6 +451,7 @@ var surfaceAllowed = map[string]string{
 	"guard.Violation.String":       "fmt.Stringer: Checker.Err prints the first violation with %s",
 	"guard.Checker.Violations":     "the guard's test oracle: every package's guard tests read which probe failed and why",
 	"dram.Mapping.Encode":          "test oracle: the inverse the Decode round-trip property checks",
+	"exp.RunCaseStudyI":            "test oracle: bench's TestCellMatchesExp and the sweep tests check a Case Study I system against it",
 	"telemetry.ValidateExposition": "test oracle: the telemetry, sweep and fleet tests check every /metrics body against the exposition format",
 	"chaos.*":                      "the fault-injection harness behind TestChaosSoak: only chaos's own tests drive its Engine and Member controls",
 }
