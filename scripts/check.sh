@@ -152,9 +152,10 @@ echo "== checkpoint-resume digest gate =="
 # The sampled-simulation contract: the functional executor's memory is
 # bit-identical to the detailed pipeline's, a region resumed from a
 # checkpoint digests identically across file round trips and the
-# every-cycle mode, and a sweep region job is a pure function of its
-# canonical spec.
-go test -count=1 -timeout 5m -run 'TestFunctionalMatchesDetailed|TestCheckpointResumeFidelity|TestRunRegionJobDeterministic' ./internal/exp
+# every-cycle mode, a sweep region job is a pure function of its
+# canonical spec, and the service's sampled path (regions as jobs over
+# HTTP) measures what the in-process pipeline does, then hits the cache.
+go test -count=1 -timeout 5m -run 'TestFunctionalMatchesDetailed|TestCheckpointResumeFidelity|TestRunRegionJobDeterministic|TestRunSampleMatchesInProcess' ./internal/exp ./internal/sweep
 
 echo "== sampled-vs-full smoke (emerald -sampled) =="
 # The sampled pipeline end to end through the CLI: a 12-frame scenario
