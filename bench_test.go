@@ -103,31 +103,6 @@ func BenchmarkFig09RegularLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkFig10HMCTimeline regenerates Figure 10: M3 under HMC,
-// per-source DRAM bandwidth over time. Reports the CPU burst/idle ratio
-// (CPU bandwidth outside GPU render vs during).
-func BenchmarkFig10HMCTimeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tl := figure(b, "10").Timelines[0]
-		bw := series(tl)
-		cpu, gpuS := bw["cpu"], bw["gpu"]
-		var cpuQuiet, cpuBusy, nQuiet, nBusy float64
-		for k := range cpu {
-			if gpuS[k] > 0.2 {
-				cpuBusy += cpu[k]
-				nBusy++
-			} else {
-				cpuQuiet += cpu[k]
-				nQuiet++
-			}
-		}
-		if nBusy > 0 && nQuiet > 0 && cpuBusy > 0 {
-			b.ReportMetric((cpuQuiet/nQuiet)/(cpuBusy/nBusy), "cpu_burst_ratio")
-		}
-		b.ReportMetric(sum(bw["display"])*float64(tl.BucketCycles)/1024, "display_KB")
-	}
-}
-
 // BenchmarkFig11RowLocality regenerates Figure 11: HMC row-buffer hit
 // rate and bytes/activation vs BAS. Paper shape: both below 1.
 func BenchmarkFig11RowLocality(b *testing.B) {
@@ -186,24 +161,6 @@ func BenchmarkFig13DisplayService(b *testing.B) {
 		}
 		b.ReportMetric(geomean(dtb), "dtb_display_vs_bas")
 		b.ReportMetric(geomean(hmc), "hmc_display_vs_bas")
-	}
-}
-
-// BenchmarkFig14Timelines regenerates Figure 14: M1 under BAS vs DASH-
-// DTB at high load. Reports the DTB/BAS ratio of display bytes moved
-// (the starvation the paper highlights in callout 6).
-func BenchmarkFig14Timelines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tls := figure(b, "14").Timelines
-		// Both timelines bucket alike, so sums of bytes per cycle compare
-		// as bytes do.
-		bas, dtb := series(tls[0]), series(tls[1])
-		if basDisp := sum(bas["display"]); basDisp > 0 {
-			b.ReportMetric(sum(dtb["display"])/basDisp, "dtb_display_bytes_vs_bas")
-		}
-		if basCPU := sum(bas["cpu"]); basCPU > 0 {
-			b.ReportMetric(sum(dtb["cpu"])/basCPU, "dtb_cpu_bytes_vs_bas")
-		}
 	}
 }
 
@@ -597,28 +554,3 @@ func tableCells(tab *stats.Table) [][]string {
 }
 
 var columnGap = regexp.MustCompile(`\s{2,}`)
-
-// series reads a timeline back from what Dump prints: bytes per cycle
-// by source, one value per bucket.
-func series(tl *stats.Timeline) map[string][]float64 {
-	var b strings.Builder
-	tl.Dump(&b, 0)
-	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
-	names := strings.Fields(lines[0])[1:]
-	out := make(map[string][]float64, len(names))
-	for _, line := range lines[1:] {
-		for i, f := range strings.Fields(line)[1:] {
-			v, _ := strconv.ParseFloat(f, 64)
-			out[names[i]] = append(out[names[i]], v)
-		}
-	}
-	return out
-}
-
-func sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}

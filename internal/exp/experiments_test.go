@@ -8,20 +8,23 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"emerald/internal/stats"
 )
 
-// TestExperimentsCaseStudyI renders Case Study I's tabular figures (9,
-// 11, 12 and 13) once, at the quick scale EXPERIMENTS.md is written at,
-// through the one experiment plan, and checks them twice: against the
-// tables EXPERIMENTS.md prints, so the document cannot drift from the
-// program, and against the paper's findings that the document says the
-// model reproduces. About 6 s of wall time on two cores; the race pass
-// (-short) skips it.
+// TestExperimentsCaseStudyI renders Case Study I's figures once, at the
+// quick scale EXPERIMENTS.md is written at, through the one experiment
+// plan, and checks them twice: the tables (9, 11, 12 and 13) against
+// the ones EXPERIMENTS.md prints, so the document cannot drift from the
+// program, and every figure against the paper's findings that the
+// document says the model reproduces. Figures 10 and 14 read timelines
+// of cells in the matrices of 9 and 12, so they add no simulation.
+// About 6 s of wall time on two cores; the race pass (-short) skips it.
 func TestExperimentsCaseStudyI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders 32 quick-scale SoC cells")
 	}
-	figs := docFigures(t, "9", "11", "12", "13")
+	figs, timelines := docFigures(t, CaseStudyI...)
 
 	// The paper's Case Study I findings, as the tables state them. Each
 	// threshold's comment gives its margin on the tables above.
@@ -83,7 +86,37 @@ func TestExperimentsCaseStudyI(t *testing.T) {
 	if hmcServes < 2 {
 		t.Errorf("Figure 13: HMC serves more display traffic on %d of %d models, want at least 2", hmcServes, models(fig13))
 	}
+
+	// Figure 10, M3 under HMC: the CPU bursts while the GPU is idle, so
+	// its mean bandwidth in buckets where the GPU moves at most 0.2
+	// bytes per cycle exceeds its mean in the GPU's render buckets (1.222;
+	// the paper's callouts 1-3).
+	bw := series(timelines["10"][0])
+	var quiet, busy []float64
+	for k, cpu := range bw["cpu"] {
+		if bw["gpu"][k] > 0.2 {
+			busy = append(busy, cpu)
+		} else {
+			quiet = append(quiet, cpu)
+		}
+	}
+	if ratio := mean(quiet) / mean(busy); !(ratio > 1) {
+		t.Errorf("Figure 10: CPU bandwidth while the GPU is idle %.3f of its level while it renders, want above 1", ratio)
+	}
+	// Figure 14, M1 at high load: DASH-DTB gives the CPU priority, so it
+	// moves more CPU bytes than BAS over the same frames (1.210), and
+	// the display starves (0.901). Both timelines bucket alike, so sums
+	// of bytes per cycle compare as bytes do.
+	bas, dtb := series(timelines["14"][0]), series(timelines["14"][1])
+	if v := sum(dtb["cpu"]) / sum(bas["cpu"]); !(v > 1) {
+		t.Errorf("Figure 14: DTB moves %.3f of BAS's CPU bytes, want above 1", v)
+	}
+	if v := sum(dtb["display"]) / sum(bas["display"]); !(v < 1) {
+		t.Errorf("Figure 14: DTB moves %.3f of BAS's display bytes, want below 1", v)
+	}
 }
+
+func mean(xs []float64) float64 { return sum(xs) / float64(len(xs)) }
 
 // TestExperimentsCaseStudyII is TestExperimentsCaseStudyI's method for
 // Figures 17 and 18 (~3.5 s): the tables EXPERIMENTS.md prints, the
@@ -94,7 +127,7 @@ func TestExperimentsCaseStudyII(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders six quick-scale WT sweeps")
 	}
-	figs := docFigures(t, "17", "18")
+	figs, _ := docFigures(t, "17", "18")
 	fig17 := figs["17"]
 	optima := make(map[string]bool)
 	for i, row := range fig17.rows {
@@ -163,8 +196,9 @@ func correlation(x, y []float64) float64 {
 // docFigures renders figs at the quick scale EXPERIMENTS.md is written
 // at, through the one experiment plan, and fails the test where the
 // document's table under a figure's heading is not what the program
-// prints. It returns the rendered tables by figure name.
-func docFigures(t *testing.T, figs ...string) map[string]*figTable {
+// prints. It returns the rendered tables, and the timeline figures'
+// timelines, by figure name.
+func docFigures(t *testing.T, figs ...string) (map[string]*figTable, map[string][]*stats.Timeline) {
 	t.Helper()
 	opt := Quick()
 	opt.Workers = runtime.NumCPU()
@@ -176,8 +210,12 @@ func docFigures(t *testing.T, figs ...string) map[string]*figTable {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string]*figTable)
+	out, timelines := make(map[string]*figTable), make(map[string][]*stats.Timeline)
 	for _, f := range res.Figures() {
+		if f.Table == nil {
+			timelines[f.Name] = f.Timelines
+			continue
+		}
 		ft := &figTable{head: f.Table.Headers, rows: tableCells(f.Table)}
 		out[f.Name] = ft
 		want := ft.markdown()
@@ -186,7 +224,7 @@ func docFigures(t *testing.T, figs ...string) map[string]*figTable {
 				f.Name, got, want)
 		}
 	}
-	return out
+	return out, timelines
 }
 
 // figTable is a rendered figure table: its headers and its data rows
