@@ -1,23 +1,18 @@
 package emerald
 
-// The benchmark suite regenerates every results figure of the paper's
-// evaluation (one benchmark per table/figure, plus ablations for the
-// design choices DESIGN.md calls out). Run with:
+// The root benchmarks time the model and its design choices; the
+// paper's figures are regenerated by cmd/memstudy and cmd/dfsl and
+// asserted by internal/exp's TestExperimentsCaseStudy{I,II}. The
+// ablations report what each design choice DESIGN.md calls out buys
+// (Hi-Z, WT granularity, warp scheduling, TC bins, early-Z, address
+// mapping); BenchmarkFrameW1/W3 and BenchmarkGPGPUSAXPY time the hot
+// paths; BenchmarkFrameW3TelemetryOverhead is scripts/check.sh's
+// telemetry gate. Run with:
 //
-//	go test -bench=. -benchmem
-//
-// Each benchmark reports the figure's headline numbers as custom metrics
-// (normalized the way the paper plots them). Case Study I matrices are
-// computed once per DRAM rate and shared across the benchmarks that
-// consume them.
+//	go test -run '^$' -bench . -benchmem
 
 import (
-	"math"
-	"regexp"
 	"slices"
-	"strconv"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,213 +20,10 @@ import (
 	"emerald/internal/exp"
 	"emerald/internal/geom"
 	"emerald/internal/gpu"
-	"emerald/internal/soc"
-	"emerald/internal/stats"
 	"emerald/internal/telemetry"
 )
 
 var benchOpt = exp.Quick()
-
-// Case Study I result matrices, shared across benches.
-var (
-	matrixOnce sync.Once
-	matrixReg  map[int]map[exp.MemConfig]soc.Results
-	matrixHigh map[int]map[exp.MemConfig]soc.Results
-	matrixErr  error
-)
-
-func matrices(b *testing.B) (reg, high map[int]map[exp.MemConfig]soc.Results) {
-	b.Helper()
-	matrixOnce.Do(func() {
-		res, err := simulate([]string{"9", "12"})
-		if matrixErr = err; err == nil {
-			matrixReg, matrixHigh = res.CS1(benchOpt.RegularMbps), res.CS1(benchOpt.HighMbps)
-		}
-	})
-	if matrixErr != nil {
-		b.Fatal(matrixErr)
-	}
-	return matrixReg, matrixHigh
-}
-
-// simulate runs the experiment plan of the given figures at benchOpt.
-func simulate(figs []string) (*exp.Results, error) {
-	return exp.Plan{Figs: figs, Opt: benchOpt}.Simulate(exp.RunCell)
-}
-
-// figure runs one figure's plan and returns the figure.
-func figure(b *testing.B, name string) exp.Figure {
-	b.Helper()
-	res, err := simulate([]string{name})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.Figures()[0]
-}
-
-func geomean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	p := 1.0
-	for _, v := range vals {
-		p *= v
-	}
-	if p <= 0 {
-		return 0
-	}
-	return math.Pow(p, 1/float64(len(vals)))
-}
-
-// BenchmarkFig09RegularLoad regenerates Figure 9: GPU frame execution
-// time under regular load, normalized to the FR-FCFS baseline. Paper
-// shape: DASH +19-20%, HMC ~2x.
-func BenchmarkFig09RegularLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reg, _ := matrices(b)
-		var dash, hmc []float64
-		for m := range reg {
-			bas := reg[m][exp.BAS].MeanGPUCycles
-			if bas == 0 {
-				continue
-			}
-			dash = append(dash, reg[m][exp.DCB].MeanGPUCycles/bas, reg[m][exp.DTB].MeanGPUCycles/bas)
-			hmc = append(hmc, reg[m][exp.HMC].MeanGPUCycles/bas)
-		}
-		b.ReportMetric(geomean(dash), "dash_vs_bas")
-		b.ReportMetric(geomean(hmc), "hmc_vs_bas")
-	}
-}
-
-// BenchmarkFig11RowLocality regenerates Figure 11: HMC row-buffer hit
-// rate and bytes/activation vs BAS. Paper shape: both below 1.
-func BenchmarkFig11RowLocality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reg, _ := matrices(b)
-		var hit, bpa []float64
-		for m := range reg {
-			bas, hmc := reg[m][exp.BAS], reg[m][exp.HMC]
-			if bas.RowHitRate > 0 {
-				hit = append(hit, hmc.RowHitRate/bas.RowHitRate)
-			}
-			if bas.BytesPerAct > 0 {
-				bpa = append(bpa, hmc.BytesPerAct/bas.BytesPerAct)
-			}
-		}
-		b.ReportMetric(geomean(hit), "hmc_rowhit_vs_bas")
-		b.ReportMetric(geomean(bpa), "hmc_bytes_per_act_vs_bas")
-	}
-}
-
-// BenchmarkFig12HighLoad regenerates Figure 12: total frame time and GPU
-// render time under the low-bandwidth scenario, vs BAS. Paper shape:
-// HMC ~+45% frame time; DASH degrades larger models.
-func BenchmarkFig12HighLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, high := matrices(b)
-		var hmcFrame, dashGPU []float64
-		for m := range high {
-			bas := high[m][exp.BAS]
-			if bas.MeanFrameCycles > 0 {
-				hmcFrame = append(hmcFrame, high[m][exp.HMC].MeanFrameCycles/bas.MeanFrameCycles)
-			}
-			if bas.MeanGPUCycles > 0 {
-				dashGPU = append(dashGPU, high[m][exp.DTB].MeanGPUCycles/bas.MeanGPUCycles)
-			}
-		}
-		b.ReportMetric(geomean(hmcFrame), "hmc_frame_vs_bas")
-		b.ReportMetric(geomean(dashGPU), "dtb_gpu_vs_bas")
-	}
-}
-
-// BenchmarkFig13DisplayService regenerates Figure 13: display requests
-// serviced relative to BAS under high load. Paper shape: DASH starves
-// the display on the big models; HMC can exceed 1 on small ones.
-func BenchmarkFig13DisplayService(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, high := matrices(b)
-		var dtb, hmc []float64
-		for m := range high {
-			bas := float64(high[m][exp.BAS].DisplayServed)
-			if bas == 0 {
-				continue
-			}
-			dtb = append(dtb, float64(high[m][exp.DTB].DisplayServed)/bas)
-			hmc = append(hmc, float64(high[m][exp.HMC].DisplayServed)/bas)
-		}
-		b.ReportMetric(geomean(dtb), "dtb_display_vs_bas")
-		b.ReportMetric(geomean(hmc), "hmc_display_vs_bas")
-	}
-}
-
-// BenchmarkFig17WTSweep regenerates Figure 17: frame time vs WT size per
-// workload. Reports the spread (max/min over WT) averaged over
-// workloads — the paper sees 25% (W6) to 88% (W5).
-func BenchmarkFig17WTSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		// One row per workload: frame time by WT, normalized to WT1.
-		w1, _ := geom.DFSLWorkloadName(geom.W1Sibenik)
-		w3, _ := geom.DFSLWorkloadName(geom.W3Cube)
-		var spreads []float64
-		for _, row := range tableCells(figure(b, "17").Table) {
-			if row[0] != w1 && row[0] != w3 {
-				continue
-			}
-			lo, hi := math.Inf(1), 0.0
-			for _, c := range row[1:] {
-				t, _ := strconv.ParseFloat(c, 64)
-				lo, hi = min(lo, t), max(hi, t)
-			}
-			spreads = append(spreads, hi/lo)
-		}
-		b.ReportMetric(geomean(spreads), "wt_time_spread")
-	}
-}
-
-// BenchmarkFig18W1Misses regenerates Figure 18: W1 execution time and
-// L1 miss counts vs WT. Reports the best (minimum) texture-miss ratio
-// across WT sizes — the locality benefit larger work tiles buy
-// (ratio < 1 reproduces the paper's trend).
-func BenchmarkFig18W1Misses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		parse := func(s string) float64 {
-			v, _ := strconv.ParseFloat(s, 64)
-			return v
-		}
-		bestTex, bestExec := 1.0, 1.0
-		for _, row := range tableCells(figure(b, "18").Table) {
-			if v := parse(row[3]); v > 0 && v < bestTex {
-				bestTex = v
-			}
-			if v := parse(row[1]); v > 0 && v < bestExec {
-				bestExec = v
-			}
-		}
-		b.ReportMetric(bestTex, "tex_miss_best_vs_wt1")
-		b.ReportMetric(bestExec, "exec_best_vs_wt1")
-	}
-}
-
-// BenchmarkFig19DFSL regenerates Figure 19: MLB / MLC / SOPT / DFSL.
-// Paper shape: DFSL ~+19% over MLB and ~+7.3% over SOPT on average.
-func BenchmarkFig19DFSL(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := simulate([]string{"19"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw := res.Policies()
-		var vsMLB, vsSOPT []float64
-		for _, per := range raw {
-			if per[exp.DFSL] > 0 {
-				vsMLB = append(vsMLB, per[exp.MLB]/per[exp.DFSL])
-				vsSOPT = append(vsSOPT, per[exp.SOPT]/per[exp.DFSL])
-			}
-		}
-		b.ReportMetric(geomean(vsMLB), "dfsl_speedup_vs_mlb")
-		b.ReportMetric(geomean(vsSOPT), "dfsl_speedup_vs_sopt")
-	}
-}
 
 // --- Ablation benches (design choices called out in DESIGN.md) ---
 
@@ -537,20 +329,3 @@ func frameRig(b *testing.B, workload int, probe *telemetry.Probe) func(i int) {
 	frame(0)
 	return frame
 }
-
-// tableCells reads a table's data rows back from what Write prints,
-// splitting each row at the column gaps.
-func tableCells(tab *stats.Table) [][]string {
-	var b strings.Builder
-	tab.Write(&b)
-	_, body, _ := strings.Cut(b.String(), "-\n")
-	var rows [][]string
-	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
-		if line != "" {
-			rows = append(rows, columnGap.Split(strings.TrimSpace(line), -1))
-		}
-	}
-	return rows
-}
-
-var columnGap = regexp.MustCompile(`\s{2,}`)

@@ -130,9 +130,10 @@ func runSampled(opt options, eopt exp.Options) error {
 	}
 	fmt.Printf("estimate: %.0f cycles/frame, %d total cycles over %d frames\n",
 		res.Estimate.MeanFrameCycles, res.Estimate.TotalCycles, res.Estimate.FramesTotal)
-	fmt.Printf("detailed frames simulated: %d of %d (%.1fx reduction), wall clock %s\n",
-		detailed, opt.frames, float64(opt.frames)/float64(max(detailed, 1)),
-		elapsed.Round(time.Millisecond))
+	fmt.Printf("detailed frames simulated: %d of %d (%.1fx reduction)\n",
+		detailed, opt.frames, float64(opt.frames)/float64(max(detailed, 1)))
+	// Wall clock goes to stderr, so two runs' stdout match byte for byte.
+	fmt.Fprintf(os.Stderr, "wall clock %s\n", elapsed.Round(time.Millisecond))
 	return nil
 }
 

@@ -85,7 +85,6 @@ type Instr struct {
 
 // Program is an assembled CPU program.
 type Program struct {
-	Name   string
 	Code   []Instr
 	Labels map[string]uint32
 }
@@ -97,7 +96,7 @@ func Assemble(name, src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{Name: name, Labels: labels, Code: make([]Instr, 0, len(lines))}
+	p := &Program{Labels: labels, Code: make([]Instr, 0, len(lines))}
 	for _, l := range lines {
 		in, err := parseInstr(l.Text)
 		if err != nil {

@@ -261,7 +261,10 @@ func TestColdWarmKillRestart(t *testing.T) {
 // The live surface of a real simulation through the assembly: a running
 // job's progress.cycle advances, an on-demand diag bundle comes back
 // non-empty, /metrics content-negotiates, and -pprof mounts the
-// profiler index.
+// profiler index. The job is a paper-scale cell, which runs for many
+// seconds, so it is still running when the checks end on any number of
+// cores (a quick cell could finish before the first poll on one); Kill
+// cancels it mid-run.
 func TestLiveJobSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation")
@@ -278,7 +281,7 @@ func TestLiveJobSurface(t *testing.T) {
 	if d.Node != nil {
 		t.Fatal("a daemon without -peers or -join grew a fleet plane")
 	}
-	job, err := d.Runner.Submit(sweep.Spec{Kind: sweep.KindCS1, Scale: "quick", Model: 2, Config: "BAS", Mbps: 1333})
+	job, err := d.Runner.Submit(sweep.Spec{Kind: sweep.KindCS1, Scale: "paper", Model: 2, Config: "BAS", Mbps: 1333})
 	if err != nil {
 		t.Fatal(err)
 	}

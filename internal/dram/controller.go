@@ -68,14 +68,12 @@ var burstNames = [...]string{
 }
 
 type bank struct {
-	openRow   int64 // -1 = closed
-	readyAt   uint64
-	rowOpened uint64 // activation count bookkeeping hook
+	openRow int64 // -1 = closed
+	readyAt uint64
 }
 
 // Channel is one DRAM channel: a request queue, banks and a data bus.
 type Channel struct {
-	ID    int
 	Queue []*mem.Request
 	// locs[i] is where Queue[i] lives, decoded once when it was pushed
 	// and kept in lockstep with Queue through serveChannel's removal.
@@ -125,9 +123,7 @@ type Controller struct {
 	// Timeline, when non-nil, records per-source serviced bytes.
 	Timeline *stats.Timeline
 
-	reg       *stats.Registry
-	rejected  *stats.Counter
-	totalBusy uint64
+	rejected *stats.Counter
 	// room counts requests taken off the channel queues (see Room).
 	room uint64
 }
@@ -152,11 +148,10 @@ func NewController(cfg Config, reg *stats.Registry) *Controller {
 		cfg.Mappings = append(cfg.Mappings, cfg.Mappings[0])
 	}
 	s := reg.Scope(cfg.Name)
-	c := &Controller{cfg: cfg, sched: cfg.Scheduler, reg: reg, rejected: s.Counter("rejected")}
+	c := &Controller{cfg: cfg, sched: cfg.Scheduler, rejected: s.Counter("rejected")}
 	for i := 0; i < cfg.Geometry.Channels; i++ {
 		chScope := s.Scope("ch" + string(rune('0'+i)))
 		ch := &Channel{
-			ID:           i,
 			track:        "ch" + string(rune('0'+i)),
 			mapping:      cfg.Mappings[i],
 			rowHits:      chScope.Counter("row_hits"),

@@ -372,7 +372,7 @@ func (s *perPickFRFCFS) Pick(ch *Channel, cycle uint64) int {
 	}
 	got := s.FRFCFS.Pick(ch, cycle)
 	if got != want {
-		s.t.Fatalf("cycle %d ch%d: decode-once pick %d, decode-per-pick %d", cycle, ch.ID, got, want)
+		s.t.Fatalf("cycle %d %s: decode-once pick %d, decode-per-pick %d", cycle, ch.track, got, want)
 	}
 	s.picks++
 	return got

@@ -90,8 +90,7 @@ type Tracer struct {
 
 	mu      sync.Mutex // guards the ring buffer fields below
 	buf     []Event
-	next    int // ring write position
-	wrapped bool
+	next    int      // ring write position
 	seq     []uint64 // emit order, parallel to buf (stable-sort key)
 	seqN    uint64
 	dropped uint64
@@ -166,7 +165,6 @@ func (t *Tracer) emit(ev Event) {
 		if t.next == cap(t.buf) {
 			t.next = 0
 		}
-		t.wrapped = true
 		t.dropped++
 	}
 	t.seqN++

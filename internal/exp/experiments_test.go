@@ -122,7 +122,8 @@ func mean(xs []float64) float64 { return sum(xs) / float64(len(xs)) }
 // Figures 17 and 18 (~3.5 s): the tables EXPERIMENTS.md prints, the
 // paper's finding that the best WT size depends on the workload, with
 // a large spread across sizes, and the shape the document states for
-// W1's misses. Figure 19 and the §3.4 validation are not checked.
+// W1's misses. Figure 19 is not checked; validate_test.go holds the
+// §3.4 validation's analogue.
 func TestExperimentsCaseStudyII(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders six quick-scale WT sweeps")

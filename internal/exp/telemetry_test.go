@@ -38,7 +38,7 @@ func telemetryDigest(t *testing.T, probe *telemetry.Probe) string {
 		t.Fatal(err)
 	}
 	fb := make([]byte, 3*opt.Width*opt.Height*4)
-	s.Mem.Read(0x8000_0000, fb)
+	s.GPU.Mem.Read(0x8000_0000, fb)
 	h := sha256.New()
 	h.Write(buf.Bytes())
 	h.Write(fb)

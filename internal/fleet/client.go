@@ -29,10 +29,6 @@ type Client struct {
 	ring  *Ring
 	nodes map[string]*sweep.Client
 
-	// DownFor is how long a failed node is skipped before the client
-	// tries it again (default 15s).
-	DownFor time.Duration
-
 	// Hedge is the tail-latency hedging policy (see HedgePolicy).
 	Hedge HedgePolicy
 
@@ -60,16 +56,21 @@ type HedgePolicy struct {
 	// Disabled turns hedging off entirely.
 	Disabled bool
 	// Min is the floor before any hedge fires (default 2s) — also the
-	// deadline used before MinSamples completions have been observed.
+	// deadline used before hedgeSamples completions have been observed.
 	Min time.Duration
-	// MinSamples is how many completions the latency tracker needs
-	// before the percentile deadline is trusted (default 5).
-	MinSamples int
 }
 
 // hedgeFactor multiplies the observed p95 completion latency into the
 // hedge deadline.
 const hedgeFactor = 2
+
+// hedgeSamples is how many completions the latency tracker needs before
+// the percentile deadline is trusted.
+const hedgeSamples = 5
+
+// downFor is how long a failed node is skipped before the client tries
+// it again.
+const downFor = 15 * time.Second
 
 // HedgeStats reports how many hedges fired and how many completed
 // before the primary placement did.
@@ -112,7 +113,6 @@ func NewClient(peers []string, httpc *http.Client) (*Client, error) {
 	c := &Client{
 		ring:    ring,
 		nodes:   make(map[string]*sweep.Client, len(peers)),
-		DownFor: 15 * time.Second,
 		down:    make(map[string]time.Time),
 		tracked: make(map[string]*placed),
 	}
@@ -134,7 +134,7 @@ func (c *Client) alive(node string) bool {
 	if !isDown {
 		return true
 	}
-	if time.Since(since) > c.DownFor {
+	if time.Since(since) > downFor {
 		delete(c.down, node) // give it another chance
 		return true
 	}
@@ -235,7 +235,7 @@ func (c *Client) recordLatency(d time.Duration) {
 }
 
 // hedgeDeadline returns how long a job may stay pending before a hedge
-// fires. Below MinSamples completions only the Min floor applies; with
+// fires. Below hedgeSamples completions only the Min floor applies; with
 // enough samples the deadline is max(Min, hedgeFactor × p95), so hedging
 // targets the tail without duplicating median-latency work.
 func (c *Client) hedgeDeadline() time.Duration {
@@ -243,14 +243,11 @@ func (c *Client) hedgeDeadline() time.Duration {
 	if h.Min <= 0 {
 		h.Min = 2 * time.Second
 	}
-	if h.MinSamples <= 0 {
-		h.MinSamples = 5
-	}
 	c.latMu.Lock()
 	n := len(c.lats)
 	sorted := append([]time.Duration(nil), c.lats...)
 	c.latMu.Unlock()
-	if n < h.MinSamples {
+	if n < hedgeSamples {
 		return h.Min
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })

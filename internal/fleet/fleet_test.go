@@ -98,7 +98,6 @@ func TestFleetSurvivesNodeDeathMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.DownFor = time.Hour // a killed node stays dead for this test
 
 	// Kill the primary owner of the first cell shortly after the sweep
 	// starts — it is guaranteed to have received work.
@@ -147,7 +146,6 @@ func TestClientSubmitFailsOverDeadPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.DownFor = time.Hour
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	job, err := fc.Submit(ctx, spec)
@@ -216,7 +214,6 @@ func TestClientRelocationKeepsSyntheticID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.DownFor = time.Hour
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	job, err := fc.Submit(ctx, spec)

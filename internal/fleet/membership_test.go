@@ -339,8 +339,7 @@ func TestHedgedSubmitCompletesViaNextOwner(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Force the floor: no samples yet, Min is the deadline.
-			fc.Hedge = HedgePolicy{Min: 50 * time.Millisecond, MinSamples: 1 << 30}
-			fc.DownFor = time.Hour
+			fc.Hedge = HedgePolicy{Min: 50 * time.Millisecond}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 			defer cancel()

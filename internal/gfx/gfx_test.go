@@ -122,11 +122,20 @@ func popcount64(m uint64) int {
 	return n
 }
 
+// prims counts the distinct primitives a TC tile's fragments came from.
+func prims(out *TCTileOut) int {
+	ids := map[uint32]bool{}
+	for _, f := range out.Frags {
+		ids[f.Tri.ID] = true
+	}
+	return len(ids)
+}
+
 // mkRasterTile builds a raster tile at pixel origin (x,y) with the given
 // coverage for primitive id.
 func mkRasterTile(id uint32, x, y int, coverage uint16, z float32) *raster.RasterTile {
 	tri := &raster.SetupTri{ID: id}
-	rt := &raster.RasterTile{Tri: tri, TileX: x, TileY: y, Coverage: coverage}
+	rt := &raster.RasterTile{TileX: x, TileY: y, Coverage: coverage}
 	for bit := 0; bit < 16; bit++ {
 		if coverage&(1<<bit) != 0 {
 			rt.Frags = append(rt.Frags, raster.Fragment{
@@ -150,8 +159,8 @@ func TestTCCoalescesNeighboringRasterTiles(t *testing.T) {
 	if out == nil {
 		t.Fatal("full TC tile must flush immediately")
 	}
-	if len(out.Frags) != 64 || !out.FullCover || out.Prims != 1 {
-		t.Fatalf("coalesced tile: frags=%d full=%v prims=%d", len(out.Frags), out.FullCover, out.Prims)
+	if len(out.Frags) != 64 || !out.FullCover || prims(out) != 1 {
+		t.Fatalf("coalesced tile: frags=%d full=%v prims=%d", len(out.Frags), out.FullCover, prims(out))
 	}
 	if out.MaxZ != 0.5 {
 		t.Fatalf("maxZ = %v", out.MaxZ)
@@ -165,7 +174,7 @@ func TestTCCoalescesAcrossPrimitives(t *testing.T) {
 	u.Stage(mkRasterTile(2, 4, 0, 0x0002, 0.4), 1)
 	u.FlushAll()
 	out := u.PopReady()
-	if out == nil || out.Prims != 2 || len(out.Frags) != 2 {
+	if out == nil || prims(out) != 2 || len(out.Frags) != 2 {
 		t.Fatalf("micro-prim coalescing broken: %+v", out)
 	}
 }
@@ -178,7 +187,7 @@ func TestTCConflictSplitsOverlap(t *testing.T) {
 	u.Stage(mkRasterTile(2, 0, 0, 0x0001, 0.4), 1)
 	u.FlushAll()
 	first := u.PopReady()
-	if first == nil || first.Prims != 1 {
+	if first == nil || prims(first) != 1 {
 		t.Fatal("conflict must flush first tile alone")
 	}
 	// Same position in flight: second tile must wait.
@@ -316,7 +325,7 @@ func TestTCReleasePoisonsAndRecycles(t *testing.T) {
 	u.Complete(tile.TX, tile.TY)
 	u.Release(tile)
 	if !tile.released || tile.TX != releasedTile || tile.TY != releasedTile ||
-		len(tile.Frags) != 0 || tile.Prims != 0 || tile.FullCover || tile.MaxZ != 0 {
+		len(tile.Frags) != 0 || tile.FullCover || tile.MaxZ != 0 {
 		t.Fatalf("released tile not poisoned: %+v", tile)
 	}
 	for i, f := range frags {

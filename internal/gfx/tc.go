@@ -2,7 +2,6 @@ package gfx
 
 import (
 	"fmt"
-	"slices"
 
 	"emerald/internal/mem"
 	"emerald/internal/raster"
@@ -30,7 +29,6 @@ func DefaultTCConfig() TCConfig {
 type TCTileOut struct {
 	TX, TY int // TC tile coordinates
 	Frags  []raster.Fragment
-	Prims  int // distinct primitives coalesced
 	// FullCover reports every pixel of the TC tile covered (enables the
 	// safe Hi-Z update).
 	FullCover bool
@@ -53,7 +51,6 @@ type tcEngine struct {
 	tx, ty     int
 	covered    uint64 // pixel occupancy bitmap of the 8x8 tile
 	frags      []raster.Fragment
-	prims      []uint32 // distinct primitive ids staged, at most one per bin
 	bins       int
 	lastStaged uint64
 }
@@ -162,15 +159,11 @@ func (u *TCUnit) Stage(rt *raster.RasterTile, cycle uint64) {
 		eng.tx, eng.ty = tx, ty
 		eng.covered = 0
 		eng.frags = eng.frags[:0]
-		eng.prims = eng.prims[:0]
 		eng.bins = 0
 	}
 
 	eng.covered |= mask
 	eng.frags = append(eng.frags, rt.Frags...)
-	if !slices.Contains(eng.prims, rt.Tri.ID) {
-		eng.prims = append(eng.prims, rt.Tri.ID)
-	}
 	eng.bins++
 	eng.lastStaged = cycle
 
@@ -218,7 +211,6 @@ func (u *TCUnit) flush(e *tcEngine, reason *stats.Counter) {
 	*out = TCTileOut{
 		TX: e.tx, TY: e.ty,
 		Frags:     e.frags,
-		Prims:     len(e.prims),
 		FullCover: e.covered == fullTCMask,
 	}
 	for _, f := range out.Frags {

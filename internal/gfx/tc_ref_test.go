@@ -77,7 +77,7 @@ func TestPopReadyAgainstLinearScan(t *testing.T) {
 				}
 				if ta != nil {
 					if ta.TX != tb.TX || ta.TY != tb.TY || len(ta.Frags) != len(tb.Frags) ||
-						ta.Prims != tb.Prims || ta.FullCover != tb.FullCover || ta.MaxZ != tb.MaxZ {
+						prims(ta) != prims(tb) || ta.FullCover != tb.FullCover || ta.MaxZ != tb.MaxZ {
 						t.Fatalf("%s: popped %+v, the linear scan %+v", where, ta, tb)
 					}
 					shading = append(shading, [2]int{ta.TX, ta.TY})

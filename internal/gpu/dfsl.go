@@ -16,7 +16,6 @@ type DFSL struct {
 
 	frame       int
 	minExecTime float64
-	wtSize      int
 	wtBest      int
 }
 
@@ -35,7 +34,6 @@ func NewDFSL(minWT, maxWT, runFrames int) *DFSL {
 	return &DFSL{
 		MinWT: minWT, MaxWT: maxWT, RunFrames: runFrames,
 		minExecTime: math.Inf(1),
-		wtSize:      minWT,
 		wtBest:      minWT,
 	}
 }
@@ -55,7 +53,6 @@ func (d *DFSL) NextWT() int {
 	if phase == 0 {
 		// New evaluation window (Algorithm 1 lines 13-17).
 		d.minExecTime = math.Inf(1)
-		d.wtSize = d.MinWT
 	}
 	if phase < d.evalFrames() {
 		return d.MinWT + phase

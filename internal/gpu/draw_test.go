@@ -206,7 +206,7 @@ func TestFunctionalMatchesTimedRandomDraws(t *testing.T) {
 		names := []string{"prims_assembled", "prims_culled", "vs_warps", "fragments_shaded"}
 		var before [4]int64
 		for i, name := range names {
-			before[i] = s.GPU.Reg.Value(name)
+			before[i] = s.Reg.Value("gpu." + name)
 		}
 		if _, err := renderDraw(s, call, 20_000_000); err != nil {
 			t.Fatalf("draw %d: %v", n, err)
@@ -232,18 +232,18 @@ func TestFunctionalMatchesTimedRandomDraws(t *testing.T) {
 				t.Fatalf("%s: surface at %#x differs from ExecuteDrawFunc", what(), sf.Base)
 			}
 		}
-		want := [4]uint64{fst.Prims, fst.Culled, fst.VSWarps, fst.Frags}
+		want := [4]uint64{fst.Prims, fst.Culled, uint64(batchCount(call)), fst.Frags}
 		for i, name := range names {
 			if i == 3 && call.DepthTest && s.GPU.Cfg.HiZ {
 				continue // Hi-Z may cull tiles the functional pass shades
 			}
-			if got := s.GPU.Reg.Value(name) - before[i]; uint64(got) != want[i] {
+			if got := s.Reg.Value("gpu."+name) - before[i]; uint64(got) != want[i] {
 				t.Fatalf("%s: %s = %d, functional %d", what(), name, got, want[i])
 			}
 		}
 	}
 	t.Logf("%d draws: %d triangles assembled, %d culled, %d fragments, %d tiles culled by Hi-Z",
-		draws, total.Prims, total.Culled, total.Frags, s.GPU.Reg.Value("hiz_culled_tiles"))
+		draws, total.Prims, total.Culled, total.Frags, s.Reg.Value("gpu.hiz_culled_tiles"))
 }
 
 // Shaders for TestReusedBatchesLeakNothingBetweenDraws: a vertex shader
@@ -408,7 +408,7 @@ func TestBatchRingWrapsLikeFunctional(t *testing.T) {
 			if len(s.GPU.batches) != window {
 				t.Fatalf("mode %d, window %d: the GPU holds %d batch records", mode, window, len(s.GPU.batches))
 			}
-			counts[wi] = [2]int64{s.GPU.Reg.Value("prims_assembled"), s.GPU.Reg.Value("prims_culled")}
+			counts[wi] = [2]int64{s.Reg.Value("gpu.prims_assembled"), s.Reg.Value("gpu.prims_culled")}
 		}
 		if counts[0] != counts[1] || counts[0][0] == 0 {
 			t.Fatalf("mode %d: assembled, culled = %v at window 2, %v at window 24", mode, counts[0], counts[1])

@@ -17,19 +17,16 @@ import (
 // material of a frame's sampled-simulation signature vector (draws,
 // primitives, fragments, texture/DRAM traffic).
 type FuncStats struct {
-	Draws     uint64
-	VSWarps   uint64
-	Verts     uint64
-	Prims     uint64 // assembled primitives
-	Culled    uint64 // clipped, backface-culled or degenerate at setup
-	SetupTris uint64 // primitives that survived to rasterization
-	Tiles     uint64 // non-empty raster tiles
-	Frags     uint64 // fragments shaded
-	FSWarps   uint64
-	TexReads  uint64 // texel fetches
-	VtxBytes  uint64 // vertex attribute fetch traffic
-	TexBytes  uint64 // texture fetch traffic
-	ROPBytes  uint64 // depth/color read-modify-write traffic
+	Draws    uint64
+	Verts    uint64
+	Prims    uint64 // assembled primitives
+	Culled   uint64 // clipped, backface-culled or degenerate at setup
+	Tiles    uint64 // non-empty raster tiles
+	Frags    uint64 // fragments shaded
+	TexReads uint64 // texel fetches
+	VtxBytes uint64 // vertex attribute fetch traffic
+	TexBytes uint64 // texture fetch traffic
+	ROPBytes uint64 // depth/color read-modify-write traffic
 }
 
 // TrafficBytes is the draw's approximate memory traffic — the
@@ -61,10 +58,8 @@ func ExecuteDrawFunc(m *mem.Memory, call *DrawCall, st *FuncStats) error {
 		fd.batch, env.batch = vertexBatch{}, b
 		mask, specials := vsWarp(call, b)
 		fd.runner.Exec(call.VS, env, mask, specials)
-		st.VSWarps++
 		st.Verts += uint64(batchLanes(call, b))
 		assembled, culled := assemble(call, b, &fd.batch, &seq, &fd.tris, func(tri *raster.SetupTri, _ [3]int) {
-			st.SetupTris++
 			fd.shadePrim(call, tri, st)
 			fd.tris.reset() // shaded: nothing points at tri any more
 		})
@@ -108,7 +103,6 @@ func (fd *funcDraw) shadePrim(call *DrawCall, tri *raster.SetupTri, st *FuncStat
 		env.frags = frags[lo:min(lo+simt.WarpSize, len(frags))]
 		mask, specials := fsWarp(env.frags)
 		fd.runner.Exec(call.FS, env, mask, specials)
-		st.FSWarps++
 	}
 	st.Frags += uint64(len(frags))
 	fd.frags = frags[:0] // hand the (possibly grown) scratch back

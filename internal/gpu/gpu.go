@@ -121,7 +121,6 @@ type fsLaunch struct {
 type GPU struct {
 	Cfg Config
 	Mem *mem.Memory
-	Reg *stats.Registry
 
 	clusters []*cluster
 	L2       *cache.Cache
@@ -226,7 +225,6 @@ func New(cfg Config, memory *mem.Memory, reg *stats.Registry) *GPU {
 	g := &GPU{
 		Cfg:           cfg,
 		Mem:           memory,
-		Reg:           scope,
 		Out:           mem.NewQueue(0),
 		screenMap:     gfx.NewScreenMap(cfg.Clusters, cfg.CoresPerCluster, cfg.WT),
 		drawsDone:     scope.Counter("draws_done"),

@@ -149,7 +149,7 @@ func TestDepthOcclusion(t *testing.T) {
 	}
 	// Hi-Z must have culled far-quad tiles (the near quad fully covered
 	// the screen before the far draw began).
-	if s.GPU.Reg.Value("hiz_culled_tiles") == 0 {
+	if s.Reg.Value("gpu.hiz_culled_tiles") == 0 {
 		t.Fatal("expected Hi-Z culling on the occluded draw")
 	}
 }

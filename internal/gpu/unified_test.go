@@ -27,7 +27,7 @@ func TestBilinearFiltering(t *testing.T) {
 			t.Fatal(err)
 		}
 		var l1t int64
-		s.GPU.Reg.Each(func(n string, v int64) {
+		s.Reg.Each(func(n string, v int64) {
 			if len(n) > 4 && n[len(n)-11:] == ".l1t.misses" {
 				l1t += v
 			}

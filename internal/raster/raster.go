@@ -17,7 +17,6 @@ type Fragment struct {
 // RasterTile is the unit the fine rasterizer emits: the fragments of one
 // primitive covering one 4x4 screen-aligned tile.
 type RasterTile struct {
-	Tri      *SetupTri
 	TileX    int // tile origin in pixels
 	TileY    int
 	Frags    []Fragment
@@ -47,7 +46,7 @@ func CoarseRaster(t *SetupTri, tileSize int, visit func(tx, ty int)) {
 // The viewport clamps pixel coordinates.
 func FineRasterTile(t *SetupTri, tileX, tileY int, vp Viewport, rt *RasterTile) bool {
 	frags := FineRasterInto(t, tileX, tileY, vp, rt.Frags[:0])
-	*rt = RasterTile{Tri: t, TileX: tileX, TileY: tileY, Frags: frags}
+	*rt = RasterTile{TileX: tileX, TileY: tileY, Frags: frags}
 	for _, f := range frags {
 		rt.Coverage |= 1 << ((f.Y-tileY)*RasterTileSize + (f.X - tileX))
 	}

@@ -24,10 +24,6 @@ type SetupTri struct {
 	// edge i counts as covered, so triangles sharing an edge never shade
 	// a pixel twice nor leave a crack.
 	edgeIn [3]bool
-
-	// BackFacing reports original orientation (rendered when culling is
-	// off).
-	BackFacing bool
 }
 
 // Setup performs the viewport transform and attribute plane setup for a
@@ -61,7 +57,6 @@ func SetupInto(p Primitive, vp Viewport, t *SetupTri) bool {
 	if t.Area == 0 {
 		return false
 	}
-	t.BackFacing = t.Area < 0
 	// Top-left rule: edge i (opposite vertex i) has gradient
 	// (A, B) = d(edge_i)/d(x, y), sign-corrected for orientation so the
 	// interior is the positive side. Include boundary pixels on "left"

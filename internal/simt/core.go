@@ -16,10 +16,9 @@ type CoreConfig struct {
 	ID        int
 	ClusterID int
 
-	MaxWarps    int // concurrent warp slots (2048 threads = 64 warps)
-	Schedulers  int // warp schedulers issuing 1 instr/cycle each
-	RegFile     int // 32-bit registers per core (occupancy limit)
-	SharedBytes int // scratchpad size per core
+	MaxWarps   int // concurrent warp slots (2048 threads = 64 warps)
+	Schedulers int // warp schedulers issuing 1 instr/cycle each
+	RegFile    int // 32-bit registers per core (occupancy limit)
 
 	ALULatency uint64 // cycles to writeback for ALU ops
 	SFULatency uint64 // cycles to writeback for SFU ops
@@ -38,15 +37,14 @@ type CoreConfig struct {
 // configuration (Table 7) with Table 2's cache set.
 func DefaultCoreConfig() CoreConfig {
 	return CoreConfig{
-		MaxWarps:    64, // 2048 threads / 32
-		Schedulers:  2,
-		RegFile:     65536,
-		SharedBytes: 48 * 1024,
-		ALULatency:  4,
-		SFULatency:  16,
-		SFUStall:    4,
-		LSUWidth:    1,
-		GTO:         true,
+		MaxWarps:   64, // 2048 threads / 32
+		Schedulers: 2,
+		RegFile:    65536,
+		ALULatency: 4,
+		SFULatency: 16,
+		SFUStall:   4,
+		LSUWidth:   1,
+		GTO:        true,
 		// GPGPU-Sim-style policies: L1D write-through/no-allocate, L1Z
 		// write-back (depth is re-read and re-written densely), L1T/L1C
 		// read-only.

@@ -39,12 +39,6 @@ type Config struct {
 
 	Scene *geom.Scene
 
-	// CPUConfig builds each core's configuration (defaults to
-	// ScaledCPUConfig, whose cache sizes are shrunk in proportion to the
-	// scaled working sets so the DRAM-contention regime matches the
-	// paper's).
-	CPUConfig func(id int) cpu.Config
-
 	// App workload knobs.
 	WorkingSetBytes uint32
 	ScenePasses     uint32
@@ -52,11 +46,6 @@ type Config struct {
 	// Background memory intensity per non-app core: ALU iterations per
 	// memory access (0 = idle core). Length NumCPUs-1.
 	Background []uint32
-	// BackgroundWSBytes is each background task's working set; sized
-	// above the scaled L2 so background cores keep pressure on DRAM
-	// throughout the frame (the multiprogrammed Android processes of the
-	// paper's workload).
-	BackgroundWSBytes uint32
 
 	// Frames to simulate (plus WarmupFrames discarded from stats).
 	Frames       int
@@ -72,26 +61,30 @@ func DefaultConfig(scene *geom.Scene) Config {
 		GPU:          gpu.CaseStudyIConfig(),
 		DRAM: sched.BaselineDRAM("dram", dram.LPDDR3Geometry(2),
 			dram.LPDDR3Timing(1333)),
-		DisplayPeriod:     150_000,
-		AppPeriod:         300_000,
-		Width:             192,
-		Height:            144,
-		Scene:             scene,
-		CPUConfig:         ScaledCPUConfig,
-		WorkingSetBytes:   96 * 1024,
-		ScenePasses:       1,
-		CmdBufBytes:       2048,
-		Background:        []uint32{4, 48, 0},
-		BackgroundWSBytes: 512 * 1024,
-		Frames:            4,
-		WarmupFrames:      1,
+		DisplayPeriod:   150_000,
+		AppPeriod:       300_000,
+		Width:           192,
+		Height:          144,
+		Scene:           scene,
+		WorkingSetBytes: 96 * 1024,
+		ScenePasses:     1,
+		CmdBufBytes:     2048,
+		Background:      []uint32{4, 48, 0},
+		Frames:          4,
+		WarmupFrames:    1,
 	}
 }
 
-// ScaledCPUConfig shrinks the Table 5 cache hierarchy in proportion to
+// backgroundWSBytes is each background task's working set; sized above
+// the scaled L2 so background cores keep pressure on DRAM throughout the
+// frame (the multiprogrammed Android processes of the paper's workload).
+const backgroundWSBytes = 512 * 1024
+
+// scaledCPUConfig shrinks the Table 5 cache hierarchy in proportion to
 // the SoC's scaled frame periods and working sets (8 KB L1s, 64 KB L2),
-// preserving the paper's cache-to-working-set ratios.
-func ScaledCPUConfig(id int) cpu.Config {
+// preserving the paper's cache-to-working-set ratios, so the
+// DRAM-contention regime matches the paper's. Every core is built with it.
+func scaledCPUConfig(id int) cpu.Config {
 	c := cpu.DefaultConfig(id)
 	c.L1I.SizeBytes = 8 * 1024
 	c.L1D.SizeBytes = 8 * 1024
@@ -109,8 +102,6 @@ type FrameStats struct {
 // SoC is the assembled full system.
 type SoC struct {
 	Cfg Config
-	Reg *stats.Registry
-	Mem *mem.Memory
 
 	CPUs    []*cpu.Core
 	GPU     *gpu.GPU
@@ -168,7 +159,7 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 		return nil, fmt.Errorf("soc: need at least one CPU")
 	}
 	memory := mem.NewMemory()
-	s := &SoC{Cfg: cfg, Reg: reg, Mem: memory, backIsA: true}
+	s := &SoC{Cfg: cfg, backIsA: true}
 
 	s.GPU = gpu.New(cfg.GPU, memory, reg)
 	s.DRAM = dram.NewController(cfg.DRAM, reg)
@@ -210,11 +201,7 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 				prog = cpu.IdleTask
 			}
 		}
-		mkCfg := cfg.CPUConfig
-		if mkCfg == nil {
-			mkCfg = ScaledCPUConfig
-		}
-		core := cpu.NewCore(mkCfg(i), prog, memory, reg)
+		core := cpu.NewCore(scaledCPUConfig(i), prog, memory, reg)
 		core.Sys = s.syscall
 		// Workload parameters.
 		core.Regs[10] = 0x6000_0000 + uint32(i)<<24 // working set base
@@ -224,11 +211,7 @@ func New(cfg Config, reg *stats.Registry) (*SoC, error) {
 			core.Regs[13] = cfg.CmdBufBytes
 			core.Regs[14] = cfg.ScenePasses
 		} else if bi := i - 1; bi < len(cfg.Background) && cfg.Background[bi] > 0 {
-			ws := cfg.BackgroundWSBytes
-			if ws == 0 {
-				ws = 512 * 1024
-			}
-			core.Regs[11] = ws
+			core.Regs[11] = backgroundWSBytes
 			core.Regs[12] = cfg.Background[bi]
 			core.Regs[13] = 128 // stride: two lines, low row locality
 		}

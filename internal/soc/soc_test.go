@@ -62,7 +62,7 @@ func TestSoCBootsAndRendersFrames(t *testing.T) {
 	fb := s.colorA
 	for y := 0; y < cfg.Height && !painted; y += 8 {
 		for x := 0; x < cfg.Width; x += 8 {
-			if fb.ReadPixel(s.Mem, x, y) != 0xFF101010 {
+			if fb.ReadPixel(s.GPU.Mem, x, y) != 0xFF101010 {
 				painted = true
 				break
 			}
@@ -104,7 +104,8 @@ func TestSoCCPUsGenerateTraffic(t *testing.T) {
 func TestIdleCoresStopAfterBoot(t *testing.T) {
 	cfg := smallConfig(t)
 	cfg.Background = make([]uint32, cfg.NumCPUs-1)
-	s, err := New(cfg, nil)
+	reg := stats.NewRegistry()
+	s, err := New(cfg, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +117,13 @@ func TestIdleCoresStopAfterBoot(t *testing.T) {
 	}
 	first := make([]int64, cfg.NumCPUs)
 	for i := 1; i < cfg.NumCPUs; i++ {
-		first[i] = s.Reg.Value(fmt.Sprintf("cpu%d.instructions", i))
+		first[i] = reg.Value(fmt.Sprintf("cpu%d.instructions", i))
 	}
 	if err := s.Run(30_000_000); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < cfg.NumCPUs; i++ {
-		if got := s.Reg.Value(fmt.Sprintf("cpu%d.instructions", i)); got != first[i] {
+		if got := reg.Value(fmt.Sprintf("cpu%d.instructions", i)); got != first[i] {
 			t.Errorf("idle cpu%d: %d instructions after the first frame, %d at the end",
 				i, first[i], got)
 		}
@@ -150,7 +151,8 @@ func TestSoCWithDASHSchedulerRuns(t *testing.T) {
 func TestSoCWithHMCRuns(t *testing.T) {
 	cfg := smallConfig(t)
 	cfg.DRAM = sched.HMCDRAM("dram", dram.LPDDR3Geometry(2), dram.LPDDR3Timing(1333))
-	s, err := New(cfg, nil)
+	reg := stats.NewRegistry()
+	s, err := New(cfg, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +160,10 @@ func TestSoCWithHMCRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// HMC: CPU traffic only on channel 0, IP traffic only on channel 1.
-	ch0CPU := s.Reg.Value("dram.ch0.served_cpu")
-	ch1CPU := s.Reg.Value("dram.ch1.served_cpu")
-	ch0GPU := s.Reg.Value("dram.ch0.served_gpu")
-	ch1GPU := s.Reg.Value("dram.ch1.served_gpu")
+	ch0CPU := reg.Value("dram.ch0.served_cpu")
+	ch1CPU := reg.Value("dram.ch1.served_cpu")
+	ch0GPU := reg.Value("dram.ch0.served_gpu")
+	ch1GPU := reg.Value("dram.ch1.served_gpu")
 	if ch0CPU == 0 || ch1CPU != 0 {
 		t.Fatalf("HMC CPU routing broken: ch0=%d ch1=%d", ch0CPU, ch1CPU)
 	}
@@ -238,7 +240,8 @@ func testSurface() gfx.Surface {
 func TestIdleSkipPreservesResults(t *testing.T) {
 	run := func(skip bool) (*SoC, string) {
 		cfg := smallConfig(t)
-		s, err := New(cfg, nil)
+		reg := stats.NewRegistry()
+		s, err := New(cfg, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +250,11 @@ func TestIdleSkipPreservesResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := s.Reg.DumpJSON(&buf); err != nil {
+		if err := reg.DumpJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		fb := make([]byte, 3*cfg.Width*cfg.Height*4)
-		s.Mem.Read(0x8000_0000, fb)
+		s.GPU.Mem.Read(0x8000_0000, fb)
 		h := sha256.New()
 		h.Write(buf.Bytes())
 		h.Write(fb)

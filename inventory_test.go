@@ -456,6 +456,12 @@ var surfaceAllowed = map[string]string{
 	"chaos.*":                      "the fault-injection harness behind TestChaosSoak: only chaos's own tests drive its Engine and Member controls",
 }
 
+// fieldAllowed names the struct fields under internal/ that no
+// non-test code reads, each with the reason it stays.
+var fieldAllowed = map[string]string{
+	"sweep.FigureRequest.Workers": "accepted and ignored, like Spec.Workers; bench's sweep_cold sets it, and it goes with Spec.Workers when bench stops passing either",
+}
+
 // TestExportedSurface: every func or method declared in a non-test file
 // under internal/ has a use in non-test code somewhere in the module
 // (bench/, cmd/ and examples/ count), or a line in surfaceAllowed; an
@@ -465,8 +471,10 @@ var surfaceAllowed = map[string]string{
 // same name (ring.Nodes, URL.Path, Runner.Diag). A method reached only
 // through an interface counts when the interface's method is called
 // and some type of the module implements it with this method, its own
-// or promoted from an embedded field. The same test holds emeraldd to
-// sixteen flags.
+// or promoted from an embedded field. The same test holds every struct
+// field declared there to a read in non-test code or a line in
+// fieldAllowed (what counts as a read is set out below), and emeraldd
+// to sixteen flags.
 func TestExportedSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
@@ -477,7 +485,12 @@ func TestExportedSurface(t *testing.T) {
 		std:   importer.ForCompiler(fset, "source", nil),
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 	}
 	audited, all := modulePackages(t)
 	for _, path := range all {
@@ -487,6 +500,7 @@ func TestExportedSurface(t *testing.T) {
 	}
 
 	used := map[*types.Func]bool{}
+	read := map[*types.Var]bool{} // struct fields some non-test code reads
 	type ifaceMethod struct {
 		iface *types.Interface
 		name  string
@@ -520,8 +534,10 @@ func TestExportedSurface(t *testing.T) {
 				if !types.Implements(ptr, im.iface) {
 					continue
 				}
-				if fn, ok := types.NewMethodSet(ptr).Lookup(tn.Pkg(), im.name).Obj().(*types.Func); ok {
+				sel := types.NewMethodSet(ptr).Lookup(tn.Pkg(), im.name)
+				if fn, ok := sel.Obj().(*types.Func); ok {
 					used[fn.Origin()] = true
+					readPath(read, ptr, sel.Index())
 				}
 			}
 		}
@@ -552,6 +568,71 @@ func TestExportedSurface(t *testing.T) {
 		t.Errorf("surfaceAllowed[%q] excuses nothing: its func is gone or has a caller now", name)
 	}
 
+	// Fields: every struct field declared under internal/ is read by
+	// non-test code. A read is any use but a composite-literal key, the
+	// selector an assignment, op-assign or ++/-- stores to, and a
+	// promoted selection reads each embedded field on its path. A field
+	// with a struct tag is read by its encoder, and every field of a
+	// struct compared with == or != or used as a map key is read by
+	// the comparison.
+	writes := map[*ast.Ident]bool{}
+	for _, path := range all {
+		for _, f := range l.files[path] {
+			fieldAccesses(l.info, f, read, writes)
+		}
+	}
+	for id, obj := range l.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			read[v.Origin()] = true
+		}
+	}
+	unusedFields := maps.Clone(fieldAllowed)
+	for _, path := range audited {
+		pkg := l.pkgs[path].Name()
+		for _, f := range l.files[path] {
+			owner := map[*ast.StructType]string{} // a struct, anonymous ones too, to the type it is declared in
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					ast.Inspect(ts.Type, func(n ast.Node) bool {
+						if st, ok := n.(*ast.StructType); ok {
+							owner[st] = ts.Name.Name
+						}
+						return true
+					})
+				}
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				typ := owner[st]
+				if typ == "" {
+					typ = "struct"
+				}
+				for _, fl := range st.Fields.List {
+					if fl.Tag != nil {
+						continue
+					}
+					for _, id := range fieldIdents(fl) {
+						if read[l.info.Defs[id].(*types.Var)] {
+							continue
+						}
+						name := pkg + "." + typ + "." + id.Name
+						if fieldAllowed[name] != "" {
+							delete(unusedFields, name)
+							continue
+						}
+						t.Errorf("%s: field %s is never read outside tests; delete it or allowlist it with a reason",
+							fset.Position(id.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name := range unusedFields {
+		t.Errorf("fieldAllowed[%q] excuses nothing: its field is gone or has a reader now", name)
+	}
+
 	flags := 0
 	for _, f := range l.files["emerald/cmd/emeraldd"] {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -571,6 +652,90 @@ func TestExportedSurface(t *testing.T) {
 var flagRegistrars = names("Bool", "BoolVar", "BoolFunc", "Duration", "DurationVar", "Float64", "Float64Var",
 	"Func", "Int", "IntVar", "Int64", "Int64Var", "String", "StringVar", "TextVar",
 	"Uint", "UintVar", "Uint64", "Uint64Var", "Var")
+
+// fieldAccesses marks in writes the field uses in f that only store,
+// and in read the fields f reads without naming them: the embedded
+// fields a promoted selection passes through, and every field of a
+// struct compared or used as a map key.
+func fieldAccesses(info *types.Info, f *ast.File, read map[*types.Var]bool, writes map[*ast.Ident]bool) {
+	store := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				store(lhs)
+			}
+		case *ast.IncDecStmt:
+			store(n.X)
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				writes[id] = true // a map or array key is no field, so no use is lost
+			}
+		case *ast.SelectorExpr:
+			if sel := info.Selections[n]; sel != nil {
+				readPath(read, sel.Recv(), sel.Index())
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				readAll(read, info.TypeOf(n.X))
+			}
+		case *ast.MapType:
+			readAll(read, info.TypeOf(n.Key))
+		}
+		return true
+	})
+}
+
+// readPath marks the embedded fields a selection of index from recv
+// passes through.
+func readPath(read map[*types.Var]bool, recv types.Type, index []int) {
+	for _, i := range index[:len(index)-1] {
+		if p, ok := recv.Underlying().(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		f := recv.Underlying().(*types.Struct).Field(i)
+		read[f.Origin()] = true
+		recv = f.Type()
+	}
+}
+
+// readAll marks every field of a struct type read, through nested
+// structs and arrays, as a comparison or a map key reads them. A
+// struct cannot hold itself by value, so the walk ends.
+func readAll(read map[*types.Var]bool, t types.Type) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := range u.NumFields() {
+			f := u.Field(i)
+			read[f.Origin()] = true
+			readAll(read, f.Type())
+		}
+	case *types.Array:
+		readAll(read, u.Elem())
+	}
+}
+
+// fieldIdents lists a field line's names, or the embedded type's name.
+func fieldIdents(fl *ast.Field) []*ast.Ident {
+	if len(fl.Names) > 0 {
+		return fl.Names
+	}
+	e := fl.Type
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	if ix, ok := e.(*ast.IndexExpr); ok {
+		e = ix.X
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		return []*ast.Ident{sel.Sel}
+	}
+	return []*ast.Ident{e.(*ast.Ident)}
+}
 
 // modulePackages lists the module's packages with non-test Go files:
 // those under internal/, which TestExportedSurface audits, and all.
