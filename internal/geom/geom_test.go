@@ -95,13 +95,17 @@ func TestAppendRebasesIndices(t *testing.T) {
 
 func TestInterleavedVertexData(t *testing.T) {
 	c := Cube()
-	data := c.InterleavedVertexData()
-	if len(data) != len(c.Positions)*8 {
-		t.Fatalf("interleaved len = %d, want %d", len(data), len(c.Positions)*8)
+	for i, p := range c.Positions {
+		n, uv := c.Normals[i], c.UVs[i]
+		want := [8]float32{p.X, p.Y, p.Z, n.X, n.Y, n.Z, uv.X, uv.Y}
+		if got := c.Vertex(i); got != want {
+			t.Fatalf("vertex %d = %v, want %v", i, got, want)
+		}
 	}
-	// First vertex: position matches.
-	if data[0] != c.Positions[0].X || data[1] != c.Positions[0].Y || data[2] != c.Positions[0].Z {
-		t.Fatal("interleaved position mismatch")
+	// A missing normal or uv reads as zeroes.
+	bare := &Mesh{Positions: c.Positions[:1]}
+	if got := bare.Vertex(0); got != [8]float32{c.Positions[0].X, c.Positions[0].Y, c.Positions[0].Z} {
+		t.Fatalf("bare vertex = %v", got)
 	}
 	if VertexStrideBytes != 32 {
 		t.Fatal("stride constant wrong")

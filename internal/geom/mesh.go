@@ -64,25 +64,21 @@ func (m *Mesh) ComputeNormals() {
 	}
 }
 
-// InterleavedVertexData flattens the mesh into the 32-byte vertex format
-// the GPU's vertex fetch consumes: position (3 floats), normal (3
-// floats), uv (2 floats).
-func (m *Mesh) InterleavedVertexData() []float32 {
-	out := make([]float32, 0, len(m.Positions)*8)
-	for i := range m.Positions {
-		p := m.Positions[i]
-		var n mathx.Vec3
-		if i < len(m.Normals) {
-			n = m.Normals[i]
-		}
-		var uv mathx.Vec2
-		if i < len(m.UVs) {
-			uv = m.UVs[i]
-		}
-		out = append(out, p.X, p.Y, p.Z, n.X, n.Y, n.Z, uv.X, uv.Y)
+// Vertex returns vertex i in the 32-byte interleaved format the GPU's
+// vertex fetch consumes: position (3 floats), normal (3 floats), uv (2
+// floats). A missing normal or uv reads as zeroes.
+func (m *Mesh) Vertex(i int) [8]float32 {
+	p := m.Positions[i]
+	var n mathx.Vec3
+	if i < len(m.Normals) {
+		n = m.Normals[i]
 	}
-	return out
+	var uv mathx.Vec2
+	if i < len(m.UVs) {
+		uv = m.UVs[i]
+	}
+	return [8]float32{p.X, p.Y, p.Z, n.X, n.Y, n.Z, uv.X, uv.Y}
 }
 
-// VertexStrideBytes is the byte stride of InterleavedVertexData.
+// VertexStrideBytes is the byte stride of the interleaved format (Vertex).
 const VertexStrideBytes = 32

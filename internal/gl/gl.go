@@ -152,30 +152,27 @@ func (c *Context) GenBuffer() uint32 {
 
 // BufferData allocates storage for a buffer and uploads data.
 func (c *Context) BufferData(name uint32, data []byte) error {
-	if _, ok := c.buffers[name]; !ok {
-		return fmt.Errorf("gl: unknown buffer %d", name)
-	}
-	base, err := c.alloc(uint64(len(data)))
+	base, err := c.bufferStorage(name, uint64(len(data)))
 	if err != nil {
 		return err
 	}
 	c.Mem.Write(base, data)
-	c.buffers[name] = bufferObj{base: base, size: uint64(len(data))}
 	c.record("BufferData", []uint32{name}, data)
 	return nil
 }
 
-// BufferDataF32 uploads float32 data.
-func (c *Context) BufferDataF32(name uint32, data []float32) error {
-	raw := make([]byte, len(data)*4)
-	for i, f := range data {
-		bits := math.Float32bits(f)
-		raw[i*4] = byte(bits)
-		raw[i*4+1] = byte(bits >> 8)
-		raw[i*4+2] = byte(bits >> 16)
-		raw[i*4+3] = byte(bits >> 24)
+// bufferStorage allocates size bytes of storage for a buffer and
+// returns its base.
+func (c *Context) bufferStorage(name uint32, size uint64) (uint64, error) {
+	if _, ok := c.buffers[name]; !ok {
+		return 0, fmt.Errorf("gl: unknown buffer %d", name)
 	}
-	return c.BufferData(name, raw)
+	base, err := c.alloc(size)
+	if err != nil {
+		return 0, err
+	}
+	c.buffers[name] = bufferObj{base: base, size: size}
+	return base, nil
 }
 
 // GenTexture creates a texture object name.
@@ -187,7 +184,10 @@ func (c *Context) GenTexture() uint32 {
 	return n
 }
 
-// TexImage2D uploads an RGBA8 image to a texture.
+// TexImage2D uploads an RGBA8 image to a texture. The texture's whole
+// pages map rgba rather than copy it (mem.Memory.Map): the caller must
+// not modify rgba afterwards. Simulated writes to the texture never
+// reach rgba.
 func (c *Context) TexImage2D(name uint32, w, h int, rgba []byte) error {
 	if _, ok := c.textures[name]; !ok {
 		return fmt.Errorf("gl: unknown texture %d", name)
@@ -202,7 +202,7 @@ func (c *Context) TexImage2D(name uint32, w, h int, rgba []byte) error {
 	if err != nil {
 		return err
 	}
-	c.Mem.Write(base, rgba)
+	c.Mem.Map(base, rgba)
 	c.textures[name] = texObj{base: base, width: w, height: h}
 	c.record("TexImage2D", []uint32{name, uint32(w), uint32(h)}, rgba)
 	return nil
@@ -444,14 +444,16 @@ func (c *Context) DrawElements(mode raster.PrimMode, indices []uint32) error {
 	if err := call.Validate(); err != nil {
 		return err
 	}
-	idxBlob := make([]byte, len(indices)*4)
-	for i, v := range indices {
-		idxBlob[i*4] = byte(v)
-		idxBlob[i*4+1] = byte(v >> 8)
-		idxBlob[i*4+2] = byte(v >> 16)
-		idxBlob[i*4+3] = byte(v >> 24)
+	if c.Recorder != nil {
+		idxBlob := make([]byte, len(indices)*4)
+		for i, v := range indices {
+			idxBlob[i*4] = byte(v)
+			idxBlob[i*4+1] = byte(v >> 8)
+			idxBlob[i*4+2] = byte(v >> 16)
+			idxBlob[i*4+3] = byte(v >> 24)
+		}
+		c.Recorder.Op("DrawElements", []uint32{uint32(mode)}, idxBlob)
 	}
-	c.record("DrawElements", []uint32{uint32(mode)}, idxBlob)
 	if c.Submit == nil {
 		return fmt.Errorf("gl: no submission target")
 	}
@@ -466,11 +468,26 @@ type MeshHandle struct {
 	Attrs   [][2]uint32
 }
 
-// UploadMesh uploads a geom.Mesh in the standard interleaved layout.
+// UploadMesh uploads a geom.Mesh in the standard interleaved layout,
+// written vertex by vertex straight into simulated memory; a Recorder
+// sees it as one BufferData.
 func (c *Context) UploadMesh(m *geom.Mesh) (MeshHandle, error) {
 	buf := c.GenBuffer()
-	if err := c.BufferDataF32(buf, m.InterleavedVertexData()); err != nil {
+	size := uint64(len(m.Positions)) * geom.VertexStrideBytes
+	base, err := c.bufferStorage(buf, size)
+	if err != nil {
 		return MeshHandle{}, err
+	}
+	v := mem.MakeView(c.Mem)
+	for i := range m.Positions {
+		for j, f := range m.Vertex(i) {
+			v.WriteF32(base+uint64(i*geom.VertexStrideBytes+j*4), f)
+		}
+	}
+	if c.Recorder != nil {
+		data := make([]byte, size)
+		c.Mem.Read(base, data)
+		c.Recorder.Op("BufferData", []uint32{buf}, data)
 	}
 	return MeshHandle{
 		Buffer:  buf,

@@ -80,8 +80,10 @@ func sceneRig(tb testing.TB, workload int) (frame func(i int)) {
 	const w, h = 160, 120
 	s := DefaultStandalone(nil)
 	m := s.Mem()
-	for i, f := range scene.Mesh.InterleavedVertexData() {
-		m.WriteF32(vb+uint64(i*4), f)
+	for i := range scene.Mesh.Positions {
+		for j, f := range scene.Mesh.Vertex(i) {
+			m.WriteF32(vb+uint64(i*geom.VertexStrideBytes+j*4), f)
+		}
 	}
 	m.Write(tex, scene.Texture.Pixels)
 	light := mathx.V3(0.4, 0.5, 0.8).Normalize()

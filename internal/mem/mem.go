@@ -28,13 +28,19 @@ const (
 
 type (
 	page = [PageSize]byte
-	// node is one directory node; level 0 (a leaf) holds pages.
+	// node is one directory node.
 	node[T any] [fanout]atomic.Pointer[T]
-	leaf        = node[page]
-	node1       = node[leaf]
-	node2       = node[node1]
-	node3       = node[node2]
-	node4       = node[node3]
+	// leaf is the level-0 node: the pages of one 2 MB region, and a bit
+	// per page that is mapped (Map), so it points into a host slice and
+	// is copied on its first write.
+	leaf struct {
+		pages  node[page]
+		mapped [fanout / 64]atomic.Uint64
+	}
+	node1 = node[leaf]
+	node2 = node[node1]
+	node3 = node[node2]
+	node4 = node[node3]
 	// root is one generation of the directory; Reset swaps it whole.
 	root struct {
 		kids  node[node4]
@@ -49,6 +55,44 @@ func (n *node[T]) at(idx uint64, level int) *T {
 		return nil
 	}
 	return n[idx>>(level*fanBits)&fanMask].Load()
+}
+
+// at loads page idx's slot; a nil l holds nothing.
+func (l *leaf) at(idx uint64) *page {
+	if l == nil {
+		return nil
+	}
+	return l.pages[idx&fanMask].Load()
+}
+
+// isMapped reports whether page idx of l still points into a host slice.
+func (l *leaf) isMapped(idx uint64) bool {
+	return l.mapped[idx&fanMask>>6].Load()&(1<<(idx&63)) != 0
+}
+
+// setMapped sets or clears page idx's mapped bit. Only a memory's own
+// goroutine writes the bits, so a load and a store suffice.
+func (l *leaf) setMapped(idx uint64, on bool) {
+	w := &l.mapped[idx&fanMask>>6]
+	if on {
+		w.Store(w.Load() | 1<<(idx&63))
+	} else {
+		w.Store(w.Load() &^ (1 << (idx & 63)))
+	}
+}
+
+// own swaps mapped page idx of l, p, for a private copy and returns
+// the copy. The swap is one compare-and-swap, so a concurrent reader
+// sees the host page or the finished copy, both with the same bytes.
+func (l *leaf) own(idx uint64, p *page) *page {
+	c := new(page)
+	*c = *p
+	slot := &l.pages[idx&fanMask]
+	if !slot.CompareAndSwap(p, c) {
+		return slot.Load()
+	}
+	l.setMapped(idx, false)
+	return c
 }
 
 // child returns the node in the slot of page idx in n, a node at level,
@@ -84,8 +128,11 @@ func each[T any](n *node[T], prefix uint64, fn func(idx uint64, c *T)) {
 // slot is an atomic pointer that goes from nil to its final value
 // exactly once, by compare-and-swap, so a reader sees either nothing
 // (the page reads as zeroes) or a fully zeroed node or page; the loser
-// of a racing insert adopts the winner's. Page *contents* carry no
-// locks: a Memory belongs to one system, which ticks on one goroutine.
+// of a racing insert adopts the winner's. The one exception is a page
+// that Map pointed into a host slice: its first write swaps the slot
+// once more, to a private copy of the same bytes. Page *contents* carry
+// no locks: a Memory belongs to one system, which ticks on one
+// goroutine.
 type Memory struct {
 	dir atomic.Pointer[root]
 }
@@ -121,20 +168,67 @@ func (m *Memory) Write(addr uint64, p []byte) {
 // so sharing one instance across goroutines is safe.
 var zeroPage page
 
+// pageFor returns page idx for reading, or for writing when create is
+// set: a write materializes an absent page and copies a mapped one.
 func (m *Memory) pageFor(idx uint64, create bool) *page {
 	r := m.dir.Load()
-	if p := r.kids.at(idx, 5).at(idx, 4).at(idx, 3).at(idx, 2).at(idx, 1).at(idx, 0); p != nil {
+	l := r.kids.at(idx, 5).at(idx, 4).at(idx, 3).at(idx, 2).at(idx, 1)
+	if p := l.at(idx); p != nil {
+		if create && l.isMapped(idx) {
+			return l.own(idx, p)
+		}
 		return p
 	}
 	if !create {
 		return &zeroPage
 	}
-	p, slot := new(page), &r.kids.child(idx, 5).child(idx, 4).child(idx, 3).child(idx, 2).child(idx, 1)[idx&fanMask]
+	p, slot := new(page), &r.leafFor(idx).pages[idx&fanMask]
 	if slot.CompareAndSwap(nil, p) {
 		r.pages.Add(1)
 		return p
 	}
 	return slot.Load()
+}
+
+// leafFor returns the leaf holding page idx, materializing the path to it.
+func (r *root) leafFor(idx uint64) *leaf {
+	return r.kids.child(idx, 5).child(idx, 4).child(idx, 3).child(idx, 2).child(idx, 1)
+}
+
+// Map places host at addr like Write, except that every whole page of
+// the range points into host instead of holding a copy; the partial
+// first and last pages are copied, and so is a whole page the memory
+// already holds. A mapped page is copied on its first write (Write,
+// WriteU32, WriteF32, or a View), so no write ever reaches host; the
+// caller must not modify host afterwards, since mapped pages read it.
+// Reads, SnapshotPages, Reset and PageCount see a mapped page as an
+// ordinary one. Like every write, Map runs on the memory's own
+// goroutine.
+func (m *Memory) Map(addr uint64, host []byte) {
+	for len(host) > 0 {
+		idx, off := addr/PageSize, addr%PageSize
+		n := min(PageSize-off, uint64(len(host)))
+		if n < PageSize || !m.mapPage(idx, (*page)(host)) {
+			m.Write(addr, host[:n])
+		}
+		host = host[n:]
+		addr += n
+	}
+}
+
+// mapPage points absent page idx at p, reporting false if the page is
+// present. The mapped bit is set before the page is published, so no
+// write can find the page without it.
+func (m *Memory) mapPage(idx uint64, p *page) bool {
+	r := m.dir.Load()
+	l := r.leafFor(idx)
+	if l.at(idx) != nil {
+		return false
+	}
+	l.setMapped(idx, true)
+	l.pages[idx&fanMask].Store(p)
+	r.pages.Add(1)
+	return true
 }
 
 // Reset drops every materialized page, returning the memory to its
@@ -154,7 +248,7 @@ func (m *Memory) eachPage(fn func(idx uint64, p *page)) {
 		each(n, i, func(i uint64, n *node3) {
 			each(n, i, func(i uint64, n *node2) {
 				each(n, i, func(i uint64, n *node1) {
-					each(n, i, func(i uint64, n *leaf) { each(n, i, fn) })
+					each(n, i, func(i uint64, n *leaf) { each(&n.pages, i, fn) })
 				})
 			})
 		})

@@ -14,15 +14,19 @@ import (
 // where the lanes of a warp mostly share a page.
 //
 // A View caches page *pointers*, which stay valid across concurrent
-// materialization (the directory only gains nodes; page arrays are
-// never replaced) — but not across Memory.Reset or
-// Checkpoint.RestoreMemory, which swap the page set. Drop the View
-// when the memory is restored.
+// materialization (the directory only gains nodes) — but not across
+// Memory.Reset or Checkpoint.RestoreMemory, which swap the page set.
+// Drop the View when the memory is restored. A page cached for reads
+// that was absent or mapped (Memory.Map) is replaced by the first
+// write to it; a write through the View itself takes the replacement,
+// but a write through another accessor is not seen by this View.
 type View struct {
 	m    *Memory
 	page uint64
 	data *[PageSize]byte
-	zero bool // cached entry is the shared zero page (not materialized)
+	// ro marks an entry cached by a read: it may be the zero page or a
+	// mapped page, so the first write to it walks the directory again.
+	ro bool
 }
 
 // noPage is an impossible page index (addresses are < 2^64, so real
@@ -43,11 +47,11 @@ func MakeView(m *Memory) View { return View{m: m, page: noPage} }
 func (v *View) Memory() *Memory { return v.m }
 
 func (v *View) pageFor(page uint64, create bool) *[PageSize]byte {
-	if page == v.page && !(create && v.zero) {
+	if page == v.page && !(create && v.ro) {
 		return v.data
 	}
 	p := v.m.pageFor(page, create)
-	v.page, v.data, v.zero = page, p, !create && p == &zeroPage
+	v.page, v.data, v.ro = page, p, !create
 	return p
 }
 
@@ -76,7 +80,7 @@ func (v *View) WriteU32(addr uint64, val uint32) {
 		return
 	}
 	v.m.WriteU32(addr, val)
-	v.page = noPage // the write may have materialized the cached zero page
+	v.page = noPage // the write may have replaced the cached page
 }
 
 // ReadF32 reads a little-endian float32.

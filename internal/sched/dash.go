@@ -6,8 +6,9 @@
 package sched
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"emerald/internal/dram"
 	"emerald/internal/mem"
@@ -44,12 +45,6 @@ func DefaultDASHConfig(numCPUs int, useSystemBW bool) DASHConfig {
 	}
 }
 
-// ipKey identifies one IP block.
-type ipKey struct {
-	client mem.Client
-	id     int
-}
-
 type ipState struct {
 	period     uint64 // frame period in cycles
 	frameStart uint64
@@ -65,13 +60,16 @@ type DASH struct {
 	cfg DASHConfig
 	rng *rand.Rand
 
-	ips map[ipKey]*ipState
+	// ips[client][id] is an IP block's state, nil if unregistered: a
+	// lookup per queued IP request on every pick indexes, never hashes.
+	ips [][]*ipState
 
 	// Clustering state. The byte/served tallies are bumped from Pick;
 	// everything else changes only in Tick.
 	cpuBytes  []uint64 // bytes this quantum, per CPU core
 	ipBytes   uint64   // IP bytes this quantum (for DTB)
 	intensive []bool   // per-core: memory-intensive this quantum?
+	cores     []coreBW // recluster's sort buffer, one per core
 
 	// Probabilistic switching state.
 	p                  float64 // probability intensive CPU beats non-urgent IP
@@ -87,9 +85,9 @@ func NewDASH(cfg DASHConfig) *DASH {
 	d := &DASH{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		ips:       make(map[ipKey]*ipState),
 		cpuBytes:  make([]uint64, cfg.NumCPUs),
 		intensive: make([]bool, cfg.NumCPUs),
+		cores:     make([]coreBW, cfg.NumCPUs),
 		p:         0.5,
 	}
 	d.coinIsCPU = d.rng.Float64() < d.p
@@ -109,12 +107,26 @@ func (d *DASH) RegisterIP(client mem.Client, id int, periodCycles uint64) {
 	if client == mem.ClientGPU {
 		emergent = d.cfg.GPUEmergent
 	}
-	d.ips[ipKey{client, id}] = &ipState{period: periodCycles, emergent: emergent}
+	for int(client) >= len(d.ips) {
+		d.ips = append(d.ips, nil)
+	}
+	for id >= len(d.ips[client]) {
+		d.ips[client] = append(d.ips[client], nil)
+	}
+	d.ips[client][id] = &ipState{period: periodCycles, emergent: emergent}
+}
+
+// ip returns a registered IP block's state, or nil.
+func (d *DASH) ip(client mem.Client, id int) *ipState {
+	if int(client) < len(d.ips) && id >= 0 && id < len(d.ips[client]) {
+		return d.ips[client][id]
+	}
+	return nil
 }
 
 // StartFrame resets an IP's deadline window at the given cycle.
 func (d *DASH) StartFrame(client mem.Client, id int, cycle uint64) {
-	if ip, ok := d.ips[ipKey{client, id}]; ok {
+	if ip := d.ip(client, id); ip != nil {
 		ip.frameStart = cycle
 		ip.progress = 0
 		ip.urgent = false
@@ -125,7 +137,7 @@ func (d *DASH) StartFrame(client mem.Client, id int, cycle uint64) {
 // workload that has completed. The SoC calls this as rendering/scan-out
 // advances; DASH's novelty is exactly this deadline feedback.
 func (d *DASH) ReportProgress(client mem.Client, id int, progress float64) {
-	if ip, ok := d.ips[ipKey{client, id}]; ok {
+	if ip := d.ip(client, id); ip != nil {
 		ip.progress = progress
 	}
 }
@@ -135,17 +147,19 @@ func (d *DASH) ReportProgress(client mem.Client, id int, progress float64) {
 func (d *DASH) Tick(cycle uint64) {
 	if cycle >= d.nextSchedule {
 		d.nextSchedule = cycle + d.cfg.SchedulingUnit
-		for _, ip := range d.ips {
-			if ip.period == 0 {
-				continue
+		for _, ips := range d.ips {
+			for _, ip := range ips {
+				if ip == nil || ip.period == 0 {
+					continue
+				}
+				elapsed := float64(cycle-ip.frameStart) / float64(ip.period)
+				// Urgent when materially behind the deadline-proportional
+				// expected progress (the emergent threshold sets how much
+				// slack the IP gets: 0.9 for the GPU, 0.8 otherwise), or in
+				// the tail of the period with the frame unfinished.
+				ip.urgent = ip.progress < 1 &&
+					(ip.progress < ip.emergent*elapsed || elapsed > ip.emergent)
 			}
-			elapsed := float64(cycle-ip.frameStart) / float64(ip.period)
-			// Urgent when materially behind the deadline-proportional
-			// expected progress (the emergent threshold sets how much
-			// slack the IP gets: 0.9 for the GPU, 0.8 otherwise), or in
-			// the tail of the period with the frame unfinished.
-			ip.urgent = ip.progress < 1 &&
-				(ip.progress < ip.emergent*elapsed || elapsed > ip.emergent)
 		}
 	}
 	if cycle >= d.nextSwitch {
@@ -207,15 +221,11 @@ func (d *DASH) recluster() {
 	if d.cfg.UseSystemBW {
 		clusterTotal += d.ipBytes
 	}
-	type coreBW struct {
-		core  int
-		bytes uint64
-	}
-	cores := make([]coreBW, len(d.cpuBytes))
+	cores := d.cores
 	for i := range d.cpuBytes {
 		cores[i] = coreBW{i, d.cpuBytes[i]}
 	}
-	sort.Slice(cores, func(i, j int) bool { return cores[i].bytes < cores[j].bytes })
+	slices.SortFunc(cores, func(a, b coreBW) int { return cmp.Compare(a.bytes, b.bytes) })
 	budget := uint64(d.cfg.ClusterFactor * float64(clusterTotal))
 	var used uint64
 	for i := range d.intensive {
@@ -233,6 +243,12 @@ func (d *DASH) recluster() {
 	d.ipBytes = 0
 }
 
+// coreBW is one core's bandwidth this quantum.
+type coreBW struct {
+	core  int
+	bytes uint64
+}
+
 // priority classes, lower wins.
 const (
 	prioUrgentIP = iota
@@ -243,7 +259,7 @@ const (
 
 func (d *DASH) classify(r *mem.Request) int {
 	if r.Client.IsIP() {
-		if ip, ok := d.ips[ipKey{r.Client, r.ClientID}]; ok && ip.urgent {
+		if ip := d.ip(r.Client, r.ClientID); ip != nil && ip.urgent {
 			return prioUrgentIP
 		}
 		if d.coinIsCPU {

@@ -225,7 +225,7 @@ func TestDASHNextWakeContract(t *testing.T) {
 	})
 	d.RegisterIP(mem.ClientDisplay, 0, 500)
 	d.StartFrame(mem.ClientDisplay, 0, 0)
-	ip := d.ips[ipKey{mem.ClientDisplay, 0}]
+	ip := d.ip(mem.ClientDisplay, 0)
 	sig := func() string { return fmt.Sprint(d.p, ip.urgent, d.intensive) }
 	flips, last := 0, false
 	for cy := uint64(0); cy < 2000; cy++ {
@@ -259,8 +259,8 @@ func TestDASHNextWakeContract(t *testing.T) {
 
 // urgent reports whether an IP is currently classified urgent.
 func (d *DASH) urgent(client mem.Client, id int) bool {
-	ip, ok := d.ips[ipKey{client, id}]
-	return ok && ip.urgent
+	ip := d.ip(client, id)
+	return ip != nil && ip.urgent
 }
 
 // counting wraps a scheduler to count its picks.

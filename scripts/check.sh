@@ -27,7 +27,7 @@ echo "ok"
 
 echo "== allocation gates and hot-path references (uncached) =="
 # The zero-allocation tick, the warm-launch and warm-frame object
-# budgets, the page directory's byte budget, the blocked access that
+# budgets, the page directory's byte budget, a smoke cell's bytes, the blocked access that
 # builds nothing, the pool's own contract, and the differential
 # references of the hot paths: the vertex batch ring wrapping against
 # ExecuteDrawFunc, the ready
@@ -62,6 +62,9 @@ go test -count=1 -timeout 5m -run 'TestWarmKernelLaunchAllocatesOnlyBookkeeping|
 go test -count=1 -timeout 5m -run 'TestBlockedAccessAllocatesNothing|TestRequestsAreRecycledByTheirIssuer|TestRefusedHasTheEffectsOfABlockedAccess' ./internal/cache
 go test -count=1 -timeout 5m -run 'TestPoolRecyclingAndPoison|TestQueueDrainTo|TestDirectoryAllocatesOnlyTouchedNodes' ./internal/mem
 go test -count=1 -timeout 5m -run 'TestFrameAllocationTripwire|TestExportedSurface' .
+# One smoke Case Study I cell's host allocation: scene assets enter
+# simulated memory without host copies.
+go test -count=1 -timeout 5m -run 'TestCellAllocationTripwire' ./internal/exp
 
 # Every go test below carries an explicit -timeout (it applies to each
 # package's test binary), so a hung test fails in minutes with a
@@ -81,6 +84,12 @@ grep '"Action":"pass"' "$t1" | grep '"Test":"[^"/]*"' |
 	sed -E 's/.*"Package":"([^"]*)".*"Test":"([^"]*)".*"Elapsed":([0-9.eE+-]+).*/\3 \1 \2/' |
 	sort -rn | head -10 | awk '{ printf "  %7.2f  %-28s %s\n", $1, $2, $3 }'
 rm -f "$t1"
+
+echo "== go test (tier-1, one core) =="
+# The suite is green on one core as on two: the whole of it once more,
+# uncached, under GOMAXPROCS=1, one package at a time.
+GOMAXPROCS=1 go test -count=1 -p 1 -timeout 10m ./...
+echo "ok"
 
 echo "== assembler fuzz (10 s + 5 s) =="
 go test -timeout 5m -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/shader
