@@ -10,7 +10,7 @@
 //	tracetool -replay trace.bin -first 2 -last 3        # region of interest
 //	tracetool -sample trace.bin -k 3                    # signatures + selected regions
 //	tracetool -checkpoint trace.bin -frame 2 -o cp.bin  # functional pass, save checkpoint
-//	tracetool -resume trace.bin -ckpt cp.bin -span 2    # detailed replay from checkpoint
+//	tracetool -resume cp.bin -span 2                    # detailed replay from checkpoint
 //	tracetool timeline events.json                      # text Gantt of a -trace-events file
 //	tracetool timeline -source dram -width 120 events.json
 package main
@@ -46,8 +46,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "functional-pass a trace and save the checkpoint at -frame to -o")
 	frameAt := flag.Int("frame", 0, "frame at whose start the -checkpoint is taken")
 	outFile := flag.String("o", "checkpoint.bin", "output file for -checkpoint")
-	resume := flag.String("resume", "", "restore -ckpt into a fresh detailed GPU and replay this trace from the checkpoint's frame")
-	ckptFile := flag.String("ckpt", "", "checkpoint file for -resume")
+	resume := flag.String("resume", "", "restore this checkpoint into a fresh detailed GPU and replay its trace from the checkpoint's frame")
 	span := flag.Int("span", 1, "frames to run in detail for -resume")
 	flag.Parse()
 
@@ -63,7 +62,7 @@ func main() {
 	case *checkpoint != "":
 		check(doCheckpoint(*checkpoint, *frameAt, *outFile))
 	case *resume != "":
-		check(doResume(*resume, *ckptFile, *span))
+		check(doResume(*resume, *span))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -193,34 +192,28 @@ func doCheckpoint(path string, frame int, out string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: frame %d (op %d), %d pages, digest %s\n",
-		out, cp.Frame, cp.OpIndex, len(cp.Pages), dg)
+	fmt.Printf("wrote %s: frame %d, %d pages, digest %s\n",
+		out, cp.Frame, len(cp.Pages), dg)
 	return nil
 }
 
 // doResume restores a saved checkpoint into a fresh detailed GPU and
-// replays span frames from the checkpoint's frame in detail — the
-// frames before it replay state-only (draws gated out) to rebuild the
-// GL context, then memory is restored and the region runs live.
-func doResume(path, ckptPath string, span int) error {
-	if ckptPath == "" {
-		return fmt.Errorf("-resume needs -ckpt")
-	}
-	tr, err := loadTrace(path)
+// replays span frames of its trace from the checkpoint's frame in
+// detail — the frames before it replay state-only (draws gated out) to
+// rebuild the GL context, then memory is restored and the region runs
+// live.
+func doResume(path string, span int) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	cf, err := os.Open(ckptPath)
-	if err != nil {
-		return err
-	}
-	cp, err := trace.LoadCheckpoint(cf)
-	cf.Close()
+	cp, err := trace.LoadCheckpoint(f)
+	f.Close()
 	if err != nil {
 		return err
 	}
 	r := exp.NewReplay(exp.Options{BudgetCycles: replayBudget})
-	cycles, err := r.RunRegion(tr, cp, cp.Frame, 0, span)
+	cycles, err := r.RunRegion(cp, cp.Frame, span)
 	if err != nil {
 		return err
 	}

@@ -52,7 +52,7 @@ func TestReplayAndResumeRun(t *testing.T) {
 	if err := doCheckpoint(tr, 1, cp); err != nil {
 		t.Fatal(err)
 	}
-	if err := doResume(tr, cp, 2); err != nil {
+	if err := doResume(cp, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := doReplay(tr, 0, -1); err != nil {

@@ -92,5 +92,6 @@ func renderTwoFrames(sys *emerald.StandaloneGPU, ctx *emerald.GL) {
 		if _, err := sys.RunUntilIdle(2_000_000_000); err != nil {
 			log.Fatal(err)
 		}
+		ctx.FrameEnd()
 	}
 }

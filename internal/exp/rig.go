@@ -10,7 +10,6 @@ import (
 	"emerald/internal/gl"
 	"emerald/internal/gpu"
 	"emerald/internal/guard"
-	"emerald/internal/sample"
 	"emerald/internal/stats"
 	"emerald/internal/telemetry"
 	"emerald/internal/trace"
@@ -69,8 +68,6 @@ func newStandalone(opt Options, reg *stats.Registry) (*gpu.Standalone, *gl.Conte
 type Replay struct {
 	S   *gpu.Standalone
 	Ctx *gl.Context
-
-	mark uint64
 }
 
 // NewReplay builds a replay system armed from opt; opt.Ctx and
@@ -88,32 +85,69 @@ func NewReplay(opt Options) *Replay {
 	return &Replay{S: s, Ctx: ctx}
 }
 
-// RunRegion restores cp — the checkpoint at the first detailed frame,
-// warmup frames before start — and replays span frames from start in
-// detail, returning their per-frame cycles. Frames before the
-// checkpoint replay state-only, to rebuild the GL context.
-func (r *Replay) RunRegion(tr *trace.Trace, cp *trace.Checkpoint, start, warmup, span int) ([]uint64, error) {
-	rr := &sample.RegionRun{
-		Trace: tr, CP: cp, Start: start, Span: span, Warmup: warmup,
-		Ctx: r.Ctx, Mem: r.S.Mem(),
-		OnRestore: func() {
-			// The functional checkpoint carries no Hi-Z; drop any built
-			// during the (draw-free) prefix and adopt the snapshot clock.
-			r.S.GPU.ClearHiZ()
-			if err := r.S.ResumeAt(cp.Cycle); err != nil {
-				panic(fmt.Sprintf("exp: region restore on busy system: %v", err))
-			}
-			r.mark = r.S.Cycle()
-		},
-		Drain: func(int) (uint64, error) {
-			// Draws already drained at submit; account the frame's cycles.
-			c := r.S.Cycle()
-			d := c - r.mark
-			r.mark = c
-			return d, nil
-		},
+// RunRegion replays span frames (at least one, clamped to the trace)
+// from start in detail from cp, returning their per-frame cycles. The
+// trace is cp's own. Frames before cp.Frame replay state-only, with
+// draws gated out, to rebuild the GL context; then memory is restored
+// and frames cp.Frame..start-1 run in detail unmeasured, as warm-up:
+// the restore is bit-exact for functional memory, but caches, Hi-Z and
+// DRAM row buffers start cold.
+func (r *Replay) RunRegion(cp *trace.Checkpoint, start, span int) ([]uint64, error) {
+	fd := cp.Trace.FrameDraws()
+	if start < cp.Frame || start >= len(fd) {
+		return nil, fmt.Errorf("exp: region start %d outside frames [%d,%d) of the checkpoint's trace", start, cp.Frame, len(fd))
 	}
-	return rr.Run()
+	end := min(start+max(span, 1), len(fd)) - 1
+
+	// Draws replay only inside [cp.Frame, end]. A window with no draws
+	// gates everything out (LastDraw must stay >= 0: negative means "to
+	// the end").
+	opt := trace.ReplayAll()
+	opt.FirstDraw, opt.LastDraw = 1<<30, 1<<30
+	if first, next := fd[cp.Frame][0], fd[end][1]; first < next {
+		opt.FirstDraw, opt.LastDraw = first, next-1
+	}
+	var mark uint64
+	restore := func() error {
+		cp.RestoreMemory(r.S.Mem())
+		// The functional checkpoint carries no Hi-Z; drop any built
+		// during the (draw-free) prefix and adopt the snapshot clock.
+		r.S.GPU.ClearHiZ()
+		if err := r.S.ResumeAt(cp.Cycle); err != nil {
+			return fmt.Errorf("exp: region restore: %w", err)
+		}
+		mark = r.S.Cycle()
+		return nil
+	}
+	if cp.Frame == 0 {
+		if err := restore(); err != nil {
+			return nil, err
+		}
+	}
+	cycles := make([]uint64, 0, end-start+1)
+	opt.OnFrameEnd = func(f int) error {
+		if f == cp.Frame-1 {
+			return restore()
+		}
+		if f < cp.Frame {
+			return nil
+		}
+		// Draws already drained at submit: the frame took the cycles
+		// since the last mark.
+		c := r.S.Cycle()
+		if f >= start {
+			cycles = append(cycles, c-mark)
+		}
+		mark = c
+		if f == end {
+			return trace.ErrStop
+		}
+		return nil
+	}
+	if err := trace.Replay(cp.Trace, r.Ctx, opt); err != nil {
+		return nil, fmt.Errorf("exp: region [%d,%d]: %w", start, end, err)
+	}
+	return cycles, nil
 }
 
 // digest hashes the system's observable end state — registry JSON,

@@ -87,9 +87,9 @@ func warmupStart(start int) int {
 
 // runRegion runs a region cell on a fresh replay system from cp, the
 // checkpoint anchored at warmupStart(c.Start).
-func runRegion(c Cell, tr *trace.Trace, cp *trace.Checkpoint, opt Options) (*RegionResult, error) {
+func runRegion(c Cell, cp *trace.Checkpoint, opt Options) (*RegionResult, error) {
 	r := NewReplay(opt)
-	cycles, err := r.RunRegion(tr, cp, c.Start, c.Start-warmupStart(c.Start), c.Span)
+	cycles, err := r.RunRegion(cp, c.Start, c.Span)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func RunRegionJob(workload, frames, start, span int, opt Options) (*RegionResult
 		return nil, err
 	}
 	c := Cell{Kind: RegionCell, Workload: workload, Frames: frames, Start: start, Span: span}
-	return runRegion(c, tr, pass.Checkpoints[w0], opt)
+	return runRegion(c, pass.Checkpoints[w0], opt)
 }
 
 // SampledResult is the sampled pipeline's outcome.
@@ -173,10 +173,10 @@ func RunSampled(workload, frames, k, span, parallel int, opt Options) (*SampledR
 	}
 	ropt := opt
 	ropt.Workers = parallel
-	return sampled(workload, frames, k, span, opt, grid, func(tr *trace.Trace, pass *sample.PassResult, cells []Cell) ([]CellResult, error) {
+	return sampled(workload, frames, k, span, opt, grid, func(pass *sample.PassResult, cells []Cell) ([]CellResult, error) {
 		return runCells(ropt, len(cells), func(i int) (CellResult, error) {
 			c := cells[i]
-			r, err := runRegion(c, tr, pass.Checkpoints[warmupStart(c.Start)], ropt)
+			r, err := runRegion(c, pass.Checkpoints[warmupStart(c.Start)], ropt)
 			if err != nil {
 				return CellResult{}, fmt.Errorf("region at frame %d: %w", c.Start, err)
 			}
@@ -190,7 +190,7 @@ func RunSampled(workload, frames, k, span, parallel int, opt Options) (*SampledR
 // sweep service runs them, as jobs. Its functional pass takes no
 // checkpoints.
 func RunSampledCells(workload, frames, k, span int, opt Options, batch func([]Cell) ([]CellResult, error)) (*SampledResult, error) {
-	return sampled(workload, frames, k, span, opt, nil, func(_ *trace.Trace, _ *sample.PassResult, cells []Cell) ([]CellResult, error) {
+	return sampled(workload, frames, k, span, opt, nil, func(_ *sample.PassResult, cells []Cell) ([]CellResult, error) {
 		return batch(cells)
 	})
 }
@@ -201,7 +201,7 @@ func RunSampledCells(workload, frames, k, span int, opt Options, batch func([]Ce
 // regions, hand run one region cell per region, and reconstruct the
 // whole-run estimate from the weighted region means.
 func sampled(workload, frames, k, span int, opt Options, grid []int,
-	run func(*trace.Trace, *sample.PassResult, []Cell) ([]CellResult, error)) (*SampledResult, error) {
+	run func(*sample.PassResult, []Cell) ([]CellResult, error)) (*SampledResult, error) {
 	tr, err := RecordWorkloadTrace(workload, frames, opt)
 	if err != nil {
 		return nil, err
@@ -218,7 +218,7 @@ func sampled(workload, frames, k, span int, opt Options, grid []int,
 	for i, reg := range regions {
 		cells[i] = Cell{Kind: RegionCell, Workload: workload, Frames: frames, Start: reg.Frame, Span: span}
 	}
-	res, err := run(tr, pass, cells)
+	res, err := run(pass, cells)
 	if err != nil {
 		return nil, err
 	}

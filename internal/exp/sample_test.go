@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"emerald/internal/geom"
@@ -67,13 +68,12 @@ func TestFunctionalMatchesDetailed(t *testing.T) {
 
 // regionState runs one region leg and returns its end-state digest and
 // final framebuffer.
-func regionState(t *testing.T, tr *trace.Trace, cp *trace.Checkpoint, start, span int,
-	everyCycle bool) (string, []byte) {
+func regionState(t *testing.T, cp *trace.Checkpoint, start, span int, everyCycle bool) (string, []byte) {
 	t.Helper()
 	opt := sampleTestOptions()
 	opt.EveryCycle = everyCycle
 	rs := NewReplay(opt)
-	if _, err := rs.RunRegion(tr, cp, start, start-warmupStart(start), span); err != nil {
+	if _, err := rs.RunRegion(cp, start, span); err != nil {
 		t.Fatal(err)
 	}
 	dg, err := rs.digest()
@@ -119,7 +119,7 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 	}
 
 	span := frames - start
-	ref, refFB := regionState(t, tr, cp, start, span, false)
+	ref, refFB := regionState(t, cp, start, span, false)
 
 	legs := []struct {
 		name       string
@@ -131,7 +131,7 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 		{"file round trip every-cycle", loaded, true},
 	}
 	for _, leg := range legs {
-		got, _ := regionState(t, tr, leg.cp, start, span, leg.everyCycle)
+		got, _ := regionState(t, leg.cp, start, span, leg.everyCycle)
 		if got != ref {
 			t.Errorf("%s: resume digest %s != reference %s", leg.name, got, ref)
 		}
@@ -140,9 +140,69 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 	// Functional-equivalence gate: the resumed run's final framebuffer
 	// must match the straight-through detailed replay (resuming from
 	// frame 0's checkpoint replays every frame in detail).
-	_, straightFB := regionState(t, tr, pass.Checkpoints[0], 0, frames, false)
+	_, straightFB := regionState(t, pass.Checkpoints[0], 0, frames, false)
 	if !bytes.Equal(refFB, straightFB) {
 		t.Error("resumed run's final framebuffer differs from the straight-through detailed replay")
+	}
+}
+
+// TestSharedCheckpointNeverWritten: regions restore by mapping the
+// checkpoint's pages, so two regions run at once from one grid
+// checkpoint share them; each region's writes must land in its own
+// copies and leave every checkpoint byte where the pass put it.
+func TestSharedCheckpointNeverWritten(t *testing.T) {
+	const frames, grid = 9, checkpointStride
+	opt := sampleTestOptions()
+	tr, err := RecordWorkloadTrace(geom.W3Cube, frames, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass, err := sample.Pass(tr, sample.PassConfig{CheckpointAt: []int{grid}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// By the grid frame the checkpoint holds the scene and both
+	// surfaces, which every region draws into.
+	cp := pass.Checkpoints[grid]
+	hashPages := func() map[uint64][sha256.Size]byte {
+		h := make(map[uint64][sha256.Size]byte, len(cp.Pages))
+		for p, d := range cp.Pages {
+			h[p] = sha256.Sum256(d)
+		}
+		return h
+	}
+	before := hashPages()
+
+	cells := []Cell{
+		{Kind: RegionCell, Workload: geom.W3Cube, Frames: frames, Start: grid + RegionWarmupFrames, Span: 2},
+		{Kind: RegionCell, Workload: geom.W3Cube, Frames: frames, Start: grid + RegionWarmupFrames + 1, Span: 1},
+	}
+	for _, c := range cells {
+		if warmupStart(c.Start) != grid {
+			t.Fatalf("region at %d anchors at %d, not the grid frame %d", c.Start, warmupStart(c.Start), grid)
+		}
+	}
+	ropt := opt
+	ropt.Workers = 2
+	res, err := runCells(ropt, len(cells), func(i int) (*RegionResult, error) {
+		return runRegion(cells[i], cp, ropt)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.TotalCycles() == 0 {
+			t.Fatalf("region %d measured no cycles: %v", i, r.FrameCycles)
+		}
+	}
+	after := hashPages()
+	if len(after) != len(before) {
+		t.Fatalf("checkpoint holds %d pages after the regions, %d before", len(after), len(before))
+	}
+	for p, h := range before {
+		if after[p] != h {
+			t.Errorf("checkpoint page %#x changed while regions ran from it", p)
+		}
 	}
 }
 

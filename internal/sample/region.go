@@ -1,125 +1,6 @@
 package sample
 
-import (
-	"fmt"
-
-	"emerald/internal/gl"
-	"emerald/internal/mem"
-	"emerald/internal/trace"
-)
-
-// RegionRun replays one selected region in detail: a state-building
-// replay of the frames before Start with draws suppressed (rebuilding
-// the GL context's deterministic allocator and bindings at zero
-// simulation cost), a memory restore from the checkpoint at Start's
-// frame boundary, then a live replay of the region's frames against
-// the caller's detailed system. The caller wires Ctx to its system
-// (Submit → SubmitDraw + run-until-idle) exactly as the straight-
-// through drivers do.
-type RegionRun struct {
-	Trace *trace.Trace
-	// CP is the checkpoint at the first detailed frame — Start-Warmup
-	// clamped to 0 (CP.Frame must equal it).
-	CP *trace.Checkpoint
-	// Start is the first measured frame; Span the number of frames to
-	// measure (clamped to the trace; minimum 1).
-	Start, Span int
-	// Warmup is the number of frames before Start replayed in detail
-	// but excluded from measurement: the checkpoint restores functional
-	// memory bit-exactly, but microarchitectural state (caches, Hi-Z,
-	// DRAM row buffers) starts cold, and warm-up frames absorb that
-	// transient so measured frames reflect steady state.
-	Warmup int
-	// Ctx is the replay target, wired to the detailed system.
-	Ctx *gl.Context
-	// Mem is the detailed system's functional memory (restore target).
-	Mem *mem.Memory
-	// OnRestore, when non-nil, runs right after the memory restore —
-	// the hook for invalidating derived GPU state (Hi-Z) and adopting
-	// the checkpoint's cycle.
-	OnRestore func()
-	// Drain runs the detailed system to idle at the end of frame, and
-	// returns the cycles the frame took.
-	Drain func(frame int) (uint64, error)
-}
-
-// Run executes the region and returns per-frame detailed cycles,
-// Span entries (fewer if the trace ends first).
-func (r *RegionRun) Run() ([]uint64, error) {
-	n := r.Trace.FrameCount()
-	if n == 0 {
-		return nil, fmt.Errorf("sample: trace has no FrameEnd markers")
-	}
-	if r.Start < 0 || r.Start >= n {
-		return nil, fmt.Errorf("sample: region start %d out of range [0,%d)", r.Start, n)
-	}
-	if r.CP == nil {
-		return nil, fmt.Errorf("sample: region at frame %d has no checkpoint", r.Start)
-	}
-	w0 := r.Start - r.Warmup
-	if w0 < 0 {
-		w0 = 0
-	}
-	if r.CP.Frame != w0 {
-		return nil, fmt.Errorf("sample: checkpoint is for frame %d, detailed replay starts at %d", r.CP.Frame, w0)
-	}
-	span := r.Span
-	if span < 1 {
-		span = 1
-	}
-	end := r.Start + span - 1
-	if end >= n {
-		end = n - 1
-	}
-
-	// Gate draws to the detailed window: state ops replay everywhere,
-	// draws only inside [w0, end]. A window with no draws gates
-	// everything out (LastDraw must stay >= 0 — negative means "to the
-	// end").
-	fd := r.Trace.FrameDraws()
-	opt := trace.ReplayAll()
-	if first, next := fd[w0][0], fd[end][1]; first < next {
-		opt.FirstDraw, opt.LastDraw = first, next-1
-	} else {
-		opt.FirstDraw, opt.LastDraw = 1<<30, 1<<30
-	}
-
-	restore := func() {
-		r.CP.RestoreMemory(r.Mem)
-		if r.OnRestore != nil {
-			r.OnRestore()
-		}
-	}
-	if w0 == 0 {
-		restore()
-	}
-	cycles := make([]uint64, 0, end-r.Start+1)
-	opt.OnFrameEnd = func(f int) error {
-		switch {
-		case f == w0-1:
-			restore()
-		case f >= w0 && f < r.Start:
-			// Warm-up frame: run it in detail, discard its cycles.
-			if _, err := r.Drain(f); err != nil {
-				return err
-			}
-		case f >= r.Start && f <= end:
-			c, err := r.Drain(f)
-			if err != nil {
-				return err
-			}
-			cycles = append(cycles, c)
-			if f == end {
-				return trace.ErrStop
-			}
-		}
-		return nil
-	}
-	if err := trace.Replay(r.Trace, r.Ctx, opt); err != nil {
-		return nil, fmt.Errorf("sample: region [%d,%d]: %w", r.Start, end, err)
-	}
-	return cycles, nil
-}
+import "fmt"
 
 // RegionEstimate is one region's contribution to the reconstruction.
 type RegionEstimate struct {

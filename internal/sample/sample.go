@@ -2,14 +2,14 @@
 // the paper's §4.2 checkpointing workflow composed with SimPoint-style
 // region selection. A fast functional pass (Pass) replays a recorded
 // trace with every timing model off, collecting a per-frame signature
-// vector and dropping memory checkpoints at requested frame boundaries;
-// SelectRegions clusters the signatures and picks K representative
-// frames with weights; RegionRun restores a checkpoint and replays only
-// the selected frames through the detailed-timing machine; Reconstruct
-// combines the weighted per-region cycle measurements into a whole-run
-// estimate. Regions are independent pure functions of (trace, region),
-// so they parallelize across workers, sweep jobs and the fleet for
-// free.
+// vector and dropping memory checkpoints, each owning the trace, at
+// requested frame boundaries; SelectRegions clusters the signatures and
+// picks K representative frames with weights; the detailed machine
+// (exp.Replay.RunRegion) restores a checkpoint and replays only the
+// selected frames; Reconstruct combines the weighted per-region cycle
+// measurements into a whole-run estimate. Regions are independent pure
+// functions of (trace, region), so they parallelize across workers,
+// sweep jobs and the fleet for free.
 package sample
 
 import (
@@ -21,9 +21,10 @@ import (
 	"emerald/internal/trace"
 )
 
-// Default GL heap placement for functional replay: the placement every
-// detailed-mode context uses, so a functional checkpoint restores onto
-// a detailed system with identical addresses.
+// Default GL heap placement: the functional pass replays on the
+// placement every detailed-mode context uses, so a functional
+// checkpoint restores onto a detailed system with identical addresses
+// (the bump allocator is deterministic).
 const (
 	DefaultHeapBase = gl.HeapBase
 	DefaultHeapSize = gl.HeapSize
@@ -70,18 +71,11 @@ func (s Signature) vector() [8]float64 {
 
 // FrameInfo is one frame's record from the functional pass.
 type FrameInfo struct {
-	Sig   Signature `json:"sig"`
-	OpEnd int       `json:"op_end"` // op index just past the frame's FrameEnd
+	Sig Signature `json:"sig"`
 }
 
 // PassConfig parameterizes the functional pass.
 type PassConfig struct {
-	// HeapBase/HeapSize place the replay context's GL heap (defaults
-	// DefaultHeapBase/DefaultHeapSize). They must match the detailed
-	// system the checkpoints will restore onto: the bump allocator is
-	// deterministic, so identical heap placement means identical object
-	// addresses.
-	HeapBase, HeapSize uint64
 	// CheckpointAt lists the frames at whose start a checkpoint is
 	// taken (state after the previous frame's FrameEnd; frame 0 is the
 	// pre-replay state — the fresh context's uniform defaults).
@@ -113,12 +107,6 @@ func Pass(tr *trace.Trace, cfg PassConfig) (*PassResult, error) {
 	if frames == 0 {
 		return nil, fmt.Errorf("sample: trace has no FrameEnd markers; re-record it with frame boundaries")
 	}
-	if cfg.HeapBase == 0 {
-		cfg.HeapBase = DefaultHeapBase
-	}
-	if cfg.HeapSize == 0 {
-		cfg.HeapSize = DefaultHeapSize
-	}
 	want := make(map[int]bool, len(cfg.CheckpointAt))
 	last := -1
 	for _, f := range cfg.CheckpointAt {
@@ -132,28 +120,27 @@ func Pass(tr *trace.Trace, cfg PassConfig) (*PassResult, error) {
 	}
 
 	m := mem.NewMemory()
-	ctx := gl.NewContext(m, cfg.HeapBase, cfg.HeapSize)
+	ctx := gl.NewContext(m, gl.HeapBase, gl.HeapSize)
 	var cur gpu.FuncStats
 	ctx.Submit = func(call *gpu.DrawCall) error {
 		return gpu.ExecuteDrawFunc(m, call, &cur)
 	}
 
 	res := &PassResult{Checkpoints: make(map[int]*trace.Checkpoint, len(want))}
-	opEnds := tr.FrameOpEnds()
 	if want[0] {
 		// Frame 0 starts from the pre-replay state: the context's
 		// uniform-bank defaults, no replayed assets yet.
-		res.Checkpoints[0] = trace.NewCheckpointAt(tr, m, 0, 0, 0)
+		res.Checkpoints[0] = trace.NewCheckpoint(tr, m, 0, 0)
 		if cfg.StopAfterLast && last == 0 {
 			return res, nil
 		}
 	}
 	opt := trace.ReplayAll()
 	opt.OnFrameEnd = func(f int) error {
-		res.Frames = append(res.Frames, FrameInfo{Sig: signatureOf(cur), OpEnd: opEnds[f]})
+		res.Frames = append(res.Frames, FrameInfo{Sig: signatureOf(cur)})
 		cur = gpu.FuncStats{}
 		if want[f+1] {
-			res.Checkpoints[f+1] = trace.NewCheckpointAt(tr, m, 0, f+1, opEnds[f])
+			res.Checkpoints[f+1] = trace.NewCheckpoint(tr, m, 0, f+1)
 		}
 		if cfg.StopAfterLast && last >= 0 && f+1 >= last {
 			return trace.ErrStop

@@ -68,8 +68,8 @@ func TestPassSignaturesAndCheckpoints(t *testing.T) {
 	if len(cp0.Pages) != 1 {
 		t.Fatalf("frame-0 checkpoint has %d pages, want 1 (uniform defaults only)", len(cp0.Pages))
 	}
-	if cp2.Frame != 2 || cp2.OpIndex != tr.FrameOpEnds()[1] {
-		t.Fatalf("frame-2 checkpoint anchored at frame %d op %d", cp2.Frame, cp2.OpIndex)
+	if cp2.Frame != 2 || cp2.Trace != tr {
+		t.Fatalf("frame-2 checkpoint anchored at frame %d (own trace: %v)", cp2.Frame, cp2.Trace == tr)
 	}
 	if len(cp2.Pages) == 0 {
 		t.Fatal("frame-2 checkpoint captured no memory")

@@ -8,39 +8,31 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"emerald/internal/mem"
 )
 
-// Checkpoint captures resumable state: the API stream, the index of the
-// next op to execute, and a full snapshot of simulated memory. A
-// checkpoint taken at a frame boundary plus a state-building replay of
-// the op prefix reconstructs the exact machine state of the original
-// run, which is what lets detailed-timing regions start anywhere in a
-// long scenario (the paper's §4.2 graphics checkpointing, ODIN-style).
+// Checkpoint captures resumable state: the API stream and a full
+// snapshot of simulated memory at the start of frame Frame. Replaying
+// the trace state-only up to that frame, restoring the memory and
+// replaying on in detail reconstructs the exact machine state of the
+// original run, which is what lets detailed-timing regions start
+// anywhere in a long scenario (the paper's §4.2 graphics
+// checkpointing, ODIN-style). The checkpoint owns its trace, so a
+// snapshot can never be paired with the wrong one.
 type Checkpoint struct {
 	Trace *Trace
 	Pages map[uint64][]byte
 	Cycle uint64
 	Frame int
-	// OpIndex is the number of trace ops already executed when the
-	// snapshot was taken; Trace.Ops[:OpIndex] is the state-building
-	// prefix and Trace.Ops[OpIndex:] the remainder to replay.
-	OpIndex int
 }
 
-// NewCheckpoint snapshots memory and the trace recorded so far (the
-// whole trace is the executed prefix: OpIndex = t.Len()).
+// NewCheckpoint snapshots memory at the start of frame, against the
+// trace it belongs to.
 func NewCheckpoint(t *Trace, m *mem.Memory, cycle uint64, frame int) *Checkpoint {
-	return NewCheckpointAt(t, m, cycle, frame, t.Len())
-}
-
-// NewCheckpointAt snapshots memory against an explicit op prefix of a
-// larger trace — the sampled-simulation pass records the full trace
-// once, then marks each frame boundary by its op index.
-func NewCheckpointAt(t *Trace, m *mem.Memory, cycle uint64, frame, opIndex int) *Checkpoint {
-	return &Checkpoint{Trace: t, Pages: m.SnapshotPages(), Cycle: cycle, Frame: frame, OpIndex: opIndex}
+	return &Checkpoint{Trace: t, Pages: m.SnapshotPages(), Cycle: cycle, Frame: frame}
 }
 
 // Serialized layout: an 8-byte versioned header, a gob payload with the
@@ -53,7 +45,7 @@ func NewCheckpointAt(t *Trace, m *mem.Memory, cycle uint64, frame, opIndex int) 
 // same state on every run.
 const (
 	ckptMagic   = "EMCKPT\n"
-	ckptVersion = 2
+	ckptVersion = 3
 	ckptHdrLen  = 8                           // magic + version byte
 	ckptFtrLen  = 8 + sha256.Size             // payload length + digest
 	ckptMinLen  = ckptHdrLen + ckptFtrLen + 1 // smallest well-formed file
@@ -67,11 +59,10 @@ type pageRecord struct {
 
 // checkpointFile is the gob payload.
 type checkpointFile struct {
-	Frame   int
-	Cycle   uint64
-	OpIndex int
-	Trace   *Trace
-	Pages   []pageRecord
+	Frame int
+	Cycle uint64
+	Trace *Trace
+	Pages []pageRecord
 }
 
 // sortedPages returns the snapshot pages in ascending address order.
@@ -89,10 +80,7 @@ func (c *Checkpoint) encode() ([]byte, error) {
 	var b bytes.Buffer
 	b.WriteString(ckptMagic)
 	b.WriteByte(ckptVersion)
-	file := checkpointFile{
-		Frame: c.Frame, Cycle: c.Cycle, OpIndex: c.OpIndex,
-		Trace: c.Trace, Pages: c.sortedPages(),
-	}
+	file := checkpointFile{Frame: c.Frame, Cycle: c.Cycle, Trace: c.Trace, Pages: c.sortedPages()}
 	if err := gob.NewEncoder(&b).Encode(&file); err != nil {
 		return nil, fmt.Errorf("trace: checkpoint encode: %w", err)
 	}
@@ -164,15 +152,18 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	// The footer proves the bytes are what some writer sealed, not that
 	// the writer was Save: hold the fields to what Save can produce.
-	if file.Trace == nil || file.Frame < 0 || file.OpIndex < 0 || file.OpIndex > file.Trace.Len() {
-		return nil, fmt.Errorf("trace: checkpoint: frame %d / op index %d do not fit the embedded trace", file.Frame, file.OpIndex)
+	if file.Trace == nil || file.Frame < 0 || file.Frame > file.Trace.FrameCount() {
+		return nil, fmt.Errorf("trace: checkpoint: frame %d does not fit the embedded trace", file.Frame)
 	}
 	c := &Checkpoint{
 		Trace: file.Trace, Pages: make(map[uint64][]byte, len(file.Pages)),
-		Cycle: file.Cycle, Frame: file.Frame, OpIndex: file.OpIndex,
+		Cycle: file.Cycle, Frame: file.Frame,
 	}
 	last := int64(-1)
 	for _, rec := range file.Pages {
+		if rec.Page > math.MaxUint64/mem.PageSize {
+			return nil, fmt.Errorf("trace: checkpoint: page %d lies past the address space", rec.Page)
+		}
 		if int64(rec.Page) <= last {
 			return nil, fmt.Errorf("trace: checkpoint: page records out of order at page %d", rec.Page)
 		}
@@ -188,10 +179,13 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // RestoreMemory replaces the target memory's contents with the
 // snapshot: the page set is reconciled (Reset), so pages the target had
 // materialized but the checkpoint lacks do not survive as stale state.
+// The pages are mapped, not copied: nothing writes a checkpoint's pages
+// after the snapshot, so every memory restored from it shares them
+// until its first write to a page copies that page.
 func (c *Checkpoint) RestoreMemory(m *mem.Memory) {
 	m.Reset()
-	for _, rec := range c.sortedPages() {
-		m.Write(rec.Page*mem.PageSize, rec.Data)
+	for p, d := range c.Pages {
+		m.Map(p*mem.PageSize, d)
 	}
 }
 

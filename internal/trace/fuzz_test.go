@@ -12,10 +12,10 @@ import (
 )
 
 // Trace and checkpoint files come from outside the program (tracetool
-// -replay/-resume, region jobs shipped between fleet nodes): whatever
-// the bytes, loading and replaying them may fail but never panic, and
-// may touch no more memory than the replay heap and MaxSurfaceDim
-// allow.
+// -info/-replay/-sample/-checkpoint load traces, -resume checkpoints):
+// whatever the bytes, loading and replaying them may fail but never
+// panic, and may touch no more memory than the replay heap and
+// MaxSurfaceDim allow.
 
 // replayHeap is the fuzz contexts' object heap: room for the W3 seed,
 // small enough that a hostile Viewport or blob runs out of it at once.
@@ -80,7 +80,7 @@ func FuzzLoadReplay(f *testing.F) {
 
 func FuzzLoadCheckpoint(f *testing.F) {
 	tr, m := recordW3(f)
-	seed, err := NewCheckpointAt(tr, m, 1234, 1, tr.FrameOpEnds()[0]).Bytes()
+	seed, err := NewCheckpoint(tr, m, 1234, 1).Bytes()
 	if err != nil {
 		f.Fatal(err)
 	}

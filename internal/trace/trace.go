@@ -111,29 +111,7 @@ func Replay(t *Trace, ctx *gl.Context, opt ReplayOptions) error {
 }
 
 // FrameCount returns the number of FrameEnd markers in the trace.
-func (t *Trace) FrameCount() int {
-	n := 0
-	for _, op := range t.Ops {
-		if op.Name == "FrameEnd" {
-			n++
-		}
-	}
-	return n
-}
-
-// FrameOpEnds returns, per frame, the op index just past its FrameEnd
-// marker — frame f's state-building prefix is Ops[:FrameOpEnds()[f]],
-// which is where a checkpoint taken at the following frame boundary
-// anchors (Checkpoint.OpIndex).
-func (t *Trace) FrameOpEnds() []int {
-	var ends []int
-	for i, op := range t.Ops {
-		if op.Name == "FrameEnd" {
-			ends = append(ends, i+1)
-		}
-	}
-	return ends
-}
+func (t *Trace) FrameCount() int { return len(t.FrameDraws()) }
 
 // FrameDraws returns, per frame, the half-open range [first, next) of
 // global draw indices recorded inside it — the draw gate a region

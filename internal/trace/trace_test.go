@@ -48,6 +48,7 @@ func renderScene(t *testing.T, s *gpu.Standalone, ctx *gl.Context) {
 		if _, err := s.RunUntilIdle(20_000_000); err != nil {
 			t.Fatal(err)
 		}
+		ctx.FrameEnd()
 	}
 }
 

@@ -105,8 +105,10 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzStoreFooter$' -fuzztime 5s ./internal/
 go test -timeout 5m -run '^$' -fuzz '^FuzzValidatePayload$' -fuzztime 5s ./internal/fleet
 
 echo "== trace, checkpoint and sampling-pass decoder fuzz (3 x 5 s) =="
-# tracetool -replay/-resume/-analyze and region jobs read these files;
-# the seeds are a recorded W3 trace and a checkpoint of it. Minimisation
+# tracetool -info/-replay/-sample/-checkpoint load trace files (the last
+# two run the sampling pass on them) and tracetool -resume loads
+# checkpoint files; the seeds are a recorded W3 trace and a checkpoint
+# of it. Minimisation
 # is off: the seeds carry a 256 KiB texture, and shrinking one
 # interesting mutation of that takes longer than the whole run.
 go test -timeout 5m -run '^$' -fuzz '^FuzzLoadReplay$' -fuzztime 5s -fuzzminimizetime 0 ./internal/trace
